@@ -3,7 +3,7 @@ package ncq_test
 // The benchmark suite regenerates the paper's evaluation (one bench per
 // figure plus the Section 5 scaling claim) and adds ablations for the
 // design choices DESIGN.md calls out. cmd/ncqbench prints the same
-// series as TSV tables; EXPERIMENTS.md records the measured shapes.
+// series as TSV tables; bench/README.md records the serving numbers.
 // The suite lives in the external test package so the server-level
 // benchmarks can import ncq/internal/server (which itself imports ncq).
 
@@ -214,6 +214,32 @@ func BenchmarkSearch(b *testing.B) {
 			b.Fatal("no hits")
 		}
 	}
+}
+
+// BenchmarkLocateSubstring measures the `contains` locate step on the
+// trigram index: owners/* is the serving path (sorted owner OIDs, no
+// Hit per association), hits/* the materialising path the CLI and the
+// figure experiments print from.
+func BenchmarkLocateSubstring(b *testing.B) {
+	setup := dblp(b)
+	for _, needle := range []string{"ICDE", "1999", "html"} {
+		b.Run("owners/"+needle, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if len(setup.Index.OwnersSubstring(needle)) == 0 {
+					b.Fatal("no owners")
+				}
+			}
+		})
+	}
+	b.Run("hits/ICDE", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if len(setup.Index.SearchSubstring("ICDE")) == 0 {
+				b.Fatal("no hits")
+			}
+		}
+	})
 }
 
 // BenchmarkMeetRollup measures the warm columnar roll-up of the

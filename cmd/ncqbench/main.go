@@ -9,7 +9,7 @@
 //	ncqbench -experiment all
 //
 // The absolute times are this machine's; the shapes are the paper's
-// claims (see EXPERIMENTS.md).
+// claims. The serving benchmark and its numbers are in bench/README.md.
 package main
 
 import (

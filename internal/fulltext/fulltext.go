@@ -6,8 +6,12 @@
 // The engine indexes every string association of a Monet XML store —
 // the character data of cdata nodes and all attribute values — in an
 // inverted index keyed by lower-cased token. Substring search, the
-// semantics of the paper's `contains` predicate, is answered by a scan
-// over the distinct stored values.
+// semantics of the paper's `contains` predicate, is answered from a
+// second index over the distinct stored values: every byte trigram of a
+// value hashes into one of 2^15 buckets listing the value ids carrying
+// it, a needle's rarest buckets are intersected and strings.Contains
+// verifies the survivors, so hash collisions cost time, never
+// correctness. Needles shorter than a trigram scan the value table.
 //
 // The index is columnar, matching the path-partitioned binary-relation
 // layout it is built over: all associations live in one table of
@@ -27,6 +31,7 @@
 package fulltext
 
 import (
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -69,6 +74,25 @@ type Index struct {
 	// ordered result with a single gather pass, and intersecting two
 	// postings is a linear merge of sorted ints.
 	post map[string][]int32
+
+	// The substring index, two CSR tables: trigram bucket h owns
+	// gramVids[gramStart[h]:gramStart[h+1]], the ascending ids of the
+	// values with a trigram hashing to h; value v owns
+	// valRows[valStart[v]:valStart[v+1]], the ascending rows carrying
+	// it, so a match reaches its associations without a table sweep.
+	gramStart, gramVids []int32
+	valStart, valRows   []int32
+}
+
+const (
+	gramLen     = 3 // bytes per gram: shorter needles cannot use the index
+	gramBits    = 15
+	gramBuckets = 1 << gramBits // hashed trigram buckets per index
+)
+
+// gramHash maps a byte trigram to its bucket by Fibonacci hashing.
+func gramHash(a, b, c byte) uint32 {
+	return (uint32(a) | uint32(b)<<8 | uint32(c)<<16) * 0x9E3779B1 >> (32 - gramBits)
 }
 
 // Tokenize splits s into lower-cased maximal runs of letters and
@@ -224,7 +248,59 @@ func New(store *monetx.Store) *Index {
 		}
 	}
 	idx.sortRows()
+	idx.buildSubstringIndex()
 	return idx
+}
+
+// buildSubstringIndex fills the trigram postings and the value→rows
+// table, each by a counting sort: count, prefix-sum into offsets, fill
+// through the offsets (leaving each at its bucket's end), shift them
+// back by one slot. A value is listed once per bucket however often it
+// repeats a trigram: last holds the bucket's most recent value id.
+func (idx *Index) buildSubstringIndex() {
+	start := make([]int32, gramBuckets+1)
+	last := make([]int32, gramBuckets)
+	eachGram := func(visit func(h uint32, vid int32)) {
+		for i := range last {
+			last[i] = -1
+		}
+		for vid, v := range idx.values {
+			for i := 0; i+gramLen <= len(v); i++ {
+				if h := gramHash(v[i], v[i+1], v[i+2]); last[h] != int32(vid) {
+					last[h] = int32(vid)
+					visit(h, int32(vid))
+				}
+			}
+		}
+	}
+	eachGram(func(h uint32, _ int32) { start[h+1]++ })
+	for h := 0; h < gramBuckets; h++ {
+		start[h+1] += start[h]
+	}
+	vids := make([]int32, start[gramBuckets])
+	eachGram(func(h uint32, vid int32) {
+		vids[start[h]] = vid
+		start[h]++
+	})
+	copy(start[1:], start)
+	start[0] = 0
+	idx.gramStart, idx.gramVids = start, vids
+
+	start = make([]int32, len(idx.values)+1)
+	for _, v := range idx.vals {
+		start[v+1]++
+	}
+	for v := range idx.values {
+		start[v+1] += start[v]
+	}
+	rows := make([]int32, len(idx.vals))
+	for r, v := range idx.vals {
+		rows[start[v]] = int32(r)
+		start[v]++
+	}
+	copy(start[1:], start)
+	start[0] = 0
+	idx.valStart, idx.valRows = start, rows
 }
 
 // sortRows orders the association table by (owner, path) and rewrites
@@ -358,44 +434,51 @@ func (idx *Index) intersectPostings(toks []string) ([]int32, bool) {
 
 // SearchSubstring returns the associations whose value contains sub as
 // a case-sensitive substring — the semantics of the paper's
-// `contains` predicate ("o & contains 'Bit'"). Substrings spanning
-// three or more tokens are narrowed through the posting lists first
-// (the interior tokens must occur verbatim); otherwise the distinct
-// value table is scanned, each stored string tested once however many
-// associations carry it.
+// `contains` predicate ("o & contains 'Bit'") — in (owner, path) row
+// order. Each stored string is tested at most once however many
+// associations carry it, and only if the trigram index admits it.
 func (idx *Index) SearchSubstring(sub string) []Hit {
-	if sub == "" {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	return idx.rowHits(&s.rows, idx.matchSubstring(s, sub))
+}
+
+// OwnersSubstring returns the distinct owners of SearchSubstring(sub)
+// in ascending order — the meet's input set — without materialising a
+// Hit per association.
+func (idx *Index) OwnersSubstring(sub string) []bat.OID {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	n := idx.matchSubstring(s, sub)
+	if n == 0 {
 		return nil
 	}
-	if toks := Tokenize(sub); len(toks) >= 3 {
-		// A value containing sub contains each interior token bounded
-		// by the same non-alphanumerics, i.e. as a complete token.
-		cand, ok := idx.intersectPostings(toks[1 : len(toks)-1])
-		if !ok {
-			return nil
+	// Rows ascend by (owner, path): one owner's rows are adjacent.
+	out := make([]bat.OID, 0, n)
+	for r := range s.rows.all {
+		if o := idx.owners[r]; len(out) == 0 || out[len(out)-1] != o {
+			out = append(out, o)
 		}
-		var out []Hit
-		for _, r := range cand {
-			if v := idx.values[idx.vals[r]]; strings.Contains(v, sub) {
-				out = append(out, Hit{Owner: idx.owners[r], Path: idx.paths[r], Value: v})
-			}
-		}
-		return out
 	}
-	return idx.scan(func(v string) bool { return strings.Contains(v, sub) })
+	return out
 }
 
 // SearchFunc returns the associations whose value satisfies pred. The
 // predicate is evaluated once per distinct stored value.
 func (idx *Index) SearchFunc(pred func(string) bool) []Hit {
-	return idx.scan(pred)
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	return idx.rowHits(&s.rows, idx.scan(s, pred))
 }
 
-// scanBits pools the distinct-value bitsets of scan, so a warm
-// predicate query allocates O(results) instead of one []bool over the
-// value table per call — the same allocation story as the posting-list
-// searches.
-var scanBits = sync.Pool{New: func() any { return new(bitset) }}
+// scratch is the pooled working set of a value-table search: the matched
+// rows and the trigram intersection's intermediates.
+type scratch struct {
+	rows bitset
+	bufs [2][]int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // bitset is a plain word-packed bit vector sized per use.
 type bitset struct {
@@ -413,30 +496,105 @@ func (b *bitset) reset(n int) {
 	clear(b.words)
 }
 
-func (b *bitset) set(i int)      { b.words[i>>6] |= 1 << (i & 63) }
-func (b *bitset) get(i int) bool { return b.words[i>>6]&(1<<(i&63)) != 0 }
+func (b *bitset) set(i int) { b.words[i>>6] |= 1 << (i & 63) }
 
-func (idx *Index) scan(pred func(string) bool) []Hit {
-	matched := scanBits.Get().(*bitset)
-	defer scanBits.Put(matched)
-	matched.reset(len(idx.values))
-	any := false
+// all yields the set bits in ascending order.
+func (b *bitset) all(yield func(int) bool) {
+	for w, word := range b.words {
+		for ; word != 0; word &= word - 1 {
+			if !yield(w<<6 | bits.TrailingZeros64(word)) {
+				return
+			}
+		}
+	}
+}
+
+// matchSubstring marks in s.rows the associations whose value contains
+// sub and returns how many there are. The empty needle matches nothing.
+func (idx *Index) matchSubstring(s *scratch, sub string) int {
+	if len(sub) < gramLen {
+		return idx.scan(s, func(v string) bool { return sub != "" && strings.Contains(v, sub) })
+	}
+	s.rows.reset(len(idx.owners))
+	n := 0
+	for _, vid := range idx.gramCandidates(s, sub) {
+		if strings.Contains(idx.values[vid], sub) {
+			n += idx.markValue(&s.rows, vid)
+		}
+	}
+	return n
+}
+
+// scan marks in s.rows the associations whose value satisfies pred and
+// returns how many there are.
+func (idx *Index) scan(s *scratch, pred func(string) bool) int {
+	s.rows.reset(len(idx.owners))
+	n := 0
 	for vid, v := range idx.values {
 		if pred(v) {
-			matched.set(vid)
-			any = true
+			n += idx.markValue(&s.rows, int32(vid))
 		}
 	}
-	if !any {
+	return n
+}
+
+// markValue marks the rows carrying value vid and returns their count.
+func (idx *Index) markValue(rows *bitset, vid int32) int {
+	carriers := idx.valRows[idx.valStart[vid]:idx.valStart[vid+1]]
+	for _, r := range carriers {
+		rows.set(int(r))
+	}
+	return len(carriers)
+}
+
+// rowHits materialises the n marked rows as Hits, in row order.
+func (idx *Index) rowHits(rows *bitset, n int) []Hit {
+	if n == 0 {
 		return nil
 	}
-	var out []Hit
-	for i, vid := range idx.vals {
-		if matched.get(int(vid)) {
-			out = append(out, Hit{Owner: idx.owners[i], Path: idx.paths[i], Value: idx.values[vid]})
-		}
+	out := make([]Hit, 0, n)
+	for r := range rows.all {
+		out = append(out, Hit{Owner: idx.owners[r], Path: idx.paths[r], Value: idx.values[idx.vals[r]]})
 	}
 	return out
+}
+
+// gramCandidates returns the ascending ids of the values listed in each
+// of the three rarest buckets the trigrams of sub (at least gramLen
+// bytes) hash to. Three are enough: the verifier sees the survivors
+// anyway, and a longer list costs more to merge than it would remove.
+func (idx *Index) gramCandidates(s *scratch, sub string) []int32 {
+	posting := func(h uint32) []int32 { return idx.gramVids[idx.gramStart[h]:idx.gramStart[h+1]] }
+	var rarest [3]uint32 // buckets, ascending by posting length
+	n := 0
+grams:
+	for i := 0; i+gramLen <= len(sub); i++ {
+		h := gramHash(sub[i], sub[i+1], sub[i+2])
+		for _, seen := range rarest[:n] {
+			if seen == h {
+				continue grams
+			}
+		}
+		switch size := len(posting(h)); {
+		case size == 0:
+			return nil
+		case n < len(rarest):
+			n++
+		case size >= len(posting(rarest[n-1])):
+			continue
+		}
+		rarest[n-1] = h
+		for j := n - 1; j > 0 && len(posting(rarest[j])) < len(posting(rarest[j-1])); j-- {
+			rarest[j], rarest[j-1] = rarest[j-1], rarest[j]
+		}
+	}
+	cand := posting(rarest[0])
+	for k := 1; k < n; k++ {
+		// Alternate the two buffers: the merge never writes the list it reads.
+		s.bufs[k&1] = bat.IntersectSorted(s.bufs[k&1][:0], cand, posting(rarest[k]))
+		cand = s.bufs[k&1]
+	}
+	return cand
 }
 
 // Owners extracts the distinct owner OIDs of hits, in ascending order.

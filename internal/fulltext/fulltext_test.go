@@ -1,12 +1,15 @@
 package fulltext
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"ncq/internal/bat"
+	"ncq/internal/datagen"
 	"ncq/internal/monetx"
 	"ncq/internal/xmltree"
 )
@@ -217,5 +220,48 @@ func TestTermsCount(t *testing.T) {
 	idx := fig1Index(t)
 	if idx.Terms() == 0 {
 		t.Error("index has no terms")
+	}
+}
+
+func dblpIndex(t testing.TB) *Index {
+	t.Helper()
+	s, err := monetx.Load(datagen.DBLP(datagen.DBLPConfig{Seed: 1, YearFrom: 1996, YearTo: 1999, PubsPerVenueYear: 20}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(s)
+}
+
+// TestSearchSubstringRowOrder pins what callers of SearchSubstring
+// rely on and the trigram index must not disturb: hits arrive in
+// (owner, path) row order, each matching association exactly once, and
+// OwnersSubstring is the distinct owners of the same hits.
+func TestSearchSubstringRowOrder(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		idx     *Index
+		needles []string
+	}{
+		{"fig1", fig1Index(t), []string{"Hack", "1999", "B", "Bi", "Bit", "99"}},
+		{"dblp", dblpIndex(t), []string{"ICDE", "1999", "html", "Bit", "db/conf/icde/icde1999.html", "9"}},
+		{"parity", parityIndex(t, "abcd"), []string{"abcd", "bcd", "aaaa", "aaaaaaa", "1999", "ße", "a"}},
+	} {
+		for i, needle := range c.needles {
+			hits := c.idx.SearchSubstring(needle)
+			if i == 0 && len(hits) == 0 {
+				t.Errorf("%s: fixture has no %q hits", c.name, needle)
+			}
+			if !slices.Equal(hits, sweepSubstring(c.idx, needle)) {
+				t.Errorf("%s: SearchSubstring(%q) differs from the row sweep", c.name, needle)
+			}
+			if !slices.IsSortedFunc(hits, func(a, b Hit) int {
+				return cmp.Or(cmp.Compare(a.Owner, b.Owner), cmp.Compare(a.Path, b.Path))
+			}) {
+				t.Errorf("%s: SearchSubstring(%q) not in (owner, path) order", c.name, needle)
+			}
+			if got, want := c.idx.OwnersSubstring(needle), Owners(hits); !slices.Equal(got, want) {
+				t.Errorf("%s: OwnersSubstring(%q) = %v, want %v", c.name, needle, got, want)
+			}
+		}
 	}
 }

@@ -145,7 +145,7 @@ func (e *Engine) evalLeaf(o bat.OID, c cond, hitCache map[string][]bat.OID) (boo
 	case condContains:
 		owners, ok := hitCache[c.arg]
 		if !ok {
-			owners = fulltext.Owners(e.idx.SearchSubstring(c.arg)) // ascending
+			owners = e.idx.OwnersSubstring(c.arg) // ascending
 			hitCache[c.arg] = owners
 		}
 		// A hit owner lies in o's subtree iff one falls into the

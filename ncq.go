@@ -53,7 +53,6 @@ type NodeID = bat.OID
 
 // Database is a loaded XML document ready for nearest concept queries.
 type Database struct {
-	doc    *xmltree.Document
 	store  *monetx.Store
 	index  *fulltext.Index
 	engine *query.Engine
@@ -92,13 +91,13 @@ func FromDocument(doc *xmltree.Document) (*Database, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ncq: %w", err)
 	}
+	return newDatabase(store), nil
+}
+
+// newDatabase indexes a shredded store; the parsed tree is not kept.
+func newDatabase(store *monetx.Store) *Database {
 	idx := fulltext.New(store)
-	return &Database{
-		doc:    doc,
-		store:  store,
-		index:  idx,
-		engine: query.NewEngine(store, idx),
-	}, nil
+	return &Database{store: store, index: idx, engine: query.NewEngine(store, idx)}
 }
 
 // Len returns the number of nodes (elements plus character data).
@@ -544,9 +543,14 @@ func (db *Database) Stats() Stats {
 	}
 }
 
-// WriteXML serialises the loaded document back to XML.
+// WriteXML serialises the loaded document back to XML, reassembling
+// the tree from the store: the Monet transform is lossless.
 func (db *Database) WriteXML(w io.Writer, indent bool) error {
-	return db.doc.WriteXML(w, indent)
+	doc, err := db.store.ReassembleDocument()
+	if err != nil {
+		return fmt.Errorf("ncq: %w", err)
+	}
+	return doc.WriteXML(w, indent)
 }
 
 // PathInfo describes one relation of the storage catalogue.

@@ -212,13 +212,11 @@ func (db *Database) termMeetsStream(ctx context.Context, terms []string, opt *Op
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var hits []fulltext.Hit
 		if vg != nil && vg.Expand {
-			hits = db.index.SearchExpanded(th, t)
+			sets = append(sets, fulltext.Owners(db.index.SearchExpanded(th, t)))
 		} else {
-			hits = db.index.SearchSubstring(t)
+			sets = append(sets, db.index.OwnersSubstring(t))
 		}
-		sets = append(sets, fulltext.Owners(hits))
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"ncq/internal/fulltext"
 	"ncq/internal/monetx"
-	"ncq/internal/query"
 )
 
 // SaveSnapshot persists the loaded database in a compact binary form
@@ -46,15 +44,5 @@ func OpenSnapshotShard(r io.Reader) (db *Database, shard, shards int, err error)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("ncq: %w", err)
 	}
-	doc, err := store.ReassembleDocument()
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("ncq: %w", err)
-	}
-	idx := fulltext.New(store)
-	return &Database{
-		doc:    doc,
-		store:  store,
-		index:  idx,
-		engine: query.NewEngine(store, idx),
-	}, shard, shards, nil
+	return newDatabase(store), shard, shards, nil
 }
