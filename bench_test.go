@@ -451,15 +451,17 @@ func BenchmarkCorpusMeetParallel(b *testing.B) {
 	c.SetParallelism(0)
 }
 
-// BenchmarkServerQuery measures the full HTTP query path of ncqd: JSON
-// decode, cache lookup, corpus meet, JSON encode. The cold series
-// disables the cache so every request recomputes; the cached series
-// must be served entirely from the LRU (verified per request).
+// BenchmarkServerQuery measures the full HTTP query path of ncqd for an
+// unlimited answer set: JSON decode, cache lookup, corpus meet, JSON
+// encode (BenchmarkQueryV2 is the same endpoint asked for a top-K
+// page). The cold series disables the cache so every request
+// recomputes; the cached series must be served entirely from the LRU
+// (verified per request).
 func BenchmarkServerQuery(b *testing.B) {
 	corpus := benchCorpus(b, 4)
 	body := []byte(`{"terms":["ICDE","1999"],"exclude_root":true}`)
 	post := func(b *testing.B, h http.Handler) string {
-		req := httptest.NewRequest("POST", "/v1/query", bytes.NewReader(body))
+		req := httptest.NewRequest("POST", "/v2/query", bytes.NewReader(body))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
@@ -566,7 +568,7 @@ func BenchmarkShardedQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchQuery measures the batch endpoint's amortisation win:
+// BenchmarkBatchQuery measures the "batch" form's amortisation win:
 // the same 16 distinct queries issued as 16 single requests versus one
 // batch request. The cold series recomputes every query (the batch
 // adds pool fan-out across queries); the cached series is pure
@@ -576,7 +578,7 @@ func BenchmarkBatchQuery(b *testing.B) {
 	corpus := benchCorpus(b, 4)
 	singles := make([][]byte, nq)
 	var batch bytes.Buffer
-	batch.WriteString(`{"queries":[`)
+	batch.WriteString(`{"batch":[`)
 	for i := 0; i < nq; i++ {
 		q := fmt.Sprintf(`{"terms":["ICDE","%d"],"exclude_root":true}`, 1995+i%5)
 		singles[i] = []byte(q)
@@ -587,8 +589,8 @@ func BenchmarkBatchQuery(b *testing.B) {
 	}
 	batch.WriteString(`]}`)
 
-	post := func(b *testing.B, h http.Handler, path string, body []byte) {
-		req := httptest.NewRequest("POST", path, bytes.NewReader(body))
+	post := func(b *testing.B, h http.Handler, body []byte) {
+		req := httptest.NewRequest("POST", "/v2/query", bytes.NewReader(body))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
@@ -605,18 +607,18 @@ func BenchmarkBatchQuery(b *testing.B) {
 	} {
 		h := server.New(corpus, mode.opts...).Handler()
 		if mode.warm {
-			post(b, h, "/v1/query/batch", batch.Bytes())
+			post(b, h, batch.Bytes())
 		}
 		b.Run("individual/"+mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, body := range singles {
-					post(b, h, "/v1/query", body)
+					post(b, h, body)
 				}
 			}
 		})
 		b.Run("batch/"+mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				post(b, h, "/v1/query/batch", batch.Bytes())
+				post(b, h, batch.Bytes())
 			}
 		})
 	}
@@ -655,8 +657,9 @@ func BenchmarkRunStream(b *testing.B) {
 	})
 }
 
-// BenchmarkQueryV2 measures the unified HTTP endpoint: JSON decode,
-// canonical cache key, corpus run with pushed-down limit, JSON encode.
+// BenchmarkQueryV2 measures the HTTP endpoint on a top-K page: JSON
+// decode, canonical cache key, corpus run with pushed-down limit, JSON
+// encode.
 // The cold series disables the cache; the cached series must be served
 // entirely from the LRU (verified per request).
 func BenchmarkQueryV2(b *testing.B) {

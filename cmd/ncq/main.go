@@ -41,6 +41,7 @@ import (
 	"strings"
 
 	"ncq"
+	"ncq/internal/wire"
 )
 
 func main() {
@@ -298,14 +299,7 @@ func streamMeet(ctx context.Context, db *ncq.Database, terms []string, mf meetFl
 // otherwise it issues a plain v2 query and prints the envelope's
 // answer.
 func remoteMeet(ctx context.Context, base string, terms []string, mf meetFlags, stdout io.Writer) error {
-	reqBody := map[string]any{"terms": terms}
-	if mf.excludeRoot {
-		reqBody["exclude_root"] = true
-	}
-	if mf.within > 0 {
-		reqBody["within"] = mf.within
-	}
-	body, err := json.Marshal(reqBody)
+	body, err := json.Marshal(wire.Query{Terms: terms, ExcludeRoot: mf.excludeRoot, Within: mf.within})
 	if err != nil {
 		return err
 	}
@@ -324,27 +318,23 @@ func remoteMeet(ctx context.Context, base string, terms []string, mf meetFlags, 
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return fmt.Errorf("server: %s (%s)", e.Error, resp.Status)
+		return fmt.Errorf("server: %s (%s)", wire.ReadError(resp.Body), resp.Status)
 	}
 	if mf.stream {
 		return printNDJSON(resp.Body, stdout)
 	}
-	// The corpus-wide wire result carries no unmatched count (a v1
-	// compatibility constraint); only the streaming trailer does.
-	var envelope struct {
-		Result struct {
-			Meets []ncq.CorpusMeet `json:"meets"`
-		} `json:"result"`
-	}
+	// The corpus-wide result carries no unmatched count; only the
+	// streaming trailer does.
+	var envelope wire.Response
+	var result wire.Result
 	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
 		return fmt.Errorf("decode response: %w", err)
 	}
-	fmt.Fprintf(stdout, "%d nearest concept(s)\n", len(envelope.Result.Meets))
-	for _, m := range envelope.Result.Meets {
+	if err := json.Unmarshal(envelope.Result, &result); err != nil {
+		return fmt.Errorf("decode result: %w", err)
+	}
+	fmt.Fprintf(stdout, "%d nearest concept(s)\n", len(result.Meets))
+	for _, m := range result.Meets {
 		printRemoteMeet(stdout, m)
 	}
 	return nil
@@ -355,22 +345,15 @@ func remoteMeet(ctx context.Context, base string, terms []string, mf meetFlags, 
 // command's error. A stream that ends without a trailer was cut short
 // — the printed meets are a prefix, not the answer — and fails.
 func printNDJSON(r io.Reader, stdout io.Writer) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc := wire.NewLineScanner(r)
 	n := 0
-	for sc.Scan() {
-		var line struct {
-			Meet      *ncq.CorpusMeet `json:"meet"`
-			Trailer   bool            `json:"trailer"`
-			Unmatched int             `json:"unmatched"`
-			Truncated bool            `json:"truncated"`
-			TookMS    float64         `json:"took_ms"`
-			Error     string          `json:"error"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			return fmt.Errorf("bad stream line %q: %w", sc.Text(), err)
-		}
+	for {
+		line, err := sc.Next()
 		switch {
+		case err == io.EOF:
+			return fmt.Errorf("stream ended without a trailer after %d meet(s); the answer is incomplete", n)
+		case err != nil:
+			return err
 		case line.Error != "":
 			return fmt.Errorf("server: %s", line.Error)
 		case line.Trailer:
@@ -382,10 +365,6 @@ func printNDJSON(r io.Reader, stdout io.Writer) error {
 			n++
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	return fmt.Errorf("stream ended without a trailer after %d meet(s); the answer is incomplete", n)
 }
 
 // printRemoteMeet renders one meet of a remote answer; node IDs are

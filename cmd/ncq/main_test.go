@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -254,5 +257,36 @@ func TestCLIRemoteMeet(t *testing.T) {
 	// -server supports meet only.
 	if code, _, errOut := exec(t, "", "-server", ts.URL, "stats"); code != 2 || !strings.Contains(errOut, "meet command only") {
 		t.Errorf("remote stats: code %d, stderr %q", code, errOut)
+	}
+}
+
+// TestCLIRemoteStreamLongLine: the CLI reads NDJSON through the same
+// scanner as the coordinator, so a meet line the cluster relays (here
+// 200k witnesses, ≈1.4 MB) does not die with "token too long".
+func TestCLIRemoteStreamLongLine(t *testing.T) {
+	var line strings.Builder
+	line.WriteString(`{"meet":{"source":"big","node":1,"tag":"bib","path":"/bib","witnesses":[`)
+	for i := 0; i < 200_000; i++ {
+		if i > 0 {
+			line.WriteByte(',')
+		}
+		fmt.Fprintf(&line, "%d", 100_000+i)
+	}
+	line.WriteString(`],"distance":3}}` + "\n")
+	if line.Len() < 1_300_000 {
+		t.Fatalf("line is only %d bytes", line.Len())
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		io.WriteString(w, line.String())
+		io.WriteString(w, `{"trailer":true,"unmatched":2,"took_ms":1.5}`+"\n")
+	}))
+	defer ts.Close()
+	code, out, errOut := exec(t, "", "-server", ts.URL, "-stream", "meet", "x")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errOut)
+	}
+	if !strings.Contains(out, "1 nearest concept(s), 2 unmatched input(s), 1.5 ms") {
+		t.Errorf("no summary line; output ends %q", out[max(0, len(out)-120):])
 	}
 }

@@ -9,8 +9,9 @@
 //
 // Endpoints:
 //
-//	POST   /v2/query       the unified endpoint: {"doc":...,"terms":[...],
-//	                       "limit":N,"cursor":...,"timeout_ms":N} or
+//	POST   /v2/query       the query endpoint: {"doc":...,"terms":[...],
+//	                       "limit":N,"cursor":...,"timeout_ms":N},
+//	                       {"doc":"bib","query":"SELECT meet(e1,e2) FROM ..."} or
 //	                       {"batch":[{...},{...}]} — single doc, whole corpus
 //	                       and batches in one schema, with cursor pagination
 //	                       (410 Gone when a cursor outlives a corpus
@@ -18,9 +19,6 @@
 //	                       streams a term request as NDJSON — one meet per
 //	                       line the moment the global rank yields it, then
 //	                       a {"trailer":true,...} line with the counters
-//	POST   /v1/query       {"terms":["Bit","1999"],"exclude_root":true}
-//	                       or {"doc":"bib","query":"SELECT meet(e1,e2) FROM ..."}
-//	POST   /v1/query/batch {"queries":[{...},{...}]} — many queries, one round trip
 //	PUT    /v1/docs/{name} load/replace a document (body = XML); ?shards=K
 //	                       splits it into K parallel subtree shards
 //	GET    /v1/docs/{name} inspect a document

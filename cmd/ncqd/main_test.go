@@ -190,7 +190,7 @@ func TestServeAndShutdown(t *testing.T) {
 		t.Errorf("healthz: %d", resp.StatusCode)
 	}
 
-	resp, err = http.Post(base+"/v1/query", "application/json",
+	resp, err = http.Post(base+"/v2/query", "application/json",
 		strings.NewReader(`{"doc":"bib","terms":["Bit","1999"],"exclude_root":true}`))
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +294,7 @@ func TestDurableLifecycle(t *testing.T) {
 
 	// Second life: no -load; everything must come back from the data dir.
 	base, done, stderr = boot()
-	resp, err = http.Post(base+"/v1/query", "application/json",
+	resp, err = http.Post(base+"/v2/query", "application/json",
 		strings.NewReader(`{"terms":["Bit","1999"],"exclude_root":true}`))
 	if err != nil {
 		t.Fatal(err)

@@ -21,6 +21,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"ncq/internal/metrics"
 )
 
 // ErrSaturated is returned by Acquire when the limiter's concurrency
@@ -141,5 +143,28 @@ func (l *Limiter) Stats() Stats {
 		MaxQueue:      int(l.maxQueue),
 		Admitted:      l.admitted.Load(),
 		Rejected:      l.rejected.Load(),
+	}
+}
+
+// Register exposes the limiter's state on reg as the ncq_admission_*
+// series, sampled at exposition time; a nil limiter reports zeros.
+func (l *Limiter) Register(reg *metrics.Registry) {
+	for _, m := range []struct {
+		add        func(name, help string, fn func() float64)
+		name, help string
+		value      func(Stats) float64
+	}{
+		{reg.GaugeFunc, "ncq_admission_inflight", "Executions currently holding an admission slot; 0 when admission control is off.",
+			func(st Stats) float64 { return float64(st.InFlight) }},
+		{reg.GaugeFunc, "ncq_admission_queued", "Acquisitions currently waiting for an admission slot.",
+			func(st Stats) float64 { return float64(st.Queued) }},
+		{reg.GaugeFunc, "ncq_admission_capacity", "Configured admission concurrency limit; 0 when admission control is off.",
+			func(st Stats) float64 { return float64(st.MaxConcurrent) }},
+		{reg.CounterFunc, "ncq_admission_admitted_total", "Query requests granted an admission slot.",
+			func(st Stats) float64 { return float64(st.Admitted) }},
+		{reg.CounterFunc, "ncq_admission_rejected_total", "Query requests shed with 429 because slots and queue were full.",
+			func(st Stats) float64 { return float64(st.Rejected) }},
+	} {
+		m.add(m.name, m.help, func() float64 { return m.value(l.Stats()) })
 	}
 }

@@ -27,6 +27,8 @@ import (
 	"container/list"
 	"sync"
 	"time"
+
+	"ncq/internal/metrics"
 )
 
 // Key identifies one cached result.
@@ -219,4 +221,31 @@ func (c *LRU) Stats() Stats {
 	st.Bytes = c.bytes
 	st.CapBytes = c.capBytes
 	return st
+}
+
+// Register exposes the cache's counters on reg as the ncq_cache_*
+// series, sampled at exposition time.
+func (c *LRU) Register(reg *metrics.Registry) {
+	for _, m := range []struct {
+		add        func(name, help string, fn func() float64)
+		name, help string
+		value      func(Stats) float64
+	}{
+		{reg.CounterFunc, "ncq_cache_hits_total", "Result cache lookups answered from the cache.",
+			func(st Stats) float64 { return float64(st.Hits) }},
+		{reg.CounterFunc, "ncq_cache_misses_total", "Result cache lookups that fell through to execution.",
+			func(st Stats) float64 { return float64(st.Misses) }},
+		{reg.GaugeFunc, "ncq_cache_hit_ratio", "Lifetime cache hit ratio: hits / (hits + misses); 0 before any lookup.",
+			func(st Stats) float64 { return float64(st.Hits) / max(1, float64(st.Hits+st.Misses)) }},
+		{reg.GaugeFunc, "ncq_cache_entries", "Entries currently resident in the result cache.",
+			func(st Stats) float64 { return float64(st.Entries) }},
+		{reg.GaugeFunc, "ncq_cache_bytes", "Approximate bytes currently retained by the result cache.",
+			func(st Stats) float64 { return float64(st.Bytes) }},
+		{reg.GaugeFunc, "ncq_cache_cap_bytes", "Configured byte capacity of the result cache.",
+			func(st Stats) float64 { return float64(st.CapBytes) }},
+		{reg.CounterFunc, "ncq_cache_evictions_total", "Entries evicted from the result cache to stay within capacity.",
+			func(st Stats) float64 { return float64(st.Evictions) }},
+	} {
+		m.add(m.name, m.help, func() float64 { return m.value(c.Stats()) })
+	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"ncq"
 	"ncq/internal/server"
+	"ncq/internal/wire"
 )
 
 // startWorker runs a plain ncqd node (the worker role is just a
@@ -296,7 +297,7 @@ func streamMeets(tb testing.TB, baseURL, body string) []string {
 	var meets []string
 	sawTrailer := false
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), scanBufSize)
+	sc.Buffer(make([]byte, 64<<10), wire.MaxLine)
 	for sc.Scan() {
 		var line struct {
 			Meet    json.RawMessage `json:"meet"`
@@ -436,7 +437,7 @@ func TestCoordinatorFirstYieldBeforeWorkerDrains(t *testing.T) {
 	}
 	defer func() { testLineDecode = nil }()
 
-	q := &clusterQuery{Terms: []string{"Author", "199"}, ExcludeRoot: true}
+	q := &wire.Query{Terms: []string{"Author", "199"}, ExcludeRoot: true}
 	g, err := coord.scatterQuery(context.Background(), q, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -617,7 +618,7 @@ func BenchmarkCoordinatorScatterGather(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := &clusterQuery{Terms: []string{"Author1", "199"}, ExcludeRoot: true, Limit: 10}
+	q := &wire.Query{Terms: []string{"Author1", "199"}, ExcludeRoot: true, Limit: 10}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -626,8 +627,8 @@ func BenchmarkCoordinatorScatterGather(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if out.cached || len(out.raw) == 0 {
-			b.Fatalf("iteration served from cache or empty (cached=%t)", out.cached)
+		if out.Cached || len(out.Result) == 0 {
+			b.Fatalf("iteration served from cache or empty (cached=%t)", out.Cached)
 		}
 	}
 }

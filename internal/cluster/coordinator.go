@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,6 +17,7 @@ import (
 	"ncq/internal/admission"
 	"ncq/internal/cache"
 	"ncq/internal/metrics"
+	"ncq/internal/wire"
 )
 
 const (
@@ -210,108 +210,14 @@ func (c *Coordinator) trackedHash(targets []Worker) uint64 {
 	return genHash(gens)
 }
 
-// clusterQuery is the coordinator's /v2/query wire schema: the worker
-// schema plus allow_partial. The shared fields are forwarded to
-// workers verbatim, which is what keeps the two surfaces one API.
-type clusterQuery struct {
-	Doc   string   `json:"doc,omitempty"`
-	Query string   `json:"query,omitempty"`
-	Terms []string `json:"terms,omitempty"`
-
-	ExcludeRoot bool     `json:"exclude_root,omitempty"`
-	Exclude     []string `json:"exclude,omitempty"`
-	Restrict    []string `json:"restrict,omitempty"`
-	Nearest     bool     `json:"nearest,omitempty"`
-	Within      int      `json:"within,omitempty"`
-	MaxLift     int      `json:"max_lift,omitempty"`
-
-	Limit  int    `json:"limit,omitempty"`
-	Cursor string `json:"cursor,omitempty"`
-
-	// Vague is the vague-constraints spec, forwarded to workers
-	// verbatim (the ncq.Vague wire shape). Workers blend structural
-	// slack into each answer's distance before ranking, so the
-	// coordinator's merge needs no vague-specific handling — the
-	// blended distance is the order the streams already arrive in.
-	Vague *ncq.Vague `json:"vague,omitempty"`
-
-	// AllowPartial degrades worker failures instead of failing the
-	// query: the response carries the surviving workers' exact merged
-	// ranking, marked incomplete, with per-worker error detail. Strict
-	// mode (the default) maps any worker failure to 502.
-	AllowPartial bool `json:"allow_partial,omitempty"`
-}
-
-// clusterRequest is the full POST /v2/query body on the coordinator.
-type clusterRequest struct {
-	clusterQuery
-	Batch     []clusterQuery `json:"batch,omitempty"`
-	TimeoutMS int            `json:"timeout_ms,omitempty"`
-}
-
-func (q *clusterQuery) validate() error {
-	hasQuery := strings.TrimSpace(q.Query) != ""
-	if hasQuery == (len(q.Terms) > 0) {
-		return errors.New("exactly one of \"query\" or \"terms\" must be set")
-	}
-	for _, t := range q.Terms {
-		if t == "" {
-			return errors.New("empty term")
-		}
-	}
-	if q.Within < 0 || q.MaxLift < 0 || q.Limit < 0 {
-		return errors.New("\"within\", \"max_lift\" and \"limit\" must be non-negative")
-	}
-	if q.Vague != nil {
-		if hasQuery {
-			return errors.New("\"vague\" applies to \"terms\" queries only")
-		}
-		if q.Vague.MaxSlack < 0 || q.Vague.MaxSlack > ncq.MaxVagueSlack {
-			return fmt.Errorf("\"vague.max_slack\" must be between 0 and %d", ncq.MaxVagueSlack)
-		}
-	}
-	return nil
-}
-
-// options mirrors the wire fields into an ncq.Options — used only to
-// canonicalise the request for cursors and cache keys; execution
-// happens on the workers.
-func (q *clusterQuery) options() *ncq.Options {
-	opt := &ncq.Options{}
-	if q.ExcludeRoot {
-		opt.ExcludeRoot()
-	}
-	for _, p := range q.Exclude {
-		opt.ExcludePattern(p)
-	}
-	for _, p := range q.Restrict {
-		opt.Restrict(p)
-	}
-	if q.Nearest {
-		opt.Nearest()
-	}
-	if q.Within > 0 {
-		opt.Within(q.Within)
-	}
-	if q.MaxLift > 0 {
-		opt.MaxLift(q.MaxLift)
-	}
-	return opt
-}
-
-// base is the canonical page-independent encoding of the query — what
-// the coordinator's cursors are fingerprinted against. It reuses
-// ncq.Request.Canonical so equivalent spellings (whitespace, option
-// order) share cursors and cache entries exactly as on a single node.
-func (q *clusterQuery) base() string {
-	r := ncq.Request{Doc: q.Doc, Limit: q.Limit}
-	if len(q.Terms) > 0 {
-		r.Terms = q.Terms
-		r.Options = q.options()
-		r.Vague = q.Vague
-	} else {
-		r.Query = strings.TrimSpace(q.Query)
-	}
+// baseOf is the canonical page-independent encoding of the query —
+// what the coordinator's cursors are fingerprinted against and its
+// cache is keyed by. It reuses ncq.Request.Canonical so equivalent
+// spellings (whitespace, option order) share cursors and cache entries
+// exactly as on a single node; execution happens on the workers.
+func baseOf(q *wire.Query) string {
+	r := q.Request()
+	r.Cursor = ""
 	return r.Canonical()
 }
 
@@ -321,14 +227,14 @@ func (q *clusterQuery) base() string {
 // worker cannot know which of its meets fall in the global window),
 // so each worker is asked for the first offset+limit of its own
 // ranking — the most any single worker can contribute to the page.
-func workerBody(q *clusterQuery, offset int) []byte {
-	wire := *q
-	wire.Cursor = ""
-	wire.AllowPartial = false
+func workerBody(q *wire.Query, offset int) []byte {
+	wq := *q
+	wq.Cursor = ""
+	wq.AllowPartial = false
 	if q.Limit > 0 {
-		wire.Limit = offset + q.Limit
+		wq.Limit = offset + q.Limit
 	}
-	body, err := json.Marshal(&wire)
+	body, err := json.Marshal(&wq)
 	if err != nil {
 		panic(fmt.Sprintf("cluster: marshal worker body: %v", err)) // plain data struct; cannot fail
 	}
@@ -337,7 +243,7 @@ func workerBody(q *clusterQuery, offset int) []byte {
 
 // targetsFor returns the workers a query scatters to: the owner alone
 // for a doc-scoped query, the whole cluster otherwise.
-func (c *Coordinator) targetsFor(q *clusterQuery) []Worker {
+func (c *Coordinator) targetsFor(q *wire.Query) []Worker {
 	if q.Doc != "" {
 		return []Worker{c.Owner(q.Doc)}
 	}
@@ -398,7 +304,7 @@ func (g *gather) failures() map[string]string {
 // continues with the survivors (failing only when no worker
 // survives). A worker answering 4xx is a deterministic request error
 // and aborts in either mode.
-func (c *Coordinator) scatterQuery(ctx context.Context, q *clusterQuery, offset int) (*gather, error) {
+func (c *Coordinator) scatterQuery(ctx context.Context, q *wire.Query, offset int) (*gather, error) {
 	targets := c.targetsFor(q)
 	body := workerBody(q, offset)
 	streams := make([]*workerStream, len(targets))
@@ -460,37 +366,26 @@ func (c *Coordinator) scatterQuery(ctx context.Context, q *clusterQuery, offset 
 	return g, nil
 }
 
-// pageOutcome is one executed coordinator page, ready for any
-// envelope (single response, batch item).
-type pageOutcome struct {
-	raw        json.RawMessage
-	cached     bool
-	hash       uint64
-	truncated  bool
-	nextCursor string
-	incomplete bool
-	failed     map[string]string
-}
-
-// clusterResult is the coordinator's result payload — field-for-field
-// the single-node "terms" payload, so a distributed answer is
-// byte-identical to the answer one node holding the whole corpus
-// would give.
-type clusterResult struct {
-	Mode      string           `json:"mode"`
-	Meets     []ncq.CorpusMeet `json:"meets,omitempty"`
-	Unmatched int              `json:"unmatched,omitempty"`
-	Truncated bool             `json:"truncated,omitempty"`
-}
-
 // errQueryLanguage rejects query-language requests on the coordinator.
 var errQueryLanguage = errors.New("query-language requests are not supported in coordinator mode; send \"terms\" requests, or query a worker directly")
 
-// cachedPage is the cache value: everything a response envelope needs.
-type cachedPage struct {
-	raw        json.RawMessage
-	truncated  bool
-	nextCursor string
+// errStaleCluster is the distributed 410: the gathered generation
+// vector no longer hashes to what the cursor was stamped with.
+var errStaleCluster = fmt.Errorf("ncq: %w: the cluster changed since this cursor was minted", ncq.ErrStaleCursor)
+
+// finish reports what closes an answer, streamed or not, once the
+// merge has drained: the degraded state and, for a page the limit cut,
+// the cursor of the next one. A partial answer never mints a cursor —
+// a page chain is always exact.
+func (g *gather) finish(q *wire.Query, base string, offset int) wire.Trailer {
+	tr := wire.Trailer{Unmatched: g.unmatched, Incomplete: g.incomplete(), WorkerErrors: g.failures()}
+	if q.Limit > 0 && g.total > offset+q.Limit {
+		tr.Truncated = true
+		if !tr.Incomplete {
+			tr.NextCursor = ncq.MintCursor(offset+q.Limit, base, g.hash)
+		}
+	}
+	return tr
 }
 
 // runPage executes one term query page: resolve the cursor, serve
@@ -498,16 +393,16 @@ type cachedPage struct {
 // otherwise scatter, verify the cursor against the gathered vector
 // (mismatch → ErrStaleCursor, the distributed 410), merge the worker
 // streams into the exact global ranking and mint the next cursor.
-// Partial results are never cached and never mint a cursor — a page
-// chain is always exact.
-func (c *Coordinator) runPage(ctx context.Context, q *clusterQuery) (*pageOutcome, error) {
-	if strings.TrimSpace(q.Query) != "" {
-		return nil, errQueryLanguage
+// The response's Generation is the hash of the generation vector it
+// was computed against. Partial results are never cached.
+func (c *Coordinator) runPage(ctx context.Context, q *wire.Query) (wire.Response, error) {
+	if q.IsQuery() {
+		return wire.Response{}, errQueryLanguage
 	}
-	base := q.base()
+	base := baseOf(q)
 	offset, curGen, err := ncq.ResolveCursor(q.Cursor, base)
 	if err != nil {
-		return nil, err
+		return wire.Response{}, err
 	}
 	c.queries.Add(1)
 	targets := c.targetsFor(q)
@@ -515,51 +410,46 @@ func (c *Coordinator) runPage(ctx context.Context, q *clusterQuery) (*pageOutcom
 	tracked := c.trackedHash(targets)
 	if q.Cursor == "" || curGen == tracked {
 		if v, ok := c.cache.Get(cache.Key{Gen: tracked, Query: pageKey}); ok {
-			p := v.(*cachedPage)
-			return &pageOutcome{raw: p.raw, cached: true, hash: tracked,
-				truncated: p.truncated, nextCursor: p.nextCursor}, nil
+			resp := v.(wire.Response)
+			resp.Cached = true
+			return resp, nil
 		}
 	}
 	g, err := c.scatterQuery(ctx, q, offset)
 	if err != nil {
-		return nil, err
+		return wire.Response{}, err
 	}
 	defer g.Close()
 	if q.Cursor != "" && curGen != g.hash {
-		return nil, fmt.Errorf("ncq: %w: the cluster changed since this cursor was minted", ncq.ErrStaleCursor)
+		return wire.Response{}, errStaleCluster
 	}
-	out := &pageOutcome{hash: g.hash}
-	res := clusterResult{Mode: "terms"}
+	// The same payload type a single node encodes, so a distributed
+	// answer is byte-identical to the answer one node holding the whole
+	// corpus would give.
+	res := wire.Result{Mode: "terms"}
 	for m, err := range ncq.MergeMeets(ctx, g.sources, offset, q.Limit) {
 		if err != nil {
-			return nil, err
+			return wire.Response{}, err
 		}
 		res.Meets = append(res.Meets, m)
 	}
+	tr := g.finish(q, base, offset)
 	if q.Doc != "" {
 		// Single-node semantics: the unmatched count is reported for
 		// doc-scoped results only (the doc lives wholly on its owner).
-		res.Unmatched = g.unmatched
+		res.Unmatched = tr.Unmatched
 	}
-	out.incomplete = g.incomplete()
-	out.failed = g.failures()
-	if q.Limit > 0 && g.total > offset+q.Limit {
-		res.Truncated = true
-		out.truncated = true
-		if !out.incomplete {
-			out.nextCursor = ncq.MintCursor(offset+q.Limit, base, g.hash)
-		}
-	}
+	res.Truncated = tr.Truncated
 	raw, err := json.Marshal(&res)
 	if err != nil {
-		return nil, fmt.Errorf("encode result: %v", err)
+		return wire.Response{}, fmt.Errorf("encode result: %v", err)
 	}
-	out.raw = raw
-	if !out.incomplete {
-		c.cache.Put(cache.Key{Gen: g.hash, Query: pageKey},
-			&cachedPage{raw: raw, truncated: out.truncated, nextCursor: out.nextCursor}, len(raw))
+	resp := wire.Response{Generation: g.hash, Truncated: tr.Truncated, NextCursor: tr.NextCursor,
+		Incomplete: tr.Incomplete, WorkerErrors: tr.WorkerErrors, Result: raw}
+	if !resp.Incomplete {
+		c.cache.Put(cache.Key{Gen: g.hash, Query: pageKey}, resp, len(raw))
 	}
-	return out, nil
+	return resp, nil
 }
 
 // workerHealth is one worker's health as seen by the coordinator.

@@ -1,9 +1,11 @@
 package cluster
 
-// Coordinator observability and admission. Mirrors the single-node
-// server (internal/server/observe.go): a per-instance registry served
-// at GET /v1/metrics, one request-log line per request, and an
-// admission gate on the query route only. On top of that the
+// Coordinator observability. Mirrors the single-node server
+// (internal/server/observe.go): a per-instance registry served at
+// GET /v1/metrics, one request-log line per request, and the
+// admission gate (wire.Admit) on the query route only — saturation
+// answers 429 + Retry-After before any worker connection is opened.
+// On top of that the
 // coordinator tracks its scatter edge — per-worker stream-open latency
 // and a per-worker error counter by kind — because in a cluster the
 // first question behind a latency regression is "which worker".
@@ -11,11 +13,8 @@ package cluster
 import (
 	"context"
 	"errors"
-	"net/http"
-	"strconv"
 	"time"
 
-	"ncq/internal/admission"
 	"ncq/internal/metrics"
 )
 
@@ -49,50 +48,8 @@ func (c *Coordinator) initObservability() {
 		"Seconds since the coordinator was constructed.",
 		func() float64 { return time.Since(c.started).Seconds() })
 
-	reg.CounterFunc("ncq_cache_hits_total",
-		"Result cache lookups answered from the cache.",
-		func() float64 { return float64(c.cache.Stats().Hits) })
-	reg.CounterFunc("ncq_cache_misses_total",
-		"Result cache lookups that fell through to a scatter.",
-		func() float64 { return float64(c.cache.Stats().Misses) })
-	reg.GaugeFunc("ncq_cache_hit_ratio",
-		"Lifetime cache hit ratio: hits / (hits + misses); 0 before any lookup.",
-		func() float64 {
-			st := c.cache.Stats()
-			total := st.Hits + st.Misses
-			if total == 0 {
-				return 0
-			}
-			return float64(st.Hits) / float64(total)
-		})
-	reg.GaugeFunc("ncq_cache_entries",
-		"Entries currently resident in the result cache.",
-		func() float64 { return float64(c.cache.Stats().Entries) })
-	reg.GaugeFunc("ncq_cache_bytes",
-		"Approximate bytes currently retained by the result cache.",
-		func() float64 { return float64(c.cache.Stats().Bytes) })
-	reg.GaugeFunc("ncq_cache_cap_bytes",
-		"Configured byte capacity of the result cache.",
-		func() float64 { return float64(c.cache.Stats().CapBytes) })
-	reg.CounterFunc("ncq_cache_evictions_total",
-		"Entries evicted from the result cache to stay within capacity.",
-		func() float64 { return float64(c.cache.Stats().Evictions) })
-
-	reg.GaugeFunc("ncq_admission_inflight",
-		"Executions currently holding an admission slot; 0 when admission control is off.",
-		func() float64 { return float64(c.limiter.Stats().InFlight) })
-	reg.GaugeFunc("ncq_admission_queued",
-		"Acquisitions currently waiting for an admission slot.",
-		func() float64 { return float64(c.limiter.Stats().Queued) })
-	reg.GaugeFunc("ncq_admission_capacity",
-		"Configured admission concurrency limit; 0 when admission control is off.",
-		func() float64 { return float64(c.limiter.Stats().MaxConcurrent) })
-	reg.CounterFunc("ncq_admission_admitted_total",
-		"Query requests granted an admission slot.",
-		func() float64 { return float64(c.limiter.Stats().Admitted) })
-	reg.CounterFunc("ncq_admission_rejected_total",
-		"Query requests shed with 429 because slots and queue were full.",
-		func() float64 { return float64(c.limiter.Stats().Rejected) })
+	c.cache.Register(reg)
+	c.limiter.Register(reg)
 }
 
 // observeScatter records one worker stream-open outcome: the latency
@@ -126,27 +83,4 @@ func errKind(err error) string {
 	default:
 		return "transport"
 	}
-}
-
-// admit gates the query route behind the admission limiter, exactly
-// like the single-node server: saturation answers 429 + Retry-After
-// before any worker connection is opened.
-func (c *Coordinator) admit(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		release, err := c.limiter.Acquire(r.Context())
-		if err != nil {
-			if errors.Is(err, admission.ErrSaturated) {
-				w.Header().Set("Retry-After", strconv.Itoa(c.limiter.RetryAfterSeconds()))
-				writeError(w, http.StatusTooManyRequests,
-					"coordinator saturated; retry after %d second(s)", c.limiter.RetryAfterSeconds())
-				return
-			}
-			writeError(w, 499, "client closed request while queued for admission")
-			return
-		}
-		defer release()
-		c.queriesInflight.Inc()
-		defer c.queriesInflight.Dec()
-		next.ServeHTTP(w, r)
-	})
 }

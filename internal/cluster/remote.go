@@ -8,10 +8,8 @@ package cluster
 // the in-process fan-out it mirrors.
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -20,6 +18,7 @@ import (
 	"strings"
 
 	"ncq"
+	"ncq/internal/wire"
 )
 
 // Worker is one worker node of the cluster.
@@ -73,42 +72,12 @@ func (e *workerHTTPError) Error() string {
 	return fmt.Sprintf("worker %s: %s (status %d)", e.worker, e.msg, e.status)
 }
 
-// wireLine is the union of the NDJSON line shapes a worker stream
-// carries: header, meet, trailer, error.
-type wireLine struct {
-	Header     bool            `json:"header"`
-	Node       string          `json:"node"`
-	Generation uint64          `json:"generation"`
-	Total      int             `json:"total"`
-	Unmatched  int             `json:"unmatched"`
-	Meet       *ncq.CorpusMeet `json:"meet"`
-	Trailer    bool            `json:"trailer"`
-	Error      string          `json:"error"`
-}
-
-func (ln *wireLine) kind() string {
-	switch {
-	case ln.Meet != nil:
-		return "meet"
-	case ln.Header:
-		return "header"
-	case ln.Trailer:
-		return "trailer"
-	default:
-		return "error"
-	}
-}
-
 // testLineDecode, when set, is invoked for every NDJSON line decoded
 // from a worker stream, with the worker's name and the line kind
 // ("header", "meet", "trailer", "error"). Tests use it to observe that
 // the coordinator's first merged yield happens before any worker's
 // trailer has been decoded — i.e. before any stream fully drains.
 var testLineDecode func(worker, kind string)
-
-// scanBufSize bounds one NDJSON line; meets can carry whole XML
-// subtrees, so the cap is generous.
-const scanBufSize = 16 << 20
 
 // workerStream is one worker's open NDJSON stream, consumed line by
 // line as an ncq.MeetSource. The header has already been read by
@@ -119,9 +88,9 @@ const scanBufSize = 16 << 20
 // end just this source (allow_partial).
 type workerStream struct {
 	worker Worker
-	header wireLine
+	header wire.Header
 	body   io.ReadCloser
-	sc     *bufio.Scanner
+	sc     *wire.LineScanner
 	cancel context.CancelFunc
 	done   bool
 	onFail func(w Worker, err error) error
@@ -131,32 +100,33 @@ func (s *workerStream) Next() (ncq.CorpusMeet, bool, error) {
 	if s.done {
 		return ncq.CorpusMeet{}, false, nil
 	}
-	if s.sc.Scan() {
-		var ln wireLine
-		if err := json.Unmarshal(s.sc.Bytes(), &ln); err != nil {
-			return s.fail(fmt.Errorf("decode stream line: %w", err))
-		}
-		if hook := testLineDecode; hook != nil {
-			hook(s.worker.Name, ln.kind())
-		}
-		switch {
-		case ln.Meet != nil:
-			return *ln.Meet, true, nil
-		case ln.Trailer:
-			s.close()
-			return ncq.CorpusMeet{}, false, nil
-		case ln.Error != "":
-			return s.fail(errors.New(ln.Error))
-		default:
-			return s.fail(fmt.Errorf("unexpected stream line %q", s.sc.Text()))
-		}
+	ln, err := s.read()
+	switch {
+	case err != nil:
+		return s.fail(err)
+	case ln.Meet != nil:
+		return *ln.Meet, true, nil
+	case ln.Trailer:
+		s.close()
+		return ncq.CorpusMeet{}, false, nil
+	case ln.Error != "":
+		return s.fail(errors.New(ln.Error))
+	default:
+		return s.fail(errors.New("second header line in stream"))
 	}
-	// The stream ended without a trailer: the worker died mid-answer.
-	err := s.sc.Err()
-	if err == nil {
-		err = io.ErrUnexpectedEOF
+}
+
+// read decodes the next line. A stream that ends without a trailer
+// means the worker died mid-answer.
+func (s *workerStream) read() (*wire.Line, error) {
+	ln, err := s.sc.Next()
+	if err == io.EOF {
+		return nil, io.ErrUnexpectedEOF
 	}
-	return s.fail(err)
+	if err == nil && testLineDecode != nil {
+		testLineDecode(s.worker.Name, ln.Kind())
+	}
+	return ln, err
 }
 
 // fail closes the stream and applies the failure policy.
@@ -225,15 +195,13 @@ func (c *Coordinator) dialStream(ctx context.Context, w Worker, body []byte) (*w
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		msg := readErrorBody(resp.Body)
+		msg := wire.ReadError(resp.Body)
 		retryAfter := resp.Header.Get("Retry-After")
 		resp.Body.Close()
 		cancel()
 		return nil, &workerHTTPError{worker: w.Name, status: resp.StatusCode, msg: msg, retryAfter: retryAfter}
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), scanBufSize)
-	ws := &workerStream{worker: w, body: resp.Body, sc: sc, cancel: cancel}
+	ws := &workerStream{worker: w, body: resp.Body, sc: wire.NewLineScanner(resp.Body), cancel: cancel}
 	if err := ws.readHeader(); err != nil {
 		ws.close()
 		return nil, err
@@ -243,33 +211,13 @@ func (c *Coordinator) dialStream(ctx context.Context, w Worker, body []byte) (*w
 
 // readHeader consumes the stream's opening header line.
 func (s *workerStream) readHeader() error {
-	if !s.sc.Scan() {
-		if err := s.sc.Err(); err != nil {
-			return err
-		}
-		return io.ErrUnexpectedEOF
+	ln, err := s.read()
+	if err != nil {
+		return err
 	}
-	if err := json.Unmarshal(s.sc.Bytes(), &s.header); err != nil {
-		return fmt.Errorf("decode stream header: %w", err)
+	if !ln.Header {
+		return fmt.Errorf("stream opened with a %s line, not a header", ln.Kind())
 	}
-	if hook := testLineDecode; hook != nil {
-		hook(s.worker.Name, s.header.kind())
-	}
-	if !s.header.Header {
-		return fmt.Errorf("stream did not open with a header line: %q", s.sc.Text())
-	}
+	s.header = wire.Header{Node: ln.Node, Generation: ln.Generation, Total: ln.Total, Unmatched: ln.Unmatched}
 	return nil
-}
-
-// readErrorBody extracts the message of a JSON error envelope, falling
-// back to the raw body.
-func readErrorBody(r io.Reader) string {
-	raw, _ := io.ReadAll(io.LimitReader(r, 4<<10))
-	var e struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(raw, &e) == nil && e.Error != "" {
-		return e.Error
-	}
-	return strings.TrimSpace(string(raw))
 }

@@ -25,16 +25,11 @@ import (
 	"net/url"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"ncq"
 	"ncq/internal/metrics"
-)
-
-const (
-	maxRequestBody  = 8 << 20
-	maxBatchQueries = 256
+	"ncq/internal/wire"
 )
 
 func (c *Coordinator) routes() {
@@ -42,7 +37,8 @@ func (c *Coordinator) routes() {
 	handle := func(pattern, route string, quiet bool, h http.Handler) {
 		mux.Handle(pattern, c.httpm.Instrument(route, c.logger, quiet, h))
 	}
-	handle("POST /v2/query", "/v2/query", false, c.admit(http.HandlerFunc(c.handleQuery)))
+	handle("POST /v2/query", "/v2/query", false,
+		wire.Admit(c.limiter, c.queriesInflight, http.HandlerFunc(c.handleQuery)))
 	handle("PUT /v1/docs/{name}", "/v1/docs/{name}", false, http.HandlerFunc(c.handleDocProxy))
 	handle("GET /v1/docs/{name}", "/v1/docs/{name}", false, http.HandlerFunc(c.handleDocProxy))
 	handle("DELETE /v1/docs/{name}", "/v1/docs/{name}", false, http.HandlerFunc(c.handleDocProxy))
@@ -51,18 +47,6 @@ func (c *Coordinator) routes() {
 	handle("GET /v1/stats", "/v1/stats", true, http.HandlerFunc(c.handleStats))
 	handle("GET /v1/metrics", "/v1/metrics", true, c.reg.Handler())
 	c.mux = mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // statusOf maps a coordinator-side failure to its HTTP status. A
@@ -78,21 +62,9 @@ func statusOf(err error) int {
 		return http.StatusBadGateway
 	case errors.Is(err, errQueryLanguage):
 		return http.StatusNotImplemented
-	case errors.Is(err, ncq.ErrBadCursor):
-		return http.StatusBadRequest
-	case errors.Is(err, ncq.ErrStaleCursor):
-		return http.StatusGone
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return 499
 	default:
-		return http.StatusBadGateway
+		return wire.StatusOf(err, http.StatusBadGateway)
 	}
-}
-
-func msSince(start time.Time) float64 {
-	return float64(time.Since(start)) / float64(time.Millisecond)
 }
 
 // writeQueryError renders an execution failure, relaying a worker's
@@ -104,178 +76,68 @@ func writeQueryError(w http.ResponseWriter, err error) {
 	if errors.As(err, &he) && he.status < 500 && he.retryAfter != "" {
 		w.Header().Set("Retry-After", he.retryAfter)
 	}
-	writeError(w, statusOf(err), "%v", err)
-}
-
-// queryResponse is the coordinator's single-query envelope: the
-// single-node envelope plus the partial-result fields. Generation is
-// the hash of the gathered worker generation vector — the value the
-// response's cursors are stamped with.
-type queryResponse struct {
-	Cached       bool              `json:"cached"`
-	Generation   uint64            `json:"generation"`
-	TookMS       float64           `json:"took_ms"`
-	Truncated    bool              `json:"truncated,omitempty"`
-	NextCursor   string            `json:"next_cursor,omitempty"`
-	Incomplete   bool              `json:"incomplete,omitempty"`
-	WorkerErrors map[string]string `json:"worker_errors,omitempty"`
-	Result       json.RawMessage   `json:"result"`
-}
-
-type batchItem struct {
-	Status       int               `json:"status"`
-	Cached       bool              `json:"cached,omitempty"`
-	Error        string            `json:"error,omitempty"`
-	Truncated    bool              `json:"truncated,omitempty"`
-	NextCursor   string            `json:"next_cursor,omitempty"`
-	Incomplete   bool              `json:"incomplete,omitempty"`
-	WorkerErrors map[string]string `json:"worker_errors,omitempty"`
-	Result       json.RawMessage   `json:"result,omitempty"`
-}
-
-func wantsFlag(r *http.Request, name string) bool {
-	v := r.URL.Query().Get(name)
-	return v == "1" || v == "true"
+	wire.WriteError(w, statusOf(err), "%v", err)
 }
 
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	var req clusterRequest
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request exceeds the %d byte limit", tooLarge.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	req, ctx, cancel, ok := wire.Decode(w, r)
+	if !ok {
 		return
 	}
-	if req.TimeoutMS < 0 {
-		writeError(w, http.StatusBadRequest, "\"timeout_ms\" must be non-negative")
-		return
-	}
-	ctx := r.Context()
-	if req.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-	if wantsFlag(r, "stream") {
-		if len(req.Batch) > 0 {
-			writeError(w, http.StatusBadRequest,
-				"\"batch\" cannot stream; issue one streaming query at a time")
-			return
-		}
-		c.handleStream(ctx, w, start, &req.clusterQuery, wantsFlag(r, "header"))
+	defer cancel()
+	if wire.Flag(r, "stream") {
+		c.handleStream(ctx, w, r, start, &req.Query)
 		return
 	}
 	if len(req.Batch) > 0 {
 		c.handleBatch(ctx, w, start, req.Batch)
 		return
 	}
-	if err := req.validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
-		return
-	}
-	metrics.SetFingerprint(ctx, req.base())
-	out, err := c.runPage(ctx, &req.clusterQuery)
+	metrics.SetFingerprint(ctx, baseOf(&req.Query))
+	resp, err := c.runPage(ctx, &req.Query)
 	if err != nil {
 		writeQueryError(w, err)
 		return
 	}
-	if out.cached {
-		w.Header().Set("X-NCQ-Cache", "hit")
-	} else {
-		w.Header().Set("X-NCQ-Cache", "miss")
-	}
-	writeJSON(w, http.StatusOK, queryResponse{
-		Cached:       out.cached,
-		Generation:   out.hash,
-		TookMS:       msSince(start),
-		Truncated:    out.truncated,
-		NextCursor:   out.nextCursor,
-		Incomplete:   out.incomplete,
-		WorkerErrors: out.failed,
-		Result:       out.raw,
-	})
+	wire.WriteResponse(w, start, resp)
 }
 
-func (c *Coordinator) handleBatch(ctx context.Context, w http.ResponseWriter, start time.Time, batch []clusterQuery) {
-	if len(batch) > maxBatchQueries {
-		writeError(w, http.StatusBadRequest,
-			"batch of %d queries exceeds the limit of %d", len(batch), maxBatchQueries)
-		return
-	}
-	items := make([]batchItem, len(batch))
+// handleBatch relays a batch item by item, each with the status it
+// would have received on its own.
+func (c *Coordinator) handleBatch(ctx context.Context, w http.ResponseWriter, start time.Time, batch []wire.Query) {
+	items := make([]wire.BatchItem, len(batch))
 	for i := range batch {
 		q := &batch[i]
-		if err := q.validate(); err != nil {
-			items[i] = batchItem{Status: http.StatusBadRequest, Error: "invalid request: " + err.Error()}
+		if err := q.Validate(); err != nil {
+			items[i] = wire.BatchItem{Status: http.StatusBadRequest, Error: err.Error()}
 			continue
 		}
-		out, err := c.runPage(ctx, q)
+		resp, err := c.runPage(ctx, q)
 		if err != nil {
-			items[i] = batchItem{Status: statusOf(err), Error: err.Error()}
+			items[i] = wire.BatchItem{Status: statusOf(err), Error: err.Error()}
 			continue
 		}
-		items[i] = batchItem{
-			Status:       http.StatusOK,
-			Cached:       out.cached,
-			Truncated:    out.truncated,
-			NextCursor:   out.nextCursor,
-			Incomplete:   out.incomplete,
-			WorkerErrors: out.failed,
-			Result:       out.raw,
-		}
+		items[i] = resp.Item()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation": c.trackedHash(c.workers),
-		"took_ms":    msSince(start),
-		"results":    items,
-	})
-}
-
-// coordinator stream line shapes; the meet lines are identical to a
-// worker's, the trailer adds the partial-result fields.
-type streamHeader struct {
-	Header     bool   `json:"header"`
-	Node       string `json:"node"`
-	Generation uint64 `json:"generation"`
-	Total      int    `json:"total"`
-	Unmatched  int    `json:"unmatched"`
-}
-
-type streamTrailer struct {
-	Trailer      bool              `json:"trailer"`
-	Unmatched    int               `json:"unmatched"`
-	Truncated    bool              `json:"truncated,omitempty"`
-	NextCursor   string            `json:"next_cursor,omitempty"`
-	Incomplete   bool              `json:"incomplete,omitempty"`
-	WorkerErrors map[string]string `json:"worker_errors,omitempty"`
-	TookMS       float64           `json:"took_ms"`
+	wire.WriteJSON(w, http.StatusOK, wire.BatchResponse{
+		Generation: c.trackedHash(c.workers), TookMS: wire.MsSince(start), Results: items})
 }
 
 // handleStream is the coordinator's ?stream=1 form: the workers'
 // NDJSON streams merged line by line into the global rank, flushed as
 // produced. Like the single-node endpoint it bypasses the cache — the
 // value is the incremental production.
-func (c *Coordinator) handleStream(ctx context.Context, w http.ResponseWriter, start time.Time, q *clusterQuery, withHeader bool) {
-	if err := q.validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
+func (c *Coordinator) handleStream(ctx context.Context, w http.ResponseWriter, r *http.Request, start time.Time, q *wire.Query) {
+	if q.IsQuery() {
+		wire.WriteError(w, statusOf(errQueryLanguage), "%v", errQueryLanguage)
 		return
 	}
-	if strings.TrimSpace(q.Query) != "" {
-		writeError(w, statusOf(errQueryLanguage), "%v", errQueryLanguage)
-		return
-	}
-	base := q.base()
+	base := baseOf(q)
 	metrics.SetFingerprint(ctx, base)
 	offset, curGen, err := ncq.ResolveCursor(q.Cursor, base)
 	if err != nil {
-		writeError(w, statusOf(err), "%v", err)
+		wire.WriteError(w, statusOf(err), "%v", err)
 		return
 	}
 	c.queries.Add(1)
@@ -288,72 +150,25 @@ func (c *Coordinator) handleStream(ctx context.Context, w http.ResponseWriter, s
 	}
 	defer g.Close()
 	if q.Cursor != "" && curGen != g.hash {
-		writeError(w, http.StatusGone,
-			"ncq: %v: the cluster changed since this cursor was minted", ncq.ErrStaleCursor)
+		writeQueryError(w, errStaleCluster)
 		return
 	}
-	flusher, _ := w.(http.Flusher)
-	started := false
-	writeLine := func(v any) bool {
-		line, err := json.Marshal(v)
-		if err != nil {
-			return false
-		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
+	header := func() wire.Header {
+		return wire.Header{Node: c.cfg.NodeName, Generation: g.hash, Total: g.total, Unmatched: g.unmatched}
 	}
-	ensureStarted := func() {
-		if started {
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set("X-NCQ-Cache", "bypass")
-		w.WriteHeader(http.StatusOK)
-		started = true
-		if withHeader {
-			writeLine(streamHeader{
-				Header:     true,
-				Node:       c.cfg.NodeName,
-				Generation: g.hash,
-				Total:      g.total,
-				Unmatched:  g.unmatched,
-			})
-		}
-	}
+	sw := wire.NewStreamWriter(w, r, header, nil, nil)
 	for m, err := range ncq.MergeMeets(ctx, g.sources, offset, q.Limit) {
 		if err != nil {
-			if !started {
-				writeError(w, statusOf(err), "%v", err)
-			} else {
-				writeLine(map[string]string{"error": err.Error()})
-			}
+			sw.Fail(statusOf(err), err)
 			return
 		}
-		ensureStarted()
-		if !writeLine(map[string]*ncq.CorpusMeet{"meet": &m}) {
+		if !sw.Meet(&m) {
 			return // client went away
 		}
 	}
-	ensureStarted()
-	tr := streamTrailer{
-		Trailer:      true,
-		Unmatched:    g.unmatched,
-		Incomplete:   g.incomplete(),
-		WorkerErrors: g.failures(),
-		TookMS:       msSince(start),
-	}
-	if q.Limit > 0 && g.total > offset+q.Limit {
-		tr.Truncated = true
-		if !tr.Incomplete {
-			tr.NextCursor = ncq.MintCursor(offset+q.Limit, base, g.hash)
-		}
-	}
-	writeLine(tr)
+	tr := g.finish(q, base, offset)
+	tr.TookMS = wire.MsSince(start)
+	sw.Trailer(tr)
 }
 
 // handleDocProxy routes a document read or mutation to the worker
@@ -392,7 +207,7 @@ func (c *Coordinator) handleDocProxy(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "worker %s: %v", wk.Name, err)
+		wire.WriteError(w, http.StatusBadGateway, "worker %s: %v", wk.Name, err)
 		return
 	}
 	defer resp.Body.Close()
@@ -478,7 +293,7 @@ func (c *Coordinator) handleListDocs(w http.ResponseWriter, r *http.Request) {
 	if len(workerErrors) > 0 {
 		body["worker_errors"] = workerErrors
 	}
-	writeJSON(w, http.StatusOK, body)
+	wire.WriteJSON(w, http.StatusOK, body)
 }
 
 // forEachWorker runs fn against every worker in parallel, each under
@@ -513,7 +328,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			status = "degraded"
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":     status,
 		"node":       c.cfg.NodeName,
 		"role":       "coordinator",
@@ -539,7 +354,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		return json.RawMessage(raw)
 	})
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"node":           c.cfg.NodeName,
 		"role":           "coordinator",
 		"uptime_seconds": time.Since(c.started).Seconds(),

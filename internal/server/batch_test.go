@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"ncq/internal/wire"
 )
 
 // shardedBib is a root with many records, worth splitting.
@@ -48,7 +50,7 @@ func TestPutDocSharded(t *testing.T) {
 	}
 
 	// Queries address the logical name and answers carry it as source.
-	rec = do(t, s, "POST", "/v1/query", `{"doc":"bib","terms":["Author3","1993"],"exclude_root":true}`)
+	rec = do(t, s, "POST", "/v2/query", `{"doc":"bib","terms":["Author3","1993"],"exclude_root":true}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("query: %d %s", rec.Code, rec.Body)
 	}
@@ -103,14 +105,14 @@ func TestBatchQuery(t *testing.T) {
 	s := newTestServer(t)
 	loadDocs(t, s)
 
-	body := `{"queries":[
+	body := `{"batch":[
 		{"terms":["Bit","1999"],"exclude_root":true},
 		{"doc":"cwi","query":"SELECT tag(e) FROM //year AS e"},
 		{"terms":[""]},
 		{"doc":"ghost","terms":["x"]},
 		{"terms":["Bit","1999"],"exclude_root":true}
 	]}`
-	rec := do(t, s, "POST", "/v1/query/batch", body)
+	rec := do(t, s, "POST", "/v2/query", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d %s", rec.Code, rec.Body)
 	}
@@ -127,8 +129,8 @@ func TestBatchQuery(t *testing.T) {
 	if r := resp.Results[2]; !strings.Contains(r.Error, "invalid request") {
 		t.Errorf("result 2 error = %q", r.Error)
 	}
-	if r := resp.Results[3]; !strings.Contains(r.Error, "no document") {
-		t.Errorf("result 3 error = %q", r.Error)
+	if r := resp.Results[3]; r.Status != http.StatusNotFound || !strings.Contains(r.Error, "unknown document") {
+		t.Errorf("result 3 = %d %q", r.Status, r.Error)
 	}
 	// The duplicate of query 0 shares its result (computed once).
 	if resp.Results[4].Result != resp.Results[0].Result &&
@@ -137,14 +139,14 @@ func TestBatchQuery(t *testing.T) {
 	}
 
 	// A repeated batch is answered from the cache, per item.
-	rec = do(t, s, "POST", "/v1/query/batch", body)
+	rec = do(t, s, "POST", "/v2/query", body)
 	resp = decode[wireBatchResponse](t, rec)
 	if !resp.Results[0].Cached || !resp.Results[1].Cached {
 		t.Errorf("repeat batch not cached: %+v %+v", resp.Results[0].Cached, resp.Results[1].Cached)
 	}
 
 	// The single-query endpoint sees the same cache entries.
-	rec = do(t, s, "POST", "/v1/query", `{"terms":["Bit","1999"],"exclude_root":true}`)
+	rec = do(t, s, "POST", "/v2/query", `{"terms":["Bit","1999"],"exclude_root":true}`)
 	if rec.Header().Get("X-NCQ-Cache") != "hit" {
 		t.Error("batch results invisible to the single-query endpoint")
 	}
@@ -153,22 +155,23 @@ func TestBatchQuery(t *testing.T) {
 func TestBatchQueryValidation(t *testing.T) {
 	s := newTestServer(t)
 	loadDocs(t, s)
-	if rec := do(t, s, "POST", "/v1/query/batch", `{"queries":[]}`); rec.Code != http.StatusBadRequest {
-		t.Errorf("empty batch: %d", rec.Code)
+	// The removed v1 batch body is an unknown field of the one schema.
+	if rec := do(t, s, "POST", "/v2/query", `{"queries":[{"terms":["Bit"]}]}`); rec.Code != http.StatusBadRequest {
+		t.Errorf("v1 batch body: %d", rec.Code)
 	}
-	if rec := do(t, s, "POST", "/v1/query/batch", `{`); rec.Code != http.StatusBadRequest {
+	if rec := do(t, s, "POST", "/v2/query", `{"batch":[`); rec.Code != http.StatusBadRequest {
 		t.Errorf("malformed batch: %d", rec.Code)
 	}
 	var b strings.Builder
-	b.WriteString(`{"queries":[`)
-	for i := 0; i <= maxBatchQueries; i++ {
+	b.WriteString(`{"batch":[`)
+	for i := 0; i <= wire.MaxBatch; i++ {
 		if i > 0 {
 			b.WriteString(",")
 		}
 		fmt.Fprintf(&b, `{"terms":["t%d"]}`, i)
 	}
 	b.WriteString(`]}`)
-	if rec := do(t, s, "POST", "/v1/query/batch", b.String()); rec.Code != http.StatusBadRequest {
+	if rec := do(t, s, "POST", "/v2/query", b.String()); rec.Code != http.StatusBadRequest {
 		t.Errorf("oversized batch: %d", rec.Code)
 	}
 }
@@ -178,12 +181,12 @@ func TestBatchQueryValidation(t *testing.T) {
 func TestBatchGenerationConsistency(t *testing.T) {
 	s := newTestServer(t)
 	loadDocs(t, s)
-	body := `{"queries":[{"terms":["Bit"]},{"terms":["1999"]}]}`
-	first := decode[wireBatchResponse](t, do(t, s, "POST", "/v1/query/batch", body))
+	body := `{"batch":[{"terms":["Bit"]},{"terms":["1999"]}]}`
+	first := decode[wireBatchResponse](t, do(t, s, "POST", "/v2/query", body))
 	if rec := do(t, s, "DELETE", "/v1/docs/library", ""); rec.Code != http.StatusNoContent {
 		t.Fatalf("delete: %d", rec.Code)
 	}
-	second := decode[wireBatchResponse](t, do(t, s, "POST", "/v1/query/batch", body))
+	second := decode[wireBatchResponse](t, do(t, s, "POST", "/v2/query", body))
 	if second.Generation == first.Generation {
 		t.Error("generation did not advance")
 	}
@@ -201,7 +204,7 @@ func TestBatchSharded(t *testing.T) {
 		t.Fatalf("put: %d %s", rec.Code, rec.Body)
 	}
 	var b strings.Builder
-	b.WriteString(`{"queries":[`)
+	b.WriteString(`{"batch":[`)
 	for i := 0; i < 8; i++ {
 		if i > 0 {
 			b.WriteString(",")
@@ -209,7 +212,7 @@ func TestBatchSharded(t *testing.T) {
 		fmt.Fprintf(&b, `{"doc":"bib","terms":["Author%d","%d"],"exclude_root":true}`, i, 1990+i)
 	}
 	b.WriteString(`]}`)
-	resp := decode[wireBatchResponse](t, do(t, s, "POST", "/v1/query/batch", b.String()))
+	resp := decode[wireBatchResponse](t, do(t, s, "POST", "/v2/query", b.String()))
 	for i, r := range resp.Results {
 		if r.Error != "" {
 			t.Fatalf("item %d: %s", i, r.Error)

@@ -78,12 +78,7 @@ func queryEnvelopes(t *testing.T, srv *Server) []string {
 	}
 	var out []string
 	for _, probe := range probes {
-		rec := do(t, srv, "POST", "/v2/query", probe)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("probe %s: %d %s", probe, rec.Code, rec.Body)
-		}
-		env := decode[v2Response](t, rec)
-		out = append(out, fmt.Sprintf("gen=%d result=%s", env.Generation, env.Result))
+		out = append(out, answerOf(t, do(t, srv, "POST", "/v2/query", probe)))
 	}
 	return out
 }

@@ -8,6 +8,7 @@ import (
 
 	"ncq"
 	"ncq/internal/shard"
+	"ncq/internal/wire"
 	"ncq/internal/xmltree"
 )
 
@@ -76,12 +77,12 @@ func shardsParam(r *http.Request) (int, error) {
 func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !validDocName(name) {
-		writeError(w, http.StatusBadRequest, "invalid document name %q", name)
+		wire.WriteError(w, http.StatusBadRequest, "invalid document name %q", name)
 		return
 	}
 	k, err := shardsParam(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	body := http.MaxBytesReader(w, r.Body, s.maxBody)
@@ -94,7 +95,7 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 		// without the XML parse and shred. Snapshots carry their own
 		// sharding decision, so ?shards is not meaningful here.
 		if k > 1 {
-			writeError(w, http.StatusBadRequest, "\"shards\" does not apply to a snapshot body")
+			wire.WriteError(w, http.StatusBadRequest, "\"shards\" does not apply to a snapshot body")
 			return
 		}
 		db, err := ncq.OpenSnapshot(body)
@@ -103,7 +104,7 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if replaced, err = s.putPlain(name, db); err != nil {
-			writeError(w, http.StatusInternalServerError, "register document: %v", err)
+			wire.WriteError(w, http.StatusInternalServerError, "register document: %v", err)
 			return
 		}
 		info.Shards, info.Stats = 1, db.Stats()
@@ -120,7 +121,7 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 		// DELETE of the same name wins the follow-up race.
 		dbs, repl, err := s.corpus.AddSharded(name, doc, k)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "register document: %v", err)
+			wire.WriteError(w, http.StatusInternalServerError, "register document: %v", err)
 			return
 		}
 		replaced = repl
@@ -158,7 +159,7 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 			replaced, err = s.corpus.AddShardDBs(name, dbs)
 		}
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "register document: %v", err)
+			wire.WriteError(w, http.StatusInternalServerError, "register document: %v", err)
 			return
 		}
 		info.Shards, info.Stats = len(dbs), ncq.AggregateStats(dbs)
@@ -169,7 +170,7 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if replaced, err = s.putPlain(name, db); err != nil {
-			writeError(w, http.StatusInternalServerError, "register document: %v", err)
+			wire.WriteError(w, http.StatusInternalServerError, "register document: %v", err)
 			return
 		}
 		info.Shards, info.Stats = 1, db.Stats()
@@ -180,7 +181,7 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 	if replaced {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, info)
+	wire.WriteJSON(w, status, info)
 }
 
 // writeParseError distinguishes an oversized upload from a malformed
@@ -188,21 +189,21 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 func writeParseError(w http.ResponseWriter, err error) {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		writeError(w, http.StatusRequestEntityTooLarge,
+		wire.WriteError(w, http.StatusRequestEntityTooLarge,
 			"document exceeds the %d byte limit", tooLarge.Limit)
 		return
 	}
-	writeError(w, http.StatusBadRequest, "parse document: %v", err)
+	wire.WriteError(w, http.StatusBadRequest, "parse document: %v", err)
 }
 
 func (s *Server) handleGetDoc(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	st, shards, ok := s.corpus.MemberStats(name)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no document %q", name)
+		wire.WriteError(w, http.StatusNotFound, "no document %q", name)
 		return
 	}
-	writeJSON(w, http.StatusOK, docInfo{Name: name, Shards: shards, Stats: st})
+	wire.WriteJSON(w, http.StatusOK, docInfo{Name: name, Shards: shards, Stats: st})
 }
 
 // putPlain registers an unsharded document, through the durability
@@ -219,15 +220,15 @@ func (s *Server) handleDeleteDoc(w http.ResponseWriter, r *http.Request) {
 	if s.store != nil {
 		ok, err := s.store.Delete(name)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "evict document: %v", err)
+			wire.WriteError(w, http.StatusInternalServerError, "evict document: %v", err)
 			return
 		}
 		if !ok {
-			writeError(w, http.StatusNotFound, "no document %q", name)
+			wire.WriteError(w, http.StatusNotFound, "no document %q", name)
 			return
 		}
 	} else if !s.corpus.Remove(name) {
-		writeError(w, http.StatusNotFound, "no document %q", name)
+		wire.WriteError(w, http.StatusNotFound, "no document %q", name)
 		return
 	}
 	s.invalidate()
@@ -242,7 +243,7 @@ func (s *Server) handleListDocs(w http.ResponseWriter, r *http.Request) {
 			docs = append(docs, docInfo{Name: name, Shards: shards, Stats: st})
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"docs":       docs,
 		"generation": s.corpus.Generation(),
 	})

@@ -72,10 +72,10 @@ func TestPutDocSnapshotBody(t *testing.T) {
 	xmlSrv := newTestServer(t)
 	do(t, xmlSrv, "PUT", "/v1/docs/cwi", bibArticle)
 	q := `{"doc":"cwi","terms":["Bit","1999"],"exclude_root":true}`
-	got := do(t, s, "POST", "/v1/query", q)
-	want := do(t, xmlSrv, "POST", "/v1/query", q)
-	if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-		t.Errorf("snapshot-loaded answers differ:\n%s\nvs\n%s", got.Body, want.Body)
+	got := answerOf(t, do(t, s, "POST", "/v2/query", q))
+	want := answerOf(t, do(t, xmlSrv, "POST", "/v2/query", q))
+	if got != want {
+		t.Errorf("snapshot-loaded answers differ:\n%s\nvs\n%s", got, want)
 	}
 
 	// ?shards is meaningless for a snapshot body.
@@ -113,10 +113,7 @@ func TestDurableServerRestart(t *testing.T) {
 	}
 	gen := s.Corpus().Generation()
 	q := `{"terms":["Ben","1999"],"exclude_root":true}`
-	want := do(t, s, "POST", "/v1/query", q)
-	if want.Code != http.StatusOK {
-		t.Fatalf("query before restart: %d %s", want.Code, want.Body)
-	}
+	want := answerOf(t, do(t, s, "POST", "/v2/query", q))
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +123,8 @@ func TestDurableServerRestart(t *testing.T) {
 	if got := s2.Corpus().Generation(); got != gen {
 		t.Errorf("generation after restart = %d, want %d", got, gen)
 	}
-	got := do(t, s2, "POST", "/v1/query", q)
-	if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-		t.Errorf("answers differ after restart:\n%s\nvs\n%s", got.Body, want.Body)
+	if got := answerOf(t, do(t, s2, "POST", "/v2/query", q)); got != want {
+		t.Errorf("answers differ after restart:\n%s\nvs\n%s", got, want)
 	}
 	if rec := do(t, s2, "GET", "/v1/docs/library", ""); rec.Code != http.StatusNotFound {
 		t.Errorf("deleted doc resurrected: %d %s", rec.Code, rec.Body)
@@ -160,7 +156,7 @@ func TestDurableShardedUploadStreams(t *testing.T) {
 		t.Errorf("streamed shards = %d, want 2..4", info.Shards)
 	}
 	q := `{"doc":"big","terms":["Streaming","Chunked"],"exclude_root":true}`
-	resp := decode[wireQueryResponse](t, do(t, s, "POST", "/v1/query", q))
+	resp := decode[wireQueryResponse](t, do(t, s, "POST", "/v2/query", q))
 	if resp.Result == nil || len(resp.Result.Meets) == 0 {
 		t.Fatalf("no meets over streamed shards: %s", rec.Body)
 	}

@@ -24,7 +24,7 @@ func TestServerEndToEnd(t *testing.T) {
 
 	post := func(t *testing.T, body string) (*wireQueryResponse, string) {
 		t.Helper()
-		resp, err := client.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
+		resp, err := client.Post(ts.URL+"/v2/query", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +34,7 @@ func TestServerEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST /v1/query: %d %s", resp.StatusCode, raw)
+			t.Fatalf("POST /v2/query: %d %s", resp.StatusCode, raw)
 		}
 		var qr wireQueryResponse
 		if err := json.Unmarshal(raw, &qr); err != nil {

@@ -6,18 +6,14 @@ package server
 // statistics, admission outcomes) are sampled at exposition time
 // instead of being double-booked, while per-request series (route
 // latency, stream accounting) are live metric objects updated on the
-// request path. The admission gate sits in front of the query routes
-// only: document mutations and introspection endpoints must stay
-// reachable on a saturated node, or operators lose the tools to
-// diagnose the saturation.
+// request path. The admission gate (wire.Admit) sits in front of the
+// query route only: document mutations and introspection endpoints
+// must stay reachable on a saturated node, or operators lose the tools
+// to diagnose the saturation.
 
 import (
-	"errors"
-	"net/http"
-	"strconv"
 	"time"
 
-	"ncq/internal/admission"
 	"ncq/internal/durable"
 	"ncq/internal/metrics"
 )
@@ -46,7 +42,7 @@ func (s *Server) initObservability() {
 		"Queries that reached execution, batch items included.",
 		func() float64 { return float64(s.queries.Load()) })
 	reg.CounterFunc("ncq_batches_total",
-		"Batch requests accepted (v1 and v2).",
+		"Batch requests accepted.",
 		func() float64 { return float64(s.batches.Load()) })
 	reg.CounterFunc("ncq_mutations_total",
 		"Document PUT/DELETE operations that changed the corpus.",
@@ -58,34 +54,7 @@ func (s *Server) initObservability() {
 		"Seconds since the server was constructed.",
 		func() float64 { return time.Since(s.started).Seconds() })
 
-	reg.CounterFunc("ncq_cache_hits_total",
-		"Result cache lookups answered from the cache.",
-		func() float64 { return float64(s.cache.Stats().Hits) })
-	reg.CounterFunc("ncq_cache_misses_total",
-		"Result cache lookups that fell through to execution.",
-		func() float64 { return float64(s.cache.Stats().Misses) })
-	reg.GaugeFunc("ncq_cache_hit_ratio",
-		"Lifetime cache hit ratio: hits / (hits + misses); 0 before any lookup.",
-		func() float64 {
-			st := s.cache.Stats()
-			total := st.Hits + st.Misses
-			if total == 0 {
-				return 0
-			}
-			return float64(st.Hits) / float64(total)
-		})
-	reg.GaugeFunc("ncq_cache_entries",
-		"Entries currently resident in the result cache.",
-		func() float64 { return float64(s.cache.Stats().Entries) })
-	reg.GaugeFunc("ncq_cache_bytes",
-		"Approximate bytes currently retained by the result cache.",
-		func() float64 { return float64(s.cache.Stats().Bytes) })
-	reg.GaugeFunc("ncq_cache_cap_bytes",
-		"Configured byte capacity of the result cache.",
-		func() float64 { return float64(s.cache.Stats().CapBytes) })
-	reg.CounterFunc("ncq_cache_evictions_total",
-		"Entries evicted from the result cache to stay within capacity.",
-		func() float64 { return float64(s.cache.Stats().Evictions) })
+	s.cache.Register(reg)
 
 	// Durability series sample the attached store; without -data-dir
 	// they expose zeros, keeping the scrape surface stable.
@@ -117,45 +86,5 @@ func (s *Server) initObservability() {
 		"WAL records replayed by boot recovery.",
 		func() float64 { return float64(durableStats().ReplayRecords) })
 
-	reg.GaugeFunc("ncq_admission_inflight",
-		"Executions currently holding an admission slot; 0 when admission control is off.",
-		func() float64 { return float64(s.limiter.Stats().InFlight) })
-	reg.GaugeFunc("ncq_admission_queued",
-		"Acquisitions currently waiting for an admission slot.",
-		func() float64 { return float64(s.limiter.Stats().Queued) })
-	reg.GaugeFunc("ncq_admission_capacity",
-		"Configured admission concurrency limit; 0 when admission control is off.",
-		func() float64 { return float64(s.limiter.Stats().MaxConcurrent) })
-	reg.CounterFunc("ncq_admission_admitted_total",
-		"Query requests granted an admission slot.",
-		func() float64 { return float64(s.limiter.Stats().Admitted) })
-	reg.CounterFunc("ncq_admission_rejected_total",
-		"Query requests shed with 429 because slots and queue were full.",
-		func() float64 { return float64(s.limiter.Stats().Rejected) })
-}
-
-// admit gates a query route behind the admission limiter. A saturated
-// limiter answers 429 with a Retry-After hint before any body decoding
-// or execution happens — shedding in microseconds is what keeps the
-// admitted requests fast. The slot is held until the handler returns,
-// which for NDJSON streams means the whole life of the stream: a slow
-// streaming consumer occupies capacity, it does not hide from it.
-func (s *Server) admit(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		release, err := s.limiter.Acquire(r.Context())
-		if err != nil {
-			if errors.Is(err, admission.ErrSaturated) {
-				w.Header().Set("Retry-After", strconv.Itoa(s.limiter.RetryAfterSeconds()))
-				writeError(w, http.StatusTooManyRequests,
-					"server saturated; retry after %d second(s)", s.limiter.RetryAfterSeconds())
-				return
-			}
-			writeError(w, 499, "client closed request while queued for admission")
-			return
-		}
-		defer release()
-		s.queriesInflight.Inc()
-		defer s.queriesInflight.Dec()
-		next.ServeHTTP(w, r)
-	})
+	s.limiter.Register(reg)
 }

@@ -22,7 +22,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// One miss, one hit: a known cache ratio.
 	for i := 0; i < 2; i++ {
-		if rec := do(t, s, "POST", "/v1/query", queryBody); rec.Code != http.StatusOK {
+		if rec := do(t, s, "POST", "/v2/query", queryBody); rec.Code != http.StatusOK {
 			t.Fatalf("query %d: %d %s", i, rec.Code, rec.Body)
 		}
 	}
@@ -37,8 +37,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	out := rec.Body.String()
 	for _, want := range []string{
 		"# TYPE ncq_http_request_duration_seconds histogram",
-		`ncq_http_request_duration_seconds_count{route="/v1/query"} 2`,
-		`ncq_http_requests_total{route="/v1/query",status="200"} 2`,
+		`ncq_http_request_duration_seconds_count{route="/v2/query"} 2`,
+		`ncq_http_requests_total{route="/v2/query",status="200"} 2`,
 		`ncq_http_requests_total{route="/v1/docs/{name}",status="201"} 3`,
 		"ncq_queries_total 2",
 		"ncq_mutations_total 3",
@@ -77,7 +77,7 @@ func TestAdmission429(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec := do(t, s, "POST", "/v1/query", queryBody)
+	rec := do(t, s, "POST", "/v2/query", queryBody)
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("saturated query: %d %s, want 429", rec.Code, rec.Body)
 	}
@@ -97,7 +97,7 @@ func TestAdmission429(t *testing.T) {
 	}
 
 	release()
-	if rec := do(t, s, "POST", "/v1/query", queryBody); rec.Code != http.StatusOK {
+	if rec := do(t, s, "POST", "/v2/query", queryBody); rec.Code != http.StatusOK {
 		t.Errorf("query after release: %d %s", rec.Code, rec.Body)
 	}
 
@@ -119,11 +119,11 @@ func TestRequestLog(t *testing.T) {
 	s := newTestServer(t, WithLogger(slog.New(slog.NewTextHandler(&logs, nil))))
 	loadDocs(t, s)
 	logs.Reset() // drop the PUT lines; the query line is under test
-	if rec := do(t, s, "POST", "/v1/query", queryBody); rec.Code != http.StatusOK {
+	if rec := do(t, s, "POST", "/v2/query", queryBody); rec.Code != http.StatusOK {
 		t.Fatalf("query: %d %s", rec.Code, rec.Body)
 	}
 	line := logs.String()
-	for _, want := range []string{"msg=request", "method=POST", "route=/v1/query", "status=200", "query_fp=", "cache=miss"} {
+	for _, want := range []string{"msg=request", "method=POST", "route=/v2/query", "status=200", "query_fp=", "cache=miss"} {
 		if !strings.Contains(line, want) {
 			t.Errorf("request log missing %q: %s", want, line)
 		}

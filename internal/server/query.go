@@ -1,141 +1,21 @@
 package server
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"net/http"
-	"strings"
-
 	"ncq"
-	"ncq/internal/metrics"
+	"ncq/internal/wire"
 )
 
-// queryRequest is the POST /v1/query body (and one element of a batch
-// request). Exactly one of Query (the paper's SQL variant) or Terms (a
-// raw term meet) must be set. An empty Doc targets the whole corpus; a
-// named Doc is resolved logically, so a sharded document is queried
-// across all of its shards and answers are merged.
-type queryRequest struct {
-	Doc   string   `json:"doc,omitempty"`
-	Query string   `json:"query,omitempty"`
-	Terms []string `json:"terms,omitempty"`
-
-	// Meet options, mirroring ncq.Options (term queries only).
-	ExcludeRoot bool     `json:"exclude_root,omitempty"`
-	Exclude     []string `json:"exclude,omitempty"`
-	Restrict    []string `json:"restrict,omitempty"`
-	Nearest     bool     `json:"nearest,omitempty"`
-	Within      int      `json:"within,omitempty"`
-	MaxLift     int      `json:"max_lift,omitempty"`
-
-	// Limit caps the number of returned meets or rows; 0 = unlimited.
-	Limit int `json:"limit,omitempty"`
-
-	// Vague switches a terms request into the vague-constraints mode:
-	// restrict patterns match approximately within max_slack rewrites
-	// and structural slack blends into the ranking distance; expand
-	// broadens terms through the server's thesaurus. The ncq.Vague
-	// wire shape ({"max_slack": N, "expand": true}) is used verbatim.
-	Vague *ncq.Vague `json:"vague,omitempty"`
-}
-
-func (q *queryRequest) validate() error {
-	hasQuery := strings.TrimSpace(q.Query) != ""
-	if hasQuery == (len(q.Terms) > 0) {
-		return errors.New("exactly one of \"query\" or \"terms\" must be set")
-	}
-	for _, t := range q.Terms {
-		if t == "" {
-			return errors.New("empty term")
-		}
-	}
-	if q.Within < 0 || q.MaxLift < 0 || q.Limit < 0 {
-		return errors.New("\"within\", \"max_lift\" and \"limit\" must be non-negative")
-	}
-	if hasQuery && (q.ExcludeRoot || q.Nearest || q.Within != 0 || q.MaxLift != 0 ||
-		len(q.Exclude) > 0 || len(q.Restrict) > 0) {
-		return errors.New("meet options apply to \"terms\" queries only; use the query language's meet(...) options instead")
-	}
-	if q.Vague != nil {
-		if hasQuery {
-			return errors.New("\"vague\" applies to \"terms\" queries only")
-		}
-		if q.Vague.MaxSlack < 0 || q.Vague.MaxSlack > ncq.MaxVagueSlack {
-			return fmt.Errorf("\"vague.max_slack\" must be between 0 and %d", ncq.MaxVagueSlack)
-		}
-	}
-	return nil
-}
-
-// options lowers the request's meet knobs into an ncq.Options.
-func (q *queryRequest) options() *ncq.Options {
-	opt := &ncq.Options{}
-	if q.ExcludeRoot {
-		opt.ExcludeRoot()
-	}
-	for _, p := range q.Exclude {
-		opt.ExcludePattern(p)
-	}
-	for _, p := range q.Restrict {
-		opt.Restrict(p)
-	}
-	if q.Nearest {
-		opt.Nearest()
-	}
-	if q.Within > 0 {
-		opt.Within(q.Within)
-	}
-	if q.MaxLift > 0 {
-		opt.MaxLift(q.MaxLift)
-	}
-	return opt
-}
-
-// toRequest lowers the validated wire request into the unified
-// ncq.Request every endpoint executes through; the cache is keyed by
-// its canonical encoding, so equivalent v1 and v2 requests share
-// entries.
-func (q *queryRequest) toRequest() ncq.Request {
-	req := ncq.Request{Doc: q.Doc, Limit: q.Limit}
-	if len(q.Terms) > 0 {
-		req.Terms = q.Terms
-		req.Options = q.options()
-		req.Vague = q.Vague
-	} else {
-		req.Query = strings.TrimSpace(q.Query)
-	}
-	return req
-}
-
-// rowJSON is the wire form of one query-language result row.
-type rowJSON struct {
-	Node      ncq.NodeID   `json:"node"`
-	Tag       string       `json:"tag"`
-	Path      string       `json:"path"`
-	Value     string       `json:"value,omitempty"`
-	XML       string       `json:"xml,omitempty"`
-	Witnesses []ncq.NodeID `json:"witnesses,omitempty"`
-	Distance  int          `json:"distance"`
-}
-
-// answerJSON is one document's answer to a query-language request.
-type answerJSON struct {
-	Source  string    `json:"source"`
-	Columns []string  `json:"columns"`
-	IsMeet  bool      `json:"is_meet"`
-	Rows    []rowJSON `json:"rows"`
-}
-
-func toAnswerJSON(source string, ans *ncq.Answer) answerJSON {
-	out := answerJSON{
+// toAnswer lowers one document's query-language answer to its wire
+// form.
+func toAnswer(source string, ans *ncq.Answer) wire.Answer {
+	out := wire.Answer{
 		Source:  source,
 		Columns: ans.Columns,
 		IsMeet:  ans.IsMeet,
-		Rows:    make([]rowJSON, len(ans.Rows)),
+		Rows:    make([]wire.Row, len(ans.Rows)),
 	}
 	for i, r := range ans.Rows {
-		out.Rows[i] = rowJSON{
+		out.Rows[i] = wire.Row{
 			Node:      r.OID,
 			Tag:       r.Tag,
 			Path:      r.Path,
@@ -146,75 +26,4 @@ func toAnswerJSON(source string, ans *ncq.Answer) answerJSON {
 		}
 	}
 	return out
-}
-
-// queryResult is the cacheable portion of a query response: everything
-// derived from the corpus state, nothing request- or connection-bound.
-// It is encoded exactly once (on the cache miss) and the bytes are
-// spliced verbatim into every v1 and v2 response envelope.
-type queryResult struct {
-	Mode      string           `json:"mode"`                // "terms" or "query"
-	Meets     []ncq.CorpusMeet `json:"meets,omitempty"`     // terms mode
-	Unmatched int              `json:"unmatched,omitempty"` // terms mode, single doc only
-	Answers   []answerJSON     `json:"answers,omitempty"`   // query mode
-	Truncated bool             `json:"truncated,omitempty"` // a Limit cut results
-}
-
-// queryResponse is the full POST /v1/query payload. Result holds the
-// pre-serialised queryResult.
-type queryResponse struct {
-	Cached     bool            `json:"cached"`
-	Generation uint64          `json:"generation"`
-	Result     json.RawMessage `json:"result"`
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody))
-	dec.DisallowUnknownFields()
-	var req queryRequest
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request exceeds the %d byte limit", tooLarge.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
-		return
-	}
-	if err := req.validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
-		return
-	}
-
-	// Read the generation BEFORE resolving the document: if a mutation
-	// races this request, the result computed against the old database
-	// is then cached under the old (dead) generation and can never be
-	// served to post-mutation clients. Resolving first would let a
-	// stale result slip in under the new generation.
-	gen := s.corpus.Generation()
-	if req.Doc != "" && !s.corpus.Has(req.Doc) {
-		writeError(w, http.StatusNotFound, "no document %q", req.Doc)
-		return
-	}
-
-	s.queries.Add(1)
-	ncqReq := req.toRequest()
-	metrics.SetFingerprint(r.Context(), ncqReq.Canonical())
-	cr, cached, err := s.runCached(r.Context(), gen, ncqReq)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	if cached {
-		w.Header().Set("X-NCQ-Cache", "hit")
-	} else {
-		w.Header().Set("X-NCQ-Cache", "miss")
-	}
-	writeJSON(w, http.StatusOK, queryResponse{Cached: cached, Generation: gen, Result: cr.raw})
-}
-
-// writeQueryError maps an execution failure to its status (statusOf).
-func writeQueryError(w http.ResponseWriter, err error) {
-	writeError(w, statusOf(err), "%v", err)
 }

@@ -1,11 +1,8 @@
 package server
 
-// The unified execution path: every query endpoint — v1 single, v1
-// batch, and the whole v2 surface — lowers its wire request into an
-// ncq.Request and resolves it here, through one cache keyed by the
-// request's canonical encoding. The v1 handlers are thin adapters that
-// keep their historical response bytes; v2 exposes the full Request
-// surface (cursors, deadlines) directly.
+// The execution path: every query — single, batch item — is lowered
+// from its wire form into an ncq.Request and resolved here, through
+// one cache keyed by the request's canonical encoding.
 
 import (
 	"context"
@@ -17,43 +14,37 @@ import (
 
 	"ncq"
 	"ncq/internal/cache"
+	"ncq/internal/wire"
 )
-
-// cachedResult is the unit the LRU stores: the pre-encoded wire result
-// shared verbatim by the v1 and v2 response envelopes, plus the page
-// metadata v2 needs without re-decoding the payload.
-type cachedResult struct {
-	raw        json.RawMessage
-	truncated  bool
-	nextCursor string
-}
 
 // runCached resolves one request through the cache: a hit splices the
 // stored bytes into the response; a miss executes through the unified
-// ncq.Querier surface and caches the encoded result under the
-// request's canonical encoding and the generation it was computed
-// against (so a racing mutation can never publish a stale entry under
-// the new generation).
-func (s *Server) runCached(ctx context.Context, gen uint64, req ncq.Request) (cachedResult, bool, error) {
+// ncq.Querier surface and caches the response — the pre-encoded result
+// plus its page metadata — under the request's canonical encoding and
+// the generation it was computed against (so a racing mutation can
+// never publish a stale entry under the new generation).
+func (s *Server) runCached(ctx context.Context, gen uint64, req ncq.Request) (wire.Response, error) {
 	if req.Vague != nil {
 		s.vagueRequests.Inc()
 	}
 	key := cache.Key{Gen: gen, Query: req.Canonical()}
 	if v, ok := s.cache.Get(key); ok {
-		return v.(cachedResult), true, nil
+		resp := v.(wire.Response)
+		resp.Cached = true
+		return resp, nil
 	}
 	res, err := s.corpus.Run(ctx, req)
 	if err != nil {
-		return cachedResult{}, false, err
+		return wire.Response{}, err
 	}
 	s.observeRelaxations(res.RelaxationsBySlack)
 	raw, err := json.Marshal(toWireResult(&req, res))
 	if err != nil {
-		return cachedResult{}, false, fmt.Errorf("%w: %v", errEncodeResult, err)
+		return wire.Response{}, fmt.Errorf("%w: %v", errEncodeResult, err)
 	}
-	cr := cachedResult{raw: raw, truncated: res.Truncated, nextCursor: res.NextCursor}
-	s.cache.Put(key, cr, len(raw)+len(cr.nextCursor))
-	return cr, false, nil
+	resp := wire.Response{Generation: gen, Truncated: res.Truncated, NextCursor: res.NextCursor, Result: raw}
+	s.cache.Put(key, resp, len(raw)+len(resp.NextCursor))
+	return resp, nil
 }
 
 // observeRelaxations feeds a vague execution's per-slack relaxation
@@ -68,22 +59,21 @@ func (s *Server) observeRelaxations(bySlack []int) {
 	}
 }
 
-// toWireResult lowers an ncq.Result into the wire shape shared by v1
-// and v2, keeping the v1 contract byte for byte: the unmatched count
-// is reported for single-document requests only (corpus-wide node
-// counts aggregate over members and were never part of the v1
-// surface).
-func toWireResult(req *ncq.Request, res *ncq.Result) *queryResult {
+// toWireResult lowers an ncq.Result into its wire shape. The unmatched
+// count is reported for single-document requests only: corpus-wide
+// node counts aggregate over members and are carried by the stream
+// trailer alone.
+func toWireResult(req *ncq.Request, res *ncq.Result) *wire.Result {
 	if len(req.Terms) > 0 {
-		out := &queryResult{Mode: "terms", Meets: res.Meets, Truncated: res.Truncated}
+		out := &wire.Result{Mode: "terms", Meets: res.Meets, Truncated: res.Truncated}
 		if req.Doc != "" {
 			out.Unmatched = res.Unmatched
 		}
 		return out
 	}
-	out := &queryResult{Mode: "query", Truncated: res.Truncated}
+	out := &wire.Result{Mode: "query", Truncated: res.Truncated}
 	for _, a := range res.Answers {
-		out.Answers = append(out.Answers, toAnswerJSON(a.Source, a.Answer))
+		out.Answers = append(out.Answers, toAnswer(a.Source, a.Answer))
 	}
 	return out
 }
@@ -93,49 +83,30 @@ func toWireResult(req *ncq.Request, res *ncq.Result) *queryResult {
 // as a 500 instead of blaming the client's input.
 var errEncodeResult = errors.New("encode result")
 
-// statusOf maps an execution failure to its HTTP status: a document
-// that is not registered is 404, a cursor from another request is 400,
-// a cursor minted before a corpus mutation is 410 Gone (the page it
-// pointed into no longer exists), an expired per-request deadline is
-// 504, a client that went away is 499 (the de-facto "client closed
-// request" code), a result that failed to serialise is 500; everything
-// else is input-driven (unparsable queries, bad path patterns) and
-// therefore 400.
+// statusOf maps an execution failure to its HTTP status: the shared
+// table (wire.StatusOf), plus 500 for a result that failed to
+// serialise; everything else is input-driven (unparsable queries, bad
+// path patterns) and therefore 400.
 func statusOf(err error) int {
-	switch {
-	case errors.Is(err, ncq.ErrUnknownDoc):
-		return http.StatusNotFound
-	case errors.Is(err, ncq.ErrBadCursor):
-		return http.StatusBadRequest
-	case errors.Is(err, ncq.ErrStaleCursor):
-		return http.StatusGone
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return 499
-	case errors.Is(err, errEncodeResult):
+	if errors.Is(err, errEncodeResult) {
 		return http.StatusInternalServerError
-	default:
-		return http.StatusBadRequest
 	}
+	return wire.StatusOf(err, http.StatusBadRequest)
 }
 
 // batchUnit is one distinct piece of work of a batch: duplicate
 // queries in a request collapse onto a single unit, so each distinct
 // request is resolved through the cache — and executed — exactly once.
 type batchUnit struct {
-	req    ncq.Request
-	out    cachedResult
-	cached bool
-	err    error
+	req ncq.Request
+	out wire.Response
+	err error
 }
 
 // collectUnits dedupes the valid requests of a batch onto distinct
 // execution units, keyed by the canonical request encoding shared with
 // the cache. reqs[i] == nil marks an item that already failed
-// validation; its assigned slot stays nil. Both the v1 and the v2
-// batch handler run through this, so the dedup and keying semantics
-// cannot drift apart.
+// validation; its assigned slot stays nil.
 func collectUnits(reqs []*ncq.Request) (assigned, units []*batchUnit) {
 	assigned = make([]*batchUnit, len(reqs))
 	byKey := make(map[string]*batchUnit)
@@ -169,7 +140,7 @@ func (s *Server) runUnits(ctx context.Context, gen uint64, units []*batchUnit) {
 		workers = len(units)
 	}
 	runUnit := func(u *batchUnit) {
-		u.out, u.cached, u.err = s.runCached(ctx, gen, u.req)
+		u.out, u.err = s.runCached(ctx, gen, u.req)
 	}
 	if workers <= 1 {
 		for _, u := range units {

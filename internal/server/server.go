@@ -2,14 +2,13 @@
 // ncqd daemon's engine room. It wraps a shared ncq.Corpus with a
 // result cache and a small REST surface:
 //
-//	POST   /v2/query       the unified endpoint: single doc, whole corpus
+//	POST   /v2/query       the query endpoint: single doc, whole corpus
 //	                       or batch in one schema, with cursor pagination
-//	                       and a per-request deadline (see v2.go);
+//	                       and a per-request deadline (v2.go; the
+//	                       protocol itself lives in internal/wire);
 //	                       ?stream=1 switches term requests to NDJSON —
 //	                       one meet per line, flushed as produced, plus
-//	                       a trailer record (see stream.go)
-//	POST   /v1/query       query one document or the whole corpus
-//	POST   /v1/query/batch many queries in one round trip
+//	                       a trailer record (stream.go)
 //	PUT    /v1/docs/{name} load (or replace) a document from an XML body;
 //	                       ?shards=K splits it into K parallel shards
 //	GET    /v1/docs/{name} inspect a loaded document
@@ -19,8 +18,7 @@
 //	GET    /v1/stats       corpus, cache and traffic counters
 //	GET    /v1/metrics     Prometheus text exposition (see observe.go)
 //
-// Every query endpoint executes through the unified ncq.Request path
-// (run.go); the v1 handlers are byte-compatible adapters over it.
+// Every query executes through the unified ncq.Request path (run.go).
 // Query results are cached in a byte-bounded LRU — optionally with a
 // TTL — keyed by (corpus generation, canonical request); any document
 // mutation bumps the generation and purges the cache, so clients never
@@ -30,8 +28,6 @@
 package server
 
 import (
-	"encoding/json"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -44,14 +40,12 @@ import (
 	"ncq/internal/durable"
 	"ncq/internal/metrics"
 	"ncq/internal/shard"
+	"ncq/internal/wire"
 )
 
 const (
 	defaultCacheBytes = 64 << 20 // query result cache budget
 	defaultMaxBody    = 32 << 20 // XML document uploads
-	maxQueryBody      = 1 << 20  // JSON query requests
-	maxBatchBody      = 8 << 20  // JSON batch requests
-	maxBatchQueries   = 256      // queries per batch request
 	maxDocNameLen     = 128
 	maxShardsParam    = shard.MaxShards // cap on ?shards=K
 )
@@ -74,7 +68,7 @@ type Server struct {
 	started    time.Time
 
 	queries   atomic.Uint64 // queries that reached execution (batch items included)
-	batches   atomic.Uint64 // POST /v1/query/batch requests accepted
+	batches   atomic.Uint64 // "batch" requests accepted
 	mutations atomic.Uint64 // document PUT/DELETE that changed the corpus
 
 	// Observability (observe.go). reg is per-instance so multiple
@@ -153,7 +147,7 @@ func WithLogger(l *slog.Logger) Option {
 // wait up to wait for a slot, and everything beyond that is answered
 // 429 with a Retry-After hint instead of queuing in front of the
 // worker pool. maxConcurrent <= 0 (the default) disables admission
-// control. Only the query routes are gated; document mutations and
+// control. Only the query route is gated; document mutations and
 // introspection stay reachable on a saturated node.
 func WithAdmission(maxConcurrent, maxQueue int, wait time.Duration) Option {
 	return func(s *Server) { s.limiter = admission.New(maxConcurrent, maxQueue, wait) }
@@ -194,9 +188,8 @@ func New(corpus *ncq.Corpus, opts ...Option) *Server {
 	handle := func(pattern, route string, quiet bool, h http.Handler) {
 		mux.Handle(pattern, s.httpm.Instrument(route, s.logger, quiet, h))
 	}
-	handle("POST /v2/query", "/v2/query", false, s.admit(http.HandlerFunc(s.handleQueryV2)))
-	handle("POST /v1/query", "/v1/query", false, s.admit(http.HandlerFunc(s.handleQuery)))
-	handle("POST /v1/query/batch", "/v1/query/batch", false, s.admit(http.HandlerFunc(s.handleBatch)))
+	handle("POST /v2/query", "/v2/query", false,
+		wire.Admit(s.limiter, s.queriesInflight, http.HandlerFunc(s.handleQuery)))
 	handle("PUT /v1/docs/{name}", "/v1/docs/{name}", false, http.HandlerFunc(s.handlePutDoc))
 	handle("GET /v1/docs/{name}", "/v1/docs/{name}", false, http.HandlerFunc(s.handleGetDoc))
 	handle("DELETE /v1/docs/{name}", "/v1/docs/{name}", false, http.HandlerFunc(s.handleDeleteDoc))
@@ -235,29 +228,11 @@ func (s *Server) stampGeneration(w http.ResponseWriter) {
 	w.Header().Set("X-NCQ-Generation", strconv.FormatUint(s.corpus.Generation(), 10))
 }
 
-// writeJSON renders v with status code; encoding errors at this point
-// can only be connection failures, which the caller cannot act on.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
 // handleHealthz reports liveness plus the node identity a cluster
 // coordinator health-checks: who the node is, its role, and the corpus
 // generation its answers are currently computed against.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":     "ok",
 		"node":       s.nodeName,
 		"role":       s.role,
@@ -309,5 +284,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.TotalTerms += st.Terms
 		resp.TotalMemBytes += st.MemBytes
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ncq"
+	"ncq/internal/wire"
 )
 
 // Three bibliographies marking up the same item three different ways —
@@ -47,23 +48,47 @@ func decode[T any](t *testing.T, rec *httptest.ResponseRecorder) T {
 	return v
 }
 
+// errorResponse mirrors the error envelope.
+type errorResponse struct {
+	Error string `json:"error"`
+}
+
 // The wire* types mirror the response envelopes with their raw result
 // payloads decoded into typed form, as a client would read them.
 type wireQueryResponse struct {
 	Cached     bool         `json:"cached"`
 	Generation uint64       `json:"generation"`
-	Result     *queryResult `json:"result"`
+	TookMS     float64      `json:"took_ms"`
+	Truncated  bool         `json:"truncated"`
+	NextCursor string       `json:"next_cursor"`
+	Result     *wire.Result `json:"result"`
 }
 
 type wireBatchItem struct {
-	Cached bool         `json:"cached"`
-	Error  string       `json:"error"`
-	Result *queryResult `json:"result"`
+	Status     int          `json:"status"`
+	Cached     bool         `json:"cached"`
+	Error      string       `json:"error"`
+	Truncated  bool         `json:"truncated"`
+	NextCursor string       `json:"next_cursor"`
+	Result     *wire.Result `json:"result"`
 }
 
 type wireBatchResponse struct {
 	Generation uint64          `json:"generation"`
+	TookMS     float64         `json:"took_ms"`
 	Results    []wireBatchItem `json:"results"`
+}
+
+// answerOf renders the deterministic part of a query response — the
+// generation and the raw result bytes; took_ms naturally varies — for
+// byte-for-byte comparisons between nodes.
+func answerOf(t *testing.T, rec *httptest.ResponseRecorder) string {
+	t.Helper()
+	if rec.Code != http.StatusOK {
+		t.Fatalf("query: %d %s", rec.Code, rec.Body)
+	}
+	env := decode[wire.Response](t, rec)
+	return fmt.Sprintf("gen=%d cached=%t result=%s", env.Generation, env.Cached, env.Result)
 }
 
 func loadDocs(t *testing.T, s *Server) {
@@ -181,7 +206,7 @@ func TestListDocs(t *testing.T) {
 func TestQueryTermsSingleDoc(t *testing.T) {
 	s := newTestServer(t)
 	loadDocs(t, s)
-	rec := do(t, s, "POST", "/v1/query",
+	rec := do(t, s, "POST", "/v2/query",
 		`{"doc":"cwi","terms":["Bit","1999"],"exclude_root":true}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d %s", rec.Code, rec.Body)
@@ -199,7 +224,7 @@ func TestQueryTermsSingleDoc(t *testing.T) {
 func TestQueryTermsCorpus(t *testing.T) {
 	s := newTestServer(t)
 	loadDocs(t, s)
-	rec := do(t, s, "POST", "/v1/query", `{"terms":["Bit","1999"],"exclude_root":true}`)
+	rec := do(t, s, "POST", "/v2/query", `{"terms":["Bit","1999"],"exclude_root":true}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d %s", rec.Code, rec.Body)
 	}
@@ -218,7 +243,7 @@ func TestQueryTermsCorpus(t *testing.T) {
 func TestQueryLanguageSingleDoc(t *testing.T) {
 	s := newTestServer(t)
 	loadDocs(t, s)
-	rec := do(t, s, "POST", "/v1/query",
+	rec := do(t, s, "POST", "/v2/query",
 		`{"doc":"cwi","query":"SELECT meet(e1, e2) FROM //cdata AS e1, //cdata AS e2 WHERE e1 CONTAINS 'Bit' AND e2 CONTAINS '1999'"}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d %s", rec.Code, rec.Body)
@@ -236,7 +261,7 @@ func TestQueryLanguageSingleDoc(t *testing.T) {
 func TestQueryLanguageCorpus(t *testing.T) {
 	s := newTestServer(t)
 	loadDocs(t, s)
-	rec := do(t, s, "POST", "/v1/query",
+	rec := do(t, s, "POST", "/v2/query",
 		`{"query":"SELECT meet(e1, e2) FROM //cdata AS e1, //cdata AS e2 WHERE e1 CONTAINS 'Bit' AND e2 CONTAINS '1999'"}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d %s", rec.Code, rec.Body)
@@ -271,7 +296,7 @@ func TestQueryValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := do(t, s, "POST", "/v1/query", tc.body)
+			rec := do(t, s, "POST", "/v2/query", tc.body)
 			if rec.Code != tc.want {
 				t.Errorf("status = %d, want %d (%s)", rec.Code, tc.want, rec.Body)
 			}
@@ -284,8 +309,8 @@ func TestQueryValidation(t *testing.T) {
 
 func TestQueryOversizedBody(t *testing.T) {
 	s := newTestServer(t)
-	body := fmt.Sprintf(`{"terms":[%q]}`, strings.Repeat("x", maxQueryBody))
-	rec := do(t, s, "POST", "/v1/query", body)
+	body := fmt.Sprintf(`{"terms":[%q]}`, strings.Repeat("x", wire.MaxBody))
+	rec := do(t, s, "POST", "/v2/query", body)
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d", rec.Code)
 	}
@@ -294,13 +319,13 @@ func TestQueryOversizedBody(t *testing.T) {
 func TestQueryLimitTruncates(t *testing.T) {
 	s := newTestServer(t)
 	loadDocs(t, s)
-	rec := do(t, s, "POST", "/v1/query", `{"terms":["19"],"limit":1}`)
+	rec := do(t, s, "POST", "/v2/query", `{"terms":["19"],"limit":1}`)
 	resp := decode[wireQueryResponse](t, rec)
 	if len(resp.Result.Meets) != 1 || !resp.Result.Truncated {
 		t.Errorf("result = %+v", resp.Result)
 	}
 	// Query-language limit caps total rows across answers.
-	rec = do(t, s, "POST", "/v1/query",
+	rec = do(t, s, "POST", "/v2/query",
 		`{"query":"SELECT tag(e) FROM //cdata AS e","limit":2}`)
 	resp = decode[wireQueryResponse](t, rec)
 	total := 0
@@ -316,7 +341,7 @@ func TestQueryCacheHitAndHeader(t *testing.T) {
 	s := newTestServer(t)
 	loadDocs(t, s)
 	body := `{"terms":["Bit","1999"],"exclude_root":true}`
-	rec := do(t, s, "POST", "/v1/query", body)
+	rec := do(t, s, "POST", "/v2/query", body)
 	if h := rec.Header().Get("X-NCQ-Cache"); h != "miss" {
 		t.Errorf("first call cache header = %q", h)
 	}
@@ -324,7 +349,7 @@ func TestQueryCacheHitAndHeader(t *testing.T) {
 		t.Error("first call reported cached")
 	}
 	// Same request modulo whitespace in formatting: a hit.
-	rec = do(t, s, "POST", "/v1/query", `{"terms":["Bit","1999"], "exclude_root": true}`)
+	rec = do(t, s, "POST", "/v2/query", `{"terms":["Bit","1999"], "exclude_root": true}`)
 	if h := rec.Header().Get("X-NCQ-Cache"); h != "hit" {
 		t.Errorf("second call cache header = %q", h)
 	}
@@ -333,7 +358,7 @@ func TestQueryCacheHitAndHeader(t *testing.T) {
 		t.Errorf("cached resp = %+v", resp.Result)
 	}
 	// A different request misses.
-	rec = do(t, s, "POST", "/v1/query", `{"terms":["Bit"]}`)
+	rec = do(t, s, "POST", "/v2/query", `{"terms":["Bit"]}`)
 	if h := rec.Header().Get("X-NCQ-Cache"); h != "miss" {
 		t.Errorf("third call cache header = %q", h)
 	}
@@ -344,8 +369,8 @@ func TestQueryLanguageWhitespaceNormalization(t *testing.T) {
 	loadDocs(t, s)
 	q1 := `{"doc":"cwi","query":"SELECT tag(e) FROM //year AS e"}`
 	q2 := `{"doc":"cwi","query":"SELECT   tag(e)\n FROM //year  AS e"}`
-	do(t, s, "POST", "/v1/query", q1)
-	rec := do(t, s, "POST", "/v1/query", q2)
+	do(t, s, "POST", "/v2/query", q1)
+	rec := do(t, s, "POST", "/v2/query", q2)
 	if h := rec.Header().Get("X-NCQ-Cache"); h != "hit" {
 		t.Errorf("whitespace-variant query was not a cache hit (%q)", h)
 	}
@@ -355,14 +380,14 @@ func TestMutationInvalidatesCache(t *testing.T) {
 	s := newTestServer(t)
 	loadDocs(t, s)
 	body := `{"terms":["Bit","1999"],"exclude_root":true}`
-	do(t, s, "POST", "/v1/query", body)
-	if rec := do(t, s, "POST", "/v1/query", body); rec.Header().Get("X-NCQ-Cache") != "hit" {
+	do(t, s, "POST", "/v2/query", body)
+	if rec := do(t, s, "POST", "/v2/query", body); rec.Header().Get("X-NCQ-Cache") != "hit" {
 		t.Fatal("warm-up did not cache")
 	}
 	// Any corpus mutation invalidates: PUT here, DELETE in the
 	// integration test.
 	do(t, s, "PUT", "/v1/docs/fourth", bibRecord)
-	rec := do(t, s, "POST", "/v1/query", body)
+	rec := do(t, s, "POST", "/v2/query", body)
 	if rec.Header().Get("X-NCQ-Cache") != "miss" {
 		t.Error("cache served a stale result after PUT")
 	}
@@ -376,8 +401,8 @@ func TestStats(t *testing.T) {
 	s := newTestServer(t)
 	loadDocs(t, s)
 	body := `{"terms":["Bit"]}`
-	do(t, s, "POST", "/v1/query", body)
-	do(t, s, "POST", "/v1/query", body)
+	do(t, s, "POST", "/v2/query", body)
+	do(t, s, "POST", "/v2/query", body)
 	rec := do(t, s, "GET", "/v1/stats", "")
 	st := decode[statsResponse](t, rec)
 	if st.Docs != 3 || st.TotalNodes == 0 || st.Queries != 2 || st.Mutations != 3 {
@@ -395,8 +420,8 @@ func TestCacheDisabled(t *testing.T) {
 	s := newTestServer(t, WithCacheBytes(0))
 	loadDocs(t, s)
 	body := `{"terms":["Bit"]}`
-	do(t, s, "POST", "/v1/query", body)
-	rec := do(t, s, "POST", "/v1/query", body)
+	do(t, s, "POST", "/v2/query", body)
+	rec := do(t, s, "POST", "/v2/query", body)
 	if rec.Header().Get("X-NCQ-Cache") != "miss" {
 		t.Error("disabled cache produced a hit")
 	}

@@ -1,115 +1,31 @@
 package server
 
-// POST /v2/query?stream=1 — the incremental form of the unified
-// endpoint. Instead of one JSON envelope computed in full before the
-// first byte leaves the handler, the response is NDJSON
-// (application/x-ndjson): one meet per line in the global (distance,
-// source, shard, node) rank, each line flushed as it is produced, then
-// one trailer line with the stream counters:
-//
-//	{"meet":{"source":"bib","node":4,"tag":"book","distance":2,...}}
-//	{"meet":{...}}
-//	{"trailer":true,"unmatched":1,"truncated":true,"next_cursor":"...","took_ms":1.7}
-//
-// The first line is observable as soon as every fan-out member has
-// produced its first answer — bounded by the slowest member's first
-// result, not by its full answer set — which is the whole point of the
-// endpoint: on a wide corpus the client renders nearest concepts while
-// the long tail is still being merged.
-//
-// Only term requests stream (a query-language answer's unit is a
-// per-source row set, not a meet) and "batch" cannot stream; both are
-// rejected with 400. Errors before the first meet use the ordinary
-// JSON error envelope and statusOf mapping (404 unknown doc, 410 stale
-// cursor, ...); an error after bytes have left — a mid-stream
-// cancellation or deadline — is reported as a final {"error": ...}
-// line, since the status line is long gone. Streaming responses bypass
-// the result cache: the value of the endpoint is the incremental
-// production, which splicing cached bytes would fake but not deliver.
-
 import (
 	"context"
-	"encoding/json"
 	"net/http"
-	"strings"
 	"time"
 
-	"ncq"
 	"ncq/internal/metrics"
+	"ncq/internal/wire"
 )
 
-// meetLine is one streamed result record.
-type meetLine struct {
-	Meet *ncq.CorpusMeet `json:"meet"`
-}
-
-// headerLine opens a stream when the client asks for it (?header=1):
-// the stream-level counters known before the first meet, the node's
-// identity, and the generation of the membership snapshot the answers
-// are computed against. A cluster coordinator consumes it to size and
-// staleness-check the global merge before any meet flows; plain
-// clients that do not ask never see it, keeping the original NDJSON
-// contract byte-compatible.
-type headerLine struct {
-	Header     bool   `json:"header"`
-	Node       string `json:"node"`
-	Generation uint64 `json:"generation"`
-	Total      int    `json:"total"`
-	Unmatched  int    `json:"unmatched"`
-}
-
-// errorLine reports a failure after the stream has started.
-type errorLine struct {
-	Error string `json:"error"`
-}
-
-// trailerLine closes a stream: the counters Run would have carried in
-// its envelope. Unlike the batch wire result, unmatched is reported
-// for corpus-wide streams too (as a count over all members).
-type trailerLine struct {
-	Trailer    bool    `json:"trailer"`
-	Unmatched  int     `json:"unmatched"`
-	Truncated  bool    `json:"truncated,omitempty"`
-	NextCursor string  `json:"next_cursor,omitempty"`
-	TookMS     float64 `json:"took_ms"`
-}
-
-// wantsStream reports whether the request selects the NDJSON form.
-func wantsStream(r *http.Request) bool {
-	v := r.URL.Query().Get("stream")
-	return v == "1" || v == "true"
-}
-
-// wantsHeader reports whether the stream should open with a headerLine
-// (?header=1) — the coordinator-facing form.
-func wantsHeader(r *http.Request) bool {
-	v := r.URL.Query().Get("header")
-	return v == "1" || v == "true"
-}
-
-// handleStreamV2 answers the ?stream=1 form of /v2/query. req has been
-// decoded but not yet validated; ctx already carries the per-request
-// deadline. withHeader selects the coordinator-facing form that opens
-// with a headerLine.
-func (s *Server) handleStreamV2(ctx context.Context, w http.ResponseWriter, start time.Time, req *v2Request, withHeader bool) {
-	if len(req.Batch) > 0 {
-		writeError(w, http.StatusBadRequest,
-			"\"batch\" cannot stream; issue one streaming query at a time")
-		return
-	}
-	if err := req.validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
-		return
-	}
-	if strings.TrimSpace(req.Query) != "" {
-		writeError(w, http.StatusBadRequest,
+// handleStream answers the ?stream=1 form of /v2/query (the NDJSON
+// protocol is internal/wire's). The first line is observable as soon
+// as every fan-out member has produced its first answer — bounded by
+// the slowest member's first result, not by its full answer set —
+// which is the whole point of the endpoint: on a wide corpus the
+// client renders nearest concepts while the long tail is still being
+// merged. ctx carries the per-request deadline.
+func (s *Server) handleStream(ctx context.Context, w http.ResponseWriter, r *http.Request, start time.Time, q *wire.Query) {
+	if q.IsQuery() {
+		wire.WriteError(w, http.StatusBadRequest,
 			"only \"terms\" requests stream; run query-language requests without stream=1")
 		return
 	}
 	s.queries.Add(1)
 	s.streamsInflight.Inc()
 	defer s.streamsInflight.Dec()
-	ncqReq := req.toV2Request()
+	ncqReq := q.Request()
 	metrics.SetFingerprint(ctx, ncqReq.Canonical())
 	seq, stats := s.corpus.ResultsWithStats(ctx, ncqReq)
 	if ncqReq.Vague != nil {
@@ -119,64 +35,26 @@ func (s *Server) handleStreamV2(ctx context.Context, w http.ResponseWriter, star
 		// first yield.
 		defer func() { s.observeRelaxations(stats.RelaxationsBySlack) }()
 	}
-	flusher, _ := w.(http.Flusher)
-	started := false
-	writeLine := func(v any) bool {
-		line, err := json.Marshal(v)
-		if err != nil {
-			return false
-		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
-			return false
-		}
-		s.streamLines.Inc()
-		s.streamBytes.Add(int64(len(line)) + 1)
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
+	// stats are complete before the first yield (and before the
+	// trailer of an empty stream), so a header always carries the final
+	// counters and the snapshot's generation.
+	header := func() wire.Header {
+		return wire.Header{Node: s.nodeName, Generation: stats.Generation, Total: stats.Total, Unmatched: stats.Unmatched}
 	}
-	ensureStarted := func() {
-		if started {
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set("X-NCQ-Cache", "bypass")
-		w.WriteHeader(http.StatusOK)
-		started = true
-		if withHeader {
-			// stats are complete before the first yield (and before the
-			// trailer of an empty stream), so the header always carries
-			// the final counters and the snapshot's generation.
-			writeLine(headerLine{
-				Header:     true,
-				Node:       s.nodeName,
-				Generation: stats.Generation,
-				Total:      stats.Total,
-				Unmatched:  stats.Unmatched,
-			})
-		}
-	}
+	sw := wire.NewStreamWriter(w, r, header, s.streamLines, s.streamBytes)
 	for m, err := range seq {
 		if err != nil {
-			if !started {
-				writeError(w, statusOf(err), "%v", err)
-			} else {
-				writeLine(errorLine{Error: err.Error()})
-			}
+			sw.Fail(statusOf(err), err)
 			return
 		}
-		ensureStarted()
-		if !writeLine(meetLine{Meet: &m}) {
+		if !sw.Meet(&m) {
 			return // client went away; execution stops with the range
 		}
 	}
-	ensureStarted()
-	writeLine(trailerLine{
-		Trailer:    true,
+	sw.Trailer(wire.Trailer{
 		Unmatched:  stats.Unmatched,
 		Truncated:  stats.Truncated,
 		NextCursor: stats.NextCursor,
-		TookMS:     msSince(start),
+		TookMS:     wire.MsSince(start),
 	})
 }

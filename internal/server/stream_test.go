@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ncq"
+	"ncq/internal/wire"
 )
 
 // flushRecorder wraps httptest.ResponseRecorder and snapshots the body
@@ -33,7 +34,7 @@ func doStream(t *testing.T, s *Server, body string) *flushRecorder {
 }
 
 // streamLines decodes an NDJSON body into meet lines and the trailer.
-func streamLines(t *testing.T, body string) (meets []ncq.CorpusMeet, trailer trailerLine) {
+func streamLines(t *testing.T, body string) (meets []ncq.CorpusMeet, trailer wire.Trailer) {
 	t.Helper()
 	sc := bufio.NewScanner(strings.NewReader(body))
 	sawTrailer := false
@@ -98,7 +99,7 @@ func TestQueryV2Stream(t *testing.T) {
 	if batch.Code != http.StatusOK {
 		t.Fatalf("plain v2: %d", batch.Code)
 	}
-	resp := decode[wireV2Response](t, batch)
+	resp := decode[wireQueryResponse](t, batch)
 	if len(resp.Result.Meets) != len(meets) {
 		t.Fatalf("stream %d meets, batch %d", len(meets), len(resp.Result.Meets))
 	}
@@ -120,7 +121,9 @@ func TestQueryV2Stream(t *testing.T) {
 	if !strings.HasSuffix(firstChunk, "\n") || strings.Count(firstChunk, "\n") != 1 {
 		t.Fatalf("first flush is not exactly one line: %q", firstChunk)
 	}
-	var first meetLine
+	var first struct {
+		Meet *ncq.CorpusMeet `json:"meet"`
+	}
 	if err := json.Unmarshal([]byte(firstChunk), &first); err != nil || first.Meet == nil {
 		t.Fatalf("first flushed line is not a meet: %q (%v)", firstChunk, err)
 	}
@@ -192,7 +195,7 @@ func TestQueryV2StaleCursorGone(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("first page: %d %s", rec.Code, rec.Body)
 	}
-	resp := decode[wireV2Response](t, rec)
+	resp := decode[wireQueryResponse](t, rec)
 	if resp.NextCursor == "" {
 		t.Fatal("first page minted no cursor")
 	}

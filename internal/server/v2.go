@@ -1,183 +1,71 @@
 package server
 
-// POST /v2/query — the unified query endpoint. One request schema
-// covers everything the v1 surface split across two endpoints: a
-// single-document query, a corpus-wide query, and a batch of either,
-// with cursor pagination and a per-request deadline. The body is one
-// JSON object; with "batch" set it carries many queries, otherwise the
-// inline fields describe one:
-//
-//	{"doc":"bib","terms":["Bit","1999"],"exclude_root":true,
-//	 "limit":10,"cursor":"...","timeout_ms":250}
-//	{"batch":[{...},{...}],"timeout_ms":500}
-//
-// Responses carry the same pre-encoded result payload as v1 (both
-// endpoints share one cache, keyed by the request's canonical
-// encoding) plus the page metadata: a truncated flag and the cursor of
-// the next page. Errors map to statuses uniformly: 404 for an unknown
-// document, 400 for invalid input or a foreign cursor, 410 for a
-// cursor minted before a corpus mutation, 504 for an expired
-// per-request deadline. With ?stream=1 a term request streams its
-// meets incrementally as NDJSON instead (stream.go).
+// POST /v2/query — the query endpoint. One request schema
+// (internal/wire) covers a single-document query, a corpus-wide query
+// and a batch of either, with cursor pagination and a per-request
+// deadline. Responses carry the pre-encoded, cached result payload
+// plus the page metadata: a truncated flag and the cursor of the next
+// page. With ?stream=1 a term request streams its meets incrementally
+// as NDJSON instead (stream.go).
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"net/http"
-	"reflect"
 	"time"
 
 	"ncq"
 	"ncq/internal/metrics"
+	"ncq/internal/wire"
 )
 
-// v2Query is one query of the v2 surface: the v1 request fields plus
-// cursor pagination.
-type v2Query struct {
-	queryRequest
-	Cursor string `json:"cursor,omitempty"`
-}
-
-// toV2Request lowers the wire query into the unified ncq.Request.
-func (q *v2Query) toV2Request() ncq.Request {
-	r := q.queryRequest.toRequest()
-	r.Cursor = q.Cursor
-	return r
-}
-
-// v2Request is the POST /v2/query body: one query inline, or many
-// under "batch", plus an optional per-request deadline.
-type v2Request struct {
-	v2Query
-	Batch     []v2Query `json:"batch,omitempty"`
-	TimeoutMS int       `json:"timeout_ms,omitempty"`
-}
-
-// v2Response is the single-query response envelope.
-type v2Response struct {
-	Cached     bool            `json:"cached"`
-	Generation uint64          `json:"generation"`
-	TookMS     float64         `json:"took_ms"`
-	Truncated  bool            `json:"truncated,omitempty"`
-	NextCursor string          `json:"next_cursor,omitempty"`
-	Result     json.RawMessage `json:"result"`
-}
-
-// v2BatchItem is the outcome of one query of a v2 batch. Status is the
-// HTTP status the query would have received on its own, so a missing
-// document is distinguishable (404) from an invalid query (400).
-type v2BatchItem struct {
-	Status     int             `json:"status"`
-	Cached     bool            `json:"cached,omitempty"`
-	Error      string          `json:"error,omitempty"`
-	Truncated  bool            `json:"truncated,omitempty"`
-	NextCursor string          `json:"next_cursor,omitempty"`
-	Result     json.RawMessage `json:"result,omitempty"`
-}
-
-// v2BatchResponse is the batch response envelope; results are in
-// request order, all computed against one corpus generation.
-type v2BatchResponse struct {
-	Generation uint64        `json:"generation"`
-	TookMS     float64       `json:"took_ms"`
-	Results    []v2BatchItem `json:"results"`
-}
-
-func msSince(start time.Time) float64 {
-	return float64(time.Since(start)) / float64(time.Millisecond)
-}
-
-func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
-	dec.DisallowUnknownFields()
-	var req v2Request
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request exceeds the %d byte limit", tooLarge.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	req, ctx, cancel, ok := wire.Decode(w, r)
+	if !ok {
 		return
 	}
-	if req.TimeoutMS < 0 {
-		writeError(w, http.StatusBadRequest, "\"timeout_ms\" must be non-negative")
-		return
-	}
-	ctx := r.Context()
-	if req.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-	if wantsStream(r) {
-		s.handleStreamV2(ctx, w, start, &req, wantsHeader(r))
+	defer cancel()
+	if wire.Flag(r, "stream") {
+		s.handleStream(ctx, w, r, start, &req.Query)
 		return
 	}
 	if len(req.Batch) > 0 {
-		// Any inline query field alongside "batch" is a malformed
-		// request; the zero-value comparison keeps this exhaustive as
-		// fields are added.
-		if !reflect.DeepEqual(req.v2Query, v2Query{}) {
-			writeError(w, http.StatusBadRequest,
-				"set either the inline query fields or \"batch\", not both")
-			return
-		}
-		s.handleBatchV2(ctx, w, start, req.Batch)
+		s.handleBatch(ctx, w, start, req.Batch)
 		return
 	}
-	if err := req.validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
-		return
-	}
+	// Read the generation BEFORE executing: if a mutation races this
+	// request, the result computed against the old corpus is cached
+	// under the old (dead) generation and can never be served to
+	// post-mutation clients.
 	gen := s.corpus.Generation()
 	s.queries.Add(1)
-	ncqReq := req.toV2Request()
+	ncqReq := req.Request()
 	metrics.SetFingerprint(ctx, ncqReq.Canonical())
-	cr, cached, err := s.runCached(ctx, gen, ncqReq)
+	resp, err := s.runCached(ctx, gen, ncqReq)
 	if err != nil {
-		writeError(w, statusOf(err), "%v", err)
+		wire.WriteError(w, statusOf(err), "%v", err)
 		return
 	}
-	if cached {
-		w.Header().Set("X-NCQ-Cache", "hit")
-	} else {
-		w.Header().Set("X-NCQ-Cache", "miss")
-	}
-	writeJSON(w, http.StatusOK, v2Response{
-		Cached:     cached,
-		Generation: gen,
-		TookMS:     msSince(start),
-		Truncated:  cr.truncated,
-		NextCursor: cr.nextCursor,
-		Result:     cr.raw,
-	})
+	wire.WriteResponse(w, start, resp)
 }
 
-// handleBatchV2 answers the batch form: per-item validation errors and
+// handleBatch answers the batch form: per-item validation errors and
 // statuses, distinct queries deduplicated onto single executions, all
-// against one generation.
-func (s *Server) handleBatchV2(ctx context.Context, w http.ResponseWriter, start time.Time, batch []v2Query) {
-	if len(batch) > maxBatchQueries {
-		writeError(w, http.StatusBadRequest,
-			"batch of %d queries exceeds the limit of %d", len(batch), maxBatchQueries)
-		return
-	}
+// against one generation (read before any resolution, for the same
+// reason as in handleQuery).
+func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, start time.Time, batch []wire.Query) {
 	s.batches.Add(1)
 	gen := s.corpus.Generation()
-	items := make([]v2BatchItem, len(batch))
+	items := make([]wire.BatchItem, len(batch))
 	reqs := make([]*ncq.Request, len(batch))
 	for i := range batch {
 		q := &batch[i]
-		if err := q.validate(); err != nil {
-			items[i] = v2BatchItem{Status: http.StatusBadRequest, Error: "invalid request: " + err.Error()}
+		if err := q.Validate(); err != nil {
+			items[i] = wire.BatchItem{Status: http.StatusBadRequest, Error: err.Error()}
 			continue
 		}
 		s.queries.Add(1)
-		unitReq := q.toV2Request()
+		unitReq := q.Request()
 		reqs[i] = &unitReq
 	}
 	assigned, units := collectUnits(reqs)
@@ -187,16 +75,10 @@ func (s *Server) handleBatchV2(ctx context.Context, w http.ResponseWriter, start
 			continue // already carries its validation error
 		}
 		if u.err != nil {
-			items[i] = v2BatchItem{Status: statusOf(u.err), Error: u.err.Error()}
+			items[i] = wire.BatchItem{Status: statusOf(u.err), Error: u.err.Error()}
 			continue
 		}
-		items[i] = v2BatchItem{
-			Status:     http.StatusOK,
-			Cached:     u.cached,
-			Truncated:  u.out.truncated,
-			NextCursor: u.out.nextCursor,
-			Result:     u.out.raw,
-		}
+		items[i] = u.out.Item()
 	}
-	writeJSON(w, http.StatusOK, v2BatchResponse{Generation: gen, TookMS: msSince(start), Results: items})
+	wire.WriteJSON(w, http.StatusOK, wire.BatchResponse{Generation: gen, TookMS: wire.MsSince(start), Results: items})
 }

@@ -5,33 +5,9 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"ncq/internal/wire"
 )
-
-// The wire mirror of the v2 envelopes, raw result decoded into typed
-// form as a client would read it.
-type wireV2Response struct {
-	Cached     bool         `json:"cached"`
-	Generation uint64       `json:"generation"`
-	TookMS     float64      `json:"took_ms"`
-	Truncated  bool         `json:"truncated"`
-	NextCursor string       `json:"next_cursor"`
-	Result     *queryResult `json:"result"`
-}
-
-type wireV2BatchItem struct {
-	Status     int          `json:"status"`
-	Cached     bool         `json:"cached"`
-	Error      string       `json:"error"`
-	Truncated  bool         `json:"truncated"`
-	NextCursor string       `json:"next_cursor"`
-	Result     *queryResult `json:"result"`
-}
-
-type wireV2BatchResponse struct {
-	Generation uint64            `json:"generation"`
-	TookMS     float64           `json:"took_ms"`
-	Results    []wireV2BatchItem `json:"results"`
-}
 
 func TestQueryV2SingleDoc(t *testing.T) {
 	s := newTestServer(t)
@@ -41,7 +17,7 @@ func TestQueryV2SingleDoc(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d %s", rec.Code, rec.Body)
 	}
-	resp := decode[wireV2Response](t, rec)
+	resp := decode[wireQueryResponse](t, rec)
 	if resp.Cached || resp.Result.Mode != "terms" {
 		t.Errorf("resp = %+v", resp)
 	}
@@ -58,7 +34,7 @@ func TestQueryV2CorpusWideAndQueryLanguage(t *testing.T) {
 	s := newTestServer(t)
 	loadDocs(t, s)
 	rec := do(t, s, "POST", "/v2/query", `{"terms":["Bit","1999"],"exclude_root":true}`)
-	resp := decode[wireV2Response](t, rec)
+	resp := decode[wireQueryResponse](t, rec)
 	tags := map[string]string{}
 	for _, m := range resp.Result.Meets {
 		tags[m.Source] = m.Tag
@@ -68,34 +44,10 @@ func TestQueryV2CorpusWideAndQueryLanguage(t *testing.T) {
 	}
 	rec = do(t, s, "POST", "/v2/query",
 		`{"doc":"cwi","query":"SELECT meet(e1, e2) FROM //cdata AS e1, //cdata AS e2 WHERE e1 CONTAINS 'Bit' AND e2 CONTAINS '1999'"}`)
-	qresp := decode[wireV2Response](t, rec)
+	qresp := decode[wireQueryResponse](t, rec)
 	if qresp.Result.Mode != "query" || len(qresp.Result.Answers) != 1 ||
 		qresp.Result.Answers[0].Rows[0].Tag != "article" {
 		t.Errorf("query result = %+v", qresp.Result)
-	}
-}
-
-// TestQueryV2CacheSharedWithV1: the two endpoints key the cache by the
-// same canonical request encoding, so they serve each other's entries.
-func TestQueryV2CacheSharedWithV1(t *testing.T) {
-	s := newTestServer(t)
-	loadDocs(t, s)
-	body := `{"terms":["Bit","1999"],"exclude_root":true}`
-	if rec := do(t, s, "POST", "/v1/query", body); rec.Header().Get("X-NCQ-Cache") != "miss" {
-		t.Fatal("v1 warm-up was not a miss")
-	}
-	rec := do(t, s, "POST", "/v2/query", body)
-	if rec.Header().Get("X-NCQ-Cache") != "hit" {
-		t.Error("v2 did not hit the entry cached by v1")
-	}
-	if !decode[wireV2Response](t, rec).Cached {
-		t.Error("v2 response not marked cached")
-	}
-	// And the other direction, on a fresh request.
-	body2 := `{"terms":["Code"]}`
-	do(t, s, "POST", "/v2/query", body2)
-	if rec := do(t, s, "POST", "/v1/query", body2); rec.Header().Get("X-NCQ-Cache") != "hit" {
-		t.Error("v1 did not hit the entry cached by v2")
 	}
 }
 
@@ -104,7 +56,7 @@ func TestQueryV2CacheSharedWithV1(t *testing.T) {
 func TestQueryV2CursorPagination(t *testing.T) {
 	s := newTestServer(t)
 	loadDocs(t, s)
-	full := decode[wireV2Response](t, do(t, s, "POST", "/v2/query", `{"terms":["19"]}`))
+	full := decode[wireQueryResponse](t, do(t, s, "POST", "/v2/query", `{"terms":["19"]}`))
 	if len(full.Result.Meets) < 2 {
 		t.Fatalf("workload too small: %d meets", len(full.Result.Meets))
 	}
@@ -123,7 +75,7 @@ func TestQueryV2CursorPagination(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("page %d: %d %s", pages, rec.Code, rec.Body)
 		}
-		page := decode[wireV2Response](t, rec)
+		page := decode[wireQueryResponse](t, rec)
 		for _, m := range page.Result.Meets {
 			collected = append(collected, fmt.Sprintf("%s/%d/%d", m.Source, m.Shard, m.Node))
 		}
@@ -147,7 +99,7 @@ func TestQueryV2CursorPagination(t *testing.T) {
 	}
 
 	// A cursor from a different request is rejected with 400.
-	first := decode[wireV2Response](t, do(t, s, "POST", "/v2/query", `{"terms":["19"],"limit":1}`))
+	first := decode[wireQueryResponse](t, do(t, s, "POST", "/v2/query", `{"terms":["19"],"limit":1}`))
 	body := fmt.Sprintf(`{"terms":["Bit"],"limit":1,"cursor":%q}`, first.NextCursor)
 	if rec := do(t, s, "POST", "/v2/query", body); rec.Code != http.StatusBadRequest {
 		t.Errorf("foreign cursor: %d %s", rec.Code, rec.Body)
@@ -167,7 +119,7 @@ func TestQueryV2Batch(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d %s", rec.Code, rec.Body)
 	}
-	resp := decode[wireV2BatchResponse](t, rec)
+	resp := decode[wireBatchResponse](t, rec)
 	if len(resp.Results) != 4 {
 		t.Fatalf("results = %d", len(resp.Results))
 	}
@@ -184,7 +136,7 @@ func TestQueryV2Batch(t *testing.T) {
 		t.Errorf("duplicate diverged: %+v", r)
 	}
 	// A repeated batch is pure cache traffic.
-	resp = decode[wireV2BatchResponse](t, do(t, s, "POST", "/v2/query", body))
+	resp = decode[wireBatchResponse](t, do(t, s, "POST", "/v2/query", body))
 	if !resp.Results[0].Cached || !resp.Results[3].Cached {
 		t.Error("repeat batch not cached")
 	}
@@ -195,33 +147,21 @@ func TestQueryV2Batch(t *testing.T) {
 func TestUnknownDocStatus(t *testing.T) {
 	s := newTestServer(t)
 	loadDocs(t, s)
-	// v1 single query.
-	if rec := do(t, s, "POST", "/v1/query", `{"doc":"ghost","terms":["x"]}`); rec.Code != http.StatusNotFound {
-		t.Errorf("/v1/query: %d", rec.Code)
+	// Query-language mode resolves the document too.
+	if rec := do(t, s, "POST", "/v2/query", `{"doc":"ghost","query":"SELECT tag(e) FROM //x AS e"}`); rec.Code != http.StatusNotFound {
+		t.Errorf("/v2/query (query mode): %d", rec.Code)
 	}
-	// v1 query-language mode resolves the document too.
-	if rec := do(t, s, "POST", "/v1/query", `{"doc":"ghost","query":"SELECT tag(e) FROM //x AS e"}`); rec.Code != http.StatusNotFound {
-		t.Errorf("/v1/query (query mode): %d", rec.Code)
-	}
-	// v1 batch: per-item error, whole response 200.
-	rec := do(t, s, "POST", "/v1/query/batch", `{"queries":[{"doc":"ghost","terms":["x"]}]}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/v1/query/batch: %d", rec.Code)
-	}
-	if resp := decode[wireBatchResponse](t, rec); !strings.Contains(resp.Results[0].Error, "no document") {
-		t.Errorf("batch item error = %q", resp.Results[0].Error)
-	}
-	// v2 single: 404 with the unified error.
-	rec = do(t, s, "POST", "/v2/query", `{"doc":"ghost","terms":["x"]}`)
+	// Single: 404 with the unified error.
+	rec := do(t, s, "POST", "/v2/query", `{"doc":"ghost","terms":["x"]}`)
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("/v2/query: %d %s", rec.Code, rec.Body)
 	}
 	if e := decode[errorResponse](t, rec); !strings.Contains(e.Error, "unknown document") {
 		t.Errorf("/v2/query error = %q", e.Error)
 	}
-	// v2 batch: per-item 404 status.
+	// Batch: per-item 404 status, whole response 200.
 	rec = do(t, s, "POST", "/v2/query", `{"batch":[{"doc":"ghost","query":"SELECT tag(e) FROM //x AS e"}]}`)
-	resp := decode[wireV2BatchResponse](t, rec)
+	resp := decode[wireBatchResponse](t, rec)
 	if resp.Results[0].Status != http.StatusNotFound {
 		t.Errorf("v2 batch item status = %d", resp.Results[0].Status)
 	}
@@ -254,7 +194,7 @@ func TestQueryV2Validation(t *testing.T) {
 	}
 	var b strings.Builder
 	b.WriteString(`{"batch":[`)
-	for i := 0; i <= maxBatchQueries; i++ {
+	for i := 0; i <= wire.MaxBatch; i++ {
 		if i > 0 {
 			b.WriteString(",")
 		}
@@ -297,15 +237,27 @@ func TestQueryV2Deadline(t *testing.T) {
 }
 
 // TestQueryV2EmptyCorpus: corpus-wide runs on an empty corpus answer
-// 200 with an empty result, exactly as v1 does.
+// 200 with an empty result.
 func TestQueryV2EmptyCorpus(t *testing.T) {
 	s := newTestServer(t)
 	rec := do(t, s, "POST", "/v2/query", `{"terms":["x"]}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d %s", rec.Code, rec.Body)
 	}
-	resp := decode[wireV2Response](t, rec)
+	resp := decode[wireQueryResponse](t, rec)
 	if resp.Result.Mode != "terms" || len(resp.Result.Meets) != 0 || resp.Truncated {
 		t.Errorf("result = %+v", resp.Result)
+	}
+}
+
+// TestV1QueryRoutesGone: /v2/query is the one query surface; the v1
+// query endpoints are not registered any more and the mux answers 404.
+func TestV1QueryRoutesGone(t *testing.T) {
+	s := newTestServer(t)
+	loadDocs(t, s)
+	for _, path := range []string{"/v1/query", "/v1/query/batch"} {
+		if rec := do(t, s, "POST", path, `{"terms":["Bit"]}`); rec.Code != http.StatusNotFound {
+			t.Errorf("POST %s: %d, want 404", path, rec.Code)
+		}
 	}
 }

@@ -33,8 +33,8 @@ func TestQueryV2VagueZeroSpecSharesCache(t *testing.T) {
 		if hdr := second.Header().Get("X-NCQ-Cache"); hdr != "hit" {
 			t.Fatalf("second request of %q pair: X-NCQ-Cache = %q, want hit", order[0], hdr)
 		}
-		a := decode[wireV2Response](t, first)
-		b := decode[wireV2Response](t, second)
+		a := decode[wireQueryResponse](t, first)
+		b := decode[wireQueryResponse](t, second)
 		if len(a.Result.Meets) == 0 {
 			t.Fatal("workload degenerate: no meets")
 		}
@@ -57,7 +57,7 @@ func TestQueryV2Vague(t *testing.T) {
 	if exact.Code != http.StatusOK {
 		t.Fatalf("exact: %d %s", exact.Code, exact.Body)
 	}
-	if resp := decode[wireV2Response](t, exact); len(resp.Result.Meets) != 0 {
+	if resp := decode[wireQueryResponse](t, exact); len(resp.Result.Meets) != 0 {
 		t.Fatalf("exact misspelled restrict matched %+v", resp.Result.Meets)
 	}
 
@@ -67,14 +67,14 @@ func TestQueryV2Vague(t *testing.T) {
 	if vague.Code != http.StatusOK {
 		t.Fatalf("vague: %d %s", vague.Code, vague.Body)
 	}
-	resp := decode[wireV2Response](t, vague)
+	resp := decode[wireQueryResponse](t, vague)
 	if len(resp.Result.Meets) != 1 || resp.Result.Meets[0].Tag != "article" {
 		t.Fatalf("vague meets = %+v", resp.Result.Meets)
 	}
 	// "articel" is two edits from "article": slack 2 blended at weight 2.
 	exactControl := do(t, s, "POST", "/v2/query",
 		`{"doc":"cwi","terms":["Bit","1999"],"exclude_root":true,"restrict":["/bib/article"]}`)
-	control := decode[wireV2Response](t, exactControl)
+	control := decode[wireQueryResponse](t, exactControl)
 	if len(control.Result.Meets) != 1 ||
 		resp.Result.Meets[0].Distance != control.Result.Meets[0].Distance+4 {
 		t.Fatalf("blended distance %d, control %+v", resp.Result.Meets[0].Distance, control.Result.Meets)
@@ -130,7 +130,7 @@ func TestQueryV2VagueStream(t *testing.T) {
 	}
 
 	batch := do(t, s, "POST", "/v2/query", body)
-	resp := decode[wireV2Response](t, batch)
+	resp := decode[wireQueryResponse](t, batch)
 	if len(resp.Result.Meets) != len(meets) {
 		t.Fatalf("stream %d meets, batch %d", len(meets), len(resp.Result.Meets))
 	}
@@ -157,7 +157,7 @@ func TestQueryV2VagueExpand(t *testing.T) {
 	s.Corpus().SetThesaurus(ncq.NewThesaurus().Add("binary", "Bit"))
 
 	off := do(t, s, "POST", "/v2/query", `{"doc":"cwi","terms":["binary","1999"],"exclude_root":true}`)
-	if resp := decode[wireV2Response](t, off); len(resp.Result.Meets) != 0 {
+	if resp := decode[wireQueryResponse](t, off); len(resp.Result.Meets) != 0 {
 		t.Fatalf("exact mode expanded: %+v", resp.Result.Meets)
 	}
 	on := do(t, s, "POST", "/v2/query",
@@ -165,14 +165,14 @@ func TestQueryV2VagueExpand(t *testing.T) {
 	if on.Code != http.StatusOK {
 		t.Fatalf("expand: %d %s", on.Code, on.Body)
 	}
-	if resp := decode[wireV2Response](t, on); len(resp.Result.Meets) != 1 ||
+	if resp := decode[wireQueryResponse](t, on); len(resp.Result.Meets) != 1 ||
 		resp.Result.Meets[0].Tag != "article" {
-		t.Fatalf("expanded meets = %+v", decode[wireV2Response](t, on).Result.Meets)
+		t.Fatalf("expanded meets = %+v", decode[wireQueryResponse](t, on).Result.Meets)
 	}
 }
 
 // TestQueryVagueRejects pins the 400 contract for malformed vague
-// requests on both the v1 and v2 surfaces.
+// requests.
 func TestQueryVagueRejects(t *testing.T) {
 	s := newTestServer(t)
 	loadDocs(t, s)
@@ -182,10 +182,8 @@ func TestQueryVagueRejects(t *testing.T) {
 		`{"terms":["Bit"],"vague":{"max_slack":99}}`,
 	}
 	for _, body := range bad {
-		for _, path := range []string{"/v1/query", "/v2/query"} {
-			if rec := do(t, s, "POST", path, body); rec.Code != http.StatusBadRequest {
-				t.Errorf("POST %s %s: %d %s", path, body, rec.Code, rec.Body)
-			}
+		if rec := do(t, s, "POST", "/v2/query", body); rec.Code != http.StatusBadRequest {
+			t.Errorf("POST %s: %d %s", body, rec.Code, rec.Body)
 		}
 	}
 }

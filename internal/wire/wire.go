@@ -1,0 +1,383 @@
+// Package wire is the one place that knows the POST /v2/query
+// protocol: the request schema with its validation and lowering, the
+// response envelopes, the NDJSON stream records (stream.go) and the
+// HTTP helpers around them. internal/server produces the protocol,
+// internal/cluster consumes and re-produces it, cmd/ncq consumes it;
+// none of them spells a protocol field itself, so a single node and a
+// coordinator cannot drift apart. The body is one JSON object — one
+// query inline, or many under "batch":
+//
+//	{"doc":"bib","terms":["Bit","1999"],"exclude_root":true,
+//	 "limit":10,"cursor":"...","timeout_ms":250}
+//	{"batch":[{...},{...}],"timeout_ms":500}
+//
+// Errors map to statuses uniformly (StatusOf): 404 for an unknown
+// document, 400 for invalid input or a foreign cursor, 410 for a
+// cursor minted before a mutation, 504 for an expired timeout_ms.
+package wire
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"reflect"
+	"strconv"
+	"strings"
+	"time"
+
+	"ncq"
+	"ncq/internal/admission"
+	"ncq/internal/metrics"
+)
+
+const (
+	MaxBody  = 8 << 20  // bytes of one JSON request body
+	MaxBatch = 256      // queries per "batch"
+	MaxLine  = 16 << 20 // bytes of one NDJSON line; meets can carry long witness lists
+)
+
+// Query is one query. Exactly one of Query (the paper's SQL variant)
+// or Terms (a raw term meet) must be set. An empty Doc targets the
+// whole corpus; a named Doc is resolved logically, so a sharded
+// document is queried across all of its shards.
+type Query struct {
+	Doc   string   `json:"doc,omitempty"`
+	Query string   `json:"query,omitempty"`
+	Terms []string `json:"terms,omitempty"`
+
+	// Meet options, mirroring ncq.Options (term queries only).
+	ExcludeRoot bool     `json:"exclude_root,omitempty"`
+	Exclude     []string `json:"exclude,omitempty"`
+	Restrict    []string `json:"restrict,omitempty"`
+	Nearest     bool     `json:"nearest,omitempty"`
+	Within      int      `json:"within,omitempty"`
+	MaxLift     int      `json:"max_lift,omitempty"`
+
+	// Limit caps the number of returned meets or rows; 0 = unlimited.
+	Limit int `json:"limit,omitempty"`
+
+	// Vague switches a terms request into the vague-constraints mode
+	// (the ncq.Vague wire shape, {"max_slack": N, "expand": true}).
+	// Workers blend structural slack into each answer's distance
+	// before ranking, so a coordinator's merge needs no vague-specific
+	// handling.
+	Vague *ncq.Vague `json:"vague,omitempty"`
+
+	// Cursor resumes at the page a previous response's next_cursor
+	// (or stream trailer) pointed to.
+	Cursor string `json:"cursor,omitempty"`
+
+	// AllowPartial asks a coordinator to degrade worker failures
+	// instead of answering 502: the response carries the surviving
+	// workers' exact merged ranking, marked incomplete, with per-worker
+	// error detail and no resume cursor. A single node accepts the
+	// field as a no-op — its answer is never partial — so one client
+	// body works against either role.
+	AllowPartial bool `json:"allow_partial,omitempty"`
+}
+
+// IsQuery reports whether q is a query-language request.
+func (q *Query) IsQuery() bool { return strings.TrimSpace(q.Query) != "" }
+
+// Validate checks the query's shape — a failure is a 400 with the
+// returned text, inline or as a batch item; execution errors (unknown
+// document, bad pattern, bad cursor) surface later with their own
+// statuses.
+func (q *Query) Validate() error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("invalid request: "+format, args...)
+	}
+	hasQuery := q.IsQuery()
+	if hasQuery == (len(q.Terms) > 0) {
+		return bad("exactly one of \"query\" or \"terms\" must be set")
+	}
+	for _, t := range q.Terms {
+		if t == "" {
+			return bad("empty term")
+		}
+	}
+	if q.Within < 0 || q.MaxLift < 0 || q.Limit < 0 {
+		return bad("\"within\", \"max_lift\" and \"limit\" must be non-negative")
+	}
+	if hasQuery && (q.ExcludeRoot || q.Nearest || q.Within != 0 || q.MaxLift != 0 ||
+		len(q.Exclude) > 0 || len(q.Restrict) > 0) {
+		return bad("meet options apply to \"terms\" queries only; use the query language's meet(...) options instead")
+	}
+	if q.Vague != nil {
+		if hasQuery {
+			return bad("\"vague\" applies to \"terms\" queries only")
+		}
+		if q.Vague.MaxSlack < 0 || q.Vague.MaxSlack > ncq.MaxVagueSlack {
+			return bad("\"vague.max_slack\" must be between 0 and %d", ncq.MaxVagueSlack)
+		}
+	}
+	return nil
+}
+
+// Request lowers a validated query into the ncq.Request every role
+// executes or canonicalises: caches and cursors are keyed by its
+// Canonical encoding, so equivalent spellings share them.
+func (q *Query) Request() ncq.Request {
+	req := ncq.Request{Doc: q.Doc, Limit: q.Limit, Cursor: q.Cursor}
+	if len(q.Terms) == 0 {
+		req.Query = strings.TrimSpace(q.Query)
+		return req
+	}
+	opt := &ncq.Options{}
+	if q.ExcludeRoot {
+		opt.ExcludeRoot()
+	}
+	for _, p := range q.Exclude {
+		opt.ExcludePattern(p)
+	}
+	for _, p := range q.Restrict {
+		opt.Restrict(p)
+	}
+	if q.Nearest {
+		opt.Nearest()
+	}
+	if q.Within > 0 {
+		opt.Within(q.Within)
+	}
+	if q.MaxLift > 0 {
+		opt.MaxLift(q.MaxLift)
+	}
+	req.Terms, req.Options, req.Vague = q.Terms, opt, q.Vague
+	return req
+}
+
+// Request is the POST /v2/query body: one query inline, or many under
+// "batch", plus an optional per-request deadline.
+type Request struct {
+	Query
+	Batch     []Query `json:"batch,omitempty"`
+	TimeoutMS int     `json:"timeout_ms,omitempty"`
+}
+
+// Decode reads and checks one request body. On failure it has written
+// the error response and ok is false. On success the request is either
+// a batch of 1..MaxBatch queries, each still to be validated on its
+// own (a bad item fails alone), or one validated inline query; ctx
+// carries the timeout_ms deadline and cancel releases it.
+func Decode(w http.ResponseWriter, r *http.Request) (req *Request, ctx context.Context, cancel context.CancelFunc, ok bool) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBody))
+	dec.DisallowUnknownFields()
+	req = new(Request)
+	if err := dec.Decode(req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			WriteError(w, http.StatusRequestEntityTooLarge, "request exceeds the %d byte limit", tooLarge.Limit)
+		} else {
+			WriteError(w, http.StatusBadRequest, "decode request: %v", err)
+		}
+		return nil, nil, nil, false
+	}
+	if err := req.check(Flag(r, "stream")); err != nil {
+		WriteError(w, http.StatusBadRequest, "%v", err)
+		return nil, nil, nil, false
+	}
+	ctx, cancel = r.Context(), func() {}
+	if req.TimeoutMS > 0 {
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
+	}
+	return req, ctx, cancel, true
+}
+
+func (req *Request) check(stream bool) error {
+	switch {
+	case req.TimeoutMS < 0:
+		return errors.New("\"timeout_ms\" must be non-negative")
+	case len(req.Batch) == 0:
+		return req.Validate()
+	case stream:
+		return errors.New("\"batch\" cannot stream; issue one streaming query at a time")
+	case !reflect.DeepEqual(req.Query, Query{}):
+		// The zero-value comparison keeps this exhaustive as fields
+		// are added.
+		return errors.New("set either the inline query fields or \"batch\", not both")
+	case len(req.Batch) > MaxBatch:
+		return fmt.Errorf("batch of %d queries exceeds the limit of %d", len(req.Batch), MaxBatch)
+	}
+	return nil
+}
+
+// Response is the single-query envelope. Generation is the corpus
+// generation on a node and the hash of the gathered worker generation
+// vector on a coordinator — the value the response's cursors are
+// stamped with. Incomplete and WorkerErrors are set by a coordinator
+// answering an allow_partial query some worker failed.
+type Response struct {
+	Cached       bool              `json:"cached"`
+	Generation   uint64            `json:"generation"`
+	TookMS       float64           `json:"took_ms"`
+	Truncated    bool              `json:"truncated,omitempty"`
+	NextCursor   string            `json:"next_cursor,omitempty"`
+	Incomplete   bool              `json:"incomplete,omitempty"`
+	WorkerErrors map[string]string `json:"worker_errors,omitempty"`
+	Result       json.RawMessage   `json:"result"`
+}
+
+// BatchItem is the outcome of one query of a batch. Status is the HTTP
+// status the query would have received on its own, so a missing
+// document (404) is distinguishable from an invalid query (400).
+type BatchItem struct {
+	Status       int               `json:"status"`
+	Cached       bool              `json:"cached,omitempty"`
+	Error        string            `json:"error,omitempty"`
+	Truncated    bool              `json:"truncated,omitempty"`
+	NextCursor   string            `json:"next_cursor,omitempty"`
+	Incomplete   bool              `json:"incomplete,omitempty"`
+	WorkerErrors map[string]string `json:"worker_errors,omitempty"`
+	Result       json.RawMessage   `json:"result,omitempty"`
+}
+
+// Item is the response as one entry of a batch.
+func (r *Response) Item() BatchItem {
+	return BatchItem{Status: http.StatusOK, Cached: r.Cached, Truncated: r.Truncated, NextCursor: r.NextCursor,
+		Incomplete: r.Incomplete, WorkerErrors: r.WorkerErrors, Result: r.Result}
+}
+
+// BatchResponse is the batch envelope; results are in request order.
+type BatchResponse struct {
+	Generation uint64      `json:"generation"`
+	TookMS     float64     `json:"took_ms"`
+	Results    []BatchItem `json:"results"`
+}
+
+// Result is the payload under "result": everything derived from the
+// corpus state, nothing request- or connection-bound, so it is encoded
+// once and the bytes are cached and spliced into envelopes verbatim.
+type Result struct {
+	Mode      string           `json:"mode"`                // "terms" or "query"
+	Meets     []ncq.CorpusMeet `json:"meets,omitempty"`     // terms mode
+	Unmatched int              `json:"unmatched,omitempty"` // terms mode, single doc only
+	Answers   []Answer         `json:"answers,omitempty"`   // query mode
+	Truncated bool             `json:"truncated,omitempty"` // a Limit cut results
+}
+
+// Answer is one document's answer to a query-language request.
+type Answer struct {
+	Source  string   `json:"source"`
+	Columns []string `json:"columns"`
+	IsMeet  bool     `json:"is_meet"`
+	Rows    []Row    `json:"rows"`
+}
+
+// Row is one query-language result row.
+type Row struct {
+	Node      ncq.NodeID   `json:"node"`
+	Tag       string       `json:"tag"`
+	Path      string       `json:"path"`
+	Value     string       `json:"value,omitempty"`
+	XML       string       `json:"xml,omitempty"`
+	Witnesses []ncq.NodeID `json:"witnesses,omitempty"`
+	Distance  int          `json:"distance"`
+}
+
+// errorBody is the error envelope, and the NDJSON error record.
+type errorBody struct {
+	Error string `json:"error"`
+}
+
+// WriteJSON renders v with status code; an encoding error at this
+// point can only be a connection failure, which the caller cannot act
+// on.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(v)
+}
+
+// WriteResponse renders the single-query envelope of a request that
+// started at start, mirroring Cached in the X-NCQ-Cache header.
+func WriteResponse(w http.ResponseWriter, start time.Time, resp Response) {
+	disposition := "miss"
+	if resp.Cached {
+		disposition = "hit"
+	}
+	w.Header().Set("X-NCQ-Cache", disposition)
+	resp.TookMS = MsSince(start)
+	WriteJSON(w, http.StatusOK, resp)
+}
+
+// WriteError renders the {"error": ...} envelope.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
+}
+
+// ReadError extracts the message of an error envelope, falling back to
+// the raw body.
+func ReadError(r io.Reader) string {
+	raw, _ := io.ReadAll(io.LimitReader(r, 4<<10))
+	var e errorBody
+	if json.Unmarshal(raw, &e) == nil && e.Error != "" {
+		return e.Error
+	}
+	return strings.TrimSpace(string(raw))
+}
+
+// StatusOf maps the execution failures every role shares to their HTTP
+// status: an unregistered document is 404, a cursor from another
+// request 400, a cursor minted before a mutation 410 Gone (the page it
+// pointed into no longer exists), an expired deadline 504, a client
+// that went away 499 (the de-facto "client closed request" code).
+// Anything else is the role's own: fallback.
+func StatusOf(err error, fallback int) int {
+	switch {
+	case errors.Is(err, ncq.ErrUnknownDoc):
+		return http.StatusNotFound
+	case errors.Is(err, ncq.ErrBadCursor):
+		return http.StatusBadRequest
+	case errors.Is(err, ncq.ErrStaleCursor):
+		return http.StatusGone
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		return 499
+	default:
+		return fallback
+	}
+}
+
+// MsSince is the took_ms of a request that started at start.
+func MsSince(start time.Time) float64 {
+	return float64(time.Since(start)) / float64(time.Millisecond)
+}
+
+// Flag reads a boolean URL parameter: ?stream=1 selects the NDJSON
+// form, ?header=1 its coordinator-facing variant opening with a Header.
+func Flag(r *http.Request, name string) bool {
+	v := r.URL.Query().Get(name)
+	return v == "1" || v == "true"
+}
+
+// Admit gates a query route behind the admission limiter. A saturated
+// limiter answers 429 with a Retry-After hint before any body decoding
+// or execution happens — shedding in microseconds is what keeps the
+// admitted requests fast. The slot is held until the handler returns,
+// which for NDJSON streams means the whole life of the stream: a slow
+// streaming consumer occupies capacity, it does not hide from it.
+func Admit(l *admission.Limiter, inflight *metrics.Gauge, next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		release, err := l.Acquire(r.Context())
+		if err != nil {
+			if errors.Is(err, admission.ErrSaturated) {
+				w.Header().Set("Retry-After", strconv.Itoa(l.RetryAfterSeconds()))
+				WriteError(w, http.StatusTooManyRequests,
+					"server saturated; retry after %d second(s)", l.RetryAfterSeconds())
+				return
+			}
+			WriteError(w, 499, "client closed request while queued for admission")
+			return
+		}
+		defer release()
+		inflight.Inc()
+		defer inflight.Dec()
+		next.ServeHTTP(w, r)
+	})
+}

@@ -1,0 +1,270 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+
+	"ncq"
+)
+
+var goldenMeet = ncq.CorpusMeet{Source: "bib", Shard: 2, Meet: ncq.Meet{
+	Node: 4, Tag: "book", Path: "/bib/book", Witnesses: []ncq.NodeID{5, 9}, Distance: 2}}
+
+const goldenResult = `{"mode":"terms","meets":[{"source":"bib","shard":2,"node":4,"tag":"book","path":"/bib/book","witnesses":[5,9],"distance":2}],"unmatched":1,"truncated":true}`
+
+// TestGoldenBytes pins the protocol's bytes against literals captured
+// from the output of the commit before internal/wire existed
+// (internal/server's and internal/cluster's own encoders, same
+// values), so an encoder change has a fixed target. Note the two
+// escaping regimes: stream lines go through json.Marshal (HTML-escaped),
+// envelopes through an Encoder with SetEscapeHTML(false).
+func TestGoldenBytes(t *testing.T) {
+	rec := httptest.NewRecorder()
+	header := func() Header { return Header{Node: "w1", Generation: 7, Total: 3, Unmatched: 1} }
+	sw := NewStreamWriter(rec, httptest.NewRequest("POST", "/v2/query?stream=1&header=1", nil), header, nil, nil)
+	odd := ncq.CorpusMeet{Source: "a<b>&c", Meet: ncq.Meet{Tag: "t", Path: "/t"}}
+	sw.Meet(&goldenMeet)
+	sw.Meet(&odd)
+	sw.Fail(http.StatusBadGateway, errors.New(`worker "w1": a<b & c`))
+	sw.Trailer(Trailer{Unmatched: 1, Truncated: true, NextCursor: "djIgMQ", TookMS: 1.75})
+	sw.Trailer(Trailer{})
+	sw.Trailer(Trailer{Unmatched: 1, Truncated: true, Incomplete: true, TookMS: 1.75,
+		WorkerErrors: map[string]string{"w2": "worker w2: unexpected EOF", "w1": "x"}})
+	wantStream := `{"header":true,"node":"w1","generation":7,"total":3,"unmatched":1}
+{"meet":{"source":"bib","shard":2,"node":4,"tag":"book","path":"/bib/book","witnesses":[5,9],"distance":2}}
+{"meet":{"source":"a\u003cb\u003e\u0026c","node":0,"tag":"t","path":"/t","witnesses":null,"distance":0}}
+{"error":"worker \"w1\": a\u003cb \u0026 c"}
+{"trailer":true,"unmatched":1,"truncated":true,"next_cursor":"djIgMQ","took_ms":1.75}
+{"trailer":true,"unmatched":0,"took_ms":0}
+{"trailer":true,"unmatched":1,"truncated":true,"incomplete":true,"worker_errors":{"w1":"x","w2":"worker w2: unexpected EOF"},"took_ms":1.75}
+`
+	if got := rec.Body.String(); got != wantStream {
+		t.Errorf("stream bytes:\n got %s\nwant %s", got, wantStream)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/x-ndjson" || rec.Header().Get("X-NCQ-Cache") != "bypass" {
+		t.Errorf("stream headers = %v", rec.Header())
+	}
+
+	result, err := json.Marshal(&Result{Mode: "terms", Meets: []ncq.CorpusMeet{goldenMeet}, Unmatched: 1, Truncated: true})
+	if err != nil || string(result) != goldenResult {
+		t.Errorf("result bytes: %s (%v)", result, err)
+	}
+	queryResult, _ := json.Marshal(&Result{Mode: "query", Answers: []Answer{{Source: "bib", Columns: []string{"tag(e)"}, Rows: []Row{
+		{Node: 3, Tag: "year", Path: "/bib/year", Value: "1999"},
+		{Node: 4, Tag: "x", Path: "/x", XML: "<x/>", Witnesses: []ncq.NodeID{1, 2}, Distance: 3}}}}})
+	if want := `{"mode":"query","answers":[{"source":"bib","columns":["tag(e)"],"is_meet":false,"rows":[{"node":3,"tag":"year","path":"/bib/year","value":"1999","distance":0},{"node":4,"tag":"x","path":"/x","xml":"\u003cx/\u003e","witnesses":[1,2],"distance":3}]}]}`; string(queryResult) != want {
+		t.Errorf("query result bytes: %s", queryResult)
+	}
+
+	envelopes := []struct {
+		name string
+		v    any
+		want string
+	}{
+		{"single", Response{Cached: true, Generation: 3, TookMS: 0.5, Truncated: true, NextCursor: "djIgMQ", Result: result},
+			`{"cached":true,"generation":3,"took_ms":0.5,"truncated":true,"next_cursor":"djIgMQ","result":` + goldenResult + "}\n"},
+		{"single, minimal", Response{Generation: 3, TookMS: 2, Result: result},
+			`{"cached":false,"generation":3,"took_ms":2,"result":` + goldenResult + "}\n"},
+		{"single, partial", Response{Generation: 3, TookMS: 0.5, Truncated: true, Incomplete: true,
+			WorkerErrors: map[string]string{"w2": "boom"}, Result: result},
+			`{"cached":false,"generation":3,"took_ms":0.5,"truncated":true,"incomplete":true,"worker_errors":{"w2":"boom"},"result":` + goldenResult + "}\n"},
+		{"batch", BatchResponse{Generation: 3, TookMS: 0.5, Results: []BatchItem{
+			{Status: 200, Cached: true, Truncated: true, NextCursor: "djIgMQ", Result: result},
+			{Status: 404, Error: `ncq: corpus: unknown document "ghost"`}}},
+			`{"generation":3,"took_ms":0.5,"results":[{"status":200,"cached":true,"truncated":true,"next_cursor":"djIgMQ","result":` + goldenResult + `},{"status":404,"error":"ncq: corpus: unknown document \"ghost\""}]}` + "\n"},
+	}
+	for _, e := range envelopes {
+		rec := httptest.NewRecorder()
+		WriteJSON(rec, http.StatusOK, e.v)
+		if got := rec.Body.String(); got != e.want {
+			t.Errorf("%s envelope:\n got %s\nwant %s", e.name, got, e.want)
+		}
+	}
+	rec = httptest.NewRecorder()
+	WriteError(rec, http.StatusBadRequest, "invalid request: %v", fmt.Errorf("a<b & %q", "c"))
+	if got, want := rec.Body.String(), `{"error":"invalid request: a<b & \"c\""}`+"\n"; got != want ||
+		rec.Code != http.StatusBadRequest || rec.Header().Get("Content-Type") != "application/json" {
+		t.Errorf("error envelope: %d %s %v", rec.Code, got, rec.Header())
+	}
+	if msg := ReadError(rec.Body); msg != `invalid request: a<b & "c"` {
+		t.Errorf("ReadError = %q", msg)
+	}
+}
+
+// TestStreamWriterFailBeforeStart: a failure before the first line
+// still gets a status line and the ordinary envelope.
+func TestStreamWriterFailBeforeStart(t *testing.T) {
+	rec := httptest.NewRecorder()
+	NewStreamWriter(rec, httptest.NewRequest("POST", "/v2/query?stream=1", nil), nil, nil, nil).Fail(http.StatusGone, errors.New("stale"))
+	if rec.Code != http.StatusGone || rec.Body.String() != `{"error":"stale"}`+"\n" {
+		t.Errorf("got %d %s", rec.Code, rec.Body)
+	}
+}
+
+func TestQueryRequestLowering(t *testing.T) {
+	q := Query{Doc: "d", Terms: []string{"a", "b"}, ExcludeRoot: true, Exclude: []string{"//x"},
+		Restrict: []string{"//y"}, Nearest: true, Within: 3, MaxLift: 2, Limit: 5,
+		Vague: &ncq.Vague{MaxSlack: 1}, Cursor: "c", AllowPartial: true}
+	if err := q.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := ncq.Request{Doc: "d", Terms: []string{"a", "b"}, Limit: 5, Cursor: "c", Vague: q.Vague,
+		Options: ncq.ExcludeRoot().ExcludePattern("//x").Restrict("//y").Nearest().Within(3).MaxLift(2)}
+	if got := q.Request(); !reflect.DeepEqual(got, want) {
+		t.Errorf("lowered %+v, want %+v", got, want)
+	}
+	sql := Query{Doc: "d", Query: "  SELECT tag(e) FROM //y AS e ", Limit: 2}
+	if got, want := sql.Request(), (ncq.Request{Doc: "d", Query: "SELECT tag(e) FROM //y AS e", Limit: 2}); !reflect.DeepEqual(got, want) {
+		t.Errorf("lowered %+v, want %+v", got, want)
+	}
+}
+
+func TestDecodeDeadline(t *testing.T) {
+	rec := httptest.NewRecorder()
+	r := httptest.NewRequest("POST", "/v2/query", strings.NewReader(`{"terms":["x"],"timeout_ms":250}`))
+	req, ctx, cancel, ok := Decode(rec, r)
+	if !ok {
+		t.Fatalf("rejected: %s", rec.Body)
+	}
+	defer cancel()
+	if _, has := ctx.Deadline(); !has || req.TimeoutMS != 250 || len(req.Terms) != 1 {
+		t.Errorf("req = %+v, deadline set = %t", req, has)
+	}
+}
+
+func TestLineScanner(t *testing.T) {
+	big := `{"meet":{"source":"s","node":1,"tag":"t","path":"/t","witnesses":[` +
+		strings.TrimSuffix(strings.Repeat("7,", 1<<20), ",") + `],"distance":1}}`
+	sc := NewLineScanner(strings.NewReader(
+		`{"header":true,"node":"w","generation":2,"total":1,"unmatched":3}` + "\n" + big + "\n" +
+			`{"trailer":true,"unmatched":3,"truncated":true,"next_cursor":"c","took_ms":2.5}` + "\n"))
+	var kinds []string
+	for {
+		ln, err := sc.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds = append(kinds, ln.Kind())
+		switch ln.Kind() {
+		case "header":
+			if ln.Node != "w" || ln.Generation != 2 || ln.Total != 1 || ln.Unmatched != 3 {
+				t.Errorf("header = %+v", ln)
+			}
+		case "meet":
+			if len(ln.Meet.Witnesses) != 1<<20 {
+				t.Errorf("meet has %d witnesses", len(ln.Meet.Witnesses))
+			}
+		case "trailer":
+			if ln.Unmatched != 3 || !ln.Truncated || ln.NextCursor != "c" || ln.TookMS != 2.5 || ln.Node != "" {
+				t.Errorf("trailer = %+v", ln)
+			}
+		}
+	}
+	if got := strings.Join(kinds, " "); got != "header meet trailer" {
+		t.Errorf("kinds = %s", got)
+	}
+
+	// A line over MaxLine is an error, not a truncated record.
+	over := NewLineScanner(io.MultiReader(strings.NewReader(`{"error":"`),
+		io.LimitReader(zeros{}, MaxLine), strings.NewReader(`"}`+"\n")))
+	if _, err := over.Next(); err == nil || err == io.EOF {
+		t.Errorf("oversized line: %v", err)
+	}
+}
+
+// zeros reads as an endless run of '0' bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '0'
+	}
+	return len(p), nil
+}
+
+var rejectedLines = []string{
+	``, `null`, `{}`, `[]`, `1`, `{"meet":null}`, `{"meet":{}}`, `{"meet":{"node":1}}`, `{"unknown":1}`,
+	`{"trailer":false}`, `{"error":""}`, `{"meet":{"path":"/a"}`, `{"meet":{"path":"/a"}} x`,
+	`{"meet":{"path":"/a"},"trailer":true}`, `{"header":true,"error":"x"}`,
+	`{"meet":{"path":"/a"},"meet":{"tag":"b"}}`, `{"meet":{"path":"/a"},"MEET":{"tag":"b"}}`,
+	`{"meet":{"path":"/a"},"meet":{"tag":"b"}}`, `{"meet":{"path":"/a","node":1,"node":2}}`,
+	`{"trailer":true,"worker_errors":{"w":"a","w":"b"}}`, `{"trailer":true,"trailer":true}`,
+}
+
+func TestDecodeLineRejects(t *testing.T) {
+	for _, s := range rejectedLines {
+		var ln Line
+		if err := ln.decode([]byte(s)); err == nil {
+			t.Errorf("%s: decoded as a %s line", s, ln.Kind())
+		}
+	}
+	// Same keys in different objects, and key-like strings in value
+	// position, are not duplicates.
+	for _, s := range []string{
+		`{"meet":{"source":"node","node":1,"tag":"node","path":"/node","witnesses":[1,1],"distance":0}}`,
+		`{"trailer":true,"worker_errors":{"trailer":"x","error":"y"},"took_ms":1}`,
+		`{"error":"\"error\":{"}`,
+	} {
+		var ln Line
+		if err := ln.decode([]byte(s)); err != nil {
+			t.Errorf("%s: %v", s, err)
+		}
+	}
+}
+
+// FuzzDecodeLine guards the one trust boundary that takes bytes from
+// another process mid-answer: arbitrary input never panics; whatever
+// decodes is exactly one record; a decoded meet re-encodes to a line
+// that decodes to the same value; and doubling a decodable line's
+// members — the duplicate-key line — is always rejected.
+func FuzzDecodeLine(f *testing.F) {
+	for _, s := range rejectedLines {
+		f.Add([]byte(s))
+	}
+	f.Add([]byte(`{"header":true,"node":"w1","generation":7,"total":3,"unmatched":1}`))
+	f.Add([]byte(`{"meet":{"source":"bib","shard":2,"node":4,"tag":"book","path":"/bib/book","witnesses":[5,9],"distance":2}}`))
+	f.Add([]byte(`{"trailer":true,"unmatched":1,"incomplete":true,"worker_errors":{"w1":"x"},"took_ms":1.75}`))
+	f.Add([]byte(`{"error":"worker \"w1\": a<b"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ln Line
+		if err := ln.decode(data); err != nil {
+			return
+		}
+		records := 0
+		for _, present := range []bool{ln.Meet != nil, ln.Header, ln.Trailer, ln.Error != ""} {
+			if present {
+				records++
+			}
+		}
+		if records != 1 {
+			t.Fatalf("%q decoded as %d records", data, records)
+		}
+		if ln.Meet != nil {
+			again, err := json.Marshal(meetLine{Meet: ln.Meet})
+			if err != nil {
+				t.Fatalf("re-encode %q: %v", data, err)
+			}
+			var back Line
+			if err := back.decode(again); err != nil || !reflect.DeepEqual(back.Meet, ln.Meet) {
+				t.Fatalf("%q re-encoded to %q, which decodes to %+v (%v)", data, again, back.Meet, err)
+			}
+		}
+		members := bytes.TrimSpace(data)
+		members = bytes.TrimSpace(members[1 : len(members)-1])
+		doubled := fmt.Sprintf("{%s,%s}", members, members)
+		if err := new(Line).decode([]byte(doubled)); err == nil {
+			t.Fatalf("duplicate-key line %q decoded", doubled)
+		}
+	})
+}

@@ -2,7 +2,7 @@ package ncq
 
 // This file defines the unified execution API: one Request/Result pair
 // understood by every query surface — the library's Database and
-// Corpus, the ncqd HTTP server (v1 and v2), and the CLIs. The paper's
+// Corpus, the ncqd HTTP server, and the CLIs. The paper's
 // promise is "the power of querying with the simplicity of searching";
 // one request shape with context cancellation, pushed-down limits and
 // cursor pagination keeps the simplicity as the system scales.
@@ -204,8 +204,8 @@ func (r *Request) canonicalBase() string {
 // Canonical returns a deterministic encoding of the request:
 // equivalent requests — modulo query whitespace, option-pattern order
 // and cursor spelling — map to the same string. The ncqd server keys
-// its result cache by (corpus generation, Canonical()), so the v1 and
-// v2 endpoints share cache entries for equivalent requests. A cursor
+// its result cache by (corpus generation, Canonical()), so equivalent
+// spellings of a request share one cache entry. A cursor
 // contributes its resume offset and the generation it was minted at,
 // so a stale cursor can never splice into a fresh cursor's cache
 // entry.
