@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -741,6 +742,39 @@ func BenchmarkResultsDrain(b *testing.B) {
 			b.Fatal("no meets")
 		}
 	}
+}
+
+// BenchmarkStreamHTTP measures a long streamed answer where its client
+// reads it: POST /v2/query?stream=1 over a real loopback listener, one
+// keep-alive connection, the NDJSON body read to EOF. The benchmarks
+// above stop at a recorder or at the iterator, which is blind to what
+// the wire adds per line — chunks, flushes, syscalls.
+func BenchmarkStreamHTTP(b *testing.B) {
+	ts := httptest.NewServer(server.New(benchCorpus(b, 8)).Handler())
+	defer ts.Close()
+	body := []byte(`{"terms":["199","html"],"exclude_root":true}`)
+	buf := make([]byte, 32<<10)
+	lines := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := ts.Client().Post(ts.URL+"/v2/query?stream=1", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for err == nil {
+			var read int
+			read, err = resp.Body.Read(buf)
+			n += bytes.Count(buf[:read], []byte{'\n'})
+		}
+		resp.Body.Close()
+		if err != io.EOF || resp.StatusCode != http.StatusOK || n < 1500 {
+			b.Fatalf("status %d, %d lines, %v", resp.StatusCode, n, err)
+		}
+		lines += n
+	}
+	b.ReportMetric(float64(lines)/float64(b.N), "lines/op")
 }
 
 // BenchmarkQueryParseOnly isolates the query compiler.

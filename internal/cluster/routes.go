@@ -125,9 +125,12 @@ func (c *Coordinator) handleBatch(ctx context.Context, w http.ResponseWriter, st
 }
 
 // handleStream is the coordinator's ?stream=1 form: the workers'
-// NDJSON streams merged line by line into the global rank, flushed as
-// produced. Like the single-node endpoint it bypasses the cache — the
-// value is the incremental production.
+// NDJSON streams merged line by line into the global rank and written
+// under the StreamWriter's delivery rule — the first merged meet at
+// once, later ones coalesced but never held longer than its delay
+// bound, so a worker that stalls mid-answer does not park the lines
+// already merged. Like the single-node endpoint it bypasses the cache —
+// the value is the incremental production.
 func (c *Coordinator) handleStream(ctx context.Context, w http.ResponseWriter, r *http.Request, start time.Time, q *wire.Query) {
 	if q.IsQuery() {
 		wire.WriteError(w, statusOf(errQueryLanguage), "%v", errQueryLanguage)
@@ -157,6 +160,7 @@ func (c *Coordinator) handleStream(ctx context.Context, w http.ResponseWriter, r
 		return wire.Header{Node: c.cfg.NodeName, Generation: g.hash, Total: g.total, Unmatched: g.unmatched}
 	}
 	sw := wire.NewStreamWriter(w, r, header, nil, nil)
+	defer sw.Close()
 	for m, err := range ncq.MergeMeets(ctx, g.sources, offset, q.Limit) {
 		if err != nil {
 			sw.Fail(statusOf(err), err)

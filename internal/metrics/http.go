@@ -62,8 +62,9 @@ func SetFingerprint(ctx context.Context, canonical string) {
 }
 
 // statusRecorder captures the response status and size. It forwards
-// Flush so NDJSON streaming keeps its per-line flush behaviour through
-// the middleware, and Unwrap for http.ResponseController.
+// Flush, so an NDJSON stream's flushes (wire.StreamWriter decides when)
+// reach the connection through the middleware, and Unwrap for
+// http.ResponseController.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int

@@ -7,8 +7,9 @@
 //	                       and a per-request deadline (v2.go; the
 //	                       protocol itself lives in internal/wire);
 //	                       ?stream=1 switches term requests to NDJSON —
-//	                       one meet per line, flushed as produced, plus
-//	                       a trailer record (stream.go)
+//	                       one meet per line, the first flushed at once
+//	                       and the rest in batches no older than 2 ms,
+//	                       plus a trailer record (stream.go)
 //	PUT    /v1/docs/{name} load (or replace) a document from an XML body;
 //	                       ?shards=K splits it into K parallel shards
 //	GET    /v1/docs/{name} inspect a loaded document

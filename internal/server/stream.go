@@ -42,6 +42,7 @@ func (s *Server) handleStream(ctx context.Context, w http.ResponseWriter, r *htt
 		return wire.Header{Node: s.nodeName, Generation: stats.Generation, Total: stats.Total, Unmatched: stats.Unmatched}
 	}
 	sw := wire.NewStreamWriter(w, r, header, s.streamLines, s.streamBytes)
+	defer sw.Close()
 	for m, err := range seq {
 		if err != nil {
 			sw.Fail(statusOf(err), err)

@@ -27,7 +27,12 @@ func (f *flushRecorder) Flush() {
 
 func doStream(t *testing.T, s *Server, body string) *flushRecorder {
 	t.Helper()
-	req := httptest.NewRequest("POST", "/v2/query?stream=1", strings.NewReader(body))
+	return doStreamAt(t, s, "/v2/query?stream=1", body)
+}
+
+func doStreamAt(t *testing.T, s *Server, path, body string) *flushRecorder {
+	t.Helper()
+	req := httptest.NewRequest("POST", path, strings.NewReader(body))
 	rec := &flushRecorder{ResponseRecorder: httptest.NewRecorder()}
 	s.Handler().ServeHTTP(rec, req)
 	return rec
@@ -111,11 +116,12 @@ func TestQueryV2Stream(t *testing.T) {
 		}
 	}
 
-	// Incremental delivery: one flush per line (meets + trailer), and
-	// the first flush pushed exactly the first line — a complete,
-	// parseable record observable before the handler wrote any more.
-	if want := len(meets) + 1; len(rec.flushLens) != want {
-		t.Fatalf("flushes = %d, want %d (one per line)", len(rec.flushLens), want)
+	// Incremental delivery: the first flush pushed exactly the first
+	// line — a complete, parseable record observable before the handler
+	// wrote any more — and by the time the handler returned every byte
+	// had been flushed.
+	if len(rec.flushLens) == 0 {
+		t.Fatal("nothing was flushed")
 	}
 	firstChunk := rec.Body.String()[:rec.flushLens[0]]
 	if !strings.HasSuffix(firstChunk, "\n") || strings.Count(firstChunk, "\n") != 1 {
@@ -129,6 +135,38 @@ func TestQueryV2Stream(t *testing.T) {
 	}
 	if rec.flushLens[0] >= rec.Body.Len() {
 		t.Fatal("first flush already held the complete response — nothing streamed")
+	}
+	if last := rec.flushLens[len(rec.flushLens)-1]; last != rec.Body.Len() {
+		t.Errorf("%d of %d bytes flushed when the handler returned", last, rec.Body.Len())
+	}
+
+	// A coordinator's first merged answer waits on the header and on the
+	// first meet: with ?header=1 each of the two is a flush of its own.
+	rec = doStreamAt(t, s, "/v2/query?stream=1&header=1", body)
+	lines := strings.SplitAfter(rec.Body.String(), "\n")
+	if len(rec.flushLens) < 3 || rec.flushLens[0] != len(lines[0]) || rec.flushLens[1] != len(lines[0])+len(lines[1]) ||
+		!strings.HasPrefix(lines[0], `{"header":true`) || !strings.HasPrefix(lines[1], `{"meet":`) {
+		t.Errorf("flushes at %v of\n%s", rec.flushLens, rec.Body)
+	}
+
+	// The tail is throughput: a long answer leaves in a handful of
+	// flushes (full budgets, the trailer, the delay bound if this machine
+	// stalls), not one per line.
+	var long strings.Builder
+	long.WriteString("<bib>")
+	for i := 0; i < 300; i++ {
+		long.WriteString("<article><author>Bit</author><year>1999</year></article>")
+	}
+	long.WriteString("</bib>")
+	if rec := do(t, s, "PUT", "/v1/docs/long", long.String()); rec.Code != http.StatusCreated {
+		t.Fatalf("PUT long: %d %s", rec.Code, rec.Body)
+	}
+	rec = doStream(t, s, body)
+	if n := strings.Count(rec.Body.String(), "\n"); n < 200 || len(rec.flushLens) > n/8 {
+		t.Errorf("%d lines left in %d flushes", n, len(rec.flushLens))
+	}
+	if last := rec.flushLens[len(rec.flushLens)-1]; last != rec.Body.Len() {
+		t.Errorf("%d of %d bytes flushed when the handler returned", last, rec.Body.Len())
 	}
 }
 

@@ -1,0 +1,107 @@
+//go:build !race
+
+package wire_test
+
+// Built out under -race: the detector's instrumentation changes
+// allocation counts.
+
+import (
+	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"ncq"
+	"ncq/internal/datagen"
+	"ncq/internal/server"
+	"ncq/internal/wire"
+)
+
+var allocMeet = ncq.CorpusMeet{Source: "bib", Shard: 2, Meet: ncq.Meet{
+	Node: 4, Tag: "book", Path: "/bib/book", Witnesses: []ncq.NodeID{5, 9}, Distance: 2}}
+
+// discard is a ResponseWriter with no client behind it.
+type discard struct{ header http.Header }
+
+func (d discard) Header() http.Header       { return d.header }
+func (discard) WriteHeader(int)             {}
+func (discard) Write(p []byte) (int, error) { return len(p), nil }
+func (discard) Flush()                      {}
+
+// TestStreamWriterMeetAllocs pins the encode side: past the head, a
+// meet line is appended to the stream's one budget-sized buffer and
+// costs no allocation — no marshalled copy, no per-line write.
+func TestStreamWriterMeetAllocs(t *testing.T) {
+	sw := wire.NewStreamWriter(discard{http.Header{}}, httptest.NewRequest("POST", "/v2/query?stream=1", nil), nil, nil, nil)
+	defer sw.Close()
+	for i := 0; i < 400; i++ { // past the head, the buffer and the timer
+		sw.Meet(&allocMeet)
+	}
+	if got := testing.AllocsPerRun(2000, func() { sw.Meet(&allocMeet) }); got > 0.1 {
+		t.Errorf("a steady-state meet line allocates %.2f/op, pinned at 0", got)
+	}
+}
+
+// TestLineScannerMeetAllocs pins the decode side: a canonical meet
+// line costs the meet, its three strings and its witness slice, and
+// nothing for the decoding.
+func TestLineScannerMeetAllocs(t *testing.T) {
+	const runs = 2000
+	sc := wire.NewLineScanner(strings.NewReader(strings.Repeat(string(wire.AppendMeetLine(nil, &allocMeet)), runs+1)))
+	got := testing.AllocsPerRun(runs, func() {
+		if ln, err := sc.Next(); err != nil || ln.Meet == nil {
+			t.Fatalf("%+v, %v", ln, err)
+		}
+	})
+	if got > 5 {
+		t.Errorf("a canonical meet line decodes in %.1f allocs/op, pinned at <= 5", got)
+	}
+}
+
+// TestNodeStreamIsCanonical runs the fast path over what a real node
+// streams: every meet line of the answer is one it takes, so the
+// general decoder sees a stream's trailer (and, asked for, its header)
+// and nothing else.
+func TestNodeStreamIsCanonical(t *testing.T) {
+	var doc bytes.Buffer
+	if err := datagen.DBLP(datagen.DBLPConfig{Seed: 1, YearFrom: 1995, YearTo: 1999, PubsPerVenueYear: 10}).WriteXML(&doc, false); err != nil {
+		t.Fatal(err)
+	}
+	node := server.New(nil).Handler()
+	for _, target := range []string{"/v1/docs/plain", "/v1/docs/split?shards=3"} {
+		rec := httptest.NewRecorder()
+		node.ServeHTTP(rec, httptest.NewRequest("PUT", target, bytes.NewReader(doc.Bytes())))
+		if rec.Code != http.StatusCreated {
+			t.Fatalf("PUT %s: %d %s", target, rec.Code, rec.Body)
+		}
+	}
+	rec := httptest.NewRecorder()
+	node.ServeHTTP(rec, httptest.NewRequest("POST", "/v2/query?stream=1",
+		strings.NewReader(`{"terms":["1999","html"],"exclude_root":true}`)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("stream: %d %s", rec.Code, rec.Body)
+	}
+	lines := strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n")
+	var general []string
+	for _, line := range lines {
+		if wire.DecodeCanonicalMeet([]byte(line)) == nil {
+			general = append(general, line)
+		}
+	}
+	if len(lines) < 100 || len(general) != 1 || !strings.HasPrefix(general[0], `{"trailer":true`) {
+		t.Errorf("of %d lines, %d fell through to the general decoder: %q", len(lines), len(general), general)
+	}
+	sc := wire.NewLineScanner(strings.NewReader(rec.Body.String()))
+	for n := 0; ; n++ {
+		if _, err := sc.Next(); err == io.EOF {
+			if n != len(lines) {
+				t.Errorf("scanned %d of %d lines", n, len(lines))
+			}
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -3,8 +3,8 @@ package wire
 // POST /v2/query?stream=1 — the incremental form. Instead of one JSON
 // envelope computed in full before the first byte leaves the handler,
 // the response is NDJSON (application/x-ndjson): one meet per line in
-// the global (distance, source, shard, node) rank, each line flushed
-// as it is produced, then one trailer line with the stream counters:
+// the global (distance, source, shard, node) rank, then one trailer
+// line with the stream counters:
 //
 //	{"meet":{"source":"bib","node":4,"tag":"book","distance":2,...}}
 //	{"meet":{...}}
@@ -18,6 +18,19 @@ package wire
 // is long gone. Streams bypass the result cache: the value of the
 // endpoint is the incremental production, which splicing cached bytes
 // would fake but not deliver.
+//
+// Delivery: the head of the answer is latency, the tail throughput.
+// Every line up to and including the first meet is flushed on its own
+// as it is written; later lines are coalesced and flushed when
+// flushBytes have accumulated, at the trailer or error line, and no
+// later than flushDelay after the oldest of them was written — a
+// producer that stalls does not hold back lines it already wrote.
+//
+// Meet lines, all but three of a stream, have their own encoder
+// (AppendMeetLine, byte-identical to encoding/json) and a strict
+// decoder for exactly its unescaped output (decodeCanonicalMeet);
+// every other line, and every other spelling of a meet, takes
+// encoding/json both ways.
 
 import (
 	"bufio"
@@ -25,10 +38,23 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"strconv"
+	"sync"
+	"time"
+	"unicode/utf8"
 
 	"ncq"
 	"ncq/internal/metrics"
+)
+
+const (
+	// flushBytes is how many bytes of tail lines accumulate before they
+	// are flushed as one chunk.
+	flushBytes = 16 << 10
+	// flushDelay bounds how long a written line may wait for that.
+	flushDelay = 2 * time.Millisecond
 )
 
 // Header opens a stream when the client asks for it (?header=1): the
@@ -57,19 +83,24 @@ type Trailer struct {
 	TookMS       float64           `json:"took_ms"`
 }
 
-type meetLine struct {
-	Meet *ncq.CorpusMeet `json:"meet"`
-}
-
 // StreamWriter produces one NDJSON response. Nothing is written until
 // the first Meet or the Trailer, so a failure before that still gets a
-// proper status line through Fail.
+// proper status line through Fail. The handler that made it must defer
+// Close.
 type StreamWriter struct {
 	w            http.ResponseWriter
 	flusher      http.Flusher
 	header       func() Header
 	lines, bytes *metrics.Counter // nil on a role that does not count
-	started      bool
+
+	// mu guards the fields below and, once the stream has started,
+	// every use of w: the delay timer flushes from its own goroutine.
+	mu      sync.Mutex
+	buf     []byte      // lines written but not yet handed to w
+	timer   *time.Timer // flushes buf flushDelay after it became non-empty
+	started bool
+	tail    bool // the first meet is out; later lines coalesce
+	dead    bool // a write failed or Close ran: w is not touched again
 }
 
 // NewStreamWriter prepares the response to r on w. When r asks for it
@@ -85,23 +116,59 @@ func NewStreamWriter(w http.ResponseWriter, r *http.Request, header func() Heade
 	return &StreamWriter{w: w, flusher: flusher, header: header, lines: lines, bytes: nbytes}
 }
 
-// line writes and flushes one record; false means the client is gone.
-func (s *StreamWriter) line(v any) bool {
-	line, err := json.Marshal(v)
-	if err != nil {
-		return false
+// flush hands the buffered lines to the client. A failed write is
+// sticky: the client is gone and nothing more is buffered for it.
+func (s *StreamWriter) flush() {
+	if s.dead || len(s.buf) == 0 {
+		return
 	}
-	if _, err := s.w.Write(append(line, '\n')); err != nil {
-		return false
+	if _, err := s.w.Write(s.buf); err != nil {
+		s.dead = true
+	} else if s.flusher != nil {
+		s.flusher.Flush()
+	}
+	s.buf = s.buf[:0]
+}
+
+// written accounts for the line that grew buf from length from and
+// applies the flush policy; now forces the flush.
+func (s *StreamWriter) written(from int, now bool) {
+	if s.dead {
+		s.buf = s.buf[:from]
+		return
 	}
 	if s.lines != nil {
 		s.lines.Inc()
-		s.bytes.Add(int64(len(line)) + 1)
+		s.bytes.Add(int64(len(s.buf) - from))
 	}
-	if s.flusher != nil {
-		s.flusher.Flush()
+	switch {
+	case now || len(s.buf) >= flushBytes:
+		s.flush()
+	case from > 0: // the timer is already running for an older line
+	case s.timer == nil:
+		s.timer = time.AfterFunc(flushDelay, s.flushLate)
+	default:
+		s.timer.Reset(flushDelay)
 	}
-	return true
+}
+
+// flushLate is the timer's flush: the producer wrote a line and then
+// nothing for flushDelay.
+func (s *StreamWriter) flushLate() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.flush()
+}
+
+// record writes and flushes one of the few lines that are not meets.
+func (s *StreamWriter) record(v any) {
+	line, err := json.Marshal(v)
+	if err != nil {
+		return
+	}
+	from := len(s.buf)
+	s.buf = append(append(s.buf, line...), '\n')
+	s.written(from, true)
 }
 
 func (s *StreamWriter) start() {
@@ -115,32 +182,143 @@ func (s *StreamWriter) start() {
 	if s.header != nil {
 		h := s.header()
 		h.Header = true
-		s.line(h)
+		s.record(h)
 	}
 }
 
 // Meet writes one meet line; false means the client went away and
 // execution should stop.
 func (s *StreamWriter) Meet(m *ncq.CorpusMeet) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.start()
-	return s.line(meetLine{Meet: m})
+	if s.tail && cap(s.buf) < flushBytes {
+		// The head went out line by line; whatever follows it fills
+		// budgets. Room beyond the budget is for the line that crosses it.
+		s.buf = make([]byte, 0, flushBytes+flushBytes/16)
+	}
+	from := len(s.buf)
+	s.buf = AppendMeetLine(s.buf, m)
+	s.written(from, !s.tail)
+	s.tail = true
+	return !s.dead
 }
 
 // Trailer closes the stream.
 func (s *StreamWriter) Trailer(t Trailer) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.start()
 	t.Trailer = true
-	s.line(t)
+	s.record(t)
 }
 
 // Fail reports err: as an error envelope with status while nothing has
 // been written, as a final error line afterwards.
 func (s *StreamWriter) Fail(status int, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !s.started {
 		WriteError(s.w, status, "%v", err)
 		return
 	}
-	s.line(errorBody{Error: err.Error()})
+	s.record(errorBody{Error: err.Error()})
+}
+
+// Close flushes what is still buffered and ends the writer's use of the
+// ResponseWriter, which net/http forbids once the handler has returned:
+// a timer flush already running is waited for, a later one finds the
+// writer dead.
+func (s *StreamWriter) Close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.flush()
+	s.dead = true
+	if s.timer != nil {
+		s.timer.Stop()
+	}
+}
+
+// plainByte marks the bytes encoding/json's HTML-escaping encoder copies
+// into a string literal unchanged: printable ASCII and DEL, less the
+// quote, the backslash and <, >, &.
+var plainByte = func() (t [256]bool) {
+	for b := 0x20; b < utf8.RuneSelf; b++ {
+		t[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+	}
+	return t
+}()
+
+const hexDigits = "0123456789abcdef"
+
+// appendString appends s as a JSON string literal, escaped as
+// json.Marshal escapes it.
+func appendString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if plainByte[b] {
+			i++
+			continue
+		}
+		r, size := rune(b), 1
+		if b >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(s[i:])
+			if r != '\u2028' && r != '\u2029' && (r != utf8.RuneError || size > 1) {
+				i += size
+				continue
+			}
+		}
+		dst = append(dst, s[start:i]...)
+		switch r {
+		case '"', '\\':
+			dst = append(dst, '\\', b)
+		case '\b':
+			dst = append(dst, '\\', 'b')
+		case '\f':
+			dst = append(dst, '\\', 'f')
+		case '\n':
+			dst = append(dst, '\\', 'n')
+		case '\r':
+			dst = append(dst, '\\', 'r')
+		case '\t':
+			dst = append(dst, '\\', 't')
+		default: // other control bytes, <, >, &, U+2028, U+2029, and U+FFFD for an invalid byte
+			dst = append(dst, '\\', 'u', hexDigits[r>>12], hexDigits[r>>8&0xF], hexDigits[r>>4&0xF], hexDigits[r&0xF])
+		}
+		i += size
+		start = i
+	}
+	return append(append(dst, s[start:]...), '"')
+}
+
+// AppendMeetLine appends m's stream line, newline included, to dst:
+// the bytes json.Marshal gives for {"meet": m}. It is the only encoder
+// of a meet line.
+func AppendMeetLine(dst []byte, m *ncq.CorpusMeet) []byte {
+	dst = appendString(append(dst, `{"meet":{"source":`...), m.Source)
+	if m.Shard != 0 {
+		dst = strconv.AppendInt(append(dst, `,"shard":`...), int64(m.Shard), 10)
+	}
+	dst = strconv.AppendUint(append(dst, `,"node":`...), uint64(m.Node), 10)
+	dst = appendString(append(dst, `,"tag":`...), m.Tag)
+	dst = appendString(append(dst, `,"path":`...), m.Path)
+	dst = append(dst, `,"witnesses":`...)
+	if m.Witnesses == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, w := range m.Witnesses {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendUint(dst, uint64(w), 10)
+		}
+		dst = append(dst, ']')
+	}
+	dst = strconv.AppendInt(append(dst, `,"distance":`...), int64(m.Distance), 10)
+	return append(dst, "}}\n"...)
 }
 
 // Line is the decode union of the four NDJSON records; a decoded Line
@@ -183,9 +361,15 @@ func (ln *Line) Kind() string {
 // anything that is not exactly one well-formed record is an error
 // rather than a zero-valued meet: malformed input, a line naming no
 // record or several, a meet without a path, and an object spelling a
-// key twice. LineScanner bounds the line's size.
+// key twice. LineScanner bounds the line's size. The lines this package
+// itself writes for meets are recognised first, in one strict pass;
+// what that pass does not accept takes the general path below, which
+// alone defines what a valid line is.
 func (ln *Line) decode(b []byte) error {
 	*ln = Line{}
+	if ln.Meet = decodeCanonicalMeet(b); ln.Meet != nil {
+		return nil
+	}
 	if err := json.Unmarshal(b, ln); err != nil {
 		return err
 	}
@@ -199,6 +383,123 @@ func (ln *Line) decode(b []byte) error {
 		return fmt.Errorf("unexpected stream line %q", b[:min(len(b), 256)])
 	}
 	return uniqueKeys(b)
+}
+
+// canonical is a cursor over a line being matched against
+// AppendMeetLine's output. The first mismatch sets bad, and stays.
+type canonical struct {
+	rest []byte
+	bad  bool
+}
+
+// has consumes lit if the rest starts with it.
+func (c *canonical) has(lit string) bool {
+	if c.bad || len(c.rest) < len(lit) || string(c.rest[:len(lit)]) != lit {
+		return false
+	}
+	c.rest = c.rest[len(lit):]
+	return true
+}
+
+func (c *canonical) lit(lit string) {
+	if !c.has(lit) {
+		c.bad = true
+	}
+}
+
+// text consumes a string literal holding plain bytes only — one that
+// neither needed nor carries an escape.
+func (c *canonical) text() string {
+	c.lit(`"`)
+	i := 0
+	for i < len(c.rest) && plainByte[c.rest[i]] {
+		i++
+	}
+	if c.bad || i == len(c.rest) || c.rest[i] != '"' {
+		c.bad = true
+		return ""
+	}
+	s := string(c.rest[:i])
+	c.rest = c.rest[i+1:]
+	return s
+}
+
+// number consumes a decimal number of at most max the way strconv
+// writes one: digits only, no leading zero.
+func (c *canonical) number(max uint64) uint64 {
+	i, v := 0, uint64(0)
+	for i < len(c.rest) && i < 19 && c.rest[i]-'0' <= 9 { // 19 digits cannot overflow
+		v = v*10 + uint64(c.rest[i]-'0')
+		i++
+	}
+	if i == 0 || (i > 1 && c.rest[0] == '0') || v > max || (i < len(c.rest) && c.rest[i]-'0' <= 9) {
+		c.bad = true
+		return 0
+	}
+	c.rest = c.rest[i:]
+	return v
+}
+
+// integer is number with strconv's sign: "-" before a non-zero value.
+func (c *canonical) integer() int {
+	neg := c.has("-")
+	v := int(c.number(math.MaxInt))
+	if !neg {
+		return v
+	}
+	if v == 0 {
+		c.bad = true
+	}
+	return -v
+}
+
+// decodeCanonicalMeet decodes b if it is, to the byte, a line
+// AppendMeetLine writes (less the newline) for a meet with a path whose
+// strings needed no escaping; it returns nil for anything else —
+// another record, another spelling, an escape or a byte outside ASCII,
+// a number out of range — and that is not a verdict: the general path
+// of decode decides. It accepts nothing that path rejects, and what it
+// accepts it decodes to the same value.
+func decodeCanonicalMeet(b []byte) *ncq.CorpusMeet {
+	c := canonical{rest: b}
+	if !c.has(`{"meet":{"source":`) {
+		return nil
+	}
+	m := new(ncq.CorpusMeet)
+	m.Source = c.text()
+	if c.has(`,"shard":`) {
+		if m.Shard = c.integer(); m.Shard == 0 {
+			return nil // omitted, not spelled, at zero
+		}
+	}
+	c.lit(`,"node":`)
+	m.Node = ncq.NodeID(c.number(math.MaxUint32))
+	c.lit(`,"tag":`)
+	m.Tag = c.text()
+	c.lit(`,"path":`)
+	m.Path = c.text()
+	c.lit(`,"witnesses":`)
+	if !c.has("null") {
+		c.lit("[")
+		end := max(bytes.IndexByte(c.rest, ']'), 0)
+		m.Witnesses = make([]ncq.NodeID, 0, bytes.Count(c.rest[:end], []byte{','})+1)
+		for !c.has("]") {
+			if len(m.Witnesses) > 0 {
+				c.lit(",")
+			}
+			m.Witnesses = append(m.Witnesses, ncq.NodeID(c.number(math.MaxUint32)))
+			if c.bad {
+				return nil
+			}
+		}
+	}
+	c.lit(`,"distance":`)
+	m.Distance = c.integer()
+	c.lit("}}")
+	if c.bad || len(c.rest) > 0 || m.Path == "" {
+		return nil
+	}
+	return m
 }
 
 // uniqueKeys rejects a line in which one object spells a key twice:
@@ -259,11 +560,11 @@ type LineScanner struct {
 	line Line
 }
 
-// NewLineScanner scans r with a buffer that grows from 64 KiB up to
+// NewLineScanner scans r with a buffer that grows from 4 KiB up to
 // MaxLine.
 func NewLineScanner(r io.Reader) *LineScanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), MaxLine)
+	sc.Buffer(make([]byte, 4<<10), MaxLine)
 	return &LineScanner{sc: sc}
 }
 

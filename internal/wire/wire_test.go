@@ -99,16 +99,6 @@ func TestGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestStreamWriterFailBeforeStart: a failure before the first line
-// still gets a status line and the ordinary envelope.
-func TestStreamWriterFailBeforeStart(t *testing.T) {
-	rec := httptest.NewRecorder()
-	NewStreamWriter(rec, httptest.NewRequest("POST", "/v2/query?stream=1", nil), nil, nil, nil).Fail(http.StatusGone, errors.New("stale"))
-	if rec.Code != http.StatusGone || rec.Body.String() != `{"error":"stale"}`+"\n" {
-		t.Errorf("got %d %s", rec.Code, rec.Body)
-	}
-}
-
 func TestQueryRequestLowering(t *testing.T) {
 	q := Query{Doc: "d", Terms: []string{"a", "b"}, ExcludeRoot: true, Exclude: []string{"//x"},
 		Restrict: []string{"//y"}, Nearest: true, Within: 3, MaxLift: 2, Limit: 5,
