@@ -7,7 +7,13 @@ package ncq
 // small headroom for toolchain variance — a revert to per-query maps
 // blows straight through them.
 
-import "testing"
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"ncq/internal/datagen"
+)
 
 func allocDB(t *testing.T) *Database {
 	t.Helper()
@@ -28,8 +34,8 @@ func TestSearchAllocsSteadyState(t *testing.T) {
 			t.Fatal("unexpected hit count")
 		}
 	})
-	// One []fulltext.Hit, one []ncq.Hit, plus rendering each hit's
-	// path string for the public result type.
+	// One []fulltext.Hit and one []ncq.Hit; a hit's path is the
+	// summary's own string.
 	if got > 14 {
 		t.Errorf("warm single-token Search allocates %.0f/op, pinned at <= 14", got)
 	}
@@ -47,8 +53,106 @@ func TestMeetOfTermsAllocsSteadyState(t *testing.T) {
 		}
 	})
 	// The full unified pipeline: two substring searches, the pooled
-	// roll-up, result wrapping, ranking and paging.
-	if got > 40 {
-		t.Errorf("warm two-term MeetOfTerms allocates %.0f/op, pinned at <= 40", got)
+	// roll-up, result wrapping, ranking and paging. Measured 20: the
+	// set merge, the run merge and the rank keys work in pooled or
+	// single buffers, and rendering a meet allocates nothing.
+	if got > 27 {
+		t.Errorf("warm two-term MeetOfTerms allocates %.0f/op, pinned at <= 27", got)
+	}
+}
+
+// TestTopKRendersOnlyYielded pins what a top-K page costs per
+// candidate it does not return. The same request runs over one corpus
+// twice, the second time generated with four times the publications
+// per venue and year, so four times the candidates.
+//
+// A candidate's only allocation is the witness list the roll-up gives
+// its core.Result; everything on top — locate buffers, the rank heap
+// of 16-byte keys, the merge — is per member or per request, so the
+// allocations beyond one per candidate must not follow the candidate
+// count. And the public Meet is rendered at a member's pop and nowhere
+// else: a page of 10 over m members pops one head per member plus one
+// refill per yield, so 10 + m meets are rendered however many
+// candidates there are. Rendering every candidate up front breaks the
+// second half; rendering that allocates (a path string built per call)
+// breaks the first as soon as it is no longer confined to the page.
+func TestTopKRendersOnlyYielded(t *testing.T) {
+	allocDB(t) // the skip rules of this file
+	const members, limit = 6, 10
+	ctx := context.Background()
+	req := Request{Terms: []string{"ICDE", "1999"}, Options: ExcludeRoot(), Limit: limit}
+
+	measure := func(pubs int) (candidates, overhead, rendered int) {
+		c := NewCorpus()
+		dbs := make([]*Database, members)
+		for i := range dbs {
+			db, err := FromDocument(datagen.DBLP(datagen.DBLPConfig{
+				Seed: int64(i + 1), YearFrom: 1995, YearTo: 1999, PubsPerVenueYear: pubs,
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Add(fmt.Sprintf("bib%d", i), db); err != nil {
+				t.Fatal(err)
+			}
+			dbs[i] = db
+		}
+		drain := func() {
+			seq, stats := c.ResultsWithStats(ctx, req)
+			n := 0
+			for _, err := range seq {
+				if err != nil {
+					t.Fatal(err)
+				}
+				n++
+			}
+			if n != limit {
+				t.Fatalf("pubs=%d: drained %d meets, want %d", pubs, n, limit)
+			}
+			candidates = stats.Total
+		}
+		drain() // warm the pools
+		overhead = int(testing.AllocsPerRun(20, drain)) - candidates
+
+		// The same page through the members' own streams, to count pops.
+		streams := make([]memberStream, members)
+		for i, db := range dbs {
+			s, err := db.termMeetsStream(ctx, req.Terms, req.Options, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streams[i] = s
+		}
+		g, err := newMerger(streams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range limit {
+			if _, ok, err := g.next(); err != nil || !ok {
+				t.Fatalf("pubs=%d: merge ended after %d meets (err = %v)", pubs, i, err)
+			}
+		}
+		for _, s := range streams {
+			ls := s.(*localStream)
+			rendered += len(ls.results) - ls.pending()
+		}
+		return candidates, overhead, rendered
+	}
+
+	small, smallOver, smallRendered := measure(10)
+	large, largeOver, largeRendered := measure(40)
+	if large != 4*small {
+		t.Fatalf("candidates %d and %d: the second corpus should hold four times the first", small, large)
+	}
+	// Measured 101 and 113: the 12 are the members' result slices
+	// doubling twice more.
+	if smallOver > 130 {
+		t.Errorf("%d candidates: %d allocations beyond one per candidate, pinned at <= 130", small, smallOver)
+	}
+	if largeOver > smallOver+3*members {
+		t.Errorf("allocations beyond one per candidate grew from %d to %d with 4x the candidates, pinned at +%d", smallOver, largeOver, 3*members)
+	}
+	if want := limit + members; smallRendered != want || largeRendered != want {
+		t.Errorf("rendered %d of %d and %d of %d candidates, want %d both times", smallRendered, small, largeRendered, large, want)
 	}
 }

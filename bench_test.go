@@ -2,16 +2,18 @@ package ncq_test
 
 // The benchmark suite regenerates the paper's evaluation (one bench per
 // figure plus the Section 5 scaling claim) and adds ablations for the
-// design choices DESIGN.md calls out. cmd/ncqbench prints the same
-// series as TSV tables; bench/README.md records the serving numbers.
-// The suite lives in the external test package so the server-level
-// benchmarks can import ncq/internal/server (which itself imports ncq).
+// design choices docs/ARCHITECTURE.md calls out. cmd/ncqbench prints
+// the same series as TSV tables; bench/README.md records the serving
+// numbers. The suite lives in the external test package so the
+// server-level benchmarks can import ncq/internal/server (which itself
+// imports ncq).
 
 import (
 	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -262,6 +264,44 @@ func BenchmarkMeetRollup(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkMeetMulti measures the meet on the serving entry: per-term
+// owner sets straight from Index.OwnersSubstring (ascending, distinct)
+// fed to core.MeetMultiContext with the root excluded, which is what
+// every member of a /v2/query term request executes. unsorted feeds
+// the 1999+html sets shuffled, so the price of normalising input that
+// does not arrive in document order stays on record.
+func BenchmarkMeetMulti(b *testing.B) {
+	setup := dblp(b)
+	opt := core.ExcludeRoot(setup.Store)
+	ctx := context.Background()
+	owners := func(terms ...string) [][]bat.OID {
+		sets := make([][]bat.OID, len(terms))
+		for i, t := range terms {
+			sets[i] = setup.Index.OwnersSubstring(t)
+		}
+		return sets
+	}
+	run := func(name string, sets [][]bat.OID) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, _, err := core.MeetMultiContext(ctx, setup.Store, sets, opt)
+				if err != nil || len(res) == 0 {
+					b.Fatalf("%d meets, err = %v", len(res), err)
+				}
+			}
+		})
+	}
+	run("ICDE+1999", owners("ICDE", "1999"))
+	run("1999+html", owners("1999", "html"))
+	shuffled := owners("1999", "html")
+	rng := rand.New(rand.NewSource(1))
+	for _, set := range shuffled {
+		rng.Shuffle(len(set), func(i, j int) { set[i], set[j] = set[j], set[i] })
+	}
+	run("unsorted", shuffled)
 }
 
 // BenchmarkBulkLoad measures the Monet transform itself (the paper

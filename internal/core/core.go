@@ -23,7 +23,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ncq/internal/bat"
@@ -139,8 +141,8 @@ func RankBySourceProximity(results []Result) []Result {
 // in place, and returns its argument. This is the canonical order used
 // by the tests.
 func SortByDocOrder(results []Result) []Result {
-	sort.SliceStable(results, func(i, j int) bool {
-		return results[i].Meet < results[j].Meet
+	slices.SortStableFunc(results, func(a, b Result) int {
+		return cmp.Compare(a.Meet, b.Meet)
 	})
 	return results
 }

@@ -64,7 +64,7 @@ func MeetContext(ctx context.Context, s *monetx.Store, groups map[pathsum.PathID
 		// A single object (or none) can never meet anything.
 		return nil, sc.inputs(), nil
 	}
-	return rollup(ctx, s, sc, opt)
+	return rollup(ctx, s, sc, opt, nil)
 }
 
 // MeetOIDs is a convenience wrapper around Meet for callers holding a
@@ -89,5 +89,5 @@ func MeetOIDsContext(ctx context.Context, s *monetx.Store, oids []bat.OID, opt *
 	if len(oids) < 2 {
 		return nil, sc.inputs(), nil
 	}
-	return rollup(ctx, s, sc, opt)
+	return rollup(ctx, s, sc, opt, nil)
 }

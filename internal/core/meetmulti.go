@@ -31,47 +31,99 @@ func MeetMulti(s *monetx.Store, inputSets [][]bat.OID, opt *Options) ([]Result, 
 	return MeetMultiContext(context.Background(), s, inputSets, opt) //lint:ncqvet-ignore ctx-less legacy entry point; ctx-aware callers use MeetMultiContext
 }
 
+// setCursor is one input set's position in the set merge: the set's
+// index and what is left of it, ascending.
+type setCursor struct {
+	set  int32
+	rest []bat.OID
+}
+
+// lessCursor orders the cursor heap by (next OID, set index).
+func lessCursor(a, b setCursor) bool {
+	if a.rest[0] != b.rest[0] {
+		return a.rest[0] < b.rest[0]
+	}
+	return a.set < b.set
+}
+
+// siftCursor restores the min-heap property of h below index i.
+func siftCursor(h []setCursor, i int) {
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			return
+		}
+		if r := child + 1; r < len(h) && lessCursor(h[r], h[child]) {
+			child = r
+		}
+		if !lessCursor(h[child], h[i]) {
+			return
+		}
+		h[i], h[child] = h[child], h[i]
+		i = child
+	}
+}
+
+// openSets validates every OID of every input set and leaves one
+// cursor per non-empty set in sc.cursors, heap-ordered. The same pass
+// observes whether each set is ascending — term sets from the
+// full-text index always are — and a set that is not is merged from a
+// sorted copy, so the merge has one input form whoever calls.
+func (sc *scratch) openSets(s *monetx.Store, inputSets [][]bat.OID) error {
+	for si, set := range inputSets {
+		ascending := true
+		for i, o := range set {
+			if err := checkOID(s, o); err != nil {
+				return err
+			}
+			if i > 0 && o < set[i-1] {
+				ascending = false
+			}
+		}
+		if len(set) == 0 {
+			continue
+		}
+		if !ascending {
+			set = slices.Clone(set)
+			slices.Sort(set)
+		}
+		sc.cursors = append(sc.cursors, setCursor{set: int32(si), rest: set})
+	}
+	for i := len(sc.cursors)/2 - 1; i >= 0; i-- {
+		siftCursor(sc.cursors, i)
+	}
+	return nil
+}
+
 // MeetMultiContext is MeetMulti with cancellation, checked once per
 // contracted level of the roll-up.
 func MeetMultiContext(ctx context.Context, s *monetx.Store, inputSets [][]bat.OID, opt *Options) ([]Result, []bat.OID, error) {
 	sc := getScratch(s.Summary().Len())
 	defer putScratch(sc)
-	// Columnar set counting: flatten to (OID, set) pairs, sort, and
-	// sweep runs — duplicates within one set collapse, the run length
-	// in distinct sets decides between self-meet and roll-up.
-	for si, set := range inputSets {
-		for _, o := range set {
-			if err := checkOID(s, o); err != nil {
-				return nil, nil, fmt.Errorf("core: MeetMulti: %w", err)
-			}
-			sc.pairs = append(sc.pairs, setPair{o: o, set: int32(si)})
-		}
+	if err := sc.openSets(s, inputSets); err != nil {
+		return nil, nil, fmt.Errorf("core: MeetMulti: %w", err)
 	}
-	slices.SortFunc(sc.pairs, func(a, b setPair) int {
-		if a.o != b.o {
-			if a.o < b.o {
-				return -1
-			}
-			return 1
-		}
-		if a.set != b.set {
-			if a.set < b.set {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
+	// Columnar set counting by k-way merge: the ascending sets are
+	// merged in (OID, set) order straight into the sweep, so every
+	// distinct OID is seen once with the number of distinct sets that
+	// hold it — duplicates within one set collapse — and that count
+	// decides between self-meet and roll-up. No pair is materialised
+	// and nothing is sorted.
 	var selfMeets []Result
 	total := 0
-	for i := 0; i < len(sc.pairs); {
-		start := i
-		o := sc.pairs[i].o
-		k := 0
-		for ; i < len(sc.pairs) && sc.pairs[i].o == o; i++ {
-			if i == start || sc.pairs[i].set != sc.pairs[i-1].set {
+	for h := sc.cursors; len(h) > 0; {
+		o := h[0].rest[0]
+		k, last := 0, int32(-1)
+		for len(h) > 0 && h[0].rest[0] == o {
+			if h[0].set != last {
+				last = h[0].set
 				k++
 			}
+			if h[0].rest = h[0].rest[1:]; len(h[0].rest) == 0 {
+				h[0] = h[len(h)-1]
+				h = h[:len(h)-1]
+			}
+			siftCursor(h, 0)
 		}
 		p := s.PathOf(o)
 		if k >= 2 {
@@ -93,10 +145,5 @@ func MeetMultiContext(ctx context.Context, s *monetx.Store, inputSets [][]bat.OI
 	if total < 2 && len(selfMeets) == 0 {
 		return nil, sc.inputs(), nil
 	}
-	results, unmatched, err := rollup(ctx, s, sc, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	results = append(results, selfMeets...)
-	return SortByDocOrder(results), unmatched, nil
+	return rollup(ctx, s, sc, opt, selfMeets)
 }

@@ -210,3 +210,186 @@ func TestMeetMultiEmpty(t *testing.T) {
 		t.Errorf("MeetMulti(nil) = (%v,%v,%v)", res, unmatched, err)
 	}
 }
+
+// The differential tests above draw at most a dozen inputs over 60-70
+// node trees, so every bucket is shorter than anything sortRuns would
+// merge. The tests below are sized like traffic: thousands of nodes,
+// hundreds of inputs per term set, buckets of several interleaved
+// runs.
+
+// largeStore loads a random tree of at least 3,000 nodes over a
+// schema of two labels and five levels — a few dozen paths with a
+// hundred-odd nodes each, the shape of a real corpus. (xmltree.Random
+// scatters its nodes over so many paths that no bucket ever holds more
+// than a handful of entries.)
+func largeStore(t *testing.T, r *rand.Rand) *monetx.Store {
+	t.Helper()
+	b := xmltree.NewBuilder("root")
+	n := 1
+	var grow func(parent *xmltree.Node, depth int)
+	grow = func(parent *xmltree.Node, depth int) {
+		for k, kn := 0, 1+r.Intn(4); k < kn; k++ {
+			n++
+			if depth > 1 && r.Intn(3) == 0 {
+				b.Text(parent, "t")
+				continue
+			}
+			if c := b.Element(parent, []string{"a", "b"}[r.Intn(2)]); depth < 5 {
+				grow(c, depth+1)
+			}
+		}
+	}
+	for n < 3000 {
+		grow(b.Root(), 1)
+	}
+	doc, err := b.Done()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := monetx.Load(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// largeTermSets draws 2-4 ascending, distinct term sets of 300-1,500
+// inputs in total, overlapping here and there as term hits do.
+func largeTermSets(r *rand.Rand, n int) [][]bat.OID {
+	sets := make([][]bat.OID, 2+r.Intn(3))
+	total := 300 + r.Intn(1201)
+	for k := range sets {
+		for j := 0; j < total/len(sets); j++ {
+			sets[k] = append(sets[k], bat.OID(r.Intn(n)+1))
+		}
+		sets[k] = bat.SortDedup(sets[k])
+	}
+	return sets
+}
+
+// scramble returns the sets as an arbitrary caller might pass them:
+// every set shuffled, with some members repeated.
+func scramble(r *rand.Rand, sets [][]bat.OID) [][]bat.OID {
+	out := make([][]bat.OID, len(sets))
+	for k, set := range sets {
+		cp := append([]bat.OID(nil), set...)
+		for j, jn := 0, len(set)/4; j < jn; j++ {
+			cp = append(cp, set[r.Intn(len(set))])
+		}
+		r.Shuffle(len(cp), func(a, b int) { cp[a], cp[b] = cp[b], cp[a] })
+		out[k] = cp
+	}
+	return out
+}
+
+// naiveMeetMulti lifts the naiveMeet oracle to term sets the way
+// MeetMulti's contract states it: an OID held by two or more sets is
+// its own meet at distance zero (consumed silently on an excluded
+// path), everything else goes to the depth sweep.
+func naiveMeetMulti(s *monetx.Store, sets [][]bat.OID, exclude map[pathsum.PathID]bool) ([]Result, []bat.OID) {
+	inSets := map[bat.OID]int{}
+	for _, set := range sets {
+		members := bat.NewSet()
+		for _, o := range set {
+			if members.Add(o) {
+				inSets[o]++
+			}
+		}
+	}
+	var rest []bat.OID
+	var selfMeets []Result
+	for o, k := range inSets {
+		switch {
+		case k < 2:
+			rest = append(rest, o)
+		case !exclude[s.PathOf(o)]:
+			selfMeets = append(selfMeets, Result{Meet: o, Path: s.PathOf(o), Witnesses: []bat.OID{o}})
+		}
+	}
+	results, unmatched := naiveMeet(s, rest, exclude)
+	// A rolled-up meet sorts before the self-meet on the same node.
+	return SortByDocOrder(append(results, SortByDocOrder(selfMeets)...)), unmatched
+}
+
+// TestMeetMultiLargeAgainstReference checks MeetMulti against the
+// depth-sweep oracle on traffic-sized inputs — plain, with the root
+// excluded and with a random excluded path set — and that the answer
+// does not depend on the sets arriving ascending and distinct.
+func TestMeetMultiLargeAgainstReference(t *testing.T) {
+	r := rand.New(rand.NewSource(97))
+	for i := 0; i < 6; i++ {
+		s := largeStore(t, r)
+		sets := largeTermSets(r, s.Len())
+		random := map[pathsum.PathID]bool{}
+		for _, p := range s.Summary().ElemPaths() {
+			if r.Intn(4) == 0 {
+				random[p] = true
+			}
+		}
+		for _, c := range []struct {
+			name    string
+			exclude map[pathsum.PathID]bool
+		}{
+			{"plain", nil},
+			{"root excluded", map[pathsum.PathID]bool{s.Summary().Root(): true}},
+			{"random exclusion", random},
+		} {
+			want, wantUn := naiveMeetMulti(s, sets, c.exclude)
+			for form, in := range [][][]bat.OID{sets, scramble(r, sets)} {
+				got, gotUn, err := MeetMulti(s, in, &Options{Exclude: c.exclude})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !resultsEqual(got, want) {
+					t.Fatalf("doc %d (%d nodes), %s, form %d: %d meets, oracle has %d, or they differ", i, s.Len(), c.name, form, len(got), len(want))
+				}
+				if !reflect.DeepEqual(gotUn, wantUn) {
+					t.Fatalf("doc %d, %s, form %d: unmatched %v, oracle %v", i, c.name, form, gotUn, wantUn)
+				}
+			}
+		}
+	}
+}
+
+// TestMeetMultiLargeNormalisation covers the options the oracle does
+// not model: under each, scrambled sets must answer exactly like their
+// sorted distinct form, results and unmatched.
+func TestMeetMultiLargeNormalisation(t *testing.T) {
+	r := rand.New(rand.NewSource(101))
+	for i := 0; i < 4; i++ {
+		s := largeStore(t, r)
+		sets := largeTermSets(r, s.Len())
+		exclude := map[pathsum.PathID]bool{s.Summary().Root(): true}
+		for _, p := range s.Summary().ElemPaths() {
+			if r.Intn(3) == 0 {
+				exclude[p] = true
+			}
+		}
+		for _, c := range []struct {
+			name string
+			opt  Options
+		}{
+			{"SkipExcluded", Options{Exclude: exclude, SkipExcluded: true}},
+			{"MaxLift", Options{MaxLift: 1 + r.Intn(4)}},
+			{"MaxDistance", Options{MaxDistance: 2 + r.Intn(5)}},
+			{"all", Options{Exclude: exclude, SkipExcluded: true, MaxLift: 3 + r.Intn(4), MaxDistance: 4 + r.Intn(4)}},
+		} {
+			name, opt := c.name, &c.opt
+			want, wantUn, err := MeetMulti(s, sets, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotUn, err := MeetMulti(s, scramble(r, sets), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resultsEqual(got, want) || !reflect.DeepEqual(gotUn, wantUn) {
+				t.Fatalf("doc %d, %s: scrambled sets answer differently (%d meets, %d unmatched; sorted distinct %d, %d)",
+					i, name, len(got), len(gotUn), len(want), len(wantUn))
+			}
+			if len(want) == 0 {
+				t.Fatalf("doc %d, %s: no meets — the case checks nothing", i, name)
+			}
+		}
+	}
+}

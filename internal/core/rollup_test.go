@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -110,4 +111,37 @@ func TestMeetScratchReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// FuzzSortRuns pins the one bucket-ordering routine against the sort
+// it replaced: for arbitrary entries — cur values no preorder tree
+// could produce included — sortRuns must leave exactly what a stable
+// comparison sort under cmpEntry leaves (stable, because sortRuns is:
+// that decides the order of entries the comparator calls equal, which
+// slices.SortFunc leaves open). Each input is sorted twice through one
+// scratch, a prefix and then the whole, so the pooled merge buffer and
+// run boundaries are reused across calls of different lengths.
+func FuzzSortRuns(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{1, 1, 0}, uint8(1))
+	f.Add([]byte{1, 1, 0, 2, 2, 0, 3, 3, 0, 1, 4, 1, 2, 5, 1, 3, 6, 1}, uint8(3))          // two interleaved runs
+	f.Add([]byte{9, 1, 0, 8, 2, 0, 7, 3, 0, 6, 4, 0, 5, 5, 0, 4, 6, 0, 3, 7, 0}, uint8(2)) // descending: every entry its own run
+	f.Add([]byte{5, 5, 0, 5, 5, 1, 5, 5, 2, 1, 9, 0, 5, 5, 3, 1, 9, 1}, uint8(4))          // equal keys, distinct lifts
+	f.Fuzz(func(t *testing.T, data []byte, cut uint8) {
+		es := make([]entry, len(data)/3)
+		for i := range es {
+			es[i] = entry{cur: bat.OID(data[3*i]), orig: bat.OID(data[3*i+1]), lifts: int32(data[3*i+2])}
+		}
+		sc := new(scratch)
+		prefix := es[:min(int(cut), len(es))]
+		for _, in := range [][]entry{prefix, es} {
+			want := slices.Clone(in)
+			slices.SortStableFunc(want, cmpEntry)
+			got := slices.Clone(in)
+			sc.sortRuns(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("sortRuns(%v)\n got %v\nwant %v", in, got, want)
+			}
+		}
+	})
 }

@@ -14,7 +14,6 @@ package pathsum
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -37,9 +36,21 @@ const (
 	Attr             // an attribute leaf
 )
 
+// MaxDepth is the deepest a path may lie below the root path
+// (Depth(id) <= MaxDepth): room for a document nesting MaxDepth levels
+// of nodes, root included, plus the attribute step under the deepest.
+// Real corpora nest tens of levels (DBLP 6, Treebank 36), so 4096
+// refuses no real document; what it refuses is the single-chain upload
+// whose rendered paths — every path stores its full string, so a chain
+// of depth d retains d²/2 label bytes — would otherwise grow
+// quadratically in a few kilobytes of input. At the bound that is
+// 16 MiB of one-byte labels and tens of milliseconds to load.
+const MaxDepth = 4096
+
 type node struct {
 	parent   PathID
 	label    string
+	str      string // the rendered path, built once by Intern
 	kind     Kind
 	depth    int32
 	children []PathID // element children, in interning order
@@ -73,7 +84,8 @@ func New() *Summary {
 // Intern returns the PathID for the path that extends parent with one
 // step (label, kind), creating it if needed. The root path is interned
 // with parent == Invalid and must be an element. Interning is
-// idempotent: the same step yields the same ID.
+// idempotent: the same step yields the same ID. A step that would lie
+// more than MaxDepth below the root is refused.
 func (s *Summary) Intern(parent PathID, label string, kind Kind) (PathID, error) {
 	if parent == Invalid && kind != Elem {
 		return Invalid, fmt.Errorf("pathsum: root path must be an element, got attribute %q", label)
@@ -92,11 +104,19 @@ func (s *Summary) Intern(parent PathID, label string, kind Kind) (PathID, error)
 		return Invalid, fmt.Errorf("pathsum: second root path %q (root is %q)", label, s.nodes[0].label)
 	}
 	var depth int32
+	sep, prefix := "/", ""
 	if parent != Invalid {
 		depth = s.nodes[parent].depth + 1
+		prefix = s.nodes[parent].str
+		if kind == Attr {
+			sep = "@"
+		}
+	}
+	if depth > MaxDepth {
+		return Invalid, fmt.Errorf("pathsum: step %q lies %d steps below the root path, limit is %d", label, depth, MaxDepth)
 	}
 	id := PathID(len(s.nodes))
-	s.nodes = append(s.nodes, node{parent: parent, label: label, kind: kind, depth: depth})
+	s.nodes = append(s.nodes, node{parent: parent, label: label, str: prefix + sep + label, kind: kind, depth: depth})
 	s.byKey[k] = id
 	s.dfMu.Lock()
 	s.dfCache = nil
@@ -170,16 +190,14 @@ func (s *Summary) Labels(id PathID) []string {
 }
 
 // String renders a path as "/a/b/c" for element paths and "/a/b@n" for
-// attribute paths — the display form used throughout the system.
+// attribute paths — the display form used throughout the system. The
+// string was built when the path was interned (the parent's string
+// plus one step), so this neither allocates nor walks the summary.
 func (s *Summary) String(id PathID) string {
 	if !s.valid(id) {
 		return "<invalid path>"
 	}
-	labels := s.Labels(id)
-	if s.nodes[id].kind == Attr {
-		return "/" + strings.Join(labels[:len(labels)-1], "/") + "@" + labels[len(labels)-1]
-	}
-	return "/" + strings.Join(labels, "/")
+	return s.nodes[id].str
 }
 
 // Lookup resolves a label sequence (root first) to an element PathID.

@@ -2,6 +2,7 @@ package pathsum
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -232,5 +233,69 @@ func TestEmptySummary(t *testing.T) {
 	}
 	if _, ok := s.Lookup([]string{"x"}); ok {
 		t.Error("Lookup on empty summary succeeded")
+	}
+}
+
+// TestStringMatchesLabels pins the stored rendering against the one
+// String used to build per call: "/" + the labels joined by "/", the
+// last step of an attribute path joined by "@" instead.
+func TestStringMatchesLabels(t *testing.T) {
+	s, _ := fixture(t)
+	for _, id := range s.AllPaths() {
+		labels := s.Labels(id)
+		want := "/" + strings.Join(labels, "/")
+		if s.Kind(id) == Attr {
+			last := len(labels) - 1
+			want = "/" + strings.Join(labels[:last], "/") + "@" + labels[last]
+		}
+		if got := s.String(id); got != want {
+			t.Errorf("String(%d) = %q, labels render %q", id, got, want)
+		}
+	}
+}
+
+// TestStringAllocatesNothing holds the rendering where Intern put it:
+// every rendered meet, hit and catalogue row calls String, so a return
+// to building the string per call shows up here first.
+func TestStringAllocatesNothing(t *testing.T) {
+	s, ids := fixture(t)
+	var sink string
+	for _, name := range []string{"bib", "art@key", "firstname/cdata@string"} {
+		id := ids[name]
+		if got := testing.AllocsPerRun(100, func() { sink = s.String(id) }); got != 0 {
+			t.Errorf("String(%s) allocates %.0f/op, want 0", name, got)
+		}
+	}
+	_ = sink
+}
+
+func TestInternMaxDepth(t *testing.T) {
+	s := New()
+	cur := s.MustIntern(Invalid, "a", Elem)
+	for s.Depth(cur) < MaxDepth-1 {
+		cur = s.MustIntern(cur, "a", Elem)
+	}
+	// The deepest admissible steps: an element and an attribute at
+	// exactly MaxDepth.
+	deepest, err := s.Intern(cur, "a", Elem)
+	if err != nil || s.Depth(deepest) != MaxDepth {
+		t.Fatalf("element at MaxDepth: depth %d, err %v", s.Depth(deepest), err)
+	}
+	if _, err := s.Intern(cur, "k", Attr); err != nil {
+		t.Fatalf("attribute at MaxDepth: %v", err)
+	}
+	if got, want := len(s.String(deepest)), 2*(MaxDepth+1); got != want {
+		t.Errorf("deepest path renders %d bytes, want %d", got, want)
+	}
+	// One step further is refused, whatever its kind, and leaves the
+	// summary as it was.
+	n := s.Len()
+	for _, kind := range []Kind{Elem, Attr} {
+		if _, err := s.Intern(deepest, "x", kind); err == nil || !strings.Contains(err.Error(), "limit is 4096") {
+			t.Errorf("kind %d below MaxDepth: err = %v, want the depth limit", kind, err)
+		}
+	}
+	if s.Len() != n {
+		t.Errorf("a refused step grew the summary from %d to %d paths", n, s.Len())
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ncq"
+	"ncq/internal/pathsum"
 	"ncq/internal/wire"
 )
 
@@ -141,6 +142,31 @@ func TestPutDocMalformedXML(t *testing.T) {
 	}
 	if e := decode[errorResponse](t, rec); !strings.Contains(e.Error, "parse document") {
 		t.Errorf("error = %q", e.Error)
+	}
+}
+
+// TestPutDocTooDeep: a document nesting deeper than pathsum.MaxDepth is
+// a parse error like any other — refused with the 400 a client already
+// handles, whichever ingest path the upload takes, and nothing is
+// registered. One level less is an ordinary document.
+func TestPutDocTooDeep(t *testing.T) {
+	s := newTestServer(t)
+	chain := func(n int) string { return strings.Repeat("<a>", n) + strings.Repeat("</a>", n) }
+	for _, target := range []string{"/v1/docs/deep", "/v1/docs/deep?shards=2"} {
+		rec := do(t, s, "PUT", target, chain(pathsum.MaxDepth+1))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400", target, rec.Code)
+		}
+		e := decode[errorResponse](t, rec)
+		if !strings.HasPrefix(e.Error, "parse document: ") || !strings.Contains(e.Error, "nests deeper than 4096 levels") {
+			t.Errorf("%s: error = %q", target, e.Error)
+		}
+	}
+	if s.corpus.Len() != 0 {
+		t.Errorf("a refused upload registered %d document(s)", s.corpus.Len())
+	}
+	if rec := do(t, s, "PUT", "/v1/docs/deep", chain(pathsum.MaxDepth)); rec.Code != http.StatusCreated {
+		t.Errorf("%d levels: status = %d, want 201", pathsum.MaxDepth, rec.Code)
 	}
 }
 

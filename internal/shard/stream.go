@@ -125,6 +125,9 @@ func SplitStream(r io.Reader, budget int64, k int, emit func(*xmltree.Document) 
 				}
 			}
 			n := b.Element(stack[len(stack)-1], label, attrs...)
+			if err := b.Err(); err != nil {
+				return emitted, fmt.Errorf("shard: stream: parse at byte %d: %w", dec.InputOffset(), err)
+			}
 			stack = append(stack, n)
 		case xml.EndElement:
 			if !sawRoot || rootClosed {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ncq/internal/pathsum"
 	"ncq/internal/xmltree"
 )
 
@@ -171,3 +172,21 @@ var errStop = &stopError{}
 type stopError struct{}
 
 func (*stopError) Error() string { return "stop" }
+
+// TestSplitStreamDepthLimit: the streaming splitter builds through the
+// same xmltree.Builder as Parse, so it refuses the same nesting at the
+// same start tag, before emitting anything.
+func TestSplitStreamDepthLimit(t *testing.T) {
+	emitted := 0
+	emit := func(*xmltree.Document) error { emitted++; return nil }
+	const max = pathsum.MaxDepth
+	deep := strings.Repeat("<n>", max) + strings.Repeat("</n>", max)
+	if _, err := SplitStream(strings.NewReader(deep), 1, 4, emit); err != nil || emitted == 0 {
+		t.Fatalf("%d levels: err = %v, %d shard(s) emitted", max, err, emitted)
+	}
+	emitted = 0
+	_, err := SplitStream(strings.NewReader(strings.Repeat("<n>", max+1)+"<<<"), 1, 4, emit)
+	if err == nil || !strings.Contains(err.Error(), "nests deeper than 4096 levels") || emitted != 0 {
+		t.Errorf("%d levels: err = %v, %d shard(s) emitted", max+1, err, emitted)
+	}
+}

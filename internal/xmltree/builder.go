@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ncq/internal/bat"
+	"ncq/internal/pathsum"
 )
 
 // Builder constructs a Document programmatically. The generators in
@@ -36,6 +37,22 @@ func NewBuilder(rootLabel string) *Builder {
 // Root returns the root node under construction.
 func (b *Builder) Root() *Node { return b.root }
 
+// Err returns the first error the builder has recorded, the one Done
+// will report. A parser checks it after each start tag so that input
+// the builder refuses is abandoned where it went wrong, not after the
+// rest of its tree has been built.
+func (b *Builder) Err() error { return b.err }
+
+// checkDepth refuses a node at the given depth (root = 0) when the
+// document would then nest more than pathsum.MaxDepth levels of nodes:
+// monetx.Load could not intern the node's paths, so the refusal
+// happens here, before the tree exists.
+func (b *Builder) checkDepth(depth int) {
+	if b.err == nil && depth >= pathsum.MaxDepth {
+		b.err = fmt.Errorf("xmltree: document nests deeper than %d levels", pathsum.MaxDepth)
+	}
+}
+
 // Element appends a child element to parent and returns it.
 func (b *Builder) Element(parent *Node, label string, attrs ...Attr) *Node {
 	if b.err == nil {
@@ -52,6 +69,8 @@ func (b *Builder) Element(parent *Node, label string, attrs ...Attr) *Node {
 	}
 	n := &Node{Kind: Element, Label: label, Attrs: attrs, Parent: parent}
 	if parent != nil {
+		n.Depth = parent.Depth + 1
+		b.checkDepth(n.Depth)
 		parent.Children = append(parent.Children, n)
 	}
 	return n
@@ -74,6 +93,8 @@ func (b *Builder) Text(parent *Node, text string) *Node {
 	}
 	n := &Node{Kind: CData, Label: CDataLabel, Text: text, Parent: parent}
 	if parent != nil {
+		n.Depth = parent.Depth + 1
+		b.checkDepth(n.Depth)
 		parent.Children = append(parent.Children, n)
 	}
 	return n

@@ -66,6 +66,9 @@ func Parse(r io.Reader) (*Document, error) {
 			}
 			flushText()
 			n := b.Element(stack[len(stack)-1], label, attrs...)
+			if err := b.Err(); err != nil {
+				return nil, fmt.Errorf("xmltree: parse at byte %d: %w", dec.InputOffset(), err)
+			}
 			stack = append(stack, n)
 		case xml.EndElement:
 			if len(stack) == 0 {

@@ -1,9 +1,12 @@
 package xmltree
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"ncq/internal/pathsum"
 )
 
 func TestParseSimple(t *testing.T) {
@@ -173,5 +176,37 @@ func TestIndentedOutputParses(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "\n") {
 		t.Error("indented output has no newlines")
+	}
+}
+
+// TestParseDepthLimit pins the nesting bound where a hostile upload
+// meets it: pathsum.MaxDepth levels of nodes parse, one more is refused
+// at the start tag that opens it — before the rest of the input is
+// read, let alone built — and text counts as a level like any node.
+func TestParseDepthLimit(t *testing.T) {
+	open := func(n int) string { return strings.Repeat("<n>", n) }
+	shut := func(n int) string { return strings.Repeat("</n>", n) }
+	const max = pathsum.MaxDepth
+
+	d, err := ParseString(open(max) + shut(max))
+	if err != nil {
+		t.Fatalf("%d levels: %v", max, err)
+	}
+	if got := d.Node(d.MaxOID()).Depth; got != max-1 {
+		t.Errorf("deepest node at depth %d, want %d", got, max-1)
+	}
+	if _, err := ParseString(open(max-1) + "leaf" + shut(max-1)); err != nil {
+		t.Fatalf("%d elements and a text level: %v", max-1, err)
+	}
+
+	// What follows the offending tag is not even well-formed: the
+	// depth error must win, at that tag's offset.
+	_, err = ParseString(open(max+1) + "<<<")
+	want := fmt.Sprintf("parse at byte %d: xmltree: document nests deeper than %d levels", 3*(max+1), max)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("%d levels: err = %v, want %q", max+1, err, want)
+	}
+	if _, err := ParseString(open(max) + "leaf" + shut(max)); err == nil || !strings.Contains(err.Error(), "nests deeper") {
+		t.Errorf("text at level %d: err = %v, want the depth limit", max+1, err)
 	}
 }

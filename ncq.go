@@ -448,16 +448,23 @@ func RankMeetsBySourceProximity(meets []Meet) []Meet {
 	return meets
 }
 
+// renderMeet builds the public Meet of one core result — the one
+// place a Meet is rendered, for the eager wrapResults and for a member
+// stream's pop alike. Tag and Path are the summary's own strings.
+func (db *Database) renderMeet(r core.Result) Meet {
+	return Meet{
+		Node:      r.Meet,
+		Tag:       db.store.Label(r.Meet),
+		Path:      db.store.PathString(r.Meet),
+		Witnesses: r.Witnesses,
+		Distance:  r.Distance,
+	}
+}
+
 func (db *Database) wrapResults(results []core.Result) []Meet {
 	out := make([]Meet, len(results))
 	for i, r := range results {
-		out[i] = Meet{
-			Node:      r.Meet,
-			Tag:       db.store.Label(r.Meet),
-			Path:      db.store.PathString(r.Meet),
-			Witnesses: r.Witnesses,
-			Distance:  r.Distance,
-		}
+		out[i] = db.renderMeet(r)
 	}
 	return out
 }

@@ -5,11 +5,14 @@ package ncq
 // incremental pipeline:
 //
 //   1. termMeetsStream: each member (a database, or one shard of a
-//      sharded member) computes its meet and heapifies the answers by
-//      the local (distance, node) rank — O(n), against the O(n log n)
-//      of a full sort — so its locally best meet is ready the moment
-//      the roll-up finishes and the rest rank lazily, one heap pop per
-//      pull.
+//      sharded member) computes its meet and heapifies one 16-byte
+//      (distance, node, seq) key per answer by the local rank — O(n),
+//      against the O(n log n) of a full sort — so its locally best
+//      meet is ready the moment the roll-up finishes and the rest rank
+//      lazily, one heap pop per pull. The public Meet (tag, path,
+//      witnesses) is rendered only for an answer that leaves the
+//      member, so a top-10 page over hundreds of candidates renders
+//      ten-odd meets and the heap never moves one.
 //   2. merger: a k-way heap merge over the per-member ranked streams.
 //      Globally ordered meets flow as soon as every member has
 //      produced its head, so the first answer reaches the caller
@@ -70,20 +73,24 @@ type StreamStats struct {
 	RelaxationsBySlack []int
 }
 
-// rankedMeet pairs a meet with its emission index in the member's
-// document-order result, the final tie-break that makes the lazy heap
-// order reproduce a stable (distance, node) sort exactly.
-type rankedMeet struct {
-	m   Meet
-	seq int32
+// rankKey is what a member's heap orders: an answer's local rank
+// (distance, node) and seq, its index in the member's document-order
+// results — the final tie-break that makes the lazy heap order
+// reproduce a stable (distance, node) sort exactly, and the way back
+// to the core.Result to render when the key is popped. 16 bytes, so a
+// sift moves two words where it used to move a whole Meet.
+type rankKey struct {
+	distance int
+	node     NodeID
+	seq      int32
 }
 
-func lessRanked(a, b rankedMeet) bool {
-	if a.m.Distance != b.m.Distance {
-		return a.m.Distance < b.m.Distance
+func lessRanked(a, b rankKey) bool {
+	if a.distance != b.distance {
+		return a.distance < b.distance
 	}
-	if a.m.Node != b.m.Node {
-		return a.m.Node < b.m.Node
+	if a.node != b.node {
+		return a.node < b.node
 	}
 	return a.seq < b.seq
 }
@@ -102,14 +109,17 @@ type memberStream interface {
 	next() (m CorpusMeet, seq int32, ok bool, err error)
 }
 
-// localStream is the in-process memberStream: the meets live in a
-// binary min-heap, so the first pull costs O(n) heapify and every
-// later one O(log n) — a member drained only partially (an early
-// Limit, an abandoned stream) never pays for ranking its tail.
+// localStream is the in-process memberStream: the rank keys of the
+// member's results live in a binary min-heap, so the first pull costs
+// O(n) heapify and every later one O(log n) — a member drained only
+// partially (an early Limit, an abandoned stream) never pays for
+// ranking, or rendering, its tail.
 type localStream struct {
 	source    string // logical member name; empty for a Database run
 	shard     int    // 1-based shard; 0 for plain members
-	heap      []rankedMeet
+	db        *Database
+	results   []core.Result // document order, as the roll-up emits them
+	heap      []rankKey
 	unmatched []NodeID
 
 	// relaxBySlack counts the member's answers per structural slack
@@ -144,43 +154,35 @@ func heapify[T any](h []T, less func(a, b T) bool) {
 	}
 }
 
-// newLocalStream heapifies meets (in document order, as the roll-up
-// emits them) under the member-local rank.
-func newLocalStream(meets []Meet, unmatched []NodeID) *localStream {
-	s := &localStream{unmatched: unmatched, heap: make([]rankedMeet, len(meets))}
-	for i, m := range meets {
-		s.heap[i] = rankedMeet{m: m, seq: int32(i)}
+// newLocalStream heapifies the rank keys of db's results (in document
+// order, as the roll-up emits them, distances already blended in vague
+// mode) under the member-local rank. Nothing is rendered yet.
+func newLocalStream(db *Database, results []core.Result, unmatched []NodeID) *localStream {
+	s := &localStream{db: db, results: results, unmatched: unmatched, heap: make([]rankKey, len(results))}
+	for i, r := range results {
+		s.heap[i] = rankKey{distance: r.Distance, node: r.Meet, seq: int32(i)}
 	}
 	heapify(s.heap, lessRanked)
 	return s
 }
 
-// pop removes and returns the member's current best meet.
-func (s *localStream) pop() (rankedMeet, bool) {
+func (s *localStream) pending() int { return len(s.heap) }
+
+// next implements memberStream: pop the heap's best key, render the
+// result it stands for and wrap it with the member's identity.
+func (s *localStream) next() (CorpusMeet, int32, bool, error) {
 	if len(s.heap) == 0 {
-		return rankedMeet{}, false
+		return CorpusMeet{}, 0, false, nil
 	}
 	top := s.heap[0]
 	last := len(s.heap) - 1
 	s.heap[0] = s.heap[last]
-	s.heap[last] = rankedMeet{} // release the Witnesses slice
 	s.heap = s.heap[:last]
-	if last > 0 {
-		siftDown(s.heap, 0, lessRanked)
-	}
-	return top, true
-}
-
-func (s *localStream) pending() int { return len(s.heap) }
-
-// next implements memberStream: pop the heap's best meet and wrap it
-// with the member's identity.
-func (s *localStream) next() (CorpusMeet, int32, bool, error) {
-	rm, ok := s.pop()
-	if !ok {
-		return CorpusMeet{}, 0, false, nil
-	}
-	return s.wrap(rm.m), rm.seq, true, nil
+	siftDown(s.heap, 0, lessRanked)
+	r := &s.results[top.seq]
+	m := s.db.renderMeet(*r)
+	r.Witnesses = nil // the yielded meet owns them now
+	return CorpusMeet{Source: s.source, Shard: s.shard, Meet: m}, top.seq, true, nil
 }
 
 // termMeetsStream is termMeets' incremental mode: one full-text search
@@ -235,7 +237,7 @@ func (db *Database) termMeetsStream(ctx context.Context, terms []string, opt *Op
 		plan.blend(results)
 		relax = plan.relaxBySlack
 	}
-	s := newLocalStream(db.wrapResults(results), un)
+	s := newLocalStream(db, results, un)
 	s.relaxBySlack = relax
 	return s, nil
 }
@@ -291,10 +293,6 @@ func newMerger(streams []memberStream) (*merger, error) {
 	}
 	heapify(g.heads, lessHead)
 	return g, nil
-}
-
-func (s *localStream) wrap(m Meet) CorpusMeet {
-	return CorpusMeet{Source: s.source, Shard: s.shard, Meet: m}
 }
 
 // next yields the globally next-ranked meet and refills the consumed

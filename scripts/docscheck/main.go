@@ -8,7 +8,9 @@
 //   - an ncq_* metric name registered in non-test Go source is not
 //     documented in docs/OPERATIONS.md, or
 //   - an ncqvet analyzer registered under scripts/ncqvet/passes is not
-//     documented in docs/ARCHITECTURE.md's "Enforced invariants".
+//     documented in docs/ARCHITECTURE.md's "Enforced invariants", or
+//   - a Go comment outside bench/ names a Markdown file that exists
+//     neither at that path from the repository root nor under docs/.
 //
 // Run it from the repository root: go run ./scripts/docscheck
 // CI's docs job does exactly that, so documentation drift is a build
@@ -17,6 +19,8 @@ package main
 
 import (
 	"fmt"
+	"go/scanner"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -42,6 +46,10 @@ var (
 	// Name: "maporder" — the analyzer registrations in
 	// scripts/ncqvet/passes/*/*.go.
 	analyzerRe = regexp.MustCompile(`Name:\s*"([a-z][a-z0-9]*)"`)
+	// ARCHITECTURE.md, docs/OPERATIONS.md, bench/README.md — a
+	// Markdown file named in prose. The leading group keeps the tail
+	// of a URL or of a longer word from matching.
+	citeRe = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./:-])([A-Za-z0-9_][A-Za-z0-9_./-]*\.md)\b`)
 )
 
 func main() {
@@ -67,6 +75,7 @@ func main() {
 	checkFlags(opsText, report)
 	checkMetrics(opsText, report)
 	checkAnalyzers(string(arch), report)
+	checkCitations(report)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -222,6 +231,60 @@ func checkAnalyzers(archText string, report func(string, ...any)) {
 			report("%s: ncqvet analyzer %s is not documented", archPath, n)
 		}
 	}
+}
+
+// checkCitations verifies that every Markdown file a Go comment names
+// exists, as written from the repository root or under docs/ (comments
+// say "ARCHITECTURE.md" as often as "docs/ARCHITECTURE.md"). bench/ is
+// its own module with its own documents and is not scanned.
+func checkCitations(report func(string, ...any)) {
+	cited := 0
+	_ = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == ".git" || path == "bench" || path == ".bench_build" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			report("%s: %v", path, err)
+			return nil
+		}
+		fset := token.NewFileSet()
+		var sc scanner.Scanner
+		sc.Init(fset.AddFile(path, fset.Base(), len(src)), src, nil, scanner.ScanComments)
+		for {
+			pos, tok, lit := sc.Scan()
+			if tok == token.EOF {
+				break
+			}
+			if tok != token.COMMENT {
+				continue
+			}
+			for _, m := range citeRe.FindAllStringSubmatch(lit, -1) {
+				cited++
+				if !exists(m[1]) && !exists(filepath.Join("docs", m[1])) {
+					report("%s: comment cites %s, which exists neither at the repository root nor under docs/", fset.Position(pos), m[1])
+				}
+			}
+		}
+		return nil
+	})
+	if cited == 0 {
+		report("no Markdown file is cited in any Go comment — did the citation idiom change?")
+	}
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 func dedup(matches [][]string) []string {
