@@ -532,6 +532,63 @@ func BenchmarkServerQuery(b *testing.B) {
 	})
 }
 
+// BenchmarkPutDoc measures the write path through the same handler a
+// client reaches: PUT /v1/docs/{name} replacing a document on an
+// in-memory node. plain is the serving benchmark's ordinary upload (one
+// DBLP document, pubs=40); the sharded series upload its multimedia
+// document with ?shards=4 — buffered sends Content-Length and is split
+// by node count, chunked does not and is split as the parse streams;
+// snapshot-body uploads plain's document as a binary snapshot. B/op and
+// allocs/op of plain are what the serving benchmark's churn_rw workload
+// pays per cycle.
+func BenchmarkPutDoc(b *testing.B) {
+	dblpXML := datagen.DBLP(datagen.DBLPConfig{Seed: 1, YearFrom: 1984, YearTo: 1999, PubsPerVenueYear: 40}).XMLString()
+	mediaXML := datagen.Multimedia(datagen.MultimediaConfig{Seed: 1, Items: 4000, MaxProbeDistance: 20}).XMLString()
+	db, err := ncq.OpenString(dblpXML)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := db.SaveSnapshot(&snap); err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name, path, contentType string
+		body                    []byte
+		chunked                 bool
+		shards                  int
+	}{
+		{name: "plain", path: "/v1/docs/doc", body: []byte(dblpXML), shards: 1},
+		{name: "sharded-buffered", path: "/v1/docs/doc?shards=4", body: []byte(mediaXML), shards: 4},
+		{name: "sharded-chunked", path: "/v1/docs/doc?shards=4", body: []byte(mediaXML), chunked: true, shards: 1},
+		{name: "snapshot-body", path: "/v1/docs/doc", contentType: server.SnapshotContentType, body: snap.Bytes(), shards: 1},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			srv := server.New(nil)
+			h := srv.Handler()
+			b.ReportAllocs()
+			b.SetBytes(int64(len(bc.body)))
+			for i := 0; i < b.N; i++ {
+				req := httptest.NewRequest("PUT", bc.path, bytes.NewReader(bc.body))
+				if bc.chunked {
+					req.ContentLength = -1
+				}
+				if bc.contentType != "" {
+					req.Header.Set("Content-Type", bc.contentType)
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusCreated && rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+			}
+			if got := srv.Corpus().ShardCount("doc"); got != bc.shards {
+				b.Fatalf("document has %d shards, want %d", got, bc.shards)
+			}
+		})
+	}
+}
+
 // BenchmarkVagueQuery measures the vague-constraints serving path —
 // relaxation of a misspelled restrict pattern against every member's
 // path summary plus blended re-ranking — through the same HTTP surface

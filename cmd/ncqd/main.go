@@ -29,16 +29,15 @@
 //	GET    /v1/metrics     Prometheus text exposition
 //
 // Flags tune the cache byte budget, the per-document upload limit and
-// the corpus fan-out width; -load preloads documents at start-up, each
-// registered under its base name without the extension: XML files
-// (split into -shards shards apiece), .snap snapshot files, and
-// snapshot directories of shard-NNN.snap files as the durable store
-// writes them (their own framing decides plain vs sharded; -shards does
-// not apply). -thesaurus loads synonym classes — one comma-separated
-// class per line — that vague-mode queries with "expand" broaden their
-// terms through. -pprof-addr serves net/http/pprof on a separate
-// listener (off by default) so a live daemon can be profiled without
-// exposing the profiler on the query port.
+// the corpus fan-out width; -load preloads documents at start-up — XML
+// files (split into -shards shards apiece, exactly as a PUT ?shards=K of
+// the file would be), .snap snapshot files and the durable store's
+// snapshot directories (see openFile). -thesaurus loads synonym classes
+// — one comma-separated class per line — that vague-mode queries with
+// "expand" broaden their terms through. -pprof-addr serves
+// net/http/pprof on a separate listener (off by default) so a live
+// daemon can be profiled without exposing the profiler on the query
+// port.
 //
 // Durability: with -data-dir the corpus survives restarts and crashes.
 // Every PUT persists per-shard snapshots plus a record in an
@@ -85,7 +84,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -253,12 +251,23 @@ func run(argv []string, stderr io.Writer, ready chan<- string) int {
 			corpus.SetThesaurus(t)
 			logger.Info("loaded thesaurus", "file", *thesaurus)
 		}
-		var store *durable.Store
+		opts := []server.Option{
+			server.WithCacheBytes(*cacheBytes),
+			server.WithCacheTTL(*cacheTTL),
+			server.WithMaxBody(*maxBody),
+			server.WithNodeName(*nodeName),
+			server.WithRole(*role),
+			server.WithLogger(logger),
+			server.WithAdmission(*maxInflight, *maxQueue, *queueWait),
+		}
+		// The one place the node learns whether it has a data directory:
+		// it picks the writer -load and every PUT and DELETE go through.
+		docs := durable.InMemory(corpus)
 		if *dataDir != "" {
 			// Recovery before anything else touches the corpus: replay the
 			// WAL over the persisted snapshots to the exact pre-shutdown
 			// (or pre-crash) generation, then hook every later mutation.
-			store, err = durable.Open(*dataDir, fsyncPolicy, corpus)
+			store, err := durable.Open(*dataDir, fsyncPolicy, corpus)
 			if err != nil {
 				logger.Error("recovery failed", "err", err, "data-dir", *dataDir)
 				return 1
@@ -271,26 +280,16 @@ func run(argv []string, stderr io.Writer, ready chan<- string) int {
 				"wal_records", st.ReplayRecords,
 				"log_truncated", st.WAL.Truncated,
 				"elapsed", st.ReplayDuration)
+			docs = store
+			opts = append(opts, server.WithDurability(store))
 		}
 		if *load != "" {
-			n, err := preload(corpus, store, *load, *shards)
+			n, err := preload(corpus, docs, *load, *shards)
 			if err != nil {
 				logger.Error("start failed", "err", err)
 				return 1
 			}
 			logger.Info("preloaded documents", "docs", n)
-		}
-		opts := []server.Option{
-			server.WithCacheBytes(*cacheBytes),
-			server.WithCacheTTL(*cacheTTL),
-			server.WithMaxBody(*maxBody),
-			server.WithNodeName(*nodeName),
-			server.WithRole(*role),
-			server.WithLogger(logger),
-			server.WithAdmission(*maxInflight, *maxQueue, *queueWait),
-		}
-		if store != nil {
-			opts = append(opts, server.WithDurability(store))
 		}
 		handler = server.New(corpus, opts...).Handler()
 	}
@@ -371,23 +370,15 @@ func loadThesaurus(file string) (*ncq.Thesaurus, error) {
 	return t, nil
 }
 
-// preload loads every path matching the glob into the corpus, each
-// under its base name without the extension (docs/dblp.xml -> dblp).
-// Three input shapes are understood:
-//
-//   - an XML file, split into up to shards subtree shards when
-//     shards > 1;
-//   - a .snap file written by SaveSnapshot, loaded as a plain member
-//     (its own framing, not -shards, decides its shape);
-//   - a snapshot directory holding shard-NNN.snap files — the layout
-//     the durable store writes — registered as one member under the
-//     directory's name (a durable "g<gen>-" prefix is stripped).
-//
-// With a durable store attached the documents register through it —
-// they replace any recovered document of the same name and persist
-// like any PUT; without one they go straight into the in-memory
-// corpus.
-func preload(corpus *ncq.Corpus, store *durable.Store, glob string, shards int) (int, error) {
+// preload registers every path matching the glob, each under its base
+// name without the extension (docs/dblp.xml -> dblp), through docs —
+// the node's one writer, so with -data-dir a preloaded document
+// replaces any recovered one of its name and persists like any PUT. A
+// nil docs writes to corpus in memory.
+func preload(corpus *ncq.Corpus, docs durable.Writer, glob string, shards int) (int, error) {
+	if docs == nil {
+		docs = durable.InMemory(corpus)
+	}
 	files, err := filepath.Glob(glob)
 	if err != nil {
 		return 0, fmt.Errorf("bad -load glob: %w", err)
@@ -396,71 +387,46 @@ func preload(corpus *ncq.Corpus, store *durable.Store, glob string, shards int) 
 		return 0, fmt.Errorf("-load %q matched no files", glob)
 	}
 	for _, file := range files {
-		if info, err := os.Stat(file); err == nil && info.IsDir() {
-			if err := preloadSnapshotDir(corpus, store, file); err != nil {
-				return 0, err
-			}
-			continue
+		name, dbs, sharded, err := openFile(file, shards)
+		if err == nil {
+			_, err = docs.Put(name, dbs, sharded)
 		}
-		f, err := os.Open(file)
 		if err != nil {
-			return 0, err
-		}
-		name := strings.TrimSuffix(filepath.Base(file), filepath.Ext(file))
-		if filepath.Ext(file) == ".snap" {
-			db, err := ncq.OpenSnapshot(f)
-			f.Close()
-			if err != nil {
-				return 0, fmt.Errorf("%s: %w", file, err)
-			}
-			if err := registerPlain(corpus, store, name, db); err != nil {
-				return 0, fmt.Errorf("%s: %w", file, err)
-			}
-			continue
-		}
-		if shards > 1 {
-			doc, err := ncq.ParseDocument(f)
-			f.Close()
-			if err != nil {
-				return 0, fmt.Errorf("%s: %w", file, err)
-			}
-			if store != nil {
-				var dbs []*ncq.Database
-				for _, sd := range shard.Split(doc, shards) {
-					db, err := ncq.FromDocument(sd)
-					if err != nil {
-						return 0, fmt.Errorf("%s: %w", file, err)
-					}
-					dbs = append(dbs, db)
-				}
-				if _, err := store.PutShards(name, dbs); err != nil {
-					return 0, fmt.Errorf("%s: %w", file, err)
-				}
-			} else if _, _, err := corpus.AddSharded(name, doc, shards); err != nil {
-				return 0, err
-			}
-			continue
-		}
-		db, err := ncq.Open(f)
-		f.Close()
-		if err != nil {
-			return 0, fmt.Errorf("%s: %w", file, err)
-		}
-		if err := registerPlain(corpus, store, name, db); err != nil {
 			return 0, fmt.Errorf("%s: %w", file, err)
 		}
 	}
 	return len(files), nil
 }
 
-// registerPlain registers one plain member, through the durable store
-// when attached so the preload persists like any PUT.
-func registerPlain(corpus *ncq.Corpus, store *durable.Store, name string, db *ncq.Database) error {
-	if store != nil {
-		_, err := store.PutPlain(name, db)
-		return err
+// openFile loads one -load match: the member name it registers under,
+// its databases, and whether they form a sharded member. An XML file
+// gets ncq.OpenSharded's bytes-to-shards decision — the one a PUT
+// ?shards=K of it would get; a .snap file is a plain member whatever
+// -shards says; a directory is read by the durable store's own reader,
+// framing check included, and registers under its name less the store's
+// "g<gen>-" prefix — plain when it holds one standalone snapshot,
+// sharded otherwise.
+func openFile(file string, shards int) (name string, dbs []*ncq.Database, sharded bool, err error) {
+	info, err := os.Stat(file)
+	if err != nil {
+		return "", nil, false, err
 	}
-	return corpus.Add(name, db)
+	if info.IsDir() {
+		dbs, err = durable.OpenShards(file, 0)
+		return snapMemberName(filepath.Base(file)), dbs, len(dbs) > 1, err
+	}
+	f, err := os.Open(file)
+	if err != nil {
+		return "", nil, false, err
+	}
+	defer f.Close()
+	name = strings.TrimSuffix(filepath.Base(file), filepath.Ext(file))
+	if filepath.Ext(file) == ".snap" {
+		db, err := ncq.OpenSnapshot(f)
+		return name, []*ncq.Database{db}, false, err
+	}
+	dbs, err = ncq.OpenSharded(f, info.Size(), shards)
+	return name, dbs, shards > 1, err
 }
 
 // snapMemberName derives a member name from a snapshot directory's base
@@ -481,53 +447,4 @@ func snapMemberName(base string) string {
 		base = unescaped
 	}
 	return base
-}
-
-// preloadSnapshotDir loads a directory of shard-NNN.snap files — the
-// per-member layout the durable store writes — as one corpus member.
-// The snapshots' own shard framing decides the member's shape: a
-// single standalone snapshot registers plain, anything else sharded.
-func preloadSnapshotDir(corpus *ncq.Corpus, store *durable.Store, dir string) error {
-	files, err := filepath.Glob(filepath.Join(dir, "shard-*.snap"))
-	if err != nil {
-		return fmt.Errorf("%s: %w", dir, err)
-	}
-	if len(files) == 0 {
-		return fmt.Errorf("%s: no shard-*.snap files in snapshot directory", dir)
-	}
-	sort.Strings(files)
-	dbs := make([]*ncq.Database, 0, len(files))
-	plain := false
-	for _, file := range files {
-		f, err := os.Open(file)
-		if err != nil {
-			return err
-		}
-		db, _, shardCount, err := ncq.OpenSnapshotShard(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", file, err)
-		}
-		if shardCount <= 1 {
-			plain = true
-		}
-		dbs = append(dbs, db)
-	}
-	name := snapMemberName(filepath.Base(dir))
-	if plain && len(dbs) == 1 {
-		if err := registerPlain(corpus, store, name, dbs[0]); err != nil {
-			return fmt.Errorf("%s: %w", dir, err)
-		}
-		return nil
-	}
-	if store != nil {
-		if _, err := store.PutShards(name, dbs); err != nil {
-			return fmt.Errorf("%s: %w", dir, err)
-		}
-		return nil
-	}
-	if _, err := corpus.AddShardDBs(name, dbs); err != nil {
-		return fmt.Errorf("%s: %w", dir, err)
-	}
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -36,8 +37,7 @@ var ErrUnknownDoc = errors.New("unknown document")
 type Corpus struct {
 	mu      sync.RWMutex
 	names   []string
-	dbs     map[string]*Database   // plain members
-	sharded map[string][]*Database // sharded members, in shard order
+	members map[string]entry
 	gen     uint64
 	workers int // fan-out width for corpus-wide queries; 0 = GOMAXPROCS
 	onMut   func(Mutation)
@@ -46,6 +46,15 @@ type Corpus struct {
 	// set broaden their terms through; nil means no expansion beyond
 	// the literal terms.
 	thesaurus *Thesaurus
+}
+
+// entry is one registered member: its databases in shard order —
+// exactly one for a plain member — and which of the two it is. A
+// sharded member may hold a single shard and still answers with shard
+// numbers, so the flag cannot be read off the count.
+type entry struct {
+	dbs     []*Database
+	sharded bool
 }
 
 // Mutation describes one membership change, as observed by the hook
@@ -93,10 +102,7 @@ func (c *Corpus) RestoreGeneration(gen uint64) {
 
 // NewCorpus returns an empty corpus.
 func NewCorpus() *Corpus {
-	return &Corpus{
-		dbs:     make(map[string]*Database),
-		sharded: make(map[string][]*Database),
-	}
+	return &Corpus{members: make(map[string]entry)}
 }
 
 // Add registers a database under a name. Re-adding a name replaces the
@@ -110,15 +116,81 @@ func (c *Corpus) Add(name string, db *Database) error {
 // check happens under the write lock, so concurrent Puts of the same
 // name agree on which one created the entry.
 func (c *Corpus) Put(name string, db *Database) (replaced bool, err error) {
-	if db == nil {
-		return false, fmt.Errorf("ncq: corpus: nil database for %q", name)
+	return c.put(name, []*Database{db}, false)
+}
+
+// The thresholds by which OpenSharded picks a split policy. Constants,
+// not knobs: the choice reads the size of the input and nothing else,
+// so the same bytes shard the same way through every door.
+const (
+	splitBufferedMax  = 4 << 20 // largest known input size parsed whole and split by node count
+	streamShardBudget = 8 << 20 // bytes per shard of a streamed split whose total size is unknown
+)
+
+// OpenSharded is the one place bytes become the databases of a corpus
+// member: it parses an XML document from r and loads it as at most k
+// subtree shards, in document order. size is the length of the input in
+// bytes — negative when unknown, as for a chunked upload — and alone
+// picks how the shards are cut. k <= 1 yields the one database Open
+// returns. A known size of at most 4 MiB is parsed whole, split by node
+// count (shard.Split) and its shards loaded in parallel. Anything else
+// streams through shard.SplitStream, which cuts a shard every size/k
+// input bytes (every 8 MiB when the size is unknown), so the body is
+// never held whole. Register the result with Put when k <= 1 and with
+// AddShardDBs otherwise.
+func OpenSharded(r io.Reader, size int64, k int) ([]*Database, error) {
+	if k <= 1 {
+		db, err := Open(r)
+		if err != nil {
+			return nil, err
+		}
+		return []*Database{db}, nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	replaced = c.register(name)
-	c.dbs[name] = db
-	c.notify(Mutation{Name: name, Gen: c.gen})
-	return replaced, nil
+	if size >= 0 && size <= splitBufferedMax {
+		doc, err := ParseDocument(r)
+		if err != nil {
+			return nil, err
+		}
+		return splitAndLoad(doc, k)
+	}
+	budget := int64(streamShardBudget)
+	if size > 0 {
+		budget = size / int64(k)
+	}
+	var dbs []*Database
+	_, err := shard.SplitStream(r, budget, k, func(d *xmltree.Document) error {
+		db, err := FromDocument(d)
+		if err != nil {
+			return err
+		}
+		dbs = append(dbs, db)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("ncq: %w", err)
+	}
+	return dbs, nil
+}
+
+// splitAndLoad splits doc into at most k node-balanced shards and loads
+// them in parallel. Shard loading is CPU-bound (Monet transform + index
+// build); it uses the machine, not a corpus's fan-out width, which may
+// be tuned down for query latency.
+func splitAndLoad(doc *xmltree.Document, k int) ([]*Database, error) {
+	parts := shard.Split(doc, k)
+	dbs := make([]*Database, len(parts))
+	err := forEachDoc(context.Background(), len(parts), runtime.GOMAXPROCS(0), func(i int) error { //lint:ncqvet-ignore OpenSharded and AddSharded are ctx-less public APIs; the load fan-out has no caller deadline to inherit
+		db, err := FromDocument(parts[i])
+		if err != nil {
+			return fmt.Errorf("ncq: shard %d: %w", i, err)
+		}
+		dbs[i] = db
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return dbs, nil
 }
 
 // AddSharded splits doc into at most k subtree shards (see
@@ -143,69 +215,51 @@ func (c *Corpus) AddSharded(name string, doc *xmltree.Document, k int) (dbs []*D
 	if doc == nil {
 		return nil, false, fmt.Errorf("ncq: corpus: nil document for %q", name)
 	}
-	parts := shard.Split(doc, k)
-	dbs = make([]*Database, len(parts))
-	// Shard loading is CPU-bound (Monet transform + index build); use
-	// the machine, not the corpus fan-out width, which may be tuned
-	// down for query latency.
-	err = forEachDoc(context.Background(), len(parts), runtime.GOMAXPROCS(0), func(i int) error { //lint:ncqvet-ignore AddSharded is a ctx-less public API; the parse fan-out has no caller deadline to inherit
-		db, err := FromDocument(parts[i])
-		if err != nil {
-			return fmt.Errorf("ncq: corpus %q shard %d: %w", name, i, err)
-		}
-		dbs[i] = db
-		return nil
-	})
-	if err != nil {
+	if dbs, err = splitAndLoad(doc, k); err != nil {
 		return nil, false, err
 	}
-	replaced, err = c.AddShardDBs(name, dbs)
-	if err != nil {
+	if replaced, err = c.put(name, dbs, true); err != nil {
 		return nil, false, err
 	}
-	out := make([]*Database, len(dbs))
-	copy(out, dbs)
-	return out, replaced, nil
+	return dbs, replaced, nil
 }
 
 // AddShardDBs registers already-loaded shard databases as one sharded
 // member — the registration half of AddSharded, used directly when the
-// shards were built elsewhere: loaded from per-shard snapshot files on
-// recovery, or parsed incrementally from a streaming upload.
+// shards were built elsewhere: by OpenSharded from an upload, or from
+// per-shard snapshot files on recovery.
 func (c *Corpus) AddShardDBs(name string, dbs []*Database) (replaced bool, err error) {
+	return c.put(name, dbs, true)
+}
+
+// put is the one registration: it claims name for dbs under the write
+// lock — replacing a previous member in place, or appending a new one —
+// bumps the generation, fires the mutation hook, and reports whether an
+// existing member was replaced. The corpus keeps its own copy of dbs.
+func (c *Corpus) put(name string, dbs []*Database, sharded bool) (replaced bool, err error) {
 	if len(dbs) == 0 {
-		return false, fmt.Errorf("ncq: corpus: no shards for %q", name)
+		return false, fmt.Errorf("ncq: corpus: no databases for %q", name)
 	}
 	for i, db := range dbs {
 		if db == nil {
-			return false, fmt.Errorf("ncq: corpus: nil shard %d for %q", i, name)
+			return false, fmt.Errorf("ncq: corpus: nil database %d for %q", i, name)
 		}
 	}
-	own := make([]*Database, len(dbs))
-	copy(own, dbs)
+	e := entry{dbs: append([]*Database(nil), dbs...), sharded: sharded}
+	m := Mutation{Name: name}
+	if sharded {
+		m.Shards = len(dbs)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	replaced = c.register(name)
-	c.sharded[name] = own
-	c.notify(Mutation{Name: name, Gen: c.gen, Shards: len(own)})
-	return replaced, nil
-}
-
-// register claims name under the write lock: it clears any previous
-// plain or sharded entry, keeps the member's position (or appends a
-// new one), bumps the generation, and reports whether an existing
-// member was replaced.
-func (c *Corpus) register(name string) (replaced bool) {
-	_, plain := c.dbs[name]
-	_, shrd := c.sharded[name]
-	replaced = plain || shrd
-	if !replaced {
+	if _, replaced = c.members[name]; !replaced {
 		c.names = append(c.names, name)
 	}
-	delete(c.dbs, name)
-	delete(c.sharded, name)
+	c.members[name] = e
 	c.gen++
-	return replaced
+	m.Gen = c.gen
+	c.notify(m)
+	return replaced, nil
 }
 
 // Remove evicts the member registered under name — all of its shards
@@ -213,13 +267,10 @@ func (c *Corpus) register(name string) (replaced bool) {
 func (c *Corpus) Remove(name string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, plain := c.dbs[name]
-	_, shrd := c.sharded[name]
-	if !plain && !shrd {
+	if _, ok := c.members[name]; !ok {
 		return false
 	}
-	delete(c.dbs, name)
-	delete(c.sharded, name)
+	delete(c.members, name)
 	for i, n := range c.names {
 		if n == name {
 			c.names = append(c.names[:i], c.names[i+1:]...)
@@ -245,8 +296,10 @@ func (c *Corpus) Names() []string {
 func (c *Corpus) Get(name string) (*Database, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	db, ok := c.dbs[name]
-	return db, ok
+	if e, ok := c.members[name]; ok && !e.sharded {
+		return e.dbs[0], true
+	}
+	return nil, false
 }
 
 // Has reports whether a member (plain or sharded) is registered under
@@ -254,9 +307,8 @@ func (c *Corpus) Get(name string) (*Database, bool) {
 func (c *Corpus) Has(name string) bool {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	_, plain := c.dbs[name]
-	_, shrd := c.sharded[name]
-	return plain || shrd
+	_, ok := c.members[name]
+	return ok
 }
 
 // Shards returns the member's databases in shard order — a single
@@ -264,15 +316,8 @@ func (c *Corpus) Has(name string) bool {
 func (c *Corpus) Shards(name string) ([]*Database, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if db, ok := c.dbs[name]; ok {
-		return []*Database{db}, true
-	}
-	if dbs, ok := c.sharded[name]; ok {
-		out := make([]*Database, len(dbs))
-		copy(out, dbs)
-		return out, true
-	}
-	return nil, false
+	e, ok := c.members[name]
+	return append([]*Database(nil), e.dbs...), ok
 }
 
 // ShardCount returns how many shards the named member holds: 0 when
@@ -280,10 +325,7 @@ func (c *Corpus) Shards(name string) ([]*Database, bool) {
 func (c *Corpus) ShardCount(name string) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if _, ok := c.dbs[name]; ok {
-		return 1
-	}
-	return len(c.sharded[name])
+	return len(c.members[name].dbs)
 }
 
 // AggregateStats sums the storage statistics of several databases —
@@ -391,49 +433,38 @@ type member struct {
 	db    *Database
 }
 
-// snapshot captures the flattened membership under the read lock so
-// queries run against a consistent view without blocking writers.
-// Members appear in insertion order with their shards contiguous. The
-// returned generation identifies the captured membership — the mark
-// minted cursors carry for staleness detection.
-func (c *Corpus) snapshot() (members []member, workers int, gen uint64) {
+// resolve captures the fan-out units of a request under the read lock,
+// so queries run against a consistent view without blocking writers:
+// the whole membership in insertion order with each member's shards
+// contiguous, or only the shards of the member named doc (an error
+// wrapping ErrUnknownDoc when there is none). The returned generation
+// identifies the captured membership — the mark minted cursors carry
+// for staleness detection.
+func (c *Corpus) resolve(doc string) (members []member, workers int, gen uint64, err error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	for _, n := range c.names {
-		if db, ok := c.dbs[n]; ok {
-			members = append(members, member{name: n, db: db})
-			continue
+	names := c.names
+	if doc != "" {
+		if _, ok := c.members[doc]; !ok {
+			return nil, 0, 0, fmt.Errorf("ncq: corpus: %w %q", ErrUnknownDoc, doc)
 		}
-		for i, db := range c.sharded[n] {
-			members = append(members, member{name: n, shard: i + 1, db: db})
+		names = []string{doc}
+	}
+	for _, n := range names {
+		e := c.members[n]
+		for i, db := range e.dbs {
+			m := member{name: n, db: db}
+			if e.sharded {
+				m.shard = i + 1
+			}
+			members = append(members, m)
 		}
 	}
 	workers = c.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return members, workers, c.gen
-}
-
-// memberOf is snapshot restricted to one logical name; found reports
-// whether the name is registered.
-func (c *Corpus) memberOf(name string) (members []member, workers int, gen uint64, found bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if db, ok := c.dbs[name]; ok {
-		members = []member{{name: name, db: db}}
-	} else if dbs, ok := c.sharded[name]; ok {
-		for i, db := range dbs {
-			members = append(members, member{name: name, shard: i + 1, db: db})
-		}
-	} else {
-		return nil, 0, 0, false
-	}
-	workers = c.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return members, workers, c.gen, true
+	return members, workers, c.gen, nil
 }
 
 // forEachDoc runs fn(i) for every document index with at most workers

@@ -54,8 +54,43 @@ type Stats struct {
 	Compactions    uint64        // log rewrites performed
 }
 
+// Writer is the one way documents enter and leave a served corpus. A
+// node holds exactly one, chosen where it learns whether it has a data
+// directory: a *Store persists every change before acknowledging it,
+// InMemory only registers it. Nothing that writes — a PUT, a DELETE,
+// ncqd -load — asks which one it got.
+type Writer interface {
+	// Put registers dbs under name: as one plain member (exactly one
+	// database) or, when sharded, as one member of len(dbs) shards. It
+	// reports whether an existing member was replaced.
+	Put(name string, dbs []*ncq.Database, sharded bool) (replaced bool, err error)
+	// Delete evicts name and reports whether it was registered.
+	Delete(name string) (found bool, err error)
+	// Stats reports durability activity; all zero without a directory.
+	Stats() Stats
+}
+
+// InMemory returns the Writer of a corpus that has no data directory.
+func InMemory(c *ncq.Corpus) Writer { return memory{c} }
+
+type memory struct{ c *ncq.Corpus }
+
+func (m memory) Put(name string, dbs []*ncq.Database, sharded bool) (bool, error) {
+	if sharded {
+		return m.c.AddShardDBs(name, dbs)
+	}
+	if len(dbs) != 1 {
+		return false, fmt.Errorf("durable: put %q: a plain member is one database, not %d", name, len(dbs))
+	}
+	return m.c.Put(name, dbs[0])
+}
+
+func (m memory) Delete(name string) (bool, error) { return m.c.Remove(name), nil }
+
+func (m memory) Stats() Stats { return Stats{} }
+
 // Store binds a corpus to a data directory. All mutations must go
-// through the store (PutPlain, PutShards, Delete); it installs a
+// through the store (Put, Delete); it installs a
 // corpus mutation hook that persists each change before the mutating
 // call returns.
 type Store struct {
@@ -190,47 +225,47 @@ func shardFile(dir string, i int) string {
 // exist.
 func (s *Store) loadDoc(rec wal.Record) error {
 	dir := filepath.Join(s.docsDir(), docDirName(rec.Gen, rec.Name))
-	fail := func(err error) error {
+	dbs, err := OpenShards(dir, max(rec.Shards, 1))
+	if err == nil {
+		_, err = memory{s.corpus}.Put(rec.Name, dbs, rec.Shards > 0)
+	}
+	if err != nil {
 		return fmt.Errorf("durable: document %q at generation %d is logged as committed but its snapshot cannot be loaded (%w); the data directory is damaged — restore it from a copy or delete %s AND the wal.log records naming it to abandon the document", rec.Name, rec.Gen, err, dir)
-	}
-	if rec.Shards == 0 {
-		db, err := openShardFile(shardFile(dir, 0), 0, 1)
-		if err != nil {
-			return fail(err)
-		}
-		if _, err := s.corpus.Put(rec.Name, db); err != nil {
-			return fail(err)
-		}
-		return nil
-	}
-	dbs := make([]*ncq.Database, rec.Shards)
-	for i := range dbs {
-		db, err := openShardFile(shardFile(dir, i), i, rec.Shards)
-		if err != nil {
-			return fail(err)
-		}
-		dbs[i] = db
-	}
-	if _, err := s.corpus.AddShardDBs(rec.Name, dbs); err != nil {
-		return fail(err)
 	}
 	return nil
 }
 
-func openShardFile(path string, shard, shards int) (*ncq.Database, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// OpenShards is the one reader of the shard-NNN.snap layout a put
+// commits under docs/: files 0 to n-1 must exist, file i framed i/n, and
+// no file n may follow them. Boot recovery knows n from the WAL record;
+// n == 0 — ncqd -load of such a directory — takes it from shard-000's
+// own framing, where one database framed 0/1 is what a plain member and
+// a one-shard member both leave behind.
+func OpenShards(dir string, n int) ([]*ncq.Database, error) {
+	var dbs []*ncq.Database
+	for i := 0; i == 0 || i < n; i++ {
+		path := shardFile(dir, i)
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		db, shard, shards, err := ncq.OpenSnapshotShard(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		if n == 0 {
+			n = shards
+		}
+		if shard != i || shards != n {
+			return nil, fmt.Errorf("%s: shard framing %d/%d does not match its place %d/%d", path, shard, shards, i, n)
+		}
+		dbs = append(dbs, db)
 	}
-	defer f.Close()
-	db, gotShard, gotShards, err := ncq.OpenSnapshotShard(f)
-	if err != nil {
-		return nil, err
+	if _, err := os.Stat(shardFile(dir, n)); err == nil {
+		return nil, fmt.Errorf("%s: stray shard file beside a member framed as %d shard(s)", shardFile(dir, n), n)
 	}
-	if gotShard != shard || gotShards != shards {
-		return nil, fmt.Errorf("%s: shard framing %d/%d does not match its place %d/%d", path, gotShard, gotShards, shard, shards)
-	}
-	return db, nil
+	return dbs, nil
 }
 
 // sweepOrphans removes every docs/ entry that no winning record
@@ -290,17 +325,19 @@ func (s *Store) compact(names []string, winners map[string]wal.Record, maxGen ui
 // PutPlain registers db under name and persists it as a single
 // standalone snapshot. The returned replaced mirrors Corpus.Put.
 func (s *Store) PutPlain(name string, db *ncq.Database) (replaced bool, err error) {
-	return s.put(name, []*ncq.Database{db}, true)
+	return s.Put(name, []*ncq.Database{db}, false)
 }
 
 // PutShards registers dbs as one sharded member and persists each
 // shard as its own snapshot file.
 func (s *Store) PutShards(name string, dbs []*ncq.Database) (replaced bool, err error) {
-	return s.put(name, dbs, false)
+	return s.Put(name, dbs, true)
 }
 
-func (s *Store) put(name string, dbs []*ncq.Database, plain bool) (bool, error) {
-	if len(dbs) == 0 || (plain && len(dbs) != 1) {
+// Put is Writer.Put: it stages one snapshot file per database, then
+// registers the member — the corpus mutation hook finishes the commit.
+func (s *Store) Put(name string, dbs []*ncq.Database, sharded bool) (bool, error) {
+	if len(dbs) == 0 || (!sharded && len(dbs) != 1) {
 		return false, fmt.Errorf("durable: put %q: bad shard count %d", name, len(dbs))
 	}
 	s.mu.Lock()
@@ -315,12 +352,11 @@ func (s *Store) put(name string, dbs []*ncq.Database, plain bool) (bool, error) 
 	if err := os.MkdirAll(stage, 0o755); err != nil {
 		return false, fmt.Errorf("durable: put %q: %w", name, err)
 	}
-	shards := len(dbs)
 	for i, db := range dbs {
 		if db == nil {
 			return false, fmt.Errorf("durable: put %q: nil shard %d", name, i)
 		}
-		if err := s.writeShardFile(shardFile(stage, i), db, i, shards); err != nil {
+		if err := s.writeShardFile(shardFile(stage, i), db, i, len(dbs)); err != nil {
 			return false, fmt.Errorf("durable: put %q: %w", name, err)
 		}
 	}
@@ -328,21 +364,14 @@ func (s *Store) put(name string, dbs []*ncq.Database, plain bool) (bool, error) 
 		return false, fmt.Errorf("durable: put %q: %w", name, err)
 	}
 
-	pendingShards := shards
-	if plain {
-		pendingShards = 0
+	s.pending = &pendingPut{name: name, stage: stage}
+	if sharded {
+		s.pending.shards = len(dbs)
 	}
-	s.pending = &pendingPut{name: name, shards: pendingShards, stage: stage}
 	s.commitErr = nil
 	s.prevDirs = nil
 
-	var replaced bool
-	var err error
-	if plain {
-		replaced, err = s.corpus.Put(name, dbs[0])
-	} else {
-		replaced, err = s.corpus.AddShardDBs(name, dbs)
-	}
+	replaced, err := memory{s.corpus}.Put(name, dbs, sharded)
 	s.pending = nil
 	if err == nil {
 		err = s.commitErr

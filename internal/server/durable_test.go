@@ -8,14 +8,17 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
 	"ncq"
 	"ncq/internal/durable"
 	"ncq/internal/wal"
+	"ncq/internal/wire"
 )
 
 // doHdr is do with request headers, for content-negotiated uploads.
@@ -136,9 +139,10 @@ func TestDurableServerRestart(t *testing.T) {
 }
 
 func TestDurableShardedUploadStreams(t *testing.T) {
-	// With a store attached, ?shards=K takes the streaming path even for
-	// small bodies; the shard count still lands in [1, K] and queries
-	// fan out across the shards.
+	// A small ?shards=K upload is split the same way with a store
+	// attached as without one (ncq.OpenSharded reads only the body size);
+	// the shard count lands in [2, K], every shard is persisted, and
+	// queries fan out across the shards.
 	dir := t.TempDir()
 	s, _ := openDurableServer(t, dir)
 	var sb strings.Builder
@@ -159,6 +163,81 @@ func TestDurableShardedUploadStreams(t *testing.T) {
 	resp := decode[wireQueryResponse](t, do(t, s, "POST", "/v2/query", q))
 	if resp.Result == nil || len(resp.Result.Meets) == 0 {
 		t.Fatalf("no meets over streamed shards: %s", rec.Body)
+	}
+}
+
+// shardNodes returns the per-shard node counts of a member — where its
+// shard boundaries fell.
+func shardNodes(t *testing.T, s *Server, name string) []int {
+	t.Helper()
+	dbs, ok := s.Corpus().Shards(name)
+	if !ok {
+		t.Fatalf("no member %q", name)
+	}
+	nodes := make([]int, len(dbs))
+	for i, db := range dbs {
+		nodes[i] = db.Stats().Nodes
+	}
+	return nodes
+}
+
+// TestShardedUploadSameShardsWithAndWithoutStore: the same bytes with
+// the same ?shards=K become the same shards whether or not the node has
+// a data directory, so the (shard, node) address of an answer does not
+// depend on a durability flag. Records vary in size so a node-balanced
+// and a byte-budget split of the body cannot coincide by accident.
+func TestShardedUploadSameShardsWithAndWithoutStore(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("<bib>")
+	for i := 0; i < 240; i++ {
+		sb.WriteString("<article>")
+		for a := 0; a <= i%7; a++ {
+			fmt.Fprintf(&sb, "<author>Author %d of %d</author>", a, i)
+		}
+		fmt.Fprintf(&sb, "<title>Shard Drift %d</title><year>%d</year></article>", i, 1990+i%10)
+	}
+	sb.WriteString("</bib>")
+	body := sb.String()
+
+	mem := newTestServer(t)
+	dur, _ := openDurableServer(t, t.TempDir())
+	const q = `{"terms":["Author","199"],"exclude_root":true}`
+	put := func(s *Server, path string, length int64) docInfo {
+		t.Helper()
+		req := httptest.NewRequest("PUT", path, strings.NewReader(body))
+		req.ContentLength = length
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusCreated {
+			t.Fatalf("PUT %s: %d %s", path, rec.Code, rec.Body)
+		}
+		return decode[docInfo](t, rec)
+	}
+
+	put(mem, "/v1/docs/big?shards=4", int64(len(body)))
+	put(dur, "/v1/docs/big?shards=4", int64(len(body)))
+	want := shardNodes(t, mem, "big")
+	if len(want) != 4 {
+		t.Fatalf("in-memory shards = %v, want 4 of them", want)
+	}
+	if got := shardNodes(t, dur, "big"); !reflect.DeepEqual(got, want) {
+		t.Errorf("shard node counts differ: durable %v, in-memory %v", got, want)
+	}
+	memAns := decode[wire.Response](t, do(t, mem, "POST", "/v2/query", q)).Result
+	durAns := decode[wire.Response](t, do(t, dur, "POST", "/v2/query", q)).Result
+	if len(memAns) == 0 || !bytes.Equal(memAns, durAns) {
+		t.Errorf("corpus-wide result differs between the two nodes (%d vs %d bytes)", len(memAns), len(durAns))
+	}
+
+	// Without Content-Length the size is unknown, so both nodes stream
+	// under the 8 MiB budget — which this body fits in whole.
+	for _, s := range []*Server{mem, dur} {
+		if info := put(s, "/v1/docs/chunked?shards=4", -1); info.Shards != 1 {
+			t.Errorf("chunked upload: %d shards, want the streaming policy's 1", info.Shards)
+		}
+	}
+	if got, want := shardNodes(t, dur, "chunked"), shardNodes(t, mem, "chunked"); !reflect.DeepEqual(got, want) {
+		t.Errorf("chunked shard node counts differ: durable %v, in-memory %v", got, want)
 	}
 }
 

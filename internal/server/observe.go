@@ -14,7 +14,6 @@ package server
 import (
 	"time"
 
-	"ncq/internal/durable"
 	"ncq/internal/metrics"
 )
 
@@ -56,14 +55,9 @@ func (s *Server) initObservability() {
 
 	s.cache.Register(reg)
 
-	// Durability series sample the attached store; without -data-dir
-	// they expose zeros, keeping the scrape surface stable.
-	durableStats := func() durable.Stats {
-		if s.store == nil {
-			return durable.Stats{}
-		}
-		return s.store.Stats()
-	}
+	// Durability series sample the writer; without -data-dir its
+	// counters stay zero, keeping the scrape surface stable.
+	durableStats := s.docs.Stats
 	reg.CounterFunc("ncq_wal_appends_total",
 		"Mutation records appended to the write-ahead log.",
 		func() float64 { return float64(durableStats().WAL.Appends) })

@@ -64,7 +64,7 @@ type Server struct {
 	role       string
 	logger     *slog.Logger
 	limiter    *admission.Limiter
-	store      *durable.Store
+	docs       durable.Writer // every PUT and DELETE goes through it
 	mux        *http.ServeMux
 	started    time.Time
 
@@ -160,7 +160,7 @@ func WithAdmission(maxConcurrent, maxQueue int, wait time.Duration) Option {
 // only after its eviction is logged. Queries are unaffected — they
 // read the in-memory corpus as before.
 func WithDurability(store *durable.Store) Option {
-	return func(s *Server) { s.store = store }
+	return func(s *Server) { s.docs = store }
 }
 
 // New builds a Server around corpus (a fresh empty corpus when nil).
@@ -170,6 +170,7 @@ func New(corpus *ncq.Corpus, opts ...Option) *Server {
 	}
 	s := &Server{
 		corpus:     corpus,
+		docs:       durable.InMemory(corpus),
 		cacheBytes: defaultCacheBytes,
 		maxBody:    defaultMaxBody,
 		nodeName:   "ncqd",

@@ -14,10 +14,14 @@
 // throughout its DBLP case study). Contiguity preserves document order
 // inside every shard, so per-shard answers and OIDs stay meaningful.
 //
-// Shards are balanced by node count with a greedy contiguous
-// partition: each shard takes children until it reaches its fair share
-// of the nodes still unassigned. A single oversized subtree therefore
-// becomes a shard of its own rather than dragging neighbours along.
+// Two policies place the cuts. Split works on a parsed tree and
+// balances shards by node count with a greedy contiguous partition:
+// each shard takes children until it reaches its fair share of the
+// nodes still unassigned, so a single oversized subtree becomes a shard
+// of its own rather than dragging neighbours along. SplitStream cuts by
+// input bytes while the parse is still running, for bodies too large —
+// or of unknown size — to hold whole. Which one a given input gets is
+// not decided here: ncq.OpenSharded picks, from the input's size alone.
 package shard
 
 import (

@@ -13,15 +13,33 @@ import (
 // not distinguished: any non-whitespace character data becomes a cdata
 // node. Adjacent character-data tokens (as produced by entity
 // references) are merged into a single node. Comments, processing
-// instructions and directives are skipped. Namespace prefixes are kept
-// verbatim as part of the label, since the paper's model is purely
-// label-based.
-func Parse(r io.Reader) (*Document, error) {
+// instructions and directives are skipped. Namespace prefixes are
+// dropped: the paper's model is purely label-based, so local names
+// suffice.
+func Parse(r io.Reader) (doc *Document, err error) {
+	err = ParseSplit(r, nil, func(d *Document) error { doc = d; return nil })
+	return doc, err
+}
+
+// ParseSplit is the one token loop every XML body goes through: Parse
+// with the option of delivering the document in parts. cut is consulted
+// at each boundary between two top-level children of the root — never
+// deeper, where a cut would take nodes from their ancestors — with the
+// number of input bytes the part under construction spans; when it says
+// yes, the children parsed so far are emitted as a document of their
+// own under a copy of the root (label and attributes) and the next part
+// starts empty. The last part is emitted at the end of input; no part is
+// emitted without children unless it is the whole document, which is
+// what a nil cut delivers. An error from emit aborts the parse and is
+// returned as is.
+func ParseSplit(r io.Reader, cut func(span int64) bool, emit func(*Document) error) error {
 	dec := xml.NewDecoder(r)
 	var (
 		b       *Builder
 		stack   []*Node
 		pending strings.Builder
+		start   int64 // input offset at which the part under construction began
+		parts   int   // parts emitted so far
 	)
 	flushText := func() {
 		if pending.Len() == 0 {
@@ -36,46 +54,75 @@ func Parse(r io.Reader) (*Document, error) {
 		}
 		b.Text(stack[len(stack)-1], text)
 	}
+	finish := func() error {
+		d, err := b.Done()
+		if err != nil {
+			return err
+		}
+		parts++
+		return emit(d)
+	}
+	boundary := func() error {
+		if cut == nil || len(stack) != 1 || len(b.Root().Children) == 0 || !cut(dec.InputOffset()-start) {
+			return nil
+		}
+		root := b.Root()
+		if err := finish(); err != nil {
+			return err
+		}
+		b = NewBuilder(root.Label)
+		b.Root().Attrs = append([]Attr(nil), root.Attrs...)
+		stack[0] = b.Root()
+		start = dec.InputOffset()
+		return nil
+	}
 	for {
 		tok, err := dec.Token()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("xmltree: parse at byte %d: %w", dec.InputOffset(), err)
+			return fmt.Errorf("xmltree: parse at byte %d: %w", dec.InputOffset(), err)
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			label := flatName(t.Name)
+			label := t.Name.Local
 			if label == CDataLabel {
-				return nil, fmt.Errorf("xmltree: parse at byte %d: element uses reserved label %q",
+				return fmt.Errorf("xmltree: parse at byte %d: element uses reserved label %q",
 					dec.InputOffset(), CDataLabel)
 			}
 			attrs := make([]Attr, 0, len(t.Attr))
 			for _, a := range t.Attr {
-				attrs = append(attrs, Attr{flatName(a.Name), a.Value})
+				attrs = append(attrs, Attr{a.Name.Local, a.Value})
 			}
 			if b == nil {
 				b = NewBuilder(label)
 				b.Root().Attrs = attrs
 				stack = append(stack, b.Root())
+				start = dec.InputOffset()
 				continue
 			}
 			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: parse at byte %d: multiple root elements", dec.InputOffset())
+				return fmt.Errorf("xmltree: parse at byte %d: multiple root elements", dec.InputOffset())
 			}
 			flushText()
+			if err := boundary(); err != nil {
+				return err
+			}
 			n := b.Element(stack[len(stack)-1], label, attrs...)
 			if err := b.Err(); err != nil {
-				return nil, fmt.Errorf("xmltree: parse at byte %d: %w", dec.InputOffset(), err)
+				return fmt.Errorf("xmltree: parse at byte %d: %w", dec.InputOffset(), err)
 			}
 			stack = append(stack, n)
 		case xml.EndElement:
 			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: parse: unbalanced end element %s", flatName(t.Name))
+				return fmt.Errorf("xmltree: parse: unbalanced end element %s", t.Name.Local)
 			}
 			flushText()
 			stack = stack[:len(stack)-1]
+			if err := boundary(); err != nil {
+				return err
+			}
 		case xml.CharData:
 			if b != nil && len(stack) > 0 {
 				pending.Write(t)
@@ -85,20 +132,18 @@ func Parse(r io.Reader) (*Document, error) {
 		}
 	}
 	if b == nil {
-		return nil, fmt.Errorf("xmltree: parse: empty document")
+		return fmt.Errorf("xmltree: parse: empty document")
 	}
 	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmltree: parse: %d unclosed element(s)", len(stack))
+		return fmt.Errorf("xmltree: parse: %d unclosed element(s)", len(stack))
 	}
-	return b.Done()
+	if parts > 0 && len(b.Root().Children) == 0 {
+		return nil // the last cut fell after the last child: nothing is left to emit
+	}
+	return finish()
 }
 
 // ParseString is Parse on a string; convenient in tests and examples.
 func ParseString(s string) (*Document, error) {
 	return Parse(strings.NewReader(s))
 }
-
-// flatName renders an xml.Name with its namespace prefix dropped and
-// the space kept only when it looks like a prefix URI is absent. The
-// paper's model has no namespaces, so local names suffice.
-func flatName(n xml.Name) string { return n.Local }

@@ -178,22 +178,6 @@ func (c *Corpus) RunStream(ctx context.Context, req Request, yield func(CorpusMe
 	return streamMeets(ctx, c, req, yield)
 }
 
-// resolve returns the fan-out units of the request — the whole
-// membership, or the shards of the named member — plus the corpus
-// generation the snapshot was taken at (the staleness mark of minted
-// cursors).
-func (c *Corpus) resolve(doc string) ([]member, int, uint64, error) {
-	if doc == "" {
-		members, workers, gen := c.snapshot()
-		return members, workers, gen, nil
-	}
-	members, workers, gen, found := c.memberOf(doc)
-	if !found {
-		return nil, 0, 0, fmt.Errorf("ncq: corpus: %w %q", ErrUnknownDoc, doc)
-	}
-	return members, workers, gen, nil
-}
-
 // runQuery evaluates a query-language request: parsed once, evaluated
 // per member concurrently, shard answers merged per logical name.
 func (c *Corpus) runQuery(ctx context.Context, req Request) (*Result, error) {
