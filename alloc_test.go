@@ -10,6 +10,7 @@ package ncq
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"ncq/internal/datagen"
@@ -154,5 +155,28 @@ func TestTopKRendersOnlyYielded(t *testing.T) {
 	}
 	if want := limit + members; smallRendered != want || largeRendered != want {
 		t.Errorf("rendered %d of %d and %d of %d candidates, want %d both times", smallRendered, small, largeRendered, large, want)
+	}
+}
+
+// TestPutDocAllocCeiling pins what a plain upload allocates: the call
+// PUT /v1/docs/{name} makes, OpenSharded with one shard, on a fixed
+// 9 k-node DBLP document. Shredding inside the parse — no token
+// objects, no tree, no edge or rank relations — measures 18.4 k
+// allocations, two per node: its string and its share of the index;
+// through encoding/xml and a tree it was 69.2 k. The ceiling is that
+// measurement plus a fifth.
+func TestPutDocAllocCeiling(t *testing.T) {
+	allocDB(t) // the skip rules of this file
+	doc := datagen.DBLP(datagen.DBLPConfig{Seed: 1, YearFrom: 1996, YearTo: 1999, PubsPerVenueYear: 30})
+	src := doc.XMLString()
+	got := testing.AllocsPerRun(5, func() {
+		dbs, err := OpenSharded(strings.NewReader(src), int64(len(src)), 1)
+		if err != nil || len(dbs) != 1 || dbs[0].Len() != doc.Len() {
+			t.Fatalf("OpenSharded: %d databases, err = %v", len(dbs), err)
+		}
+	})
+	t.Logf("%d nodes, %d bytes: %.0f allocations", doc.Len(), len(src), got)
+	if got > 22100 {
+		t.Errorf("a plain upload of %d nodes allocates %.0f, pinned at <= 22100", doc.Len(), got)
 	}
 }

@@ -134,17 +134,14 @@ const (
 // picks how the shards are cut. k <= 1 yields the one database Open
 // returns. A known size of at most 4 MiB is parsed whole, split by node
 // count (shard.Split) and its shards loaded in parallel. Anything else
-// streams through shard.SplitStream, which cuts a shard every size/k
-// input bytes (every 8 MiB when the size is unknown), so the body is
-// never held whole. Register the result with Put when k <= 1 and with
+// streams under shard.StreamCut, SplitStream's policy: a shard is cut
+// every size/k input bytes (every 8 MiB when the size is unknown) and
+// shredded as it is parsed, so neither the body nor a tree is ever
+// held whole. Register the result with Put when k <= 1 and with
 // AddShardDBs otherwise.
 func OpenSharded(r io.Reader, size int64, k int) ([]*Database, error) {
 	if k <= 1 {
-		db, err := Open(r)
-		if err != nil {
-			return nil, err
-		}
-		return []*Database{db}, nil
+		return openParts(r, nil)
 	}
 	if size >= 0 && size <= splitBufferedMax {
 		doc, err := ParseDocument(r)
@@ -157,19 +154,7 @@ func OpenSharded(r io.Reader, size int64, k int) ([]*Database, error) {
 	if size > 0 {
 		budget = size / int64(k)
 	}
-	var dbs []*Database
-	_, err := shard.SplitStream(r, budget, k, func(d *xmltree.Document) error {
-		db, err := FromDocument(d)
-		if err != nil {
-			return err
-		}
-		dbs = append(dbs, db)
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("ncq: %w", err)
-	}
-	return dbs, nil
+	return openParts(r, shard.StreamCut(budget, k))
 }
 
 // splitAndLoad splits doc into at most k node-balanced shards and loads

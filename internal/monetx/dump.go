@@ -41,7 +41,7 @@ func (s *Store) DumpTransform(w io.Writer, limit int) error {
 			}
 			continue
 		}
-		rel := s.edges[pid]
+		rel := s.Edges(pid)
 		if rel == nil { // the root path has no incoming edges
 			if _, err := fmt.Fprintf(bw, "%s = {⟨root,o%d⟩}\n", sum.String(pid), s.root); err != nil {
 				return err

@@ -14,10 +14,9 @@ import (
 
 // Snapshots persist a loaded store without the XML parse and shred: the
 // path summary, the per-OID arrays and the string relations are written
-// in a little-endian binary format; everything else (edge relations,
-// rank relations, the per-path OID lists) is derivable from those and
-// rebuilt on read. The snapshot of a store reloads into a store that
-// answers every query identically.
+// in a little-endian binary format; the per-path OID lists are derived
+// from those on read, as they are on load. The snapshot of a store
+// reloads into a store that answers every query identically.
 //
 // Layout (all integers little-endian):
 //
@@ -372,44 +371,24 @@ func readSnapshot(r io.Reader) (*Store, int, int, error) {
 		depth:   depth,
 		rank:    rank,
 		end:     make([]bat.OID, n),
-		edges:   make(map[pathsum.PathID]*bat.BAT[bat.OID]),
-		strs:    make(map[pathsum.PathID]*bat.BAT[string]),
-		ranks:   make(map[pathsum.PathID]*bat.BAT[int]),
-		revEdge: make(map[pathsum.PathID]*bat.BAT[bat.OID]),
-		oidsAt:  make(map[pathsum.PathID][]bat.OID),
 		root:    bat.OID(rootU),
 	}
+	// Navigation walks parent chains upwards and preorder intervals
+	// forwards: both must make progress and stay inside the arrays.
 	for i := 0; i < n; i++ {
-		if int(parent[i]) >= n {
-			return nil, 0, 0, fmt.Errorf("OID %d has out-of-range parent %d", i, parent[i])
+		if int(parent[i]) >= max(i, 1) {
+			return nil, 0, 0, fmt.Errorf("OID %d has parent %d, not an earlier node", i, parent[i])
 		}
 		s.parent[i] = bat.OID(parent[i])
 		if i > 0 && (pathOf[i] < 0 || int(pathOf[i]) >= nPaths) {
 			return nil, 0, 0, fmt.Errorf("OID %d has unknown path %d", i, pathOf[i])
 		}
 		s.pathOf[i] = pathsum.PathID(pathOf[i])
+		if i > 0 && (int(end[i]) < i || int(end[i]) >= n) {
+			return nil, 0, 0, fmt.Errorf("OID %d has subtree end %d outside %d..%d", i, end[i], i, n-1)
+		}
 		s.end[i] = bat.OID(end[i])
 	}
-	// Rebuild the derived relations in OID (= document) order.
-	for oid := bat.OID(1); int(oid) < n; oid++ {
-		pid := s.pathOf[oid]
-		s.oidsAt[pid] = append(s.oidsAt[pid], oid)
-		if p := s.parent[oid]; p != bat.Nil {
-			e := s.edges[pid]
-			if e == nil {
-				e = bat.New[bat.OID](s.summary.String(pid))
-				s.edges[pid] = e
-			}
-			e.Append(p, oid)
-		}
-		rk := s.ranks[pid]
-		if rk == nil {
-			rk = bat.New[int](s.summary.String(pid) + "#rank")
-			s.ranks[pid] = rk
-		}
-		rk.Append(oid, int(s.rank[oid]))
-	}
-
 	nRelsU, err := sr.u32()
 	if err != nil {
 		return nil, 0, 0, err
@@ -458,5 +437,6 @@ func readSnapshot(r io.Reader) (*Store, int, int, error) {
 	if !s.ValidOID(s.root) || s.root != 1 {
 		return nil, 0, 0, fmt.Errorf("bad root %d", s.root)
 	}
+	s.seal()
 	return s, int(shardU), int(shardsU), nil
 }

@@ -4,21 +4,28 @@
 //
 // For a document d, the store holds
 //
-//   - one edge relation per element path p: pairs (parentOID, childOID)
-//     for every node whose path is p,
 //   - one string relation per attribute path: pairs (ownerOID, value);
 //     character data is the attribute "string" of cdata nodes, so the
 //     relation /…/cdata@string holds the text (paper Figure 2),
-//   - one rank relation per element path: pairs (oid, siblingRank),
-//     preserving the topology (Definition 1's rank),
+//   - per element path, the OIDs of the nodes at that path in document
+//     order,
+//   - the per-OID arrays parent, path, depth, rank and subtree-end,
 //   - the path summary as the catalogue of all relations.
 //
-// In addition the store materialises the per-OID arrays parent, path,
-// depth and subtree-end. The paper assumes path(o) is derivable from an
-// OID "for free" (citing functional-join techniques [8]); the arrays
-// are this reproduction's equivalent. The join-based navigation the
-// paper actually executes inside Monet is also available (LiftBAT,
-// ParentBAT) and is exercised by the ablation benchmarks.
+// The paper assumes path(o) is derivable from an OID "for free" (citing
+// functional-join techniques [8]); the arrays are this reproduction's
+// equivalent. Figure 2's other two relation families — one edge
+// relation (parentOID, childOID) and one rank relation (oid,
+// siblingRank) per element path — say nothing the OID lists and the
+// arrays do not, so they are not stored: Edges, Ranks and ParentBAT
+// build each relation from those on first use and keep it. The
+// join-based navigation the paper executes inside Monet (LiftBAT,
+// ParentBAT) runs on these views and is exercised by the ablation
+// benchmarks; Stats counts the associations of all four families, as
+// Figure 2 does, and the bytes of what is resident.
+//
+// One piece of code writes the columns: Loader, an xmltree.Sink, fed by
+// the parser directly (no tree is built) or by Load's walk over a tree.
 package monetx
 
 import (
@@ -45,115 +52,114 @@ type Store struct {
 	rank   []int32
 	end    []bat.OID // largest OID in the node's subtree (preorder interval)
 
-	// Path-partitioned relations.
-	edges  map[pathsum.PathID]*bat.BAT[bat.OID] // child path -> (parent, child)
-	strs   map[pathsum.PathID]*bat.BAT[string]  // attr path  -> (owner, value)
-	ranks  map[pathsum.PathID]*bat.BAT[int]     // elem path  -> (oid, rank)
-	oidsAt map[pathsum.PathID][]bat.OID         // elem path  -> member OIDs in doc order
+	// Path-partitioned columns, indexed by PathID and as long as the
+	// summary: strs is nil at element paths, oidsAt at attribute paths.
+	strs   []*bat.BAT[string] // attr path -> (owner, value)
+	oidsAt [][]bat.OID        // elem path -> member OIDs in doc order
 
-	// revEdge caches reversed edge relations (the parent function as a
-	// BAT), built lazily under revMu so that a loaded store is safe for
+	strBytes int   // bytes of character data in strs
+	stats    Stats // computed once, by seal
+
+	// The edge, rank and parent relations of Figure 2, built per path
+	// on first use under viewMu so that a loaded store is safe for
 	// concurrent readers.
-	revMu   sync.Mutex
-	revEdge map[pathsum.PathID]*bat.BAT[bat.OID]
+	viewMu  sync.Mutex
+	edges   map[pathsum.PathID]*bat.BAT[bat.OID] // child path -> (parent, child)
+	ranks   map[pathsum.PathID]*bat.BAT[int]     // elem path  -> (oid, rank)
+	revEdge map[pathsum.PathID]*bat.BAT[bat.OID] // child path -> (child, parent)
 
 	root bat.OID
 }
 
-// Load shreds doc into a Store. The document must satisfy
-// xmltree.Document.Validate; Load re-checks the cheap invariants it
-// depends on and reports the first violation.
+// Load shreds doc into a Store by walking it into a Loader. The
+// document must satisfy xmltree.Document.Validate; Load re-checks the
+// cheap invariant it depends on — preorder OIDs, which the loader
+// assigns by counting — and reports the first violation.
 func Load(doc *xmltree.Document) (*Store, error) {
 	if doc == nil || doc.Root == nil {
 		return nil, fmt.Errorf("monetx: load: nil document")
 	}
-	n := doc.Len()
-	s := &Store{
-		summary: pathsum.New(),
-		parent:  make([]bat.OID, n+1),
-		pathOf:  make([]pathsum.PathID, n+1),
-		depth:   make([]int32, n+1),
-		rank:    make([]int32, n+1),
-		end:     make([]bat.OID, n+1),
-		edges:   make(map[pathsum.PathID]*bat.BAT[bat.OID]),
-		strs:    make(map[pathsum.PathID]*bat.BAT[string]),
-		ranks:   make(map[pathsum.PathID]*bat.BAT[int]),
-		revEdge: make(map[pathsum.PathID]*bat.BAT[bat.OID]),
-		oidsAt:  make(map[pathsum.PathID][]bat.OID),
-		root:    doc.Root.OID,
-	}
-	var loadErr error
-	var rec func(node *xmltree.Node, parentPath pathsum.PathID) bool
-	rec = func(node *xmltree.Node, parentPath pathsum.PathID) bool {
-		if int(node.OID) <= 0 || int(node.OID) > n {
-			loadErr = fmt.Errorf("monetx: load: node OID %d out of range 1..%d", node.OID, n)
-			return false
+	var s *Store
+	l := NewLoader(func(loaded *Store) error { s = loaded; return nil })
+	l.sizeHint = doc.Len()
+	next := bat.OID(1)
+	var walk func(node *xmltree.Node) error
+	walk = func(node *xmltree.Node) error {
+		if node.OID != next {
+			return fmt.Errorf("monetx: load: node OID %d out of document order, want %d", node.OID, next)
 		}
-		pid, err := s.summary.Intern(parentPath, node.Label, pathsum.Elem)
-		if err != nil {
-			loadErr = fmt.Errorf("monetx: load: %w", err)
-			return false
+		next++
+		if node.Kind == xmltree.CData {
+			return l.Text(node.Text)
 		}
-		s.pathOf[node.OID] = pid
-		s.depth[node.OID] = int32(node.Depth)
-		s.rank[node.OID] = int32(node.Rank)
-		s.end[node.OID] = node.End
-		s.oidsAt[pid] = append(s.oidsAt[pid], node.OID)
-
-		if node.Parent != nil {
-			s.parent[node.OID] = node.Parent.OID
-			edge := s.edges[pid]
-			if edge == nil {
-				edge = bat.New[bat.OID](s.summary.String(pid))
-				s.edges[pid] = edge
-			}
-			edge.Append(node.Parent.OID, node.OID)
-		}
-		rk := s.ranks[pid]
-		if rk == nil {
-			rk = bat.New[int](s.summary.String(pid) + "#rank")
-			s.ranks[pid] = rk
-		}
-		rk.Append(node.OID, node.Rank)
-
-		switch node.Kind {
-		case xmltree.CData:
-			apid, err := s.summary.Intern(pid, StringAttr, pathsum.Attr)
-			if err != nil {
-				loadErr = fmt.Errorf("monetx: load: %w", err)
-				return false
-			}
-			s.appendString(apid, node.OID, node.Text)
-		case xmltree.Element:
-			for _, a := range node.Attrs {
-				apid, err := s.summary.Intern(pid, a.Name, pathsum.Attr)
-				if err != nil {
-					loadErr = fmt.Errorf("monetx: load: %w", err)
-					return false
-				}
-				s.appendString(apid, node.OID, a.Value)
-			}
+		if err := l.Start(node.Label, node.Attrs); err != nil {
+			return err
 		}
 		for _, c := range node.Children {
-			if !rec(c, pid) {
-				return false
+			if err := walk(c); err != nil {
+				return err
 			}
 		}
-		return true
+		return l.End()
 	}
-	if !rec(doc.Root, pathsum.Invalid) {
-		return nil, loadErr
+	if err := walk(doc.Root); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
 func (s *Store) appendString(apid pathsum.PathID, owner bat.OID, value string) {
+	for int(apid) >= len(s.strs) {
+		s.strs = append(s.strs, nil)
+	}
 	b := s.strs[apid]
 	if b == nil {
 		b = bat.New[string](s.summary.String(apid))
 		s.strs[apid] = b
 	}
 	b.Append(owner, value)
+	s.strBytes += len(value)
+}
+
+// seal completes a store whose per-OID arrays and string relations are
+// written: it derives the per-path OID lists — slices of one array of
+// every OID, grouped by path, in document order within a path — and
+// computes Stats, once; the writer knows everything they report.
+// Associations counts the relations of Figure 2 whether stored or
+// derived: an edge per node but the root, a rank per node, and the
+// strings. MemBytes counts what is resident: the five per-OID arrays,
+// the OID lists, the string relations and their character data — not
+// the views, which most stores never build.
+func (s *Store) seal() {
+	n, nPaths := s.Len(), s.summary.Len()
+	for len(s.strs) < nPaths {
+		s.strs = append(s.strs, nil)
+	}
+	counts := make([]int, nPaths)
+	for _, pid := range s.pathOf[1:] {
+		counts[pid]++
+	}
+	st := Stats{Nodes: n, Paths: nPaths, Associations: 2*n - 1, EdgeRelations: -1}
+	s.oidsAt = make([][]bat.OID, nPaths)
+	all := make([]bat.OID, n)
+	for pid, c := range counts {
+		if c > 0 {
+			s.oidsAt[pid], all = all[:0:c], all[c:]
+			st.EdgeRelations++ // every populated element path but the root's
+		}
+	}
+	for i, pid := range s.pathOf[1:] {
+		s.oidsAt[pid] = append(s.oidsAt[pid], bat.OID(i+1))
+	}
+	for _, b := range s.strs {
+		if b != nil {
+			st.StrRelations++
+			st.Associations += b.Len()
+			st.MemBytes += b.MemBytes()
+		}
+	}
+	st.MemBytes += s.strBytes + 5*4*len(s.parent) + 4*n
+	s.stats = st
 }
 
 // Summary returns the path summary (the relation catalogue).
@@ -209,39 +215,68 @@ func (s *Store) ContainsViaJoins(ancestor, descendant bat.OID) bool {
 	return false
 }
 
+// view returns the relation of element path p kept in *memo, building
+// it on first use: one pair per node at p in document order, named —
+// as every relation of the transform is — by the path. skipRoot
+// leaves out the root path, whose one node has no incoming edge. Safe
+// for concurrent callers, who all get the same BAT.
+func view[T comparable](s *Store, memo *map[pathsum.PathID]*bat.BAT[T], p pathsum.PathID, skipRoot bool, pair func(o bat.OID) (bat.OID, T)) *bat.BAT[T] {
+	oids := s.OIDsAt(p)
+	if len(oids) == 0 || skipRoot && oids[0] == s.root {
+		return nil
+	}
+	s.viewMu.Lock()
+	defer s.viewMu.Unlock()
+	if b, ok := (*memo)[p]; ok {
+		return b
+	}
+	b := bat.NewWithCapacity[T](s.summary.String(p), len(oids))
+	for _, o := range oids {
+		b.Append(pair(o))
+	}
+	if *memo == nil {
+		*memo = make(map[pathsum.PathID]*bat.BAT[T])
+	}
+	(*memo)[p] = b
+	return b
+}
+
 // Edges returns the edge relation of the given element path: pairs
 // (parentOID, childOID) for every node at that path. It is nil for the
 // root path (the root has no incoming edge) and for unknown paths.
-func (s *Store) Edges(p pathsum.PathID) *bat.BAT[bat.OID] { return s.edges[p] }
+func (s *Store) Edges(p pathsum.PathID) *bat.BAT[bat.OID] {
+	return view(s, &s.edges, p, true, func(o bat.OID) (bat.OID, bat.OID) { return s.parent[o], o })
+}
 
 // Strings returns the string relation of the given attribute path:
 // pairs (ownerOID, value). Nil for unknown paths.
-func (s *Store) Strings(p pathsum.PathID) *bat.BAT[string] { return s.strs[p] }
+func (s *Store) Strings(p pathsum.PathID) *bat.BAT[string] {
+	if p < 0 || int(p) >= len(s.strs) {
+		return nil
+	}
+	return s.strs[p]
+}
 
-// Ranks returns the rank relation of the given element path.
-func (s *Store) Ranks(p pathsum.PathID) *bat.BAT[int] { return s.ranks[p] }
+// Ranks returns the rank relation of the given element path: pairs
+// (oid, siblingRank).
+func (s *Store) Ranks(p pathsum.PathID) *bat.BAT[int] {
+	return view(s, &s.ranks, p, false, func(o bat.OID) (bat.OID, int) { return o, int(s.rank[o]) })
+}
 
 // OIDsAt returns the OIDs of all nodes at path p in document order.
 // The returned slice must not be modified.
-func (s *Store) OIDsAt(p pathsum.PathID) []bat.OID { return s.oidsAt[p] }
-
-// ParentBAT returns the child→parent relation for nodes at path p,
-// materialised lazily by reversing the edge relation. It is the
-// relational form of the parent function used in the paper's Figures
-// 4 and 5. Safe for concurrent callers.
-func (s *Store) ParentBAT(p pathsum.PathID) *bat.BAT[bat.OID] {
-	s.revMu.Lock()
-	defer s.revMu.Unlock()
-	if r, ok := s.revEdge[p]; ok {
-		return r
-	}
-	e := s.edges[p]
-	if e == nil {
+func (s *Store) OIDsAt(p pathsum.PathID) []bat.OID {
+	if p < 0 || int(p) >= len(s.oidsAt) {
 		return nil
 	}
-	r := bat.Reverse(e)
-	s.revEdge[p] = r
-	return r
+	return s.oidsAt[p]
+}
+
+// ParentBAT returns the child→parent relation for nodes at path p —
+// the edge relation reversed, the relational form of the parent
+// function used in the paper's Figures 4 and 5.
+func (s *Store) ParentBAT(p pathsum.PathID) *bat.BAT[bat.OID] {
+	return view(s, &s.revEdge, p, true, func(o bat.OID) (bat.OID, bat.OID) { return o, s.parent[o] })
 }
 
 // LiftBAT lifts an association BAT a = (provenance, current) whose
@@ -292,66 +327,43 @@ func (s *Store) AttrValue(o bat.OID, name string) (string, bool) {
 func (s *Store) DocBefore(a, b bat.OID) bool { return a < b }
 
 // NextSibling returns the sibling immediately following o in document
-// order, or bat.Nil when o is the last child (or the root).
+// order, or bat.Nil when o is the last child (or the root): the node
+// after o's subtree, if the parent's subtree reaches that far.
 func (s *Store) NextSibling(o bat.OID) bat.OID {
-	return s.siblingAt(o, int(s.rank[o])+1)
+	if p := s.parent[o]; p != bat.Nil && s.end[o] < s.end[p] {
+		return s.end[o] + 1
+	}
+	return bat.Nil
 }
 
 // PrevSibling returns the sibling immediately preceding o, or bat.Nil
-// when o is the first child (or the root).
+// when o is the first child (or the root): the child of o's parent
+// whose subtree ends just before o.
 func (s *Store) PrevSibling(o bat.OID) bat.OID {
-	return s.siblingAt(o, int(s.rank[o])-1)
-}
-
-func (s *Store) siblingAt(o bat.OID, rank int) bat.OID {
 	p := s.parent[o]
-	if p == bat.Nil || rank < 1 {
+	if p == bat.Nil || o == p+1 {
 		return bat.Nil
 	}
-	kids := s.Children(p)
-	if rank > len(kids) {
-		return bat.Nil
+	c := o - 1
+	for c != bat.Nil && s.parent[c] != p {
+		c = s.parent[c]
 	}
-	return kids[rank-1]
+	return c
 }
 
-// Children returns the child OIDs of o in document order, recovered
-// from the edge relations of o's child paths.
+// Children returns the child OIDs of o in document order, read off the
+// preorder interval: the first child follows o, each next one follows
+// its predecessor's subtree, until o's own subtree ends.
 func (s *Store) Children(o bat.OID) []bat.OID {
-	pid := s.pathOf[o]
 	var out []bat.OID
-	for _, cpid := range s.summary.Children(pid) {
-		if e := s.edges[cpid]; e != nil {
-			out = append(out, e.FindAll(o)...)
-		}
-	}
-	// Children from different paths interleave in document order;
-	// restore it by rank.
-	if len(out) > 1 {
-		byRank := make([]bat.OID, len(out)+1)
-		max := 0
-		for _, c := range out {
-			r := int(s.rank[c])
-			for r >= len(byRank) {
-				byRank = append(byRank, bat.Nil)
-			}
-			byRank[r] = c
-			if r > max {
-				max = r
-			}
-		}
-		out = out[:0]
-		for r := 1; r <= max; r++ {
-			if byRank[r] != bat.Nil {
-				out = append(out, byRank[r])
-			}
-		}
+	for c := o + 1; c <= s.end[o]; c = s.end[c] + 1 {
+		out = append(out, c)
 	}
 	return out
 }
 
 // Stats summarises the store: node, relation and association counts
-// plus an estimate of column memory. The paper reports its servers'
+// plus the bytes of its resident columns. The paper reports its servers'
 // memory needs; Stats lets the benchmarks do the same.
 type Stats struct {
 	Nodes         int
@@ -362,29 +374,6 @@ type Stats struct {
 	MemBytes      int
 }
 
-// Stats computes storage statistics.
-func (s *Store) Stats() Stats {
-	st := Stats{
-		Nodes: s.Len(),
-		Paths: s.summary.Len(),
-	}
-	for _, e := range s.edges {
-		st.EdgeRelations++
-		st.Associations += e.Len()
-		st.MemBytes += e.MemBytes()
-	}
-	for _, b := range s.strs {
-		st.StrRelations++
-		st.Associations += b.Len()
-		st.MemBytes += b.MemBytes()
-		for i := 0; i < b.Len(); i++ {
-			st.MemBytes += len(b.Tail(i))
-		}
-	}
-	for _, r := range s.ranks {
-		st.Associations += r.Len()
-		st.MemBytes += r.MemBytes()
-	}
-	st.MemBytes += 4 * len(s.parent) * 4 // parent, pathOf, depth, end arrays
-	return st
-}
+// Stats returns the storage statistics, computed when the store was
+// loaded or read.
+func (s *Store) Stats() Stats { return s.stats }

@@ -134,14 +134,39 @@ func TestPutDoc(t *testing.T) {
 	}
 }
 
+// TestPutDocMalformedXML: whatever the parser refuses (the table is
+// xmltree's TestParseRefusals; these are its kinds) is a 400 whose
+// message carries the input offset, on the plain and the sharded door,
+// and registers nothing.
 func TestPutDocMalformedXML(t *testing.T) {
 	s := newTestServer(t)
-	rec := do(t, s, "PUT", "/v1/docs/bad", "<unclosed>")
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("status = %d", rec.Code)
+	for _, body := range []string{
+		"<unclosed>",
+		"<a><b></a>",
+		"<a><x:b></y:b></a>",
+		"<a>&nbsp;</a>",
+		`<a x="<"/>`,
+		"<a x=1/>",
+		"<a>]]></a>",
+		"<a>\xff</a>",
+		"<a>\x01</a>",
+		`<?xml version="1.0" encoding="ISO-8859-1"?><a/>`,
+		"<a><cdata>x</cdata></a>",
+		"<a/><b/>",
+		"",
+	} {
+		for _, target := range []string{"/v1/docs/bad", "/v1/docs/bad?shards=2"} {
+			rec := do(t, s, "PUT", target, body)
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("PUT %s %q: status = %d, want 400", target, body, rec.Code)
+			}
+			if e := decode[errorResponse](t, rec); !strings.HasPrefix(e.Error, "parse document: ncq: xmltree: parse at byte ") {
+				t.Errorf("PUT %s %q: error = %q", target, body, e.Error)
+			}
+		}
 	}
-	if e := decode[errorResponse](t, rec); !strings.Contains(e.Error, "parse document") {
-		t.Errorf("error = %q", e.Error)
+	if s.corpus.Len() != 0 {
+		t.Errorf("refused uploads registered %d document(s)", s.corpus.Len())
 	}
 }
 

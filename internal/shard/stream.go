@@ -24,18 +24,28 @@ import (
 // matches Split: with ExcludeRoot set, the union of per-shard answers
 // equals the unsharded document's answers.
 func SplitStream(r io.Reader, budget int64, k int, emit func(*xmltree.Document) error) (int, error) {
+	emitted := 0
+	err := xmltree.ParseSplit(r, StreamCut(budget, k), xmltree.Documents(func(d *xmltree.Document) error {
+		emitted++
+		return emit(d)
+	}))
+	return emitted, err
+}
+
+// StreamCut is SplitStream's policy on its own, for xmltree.ParseSplit
+// into any sink — ncq.OpenSharded's is the store loader, so a streamed
+// upload builds no trees: cut at the first top-level boundary at which
+// the part spans at least budget bytes, at most k-1 times.
+func StreamCut(budget int64, k int) func(span int64) bool {
 	if k > MaxShards {
 		k = MaxShards
 	}
-	if budget < 1 {
-		budget = 1
+	cuts := 0
+	return func(span int64) bool {
+		if cuts >= k-1 || span < budget {
+			return false
+		}
+		cuts++
+		return true
 	}
-	emitted := 0
-	err := xmltree.ParseSplit(r,
-		func(span int64) bool { return emitted < k-1 && span >= budget },
-		func(d *xmltree.Document) error {
-			emitted++
-			return emit(d)
-		})
-	return emitted, err
 }

@@ -19,6 +19,7 @@ import (
 //	doc, err := b.Done()
 type Builder struct {
 	root *Node
+	n    int // nodes added below the root
 	err  error
 }
 
@@ -68,6 +69,7 @@ func (b *Builder) Element(parent *Node, label string, attrs ...Attr) *Node {
 		}
 	}
 	n := &Node{Kind: Element, Label: label, Attrs: attrs, Parent: parent}
+	b.n++
 	if parent != nil {
 		n.Depth = parent.Depth + 1
 		b.checkDepth(n.Depth)
@@ -92,6 +94,7 @@ func (b *Builder) Text(parent *Node, text string) *Node {
 		}
 	}
 	n := &Node{Kind: CData, Label: CDataLabel, Text: text, Parent: parent}
+	b.n++
 	if parent != nil {
 		n.Depth = parent.Depth + 1
 		b.checkDepth(n.Depth)
@@ -107,8 +110,7 @@ func (b *Builder) Done() (*Document, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	d := &Document{Root: b.root}
-	d.nodes = append(d.nodes, nil) // OID 0 is Nil
+	d := &Document{Root: b.root, nodes: make([]*Node, 1, b.n+2)} // OID 0 is Nil
 	next := bat.OID(1)
 	var rec func(n *Node, depth int) bat.OID
 	rec = func(n *Node, depth int) bat.OID {

@@ -4,11 +4,14 @@
 // a dedicated child node labelled "cdata", and a rank that orders
 // siblings.
 //
-// The package parses documents with encoding/xml, assigns OIDs in
-// depth-first document order, and maintains for every node its parent,
-// depth, sibling rank and preorder interval. The interval gives O(1)
-// ancestorship tests, which the tests use to cross-check the join-based
-// navigation of the Monet store.
+// The package reads XML with its own scanner (scan.go states the
+// accepted language: encoding/xml's strict one, namespaces dropped, no
+// DTD entities, UTF-8 only) and hands the document, event by event, to
+// a Sink — ParseSplit is the one token loop. Its own sink builds the
+// tree: OIDs in depth-first document order and, for every node, its
+// parent, depth, sibling rank and preorder interval. The interval gives
+// O(1) ancestorship tests, which the tests use to cross-check the
+// join-based navigation of the Monet store.
 package xmltree
 
 import (

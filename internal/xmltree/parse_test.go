@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unicode"
 
 	"ncq/internal/pathsum"
 )
@@ -208,5 +209,100 @@ func TestParseDepthLimit(t *testing.T) {
 	}
 	if _, err := ParseString(open(max) + "leaf" + shut(max)); err == nil || !strings.Contains(err.Error(), "nests deeper") {
 		t.Errorf("text at level %d: err = %v, want the depth limit", max+1, err)
+	}
+}
+
+// TestParseRefusals pins what the parser refuses and where it says so.
+// Every row was recorded against the encoding/xml loop the scanner
+// replaced and is still checked against it (referenceParse): the same
+// inputs are refused. Every refusal reads "parse at byte N" with N
+// inside the offending construct, [lo, hi] here; on the three rows older
+// tests pin — reserved label, second root, depth bound — N is exactly
+// the end of the offending start tag, as it always was.
+func TestParseRefusals(t *testing.T) {
+	const max = pathsum.MaxDepth
+	rows := []struct {
+		name, in string
+		lo, hi   int
+	}{
+		{"mismatched end tag", "<a><b></a>", 6, 10},
+		{"prefix-mismatched end tag", "<a><x:b></y:b></a>", 8, 14},
+		{"end tag without a start", "<a/></a>", 4, 8},
+		{"EOF inside a tag", `<a><b x="1"`, 3, 11},
+		{"EOF inside a comment", "<a><!-- c", 3, 9},
+		{"EOF inside CDATA", "<a><![CDATA[x", 3, 13},
+		{"EOF with open elements", "<a><b>text</b>", 14, 14},
+		{"unknown entity", "<a>&nbsp;</a>", 3, 9},
+		{"empty numeric reference", "<a>&#x;</a>", 3, 7},
+		{"unterminated numeric reference", "<a>&#12</a>", 3, 8},
+		{"reference to an illegal character", "<a>&#0;</a>", 3, 7},
+		{"< in an attribute value", `<a x="<"/>`, 3, 7},
+		{"unquoted attribute", "<a x=1/>", 3, 6},
+		{"attribute without a value", "<a x/>", 3, 5},
+		{"]]> in text", "<a>]]></a>", 3, 6},
+		{"invalid UTF-8", "<a>\xff</a>", 3, 4},
+		{"control character", "<a>\x01</a>", 3, 4},
+		{"-- in a comment", "<a><!-- x -- y --></a>", 3, 18},
+		{"name starting with a digit", "<1a/>", 0, 5},
+		{"two colons in a name", "<a:b:c/>", 0, 8},
+		{"non-UTF-8 encoding", `<?xml version="1.0" encoding="ISO-8859-1"?><a/>`, 0, 43},
+		{"XML version 1.1", `<?xml version="1.1"?><a/>`, 0, 21},
+		{"bad reference after the root", "<a/>trailing&bad;", 12, 17},
+		{"reserved cdata label", "<a><b>text</b><cdata>x</cdata></a>", 21, 21},
+		{"second root", "<a></a><b></b>", 10, 10},
+		{"depth bound", strings.Repeat("<n>", max+1) + "<<<", 3 * (max + 1), 3 * (max + 1)},
+		{"text past the depth bound", strings.Repeat("<n>", max) + "leaf" + strings.Repeat("</n>", max), 3 * max, 3*max + 8},
+		{"empty input", "", 0, 0},
+		{"white space only", "  \n", 3, 3},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			if _, err := referenceParse(row.in); err == nil {
+				t.Fatal("the reference loop accepts this input")
+			}
+			_, err := ParseString(row.in)
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			var n int
+			if _, scanErr := fmt.Sscanf(err.Error(), "xmltree: parse at byte %d: ", &n); scanErr != nil {
+				t.Fatalf("refusal carries no position: %v", err)
+			}
+			if n < row.lo || n > row.hi {
+				t.Errorf("refused at byte %d, want %d..%d: %v", n, row.lo, row.hi, err)
+			}
+		})
+	}
+	for _, in := range []string{"<a><x:b></x:b></a>", "<a/><!-- ok --> \n", "<a>&#xD800;</a>", "<!DOCTYPE a [<!ENTITY e '>'>]><a/>"} {
+		if _, err := referenceParse(in); err != nil {
+			t.Fatalf("the reference loop refuses %q: %v", in, err)
+		}
+		if _, err := ParseString(in); err != nil {
+			t.Errorf("ParseString(%q): %v", in, err)
+		}
+	}
+}
+
+// TestNameTables compares the scanner's name-character ranges with
+// encoding/xml's, which define them, on every code point of the BMP —
+// neither table reaches beyond it, which a sample confirms — as the
+// first and as a later character of an element name.
+func TestNameTables(t *testing.T) {
+	check := func(r rune) {
+		for _, name := range []string{string(r), "a" + string(r)} {
+			in := "<" + name + "/>"
+			_, wantErr := referenceParse(in)
+			if _, err := ParseString(in); (err == nil) != (wantErr == nil) {
+				t.Fatalf("%U in %q: scanner %v, encoding/xml %v", r, in, err, wantErr)
+			}
+		}
+	}
+	for r := rune(1); r <= 0xFFFF; r++ {
+		if r < 0xD800 || r >= 0xE000 {
+			check(r)
+		}
+	}
+	for r := rune(0x10000); r <= unicode.MaxRune; r += 0x3FF {
+		check(r)
 	}
 }

@@ -58,13 +58,28 @@ type Database struct {
 	engine *query.Engine
 }
 
-// Open parses an XML document from r and loads it.
+// Open parses an XML document from r and loads it. No syntax tree is
+// built: the parser's events go straight into the store's columns.
 func Open(r io.Reader) (*Database, error) {
-	doc, err := ParseDocument(r)
+	dbs, err := openParts(r, nil)
 	if err != nil {
 		return nil, err
 	}
-	return FromDocument(doc)
+	return dbs[0], nil
+}
+
+// openParts parses r into one database per part cut decides on (one in
+// all when cut is nil), shredding as it parses.
+func openParts(r io.Reader, cut func(span int64) bool) ([]*Database, error) {
+	var dbs []*Database
+	err := xmltree.ParseSplit(r, cut, monetx.NewLoader(func(s *monetx.Store) error {
+		dbs = append(dbs, newDatabase(s))
+		return nil
+	}))
+	if err != nil {
+		return nil, fmt.Errorf("ncq: %w", err)
+	}
+	return dbs, nil
 }
 
 // ParseDocument parses an XML document from r without loading it into
