@@ -9,7 +9,6 @@ import (
 	"sort"
 	"sync"
 
-	"ncq/internal/fulltext"
 	"ncq/internal/shard"
 	"ncq/internal/xmltree"
 )
@@ -399,17 +398,6 @@ func (c *Corpus) Thesaurus() *Thesaurus {
 	return c.thesaurus
 }
 
-// expander returns the underlying fulltext thesaurus for query-time
-// term expansion; nil when none is installed.
-func (c *Corpus) expander() *fulltext.Thesaurus {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.thesaurus == nil {
-		return nil
-	}
-	return c.thesaurus.t
-}
-
 // member is one fan-out unit of a query: a plain database or a single
 // shard of a sharded member.
 type member struct {
@@ -418,23 +406,24 @@ type member struct {
 	db    *Database
 }
 
-// resolve captures the fan-out units of a request under the read lock,
-// so queries run against a consistent view without blocking writers:
-// the whole membership in insertion order with each member's shards
+// resolve captures the target of a request under the read lock, so
+// queries run against a consistent view without blocking writers: the
+// whole membership in insertion order with each member's shards
 // contiguous, or only the shards of the member named doc (an error
-// wrapping ErrUnknownDoc when there is none). The returned generation
-// identifies the captured membership — the mark minted cursors carry
-// for staleness detection.
-func (c *Corpus) resolve(doc string) (members []member, workers int, gen uint64, err error) {
+// wrapping ErrUnknownDoc when there is none), the generation that
+// identifies the captured membership, and the thesaurus installed at
+// that moment.
+func (c *Corpus) resolve(doc string) (target, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	names := c.names
 	if doc != "" {
 		if _, ok := c.members[doc]; !ok {
-			return nil, 0, 0, fmt.Errorf("ncq: corpus: %w %q", ErrUnknownDoc, doc)
+			return target{}, fmt.Errorf("ncq: corpus: %w %q", ErrUnknownDoc, doc)
 		}
 		names = []string{doc}
 	}
+	t := target{workers: c.workers, gen: c.gen}
 	for _, n := range names {
 		e := c.members[n]
 		for i, db := range e.dbs {
@@ -442,14 +431,16 @@ func (c *Corpus) resolve(doc string) (members []member, workers int, gen uint64,
 			if e.sharded {
 				m.shard = i + 1
 			}
-			members = append(members, m)
+			t.members = append(t.members, m)
 		}
 	}
-	workers = c.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if t.workers <= 0 {
+		t.workers = runtime.GOMAXPROCS(0)
 	}
-	return members, workers, c.gen, nil
+	if c.thesaurus != nil {
+		t.th = c.thesaurus.t
+	}
+	return t, nil
 }
 
 // forEachDoc runs fn(i) for every document index with at most workers

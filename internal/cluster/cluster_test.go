@@ -517,6 +517,43 @@ func TestCoordinatorCache(t *testing.T) {
 	}
 }
 
+// TestCoordinatorDocScopedCache pins the one cache rule on a doc-scoped
+// query over several workers: its answer is stamped with the hash of
+// the whole generation vector — what the front end looks up under — so
+// a repeat is a hit although only the owner was asked, and, as on a
+// node, a mutation anywhere stales the cursor.
+func TestCoordinatorDocScopedCache(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	_, w1 := startWorker(t, "w1")
+	_, w2 := startWorker(t, "w2")
+	coord, coordTS := startCoordinator(t, Config{Workers: []Worker{w1, w2}, CacheBytes: 1 << 20})
+	var here, elsewhere string
+	for i := 0; elsewhere == ""; i++ {
+		name := fmt.Sprintf("doc%d", i)
+		if status, body := httpDo(t, "PUT", coordTS.URL+"/v1/docs/"+name, docXML(rng, 8)); status != http.StatusCreated {
+			t.Fatalf("PUT %s: %d %s", name, status, body)
+		}
+		switch {
+		case here == "":
+			here = name
+		case coord.Owner(name) != coord.Owner(here):
+			elsewhere = name
+		}
+	}
+	q := fmt.Sprintf(`{"doc":%q,"terms":["Author","199"],"exclude_root":true,"limit":1`, here)
+	_, first, _ := postQuery(t, coordTS.URL, q+"}")
+	_, second, _ := postQuery(t, coordTS.URL, q+"}")
+	if first.Cached || !second.Cached || first.NextCursor == "" {
+		t.Fatalf("first cached=%t, repeat cached=%t, cursor %q; want a miss, a hit and a cursor", first.Cached, second.Cached, first.NextCursor)
+	}
+	if status, body := httpDo(t, "PUT", coordTS.URL+"/v1/docs/"+elsewhere, docXML(rng, 3)); status != http.StatusOK {
+		t.Fatalf("replace %s: %d %s", elsewhere, status, body)
+	}
+	if status, _, raw := postQuery(t, coordTS.URL, fmt.Sprintf(`%s,"cursor":%q}`, q, first.NextCursor)); status != http.StatusGone {
+		t.Errorf("cursor held across a mutation on another worker: %d %s, want 410", status, raw)
+	}
+}
+
 // TestCoordinatorRequestErrors pins the coordinator-side error
 // mapping: query-language requests are 501, garbage cursors 400.
 func TestCoordinatorRequestErrors(t *testing.T) {
@@ -618,17 +655,15 @@ func BenchmarkCoordinatorScatterGather(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := &wire.Query{Terms: []string{"Author1", "199"}, ExcludeRoot: true, Limit: 10}
-	ctx := context.Background()
+	const q = `{"terms":["Author1","199"],"exclude_root":true,"limit":10}`
+	h := coord.Handler()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := coord.runPage(ctx, q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out.Cached || len(out.Result) == 0 {
-			b.Fatalf("iteration served from cache or empty (cached=%t)", out.Cached)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v2/query", strings.NewReader(q)))
+		if rec.Code != http.StatusOK || rec.Header().Get("X-NCQ-Cache") != "miss" {
+			b.Fatalf("iteration answered %d, cache %q: %s", rec.Code, rec.Header().Get("X-NCQ-Cache"), rec.Body)
 		}
 	}
 }

@@ -6,24 +6,22 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"iter"
 	"log/slog"
 	"net/http"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ncq"
-	"ncq/internal/admission"
-	"ncq/internal/cache"
 	"ncq/internal/metrics"
+	"ncq/internal/server"
 	"ncq/internal/wire"
 )
 
 const (
 	defaultWorkerTimeout = 30 * time.Second
 	defaultRetries       = 1
-	defaultCacheBytes    = 64 << 20
 	defaultPollInterval  = 2 * time.Second
 )
 
@@ -74,39 +72,32 @@ type Config struct {
 // Coordinator fronts a cluster of worker nodes: it places documents by
 // consistent hashing, scatter-gathers queries over the workers'
 // NDJSON streams, and serves the same /v2/query and /v1/docs surface
-// as a single node. Create one with New and mount Handler.
+// as a single node. The query route is not its own: it mounts the one
+// front end of the system (server.Front) and is that front end's
+// Backend — ResultsWithStats, Run, Generation and Parallelism below.
+// Create one with New and mount Handler.
 type Coordinator struct {
-	cfg     config
+	cfg     Config // with the defaults applied
 	ring    *Ring
 	workers []Worker
+	names   []string // worker names, sorted: the order the generation vector hashes in
 	byName  map[string]Worker
 	client  *http.Client
-	cache   *cache.LRU
+	front   *server.Front // POST /v2/query over the scatter
 	mux     *http.ServeMux
 	started time.Time
 	logger  *slog.Logger
-	limiter *admission.Limiter
-
-	queries   atomic.Uint64
-	mutations atomic.Uint64
 
 	// Observability (observe.go); reg is per-instance like the
-	// single-node server's.
-	reg             *metrics.Registry
-	httpm           *metrics.HTTP
-	queriesInflight *metrics.Gauge
-	streamsInflight *metrics.Gauge
-	scatterDur      *metrics.HistogramVec
-	workerErrs      *metrics.CounterVec
+	// single-node server's, and the front end registers its families on
+	// it too.
+	reg        *metrics.Registry
+	httpm      *metrics.HTTP
+	scatterDur *metrics.HistogramVec
+	workerErrs *metrics.CounterVec
 
 	mu   sync.Mutex
 	gens map[string]uint64 // tracked generation per worker
-}
-
-// config is Config with the defaults applied.
-type config struct {
-	Config
-	cacheBytes int64
 }
 
 // New builds a Coordinator over the configured workers.
@@ -115,13 +106,12 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, errors.New("cluster: a coordinator needs at least one worker")
 	}
 	c := &Coordinator{
-		cfg:     config{Config: cfg, cacheBytes: cfg.CacheBytes},
+		cfg:     cfg,
 		workers: append([]Worker(nil), cfg.Workers...),
 		byName:  make(map[string]Worker, len(cfg.Workers)),
 		client:  &http.Client{},
 		started: time.Now(),
 		logger:  cfg.Logger,
-		limiter: admission.New(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait),
 		reg:     metrics.NewRegistry(),
 		gens:    make(map[string]uint64, len(cfg.Workers)),
 	}
@@ -137,7 +127,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if c.cfg.PollInterval <= 0 {
 		c.cfg.PollInterval = defaultPollInterval
 	}
-	names := make([]string, 0, len(c.workers))
 	for _, w := range c.workers {
 		if w.Name == "" || w.URL == "" {
 			return nil, fmt.Errorf("cluster: worker %+v needs a name and a URL", w)
@@ -146,11 +135,16 @@ func New(cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("cluster: duplicate worker %q", w.Name)
 		}
 		c.byName[w.Name] = w
-		names = append(names, w.Name)
+		c.names = append(c.names, w.Name)
 	}
-	c.ring = NewRing(names)
-	c.cache = cache.New(c.cfg.cacheBytes, cache.WithTTL(c.cfg.CacheTTL))
+	sort.Strings(c.names)
+	c.ring = NewRing(c.names)
 	c.initObservability()
+	c.front = server.NewFront(c, c.reg, server.FrontConfig{
+		NodeName:   c.cfg.NodeName,
+		CacheBytes: c.cfg.CacheBytes, CacheTTL: c.cfg.CacheTTL,
+		MaxInFlight: c.cfg.MaxInFlight, MaxQueue: c.cfg.MaxQueue, QueueWait: c.cfg.QueueWait,
+	})
 	c.routes()
 	return c, nil
 }
@@ -180,46 +174,36 @@ func (c *Coordinator) noteGen(worker string, gen uint64) {
 	c.mu.Unlock()
 }
 
-// genHash folds a generation vector into the single uint64 a cursor
-// carries: FNV-64a over the sorted name=generation pairs. Any worker
-// mutating changes its generation, hence the hash — the distributed
-// analogue of the single corpus generation.
-func genHash(gens map[string]uint64) uint64 {
-	names := make([]string, 0, len(gens))
-	for n := range gens {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+// vectorHash folds the cluster's generation vector into the single
+// uint64 a cursor, a cache key and a response carry: FNV-64a over the
+// name=generation pairs of every worker in name order, each at the
+// generation in seen — what a scatter just read off that worker's
+// stream header — and at the tracked one otherwise. Any worker
+// mutating changes its generation, hence the hash: the distributed
+// analogue of the single corpus generation, with the same reach — a
+// mutation anywhere stales every cursor and every cached page.
+func (c *Coordinator) vectorHash(seen map[string]uint64) uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	h := fnv.New64a()
-	for _, n := range names {
-		fmt.Fprintf(h, "%s=%d\n", n, gens[n])
+	for _, n := range c.names {
+		gen, ok := seen[n]
+		if !ok {
+			gen = c.gens[n]
+		}
+		fmt.Fprintf(h, "%s=%d\n", n, gen)
 	}
 	return h.Sum64()
 }
 
-// trackedHash returns the hash of the tracked generation vector
-// restricted to the given workers — the cache generation key of a
-// query over exactly those targets.
-func (c *Coordinator) trackedHash(targets []Worker) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	gens := make(map[string]uint64, len(targets))
-	for _, w := range targets {
-		gens[w.Name] = c.gens[w.Name]
-	}
-	return genHash(gens)
-}
+// Generation implements server.Backend: the hash of the tracked
+// generation vector — what an answer reports (gather.hash) as long as
+// no worker has mutated behind the coordinator's back since the last
+// routed mutation, scatter or poll.
+func (c *Coordinator) Generation() uint64 { return c.vectorHash(nil) }
 
-// baseOf is the canonical page-independent encoding of the query —
-// what the coordinator's cursors are fingerprinted against and its
-// cache is keyed by. It reuses ncq.Request.Canonical so equivalent
-// spellings (whitespace, option order) share cursors and cache entries
-// exactly as on a single node; execution happens on the workers.
-func baseOf(q *wire.Query) string {
-	r := q.Request()
-	r.Cursor = ""
-	return r.Canonical()
-}
+// Parallelism implements server.Backend: the cluster membership.
+func (c *Coordinator) Parallelism() int { return len(c.workers) }
 
 // workerBody renders the query as the body scattered to each worker:
 // coordinator-only fields stripped, the page window folded into a
@@ -277,13 +261,8 @@ func (g *gather) recordFailure(w Worker, err error) {
 	g.mu.Unlock()
 }
 
-// incomplete reports whether any worker failed (allow_partial mode).
-func (g *gather) incomplete() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.failed) > 0
-}
-
+// failures returns the workers that failed (allow_partial mode) with
+// their detail; nil when the answer is complete.
 func (g *gather) failures() map[string]string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -332,8 +311,7 @@ func (c *Coordinator) scatterQuery(ctx context.Context, q *wire.Query, offset in
 	var lastErr error
 	for i, wk := range targets {
 		if err := errs[i]; err != nil {
-			var he *workerHTTPError
-			if errors.As(err, &he) && he.status < 500 {
+			if is4xx(err) {
 				return abort(err) // the request itself is bad; every worker agrees
 			}
 			if !q.AllowPartial {
@@ -359,97 +337,91 @@ func (c *Coordinator) scatterQuery(ctx context.Context, q *wire.Query, offset in
 	if len(g.streams) == 0 {
 		return abort(fmt.Errorf("all %d workers failed: %w", len(targets), lastErr))
 	}
-	g.hash = genHash(g.gens)
+	g.hash = c.vectorHash(g.gens)
 	for w, gen := range g.gens {
 		c.noteGen(w, gen)
 	}
 	return g, nil
 }
 
-// errQueryLanguage rejects query-language requests on the coordinator.
-var errQueryLanguage = errors.New("query-language requests are not supported in coordinator mode; send \"terms\" requests, or query a worker directly")
+// errQueryLanguage rejects query-language requests on the coordinator:
+// 501, the one documented difference from a node.
+var errQueryLanguage = &wire.StatusError{Status: http.StatusNotImplemented,
+	Err: errors.New("query-language requests are not supported in coordinator mode; send \"terms\" requests, or query a worker directly")}
 
 // errStaleCluster is the distributed 410: the gathered generation
 // vector no longer hashes to what the cursor was stamped with.
 var errStaleCluster = fmt.Errorf("ncq: %w: the cluster changed since this cursor was minted", ncq.ErrStaleCursor)
 
-// finish reports what closes an answer, streamed or not, once the
-// merge has drained: the degraded state and, for a page the limit cut,
-// the cursor of the next one. A partial answer never mints a cursor —
-// a page chain is always exact.
-func (g *gather) finish(q *wire.Query, base string, offset int) wire.Trailer {
-	tr := wire.Trailer{Unmatched: g.unmatched, Incomplete: g.incomplete(), WorkerErrors: g.failures()}
-	if q.Limit > 0 && g.total > offset+q.Limit {
-		tr.Truncated = true
-		if !tr.Incomplete {
-			tr.NextCursor = ncq.MintCursor(offset+q.Limit, base, g.hash)
-		}
+// workerFailure gives a scatter or merge failure the status the front
+// end answers it with. A worker's 4xx is relayed as it came,
+// Retry-After hint included (the request itself is bad, or the worker
+// is shedding load: the coordinator never retries either; see
+// openStream); every other worker failure is the coordinator's 502.
+func workerFailure(err error) error {
+	if is4xx(err) {
+		return err
 	}
-	return tr
+	return &wire.StatusError{Status: http.StatusBadGateway, Err: err}
 }
 
-// runPage executes one term query page: resolve the cursor, serve
-// from cache when the tracked generation vector still matches,
-// otherwise scatter, verify the cursor against the gathered vector
-// (mismatch → ErrStaleCursor, the distributed 410), merge the worker
-// streams into the exact global ranking and mint the next cursor.
-// The response's Generation is the hash of the generation vector it
-// was computed against. Partial results are never cached.
-func (c *Coordinator) runPage(ctx context.Context, q *wire.Query) (wire.Response, error) {
-	if q.IsQuery() {
-		return wire.Response{}, errQueryLanguage
-	}
-	base := baseOf(q)
-	offset, curGen, err := ncq.ResolveCursor(q.Cursor, base)
-	if err != nil {
-		return wire.Response{}, err
-	}
-	c.queries.Add(1)
-	targets := c.targetsFor(q)
-	pageKey := fmt.Sprintf("%s page=%d", base, offset)
-	tracked := c.trackedHash(targets)
-	if q.Cursor == "" || curGen == tracked {
-		if v, ok := c.cache.Get(cache.Key{Gen: tracked, Query: pageKey}); ok {
-			resp := v.(wire.Response)
-			resp.Cached = true
-			return resp, nil
+// Run implements server.Backend for the one request shape a
+// coordinator does not execute: per-source row sets do not merge as
+// meets do.
+func (c *Coordinator) Run(context.Context, ncq.Request) (*ncq.Result, error) {
+	return nil, errQueryLanguage
+}
+
+// ResultsWithStats implements server.Backend: one term request page
+// over the cluster, as the sequence a corpus would hand out. Resolve
+// the cursor, scatter, verify the cursor against the gathered
+// generation vector (mismatch → ErrStaleCursor, the distributed 410)
+// and merge the worker streams line by line into the exact global
+// ranking — the first meet flows once every worker has sent its
+// first, and a worker that stalls mid-answer holds back nothing
+// already merged. The stats' Generation is the hash of the vector the
+// answer was computed against, which is what its cursor is stamped
+// with; a partial answer reports who failed and mints no cursor — a
+// page chain is always exact.
+func (c *Coordinator) ResultsWithStats(ctx context.Context, req ncq.Request) (iter.Seq2[ncq.CorpusMeet, error], *ncq.StreamStats) {
+	stats := &ncq.StreamStats{}
+	return func(yield func(ncq.CorpusMeet, error) bool) {
+		if err := c.results(ctx, &req, stats, yield); err != nil {
+			yield(ncq.CorpusMeet{}, err)
 		}
+	}, stats
+}
+
+func (c *Coordinator) results(ctx context.Context, req *ncq.Request, stats *ncq.StreamStats, yield func(ncq.CorpusMeet, error) bool) error {
+	if len(req.Terms) == 0 {
+		return errQueryLanguage
 	}
-	g, err := c.scatterQuery(ctx, q, offset)
+	offset, curGen, err := req.Page()
 	if err != nil {
-		return wire.Response{}, err
+		return err
+	}
+	q := wire.QueryOf(req)
+	g, err := c.scatterQuery(ctx, &q, offset)
+	if err != nil {
+		return workerFailure(err)
 	}
 	defer g.Close()
-	if q.Cursor != "" && curGen != g.hash {
-		return wire.Response{}, errStaleCluster
+	if req.Cursor != "" && curGen != g.hash {
+		return errStaleCluster
 	}
-	// The same payload type a single node encodes, so a distributed
-	// answer is byte-identical to the answer one node holding the whole
-	// corpus would give.
-	res := wire.Result{Mode: "terms"}
-	for m, err := range ncq.MergeMeets(ctx, g.sources, offset, q.Limit) {
+	stats.Fill(req, offset, g.hash, g.total, g.unmatched)
+	for m, err := range ncq.MergeMeets(ctx, g.sources, offset, req.Limit) {
 		if err != nil {
-			return wire.Response{}, err
+			return workerFailure(err)
 		}
-		res.Meets = append(res.Meets, m)
+		if !yield(m, nil) {
+			return nil
+		}
 	}
-	tr := g.finish(q, base, offset)
-	if q.Doc != "" {
-		// Single-node semantics: the unmatched count is reported for
-		// doc-scoped results only (the doc lives wholly on its owner).
-		res.Unmatched = tr.Unmatched
+	if failed := g.failures(); failed != nil {
+		stats.Incomplete, stats.WorkerErrors, stats.NextCursor = true, failed, ""
 	}
-	res.Truncated = tr.Truncated
-	raw, err := json.Marshal(&res)
-	if err != nil {
-		return wire.Response{}, fmt.Errorf("encode result: %v", err)
-	}
-	resp := wire.Response{Generation: g.hash, Truncated: tr.Truncated, NextCursor: tr.NextCursor,
-		Incomplete: tr.Incomplete, WorkerErrors: tr.WorkerErrors, Result: raw}
-	if !resp.Incomplete {
-		c.cache.Put(cache.Key{Gen: g.hash, Query: pageKey}, resp, len(raw))
-	}
-	return resp, nil
+	return nil
 }
 
 // workerHealth is one worker's health as seen by the coordinator.

@@ -1,14 +1,13 @@
 package cluster
 
-// Coordinator observability. Mirrors the single-node server
+// Coordinator observability. Like the single-node server
 // (internal/server/observe.go): a per-instance registry served at
-// GET /v1/metrics, one request-log line per request, and the
-// admission gate (wire.Admit) on the query route only — saturation
-// answers 429 + Retry-After before any worker connection is opened.
-// On top of that the
-// coordinator tracks its scatter edge — per-worker stream-open latency
-// and a per-worker error counter by kind — because in a cluster the
-// first question behind a latency regression is "which worker".
+// GET /v1/metrics and one request-log line per request; the query
+// route's families and its admission gate are the front end's, on the
+// same registry. What is the coordinator's own is its scatter edge —
+// per-worker stream-open latency and a per-worker error counter by
+// kind — because in a cluster the first question behind a latency
+// regression is "which worker".
 
 import (
 	"context"
@@ -19,15 +18,11 @@ import (
 )
 
 // initObservability registers the coordinator's metric families.
-// Called once from New, before routes.
+// Called once from New, before the front end and the routes.
 func (c *Coordinator) initObservability() {
 	reg := c.reg
 	c.httpm = metrics.NewHTTP(reg)
 
-	c.queriesInflight = reg.Gauge("ncq_queries_inflight",
-		"Query requests currently admitted and executing (including streams).")
-	c.streamsInflight = reg.Gauge("ncq_streams_inflight",
-		"Merged NDJSON query streams currently open to clients.")
 	c.scatterDur = reg.HistogramVec("ncq_worker_scatter_duration_seconds",
 		"Time from scatter to a worker's stream header (its counters and first answer ready), per worker.",
 		nil, "worker")
@@ -35,21 +30,9 @@ func (c *Coordinator) initObservability() {
 		"Worker failures during scatter, by worker and kind (http_4xx, http_5xx, timeout, transport).",
 		"worker", "kind")
 
-	reg.CounterFunc("ncq_queries_total",
-		"Term queries that reached scatter execution, batch items included.",
-		func() float64 { return float64(c.queries.Load()) })
-	reg.CounterFunc("ncq_mutations_total",
-		"Document mutations routed to ring owners that succeeded.",
-		func() float64 { return float64(c.mutations.Load()) })
-	reg.GaugeFunc("ncq_pool_depth",
-		"Cluster membership: the number of configured workers.",
-		func() float64 { return float64(len(c.workers)) })
 	reg.GaugeFunc("ncq_uptime_seconds",
 		"Seconds since the coordinator was constructed.",
 		func() float64 { return time.Since(c.started).Seconds() })
-
-	c.cache.Register(reg)
-	c.limiter.Register(reg)
 }
 
 // observeScatter records one worker stream-open outcome: the latency
@@ -71,13 +54,11 @@ func (c *Coordinator) observeScatter(wk Worker, elapsed time.Duration, err error
 
 // errKind buckets a worker failure for ncq_worker_errors_total.
 func errKind(err error) string {
-	var he *workerHTTPError
-	switch {
-	case errors.As(err, &he):
-		if he.status < 500 {
-			return "http_4xx"
-		}
+	switch st := workerStatus(err); {
+	case st >= 500:
 		return "http_5xx"
+	case st != 0:
+		return "http_4xx"
 	case errors.Is(err, context.DeadlineExceeded):
 		return "timeout"
 	default:

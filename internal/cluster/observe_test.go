@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -101,16 +102,20 @@ func TestCoordinatorMetrics(t *testing.T) {
 		t.Fatalf("query: %d", resp.StatusCode)
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
+	scrape := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := string(raw)
+	out := scrape()
 	for _, want := range []string{
 		`ncq_worker_scatter_duration_seconds_count{worker="w1"} 1`,
 		`ncq_worker_errors_total{worker="w2",kind="http_5xx"} 1`,
@@ -119,6 +124,37 @@ func TestCoordinatorMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(out, want+"\n") {
 			t.Errorf("coordinator metrics missing %q:\n%.2000s", want, out)
+		}
+	}
+
+	// The query route's own families are the front end's, so a
+	// coordinator counts what a node counts: one streamed, one batch and
+	// one vague request move all four off zero.
+	for _, rq := range []struct{ path, body string }{
+		{"/v2/query?stream=1", `{"terms":["Bit","1999"],"allow_partial":true}`},
+		{"/v2/query", `{"batch":[{"terms":["Bit"],"allow_partial":true}]}`},
+		{"/v2/query", `{"terms":["Bit"],"allow_partial":true,"vague":{"max_slack":1}}`},
+	} {
+		resp, err := http.Post(ts.URL+rq.path, "application/json", strings.NewReader(rq.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: %d", rq.path, rq.body, resp.StatusCode)
+		}
+	}
+	out = scrape()
+	for _, name := range []string{"ncq_stream_lines_total", "ncq_stream_bytes_total", "ncq_batches_total", "ncq_vague_requests_total"} {
+		var v float64
+		for _, line := range strings.Split(out, "\n") {
+			if rest, ok := strings.CutPrefix(line, name+" "); ok {
+				fmt.Sscan(rest, &v)
+			}
+		}
+		if v == 0 {
+			t.Errorf("coordinator metric %s is absent or zero after a streamed, a batch and a vague request", name)
 		}
 	}
 }
@@ -130,7 +166,7 @@ func TestCoordinatorAdmission429(t *testing.T) {
 	wk, attempts := fakeWorker(t, "w1", http.StatusOK, nil, "")
 	c, ts := startCoordinator(t, Config{Workers: []Worker{wk}, MaxInFlight: 1})
 
-	release, err := c.limiter.Acquire(context.Background())
+	release, err := c.front.Limiter().Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,19 +57,24 @@ func ParseWorkers(s string) ([]Worker, error) {
 	return workers, nil
 }
 
-// workerHTTPError is a non-200 response from a worker. A 4xx is a
-// deterministic request error — the coordinator relays it verbatim
-// instead of retrying or degrading, since every retry and every other
-// worker would fail the same way for the same input.
-type workerHTTPError struct {
-	worker     string
-	status     int
-	msg        string
-	retryAfter string // the worker's Retry-After hint, relayed on 429
+// workerStatus returns the status of a non-200 response from a worker
+// (dialStream reports one as a *wire.StatusError, the worker's
+// Retry-After hint attached); 0 for any other failure.
+func workerStatus(err error) int {
+	var se *wire.StatusError
+	if errors.As(err, &se) {
+		return se.Status
+	}
+	return 0
 }
 
-func (e *workerHTTPError) Error() string {
-	return fmt.Sprintf("worker %s: %s (status %d)", e.worker, e.msg, e.status)
+// is4xx reports a worker's 4xx: a deterministic request error — the
+// coordinator relays it verbatim instead of retrying or degrading,
+// since every retry and every other worker would fail the same way for
+// the same input.
+func is4xx(err error) bool {
+	st := workerStatus(err)
+	return st >= 400 && st < 500
 }
 
 // testLineDecode, when set, is invoked for every NDJSON line decoded
@@ -154,7 +159,7 @@ func (s *workerStream) close() {
 // has completed and its counters are final, i.e. together with its
 // first answer. Transport errors and 5xx responses are retried up to
 // retries times (the read is idempotent; no meet has been consumed
-// yet); a 4xx is returned immediately as a workerHTTPError. The
+// yet); a 4xx is returned immediately. The
 // returned stream owns a context bounded by timeout spanning its whole
 // life.
 func (c *Coordinator) openStream(ctx context.Context, w Worker, body []byte) (*workerStream, error) {
@@ -171,9 +176,8 @@ func (c *Coordinator) openStream(ctx context.Context, w Worker, body []byte) (*w
 			return ws, nil
 		}
 		lastErr = err
-		var he *workerHTTPError
-		if errors.As(err, &he) && he.status < 500 {
-			return nil, err // deterministic request error; retrying cannot help
+		if is4xx(err) {
+			return nil, err // retrying cannot help
 		}
 	}
 	return nil, lastErr
@@ -196,10 +200,10 @@ func (c *Coordinator) dialStream(ctx context.Context, w Worker, body []byte) (*w
 	}
 	if resp.StatusCode != http.StatusOK {
 		msg := wire.ReadError(resp.Body)
-		retryAfter := resp.Header.Get("Retry-After")
 		resp.Body.Close()
 		cancel()
-		return nil, &workerHTTPError{worker: w.Name, status: resp.StatusCode, msg: msg, retryAfter: retryAfter}
+		return nil, &wire.StatusError{Status: resp.StatusCode, RetryAfter: resp.Header.Get("Retry-After"),
+			Err: fmt.Errorf("worker %s: %s (status %d)", w.Name, msg, resp.StatusCode)}
 	}
 	ws := &workerStream{worker: w, body: resp.Body, sc: wire.NewLineScanner(resp.Body), cancel: cancel}
 	if err := ws.readHeader(); err != nil {

@@ -18,10 +18,19 @@
 //
 // Consistency across pages is generation-vector based: every worker
 // stamps its stream header with the corpus generation its membership
-// snapshot was taken at, the coordinator hashes the gathered vector
-// into the cursor it mints, and a later page whose gathered vector
-// hashes differently fails with 410 Gone — exactly the single-node
+// snapshot was taken at, the coordinator hashes the vector — tracked
+// for every worker, overlaid with what the scatter just read — into
+// the cursor it mints, and a later page whose vector hashes
+// differently fails with 410 Gone — exactly the single-node
 // ErrStaleCursor contract, extended across nodes.
+//
+// The package serves no query route of its own. POST /v2/query is
+// internal/server's front end (server.Front: plain, batch, stream,
+// result cache, admission, counters, statuses) and the Coordinator is
+// its Backend, the way a corpus is a node's: what lives here is what
+// only a coordinator knows — the ring, the scatter and its failure
+// policy, the generation vector — and its own routes (document proxy,
+// merged listing, health poll, stats roll-up).
 package cluster
 
 import (

@@ -4,9 +4,10 @@ package cluster
 // single ncqd node serves, so clients (and the CLIs) need no cluster
 // awareness:
 //
-//	POST   /v2/query       scatter-gather term query over all workers
-//	                       (?stream=1 merges the workers' NDJSON
-//	                       streams incrementally); "allow_partial"
+//	POST   /v2/query       the system's one front end (server.Front)
+//	                       over the scatter as its backend
+//	                       (coordinator.go): term queries merged from
+//	                       the workers' NDJSON streams; "allow_partial"
 //	                       degrades worker failures instead of 502
 //	PUT    /v1/docs/{name} routed to the ring owner of the name
 //	GET    /v1/docs/{name} routed to the ring owner
@@ -18,7 +19,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -27,8 +27,6 @@ import (
 	"strconv"
 	"time"
 
-	"ncq"
-	"ncq/internal/metrics"
 	"ncq/internal/wire"
 )
 
@@ -37,8 +35,7 @@ func (c *Coordinator) routes() {
 	handle := func(pattern, route string, quiet bool, h http.Handler) {
 		mux.Handle(pattern, c.httpm.Instrument(route, c.logger, quiet, h))
 	}
-	handle("POST /v2/query", "/v2/query", false,
-		wire.Admit(c.limiter, c.queriesInflight, http.HandlerFunc(c.handleQuery)))
+	handle("POST /v2/query", "/v2/query", false, c.front.Handler())
 	handle("PUT /v1/docs/{name}", "/v1/docs/{name}", false, http.HandlerFunc(c.handleDocProxy))
 	handle("GET /v1/docs/{name}", "/v1/docs/{name}", false, http.HandlerFunc(c.handleDocProxy))
 	handle("DELETE /v1/docs/{name}", "/v1/docs/{name}", false, http.HandlerFunc(c.handleDocProxy))
@@ -47,132 +44,6 @@ func (c *Coordinator) routes() {
 	handle("GET /v1/stats", "/v1/stats", true, http.HandlerFunc(c.handleStats))
 	handle("GET /v1/metrics", "/v1/metrics", true, c.reg.Handler())
 	c.mux = mux
-}
-
-// statusOf maps a coordinator-side failure to its HTTP status. A
-// worker's 4xx is relayed verbatim (the request itself is bad); every
-// other worker failure is the coordinator's 502.
-func statusOf(err error) int {
-	var he *workerHTTPError
-	switch {
-	case errors.As(err, &he):
-		if he.status < 500 {
-			return he.status
-		}
-		return http.StatusBadGateway
-	case errors.Is(err, errQueryLanguage):
-		return http.StatusNotImplemented
-	default:
-		return wire.StatusOf(err, http.StatusBadGateway)
-	}
-}
-
-// writeQueryError renders an execution failure, relaying a worker's
-// Retry-After hint when the failure is a relayed 4xx (a shed worker's
-// 429 backpressure must reach the client intact — the coordinator
-// never retries it; see openStream).
-func writeQueryError(w http.ResponseWriter, err error) {
-	var he *workerHTTPError
-	if errors.As(err, &he) && he.status < 500 && he.retryAfter != "" {
-		w.Header().Set("Retry-After", he.retryAfter)
-	}
-	wire.WriteError(w, statusOf(err), "%v", err)
-}
-
-func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	req, ctx, cancel, ok := wire.Decode(w, r)
-	if !ok {
-		return
-	}
-	defer cancel()
-	if wire.Flag(r, "stream") {
-		c.handleStream(ctx, w, r, start, &req.Query)
-		return
-	}
-	if len(req.Batch) > 0 {
-		c.handleBatch(ctx, w, start, req.Batch)
-		return
-	}
-	metrics.SetFingerprint(ctx, baseOf(&req.Query))
-	resp, err := c.runPage(ctx, &req.Query)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	wire.WriteResponse(w, start, resp)
-}
-
-// handleBatch relays a batch item by item, each with the status it
-// would have received on its own.
-func (c *Coordinator) handleBatch(ctx context.Context, w http.ResponseWriter, start time.Time, batch []wire.Query) {
-	items := make([]wire.BatchItem, len(batch))
-	for i := range batch {
-		q := &batch[i]
-		if err := q.Validate(); err != nil {
-			items[i] = wire.BatchItem{Status: http.StatusBadRequest, Error: err.Error()}
-			continue
-		}
-		resp, err := c.runPage(ctx, q)
-		if err != nil {
-			items[i] = wire.BatchItem{Status: statusOf(err), Error: err.Error()}
-			continue
-		}
-		items[i] = resp.Item()
-	}
-	wire.WriteJSON(w, http.StatusOK, wire.BatchResponse{
-		Generation: c.trackedHash(c.workers), TookMS: wire.MsSince(start), Results: items})
-}
-
-// handleStream is the coordinator's ?stream=1 form: the workers'
-// NDJSON streams merged line by line into the global rank and written
-// under the StreamWriter's delivery rule — the first merged meet at
-// once, later ones coalesced but never held longer than its delay
-// bound, so a worker that stalls mid-answer does not park the lines
-// already merged. Like the single-node endpoint it bypasses the cache —
-// the value is the incremental production.
-func (c *Coordinator) handleStream(ctx context.Context, w http.ResponseWriter, r *http.Request, start time.Time, q *wire.Query) {
-	if q.IsQuery() {
-		wire.WriteError(w, statusOf(errQueryLanguage), "%v", errQueryLanguage)
-		return
-	}
-	base := baseOf(q)
-	metrics.SetFingerprint(ctx, base)
-	offset, curGen, err := ncq.ResolveCursor(q.Cursor, base)
-	if err != nil {
-		wire.WriteError(w, statusOf(err), "%v", err)
-		return
-	}
-	c.queries.Add(1)
-	c.streamsInflight.Inc()
-	defer c.streamsInflight.Dec()
-	g, err := c.scatterQuery(ctx, q, offset)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	defer g.Close()
-	if q.Cursor != "" && curGen != g.hash {
-		writeQueryError(w, errStaleCluster)
-		return
-	}
-	header := func() wire.Header {
-		return wire.Header{Node: c.cfg.NodeName, Generation: g.hash, Total: g.total, Unmatched: g.unmatched}
-	}
-	sw := wire.NewStreamWriter(w, r, header, nil, nil)
-	defer sw.Close()
-	for m, err := range ncq.MergeMeets(ctx, g.sources, offset, q.Limit) {
-		if err != nil {
-			sw.Fail(statusOf(err), err)
-			return
-		}
-		if !sw.Meet(&m) {
-			return // client went away
-		}
-	}
-	tr := g.finish(q, base, offset)
-	tr.TookMS = wire.MsSince(start)
-	sw.Trailer(tr)
 }
 
 // handleDocProxy routes a document read or mutation to the worker
@@ -222,8 +93,7 @@ func (c *Coordinator) handleDocProxy(w http.ResponseWriter, r *http.Request) {
 	}
 	mutation := r.Method == http.MethodPut || r.Method == http.MethodDelete
 	if mutation && resp.StatusCode < 300 {
-		c.mutations.Add(1)
-		c.cache.Purge()
+		c.front.Mutated()
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
@@ -292,7 +162,7 @@ func (c *Coordinator) handleListDocs(w http.ResponseWriter, r *http.Request) {
 	sort.Slice(docs, func(i, j int) bool { return docs[i].Name < docs[j].Name })
 	body := map[string]any{
 		"docs":       docs,
-		"generation": c.trackedHash(c.workers),
+		"generation": c.Generation(),
 	}
 	if len(workerErrors) > 0 {
 		body["worker_errors"] = workerErrors
@@ -336,7 +206,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"status":     status,
 		"node":       c.cfg.NodeName,
 		"role":       "coordinator",
-		"generation": c.trackedHash(c.workers),
+		"generation": c.Generation(),
 		"workers":    health,
 	})
 }
@@ -358,16 +228,18 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		return json.RawMessage(raw)
 	})
+	fs := c.front.Stats()
 	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"node":           c.cfg.NodeName,
 		"role":           "coordinator",
 		"uptime_seconds": time.Since(c.started).Seconds(),
-		"generation":     c.trackedHash(c.workers),
+		"generation":     c.Generation(),
 		"workers":        len(c.workers),
-		"queries":        c.queries.Load(),
-		"mutations":      c.mutations.Load(),
-		"cache":          c.cache.Stats(),
-		"admission":      c.limiter.Stats(),
+		"queries":        fs.Queries,
+		"batches":        fs.Batches,
+		"mutations":      fs.Mutations,
+		"cache":          fs.Cache,
+		"admission":      fs.Admission,
 		"worker_stats":   stats,
 	})
 }

@@ -519,9 +519,6 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Sync flushes any batched WAL appends to stable storage.
-func (s *Store) Sync() error { return s.log.Sync() }
-
 // Close detaches the store from the corpus and closes the log.
 func (s *Store) Close() error {
 	s.corpus.SetMutationHook(nil)

@@ -103,7 +103,7 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusInternalServerError, "register document: %v", err)
 		return
 	}
-	s.invalidate()
+	s.front.Mutated()
 	s.stampGeneration(w)
 	status := http.StatusCreated
 	if replaced {
@@ -145,7 +145,7 @@ func (s *Server) handleDeleteDoc(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusNotFound, "no document %q", name)
 		return
 	}
-	s.invalidate()
+	s.front.Mutated()
 	s.stampGeneration(w)
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -72,7 +72,7 @@ func TestAdmission429(t *testing.T) {
 
 	// Occupy the single slot directly at the limiter, as a long-running
 	// query would.
-	release, err := s.limiter.Acquire(context.Background())
+	release, err := s.front.limiter.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -17,33 +16,52 @@ import (
 	"ncq/internal/wire"
 )
 
-// runCached resolves one request through the cache: a hit splices the
-// stored bytes into the response; a miss executes through the unified
-// ncq.Querier surface and caches the response — the pre-encoded result
-// plus its page metadata — under the request's canonical encoding and
-// the generation it was computed against (so a racing mutation can
-// never publish a stale entry under the new generation).
-func (s *Server) runCached(ctx context.Context, gen uint64, req ncq.Request) (wire.Response, error) {
+// runCached resolves one request through the cache — the one cache
+// rule of both roles. Look up under gen, the backend's generation read
+// before executing, keyed by the request's canonical encoding: a hit
+// splices the stored bytes into the response. A miss executes and
+// stores the response — the pre-encoded result plus its page metadata
+// — under the generation the answer itself reports, so a racing
+// mutation can never publish a stale entry under the new generation.
+// An incomplete answer is never stored.
+func (f *Front) runCached(ctx context.Context, gen uint64, req ncq.Request) (wire.Response, error) {
 	if req.Vague != nil {
-		s.vagueRequests.Inc()
+		f.vagueRequests.Inc()
 	}
 	key := cache.Key{Gen: gen, Query: req.Canonical()}
-	if v, ok := s.cache.Get(key); ok {
+	if v, ok := f.cache.Get(key); ok {
 		resp := v.(wire.Response)
 		resp.Cached = true
 		return resp, nil
 	}
-	res, err := s.corpus.Run(ctx, req)
+	// A term request drains the backend's ranked sequence ("Run is drain
+	// plus paginate", whatever the backend); a query-language one is the
+	// backend's Run, whose answer carries no generation of its own and
+	// keeps the one read before it.
+	resp := wire.Response{Generation: gen}
+	var res *ncq.Result
+	var err error
+	if len(req.Terms) > 0 {
+		seq, stats := f.backend.ResultsWithStats(ctx, req)
+		res, err = ncq.DrainResults(seq, stats)
+		resp.Generation, resp.Incomplete, resp.WorkerErrors = stats.Generation, stats.Incomplete, stats.WorkerErrors
+	} else {
+		res, err = f.backend.Run(ctx, req)
+	}
 	if err != nil {
 		return wire.Response{}, err
 	}
-	s.observeRelaxations(res.RelaxationsBySlack)
+	f.observeRelaxations(res.RelaxationsBySlack)
 	raw, err := json.Marshal(toWireResult(&req, res))
 	if err != nil {
-		return wire.Response{}, fmt.Errorf("%w: %v", errEncodeResult, err)
+		// The one failure here that is not the client's input.
+		return wire.Response{}, &wire.StatusError{Status: http.StatusInternalServerError, Err: fmt.Errorf("encode result: %v", err)}
 	}
-	resp := wire.Response{Generation: gen, Truncated: res.Truncated, NextCursor: res.NextCursor, Result: raw}
-	s.cache.Put(key, resp, len(raw)+len(resp.NextCursor))
+	resp.Truncated, resp.NextCursor, resp.Result = res.Truncated, res.NextCursor, raw
+	if !resp.Incomplete {
+		key.Gen = resp.Generation
+		f.cache.Put(key, resp, len(raw)+len(resp.NextCursor))
+	}
 	return resp, nil
 }
 
@@ -51,10 +69,10 @@ func (s *Server) runCached(ctx context.Context, gen uint64, req ncq.Request) (wi
 // counts into the ncq_vague_relaxations_total histogram: one
 // observation of value s per answer that used slack s. Cache hits
 // observe nothing — the work was not redone.
-func (s *Server) observeRelaxations(bySlack []int) {
+func (f *Front) observeRelaxations(bySlack []int) {
 	for slack, n := range bySlack {
 		for i := 0; i < n; i++ {
-			s.vagueRelax.Observe(float64(slack))
+			f.vagueRelax.Observe(float64(slack))
 		}
 	}
 }
@@ -76,22 +94,6 @@ func toWireResult(req *ncq.Request, res *ncq.Result) *wire.Result {
 		out.Answers = append(out.Answers, toAnswer(a.Source, a.Answer))
 	}
 	return out
-}
-
-// errEncodeResult marks the one server-side failure of the execution
-// path — a result that would not serialise — so statusOf can report it
-// as a 500 instead of blaming the client's input.
-var errEncodeResult = errors.New("encode result")
-
-// statusOf maps an execution failure to its HTTP status: the shared
-// table (wire.StatusOf), plus 500 for a result that failed to
-// serialise; everything else is input-driven (unparsable queries, bad
-// path patterns) and therefore 400.
-func statusOf(err error) int {
-	if errors.Is(err, errEncodeResult) {
-		return http.StatusInternalServerError
-	}
-	return wire.StatusOf(err, http.StatusBadRequest)
 }
 
 // batchUnit is one distinct piece of work of a batch: duplicate
@@ -127,20 +129,20 @@ func collectUnits(reqs []*ncq.Request) (assigned, units []*batchUnit) {
 }
 
 // runUnits executes the distinct units of a batch over a bounded
-// worker pool sized like the corpus fan-out. Each unit resolves
+// worker pool sized like the backend's fan-out. Each unit resolves
 // through the cache individually, so a batch repeating yesterday's
 // queries is pure cache traffic. A unit's own execution may fan out
 // again (corpus-wide or sharded queries), briefly oversubscribing the
 // CPU up to workers²; that is deliberate — the scheduler stays work-
 // conserving, and the outer pool is what parallelises the units whose
 // inner execution is serial (cache hits, plain single-doc queries).
-func (s *Server) runUnits(ctx context.Context, gen uint64, units []*batchUnit) {
-	workers := s.corpus.Parallelism()
+func (f *Front) runUnits(ctx context.Context, gen uint64, units []*batchUnit) {
+	workers := f.backend.Parallelism()
 	if workers > len(units) {
 		workers = len(units)
 	}
 	runUnit := func(u *batchUnit) {
-		u.out, u.err = s.runCached(ctx, gen, u.req)
+		u.out, u.err = f.runCached(ctx, gen, u.req)
 	}
 	if workers <= 1 {
 		for _, u := range units {

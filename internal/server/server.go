@@ -19,11 +19,15 @@
 //	GET    /v1/stats       corpus, cache and traffic counters
 //	GET    /v1/metrics     Prometheus text exposition (see observe.go)
 //
-// Every query executes through the unified ncq.Request path (run.go).
-// Query results are cached in a byte-bounded LRU — optionally with a
-// TTL — keyed by (corpus generation, canonical request); any document
-// mutation bumps the generation and purges the cache, so clients never
-// observe stale answers. Documents uploaded with ?shards=K are split
+// The query route is the front end's (front.go: Front, the one
+// /v2/query handler of the system) executed against the corpus as its
+// Backend; a cluster coordinator mounts the same Front over its
+// scatter, so the route behaves one way wherever it lands. Every query
+// executes through the unified ncq.Request path (run.go). Query results
+// are cached in a byte-bounded LRU — optionally with a TTL — keyed by
+// (generation, canonical request); any document mutation bumps the
+// generation and purges the cache, so clients never observe stale
+// answers. Documents uploaded with ?shards=K are split
 // into subtree shards that queries fan out over in parallel while
 // clients keep addressing one logical name.
 package server
@@ -32,12 +36,9 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"ncq"
-	"ncq/internal/admission"
-	"ncq/internal/cache"
 	"ncq/internal/durable"
 	"ncq/internal/metrics"
 	"ncq/internal/shard"
@@ -55,34 +56,21 @@ const (
 // and mount Handler on an http.Server. All methods are safe for
 // concurrent use.
 type Server struct {
-	corpus     *ncq.Corpus
-	cache      *cache.LRU
-	cacheBytes int64
-	cacheTTL   time.Duration
-	maxBody    int64
-	nodeName   string
-	role       string
-	logger     *slog.Logger
-	limiter    *admission.Limiter
-	docs       durable.Writer // every PUT and DELETE goes through it
-	mux        *http.ServeMux
-	started    time.Time
-
-	queries   atomic.Uint64 // queries that reached execution (batch items included)
-	batches   atomic.Uint64 // "batch" requests accepted
-	mutations atomic.Uint64 // document PUT/DELETE that changed the corpus
+	corpus  *ncq.Corpus
+	cfg     FrontConfig // what the options say about the query route
+	front   *Front      // POST /v2/query over corpus
+	maxBody int64
+	role    string
+	logger  *slog.Logger
+	docs    durable.Writer // every PUT and DELETE goes through it
+	mux     *http.ServeMux
+	started time.Time
 
 	// Observability (observe.go). reg is per-instance so multiple
 	// servers in one process — httptest fixtures, a worker and a
 	// coordinator side by side — never collide on metric names.
-	reg             *metrics.Registry
-	httpm           *metrics.HTTP
-	queriesInflight *metrics.Gauge
-	streamsInflight *metrics.Gauge
-	streamLines     *metrics.Counter
-	streamBytes     *metrics.Counter
-	vagueRequests   *metrics.Counter
-	vagueRelax      *metrics.Histogram
+	reg   *metrics.Registry
+	httpm *metrics.HTTP
 }
 
 // Option customises a Server.
@@ -91,14 +79,14 @@ type Option func(*Server)
 // WithCacheBytes bounds the query result cache by the approximate
 // encoded size of the retained results; 0 disables caching.
 func WithCacheBytes(n int64) Option {
-	return func(s *Server) { s.cacheBytes = n }
+	return func(s *Server) { s.cfg.CacheBytes = n }
 }
 
 // WithCacheTTL bounds how long a cached result may be served; 0 (the
 // default) means entries never expire by age — the generation key
 // already guarantees they can never be stale.
 func WithCacheTTL(d time.Duration) Option {
-	return func(s *Server) { s.cacheTTL = d }
+	return func(s *Server) { s.cfg.CacheTTL = d }
 }
 
 // WithMaxBody bounds the size of uploaded XML documents in bytes.
@@ -116,7 +104,7 @@ func WithMaxBody(n int64) Option {
 func WithNodeName(name string) Option {
 	return func(s *Server) {
 		if name != "" {
-			s.nodeName = name
+			s.cfg.NodeName = name
 		}
 	}
 }
@@ -151,7 +139,9 @@ func WithLogger(l *slog.Logger) Option {
 // control. Only the query route is gated; document mutations and
 // introspection stay reachable on a saturated node.
 func WithAdmission(maxConcurrent, maxQueue int, wait time.Duration) Option {
-	return func(s *Server) { s.limiter = admission.New(maxConcurrent, maxQueue, wait) }
+	return func(s *Server) {
+		s.cfg.MaxInFlight, s.cfg.MaxQueue, s.cfg.QueueWait = maxConcurrent, maxQueue, wait
+	}
 }
 
 // WithDurability routes every document mutation through store, which
@@ -169,19 +159,18 @@ func New(corpus *ncq.Corpus, opts ...Option) *Server {
 		corpus = ncq.NewCorpus()
 	}
 	s := &Server{
-		corpus:     corpus,
-		docs:       durable.InMemory(corpus),
-		cacheBytes: defaultCacheBytes,
-		maxBody:    defaultMaxBody,
-		nodeName:   "ncqd",
-		role:       "single",
-		started:    time.Now(),
-		reg:        metrics.NewRegistry(),
+		corpus:  corpus,
+		cfg:     FrontConfig{NodeName: "ncqd", CacheBytes: defaultCacheBytes},
+		docs:    durable.InMemory(corpus),
+		maxBody: defaultMaxBody,
+		role:    "single",
+		started: time.Now(),
+		reg:     metrics.NewRegistry(),
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.cache = cache.New(s.cacheBytes, cache.WithTTL(s.cacheTTL))
+	s.front = NewFront(corpus, s.reg, s.cfg)
 	s.initObservability()
 	mux := http.NewServeMux()
 	// handle wraps every route with the metrics + request-log
@@ -190,8 +179,7 @@ func New(corpus *ncq.Corpus, opts ...Option) *Server {
 	handle := func(pattern, route string, quiet bool, h http.Handler) {
 		mux.Handle(pattern, s.httpm.Instrument(route, s.logger, quiet, h))
 	}
-	handle("POST /v2/query", "/v2/query", false,
-		wire.Admit(s.limiter, s.queriesInflight, http.HandlerFunc(s.handleQuery)))
+	handle("POST /v2/query", "/v2/query", false, s.front.Handler())
 	handle("PUT /v1/docs/{name}", "/v1/docs/{name}", false, http.HandlerFunc(s.handlePutDoc))
 	handle("GET /v1/docs/{name}", "/v1/docs/{name}", false, http.HandlerFunc(s.handleGetDoc))
 	handle("DELETE /v1/docs/{name}", "/v1/docs/{name}", false, http.HandlerFunc(s.handleDeleteDoc))
@@ -214,14 +202,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // serves — e.g. for publishing on /debug/vars via Registry.Expvar.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
-// invalidate records a corpus mutation: stale results keyed by older
-// generations can never be served again (the generation is part of the
-// cache key), so the purge is purely about returning memory early.
-func (s *Server) invalidate() {
-	s.mutations.Add(1)
-	s.cache.Purge()
-}
-
 // stampGeneration reports the node's current corpus generation in the
 // X-NCQ-Generation response header. Mutation responses carry it so a
 // routing coordinator can update its generation vector from the
@@ -236,7 +216,7 @@ func (s *Server) stampGeneration(w http.ResponseWriter) {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":     "ok",
-		"node":       s.nodeName,
+		"node":       s.cfg.NodeName,
 		"role":       s.role,
 		"generation": s.corpus.Generation(),
 		"docs":       s.corpus.Len(),
@@ -245,35 +225,27 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // statsResponse is the /v1/stats payload.
 type statsResponse struct {
-	Node          string          `json:"node"`
-	Role          string          `json:"role"`
-	UptimeSeconds float64         `json:"uptime_seconds"`
-	Generation    uint64          `json:"generation"`
-	Workers       int             `json:"workers"` // query fan-out pool depth
-	Docs          int             `json:"docs"`
-	TotalShards   int             `json:"total_shards"`
-	TotalNodes    int             `json:"total_nodes"`
-	TotalTerms    int             `json:"total_terms"`
-	TotalMemBytes int             `json:"total_mem_bytes"`
-	Queries       uint64          `json:"queries"`
-	Batches       uint64          `json:"batches"`
-	Mutations     uint64          `json:"mutations"`
-	Cache         cache.Stats     `json:"cache"`
-	Admission     admission.Stats `json:"admission"`
+	Node          string  `json:"node"`
+	Role          string  `json:"role"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	Generation    uint64  `json:"generation"`
+	Workers       int     `json:"workers"` // query fan-out pool depth
+	Docs          int     `json:"docs"`
+	TotalShards   int     `json:"total_shards"`
+	TotalNodes    int     `json:"total_nodes"`
+	TotalTerms    int     `json:"total_terms"`
+	TotalMemBytes int     `json:"total_mem_bytes"`
+	FrontStats            // queries, batches, mutations, cache, admission
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := statsResponse{
-		Node:          s.nodeName,
+		Node:          s.cfg.NodeName,
 		Role:          s.role,
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Generation:    s.corpus.Generation(),
 		Workers:       s.corpus.Parallelism(),
-		Queries:       s.queries.Load(),
-		Batches:       s.batches.Load(),
-		Mutations:     s.mutations.Load(),
-		Cache:         s.cache.Stats(),
-		Admission:     s.limiter.Stats(),
+		FrontStats:    s.front.Stats(),
 	}
 	for _, name := range s.corpus.Names() {
 		st, shards, ok := s.corpus.MemberStats(name)

@@ -16,36 +16,33 @@ import (
 // which is the whole point of the endpoint: on a wide corpus the
 // client renders nearest concepts while the long tail is still being
 // merged. ctx carries the per-request deadline.
-func (s *Server) handleStream(ctx context.Context, w http.ResponseWriter, r *http.Request, start time.Time, q *wire.Query) {
-	if q.IsQuery() {
-		wire.WriteError(w, http.StatusBadRequest,
-			"only \"terms\" requests stream; run query-language requests without stream=1")
-		return
-	}
-	s.queries.Add(1)
-	s.streamsInflight.Inc()
-	defer s.streamsInflight.Dec()
+func (f *Front) handleStream(ctx context.Context, w http.ResponseWriter, r *http.Request, start time.Time, q *wire.Query) {
+	f.queries.Add(1)
+	f.streamsInflight.Inc()
+	defer f.streamsInflight.Dec()
 	ncqReq := q.Request()
 	metrics.SetFingerprint(ctx, ncqReq.Canonical())
-	seq, stats := s.corpus.ResultsWithStats(ctx, ncqReq)
+	// Only term requests stream: a query-language one is the backend's
+	// to refuse, as the sequence's only yield.
+	seq, stats := f.backend.ResultsWithStats(ctx, ncqReq)
 	if ncqReq.Vague != nil {
-		s.vagueRequests.Inc()
+		f.vagueRequests.Inc()
 		// Streams bypass the cache, so every drain is real execution;
 		// stats (and the relaxation counts) are complete before the
 		// first yield.
-		defer func() { s.observeRelaxations(stats.RelaxationsBySlack) }()
+		defer func() { f.observeRelaxations(stats.RelaxationsBySlack) }()
 	}
 	// stats are complete before the first yield (and before the
 	// trailer of an empty stream), so a header always carries the final
 	// counters and the snapshot's generation.
 	header := func() wire.Header {
-		return wire.Header{Node: s.nodeName, Generation: stats.Generation, Total: stats.Total, Unmatched: stats.Unmatched}
+		return wire.Header{Node: f.nodeName, Generation: stats.Generation, Total: stats.Total, Unmatched: stats.Unmatched}
 	}
-	sw := wire.NewStreamWriter(w, r, header, s.streamLines, s.streamBytes)
+	sw := wire.NewStreamWriter(w, r, header, f.streamLines, f.streamBytes)
 	defer sw.Close()
 	for m, err := range seq {
 		if err != nil {
-			sw.Fail(statusOf(err), err)
+			sw.Fail(wire.StatusOf(err), err)
 			return
 		}
 		if !sw.Meet(&m) {
@@ -53,9 +50,11 @@ func (s *Server) handleStream(ctx context.Context, w http.ResponseWriter, r *htt
 		}
 	}
 	sw.Trailer(wire.Trailer{
-		Unmatched:  stats.Unmatched,
-		Truncated:  stats.Truncated,
-		NextCursor: stats.NextCursor,
-		TookMS:     wire.MsSince(start),
+		Unmatched:    stats.Unmatched,
+		Truncated:    stats.Truncated,
+		NextCursor:   stats.NextCursor,
+		Incomplete:   stats.Incomplete,
+		WorkerErrors: stats.WorkerErrors,
+		TookMS:       wire.MsSince(start),
 	})
 }

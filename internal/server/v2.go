@@ -18,7 +18,7 @@ import (
 	"ncq/internal/wire"
 )
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+func (f *Front) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	req, ctx, cancel, ok := wire.Decode(w, r)
 	if !ok {
@@ -26,24 +26,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 	if wire.Flag(r, "stream") {
-		s.handleStream(ctx, w, r, start, &req.Query)
+		f.handleStream(ctx, w, r, start, &req.Query)
 		return
 	}
 	if len(req.Batch) > 0 {
-		s.handleBatch(ctx, w, start, req.Batch)
+		f.handleBatch(ctx, w, start, req.Batch)
 		return
 	}
-	// Read the generation BEFORE executing: if a mutation races this
-	// request, the result computed against the old corpus is cached
-	// under the old (dead) generation and can never be served to
-	// post-mutation clients.
-	gen := s.corpus.Generation()
-	s.queries.Add(1)
+	// Read the generation BEFORE executing: a cached answer is served
+	// only if it was computed against the state this request arrived
+	// to, and an answer a racing mutation got ahead of is stored under
+	// the generation it reports itself — never under a newer one.
+	gen := f.backend.Generation()
+	f.queries.Add(1)
 	ncqReq := req.Request()
 	metrics.SetFingerprint(ctx, ncqReq.Canonical())
-	resp, err := s.runCached(ctx, gen, ncqReq)
+	resp, err := f.runCached(ctx, gen, ncqReq)
 	if err != nil {
-		wire.WriteError(w, statusOf(err), "%v", err)
+		wire.WriteFailure(w, wire.StatusOf(err), err)
 		return
 	}
 	wire.WriteResponse(w, start, resp)
@@ -51,11 +51,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // handleBatch answers the batch form: per-item validation errors and
 // statuses, distinct queries deduplicated onto single executions, all
-// against one generation (read before any resolution, for the same
-// reason as in handleQuery).
-func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, start time.Time, batch []wire.Query) {
-	s.batches.Add(1)
-	gen := s.corpus.Generation()
+// looked up under one generation (read before any resolution, for the
+// same reason as in handleQuery).
+func (f *Front) handleBatch(ctx context.Context, w http.ResponseWriter, start time.Time, batch []wire.Query) {
+	f.batches.Add(1)
+	gen := f.backend.Generation()
 	items := make([]wire.BatchItem, len(batch))
 	reqs := make([]*ncq.Request, len(batch))
 	for i := range batch {
@@ -64,18 +64,18 @@ func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, start t
 			items[i] = wire.BatchItem{Status: http.StatusBadRequest, Error: err.Error()}
 			continue
 		}
-		s.queries.Add(1)
+		f.queries.Add(1)
 		unitReq := q.Request()
 		reqs[i] = &unitReq
 	}
 	assigned, units := collectUnits(reqs)
-	s.runUnits(ctx, gen, units)
+	f.runUnits(ctx, gen, units)
 	for i, u := range assigned {
 		if u == nil {
 			continue // already carries its validation error
 		}
 		if u.err != nil {
-			items[i] = wire.BatchItem{Status: statusOf(u.err), Error: u.err.Error()}
+			items[i] = wire.BatchItem{Status: wire.StatusOf(u.err), Error: u.err.Error()}
 			continue
 		}
 		items[i] = u.out.Item()

@@ -91,7 +91,7 @@ type StreamWriter struct {
 	w            http.ResponseWriter
 	flusher      http.Flusher
 	header       func() Header
-	lines, bytes *metrics.Counter // nil on a role that does not count
+	lines, bytes *metrics.Counter // nil when nobody counts (tests)
 
 	// mu guards the fields below and, once the stream has started,
 	// every use of w: the delay timer flushes from its own goroutine.
@@ -219,7 +219,7 @@ func (s *StreamWriter) Fail(status int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.started {
-		WriteError(s.w, status, "%v", err)
+		WriteFailure(s.w, status, err)
 		return
 	}
 	s.record(errorBody{Error: err.Error()})

@@ -1,8 +1,9 @@
 // Package wire is the one place that knows the POST /v2/query
 // protocol: the request schema with its validation and lowering, the
 // response envelopes, the NDJSON stream records (stream.go) and the
-// HTTP helpers around them. internal/server produces the protocol,
-// internal/cluster consumes and re-produces it, cmd/ncq consumes it;
+// HTTP helpers around them. internal/server's front end produces the
+// protocol for both roles, internal/cluster renders the bodies it
+// scatters and consumes its workers' streams, cmd/ncq consumes it;
 // none of them spells a protocol field itself, so a single node and a
 // coordinator cannot drift apart. The body is one JSON object — one
 // query inline, or many under "batch":
@@ -13,7 +14,8 @@
 //
 // Errors map to statuses uniformly (StatusOf): 404 for an unknown
 // document, 400 for invalid input or a foreign cursor, 410 for a
-// cursor minted before a mutation, 504 for an expired timeout_ms.
+// cursor minted before a mutation, 504 for an expired timeout_ms, and
+// whatever a StatusError carries for the failures only one role has.
 package wire
 
 import (
@@ -121,7 +123,7 @@ func (q *Query) Validate() error {
 // executes or canonicalises: caches and cursors are keyed by its
 // Canonical encoding, so equivalent spellings share them.
 func (q *Query) Request() ncq.Request {
-	req := ncq.Request{Doc: q.Doc, Limit: q.Limit, Cursor: q.Cursor}
+	req := ncq.Request{Doc: q.Doc, Limit: q.Limit, Cursor: q.Cursor, AllowPartial: q.AllowPartial}
 	if len(q.Terms) == 0 {
 		req.Query = strings.TrimSpace(q.Query)
 		return req
@@ -147,6 +149,17 @@ func (q *Query) Request() ncq.Request {
 	}
 	req.Terms, req.Options, req.Vague = q.Terms, opt, q.Vague
 	return req
+}
+
+// QueryOf is Request's inverse for term requests — the only ones that
+// are scattered: the query a coordinator's backend re-sends to its
+// workers, so the body a worker decodes is spelled here and nowhere
+// else.
+func QueryOf(req *ncq.Request) Query {
+	o := req.Options.Spec()
+	return Query{Doc: req.Doc, Terms: req.Terms, Limit: req.Limit, Vague: req.Vague, Cursor: req.Cursor,
+		AllowPartial: req.AllowPartial, ExcludeRoot: o.ExcludeRoot, Exclude: o.Exclude, Restrict: o.Restrict,
+		Nearest: o.Nearest, Within: o.Within, MaxLift: o.MaxLift}
 }
 
 // Request is the POST /v2/query body: one query inline, or many under
@@ -321,13 +334,31 @@ func ReadError(r io.Reader) string {
 	return strings.TrimSpace(string(raw))
 }
 
-// StatusOf maps the execution failures every role shares to their HTTP
-// status: an unregistered document is 404, a cursor from another
-// request 400, a cursor minted before a mutation 410 Gone (the page it
-// pointed into no longer exists), an expired deadline 504, a client
-// that went away 499 (the de-facto "client closed request" code).
-// Anything else is the role's own: fallback.
-func StatusOf(err error, fallback int) int {
+// StatusError is an execution failure that carries its own HTTP
+// status: the ones only one role can have and the shared table below
+// therefore cannot know — a result that would not serialise (500), a
+// worker's 4xx relayed by a coordinator with the worker's Retry-After
+// hint, a worker that failed (502), a request shape a role does not
+// execute (501).
+type StatusError struct {
+	Status     int
+	RetryAfter string // relayed in the Retry-After header when set
+	Err        error
+}
+
+func (e *StatusError) Error() string { return e.Err.Error() }
+func (e *StatusError) Unwrap() error { return e.Err }
+
+// StatusOf maps an execution failure to its HTTP status. The failures
+// every role shares come first: an unregistered document is 404, a
+// cursor from another request 400, a cursor minted before a mutation
+// 410 Gone (the page it pointed into no longer exists), an expired
+// deadline 504, a client that went away 499 (the de-facto "client
+// closed request" code). Then a StatusError's own status. Everything
+// else is input-driven (unparsable queries, bad path patterns) and
+// therefore 400.
+func StatusOf(err error) int {
+	var se *StatusError
 	switch {
 	case errors.Is(err, ncq.ErrUnknownDoc):
 		return http.StatusNotFound
@@ -339,9 +370,23 @@ func StatusOf(err error, fallback int) int {
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return 499
+	case errors.As(err, &se):
+		return se.Status
 	default:
-		return fallback
+		return http.StatusBadRequest
 	}
+}
+
+// WriteFailure renders an execution failure as the error envelope under
+// status (StatusOf's, from a handler), relaying the Retry-After hint of
+// a failure that carries one: a shed worker's 429 backpressure must
+// reach the client intact.
+func WriteFailure(w http.ResponseWriter, status int, err error) {
+	var se *StatusError
+	if errors.As(err, &se) && se.RetryAfter != "" {
+		w.Header().Set("Retry-After", se.RetryAfter)
+	}
+	WriteError(w, status, "%v", err)
 }
 
 // MsSince is the took_ms of a request that started at start.

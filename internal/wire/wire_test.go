@@ -106,10 +106,16 @@ func TestQueryRequestLowering(t *testing.T) {
 	if err := q.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	want := ncq.Request{Doc: "d", Terms: []string{"a", "b"}, Limit: 5, Cursor: "c", Vague: q.Vague,
+	want := ncq.Request{Doc: "d", Terms: []string{"a", "b"}, Limit: 5, Cursor: "c", Vague: q.Vague, AllowPartial: true,
 		Options: ncq.ExcludeRoot().ExcludePattern("//x").Restrict("//y").Nearest().Within(3).MaxLift(2)}
-	if got := q.Request(); !reflect.DeepEqual(got, want) {
+	got := q.Request()
+	if !reflect.DeepEqual(got, want) {
 		t.Errorf("lowered %+v, want %+v", got, want)
+	}
+	// What a coordinator's backend re-sends to its workers is the query
+	// it was sent.
+	if back := QueryOf(&got); !reflect.DeepEqual(back, q) {
+		t.Errorf("QueryOf(lowered) = %+v, want %+v", back, q)
 	}
 	sql := Query{Doc: "d", Query: "  SELECT tag(e) FROM //y AS e ", Limit: 2}
 	if got, want := sql.Request(), (ncq.Request{Doc: "d", Query: "SELECT tag(e) FROM //y AS e", Limit: 2}); !reflect.DeepEqual(got, want) {

@@ -280,6 +280,28 @@ func (o *Options) MaxLift(n int) *Options {
 	return o
 }
 
+// OptionSpec is Options as plain data: what a surface that ships a
+// request to another process renders back into its own schema
+// (internal/wire, for the body a coordinator scatters to its workers).
+type OptionSpec struct {
+	ExcludeRoot bool
+	Exclude     []string
+	Restrict    []string
+	Nearest     bool
+	Within      int
+	MaxLift     int
+}
+
+// Spec returns what the fluent calls recorded; the zero OptionSpec for
+// a nil receiver.
+func (o *Options) Spec() OptionSpec {
+	if o == nil {
+		return OptionSpec{}
+	}
+	return OptionSpec{ExcludeRoot: o.excludeRoot, Exclude: o.excludePatterns, Restrict: o.restrictPatterns,
+		Nearest: o.skipExcluded, Within: o.maxDistance, MaxLift: o.maxLift}
+}
+
 // compile lowers the public Options into core.Options.
 func (o *Options) compile(db *Database) (*core.Options, error) {
 	if o == nil {

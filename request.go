@@ -81,6 +81,13 @@ type Request struct {
 	// It must be nil for query-language requests. The zero spec is
 	// equivalent — including cache keys and cursors — to exact mode.
 	Vague *Vague `json:"vague,omitempty"`
+
+	// AllowPartial lets an executor scattered over other processes
+	// answer from the members it could reach (StreamStats.Incomplete)
+	// instead of failing. A Database or a Corpus ignores it — their
+	// answers are never partial — and a complete answer is the same
+	// either way, so it is no part of Canonical.
+	AllowPartial bool `json:"allow_partial,omitempty"`
 }
 
 // Result is the answer to a Request, whatever surface executed it.
@@ -210,7 +217,7 @@ func (r *Request) canonicalBase() string {
 // so a stale cursor can never splice into a fresh cursor's cache
 // entry.
 func (r *Request) Canonical() string {
-	off, gen, err := r.page()
+	off, gen, err := r.Page()
 	if err != nil {
 		// An undecodable cursor cannot execute; keep the key unique.
 		return r.canonicalBase() + " cur=" + strconv.Quote(r.Cursor)
@@ -222,17 +229,12 @@ func (r *Request) Canonical() string {
 	return s
 }
 
-// fingerprintOf hashes a canonical request encoding — the binding that
-// ties a cursor to the request that minted it.
-func fingerprintOf(base string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(base))
-	return h.Sum32()
-}
-
-// fingerprint binds cursors to the request that produced them.
+// fingerprint binds cursors to the request that produced them: a hash
+// of everything but the page position.
 func (r *Request) fingerprint() uint32 {
-	return fingerprintOf(r.canonicalBase())
+	h := fnv.New32a()
+	h.Write([]byte(r.canonicalBase()))
+	return h.Sum32()
 }
 
 // encodeCursor renders a resume position as an opaque cursor, stamped
@@ -260,40 +262,17 @@ func decodeCursor(cursor string, fp uint32) (offset int, gen uint64, err error) 
 	return offset, gen, nil
 }
 
-// page decodes the request's cursor into a result offset plus the
-// corpus generation the cursor was minted at (both 0 when no cursor is
-// set), failing with ErrBadCursor on garbage or on a cursor minted for
-// a different request. Staleness — a minted generation that no longer
-// matches the corpus — is the executor's check: only it knows the
-// current generation.
-func (r *Request) page() (offset int, gen uint64, err error) {
+// Page decodes the request's cursor into a result offset plus the
+// generation the cursor was minted at (both 0 when no cursor is set),
+// failing with ErrBadCursor on garbage or on a cursor minted for a
+// different request. Staleness — a minted generation that no longer
+// matches the state the request runs against — is the executor's
+// check: only it knows the current generation, be it a corpus counter
+// or the hash of a cluster's generation vector (StreamStats.Fill
+// stamps whichever the executor hands it).
+func (r *Request) Page() (offset int, gen uint64, err error) {
 	if r.Cursor == "" {
 		return 0, 0, nil
 	}
 	return decodeCursor(r.Cursor, r.fingerprint())
-}
-
-// MintCursor renders a resume position as an opaque cursor bound to
-// base — any canonical encoding of the request minus its page position
-// — and stamped with gen, the (possibly composite) generation of the
-// state it was computed against. It is the pagination primitive of
-// out-of-process executors: internal/cluster's coordinator mints its
-// page cursors with it, stamping them with the hash of its worker
-// generation vector, so distributed cursors carry the same binding and
-// staleness semantics as in-process ones.
-func MintCursor(offset int, base string, gen uint64) string {
-	return encodeCursor(offset, fingerprintOf(base), gen)
-}
-
-// ResolveCursor decodes a cursor minted by MintCursor against the same
-// base, returning the resume offset and the stamped generation (both 0
-// for an empty cursor). It fails with ErrBadCursor (wrapped) on
-// garbage or on a cursor minted against a different base; whether the
-// returned generation is stale is the caller's check — only the caller
-// knows the current state.
-func ResolveCursor(cursor, base string) (offset int, gen uint64, err error) {
-	if cursor == "" {
-		return 0, 0, nil
-	}
-	return decodeCursor(cursor, fingerprintOf(base))
 }

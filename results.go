@@ -71,6 +71,16 @@ type StreamStats struct {
 	// requests. The counts cover the full candidate set (like Total),
 	// not just the drained page.
 	RelaxationsBySlack []int
+
+	// Incomplete and WorkerErrors report a partial answer: an executor
+	// scattered over other processes (internal/cluster's coordinator)
+	// that lost some of them under Request.AllowPartial sets Incomplete,
+	// names each failure by worker and clears NextCursor — a page chain
+	// is always exact. A member can fail mid-answer, so unlike the
+	// fields above these are final only once the sequence has ended.
+	// Always zero for a Database or a Corpus.
+	Incomplete   bool
+	WorkerErrors map[string]string
 }
 
 // rankKey is what a member's heap orders: an answer's local rank
@@ -326,16 +336,19 @@ func (g *merger) next() (CorpusMeet, bool, error) {
 	return out, true, nil
 }
 
-// fillStats publishes the counters known at fan-out completion and
-// mints the resume cursor of a truncated stream.
-func fillStats(stats *StreamStats, req *Request, offset int, gen uint64, total, unmatched int, unmatchedNodes []NodeID) {
-	stats.Total = total
-	stats.Unmatched = unmatched
-	stats.UnmatchedNodes = unmatchedNodes
-	stats.Generation = gen
+// Fill publishes the counters known once a request has fanned out —
+// the full candidate count, the unmatched inputs and the generation
+// the answer is computed against — and mints the resume cursor of a
+// page that req.Limit cuts at offset. Every executor, in process or
+// scattered over a cluster, closes its fan-out with it, so a cursor is
+// bound and stamped one way.
+func (s *StreamStats) Fill(req *Request, offset int, gen uint64, total, unmatched int) {
+	s.Total = total
+	s.Unmatched = unmatched
+	s.Generation = gen
 	if req.Limit > 0 && total > offset+req.Limit {
-		stats.Truncated = true
-		stats.NextCursor = encodeCursor(offset+req.Limit, req.fingerprint(), gen)
+		s.Truncated = true
+		s.NextCursor = encodeCursor(offset+req.Limit, req.fingerprint(), gen)
 	}
 }
 
@@ -428,6 +441,60 @@ func MergeMeets(ctx context.Context, sources []MeetSource, offset, limit int) it
 	}
 }
 
+// target is what one request executes against: its fan-out units, the
+// width they run at, the generation that identifies the captured
+// membership — the mark minted cursors carry — and the thesaurus vague
+// requests expand through.
+type target struct {
+	members []member
+	workers int
+	gen     uint64
+	th      *fulltext.Thesaurus
+
+	// anonymous marks a Database run: the one member's node IDs
+	// identify nodes on their own, so the unmatched inputs are reported
+	// by ID and member errors need no name in front.
+	anonymous bool
+}
+
+// resolver is what Database and Corpus each bring to the one execution
+// pipeline: the target a request addressed to doc runs against.
+type resolver func(doc string) (target, error)
+
+// resolve makes a Database the degenerate target: itself as one
+// anonymous member at generation 0, which never changes.
+func (db *Database) resolve(doc string) (target, error) {
+	if doc != "" {
+		return target{}, fmt.Errorf("ncq: %w %q: a Database holds a single document; clear Request.Doc or run against a Corpus", ErrUnknownDoc, doc)
+	}
+	return target{members: []member{{db: db}}, workers: 1, anonymous: true}, nil
+}
+
+// memberErr names the member an execution error came from.
+func (t *target) memberErr(i int, err error) error {
+	if t.anonymous {
+		return err
+	}
+	return fmt.Errorf("ncq: corpus %q: %w", t.members[i].name, err)
+}
+
+// openPage resolves req's target and its page position in it: the
+// offset its cursor resumes at, or ErrStaleCursor when the cursor was
+// minted against another generation of the membership.
+func openPage(r resolver, req *Request) (t target, offset int, err error) {
+	offset, curGen, err := req.Page()
+	if err != nil {
+		return target{}, 0, err
+	}
+	if t, err = r(req.Doc); err != nil {
+		return target{}, 0, err
+	}
+	if req.Cursor != "" && curGen != t.gen {
+		return target{}, 0, fmt.Errorf("ncq: %w: the corpus changed since this cursor was minted", ErrStaleCursor)
+	}
+	return t, offset, nil
+}
+
 // Results implements Querier: the ranked meets of a term request as an
 // incremental sequence. See ResultsWithStats for the full contract.
 func (db *Database) Results(ctx context.Context, req Request) iter.Seq2[CorpusMeet, error] {
@@ -435,52 +502,13 @@ func (db *Database) Results(ctx context.Context, req Request) iter.Seq2[CorpusMe
 	return seq
 }
 
-// ResultsWithStats is Results plus the stream-level counters: the
-// returned stats are zero until the sequence's execution has fanned
-// out and complete before its first yield. The sequence is single-use:
-// ranging over it a second time re-executes the request. Source and
-// Shard are empty in every yielded meet (a Database is one anonymous
-// document); Request.Cursor skips into the ranked stream and
-// Request.Limit ends it early, exactly like one Run page.
+// ResultsWithStats is Corpus.ResultsWithStats over the single loaded
+// document: Source and Shard are empty in every yielded meet (a
+// Database is one anonymous document), Request.Doc must be empty, the
+// stats list the unmatched inputs by node, and the generation is 0 — a
+// loaded document is immutable, so its cursors never go stale.
 func (db *Database) ResultsWithStats(ctx context.Context, req Request) (iter.Seq2[CorpusMeet, error], *StreamStats) {
-	stats := &StreamStats{}
-	seq := func(yield func(CorpusMeet, error) bool) {
-		if req.isQuery() {
-			yield(CorpusMeet{}, errStreamQuery)
-			return
-		}
-		if err := req.validate(); err != nil {
-			yield(CorpusMeet{}, err)
-			return
-		}
-		if req.Doc != "" {
-			yield(CorpusMeet{}, fmt.Errorf("ncq: %w %q: a Database holds a single document; clear Request.Doc or run against a Corpus", ErrUnknownDoc, req.Doc))
-			return
-		}
-		// A Database never mutates, so a cursor can never go stale; the
-		// generation it carries is not checked.
-		offset, _, err := req.page()
-		if err != nil {
-			yield(CorpusMeet{}, err)
-			return
-		}
-		// A Database has no corpus thesaurus; Expand degrades to a plain
-		// token search on the literal terms.
-		s, err := db.termMeetsStream(ctx, req.Terms, req.Options, req.Vague, nil)
-		if err != nil {
-			yield(CorpusMeet{}, err)
-			return
-		}
-		fillStats(stats, &req, offset, 0, s.pending(), len(s.unmatched), s.unmatched)
-		stats.RelaxationsBySlack = s.relaxBySlack
-		g, err := newMerger([]memberStream{s})
-		if err != nil {
-			yield(CorpusMeet{}, err)
-			return
-		}
-		drain(ctx, g, offset, req.Limit, yield)
-	}
-	return seq, stats
+	return resultsWithStats(ctx, db.resolve, req)
 }
 
 // Results implements Querier: the globally ranked meets of a corpus
@@ -506,62 +534,16 @@ func (c *Corpus) Results(ctx context.Context, req Request) iter.Seq2[CorpusMeet,
 // — and Request.Limit ends the sequence early, exactly like one Run
 // page. A context error surfaces as the sequence's final yield.
 func (c *Corpus) ResultsWithStats(ctx context.Context, req Request) (iter.Seq2[CorpusMeet, error], *StreamStats) {
+	return resultsWithStats(ctx, c.resolve, req)
+}
+
+// resultsWithStats is the one term pipeline: every member of the
+// request's target ranks its own answers, and the sequence is their
+// merge.
+func resultsWithStats(ctx context.Context, r resolver, req Request) (iter.Seq2[CorpusMeet, error], *StreamStats) {
 	stats := &StreamStats{}
 	seq := func(yield func(CorpusMeet, error) bool) {
-		if req.isQuery() {
-			yield(CorpusMeet{}, errStreamQuery)
-			return
-		}
-		if err := req.validate(); err != nil {
-			yield(CorpusMeet{}, err)
-			return
-		}
-		offset, curGen, err := req.page()
-		if err != nil {
-			yield(CorpusMeet{}, err)
-			return
-		}
-		members, workers, gen, err := c.resolve(req.Doc)
-		if err != nil {
-			yield(CorpusMeet{}, err)
-			return
-		}
-		if req.Cursor != "" && curGen != gen {
-			yield(CorpusMeet{}, fmt.Errorf("ncq: %w: the corpus changed since this cursor was minted", ErrStaleCursor))
-			return
-		}
-		th := c.expander()
-		streams := make([]*localStream, len(members))
-		err = forEachDoc(ctx, len(members), workers, func(i int) error {
-			s, err := members[i].db.termMeetsStream(ctx, req.Terms, req.Options, req.Vague, th)
-			if err != nil {
-				return fmt.Errorf("ncq: corpus %q: %w", members[i].name, err)
-			}
-			s.source, s.shard = members[i].name, members[i].shard
-			streams[i] = s
-			return nil
-		})
-		if err != nil {
-			yield(CorpusMeet{}, err)
-			return
-		}
-		total, unmatched := 0, 0
-		merged := make([]memberStream, len(streams))
-		var relax []int
-		if req.Vague != nil {
-			relax = make([]int, req.Vague.MaxSlack+1)
-		}
-		for i, s := range streams {
-			total += s.pending()
-			unmatched += len(s.unmatched)
-			for sl, n := range s.relaxBySlack {
-				relax[sl] += n
-			}
-			merged[i] = s
-		}
-		fillStats(stats, &req, offset, gen, total, unmatched, nil)
-		stats.RelaxationsBySlack = relax
-		g, err := newMerger(merged)
+		g, offset, err := fanOut(ctx, r, &req, stats)
 		if err != nil {
 			yield(CorpusMeet{}, err)
 			return
@@ -569,6 +551,53 @@ func (c *Corpus) ResultsWithStats(ctx context.Context, req Request) (iter.Seq2[C
 		drain(ctx, g, offset, req.Limit, yield)
 	}
 	return seq, stats
+}
+
+// fanOut runs the members of req's target up to their ranked streams,
+// publishes the counters in stats and returns the merge over them.
+func fanOut(ctx context.Context, r resolver, req *Request, stats *StreamStats) (*merger, int, error) {
+	if req.isQuery() {
+		return nil, 0, errStreamQuery
+	}
+	if err := req.validate(); err != nil {
+		return nil, 0, err
+	}
+	t, offset, err := openPage(r, req)
+	if err != nil {
+		return nil, 0, err
+	}
+	merged := make([]memberStream, len(t.members))
+	err = forEachDoc(ctx, len(t.members), t.workers, func(i int) error {
+		m := t.members[i]
+		s, err := m.db.termMeetsStream(ctx, req.Terms, req.Options, req.Vague, t.th)
+		if err != nil {
+			return t.memberErr(i, err)
+		}
+		s.source, s.shard = m.name, m.shard
+		merged[i] = s
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	total, unmatched := 0, 0
+	if req.Vague != nil {
+		stats.RelaxationsBySlack = make([]int, req.Vague.MaxSlack+1)
+	}
+	for _, ms := range merged {
+		s := ms.(*localStream)
+		total += s.pending()
+		unmatched += len(s.unmatched)
+		for sl, n := range s.relaxBySlack {
+			stats.RelaxationsBySlack[sl] += n
+		}
+		if t.anonymous {
+			stats.UnmatchedNodes = s.unmatched
+		}
+	}
+	stats.Fill(req, offset, t.gen, total, unmatched)
+	g, err := newMerger(merged)
+	return g, offset, err
 }
 
 // streamMeets implements RunStream as a thin adapter over Results,

@@ -8,7 +8,7 @@ package ncq
 
 import (
 	"context"
-	"fmt"
+	"iter"
 	"time"
 
 	"ncq/internal/query"
@@ -17,40 +17,7 @@ import (
 // Run executes the request against the single loaded document.
 // Request.Doc must be empty: a Database holds one anonymous document.
 func (db *Database) Run(ctx context.Context, req Request) (*Result, error) {
-	start := time.Now()
-	if err := req.validate(); err != nil {
-		return nil, err
-	}
-	if req.Doc != "" {
-		return nil, fmt.Errorf("ncq: %w %q: a Database holds a single document; clear Request.Doc or run against a Corpus", ErrUnknownDoc, req.Doc)
-	}
-	var res *Result
-	if req.isQuery() {
-		offset, _, err := req.page()
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ans, err := db.engine.Query(req.Query)
-		if err != nil {
-			return nil, err
-		}
-		res = &Result{Answers: []CorpusAnswer{{Answer: ans}}}
-		pageAnswerRows(res, offset, req.Limit, req.fingerprint(), 0, true)
-	} else {
-		var err error
-		res, err = drainResults(db.ResultsWithStats(ctx, req))
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return run(ctx, db.resolve, req)
 }
 
 // RunStream delivers the ranked meets of a term request one at a time.
@@ -58,10 +25,34 @@ func (db *Database) RunStream(ctx context.Context, req Request, yield func(Corpu
 	return streamMeets(ctx, db, req, yield)
 }
 
-// drainResults is the batch view of the incremental core: consume the
+// run is Run for both Queriers: a term request drains the incremental
+// core, a query-language one evaluates per member.
+func run(ctx context.Context, r resolver, req Request) (*Result, error) {
+	start := time.Now()
+	if err := req.validate(); err != nil {
+		return nil, err
+	}
+	var res *Result
+	var err error
+	if req.isQuery() {
+		res, err = runQuery(ctx, r, req)
+	} else {
+		res, err = DrainResults(resultsWithStats(ctx, r, req))
+	}
+	if err != nil {
+		return nil, err
+	}
+	res.Elapsed = time.Since(start)
+	return res, nil
+}
+
+// DrainResults is the batch view of the incremental core: consume the
 // whole (already offset- and limit-windowed) sequence and attach the
-// stream counters as page metadata — "Run is drain plus paginate".
-func drainResults(seq func(func(CorpusMeet, error) bool), stats *StreamStats) (*Result, error) {
+// stream counters as page metadata — "Run is drain plus paginate", for
+// a Database, a Corpus and any other executor that hands out a ranked
+// sequence with its StreamStats. What a Result has no field for
+// (Generation, Incomplete, WorkerErrors) stays readable on stats.
+func DrainResults(seq iter.Seq2[CorpusMeet, error], stats *StreamStats) (*Result, error) {
 	res := &Result{}
 	for m, err := range seq {
 		if err != nil {
@@ -155,22 +146,7 @@ func pageAnswerRows(res *Result, offset, limit int, fp uint32, gen uint64, keepE
 // Cancellation and deadlines on ctx stop the member fan-out mid-flight
 // and return ctx.Err().
 func (c *Corpus) Run(ctx context.Context, req Request) (*Result, error) {
-	start := time.Now()
-	if err := req.validate(); err != nil {
-		return nil, err
-	}
-	var res *Result
-	var err error
-	if req.isQuery() {
-		res, err = c.runQuery(ctx, req)
-	} else {
-		res, err = drainResults(c.ResultsWithStats(ctx, req))
-	}
-	if err != nil {
-		return nil, err
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return run(ctx, c.resolve, req)
 }
 
 // RunStream delivers the ranked meets of a term request one at a time.
@@ -180,27 +156,21 @@ func (c *Corpus) RunStream(ctx context.Context, req Request, yield func(CorpusMe
 
 // runQuery evaluates a query-language request: parsed once, evaluated
 // per member concurrently, shard answers merged per logical name.
-func (c *Corpus) runQuery(ctx context.Context, req Request) (*Result, error) {
-	offset, curGen, err := req.page()
-	if err != nil {
-		return nil, err
-	}
+func runQuery(ctx context.Context, r resolver, req Request) (*Result, error) {
 	q, err := query.Parse(req.Query)
 	if err != nil {
 		return nil, err
 	}
-	members, workers, gen, err := c.resolve(req.Doc)
+	t, offset, err := openPage(r, &req)
 	if err != nil {
 		return nil, err
 	}
-	if req.Cursor != "" && curGen != gen {
-		return nil, fmt.Errorf("ncq: %w: the corpus changed since this cursor was minted", ErrStaleCursor)
-	}
+	members := t.members
 	answers := make([]*Answer, len(members))
-	err = forEachDoc(ctx, len(members), workers, func(i int) error {
+	err = forEachDoc(ctx, len(members), t.workers, func(i int) error {
 		ans, err := members[i].db.engine.Eval(q)
 		if err != nil {
-			return fmt.Errorf("ncq: corpus %q: %w", members[i].name, err)
+			return t.memberErr(i, err)
 		}
 		answers[i] = ans
 		return nil
@@ -209,7 +179,10 @@ func (c *Corpus) runQuery(ctx context.Context, req Request) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	if req.Doc != "" {
+	// A run against one document — a named member, or a Database —
+	// always reports its single answer.
+	single := req.Doc != "" || t.anonymous
+	if single {
 		res.Answers = []CorpusAnswer{{Source: req.Doc, Answer: mergeAnswers(answers)}}
 	} else {
 		// Merge shard answers per logical member, omitting members whose
@@ -228,6 +201,6 @@ func (c *Corpus) runQuery(ctx context.Context, req Request) (*Result, error) {
 			i = j
 		}
 	}
-	pageAnswerRows(res, offset, req.Limit, req.fingerprint(), gen, req.Doc != "")
+	pageAnswerRows(res, offset, req.Limit, req.fingerprint(), t.gen, single)
 	return res, nil
 }
