@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ncq/internal/datagen"
 )
@@ -178,5 +179,18 @@ func TestPutDocAllocCeiling(t *testing.T) {
 	t.Logf("%d nodes, %d bytes: %.0f allocations", doc.Len(), len(src), got)
 	if got > 22100 {
 		t.Errorf("a plain upload of %d nodes allocates %.0f, pinned at <= 22100", doc.Len(), got)
+	}
+}
+
+// TestPipelineStructSizes pins the two structs a request allocates per
+// member at the allocation classes they fill: one more word in
+// localStream takes it from the 128-byte class to the 144-byte one, and
+// a merge head is copied on every sift.
+func TestPipelineStructSizes(t *testing.T) {
+	if got := unsafe.Sizeof(localStream{}); got > 128 {
+		t.Errorf("localStream is %d bytes, pinned at <= 128", got)
+	}
+	if got := unsafe.Sizeof(head{}); got > 112 {
+		t.Errorf("a merge head is %d bytes, pinned at <= 112", got)
 	}
 }

@@ -732,8 +732,11 @@ func BenchmarkRunStream(b *testing.B) {
 	b.Run("all", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			n := 0
-			if err := c.RunStream(ctx, req, func(ncq.CorpusMeet) bool { n++; return true }); err != nil {
-				b.Fatal(err)
+			for _, err := range c.Results(ctx, req) {
+				if err != nil {
+					b.Fatal(err)
+				}
+				n++
 			}
 			if n == 0 {
 				b.Fatal("no meets")
@@ -745,8 +748,11 @@ func BenchmarkRunStream(b *testing.B) {
 	b.Run("limit=5", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			n := 0
-			if err := c.RunStream(ctx, limited, func(ncq.CorpusMeet) bool { n++; return true }); err != nil {
-				b.Fatal(err)
+			for _, err := range c.Results(ctx, limited) {
+				if err != nil {
+					b.Fatal(err)
+				}
+				n++
 			}
 			if n != 5 {
 				b.Fatalf("streamed %d meets", n)

@@ -251,11 +251,11 @@ func dispatch(ctx context.Context, db *ncq.Database, cmd string, rest []string, 
 		if len(rest) != 1 {
 			return fmt.Errorf("query needs exactly one SQL argument")
 		}
-		res, err := db.Run(ctx, ncq.Request{Query: rest[0]})
+		ans, err := db.Query(rest[0])
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(stdout, res.Answers[0].Answer.XML())
+		fmt.Fprintln(stdout, ans.XML())
 		return nil
 	case "repl":
 		repl(db, mf, stdin, stdout)

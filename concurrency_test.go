@@ -1,6 +1,7 @@
 package ncq
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -62,7 +63,7 @@ func TestCorpusConcurrentMixed(t *testing.T) {
 						}
 					}
 				case 3: // reader: corpus query
-					if _, err := c.Query(`SELECT tag(e) FROM //year AS e`); err != nil {
+					if _, err := c.Run(context.Background(), Request{Query: `SELECT tag(e) FROM //year AS e`}); err != nil {
 						errs <- fmt.Errorf("Query: %v", err)
 						return
 					}

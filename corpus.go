@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 
 	"ncq/internal/shard"
@@ -545,64 +544,4 @@ func (c *Corpus) MeetOfTermsIn(name string, opt *Options, terms ...string) ([]Co
 		return nil, 0, err
 	}
 	return res.Meets, res.Unmatched, nil
-}
-
-// CorpusAnswer is one member's answer to a corpus-wide query. For
-// sharded members the per-shard answers are merged into one.
-type CorpusAnswer struct {
-	Source string  `json:"source"`
-	Answer *Answer `json:"answer"`
-}
-
-// mergeAnswers combines the per-shard answers of one logical member:
-// rows are concatenated in shard order and — for meet queries —
-// re-ranked by distance with a stable tie-break, mirroring the paper's
-// ranking heuristic across the merged result. Row and witness OIDs
-// stay shard-local (each shard numbers its own tree), so they identify
-// nodes only together with a shard — callers that need to resolve
-// witnesses should use the terms API, whose CorpusMeet carries the
-// shard number.
-func mergeAnswers(answers []*Answer) *Answer {
-	if len(answers) == 1 {
-		return answers[0]
-	}
-	merged := &Answer{Columns: answers[0].Columns, IsMeet: answers[0].IsMeet}
-	for _, a := range answers {
-		merged.Rows = append(merged.Rows, a.Rows...)
-		merged.Unmatched = append(merged.Unmatched, a.Unmatched...)
-	}
-	if merged.IsMeet {
-		sort.SliceStable(merged.Rows, func(i, j int) bool {
-			return merged.Rows[i].Distance < merged.Rows[j].Distance
-		})
-	}
-	return merged
-}
-
-// Query evaluates a query in the paper's SQL variant against every
-// member (parsed once, evaluated per shard, concurrently) and returns
-// the per-source answers in membership order, the shards of each
-// sharded member merged into one ranked answer. Members whose answer
-// has no rows are omitted — with nearest concept queries the
-// interesting outcome is where the terms meet, not where they do not.
-// It is a wrapper over Run.
-func (c *Corpus) Query(src string) ([]CorpusAnswer, error) {
-	res, err := c.Run(context.Background(), Request{Query: src}) //lint:ncqvet-ignore legacy ctx-less public API; ctx-aware callers use Run
-	if err != nil {
-		return nil, err
-	}
-	return res.Answers, nil
-}
-
-// QueryIn evaluates a query against the named member only, merging
-// shard answers into one. Unlike the corpus-wide Query it returns the
-// answer even when it has no rows. For sharded members the merged
-// rows' OIDs are shard-local (see mergeAnswers). The error wraps
-// ErrUnknownDoc when name is not registered. It is a wrapper over Run.
-func (c *Corpus) QueryIn(name, src string) (*Answer, error) {
-	res, err := c.Run(context.Background(), Request{Doc: name, Query: src}) //lint:ncqvet-ignore legacy ctx-less public API; ctx-aware callers use Run
-	if err != nil {
-		return nil, err
-	}
-	return res.Answers[0].Answer, nil
 }

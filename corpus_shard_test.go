@@ -1,12 +1,16 @@
 package ncq
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
+	"ncq/internal/shard"
 	"ncq/internal/xmltree"
 )
 
@@ -87,8 +91,8 @@ func TestAddShardedErrors(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "unknown document") {
 		t.Errorf("error = %v", err)
 	}
-	if _, err := c.QueryIn("ghost", "SELECT tag(e) FROM //a AS e"); err == nil {
-		t.Error("unknown member accepted by QueryIn")
+	if _, err := c.Run(context.Background(), Request{Doc: "ghost", Query: "SELECT tag(e) FROM //a AS e"}); !errors.Is(err, ErrUnknownDoc) {
+		t.Errorf("query against an unknown member = %v", err)
 	}
 }
 
@@ -134,7 +138,7 @@ func TestShardedMeetMerging(t *testing.T) {
 }
 
 // TestShardedQueryMerging: the query language resolves a sharded
-// member into one merged answer.
+// member into one merged answer under its logical name.
 func TestShardedQueryMerging(t *testing.T) {
 	doc := bigBib(10)
 	plain, err := FromDocument(doc)
@@ -150,39 +154,42 @@ func TestShardedQueryMerging(t *testing.T) {
 	if _, _, err := c.AddSharded("bib", doc, 4); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.QueryIn("bib", `SELECT tag(e) FROM //year AS e`)
+	ctx := context.Background()
+	got, err := c.Run(ctx, Request{Doc: "bib", Query: `SELECT tag(e) FROM //year AS e`})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("sharded query: %d rows, unsharded %d", len(got.Rows), len(want.Rows))
+	if len(got.Meets) != len(want.Rows) {
+		t.Fatalf("sharded query: %d rows, unsharded %d", len(got.Meets), len(want.Rows))
 	}
 
 	// Corpus-wide query merges the shards under one source.
-	answers, err := c.Query(`SELECT tag(e) FROM //year AS e`)
+	all, err := c.Run(ctx, Request{Query: `SELECT tag(e) FROM //year AS e`})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(answers) != 1 || answers[0].Source != "bib" {
-		t.Fatalf("answers = %+v", answers)
+	if len(all.Meets) != len(want.Rows) {
+		t.Errorf("merged rows = %d, want %d", len(all.Meets), len(want.Rows))
 	}
-	if len(answers[0].Answer.Rows) != len(want.Rows) {
-		t.Errorf("merged rows = %d, want %d", len(answers[0].Answer.Rows), len(want.Rows))
+	for _, m := range all.Meets {
+		if m.Source != "bib" || m.Shard < 1 || m.Shard > 4 || m.Tag != "year" {
+			t.Fatalf("corpus-wide row = %+v", m)
+		}
 	}
 
 	// A meet query's merged rows stay ranked by distance.
 	const mq = `SELECT meet(e1, e2; EXCLUDE /bib)
 		FROM //author/cdata AS e1, //year/cdata AS e2
 		WHERE e1 CONTAINS 'Author' AND e2 CONTAINS '199'`
-	merged, err := c.QueryIn("bib", mq)
+	merged, err := c.Run(ctx, Request{Doc: "bib", Query: mq})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !merged.IsMeet || len(merged.Rows) == 0 {
-		t.Fatalf("meet query: is_meet=%t rows=%d", merged.IsMeet, len(merged.Rows))
+	if len(merged.Meets) == 0 {
+		t.Fatal("meet query: no rows")
 	}
-	for i := 1; i < len(merged.Rows); i++ {
-		if merged.Rows[i-1].Distance > merged.Rows[i].Distance {
+	for i := 1; i < len(merged.Meets); i++ {
+		if merged.Meets[i-1].Distance > merged.Meets[i].Distance {
 			t.Errorf("merged meet rows not ranked at %d", i)
 		}
 	}
@@ -190,8 +197,8 @@ func TestShardedQueryMerging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(merged.Rows) != len(wantMeet.Rows) {
-		t.Errorf("merged meet rows = %d, unsharded %d", len(merged.Rows), len(wantMeet.Rows))
+	if len(merged.Meets) != len(wantMeet.Rows) {
+		t.Errorf("merged meet rows = %d, unsharded %d", len(merged.Meets), len(wantMeet.Rows))
 	}
 }
 
@@ -214,6 +221,11 @@ func meetSignature(db *Database, m Meet) string {
 // living in different shards can only meet at the document root, which
 // a sharded member cannot represent (and which large-corpus queries
 // exclude anyway, per the paper's case study).
+//
+// Query-language requests are held to more: on a document whose records
+// alternate between two depths — so that document order and distance
+// order disagree — the unsharded member and the shards of both split
+// policies answer with the same sequence, whole and paged.
 func TestShardedEqualsUnsharded(t *testing.T) {
 	r := rand.New(rand.NewSource(20260728))
 	terms := []string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"}
@@ -267,6 +279,75 @@ func TestShardedEqualsUnsharded(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d (k=%d, terms=%v): meet %d differs\nsharded:   %s\nunsharded: %s",
 					trial, k, query, i, got[i], want[i])
+			}
+		}
+	}
+
+	// Twelve records, nested (author and year three levels below the
+	// record: distance 6) and flat (two levels: distance 4) in turn.
+	doc := xmltree.MustDocument("bib", func(b *xmltree.Builder) {
+		for i := 0; i < 12; i++ {
+			rec := b.Element(b.Root(), "article")
+			by, in := rec, rec
+			if i%2 == 0 {
+				by, in = b.Element(rec, "by"), b.Element(rec, "in")
+			}
+			b.Text(b.Element(by, "author"), fmt.Sprintf("Author%d", i))
+			b.Text(b.Element(in, "year"), fmt.Sprintf("%d", 1990+i))
+		}
+	})
+	corpora := map[string]*Corpus{"k=1": NewCorpus(), "buffered": NewCorpus(), "streamed": NewCorpus()}
+	plain, err := FromDocument(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := corpora["k=1"].Add("doc", plain); err != nil {
+		t.Fatal(err)
+	}
+	if dbs, _, err := corpora["buffered"].AddSharded("doc", doc, 3); err != nil || len(dbs) != 3 {
+		t.Fatalf("buffered split: %d shards, %v", len(dbs), err)
+	}
+	xml := doc.XMLString()
+	dbs, err := openParts(strings.NewReader(xml), shard.StreamCut(int64(len(xml)/3), 3))
+	if err != nil || len(dbs) != 3 {
+		t.Fatalf("streamed split: %d shards, %v", len(dbs), err)
+	}
+	if _, err := corpora["streamed"].AddShardDBs("doc", dbs); err != nil {
+		t.Fatal(err)
+	}
+	// sequence runs src to the end of its cursor chain and renders what
+	// of the answer does not depend on how nodes are numbered.
+	sequence := func(c *Corpus, src string, limit int) (seq []string) {
+		req := Request{Doc: "doc", Query: src, Limit: limit}
+		for {
+			res, err := c.Run(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range res.Meets {
+				seq = append(seq, fmt.Sprintf("%s %s d%d %+v", m.Tag, m.Path, m.Distance, m.Projected))
+			}
+			if req.Cursor = res.NextCursor; req.Cursor == "" {
+				return seq
+			}
+		}
+	}
+	const from = ` FROM //author/cdata AS a, //year/cdata AS y WHERE a CONTAINS 'Author' AND y CONTAINS '19'`
+	for _, src := range []string{
+		`SELECT meet(a, y; EXCLUDE /bib)` + from,
+		`SELECT meet(a, y; EXCLUDE /bib, RANKED)` + from,
+		`SELECT tag(e) FROM //year AS e`,
+		`SELECT value(e) FROM //author AS e WHERE e CONTAINS 'Author1'`,
+	} {
+		want := sequence(corpora["k=1"], src, 0)
+		if len(want) < 3 {
+			t.Fatalf("%s: unsharded answer of %d rows", src, len(want))
+		}
+		for name, c := range corpora {
+			for _, limit := range []int{0, 3} {
+				if got := sequence(c, src, limit); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s, %s, limit %d:\n got %v\nwant %v", src, name, limit, got, want)
+				}
 			}
 		}
 	}

@@ -200,6 +200,7 @@ func TestDistributedEqualsSingleNode(t *testing.T) {
 	}
 
 	queries := []string{
+		`{"query":"SELECT meet(a, y; EXCLUDE /bib, WITHIN 4) FROM //author/cdata AS a, //year/cdata AS y WHERE a CONTAINS 'Author1' AND y CONTAINS '199'"}`,
 		`{"terms":["Author1","199"],"exclude_root":true}`,
 		`{"terms":["Topic3"],"exclude_root":true,"nearest":true}`,
 		`{"doc":"doc3","terms":["Author","nosuchterm"],"exclude_root":true}`,
@@ -213,6 +214,9 @@ func TestDistributedEqualsSingleNode(t *testing.T) {
 		}
 		if string(sEnv.Result) != string(cEnv.Result) {
 			t.Errorf("query %s:\nsingle  %s\ncluster %s", q, sEnv.Result, cEnv.Result)
+		}
+		if strings.Contains(q, `"query"`) && !strings.Contains(string(sEnv.Result), `"mode":"query","meets":[{"source":"doc`) {
+			t.Errorf("query %s: degenerate answer %s", q, sEnv.Result)
 		}
 	}
 
@@ -555,12 +559,17 @@ func TestCoordinatorDocScopedCache(t *testing.T) {
 }
 
 // TestCoordinatorRequestErrors pins the coordinator-side error
-// mapping: query-language requests are 501, garbage cursors 400.
+// mapping: a worker's refusal of query text it cannot parse is relayed
+// as the 400 it is, garbage cursors are 400, and a query-language
+// request the workers accept is answered like any other.
 func TestCoordinatorRequestErrors(t *testing.T) {
 	_, w1 := startWorker(t, "w1")
 	_, coordTS := startCoordinator(t, Config{Workers: []Worker{w1}})
-	if status, _ := httpDo(t, "POST", coordTS.URL+"/v2/query", `{"query":"SELECT e1 FROM //author AS e1"}`); status != http.StatusNotImplemented {
-		t.Errorf("query-language request: %d, want 501", status)
+	if status, _ := httpDo(t, "POST", coordTS.URL+"/v2/query", `{"query":"SELECT e1 FROM //author AS e1"}`); status != http.StatusOK {
+		t.Errorf("query-language request: %d, want 200", status)
+	}
+	if status, body := httpDo(t, "POST", coordTS.URL+"/v2/query", `{"query":"SELECT e1 FROM"}`); status != http.StatusBadRequest || !strings.Contains(string(body), "worker w1") {
+		t.Errorf("malformed query-language request: %d %s, want the worker's 400", status, body)
 	}
 	if status, _ := httpDo(t, "POST", coordTS.URL+"/v2/query", `{"terms":["x"],"cursor":"garbage"}`); status != http.StatusBadRequest {
 		t.Errorf("garbage cursor: %d, want 400", status)

@@ -74,7 +74,7 @@ type Config struct {
 // NDJSON streams, and serves the same /v2/query and /v1/docs surface
 // as a single node. The query route is not its own: it mounts the one
 // front end of the system (server.Front) and is that front end's
-// Backend — ResultsWithStats, Run, Generation and Parallelism below.
+// Backend — ResultsWithStats, Generation and Parallelism below.
 // Create one with New and mount Handler.
 type Coordinator struct {
 	cfg     Config // with the defaults applied
@@ -344,11 +344,6 @@ func (c *Coordinator) scatterQuery(ctx context.Context, q *wire.Query, offset in
 	return g, nil
 }
 
-// errQueryLanguage rejects query-language requests on the coordinator:
-// 501, the one documented difference from a node.
-var errQueryLanguage = &wire.StatusError{Status: http.StatusNotImplemented,
-	Err: errors.New("query-language requests are not supported in coordinator mode; send \"terms\" requests, or query a worker directly")}
-
 // errStaleCluster is the distributed 410: the gathered generation
 // vector no longer hashes to what the cursor was stamped with.
 var errStaleCluster = fmt.Errorf("ncq: %w: the cluster changed since this cursor was minted", ncq.ErrStaleCursor)
@@ -365,15 +360,8 @@ func workerFailure(err error) error {
 	return &wire.StatusError{Status: http.StatusBadGateway, Err: err}
 }
 
-// Run implements server.Backend for the one request shape a
-// coordinator does not execute: per-source row sets do not merge as
-// meets do.
-func (c *Coordinator) Run(context.Context, ncq.Request) (*ncq.Result, error) {
-	return nil, errQueryLanguage
-}
-
-// ResultsWithStats implements server.Backend: one term request page
-// over the cluster, as the sequence a corpus would hand out. Resolve
+// ResultsWithStats implements server.Backend: one request page over
+// the cluster, as the sequence a corpus would hand out. Resolve
 // the cursor, scatter, verify the cursor against the gathered
 // generation vector (mismatch → ErrStaleCursor, the distributed 410)
 // and merge the worker streams line by line into the exact global
@@ -393,9 +381,6 @@ func (c *Coordinator) ResultsWithStats(ctx context.Context, req ncq.Request) (it
 }
 
 func (c *Coordinator) results(ctx context.Context, req *ncq.Request, stats *ncq.StreamStats, yield func(ncq.CorpusMeet, error) bool) error {
-	if len(req.Terms) == 0 {
-		return errQueryLanguage
-	}
 	offset, curGen, err := req.Page()
 	if err != nil {
 		return err

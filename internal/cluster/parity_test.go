@@ -16,11 +16,11 @@ import (
 // TestWireParity pins that a single node and a coordinator are one
 // API: each edge body, posted plain and with ?stream=1 to a node and
 // to a one-worker coordinator, gets the same status and the same
-// error text from both. The one documented exception is a valid
-// query-language request, which a coordinator answers 501 — from its
-// backend's Run, the handler being the node's. The success path is
-// held to the same standard below: same document, same bodies, same
-// bytes.
+// error text from both — or, for the one refusal only a worker can
+// give (query text it cannot parse), the same status and the worker's
+// text relayed under its name, before any line is written. The success
+// path is held to the same standard below: same document, same bodies,
+// same bytes, terms and query language alike.
 func TestWireParity(t *testing.T) {
 	nodeSrv := server.New(nil)
 	node := nodeSrv.Handler()
@@ -43,8 +43,8 @@ func TestWireParity(t *testing.T) {
 	}
 	const sql = `"query":"SELECT tag(e) FROM //year AS e"`
 	cases := []struct {
-		name, body    string
-		queryLanguage bool // valid query-language request: 501 on a coordinator
+		name, body string
+		relayed    bool // refused by the worker: the coordinator names it in front of the node's text
 	}{
 		{"terms", `{"terms":["Bit","1999"],"exclude_root":true}`, false},
 		{"allow_partial", `{"terms":["Bit"],"allow_partial":true}`, false},
@@ -67,7 +67,8 @@ func TestWireParity(t *testing.T) {
 		{"malformed", `{"terms":[`, false},
 		{"bad cursor", `{"terms":["x"],"cursor":"@@@"}`, false},
 		{"9 MiB body", `{"terms":["` + strings.Repeat("x", 9<<20) + `"]}`, false},
-		{"query language", `{` + sql + `}`, true},
+		{"query language", `{` + sql + `}`, false},
+		{"query-language syntax error", `{"query":"SELECT tag(e) FROM"}`, true},
 	}
 	post := func(h http.Handler, path, body string) (int, string) {
 		rec := httptest.NewRecorder()
@@ -93,11 +94,8 @@ func TestWireParity(t *testing.T) {
 			t.Run(tc.name+" "+path, func(t *testing.T) {
 				nodeStatus, nodeErr := post(node, path, tc.body)
 				coordStatus, coordErr := post(coord, path, tc.body)
-				if tc.queryLanguage {
-					if coordStatus != http.StatusNotImplemented {
-						t.Errorf("coordinator: %d %q, want 501", coordStatus, coordErr)
-					}
-					return
+				if tc.relayed && strings.HasPrefix(coordErr, "worker w1: "+nodeErr) {
+					coordErr = nodeErr
 				}
 				if nodeStatus != coordStatus || nodeErr != coordErr {
 					t.Errorf("node %d %q, coordinator %d %q", nodeStatus, nodeErr, coordStatus, coordErr)
@@ -172,6 +170,9 @@ func TestWireParity(t *testing.T) {
 		// one execution, so neither is a cache hit on the first post.
 		{"batch with a duplicate", `{"batch":[{"terms":["Author3","199"]},{"terms":["Topic3"]},{"terms":["Author3","199"]}]}`},
 		{"vague", `{"terms":["Author1","199"],"exclude_root":true,"restrict":["/bib/artcle"],"vague":{"max_slack":2}}`},
+		{"query-language meet", `{"query":"SELECT meet(a, y; EXCLUDE /bib) FROM //author/cdata AS a, //year/cdata AS y WHERE a CONTAINS 'Author1' AND y CONTAINS '199'"}`},
+		{"query-language projection", `{"doc":"bib","query":"SELECT value(e) FROM //title AS e WHERE e CONTAINS 'Topic3'"}`},
+		{"query-language cursor chain", `{"query":"SELECT tag(e), xml(e) FROM //year AS e","limit":2}`},
 	}
 	for _, tc := range bodies {
 		for _, path := range []string{"/v2/query", "/v2/query?stream=1"} {

@@ -15,6 +15,10 @@
 // Because consistent hashing places every logical document on exactly
 // one worker, the per-worker rankings cover disjoint (source, shard)
 // sets and their merge equals the single-node ranking bit for bit.
+// That holds for whatever a worker ranks: a request in the paper's
+// query language is forwarded as the text it came as (wire.QueryOf),
+// parsed and lowered by every worker, and merged like terms — the
+// coordinator has no code for it.
 //
 // Consistency across pages is generation-vector based: every worker
 // stamps its stream header with the corpus generation its membership

@@ -92,10 +92,10 @@ func TestXMLOfMissingSubtree(t *testing.T) {
 	e := fig1Engine(t)
 	// xmlOf on an element works; the engine never passes invalid OIDs,
 	// and a cdata OID renders as bare text.
-	if got := e.xmlOf(11); got != "<year>1999</year>" {
+	if got := e.XML(11); got != "<year>1999</year>" {
 		t.Errorf("xmlOf(11) = %q", got)
 	}
-	if got := e.xmlOf(12); got != "1999" {
+	if got := e.XML(12); got != "1999" {
 		t.Errorf("xmlOf(12) = %q", got)
 	}
 }

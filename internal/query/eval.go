@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"sort"
 	"strings"
 
@@ -8,6 +9,7 @@ import (
 	"ncq/internal/core"
 	"ncq/internal/fulltext"
 	"ncq/internal/monetx"
+	"ncq/internal/pathexpr"
 	"ncq/internal/pathsum"
 )
 
@@ -51,54 +53,135 @@ func (e *Engine) Query(src string) (*Answer, error) {
 	return e.Eval(q)
 }
 
-// Eval evaluates a parsed query.
-func (e *Engine) Eval(q *Query) (*Answer, error) {
+// Lowered is a parsed query compiled against one store: the inputs of
+// the meet roll-up, or the nodes a projection lists — what a term
+// request is once its terms are located, so package ncq's pipeline
+// executes both alike; Eval renders the same inputs as an answer set.
+type Lowered struct {
+	// Sets holds, for a meet(...) query, one ascending input set per
+	// variable — a node bound by two variables meets at itself (the
+	// "Bob"/"Byte" example of Section 3.1), everything else goes through
+	// the general roll-up of Figure 5 — and Opt the meet options; both go
+	// to core.MeetMultiContext as they are. Opt is nil for a projection.
+	Sets [][]bat.OID
+	Opt  *core.Options
+
+	// Nodes holds, for a projection, the bound nodes in document order.
+	Nodes []bat.OID
+}
+
+// filterPoll is how many nodes of a binding a WHERE conjunct filters
+// between two looks at the context.
+const filterPoll = 4096
+
+// Lower binds q's variables against the engine's store and filters
+// them by the WHERE clause. ctx is checked per bound variable, per
+// conjunct and every filterPoll filtered nodes, so a deadline
+// interrupts the lowering of one huge document mid-way.
+func (e *Engine) Lower(ctx context.Context, q *Query) (*Lowered, error) {
 	bindings := make(map[string][]bat.OID, len(q.binds))
 	for _, b := range q.binds {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		bindings[b.v] = e.bind(b.pattern)
 	}
 	for i := range q.conds {
 		vs := map[string]bool{}
 		q.conds[i].vars(vs)
 		for v := range vs { // exactly one, enforced by checkVars
-			filtered, err := e.applyExpr(bindings[v], &q.conds[i])
+			filtered, err := e.applyExpr(ctx, bindings[v], &q.conds[i])
 			if err != nil {
 				return nil, err
 			}
 			bindings[v] = filtered
 		}
 	}
-	if q.meet != nil {
-		return e.evalMeet(q.meet, bindings)
+	if q.meet == nil {
+		// checkVars guarantees all items share one variable.
+		return &Lowered{Nodes: bindings[q.projs[0].v]}, nil
 	}
-	return e.evalProjection(q.projs, bindings)
+	m := q.meet
+	low := &Lowered{Sets: make([][]bat.OID, 0, len(m.vars)), Opt: &core.Options{
+		MaxDistance:  m.within,
+		MaxLift:      m.maxLift,
+		SkipExcluded: m.nearest,
+	}}
+	for _, v := range m.vars {
+		low.Sets = append(low.Sets, bindings[v])
+	}
+	if len(m.exclude) > 0 {
+		low.Opt.Exclude = map[pathsum.PathID]bool{}
+		for _, pat := range m.exclude {
+			for _, pid := range pat.SelectPaths(e.store.Summary()) {
+				low.Opt.Exclude[pid] = true
+			}
+		}
+	}
+	return low, nil
 }
 
-// bind returns the OIDs matching a pattern. Attribute patterns bind
-// the owning element nodes.
-func (e *Engine) bind(pat interface {
-	SelectPaths(*pathsum.Summary) []pathsum.PathID
-}) []bat.OID {
+// Eval evaluates a parsed query against the one document of the engine
+// and assembles the paper's answer set: rows in document order, or by
+// distance under RANKED. It is the single-document evaluator
+// (ncq.Database.Query, the CLI, the examples) and the reference the
+// request pipeline is tested against; all it owns is the rows.
+func (e *Engine) Eval(q *Query) (*Answer, error) {
+	ctx := context.Background() //lint:ncqvet-ignore the single-document evaluator has no caller deadline (its two-result signature is what bench/ compiles against); deadline-aware callers Lower and stream
+	low, err := e.Lower(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	if low.Opt == nil {
+		return e.projection(q.projs, low.Nodes), nil
+	}
+	results, unmatched, err := core.MeetMultiContext(ctx, e.store, low.Sets, low.Opt)
+	if err != nil {
+		return nil, &Error{Pos: q.meet.pos, Msg: err.Error()}
+	}
+	if q.meet.ranked {
+		// The Section 4 ranking heuristic: fewest joins first.
+		core.Rank(results)
+	}
+	ans := &Answer{Columns: []string{"meet"}, IsMeet: true, Unmatched: unmatched}
+	for _, r := range results {
+		ans.Rows = append(ans.Rows, Row{
+			OID:       r.Meet,
+			Tag:       e.store.Label(r.Meet),
+			Path:      e.store.PathString(r.Meet),
+			Witnesses: r.Witnesses,
+			Distance:  r.Distance,
+		})
+	}
+	return ans, nil
+}
+
+// bind returns the OIDs matching a pattern, ascending. Attribute
+// patterns bind the owning element nodes.
+func (e *Engine) bind(pat *pathexpr.Pattern) []bat.OID {
 	sum := e.store.Summary()
-	set := bat.NewSet()
+	var out []bat.OID
 	for _, pid := range pat.SelectPaths(sum) {
 		owner := pid
 		if sum.Kind(pid) == pathsum.Attr {
 			owner = sum.Parent(pid)
 		}
-		for _, o := range e.store.OIDsAt(owner) {
-			set.Add(o)
-		}
+		out = append(out, e.store.OIDsAt(owner)...)
 	}
-	return set.Slice()
+	return bat.SortDedup(out)
 }
 
 // applyExpr filters a binding with one boolean predicate expression.
 // Contains-hit owner lists are fetched once per distinct argument.
-func (e *Engine) applyExpr(oids []bat.OID, expr *condExpr) ([]bat.OID, error) {
+func (e *Engine) applyExpr(ctx context.Context, oids []bat.OID, expr *condExpr) ([]bat.OID, error) {
 	hitCache := map[string][]bat.OID{}
 	var out []bat.OID
-	for _, o := range oids {
+	for i, o := range oids {
+		if i%filterPoll == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
 		ok, err := e.evalExpr(o, expr, hitCache)
 		if err != nil {
 			return nil, err
@@ -156,14 +239,15 @@ func (e *Engine) evalLeaf(o bat.OID, c cond, hitCache map[string][]bat.OID) (boo
 		i := sort.Search(len(owners), func(i int) bool { return owners[i] >= o })
 		return i < len(owners) && e.store.Contains(o, owners[i]), nil
 	case condEquals:
-		return e.valueOf(o) == c.arg, nil
+		return e.Value(o) == c.arg, nil
 	}
 	return false, errf(c.pos, "unknown condition")
 }
 
-// valueOf renders a node's own character data: the text itself for a
-// cdata node, the concatenated direct cdata children for an element.
-func (e *Engine) valueOf(o bat.OID) string {
+// Value renders a node's own character data — what VALUE(v) projects:
+// the text itself for a cdata node, the concatenated direct cdata
+// children for an element.
+func (e *Engine) Value(o bat.OID) string {
 	if t, ok := e.store.Text(o); ok {
 		return t
 	}
@@ -176,59 +260,22 @@ func (e *Engine) valueOf(o bat.OID) string {
 	return strings.Join(parts, " ")
 }
 
-func (e *Engine) evalMeet(m *meetItem, bindings map[string][]bat.OID) (*Answer, error) {
-	// Every variable contributes one input set; a node bound by two
-	// different variables meets at itself (the "Bob"/"Byte" example of
-	// Section 3.1), everything else goes through the general roll-up of
-	// Figure 5, as the paper does for its reformulated example query.
-	sets := make([][]bat.OID, 0, len(m.vars))
-	for _, v := range m.vars {
-		sets = append(sets, bindings[v])
+// Projects reports which text columns q's select list asks for:
+// VALUE(v) and XML(v). A meet query projects neither.
+func (q *Query) Projects() (value, xml bool) {
+	for _, it := range q.projs {
+		value = value || it.kind == projValue
+		xml = xml || it.kind == projXML
 	}
-	opt := &core.Options{
-		MaxDistance:  m.within,
-		MaxLift:      m.maxLift,
-		SkipExcluded: m.nearest,
-	}
-	if len(m.exclude) > 0 {
-		opt.Exclude = map[pathsum.PathID]bool{}
-		for _, pat := range m.exclude {
-			for _, pid := range pat.SelectPaths(e.store.Summary()) {
-				opt.Exclude[pid] = true
-			}
-		}
-	}
-	results, unmatched, err := core.MeetMulti(e.store, sets, opt)
-	if err != nil {
-		return nil, &Error{Pos: m.pos, Msg: err.Error()}
-	}
-	if m.ranked {
-		// The Section 4 ranking heuristic: fewest joins first.
-		core.Rank(results)
-	}
-	ans := &Answer{Columns: []string{"meet"}, IsMeet: true, Unmatched: unmatched}
-	for _, r := range results {
-		ans.Rows = append(ans.Rows, Row{
-			OID:       r.Meet,
-			Tag:       e.store.Label(r.Meet),
-			Path:      e.store.PathString(r.Meet),
-			Witnesses: r.Witnesses,
-			Distance:  r.Distance,
-		})
-	}
-	return ans, nil
+	return value, xml
 }
 
-func (e *Engine) evalProjection(projs []projItem, bindings map[string][]bat.OID) (*Answer, error) {
+func (e *Engine) projection(projs []projItem, nodes []bat.OID) *Answer {
 	ans := &Answer{}
 	for _, it := range projs {
 		ans.Columns = append(ans.Columns, it.kind.String())
 	}
-	if len(projs) == 0 {
-		return ans, nil
-	}
-	// checkVars guarantees all items share one variable.
-	for _, o := range bindings[projs[0].v] {
+	for _, o := range nodes {
 		row := Row{
 			OID:  o,
 			Tag:  e.store.Label(o),
@@ -237,19 +284,19 @@ func (e *Engine) evalProjection(projs []projItem, bindings map[string][]bat.OID)
 		for _, it := range projs {
 			switch it.kind {
 			case projValue:
-				row.Value = e.valueOf(o)
+				row.Value = e.Value(o)
 			case projXML:
-				row.XML = e.xmlOf(o)
+				row.XML = e.XML(o)
 			}
 		}
 		ans.Rows = append(ans.Rows, row)
 	}
-	return ans, nil
+	return ans
 }
 
-// xmlOf serialises the subtree below o; cdata nodes render as their
-// bare text.
-func (e *Engine) xmlOf(o bat.OID) string {
+// XML serialises the subtree below o — what XML(v) projects; cdata
+// nodes render as their bare text.
+func (e *Engine) XML(o bat.OID) string {
 	if t, ok := e.store.Text(o); ok {
 		return t
 	}

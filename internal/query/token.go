@@ -27,6 +27,16 @@
 //	SELECT meet(e1, e2)
 //	FROM //cdata AS e1, //cdata AS e2
 //	WHERE e1 CONTAINS 'Bit' AND e2 CONTAINS '1999'
+//
+// A parsed query has two consumers, and one lowering (Engine.Lower:
+// bind the FROM variables, filter them by WHERE) under both. The
+// request pipeline of package ncq (Request.Query: Run, Results, the
+// server, a cluster) feeds the lowered input sets to the same ranked,
+// paged, streamed execution a term request gets, so there every answer
+// comes by ascending distance: RANKED is accepted and is what the
+// answer already is. Engine.Eval is the single-document evaluator
+// behind ncq.Database.Query and the ncq CLI: rows in document order
+// unless RANKED, rendered as the paper's <answer><result> set.
 package query
 
 import (

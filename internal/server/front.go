@@ -24,11 +24,10 @@ import (
 // Backend is what the front end executes a request against:
 // *ncq.Corpus as it stands, or internal/cluster's Coordinator.
 type Backend interface {
-	// ResultsWithStats answers a term request: one page as a ranked
+	// ResultsWithStats answers a request: one page as a ranked
 	// sequence plus its counters, under the contract of
-	// ncq.Corpus.ResultsWithStats. Run answers a query-language one.
+	// ncq.Corpus.ResultsWithStats.
 	ResultsWithStats(ctx context.Context, req ncq.Request) (iter.Seq2[ncq.CorpusMeet, error], *ncq.StreamStats)
-	Run(ctx context.Context, req ncq.Request) (*ncq.Result, error)
 
 	// Generation stamps the state answers are currently computed
 	// against — a corpus counts its mutations, a coordinator hashes its

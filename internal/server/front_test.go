@@ -14,7 +14,7 @@ import (
 	"ncq/internal/wire"
 )
 
-// fakeBackend answers every term request with one meet, the stats it
+// fakeBackend answers every request with one meet, the stats it
 // is told to report, or the error it is told to fail with.
 type fakeBackend struct {
 	gen   uint64 // Generation()
@@ -35,9 +35,6 @@ func (b *fakeBackend) ResultsWithStats(context.Context, ncq.Request) (iter.Seq2[
 	}, &stats
 }
 
-func (b *fakeBackend) Run(context.Context, ncq.Request) (*ncq.Result, error) {
-	return nil, errors.New("not a term request")
-}
 func (b *fakeBackend) Generation() uint64 { return b.gen }
 func (b *fakeBackend) Parallelism() int   { return 1 }
 

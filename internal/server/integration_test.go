@@ -85,8 +85,8 @@ func TestServerEndToEnd(t *testing.T) {
 					}
 				case 2:
 					qr, _ := post(t, `{"doc":"personal","query":"SELECT tag(e) FROM //when AS e"}`)
-					if len(qr.Result.Answers) != 1 || len(qr.Result.Answers[0].Rows) != 2 {
-						errs <- fmt.Errorf("personal answers = %+v", qr.Result.Answers)
+					if len(qr.Result.Meets) != 2 || qr.Result.Meets[0].Tag != "when" {
+						errs <- fmt.Errorf("personal answers = %+v", qr.Result.Meets)
 						return
 					}
 				}

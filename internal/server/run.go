@@ -34,23 +34,14 @@ func (f *Front) runCached(ctx context.Context, gen uint64, req ncq.Request) (wir
 		resp.Cached = true
 		return resp, nil
 	}
-	// A term request drains the backend's ranked sequence ("Run is drain
-	// plus paginate", whatever the backend); a query-language one is the
-	// backend's Run, whose answer carries no generation of its own and
-	// keeps the one read before it.
-	resp := wire.Response{Generation: gen}
-	var res *ncq.Result
-	var err error
-	if len(req.Terms) > 0 {
-		seq, stats := f.backend.ResultsWithStats(ctx, req)
-		res, err = ncq.DrainResults(seq, stats)
-		resp.Generation, resp.Incomplete, resp.WorkerErrors = stats.Generation, stats.Incomplete, stats.WorkerErrors
-	} else {
-		res, err = f.backend.Run(ctx, req)
-	}
+	// Drain the backend's ranked sequence: "Run is drain plus paginate",
+	// whatever the backend and whichever field of the body asked.
+	seq, stats := f.backend.ResultsWithStats(ctx, req)
+	res, err := ncq.DrainResults(seq, stats)
 	if err != nil {
 		return wire.Response{}, err
 	}
+	resp := wire.Response{Generation: stats.Generation, Incomplete: stats.Incomplete, WorkerErrors: stats.WorkerErrors}
 	f.observeRelaxations(res.RelaxationsBySlack)
 	raw, err := json.Marshal(toWireResult(&req, res))
 	if err != nil {
@@ -82,16 +73,12 @@ func (f *Front) observeRelaxations(bySlack []int) {
 // node counts aggregate over members and are carried by the stream
 // trailer alone.
 func toWireResult(req *ncq.Request, res *ncq.Result) *wire.Result {
-	if len(req.Terms) > 0 {
-		out := &wire.Result{Mode: "terms", Meets: res.Meets, Truncated: res.Truncated}
-		if req.Doc != "" {
-			out.Unmatched = res.Unmatched
-		}
-		return out
+	out := &wire.Result{Mode: "terms", Meets: res.Meets, Truncated: res.Truncated}
+	if req.Query != "" {
+		out.Mode = "query"
 	}
-	out := &wire.Result{Mode: "query", Truncated: res.Truncated}
-	for _, a := range res.Answers {
-		out.Answers = append(out.Answers, toAnswer(a.Source, a.Answer))
+	if req.Doc != "" {
+		out.Unmatched = res.Unmatched
 	}
 	return out
 }

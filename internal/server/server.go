@@ -5,8 +5,9 @@
 //	POST   /v2/query       the query endpoint: single doc, whole corpus
 //	                       or batch in one schema, with cursor pagination
 //	                       and a per-request deadline (v2.go; the
-//	                       protocol itself lives in internal/wire);
-//	                       ?stream=1 switches term requests to NDJSON —
+//	                       protocol itself lives in internal/wire),
+//	                       asked as "terms" or in the paper's query
+//	                       language; ?stream=1 switches to NDJSON —
 //	                       one meet per line, the first flushed at once
 //	                       and the rest in batches no older than 2 ms,
 //	                       plus a trailer record (stream.go)

@@ -300,12 +300,11 @@ func TestQueryLanguageSingleDoc(t *testing.T) {
 		t.Fatalf("status = %d %s", rec.Code, rec.Body)
 	}
 	resp := decode[wireQueryResponse](t, rec)
-	if resp.Result.Mode != "query" || len(resp.Result.Answers) != 1 {
+	if resp.Result.Mode != "query" || len(resp.Result.Meets) == 0 {
 		t.Fatalf("result = %+v", resp.Result)
 	}
-	ans := resp.Result.Answers[0]
-	if !ans.IsMeet || len(ans.Rows) == 0 || ans.Rows[0].Tag != "article" {
-		t.Errorf("answer = %+v", ans)
+	if m := resp.Result.Meets[0]; m.Source != "cwi" || m.Tag != "article" || len(m.Witnesses) != 2 {
+		t.Errorf("answer = %+v", resp.Result.Meets)
 	}
 }
 
@@ -319,11 +318,11 @@ func TestQueryLanguageCorpus(t *testing.T) {
 	}
 	resp := decode[wireQueryResponse](t, rec)
 	sources := map[string]bool{}
-	for _, a := range resp.Result.Answers {
-		sources[a.Source] = len(a.Rows) > 0
+	for _, m := range resp.Result.Meets {
+		sources[m.Source] = true
 	}
 	if !sources["cwi"] || !sources["personal"] || !sources["library"] {
-		t.Errorf("answers = %+v", resp.Result.Answers)
+		t.Errorf("answers = %+v", resp.Result.Meets)
 	}
 }
 
@@ -375,15 +374,11 @@ func TestQueryLimitTruncates(t *testing.T) {
 	if len(resp.Result.Meets) != 1 || !resp.Result.Truncated {
 		t.Errorf("result = %+v", resp.Result)
 	}
-	// Query-language limit caps total rows across answers.
+	// Query-language limit caps total rows across sources.
 	rec = do(t, s, "POST", "/v2/query",
 		`{"query":"SELECT tag(e) FROM //cdata AS e","limit":2}`)
 	resp = decode[wireQueryResponse](t, rec)
-	total := 0
-	for _, a := range resp.Result.Answers {
-		total += len(a.Rows)
-	}
-	if total != 2 || !resp.Result.Truncated {
+	if total := len(resp.Result.Meets); total != 2 || !resp.Result.Truncated {
 		t.Errorf("total rows = %d, truncated = %t", total, resp.Result.Truncated)
 	}
 }

@@ -22,8 +22,6 @@ func (f *Front) handleStream(ctx context.Context, w http.ResponseWriter, r *http
 	defer f.streamsInflight.Dec()
 	ncqReq := q.Request()
 	metrics.SetFingerprint(ctx, ncqReq.Canonical())
-	// Only term requests stream: a query-language one is the backend's
-	// to refuse, as the sequence's only yield.
 	seq, stats := f.backend.ResultsWithStats(ctx, ncqReq)
 	if ncqReq.Vague != nil {
 		f.vagueRequests.Inc()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -206,19 +207,35 @@ func TestQueryV2StreamLimitAndCursor(t *testing.T) {
 	}
 }
 
-// TestQueryV2StreamRejects pins the 400 family: batch bodies and
-// query-language requests cannot stream.
+// TestQueryV2StreamRejects pins the 400 family — a batch body cannot
+// stream, and query text the parser refuses is refused before any line
+// is written — beside what is not in it any more: a query-language
+// request streams the meets its plain form answers with, projected
+// text included.
 func TestQueryV2StreamRejects(t *testing.T) {
 	s := newTestServer(t)
 	loadDocs(t, s)
 	if rec := doStream(t, s, `{"batch":[{"terms":["Bit"]}]}`); rec.Code != http.StatusBadRequest {
 		t.Errorf("batch stream: %d", rec.Code)
 	}
-	if rec := doStream(t, s, `{"query":"SELECT tag(e) FROM //author AS e"}`); rec.Code != http.StatusBadRequest {
-		t.Errorf("query-language stream: %d", rec.Code)
+	if rec := doStream(t, s, `{"query":"SELECT tag(e) FROM"}`); rec.Code != http.StatusBadRequest || rec.Header().Get("Content-Type") != "application/json" {
+		t.Errorf("malformed query-language stream: %d %s", rec.Code, rec.Body)
 	}
 	if rec := doStream(t, s, `{"doc":"ghost","terms":["Bit"]}`); rec.Code != http.StatusNotFound {
 		t.Errorf("unknown doc stream: %d", rec.Code)
+	}
+	const q = `{"query":"SELECT value(e) FROM //last AS e"}`
+	rec := doStream(t, s, q)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("query-language stream: %d %s", rec.Code, rec.Body)
+	}
+	meets, _ := streamLines(t, rec.Body.String())
+	plain := decode[wireQueryResponse](t, do(t, s, "POST", "/v2/query", q))
+	if len(meets) == 0 || !reflect.DeepEqual(meets, plain.Result.Meets) {
+		t.Errorf("streamed %+v, plain %+v", meets, plain.Result.Meets)
+	}
+	if p := meets[0].Projected; p == nil || p.Value != "Bit" {
+		t.Errorf("first streamed row = %+v", meets[0])
 	}
 }
 

@@ -5,8 +5,8 @@ package server
 // and a batch of either, with cursor pagination and a per-request
 // deadline. Responses carry the pre-encoded, cached result payload
 // plus the page metadata: a truncated flag and the cursor of the next
-// page. With ?stream=1 a term request streams its meets incrementally
-// as NDJSON instead (stream.go).
+// page. With ?stream=1 the request streams its meets incrementally as
+// NDJSON instead (stream.go).
 
 import (
 	"context"

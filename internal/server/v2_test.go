@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"ncq/internal/wire"
 )
@@ -45,8 +46,8 @@ func TestQueryV2CorpusWideAndQueryLanguage(t *testing.T) {
 	rec = do(t, s, "POST", "/v2/query",
 		`{"doc":"cwi","query":"SELECT meet(e1, e2) FROM //cdata AS e1, //cdata AS e2 WHERE e1 CONTAINS 'Bit' AND e2 CONTAINS '1999'"}`)
 	qresp := decode[wireQueryResponse](t, rec)
-	if qresp.Result.Mode != "query" || len(qresp.Result.Answers) != 1 ||
-		qresp.Result.Answers[0].Rows[0].Tag != "article" {
+	if qresp.Result.Mode != "query" || len(qresp.Result.Meets) == 0 ||
+		qresp.Result.Meets[0].Tag != "article" {
 		t.Errorf("query result = %+v", qresp.Result)
 	}
 }
@@ -258,6 +259,34 @@ func TestV1QueryRoutesGone(t *testing.T) {
 	for _, path := range []string{"/v1/query", "/v1/query/batch"} {
 		if rec := do(t, s, "POST", path, `{"terms":["Bit"]}`); rec.Code != http.StatusNotFound {
 			t.Errorf("POST %s: %d, want 404", path, rec.Code)
+		}
+	}
+}
+
+// TestQueryRequestDeadline is the served half of the root package's
+// test of the same name: timeout_ms reaches a query-language request,
+// plain and streamed, as the 504 it is for terms — before any line.
+func TestQueryRequestDeadline(t *testing.T) {
+	var doc strings.Builder
+	doc.WriteString("<bib>")
+	for i := 0; i < 50000; i++ {
+		fmt.Fprintf(&doc, "<article><author>Author%d</author><year>%d</year></article>", i, 1990+i%10)
+	}
+	doc.WriteString("</bib>")
+	s := newTestServer(t)
+	if rec := do(t, s, "PUT", "/v1/docs/big", doc.String()); rec.Code != http.StatusCreated {
+		t.Fatalf("PUT: %d %s", rec.Code, rec.Body)
+	}
+	const q = `"query":"SELECT meet(a, y; EXCLUDE /bib) FROM //cdata AS a, //cdata AS y WHERE a CONTAINS 'Author' AND y CONTAINS '19'","limit":1`
+	// Another page size, so that the deadlined requests below are misses.
+	if rec := do(t, s, "POST", "/v2/query", strings.Replace(`{`+q+`}`, `"limit":1`, `"limit":2`, 1)); rec.Code != http.StatusOK {
+		t.Fatalf("without a deadline: %d %s", rec.Code, rec.Body)
+	}
+	for _, path := range []string{"/v2/query", "/v2/query?stream=1"} {
+		start := time.Now()
+		rec := do(t, s, "POST", path, `{`+q+`,"timeout_ms":2}`)
+		if rec.Code != http.StatusGatewayTimeout || !strings.Contains(rec.Body.String(), "deadline exceeded") {
+			t.Errorf("%s with timeout_ms 2: %d %s after %v, want 504", path, rec.Code, rec.Body, time.Since(start))
 		}
 	}
 }

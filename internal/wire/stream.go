@@ -10,8 +10,8 @@ package wire
 //	{"meet":{...}}
 //	{"trailer":true,"unmatched":1,"truncated":true,"next_cursor":"...","took_ms":1.7}
 //
-// Only term requests stream (a query-language answer's unit is a
-// per-source row set, not a meet) and "batch" cannot stream. Errors
+// A term request and a query-language one stream alike; "batch"
+// cannot stream. Errors
 // before the first line use the ordinary error envelope and status; an
 // error after bytes have left — a mid-stream cancellation or deadline
 // — is reported as a final {"error": ...} line, since the status line
@@ -318,6 +318,19 @@ func AppendMeetLine(dst []byte, m *ncq.CorpusMeet) []byte {
 		dst = append(dst, ']')
 	}
 	dst = strconv.AppendInt(append(dst, `,"distance":`...), int64(m.Distance), 10)
+	if p := m.Projected; p != nil {
+		dst = append(dst, `,"projected":{`...)
+		if p.Value != "" {
+			dst = appendString(append(dst, `"value":`...), p.Value)
+		}
+		if p.XML != "" {
+			if p.Value != "" {
+				dst = append(dst, ',')
+			}
+			dst = appendString(append(dst, `"xml":`...), p.XML)
+		}
+		dst = append(dst, '}')
+	}
 	return append(dst, "}}\n"...)
 }
 
@@ -329,7 +342,10 @@ type Line struct {
 	Generation uint64 `json:"generation"`
 	Total      int    `json:"total"`
 
+	// Meet points, for a line AppendMeetLine wrote, at storage the Line
+	// owns and its next decode overwrites.
 	Meet *ncq.CorpusMeet `json:"meet"`
+	meet ncq.CorpusMeet
 
 	Trailer      bool              `json:"trailer"`
 	Unmatched    int               `json:"unmatched"` // header and trailer
@@ -367,7 +383,8 @@ func (ln *Line) Kind() string {
 // alone defines what a valid line is.
 func (ln *Line) decode(b []byte) error {
 	*ln = Line{}
-	if ln.Meet = decodeCanonicalMeet(b); ln.Meet != nil {
+	if decodeCanonicalMeet(b, &ln.meet) {
+		ln.Meet = &ln.meet
 		return nil
 	}
 	if err := json.Unmarshal(b, ln); err != nil {
@@ -453,23 +470,23 @@ func (c *canonical) integer() int {
 	return -v
 }
 
-// decodeCanonicalMeet decodes b if it is, to the byte, a line
-// AppendMeetLine writes (less the newline) for a meet with a path whose
-// strings needed no escaping; it returns nil for anything else —
-// another record, another spelling, an escape or a byte outside ASCII,
-// a number out of range — and that is not a verdict: the general path
-// of decode decides. It accepts nothing that path rejects, and what it
-// accepts it decodes to the same value.
-func decodeCanonicalMeet(b []byte) *ncq.CorpusMeet {
+// decodeCanonicalMeet decodes b into m — zero on entry, garbage after a
+// false return — if b is, to the byte, a line AppendMeetLine writes
+// (less the newline) for a meet with a path whose strings needed no
+// escaping; it reports false for anything else — another record,
+// another spelling, an escape or a byte outside ASCII, a number out of
+// range — and that is not a verdict: the general path of decode
+// decides. It accepts nothing that path rejects, and what it accepts it
+// decodes to the same value.
+func decodeCanonicalMeet(b []byte, m *ncq.CorpusMeet) bool {
 	c := canonical{rest: b}
 	if !c.has(`{"meet":{"source":`) {
-		return nil
+		return false
 	}
-	m := new(ncq.CorpusMeet)
 	m.Source = c.text()
 	if c.has(`,"shard":`) {
 		if m.Shard = c.integer(); m.Shard == 0 {
-			return nil // omitted, not spelled, at zero
+			return false // omitted, not spelled, at zero
 		}
 	}
 	c.lit(`,"node":`)
@@ -489,17 +506,28 @@ func decodeCanonicalMeet(b []byte) *ncq.CorpusMeet {
 			}
 			m.Witnesses = append(m.Witnesses, ncq.NodeID(c.number(math.MaxUint32)))
 			if c.bad {
-				return nil
+				return false
 			}
 		}
 	}
 	c.lit(`,"distance":`)
 	m.Distance = c.integer()
-	c.lit("}}")
-	if c.bad || len(c.rest) > 0 || m.Path == "" {
-		return nil
+	if c.has(`,"projected":{`) {
+		// A text that is spelled is not empty: an empty one is omitted.
+		p, xmlKey := new(ncq.Projection), `"xml":`
+		if c.has(`"value":`) {
+			p.Value, xmlKey = c.text(), `,"xml":`
+			c.bad = c.bad || p.Value == ""
+		}
+		if c.has(xmlKey) {
+			p.XML = c.text()
+			c.bad = c.bad || p.XML == ""
+		}
+		c.lit("}")
+		m.Projected = p
 	}
-	return m
+	c.lit("}}")
+	return !c.bad && len(c.rest) == 0 && m.Path != ""
 }
 
 // uniqueKeys rejects a line in which one object spells a key twice:

@@ -226,11 +226,25 @@ func TestStreamWriterClientGone(t *testing.T) {
 	waitForGoroutines(t, base)
 }
 
+// canonicalMeet is the fast path's verdict on b: the meet it decoded,
+// nil when it leaves b to the general path.
+func canonicalMeet(b []byte) *ncq.CorpusMeet {
+	m := new(ncq.CorpusMeet)
+	if !decodeCanonicalMeet(b, m) {
+		return nil
+	}
+	return m
+}
+
 // fuzzMeet builds a meet from fuzzer-friendly arguments: four bytes of
-// wit per witness, nil rather than empty when noWit is set.
-func fuzzMeet(source, tag, path string, shard, distance int, node uint32, wit []byte, noWit bool) ncq.CorpusMeet {
+// wit per witness, nil rather than empty when noWit is set, projected
+// text only when projected is.
+func fuzzMeet(source, tag, path string, shard, distance int, node uint32, wit []byte, noWit bool, value, xml string, projected bool) ncq.CorpusMeet {
 	m := ncq.CorpusMeet{Source: source, Shard: shard, Meet: ncq.Meet{
 		Node: ncq.NodeID(node), Tag: tag, Path: path, Distance: distance}}
+	if projected {
+		m.Projected = &ncq.Projection{Value: value, XML: xml}
+	}
 	if !noWit {
 		m.Witnesses = make([]ncq.NodeID, len(wit)/4)
 		for i := range m.Witnesses {
@@ -246,13 +260,14 @@ func fuzzMeet(source, tag, path string, shard, distance int, node uint32, wit []
 // one the canonical fast path takes, any other line is one it leaves
 // alone, and either way decode gives back the meet that was encoded.
 func FuzzAppendMeetLine(f *testing.F) {
-	f.Add("bib", "book", "/bib/book", 2, 2, uint32(4), []byte{5, 0, 0, 0, 9, 0, 0, 0}, false)
-	f.Add("a<b>&c", "t", "/t", 0, 0, uint32(0), []byte(nil), true)
-	f.Add("", "", "", -3, -1, uint32(1<<32-1), []byte{1, 2, 3}, false)
-	f.Add("q\"uo\\te", "  �", "/\x00\x01\b\f\n\r\t\x1f\x7f", 1, 1<<40, uint32(7), bytes.Repeat([]byte{0xff}, 400), false)
-	f.Add("café \xff\xc0\xaf \xe2\x80", "\xf0\x9f\x98\x80", "/\xed\xa0\x80", 1<<31, -1<<40, uint32(9), []byte{0, 0, 0, 0}, false)
-	f.Fuzz(func(t *testing.T, source, tag, path string, shard, distance int, node uint32, wit []byte, noWit bool) {
-		m := fuzzMeet(source, tag, path, shard, distance, node, wit, noWit)
+	f.Add("bib", "book", "/bib/book", 2, 2, uint32(4), []byte{5, 0, 0, 0, 9, 0, 0, 0}, false, "", "", false)
+	f.Add("a<b>&c", "t", "/t", 0, 0, uint32(0), []byte(nil), true, "", "", true)
+	f.Add("", "", "", -3, -1, uint32(1<<32-1), []byte{1, 2, 3}, false, "How to Hack", "", true)
+	f.Add("q\"uo\\te", "  �", "/\x00\x01\b\f\n\r\t\x1f\x7f", 1, 1<<40, uint32(7), bytes.Repeat([]byte{0xff}, 400), false, "", "<year>1999</year>", true)
+	f.Add("café \xff\xc0\xaf \xe2\x80", "\xf0\x9f\x98\x80", "/\xed\xa0\x80", 1<<31, -1<<40, uint32(9), []byte{0, 0, 0, 0}, false, "R&D \u2028 \xff", "<a b=\"c\">&amp;</a>", true)
+	f.Add("bib", "title", "/bib/title", 0, 0, uint32(3), []byte(nil), true, "plain value", "plain xml", true)
+	f.Fuzz(func(t *testing.T, source, tag, path string, shard, distance int, node uint32, wit []byte, noWit bool, value, xml string, projected bool) {
+		m := fuzzMeet(source, tag, path, shard, distance, node, wit, noWit, value, xml, projected)
 		ref, err := json.Marshal(meetLine{Meet: &m})
 		if err != nil {
 			t.Fatal(err)
@@ -264,21 +279,30 @@ func FuzzAppendMeetLine(f *testing.F) {
 		}
 
 		plain := path != ""
-		for _, s := range []string{source, tag, path} {
+		texts := []string{source, tag, path}
+		if projected {
+			texts = append(texts, value, xml)
+		}
+		for _, s := range texts {
 			for i := 0; i < len(s); i++ {
 				plain = plain && plainByte[s[i]]
 			}
 		}
 		line := ref[:len(ref)-1]
-		fast := decodeCanonicalMeet(line)
+		fast := canonicalMeet(line)
 		if plain != (fast != nil) {
 			t.Fatalf("plain strings: %t, but the fast path decoded %q to %+v", plain, line, fast)
 		}
-		if path == "" || !utf8.ValidString(source) || !utf8.ValidString(tag) || !utf8.ValidString(path) {
-			return // not a line, or not the same strings once U+FFFD stands in
+		if path == "" {
+			return // not a line
+		}
+		for _, s := range texts {
+			if !utf8.ValidString(s) {
+				return // not the same strings once U+FFFD stands in
+			}
 		}
 		var back Line
-		if err := back.decode(line); err != nil || !reflect.DeepEqual(back, Line{Meet: &m}) {
+		if err := back.decode(line); err != nil || back.Kind() != "meet" || !reflect.DeepEqual(back.Meet, &m) {
 			t.Fatalf("%q decoded to %+v (%v), encoded from %+v", line, back.Meet, err, m)
 		}
 	})
@@ -293,6 +317,10 @@ var (
 		`{"meet":{"source":"bib","shard":2,"node":4,"tag":"book","path":"/bib/book","witnesses":[5,9],"distance":2}}`,
 		`{"meet":{"source":"s","node":0,"tag":"","path":"/p","witnesses":null,"distance":-7}}`,
 		`{"meet":{"source":"s ` + "\x7f" + `","shard":-1,"node":4294967295,"tag":"t","path":"/p","witnesses":[],"distance":1099511627776}}`,
+		`{"meet":{"source":"s","node":4,"tag":"t","path":"/p","witnesses":null,"distance":0,"projected":{}}}`,
+		`{"meet":{"source":"s","node":4,"tag":"t","path":"/p","witnesses":null,"distance":0,"projected":{"value":"How to Hack"}}}`,
+		`{"meet":{"source":"s","node":4,"tag":"t","path":"/p","witnesses":null,"distance":0,"projected":{"xml":"1999"}}}`,
+		`{"meet":{"source":"s","node":4,"tag":"t","path":"/p","witnesses":[5],"distance":2,"projected":{"value":"v","xml":"x"}}}`,
 	}
 	nonCanonicalLines = []string{
 		`{"meet":{"source":"s","node":04,"tag":"t","path":"/p","witnesses":[5],"distance":2}}`,
@@ -317,6 +345,15 @@ var (
 		`{"meet":{"source":"s","node":4,"tag":"t","path":"/p","witnesses":[5],"distance":2e0}}`,
 		`{"meet": {"source":"s","node":4,"tag":"t","path":"/p","witnesses":[5],"distance":2}}`,
 		`{"meet":{"tag":"t","source":"s","node":4,"path":"/p","witnesses":[5],"distance":2}}`,
+		`{"meet":{"source":"s","node":4,"tag":"t","path":"/p","witnesses":null,"distance":0,"projected":{"value":""}}}`,
+		`{"meet":{"source":"s","node":4,"tag":"t","path":"/p","witnesses":null,"distance":0,"projected":{"value":"v","xml":""}}}`,
+		`{"meet":{"source":"s","node":4,"tag":"t","path":"/p","witnesses":null,"distance":0,"projected":{"xml":"x","value":"v"}}}`,
+		`{"meet":{"source":"s","node":4,"tag":"t","path":"/p","witnesses":null,"distance":0,"projected":{"value":"v",}}}`,
+		`{"meet":{"source":"s","node":4,"tag":"t","path":"/p","witnesses":null,"distance":0,"projected":{"value":"v"},"projected":{}}}`,
+		`{"meet":{"source":"s","node":4,"tag":"t","path":"/p","witnesses":null,"distance":0,"projected":null}}`,
+		`{"meet":{"source":"s","node":4,"tag":"t","path":"/p","witnesses":null,"distance":0,"projected":{"xml":"\u003cyear\u003e1999\u003c/year\u003e"}}}`,
+		`{"meet":{"source":"s","node":4,"tag":"t","path":"/p","witnesses":null,"distance":0,"projected":{"value":"R\u0026D \u2028"}}}`,
+		`{"meet":{"source":"s","node":4,"tag":"t","path":"/p","witnesses":null,"distance":0,"projected":{"value":"a<b"}}}`,
 		`{"header":true,"node":"w1","generation":7,"total":3,"unmatched":1}`,
 		`{"trailer":true,"unmatched":0,"took_ms":0}`,
 	}
@@ -326,12 +363,12 @@ var (
 // of its fuzzer.
 func TestDecodeCanonicalMeet(t *testing.T) {
 	for _, s := range canonicalLines {
-		if decodeCanonicalMeet([]byte(s)) == nil {
+		if canonicalMeet([]byte(s)) == nil {
 			t.Errorf("left to the general path: %s", s)
 		}
 	}
 	for _, s := range append(nonCanonicalLines, rejectedLines...) {
-		if m := decodeCanonicalMeet([]byte(s)); m != nil {
+		if m := canonicalMeet([]byte(s)); m != nil {
 			t.Errorf("%s: taken by the fast path as %+v", s, m)
 		}
 	}
@@ -348,19 +385,19 @@ func FuzzDecodeCanonicalParity(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := decodeCanonicalMeet(data)
+		m := canonicalMeet(data)
 		if m == nil {
 			return
 		}
 		spaced := append([]byte(" "), data...)
-		if decodeCanonicalMeet(spaced) != nil {
+		if canonicalMeet(spaced) != nil {
 			t.Fatalf("the fast path took %q: no reference left", spaced)
 		}
 		var ref Line
 		if err := ref.decode(spaced); err != nil {
 			t.Fatalf("the fast path accepts %q, the general path says %v", data, err)
 		}
-		if !reflect.DeepEqual(ref, Line{Meet: m}) {
+		if ref.Kind() != "meet" || !reflect.DeepEqual(ref.Meet, m) {
 			t.Fatalf("%q: fast path %+v, general path %+v", data, m, ref.Meet)
 		}
 		if again := AppendMeetLine(nil, m); !bytes.Equal(again[:len(again)-1], data) {

@@ -58,7 +58,7 @@ type Query struct {
 	Within      int      `json:"within,omitempty"`
 	MaxLift     int      `json:"max_lift,omitempty"`
 
-	// Limit caps the number of returned meets or rows; 0 = unlimited.
+	// Limit caps the number of returned meets; 0 = unlimited.
 	Limit int `json:"limit,omitempty"`
 
 	// Vague switches a terms request into the vague-constraints mode
@@ -81,9 +81,6 @@ type Query struct {
 	AllowPartial bool `json:"allow_partial,omitempty"`
 }
 
-// IsQuery reports whether q is a query-language request.
-func (q *Query) IsQuery() bool { return strings.TrimSpace(q.Query) != "" }
-
 // Validate checks the query's shape — a failure is a 400 with the
 // returned text, inline or as a batch item; execution errors (unknown
 // document, bad pattern, bad cursor) surface later with their own
@@ -92,7 +89,7 @@ func (q *Query) Validate() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("invalid request: "+format, args...)
 	}
-	hasQuery := q.IsQuery()
+	hasQuery := strings.TrimSpace(q.Query) != ""
 	if hasQuery == (len(q.Terms) > 0) {
 		return bad("exactly one of \"query\" or \"terms\" must be set")
 	}
@@ -151,13 +148,13 @@ func (q *Query) Request() ncq.Request {
 	return req
 }
 
-// QueryOf is Request's inverse for term requests — the only ones that
-// are scattered: the query a coordinator's backend re-sends to its
-// workers, so the body a worker decodes is spelled here and nowhere
-// else.
+// QueryOf is Request's inverse: the query a coordinator's backend
+// re-sends to its workers, so the body a worker decodes is spelled
+// here and nowhere else. Query-language text travels as it is; each
+// worker parses it.
 func QueryOf(req *ncq.Request) Query {
 	o := req.Options.Spec()
-	return Query{Doc: req.Doc, Terms: req.Terms, Limit: req.Limit, Vague: req.Vague, Cursor: req.Cursor,
+	return Query{Doc: req.Doc, Query: req.Query, Terms: req.Terms, Limit: req.Limit, Vague: req.Vague, Cursor: req.Cursor,
 		AllowPartial: req.AllowPartial, ExcludeRoot: o.ExcludeRoot, Exclude: o.Exclude, Restrict: o.Restrict,
 		Nearest: o.Nearest, Within: o.Within, MaxLift: o.MaxLift}
 }
@@ -264,30 +261,10 @@ type BatchResponse struct {
 // corpus state, nothing request- or connection-bound, so it is encoded
 // once and the bytes are cached and spliced into envelopes verbatim.
 type Result struct {
-	Mode      string           `json:"mode"`                // "terms" or "query"
-	Meets     []ncq.CorpusMeet `json:"meets,omitempty"`     // terms mode
-	Unmatched int              `json:"unmatched,omitempty"` // terms mode, single doc only
-	Answers   []Answer         `json:"answers,omitempty"`   // query mode
+	Mode      string           `json:"mode"` // "terms" or "query": which field of the body asked
+	Meets     []ncq.CorpusMeet `json:"meets,omitempty"`
+	Unmatched int              `json:"unmatched,omitempty"` // single doc only
 	Truncated bool             `json:"truncated,omitempty"` // a Limit cut results
-}
-
-// Answer is one document's answer to a query-language request.
-type Answer struct {
-	Source  string   `json:"source"`
-	Columns []string `json:"columns"`
-	IsMeet  bool     `json:"is_meet"`
-	Rows    []Row    `json:"rows"`
-}
-
-// Row is one query-language result row.
-type Row struct {
-	Node      ncq.NodeID   `json:"node"`
-	Tag       string       `json:"tag"`
-	Path      string       `json:"path"`
-	Value     string       `json:"value,omitempty"`
-	XML       string       `json:"xml,omitempty"`
-	Witnesses []ncq.NodeID `json:"witnesses,omitempty"`
-	Distance  int          `json:"distance"`
 }
 
 // errorBody is the error envelope, and the NDJSON error record.
@@ -338,8 +315,7 @@ func ReadError(r io.Reader) string {
 // status: the ones only one role can have and the shared table below
 // therefore cannot know — a result that would not serialise (500), a
 // worker's 4xx relayed by a coordinator with the worker's Retry-After
-// hint, a worker that failed (502), a request shape a role does not
-// execute (501).
+// hint, a worker that failed (502).
 type StatusError struct {
 	Status     int
 	RetryAfter string // relayed in the Retry-After header when set

@@ -57,11 +57,24 @@ func TestGoldenBytes(t *testing.T) {
 	if err != nil || string(result) != goldenResult {
 		t.Errorf("result bytes: %s (%v)", result, err)
 	}
-	queryResult, _ := json.Marshal(&Result{Mode: "query", Answers: []Answer{{Source: "bib", Columns: []string{"tag(e)"}, Rows: []Row{
-		{Node: 3, Tag: "year", Path: "/bib/year", Value: "1999"},
-		{Node: 4, Tag: "x", Path: "/x", XML: "<x/>", Witnesses: []ncq.NodeID{1, 2}, Distance: 3}}}}})
-	if want := `{"mode":"query","answers":[{"source":"bib","columns":["tag(e)"],"is_meet":false,"rows":[{"node":3,"tag":"year","path":"/bib/year","value":"1999","distance":0},{"node":4,"tag":"x","path":"/x","xml":"\u003cx/\u003e","witnesses":[1,2],"distance":3}]}]}`; string(queryResult) != want {
+	// A query-language answer is the same meets under another mode; the
+	// text a projection asked for rides in "projected", on a result and
+	// on a stream line alike.
+	projected := []ncq.CorpusMeet{
+		{Source: "bib", Meet: ncq.Meet{Node: 3, Tag: "year", Path: "/bib/year", Projected: &ncq.Projection{Value: "1999"}}},
+		{Source: "bib", Shard: 2, Meet: ncq.Meet{Node: 4, Tag: "x", Path: "/x", Witnesses: []ncq.NodeID{1, 2}, Distance: 3,
+			Projected: &ncq.Projection{XML: "<x/>"}}}}
+	wantMeets := []string{
+		`{"source":"bib","node":3,"tag":"year","path":"/bib/year","witnesses":null,"distance":0,"projected":{"value":"1999"}}`,
+		`{"source":"bib","shard":2,"node":4,"tag":"x","path":"/x","witnesses":[1,2],"distance":3,"projected":{"xml":"\u003cx/\u003e"}}`}
+	queryResult, _ := json.Marshal(&Result{Mode: "query", Meets: projected})
+	if want := `{"mode":"query","meets":[` + wantMeets[0] + "," + wantMeets[1] + `]}`; string(queryResult) != want {
 		t.Errorf("query result bytes: %s", queryResult)
+	}
+	for i := range projected {
+		if got, want := string(AppendMeetLine(nil, &projected[i])), `{"meet":`+wantMeets[i]+"}\n"; got != want {
+			t.Errorf("projected meet line: %s", got)
+		}
 	}
 
 	envelopes := []struct {
@@ -118,8 +131,13 @@ func TestQueryRequestLowering(t *testing.T) {
 		t.Errorf("QueryOf(lowered) = %+v, want %+v", back, q)
 	}
 	sql := Query{Doc: "d", Query: "  SELECT tag(e) FROM //y AS e ", Limit: 2}
-	if got, want := sql.Request(), (ncq.Request{Doc: "d", Query: "SELECT tag(e) FROM //y AS e", Limit: 2}); !reflect.DeepEqual(got, want) {
-		t.Errorf("lowered %+v, want %+v", got, want)
+	lowered := sql.Request()
+	if want := (ncq.Request{Doc: "d", Query: "SELECT tag(e) FROM //y AS e", Limit: 2}); !reflect.DeepEqual(lowered, want) {
+		t.Errorf("lowered %+v, want %+v", lowered, want)
+	}
+	sql.Query = lowered.Query
+	if back := QueryOf(&lowered); !reflect.DeepEqual(back, sql) {
+		t.Errorf("QueryOf(lowered) = %+v, want %+v", back, sql)
 	}
 }
 
@@ -230,6 +248,8 @@ func FuzzDecodeLine(f *testing.F) {
 	}
 	f.Add([]byte(`{"header":true,"node":"w1","generation":7,"total":3,"unmatched":1}`))
 	f.Add([]byte(`{"meet":{"source":"bib","shard":2,"node":4,"tag":"book","path":"/bib/book","witnesses":[5,9],"distance":2}}`))
+	f.Add([]byte(`{"meet":{"source":"bib","node":4,"tag":"title","path":"/bib/title","witnesses":null,"distance":0,"projected":{"value":"How to Hack"}}}`))
+	f.Add([]byte(`{"meet":{"source":"bib","node":4,"tag":"year","path":"/bib/year","witnesses":null,"distance":0,"projected":{"value":"R\u0026D \u2028 \ufffd","xml":"\u003cyear\u003e1999\u003c/year\u003e"}}}`))
 	f.Add([]byte(`{"trailer":true,"unmatched":1,"incomplete":true,"worker_errors":{"w1":"x"},"took_ms":1.75}`))
 	f.Add([]byte(`{"error":"worker \"w1\": a<b"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {

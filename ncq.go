@@ -21,12 +21,13 @@
 // relations of the Monet XML storage scheme; the meet algorithms of the
 // paper's Figures 3-5 run directly on those relations.
 //
-// At scale, the unified Querier surface (Run, Results, RunStream over
-// a Database or a multi-document Corpus) executes term queries as an
-// incrementally merged, globally ranked sequence: with Results
-// (range-over-func) the first nearest concept reaches the caller as
-// soon as every corpus member has produced its locally best answer,
-// and abandoning the range abandons the rest of the work.
+// At scale, the unified Querier surface (Run, Results over a Database
+// or a multi-document Corpus) executes every request — raw terms or the
+// paper's query language — as an incrementally merged, globally ranked
+// sequence: with Results (range-over-func) the first nearest concept
+// reaches the caller as soon as every corpus member has produced its
+// locally best answer, and abandoning the range abandons the rest of
+// the work.
 package ncq
 
 import (
@@ -135,18 +136,7 @@ func (db *Database) Children(n NodeID) []NodeID { return db.store.Children(n) }
 
 // Value returns the character data of n: its text if n is a cdata
 // node, otherwise the concatenated direct cdata children.
-func (db *Database) Value(n NodeID) string {
-	if t, ok := db.store.Text(n); ok {
-		return t
-	}
-	var parts []string
-	for _, c := range db.store.Children(n) {
-		if t, ok := db.store.Text(c); ok {
-			parts = append(parts, t)
-		}
-	}
-	return strings.Join(parts, " ")
-}
+func (db *Database) Value(n NodeID) string { return db.engine.Value(n) }
 
 // Attr returns the value of the named attribute of element n.
 func (db *Database) Attr(n NodeID, name string) (string, bool) {
@@ -208,6 +198,18 @@ type Meet struct {
 	Path      string   `json:"path"`      // its full path
 	Witnesses []NodeID `json:"witnesses"` // the inputs this concept connects, ascending
 	Distance  int      `json:"distance"`  // total parent joins spent; the ranking key
+
+	// Projected carries the text a query-language request projects with
+	// VALUE(v) or XML(v); nil for every other request, and one pointer
+	// so that the meets of those pay one word for it.
+	Projected *Projection `json:"projected,omitempty"`
+}
+
+// Projection is the text a query-language select list asked for beside
+// the node itself.
+type Projection struct {
+	Value string `json:"value,omitempty"` // VALUE(v): the node's character data
+	XML   string `json:"xml,omitempty"`   // XML(v): the serialised subtree
 }
 
 // Options tunes the meet operator (the Section 4 extensions of the
@@ -515,16 +517,11 @@ type Answer = query.Answer
 //	FROM //cdata AS e1, //cdata AS e2
 //	WHERE e1 CONTAINS 'Bit' AND e2 CONTAINS '1999'
 //
-// It is a wrapper over Run.
+// and returns the paper's answer set: rows in document order, or by
+// distance when the meet is RANKED. Run with Request.Query executes the
+// same query through the request pipeline — ranked, paged, cancellable.
 func (db *Database) Query(src string) (*Answer, error) {
-	if src == "" {
-		return db.engine.Query(src) // preserve the parser's error shape
-	}
-	res, err := db.Run(context.Background(), Request{Query: src}) //lint:ncqvet-ignore legacy ctx-less public API; ctx-aware callers use Run
-	if err != nil {
-		return nil, err
-	}
-	return res.Answers[0].Answer, nil
+	return db.engine.Query(src)
 }
 
 // References builds the ID/IDREF reference graph of the document (the

@@ -5,7 +5,11 @@ package ncq
 // Corpus, the ncqd HTTP server, and the CLIs. The paper's
 // promise is "the power of querying with the simplicity of searching";
 // one request shape with context cancellation, pushed-down limits and
-// cursor pagination keeps the simplicity as the system scales.
+// cursor pagination keeps the simplicity as the system scales. A
+// query-language request differs from a term request only in where the
+// meet's input sets come from (internal/query lowers the FROM and
+// WHERE clauses; the full-text index locates terms) — one executor
+// ranks, pages and streams both.
 
 import (
 	"context"
@@ -51,7 +55,12 @@ type Request struct {
 	Terms []string `json:"terms,omitempty"`
 
 	// Query is a query in the paper's SQL variant, e.g.
-	// "SELECT meet(e1, e2) FROM //cdata AS e1, ...".
+	// "SELECT meet(e1, e2) FROM //cdata AS e1, ...". A meet(...) item
+	// answers with its nearest concepts; a projection answers with one
+	// distance-0 meet per selected node, VALUE(v) and XML(v) text under
+	// Meet.Projected. Either way the answer is ranked like any other —
+	// RANKED is accepted and is what every answer already is; document
+	// order is Database.Query's.
 	Query string `json:"query,omitempty"`
 
 	// Options tunes the meet operator for term requests. It must be
@@ -59,11 +68,10 @@ type Request struct {
 	// the meet(...) clause.
 	Options *Options `json:"-"`
 
-	// Limit caps the number of returned meets (term requests) or rows
-	// across answers (query requests); 0 means unlimited. The limit is
-	// pushed down into execution: the engine materialises and ranks
-	// only what the page needs instead of truncating a full answer
-	// set afterwards.
+	// Limit caps the number of returned meets; 0 means unlimited. The
+	// limit is pushed down into execution: the engine ranks and renders
+	// only what the page needs instead of truncating a full answer set
+	// afterwards.
 	Limit int `json:"limit,omitempty"`
 
 	// Cursor resumes a paginated run where a previous Result's
@@ -92,22 +100,18 @@ type Request struct {
 
 // Result is the answer to a Request, whatever surface executed it.
 type Result struct {
-	// Meets holds the ranked nearest concepts of a term request
-	// (ascending distance; ties by source, shard, document order).
-	// Source and Shard are empty for a Database run.
+	// Meets holds the ranked answer (ascending distance; ties by
+	// source, shard, document order): the nearest concepts of a term
+	// request or of a query-language meet(...), the selected nodes of a
+	// query-language projection. Source and Shard are empty for a
+	// Database run.
 	Meets []CorpusMeet `json:"meets,omitempty"`
-
-	// Answers holds the per-source answers of a query-language
-	// request. A run against a named document (or a Database) yields
-	// exactly one answer; a corpus-wide run omits sources whose answer
-	// has no rows.
-	Answers []CorpusAnswer `json:"answers,omitempty"`
 
 	// Unmatched counts the inputs that found no partner.
 	Unmatched int `json:"unmatched,omitempty"`
 
-	// UnmatchedNodes lists the unmatched inputs of a Database term
-	// run. Corpus runs report only the count: node IDs are local to a
+	// UnmatchedNodes lists the unmatched inputs of a Database run.
+	// Corpus runs report only the count: node IDs are local to a
 	// member's shard and do not identify nodes on their own.
 	UnmatchedNodes []NodeID `json:"unmatched_nodes,omitempty"`
 
@@ -131,22 +135,17 @@ type Result struct {
 // and *Corpus: one entry point for every request shape, honouring
 // context cancellation and deadlines.
 //
-// Results is the iterator-native surface: the ranked meets of a term
+// Results is the iterator-native surface: the ranked meets of a
 // request as an incremental sequence, in the exact (distance, source,
 // shard, node) total order of Run, flowing as soon as every fan-out
 // member has produced its first answer. Breaking out of the range ends
 // execution early (this is how Limit is pushed down); an execution or
-// context error arrives as the sequence's final yield. Query-language
-// requests are not streamable (their unit is a per-source answer, not
-// a meet) and yield a single error.
+// context error arrives as the sequence's final yield.
 //
-// Run drains the same sequence into one paginated Result. RunStream is
-// a pre-iterator adapter over Results, kept for compatibility:
-// returning false from yield stops the stream early.
+// Run drains the same sequence into one paginated Result.
 type Querier interface {
 	Run(ctx context.Context, req Request) (*Result, error)
 	Results(ctx context.Context, req Request) iter.Seq2[CorpusMeet, error]
-	RunStream(ctx context.Context, req Request, yield func(CorpusMeet) bool) error
 }
 
 var (
@@ -179,9 +178,6 @@ func (r *Request) validate() error {
 	return nil
 }
 
-// isQuery reports whether the request runs in query-language mode.
-func (r *Request) isQuery() bool { return r.Query != "" }
-
 // canonical renders the options deterministically for cache keys and
 // cursor fingerprints. Pattern order is irrelevant to the semantics
 // (exclusion and restriction are unions), so patterns are sorted.
@@ -202,8 +198,11 @@ func (o *Options) canonical() string {
 func (r *Request) canonicalBase() string {
 	// An inactive Vague spec contributes nothing: a vague request that
 	// relaxes and expands nothing IS the exact request and must share
-	// its cache entries and cursor fingerprints.
-	return fmt.Sprintf("doc=%q terms=%q query=%q opt=%s lim=%d",
+	// its cache entries and cursor fingerprints. The query text is keyed
+	// "ql", not "query", so that no cursor minted while query-language
+	// rows were paged in per-source order — offsets into another
+	// sequence — fingerprints as this request's.
+	return fmt.Sprintf("doc=%q terms=%q ql=%q opt=%s lim=%d",
 		r.Doc, r.Terms, strings.Join(strings.Fields(r.Query), " "),
 		r.Options.canonical(), r.Limit) + r.Vague.canonical()
 }

@@ -14,8 +14,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"ncq/internal/query"
 )
 
 // pagingCorpus builds a membership large enough that pagination and
@@ -60,13 +58,12 @@ func expectedTermMeets(t *testing.T, db *Database, opt *Options, terms []string)
 	return meets, unmatched
 }
 
-// expectedCorpusMeets hand-rolls the corpus answer: the independent
-// per-shard meets of every member, tagged and sorted by the documented
-// (distance, source, shard, node) order.
-func expectedCorpusMeets(t *testing.T, c *Corpus, names []string, opt *Options, terms []string) ([]CorpusMeet, int) {
+// mergeShardMeets hand-rolls a corpus answer: what meets yields for
+// every shard of every named member, tagged and sorted by the
+// documented (distance, source, shard, node) order.
+func mergeShardMeets(t *testing.T, c *Corpus, names []string, meets func(*Database) []Meet) []CorpusMeet {
 	t.Helper()
 	var out []CorpusMeet
-	unmatched := 0
 	for _, name := range names {
 		dbs, ok := c.Shards(name)
 		if !ok {
@@ -77,15 +74,59 @@ func expectedCorpusMeets(t *testing.T, c *Corpus, names []string, opt *Options, 
 			if len(dbs) > 1 {
 				shard = si + 1
 			}
-			meets, un := expectedTermMeets(t, sdb, opt, terms)
-			unmatched += len(un)
-			for _, m := range meets {
+			for _, m := range meets(sdb) {
 				out = append(out, CorpusMeet{Source: name, Shard: shard, Meet: m})
 			}
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return lessCorpusMeet(out[i], out[j]) })
+	return out
+}
+
+// expectedCorpusMeets is the independent per-shard term meets of every
+// member, merged by hand, plus their unmatched inputs.
+func expectedCorpusMeets(t *testing.T, c *Corpus, names []string, opt *Options, terms []string) ([]CorpusMeet, int) {
+	t.Helper()
+	unmatched := 0
+	out := mergeShardMeets(t, c, names, func(db *Database) []Meet {
+		meets, un := expectedTermMeets(t, db, opt, terms)
+		unmatched += len(un)
+		return meets
+	})
 	return out, unmatched
+}
+
+// answerMeets renders a Database.Query answer — the single-document
+// evaluator's rows — as the meets the pipeline answers the same query
+// with: one per row, projected text attached when the select list asks
+// for any, stably ranked by (distance, node).
+func answerMeets(ans *Answer) []Meet {
+	var value, xml bool
+	for _, col := range ans.Columns {
+		value = value || col == "value"
+		xml = xml || col == "xml"
+	}
+	out := make([]Meet, len(ans.Rows))
+	for i, r := range ans.Rows {
+		out[i] = Meet{Node: r.OID, Tag: r.Tag, Path: r.Path, Witnesses: r.Witnesses, Distance: r.Distance}
+		if value || xml {
+			out[i].Projected = &Projection{Value: r.Value, XML: r.XML}
+		}
+	}
+	return RankMeets(out)
+}
+
+// expectedQueryMeets is expectedCorpusMeets for a query-language
+// request: every shard's Database.Query answer, merged by hand.
+func expectedQueryMeets(t *testing.T, c *Corpus, names []string, src string) []CorpusMeet {
+	t.Helper()
+	return mergeShardMeets(t, c, names, func(db *Database) []Meet {
+		ans, err := db.Query(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return answerMeets(ans)
+	})
 }
 
 // TestRunEquivalence pins the acceptance contract of the redesign: the
@@ -162,20 +203,18 @@ func TestRunEquivalence(t *testing.T) {
 		t.Errorf("unmatched = %v vs %v", dbRes.UnmatchedNodes, dbUn)
 	}
 
-	// Query-language: Corpus.Query / QueryIn == Run.
+	// Query-language: Run == the independently merged per-shard answers
+	// of the single-document evaluator.
 	const q = `SELECT meet(e1, e2; EXCLUDE /bib)
 		FROM //author/cdata AS e1, //year/cdata AS e2
 		WHERE e1 CONTAINS 'Author1' AND e2 CONTAINS '1991'`
-	legacyAns, err := c.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantQ := expectedQueryMeets(t, c, c.Names(), q)
 	resQ, err := c.Run(ctx, Request{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(legacyAns) == 0 || !reflect.DeepEqual(resQ.Answers, legacyAns) {
-		t.Errorf("corpus query Run != Query (%d vs %d answers)", len(resQ.Answers), len(legacyAns))
+	if len(wantQ) == 0 || !reflect.DeepEqual(resQ.Meets, wantQ) {
+		t.Errorf("corpus query Run != independent merge (%d vs %d meets)", len(resQ.Meets), len(wantQ))
 	}
 }
 
@@ -217,16 +256,11 @@ func TestRunLimitPushdown(t *testing.T) {
 		}
 	}
 
-	// Query-language rows: the page window runs over the concatenated
-	// rows of all answers.
+	// Query-language rows page through the same window.
 	qreq := Request{Query: "SELECT tag(e) FROM //author AS e"}
 	fullQ, err := c.Run(ctx, qreq)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var fullRows []query.Row
-	for _, a := range fullQ.Answers {
-		fullRows = append(fullRows, a.Answer.Rows...)
 	}
 	for _, k := range []int{1, 5, 33} {
 		lim := qreq
@@ -235,15 +269,11 @@ func TestRunLimitPushdown(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rows []query.Row
-		for _, a := range res.Answers {
-			rows = append(rows, a.Answer.Rows...)
-		}
-		want := fullRows
+		want := fullQ.Meets
 		if k < len(want) {
 			want = want[:k]
 		}
-		if !reflect.DeepEqual(rows, want) {
+		if !reflect.DeepEqual(res.Meets, want) {
 			t.Errorf("query limit %d: rows differ from truncate-after-evaluate", k)
 		}
 	}
@@ -347,30 +377,50 @@ func TestRunStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	var streamed []CorpusMeet
-	if err := c.RunStream(ctx, req, func(m CorpusMeet) bool {
+	for m, err := range c.Results(ctx, req) {
+		if err != nil {
+			t.Fatal(err)
+		}
 		streamed = append(streamed, m)
-		return true
-	}); err != nil {
-		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(streamed, full.Meets) {
 		t.Errorf("stream diverged from Run: %d vs %d", len(streamed), len(full.Meets))
 	}
-	// Early stop: yield false after two meets.
+	// Early stop: break after two meets.
 	n := 0
-	if err := c.RunStream(ctx, req, func(CorpusMeet) bool { n++; return n < 2 }); err != nil {
-		t.Fatal(err)
+	for _, err := range c.Results(ctx, req) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n++; n == 2 {
+			break
+		}
 	}
 	if n != 2 {
 		t.Errorf("early stop yielded %d meets", n)
 	}
-	// Query-language requests are not streamable.
-	if err := c.RunStream(ctx, Request{Query: "SELECT tag(e) FROM //x AS e"}, func(CorpusMeet) bool { return true }); err == nil {
-		t.Error("query-language stream accepted")
+	// Query-language requests stream like any other.
+	qreq := Request{Query: "SELECT tag(e) FROM //author AS e"}
+	fullQ, err := c.Run(ctx, qreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed = nil
+	for m, err := range c.Results(ctx, qreq) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed = append(streamed, m)
+	}
+	if len(streamed) == 0 || !reflect.DeepEqual(streamed, fullQ.Meets) {
+		t.Errorf("query-language stream diverged from Run: %d vs %d", len(streamed), len(fullQ.Meets))
 	}
 	// A cancelled context surfaces between yields.
 	cctx, cancel := context.WithCancel(ctx)
-	err = c.RunStream(cctx, req, func(CorpusMeet) bool { cancel(); return true })
+	defer cancel()
+	for _, err = range c.Results(cctx, req) {
+		cancel()
+	}
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled stream = %v", err)
 	}

@@ -1,11 +1,13 @@
 package ncq
 
-// The iterator-native execution core. Every term request — Run,
-// RunStream, the NDJSON endpoint, the CLIs — executes through one
-// incremental pipeline:
+// The iterator-native execution core. Every request — Run, Results,
+// the NDJSON endpoint, the CLIs; raw terms or the query language —
+// executes through one incremental pipeline:
 //
-//   1. termMeetsStream: each member (a database, or one shard of a
-//      sharded member) computes its meet and heapifies one 16-byte
+//   1. termMeetsStream / queryMeetsStream: each member (a database, or
+//      one shard of a sharded member) produces the meet's input sets —
+//      located by the full-text index, or lowered from the query's FROM
+//      and WHERE clauses — computes its meet and heapifies one 16-byte
 //      (distance, node, seq) key per answer by the local rank — O(n),
 //      against the O(n log n) of a full sort — so its locally best
 //      meet is ready the moment the roll-up finishes and the rest rank
@@ -25,17 +27,13 @@ package ncq
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"iter"
 
 	"ncq/internal/core"
 	"ncq/internal/fulltext"
+	"ncq/internal/query"
 )
-
-// errStreamQuery rejects query-language requests on the streaming
-// surface: their unit is a per-source answer, not a meet.
-var errStreamQuery = errors.New("ncq: streaming supports term requests only; use Run for query-language requests")
 
 // StreamStats carries the stream-level counters of a Results drain.
 // The fields are populated once execution has fanned out — before the
@@ -125,8 +123,15 @@ type memberStream interface {
 // partially (an early Limit, an abandoned stream) never pays for
 // ranking, or rendering, its tail.
 type localStream struct {
-	source    string // logical member name; empty for a Database run
-	shard     int    // 1-based shard; 0 for plain members
+	source string // logical member name; empty for a Database run
+	shard  int32  // 1-based shard; 0 for plain members
+
+	// projValue and projXML say which text a query-language projection
+	// asked for; it is rendered, like the meet, on the way out. They sit
+	// in shard's word: the struct fills its 128-byte allocation class,
+	// and every request allocates one per member.
+	projValue, projXML bool
+
 	db        *Database
 	results   []core.Result // document order, as the roll-up emits them
 	heap      []rankKey
@@ -192,7 +197,16 @@ func (s *localStream) next() (CorpusMeet, int32, bool, error) {
 	r := &s.results[top.seq]
 	m := s.db.renderMeet(*r)
 	r.Witnesses = nil // the yielded meet owns them now
-	return CorpusMeet{Source: s.source, Shard: s.shard, Meet: m}, top.seq, true, nil
+	if s.projValue || s.projXML {
+		m.Projected = &Projection{}
+		if s.projValue {
+			m.Projected.Value = s.db.engine.Value(m.Node)
+		}
+		if s.projXML {
+			m.Projected.XML = s.db.engine.XML(m.Node)
+		}
+	}
+	return CorpusMeet{Source: s.source, Shard: int(s.shard), Meet: m}, top.seq, true, nil
 }
 
 // termMeetsStream is termMeets' incremental mode: one full-text search
@@ -233,6 +247,35 @@ func (db *Database) termMeetsStream(ctx context.Context, terms []string, opt *Op
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	return db.meetStream(ctx, sets, copt, plan)
+}
+
+// queryMeetsStream is termMeetsStream for a query-language request:
+// the query's FROM and WHERE clauses, lowered against this member,
+// stand where the located terms do. A meet(...) item rolls its input
+// sets up like any other meet; a projection answers with its bound
+// nodes as they are — distance 0, no witnesses — and has its text
+// rendered when a node is yielded.
+func (db *Database) queryMeetsStream(ctx context.Context, q *query.Query) (*localStream, error) {
+	low, err := db.engine.Lower(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	if low.Opt != nil {
+		return db.meetStream(ctx, low.Sets, low.Opt, nil)
+	}
+	results := make([]core.Result, len(low.Nodes))
+	for i, o := range low.Nodes {
+		results[i].Meet = o
+	}
+	s := newLocalStream(db, results, nil)
+	s.projValue, s.projXML = q.Projects()
+	return s, nil
+}
+
+// meetStream rolls the input sets up and ranks the answers lazily —
+// the one meet execution of the pipeline, whoever produced the sets.
+func (db *Database) meetStream(ctx context.Context, sets [][]NodeID, copt *core.Options, plan *vaguePlan) (*localStream, error) {
 	// The context threads into the roll-up itself (checked per
 	// contracted level), so a deadline interrupts one huge member
 	// mid-meet, not just between members.
@@ -259,11 +302,12 @@ func (db *Database) termMeetsStream(ctx context.Context, terms []string, opt *Op
 // ranked meets flow while that member's stream is still mid-flight.
 var testStreamPull func(source string, shard, remaining int)
 
-// head is one entry of the k-way merge: a member's current best meet.
+// head is one entry of the k-way merge: a member's current best meet,
+// and which of the merger's streams it came from.
 type head struct {
-	m      CorpusMeet
-	seq    int32
-	stream memberStream
+	m   CorpusMeet
+	seq int32
+	src int32
 }
 
 // lessHead orders merge heads by the global lessCorpusMeet rank, with
@@ -287,18 +331,19 @@ func lessHead(a, b head) bool {
 // minimum cannot be known sooner — which is exactly the "slowest
 // member's first result" latency bound.
 type merger struct {
-	heads []head
+	streams []memberStream
+	heads   []head
 }
 
 func newMerger(streams []memberStream) (*merger, error) {
-	g := &merger{heads: make([]head, 0, len(streams))}
-	for _, s := range streams {
+	g := &merger{streams: streams, heads: make([]head, 0, len(streams))}
+	for i, s := range streams {
 		m, seq, ok, err := s.next()
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			g.heads = append(g.heads, head{m: m, seq: seq, stream: s})
+			g.heads = append(g.heads, head{m: m, seq: seq, src: int32(i)})
 		}
 	}
 	heapify(g.heads, lessHead)
@@ -313,10 +358,11 @@ func (g *merger) next() (CorpusMeet, bool, error) {
 		return CorpusMeet{}, false, nil
 	}
 	out := g.heads[0].m
-	s := g.heads[0].stream
+	src := g.heads[0].src
+	s := g.streams[src]
 	if hook := testStreamPull; hook != nil {
 		if ls, ok := s.(*localStream); ok {
-			hook(ls.source, ls.shard, ls.pending())
+			hook(ls.source, int(ls.shard), ls.pending())
 		}
 	}
 	m, seq, ok, err := s.next()
@@ -324,7 +370,7 @@ func (g *merger) next() (CorpusMeet, bool, error) {
 		return CorpusMeet{}, false, err
 	}
 	if ok {
-		g.heads[0] = head{m: m, seq: seq, stream: s}
+		g.heads[0] = head{m: m, seq: seq, src: src}
 	} else {
 		last := len(g.heads) - 1
 		g.heads[0] = g.heads[last]
@@ -495,7 +541,7 @@ func openPage(r resolver, req *Request) (t target, offset int, err error) {
 	return t, offset, nil
 }
 
-// Results implements Querier: the ranked meets of a term request as an
+// Results implements Querier: the ranked meets of a request as an
 // incremental sequence. See ResultsWithStats for the full contract.
 func (db *Database) Results(ctx context.Context, req Request) iter.Seq2[CorpusMeet, error] {
 	seq, _ := db.ResultsWithStats(ctx, req)
@@ -512,7 +558,7 @@ func (db *Database) ResultsWithStats(ctx context.Context, req Request) (iter.Seq
 }
 
 // Results implements Querier: the globally ranked meets of a corpus
-// term request as an incremental sequence. See ResultsWithStats for
+// request as an incremental sequence. See ResultsWithStats for
 // the full contract.
 func (c *Corpus) Results(ctx context.Context, req Request) iter.Seq2[CorpusMeet, error] {
 	seq, _ := c.ResultsWithStats(ctx, req)
@@ -537,9 +583,8 @@ func (c *Corpus) ResultsWithStats(ctx context.Context, req Request) (iter.Seq2[C
 	return resultsWithStats(ctx, c.resolve, req)
 }
 
-// resultsWithStats is the one term pipeline: every member of the
-// request's target ranks its own answers, and the sequence is their
-// merge.
+// resultsWithStats is the one pipeline: every member of the request's
+// target ranks its own answers, and the sequence is their merge.
 func resultsWithStats(ctx context.Context, r resolver, req Request) (iter.Seq2[CorpusMeet, error], *StreamStats) {
 	stats := &StreamStats{}
 	seq := func(yield func(CorpusMeet, error) bool) {
@@ -554,13 +599,19 @@ func resultsWithStats(ctx context.Context, r resolver, req Request) (iter.Seq2[C
 }
 
 // fanOut runs the members of req's target up to their ranked streams,
-// publishes the counters in stats and returns the merge over them.
+// publishes the counters in stats and returns the merge over them. A
+// query-language request is parsed once, here, and differs from a term
+// request in nothing but how each member comes by its input sets.
 func fanOut(ctx context.Context, r resolver, req *Request, stats *StreamStats) (*merger, int, error) {
-	if req.isQuery() {
-		return nil, 0, errStreamQuery
-	}
 	if err := req.validate(); err != nil {
 		return nil, 0, err
+	}
+	var q *query.Query
+	if req.Query != "" {
+		var err error
+		if q, err = query.Parse(req.Query); err != nil {
+			return nil, 0, err
+		}
 	}
 	t, offset, err := openPage(r, req)
 	if err != nil {
@@ -569,11 +620,17 @@ func fanOut(ctx context.Context, r resolver, req *Request, stats *StreamStats) (
 	merged := make([]memberStream, len(t.members))
 	err = forEachDoc(ctx, len(t.members), t.workers, func(i int) error {
 		m := t.members[i]
-		s, err := m.db.termMeetsStream(ctx, req.Terms, req.Options, req.Vague, t.th)
+		var s *localStream
+		var err error
+		if q != nil {
+			s, err = m.db.queryMeetsStream(ctx, q)
+		} else {
+			s, err = m.db.termMeetsStream(ctx, req.Terms, req.Options, req.Vague, t.th)
+		}
 		if err != nil {
 			return t.memberErr(i, err)
 		}
-		s.source, s.shard = m.name, m.shard
+		s.source, s.shard = m.name, int32(m.shard)
 		merged[i] = s
 		return nil
 	})
@@ -598,19 +655,4 @@ func fanOut(ctx context.Context, r resolver, req *Request, stats *StreamStats) (
 	stats.Fill(req, offset, t.gen, total, unmatched)
 	g, err := newMerger(merged)
 	return g, offset, err
-}
-
-// streamMeets implements RunStream as a thin adapter over Results,
-// kept for compatibility with the pre-iterator surface: yield
-// semantics (return false to stop) map directly onto the sequence.
-func streamMeets(ctx context.Context, q Querier, req Request, yield func(CorpusMeet) bool) error {
-	for m, err := range q.Results(ctx, req) {
-		if err != nil {
-			return err
-		}
-		if !yield(m) {
-			return nil
-		}
-	}
-	return nil
 }

@@ -2,7 +2,7 @@ package ncq
 
 // Tests for the iterator-native execution core: the equivalence of
 // every consumption style of one answer set (Results, Run, paginated
-// Run, RunStream), the incremental-delivery property the redesign
+// Run), the incremental-delivery property the redesign
 // exists for, cancellation mid-stream, and cursor staleness across
 // corpus mutations.
 
@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"ncq/internal/query"
 	"ncq/internal/xmltree"
 )
 
@@ -35,9 +36,8 @@ func collectResults(t *testing.T, q Querier, req Request) []CorpusMeet {
 
 // TestResultsEquivalenceRandom is the property test of the redesign:
 // over randomized corpora — plain and sharded members mixed — the
-// Results sequence, the pages of a paginated Run concatenated across
-// cursors, and the legacy RunStream all produce exactly the ordered
-// answer set of an unlimited Run.
+// Results sequence and the pages of a paginated Run concatenated across
+// cursors produce exactly the ordered answer set of an unlimited Run.
 func TestResultsEquivalenceRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(20260728))
 	vocab := []string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"}
@@ -79,17 +79,6 @@ func TestResultsEquivalenceRandom(t *testing.T) {
 		if got := collectResults(t, c, req); !reflect.DeepEqual(got, full.Meets) {
 			t.Fatalf("trial %d: Results diverged from Run: %d vs %d meets",
 				trial, len(got), len(full.Meets))
-		}
-
-		var streamed []CorpusMeet
-		if err := c.RunStream(ctx, req, func(m CorpusMeet) bool {
-			streamed = append(streamed, m)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(streamed, full.Meets) {
-			t.Fatalf("trial %d: RunStream diverged from Run", trial)
 		}
 
 		paged := req
@@ -275,19 +264,24 @@ func TestResultsCancelMidYield(t *testing.T) {
 	waitForGoroutines(t, base, "pre-cancelled stream")
 }
 
-// TestResultsRejectsQueryLanguage pins the streaming surface's mode
-// restriction and error delivery.
+// TestResultsRejectsQueryLanguage pins error delivery on the streaming
+// surface: query text the parser rejects arrives as the sequence's only
+// yield, before any member runs; text it accepts streams like terms.
 func TestResultsRejectsQueryLanguage(t *testing.T) {
 	c := pagingCorpus(t)
 	seen := 0
-	for _, err := range c.Results(context.Background(), Request{Query: "SELECT tag(e) FROM //x AS e"}) {
+	for _, err := range c.Results(context.Background(), Request{Query: "SELECT tag(e) FROM"}) {
 		seen++
-		if err == nil {
-			t.Fatal("query-language request streamed")
+		var perr *query.Error
+		if !errors.As(err, &perr) {
+			t.Fatalf("malformed query-language request yielded %v", err)
 		}
 	}
 	if seen != 1 {
 		t.Errorf("error sequence yielded %d times, want 1", seen)
+	}
+	if got := collectResults(t, c, Request{Query: "SELECT tag(e) FROM //year AS e", Limit: 3}); len(got) != 3 {
+		t.Errorf("query-language request streamed %d meets, want 3", len(got))
 	}
 }
 
@@ -403,5 +397,33 @@ func TestResultsStatsPublishedBeforeFirstYield(t *testing.T) {
 	}
 	if !checked {
 		t.Fatal("stream yielded nothing")
+	}
+}
+
+// TestQueryRequestDeadline pins that a deadline reaches a
+// query-language request the way it reaches a term request: the
+// lowering looks at the context per variable, per conjunct and every
+// few thousand filtered nodes, the roll-up per level, so 2 ms against a
+// document that takes a hundred to answer comes back as the deadline's
+// error, and soon.
+func TestQueryRequestDeadline(t *testing.T) {
+	db, err := FromDocument(bigBib(50000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Limit: 1, Query: `SELECT meet(a, y; EXCLUDE /bib) FROM //cdata AS a, //cdata AS y
+		WHERE a CONTAINS 'Author' AND y CONTAINS '19'`}
+	if res, err := db.Run(context.Background(), req); err != nil || len(res.Meets) != 1 || !res.Truncated {
+		t.Fatalf("without a deadline: %+v, %v", res, err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = db.Run(ctx, req)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("2 ms deadline: %v after %v, want context.DeadlineExceeded", err, time.Since(start))
+	}
+	if took := time.Since(start); took > 50*time.Millisecond && !raceEnabled {
+		t.Errorf("2 ms deadline honoured after %v", took)
 	}
 }
