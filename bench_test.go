@@ -69,6 +69,7 @@ func dblp(b *testing.B) *experiments.Setup {
 // full-text search whose cost dominates the combined query.
 func BenchmarkFig6FulltextOnly(b *testing.B) {
 	setup := multimedia(b)
+	setup.Index.Terms() // the first token search builds the postings: not what this series measures
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		setup.Index.Search("landscape")
@@ -207,9 +208,13 @@ func BenchmarkAblationSteering(b *testing.B) {
 
 // BenchmarkSearch measures the steady-state single-token full-text
 // search on the compact posting lists: a pre-sorted slice view plus
-// one copy, so allocs/op stays flat however hot the term is.
+// one copy, so allocs/op stays flat however hot the term is. The
+// postings are built before the timer starts: BenchmarkIndexBuild/tokens
+// records that cost, and at the gate's -benchtime 3x it would read here
+// as a thousand-fold regression.
 func BenchmarkSearch(b *testing.B) {
 	setup := dblp(b)
+	setup.Index.Terms()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -316,17 +321,47 @@ func BenchmarkBulkLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexBuild measures inverted-index construction.
+// BenchmarkIndexBuild measures index construction, the two lifetimes
+// side by side: serving is what every upload, snapshot load and
+// recovery pays (fulltext.New: value table, rows, substring index);
+// tokens adds what the first token search on a member pays once.
+// resident-B/xml-B is what one finished index keeps on the heap per
+// byte of the document's XML — OPERATIONS.md § Memory sizing quotes it.
 func BenchmarkIndexBuild(b *testing.B) {
-	doc := datagen.DBLP(datagen.DBLPConfig{Seed: 1, YearFrom: 1995, YearTo: 1999, PubsPerVenueYear: 20})
+	doc := datagen.DBLP(datagen.DBLPConfig{Seed: 1, YearFrom: 1984, YearTo: 1999, PubsPerVenueYear: 40}) // BenchmarkPutDoc/plain's
 	store, err := monetx.Load(doc)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fulltext.New(store)
+	xmlBytes := float64(len(doc.XMLString()))
+	for _, bc := range []struct {
+		name  string
+		build func() *fulltext.Index
+	}{
+		{"serving", func() *fulltext.Index { return fulltext.New(store) }},
+		{"tokens", func() *fulltext.Index {
+			idx := fulltext.New(store)
+			if idx.Terms() == 0 {
+				b.Fatal("no terms")
+			}
+			return idx
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.build()
+			}
+			b.StopTimer()
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			idx := bc.build()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/xmlBytes, "resident-B/xml-B")
+			runtime.KeepAlive(idx)
+		})
 	}
 }
 

@@ -202,7 +202,7 @@ func dispatch(ctx context.Context, db *ncq.Database, cmd string, rest []string, 
 		fmt.Fprintf(stdout, "paths         %d\n", st.Paths)
 		fmt.Fprintf(stdout, "associations  %d\n", st.Associations)
 		fmt.Fprintf(stdout, "column bytes  %d\n", st.MemBytes)
-		fmt.Fprintf(stdout, "index terms   %d\n", st.Terms)
+		fmt.Fprintf(stdout, "index terms   %d\n", db.Terms())
 		return nil
 	case "paths":
 		for _, pi := range db.Paths() {
@@ -405,7 +405,7 @@ func repl(db *ncq.Database, mf meetFlags, stdin io.Reader, stdout io.Writer) {
 		case "stats":
 			st := db.Stats()
 			fmt.Fprintf(stdout, "nodes %d, paths %d, associations %d, terms %d\n",
-				st.Nodes, st.Paths, st.Associations, st.Terms)
+				st.Nodes, st.Paths, st.Associations, db.Terms())
 		case "search":
 			for _, term := range fields[1:] {
 				hits := db.SearchSubstring(term)

@@ -1,6 +1,7 @@
 package ncq
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -121,32 +122,41 @@ func (c *Corpus) Put(name string, db *Database) (replaced bool, err error) {
 // not knobs: the choice reads the size of the input and nothing else,
 // so the same bytes shard the same way through every door.
 const (
-	splitBufferedMax  = 4 << 20 // largest known input size parsed whole and split by node count
+	splitBufferedMax  = 4 << 20 // largest known input size held whole and split by node count
 	streamShardBudget = 8 << 20 // bytes per shard of a streamed split whose total size is unknown
 )
 
 // OpenSharded is the one place bytes become the databases of a corpus
 // member: it parses an XML document from r and loads it as at most k
-// subtree shards, in document order. size is the length of the input in
-// bytes — negative when unknown, as for a chunked upload — and alone
-// picks how the shards are cut. k <= 1 yields the one database Open
-// returns. A known size of at most 4 MiB is parsed whole, split by node
-// count (shard.Split) and its shards loaded in parallel. Anything else
+// subtree shards, in document order, shredding as it parses — no door
+// builds a syntax tree. size is the length of the input in bytes —
+// negative when unknown, as for a chunked upload — and alone picks how
+// the shards are cut. k <= 1 yields the one database Open returns. A
+// known size of at most 4 MiB is split by node count, shard.Split's
+// policy: the input is parsed twice, once to weigh the root's children
+// (shard.Weigh) while it is copied into memory and once, from that
+// copy, into the shards shard.Balance makes of the weights, so what is
+// held beside the shards is the body, never a tree of it. Anything else
 // streams under shard.StreamCut, SplitStream's policy: a shard is cut
-// every size/k input bytes (every 8 MiB when the size is unknown) and
-// shredded as it is parsed, so neither the body nor a tree is ever
-// held whole. Register the result with Put when k <= 1 and with
-// AddShardDBs otherwise.
+// every size/k input bytes (every 8 MiB when the size is unknown), so
+// not even the body is held whole. Register the result with Put when
+// k <= 1 and with AddShardDBs otherwise.
 func OpenSharded(r io.Reader, size int64, k int) ([]*Database, error) {
 	if k <= 1 {
 		return openParts(r, nil)
 	}
 	if size >= 0 && size <= splitBufferedMax {
-		doc, err := ParseDocument(r)
+		body := bytes.NewBuffer(make([]byte, 0, size))
+		weights, err := shard.Weigh(io.TeeReader(r, body))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("ncq: %w", err)
 		}
-		return splitAndLoad(doc, k)
+		var dbs []*Database
+		b := shard.Balance(weights, k, loaderInto(&dbs))
+		if err := xmltree.ParseSplit(bytes.NewReader(body.Bytes()), b.Cut, b); err != nil {
+			return nil, fmt.Errorf("ncq: %w", err)
+		}
+		return dbs, nil
 	}
 	budget := int64(streamShardBudget)
 	if size > 0 {
@@ -320,7 +330,6 @@ func AggregateStats(dbs []*Database) (st Stats) {
 		st.Paths += s.Paths
 		st.Associations += s.Associations
 		st.MemBytes += s.MemBytes
-		st.Terms += s.Terms
 	}
 	return st
 }

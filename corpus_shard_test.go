@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"ncq/internal/datagen"
 	"ncq/internal/shard"
 	"ncq/internal/xmltree"
 )
@@ -349,6 +350,62 @@ func TestShardedEqualsUnsharded(t *testing.T) {
 					t.Errorf("%s, %s, limit %d:\n got %v\nwant %v", src, name, limit, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestOpenShardedBufferedEqualsSplitOfTree: the small-body door of
+// OpenSharded — weigh, then parse again under shard.Balance, no tree —
+// lands the shards that parsing a tree, shard.Split and a load per
+// shard land (what AddSharded still does with a caller's tree): as many,
+// each with a byte-equal snapshot. A body it refuses is refused in
+// ParseDocument's words.
+func TestOpenShardedBufferedEqualsSplitOfTree(t *testing.T) {
+	srcs := []string{
+		`<r x="1">lead<a><b/><b/><b/></a>mid<a/>mid<a><b>x</b></a>trail</r>`,
+		`<r><a/></r>`,
+		`<r/>`,
+		bigBib(200).XMLString(),
+		datagen.DBLP(datagen.DBLPConfig{Seed: 3, YearFrom: 1996, YearTo: 1999, PubsPerVenueYear: 4}).XMLString(),
+		datagen.Multimedia(datagen.MultimediaConfig{Seed: 3, Items: 60, MaxProbeDistance: 20}).XMLString(),
+	}
+	rng := rand.New(rand.NewSource(24))
+	for i := 0; i < 40; i++ {
+		srcs = append(srcs, xmltree.Random(rng, 20+i*10).XMLString())
+	}
+	snap := func(db *Database) string {
+		var sb strings.Builder
+		if err := db.SaveSnapshot(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	for _, src := range srcs {
+		doc, err := ParseDocument(strings.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{2, 3, 4, 9, shard.MaxShards + 1} {
+			want, err := splitAndLoad(doc, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := OpenSharded(strings.NewReader(src), int64(len(src)), k)
+			if err != nil || len(got) != len(want) {
+				t.Fatalf("%.60s k=%d: %d shards (%v), the tree splits into %d", src, k, len(got), err, len(want))
+			}
+			for i := range want {
+				if snap(got[i]) != snap(want[i]) {
+					t.Fatalf("%.60s k=%d: shard %d differs from the tree's", src, k, i)
+				}
+			}
+		}
+	}
+	for _, bad := range []string{``, `<a><b></a>`, `<a/><b/>`, `<a><cdata>x</cdata></a>`} {
+		_, want := ParseDocument(strings.NewReader(bad))
+		_, got := OpenSharded(strings.NewReader(bad), int64(len(bad)), 2)
+		if want == nil || got == nil || got.Error() != want.Error() {
+			t.Fatalf("%q: OpenSharded says %v, ParseDocument %v", bad, got, want)
 		}
 	}
 }

@@ -31,8 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := db.Stats()
-	fmt.Printf("multimedia document: %d nodes, %d index terms\n\n", st.Nodes, st.Terms)
+	fmt.Printf("multimedia document: %d nodes, %d index terms\n\n", db.Len(), db.Terms())
 
 	// The full-text baseline (averaged): what the user pays regardless.
 	const ftIters = 200

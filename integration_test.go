@@ -212,8 +212,8 @@ func TestIntegrationStatsPlausible(t *testing.T) {
 	if st.Associations <= st.Nodes {
 		t.Errorf("associations (%d) should exceed nodes (%d): edges + ranks + strings", st.Associations, st.Nodes)
 	}
-	if st.Terms == 0 || st.MemBytes == 0 || st.Paths == 0 {
-		t.Errorf("zero fields: %+v", st)
+	if db.Terms() == 0 || st.MemBytes == 0 || st.Paths == 0 {
+		t.Errorf("zero fields: %+v, terms %d", st, db.Terms())
 	}
 	_ = fmt.Sprintf("%+v", st) // Stats must be printable
 }

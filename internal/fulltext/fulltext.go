@@ -4,24 +4,30 @@
 // semi-structured or XML data", Section 5).
 //
 // The engine indexes every string association of a Monet XML store —
-// the character data of cdata nodes and all attribute values — in an
-// inverted index keyed by lower-cased token. Substring search, the
-// semantics of the paper's `contains` predicate, is answered from a
-// second index over the distinct stored values: every byte trigram of a
-// value hashes into one of 2^15 buckets listing the value ids carrying
-// it, a needle's rarest buckets are intersected and strings.Contains
-// verifies the survivors, so hash collisions cost time, never
-// correctness. Needles shorter than a trigram scan the value table.
+// the character data of cdata nodes and all attribute values — twice,
+// and the two indexes have different lifetimes.
 //
-// The index is columnar, matching the path-partitioned binary-relation
-// layout it is built over: all associations live in one table of
-// parallel columns (owner OID, attribute path, value id) sorted by
-// (owner, path), string values are interned once in a shared value
-// table — one 4-byte value id per association instead of one string
-// copy per token×association — and each posting list is a sorted
-// slice of row ids into that table. Single-token search is a single
-// gather pass over one posting list; phrase and substring search
-// narrow candidates by merging sorted postings before verification.
+// The substring index answers the paper's `contains` predicate, which
+// is how every served request locates its terms, so New builds it and
+// everything it rests on: all associations live in one table of
+// parallel columns (owner OID, attribute path, value id) in
+// (owner, path) order, string values are interned once in a shared
+// value table — one 4-byte value id per association — and every byte
+// trigram of a distinct value hashes into one of 2^15 buckets listing
+// the value ids carrying it. A needle's rarest buckets are intersected
+// and strings.Contains verifies the survivors, so hash collisions cost
+// time, never correctness; needles shorter than a trigram scan the
+// value table.
+//
+// The token index — an inverted index keyed by lower-cased token, each
+// posting list a sorted slice of row ids into the association table —
+// answers whole-word and phrase search: Search, the thesaurus expansion
+// built on it, and Terms. No upload, snapshot load or recovery reads
+// it, so none builds it: the first token search on an index does, once
+// (about 15 ms per MB of XML), and an index that is only ever located
+// through never carries it. Single-token search is a single gather pass
+// over one posting list; phrase search narrows candidates by merging
+// sorted postings before verification.
 //
 // A hit identifies the node carrying the string: the cdata node's OID
 // for character data, the owning element's OID for attribute values.
@@ -35,13 +41,13 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"unicode"
 	"unicode/utf8"
 
 	"ncq/internal/bat"
 	"ncq/internal/monetx"
 	"ncq/internal/pathsum"
-	"slices"
 )
 
 // Hit is one matched string association.
@@ -72,8 +78,12 @@ type Index struct {
 	// containing it — the compact posting lists. Row order is
 	// (owner, path) order, so a posting list materialises into an
 	// ordered result with a single gather pass, and intersecting two
-	// postings is a linear merge of sorted ints.
-	post map[string][]int32
+	// postings is a linear merge of sorted ints. Only postings reads or
+	// writes it: locate never does, so it is built by the first token
+	// search and an index nobody token-searches never carries it.
+	postOnce   sync.Once
+	post       map[string][]int32
+	postBuilds atomic.Int32 // builds run: 0 or 1
 
 	// The substring index, two CSR tables: trigram bucket h owns
 	// gramVids[gramStart[h]:gramStart[h+1]], the ascending ids of the
@@ -214,21 +224,43 @@ func dedupTokens(toks []string) []string {
 	return toks[:w]
 }
 
-// New builds the inverted index for the store by scanning every string
-// relation in the path summary's catalogue.
+// New builds what locate reads — value table, association table,
+// substring index — by scanning every string relation in the path
+// summary's catalogue. The token postings are not built here: see
+// postings.
 func New(store *monetx.Store) *Index {
-	idx := &Index{store: store, post: make(map[string][]int32)}
+	idx := &Index{store: store}
 	sum := store.Summary()
-	intern := make(map[string]valueID)
-	var valueToks [][]string // tokens per interned value, deduplicated
+	var pids []pathsum.PathID // the string relations, in scan order
 	for _, pid := range sum.AllPaths() {
-		if sum.Kind(pid) != pathsum.Attr {
-			continue
+		if sum.Kind(pid) == pathsum.Attr && store.Strings(pid) != nil {
+			pids = append(pids, pid)
 		}
+	}
+	// Rows are ordered by a stable distribution on the owner: OIDs are
+	// dense in 0..store.Len(), so counting the rows of every owner gives
+	// each owner's first row, and placing rows there in scan order keeps
+	// one owner's rows in the order scanned — ascending path id, hence
+	// (owner, path) order, total because such a pair identifies at most
+	// one association.
+	next := make([]int32, store.Len()+2) // next[o]: the row owner o's next association takes
+	n := 0
+	for _, pid := range pids {
 		rel := store.Strings(pid)
-		if rel == nil {
-			continue
+		n += rel.Len()
+		for i := 0; i < rel.Len(); i++ {
+			next[rel.Head(i)+1]++
 		}
+	}
+	for o := 1; o < len(next); o++ {
+		next[o] += next[o-1]
+	}
+	idx.owners = make([]bat.OID, n)
+	idx.paths = make([]pathsum.PathID, n)
+	idx.vals = make([]valueID, n)
+	intern := make(map[string]valueID)
+	for _, pid := range pids {
+		rel := store.Strings(pid)
 		for i := 0; i < rel.Len(); i++ {
 			owner, value := rel.Head(i), rel.Tail(i)
 			vid, ok := intern[value]
@@ -236,21 +268,40 @@ func New(store *monetx.Store) *Index {
 				vid = valueID(len(idx.values))
 				intern[value] = vid
 				idx.values = append(idx.values, value)
-				valueToks = append(valueToks, dedupTokens(appendTokens(nil, value)))
 			}
-			row := int32(len(idx.owners))
-			idx.owners = append(idx.owners, owner)
-			idx.paths = append(idx.paths, pid)
-			idx.vals = append(idx.vals, vid)
-			for _, tok := range valueToks[vid] {
-				idx.post[tok] = append(idx.post[tok], row)
-			}
+			row := next[owner]
+			next[owner]++
+			idx.owners[row], idx.paths[row], idx.vals[row] = owner, pid, vid
 		}
 	}
-	idx.sortRows()
 	idx.buildSubstringIndex()
 	return idx
 }
+
+// postings returns the token index, building it on the first call: one
+// sweep over the rows in their final order, so every posting list is
+// ascending as appended, with each distinct value tokenised once. The
+// build is not interruptible and costs about 15 ms per MB of XML.
+func (idx *Index) postings() map[string][]int32 {
+	idx.postOnce.Do(func() {
+		toks := make([][]string, len(idx.values))
+		for vid, v := range idx.values {
+			toks[vid] = dedupTokens(appendTokens(nil, v))
+		}
+		post := make(map[string][]int32)
+		for row, vid := range idx.vals {
+			for _, tok := range toks[vid] {
+				post[tok] = append(post[tok], int32(row))
+			}
+		}
+		idx.post = post
+		idx.postBuilds.Add(1)
+	})
+	return idx.post
+}
+
+// TokensBuilt reports whether a token search has built the postings.
+func (idx *Index) TokensBuilt() bool { return idx.postBuilds.Load() > 0 }
 
 // buildSubstringIndex fills the trigram postings and the value→rows
 // table, each by a counting sort: count, prefix-sum into offsets, fill
@@ -303,50 +354,12 @@ func (idx *Index) buildSubstringIndex() {
 	idx.valStart, idx.valRows = start, rows
 }
 
-// sortRows orders the association table by (owner, path) and rewrites
-// every posting list into the new row order. The build scans relations
-// in path order with ascending owners inside each relation, so a token
-// occurring under a single path — the common case — needs no sort
-// after remapping; the O(n) sortedness check skips it.
-func (idx *Index) sortRows() {
-	n := len(idx.owners)
-	// The scan emits rows per relation in ascending path-id order, so
-	// for one owner the original row order already is path order:
-	// sorting packed (owner, row) keys sorts by (owner, path) — and an
-	// (owner, path) pair identifies at most one association, so the
-	// order is total — while keeping the permutation in the low bits.
-	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = uint64(idx.owners[i])<<32 | uint64(uint32(i))
-	}
-	slices.Sort(keys)
-	owners := make([]bat.OID, n)
-	paths := make([]pathsum.PathID, n)
-	vals := make([]valueID, n)
-	inv := make([]int32, n)
-	for newPos, key := range keys {
-		old := int32(uint32(key))
-		owners[newPos] = idx.owners[old]
-		paths[newPos] = idx.paths[old]
-		vals[newPos] = idx.vals[old]
-		inv[old] = int32(newPos)
-	}
-	idx.owners, idx.paths, idx.vals = owners, paths, vals
-	for _, rows := range idx.post {
-		for i, r := range rows {
-			rows[i] = inv[r]
-		}
-		if !slices.IsSorted(rows) {
-			slices.Sort(rows)
-		}
-	}
-}
-
 // Store returns the store the index was built over.
 func (idx *Index) Store() *monetx.Store { return idx.store }
 
-// Terms returns the number of distinct tokens in the index.
-func (idx *Index) Terms() int { return len(idx.post) }
+// Terms returns the number of distinct tokens of the token index,
+// building it on the first call.
+func (idx *Index) Terms() int { return len(idx.postings()) }
 
 // hits materialises a posting list (sorted association row ids) as
 // Hits. Postings are sorted at build time, so this is the single copy
@@ -375,7 +388,7 @@ func (idx *Index) Search(term string) []Hit {
 	}
 	if _, _, more := firstToken(rest); !more {
 		// Single-token fast path: no token slice, no sort, one copy.
-		return idx.hits(idx.post[tok])
+		return idx.hits(idx.postings()[tok])
 	}
 	toks := Tokenize(term)
 	// Candidates must contain the leading token as a complete token
@@ -402,17 +415,18 @@ func (idx *Index) Search(term string) []Hit {
 // starting from the smallest. The second return is false when some
 // token has no posting at all.
 func (idx *Index) intersectPostings(toks []string) ([]int32, bool) {
+	post := idx.postings()
 	smallest := 0
 	for i, tok := range toks {
-		p, ok := idx.post[tok]
+		p, ok := post[tok]
 		if !ok || len(p) == 0 {
 			return nil, false
 		}
-		if len(p) < len(idx.post[toks[smallest]]) {
+		if len(p) < len(post[toks[smallest]]) {
 			smallest = i
 		}
 	}
-	cand := idx.post[toks[smallest]]
+	cand := post[toks[smallest]]
 	// Ping-pong two buffers through the narrowing merges: the write
 	// target never aliases cand (a shared posting list, or the other
 	// buffer), and a k-token query costs at most two intermediates.
@@ -422,7 +436,7 @@ func (idx *Index) intersectPostings(toks []string) ([]int32, bool) {
 		if i == smallest {
 			continue
 		}
-		bufs[cur] = bat.IntersectSorted(bufs[cur][:0], cand, idx.post[tok])
+		bufs[cur] = bat.IntersectSorted(bufs[cur][:0], cand, post[tok])
 		cand = bufs[cur]
 		cur ^= 1
 		if len(cand) == 0 {

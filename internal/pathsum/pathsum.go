@@ -9,6 +9,10 @@
 //
 // The prefix order of Definition 5 (path(o1) ≤ path(o2) iff path(o2)
 // is a prefix of path(o1)) becomes an ancestor test on summary nodes.
+//
+// Intern is called once per node and per string of a document being
+// loaded, so it has two look-ups (find): a parent with few steps is
+// searched in its own child list, a wide one through a map.
 package pathsum
 
 import (
@@ -96,8 +100,7 @@ func (s *Summary) Intern(parent PathID, label string, kind Kind) (PathID, error)
 	if label == "" {
 		return Invalid, fmt.Errorf("pathsum: empty label")
 	}
-	k := key{parent, label, kind}
-	if id, ok := s.byKey[k]; ok {
+	if id, ok := s.find(parent, label, kind); ok {
 		return id, nil
 	}
 	if parent == Invalid && len(s.nodes) > 0 {
@@ -117,7 +120,7 @@ func (s *Summary) Intern(parent PathID, label string, kind Kind) (PathID, error)
 	}
 	id := PathID(len(s.nodes))
 	s.nodes = append(s.nodes, node{parent: parent, label: label, str: prefix + sep + label, kind: kind, depth: depth})
-	s.byKey[k] = id
+	s.byKey[key{parent, label, kind}] = id
 	s.dfMu.Lock()
 	s.dfCache = nil
 	s.dfMu.Unlock()
@@ -129,6 +132,36 @@ func (s *Summary) Intern(parent PathID, label string, kind Kind) (PathID, error)
 		}
 	}
 	return id, nil
+}
+
+// scanSiblings is the longest sibling list find searches itself.
+const scanSiblings = 8
+
+// find returns the path one step (label, kind) below parent. A parent
+// with at most scanSiblings steps of that kind is answered from its own
+// list: a loader interns once per node and per string, nearly always a
+// step it has seen under a parent with a handful of distinct labels, and
+// the scanner interns names per document, so an equal label is almost
+// always the same pointer and the comparison one word — where the map
+// hashes the label every time. Wider parents and the root step take the
+// map.
+func (s *Summary) find(parent PathID, label string, kind Kind) (PathID, bool) {
+	if parent != Invalid {
+		sibs := s.nodes[parent].children
+		if kind == Attr {
+			sibs = s.nodes[parent].attrs
+		}
+		if len(sibs) <= scanSiblings {
+			for _, id := range sibs {
+				if s.nodes[id].label == label {
+					return id, true
+				}
+			}
+			return Invalid, false
+		}
+	}
+	id, ok := s.byKey[key{parent, label, kind}]
+	return id, ok
 }
 
 // MustIntern is Intern that panics on error; for fixtures and loaders
@@ -207,7 +240,7 @@ func (s *Summary) Lookup(labels []string) (PathID, bool) {
 	}
 	cur := PathID(0)
 	for _, l := range labels[1:] {
-		id, ok := s.byKey[key{cur, l, Elem}]
+		id, ok := s.find(cur, l, Elem)
 		if !ok {
 			return Invalid, false
 		}
@@ -222,8 +255,7 @@ func (s *Summary) LookupAttr(labels []string, attr string) (PathID, bool) {
 	if !ok {
 		return Invalid, false
 	}
-	id, ok := s.byKey[key{owner, attr, Attr}]
-	return id, ok
+	return s.find(owner, attr, Attr)
 }
 
 // IsPrefix reports whether anc is a prefix (ancestor-or-self) of id in

@@ -234,7 +234,6 @@ type statsResponse struct {
 	Docs          int     `json:"docs"`
 	TotalShards   int     `json:"total_shards"`
 	TotalNodes    int     `json:"total_nodes"`
-	TotalTerms    int     `json:"total_terms"`
 	TotalMemBytes int     `json:"total_mem_bytes"`
 	FrontStats            // queries, batches, mutations, cache, admission
 }
@@ -256,7 +255,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Docs++
 		resp.TotalShards += shards
 		resp.TotalNodes += st.Nodes
-		resp.TotalTerms += st.Terms
 		resp.TotalMemBytes += st.MemBytes
 	}
 	wire.WriteJSON(w, http.StatusOK, resp)

@@ -14,14 +14,17 @@
 // throughout its DBLP case study). Contiguity preserves document order
 // inside every shard, so per-shard answers and OIDs stay meaningful.
 //
-// Two policies place the cuts. Split works on a parsed tree and
-// balances shards by node count with a greedy contiguous partition:
-// each shard takes children until it reaches its fair share of the
-// nodes still unassigned, so a single oversized subtree becomes a shard
-// of its own rather than dragging neighbours along. SplitStream cuts by
-// input bytes while the parse is still running, for bodies too large —
-// or of unknown size — to hold whole. Which one a given input gets is
-// not decided here: ncq.OpenSharded picks, from the input's size alone.
+// Two policies place the cuts. Split balances shards by node count
+// with a greedy contiguous partition (cuts): each shard takes children
+// until it reaches its fair share of the nodes still unassigned, so a
+// single oversized subtree becomes a shard of its own rather than
+// dragging neighbours along. It works on a parsed tree; bytes that can
+// be read twice get the same shards without one, from Weigh — a parse
+// that only counts — and a second parse under Balance. SplitStream cuts
+// by input bytes while the one parse is still running, for bodies too
+// large — or of unknown size — to hold whole. Which one a given input
+// gets is not decided here: ncq.OpenSharded picks, from the input's
+// size alone.
 package shard
 
 import (
@@ -40,27 +43,41 @@ const MaxShards = 64
 // single shard that is a structural copy of doc.
 func Split(doc *xmltree.Document, k int) []*xmltree.Document {
 	children := doc.Root.Children
+	// Subtree weights from the preorder intervals: O(1) per child.
+	weights := make([]int, len(children))
+	for i, c := range children {
+		weights[i] = int(c.End-c.OID) + 1
+	}
+	var shards []*xmltree.Document
+	i := 0
+	for _, n := range cuts(weights, k) {
+		shards = append(shards, clone(doc.Root, children[i:i+n]))
+		i += n
+	}
+	return shards
+}
+
+// cuts is Split's policy on the weights alone: given the node count of
+// every child of the root, how many consecutive children each of the at
+// most k shards takes. The counts are positive and sum to len(weights),
+// except that a root with no children yields the one count 0.
+func cuts(weights []int, k int) []int {
 	if k > MaxShards {
 		k = MaxShards
 	}
-	if k <= 1 || len(children) <= 1 {
-		return []*xmltree.Document{clone(doc.Root, children)}
+	if k <= 1 || len(weights) <= 1 {
+		return []int{len(weights)}
 	}
-	if k > len(children) {
-		k = len(children)
+	if k > len(weights) {
+		k = len(weights)
 	}
-
-	// Subtree weights from the preorder intervals: O(1) per child.
-	weights := make([]int, len(children))
 	remaining := 0
-	for i, c := range children {
-		weights[i] = int(c.End-c.OID) + 1
-		remaining += weights[i]
+	for _, w := range weights {
+		remaining += w
 	}
-
-	var shards []*xmltree.Document
+	var takes []int
 	i := 0
-	for j := 0; j < k && i < len(children); j++ {
+	for j := 0; j < k && i < len(weights); j++ {
 		left := k - j // shards still to fill, this one included
 		target := (remaining + left - 1) / left
 		load := weights[i]
@@ -68,17 +85,17 @@ func Split(doc *xmltree.Document, k int) []*xmltree.Document {
 		i++
 		// Keep taking children while staying within the fair share,
 		// but always leave at least one child per remaining shard.
-		for i < len(children)-(left-1) && load+weights[i] <= target {
+		for i < len(weights)-(left-1) && load+weights[i] <= target {
 			load += weights[i]
 			i++
 		}
 		if j == k-1 { // the last shard takes everything left
-			i = len(children)
+			i = len(weights)
 		}
 		remaining -= load
-		shards = append(shards, clone(doc.Root, children[start:i]))
+		takes = append(takes, i-start)
 	}
-	return shards
+	return takes
 }
 
 // clone builds a new document with root's label and attributes whose

@@ -16,8 +16,9 @@ import (
 // opens the root of the next part. attrs is valid only during the call.
 // An error from any method aborts the parse and is returned as is.
 //
-// Two sinks exist: Documents, which builds trees, and monetx.Loader,
-// which fills a store's columns from the events alone.
+// Documents builds trees and monetx.Loader fills a store's columns from
+// the events alone; package shard has a sink that only counts (Weigh)
+// and one that passes events on while it places cuts (Balance).
 type Sink interface {
 	Start(label string, attrs []Attr) error
 	Text(text string) error

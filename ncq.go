@@ -73,14 +73,19 @@ func Open(r io.Reader) (*Database, error) {
 // all when cut is nil), shredding as it parses.
 func openParts(r io.Reader, cut func(span int64) bool) ([]*Database, error) {
 	var dbs []*Database
-	err := xmltree.ParseSplit(r, cut, monetx.NewLoader(func(s *monetx.Store) error {
-		dbs = append(dbs, newDatabase(s))
-		return nil
-	}))
-	if err != nil {
+	if err := xmltree.ParseSplit(r, cut, loaderInto(&dbs)); err != nil {
 		return nil, fmt.Errorf("ncq: %w", err)
 	}
 	return dbs, nil
+}
+
+// loaderInto is the sink that shreds every document it is fed and
+// appends its database to dbs.
+func loaderInto(dbs *[]*Database) xmltree.Sink {
+	return monetx.NewLoader(func(s *monetx.Store) error {
+		*dbs = append(*dbs, newDatabase(s))
+		return nil
+	})
 }
 
 // ParseDocument parses an XML document from r without loading it into
@@ -569,10 +574,10 @@ type Stats struct {
 	Paths        int `json:"paths"`        // distinct paths (relations in the catalogue)
 	Associations int `json:"associations"` // stored binary associations
 	MemBytes     int `json:"mem_bytes"`    // estimated column memory
-	Terms        int `json:"terms"`        // distinct full-text tokens
 }
 
-// Stats reports storage and index statistics.
+// Stats reports storage statistics. They were computed when the store
+// was loaded, so the call is free.
 func (db *Database) Stats() Stats {
 	st := db.store.Stats()
 	return Stats{
@@ -580,9 +585,14 @@ func (db *Database) Stats() Stats {
 		Paths:        st.Paths,
 		Associations: st.Associations,
 		MemBytes:     st.MemBytes,
-		Terms:        db.index.Terms(),
 	}
 }
+
+// Terms returns the number of distinct tokens of the token index; it
+// builds that index on the first call, as Search does. It is not part
+// of Stats because a statistic must not cost more than the work it
+// describes: nothing a server answers reads the token index.
+func (db *Database) Terms() int { return db.index.Terms() }
 
 // WriteXML serialises the loaded document back to XML, reassembling
 // the tree from the store: the Monet transform is lossless.

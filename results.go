@@ -219,8 +219,10 @@ func (s *localStream) next() (CorpusMeet, int32, bool, error) {
 // compiled approximately (compileVague) and structural slack blends
 // into each answer's distance before the heap is built, so the blended
 // score is the distance every later layer orders by. When vg.Expand is
-// set, terms route through th (the corpus thesaurus; nil degrades to a
-// plain token search) instead of the exact substring search.
+// set and a thesaurus is loaded, terms route through th — whole-token
+// search on every synonym, which builds the member's token index on
+// first use — instead of the exact substring search; without one,
+// Expand is a no-op.
 func (db *Database) termMeetsStream(ctx context.Context, terms []string, opt *Options, vg *Vague, th *fulltext.Thesaurus) (*localStream, error) {
 	var copt *core.Options
 	var plan *vaguePlan
@@ -238,7 +240,7 @@ func (db *Database) termMeetsStream(ctx context.Context, terms []string, opt *Op
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if vg != nil && vg.Expand {
+		if vg != nil && vg.Expand && th != nil {
 			sets = append(sets, fulltext.Owners(db.index.SearchExpanded(th, t)))
 		} else {
 			sets = append(sets, db.index.OwnersSubstring(t))

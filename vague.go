@@ -35,9 +35,9 @@ const MaxVagueSlack = vague.SlackLimit
 // Expand additionally routes every term through the corpus thesaurus
 // (SetThesaurus), broadening each term to its synonym class. Synonym
 // classes are token-based, so expanded terms use token (word) search
-// semantics rather than the exact mode's substring semantics; with no
-// thesaurus installed, expansion degrades to a token search on the
-// literal terms.
+// semantics rather than the exact mode's substring semantics. With no
+// thesaurus installed there is nothing to broaden through, and Expand
+// changes no answer: the terms are located by substring as ever.
 //
 // The zero spec ({"max_slack": 0, "expand": false}) is canonically —
 // and byte-for-byte — equivalent to the exact request: every rewrite
