@@ -106,17 +106,18 @@ func BenchmarkFig6MeetByDistance(b *testing.B) {
 // the output cardinality) grows.
 func BenchmarkFig7CaseStudy(b *testing.B) {
 	setup := dblp(b)
+	ctx := context.Background()
 	for _, low := range []int{1999, 1996, 1992, 1988, 1984} {
 		hits := setup.Index.SearchSubstring("ICDE")
 		for y := low; y <= 1999; y++ {
 			hits = append(hits, setup.Index.SearchSubstring(fmt.Sprintf("%d", y))...)
 		}
-		groups := setup.Index.Groups(hits)
+		inputs := [][]bat.OID{fulltext.Owners(hits)}
 		opt := core.ExcludeRoot(setup.Store)
 		var out int
 		b.Run(fmt.Sprintf("yearLow=%d", low), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				results, _, err := core.Meet(setup.Store, groups, opt)
+				results, _, err := core.MeetMultiContext(ctx, setup.Store, inputs, opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -136,12 +137,13 @@ func BenchmarkMeetInputScaling(b *testing.B) {
 		yearHits = append(yearHits, setup.Index.SearchSubstring(fmt.Sprintf("%d", y))...)
 	}
 	opt := core.ExcludeRoot(setup.Store)
+	ctx := context.Background()
 	for _, frac := range []int{1, 2, 4, 8} {
 		n := len(yearHits) / frac
-		groups := setup.Index.Groups(yearHits[:n])
+		inputs := [][]bat.OID{fulltext.Owners(yearHits[:n])}
 		b.Run(fmt.Sprintf("inputs=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Meet(setup.Store, groups, opt); err != nil {
+				if _, _, err := core.MeetMultiContext(ctx, setup.Store, inputs, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -170,14 +172,14 @@ func BenchmarkAblationParent(b *testing.B) {
 	}
 	b.Run("parent-array", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MeetSets(setup.Store, icde, year, nil); err != nil {
+			if _, err := experiments.MeetSets(setup.Store, icde, year, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("parent-bat-join", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MeetSetsBAT(setup.Store, icde, year, nil); err != nil {
+			if _, err := experiments.MeetSetsBAT(setup.Store, icde, year, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -201,7 +203,7 @@ func BenchmarkAblationSteering(b *testing.B) {
 	})
 	b.Run("ancestor-set", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.Meet2AncestorSetForBench(setup.Store, o1, o2)
+			experiments.Meet2AncestorSet(setup.Store, o1, o2)
 		}
 	})
 }
@@ -251,21 +253,24 @@ func BenchmarkLocateSubstring(b *testing.B) {
 }
 
 // BenchmarkMeetRollup measures the warm columnar roll-up of the
-// general meet (Figure 5) on a Figure-7-sized input: path-bucketed
-// scratch recycled across queries, so a steady-state query allocates
-// O(results), not O(inputs·levels).
+// general meet (Figure 5) on a Figure-7-sized input: the combined hits
+// as one input set to core.MeetMultiContext — a lone set drains
+// straight into the path buckets — with path-bucketed scratch recycled
+// across queries, so a steady-state query allocates O(results), not
+// O(inputs·levels).
 func BenchmarkMeetRollup(b *testing.B) {
 	setup := dblp(b)
 	hits := setup.Index.SearchSubstring("ICDE")
 	for y := 1992; y <= 1999; y++ {
 		hits = append(hits, setup.Index.SearchSubstring(fmt.Sprintf("%d", y))...)
 	}
-	groups := setup.Index.Groups(hits)
+	inputs := [][]bat.OID{fulltext.Owners(hits)}
 	opt := core.ExcludeRoot(setup.Store)
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.Meet(setup.Store, groups, opt); err != nil {
+		if _, _, err := core.MeetMultiContext(ctx, setup.Store, inputs, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -463,14 +468,14 @@ func BenchmarkExplosionBaseline(b *testing.B) {
 	}
 	b.Run("minimal", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MeetSets(setup.Store, icde, year, nil); err != nil {
+			if _, err := experiments.MeetSets(setup.Store, icde, year, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("all-pairs", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.MeetPairsBaseline(setup.Store, icde, year); err != nil {
+			if _, _, err := experiments.MeetPairsBaseline(setup.Store, icde, year); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -23,11 +24,12 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run is the testable entry point; it returns the process exit code.
-func run(argv []string, stdout, stderr io.Writer) int {
+// ctx reaches the meets of the fig7 and scaling series.
+func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ncqbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -57,8 +59,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 	runOne("fig6", func() error { return fig6(stdout, *items, *iters) })
-	runOne("fig7", func() error { return fig7(stdout, *pubs) })
-	runOne("scaling", func() error { return scaling(stdout, *pubs) })
+	runOne("fig7", func() error { return fig7(ctx, stdout, *pubs) })
+	runOne("scaling", func() error { return scaling(ctx, stdout, *pubs) })
 	runOne("ablation", func() error { return ablation(stdout, *pubs, *iters) })
 	runOne("explosion", func() error { return explosion(stdout, *pubs) })
 	return code
@@ -86,7 +88,7 @@ func fig6(w io.Writer, items, iters int) error {
 	return nil
 }
 
-func fig7(w io.Writer, pubs int) error {
+func fig7(ctx context.Context, w io.Writer, pubs int) error {
 	cfg := datagen.DefaultDBLPConfig()
 	cfg.PubsPerVenueYear = pubs
 	setup, err := experiments.LoadDBLP(cfg)
@@ -98,7 +100,7 @@ func fig7(w io.Writer, pubs int) error {
 	fmt.Fprintf(w, "# bibliography: %d nodes, %d paths, %d associations\n",
 		st.Nodes, st.Paths, st.Associations)
 	fmt.Fprintf(w, "# year_low\tinput_size\toutput_cardinality\tmeet_ms\tfalse_positives\n")
-	rows, err := experiments.Fig7(setup, 1999, 1984)
+	rows, err := experiments.Fig7(ctx, setup, 1999, 1984)
 	if err != nil {
 		return err
 	}
@@ -108,7 +110,7 @@ func fig7(w io.Writer, pubs int) error {
 	return nil
 }
 
-func scaling(w io.Writer, pubs int) error {
+func scaling(ctx context.Context, w io.Writer, pubs int) error {
 	cfg := datagen.DefaultDBLPConfig()
 	cfg.PubsPerVenueYear = pubs
 	setup, err := experiments.LoadDBLP(cfg)
@@ -117,7 +119,7 @@ func scaling(w io.Writer, pubs int) error {
 	}
 	fmt.Fprintf(w, "# Input-cardinality scaling (Section 5: \"scales well, i.e., linear\")\n")
 	fmt.Fprintf(w, "# input_size\toutput_cardinality\tmeet_ms\n")
-	rows, err := experiments.InputScaling(setup, 10)
+	rows, err := experiments.InputScaling(ctx, setup, 10)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -9,7 +10,7 @@ import (
 func exec(t *testing.T, argv ...string) (int, string, string) {
 	t.Helper()
 	var out, errOut bytes.Buffer
-	code := run(argv, &out, &errOut)
+	code := run(context.Background(), argv, &out, &errOut)
 	return code, out.String(), errOut.String()
 }
 

@@ -523,24 +523,21 @@ type CorpusMeet struct {
 // then document order). Documents in which the terms do not meet
 // simply contribute nothing. Members — including the individual shards
 // of sharded members — are searched concurrently, bounded by
-// SetParallelism. It is a wrapper over Run; use Run directly for
-// cancellation, deadlines, limits and pagination.
+// SetParallelism. It is MeetOfTermsIn over the whole corpus; use Run
+// directly for cancellation, deadlines, limits and pagination.
 func (c *Corpus) MeetOfTerms(opt *Options, terms ...string) ([]CorpusMeet, error) {
 	if len(terms) == 0 {
 		return nil, nil
 	}
-	res, err := c.Run(context.Background(), Request{Terms: terms, Options: opt}) //lint:ncqvet-ignore legacy ctx-less public API; ctx-aware callers use Run
-	if err != nil {
-		return nil, err
-	}
-	return res.Meets, nil
+	meets, _, err := c.MeetOfTermsIn("", opt, terms...)
+	return meets, err
 }
 
-// MeetOfTermsIn runs the term meet against the named member only,
-// fanning out over its shards when it is sharded, and returns the
-// merged ranked answers plus the number of inputs that found no
-// partner. The error wraps ErrUnknownDoc when name is not registered.
-// It is a wrapper over Run.
+// MeetOfTermsIn runs the term meet against the named member only —
+// the whole corpus when name is empty — fanning out over its shards
+// when it is sharded, and returns the merged ranked answers plus the
+// number of inputs that found no partner. The error wraps ErrUnknownDoc
+// when name is not registered. It is a wrapper over Run.
 func (c *Corpus) MeetOfTermsIn(name string, opt *Options, terms ...string) ([]CorpusMeet, int, error) {
 	if len(terms) == 0 {
 		if !c.Has(name) {

@@ -1,0 +1,124 @@
+package ncq
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"ncq/internal/xmltree"
+)
+
+// docOrder is what the document-order meets promise of a ranked
+// answer: the same meets stably sorted by node, a rolled-up meet before
+// the self-meet on the same node.
+func docOrder(ranked []CorpusMeet) []Meet {
+	out := make([]Meet, len(ranked))
+	for i, m := range ranked {
+		out[i] = m.Meet
+	}
+	self := func(m Meet) int {
+		if len(m.Witnesses) == 1 && m.Witnesses[0] == m.Node {
+			return 1
+		}
+		return 0
+	}
+	slices.SortStableFunc(out, func(a, b Meet) int {
+		if a.Node != b.Node {
+			return int(a.Node) - int(b.Node)
+		}
+		return self(a) - self(b)
+	})
+	return out
+}
+
+// TestDocOrderMeetsEqualRun holds the document-order meets — MeetOf,
+// MeetOfTerms and MeetOfTermsExpanded, which no longer go through Run —
+// to Run's answer re-sorted: the same meets and the same unmatched
+// inputs, on Figure 1 and on random documents, under a spread of
+// options. MeetOf gets one term's matches, which Run meets as a
+// one-term request; the expanded meet is compared with a corpus that
+// holds the thesaurus and runs the request with Vague{Expand: true}.
+func TestDocOrderMeetsEqualRun(t *testing.T) {
+	ctx := context.Background()
+	th := NewThesaurus().Add("t0", "t1").Add("v2", "t5", "bit")
+	options := []func() *Options{
+		func() *Options { return nil },
+		ExcludeRoot,
+		func() *Options { return Within(3) },
+		func() *Options { return Restrict("//a").Restrict("//b") },
+		func() *Options { return ExcludePattern("//c").Nearest().MaxLift(4) },
+	}
+	docs := []*xmltree.Document{xmltree.Fig1()}
+	r := rand.New(rand.NewSource(29))
+	for len(docs) < 40 {
+		docs = append(docs, xmltree.Random(r, 90))
+	}
+	vocab := []string{"t", "v", "1", "t0", "t1", "t3", "t5", "v0", "v2", "Bit", "1999", "Bob", "Byte"}
+	checked := 0
+	for i, doc := range docs {
+		db, err := FromDocument(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewCorpus()
+		if err := c.Add("d", db); err != nil {
+			t.Fatal(err)
+		}
+		c.SetThesaurus(th)
+		for trial := 0; trial < 6; trial++ {
+			terms := make([]string, 1+r.Intn(3))
+			for k := range terms {
+				terms[k] = vocab[r.Intn(len(vocab))]
+			}
+			opt := options[r.Intn(len(options))]
+			name := fmt.Sprintf("doc %d, terms %q, options %+v", i, terms, opt().Spec())
+
+			res, err := db.Run(ctx, Request{Terms: terms, Options: opt()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			meets, unmatched, err := db.MeetOfTerms(opt(), terms...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := docOrder(res.Meets); !reflect.DeepEqual(meets, want) || !reflect.DeepEqual(unmatched, res.UnmatchedNodes) {
+				t.Fatalf("%s: MeetOfTerms = %+v %v\nRun sorted   %+v %v", name, meets, unmatched, want, res.UnmatchedNodes)
+			}
+			checked += len(meets)
+
+			one, err := db.Run(ctx, Request{Terms: terms[:1], Options: opt()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var nodes []NodeID
+			for _, h := range db.SearchSubstring(terms[0]) {
+				nodes = append(nodes, h.Node)
+			}
+			meets, unmatched, err = db.MeetOf(nodes, opt())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := docOrder(one.Meets); !reflect.DeepEqual(meets, want) || !reflect.DeepEqual(unmatched, one.UnmatchedNodes) {
+				t.Fatalf("%s: MeetOf(%v) = %+v %v\nRun sorted   %+v %v", name, nodes, meets, unmatched, want, one.UnmatchedNodes)
+			}
+
+			exp, err := c.Run(ctx, Request{Terms: terms, Options: opt(), Vague: &Vague{Expand: true}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			meets, unmatched, err = db.MeetOfTermsExpanded(th, opt(), terms...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := docOrder(exp.Meets); !reflect.DeepEqual(meets, want) || len(unmatched) != exp.Unmatched {
+				t.Fatalf("%s: MeetOfTermsExpanded = %+v %v\ncorpus Run sorted   %+v (%d unmatched)", name, meets, unmatched, want, exp.Unmatched)
+			}
+		}
+	}
+	if checked < 200 {
+		t.Fatalf("only %d meets compared: the draw checks too little", checked)
+	}
+}

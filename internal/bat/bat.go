@@ -5,20 +5,22 @@
 // database server, whose execution model is built entirely from binary
 // relations and a small algebra of operations on them (the MIL
 // primitives of Boncz & Kersten, "MIL Primitives for Querying a
-// Fragmented World", VLDB Journal 8(2), 1999). This package reproduces
-// the slice of that algebra the paper's algorithms need: append-only
-// binary tables with an OID head column and a typed tail column, plus
-// join, semijoin, anti-join, selection, reversal and de-duplication.
+// Fragmented World", VLDB Journal 8(2), 1999). This package keeps the
+// slice of that algebra this reproduction runs: append-only binary
+// tables with an OID head column and a typed tail column — the string
+// relations of the store, and the edge and parent relations it derives
+// as views — plus the three operators of the BAT-join execution of
+// Figure 4 (join, tail intersection, tail anti-selection), and the
+// sorted-slice primitives underneath the columnar hot path.
 //
 // A BAT is deliberately simple: two parallel slices and a lazily built
 // hash index on the head column. All operations allocate their result;
 // inputs are never mutated, which keeps the relational style of the
-// paper's pseudocode (Figures 3-5) easy to express and reason about.
+// paper's pseudocode easy to express and reason about.
 package bat
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -30,13 +32,6 @@ type OID uint32
 // Nil is the invalid OID. It is used as the parent of the document root
 // and as the "no meet" result of bounded meet variants.
 const Nil OID = 0
-
-// Pair is a single binary unit (BUN in Monet terminology): one
-// head-tail association.
-type Pair[T comparable] struct {
-	Head OID
-	Tail T
-}
 
 // BAT is a binary association table: an ordered multiset of (OID, T)
 // pairs. The zero value is not usable; construct with New.
@@ -73,18 +68,6 @@ func NewWithCapacity[T comparable](name string, n int) *BAT[T] {
 	}
 }
 
-// FromPairs builds a BAT from explicit pairs; convenient in tests.
-func FromPairs[T comparable](name string, pairs []Pair[T]) *BAT[T] {
-	b := NewWithCapacity[T](name, len(pairs))
-	for _, p := range pairs {
-		b.Append(p.Head, p.Tail)
-	}
-	return b
-}
-
-// Name returns the relation name of the BAT.
-func (b *BAT[T]) Name() string { return b.name }
-
 // Len returns the number of pairs in the BAT.
 func (b *BAT[T]) Len() int { return len(b.head) }
 
@@ -101,23 +84,6 @@ func (b *BAT[T]) Head(i int) OID { return b.head[i] }
 
 // Tail returns the tail value at position i.
 func (b *BAT[T]) Tail(i int) T { return b.tail[i] }
-
-// Pair returns the association at position i.
-func (b *BAT[T]) Pair(i int) Pair[T] { return Pair[T]{b.head[i], b.tail[i]} }
-
-// Heads returns a copy of the head column.
-func (b *BAT[T]) Heads() []OID {
-	out := make([]OID, len(b.head))
-	copy(out, b.head)
-	return out
-}
-
-// Tails returns a copy of the tail column.
-func (b *BAT[T]) Tails() []T {
-	out := make([]T, len(b.tail))
-	copy(out, b.tail)
-	return out
-}
 
 // buildIndex materialises the hash index on the head column. Taking
 // the mutex on every call establishes the happens-before edge that
@@ -145,65 +111,6 @@ func (b *BAT[T]) Find(h OID) (T, bool) {
 	}
 	var zero T
 	return zero, false
-}
-
-// FindAll returns the tails of every pair whose head equals h, in
-// insertion order. The result is nil when h does not occur.
-func (b *BAT[T]) FindAll(h OID) []T {
-	b.buildIndex()
-	pos, ok := b.index[h]
-	if !ok {
-		return nil
-	}
-	out := make([]T, len(pos))
-	for i, p := range pos {
-		out[i] = b.tail[p]
-	}
-	return out
-}
-
-// HasHead reports whether h occurs in the head column.
-func (b *BAT[T]) HasHead(h OID) bool {
-	b.buildIndex()
-	_, ok := b.index[h]
-	return ok
-}
-
-// Each calls fn for every pair in insertion order. It stops early when
-// fn returns false.
-func (b *BAT[T]) Each(fn func(h OID, t T) bool) {
-	for i := range b.head {
-		if !fn(b.head[i], b.tail[i]) {
-			return
-		}
-	}
-}
-
-// Clone returns a deep copy with the same name and contents.
-func (b *BAT[T]) Clone() *BAT[T] {
-	c := NewWithCapacity[T](b.name, b.Len())
-	c.head = append(c.head, b.head...)
-	c.tail = append(c.tail, b.tail...)
-	return c
-}
-
-// SortByHead returns a copy sorted by ascending head value; pairs with
-// equal heads keep their relative order (stable). Sorted BATs print
-// deterministically, which the tests rely on.
-func (b *BAT[T]) SortByHead() *BAT[T] {
-	perm := make([]int, b.Len())
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(i, j int) bool {
-		return b.head[perm[i]] < b.head[perm[j]]
-	})
-	c := NewWithCapacity[T](b.name, b.Len())
-	for _, i := range perm {
-		c.head = append(c.head, b.head[i])
-		c.tail = append(c.tail, b.tail[i])
-	}
-	return c
 }
 
 // String renders the BAT in a compact [name: h->t, ...] form for

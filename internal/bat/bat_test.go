@@ -5,11 +5,32 @@ import (
 	"testing"
 )
 
+// pair is one (head, tail) association as the tests spell it.
+type pair[T comparable] struct {
+	h OID
+	t T
+}
+
+// batOf builds a BAT from explicit pairs.
+func batOf[T comparable](name string, pairs ...pair[T]) *BAT[T] {
+	b := NewWithCapacity[T](name, len(pairs))
+	for _, p := range pairs {
+		b.Append(p.h, p.t)
+	}
+	return b
+}
+
+// pairsOf lists a BAT's associations in order.
+func pairsOf[T comparable](b *BAT[T]) []pair[T] {
+	out := make([]pair[T], 0, b.Len())
+	for i := 0; i < b.Len(); i++ {
+		out = append(out, pair[T]{b.Head(i), b.Tail(i)})
+	}
+	return out
+}
+
 func TestNewAndAppend(t *testing.T) {
 	b := New[string]("r")
-	if b.Name() != "r" {
-		t.Fatalf("Name() = %q, want %q", b.Name(), "r")
-	}
 	if b.Len() != 0 {
 		t.Fatalf("Len() = %d, want 0", b.Len())
 	}
@@ -22,44 +43,19 @@ func TestNewAndAppend(t *testing.T) {
 	if b.Head(0) != 1 || b.Tail(0) != "a" {
 		t.Errorf("pair 0 = (%d,%q), want (1,a)", b.Head(0), b.Tail(0))
 	}
-	if got := b.Pair(2); got != (Pair[string]{1, "c"}) {
-		t.Errorf("Pair(2) = %v, want {1 c}", got)
-	}
-}
-
-func TestFromPairsAndClone(t *testing.T) {
-	b := FromPairs("x", []Pair[OID]{{1, 2}, {3, 4}})
-	c := b.Clone()
-	c.Append(5, 6)
-	if b.Len() != 2 {
-		t.Errorf("Clone aliased the original: Len = %d, want 2", b.Len())
-	}
-	if c.Len() != 3 {
-		t.Errorf("clone Len = %d, want 3", c.Len())
-	}
-	if c.Name() != "x" {
-		t.Errorf("clone name = %q, want x", c.Name())
+	if b.Head(2) != 1 || b.Tail(2) != "c" {
+		t.Errorf("pair 2 = (%d,%q), want (1,c)", b.Head(2), b.Tail(2))
 	}
 }
 
 func TestFind(t *testing.T) {
-	b := FromPairs("r", []Pair[string]{{1, "a"}, {2, "b"}, {1, "c"}})
+	b := batOf("r", pair[string]{1, "a"}, pair[string]{2, "b"}, pair[string]{1, "c"})
 	got, ok := b.Find(1)
 	if !ok || got != "a" {
 		t.Errorf("Find(1) = (%q,%v), want (a,true)", got, ok)
 	}
 	if _, ok := b.Find(9); ok {
 		t.Error("Find(9) reported present, want absent")
-	}
-	all := b.FindAll(1)
-	if len(all) != 2 || all[0] != "a" || all[1] != "c" {
-		t.Errorf("FindAll(1) = %v, want [a c]", all)
-	}
-	if b.FindAll(9) != nil {
-		t.Errorf("FindAll(9) = %v, want nil", b.FindAll(9))
-	}
-	if !b.HasHead(2) || b.HasHead(7) {
-		t.Error("HasHead membership wrong")
 	}
 }
 
@@ -76,68 +72,23 @@ func TestFindAfterAppendRebuildsIndex(t *testing.T) {
 	}
 }
 
-func TestHeadsTailsAreCopies(t *testing.T) {
-	b := FromPairs("r", []Pair[OID]{{1, 10}, {2, 20}})
-	h := b.Heads()
-	h[0] = 99
-	if b.Head(0) != 1 {
-		t.Error("Heads() exposed internal storage")
-	}
-	tl := b.Tails()
-	tl[0] = 99
-	if b.Tail(0) != 10 {
-		t.Error("Tails() exposed internal storage")
-	}
-}
-
-func TestEachStopsEarly(t *testing.T) {
-	b := FromPairs("r", []Pair[OID]{{1, 1}, {2, 2}, {3, 3}})
-	var visited int
-	b.Each(func(h OID, _ OID) bool {
-		visited++
-		return h < 2
-	})
-	if visited != 2 {
-		t.Errorf("Each visited %d pairs, want 2", visited)
-	}
-}
-
-func TestSortByHead(t *testing.T) {
-	b := FromPairs("r", []Pair[string]{{3, "x"}, {1, "a"}, {3, "y"}, {2, "m"}})
-	s := b.SortByHead()
-	want := []Pair[string]{{1, "a"}, {2, "m"}, {3, "x"}, {3, "y"}}
-	for i, w := range want {
-		if s.Pair(i) != w {
-			t.Errorf("sorted pair %d = %v, want %v", i, s.Pair(i), w)
-		}
-	}
-	// Stability: equal heads keep insertion order (x before y).
-	if s.Tail(2) != "x" || s.Tail(3) != "y" {
-		t.Error("SortByHead is not stable")
-	}
-	// Original untouched.
-	if b.Head(0) != 3 {
-		t.Error("SortByHead mutated its input")
-	}
-}
-
 func TestString(t *testing.T) {
-	b := FromPairs("r", []Pair[OID]{{1, 2}})
+	b := batOf("r", pair[OID]{1, 2})
 	if s := b.String(); !strings.Contains(s, "1->2") || !strings.Contains(s, "r") {
 		t.Errorf("String() = %q, want it to mention the name and the pair", s)
 	}
 }
 
 func TestMemBytes(t *testing.T) {
-	oo := FromPairs("oo", []Pair[OID]{{1, 2}, {3, 4}})
+	oo := batOf("oo", pair[OID]{1, 2}, pair[OID]{3, 4})
 	if got := oo.MemBytes(); got != 2*(4+4) {
 		t.Errorf("MemBytes oid×oid = %d, want 16", got)
 	}
-	os := FromPairs("os", []Pair[string]{{1, "x"}})
+	os := batOf("os", pair[string]{1, "x"})
 	if got := os.MemBytes(); got != 4+16 {
 		t.Errorf("MemBytes oid×string = %d, want 20", got)
 	}
-	oi := FromPairs("oi", []Pair[int]{{1, 7}})
+	oi := batOf("oi", pair[int]{1, 7})
 	if got := oi.MemBytes(); got != 4+8 {
 		t.Errorf("MemBytes oid×int = %d, want 12", got)
 	}

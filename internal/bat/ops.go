@@ -1,11 +1,13 @@
 package bat
 
-// This file holds the relational operations (the MIL-primitive slice)
-// used by the meet algorithms: join, semijoin, anti-join, selection,
-// reversal, de-duplication and set-style combinators on head columns.
+// This file holds the relational operations of the MIL-primitive slice
+// the BAT-join execution of the set-oriented meet (Figure 4, in
+// internal/experiments) runs on: the join that lifts an association
+// BAT one level, the intersection of current ancestors and the
+// anti-selection that removes matched elements.
 //
-// All operations are non-destructive: they allocate a new BAT and leave
-// the operands untouched, mirroring the bulk operator-at-a-time
+// All operations are non-destructive: they allocate their result and
+// leave the operands untouched, mirroring the bulk operator-at-a-time
 // execution model of the Monet server the paper ran on.
 
 // Join composes a with b over a's tail and b's head:
@@ -30,165 +32,31 @@ func Join[T comparable](a *BAT[OID], b *BAT[T]) *BAT[T] {
 	return out
 }
 
-// Semijoin keeps the pairs of a whose head occurs in keys.
-func Semijoin[T comparable](a *BAT[T], keys *Set) *BAT[T] {
-	out := New[T](a.name + "?")
-	for i := range a.head {
-		if keys.Has(a.head[i]) {
-			out.Append(a.head[i], a.tail[i])
-		}
-	}
-	return out
-}
-
-// Antijoin keeps the pairs of a whose head does NOT occur in keys.
-// Together with Semijoin it implements the "remove matched elements"
-// step of the set-oriented meet (Figure 4).
-func Antijoin[T comparable](a *BAT[T], keys *Set) *BAT[T] {
-	out := New[T](a.name + "!")
-	for i := range a.head {
-		if !keys.Has(a.head[i]) {
-			out.Append(a.head[i], a.tail[i])
-		}
-	}
-	return out
-}
-
-// SelectTail keeps the pairs whose tail satisfies pred.
-func SelectTail[T comparable](a *BAT[T], pred func(T) bool) *BAT[T] {
-	out := New[T](a.name + "/sel")
-	for i := range a.tail {
-		if pred(a.tail[i]) {
-			out.Append(a.head[i], a.tail[i])
-		}
-	}
-	return out
-}
-
-// SelectTailEq keeps the pairs whose tail equals v. It is the exact-
-// match point selection used by the full-text fallback scan.
-func SelectTailEq[T comparable](a *BAT[T], v T) *BAT[T] {
-	return SelectTail(a, func(t T) bool { return t == v })
-}
-
-// Reverse swaps head and tail of an OID×OID BAT. The Monet transform
-// stores edges parent->child; reversing yields the child->parent
-// ("parent function") BAT the meet algorithms navigate with.
-func Reverse(a *BAT[OID]) *BAT[OID] {
-	out := NewWithCapacity[OID]("rev("+a.name+")", a.Len())
-	for i := range a.head {
-		out.Append(a.tail[i], a.head[i])
-	}
-	return out
-}
-
-// Unique removes duplicate pairs, keeping first occurrences in order.
-func Unique[T comparable](a *BAT[T]) *BAT[T] {
-	seen := make(map[Pair[T]]struct{}, a.Len())
-	out := New[T](a.name + "/uniq")
-	for i := range a.head {
-		p := Pair[T]{a.head[i], a.tail[i]}
-		if _, dup := seen[p]; dup {
-			continue
-		}
-		seen[p] = struct{}{}
-		out.Append(p.Head, p.Tail)
-	}
-	return out
-}
-
-// UniqueHead removes pairs with duplicate heads, keeping the first pair
-// for each head in insertion order.
-func UniqueHead[T comparable](a *BAT[T]) *BAT[T] {
-	seen := make(map[OID]struct{}, a.Len())
-	out := New[T](a.name + "/uniqh")
-	for i := range a.head {
-		if _, dup := seen[a.head[i]]; dup {
-			continue
-		}
-		seen[a.head[i]] = struct{}{}
-		out.Append(a.head[i], a.tail[i])
-	}
-	return out
-}
-
-// Union concatenates a and b (bag semantics, preserving order).
-func Union[T comparable](a, b *BAT[T]) *BAT[T] {
-	out := NewWithCapacity[T](a.name+"+"+b.name, a.Len()+b.Len())
-	out.head = append(out.head, a.head...)
-	out.tail = append(out.tail, a.tail...)
-	out.head = append(out.head, b.head...)
-	out.tail = append(out.tail, b.tail...)
-	return out
-}
-
-// HeadSet collects the distinct head values of a into a Set.
-func HeadSet[T comparable](a *BAT[T]) *Set {
-	s := NewSet()
-	for _, h := range a.head {
-		s.Add(h)
-	}
-	return s
-}
-
-// TailSet collects the distinct tail values of an OID×OID BAT.
-func TailSet(a *BAT[OID]) *Set {
-	s := NewSet()
-	for _, t := range a.tail {
-		s.Add(t)
-	}
-	return s
-}
-
 // IntersectTails returns the set of OIDs occurring as tails of both a
 // and b. This is the D := O1 ∩ O2 step of Figure 4 when the lifted
 // current-ancestor column is the tail.
-func IntersectTails(a, b *BAT[OID]) *Set {
-	at := TailSet(a)
-	out := NewSet()
+func IntersectTails(a, b *BAT[OID]) map[OID]struct{} {
+	at := make(map[OID]struct{}, len(a.tail))
+	for _, t := range a.tail {
+		at[t] = struct{}{}
+	}
+	out := map[OID]struct{}{}
 	for _, t := range b.tail {
-		if at.Has(t) {
-			out.Add(t)
+		if _, ok := at[t]; ok {
+			out[t] = struct{}{}
 		}
 	}
 	return out
 }
 
-// SelectTailIn keeps the pairs of a whose tail is a member of keys.
-func SelectTailIn(a *BAT[OID], keys *Set) *BAT[OID] {
-	out := New[OID](a.name + "/in")
-	for i := range a.tail {
-		if keys.Has(a.tail[i]) {
-			out.Append(a.head[i], a.tail[i])
-		}
-	}
-	return out
-}
-
-// SelectTailNotIn keeps the pairs of a whose tail is not in keys.
-func SelectTailNotIn(a *BAT[OID], keys *Set) *BAT[OID] {
+// SelectTailNotIn keeps the pairs of a whose tail is not in keys — the
+// "remove matched elements" step of Figure 4.
+func SelectTailNotIn(a *BAT[OID], keys map[OID]struct{}) *BAT[OID] {
 	out := New[OID](a.name + "/notin")
 	for i := range a.tail {
-		if !keys.Has(a.tail[i]) {
+		if _, ok := keys[a.tail[i]]; !ok {
 			out.Append(a.head[i], a.tail[i])
 		}
-	}
-	return out
-}
-
-// Count returns the number of pairs whose head equals h.
-func Count[T comparable](a *BAT[T], h OID) int {
-	a.buildIndex()
-	return len(a.index[h])
-}
-
-// GroupCountTail returns, for each distinct tail OID, the number of
-// pairs carrying it. The general meet (Figure 5) uses this to find
-// candidate ancestors that received at least two contributions.
-func GroupCountTail(a *BAT[OID]) map[OID]int {
-	out := make(map[OID]int)
-	for _, t := range a.tail {
-		out[t]++
 	}
 	return out
 }

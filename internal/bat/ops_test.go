@@ -5,30 +5,22 @@ import (
 	"testing"
 )
 
-func pairsOf[T comparable](b *BAT[T]) []Pair[T] {
-	out := make([]Pair[T], 0, b.Len())
-	for i := 0; i < b.Len(); i++ {
-		out = append(out, b.Pair(i))
-	}
-	return out
-}
-
 func TestJoin(t *testing.T) {
 	// a: provenance -> current, b: current -> parent.
-	a := FromPairs("a", []Pair[OID]{{10, 1}, {11, 2}, {12, 3}})
-	b := FromPairs("b", []Pair[OID]{{1, 100}, {2, 200}, {4, 400}})
+	a := batOf("a", pair[OID]{10, 1}, pair[OID]{11, 2}, pair[OID]{12, 3})
+	b := batOf("b", pair[OID]{1, 100}, pair[OID]{2, 200}, pair[OID]{4, 400})
 	got := Join(a, b)
-	want := []Pair[OID]{{10, 100}, {11, 200}}
+	want := []pair[OID]{{10, 100}, {11, 200}}
 	if !reflect.DeepEqual(pairsOf(got), want) {
 		t.Errorf("Join = %v, want %v", pairsOf(got), want)
 	}
 }
 
 func TestJoinExpandsMultipleMatches(t *testing.T) {
-	a := FromPairs("a", []Pair[OID]{{10, 1}})
-	b := FromPairs("b", []Pair[string]{{1, "x"}, {1, "y"}})
+	a := batOf("a", pair[OID]{10, 1})
+	b := batOf("b", pair[string]{1, "x"}, pair[string]{1, "y"})
 	got := Join(a, b)
-	want := []Pair[string]{{10, "x"}, {10, "y"}}
+	want := []pair[string]{{10, "x"}, {10, "y"}}
 	if !reflect.DeepEqual(pairsOf(got), want) {
 		t.Errorf("Join = %v, want %v", pairsOf(got), want)
 	}
@@ -36,7 +28,7 @@ func TestJoinExpandsMultipleMatches(t *testing.T) {
 
 func TestJoinEmpty(t *testing.T) {
 	a := New[OID]("a")
-	b := FromPairs("b", []Pair[OID]{{1, 2}})
+	b := batOf("b", pair[OID]{1, 2})
 	if got := Join(a, b); got.Len() != 0 {
 		t.Errorf("Join(empty, b).Len() = %d, want 0", got.Len())
 	}
@@ -45,121 +37,20 @@ func TestJoinEmpty(t *testing.T) {
 	}
 }
 
-func TestSemijoinAntijoin(t *testing.T) {
-	a := FromPairs("a", []Pair[string]{{1, "a"}, {2, "b"}, {3, "c"}})
-	keys := SetOf(1, 3)
-	semi := Semijoin(a, keys)
-	if want := []Pair[string]{{1, "a"}, {3, "c"}}; !reflect.DeepEqual(pairsOf(semi), want) {
-		t.Errorf("Semijoin = %v, want %v", pairsOf(semi), want)
-	}
-	anti := Antijoin(a, keys)
-	if want := []Pair[string]{{2, "b"}}; !reflect.DeepEqual(pairsOf(anti), want) {
-		t.Errorf("Antijoin = %v, want %v", pairsOf(anti), want)
-	}
-	// Semijoin + Antijoin partition the input.
-	if semi.Len()+anti.Len() != a.Len() {
-		t.Error("Semijoin and Antijoin do not partition the input")
-	}
-}
-
-func TestSelectTail(t *testing.T) {
-	a := FromPairs("a", []Pair[int]{{1, 5}, {2, 10}, {3, 15}})
-	got := SelectTail(a, func(v int) bool { return v >= 10 })
-	want := []Pair[int]{{2, 10}, {3, 15}}
-	if !reflect.DeepEqual(pairsOf(got), want) {
-		t.Errorf("SelectTail = %v, want %v", pairsOf(got), want)
-	}
-	eq := SelectTailEq(a, 10)
-	if want := []Pair[int]{{2, 10}}; !reflect.DeepEqual(pairsOf(eq), want) {
-		t.Errorf("SelectTailEq = %v, want %v", pairsOf(eq), want)
-	}
-}
-
-func TestReverse(t *testing.T) {
-	a := FromPairs("e", []Pair[OID]{{1, 2}, {1, 3}, {2, 4}})
-	r := Reverse(a)
-	want := []Pair[OID]{{2, 1}, {3, 1}, {4, 2}}
-	if !reflect.DeepEqual(pairsOf(r), want) {
-		t.Errorf("Reverse = %v, want %v", pairsOf(r), want)
-	}
-	rr := Reverse(r)
-	if !reflect.DeepEqual(pairsOf(rr), pairsOf(a)) {
-		t.Error("Reverse(Reverse(a)) != a")
-	}
-}
-
-func TestUnique(t *testing.T) {
-	a := FromPairs("a", []Pair[OID]{{1, 2}, {1, 2}, {1, 3}, {1, 2}})
-	u := Unique(a)
-	want := []Pair[OID]{{1, 2}, {1, 3}}
-	if !reflect.DeepEqual(pairsOf(u), want) {
-		t.Errorf("Unique = %v, want %v", pairsOf(u), want)
-	}
-}
-
-func TestUniqueHead(t *testing.T) {
-	a := FromPairs("a", []Pair[string]{{1, "first"}, {2, "x"}, {1, "second"}})
-	u := UniqueHead(a)
-	want := []Pair[string]{{1, "first"}, {2, "x"}}
-	if !reflect.DeepEqual(pairsOf(u), want) {
-		t.Errorf("UniqueHead = %v, want %v", pairsOf(u), want)
-	}
-}
-
-func TestUnion(t *testing.T) {
-	a := FromPairs("a", []Pair[OID]{{1, 2}})
-	b := FromPairs("b", []Pair[OID]{{3, 4}})
-	u := Union(a, b)
-	want := []Pair[OID]{{1, 2}, {3, 4}}
-	if !reflect.DeepEqual(pairsOf(u), want) {
-		t.Errorf("Union = %v, want %v", pairsOf(u), want)
-	}
-}
-
-func TestHeadSetTailSet(t *testing.T) {
-	a := FromPairs("a", []Pair[OID]{{1, 10}, {2, 20}, {1, 30}})
-	hs := HeadSet(a)
-	if !hs.Equal(SetOf(1, 2)) {
-		t.Errorf("HeadSet = %v, want {1,2}", hs.Slice())
-	}
-	ts := TailSet(a)
-	if !ts.Equal(SetOf(10, 20, 30)) {
-		t.Errorf("TailSet = %v, want {10,20,30}", ts.Slice())
-	}
-}
-
 func TestIntersectTails(t *testing.T) {
-	a := FromPairs("a", []Pair[OID]{{1, 100}, {2, 200}})
-	b := FromPairs("b", []Pair[OID]{{3, 200}, {4, 300}})
+	a := batOf("a", pair[OID]{1, 100}, pair[OID]{2, 200})
+	b := batOf("b", pair[OID]{3, 200}, pair[OID]{4, 300})
 	got := IntersectTails(a, b)
-	if !got.Equal(SetOf(200)) {
-		t.Errorf("IntersectTails = %v, want {200}", got.Slice())
+	if want := map[OID]struct{}{200: {}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("IntersectTails = %v, want {200}", got)
 	}
 }
 
 func TestSelectTailInNotIn(t *testing.T) {
-	a := FromPairs("a", []Pair[OID]{{1, 100}, {2, 200}, {3, 300}})
-	keys := SetOf(100, 300)
-	in := SelectTailIn(a, keys)
-	if want := []Pair[OID]{{1, 100}, {3, 300}}; !reflect.DeepEqual(pairsOf(in), want) {
-		t.Errorf("SelectTailIn = %v, want %v", pairsOf(in), want)
-	}
+	a := batOf("a", pair[OID]{1, 100}, pair[OID]{2, 200}, pair[OID]{3, 300})
+	keys := map[OID]struct{}{100: {}, 300: {}}
 	out := SelectTailNotIn(a, keys)
-	if want := []Pair[OID]{{2, 200}}; !reflect.DeepEqual(pairsOf(out), want) {
+	if want := []pair[OID]{{2, 200}}; !reflect.DeepEqual(pairsOf(out), want) {
 		t.Errorf("SelectTailNotIn = %v, want %v", pairsOf(out), want)
-	}
-}
-
-func TestCountAndGroupCountTail(t *testing.T) {
-	a := FromPairs("a", []Pair[OID]{{1, 9}, {1, 9}, {2, 9}, {2, 8}})
-	if got := Count(a, 1); got != 2 {
-		t.Errorf("Count(1) = %d, want 2", got)
-	}
-	if got := Count(a, 7); got != 0 {
-		t.Errorf("Count(7) = %d, want 0", got)
-	}
-	gc := GroupCountTail(a)
-	if gc[9] != 3 || gc[8] != 1 {
-		t.Errorf("GroupCountTail = %v, want map[8:1 9:3]", gc)
 	}
 }

@@ -1,6 +1,7 @@
 package bat
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -53,16 +54,22 @@ func TestIntersectSorted(t *testing.T) {
 func TestIntersectSortedAgainstSets(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
-		draw := func() ([]OID, *Set) {
-			set := NewSet()
+		draw := func() ([]OID, map[OID]bool) {
+			set := map[OID]bool{}
 			for i, n := 0, r.Intn(30); i < n; i++ {
-				set.Add(OID(r.Intn(40) + 1))
+				set[OID(r.Intn(40)+1)] = true
 			}
-			return set.Slice(), set
+			return slices.Sorted(maps.Keys(set)), set
 		}
 		a, as := draw()
 		b, bs := draw()
-		got, want := IntersectSorted(nil, a, b), as.Intersect(bs).Slice()
+		var want []OID
+		for _, o := range a {
+			if as[o] && bs[o] {
+				want = append(want, o)
+			}
+		}
+		got := IntersectSorted(nil, a, b)
 		if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
 			t.Fatalf("trial %d: intersect %v vs %v", trial, got, want)
 		}

@@ -1,22 +1,21 @@
 // Package core implements the meet operator, the primary contribution
 // of the paper (Section 3): computing the "nearest concept" — the
 // lowest common ancestor — of nodes in an XML syntax tree stored in
-// Monet transform representation.
-//
-// Three algorithms are provided, mirroring the paper's Figures 3-5:
+// Monet transform representation. It is the operator the system
+// serves, in the paper's two served forms:
 //
 //   - Meet2 computes the meet of a pair of OIDs, steering the ascent by
 //     the prefix order on their paths so that no superfluous parent
 //     look-ups happen (Figure 3).
-//   - MeetSets computes minimal meets of two homogeneous sets of OIDs
-//     (all objects of one set share a path), lifting the deeper set
-//     with bulk parent steps and intersecting when the paths coincide
-//     (Figure 4). Matched inputs are consumed immediately, which keeps
-//     the result size linear and input-order invariant.
-//   - Meet computes meets of arbitrarily many input relations grouped
-//     by path, rolling the tree-shaped path summary up from the leaves
-//     (Figure 5). A node is a meet as soon as at least two live
-//     contributions land on it.
+//   - MeetMultiContext computes the meets of any number of input sets
+//     — one per search term — by rolling the tree-shaped path summary
+//     up from the leaves (Figure 5), the form used to post-process
+//     full-text results. A node is a meet as soon as at least two live
+//     contributions land on it. It is the one entry into the roll-up.
+//
+// The set-oriented meet of two homogeneous sets (Figure 4) and the
+// baselines the evaluation compares against live with the experiments
+// that run them, in internal/experiments.
 //
 // The Section 4 extensions are available through Options: result-type
 // restriction (meet_P), distance bounds, and distance-based ranking.
@@ -111,32 +110,6 @@ func Rank(results []Result) []Result {
 	return results
 }
 
-// RankBySourceProximity orders results by how close together their
-// witnesses appear in the source file, measured as the OID span of the
-// witness set (OIDs are document order). Section 4 suggests "additional
-// heuristics like distances in the source file" for ranking; tight
-// spans usually indicate one coherent record, wide spans a coincidental
-// co-occurrence. Ties break by join distance, then document order.
-func RankBySourceProximity(results []Result) []Result {
-	span := func(r Result) bat.OID {
-		if len(r.Witnesses) == 0 {
-			return 0
-		}
-		return r.Witnesses[len(r.Witnesses)-1] - r.Witnesses[0] // sorted
-	}
-	sort.SliceStable(results, func(i, j int) bool {
-		si, sj := span(results[i]), span(results[j])
-		if si != sj {
-			return si < sj
-		}
-		if results[i].Distance != results[j].Distance {
-			return results[i].Distance < results[j].Distance
-		}
-		return results[i].Meet < results[j].Meet
-	})
-	return results
-}
-
 // SortByDocOrder orders results by the document order of their meets,
 // in place, and returns its argument. This is the canonical order used
 // by the tests.
@@ -152,37 +125,4 @@ func checkOID(s *monetx.Store, o bat.OID) error {
 		return fmt.Errorf("core: OID %d not in store (have 1..%d)", o, s.Len())
 	}
 	return nil
-}
-
-// contribution is one live input travelling up the tree: the original
-// OID plus the number of parent joins it has taken so far.
-type contribution struct {
-	orig  bat.OID
-	lifts int32
-}
-
-// emit assembles a Result from the contributions that collided on m.
-// The same original OID may arrive from both input sets of MeetSets
-// (a full-text search where two terms hit one association); it is
-// reported as a single witness.
-func emit(s *monetx.Store, m bat.OID, contribs []contribution) Result {
-	seen := make(map[bat.OID]struct{}, len(contribs))
-	ws := make([]bat.OID, 0, len(contribs))
-	total := 0
-	for _, c := range contribs {
-		if _, dup := seen[c.orig]; dup {
-			continue
-		}
-		seen[c.orig] = struct{}{}
-		ws = append(ws, c.orig)
-		total += int(c.lifts)
-	}
-	sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-	return Result{Meet: m, Path: s.PathOf(m), Witnesses: ws, Distance: total}
-}
-
-// minPairDistance returns the distance between the two closest
-// witnesses: the sum of the two smallest lift counts.
-func minPairDistance(contribs []contribution) int {
-	return minPair(contribs, func(c contribution) int32 { return c.lifts })
 }

@@ -65,51 +65,3 @@ func Meet2Bounded(s *monetx.Store, o1, o2 bat.OID, maxDist int) (bat.OID, int, e
 	}
 	return m, joins, nil
 }
-
-// meet2Naive is the unsteered reference: it equalises depths and then
-// ascends both objects in lock-step. It performs depth look-ups instead
-// of path-prefix tests and is used by the steering ablation benchmark
-// and as the correctness oracle in tests.
-func meet2Naive(s *monetx.Store, o1, o2 bat.OID) (bat.OID, int) {
-	joins := 0
-	for s.Depth(o1) > s.Depth(o2) {
-		o1 = s.Parent(o1)
-		joins++
-	}
-	for s.Depth(o2) > s.Depth(o1) {
-		o2 = s.Parent(o2)
-		joins++
-	}
-	for o1 != o2 {
-		o1 = s.Parent(o1)
-		o2 = s.Parent(o2)
-		joins += 2
-	}
-	return o1, joins
-}
-
-// Meet2AncestorSetForBench exposes the ancestor-set baseline to the
-// steering ablation benchmark at the repository root.
-func Meet2AncestorSetForBench(s *monetx.Store, o1, o2 bat.OID) (bat.OID, int) {
-	return meet2AncestorSet(s, o1, o2)
-}
-
-// meet2AncestorSet is a second baseline for the ablation: it collects
-// the full ancestor set of o1 (as a user without path information
-// would) and walks o2 upward until it hits the set. It spends
-// depth(o1) + dist(o2, meet) look-ups — more than Meet2 whenever o1
-// sits below the meet.
-func meet2AncestorSet(s *monetx.Store, o1, o2 bat.OID) (bat.OID, int) {
-	lookups := 0
-	anc := make(map[bat.OID]struct{})
-	for cur := o1; cur != bat.Nil; cur = s.Parent(cur) {
-		anc[cur] = struct{}{}
-		lookups++
-	}
-	for cur := o2; ; cur = s.Parent(cur) {
-		if _, ok := anc[cur]; ok {
-			return cur, lookups
-		}
-		lookups++
-	}
-}

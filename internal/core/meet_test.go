@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -12,19 +15,63 @@ import (
 	"ncq/internal/xmltree"
 )
 
+// meetMulti and meetOIDs are the tests' ctx-less spellings of the one
+// entry: term sets, and one flat set of inputs (what the retired
+// MeetOIDs took) — whose roll-up buckets them by path.
+func meetMulti(s *monetx.Store, sets [][]bat.OID, opt *Options) ([]Result, []bat.OID, error) {
+	return MeetMultiContext(context.Background(), s, sets, opt)
+}
+
+func meetOIDs(s *monetx.Store, oids []bat.OID, opt *Options) ([]Result, []bat.OID, error) {
+	return meetMulti(s, [][]bat.OID{oids}, opt)
+}
+
+// resultsEqual compares result slices while tolerating nil-vs-empty.
+func resultsEqual(a, b []Result) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Meet != b[i].Meet || a[i].Path != b[i].Path || a[i].Distance != b[i].Distance {
+			return false
+		}
+		if !reflect.DeepEqual(a[i].Witnesses, b[i].Witnesses) {
+			return false
+		}
+	}
+	return true
+}
+
+func artPath(t *testing.T, s *monetx.Store) pathsum.PathID {
+	t.Helper()
+	p, ok := s.Summary().Lookup([]string{"bibliography", "institute", "article"})
+	if !ok {
+		t.Fatal("article path missing")
+	}
+	return p
+}
+
+// contribution is one input travelling up naiveMeet's depth sweep: the
+// original OID plus the parent joins it has taken so far.
+type contribution struct {
+	orig  bat.OID
+	lifts int32
+}
+
 // naiveMeet is an independent reference implementation of the general
 // meet: instead of contracting the path summary (Figure 5) it sweeps
 // node depths from the deepest level upward. Contributions collide at
 // the same instance nodes either way, so the two formulations must
-// agree; they share no code beyond the contribution struct.
+// agree; they share no code.
 func naiveMeet(s *monetx.Store, oids []bat.OID, exclude map[pathsum.PathID]bool) ([]Result, []bat.OID) {
 	byDepth := map[int]map[bat.OID][]contribution{}
-	seen := bat.NewSet()
+	seen := map[bat.OID]bool{}
 	maxDepth := 0
 	for _, o := range oids {
-		if !seen.Add(o) {
+		if seen[o] {
 			continue
 		}
+		seen[o] = true
 		d := s.Depth(o)
 		if byDepth[d] == nil {
 			byDepth[d] = map[bat.OID][]contribution{}
@@ -34,22 +81,29 @@ func naiveMeet(s *monetx.Store, oids []bat.OID, exclude map[pathsum.PathID]bool)
 			maxDepth = d
 		}
 	}
-	var results []Result
-	unmatched := bat.NewSet()
-	if seen.Len() < 2 {
-		return nil, seen.Slice()
+	// The unmatched inputs come back non-nil, as the roll-up's do.
+	unmatched := []bat.OID{}
+	if len(seen) < 2 {
+		return nil, append(unmatched, slices.Sorted(maps.Keys(seen))...)
 	}
+	var results []Result
 	for d := maxDepth; d >= 0; d-- {
 		for cur, contribs := range byDepth[d] {
 			if len(contribs) >= 2 {
 				if exclude == nil || !exclude[s.PathOf(cur)] {
-					results = append(results, emit(s, cur, contribs))
+					r := Result{Meet: cur, Path: s.PathOf(cur)}
+					for _, c := range contribs {
+						r.Witnesses = append(r.Witnesses, c.orig)
+						r.Distance += int(c.lifts)
+					}
+					slices.Sort(r.Witnesses)
+					results = append(results, r)
 				}
 				continue
 			}
 			if d == 0 {
 				for _, c := range contribs {
-					unmatched.Add(c.orig)
+					unmatched = append(unmatched, c.orig)
 				}
 				continue
 			}
@@ -63,7 +117,8 @@ func naiveMeet(s *monetx.Store, oids []bat.OID, exclude map[pathsum.PathID]bool)
 			}
 		}
 	}
-	return SortByDocOrder(results), unmatched.Slice()
+	slices.Sort(unmatched)
+	return SortByDocOrder(results), unmatched
 }
 
 func TestMeetPaperQuery(t *testing.T) {
@@ -71,11 +126,7 @@ func TestMeetPaperQuery(t *testing.T) {
 	// The reformulated introduction query: meet of the 'Bit' hits and
 	// the '1999' hits. Answer: exactly the article o3 — "a true subset
 	// of what the regular path expression solution returned".
-	groups := map[pathsum.PathID][]bat.OID{
-		s.PathOf(8):  {8},
-		s.PathOf(12): {12, 19},
-	}
-	res, unmatched, err := Meet(s, groups, nil)
+	res, unmatched, err := meetOIDs(s, []bat.OID{8, 12, 19}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +148,7 @@ func TestMeetWithinGroupCollision(t *testing.T) {
 	s := fig1Store(t)
 	// Both 1999 hits alone: they are two input nodes, so their LCA (the
 	// institute) is a meet under the extended definition of Section 3.2.
-	res, unmatched, err := Meet(s, map[pathsum.PathID][]bat.OID{s.PathOf(12): {12, 19}}, nil)
+	res, unmatched, err := meetOIDs(s, []bat.OID{12, 19}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +167,7 @@ func TestMeetInputIsAncestorOfOther(t *testing.T) {
 	s := fig1Store(t)
 	// Inputs o3 (article) and o8 (cdata below it): the article is the
 	// LCA of the pair — a node can be a meet of itself and a descendant.
-	res, unmatched, err := MeetOIDs(s, []bat.OID{3, 8}, nil)
+	res, unmatched, err := meetOIDs(s, []bat.OID{3, 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +187,7 @@ func TestMeetInputIsAncestorOfOther(t *testing.T) {
 
 func TestMeetSingleInputUnmatched(t *testing.T) {
 	s := fig1Store(t)
-	res, unmatched, err := MeetOIDs(s, []bat.OID{8}, nil)
+	res, unmatched, err := meetOIDs(s, []bat.OID{8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,19 +201,19 @@ func TestMeetSingleInputUnmatched(t *testing.T) {
 
 func TestMeetEmptyInput(t *testing.T) {
 	s := fig1Store(t)
-	res, unmatched, err := Meet(s, nil, nil)
+	res, unmatched, err := meetOIDs(s, nil, nil)
 	if err != nil || res != nil || len(unmatched) != 0 {
-		t.Errorf("Meet(empty) = (%v,%v,%v)", res, unmatched, err)
+		t.Errorf("meet of nothing = (%v,%v,%v)", res, unmatched, err)
 	}
 }
 
 func TestMeetDuplicateInputsCollapse(t *testing.T) {
 	s := fig1Store(t)
-	a, ua, err := MeetOIDs(s, []bat.OID{8, 8, 12, 12}, nil)
+	a, ua, err := meetOIDs(s, []bat.OID{8, 8, 12, 12}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, ub, err := MeetOIDs(s, []bat.OID{8, 12}, nil)
+	b, ub, err := meetOIDs(s, []bat.OID{8, 12}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,18 +224,11 @@ func TestMeetDuplicateInputsCollapse(t *testing.T) {
 
 func TestMeetErrors(t *testing.T) {
 	s := fig1Store(t)
-	if _, _, err := Meet(s, map[pathsum.PathID][]bat.OID{999: {1}}, nil); err == nil {
-		t.Error("unknown group path accepted")
-	}
-	if _, _, err := Meet(s, map[pathsum.PathID][]bat.OID{s.PathOf(8): {0}}, nil); err == nil {
+	if _, _, err := meetOIDs(s, []bat.OID{8, 0}, nil); err == nil {
 		t.Error("invalid OID accepted")
 	}
-	// OID grouped under the wrong path.
-	if _, _, err := Meet(s, map[pathsum.PathID][]bat.OID{s.PathOf(8): {12}}, nil); err == nil {
-		t.Error("mis-grouped OID accepted")
-	}
-	if _, _, err := MeetOIDs(s, []bat.OID{77}, nil); err == nil {
-		t.Error("MeetOIDs with out-of-range OID accepted")
+	if _, _, err := meetOIDs(s, []bat.OID{77}, nil); err == nil {
+		t.Error("out-of-range OID accepted")
 	}
 }
 
@@ -192,7 +236,7 @@ func TestMeetExcludeRoot(t *testing.T) {
 	s := fig1Store(t)
 	// o1 (root) and o2 (institute) meet at the root; with ExcludeRoot
 	// the match is consumed silently (meet_P is a result filter).
-	res, unmatched, err := MeetOIDs(s, []bat.OID{1, 2}, ExcludeRoot(s))
+	res, unmatched, err := meetOIDs(s, []bat.OID{1, 2}, ExcludeRoot(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +252,7 @@ func TestMeetSkipExcludedLiftsPast(t *testing.T) {
 	s := fig1Store(t)
 	art := artPath(t, s)
 	opt := &Options{Exclude: map[pathsum.PathID]bool{art: true}, SkipExcluded: true}
-	res, _, err := MeetOIDs(s, []bat.OID{8, 12}, opt)
+	res, _, err := meetOIDs(s, []bat.OID{8, 12}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +264,7 @@ func TestMeetSkipExcludedLiftsPast(t *testing.T) {
 func TestMeetSkipExcludedAtRootGoesUnmatched(t *testing.T) {
 	s := fig1Store(t)
 	opt := &Options{Exclude: map[pathsum.PathID]bool{s.Summary().Root(): true}, SkipExcluded: true}
-	res, unmatched, err := MeetOIDs(s, []bat.OID{1, 2}, opt)
+	res, unmatched, err := meetOIDs(s, []bat.OID{1, 2}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +280,7 @@ func TestMeetMaxLift(t *testing.T) {
 	s := fig1Store(t)
 	// o8 needs 3 lifts to the article; a budget of 2 leaves both inputs
 	// unmatched (o12 runs out above the article as well).
-	res, unmatched, err := MeetOIDs(s, []bat.OID{8, 12}, &Options{MaxLift: 2})
+	res, unmatched, err := meetOIDs(s, []bat.OID{8, 12}, &Options{MaxLift: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +290,7 @@ func TestMeetMaxLift(t *testing.T) {
 	if !reflect.DeepEqual(unmatched, []bat.OID{8, 12}) {
 		t.Errorf("unmatched = %v", unmatched)
 	}
-	res, _, err = MeetOIDs(s, []bat.OID{8, 12}, &Options{MaxLift: 3})
+	res, _, err = meetOIDs(s, []bat.OID{8, 12}, &Options{MaxLift: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,14 +301,14 @@ func TestMeetMaxLift(t *testing.T) {
 
 func TestMeetMaxDistance(t *testing.T) {
 	s := fig1Store(t)
-	res, _, err := MeetOIDs(s, []bat.OID{8, 12}, &Options{MaxDistance: 4})
+	res, _, err := meetOIDs(s, []bat.OID{8, 12}, &Options{MaxDistance: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 0 {
 		t.Errorf("MaxDistance 4 produced %+v", res)
 	}
-	res, _, err = MeetOIDs(s, []bat.OID{8, 12}, &Options{MaxDistance: 5})
+	res, _, err = meetOIDs(s, []bat.OID{8, 12}, &Options{MaxDistance: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +331,7 @@ func TestMeetAgainstDepthSweepReference(t *testing.T) {
 		for k, kn := 0, r.Intn(12); k < kn; k++ {
 			oids = append(oids, bat.OID(r.Intn(n)+1))
 		}
-		got, gotUn, err := MeetOIDs(s, oids, nil)
+		got, gotUn, err := meetOIDs(s, oids, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +343,7 @@ func TestMeetAgainstDepthSweepReference(t *testing.T) {
 			t.Fatalf("doc %d inputs %v: unmatched %v vs %v", i, oids, gotUn, wantUn)
 		}
 		// With root exclusion as well.
-		got, _, err = MeetOIDs(s, oids, ExcludeRoot(s))
+		got, _, err = meetOIDs(s, oids, ExcludeRoot(s))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +375,7 @@ func TestMeetRandomExclusionAgainstReference(t *testing.T) {
 		for k, kn := 0, r.Intn(12); k < kn; k++ {
 			oids = append(oids, bat.OID(r.Intn(s.Len())+1))
 		}
-		got, gotUn, err := MeetOIDs(s, oids, &Options{Exclude: exclude})
+		got, gotUn, err := meetOIDs(s, oids, &Options{Exclude: exclude})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +415,7 @@ func TestMeetSkipExcludedInvariants(t *testing.T) {
 		for k, kn := 0, 2+r.Intn(10); k < kn; k++ {
 			oids = append(oids, bat.OID(r.Intn(s.Len())+1))
 		}
-		got, _, err := MeetOIDs(s, oids, &Options{Exclude: exclude, SkipExcluded: true})
+		got, _, err := meetOIDs(s, oids, &Options{Exclude: exclude, SkipExcluded: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,27 +457,28 @@ func TestMeetInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := s.Len()
-		inputs := bat.NewSet()
+		inputs := map[bat.OID]bool{}
 		for k, kn := 0, r.Intn(14); k < kn; k++ {
-			inputs.Add(bat.OID(r.Intn(n) + 1))
+			inputs[bat.OID(r.Intn(n)+1)] = true
 		}
-		res, unmatched, err := MeetOIDs(s, inputs.Slice(), nil)
+		res, unmatched, err := meetOIDs(s, slices.Sorted(maps.Keys(inputs)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		consumed := bat.NewSet()
+		consumed := map[bat.OID]bool{}
 		for _, r0 := range res {
 			if len(r0.Witnesses) < 2 {
 				t.Fatalf("doc %d: meet %d has %d witnesses, want >= 2",
 					i, r0.Meet, len(r0.Witnesses))
 			}
 			for _, w := range r0.Witnesses {
-				if !inputs.Has(w) {
+				if !inputs[w] {
 					t.Fatalf("doc %d: witness %d is not an input", i, w)
 				}
-				if !consumed.Add(w) {
+				if consumed[w] {
 					t.Fatalf("doc %d: witness %d consumed twice", i, w)
 				}
+				consumed[w] = true
 				if !s.Contains(r0.Meet, w) {
 					t.Fatalf("doc %d: meet %d does not contain witness %d", i, r0.Meet, w)
 				}
@@ -454,12 +499,13 @@ func TestMeetInvariants(t *testing.T) {
 		}
 		// Witnesses plus unmatched partition the inputs.
 		for _, u := range unmatched {
-			if !consumed.Add(u) {
+			if consumed[u] {
 				t.Fatalf("doc %d: OID %d both matched and unmatched", i, u)
 			}
+			consumed[u] = true
 		}
-		if consumed.Len() != inputs.Len() {
-			t.Fatalf("doc %d: consumed %d of %d inputs", i, consumed.Len(), inputs.Len())
+		if len(consumed) != len(inputs) {
+			t.Fatalf("doc %d: consumed %d of %d inputs", i, len(consumed), len(inputs))
 		}
 		// Results arrive in document order.
 		if !sort.SliceIsSorted(res, func(a, b int) bool { return res[a].Meet < res[b].Meet }) {
@@ -471,7 +517,7 @@ func TestMeetInvariants(t *testing.T) {
 func TestMeetOrderInvariance(t *testing.T) {
 	s := fig1Store(t)
 	oids := []bat.OID{8, 12, 19, 10, 17, 6}
-	base, baseUn, err := MeetOIDs(s, oids, nil)
+	base, baseUn, err := meetOIDs(s, oids, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,28 +527,12 @@ func TestMeetOrderInvariance(t *testing.T) {
 		r.Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
-		got, gotUn, err := MeetOIDs(s, shuffled, nil)
+		got, gotUn, err := meetOIDs(s, shuffled, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !resultsEqual(got, base) || !reflect.DeepEqual(gotUn, baseUn) {
 			t.Fatalf("order %v changed the result:\n%+v\nvs\n%+v", shuffled, got, base)
-		}
-	}
-}
-
-func TestRankBySourceProximity(t *testing.T) {
-	rs := []Result{
-		{Meet: 2, Witnesses: []bat.OID{10, 90}, Distance: 1}, // span 80
-		{Meet: 5, Witnesses: []bat.OID{40, 45}, Distance: 9}, // span 5
-		{Meet: 7, Witnesses: []bat.OID{1, 6}, Distance: 3},   // span 5, ties on span
-		{Meet: 9, Witnesses: []bat.OID{2}, Distance: 0},      // span 0
-	}
-	RankBySourceProximity(rs)
-	wantOrder := []bat.OID{9, 7, 5, 2} // span 0, then span-5 ties by distance, then span 80
-	for i, w := range wantOrder {
-		if rs[i].Meet != w {
-			t.Fatalf("order = %v, want %v", rs, wantOrder)
 		}
 	}
 }
@@ -535,12 +565,12 @@ func TestMinPairDistance(t *testing.T) {
 		{nil, 0},
 	}
 	for _, c := range cases {
-		var cs []contribution
-		for _, l := range c.lifts {
-			cs = append(cs, contribution{orig: 1, lifts: l})
+		var run []entry
+		for i, l := range c.lifts {
+			run = append(run, entry{cur: 1, orig: bat.OID(i + 1), lifts: l})
 		}
-		if got := minPairDistance(cs); got != c.want {
-			t.Errorf("minPairDistance(%v) = %d, want %d", c.lifts, got, c.want)
+		if got := minPairLifts(run); got != c.want {
+			t.Errorf("minPairLifts(%v) = %d, want %d", c.lifts, got, c.want)
 		}
 	}
 }

@@ -9,28 +9,6 @@ import (
 	"slices"
 )
 
-// MeetMulti computes the meets of several input sets — one per search
-// term, as delivered by a multi-term full-text query. It reconciles the
-// two faces of the paper's semantics:
-//
-//   - An object occurring in at least two input sets is its own meet at
-//     distance zero. This is the Section 3.1 example where full-text
-//     searches for "Bob" and "Byte" both return the association
-//     ⟨o15,"Bob Byte"⟩ and meet_S reports the cdata node o15 itself
-//     (D := O1 ∩ O2 before any lifting).
-//   - All remaining objects are handed to the general roll-up of
-//     Figure 5, which buckets them by path.
-//
-// Exclusion applies to the degenerate self-meets as well: an excluded
-// self-meet consumes its object silently, unless SkipExcluded is set,
-// in which case the object continues into the roll-up as an ordinary
-// single contribution.
-//
-// Results are in document order; unmatched inputs ascending.
-func MeetMulti(s *monetx.Store, inputSets [][]bat.OID, opt *Options) ([]Result, []bat.OID, error) {
-	return MeetMultiContext(context.Background(), s, inputSets, opt) //lint:ncqvet-ignore ctx-less legacy entry point; ctx-aware callers use MeetMultiContext
-}
-
 // setCursor is one input set's position in the set merge: the set's
 // index and what is left of it, ascending.
 type setCursor struct {
@@ -95,8 +73,28 @@ func (sc *scratch) openSets(s *monetx.Store, inputSets [][]bat.OID) error {
 	return nil
 }
 
-// MeetMultiContext is MeetMulti with cancellation, checked once per
-// contracted level of the roll-up.
+// MeetMultiContext computes the meets of several input sets — one per
+// search term, as delivered by a multi-term full-text query — and is
+// the one way into the roll-up. It reconciles the two faces of the
+// paper's semantics:
+//
+//   - An object occurring in at least two input sets is its own meet at
+//     distance zero. This is the Section 3.1 example where full-text
+//     searches for "Bob" and "Byte" both return the association
+//     ⟨o15,"Bob Byte"⟩ and meet_S reports the cdata node o15 itself
+//     (D := O1 ∩ O2 before any lifting).
+//   - All remaining objects are handed to the general roll-up of
+//     Figure 5, which buckets them by path. A single set is that
+//     roll-up over a flat list of objects, whatever their paths.
+//
+// Exclusion applies to the degenerate self-meets as well: an excluded
+// self-meet consumes its object silently, unless SkipExcluded is set,
+// in which case the object continues into the roll-up as an ordinary
+// single contribution. ctx is checked once per contracted level of the
+// roll-up, so a deadline interrupts even one huge meet mid-flight.
+//
+// Results are in document order — a rolled-up meet before the self-meet
+// on the same node; unmatched inputs ascending.
 func MeetMultiContext(ctx context.Context, s *monetx.Store, inputSets [][]bat.OID, opt *Options) ([]Result, []bat.OID, error) {
 	sc := getScratch(s.Summary().Len())
 	defer putScratch(sc)
@@ -112,6 +110,17 @@ func MeetMultiContext(ctx context.Context, s *monetx.Store, inputSets [][]bat.OI
 	var selfMeets []Result
 	total := 0
 	for h := sc.cursors; len(h) > 0; {
+		if len(h) == 1 {
+			// A lone set's OIDs can be in no other set: they go straight
+			// into the buckets, duplicates collapsed as above.
+			for i, o := range h[0].rest {
+				if i == 0 || o != h[0].rest[i-1] {
+					sc.add(s.PathOf(o), o)
+					total++
+				}
+			}
+			break
+		}
 		o := h[0].rest[0]
 		k, last := 0, int32(-1)
 		for len(h) > 0 && h[0].rest[0] == o {

@@ -15,12 +15,12 @@ func TestMeetMultiBobByteExample(t *testing.T) {
 	s := fig1Store(t)
 	// "Bob" and "Byte" both hit ⟨o15,"Bob Byte"⟩: the meet is the cdata
 	// node itself at distance 0 (paper Section 3.1).
-	res, unmatched, err := MeetMulti(s, [][]bat.OID{{15}, {15}}, nil)
+	res, unmatched, err := meetMulti(s, [][]bat.OID{{15}, {15}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 1 || res[0].Meet != 15 || res[0].Distance != 0 {
-		t.Fatalf("MeetMulti = %+v, want self-meet at o15", res)
+		t.Fatalf("meets = %+v, want self-meet at o15", res)
 	}
 	if !reflect.DeepEqual(res[0].Witnesses, []bat.OID{15}) {
 		t.Errorf("witnesses = %v", res[0].Witnesses)
@@ -34,7 +34,7 @@ func TestMeetMultiMixedSelfAndRollup(t *testing.T) {
 	s := fig1Store(t)
 	// Set 1: {o15, o8}; set 2: {o15, o12}. o15 self-meets; o8 and o12
 	// roll up to the article o3.
-	res, unmatched, err := MeetMulti(s, [][]bat.OID{{15, 8}, {15, 12}}, nil)
+	res, unmatched, err := meetMulti(s, [][]bat.OID{{15, 8}, {15, 12}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,25 +53,26 @@ func TestMeetMultiMixedSelfAndRollup(t *testing.T) {
 }
 
 func TestMeetMultiSingleSetEqualsMeetOIDs(t *testing.T) {
+	// One flat set of inputs — what MeetOIDs took before the one-set call
+	// replaced it — is bucketed by path and rolled up: it must answer what
+	// the depth-sweep reference does, unsorted and repeated inputs
+	// included (a lone set drains straight into the buckets).
 	s := fig1Store(t)
-	oids := []bat.OID{8, 12, 19, 10}
-	a, ua, err := MeetMulti(s, [][]bat.OID{oids}, nil)
+	oids := []bat.OID{19, 8, 12, 10, 12}
+	got, gotUn, err := meetOIDs(s, oids, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, ub, err := MeetOIDs(s, oids, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resultsEqual(a, b) || !reflect.DeepEqual(ua, ub) {
-		t.Errorf("single-set MeetMulti diverges from MeetOIDs:\n%+v\nvs\n%+v", a, b)
+	want, wantUn := naiveMeet(s, oids, nil)
+	if !resultsEqual(got, want) || !reflect.DeepEqual(gotUn, wantUn) {
+		t.Errorf("single-set MeetMultiContext diverges from the reference:\n%+v %v\nvs\n%+v %v", got, gotUn, want, wantUn)
 	}
 }
 
 func TestMeetMultiDuplicatesWithinOneSetDoNotSelfMeet(t *testing.T) {
 	s := fig1Store(t)
 	// The same OID twice in ONE set is one object, not two.
-	res, unmatched, err := MeetMulti(s, [][]bat.OID{{15, 15}}, nil)
+	res, unmatched, err := meetMulti(s, [][]bat.OID{{15, 15}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestMeetMultiExcludedSelfMeet(t *testing.T) {
 	cdPath := s.PathOf(15)
 	// Plain exclusion: the self-meet is consumed silently.
 	opt := &Options{Exclude: map[pathsum.PathID]bool{cdPath: true}}
-	res, unmatched, err := MeetMulti(s, [][]bat.OID{{15}, {15}}, opt)
+	res, unmatched, err := meetMulti(s, [][]bat.OID{{15}, {15}}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestMeetMultiExcludedSelfMeet(t *testing.T) {
 	// SkipExcluded: the object keeps climbing as a single contribution
 	// and (being alone) ends unmatched.
 	opt.SkipExcluded = true
-	res, unmatched, err = MeetMulti(s, [][]bat.OID{{15}, {15}}, opt)
+	res, unmatched, err = meetMulti(s, [][]bat.OID{{15}, {15}}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestMeetMultiExcludedSelfMeet(t *testing.T) {
 	}
 	// SkipExcluded with a partner: o15 climbs and meets o17's hit at
 	// the second article.
-	res, _, err = MeetMulti(s, [][]bat.OID{{15}, {15}, {17}}, opt)
+	res, _, err = meetMulti(s, [][]bat.OID{{15}, {15}, {17}}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +122,10 @@ func TestMeetMultiExcludedSelfMeet(t *testing.T) {
 
 func TestMeetMultiErrors(t *testing.T) {
 	s := fig1Store(t)
-	if _, _, err := MeetMulti(s, [][]bat.OID{{0}}, nil); err == nil {
+	if _, _, err := meetMulti(s, [][]bat.OID{{0}}, nil); err == nil {
 		t.Error("invalid OID accepted")
 	}
-	if _, _, err := MeetMulti(s, [][]bat.OID{{99}, {1}}, nil); err == nil {
+	if _, _, err := meetMulti(s, [][]bat.OID{{99}, {1}}, nil); err == nil {
 		t.Error("out-of-range OID accepted")
 	}
 }
@@ -141,23 +142,24 @@ func TestMeetMultiInvariantsRandom(t *testing.T) {
 		// Random number of sets with random overlapping members.
 		sets := make([][]bat.OID, 1+r.Intn(4))
 		inSets := map[bat.OID]int{}
-		all := bat.NewSet()
+		all := map[bat.OID]bool{}
 		for k := range sets {
-			members := bat.NewSet()
+			members := map[bat.OID]bool{}
 			for j, jn := 0, r.Intn(8); j < jn; j++ {
 				o := bat.OID(r.Intn(n) + 1)
-				if members.Add(o) {
+				if !members[o] {
+					members[o] = true
 					inSets[o]++
 				}
-				all.Add(o)
+				all[o] = true
 				sets[k] = append(sets[k], o)
 			}
 		}
-		results, unmatched, err := MeetMulti(s, sets, nil)
+		results, unmatched, err := meetMulti(s, sets, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		consumed := bat.NewSet()
+		consumed := map[bat.OID]bool{}
 		for _, r0 := range results {
 			if len(r0.Witnesses) == 1 {
 				w := r0.Witnesses[0]
@@ -169,21 +171,23 @@ func TestMeetMultiInvariantsRandom(t *testing.T) {
 				}
 			}
 			for _, w := range r0.Witnesses {
-				if !consumed.Add(w) {
+				if consumed[w] {
 					t.Fatalf("doc %d: witness %d consumed twice", i, w)
 				}
+				consumed[w] = true
 				if !s.Contains(r0.Meet, w) {
 					t.Fatalf("doc %d: meet %d does not contain %d", i, r0.Meet, w)
 				}
 			}
 		}
 		for _, u := range unmatched {
-			if !consumed.Add(u) {
+			if consumed[u] {
 				t.Fatalf("doc %d: OID %d both matched and unmatched", i, u)
 			}
+			consumed[u] = true
 		}
-		if consumed.Len() != all.Len() {
-			t.Fatalf("doc %d: consumed %d of %d distinct inputs", i, consumed.Len(), all.Len())
+		if len(consumed) != len(all) {
+			t.Fatalf("doc %d: consumed %d of %d distinct inputs", i, len(consumed), len(all))
 		}
 		// Order invariance: permute the sets and shuffle members.
 		perm := r.Perm(len(sets))
@@ -193,21 +197,21 @@ func TestMeetMultiInvariantsRandom(t *testing.T) {
 			r.Shuffle(len(cp), func(a, b int) { cp[a], cp[b] = cp[b], cp[a] })
 			shuffled[k] = cp
 		}
-		again, againUn, err := MeetMulti(s, shuffled, nil)
+		again, againUn, err := meetMulti(s, shuffled, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !resultsEqual(results, again) || !reflect.DeepEqual(unmatched, againUn) {
-			t.Fatalf("doc %d: MeetMulti depends on input order", i)
+			t.Fatalf("doc %d: the meet depends on input order", i)
 		}
 	}
 }
 
 func TestMeetMultiEmpty(t *testing.T) {
 	s := fig1Store(t)
-	res, unmatched, err := MeetMulti(s, nil, nil)
+	res, unmatched, err := meetMulti(s, nil, nil)
 	if err != nil || len(res) != 0 || len(unmatched) != 0 {
-		t.Errorf("MeetMulti(nil) = (%v,%v,%v)", res, unmatched, err)
+		t.Errorf("meet of no sets = (%v,%v,%v)", res, unmatched, err)
 	}
 }
 
@@ -283,15 +287,16 @@ func scramble(r *rand.Rand, sets [][]bat.OID) [][]bat.OID {
 }
 
 // naiveMeetMulti lifts the naiveMeet oracle to term sets the way
-// MeetMulti's contract states it: an OID held by two or more sets is
+// MeetMultiContext's contract states it: an OID held by two or more sets is
 // its own meet at distance zero (consumed silently on an excluded
 // path), everything else goes to the depth sweep.
 func naiveMeetMulti(s *monetx.Store, sets [][]bat.OID, exclude map[pathsum.PathID]bool) ([]Result, []bat.OID) {
 	inSets := map[bat.OID]int{}
 	for _, set := range sets {
-		members := bat.NewSet()
+		members := map[bat.OID]bool{}
 		for _, o := range set {
-			if members.Add(o) {
+			if !members[o] {
+				members[o] = true
 				inSets[o]++
 			}
 		}
@@ -311,7 +316,7 @@ func naiveMeetMulti(s *monetx.Store, sets [][]bat.OID, exclude map[pathsum.PathI
 	return SortByDocOrder(append(results, SortByDocOrder(selfMeets)...)), unmatched
 }
 
-// TestMeetMultiLargeAgainstReference checks MeetMulti against the
+// TestMeetMultiLargeAgainstReference checks MeetMultiContext against the
 // depth-sweep oracle on traffic-sized inputs — plain, with the root
 // excluded and with a random excluded path set — and that the answer
 // does not depend on the sets arriving ascending and distinct.
@@ -336,7 +341,7 @@ func TestMeetMultiLargeAgainstReference(t *testing.T) {
 		} {
 			want, wantUn := naiveMeetMulti(s, sets, c.exclude)
 			for form, in := range [][][]bat.OID{sets, scramble(r, sets)} {
-				got, gotUn, err := MeetMulti(s, in, &Options{Exclude: c.exclude})
+				got, gotUn, err := meetMulti(s, in, &Options{Exclude: c.exclude})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -375,11 +380,11 @@ func TestMeetMultiLargeNormalisation(t *testing.T) {
 			{"all", Options{Exclude: exclude, SkipExcluded: true, MaxLift: 3 + r.Intn(4), MaxDistance: 4 + r.Intn(4)}},
 		} {
 			name, opt := c.name, &c.opt
-			want, wantUn, err := MeetMulti(s, sets, opt)
+			want, wantUn, err := meetMulti(s, sets, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotUn, err := MeetMulti(s, scramble(r, sets), opt)
+			got, gotUn, err := meetMulti(s, scramble(r, sets), opt)
 			if err != nil {
 				t.Fatal(err)
 			}

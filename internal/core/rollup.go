@@ -21,8 +21,8 @@ package core
 // five are a single run, which costs one comparison per entry to
 // confirm. Correctness does not lean on any of that: the merge runs
 // under the same (cur, orig) comparator a comparison sort would use
-// and orders any bucket — the unsorted ones MeetOIDs callers build, or
-// whatever the parent array of a hand-built snapshot implies.
+// and orders any bucket — whatever the parent array of a hand-built
+// snapshot implies.
 
 import (
 	"context"
@@ -64,7 +64,7 @@ func cmpEntry(a, b entry) int {
 // bucket per path (indexed by dense PathID), the unmatched
 // accumulator (entries with cur == orig, so that sortRuns orders it
 // like any bucket), the run boundaries and merge buffer of sortRuns,
-// and the cursors of MeetMulti's set merge.
+// and the cursors of MeetMultiContext's set merge.
 // Buffers keep their capacity between queries; used is the prefix of
 // perPath that the current store's summary spans (pooled scratch may
 // be shared by stores with different path counts).
@@ -180,7 +180,7 @@ func (sc *scratch) mergeRuns(es []entry, mid int) {
 // input OIDs collapse during the per-level sweep (a duplicate shares
 // its run's cur and orig, so it can never fabricate a collision).
 // ctx is checked once per contracted level so a deadline can
-// interrupt one huge roll-up mid-meet. selfMeets — MeetMulti's
+// interrupt one huge roll-up mid-meet. selfMeets — MeetMultiContext's
 // distance-zero answers — join the results before the one sort into
 // document order, after a rolled-up meet on the same node.
 func rollup(ctx context.Context, s *monetx.Store, sc *scratch, opt *Options, selfMeets []Result) ([]Result, []bat.OID, error) {
@@ -283,18 +283,12 @@ func emitRun(s *monetx.Store, run []entry) Result {
 // minPairLifts returns the distance between the two closest witnesses
 // of a run: the sum of the two smallest lift counts.
 func minPairLifts(run []entry) int {
-	return minPair(run, func(e entry) int32 { return e.lifts })
-}
-
-// minPair implements the two-smallest-lifts sweep shared by the
-// columnar roll-up (entry) and the set-oriented meet (contribution).
-func minPair[T any](xs []T, lifts func(T) int32) int {
-	if len(xs) < 2 {
+	if len(run) < 2 {
 		return 0
 	}
 	min1, min2 := int32(1<<30), int32(1<<30)
-	for _, x := range xs {
-		switch l := lifts(x); {
+	for _, e := range run {
+		switch l := e.lifts; {
 		case l < min1:
 			min1, min2 = l, min1
 		case l < min2:

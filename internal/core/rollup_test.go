@@ -10,7 +10,6 @@ import (
 
 	"ncq/internal/bat"
 	"ncq/internal/monetx"
-	"ncq/internal/pathsum"
 	"ncq/internal/xmltree"
 )
 
@@ -54,31 +53,26 @@ func TestMeetContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := MeetOIDsContext(ctx, s, oids, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("MeetOIDsContext(cancelled) err = %v, want context.Canceled", err)
+	if _, _, err := MeetMultiContext(ctx, s, [][]bat.OID{oids}, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("MeetMultiContext(cancelled, one set) err = %v, want context.Canceled", err)
 	}
 	if _, _, err := MeetMultiContext(ctx, s, [][]bat.OID{oids[:10], oids[10:]}, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MeetMultiContext(cancelled) err = %v, want context.Canceled", err)
 	}
-	g := map[pathsum.PathID][]bat.OID{}
-	for _, o := range oids {
-		g[s.PathOf(o)] = append(g[s.PathOf(o)], o)
-	}
-	if _, _, err := MeetContext(ctx, s, g, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("MeetContext(cancelled) err = %v, want context.Canceled", err)
-	}
 }
 
-// TestMeetContextBackgroundMatchesPlain pins that the context variants
-// are pure pass-throughs for a live context.
+// TestMeetContextBackgroundMatchesPlain pins that the context is only
+// ever checked: a live, cancellable one answers what Background does.
 func TestMeetContextBackgroundMatchesPlain(t *testing.T) {
 	s := bigStore(t)
 	oids := []bat.OID{5, 19, 33, 47, 61}
-	a, ua, err := MeetOIDs(s, oids, nil)
+	a, ua, err := meetOIDs(s, oids, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, ub, err := MeetOIDsContext(context.Background(), s, oids, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b, ub, err := MeetMultiContext(ctx, s, [][]bat.OID{oids}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +88,12 @@ func TestMeetContextBackgroundMatchesPlain(t *testing.T) {
 // verify recycled buffers never leak state between queries.
 func TestMeetScratchReuse(t *testing.T) {
 	s := fig1Store(t)
-	want, wantUn, err := MeetOIDs(s, []bat.OID{8, 12, 19}, nil)
+	want, wantUn, err := meetOIDs(s, []bat.OID{8, 12, 19}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		got, gotUn, err := MeetOIDs(s, []bat.OID{8, 12, 19}, nil)
+		got, gotUn, err := meetOIDs(s, []bat.OID{8, 12, 19}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +101,7 @@ func TestMeetScratchReuse(t *testing.T) {
 			t.Fatalf("iteration %d: scratch reuse changed the answer: %+v vs %+v", i, got, want)
 		}
 		// Interleave a differently shaped query on the same pool.
-		if _, _, err := MeetMulti(s, [][]bat.OID{{15}, {15, 17}}, nil); err != nil {
+		if _, _, err := meetMulti(s, [][]bat.OID{{15}, {15, 17}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -190,8 +191,8 @@ func TestDBLPCaseStudyQuery(t *testing.T) {
 	}
 	idx := fulltext.New(store)
 	for _, year := range []string{"1999", "1987", "1993"} {
-		groups := idx.Groups(append(idx.SearchSubstring("ICDE"), idx.SearchSubstring(year)...))
-		results, _, err := core.Meet(store, groups, core.ExcludeRoot(store))
+		inputs := fulltext.Owners(append(idx.SearchSubstring("ICDE"), idx.SearchSubstring(year)...))
+		results, _, err := core.MeetMultiContext(context.Background(), store, [][]bat.OID{inputs}, core.ExcludeRoot(store))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,10 @@
 // regenerate Figure 6 and Figure 7, plus the input-cardinality scaling
 // claim and two ablations of design choices. cmd/ncqbench prints the
 // series; the root-level benchmarks wrap the same code in testing.B.
+// It also holds what only the evaluation runs (figure4.go): the
+// set-oriented meet of Figure 4 in its array and BAT-join forms, the
+// all-pairs baseline of the Section 1 explosion and the ancestor-set
+// baseline of the steering ablation.
 //
 // Absolute numbers differ from the paper's SGI 1400 (the substrate here
 // is an in-process Go store, not the Monet server), but the shapes are
@@ -16,6 +20,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -130,7 +135,8 @@ type Fig7Row struct {
 // the strings 'ICDE' and the year and calculate the meets of the
 // results according to algorithm meet_P with the document root excluded
 // … we iteratively extend the search interval from 1999 back to 1984".
-func Fig7(setup *Setup, yearHigh, yearLowest int) ([]Fig7Row, error) {
+// The combined hits are one input set, so every meet is a roll-up.
+func Fig7(ctx context.Context, setup *Setup, yearHigh, yearLowest int) ([]Fig7Row, error) {
 	var rows []Fig7Row
 	for low := yearHigh; low >= yearLowest; low-- {
 		ftStart := time.Now()
@@ -138,15 +144,11 @@ func Fig7(setup *Setup, yearHigh, yearLowest int) ([]Fig7Row, error) {
 		for y := low; y <= yearHigh; y++ {
 			hits = append(hits, setup.Index.SearchSubstring(fmt.Sprintf("%d", y))...)
 		}
-		groups := setup.Index.Groups(hits)
+		inputs := fulltext.Owners(hits)
 		ftMS := float64(time.Since(ftStart).Nanoseconds()) / 1e6
 
-		inputs := 0
-		for _, g := range groups {
-			inputs += len(g)
-		}
 		start := time.Now()
-		results, _, err := core.Meet(setup.Store, groups, core.ExcludeRoot(setup.Store))
+		results, _, err := core.MeetMultiContext(ctx, setup.Store, [][]bat.OID{inputs}, core.ExcludeRoot(setup.Store))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: Fig7: %w", err)
 		}
@@ -160,7 +162,7 @@ func Fig7(setup *Setup, yearHigh, yearLowest int) ([]Fig7Row, error) {
 		}
 		rows = append(rows, Fig7Row{
 			YearLow:        low,
-			InputSize:      inputs,
+			InputSize:      len(inputs),
 			Output:         len(results),
 			FalsePositives: fps,
 			MeetMS:         meetMS,
@@ -209,8 +211,8 @@ type ScalingRow struct {
 }
 
 // InputScaling feeds growing prefixes of all year hits (plus all ICDE
-// hits) to the general meet.
-func InputScaling(setup *Setup, steps int) ([]ScalingRow, error) {
+// hits) to the general meet, as one input set.
+func InputScaling(ctx context.Context, setup *Setup, steps int) ([]ScalingRow, error) {
 	if steps < 1 {
 		steps = 1
 	}
@@ -222,19 +224,14 @@ func InputScaling(setup *Setup, steps int) ([]ScalingRow, error) {
 	var rows []ScalingRow
 	for s := 1; s <= steps; s++ {
 		n := len(yearHits) * s / steps
-		hits := append(append([]fulltext.Hit(nil), icde...), yearHits[:n]...)
-		groups := setup.Index.Groups(hits)
-		inputs := 0
-		for _, g := range groups {
-			inputs += len(g)
-		}
+		inputs := fulltext.Owners(append(append([]fulltext.Hit(nil), icde...), yearHits[:n]...))
 		start := time.Now()
-		results, _, err := core.Meet(setup.Store, groups, core.ExcludeRoot(setup.Store))
+		results, _, err := core.MeetMultiContext(ctx, setup.Store, [][]bat.OID{inputs}, core.ExcludeRoot(setup.Store))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scaling: %w", err)
 		}
 		rows = append(rows, ScalingRow{
-			Inputs: inputs,
+			Inputs: len(inputs),
 			Output: len(results),
 			MeetMS: float64(time.Since(start).Nanoseconds()) / 1e6,
 		})
@@ -258,11 +255,11 @@ func AblationParent(setup *Setup, iters int) ([]AblationRow, error) {
 	}
 	icde := homogeneous(setup, setup.Index.SearchSubstring("ICDE"))
 	year := homogeneous(setup, setup.Index.SearchSubstring("1999"))
-	want, err := core.MeetSets(setup.Store, icde, year, nil)
+	want, err := MeetSets(setup.Store, icde, year, nil)
 	if err != nil {
 		return nil, err
 	}
-	got, err := core.MeetSetsBAT(setup.Store, icde, year, nil)
+	got, err := MeetSetsBAT(setup.Store, icde, year, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -276,12 +273,12 @@ func AblationParent(setup *Setup, iters int) ([]AblationRow, error) {
 		}
 	}
 	arr := measure(iters, func() {
-		if _, err := core.MeetSets(setup.Store, icde, year, nil); err != nil {
+		if _, err := MeetSets(setup.Store, icde, year, nil); err != nil {
 			panic(err)
 		}
 	})
 	bats := measure(iters, func() {
-		if _, err := core.MeetSetsBAT(setup.Store, icde, year, nil); err != nil {
+		if _, err := MeetSetsBAT(setup.Store, icde, year, nil); err != nil {
 			panic(err)
 		}
 	})
@@ -315,7 +312,7 @@ func Explosion(setup *Setup, lowYear int) (ExplosionRow, error) {
 	row := ExplosionRow{Inputs1: len(icde), Inputs2: len(years)}
 
 	start := time.Now()
-	minimal, err := core.MeetSets(setup.Store, icde, years, nil)
+	minimal, err := MeetSets(setup.Store, icde, years, nil)
 	if err != nil {
 		return row, err
 	}
@@ -323,7 +320,7 @@ func Explosion(setup *Setup, lowYear int) (ExplosionRow, error) {
 	row.MinimalResults = len(minimal)
 
 	start = time.Now()
-	baseline, pairs, err := core.MeetPairsBaseline(setup.Store, icde, years)
+	baseline, pairs, err := MeetPairsBaseline(setup.Store, icde, years)
 	if err != nil {
 		return row, err
 	}

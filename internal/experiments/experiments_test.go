@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"ncq/internal/datagen"
@@ -50,7 +52,7 @@ func TestFig6Shape(t *testing.T) {
 
 func TestFig7Shape(t *testing.T) {
 	_, bib := smallSetups(t)
-	rows, err := Fig7(bib, 1999, 1984)
+	rows, err := Fig7(context.Background(), bib, 1999, 1984)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,7 @@ func TestFig7Shape(t *testing.T) {
 
 func TestFig7The1985Step(t *testing.T) {
 	_, bib := smallSetups(t)
-	rows, err := Fig7(bib, 1999, 1984)
+	rows, err := Fig7(context.Background(), bib, 1999, 1984)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +122,7 @@ func TestFig7The1985Step(t *testing.T) {
 
 func TestInputScalingShape(t *testing.T) {
 	_, bib := smallSetups(t)
-	rows, err := InputScaling(bib, 5)
+	rows, err := InputScaling(context.Background(), bib, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,5 +188,89 @@ func TestFig6RejectsBrokenProbes(t *testing.T) {
 	// No probes at all -> only distance 0 is absent too; expect zero rows.
 	if len(rows) != 0 {
 		t.Errorf("rows = %+v, want none", rows)
+	}
+}
+
+// TestExperimentCountsPinned holds the non-timing columns of the
+// Figure 7, scaling, ablation and explosion series — what ncqbench
+// prints at -pubs 2 and at its default 75 — to the values recorded
+// before the roll-up had one entry and the Figure-4 family moved into
+// this package. At the default scale only the 1999 explosion point
+// runs: the all-pairs baseline of the wider intervals costs seconds.
+func TestExperimentCountsPinned(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		pubs      int
+		fig7      [][4]int // year_low, input_size, output, false positives
+		scaling   [][2]int // input_size, output
+		explosion [][6]int // year_low, |O1|, |O2|, minimal, baseline results, baseline pairs
+	}{
+		{
+			pubs: 2,
+			fig7: [][4]int{{1999, 40, 2, 0}, {1998, 50, 4, 0}, {1997, 60, 6, 0}, {1996, 71, 9, 1},
+				{1995, 81, 11, 1}, {1994, 91, 13, 1}, {1993, 102, 16, 2}, {1992, 112, 18, 2},
+				{1991, 122, 20, 2}, {1990, 132, 22, 2}, {1989, 142, 23, 1}, {1988, 152, 25, 1},
+				{1987, 162, 26, 0}, {1986, 172, 28, 0}, {1985, 180, 28, 0}, {1984, 190, 30, 0}},
+			scaling: [][2]int{{46, 2}, {62, 6}, {78, 8}, {94, 12}, {110, 16},
+				{126, 18}, {142, 22}, {158, 24}, {174, 28}, {190, 30}},
+			explosion: [][6]int{{1999, 30, 10, 3, 3, 300}, {1997, 30, 30, 7, 7, 900}, {1995, 30, 50, 11, 11, 1500}},
+		},
+		{
+			pubs: 75,
+			fig7: [][4]int{{1999, 1500, 75, 0}, {1998, 1875, 150, 0}, {1997, 2250, 225, 0}, {1996, 2626, 301, 1},
+				{1995, 3001, 376, 1}, {1994, 3376, 451, 1}, {1993, 3752, 527, 2}, {1992, 4127, 602, 2},
+				{1991, 4502, 677, 2}, {1990, 4877, 752, 2}, {1989, 5252, 826, 1}, {1988, 5627, 901, 1},
+				{1987, 6002, 975, 0}, {1986, 6377, 1050, 0}, {1985, 6677, 1050, 0}, {1984, 7052, 1125, 0}},
+			scaling: [][2]int{{1717, 75}, {2310, 225}, {2903, 300}, {3495, 450}, {4088, 563},
+				{4681, 675}, {5273, 825}, {5866, 900}, {6459, 1050}, {7052, 1125}},
+			explosion: [][6]int{{1999, 1125, 375, 76, 76, 421875}},
+		},
+	} {
+		cfg := datagen.DefaultDBLPConfig()
+		cfg.PubsPerVenueYear = c.pubs
+		setup, err := LoadDBLP(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fig7, err := Fig7(ctx, setup, 1999, 1984)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gotFig7 [][4]int
+		for _, r := range fig7 {
+			gotFig7 = append(gotFig7, [4]int{r.YearLow, r.InputSize, r.Output, r.FalsePositives})
+		}
+		if !reflect.DeepEqual(gotFig7, c.fig7) {
+			t.Errorf("pubs %d: Fig7 = %v\nwant %v", c.pubs, gotFig7, c.fig7)
+		}
+		scaling, err := InputScaling(ctx, setup, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gotScaling [][2]int
+		for _, r := range scaling {
+			gotScaling = append(gotScaling, [2]int{r.Inputs, r.Output})
+		}
+		if !reflect.DeepEqual(gotScaling, c.scaling) {
+			t.Errorf("pubs %d: InputScaling = %v\nwant %v", c.pubs, gotScaling, c.scaling)
+		}
+		ablation, err := AblationParent(setup, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range ablation {
+			if !r.CheckedOK {
+				t.Errorf("pubs %d: ablation %s: strategies disagree", c.pubs, r.Name)
+			}
+		}
+		for _, want := range c.explosion {
+			r, err := Explosion(setup, want[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := [6]int{want[0], r.Inputs1, r.Inputs2, r.MinimalResults, r.BaselineResults, r.BaselinePairs}; got != want {
+				t.Errorf("pubs %d: Explosion = %v, want %v", c.pubs, got, want)
+			}
+		}
 	}
 }

@@ -1,4 +1,4 @@
-package core
+package experiments
 
 import (
 	"math/rand"
@@ -6,10 +6,20 @@ import (
 	"testing"
 
 	"ncq/internal/bat"
+	"ncq/internal/core"
 	"ncq/internal/monetx"
 	"ncq/internal/pathsum"
 	"ncq/internal/xmltree"
 )
+
+func fig1Store(t *testing.T) *monetx.Store {
+	t.Helper()
+	s, err := monetx.Load(xmltree.Fig1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 func artPath(t *testing.T, s *monetx.Store) pathsum.PathID {
 	t.Helper()
@@ -155,7 +165,7 @@ func TestMeetSetsHeterogeneousInputRejected(t *testing.T) {
 func TestMeetSetsExclude(t *testing.T) {
 	s := fig1Store(t)
 	art := artPath(t, s)
-	opt := &Options{Exclude: map[pathsum.PathID]bool{art: true}}
+	opt := &core.Options{Exclude: map[pathsum.PathID]bool{art: true}}
 	// meet_P semantics: the article meet is consumed but not reported,
 	// and nothing above is found because the inputs are gone.
 	res, err := MeetSets(s, []bat.OID{8}, []bat.OID{12}, opt)
@@ -170,7 +180,7 @@ func TestMeetSetsExclude(t *testing.T) {
 func TestMeetSetsSkipExcluded(t *testing.T) {
 	s := fig1Store(t)
 	art := artPath(t, s)
-	opt := &Options{Exclude: map[pathsum.PathID]bool{art: true}, SkipExcluded: true}
+	opt := &core.Options{Exclude: map[pathsum.PathID]bool{art: true}, SkipExcluded: true}
 	// Extension semantics: the match lifts past the article and lands
 	// on the institute.
 	res, err := MeetSets(s, []bat.OID{8}, []bat.OID{12}, opt)
@@ -187,14 +197,14 @@ func TestMeetSetsSkipExcluded(t *testing.T) {
 
 func TestMeetSetsMaxDistance(t *testing.T) {
 	s := fig1Store(t)
-	res, err := MeetSets(s, []bat.OID{8}, []bat.OID{12}, &Options{MaxDistance: 4})
+	res, err := MeetSets(s, []bat.OID{8}, []bat.OID{12}, &core.Options{MaxDistance: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 0 {
 		t.Errorf("MaxDistance 4 let a distance-5 meet through: %+v", res)
 	}
-	res, err = MeetSets(s, []bat.OID{8}, []bat.OID{12}, &Options{MaxDistance: 5})
+	res, err = MeetSets(s, []bat.OID{8}, []bat.OID{12}, &core.Options{MaxDistance: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,14 +216,14 @@ func TestMeetSetsMaxDistance(t *testing.T) {
 func TestMeetSetsMaxLift(t *testing.T) {
 	s := fig1Store(t)
 	// o8 needs 3 lifts to reach the article; cap at 2 starves the set.
-	res, err := MeetSets(s, []bat.OID{8}, []bat.OID{12}, &Options{MaxLift: 2})
+	res, err := MeetSets(s, []bat.OID{8}, []bat.OID{12}, &core.Options{MaxLift: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 0 {
 		t.Errorf("MaxLift 2 still met: %+v", res)
 	}
-	res, err = MeetSets(s, []bat.OID{8}, []bat.OID{12}, &Options{MaxLift: 3})
+	res, err = MeetSets(s, []bat.OID{8}, []bat.OID{12}, &core.Options{MaxLift: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,14 +236,14 @@ func TestMeetSetsBATEquivalence(t *testing.T) {
 	s := fig1Store(t)
 	cases := []struct {
 		o1, o2 []bat.OID
-		opt    *Options
+		opt    *core.Options
 	}{
 		{[]bat.OID{8}, []bat.OID{12, 19}, nil},
 		{[]bat.OID{12, 19}, []bat.OID{10, 17}, nil},
 		{[]bat.OID{15}, []bat.OID{15}, nil},
 		{[]bat.OID{12}, []bat.OID{19}, nil},
-		{[]bat.OID{8}, []bat.OID{12}, &Options{MaxDistance: 4}},
-		{[]bat.OID{8}, []bat.OID{12}, &Options{MaxLift: 2}},
+		{[]bat.OID{8}, []bat.OID{12}, &core.Options{MaxDistance: 4}},
+		{[]bat.OID{8}, []bat.OID{12}, &core.Options{MaxLift: 2}},
 	}
 	for i, c := range cases {
 		want, err := MeetSets(s, c.o1, c.o2, c.opt)
@@ -280,7 +290,7 @@ func TestMeetSetsBATEquivalenceRandom(t *testing.T) {
 }
 
 // resultsEqual compares result slices while tolerating nil-vs-empty.
-func resultsEqual(a, b []Result) bool {
+func resultsEqual(a, b []core.Result) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -312,19 +322,122 @@ func TestMeetSetsWitnessInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen := bat.NewSet()
+		seen := map[bat.OID]bool{}
 		for _, r0 := range res {
 			if len(r0.Witnesses) < 1 {
 				t.Fatalf("doc %d: empty witness set", i)
 			}
 			for _, w := range r0.Witnesses {
-				if !seen.Add(w) {
+				if seen[w] {
 					t.Fatalf("doc %d: witness %d consumed twice", i, w)
 				}
+				seen[w] = true
 				if !s.Contains(r0.Meet, w) {
 					t.Fatalf("doc %d: meet %d does not contain witness %d", i, r0.Meet, w)
 				}
 			}
+		}
+	}
+}
+
+func TestMeetPairsBaselineExplodes(t *testing.T) {
+	s := fig1Store(t)
+	// Inputs: both years and both titles. The minimal MeetSets reports
+	// exactly the two articles; the pairwise baseline computes all four
+	// cross pairs and additionally surfaces the cross-article meets at
+	// the institute — the "not so interesting" implied answers.
+	o1 := []bat.OID{12, 19}
+	o2 := []bat.OID{10, 17}
+	minimal, err := MeetSets(s, o1, o2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline, pairs, err := MeetPairsBaseline(s, o1, o2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pairs != 4 {
+		t.Errorf("pairs computed = %d, want 4", pairs)
+	}
+	if len(minimal) != 2 {
+		t.Fatalf("minimal = %+v", minimal)
+	}
+	if len(baseline) <= len(minimal) {
+		t.Errorf("baseline (%d results) should exceed minimal (%d)", len(baseline), len(minimal))
+	}
+	// The baseline contains the institute (cross-article pairs).
+	foundInstitute := false
+	for _, r := range baseline {
+		if r.Meet == 2 {
+			foundInstitute = true
+		}
+	}
+	if !foundInstitute {
+		t.Errorf("baseline missing the institute: %+v", baseline)
+	}
+	// Every minimal meet also appears in the baseline.
+	for _, m := range minimal {
+		found := false
+		for _, b := range baseline {
+			if b.Meet == m.Meet {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("minimal meet o%d missing from baseline", m.Meet)
+		}
+	}
+}
+
+func TestMeetPairsBaselineQuadraticWork(t *testing.T) {
+	s := fig1Store(t)
+	// Duplicates are ignored; work is |O1|·|O2| after dedupe.
+	_, pairs, err := MeetPairsBaseline(s, []bat.OID{12, 12, 19}, []bat.OID{10, 17, 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pairs != 4 {
+		t.Errorf("pairs = %d, want 4 (2x2 after dedupe)", pairs)
+	}
+	if _, _, err := MeetPairsBaseline(s, []bat.OID{0}, []bat.OID{1}); err == nil {
+		t.Error("invalid OID accepted")
+	}
+}
+
+func TestMeetPairsBaselineEmpty(t *testing.T) {
+	s := fig1Store(t)
+	res, pairs, err := MeetPairsBaseline(s, nil, []bat.OID{10})
+	if err != nil || len(res) != 0 || pairs != 0 {
+		t.Errorf("empty baseline = (%v,%d,%v)", res, pairs, err)
+	}
+}
+
+// TestAncestorSetBaselineAgrees checks the second ablation baseline:
+// same meet, never fewer look-ups than the steered algorithm needs
+// joins on pairs where the first argument sits below the meet.
+func TestAncestorSetBaselineAgrees(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	doc := xmltree.Random(r, 80)
+	s, err := monetx.Load(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int(s.Len())
+	for trial := 0; trial < 500; trial++ {
+		o1 := bat.OID(r.Intn(n)) + 1
+		o2 := bat.OID(r.Intn(n)) + 1
+		m, joins, err := core.Meet2(s, o1, o2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		am, alookups := Meet2AncestorSet(s, o1, o2)
+		if am != m {
+			t.Fatalf("ancestor-set baseline disagrees: %d vs %d", am, m)
+		}
+		// The baseline walks all of o1's ancestors plus o2's climb; the
+		// steered version walks only inside the meet's subtree.
+		if alookups < joins-1 {
+			t.Fatalf("baseline lookups %d < steered joins %d for (%d,%d)", alookups, joins, o1, o2)
 		}
 	}
 }

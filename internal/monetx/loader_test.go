@@ -85,15 +85,14 @@ func TestLoaderEqualsLoadOfParse(t *testing.T) {
 	}
 }
 
-// The materialised relations the store used to build at load, kept as
-// the oracle for the views that replaced them.
+// The materialised edge relations the store used to build at load,
+// kept as the oracle for the views that replaced them.
 type materialised struct {
 	edges map[pathsum.PathID]*bat.BAT[bat.OID]
-	ranks map[pathsum.PathID]*bat.BAT[int]
 }
 
 func materialise(s *Store) materialised {
-	m := materialised{map[pathsum.PathID]*bat.BAT[bat.OID]{}, map[pathsum.PathID]*bat.BAT[int]{}}
+	m := materialised{map[pathsum.PathID]*bat.BAT[bat.OID]{}}
 	for oid := bat.OID(1); int(oid) <= s.Len(); oid++ {
 		pid := s.pathOf[oid]
 		if p := s.parent[oid]; p != bat.Nil {
@@ -102,21 +101,21 @@ func materialise(s *Store) materialised {
 			}
 			m.edges[pid].Append(p, oid)
 		}
-		if m.ranks[pid] == nil {
-			m.ranks[pid] = bat.New[int](s.summary.String(pid) + "#rank")
-		}
-		m.ranks[pid].Append(oid, int(s.rank[oid]))
 	}
 	return m
 }
 
-// children is the old Children: one FindAll per child path, re-sorted
-// by rank.
+// children is the old Children: the edges headed by o on every child
+// path, re-sorted by rank.
 func (m materialised) children(s *Store, o bat.OID) []bat.OID {
 	var out []bat.OID
 	for _, cpid := range s.summary.Children(s.pathOf[o]) {
 		if e := m.edges[cpid]; e != nil {
-			out = append(out, e.FindAll(o)...)
+			for i := 0; i < e.Len(); i++ {
+				if e.Head(i) == o {
+					out = append(out, e.Tail(i))
+				}
+			}
 		}
 	}
 	byRank := make([]bat.OID, len(out))
@@ -126,11 +125,32 @@ func (m materialised) children(s *Store, o bat.OID) []bat.OID {
 	return byRank
 }
 
+// reversed swaps head and tail of every pair: the parent relation an
+// edge relation implies.
+func reversed(e *bat.BAT[bat.OID]) *bat.BAT[bat.OID] {
+	if e == nil {
+		return nil
+	}
+	r := bat.New[bat.OID]("rev")
+	for i := 0; i < e.Len(); i++ {
+		r.Append(e.Tail(i), e.Head(i))
+	}
+	return r
+}
+
 func sameBAT[T comparable](a, b *bat.BAT[T]) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
-	return reflect.DeepEqual(a.Heads(), b.Heads()) && reflect.DeepEqual(a.Tails(), b.Tails())
+	if a.Len() != b.Len() {
+		return false
+	}
+	for i := 0; i < a.Len(); i++ {
+		if a.Head(i) != b.Head(i) || a.Tail(i) != b.Tail(i) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestViewsEqualMaterialised(t *testing.T) {
@@ -144,15 +164,8 @@ func TestViewsEqualMaterialised(t *testing.T) {
 			if got := s.Edges(pid); !sameBAT(got, m.edges[pid]) {
 				t.Fatalf("doc %d: Edges(%s) = %v, want %v", i, s.summary.String(pid), got, m.edges[pid])
 			}
-			if got := s.Ranks(pid); !sameBAT(got, m.ranks[pid]) {
-				t.Fatalf("doc %d: Ranks(%s) = %v, want %v", i, s.summary.String(pid), got, m.ranks[pid])
-			}
-			var rev *bat.BAT[bat.OID]
-			if m.edges[pid] != nil {
-				rev = bat.Reverse(m.edges[pid])
-			}
-			if got := s.ParentBAT(pid); !sameBAT(got, rev) {
-				t.Fatalf("doc %d: ParentBAT(%s) = %v, want %v", i, s.summary.String(pid), got, rev)
+			if rev := reversed(m.edges[pid]); !sameBAT(s.ParentBAT(pid), rev) {
+				t.Fatalf("doc %d: ParentBAT(%s) = %v, want %v", i, s.summary.String(pid), s.ParentBAT(pid), rev)
 			}
 		}
 		for o := bat.OID(1); int(o) <= s.Len(); o++ {
@@ -186,17 +199,17 @@ func TestViewBuiltOnce(t *testing.T) {
 	art := mustPath(t, s, "bibliography", "institute", "article")
 	const n = 8
 	var wg sync.WaitGroup
-	edges, ranks, revs := make([]*bat.BAT[bat.OID], n), make([]*bat.BAT[int], n), make([]*bat.BAT[bat.OID], n)
+	edges, revs := make([]*bat.BAT[bat.OID], n), make([]*bat.BAT[bat.OID], n)
 	for g := 0; g < n; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			edges[g], ranks[g], revs[g] = s.Edges(art), s.Ranks(art), s.ParentBAT(art)
+			edges[g], revs[g] = s.Edges(art), s.ParentBAT(art)
 		}(g)
 	}
 	wg.Wait()
 	for g := 1; g < n; g++ {
-		if edges[g] != edges[0] || ranks[g] != ranks[0] || revs[g] != revs[0] {
+		if edges[g] != edges[0] || revs[g] != revs[0] {
 			t.Fatalf("goroutine %d got its own view", g)
 		}
 	}
@@ -228,7 +241,6 @@ func TestStatsCountsWhatIsResident(t *testing.T) {
 	before := s.Stats()
 	for _, pid := range s.summary.AllPaths() {
 		s.Edges(pid)
-		s.Ranks(pid)
 		s.ParentBAT(pid)
 	}
 	if after := s.Stats(); after != before {

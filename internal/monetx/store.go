@@ -17,12 +17,12 @@
 // equivalent. Figure 2's other two relation families — one edge
 // relation (parentOID, childOID) and one rank relation (oid,
 // siblingRank) per element path — say nothing the OID lists and the
-// arrays do not, so they are not stored: Edges, Ranks and ParentBAT
-// build each relation from those on first use and keep it. The
-// join-based navigation the paper executes inside Monet (LiftBAT,
-// ParentBAT) runs on these views and is exercised by the ablation
-// benchmarks; Stats counts the associations of all four families, as
-// Figure 2 does, and the bytes of what is resident.
+// arrays do not, so they are not stored: the rank is the rank array,
+// and Edges (the Figure-2 dump) and ParentBAT (the child→parent
+// relation the BAT-join ablation of internal/experiments joins with)
+// build their relation from those on first use and keep it. Stats
+// counts the associations of all four families, as Figure 2 does, and
+// the bytes of what is resident.
 //
 // One piece of code writes the columns: Loader, an xmltree.Sink, fed by
 // the parser directly (no tree is built) or by Load's walk over a tree.
@@ -60,12 +60,11 @@ type Store struct {
 	strBytes int   // bytes of character data in strs
 	stats    Stats // computed once, by seal
 
-	// The edge, rank and parent relations of Figure 2, built per path
-	// on first use under viewMu so that a loaded store is safe for
+	// The edge and parent relations of Figure 2, built per path on
+	// first use under viewMu so that a loaded store is safe for
 	// concurrent readers.
 	viewMu  sync.Mutex
 	edges   map[pathsum.PathID]*bat.BAT[bat.OID] // child path -> (parent, child)
-	ranks   map[pathsum.PathID]*bat.BAT[int]     // elem path  -> (oid, rank)
 	revEdge map[pathsum.PathID]*bat.BAT[bat.OID] // child path -> (child, parent)
 
 	root bat.OID
@@ -215,14 +214,14 @@ func (s *Store) ContainsViaJoins(ancestor, descendant bat.OID) bool {
 	return false
 }
 
-// view returns the relation of element path p kept in *memo, building
-// it on first use: one pair per node at p in document order, named —
-// as every relation of the transform is — by the path. skipRoot
-// leaves out the root path, whose one node has no incoming edge. Safe
-// for concurrent callers, who all get the same BAT.
-func view[T comparable](s *Store, memo *map[pathsum.PathID]*bat.BAT[T], p pathsum.PathID, skipRoot bool, pair func(o bat.OID) (bat.OID, T)) *bat.BAT[T] {
+// view returns the edge relation of element path p kept in *memo,
+// building it on first use: one pair per node at p in document order,
+// named — as every relation of the transform is — by the path, and nil
+// for the root path, whose one node has no incoming edge. Safe for
+// concurrent callers, who all get the same BAT.
+func view(s *Store, memo *map[pathsum.PathID]*bat.BAT[bat.OID], p pathsum.PathID, pair func(o bat.OID) (bat.OID, bat.OID)) *bat.BAT[bat.OID] {
 	oids := s.OIDsAt(p)
-	if len(oids) == 0 || skipRoot && oids[0] == s.root {
+	if len(oids) == 0 || oids[0] == s.root {
 		return nil
 	}
 	s.viewMu.Lock()
@@ -230,12 +229,12 @@ func view[T comparable](s *Store, memo *map[pathsum.PathID]*bat.BAT[T], p pathsu
 	if b, ok := (*memo)[p]; ok {
 		return b
 	}
-	b := bat.NewWithCapacity[T](s.summary.String(p), len(oids))
+	b := bat.NewWithCapacity[bat.OID](s.summary.String(p), len(oids))
 	for _, o := range oids {
 		b.Append(pair(o))
 	}
 	if *memo == nil {
-		*memo = make(map[pathsum.PathID]*bat.BAT[T])
+		*memo = make(map[pathsum.PathID]*bat.BAT[bat.OID])
 	}
 	(*memo)[p] = b
 	return b
@@ -245,7 +244,7 @@ func view[T comparable](s *Store, memo *map[pathsum.PathID]*bat.BAT[T], p pathsu
 // (parentOID, childOID) for every node at that path. It is nil for the
 // root path (the root has no incoming edge) and for unknown paths.
 func (s *Store) Edges(p pathsum.PathID) *bat.BAT[bat.OID] {
-	return view(s, &s.edges, p, true, func(o bat.OID) (bat.OID, bat.OID) { return s.parent[o], o })
+	return view(s, &s.edges, p, func(o bat.OID) (bat.OID, bat.OID) { return s.parent[o], o })
 }
 
 // Strings returns the string relation of the given attribute path:
@@ -255,12 +254,6 @@ func (s *Store) Strings(p pathsum.PathID) *bat.BAT[string] {
 		return nil
 	}
 	return s.strs[p]
-}
-
-// Ranks returns the rank relation of the given element path: pairs
-// (oid, siblingRank).
-func (s *Store) Ranks(p pathsum.PathID) *bat.BAT[int] {
-	return view(s, &s.ranks, p, false, func(o bat.OID) (bat.OID, int) { return o, int(s.rank[o]) })
 }
 
 // OIDsAt returns the OIDs of all nodes at path p in document order.
@@ -274,22 +267,10 @@ func (s *Store) OIDsAt(p pathsum.PathID) []bat.OID {
 
 // ParentBAT returns the child→parent relation for nodes at path p —
 // the edge relation reversed, the relational form of the parent
-// function used in the paper's Figures 4 and 5.
+// function used in the paper's Figures 4 and 5. It is nil for the root
+// path and for unknown paths.
 func (s *Store) ParentBAT(p pathsum.PathID) *bat.BAT[bat.OID] {
-	return view(s, &s.revEdge, p, true, func(o bat.OID) (bat.OID, bat.OID) { return o, s.parent[o] })
-}
-
-// LiftBAT lifts an association BAT a = (provenance, current) whose
-// current column holds nodes at path p one level towards the root:
-// the result pairs each provenance with the parent of its current node.
-// This is the join(a, parent) step of Figure 4, executed with BAT
-// primitives only.
-func (s *Store) LiftBAT(a *bat.BAT[bat.OID], p pathsum.PathID) *bat.BAT[bat.OID] {
-	pb := s.ParentBAT(p)
-	if pb == nil {
-		return bat.New[bat.OID](a.Name() + "^")
-	}
-	return bat.Join(a, pb)
+	return view(s, &s.revEdge, p, func(o bat.OID) (bat.OID, bat.OID) { return o, s.parent[o] })
 }
 
 // Text returns the character data of a cdata node, served from the

@@ -214,31 +214,18 @@ func TestParentBATAndLiftBAT(t *testing.T) {
 	if s.ParentBAT(artPath) != pb {
 		t.Error("ParentBAT not cached")
 	}
-	// Lift the two articles (provenance = themselves) one level.
-	a := bat.FromPairs("in", []bat.Pair[bat.OID]{{Head: 3, Tail: 3}, {Head: 13, Tail: 13}})
-	lifted := s.LiftBAT(a, artPath)
+	// Lift the two articles (provenance = themselves) one level: the
+	// join(O, parent) step of Figure 4.
+	a := bat.New[bat.OID]("in")
+	a.Append(3, 3)
+	a.Append(13, 13)
+	lifted := bat.Join(a, pb)
 	if lifted.Len() != 2 || lifted.Tail(0) != 2 || lifted.Tail(1) != 2 {
-		t.Errorf("LiftBAT = %v, want both lifted to institute o2", lifted)
+		t.Errorf("join with ParentBAT = %v, want both lifted to institute o2", lifted)
 	}
-	// Lifting at the root path yields an empty BAT.
-	rootPath := mustPath(t, s, "bibliography")
-	if got := s.LiftBAT(a, rootPath); got.Len() != 0 {
-		t.Errorf("LiftBAT at root = %v, want empty", got)
-	}
-}
-
-func TestRanksRelation(t *testing.T) {
-	s := fig1Store(t)
-	artPath := mustPath(t, s, "bibliography", "institute", "article")
-	rk := s.Ranks(artPath)
-	if rk.Len() != 2 {
-		t.Fatalf("rank relation size = %d", rk.Len())
-	}
-	if r, _ := rk.Find(3); r != 1 {
-		t.Errorf("rank(o3) = %d, want 1", r)
-	}
-	if r, _ := rk.Find(13); r != 2 {
-		t.Errorf("rank(o13) = %d, want 2", r)
+	// The root has no parent: no relation to lift with.
+	if got := s.ParentBAT(mustPath(t, s, "bibliography")); got != nil {
+		t.Errorf("ParentBAT(root) = %v, want nil", got)
 	}
 }
 

@@ -309,46 +309,63 @@ func (o *Options) Spec() OptionSpec {
 		Nearest: o.skipExcluded, Within: o.maxDistance, MaxLift: o.maxLift}
 }
 
-// compile lowers the public Options into core.Options.
-func (o *Options) compile(db *Database) (*core.Options, error) {
+// compile lowers the public Options into core.Options. vg == nil is
+// the exact mode: a restrict pattern admits the paths it selects. A
+// vague request (vg != nil) admits every path within vg.MaxSlack
+// rewrites of a restrict pattern instead, and the returned plan tags
+// each with its minimal slack across patterns; an exact request gets no
+// plan. Exclude patterns (and the root exclusion) stay exact either way.
+func (o *Options) compile(db *Database, vg *Vague) (*core.Options, *vaguePlan, error) {
+	var plan *vaguePlan
+	if vg != nil {
+		plan = &vaguePlan{slack: map[pathsum.PathID]int{}, relaxBySlack: make([]int, vg.MaxSlack+1)}
+	}
 	if o == nil {
-		return nil, nil
+		return nil, plan, nil
 	}
 	opt := &core.Options{
 		MaxLift:      o.maxLift,
 		MaxDistance:  o.maxDistance,
 		SkipExcluded: o.skipExcluded,
 	}
+	sum := db.store.Summary()
 	if o.excludeRoot || len(o.excludePatterns) > 0 {
 		opt.Exclude = map[pathsum.PathID]bool{}
 		if o.excludeRoot {
-			opt.Exclude[db.store.Summary().Root()] = true
+			opt.Exclude[sum.Root()] = true
 		}
 		for _, src := range o.excludePatterns {
 			pat, err := pathexpr.Compile(src)
 			if err != nil {
-				return nil, fmt.Errorf("ncq: exclude pattern: %w", err)
+				return nil, nil, fmt.Errorf("ncq: exclude pattern: %w", err)
 			}
-			for _, pid := range pat.SelectPaths(db.store.Summary()) {
+			for _, pid := range pat.SelectPaths(sum) {
 				opt.Exclude[pid] = true
 			}
 		}
 	}
 	if len(o.restrictPatterns) > 0 {
+		pats := make([]*pathexpr.Pattern, len(o.restrictPatterns))
+		for i, src := range o.restrictPatterns {
+			pat, err := pathexpr.Compile(src)
+			if err != nil {
+				return nil, nil, fmt.Errorf("ncq: restrict pattern: %w", err)
+			}
+			pats[i] = pat
+		}
+		admissible := map[pathsum.PathID]bool{}
+		if plan == nil {
+			for _, pat := range pats {
+				for _, pid := range pat.SelectPaths(sum) {
+					admissible[pid] = true
+				}
+			}
+		} else {
+			plan.admit(pats, sum, vg.MaxSlack, admissible)
+		}
 		// A whitelist is the complement blacklist with climbing
 		// semantics: inadmissible meets pass their witnesses upward
 		// until an admissible path is reached.
-		sum := db.store.Summary()
-		admissible := map[pathsum.PathID]bool{}
-		for _, src := range o.restrictPatterns {
-			pat, err := pathexpr.Compile(src)
-			if err != nil {
-				return nil, fmt.Errorf("ncq: restrict pattern: %w", err)
-			}
-			for _, pid := range pat.SelectPaths(sum) {
-				admissible[pid] = true
-			}
-		}
 		if opt.Exclude == nil {
 			opt.Exclude = map[pathsum.PathID]bool{}
 		}
@@ -359,22 +376,14 @@ func (o *Options) compile(db *Database) (*core.Options, error) {
 		}
 		opt.SkipExcluded = true
 	}
-	return opt, nil
+	return opt, plan, nil
 }
 
 // MeetOf computes the nearest concepts of an arbitrary set of nodes
 // (the general meet of the paper's Figure 5). It returns the meets in
 // document order plus the inputs that found no partner.
 func (db *Database) MeetOf(nodes []NodeID, opt *Options) ([]Meet, []NodeID, error) {
-	copt, err := opt.compile(db)
-	if err != nil {
-		return nil, nil, err
-	}
-	results, unmatched, err := core.MeetOIDs(db.store, nodes, copt)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ncq: %w", err)
-	}
-	return db.wrapResults(results), unmatched, nil
+	return db.meetInDocOrder(opt, [][]NodeID{nodes}, nil, nil)
 }
 
 // MeetOfTerms runs the paper's flagship interaction in one call: a
@@ -386,44 +395,34 @@ func (db *Database) MeetOf(nodes []NodeID, opt *Options) ([]Meet, []NodeID, erro
 // different terms is reported as its own nearest concept at distance
 // zero (the paper's "Bob"/"Byte" example).
 //
-// The meets are returned in document order, as before the unified API;
-// it is a wrapper over Run, which returns them ranked and additionally
+// The meets are returned in document order (a rolled-up meet before
+// the self-meet on the same node) plus the inputs that found no
+// partner. Run executes the same request ranked, and additionally
 // supports cancellation, limits and pagination.
 func (db *Database) MeetOfTerms(opt *Options, terms ...string) ([]Meet, []NodeID, error) {
 	if len(terms) == 0 {
 		return []Meet{}, nil, nil
 	}
-	res, err := db.Run(context.Background(), Request{Terms: terms, Options: opt}) //lint:ncqvet-ignore legacy ctx-less public API; ctx-aware callers use Run
-	if err != nil {
-		return nil, nil, err
-	}
-	meets := make([]Meet, len(res.Meets))
-	for i, m := range res.Meets {
-		meets[i] = m.Meet
-	}
-	// A node can host two meets: a roll-up of distinct witnesses and a
-	// degenerate self-meet (both terms hitting the node itself). The
-	// pre-unified order put the roll-up first; the ranked input has the
-	// distance-0 self-meet first, so the tie-break restores it.
-	selfMeet := func(m Meet) bool {
-		return len(m.Witnesses) == 1 && m.Witnesses[0] == m.Node
-	}
-	sort.SliceStable(meets, func(i, j int) bool {
-		if meets[i].Node != meets[j].Node {
-			return meets[i].Node < meets[j].Node
-		}
-		return !selfMeet(meets[i]) && selfMeet(meets[j])
-	})
-	return meets, res.UnmatchedNodes, nil
+	return db.meetInDocOrder(opt, nil, terms, nil)
 }
 
-// meetOfSets lowers per-term input sets into core.MeetMulti.
-func (db *Database) meetOfSets(sets [][]NodeID, opt *Options) ([]Meet, []NodeID, error) {
-	copt, err := opt.compile(db)
+// meetInDocOrder is the one ctx-less root of the document-order meets
+// (MeetOf, MeetOfTerms, MeetOfTermsExpanded): the input sets — sets, or
+// when nil the terms located as a term request locates them, through
+// th when it is not nil — rolled up by core.MeetMultiContext and
+// rendered in the document order it emits.
+func (db *Database) meetInDocOrder(opt *Options, sets [][]NodeID, terms []string, th *fulltext.Thesaurus) ([]Meet, []NodeID, error) {
+	ctx := context.Background() //lint:ncqvet-ignore legacy ctx-less public API (MeetOf, MeetOfTerms, MeetOfTermsExpanded); ctx-aware callers use Run
+	copt, _, err := opt.compile(db, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	results, unmatched, err := core.MeetMulti(db.store, sets, copt)
+	if sets == nil {
+		if sets, err = db.locate(ctx, terms, th); err != nil {
+			return nil, nil, err
+		}
+	}
+	results, unmatched, err := core.MeetMultiContext(ctx, db.store, sets, copt)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ncq: %w", err)
 	}

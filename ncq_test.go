@@ -297,6 +297,22 @@ func TestRankMeetsBySourceProximity(t *testing.T) {
 	}
 }
 
+func TestRankBySourceProximity(t *testing.T) {
+	meets := []Meet{
+		{Node: 2, Witnesses: []NodeID{10, 90}, Distance: 1}, // span 80
+		{Node: 5, Witnesses: []NodeID{40, 45}, Distance: 9}, // span 5
+		{Node: 7, Witnesses: []NodeID{1, 6}, Distance: 3},   // span 5, ties on span
+		{Node: 9, Witnesses: []NodeID{2}, Distance: 0},      // span 0
+	}
+	RankMeetsBySourceProximity(meets)
+	wantOrder := []NodeID{9, 7, 5, 2} // span 0, then span-5 ties by distance, then span 80
+	for i, w := range wantOrder {
+		if meets[i].Node != w {
+			t.Fatalf("order = %v, want %v", meets, wantOrder)
+		}
+	}
+}
+
 func TestRankMeets(t *testing.T) {
 	meets := []Meet{
 		{Node: 7, Distance: 9},

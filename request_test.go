@@ -38,9 +38,10 @@ func pagingCorpus(t *testing.T) *Corpus {
 }
 
 // expectedTermMeets computes a database's term meets through the
-// pre-redesign engine path (per-term full-text search + meetOfSets),
-// which the unified Run does not share, so the equivalence assertions
-// below compare two independent implementations.
+// document-order path (per-term materialised full-text hits +
+// meetInDocOrder), which shares neither locate nor the ranking with
+// the unified Run, so the equivalence assertions below compare two
+// independent implementations.
 func expectedTermMeets(t *testing.T, db *Database, opt *Options, terms []string) ([]Meet, []NodeID) {
 	t.Helper()
 	sets := make([][]NodeID, 0, len(terms))
@@ -51,7 +52,7 @@ func expectedTermMeets(t *testing.T, db *Database, opt *Options, terms []string)
 		}
 		sets = append(sets, owners)
 	}
-	meets, unmatched, err := db.meetOfSets(sets, opt)
+	meets, unmatched, err := db.meetInDocOrder(opt, sets, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +132,8 @@ func expectedQueryMeets(t *testing.T, c *Corpus, names []string, src string) []C
 
 // TestRunEquivalence pins the acceptance contract of the redesign: the
 // legacy entry points delegate to Run, and Run returns exactly the
-// answer sets the pre-redesign engine produces (computed independently
-// via meetOfSets and a hand-rolled merge).
+// answer sets the document-order path produces (computed independently
+// via meetInDocOrder and a hand-rolled merge).
 func TestRunEquivalence(t *testing.T) {
 	c := pagingCorpus(t)
 	ctx := context.Background()

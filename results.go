@@ -209,38 +209,43 @@ func (s *localStream) next() (CorpusMeet, int32, bool, error) {
 	return CorpusMeet{Source: s.source, Shard: int(s.shard), Meet: m}, top.seq, true, nil
 }
 
-// termMeetsStream is termMeets' incremental mode: one full-text search
-// per term, the multi-set meet, and the member's answers delivered as
-// a lazily-ranked stream instead of a sorted slice. The unmatched set
-// and the total are known as soon as it returns; the ranking cost is
-// paid per pull.
+// termMeetsStream is a term request on one member: one full-text
+// search per term, the multi-set meet, and the member's answers
+// delivered as a lazily-ranked stream. The unmatched set and the total
+// are known as soon as it returns; the ranking cost is paid per pull.
 //
 // A non-nil vg runs the member in vague mode: restrict patterns are
-// compiled approximately (compileVague) and structural slack blends
+// compiled approximately (Options.compile) and structural slack blends
 // into each answer's distance before the heap is built, so the blended
 // score is the distance every later layer orders by. When vg.Expand is
-// set and a thesaurus is loaded, terms route through th — whole-token
-// search on every synonym, which builds the member's token index on
-// first use — instead of the exact substring search; without one,
-// Expand is a no-op.
+// set and a thesaurus is loaded, terms route through th (see locate);
+// without one, Expand is a no-op.
 func (db *Database) termMeetsStream(ctx context.Context, terms []string, opt *Options, vg *Vague, th *fulltext.Thesaurus) (*localStream, error) {
-	var copt *core.Options
-	var plan *vaguePlan
-	var err error
-	if vg != nil {
-		copt, plan, err = opt.compileVague(db, vg)
-	} else {
-		copt, err = opt.compile(db)
-	}
+	copt, plan, err := opt.compile(db, vg)
 	if err != nil {
 		return nil, err
 	}
+	if vg == nil || !vg.Expand {
+		th = nil
+	}
+	sets, err := db.locate(ctx, terms, th)
+	if err != nil {
+		return nil, err
+	}
+	return db.meetStream(ctx, sets, copt, plan)
+}
+
+// locate is the full-text half of a term request: one input set per
+// term, the ascending owners of its substring matches — or, through a
+// non-nil thesaurus th, of the whole-token matches of its synonyms,
+// which builds the member's token index on first use.
+func (db *Database) locate(ctx context.Context, terms []string, th *fulltext.Thesaurus) ([][]NodeID, error) {
 	sets := make([][]NodeID, 0, len(terms))
 	for _, t := range terms {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if vg != nil && vg.Expand && th != nil {
+		if th != nil {
 			sets = append(sets, fulltext.Owners(db.index.SearchExpanded(th, t)))
 		} else {
 			sets = append(sets, db.index.OwnersSubstring(t))
@@ -249,7 +254,7 @@ func (db *Database) termMeetsStream(ctx context.Context, terms []string, opt *Op
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return db.meetStream(ctx, sets, copt, plan)
+	return sets, nil
 }
 
 // queryMeetsStream is termMeetsStream for a query-language request:

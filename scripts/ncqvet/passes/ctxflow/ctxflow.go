@@ -8,7 +8,7 @@
 //     annotated with //lint:ncqvet-ignore and a reason.
 //
 //  2. a function holding a context must not call a context-less
-//     callee that has a *Context sibling (Meet vs MeetContext): the
+//     callee that has a *Context sibling (Load vs LoadContext): the
 //     sibling exists precisely so the ctx can thread through.
 //
 // Calls whose first parameter already is a context.Context need no

@@ -82,9 +82,5 @@ func (db *Database) MeetOfTermsExpanded(t *Thesaurus, opt *Options, terms ...str
 	if t == nil {
 		return db.MeetOfTerms(opt, terms...)
 	}
-	sets := make([][]NodeID, 0, len(terms))
-	for _, term := range terms {
-		sets = append(sets, fulltext.Owners(db.index.SearchExpanded(t.t, term)))
-	}
-	return db.meetOfSets(sets, opt)
+	return db.meetInDocOrder(opt, nil, terms, t.t)
 }

@@ -3,9 +3,9 @@ package ncq
 // The vague-constraints query mode: path constraints match
 // approximately (internal/vague's relaxation lattice over the path
 // summary) and the score blends structural slack into meet distance.
-// This file holds the request surface (the Vague spec) and the
-// compilation of a vague request's options into the core engine —
-// execution itself rides the ordinary incremental pipeline of
+// This file holds the request surface (the Vague spec) and the plan a
+// vague request's options compile into (Options.compile) — execution
+// itself rides the ordinary incremental pipeline of
 // results.go, which is what keeps the k-way merge, limit push-down,
 // cursors and streaming working unchanged.
 
@@ -108,80 +108,25 @@ func (p *vaguePlan) blend(results []core.Result) {
 	}
 }
 
-// compileVague lowers Options into core.Options the way compile does,
-// except that restrict patterns select approximately: every path
-// within vg.MaxSlack rewrites of a restrict pattern is admissible,
-// tagged in the returned plan with its minimal slack across patterns.
-// Exclude patterns (and the root exclusion) stay exact.
-func (o *Options) compileVague(db *Database, vg *Vague) (*core.Options, *vaguePlan, error) {
-	plan := &vaguePlan{
-		slack:        map[pathsum.PathID]int{},
-		relaxBySlack: make([]int, vg.MaxSlack+1),
-	}
-	if o == nil {
-		return nil, plan, nil
-	}
-	opt := &core.Options{
-		MaxLift:      o.maxLift,
-		MaxDistance:  o.maxDistance,
-		SkipExcluded: o.skipExcluded,
-	}
-	sum := db.store.Summary()
-	if o.excludeRoot || len(o.excludePatterns) > 0 {
-		opt.Exclude = map[pathsum.PathID]bool{}
-		if o.excludeRoot {
-			opt.Exclude[sum.Root()] = true
+// admit adds to admissible every path within maxSlack rewrites of a
+// restrict pattern, and records the minimal slack of the relaxed ones.
+// A path admitted by several patterns keeps its cheapest slack;
+// iterating paths, not pattern-match maps, keeps the walk
+// deterministic.
+func (p *vaguePlan) admit(pats []*pathexpr.Pattern, sum *pathsum.Summary, maxSlack int, admissible map[pathsum.PathID]bool) {
+	for _, pid := range sum.AllPaths() {
+		best, found := 0, false
+		for _, pat := range pats {
+			if s, ok := vague.Slack(pat, sum, pid, maxSlack); ok && (!found || s < best) {
+				best, found = s, true
+			}
 		}
-		for _, src := range o.excludePatterns {
-			pat, err := pathexpr.Compile(src)
-			if err != nil {
-				return nil, nil, fmt.Errorf("ncq: exclude pattern: %w", err)
-			}
-			for _, pid := range pat.SelectPaths(sum) {
-				opt.Exclude[pid] = true
-			}
+		if !found {
+			continue
+		}
+		admissible[pid] = true
+		if best > 0 {
+			p.slack[pid] = best
 		}
 	}
-	if len(o.restrictPatterns) > 0 {
-		pats := make([]*pathexpr.Pattern, len(o.restrictPatterns))
-		for i, src := range o.restrictPatterns {
-			pat, err := pathexpr.Compile(src)
-			if err != nil {
-				return nil, nil, fmt.Errorf("ncq: restrict pattern: %w", err)
-			}
-			pats[i] = pat
-		}
-		// The admissible set is the union over patterns of the paths
-		// within budget; a path admitted by several patterns keeps its
-		// cheapest slack (iterating paths, not pattern-match maps, keeps
-		// the walk deterministic).
-		admissible := map[pathsum.PathID]bool{}
-		for _, pid := range sum.AllPaths() {
-			best, found := 0, false
-			for _, pat := range pats {
-				if s, ok := vague.Slack(pat, sum, pid, vg.MaxSlack); ok {
-					if !found || s < best {
-						best, found = s, true
-					}
-				}
-			}
-			if !found {
-				continue
-			}
-			admissible[pid] = true
-			if best > 0 {
-				plan.slack[pid] = best
-			}
-		}
-		if opt.Exclude == nil {
-			opt.Exclude = map[pathsum.PathID]bool{}
-		}
-		for _, pid := range sum.ElemPaths() {
-			if !admissible[pid] {
-				opt.Exclude[pid] = true
-			}
-		}
-		opt.SkipExcluded = true
-	}
-	return opt, plan, nil
 }
