@@ -252,12 +252,12 @@ func BenchmarkLocateSubstring(b *testing.B) {
 	})
 }
 
-// BenchmarkMeetRollup measures the warm columnar roll-up of the
-// general meet (Figure 5) on a Figure-7-sized input: the combined hits
-// as one input set to core.MeetMultiContext — a lone set drains
-// straight into the path buckets — with path-bucketed scratch recycled
+// BenchmarkMeetRollup measures the warm roll-up of the general meet
+// (Figure 5) on a Figure-7-sized input: the combined hits as one input
+// set to core.MeetMultiContext — a lone set drains straight into the
+// one preorder pass — with the pass's chain and contributions recycled
 // across queries, so a steady-state query allocates O(results), not
-// O(inputs·levels).
+// O(inputs).
 func BenchmarkMeetRollup(b *testing.B) {
 	setup := dblp(b)
 	hits := setup.Index.SearchSubstring("ICDE")

@@ -17,7 +17,7 @@ import (
 
 // meetMulti and meetOIDs are the tests' ctx-less spellings of the one
 // entry: term sets, and one flat set of inputs (what the retired
-// MeetOIDs took) — whose roll-up buckets them by path.
+// MeetOIDs took), whatever their paths.
 func meetMulti(s *monetx.Store, sets [][]bat.OID, opt *Options) ([]Result, []bat.OID, error) {
 	return MeetMultiContext(context.Background(), s, sets, opt)
 }
@@ -59,10 +59,10 @@ type contribution struct {
 }
 
 // naiveMeet is an independent reference implementation of the general
-// meet: instead of contracting the path summary (Figure 5) it sweeps
-// node depths from the deepest level upward. Contributions collide at
-// the same instance nodes either way, so the two formulations must
-// agree; they share no code.
+// meet: instead of one preorder pass (or Figure 5's contraction of the
+// path summary, figure5) it sweeps node depths from the deepest level
+// upward. Contributions collide at the same instance nodes either way,
+// so the formulations must agree; they share no code.
 func naiveMeet(s *monetx.Store, oids []bat.OID, exclude map[pathsum.PathID]bool) ([]Result, []bat.OID) {
 	byDepth := map[int]map[bat.OID][]contribution{}
 	seen := map[bat.OID]bool{}
@@ -567,7 +567,7 @@ func TestMinPairDistance(t *testing.T) {
 	for _, c := range cases {
 		var run []entry
 		for i, l := range c.lifts {
-			run = append(run, entry{cur: 1, orig: bat.OID(i + 1), lifts: l})
+			run = append(run, entry{orig: bat.OID(i + 1), lifts: l})
 		}
 		if got := minPairLifts(run); got != c.want {
 			t.Errorf("minPairLifts(%v) = %d, want %d", c.lifts, got, c.want)

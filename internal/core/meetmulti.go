@@ -84,39 +84,45 @@ func (sc *scratch) openSets(s *monetx.Store, inputSets [][]bat.OID) error {
 //     ⟨o15,"Bob Byte"⟩ and meet_S reports the cdata node o15 itself
 //     (D := O1 ∩ O2 before any lifting).
 //   - All remaining objects are handed to the general roll-up of
-//     Figure 5, which buckets them by path. A single set is that
-//     roll-up over a flat list of objects, whatever their paths.
+//     Figure 5, in document order. A single set is that roll-up over a
+//     flat list of objects, whatever their paths.
 //
 // Exclusion applies to the degenerate self-meets as well: an excluded
 // self-meet consumes its object silently, unless SkipExcluded is set,
 // in which case the object continues into the roll-up as an ordinary
-// single contribution. ctx is checked once per contracted level of the
-// roll-up, so a deadline interrupts even one huge meet mid-flight.
+// single contribution. ctx is checked before the roll-up and then
+// every 4,096 inputs, so a deadline interrupts even one huge meet
+// mid-flight.
 //
 // Results are in document order — a rolled-up meet before the self-meet
 // on the same node; unmatched inputs ascending.
 func MeetMultiContext(ctx context.Context, s *monetx.Store, inputSets [][]bat.OID, opt *Options) ([]Result, []bat.OID, error) {
-	sc := getScratch(s.Summary().Len())
+	sc := getScratch()
 	defer putScratch(sc)
 	if err := sc.openSets(s, inputSets); err != nil {
 		return nil, nil, fmt.Errorf("core: MeetMulti: %w", err)
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
 	// Columnar set counting by k-way merge: the ascending sets are
-	// merged in (OID, set) order straight into the sweep, so every
+	// merged in (OID, set) order straight into the roll-up, so every
 	// distinct OID is seen once with the number of distinct sets that
 	// hold it — duplicates within one set collapse — and that count
 	// decides between self-meet and roll-up. No pair is materialised
-	// and nothing is sorted.
+	// and nothing is sorted: the roll-up takes its inputs in exactly
+	// this order.
+	r := roll{s: s, opt: opt, sc: sc, maxLift: int32(opt.maxLift())}
 	var selfMeets []Result
-	total := 0
 	for h := sc.cursors; len(h) > 0; {
 		if len(h) == 1 {
 			// A lone set's OIDs can be in no other set: they go straight
-			// into the buckets, duplicates collapsed as above.
+			// into the roll-up, duplicates collapsed as above.
 			for i, o := range h[0].rest {
 				if i == 0 || o != h[0].rest[i-1] {
-					sc.add(s.PathOf(o), o)
-					total++
+					if err := r.add(ctx, o); err != nil {
+						return nil, nil, err
+					}
 				}
 			}
 			break
@@ -134,9 +140,8 @@ func MeetMultiContext(ctx context.Context, s *monetx.Store, inputSets [][]bat.OI
 			}
 			siftCursor(h, 0)
 		}
-		p := s.PathOf(o)
 		if k >= 2 {
-			switch {
+			switch p := s.PathOf(o); {
 			case opt.excluded(p) && opt.skipExcluded():
 				// Keep climbing as a single contribution.
 			case opt.excluded(p):
@@ -148,11 +153,10 @@ func MeetMultiContext(ctx context.Context, s *monetx.Store, inputSets [][]bat.OI
 				continue
 			}
 		}
-		sc.add(p, o)
-		total++
+		if err := r.add(ctx, o); err != nil {
+			return nil, nil, err
+		}
 	}
-	if total < 2 && len(selfMeets) == 0 {
-		return nil, sc.inputs(), nil
-	}
-	return rollup(ctx, s, sc, opt, selfMeets)
+	results, unmatched := r.finish(selfMeets)
+	return results, unmatched, nil
 }

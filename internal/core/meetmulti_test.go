@@ -54,9 +54,9 @@ func TestMeetMultiMixedSelfAndRollup(t *testing.T) {
 
 func TestMeetMultiSingleSetEqualsMeetOIDs(t *testing.T) {
 	// One flat set of inputs — what MeetOIDs took before the one-set call
-	// replaced it — is bucketed by path and rolled up: it must answer what
+	// replaced it — is rolled up whatever its paths: it must answer what
 	// the depth-sweep reference does, unsorted and repeated inputs
-	// included (a lone set drains straight into the buckets).
+	// included (a lone set drains straight into the roll-up).
 	s := fig1Store(t)
 	oids := []bat.OID{19, 8, 12, 10, 12}
 	got, gotUn, err := meetOIDs(s, oids, nil)
@@ -216,16 +216,15 @@ func TestMeetMultiEmpty(t *testing.T) {
 }
 
 // The differential tests above draw at most a dozen inputs over 60-70
-// node trees, so every bucket is shorter than anything sortRuns would
-// merge. The tests below are sized like traffic: thousands of nodes,
-// hundreds of inputs per term set, buckets of several interleaved
-// runs.
+// node trees, so no meet gathers more than a few witnesses. The tests
+// below are sized like traffic: thousands of nodes, hundreds of inputs
+// per term set, meets over many of them.
 
 // largeStore loads a random tree of at least 3,000 nodes over a
 // schema of two labels and five levels — a few dozen paths with a
 // hundred-odd nodes each, the shape of a real corpus. (xmltree.Random
-// scatters its nodes over so many paths that no bucket ever holds more
-// than a handful of entries.)
+// scatters its nodes over so many paths that few inputs ever share a
+// path.)
 func largeStore(t *testing.T, r *rand.Rand) *monetx.Store {
 	t.Helper()
 	b := xmltree.NewBuilder("root")

@@ -1,31 +1,39 @@
 package core
 
 // The columnar execution engine of the general meet (Figure 5). The
-// paper's pitch is that nearest concept queries run directly on the
-// path-partitioned binary relations — a layout chosen for speed — so
-// the roll-up keeps contributions in flat, path-bucketed slices
-// indexed by the dense PathID space of the path summary instead of
-// nested maps. Each contracted level orders its bucket by (current
-// ancestor, input) and sweeps collision runs in OID order; the buckets
-// are recycled across queries through a sync.Pool, so a steady-state
-// query allocates O(results), not O(inputs · levels).
+// paper contracts the path summary level by level, deepest first; the
+// store this reproduction keeps also holds every node's preorder
+// interval (o .. End(o)) and depth, which make ancestry an O(1) test,
+// so the roll-up is one stack pass over the inputs instead.
 //
-// Ordering a bucket is a natural merge sort (sortRuns), because the
-// bucket arrives nearly ordered. OIDs are preorder, so on one path the
-// parent is monotone in the child: entries ordered by cur stay ordered
-// once lifted, and within one cur they stay ordered by orig (the
-// inputs under distinct same-path nodes lie in disjoint, ordered
-// subtrees). A bucket is therefore the concatenation of at most
-// 1 + children(p) ascending runs — the path's own inputs, then one run
-// per child path lifted into it — and on real traffic four buckets in
-// five are a single run, which costs one comparison per entry to
-// confirm. Correctness does not lean on any of that: the merge runs
-// under the same (cur, orig) comparator a comparison sort would use
-// and orders any bucket — whatever the parent array of a hand-built
-// snapshot implies.
+// MeetMultiContext's set merge hands the inputs over ascending and
+// distinct, i.e. in preorder. In that order the nodes still holding
+// unsettled contributions always form one root-to-leaf chain of
+// frames. When the next input v lies outside a frame's interval, no
+// later input can reach that node either, so the frame is popped and
+// settled exactly as the level sweep decided the node: two or more
+// live contributions make it a meet — or, on an excluded path, consume
+// them, or under SkipExcluded let them climb on. The survivors lift to
+// where they can next collide: the frame below, or — when that frame
+// holds v, or there is none — the first ancestor whose interval holds
+// v, which becomes a frame of its own. Then v is pushed.
+//
+// Each frame's contributions are a slice of one pooled []entry,
+// ascending by input, and the frame below's slice ends where the top
+// frame's starts: witnesses come out ascending, and a lift into the
+// frame below keeps the survivors where they are. A single survivor —
+// the normal case — lifts in O(1) by depth difference; two or more
+// (only under SkipExcluded) step one parent at a time, deciding again
+// at each node. The pass costs O(inputs + ancestors walked), each
+// ancestor walked at most once, and nothing is sorted but the results,
+// once, into document order (and the unmatched inputs, which MaxLift
+// drops out of order). It trusts the intervals and depths it reads:
+// the loader derives them, and restoring a snapshot checks them
+// (monetx.ReadSnapshot).
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"ncq/internal/bat"
@@ -33,261 +41,231 @@ import (
 	"ncq/internal/pathsum"
 )
 
-// entry is one live contribution in the scratch buffers: the input OID
-// it stands for, the ancestor it has reached, and the parent joins
-// spent getting there.
+// entry is one live contribution: the input OID it stands for and the
+// parent joins spent lifting it so far.
 type entry struct {
-	cur   bat.OID
 	orig  bat.OID
 	lifts int32
 }
 
-// cmpEntry is the order every bucket is swept in: by the ancestor
-// reached, then by the input it stands for.
-func cmpEntry(a, b entry) int {
-	switch {
-	case a.cur != b.cur:
-		if a.cur < b.cur {
-			return -1
-		}
-		return 1
-	case a.orig != b.orig:
-		if a.orig < b.orig {
-			return -1
-		}
-		return 1
-	}
-	return 0
+// frame is one node of the chain: its OID, interval end and depth, and
+// where its contributions start in scratch.entries (they run up to the
+// next frame's offset, the top frame's to the end).
+type frame struct {
+	node  bat.OID
+	end   bat.OID
+	depth int32
+	off   int32
 }
 
-// scratch holds the reusable buffers of one roll-up: a contribution
-// bucket per path (indexed by dense PathID), the unmatched
-// accumulator (entries with cur == orig, so that sortRuns orders it
-// like any bucket), the run boundaries and merge buffer of sortRuns,
-// and the cursors of MeetMultiContext's set merge.
-// Buffers keep their capacity between queries; used is the prefix of
-// perPath that the current store's summary spans (pooled scratch may
-// be shared by stores with different path counts).
+// scratch holds the reusable buffers of one roll-up: the chain, the
+// contributions it holds, the unmatched inputs, and the cursors of
+// MeetMultiContext's set merge. They keep their capacity between
+// queries, whatever store the next one runs on.
 type scratch struct {
-	perPath   [][]entry
-	unmatched []entry
-	bounds    []int
-	merge     []entry
+	frames    []frame
+	entries   []entry
+	unmatched []bat.OID
 	cursors   []setCursor
-	used      int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-func getScratch(nPaths int) *scratch {
-	sc := scratchPool.Get().(*scratch)
-	if len(sc.perPath) < nPaths {
-		sc.perPath = append(sc.perPath, make([][]entry, nPaths-len(sc.perPath))...)
-	}
-	sc.used = nPaths
-	return sc
-}
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
 func putScratch(sc *scratch) {
-	for i := 0; i < sc.used; i++ {
-		sc.perPath[i] = sc.perPath[i][:0]
-	}
+	sc.frames = sc.frames[:0]
+	sc.entries = sc.entries[:0]
 	sc.unmatched = sc.unmatched[:0]
 	clear(sc.cursors) // the cursors hold the caller's input sets
 	sc.cursors = sc.cursors[:0]
 	scratchPool.Put(sc)
 }
 
-// drop retires a contribution that can no longer find a partner.
-func (sc *scratch) drop(e entry) {
-	sc.unmatched = append(sc.unmatched, entry{cur: e.orig, orig: e.orig})
+// pollEvery is how many inputs the pass takes between looks at the
+// context, so a deadline interrupts one huge roll-up mid-pass.
+const pollEvery = 4096
+
+// past is an OID after every node's interval: settling up to it
+// settles the whole chain.
+const past = ^bat.OID(0)
+
+// roll is one roll-up in progress.
+type roll struct {
+	s       *monetx.Store
+	opt     *Options
+	sc      *scratch
+	maxLift int32
+	inputs  int
+	results []Result
 }
 
-// add places one input contribution in its path's bucket. The caller
-// must have validated that o lies on path p.
-func (sc *scratch) add(p pathsum.PathID, o bat.OID) {
-	sc.perPath[p] = append(sc.perPath[p], entry{cur: o, orig: o, lifts: 0})
-}
-
-// inputs returns the distinct input OIDs currently in the scratch,
-// ascending — the degenerate answer when fewer than two objects exist.
-func (sc *scratch) inputs() []bat.OID {
-	out := make([]bat.OID, 0, 1)
-	for i := 0; i < sc.used; i++ {
-		for _, e := range sc.perPath[i] {
-			out = append(out, e.orig)
+// add takes the next input, which must follow every earlier one in
+// document order: it settles the frames v lies outside of and pushes
+// v's own. The context is polled every pollEvery inputs.
+func (r *roll) add(ctx context.Context, v bat.OID) error {
+	if r.inputs++; r.inputs%pollEvery == 0 {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 	}
-	return bat.SortDedup(out)
+	r.settleUpTo(v)
+	sc := r.sc
+	sc.frames = append(sc.frames, r.frameAt(v, len(sc.entries)))
+	sc.entries = append(sc.entries, entry{orig: v})
+	return nil
 }
 
-// sortRuns orders es by cmpEntry with a natural merge sort: one scan
-// finds the descents that separate the ascending runs es already
-// consists of, then adjacent runs are merged pairwise until one is
-// left. An ordered bucket costs len(es)-1 comparisons and no copy; r
-// runs cost O(len(es) · log r). Equal entries keep their order.
-func (sc *scratch) sortRuns(es []entry) {
-	// bounds[i] is where run i+1 starts; run 0 starts at 0.
-	bounds := sc.bounds[:0]
-	for i := 1; i < len(es); i++ {
-		if cmpEntry(es[i], es[i-1]) < 0 {
-			bounds = append(bounds, i)
-		}
-	}
-	for len(bounds) > 0 {
-		// One pass: merge runs (0,1), (2,3), ... and keep the boundary
-		// after each merged pair.
-		lo, w := 0, 0
-		for i := 0; i < len(bounds); i += 2 {
-			mid, hi := bounds[i], len(es)
-			if i+1 < len(bounds) {
-				hi = bounds[i+1]
-				bounds[w] = hi
-				w++
-			}
-			sc.mergeRuns(es[lo:hi], mid-lo)
-			lo = hi
-		}
-		bounds = bounds[:w]
-	}
-	sc.bounds = bounds
+// finish settles the whole chain and returns the results in document
+// order — selfMeets, MeetMultiContext's distance-zero answers, after a
+// rolled-up meet on the same node — and the unmatched inputs,
+// ascending.
+func (r *roll) finish(selfMeets []Result) ([]Result, []bat.OID) {
+	r.settleUpTo(past)
+	slices.Sort(r.sc.unmatched)
+	unmatched := append(make([]bat.OID, 0, len(r.sc.unmatched)), r.sc.unmatched...)
+	return SortByDocOrder(append(r.results, selfMeets...)), unmatched
 }
 
-// mergeRuns merges the ascending runs es[:mid] and es[mid:] in place:
-// the left run moves to the pooled buffer and the two are merged back
-// from the front, which can never overtake the unread part of the
-// right run.
-func (sc *scratch) mergeRuns(es []entry, mid int) {
-	left := append(sc.merge[:0], es[:mid]...)
-	sc.merge = left
-	i, j, w := 0, mid, 0
-	for i < len(left) && j < len(es) {
-		if cmpEntry(es[j], left[i]) < 0 {
-			es[w] = es[j]
-			j++
-		} else {
-			es[w] = left[i]
-			i++
-		}
-		w++
-	}
-	copy(es[w:], left[i:])
+func (r *roll) frameAt(o bat.OID, off int) frame {
+	return frame{node: o, end: r.s.End(o), depth: int32(r.s.Depth(o)), off: int32(off)}
 }
 
-// rollup contracts the path summary deepest-first over the scratch
-// buffers — the procedure meet of Figure 5 in columnar form. Inputs
-// must already have been validated and placed with add; duplicate
-// input OIDs collapse during the per-level sweep (a duplicate shares
-// its run's cur and orig, so it can never fabricate a collision).
-// ctx is checked once per contracted level so a deadline can
-// interrupt one huge roll-up mid-meet. selfMeets — MeetMultiContext's
-// distance-zero answers — join the results before the one sort into
-// document order, after a rolled-up meet on the same node.
-func rollup(ctx context.Context, s *monetx.Store, sc *scratch, opt *Options, selfMeets []Result) ([]Result, []bat.OID, error) {
-	sum := s.Summary()
-	maxLift := int32(opt.maxLift())
-	var results []Result
-	for _, p := range sum.DeepestFirst() {
-		entries := sc.perPath[p]
-		if len(entries) == 0 {
+// settleUpTo pops and settles, innermost first, every frame whose
+// interval v lies outside of. Every frame's node precedes v, so that
+// is every frame ending before v.
+func (r *roll) settleUpTo(v bat.OID) {
+	sc := r.sc
+	for n := len(sc.frames); n > 0 && sc.frames[n-1].end < v; n = len(sc.frames) {
+		f := sc.frames[n-1]
+		sc.frames = sc.frames[:n-1]
+		if len(sc.entries)-int(f.off) >= 2 && !r.decide(f.node, int(f.off)) {
 			continue
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		parentPath := sum.Parent(p)
-		sc.sortRuns(entries)
-		for i := 0; i < len(entries); {
-			j := i + 1
-			for j < len(entries) && entries[j].cur == entries[i].cur {
-				j++
-			}
-			run := dedupRun(entries[i:j])
-			i = j
-			// A collision of two or more live contributions makes cur
-			// a meet (it is the LCA of all of them, since
-			// contributions from a common deeper branch would have
-			// collided earlier).
-			if len(run) >= 2 {
-				excluded := opt.excluded(p)
-				switch {
-				case excluded && opt.skipExcluded():
-					// Extension: keep lifting past inadmissible paths.
-				case excluded:
-					continue // meet_P: consumed, not reported
-				default:
-					if d := opt.maxDistance(); d > 0 && minPairLifts(run) > d {
-						continue // consumed, beyond the pairwise bound
-					}
-					results = append(results, emitRun(s, run))
-					continue
-				}
-			}
-			// Lift the survivors one level.
-			if parentPath == pathsum.Invalid {
-				for _, e := range run {
-					sc.drop(e)
-				}
-				continue
-			}
-			parent := s.Parent(run[0].cur)
-			for _, e := range run {
-				if maxLift > 0 && e.lifts+1 > maxLift {
-					sc.drop(e)
-					continue
-				}
-				sc.perPath[parentPath] = append(sc.perPath[parentPath],
-					entry{cur: parent, orig: e.orig, lifts: e.lifts + 1})
-			}
-		}
-		sc.perPath[p] = entries[:0]
+		r.lift(f.node, f.depth, int(f.off), v)
 	}
-	// An input travels as exactly one contribution (dedupRun strips
-	// literal duplicates at lift 0), so the unmatched inputs are
-	// distinct; they were dropped level by level, each level ascending.
-	sc.sortRuns(sc.unmatched)
-	unmatched := make([]bat.OID, len(sc.unmatched))
-	for i, e := range sc.unmatched {
-		unmatched[i] = e.orig
-	}
-	return SortByDocOrder(append(results, selfMeets...)), unmatched, nil
 }
 
-// dedupRun collapses entries with equal orig inside one sorted
-// collision run. Distinct contributions always carry distinct origs —
-// an input travels as exactly one contribution — so this only strips
-// literal input duplicates, which all sit at lift 0.
-func dedupRun(run []entry) []entry {
-	w := 1
-	for i := 1; i < len(run); i++ {
-		if run[i].orig != run[w-1].orig {
-			run[w] = run[i]
-			w++
-		}
+// decide is the decision at a node two or more live contributions
+// (sc.entries[off:]) reached. It reports whether they lift on — an
+// excluded node under SkipExcluded; otherwise the node consumes them,
+// as a meet unless its path is excluded (meet_P) or its two closest
+// witnesses are beyond MaxDistance.
+func (r *roll) decide(node bat.OID, off int) bool {
+	es := r.sc.entries[off:]
+	switch p := r.s.PathOf(node); {
+	case r.opt.excluded(p) && r.opt.skipExcluded():
+		return true
+	case r.opt.excluded(p):
+		// meet_P: consumed, not reported
+	case r.opt.maxDistance() > 0 && minPairLifts(es) > r.opt.maxDistance():
+		// consumed, beyond the pairwise bound
+	default:
+		r.results = append(r.results, emit(node, p, es))
 	}
-	return run[:w]
+	r.sc.entries = r.sc.entries[:off]
+	return false
 }
 
-// emitRun assembles a Result from a collision run. The run is sorted
-// by orig, so the witness list is ascending without a further sort.
-func emitRun(s *monetx.Store, run []entry) Result {
-	ws := make([]bat.OID, len(run))
+// lift moves the survivors sc.entries[off:] up from node, of the given
+// depth, to where they can next collide: the frame below, which they
+// join, or — when that frame's interval holds v, or there is none —
+// the first ancestor whose interval holds v, pushed as a new frame.
+// Past the root, or past MaxLift, a contribution is unmatched.
+func (r *roll) lift(node bat.OID, depth int32, off int, v bat.OID) {
+	sc := r.sc
+	var below *frame
+	if n := len(sc.frames); n > 0 {
+		below = &sc.frames[n-1]
+	}
+	// Two or more survivors climb one parent at a time, deciding again
+	// at every node on the way; none of those nodes holds anything else.
+	for len(sc.entries)-off >= 2 {
+		if node = r.s.Parent(node); node == bat.Nil {
+			r.drop(off)
+			return
+		}
+		depth--
+		r.climb(off)
+		switch {
+		case len(sc.entries) == off, below != nil && node == below.node:
+			return
+		case v <= r.s.End(node):
+			sc.frames = append(sc.frames, r.frameAt(node, off))
+			return
+		case len(sc.entries)-off >= 2 && !r.decide(node, off):
+			return
+		}
+	}
+	// One survivor: nothing on its way up can meet it, so it lifts by
+	// depth difference.
+	target, tdepth := bat.Nil, int32(0)
+	if below != nil && below.end < v {
+		target, tdepth = below.node, below.depth
+	} else {
+		for target = r.s.Parent(node); target != bat.Nil && r.s.End(target) < v; target = r.s.Parent(target) {
+		}
+		if target == bat.Nil {
+			r.drop(off)
+			return
+		}
+		tdepth = int32(r.s.Depth(target))
+	}
+	e := &sc.entries[off]
+	if e.lifts += depth - tdepth; r.maxLift > 0 && e.lifts > r.maxLift {
+		r.drop(off)
+		return
+	}
+	if below == nil || target != below.node {
+		sc.frames = append(sc.frames, frame{node: target, end: r.s.End(target), depth: tdepth, off: int32(off)})
+	}
+}
+
+// climb charges every survivor from off one more parent join and
+// retires those that exceed MaxLift.
+func (r *roll) climb(off int) {
+	sc := r.sc
+	w := off
+	for _, e := range sc.entries[off:] {
+		if e.lifts++; r.maxLift > 0 && e.lifts > r.maxLift {
+			sc.unmatched = append(sc.unmatched, e.orig)
+			continue
+		}
+		sc.entries[w] = e
+		w++
+	}
+	sc.entries = sc.entries[:w]
+}
+
+// drop retires the contributions sc.entries[off:] as unmatched.
+func (r *roll) drop(off int) {
+	sc := r.sc
+	for _, e := range sc.entries[off:] {
+		sc.unmatched = append(sc.unmatched, e.orig)
+	}
+	sc.entries = sc.entries[:off]
+}
+
+// emit assembles a Result from the contributions at a meet, ascending
+// by input, so the witness list needs no sort.
+func emit(node bat.OID, p pathsum.PathID, es []entry) Result {
+	ws := make([]bat.OID, len(es))
 	total := 0
-	for i, e := range run {
+	for i, e := range es {
 		ws[i] = e.orig
 		total += int(e.lifts)
 	}
-	return Result{Meet: run[0].cur, Path: s.PathOf(run[0].cur), Witnesses: ws, Distance: total}
+	return Result{Meet: node, Path: p, Witnesses: ws, Distance: total}
 }
 
 // minPairLifts returns the distance between the two closest witnesses
-// of a run: the sum of the two smallest lift counts.
-func minPairLifts(run []entry) int {
-	if len(run) < 2 {
+// of a meet: the sum of the two smallest lift counts.
+func minPairLifts(es []entry) int {
+	if len(es) < 2 {
 		return 0
 	}
 	min1, min2 := int32(1<<30), int32(1<<30)
-	for _, e := range run {
+	for _, e := range es {
 		switch l := e.lifts; {
 		case l < min1:
 			min1, min2 = l, min1

@@ -13,13 +13,14 @@ import (
 	"ncq/internal/xmltree"
 )
 
-// bigStore builds a deep, wide document so the roll-up has many
-// contracted levels to check the context between.
-func bigStore(t testing.TB) *monetx.Store {
+// bigStore builds a deep, wide document: a root over the given number
+// of branches, each a chain of twelve levels down to a leaf — fifteen
+// nodes a branch.
+func bigStore(t testing.TB, branches int) *monetx.Store {
 	t.Helper()
 	var b strings.Builder
 	b.WriteString("<root>")
-	for i := 0; i < 40; i++ {
+	for i := 0; i < branches; i++ {
 		b.WriteString(fmt.Sprintf("<branch n=\"%d\">", i))
 		for d := 0; d < 12; d++ {
 			b.WriteString("<level>")
@@ -46,7 +47,7 @@ func bigStore(t testing.TB) *monetx.Store {
 // cancelled context interrupts the roll-up of one large member
 // mid-meet instead of running it to completion.
 func TestMeetContextCancelled(t *testing.T) {
-	s := bigStore(t)
+	s := bigStore(t, 40)
 	oids := make([]bat.OID, 0, s.Len())
 	for o := 1; o <= s.Len(); o++ {
 		oids = append(oids, bat.OID(o))
@@ -63,8 +64,47 @@ func TestMeetContextCancelled(t *testing.T) {
 
 // TestMeetContextBackgroundMatchesPlain pins that the context is only
 // ever checked: a live, cancellable one answers what Background does.
+// flipCtx is a context whose Err reports cancellation from its flipAt-th
+// call on, counting the calls.
+type flipCtx struct {
+	context.Context
+	calls, flipAt int
+}
+
+func (c *flipCtx) Err() error {
+	if c.calls++; c.calls >= c.flipAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestMeetContextPolledMidPass pins the cadence: the context is polled
+// once before the pass and then every pollEvery inputs, so a
+// cancellation that lands mid-pass stops the member at the next poll.
+func TestMeetContextPolledMidPass(t *testing.T) {
+	s := bigStore(t, 700) // 10,501 nodes: polls before the pass and at inputs 4,096 and 8,192
+	oids := make([]bat.OID, 0, s.Len())
+	for o := 1; o <= s.Len(); o++ {
+		oids = append(oids, bat.OID(o))
+	}
+	polls := 1 + s.Len()/pollEvery
+	for flipAt := 2; flipAt <= polls; flipAt++ {
+		ctx := &flipCtx{Context: context.Background(), flipAt: flipAt}
+		if _, _, err := MeetMultiContext(ctx, s, [][]bat.OID{oids}, nil); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Err flipping on call %d: err = %v, want context.Canceled", flipAt, err)
+		}
+		if ctx.calls != flipAt {
+			t.Fatalf("Err flipping on call %d: the pass went on to call %d", flipAt, ctx.calls)
+		}
+	}
+	ctx := &flipCtx{Context: context.Background(), flipAt: polls + 1}
+	if _, _, err := MeetMultiContext(ctx, s, [][]bat.OID{oids}, nil); err != nil || ctx.calls != polls {
+		t.Fatalf("Err flipping after the last poll: err = %v after %d calls, want nil after %d", err, ctx.calls, polls)
+	}
+}
+
 func TestMeetContextBackgroundMatchesPlain(t *testing.T) {
-	s := bigStore(t)
+	s := bigStore(t, 40)
 	oids := []bat.OID{5, 19, 33, 47, 61}
 	a, ua, err := meetOIDs(s, oids, nil)
 	if err != nil {
@@ -84,58 +124,45 @@ func TestMeetContextBackgroundMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestMeetScratchReuse hammers one store through the pooled scratch to
-// verify recycled buffers never leak state between queries.
+// TestMeetScratchReuse hammers two stores with different path counts
+// through the pooled scratch to verify recycled buffers never leak
+// state between queries, whichever store the last one ran on.
 func TestMeetScratchReuse(t *testing.T) {
-	s := fig1Store(t)
+	s, big := fig1Store(t), bigStore(t, 3)
+	if s.Summary().Len() == big.Summary().Len() {
+		t.Fatal("the two stores share a path count")
+	}
+	bigIn := []bat.OID{14, 15, 29, 44}
 	want, wantUn, err := meetOIDs(s, []bat.OID{8, 12, 19}, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	bigWant, bigWantUn, err := meetOIDs(big, bigIn, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bigWant) == 0 {
+		t.Fatal("the second store's query has no meet — the case checks nothing")
 	}
 	for i := 0; i < 50; i++ {
 		got, gotUn, err := meetOIDs(s, []bat.OID{8, 12, 19}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !resultsEqual(got, want) || len(gotUn) != len(wantUn) {
+		if !resultsEqual(got, want) || !slices.Equal(gotUn, wantUn) {
 			t.Fatalf("iteration %d: scratch reuse changed the answer: %+v vs %+v", i, got, want)
 		}
-		// Interleave a differently shaped query on the same pool.
+		// Interleave a differently shaped query on the same pool, then
+		// the other store.
 		if _, _, err := meetMulti(s, [][]bat.OID{{15}, {15, 17}}, nil); err != nil {
 			t.Fatal(err)
 		}
+		got, gotUn, err = meetOIDs(big, bigIn, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resultsEqual(got, bigWant) || !slices.Equal(gotUn, bigWantUn) {
+			t.Fatalf("iteration %d: scratch reuse changed the second store's answer: %+v vs %+v", i, got, bigWant)
+		}
 	}
-}
-
-// FuzzSortRuns pins the one bucket-ordering routine against the sort
-// it replaced: for arbitrary entries — cur values no preorder tree
-// could produce included — sortRuns must leave exactly what a stable
-// comparison sort under cmpEntry leaves (stable, because sortRuns is:
-// that decides the order of entries the comparator calls equal, which
-// slices.SortFunc leaves open). Each input is sorted twice through one
-// scratch, a prefix and then the whole, so the pooled merge buffer and
-// run boundaries are reused across calls of different lengths.
-func FuzzSortRuns(f *testing.F) {
-	f.Add([]byte{}, uint8(0))
-	f.Add([]byte{1, 1, 0}, uint8(1))
-	f.Add([]byte{1, 1, 0, 2, 2, 0, 3, 3, 0, 1, 4, 1, 2, 5, 1, 3, 6, 1}, uint8(3))          // two interleaved runs
-	f.Add([]byte{9, 1, 0, 8, 2, 0, 7, 3, 0, 6, 4, 0, 5, 5, 0, 4, 6, 0, 3, 7, 0}, uint8(2)) // descending: every entry its own run
-	f.Add([]byte{5, 5, 0, 5, 5, 1, 5, 5, 2, 1, 9, 0, 5, 5, 3, 1, 9, 1}, uint8(4))          // equal keys, distinct lifts
-	f.Fuzz(func(t *testing.T, data []byte, cut uint8) {
-		es := make([]entry, len(data)/3)
-		for i := range es {
-			es[i] = entry{cur: bat.OID(data[3*i]), orig: bat.OID(data[3*i+1]), lifts: int32(data[3*i+2])}
-		}
-		sc := new(scratch)
-		prefix := es[:min(int(cut), len(es))]
-		for _, in := range [][]entry{prefix, es} {
-			want := slices.Clone(in)
-			slices.SortStableFunc(want, cmpEntry)
-			got := slices.Clone(in)
-			sc.sortRuns(got)
-			if !slices.Equal(got, want) {
-				t.Fatalf("sortRuns(%v)\n got %v\nwant %v", in, got, want)
-			}
-		}
-	})
 }

@@ -259,6 +259,41 @@ func min(a, b int) int {
 	return b
 }
 
+// checkTree holds the per-OID arrays to one tree, in one preorder pass.
+// Contains and the roll-up read ancestry off the intervals and depths,
+// not the parent array, so all three must describe the same tree: OID
+// 1 is the root, at depth 0, its interval spanning every OID; every
+// other node's parent is the innermost interval still open at it, its
+// interval nests in its parent's, and its depth is one more. The
+// innermost open interval at o is found by walking up from o-1 past
+// the intervals that closed before o; no node is walked past twice, so
+// the pass is O(n). It relies on the per-OID checks before it: every
+// parent is an earlier node and every interval ends inside the arrays.
+func checkTree(parent []bat.OID, depth []int32, end []bat.OID) error {
+	n := len(parent)
+	if depth[1] != 0 || int(end[1]) != n-1 {
+		return fmt.Errorf("root OID 1 at depth %d spans 1..%d, not every OID 1..%d", depth[1], end[1], n-1)
+	}
+	for o := bat.OID(2); int(o) < n; o++ {
+		p, open := parent[o], o-1
+		for end[open] < o {
+			if open == p {
+				return fmt.Errorf("OID %d lies past the end %d of its parent %d's interval", o, end[p], p)
+			}
+			open = parent[open]
+		}
+		switch {
+		case open != p:
+			return fmt.Errorf("OID %d has parent %d, but the innermost interval open at it is %d's", o, p, open)
+		case end[o] > end[p]:
+			return fmt.Errorf("OID %d's interval end %d reaches past its parent %d's end %d", o, end[o], p, end[p])
+		case depth[o] != depth[p]+1:
+			return fmt.Errorf("OID %d has depth %d under parent %d at depth %d", o, depth[o], p, depth[p])
+		}
+	}
+	return nil
+}
+
 // ReadSnapshot deserialises a store written by WriteSnapshot,
 // discarding the shard framing.
 func ReadSnapshot(r io.Reader) (*Store, error) {
@@ -388,6 +423,9 @@ func readSnapshot(r io.Reader) (*Store, int, int, error) {
 			return nil, 0, 0, fmt.Errorf("OID %d has subtree end %d outside %d..%d", i, end[i], i, n-1)
 		}
 		s.end[i] = bat.OID(end[i])
+	}
+	if err := checkTree(s.parent, depth, s.end); err != nil {
+		return nil, 0, 0, err
 	}
 	nRelsU, err := sr.u32()
 	if err != nil {

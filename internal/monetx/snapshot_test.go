@@ -142,6 +142,39 @@ func TestSnapshotHostileLengths(t *testing.T) {
 	}
 }
 
+// TestReadSnapshotRejectsInconsistentTree restores Figure-1 snapshots
+// whose per-OID arrays were mutated before writing, so the checksum
+// holds: each describes no tree, or a tree Contains and the parent
+// array disagree about, and each must be refused by name.
+func TestReadSnapshotRejectsInconsistentTree(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		mutate     func(s *Store)
+	}{
+		// o3 (the first article) ends at o10, before its year o11.
+		{"shrunk end", "past the end 10 of its parent 3's interval", func(s *Store) { s.end[3] = 10 }},
+		// o12 (cdata "1999") claims o13, the second article.
+		{"overlong end", "OID 12's interval end 13 reaches past its parent 11's end 12", func(s *Store) { s.end[12] = 13 }},
+		{"wrong depth", "OID 8 has depth 7 under parent 7 at depth 4", func(s *Store) { s.depth[8] = 7 }},
+		// o11 (year) names its sibling o4 (author) as parent.
+		{"sibling as parent", "OID 11 has parent 4, but the innermost interval open at it is 3's", func(s *Store) { s.parent[11] = 4 }},
+		{"short root", "root OID 1 at depth 0 spans 1..18, not every OID 1..19", func(s *Store) { s.end[1] = 18 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := fig1Store(t)
+			c.mutate(s)
+			var buf bytes.Buffer
+			if err := s.WriteSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			back, err := ReadSnapshot(&buf)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("ReadSnapshot = (%v, %v), want an error naming %q", back, err, c.want)
+			}
+		})
+	}
+}
+
 func TestSnapshotShardFraming(t *testing.T) {
 	s := fig1Store(t)
 	var buf bytes.Buffer

@@ -195,6 +195,10 @@ func (s *Store) Label(o bat.OID) string { return s.summary.Label(s.pathOf[o]) }
 // PathString renders o's path, e.g. "/bibliography/institute/article".
 func (s *Store) PathString(o bat.OID) string { return s.summary.String(s.pathOf[o]) }
 
+// End returns the last OID of o's subtree: o's preorder interval is
+// o..End(o).
+func (s *Store) End(o bat.OID) bat.OID { return s.end[o] }
+
 // Contains reports whether descendant lies in ancestor's subtree
 // (ancestor included), in O(1) via the preorder interval.
 func (s *Store) Contains(ancestor, descendant bat.OID) bool {

@@ -6,6 +6,8 @@
 // summary doubles as the catalogue of the store. It is tree-shaped —
 // each path has a unique parent path — which is exactly the structure
 // the general meet algorithm (Figure 5 of the paper) rolls up bottom-up.
+// internal/core runs that roll-up over the nodes' preorder intervals
+// instead; here the summary names the result type of each meet.
 //
 // The prefix order of Definition 5 (path(o1) ≤ path(o2) iff path(o2)
 // is a prefix of path(o1)) becomes an ancestor test on summary nodes.
@@ -15,11 +17,7 @@
 // searched in its own child list, a wide one through a map.
 package pathsum
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "fmt"
 
 // PathID identifies an interned path. IDs are dense indices starting at
 // 0 (the root path); Invalid marks "no path".
@@ -72,12 +70,6 @@ type key struct {
 type Summary struct {
 	nodes []node
 	byKey map[key]PathID
-
-	// dfMu guards the lazily built DeepestFirst cache. Interning
-	// invalidates it; concurrent readers of a fully loaded summary
-	// share one computation (mirroring the BAT's lazy head index).
-	dfMu    sync.Mutex
-	dfCache []PathID
 }
 
 // New returns an empty summary.
@@ -121,9 +113,6 @@ func (s *Summary) Intern(parent PathID, label string, kind Kind) (PathID, error)
 	id := PathID(len(s.nodes))
 	s.nodes = append(s.nodes, node{parent: parent, label: label, str: prefix + sep + label, kind: kind, depth: depth})
 	s.byKey[key{parent, label, kind}] = id
-	s.dfMu.Lock()
-	s.dfCache = nil
-	s.dfMu.Unlock()
 	if parent != Invalid {
 		if kind == Attr {
 			s.nodes[parent].attrs = append(s.nodes[parent].attrs, id)
@@ -280,37 +269,6 @@ func (s *Summary) IsPrefix(anc, id PathID) bool {
 // when q's path is a prefix of p's (q at-or-above p). It is IsPrefix
 // with the argument order of Definition 5.
 func (s *Summary) Leq(p, q PathID) bool { return s.IsPrefix(q, p) }
-
-// DeepestFirst returns all element PathIDs ordered by decreasing depth
-// (ties in ascending ID order). This is the contraction order of the
-// general meet algorithm: every path appears after all of its summary
-// children, so rolling up in this order contracts leaves repeatedly
-// until the root is reached (Figure 5 of the paper).
-//
-// The order is computed once and cached (interning invalidates it);
-// the returned slice is shared and must not be modified.
-func (s *Summary) DeepestFirst() []PathID {
-	s.dfMu.Lock()
-	defer s.dfMu.Unlock()
-	if s.dfCache != nil {
-		return s.dfCache
-	}
-	out := make([]PathID, 0, len(s.nodes))
-	for id := range s.nodes {
-		if s.nodes[id].kind == Elem {
-			out = append(out, PathID(id))
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		di, dj := s.nodes[out[i]].depth, s.nodes[out[j]].depth
-		if di != dj {
-			return di > dj
-		}
-		return out[i] < out[j]
-	})
-	s.dfCache = out
-	return out
-}
 
 // ElemPaths returns all element PathIDs in interning order.
 func (s *Summary) ElemPaths() []PathID {

@@ -179,32 +179,6 @@ func TestPrefixOrder(t *testing.T) {
 	}
 }
 
-func TestDeepestFirst(t *testing.T) {
-	s, _ := fixture(t)
-	order := s.DeepestFirst()
-	pos := map[PathID]int{}
-	for i, id := range order {
-		pos[id] = i
-	}
-	for _, id := range s.ElemPaths() {
-		for _, c := range s.Children(id) {
-			if pos[c] > pos[id] {
-				t.Errorf("child %s ordered after parent %s", s.String(c), s.String(id))
-			}
-		}
-	}
-	// Attribute paths are excluded.
-	for _, id := range order {
-		if s.Kind(id) != Elem {
-			t.Errorf("DeepestFirst contains attribute path %s", s.String(id))
-		}
-	}
-	// Last entry must be the root.
-	if order[len(order)-1] != s.Root() {
-		t.Error("root is not last in DeepestFirst")
-	}
-}
-
 func TestAllPathsAndElemPaths(t *testing.T) {
 	s, _ := fixture(t)
 	all := s.AllPaths()

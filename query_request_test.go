@@ -14,9 +14,9 @@ import (
 )
 
 // deepTwoLabelDoc is a random tree over two labels and five levels: a
-// few dozen paths with many nodes each, so that bindings and roll-up
-// buckets are long (xmltree.Random scatters its nodes over so many
-// paths that none is).
+// few dozen paths with many nodes each, so that bindings are long and
+// many inputs share ancestors (xmltree.Random scatters its nodes over
+// so many paths that they do not).
 func deepTwoLabelDoc(r *rand.Rand, minNodes int) *xmltree.Document {
 	return xmltree.MustDocument("root", func(b *xmltree.Builder) {
 		n := 1

@@ -283,9 +283,9 @@ func (db *Database) queryMeetsStream(ctx context.Context, q *query.Query) (*loca
 // meetStream rolls the input sets up and ranks the answers lazily —
 // the one meet execution of the pipeline, whoever produced the sets.
 func (db *Database) meetStream(ctx context.Context, sets [][]NodeID, copt *core.Options, plan *vaguePlan) (*localStream, error) {
-	// The context threads into the roll-up itself (checked per
-	// contracted level), so a deadline interrupts one huge member
-	// mid-meet, not just between members.
+	// The context threads into the roll-up itself (checked every 4,096
+	// inputs), so a deadline interrupts one huge member mid-meet, not
+	// just between members.
 	results, un, err := core.MeetMultiContext(ctx, db.store, sets, copt)
 	if err != nil {
 		return nil, fmt.Errorf("ncq: %w", err)

@@ -2,10 +2,13 @@ package ncq
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
 
+	"ncq/internal/bat"
+	"ncq/internal/core"
 	"ncq/internal/xmltree"
 )
 
@@ -105,7 +108,10 @@ func TestSnapshotShardFacade(t *testing.T) {
 
 // FuzzOpenSnapshot throws mutated snapshot bytes at the decoder. The
 // invariants: never panic, never allocate unboundedly ahead of the
-// input, and any accepted input must re-save to a loadable snapshot.
+// input, and any accepted input must re-save to a loadable snapshot and
+// describe one tree — the preorder intervals agree with the parent
+// array on every pair of nodes, and a meet over every OID finds each
+// witness inside its meet.
 func FuzzOpenSnapshot(f *testing.F) {
 	db, err := FromDocument(xmltree.Fig1())
 	if err != nil {
@@ -129,6 +135,29 @@ func FuzzOpenSnapshot(f *testing.F) {
 		}
 		if _, err := OpenSnapshot(bytes.NewReader(out.Bytes())); err != nil {
 			t.Fatalf("re-saved snapshot does not load: %v", err)
+		}
+		s := back.store
+		all := make([]bat.OID, s.Len())
+		for i := range all {
+			all[i] = bat.OID(i + 1)
+		}
+		for _, a := range all {
+			for _, d := range all {
+				if s.Contains(a, d) != s.ContainsViaJoins(a, d) {
+					t.Fatalf("Contains(%d, %d) = %v, the parent array says %v", a, d, s.Contains(a, d), s.ContainsViaJoins(a, d))
+				}
+			}
+		}
+		results, _, err := core.MeetMultiContext(context.Background(), s, [][]bat.OID{all}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range results {
+			for _, w := range r.Witnesses {
+				if !s.ContainsViaJoins(r.Meet, w) {
+					t.Fatalf("meet %d does not contain its witness %d", r.Meet, w)
+				}
+			}
 		}
 	})
 }
