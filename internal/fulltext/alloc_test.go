@@ -51,12 +51,12 @@ func TestScanAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// TestOwnersSubstringAllocs pins the owners-only `contains` path: warm,
-// it allocates its result and nothing else — the row bitset and the
-// trigram intersection's intermediates are pooled — whatever the size
-// of the value table, and a needle that matches nothing allocates
-// nothing at all, whether the index rejects it ("absent") or only the
-// verifier does ("abcd" against "abcXbcd").
+// TestOwnersSubstringAllocs pins the owners-only `contains` path. A
+// memo hit allocates nothing. A miss allocates its result and nothing
+// else — the row bitset and the trigram candidates are pooled —
+// whatever the size of the value table, and a needle that matches
+// nothing allocates nothing at all, whether the index rejects it
+// ("absent") or only the verifier does ("abcd" against "abcXbcd").
 func TestOwnersSubstringAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -67,23 +67,30 @@ func TestOwnersSubstringAllocs(t *testing.T) {
 		{"parity", parityIndex(t, ""), "Hack", []string{"absent", "abcd"}},
 		{"dblp", dblpIndex(t), "ICDE", []string{"absent"}},
 	} {
-		c.idx.OwnersSubstring(c.hit) // warm the pool
-		// One re-allocation of headroom each, in case a GC empties the
-		// pool mid-run.
+		c.idx.OwnersSubstring(c.hit) // memoize, and warm the pool
 		if got := testing.AllocsPerRun(200, func() {
 			if len(c.idx.OwnersSubstring(c.hit)) == 0 {
 				t.Fatal("no owners")
 			}
+		}); got != 0 {
+			t.Errorf("%s: memoized OwnersSubstring(%q) allocates %.0f/op, pinned at 0", c.name, c.hit, got)
+		}
+		// One re-allocation of headroom each, in case a GC empties the
+		// pool mid-run.
+		if got := testing.AllocsPerRun(200, func() {
+			if len(c.idx.OwnersSubstringMiss(c.hit)) == 0 {
+				t.Fatal("no owners")
+			}
 		}); got > 2 {
-			t.Errorf("%s: warm OwnersSubstring(%q) allocates %.0f/op, pinned at <= 2", c.name, c.hit, got)
+			t.Errorf("%s: OwnersSubstring(%q) miss allocates %.0f/op, pinned at <= 2", c.name, c.hit, got)
 		}
 		for _, needle := range c.misses {
 			if got := testing.AllocsPerRun(200, func() {
-				if c.idx.OwnersSubstring(needle) != nil {
+				if c.idx.OwnersSubstringMiss(needle) != nil {
 					t.Fatal("unexpected owners")
 				}
 			}); got > 1 {
-				t.Errorf("%s: no-match OwnersSubstring(%q) allocates %.0f/op, pinned at <= 1", c.name, needle, got)
+				t.Errorf("%s: no-match OwnersSubstring(%q) miss allocates %.0f/op, pinned at <= 1", c.name, needle, got)
 			}
 		}
 	}

@@ -14,10 +14,21 @@
 // (owner, path) order, string values are interned once in a shared
 // value table — one 4-byte value id per association — and every byte
 // trigram of a distinct value hashes into one of 2^15 buckets listing
-// the value ids carrying it. A needle's rarest buckets are intersected
-// and strings.Contains verifies the survivors, so hash collisions cost
-// time, never correctness; needles shorter than a trigram scan the
-// value table.
+// the value ids carrying it, each bucket packed as uvarint gaps between
+// ascending ids (about one byte an entry). A needle's rarest buckets
+// are intersected and strings.Contains verifies the survivors, so hash
+// collisions cost time, never correctness; needles shorter than a
+// trigram scan the value table.
+//
+// An Index never changes once built, so OwnersSubstring memoizes its
+// answers: a needle is located once per index and every later request
+// for it reads the shared owner slice. The memo keeps two generations,
+// each capped at one 4-byte OID per association row of the index —
+// counting every entry's owners, its key bytes and one more — so its
+// owners and keys take at most 8 bytes a row, beside the maps' own
+// per-entry overhead; it needs no invalidation and is dropped with its
+// index when a document is replaced. Only its misses read the trigram
+// buckets.
 //
 // The token index — an inverted index keyed by lower-cased token, each
 // posting list a sorted slice of row ids into the association table —
@@ -86,13 +97,83 @@ type Index struct {
 	postBuilds atomic.Int32 // builds run: 0 or 1
 
 	// The substring index, two CSR tables: trigram bucket h owns
-	// gramVids[gramStart[h]:gramStart[h+1]], the ascending ids of the
-	// values with a trigram hashing to h; value v owns
-	// valRows[valStart[v]:valStart[v+1]], the ascending rows carrying
-	// it, so a match reaches its associations without a table sweep.
-	gramStart, gramVids []int32
-	valStart, valRows   []int32
+	// grams[gramStart[h]:gramStart[h+1]], the ascending ids of the values
+	// with a trigram hashing to h as uvarint gaps (the first from -1, so
+	// no gap is 0); value v owns valRows[valStart[v]:valStart[v+1]], the
+	// ascending rows carrying it, so a match reaches its associations
+	// without a table sweep.
+	gramStart []int32
+	grams     []byte
+	valStart  []int32
+	valRows   []int32
+	// memo holds the owners OwnersSubstring located, by needle, for as
+	// long as the index lives: nothing above ever changes, so no entry
+	// goes stale. Each generation's cap is len(owners).
+	memo ownersMemo
 }
+
+// ownersMemo maps needles to the ascending owner slices located for
+// them, in two generations: a hit in old moves into cur, and when an
+// entry would take cur past the cap, cur becomes old and a new cur
+// starts. The cap counts memoCharge, so a needle that matches nothing
+// is charged too.
+type ownersMemo struct {
+	mu       sync.Mutex
+	cur, old map[string][]bat.OID
+	used     int // memoCharge summed over cur
+}
+
+// memoCharge is what one entry counts against its generation's cap, in
+// OIDs: its owners, its key at four bytes to the OID, and one for the
+// entry itself.
+func memoCharge(key string, owners []bat.OID) int { return len(owners) + len(key)/4 + 1 }
+
+// get returns the owners memoized for key, moving an entry of the old
+// generation into the current one.
+func (m *ownersMemo) get(key string, limit int) ([]bat.OID, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if owners, ok := m.cur[key]; ok {
+		return owners, true
+	}
+	owners, ok := m.old[key]
+	if ok {
+		delete(m.old, key)
+		m.store(key, owners, limit)
+	}
+	return owners, ok
+}
+
+// add memoizes owners for key unless a concurrent miss already has.
+func (m *ownersMemo) add(key string, owners []bat.OID, limit int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.cur[key]; !ok {
+		m.store(key, owners, limit)
+	}
+}
+
+// store files an entry in cur, starting a new generation first if it
+// would not fit. An entry dearer than a whole generation is not kept.
+func (m *ownersMemo) store(key string, owners []bat.OID, limit int) {
+	c := memoCharge(key, owners)
+	if c > limit {
+		return
+	}
+	if m.cur == nil || m.used+c > limit {
+		m.old, m.cur, m.used = m.cur, make(map[string][]bat.OID), 0
+	}
+	m.cur[key] = owners
+	m.used += c
+}
+
+// Process-wide memo counters: every OwnersSubstring call is one or the
+// other.
+var memoHits, memoMisses atomic.Uint64
+
+// MemoCounts returns how many OwnersSubstring calls, over every index
+// in the process, were answered from the memo and how many located.
+func MemoCounts() (hits, misses uint64) { return memoHits.Load(), memoMisses.Load() }
 
 const (
 	gramLen     = 3 // bytes per gram: shorter needles cannot use the index
@@ -307,35 +388,42 @@ func (idx *Index) TokensBuilt() bool { return idx.postBuilds.Load() > 0 }
 // table, each by a counting sort: count, prefix-sum into offsets, fill
 // through the offsets (leaving each at its bucket's end), shift them
 // back by one slot. A value is listed once per bucket however often it
-// repeats a trigram: last holds the bucket's most recent value id.
+// repeats a trigram: last holds the bucket's most recent value id, so
+// it also gives the gap a bucket entry is coded as, and the counting
+// pass sizes the buckets in bytes.
 func (idx *Index) buildSubstringIndex() {
 	start := make([]int32, gramBuckets+1)
 	last := make([]int32, gramBuckets)
-	eachGram := func(visit func(h uint32, vid int32)) {
+	eachGram := func(visit func(h, gap uint32)) {
 		for i := range last {
 			last[i] = -1
 		}
 		for vid, v := range idx.values {
 			for i := 0; i+gramLen <= len(v); i++ {
 				if h := gramHash(v[i], v[i+1], v[i+2]); last[h] != int32(vid) {
+					visit(h, uint32(int32(vid)-last[h]))
 					last[h] = int32(vid)
-					visit(h, int32(vid))
 				}
 			}
 		}
 	}
-	eachGram(func(h uint32, _ int32) { start[h+1]++ })
+	eachGram(func(h, gap uint32) { start[h+1] += int32(bits.Len32(gap)+6) / 7 })
 	for h := 0; h < gramBuckets; h++ {
 		start[h+1] += start[h]
 	}
-	vids := make([]int32, start[gramBuckets])
-	eachGram(func(h uint32, vid int32) {
-		vids[start[h]] = vid
-		start[h]++
+	grams := make([]byte, start[gramBuckets])
+	eachGram(func(h, gap uint32) { // binary.PutUvarint, without a slice per entry
+		p := start[h]
+		for ; gap >= 0x80; gap >>= 7 {
+			grams[p] = byte(gap) | 0x80
+			p++
+		}
+		grams[p] = byte(gap)
+		start[h] = p + 1
 	})
 	copy(start[1:], start)
 	start[0] = 0
-	idx.gramStart, idx.gramVids = start, vids
+	idx.gramStart, idx.grams = start, grams
 
 	start = make([]int32, len(idx.values)+1)
 	for _, v := range idx.vals {
@@ -459,8 +547,22 @@ func (idx *Index) SearchSubstring(sub string) []Hit {
 
 // OwnersSubstring returns the distinct owners of SearchSubstring(sub)
 // in ascending order — the meet's input set — without materialising a
-// Hit per association.
+// Hit per association. The index memoizes the answer, so every caller
+// asking for sub gets the same slice: it is read-only, and its capacity
+// equals its length, so an append copies instead of writing into it.
 func (idx *Index) OwnersSubstring(sub string) []bat.OID {
+	if owners, ok := idx.memo.get(sub, len(idx.owners)); ok {
+		memoHits.Add(1)
+		return owners
+	}
+	memoMisses.Add(1)
+	owners := idx.locateOwners(sub)
+	idx.memo.add(strings.Clone(sub), owners, len(idx.owners))
+	return owners
+}
+
+// locateOwners is OwnersSubstring without the memo.
+func (idx *Index) locateOwners(sub string) []bat.OID {
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
 	n := idx.matchSubstring(s, sub)
@@ -474,7 +576,7 @@ func (idx *Index) OwnersSubstring(sub string) []bat.OID {
 			out = append(out, o)
 		}
 	}
-	return out
+	return out[:len(out):len(out)]
 }
 
 // SearchFunc returns the associations whose value satisfies pred. The
@@ -486,10 +588,10 @@ func (idx *Index) SearchFunc(pred func(string) bool) []Hit {
 }
 
 // scratch is the pooled working set of a value-table search: the matched
-// rows and the trigram intersection's intermediates.
+// rows and the trigram intersection's candidates.
 type scratch struct {
 	rows bitset
-	bufs [2][]int32
+	cand []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -577,9 +679,11 @@ func (idx *Index) rowHits(rows *bitset, n int) []Hit {
 // of the three rarest buckets the trigrams of sub (at least gramLen
 // bytes) hash to. Three are enough: the verifier sees the survivors
 // anyway, and a longer list costs more to merge than it would remove.
+// Buckets are ranked by their size in bytes; the rarest is decoded into
+// s.cand and the others are decoded as they are merged into it.
 func (idx *Index) gramCandidates(s *scratch, sub string) []int32 {
-	posting := func(h uint32) []int32 { return idx.gramVids[idx.gramStart[h]:idx.gramStart[h+1]] }
-	var rarest [3]uint32 // buckets, ascending by posting length
+	size := func(h uint32) int32 { return idx.gramStart[h+1] - idx.gramStart[h] }
+	var rarest [3]uint32 // buckets, ascending by size
 	n := 0
 grams:
 	for i := 0; i+gramLen <= len(sub); i++ {
@@ -589,26 +693,71 @@ grams:
 				continue grams
 			}
 		}
-		switch size := len(posting(h)); {
-		case size == 0:
+		switch sz := size(h); {
+		case sz == 0:
 			return nil
 		case n < len(rarest):
 			n++
-		case size >= len(posting(rarest[n-1])):
+		case sz >= size(rarest[n-1]):
 			continue
 		}
 		rarest[n-1] = h
-		for j := n - 1; j > 0 && len(posting(rarest[j])) < len(posting(rarest[j-1])); j-- {
+		for j := n - 1; j > 0 && size(rarest[j]) < size(rarest[j-1]); j-- {
 			rarest[j], rarest[j-1] = rarest[j-1], rarest[j]
 		}
 	}
-	cand := posting(rarest[0])
-	for k := 1; k < n; k++ {
-		// Alternate the two buffers: the merge never writes the list it reads.
-		s.bufs[k&1] = bat.IntersectSorted(s.bufs[k&1][:0], cand, posting(rarest[k]))
-		cand = s.bufs[k&1]
+	s.cand = idx.gramPosting(s.cand[:0], rarest[0])
+	for _, h := range rarest[1:n] {
+		s.cand = idx.narrow(s.cand, h)
 	}
-	return cand
+	return s.cand
+}
+
+// gramPosting appends the ascending value ids bucket h lists to dst.
+func (idx *Index) gramPosting(dst []int32, h uint32) []int32 {
+	p := idx.grams[idx.gramStart[h]:idx.gramStart[h+1]]
+	for i, v := 0, int32(-1); i < len(p); {
+		gap, n := uvarint(p[i:])
+		v += gap
+		i += n
+		dst = append(dst, v)
+	}
+	return dst
+}
+
+// narrow keeps the ids of cand (ascending) that bucket h lists too, in
+// place: one merge that decodes the bucket only as far as cand reaches.
+func (idx *Index) narrow(cand []int32, h uint32) []int32 {
+	p := idx.grams[idx.gramStart[h]:idx.gramStart[h+1]]
+	w, i, v := 0, 0, int32(-1)
+	for _, c := range cand {
+		for v < c {
+			if i == len(p) {
+				return cand[:w]
+			}
+			gap, n := uvarint(p[i:])
+			v += gap
+			i += n
+		}
+		if v == c {
+			cand[w] = c
+			w++
+		}
+	}
+	return cand[:w]
+}
+
+// uvarint decodes the gap p starts with and returns it with its length
+// in bytes. It is binary.Uvarint without the overflow checks, which the
+// index's own gaps (< 2^31) cannot trip, and small enough to inline.
+func uvarint(p []byte) (gap int32, n int) {
+	b := p[0]
+	gap = int32(b & 0x7f)
+	for n = 1; b >= 0x80; n++ {
+		b = p[n]
+		gap |= int32(b&0x7f) << (7 * n)
+	}
+	return gap, n
 }
 
 // Owners extracts the distinct owner OIDs of hits, in ascending order.

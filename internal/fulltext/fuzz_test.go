@@ -72,10 +72,11 @@ func sweepSubstring(idx *Index, sub string) []Hit {
 	return out
 }
 
-// FuzzSubstringParity checks that the trigram index changes the cost of
-// `contains` and nothing else: on arbitrary needles, the indexed hits
-// equal the row sweep's element for element and the owners-only path
-// equals Owners of them.
+// FuzzSubstringParity checks that the trigram index and the memo change
+// the cost of `contains` and nothing else: on arbitrary needles, the
+// indexed hits equal the row sweep's element for element, and the
+// owners-only path equals Owners of them when it locates the needle and
+// again when the memo answers.
 func FuzzSubstringParity(f *testing.F) {
 	for _, seed := range [][2]string{
 		{"Hack", ""}, {"abcd", "abcd"}, {"abcd", ""}, {"aaaaaaa", ""}, {"", "x"}, {"a", "a"}, {"aa", "aaa"}, {"aaa", "aaaa"}, {"aaaa", "aaaaa"},
@@ -91,8 +92,10 @@ func FuzzSubstringParity(f *testing.F) {
 		if got := idx.SearchSubstring(needle); !slices.Equal(got, want) {
 			t.Fatalf("SearchSubstring(%q) = %v, row sweep %v", needle, got, want)
 		}
-		if got, want := idx.OwnersSubstring(needle), Owners(want); !slices.Equal(got, want) {
-			t.Fatalf("OwnersSubstring(%q) = %v, want %v", needle, got, want)
+		for _, ask := range []string{"miss", "hit"} {
+			if got, want := idx.OwnersSubstring(needle), Owners(want); !slices.Equal(got, want) {
+				t.Fatalf("OwnersSubstring(%q), %s = %v, want %v", needle, ask, got, want)
+			}
 		}
 	})
 }

@@ -3,13 +3,14 @@ package server
 // Observability. Each Server owns a private metrics.Registry exposed
 // at GET /v1/metrics in the Prometheus text format. The query route's
 // families are the front end's (front.go registers them on the same
-// registry); what is registered here is the node's own: uptime and the
-// durability counters, sampled at exposition time from counters the
-// writer already keeps.
+// registry); what is registered here is the node's own: uptime, the
+// durability counters and locate's memo counters, sampled at exposition
+// time from counters the writer and the full-text index already keep.
 
 import (
 	"time"
 
+	"ncq/internal/fulltext"
 	"ncq/internal/metrics"
 )
 
@@ -47,4 +48,13 @@ func (s *Server) initObservability() {
 	reg.GaugeFunc("ncq_replay_records",
 		"WAL records replayed by boot recovery.",
 		func() float64 { return float64(durableStats().ReplayRecords) })
+
+	// Locate's needle memo, process-wide: every `contains` a member
+	// answers is one or the other.
+	reg.CounterFunc("ncq_locate_memo_hits_total",
+		"Term locates answered from a member index's needle memo.",
+		func() float64 { h, _ := fulltext.MemoCounts(); return float64(h) })
+	reg.CounterFunc("ncq_locate_memo_misses_total",
+		"Term locates that searched a member's substring index.",
+		func() float64 { _, m := fulltext.MemoCounts(); return float64(m) })
 }

@@ -3,11 +3,13 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"strings"
 	"testing"
 
+	"ncq/internal/fulltext"
 	"ncq/internal/metrics"
 )
 
@@ -60,6 +62,34 @@ func TestMetricsEndpoint(t *testing.T) {
 	rec = do(t, s, "GET", "/v1/metrics", "")
 	if !strings.Contains(rec.Body.String(), `ncq_http_requests_total{route="/v1/metrics",status="200"} 1`) {
 		t.Error("scrape route not instrumented")
+	}
+}
+
+// TestLocateMemoMetrics pins the memo counters' exposition: a streamed
+// request bypasses the result cache, so the first locates its two terms
+// in the one member it names and the repeat reads both from the memo.
+func TestLocateMemoMetrics(t *testing.T) {
+	s := newTestServer(t)
+	loadDocs(t, s)
+	hits, misses := fulltext.MemoCounts()
+	for i := 0; i < 2; i++ {
+		if rec := do(t, s, "POST", "/v2/query?stream=1", queryBody); rec.Code != http.StatusOK {
+			t.Fatalf("stream %d: %d %s", i, rec.Code, rec.Body)
+		}
+	}
+	h, m := fulltext.MemoCounts()
+	if h-hits != 2 || m-misses != 2 {
+		t.Errorf("counted %d memo hits and %d misses, want 2 and 2", h-hits, m-misses)
+	}
+	out := do(t, s, "GET", "/v1/metrics", "").Body.String()
+	for _, want := range []string{
+		"# TYPE ncq_locate_memo_hits_total counter",
+		fmt.Sprintf("ncq_locate_memo_hits_total %d", h),
+		fmt.Sprintf("ncq_locate_memo_misses_total %d", m),
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("exposition missing %q", want)
+		}
 	}
 }
 
