@@ -10,6 +10,7 @@ package ncq
 import (
 	"context"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"unsafe"
@@ -88,7 +89,7 @@ func TestTopKRendersOnlyYielded(t *testing.T) {
 		c := NewCorpus()
 		dbs := make([]*Database, members)
 		for i := range dbs {
-			db, err := FromDocument(datagen.DBLP(datagen.DBLPConfig{
+			db, err := fromDocument(datagen.DBLP(datagen.DBLPConfig{
 				Seed: int64(i + 1), YearFrom: 1995, YearTo: 1999, PubsPerVenueYear: pubs,
 			}))
 			if err != nil {
@@ -194,6 +195,39 @@ func TestPutDocAllocCeiling(t *testing.T) {
 		if got > c.ceiling {
 			t.Errorf("an upload of %d nodes into %d shard(s) allocates %.0f, pinned at <= %.0f", doc.Len(), c.k, got, c.ceiling)
 		}
+	}
+}
+
+// TestRenderAllocsFlat pins what printing from the columns costs:
+// Subtree of a DBLP record and WriteXML of the whole 47 k-node member
+// are the store's walk over the preorder interval into the one writer,
+// so neither allocates per node — a writer, its buffer and stack, and
+// the walk's cursor per string relation, 9 and 8 allocations measured.
+// Through a tree reassembled from the columns and then printed they
+// were 84 and 221,480.
+func TestRenderAllocsFlat(t *testing.T) {
+	allocDB(t) // the skip rules of this file
+	db, err := fromDocument(datagen.DBLP(datagen.DBLPConfig{Seed: 1010, YearFrom: 1984, YearTo: 1999, PubsPerVenueYear: 40}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := db.Children(db.Root())[0]
+	if xml, err := db.Subtree(rec); err != nil || !strings.HasPrefix(xml, "<inproceedings ") {
+		t.Fatalf("Subtree(%d) = %.40q, %v", rec, xml, err)
+	}
+	sub := testing.AllocsPerRun(50, func() {
+		if _, err := db.Subtree(rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	whole := testing.AllocsPerRun(3, func() {
+		if err := db.WriteXML(io.Discard, true); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if sub > 12 || whole > 12 {
+		t.Errorf("Subtree of a %d-node record allocates %.0f, WriteXML of %d nodes %.0f: pinned at <= 12 each",
+			db.store.End(rec)-rec+1, sub, db.Len(), whole)
 	}
 }
 

@@ -497,7 +497,7 @@ func benchCorpus(b *testing.B, shards int) *ncq.Corpus {
 		doc := datagen.DBLP(datagen.DBLPConfig{
 			Seed: int64(i + 1), YearFrom: 1995, YearTo: 1999, PubsPerVenueYear: 10,
 		})
-		db, err := ncq.FromDocument(doc)
+		db, err := ncq.OpenString(doc.XMLString())
 		if err != nil {
 			b.Fatal(err)
 		}

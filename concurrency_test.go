@@ -16,7 +16,7 @@ import (
 // must always see a consistent membership snapshot: every answer's
 // source must be a name that was registered at some point.
 func TestCorpusConcurrentMixed(t *testing.T) {
-	base, err := FromDocument(xmltree.Fig1())
+	base, err := fromDocument(xmltree.Fig1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCorpusConcurrentMixed(t *testing.T) {
 // reassembly — to validate the documented guarantee that a loaded
 // Database is safe for concurrent readers (run with -race to verify).
 func TestConcurrentReads(t *testing.T) {
-	db, err := FromDocument(xmltree.Fig1())
+	db, err := fromDocument(xmltree.Fig1())
 	if err != nil {
 		t.Fatal(err)
 	}

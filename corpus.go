@@ -135,12 +135,12 @@ const (
 // known size of at most 4 MiB is split by node count, shard.Split's
 // policy: the input is parsed twice, once to weigh the root's children
 // (shard.Weigh) while it is copied into memory and once, from that
-// copy, into the shards shard.Balance makes of the weights, so what is
-// held beside the shards is the body, never a tree of it. Anything else
-// streams under shard.StreamCut, SplitStream's policy: a shard is cut
-// every size/k input bytes (every 8 MiB when the size is unknown), so
-// not even the body is held whole. Register the result with Put when
-// k <= 1 and with AddShardDBs otherwise.
+// copy, through the shard.Balance of the weights into the loader, so
+// what is held beside the shards is the body, never a tree of it.
+// Anything else streams under shard.StreamCut, the byte-budget policy:
+// a shard is cut every size/k input bytes (every 8 MiB when the size is
+// unknown), so not even the body is held whole. Register the result
+// with Put when k <= 1 and with AddShardDBs otherwise.
 func OpenSharded(r io.Reader, size int64, k int) ([]*Database, error) {
 	if k <= 1 {
 		return openParts(r, nil)
@@ -152,8 +152,7 @@ func OpenSharded(r io.Reader, size int64, k int) ([]*Database, error) {
 			return nil, fmt.Errorf("ncq: %w", err)
 		}
 		var dbs []*Database
-		b := shard.Balance(weights, k, loaderInto(&dbs))
-		if err := xmltree.ParseSplit(bytes.NewReader(body.Bytes()), b.Cut, b); err != nil {
+		if err := xmltree.ParseSplit(bytes.NewReader(body.Bytes()), nil, shard.Balance(weights, k, loaderInto(&dbs))); err != nil {
 			return nil, fmt.Errorf("ncq: %w", err)
 		}
 		return dbs, nil
@@ -165,34 +164,14 @@ func OpenSharded(r io.Reader, size int64, k int) ([]*Database, error) {
 	return openParts(r, shard.StreamCut(budget, k))
 }
 
-// splitAndLoad splits doc into at most k node-balanced shards and loads
-// them in parallel. Shard loading is CPU-bound (Monet transform + index
-// build); it uses the machine, not a corpus's fan-out width, which may
-// be tuned down for query latency.
-func splitAndLoad(doc *xmltree.Document, k int) ([]*Database, error) {
-	parts := shard.Split(doc, k)
-	dbs := make([]*Database, len(parts))
-	err := forEachDoc(context.Background(), len(parts), runtime.GOMAXPROCS(0), func(i int) error { //lint:ncqvet-ignore OpenSharded and AddSharded are ctx-less public APIs; the load fan-out has no caller deadline to inherit
-		db, err := FromDocument(parts[i])
-		if err != nil {
-			return fmt.Errorf("ncq: shard %d: %w", i, err)
-		}
-		dbs[i] = db
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return dbs, nil
-}
-
 // AddSharded splits doc into at most k subtree shards (see
 // internal/shard: the split happens at the top-level children of the
 // root, balanced by node count), loads every shard, and registers the
-// group under one logical name. Queries addressed to name — or to the
-// whole corpus — fan out over the shards in parallel and merge the
-// per-shard answers into one ranked result, so callers see a single
-// logical document.
+// group under one logical name: the tree's walk through shard.Balance
+// into the loader, OpenSharded's composition, so no copy is built.
+// Queries addressed to name — or to the whole corpus — fan out over the
+// shards in parallel and merge the per-shard answers into one ranked
+// result, so callers see a single logical document.
 //
 // Note that a sharded member cannot report meets at the document root:
 // witnesses living in different shards never meet. Large-document
@@ -208,8 +187,8 @@ func (c *Corpus) AddSharded(name string, doc *xmltree.Document, k int) (dbs []*D
 	if doc == nil {
 		return nil, false, fmt.Errorf("ncq: corpus: nil document for %q", name)
 	}
-	if dbs, err = splitAndLoad(doc, k); err != nil {
-		return nil, false, err
+	if err = shard.SplitInto(doc, k, loaderInto(&dbs)); err != nil {
+		return nil, false, fmt.Errorf("ncq: %w", err)
 	}
 	if replaced, err = c.put(name, dbs, true); err != nil {
 		return nil, false, err

@@ -142,7 +142,7 @@ func TestShardedMeetMerging(t *testing.T) {
 // member into one merged answer under its logical name.
 func TestShardedQueryMerging(t *testing.T) {
 	doc := bigBib(10)
-	plain, err := FromDocument(doc)
+	plain, err := fromDocument(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestShardedEqualsUnsharded(t *testing.T) {
 			query[i] = terms[r.Intn(len(terms))]
 		}
 
-		plain, err := FromDocument(doc)
+		plain, err := fromDocument(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +298,7 @@ func TestShardedEqualsUnsharded(t *testing.T) {
 		}
 	})
 	corpora := map[string]*Corpus{"k=1": NewCorpus(), "buffered": NewCorpus(), "streamed": NewCorpus()}
-	plain, err := FromDocument(doc)
+	plain, err := fromDocument(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,11 +355,11 @@ func TestShardedEqualsUnsharded(t *testing.T) {
 }
 
 // TestOpenShardedBufferedEqualsSplitOfTree: the small-body door of
-// OpenSharded — weigh, then parse again under shard.Balance, no tree —
-// lands the shards that parsing a tree, shard.Split and a load per
-// shard land (what AddSharded still does with a caller's tree): as many,
-// each with a byte-equal snapshot. A body it refuses is refused in
-// ParseDocument's words.
+// OpenSharded — weigh, then parse again through shard.Balance, no tree
+// — lands the shards that parsing a tree, shard.Split and a load per
+// shard land: as many, each with a byte-equal snapshot; and so does
+// AddSharded, the tree's walk through the same Balance. A body it
+// refuses is refused in ParseDocument's words.
 func TestOpenShardedBufferedEqualsSplitOfTree(t *testing.T) {
 	srcs := []string{
 		`<r x="1">lead<a><b/><b/><b/></a>mid<a/>mid<a><b>x</b></a>trail</r>`,
@@ -386,16 +386,24 @@ func TestOpenShardedBufferedEqualsSplitOfTree(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range []int{2, 3, 4, 9, shard.MaxShards + 1} {
-			want, err := splitAndLoad(doc, k)
-			if err != nil {
-				t.Fatal(err)
+			var want []*Database
+			for _, part := range shard.Split(doc, k) {
+				db, err := fromDocument(part)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, db)
 			}
 			got, err := OpenSharded(strings.NewReader(src), int64(len(src)), k)
 			if err != nil || len(got) != len(want) {
 				t.Fatalf("%.60s k=%d: %d shards (%v), the tree splits into %d", src, k, len(got), err, len(want))
 			}
+			added, _, err := NewCorpus().AddSharded("doc", doc, k)
+			if err != nil || len(added) != len(want) {
+				t.Fatalf("%.60s k=%d: AddSharded makes %d shards (%v), the tree splits into %d", src, k, len(added), err, len(want))
+			}
 			for i := range want {
-				if snap(got[i]) != snap(want[i]) {
+				if snap(got[i]) != snap(want[i]) || snap(added[i]) != snap(want[i]) {
 					t.Fatalf("%.60s k=%d: shard %d differs from the tree's", src, k, i)
 				}
 			}

@@ -26,7 +26,7 @@ const otherMarkup = `<refs>
 func testCorpus(t *testing.T) *Corpus {
 	t.Helper()
 	c := NewCorpus()
-	db1, err := FromDocument(xmltree.Fig1())
+	db1, err := fromDocument(xmltree.Fig1())
 	if err != nil {
 		t.Fatal(err)
 	}

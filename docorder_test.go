@@ -59,7 +59,7 @@ func TestDocOrderMeetsEqualRun(t *testing.T) {
 	vocab := []string{"t", "v", "1", "t0", "t1", "t3", "t5", "v0", "v2", "Bit", "1999", "Bob", "Byte"}
 	checked := 0
 	for i, doc := range docs {
-		db, err := FromDocument(doc)
+		db, err := fromDocument(doc)
 		if err != nil {
 			t.Fatal(err)
 		}

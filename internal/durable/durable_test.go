@@ -15,7 +15,7 @@ import (
 
 func fig1DB(t testing.TB) *ncq.Database {
 	t.Helper()
-	db, err := ncq.FromDocument(xmltree.Fig1())
+	db, err := ncq.OpenString(xmltree.Fig1().XMLString())
 	if err != nil {
 		t.Fatal(err)
 	}

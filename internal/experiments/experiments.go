@@ -34,29 +34,27 @@ import (
 
 // Setup bundles a loaded document with its index.
 type Setup struct {
-	Doc   *xmltree.Document
 	Store *monetx.Store
 	Index *fulltext.Index
 }
 
 // LoadMultimedia generates and loads the multimedia workload.
 func LoadMultimedia(cfg datagen.MultimediaConfig) (*Setup, error) {
-	doc := datagen.Multimedia(cfg)
-	store, err := monetx.Load(doc)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	return &Setup{Doc: doc, Store: store, Index: fulltext.New(store)}, nil
+	return load(datagen.Multimedia(cfg))
 }
 
 // LoadDBLP generates and loads the bibliography workload.
 func LoadDBLP(cfg datagen.DBLPConfig) (*Setup, error) {
-	doc := datagen.DBLP(cfg)
+	return load(datagen.DBLP(cfg))
+}
+
+// load shreds a generated tree; the tree is not kept.
+func load(doc *xmltree.Document) (*Setup, error) {
 	store, err := monetx.Load(doc)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	return &Setup{Doc: doc, Store: store, Index: fulltext.New(store)}, nil
+	return &Setup{Store: store, Index: fulltext.New(store)}, nil
 }
 
 // Fig6Row is one point of Figure 6: elapsed time vs distance.

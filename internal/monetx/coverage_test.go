@@ -21,13 +21,13 @@ func TestPathOf(t *testing.T) {
 
 func TestReassembleSubtreeErrors(t *testing.T) {
 	s := fig1Store(t)
-	if _, err := s.ReassembleSubtree(8); err == nil {
+	if _, err := rebuild(s, 8); err == nil {
 		t.Error("cdata subtree accepted")
 	}
-	if _, err := s.ReassembleSubtree(0); err == nil {
+	if _, err := rebuild(s, 0); err == nil {
 		t.Error("invalid OID accepted")
 	}
-	sub, err := s.ReassembleSubtree(4) // the first author
+	sub, err := rebuild(s, 4) // the first author
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,6 +34,21 @@ type frame struct {
 // NewLoader returns a loader that hands each completed store to emit.
 func NewLoader(emit func(*Store) error) *Loader { return &Loader{emit: emit} }
 
+// Load shreds doc into a Store: Document.Emit into a Loader sized for
+// it.
+func Load(doc *xmltree.Document) (*Store, error) {
+	if doc == nil || doc.Root == nil {
+		return nil, fmt.Errorf("monetx: load: nil document")
+	}
+	var s *Store
+	l := NewLoader(func(loaded *Store) error { s = loaded; return nil })
+	l.sizeHint = doc.Len()
+	if err := doc.Emit(l); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 // node appends a node labelled label under the innermost open element
 // to the per-OID arrays.
 func (l *Loader) node(label string) (bat.OID, pathsum.PathID, error) {

@@ -43,24 +43,24 @@ func snapshotOf(t *testing.T, s *Store) []byte {
 // TestLoaderEqualsLoadOfParse is the property that lets a parse shred
 // without a tree: fed by the parser, the loader writes the store that
 // Load writes from the parsed tree — byte-equal snapshots, the writer
-// being deterministic — whole (k = 1) and part by part, against
-// shard.SplitStream's trees.
+// being deterministic — whole (k = 1) and part by part, against the
+// trees xmltree.Documents builds of the same parse under the same cut.
 func TestLoaderEqualsLoadOfParse(t *testing.T) {
 	for i, doc := range corpusDocs() {
 		src := doc.XMLString()
 		for _, k := range []int{1, 3} {
 			budget := int64(len(src) / k)
 			var want [][]byte
-			_, err := shard.SplitStream(strings.NewReader(src), budget, k, func(d *xmltree.Document) error {
+			err := xmltree.ParseSplit(strings.NewReader(src), shard.StreamCut(budget, k), xmltree.Documents(func(d *xmltree.Document) error {
 				s, err := Load(d)
 				if err != nil {
 					return err
 				}
 				want = append(want, snapshotOf(t, s))
 				return nil
-			})
+			}))
 			if err != nil {
-				t.Fatalf("doc %d, k=%d: SplitStream: %v", i, k, err)
+				t.Fatalf("doc %d, k=%d: trees: %v", i, k, err)
 			}
 			var got [][]byte
 			err = xmltree.ParseSplit(strings.NewReader(src), shard.StreamCut(budget, k), NewLoader(func(s *Store) error {

@@ -27,11 +27,11 @@ func TestSnapshotRoundTripFig1(t *testing.T) {
 	s := fig1Store(t)
 	back := roundTripSnapshot(t, s)
 	// The reloaded store must reassemble to the identical document.
-	a, err := s.ReassembleDocument()
+	a, err := rebuild(s, s.Root())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := back.ReassembleDocument()
+	b, err := rebuild(back, back.Root())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestSnapshotRoundTripRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		back := roundTripSnapshot(t, s)
-		rebuilt, err := back.ReassembleDocument()
+		rebuilt, err := rebuild(back, back.Root())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,12 +24,17 @@
 // counts the associations of all four families, as Figure 2 does, and
 // the bytes of what is resident.
 //
-// One piece of code writes the columns: Loader, an xmltree.Sink, fed by
-// the parser directly (no tree is built) or by Load's walk over a tree.
+// xmltree.Sink events go both ways. Loader, a sink, writes the columns,
+// fed by the parser (no tree is built) or by a tree's walk (Load);
+// Store.Emit walks a subtree back out into any sink — xmltree.Writer
+// prints it, xmltree.Documents rebuilds it.
 package monetx
 
 import (
 	"fmt"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
 
 	"ncq/internal/bat"
@@ -68,43 +73,6 @@ type Store struct {
 	revEdge map[pathsum.PathID]*bat.BAT[bat.OID] // child path -> (child, parent)
 
 	root bat.OID
-}
-
-// Load shreds doc into a Store by walking it into a Loader. The
-// document must satisfy xmltree.Document.Validate; Load re-checks the
-// cheap invariant it depends on — preorder OIDs, which the loader
-// assigns by counting — and reports the first violation.
-func Load(doc *xmltree.Document) (*Store, error) {
-	if doc == nil || doc.Root == nil {
-		return nil, fmt.Errorf("monetx: load: nil document")
-	}
-	var s *Store
-	l := NewLoader(func(loaded *Store) error { s = loaded; return nil })
-	l.sizeHint = doc.Len()
-	next := bat.OID(1)
-	var walk func(node *xmltree.Node) error
-	walk = func(node *xmltree.Node) error {
-		if node.OID != next {
-			return fmt.Errorf("monetx: load: node OID %d out of document order, want %d", node.OID, next)
-		}
-		next++
-		if node.Kind == xmltree.CData {
-			return l.Text(node.Text)
-		}
-		if err := l.Start(node.Label, node.Attrs); err != nil {
-			return err
-		}
-		for _, c := range node.Children {
-			if err := walk(c); err != nil {
-				return err
-			}
-		}
-		return l.End()
-	}
-	if err := walk(doc.Root); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 func (s *Store) appendString(apid pathsum.PathID, owner bat.OID, value string) {
@@ -345,6 +313,68 @@ func (s *Store) Children(o bat.OID) []bat.OID {
 		out = append(out, c)
 	}
 	return out
+}
+
+// Emit walks the subtree rooted at element o into sink, one event per
+// node of the preorder interval o..End(o), as Children reads it: a
+// node's depth says how many open elements end before it, so no tree or
+// stack is built. Attributes come out sorted by name, stably. A cdata o
+// has no XML form and is refused, as is an OID that names no node.
+func (s *Store) Emit(o bat.OID, sink xmltree.Sink) error {
+	switch {
+	case !s.ValidOID(o):
+		return fmt.Errorf("monetx: reassemble: invalid OID %d", o)
+	case s.Label(o) == xmltree.CDataLabel:
+		return fmt.Errorf("monetx: reassemble subtree: OID %d is character data, not an element", o)
+	}
+	// next[p]-1 is where the walk is in string relation p, whose owners
+	// ascend: searched at the first look (0), then only read forward.
+	next := make([]int, len(s.strs))
+	var attrs []xmltree.Attr
+	open := 0 // elements started and not yet ended
+	closeTo := func(n int) error {
+		for ; open > n; open-- {
+			if err := sink.End(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for x := o; x <= s.end[o]; x++ {
+		if err := closeTo(int(s.depth[x] - s.depth[o])); err != nil {
+			return err
+		}
+		pid := s.pathOf[x]
+		attrs = attrs[:0]
+		for _, apid := range s.summary.AttrPaths(pid) {
+			rel := s.strs[apid]
+			if rel == nil {
+				continue
+			}
+			i := next[apid] - 1
+			if i < 0 {
+				i = sort.Search(rel.Len(), func(i int) bool { return rel.Head(i) >= x })
+			}
+			for ; i < rel.Len() && rel.Head(i) <= x; i++ {
+				if rel.Head(i) == x {
+					attrs = append(attrs, xmltree.Attr{Name: s.summary.Label(apid), Value: rel.Tail(i)})
+				}
+			}
+			next[apid] = i + 1
+		}
+		var err error
+		if label := s.summary.Label(pid); label != xmltree.CDataLabel {
+			slices.SortStableFunc(attrs, func(a, b xmltree.Attr) int { return strings.Compare(a.Name, b.Name) })
+			err = sink.Start(label, attrs)
+			open++
+		} else if len(attrs) > 0 {
+			err = sink.Text(attrs[0].Value) // a cdata node's one attribute is its text
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return closeTo(0)
 }
 
 // Stats summarises the store: node, relation and association counts

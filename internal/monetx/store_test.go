@@ -229,33 +229,36 @@ func TestParentBATAndLiftBAT(t *testing.T) {
 	}
 }
 
+// TestReassembleObject: Store.Emit hands a node's associations to its
+// sink as one event — label, attributes sorted by name — and its
+// children after it; a cdata child is its text.
 func TestReassembleObject(t *testing.T) {
 	s := fig1Store(t)
-	obj, err := s.Reassemble(3)
+	art, err := rebuild(s, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obj.Label != "article" || obj.IsCData {
-		t.Errorf("Reassemble(3) = %+v", obj)
+	if art.Root.Label != "article" || art.Root.Kind != xmltree.Element {
+		t.Errorf("Emit(3) opens %+v", art.Root)
 	}
-	if len(obj.Attrs) != 1 || obj.Attrs[0] != (xmltree.Attr{Name: "key", Value: "BB99"}) {
-		t.Errorf("attrs = %v", obj.Attrs)
+	if len(art.Root.Attrs) != 1 || art.Root.Attrs[0] != (xmltree.Attr{Name: "key", Value: "BB99"}) {
+		t.Errorf("attrs = %v", art.Root.Attrs)
 	}
-	if len(obj.Children) != 3 {
-		t.Errorf("children = %v", obj.Children)
+	if len(art.Root.Children) != 3 {
+		t.Errorf("children = %v", art.Root.Children)
 	}
-	cd, err := s.Reassemble(15)
+	author, err := rebuild(s, 14)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cd.IsCData || cd.Text != "Bob Byte" {
-		t.Errorf("Reassemble(15) = %+v", cd)
+	if cd := author.Root.Children; len(cd) != 1 || cd[0].Kind != xmltree.CData || cd[0].Text != "Bob Byte" {
+		t.Errorf("Emit(14) = %s", author.XMLString())
 	}
-	if _, err := s.Reassemble(0); err == nil {
-		t.Error("Reassemble(0) succeeded")
+	if _, err := rebuild(s, 0); err == nil {
+		t.Error("Emit(0) succeeded")
 	}
-	if _, err := s.Reassemble(999); err == nil {
-		t.Error("Reassemble(999) succeeded")
+	if _, err := rebuild(s, 999); err == nil {
+		t.Error("Emit(999) succeeded")
 	}
 }
 
@@ -265,7 +268,7 @@ func TestReassembleDocumentLossless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := s.ReassembleDocument()
+	back, err := rebuild(s, s.Root())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +286,7 @@ func TestReassembleDocumentLosslessRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := s.ReassembleDocument()
+		back, err := rebuild(s, s.Root())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"ncq/internal/monetx"
 	"ncq/internal/pathexpr"
 	"ncq/internal/pathsum"
+	"ncq/internal/xmltree"
 )
 
 // Engine evaluates queries against a loaded store and its full-text
@@ -294,17 +295,17 @@ func (e *Engine) projection(projs []projItem, nodes []bat.OID) *Answer {
 	return ans
 }
 
-// XML serialises the subtree below o — what XML(v) projects; cdata
-// nodes render as their bare text.
+// XML serialises the subtree below o — what XML(v) projects: the
+// store's walk into the writer. cdata nodes render as their bare text.
 func (e *Engine) XML(o bat.OID) string {
 	if t, ok := e.store.Text(o); ok {
 		return t
 	}
-	sub, err := e.store.ReassembleSubtree(o)
-	if err != nil {
+	var sb strings.Builder
+	if e.store.Emit(o, xmltree.NewWriter(&sb, false)) != nil {
 		return ""
 	}
-	return sub.XMLString()
+	return sb.String()
 }
 
 // XML renders the answer in the paper's answer-set form:
@@ -318,23 +319,24 @@ func (e *Engine) XML(o bat.OID) string {
 // multi-column answers nest one element per column.
 func (a *Answer) XML() string {
 	var sb strings.Builder
-	sb.WriteString("<answer>\n")
+	w := xmltree.NewWriter(&sb, false)
+	w.Start("answer", nil)
 	for _, r := range a.Rows {
+		w.Text("\n  ")
+		w.Start("result", nil)
 		if len(a.Columns) <= 1 {
-			sb.WriteString("  <result> ")
-			sb.WriteString(escape(a.cell(r, firstColumn(a.Columns))))
-			sb.WriteString(" </result>\n")
-			continue
+			w.Text(" " + a.cell(r, firstColumn(a.Columns)) + " ")
+		} else {
+			for _, col := range a.Columns {
+				w.Start(col, nil)
+				w.Text(a.cell(r, col)) // an empty cell still closes as <col></col>
+				w.End()
+			}
 		}
-		sb.WriteString("  <result>")
-		for _, col := range a.Columns {
-			sb.WriteString("<" + col + ">")
-			sb.WriteString(escape(a.cell(r, col)))
-			sb.WriteString("</" + col + ">")
-		}
-		sb.WriteString("</result>\n")
+		w.End()
 	}
-	sb.WriteString("</answer>")
+	w.Text("\n")
+	w.End() // a strings.Builder never fails
 	return sb.String()
 }
 
@@ -356,13 +358,6 @@ func (a *Answer) cell(r Row, col string) string {
 	default: // node, tag, meet
 		return r.Tag
 	}
-}
-
-func escape(s string) string {
-	s = strings.ReplaceAll(s, "&", "&amp;")
-	s = strings.ReplaceAll(s, "<", "&lt;")
-	s = strings.ReplaceAll(s, ">", "&gt;")
-	return s
 }
 
 // Tags returns the tag column of all rows, convenient in tests and

@@ -23,13 +23,20 @@ type weigher struct {
 }
 
 func (w *weigher) Start(string, []xmltree.Attr) error {
-	w.node()
+	w.Text("") // counted as any node, then open
 	w.depth++
 	return nil
 }
 
+// Text counts a node added under the innermost open element: a child of
+// the root starts a weight, a deeper node adds to the last one.
 func (w *weigher) Text(string) error {
-	w.node()
+	switch {
+	case w.depth == 1:
+		w.weights = append(w.weights, 1)
+	case w.depth > 1:
+		w.weights[len(w.weights)-1]++
+	}
 	return nil
 }
 
@@ -38,58 +45,63 @@ func (w *weigher) End() error {
 	return nil
 }
 
-// node counts a node about to be added under the innermost open
-// element: a child of the root starts a weight, a deeper node adds to
-// the last one.
-func (w *weigher) node() {
-	switch {
-	case w.depth == 1:
-		w.weights = append(w.weights, 1)
-	case w.depth > 1:
-		w.weights[len(w.weights)-1]++
-	}
-}
-
-// Balancer delivers a second parse of a weighed document in Split's
-// shards: it is the sink to hand xmltree.ParseSplit and its Cut is the
-// cut. Every event goes on to the sink it was made over, so with the
-// store loader behind it a document is split by node count and no tree
-// is built. ParseSplit consults a cut between two events, which is why
-// counting the root's children as they pass is enough to place it.
+// Balancer passes one document's events, walked or parsed whole, on to
+// its sink in the node-count policy's shards: before a child of the
+// root that the shard being read has no room for, it closes the root —
+// completing the shard — and reopens it with the same label and
+// attributes.
 type Balancer struct {
-	xmltree.Sink
+	sink  xmltree.Sink
 	takes []int // cuts' answer, the shard being read first
 	depth int   // open elements
 	kids  int   // children of the root in the shard being read
+	label string
+	attrs []xmltree.Attr // the root's, kept to reopen it with
 }
 
 // Balance returns the Balancer for a document with these weights (see
 // Weigh), at most k shards and the sink to deliver them to.
 func Balance(weights []int, k int, sink xmltree.Sink) *Balancer {
-	return &Balancer{Sink: sink, takes: cuts(weights, k)}
+	return &Balancer{sink: sink, takes: cuts(weights, k)}
 }
 
-// Cut says yes once the shard being read has the children cuts gave it.
-func (b *Balancer) Cut(int64) bool { return len(b.takes) > 1 && b.kids == b.takes[0] }
-
 func (b *Balancer) Start(label string, attrs []xmltree.Attr) error {
-	if b.depth == 1 {
-		b.kids++
+	if b.depth == 0 {
+		b.label, b.attrs = label, append(b.attrs[:0], attrs...)
+	} else if err := b.child(); err != nil {
+		return err
 	}
 	b.depth++
-	return b.Sink.Start(label, attrs)
+	return b.sink.Start(label, attrs)
 }
 
 func (b *Balancer) Text(text string) error {
-	if b.depth == 1 {
-		b.kids++
+	if err := b.child(); err != nil {
+		return err
 	}
-	return b.Sink.Text(text)
+	return b.sink.Text(text)
 }
 
 func (b *Balancer) End() error {
-	if b.depth--; b.depth == 0 { // a shard is complete
-		b.takes, b.kids = b.takes[1:], 0
+	b.depth--
+	return b.sink.End()
+}
+
+// child counts a node about to open under the innermost open element
+// when that is the root, cutting first if the shard is full.
+func (b *Balancer) child() error {
+	if b.depth != 1 {
+		return nil
 	}
-	return b.Sink.End()
+	if b.kids == b.takes[0] && len(b.takes) > 1 {
+		b.takes, b.kids = b.takes[1:], 0
+		if err := b.sink.End(); err != nil {
+			return err
+		}
+		if err := b.sink.Start(b.label, b.attrs); err != nil {
+			return err
+		}
+	}
+	b.kids++
+	return nil
 }

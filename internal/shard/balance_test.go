@@ -51,8 +51,8 @@ func TestWeighEqualsTree(t *testing.T) {
 	}
 }
 
-// TestBalanceEqualsSplit: a second parse under Balance delivers the
-// documents Split copies out of the tree, for every k.
+// TestBalanceEqualsSplit: a second parse through Balance delivers the
+// documents Split makes of the tree through it, for every k.
 func TestBalanceEqualsSplit(t *testing.T) {
 	for _, src := range balanceCorpus() {
 		doc, err := xmltree.Parse(strings.NewReader(src))
@@ -70,7 +70,7 @@ func TestBalanceEqualsSplit(t *testing.T) {
 				got = append(got, d)
 				return nil
 			}))
-			if err := xmltree.ParseSplit(strings.NewReader(src), b.Cut, b); err != nil {
+			if err := xmltree.ParseSplit(strings.NewReader(src), nil, b); err != nil {
 				t.Fatal(err)
 			}
 			if len(got) != len(want) {

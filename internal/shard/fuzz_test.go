@@ -8,11 +8,12 @@ import (
 )
 
 // FuzzSplitStream drives the shared token loop where it cuts — the path
-// an untrusted PUT ?shards=K body takes and FuzzParse never reaches.
-// Whatever the bytes, budget and k: no panic; the input is accepted
-// exactly when xmltree.Parse accepts it; at most k shards come out, none
-// empty unless it is the only one, each under the document's root label
-// and attributes; and the shards' top-level children, concatenated,
+// an untrusted PUT ?shards=K body takes and FuzzParse never reaches:
+// xmltree.ParseSplit under StreamCut into xmltree.Documents. Whatever
+// the bytes, budget and k: no panic; the input is accepted exactly when
+// xmltree.Parse accepts it; at most k shards come out, none empty unless
+// it is the only one, each under the document's root label and
+// attributes; and the shards' top-level children, concatenated,
 // serialise to exactly Parse's.
 func FuzzSplitStream(f *testing.F) {
 	for _, s := range []string{
@@ -33,13 +34,13 @@ func FuzzSplitStream(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, in string, budget int64, k int) {
 		var shards []*xmltree.Document
-		n, err := SplitStream(strings.NewReader(in), budget, k, func(d *xmltree.Document) error {
+		n, err := splitStream(strings.NewReader(in), budget, k, func(d *xmltree.Document) error {
 			shards = append(shards, d)
 			return nil
 		})
 		doc, perr := xmltree.ParseString(in)
 		if (err == nil) != (perr == nil) {
-			t.Fatalf("SplitStream err = %v, Parse err = %v\ninput: %q", err, perr, in)
+			t.Fatalf("split err = %v, Parse err = %v\ninput: %q", err, perr, in)
 		}
 		if err != nil {
 			return
@@ -51,8 +52,11 @@ func FuzzSplitStream(f *testing.F) {
 		// open is the document's root start tag, inner its serialised
 		// top-level children.
 		open := func(d *xmltree.Document) string {
-			bare := &xmltree.Document{Root: &xmltree.Node{Label: d.Root.Label, Attrs: d.Root.Attrs}}
-			return strings.TrimSuffix(bare.XMLString(), "/>") + ">"
+			var sb strings.Builder
+			w := xmltree.NewWriter(&sb, false)
+			w.Start(d.Root.Label, d.Root.Attrs)
+			w.End()
+			return strings.TrimSuffix(sb.String(), "/>") + ">"
 		}
 		inner := func(d *xmltree.Document) string {
 			if len(d.Root.Children) == 0 {

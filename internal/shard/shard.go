@@ -14,17 +14,18 @@
 // throughout its DBLP case study). Contiguity preserves document order
 // inside every shard, so per-shard answers and OIDs stay meaningful.
 //
-// Two policies place the cuts. Split balances shards by node count
-// with a greedy contiguous partition (cuts): each shard takes children
-// until it reaches its fair share of the nodes still unassigned, so a
-// single oversized subtree becomes a shard of its own rather than
-// dragging neighbours along. It works on a parsed tree; bytes that can
-// be read twice get the same shards without one, from Weigh — a parse
-// that only counts — and a second parse under Balance. SplitStream cuts
-// by input bytes while the one parse is still running, for bodies too
-// large — or of unknown size — to hold whole. Which one a given input
-// gets is not decided here: ncq.OpenSharded picks, from the input's
-// size alone.
+// Two policies place the cuts. By node count, a greedy contiguous
+// partition (cuts): each shard takes children until it reaches its fair
+// share of the nodes still unassigned, so a single oversized subtree
+// becomes a shard of its own rather than dragging neighbours along.
+// Whatever the input, it is one composition: the children's weights (a
+// tree's intervals, or Weigh's counting parse) go to Balance, a sink
+// fed by a tree's walk or a second parse that cuts the events into
+// shards for any sink — xmltree.Documents, or the store loader. By
+// bytes, StreamCut cuts while the one parse is still running, for
+// bodies too large — or of unknown size — to hold whole. Which one a
+// given input gets is not decided here: ncq.OpenSharded picks, from the
+// input's size alone.
 package shard
 
 import (
@@ -42,19 +43,26 @@ const MaxShards = 64
 // document whose root has at most one child (or k <= 1) yields a
 // single shard that is a structural copy of doc.
 func Split(doc *xmltree.Document, k int) []*xmltree.Document {
-	children := doc.Root.Children
-	// Subtree weights from the preorder intervals: O(1) per child.
-	weights := make([]int, len(children))
-	for i, c := range children {
-		weights[i] = int(c.End-c.OID) + 1
-	}
 	var shards []*xmltree.Document
-	i := 0
-	for _, n := range cuts(weights, k) {
-		shards = append(shards, clone(doc.Root, children[i:i+n]))
-		i += n
+	err := SplitInto(doc, k, xmltree.Documents(func(d *xmltree.Document) error {
+		shards = append(shards, d)
+		return nil
+	}))
+	if err != nil {
+		panic(err) // a tree Builder.Done numbered walks and rebuilds cleanly
 	}
 	return shards
+}
+
+// SplitInto walks doc into sink as Split's shards, one completed root
+// per shard, and returns the first error of the walk or the sink.
+func SplitInto(doc *xmltree.Document, k int, sink xmltree.Sink) error {
+	// Subtree weights from the preorder intervals: O(1) per child.
+	weights := make([]int, len(doc.Root.Children))
+	for i, c := range doc.Root.Children {
+		weights[i] = int(c.End-c.OID) + 1
+	}
+	return doc.Emit(Balance(weights, k, sink))
 }
 
 // cuts is Split's policy on the weights alone: given the node count of
@@ -98,36 +106,22 @@ func cuts(weights []int, k int) []int {
 	return takes
 }
 
-// clone builds a new document with root's label and attributes whose
-// children are deep copies of the given subtrees.
-func clone(root *xmltree.Node, children []*xmltree.Node) *xmltree.Document {
-	b := xmltree.NewBuilder(root.Label)
-	if len(root.Attrs) > 0 {
-		b.Root().Attrs = append([]xmltree.Attr(nil), root.Attrs...)
+// StreamCut is the byte-budget policy, the cut of xmltree.ParseSplit
+// into any sink (ncq.OpenSharded's is the store loader): cut while the
+// parse streams, at the first top-level boundary at which the part
+// spans at least budget bytes, at most k-1 times, so the body is never
+// held whole. With ExcludeRoot set, the union of per-part answers
+// equals the unsharded document's answers, as it does for Split.
+func StreamCut(budget int64, k int) func(span int64) bool {
+	if k > MaxShards {
+		k = MaxShards
 	}
-	for _, c := range children {
-		copyInto(b, b.Root(), c)
-	}
-	d, err := b.Done()
-	if err != nil {
-		// The source document already passed the builder's invariants;
-		// a copy of it cannot violate them.
-		panic(err)
-	}
-	return d
-}
-
-func copyInto(b *xmltree.Builder, parent *xmltree.Node, n *xmltree.Node) {
-	if n.Kind == xmltree.CData {
-		b.Text(parent, n.Text)
-		return
-	}
-	var attrs []xmltree.Attr
-	if len(n.Attrs) > 0 {
-		attrs = append(attrs, n.Attrs...)
-	}
-	el := b.Element(parent, n.Label, attrs...)
-	for _, c := range n.Children {
-		copyInto(b, el, c)
+	cuts := 0
+	return func(span int64) bool {
+		if cuts >= k-1 || span < budget {
+			return false
+		}
+		cuts++
+		return true
 	}
 }

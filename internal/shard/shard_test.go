@@ -4,11 +4,90 @@ import (
 	"math/rand"
 	"testing"
 
+	"ncq/internal/datagen"
 	"ncq/internal/xmltree"
 )
 
 // nodeCount returns the number of nodes in a document.
 func nodeCount(d *xmltree.Document) int { return d.Len() }
+
+// referenceSplit is how Split made its shards before it walked the
+// tree through Balance: the node-count policy's takes, each a deep copy
+// of a run of the root's children under a copy of the root.
+func referenceSplit(doc *xmltree.Document, k int) []*xmltree.Document {
+	children := doc.Root.Children
+	weights := make([]int, len(children))
+	for i, c := range children {
+		weights[i] = int(c.End-c.OID) + 1
+	}
+	var shards []*xmltree.Document
+	i := 0
+	for _, n := range cuts(weights, k) {
+		shards = append(shards, clone(doc.Root, children[i:i+n]))
+		i += n
+	}
+	return shards
+}
+
+// clone builds a new document with root's label and attributes whose
+// children are deep copies of the given subtrees.
+func clone(root *xmltree.Node, children []*xmltree.Node) *xmltree.Document {
+	b := xmltree.NewBuilder(root.Label)
+	if len(root.Attrs) > 0 {
+		b.Root().Attrs = append([]xmltree.Attr(nil), root.Attrs...)
+	}
+	for _, c := range children {
+		copyInto(b, b.Root(), c)
+	}
+	d, err := b.Done()
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
+func copyInto(b *xmltree.Builder, parent *xmltree.Node, n *xmltree.Node) {
+	if n.Kind == xmltree.CData {
+		b.Text(parent, n.Text)
+		return
+	}
+	var attrs []xmltree.Attr
+	if len(n.Attrs) > 0 {
+		attrs = append(attrs, n.Attrs...)
+	}
+	el := b.Element(parent, n.Label, attrs...)
+	for _, c := range n.Children {
+		copyInto(b, el, c)
+	}
+}
+
+// TestSplitEqualsReference: the tree's walk through Balance into
+// xmltree.Documents makes the shards the copying split made, on random,
+// DBLP and multimedia trees, for every k.
+func TestSplitEqualsReference(t *testing.T) {
+	docs := []*xmltree.Document{
+		xmltree.Fig1(),
+		datagen.DBLP(datagen.DBLPConfig{Seed: 5, YearFrom: 1997, YearTo: 1999, PubsPerVenueYear: 5}),
+		datagen.Multimedia(datagen.MultimediaConfig{Seed: 5, Items: 120, MaxProbeDistance: 20}),
+	}
+	r := rand.New(rand.NewSource(28))
+	for i := 0; i < 40; i++ {
+		docs = append(docs, xmltree.Random(r, 20+i*8))
+	}
+	for i, doc := range docs {
+		for _, k := range []int{0, 1, 2, 3, 9, MaxShards + 1} {
+			got, want := Split(doc, k), referenceSplit(doc, k)
+			if len(got) != len(want) {
+				t.Fatalf("doc %d, k=%d: %d shards, the reference makes %d", i, k, len(got), len(want))
+			}
+			for j := range want {
+				if err := got[j].Validate(); err != nil || !xmltree.Equal(got[j], want[j]) {
+					t.Fatalf("doc %d, k=%d, shard %d (%v):\n got %s\nwant %s", i, k, j, err, got[j].XMLString(), want[j].XMLString())
+				}
+			}
+		}
+	}
+}
 
 func TestSplitSingleShardIsCopy(t *testing.T) {
 	doc := xmltree.Fig1()

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -9,10 +10,22 @@ import (
 	"ncq/internal/xmltree"
 )
 
+// splitStream is the streamed door's split into trees: the parse under
+// StreamCut into xmltree.Documents. It returns the number of parts
+// completed.
+func splitStream(r io.Reader, budget int64, k int, emit func(*xmltree.Document) error) (int, error) {
+	emitted := 0
+	err := xmltree.ParseSplit(r, StreamCut(budget, k), xmltree.Documents(func(d *xmltree.Document) error {
+		emitted++
+		return emit(d)
+	}))
+	return emitted, err
+}
+
 func collectStream(t *testing.T, src string, budget int64, k int) []*xmltree.Document {
 	t.Helper()
 	var out []*xmltree.Document
-	n, err := SplitStream(strings.NewReader(src), budget, k, func(d *xmltree.Document) error {
+	n, err := splitStream(strings.NewReader(src), budget, k, func(d *xmltree.Document) error {
 		out = append(out, d)
 		return nil
 	})
@@ -20,7 +33,7 @@ func collectStream(t *testing.T, src string, budget int64, k int) []*xmltree.Doc
 		t.Fatal(err)
 	}
 	if n != len(out) {
-		t.Fatalf("SplitStream reported %d shards, emitted %d", n, len(out))
+		t.Fatalf("splitStream reported %d shards, emitted %d", n, len(out))
 	}
 	return out
 }
@@ -141,24 +154,24 @@ func TestSplitStreamAgreesWithSplitOnAnswers(t *testing.T) {
 
 func TestSplitStreamErrors(t *testing.T) {
 	emit := func(*xmltree.Document) error { return nil }
-	if _, err := SplitStream(strings.NewReader(""), 1, 4, emit); err == nil {
+	if _, err := splitStream(strings.NewReader(""), 1, 4, emit); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := SplitStream(strings.NewReader("<a><b></a>"), 1, 4, emit); err == nil {
+	if _, err := splitStream(strings.NewReader("<a><b></a>"), 1, 4, emit); err == nil {
 		t.Error("mismatched tags accepted")
 	}
-	if _, err := SplitStream(strings.NewReader("<a></a><b></b>"), 1, 4, emit); err == nil {
+	if _, err := splitStream(strings.NewReader("<a></a><b></b>"), 1, 4, emit); err == nil {
 		t.Error("multiple roots accepted")
 	}
-	if _, err := SplitStream(strings.NewReader("<a><cdata/></a>"), 1, 4, emit); err == nil {
+	if _, err := splitStream(strings.NewReader("<a><cdata/></a>"), 1, 4, emit); err == nil {
 		t.Error("reserved label accepted")
 	}
-	if _, err := SplitStream(strings.NewReader("<a><b/>"), 1, 4, emit); err == nil {
+	if _, err := splitStream(strings.NewReader("<a><b/>"), 1, 4, emit); err == nil {
 		t.Error("unclosed root accepted")
 	}
 	// An emit error aborts the stream.
 	calls := 0
-	_, err := SplitStream(strings.NewReader("<a><b/><c/><d/></a>"), 1, 4, func(*xmltree.Document) error {
+	_, err := splitStream(strings.NewReader("<a><b/><c/><d/></a>"), 1, 4, func(*xmltree.Document) error {
 		calls++
 		return errStop
 	})
@@ -173,19 +186,19 @@ type stopError struct{}
 
 func (*stopError) Error() string { return "stop" }
 
-// TestSplitStreamDepthLimit: the streaming splitter builds through the
-// same xmltree.Builder as Parse, so it refuses the same nesting at the
-// same start tag, before emitting anything.
+// TestSplitStreamDepthLimit: the streamed split is Parse's own loop, so
+// it refuses the same nesting at the same start tag, before emitting
+// anything.
 func TestSplitStreamDepthLimit(t *testing.T) {
 	emitted := 0
 	emit := func(*xmltree.Document) error { emitted++; return nil }
 	const max = pathsum.MaxDepth
 	deep := strings.Repeat("<n>", max) + strings.Repeat("</n>", max)
-	if _, err := SplitStream(strings.NewReader(deep), 1, 4, emit); err != nil || emitted == 0 {
+	if _, err := splitStream(strings.NewReader(deep), 1, 4, emit); err != nil || emitted == 0 {
 		t.Fatalf("%d levels: err = %v, %d shard(s) emitted", max, err, emitted)
 	}
 	emitted = 0
-	_, err := SplitStream(strings.NewReader(strings.Repeat("<n>", max+1)+"<<<"), 1, 4, emit)
+	_, err := splitStream(strings.NewReader(strings.Repeat("<n>", max+1)+"<<<"), 1, 4, emit)
 	if err == nil || !strings.Contains(err.Error(), "nests deeper than 4096 levels") || emitted != 0 {
 		t.Errorf("%d levels: err = %v, %d shard(s) emitted", max+1, err, emitted)
 	}

@@ -38,6 +38,7 @@ func FuzzParse(f *testing.F) {
 		`<p:a xmlns:p="u" xmlns="d" p:k="1"><q:b>unbound</q:b><p:b/></p:a>`,
 		"<a><x:b></y:b></a>",
 		"<a>one\r\ntwo\rthree</a>",
+		`<a k="x&#13;y">x&#xD;y</a>`,
 		`<?xml version="1.0" encoding="UTF-8"?><a/>`,
 		`<?xml version='1.0' encoding='latin1'?><a/>`,
 		`<a x='1' y="2"z='"'/>`,

@@ -16,9 +16,10 @@ import (
 // opens the root of the next part. attrs is valid only during the call.
 // An error from any method aborts the parse and is returned as is.
 //
-// Documents builds trees and monetx.Loader fills a store's columns from
-// the events alone; package shard has a sink that only counts (Weigh)
-// and one that passes events on while it places cuts (Balance).
+// Document.Emit and monetx's Store.Emit walk a tree and a store into a
+// sink too. Documents builds trees, Writer prints XML, monetx.Loader
+// fills a store's columns, and package shard has a sink that only
+// counts (Weigh) and one that cuts the events into shards (Balance).
 type Sink interface {
 	Start(label string, attrs []Attr) error
 	Text(text string) error

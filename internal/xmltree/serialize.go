@@ -5,23 +5,48 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"ncq/internal/bat"
 )
 
-// WriteXML serialises the document as XML to w. When indent is true the
-// output is pretty-printed with two-space indentation and cdata content
-// on its own line; when false the output is compact and round-trips
-// exactly through Parse (whitespace-free).
+// Emit walks the document into sink, one event per node in document
+// order: the one walk serialising, shredding (monetx.Load) and
+// splitting (shard.Split) a tree run on. It refuses a node whose OID is
+// not the next in preorder, the numbering consumers reproduce by
+// counting.
+func (d *Document) Emit(sink Sink) error {
+	next := bat.OID(1)
+	var walk func(n *Node) error
+	walk = func(n *Node) error {
+		if n.OID != next {
+			return fmt.Errorf("xmltree: emit: node OID %d out of document order, want %d", n.OID, next)
+		}
+		next++
+		if n.Kind == CData {
+			return sink.Text(n.Text)
+		}
+		if err := sink.Start(n.Label, n.Attrs); err != nil {
+			return err
+		}
+		for _, c := range n.Children {
+			if err := walk(c); err != nil {
+				return err
+			}
+		}
+		return sink.End()
+	}
+	return walk(d.Root)
+}
+
+// WriteXML serialises the document as XML to w: Emit into a Writer.
+// When indent is true the output is pretty-printed with two-space
+// indentation and cdata content on its own line; when false the output
+// is compact and round-trips exactly through Parse (whitespace-free).
 func (d *Document) WriteXML(w io.Writer, indent bool) error {
-	bw := bufio.NewWriter(w)
-	if err := writeNode(bw, d.Root, 0, indent); err != nil {
+	if err := d.Emit(NewWriter(w, indent)); err != nil {
 		return fmt.Errorf("xmltree: write: %w", err)
 	}
-	if indent {
-		if _, err := bw.WriteString("\n"); err != nil {
-			return fmt.Errorf("xmltree: write: %w", err)
-		}
-	}
-	return bw.Flush()
+	return nil
 }
 
 // XMLString returns the compact XML serialisation of the document.
@@ -31,99 +56,106 @@ func (d *Document) XMLString() string {
 	return sb.String()
 }
 
-func writeNode(w *bufio.Writer, n *Node, depth int, indent bool) error {
-	pad := func() error {
-		if !indent {
-			return nil
-		}
-		if depth > 0 || n.Rank > 1 {
-			if _, err := w.WriteString("\n"); err != nil {
-				return err
-			}
-		}
-		_, err := w.WriteString(strings.Repeat("  ", depth))
-		return err
-	}
-	if n.Kind == CData {
-		if err := pad(); err != nil {
-			return err
-		}
-		return escapeText(w, n.Text)
-	}
-	if err := pad(); err != nil {
-		return err
-	}
-	if _, err := w.WriteString("<" + n.Label); err != nil {
-		return err
-	}
-	for _, a := range n.Attrs {
-		if _, err := w.WriteString(" " + a.Name + `="`); err != nil {
-			return err
-		}
-		if err := escapeAttr(w, a.Value); err != nil {
-			return err
-		}
-		if _, err := w.WriteString(`"`); err != nil {
-			return err
-		}
-	}
-	if len(n.Children) == 0 {
-		_, err := w.WriteString("/>")
-		return err
-	}
-	if _, err := w.WriteString(">"); err != nil {
-		return err
-	}
-	for _, c := range n.Children {
-		if err := writeNode(w, c, depth+1, indent); err != nil {
-			return err
-		}
-	}
-	if indent {
-		if _, err := w.WriteString("\n" + strings.Repeat("  ", depth)); err != nil {
-			return err
-		}
-	}
-	_, err := w.WriteString("</" + n.Label + ">")
-	return err
+// Writer is the one XML serialiser: a Sink printing the events of a
+// tree's, a store's or the parser's walk, an element without children
+// self-closed. The End that closes a root writes the newline an
+// indented document ends with, flushes and returns the first write
+// error.
+type Writer struct {
+	w      *bufio.Writer
+	indent bool
+	open   []string // labels of the open elements, root first
+	bare   bool     // the innermost start tag still lacks its '>'
 }
 
-func escapeText(w *bufio.Writer, s string) error {
-	for _, r := range s {
-		var err error
-		switch r {
-		case '&':
-			_, err = w.WriteString("&amp;")
-		case '<':
-			_, err = w.WriteString("&lt;")
-		case '>':
-			_, err = w.WriteString("&gt;")
-		default:
-			_, err = w.WriteRune(r)
-		}
-		if err != nil {
-			return err
-		}
+// NewWriter returns a Writer to w, indented as WriteXML describes.
+func NewWriter(w io.Writer, indent bool) *Writer {
+	return &Writer{w: bufio.NewWriter(w), indent: indent}
+}
+
+// Start writes a start tag, its attributes in the order given.
+func (x *Writer) Start(label string, attrs []Attr) error {
+	x.child()
+	x.w.WriteByte('<')
+	x.w.WriteString(label) // no concatenation: the buffer's writer may keep a string
+	for _, a := range attrs {
+		x.w.WriteByte(' ')
+		x.w.WriteString(a.Name)
+		x.w.WriteString(`="`)
+		x.escape(a.Value, `&<"`)
+		x.w.WriteByte('"')
 	}
+	x.open, x.bare = append(x.open, label), true
 	return nil
 }
 
-func escapeAttr(w *bufio.Writer, s string) error {
-	for _, r := range s {
-		var err error
-		switch r {
-		case '&':
-			_, err = w.WriteString("&amp;")
-		case '<':
-			_, err = w.WriteString("&lt;")
-		case '"':
-			_, err = w.WriteString("&quot;")
-		default:
-			_, err = w.WriteRune(r)
-		}
-		if err != nil {
-			return err
+// Text writes character data.
+func (x *Writer) Text(text string) error {
+	x.child()
+	x.escape(text, "&<>")
+	return nil
+}
+
+// End writes the end tag of the innermost open element, or self-closes
+// it.
+func (x *Writer) End() error {
+	n := len(x.open) - 1
+	if x.bare {
+		x.w.WriteString("/>")
+	} else {
+		x.newline(n)
+		x.w.WriteString("</")
+		x.w.WriteString(x.open[n])
+		x.w.WriteByte('>')
+	}
+	x.open, x.bare = x.open[:n], false
+	if n > 0 {
+		return nil
+	}
+	x.newline(0)
+	return x.w.Flush()
+}
+
+// child begins a node under the innermost open element: it completes
+// that element's start tag and, indented, starts the node's line.
+func (x *Writer) child() {
+	if x.bare {
+		x.w.WriteByte('>')
+		x.bare = false
+	}
+	if len(x.open) > 0 {
+		x.newline(len(x.open))
+	}
+}
+
+// newline starts a line indented to depth, when indenting.
+func (x *Writer) newline(depth int) {
+	if x.indent {
+		x.w.WriteByte('\n')
+		for range depth {
+			x.w.WriteString("  ")
 		}
 	}
-	return nil
+}
+
+// escape writes s with the characters in special written as references,
+// and a carriage return too, which a parser would read back as a line
+// feed. A byte that is not UTF-8 is written as U+FFFD.
+func (x *Writer) escape(s, special string) {
+	for _, r := range s {
+		switch {
+		case r == '\r':
+			x.w.WriteString("&#13;")
+		case !strings.ContainsRune(special, r):
+			x.w.WriteRune(r)
+		case r == '&':
+			x.w.WriteString("&amp;")
+		case r == '<':
+			x.w.WriteString("&lt;")
+		case r == '>':
+			x.w.WriteString("&gt;")
+		default:
+			x.w.WriteString("&quot;")
+		}
+	}
 }

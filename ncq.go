@@ -89,7 +89,7 @@ func loaderInto(dbs *[]*Database) xmltree.Sink {
 }
 
 // ParseDocument parses an XML document from r without loading it into
-// a database — the form Corpus.AddSharded and FromDocument consume.
+// a database — the form Corpus.AddSharded consumes.
 func ParseDocument(r io.Reader) (*xmltree.Document, error) {
 	doc, err := xmltree.Parse(r)
 	if err != nil {
@@ -101,18 +101,6 @@ func ParseDocument(r io.Reader) (*xmltree.Document, error) {
 // OpenString is Open on a string.
 func OpenString(s string) (*Database, error) {
 	return Open(strings.NewReader(s))
-}
-
-// FromDocument loads an already parsed syntax tree.
-func FromDocument(doc *xmltree.Document) (*Database, error) {
-	if doc == nil {
-		return nil, fmt.Errorf("ncq: nil document")
-	}
-	store, err := monetx.Load(doc)
-	if err != nil {
-		return nil, fmt.Errorf("ncq: %w", err)
-	}
-	return newDatabase(store), nil
 }
 
 // newDatabase indexes a shredded store; the parsed tree is not kept.
@@ -159,13 +147,13 @@ func (db *Database) PrevSibling(n NodeID) NodeID { return db.store.PrevSibling(n
 
 // Subtree renders the subtree rooted at element n as an XML string —
 // the "starting point for displaying and browsing" of Section 4 of the
-// paper.
+// paper — straight from the columns, with no tree built.
 func (db *Database) Subtree(n NodeID) (string, error) {
-	sub, err := db.store.ReassembleSubtree(n)
-	if err != nil {
+	var sb strings.Builder
+	if err := db.store.Emit(n, xmltree.NewWriter(&sb, false)); err != nil {
 		return "", fmt.Errorf("ncq: %w", err)
 	}
-	return sub.XMLString(), nil
+	return sb.String(), nil
 }
 
 // Hit is one full-text match.
@@ -593,14 +581,13 @@ func (db *Database) Stats() Stats {
 // describes: nothing a server answers reads the token index.
 func (db *Database) Terms() int { return db.index.Terms() }
 
-// WriteXML serialises the loaded document back to XML, reassembling
-// the tree from the store: the Monet transform is lossless.
+// WriteXML serialises the loaded document back to XML from the store's
+// columns: the Monet transform is lossless.
 func (db *Database) WriteXML(w io.Writer, indent bool) error {
-	doc, err := db.store.ReassembleDocument()
-	if err != nil {
+	if err := db.store.Emit(db.store.Root(), xmltree.NewWriter(w, indent)); err != nil {
 		return fmt.Errorf("ncq: %w", err)
 	}
-	return doc.WriteXML(w, indent)
+	return nil
 }
 
 // PathInfo describes one relation of the storage catalogue.

@@ -5,12 +5,22 @@ import (
 	"strings"
 	"testing"
 
+	"ncq/internal/monetx"
 	"ncq/internal/xmltree"
 )
 
+// fromDocument loads a tree fixture: its walk into the store loader.
+func fromDocument(doc *xmltree.Document) (*Database, error) {
+	store, err := monetx.Load(doc)
+	if err != nil {
+		return nil, err
+	}
+	return newDatabase(store), nil
+}
+
 func fig1DB(t *testing.T) *Database {
 	t.Helper()
-	db, err := FromDocument(xmltree.Fig1())
+	db, err := fromDocument(xmltree.Fig1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +44,7 @@ func TestOpenErrors(t *testing.T) {
 	if _, err := OpenString("not xml <"); err == nil {
 		t.Error("bad XML accepted")
 	}
-	if _, err := FromDocument(nil); err == nil {
+	if _, err := fromDocument(nil); err == nil {
 		t.Error("nil document accepted")
 	}
 }

@@ -89,7 +89,7 @@ func TestQueryPipelineEqualsEval(t *testing.T) {
 	docs = append(docs, deepTwoLabelDoc(r, 1500), deepTwoLabelDoc(r, 3000))
 	rows, unmatched := 0, 0
 	for di, doc := range docs {
-		db, err := FromDocument(doc)
+		db, err := fromDocument(doc)
 		if err != nil {
 			t.Fatal(err)
 		}

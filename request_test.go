@@ -23,7 +23,7 @@ func pagingCorpus(t *testing.T) *Corpus {
 	t.Helper()
 	c := NewCorpus()
 	for i := 0; i < 4; i++ {
-		db, err := FromDocument(bigBib(30))
+		db, err := fromDocument(bigBib(30))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -468,7 +468,7 @@ func TestForEachDocCancelMidFlight(t *testing.T) {
 func TestCorpusRunCancelMidFanout(t *testing.T) {
 	c := NewCorpus()
 	for i := 0; i < 32; i++ {
-		db, err := FromDocument(bigBib(200))
+		db, err := fromDocument(bigBib(200))
 		if err != nil {
 			t.Fatal(err)
 		}

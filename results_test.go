@@ -53,7 +53,7 @@ func TestResultsEquivalenceRandom(t *testing.T) {
 					t.Fatal(err)
 				}
 			} else {
-				db, err := FromDocument(doc)
+				db, err := fromDocument(doc)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -105,7 +105,7 @@ func TestResultsEquivalenceRandom(t *testing.T) {
 	}
 
 	// The same equivalence holds for a single Database.
-	db, err := FromDocument(bigBib(20))
+	db, err := fromDocument(bigBib(20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestResultsEquivalenceRandom(t *testing.T) {
 func TestResultsFirstYieldBeforeSlowMemberDrains(t *testing.T) {
 	c := NewCorpus()
 	for i := 0; i < 4; i++ {
-		db, err := FromDocument(bigBib(15))
+		db, err := fromDocument(bigBib(15))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestResultsFirstYieldBeforeSlowMemberDrains(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	slowDB, err := FromDocument(bigBib(20))
+	slowDB, err := fromDocument(bigBib(20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestStaleCursorAfterMutation(t *testing.T) {
 		t.Fatalf("pre-mutation page: %v", err)
 	}
 
-	extra, err := FromDocument(bigBib(5))
+	extra, err := fromDocument(bigBib(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestStaleCursorAfterMutation(t *testing.T) {
 	}
 
 	// A Database cannot mutate; its cursors always resume.
-	db, err := FromDocument(bigBib(30))
+	db, err := fromDocument(bigBib(30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestResultsStatsPublishedBeforeFirstYield(t *testing.T) {
 // document that takes a hundred to answer comes back as the deadline's
 // error, and soon.
 func TestQueryRequestDeadline(t *testing.T) {
-	db, err := FromDocument(bigBib(50000))
+	db, err := fromDocument(bigBib(50000))
 	if err != nil {
 		t.Fatal(err)
 	}

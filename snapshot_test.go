@@ -113,7 +113,7 @@ func TestSnapshotShardFacade(t *testing.T) {
 // array on every pair of nodes, and a meet over every OID finds each
 // witness inside its meet.
 func FuzzOpenSnapshot(f *testing.F) {
-	db, err := FromDocument(xmltree.Fig1())
+	db, err := fromDocument(xmltree.Fig1())
 	if err != nil {
 		f.Fatal(err)
 	}
