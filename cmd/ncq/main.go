@@ -37,10 +37,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 
 	"ncq"
+	"ncq/internal/wal"
 	"ncq/internal/wire"
 )
 
@@ -113,7 +113,9 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if *saveSnap != "" {
-		if err := writeSnapshot(db, *saveSnap); err != nil {
+		// Crash-safe: an interrupted save never leaves a truncated file
+		// where a good snapshot (or nothing) used to be.
+		if err := wal.WriteFile(*saveSnap, db.SaveSnapshot); err != nil {
 			fmt.Fprintf(stderr, "ncq: %v\n", err)
 			return 1
 		}
@@ -149,31 +151,6 @@ func load(file, snap string) (*ncq.Database, error) {
 	}
 	defer f.Close()
 	return ncq.OpenSnapshot(f)
-}
-
-// writeSnapshot saves crash-safely: the snapshot is staged in a temp
-// file, fsynced, and renamed over the target, so an interrupted save
-// can never leave a truncated file where a good snapshot (or nothing)
-// used to be.
-func writeSnapshot(db *ncq.Database, path string) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(f.Name()) // no-op once renamed
-	if err := db.SaveSnapshot(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(f.Name(), path)
 }
 
 type meetFlags struct {

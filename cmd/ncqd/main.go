@@ -266,7 +266,8 @@ func run(argv []string, stderr io.Writer, ready chan<- string) int {
 		if *dataDir != "" {
 			// Recovery before anything else touches the corpus: replay the
 			// WAL over the persisted snapshots to the exact pre-shutdown
-			// (or pre-crash) generation, then hook every later mutation.
+			// (or pre-crash) generation. Every later change commits through
+			// the store, persisted before the corpus applies it.
 			store, err := durable.Open(*dataDir, fsyncPolicy, corpus)
 			if err != nil {
 				logger.Error("recovery failed", "err", err, "data-dir", *dataDir)

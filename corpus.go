@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 
 	"ncq/internal/shard"
@@ -39,7 +40,6 @@ type Corpus struct {
 	members map[string]entry
 	gen     uint64
 	workers int // fan-out width for corpus-wide queries; 0 = GOMAXPROCS
-	onMut   func(Mutation)
 
 	// thesaurus holds the synonym classes vague requests with Expand
 	// set broaden their terms through; nil means no expansion beyond
@@ -54,38 +54,6 @@ type Corpus struct {
 type entry struct {
 	dbs     []*Database
 	sharded bool
-}
-
-// Mutation describes one membership change, as observed by the hook
-// installed with SetMutationHook. Gen is the corpus generation the
-// change produced — the exact value a recovered corpus must report
-// again for generation-stamped cursors and the cluster generation
-// vector to stay valid across a restart.
-type Mutation struct {
-	Name   string
-	Gen    uint64
-	Shards int  // shard count of a sharded member; 0 for a plain member
-	Delete bool // true for Remove, false for Put/AddSharded
-}
-
-// SetMutationHook installs fn to be called on every membership
-// mutation (Put, AddSharded, AddShardDBs, Remove), synchronously and
-// under the corpus write lock — the generation it reports is exact and
-// no later mutation can be observed before fn returns. This is the
-// attachment point of the durability layer: fn persists the change
-// before the corpus acknowledges it. fn must not call back into the
-// corpus. A nil fn removes the hook.
-func (c *Corpus) SetMutationHook(fn func(Mutation)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.onMut = fn
-}
-
-// notify fires the mutation hook; the caller holds the write lock.
-func (c *Corpus) notify(m Mutation) {
-	if c.onMut != nil {
-		c.onMut(m)
-	}
 }
 
 // RestoreGeneration forces the corpus generation, so a corpus rebuilt
@@ -115,7 +83,7 @@ func (c *Corpus) Add(name string, db *Database) error {
 // check happens under the write lock, so concurrent Puts of the same
 // name agree on which one created the entry.
 func (c *Corpus) Put(name string, db *Database) (replaced bool, err error) {
-	return c.put(name, []*Database{db}, false)
+	return c.Commit(name, []*Database{db}, false, nil)
 }
 
 // The thresholds by which OpenSharded picks a split policy. Constants,
@@ -140,7 +108,7 @@ const (
 // Anything else streams under shard.StreamCut, the byte-budget policy:
 // a shard is cut every size/k input bytes (every 8 MiB when the size is
 // unknown), so not even the body is held whole. Register the result
-// with Put when k <= 1 and with AddShardDBs otherwise.
+// with Commit, sharded when k > 1.
 func OpenSharded(r io.Reader, size int64, k int) ([]*Database, error) {
 	if k <= 1 {
 		return openParts(r, nil)
@@ -190,68 +158,61 @@ func (c *Corpus) AddSharded(name string, doc *xmltree.Document, k int) (dbs []*D
 	if err = shard.SplitInto(doc, k, loaderInto(&dbs)); err != nil {
 		return nil, false, fmt.Errorf("ncq: %w", err)
 	}
-	if replaced, err = c.put(name, dbs, true); err != nil {
+	if replaced, err = c.Commit(name, dbs, true, nil); err != nil {
 		return nil, false, err
 	}
 	return dbs, replaced, nil
 }
 
-// AddShardDBs registers already-loaded shard databases as one sharded
-// member — the registration half of AddSharded, used directly when the
-// shards were built elsewhere: by OpenSharded from an upload, or from
-// per-shard snapshot files on recovery.
-func (c *Corpus) AddShardDBs(name string, dbs []*Database) (replaced bool, err error) {
-	return c.put(name, dbs, true)
-}
-
-// put is the one registration: it claims name for dbs under the write
-// lock — replacing a previous member in place, or appending a new one —
-// bumps the generation, fires the mutation hook, and reports whether an
-// existing member was replaced. The corpus keeps its own copy of dbs.
-func (c *Corpus) put(name string, dbs []*Database, sharded bool) (replaced bool, err error) {
-	if len(dbs) == 0 {
-		return false, fmt.Errorf("ncq: corpus: no databases for %q", name)
-	}
-	for i, db := range dbs {
-		if db == nil {
-			return false, fmt.Errorf("ncq: corpus: nil database %d for %q", i, name)
+// Commit is the one membership change. It registers dbs under name —
+// one plain member of exactly one database, or when sharded one member
+// of len(dbs) shards — in place of a previous member or appended after
+// the others; with dbs nil it evicts name, a no-op when name is absent.
+// A change bumps the generation by one. existed reports whether name
+// was registered before the call. The corpus keeps its own copy of dbs.
+//
+// persist, when not nil, runs first, under the write lock, with the
+// generation the change will produce: the durability layer persists the
+// change there before anyone can observe it. If persist fails, its error
+// is returned and membership and generation stay as they were — a
+// refused write is never served. persist must not call into the corpus.
+func (c *Corpus) Commit(name string, dbs []*Database, sharded bool, persist func(gen uint64) error) (existed bool, err error) {
+	var e entry
+	if dbs != nil {
+		if len(dbs) == 0 || (!sharded && len(dbs) != 1) || slices.Contains(dbs, nil) {
+			return false, fmt.Errorf("ncq: corpus: %d databases for %q: a plain member is one, a sharded one at least one, none nil", len(dbs), name)
 		}
-	}
-	e := entry{dbs: append([]*Database(nil), dbs...), sharded: sharded}
-	m := Mutation{Name: name}
-	if sharded {
-		m.Shards = len(dbs)
+		e = entry{dbs: append([]*Database(nil), dbs...), sharded: sharded}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, replaced = c.members[name]; !replaced {
-		c.names = append(c.names, name)
+	_, existed = c.members[name]
+	if dbs == nil && !existed {
+		return false, nil
 	}
-	c.members[name] = e
+	if persist != nil {
+		if err := persist(c.gen + 1); err != nil {
+			return existed, err
+		}
+	}
+	if dbs == nil {
+		delete(c.members, name)
+		c.names = slices.DeleteFunc(c.names, func(n string) bool { return n == name })
+	} else {
+		if !existed {
+			c.names = append(c.names, name)
+		}
+		c.members[name] = e
+	}
 	c.gen++
-	m.Gen = c.gen
-	c.notify(m)
-	return replaced, nil
+	return existed, nil
 }
 
 // Remove evicts the member registered under name — all of its shards
 // for a sharded member — and reports whether it was present.
 func (c *Corpus) Remove(name string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.members[name]; !ok {
-		return false
-	}
-	delete(c.members, name)
-	for i, n := range c.names {
-		if n == name {
-			c.names = append(c.names[:i], c.names[i+1:]...)
-			break
-		}
-	}
-	c.gen++
-	c.notify(Mutation{Name: name, Gen: c.gen, Delete: true})
-	return true
+	existed, _ := c.Commit(name, nil, false, nil)
+	return existed
 }
 
 // Names returns the registered logical names in insertion order.
@@ -369,8 +330,8 @@ func (c *Corpus) Parallelism() int {
 // Expand set broaden their terms through (nil removes them). The
 // corpus generation is bumped so cached results computed against the
 // previous classes — and cursors minted from them — are invalidated;
-// installing a thesaurus is not a membership mutation, so the
-// durability hook does not fire.
+// installing a thesaurus is not a membership change, so nothing is
+// persisted.
 func (c *Corpus) SetThesaurus(t *Thesaurus) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -313,7 +313,7 @@ func TestShardedEqualsUnsharded(t *testing.T) {
 	if err != nil || len(dbs) != 3 {
 		t.Fatalf("streamed split: %d shards, %v", len(dbs), err)
 	}
-	if _, err := corpora["streamed"].AddShardDBs("doc", dbs); err != nil {
+	if _, err := corpora["streamed"].Commit("doc", dbs, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	// sequence runs src to the end of its cursor chain and renders what

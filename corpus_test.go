@@ -1,7 +1,8 @@
 package ncq
 
 import (
-	"reflect"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -229,10 +230,12 @@ func contains(haystack, needle string) bool {
 	return strings.Contains(haystack, needle)
 }
 
-func TestCorpusMutationHook(t *testing.T) {
+// TestCorpusCommitRefused pins commit before apply: persist sees the
+// generation the change will produce, and a refusal — of a new member,
+// a replacement or an eviction — leaves membership and generation as
+// they were.
+func TestCorpusCommitRefused(t *testing.T) {
 	c := NewCorpus()
-	var got []Mutation
-	c.SetMutationHook(func(m Mutation) { got = append(got, m) })
 	db := fig1DB(t)
 	if err := c.Add("a", db); err != nil {
 		t.Fatal(err)
@@ -240,52 +243,60 @@ func TestCorpusMutationHook(t *testing.T) {
 	if _, _, err := c.AddSharded("b", xmltree.Fig1(), 4); err != nil {
 		t.Fatal(err)
 	}
-	bShards := c.ShardCount("b")
-	if bShards < 1 {
-		t.Fatalf("ShardCount(b) = %d", bShards)
-	}
-	if !c.Remove("a") {
-		t.Fatal("Remove(a) = false")
-	}
-	want := []Mutation{
-		{Name: "a", Gen: 1},
-		{Name: "b", Gen: 2, Shards: bShards},
-		{Name: "a", Gen: 3, Delete: true},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("mutations = %+v, want %+v", got, want)
-	}
-	if c.Generation() != 3 {
-		t.Errorf("Generation = %d", c.Generation())
-	}
-	// The hook observes the exact generation the corpus reports: no
-	// mutation can slip between the bump and the notification.
-	c.SetMutationHook(func(m Mutation) {
-		if m.Gen != 4 {
-			t.Errorf("hook saw gen %d, want 4", m.Gen)
+	before := fmt.Sprint(c.Names(), c.Generation(), c.ShardCount("a"), c.ShardCount("b"))
+	refused := errors.New("refused")
+	for _, tc := range []struct {
+		name    string
+		dbs     []*Database
+		sharded bool
+	}{
+		{"new", []*Database{db}, false},
+		{"a", []*Database{db, db}, true}, // replace
+		{"b", nil, false},                // evict
+	} {
+		var saw uint64
+		_, err := c.Commit(tc.name, tc.dbs, tc.sharded, func(gen uint64) error {
+			saw = gen
+			return refused
+		})
+		if !errors.Is(err, refused) {
+			t.Errorf("Commit(%q) = %v, want the persist error", tc.name, err)
 		}
-	})
-	if err := c.Add("c", db); err != nil {
-		t.Fatal(err)
+		if saw != c.Generation()+1 {
+			t.Errorf("Commit(%q): persist saw generation %d, want %d", tc.name, saw, c.Generation()+1)
+		}
+		if after := fmt.Sprint(c.Names(), c.Generation(), c.ShardCount("a"), c.ShardCount("b")); after != before {
+			t.Errorf("refused Commit(%q) changed the corpus: %s, was %s", tc.name, after, before)
+		}
 	}
-	c.SetMutationHook(nil)
-	if err := c.Add("d", db); err != nil {
-		t.Fatal(err)
+	// Accepted, the change applies at the generation persist saw.
+	var saw uint64
+	existed, err := c.Commit("b", nil, false, func(gen uint64) error { saw = gen; return nil })
+	if err != nil || !existed || saw != 3 || c.Generation() != 3 || c.Has("b") {
+		t.Errorf("evict b = %v, %v; persist saw %d; generation %d, has b %v", existed, err, saw, c.Generation(), c.Has("b"))
+	}
+	// Evicting an absent name changes nothing and persists nothing.
+	existed, err = c.Commit("b", nil, false, func(uint64) error { t.Error("persist ran for an absent name"); return nil })
+	if err != nil || existed || c.Generation() != 3 {
+		t.Errorf("evict absent b = %v, %v; generation %d", existed, err, c.Generation())
+	}
+	if _, err := c.Commit("c", []*Database{db, db}, false, nil); err == nil {
+		t.Error("a plain member of two databases accepted")
 	}
 }
 
-func TestCorpusAddShardDBsAndRestoreGeneration(t *testing.T) {
+func TestCorpusCommitShardedAndRestoreGeneration(t *testing.T) {
 	c := NewCorpus()
 	db := fig1DB(t)
-	if _, err := c.AddShardDBs("x", nil); err == nil {
+	if _, err := c.Commit("x", []*Database{}, true, nil); err == nil {
 		t.Error("empty shard list accepted")
 	}
-	if _, err := c.AddShardDBs("x", []*Database{db, nil}); err == nil {
+	if _, err := c.Commit("x", []*Database{db, nil}, true, nil); err == nil {
 		t.Error("nil shard accepted")
 	}
-	replaced, err := c.AddShardDBs("x", []*Database{db, db})
+	replaced, err := c.Commit("x", []*Database{db, db}, true, nil)
 	if err != nil || replaced {
-		t.Fatalf("AddShardDBs = %v, %v", replaced, err)
+		t.Fatalf("Commit = %v, %v", replaced, err)
 	}
 	if got := c.ShardCount("x"); got != 2 {
 		t.Errorf("ShardCount = %d, want 2", got)

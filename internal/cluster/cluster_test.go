@@ -595,7 +595,7 @@ func TestClusterEndpoints(t *testing.T) {
 
 	status, raw := httpDo(t, "GET", coordTS.URL+"/v1/docs", "")
 	var listing struct {
-		Docs []workerDoc `json:"docs"`
+		Docs []wire.Doc `json:"docs"`
 	}
 	if status != http.StatusOK || json.Unmarshal(raw, &listing) != nil {
 		t.Fatalf("GET /v1/docs: %d %s", status, raw)

@@ -103,18 +103,9 @@ func (c *Coordinator) handleDocProxy(w http.ResponseWriter, r *http.Request) {
 	_, _ = io.Copy(w, resp.Body)
 }
 
-// workerDoc is one document of the cluster listing: the worker's
-// docInfo plus which worker holds it.
-type workerDoc struct {
-	Name   string          `json:"name"`
-	Shards int             `json:"shards"`
-	Stats  json.RawMessage `json:"stats"`
-	Worker string          `json:"worker"`
-}
-
 func (c *Coordinator) handleListDocs(w http.ResponseWriter, r *http.Request) {
 	type listing struct {
-		docs []workerDoc
+		docs []wire.Doc
 		err  error
 	}
 	results := c.forEachWorker(r.Context(), func(ctx context.Context, wk Worker) any {
@@ -131,8 +122,8 @@ func (c *Coordinator) handleListDocs(w http.ResponseWriter, r *http.Request) {
 		}
 		defer resp.Body.Close()
 		var body struct {
-			Docs       []workerDoc `json:"docs"`
-			Generation uint64      `json:"generation"`
+			Docs       []wire.Doc `json:"docs"`
+			Generation uint64     `json:"generation"`
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 			out.err = err
@@ -149,7 +140,7 @@ func (c *Coordinator) handleListDocs(w http.ResponseWriter, r *http.Request) {
 		out.docs = body.Docs
 		return out
 	})
-	docs := []workerDoc{}
+	docs := []wire.Doc{}
 	workerErrors := map[string]string{}
 	for i, res := range results {
 		l := res.(listing)

@@ -13,14 +13,16 @@
 //	    shard-000.snap …         — per-shard snapshots (framing i/n)
 //	staging/                     — commits in flight; swept at boot
 //
-// Commit protocol for a put: the shard snapshots are staged (written,
-// fsynced, directory fsynced) before the corpus mutation; under the
-// corpus write lock the staging directory is renamed to its final
-// generation-stamped name and the WAL record appended; only then is
-// the request acknowledged. A crash at any point before the WAL append
-// leaves an orphan directory that boot sweeps away — the corpus
-// recovers to the previous acknowledged state, never a half-applied
-// one.
+// Commit before apply: every change reaches the corpus through
+// ncq.Corpus.Commit, whose persist step runs under the corpus write lock
+// with the generation the change will produce, before membership
+// changes. A put stages its shard snapshots outside the lock, then
+// persists by renaming the stage to its generation-stamped directory,
+// fsyncing docs/ and appending the WAL record; a delete, by appending
+// its record. A refused persist leaves the corpus as it was, and a
+// crash before the WAL append leaves an orphan directory that boot
+// sweeps away: the corpus recovers to the previous acknowledged state,
+// never a half-applied one.
 package durable
 
 import (
@@ -29,6 +31,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -76,32 +79,34 @@ func InMemory(c *ncq.Corpus) Writer { return memory{c} }
 type memory struct{ c *ncq.Corpus }
 
 func (m memory) Put(name string, dbs []*ncq.Database, sharded bool) (bool, error) {
-	if sharded {
-		return m.c.AddShardDBs(name, dbs)
+	if err := checkPut(name, dbs); err != nil {
+		return false, err
 	}
-	if len(dbs) != 1 {
-		return false, fmt.Errorf("durable: put %q: a plain member is one database, not %d", name, len(dbs))
-	}
-	return m.c.Put(name, dbs[0])
+	return m.c.Commit(name, dbs, sharded, nil)
 }
 
-func (m memory) Delete(name string) (bool, error) { return m.c.Remove(name), nil }
+func (m memory) Delete(name string) (bool, error) { return m.c.Commit(name, nil, false, nil) }
 
 func (m memory) Stats() Stats { return Stats{} }
 
-// Store binds a corpus to a data directory. All mutations must go
-// through the store (Put, Delete); it installs a
-// corpus mutation hook that persists each change before the mutating
-// call returns.
+// checkPut refuses a put of no databases, which Corpus.Commit would
+// read as an eviction, and a nil one, which no snapshot can hold.
+func checkPut(name string, dbs []*ncq.Database) error {
+	if len(dbs) == 0 || slices.Contains(dbs, nil) {
+		return fmt.Errorf("durable: put %q: no databases, or a nil one", name)
+	}
+	return nil
+}
+
+// Store binds a corpus to a data directory. Every change made through
+// it (Put, Delete) is persisted before the corpus applies it; a change
+// made to the corpus directly is not persisted at all.
 type Store struct {
 	dataDir string
 	corpus  *ncq.Corpus
 	log     *wal.Log
 
-	mu        sync.Mutex // serialises commits; held around every corpus mutation
-	pending   *pendingPut
-	commitErr error
-	prevDirs  []string // superseded directories to drop after a commit
+	mu sync.Mutex // serialises commits: one staging directory, one superseded sweep
 
 	replayRecords int
 	replayDocs    int
@@ -109,14 +114,6 @@ type Store struct {
 	snapBytes     atomic.Uint64
 	commits       atomic.Uint64
 	compactions   atomic.Uint64
-}
-
-// pendingPut carries a staged commit from the public put methods into
-// the mutation hook that finishes it under the corpus write lock.
-type pendingPut struct {
-	name   string
-	shards int // 0 for a plain member
-	stage  string
 }
 
 // Open recovers the data directory into corpus and returns the store
@@ -167,8 +164,6 @@ func Open(dataDir string, policy wal.Policy, corpus *ncq.Corpus) (*Store, error)
 			return nil, err
 		}
 	}
-
-	corpus.SetMutationHook(s.onMutation)
 	return s, nil
 }
 
@@ -227,7 +222,7 @@ func (s *Store) loadDoc(rec wal.Record) error {
 	dir := filepath.Join(s.docsDir(), docDirName(rec.Gen, rec.Name))
 	dbs, err := OpenShards(dir, max(rec.Shards, 1))
 	if err == nil {
-		_, err = memory{s.corpus}.Put(rec.Name, dbs, rec.Shards > 0)
+		_, err = s.corpus.Commit(rec.Name, dbs, rec.Shards > 0, nil)
 	}
 	if err != nil {
 		return fmt.Errorf("durable: document %q at generation %d is logged as committed but its snapshot cannot be loaded (%w); the data directory is damaged — restore it from a copy or delete %s AND the wal.log records naming it to abandon the document", rec.Name, rec.Gen, err, dir)
@@ -328,24 +323,20 @@ func (s *Store) PutPlain(name string, db *ncq.Database) (replaced bool, err erro
 	return s.Put(name, []*ncq.Database{db}, false)
 }
 
-// PutShards registers dbs as one sharded member and persists each
-// shard as its own snapshot file.
-func (s *Store) PutShards(name string, dbs []*ncq.Database) (replaced bool, err error) {
-	return s.Put(name, dbs, true)
-}
-
-// Put is Writer.Put: it stages one snapshot file per database, then
-// registers the member — the corpus mutation hook finishes the commit.
+// Put is Writer.Put. It stages one snapshot file per database while
+// readers still see the old state, then commits: under the corpus write
+// lock it renames the stage to the generation-stamped directory, fsyncs
+// docs/ and appends the WAL record, and only then does the corpus
+// register the member. A refused commit leaves the corpus unchanged.
 func (s *Store) Put(name string, dbs []*ncq.Database, sharded bool) (bool, error) {
-	if len(dbs) == 0 || (!sharded && len(dbs) != 1) {
-		return false, fmt.Errorf("durable: put %q: bad shard count %d", name, len(dbs))
+	if err := checkPut(name, dbs); err != nil {
+		return false, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	// Stage the snapshots before touching the corpus: the expensive,
-	// fallible work happens while readers still see the old state.
 	stage := filepath.Join(s.dataDir, "staging", "commit")
+	defer os.RemoveAll(stage) // a no-op once renamed into docs/
 	if err := os.RemoveAll(stage); err != nil {
 		return false, fmt.Errorf("durable: put %q: %w", name, err)
 	}
@@ -353,156 +344,97 @@ func (s *Store) Put(name string, dbs []*ncq.Database, sharded bool) (bool, error
 		return false, fmt.Errorf("durable: put %q: %w", name, err)
 	}
 	for i, db := range dbs {
-		if db == nil {
-			return false, fmt.Errorf("durable: put %q: nil shard %d", name, i)
-		}
 		if err := s.writeShardFile(shardFile(stage, i), db, i, len(dbs)); err != nil {
 			return false, fmt.Errorf("durable: put %q: %w", name, err)
 		}
 	}
-	if err := wal.SyncDir(stage); err != nil {
+
+	// The record's shard count is 0 for a plain member, so recovery
+	// restores plain vs sharded registration exactly.
+	shards := 0
+	if sharded {
+		shards = len(dbs)
+	}
+	var final string
+	replaced, err := s.corpus.Commit(name, dbs, sharded, func(gen uint64) error {
+		final = filepath.Join(s.docsDir(), docDirName(gen, name))
+		wal.Crashpoint("rename-pre")
+		if err := os.Rename(stage, final); err != nil {
+			return err
+		}
+		wal.Crashpoint("rename-post")
+		err := wal.SyncDir(s.docsDir())
+		if err == nil {
+			err = s.log.Append(wal.Record{Op: wal.OpPut, Gen: gen, Name: name, Shards: shards})
+		}
+		// A failed log may hold the whole record, which names this
+		// directory; boot keeps it or sweeps it by what replay finds.
+		if err != nil && !s.log.Failed() {
+			os.RemoveAll(final)
+		}
+		return err
+	})
+	if err != nil {
 		return false, fmt.Errorf("durable: put %q: %w", name, err)
 	}
-
-	s.pending = &pendingPut{name: name, stage: stage}
-	if sharded {
-		s.pending.shards = len(dbs)
-	}
-	s.commitErr = nil
-	s.prevDirs = nil
-
-	replaced, err := memory{s.corpus}.Put(name, dbs, sharded)
-	s.pending = nil
-	if err == nil {
-		err = s.commitErr
-	}
-	if err != nil {
-		os.RemoveAll(stage)
-		return false, err
-	}
 	s.commits.Add(1)
-	s.dropPrevDirs()
+	s.dropSuperseded(name, filepath.Base(final))
 	return replaced, nil
 }
 
-// Delete evicts name from the corpus and logs the eviction; the
-// snapshot directory is removed once the record is durable.
+// Delete is Writer.Delete: the eviction's WAL record is appended under
+// the corpus write lock before the member leaves the corpus, and the
+// member's snapshot directory is removed after.
 func (s *Store) Delete(name string) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.commitErr = nil
-	s.prevDirs = nil
-	if !s.corpus.Remove(name) {
-		return false, nil
+	found, err := s.corpus.Commit(name, nil, false, func(gen uint64) error {
+		return s.log.Append(wal.Record{Op: wal.OpDelete, Gen: gen, Name: name})
+	})
+	if err != nil {
+		return found, fmt.Errorf("durable: delete %q: %w", name, err)
 	}
-	if s.commitErr != nil {
-		return true, s.commitErr
+	if found {
+		s.commits.Add(1)
+		s.dropSuperseded(name, "")
 	}
-	s.commits.Add(1)
-	s.dropPrevDirs()
-	return true, nil
+	return found, nil
 }
 
-// onMutation is the corpus mutation hook: it runs under the corpus
-// write lock (and, because every mutation routes through the store's
-// methods, under s.mu), seeing the exact generation the mutation
-// produced. It finishes the commit — rename for puts, log append for
-// both — so by the time the mutating call returns, the change is as
-// durable as the fsync policy promises.
-func (s *Store) onMutation(m ncq.Mutation) {
-	if m.Delete {
-		if err := s.log.Append(wal.Record{Op: wal.OpDelete, Gen: m.Gen, Name: m.Name}); err != nil {
-			s.commitErr = err
-			return
-		}
-		s.markSuperseded(m.Name, 0)
-		return
-	}
-	p := s.pending
-	if p == nil || p.name != m.Name || p.shards != m.Shards {
-		s.commitErr = fmt.Errorf("durable: corpus mutation of %q bypassed the store; the change is in memory but not persisted", m.Name)
-		return
-	}
-	final := filepath.Join(s.docsDir(), docDirName(m.Gen, m.Name))
-	wal.Crashpoint("rename-pre")
-	if err := os.Rename(p.stage, final); err != nil {
-		s.commitErr = err
-		return
-	}
-	wal.Crashpoint("rename-post")
-	if err := wal.SyncDir(s.docsDir()); err != nil {
-		s.commitErr = err
-		return
-	}
-	// m.Shards is 0 for a plain member; the record preserves that so
-	// recovery restores plain vs sharded registration exactly.
-	if err := s.log.Append(wal.Record{Op: wal.OpPut, Gen: m.Gen, Name: m.Name, Shards: m.Shards}); err != nil {
-		s.commitErr = err
-		return
-	}
-	s.markSuperseded(m.Name, m.Gen)
-}
-
-// markSuperseded queues every directory of name other than keepGen for
-// removal after the commit acknowledges. Removal is deferred out of
-// the corpus lock; a crash first leaves orphans the next boot sweeps.
-func (s *Store) markSuperseded(name string, keepGen uint64) {
+// dropSuperseded removes every snapshot directory of name but keep
+// once the commit that superseded them is logged. It is best-effort: a
+// crash first leaves orphans the next boot sweeps.
+func (s *Store) dropSuperseded(name, keep string) {
 	entries, err := os.ReadDir(s.docsDir())
 	if err != nil {
-		return // sweep at next boot
+		return
 	}
-	suffix := "-" + url.PathEscape(name)
-	keep := docDirName(keepGen, name)
+	escaped := url.PathEscape(name)
 	for _, e := range entries {
-		if e.Name() != keep && strings.HasSuffix(e.Name(), suffix) && strings.HasPrefix(e.Name(), "g") {
-			s.prevDirs = append(s.prevDirs, filepath.Join(s.docsDir(), e.Name()))
+		// g<gen>-<escaped name>: the generation holds no '-', so the
+		// first one ends it and the rest is the whole name.
+		if _, rest, ok := strings.Cut(e.Name(), "-"); ok && rest == escaped && e.Name() != keep {
+			os.RemoveAll(filepath.Join(s.docsDir(), e.Name()))
 		}
 	}
 }
 
-func (s *Store) dropPrevDirs() {
-	for _, dir := range s.prevDirs {
-		os.RemoveAll(dir) // best-effort; boot sweeps leftovers
-	}
-	s.prevDirs = nil
-}
-
-// writeShardFile persists one shard snapshot with the full crash-safe
-// discipline: temp file in the same directory, fsync, atomic rename.
+// writeShardFile persists one shard snapshot through wal.WriteFile.
 func (s *Store) writeShardFile(path string, db *ncq.Database, shard, shards int) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".snap-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op once renamed
-	cw := &countingWriter{w: wal.CrashWriter(tmp, "snapshot-mid")}
-	if err := db.SaveSnapshotShard(cw, shard, shards); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	s.snapBytes.Add(uint64(cw.n))
-	return nil
+	return wal.WriteFile(path, func(w io.Writer) error {
+		return db.SaveSnapshotShard(&countingWriter{wal.CrashWriter(w, "snapshot-mid"), &s.snapBytes}, shard, shards)
+	})
 }
 
+// countingWriter adds every byte it writes to n.
 type countingWriter struct {
 	w io.Writer
-	n int64
+	n *atomic.Uint64
 }
 
 func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
-	c.n += int64(n)
+	c.n.Add(uint64(n))
 	return n, err
 }
 
@@ -519,11 +451,8 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Close detaches the store from the corpus and closes the log.
-func (s *Store) Close() error {
-	s.corpus.SetMutationHook(nil)
-	return s.log.Close()
-}
+// Close closes the log; a later Put or Delete is refused.
+func (s *Store) Close() error { return s.log.Close() }
 
 // DocDirs lists the committed snapshot directories in docs/, sorted —
 // a debugging and test aid.

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"ncq"
@@ -52,8 +53,8 @@ func TestStoreRestartRoundTrip(t *testing.T) {
 	if replaced, err := s.PutPlain("plain", db); err != nil || replaced {
 		t.Fatalf("PutPlain = %v, %v", replaced, err)
 	}
-	if replaced, err := s.PutShards("shardy", []*ncq.Database{db, db, db}); err != nil || replaced {
-		t.Fatalf("PutShards = %v, %v", replaced, err)
+	if replaced, err := s.Put("shardy", []*ncq.Database{db, db, db}, true); err != nil || replaced {
+		t.Fatalf("Put(shardy) = %v, %v", replaced, err)
 	}
 	if replaced, err := s.PutPlain("gone", db); err != nil || replaced {
 		t.Fatalf("PutPlain(gone) = %v, %v", replaced, err)
@@ -261,18 +262,162 @@ func errorsAs(err error, target *(*wal.CorruptError)) bool {
 	return false
 }
 
-func TestStoreBypassDetected(t *testing.T) {
+// TestStoreDeleteOfUnpersistedMemberReplaysAsNoop pins what a member
+// registered on the corpus directly — never through the store, so never
+// persisted — does to the log: the store's DELETE of it is logged like
+// any other, and replay, which knows no put of that name, treats the
+// record as a no-op that only raises the generation.
+func TestStoreDeleteOfUnpersistedMemberReplaysAsNoop(t *testing.T) {
 	dir := t.TempDir()
 	s, c := openStore(t, dir)
-	defer s.Close()
-	// Mutating the corpus directly while a durable store manages it is
-	// a programming error the store reports on its next operation
-	// rather than silently losing the change.
-	if err := c.Add("bypass", fig1DB(t)); err != nil {
+	if err := c.Add("unpersisted", fig1DB(t)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Delete("bypass"); err != nil {
-		t.Fatal(err) // the delete itself is logged fine
+	if found, err := s.Delete("unpersisted"); err != nil || !found {
+		t.Fatalf("Delete = %v, %v", found, err)
+	}
+	s.Close()
+	s2, c2 := openStore(t, dir)
+	defer s2.Close()
+	if s2.Stats().ReplayRecords != 1 || c2.Len() != 0 || c2.Generation() != 2 {
+		t.Errorf("recovered %d records into %d members at generation %d, want 1 record, 0 members, generation 2",
+			s2.Stats().ReplayRecords, c2.Len(), c2.Generation())
+	}
+}
+
+// storeState is what a refused write must leave unchanged: the served
+// membership, its generation and the snapshot directories on disk.
+func storeState(s *Store, c *ncq.Corpus) string {
+	return fmt.Sprintf("%v gen=%d dirs=%v", c.Names(), c.Generation(), s.DocDirs())
+}
+
+// TestStorePutRefusedAtRename: a put whose generation-stamped directory
+// cannot be claimed is refused before the corpus changes, and a restart
+// recovers the membership as it was.
+func TestStorePutRefusedAtRename(t *testing.T) {
+	dir := t.TempDir()
+	s, c := openStore(t, dir)
+	if _, err := s.PutPlain("keep", fig1DB(t)); err != nil {
+		t.Fatal(err)
+	}
+	// Occupy the directory the next put of x would be renamed to.
+	blocker := filepath.Join(dir, "docs", docDirName(c.Generation()+1, "x"))
+	if err := os.MkdirAll(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(blocker, "occupied"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := storeState(s, c)
+	if _, err := s.PutPlain("x", fig1DB(t)); err == nil {
+		t.Fatal("put onto an occupied directory acknowledged")
+	}
+	if got := storeState(s, c); got != want {
+		t.Errorf("refused put changed the store:\n%s\nwas\n%s", got, want)
+	}
+	s.Close()
+	s2, c2 := openStore(t, dir)
+	defer s2.Close()
+	if got, want := membershipFingerprint(c2), "keep plain=true shards=1\ngen=1"; got != want {
+		t.Errorf("after restart:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestStoreWritesRefusedByFailedLog: with a log that takes no record, a
+// put and a delete are both refused before the corpus changes — no
+// member served that a restart would lose, none evicted that a restart
+// would bring back.
+func TestStoreWritesRefusedByFailedLog(t *testing.T) {
+	dir := t.TempDir()
+	s, c := openStore(t, dir)
+	if _, err := s.PutPlain("keep", fig1DB(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := storeState(s, c)
+	if _, err := s.PutPlain("x", fig1DB(t)); err == nil {
+		t.Error("put acknowledged without its log record")
+	}
+	if got := storeState(s, c); got != want {
+		t.Errorf("refused put changed the store:\n%s\nwas\n%s", got, want)
+	}
+	if _, err := s.Delete("keep"); err == nil {
+		t.Error("delete acknowledged without its log record")
+	}
+	if got := storeState(s, c); got != want {
+		t.Errorf("refused delete changed the store:\n%s\nwas\n%s", got, want)
+	}
+	s2, c2 := openStore(t, dir)
+	defer s2.Close()
+	if got, want := membershipFingerprint(c2), "keep plain=true shards=1\ngen=1"; got != want {
+		t.Errorf("after restart:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestStoreConcurrentCommits: puts and deletes racing on shared names
+// through one store, beside readers, leave one snapshot directory per
+// member and a data directory that recovers exactly what was served.
+func TestStoreConcurrentCommits(t *testing.T) {
+	dir := t.TempDir()
+	s, c := openStore(t, dir)
+	db := fig1DB(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				name := fmt.Sprintf("d%d", (g+i)%3)
+				var err error
+				if i%3 == 2 {
+					_, err = s.Delete(name)
+				} else {
+					_, err = s.PutPlain(name, db)
+				}
+				if err == nil {
+					_, _, err = c.MeetOfTermsIn("", nil, "Bit", "1999")
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := len(s.DocDirs()); got != c.Len() {
+		t.Errorf("%d snapshot directories for %d members: %v", got, c.Len(), s.DocDirs())
+	}
+	want := membershipFingerprint(c)
+	s.Close()
+	s2, c2 := openStore(t, dir)
+	defer s2.Close()
+	if got := membershipFingerprint(c2); got != want {
+		t.Errorf("after restart:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestStoreReplaceKeepsOtherMembersDirectories: replacing "b" drops
+// b's superseded directory and no other — "a-b" ends in "-b" too.
+func TestStoreReplaceKeepsOtherMembersDirectories(t *testing.T) {
+	dir := t.TempDir()
+	s, c := openStore(t, dir)
+	for _, name := range []string{"a-b", "b", "b"} {
+		if _, err := s.PutPlain(name, fig1DB(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := s.DocDirs(), []string{"g1-a-b", "g3-b"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("doc dirs = %v, want %v", got, want)
+	}
+	want := membershipFingerprint(c)
+	s.Close()
+	s2, c2 := openStore(t, dir)
+	defer s2.Close()
+	if got := membershipFingerprint(c2); got != want {
+		t.Errorf("after restart:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -26,7 +26,7 @@ func TestPutDocSharded(t *testing.T) {
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("create: %d %s", rec.Code, rec.Body)
 	}
-	info := decode[docInfo](t, rec)
+	info := decode[wire.Doc](t, rec)
 	if info.Name != "bib" || info.Shards != 4 || info.Stats.Nodes == 0 {
 		t.Errorf("info = %+v", info)
 	}
@@ -36,14 +36,14 @@ func TestPutDocSharded(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("get: %d", rec.Code)
 	}
-	if got := decode[docInfo](t, rec); got.Shards != 4 || got.Stats.Nodes != info.Stats.Nodes {
+	if got := decode[wire.Doc](t, rec); got.Shards != 4 || got.Stats.Nodes != info.Stats.Nodes {
 		t.Errorf("get info = %+v", got)
 	}
 
 	// The list shows one logical document.
 	rec = do(t, s, "GET", "/v1/docs", "")
 	list := decode[struct {
-		Docs []docInfo `json:"docs"`
+		Docs []wire.Doc `json:"docs"`
 	}](t, rec)
 	if len(list.Docs) != 1 || list.Docs[0].Shards != 4 {
 		t.Errorf("list = %+v", list.Docs)
@@ -68,7 +68,7 @@ func TestPutDocSharded(t *testing.T) {
 	if rec := do(t, s, "PUT", "/v1/docs/bib", shardedBib(4)); rec.Code != http.StatusOK {
 		t.Fatalf("replace: %d", rec.Code)
 	}
-	if got := decode[docInfo](t, do(t, s, "GET", "/v1/docs/bib", "")); got.Shards != 1 {
+	if got := decode[wire.Doc](t, do(t, s, "GET", "/v1/docs/bib", "")); got.Shards != 1 {
 		t.Errorf("shards after unsharded replace = %d", got.Shards)
 	}
 
@@ -95,7 +95,7 @@ func TestPutDocShardedBadParam(t *testing.T) {
 		if rec.Code != http.StatusCreated && rec.Code != http.StatusOK {
 			t.Fatalf("%s: status %d", q, rec.Code)
 		}
-		if info := decode[docInfo](t, rec); info.Shards != 1 {
+		if info := decode[wire.Doc](t, rec); info.Shards != 1 {
 			t.Errorf("%s: shards = %d", q, info.Shards)
 		}
 	}

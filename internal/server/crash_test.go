@@ -2,18 +2,19 @@
 
 package server
 
-// The kill-at-failpoint matrix: a child process is killed at an armed
-// crash point mid-persistence (mid-snapshot write, mid-WAL-append,
-// either side of the commit rename), then the data directory is
-// recovered and must answer /v2/query byte-identically — envelope
-// Result and generation — to an uncrashed reference node that never
-// saw the doomed mutation. This is the robustness analogue of the
+// The kill-at-failpoint matrix: a child process runs a script of
+// mutations and is killed at an armed crash point mid-persistence
+// (mid-snapshot write, before or mid-WAL-append, either side of the
+// commit rename), then the data directory is recovered and must answer
+// /v2/query byte-identically — envelope Result and generation — to an
+// uncrashed reference node that never saw the doomed mutation. This is the robustness analogue of the
 // cluster's TestDistributedEqualsSingleNode: instead of "distributed
 // equals single node", "crashed-and-recovered equals never-crashed".
 //
 // Run with: go test -race -tags ncqfail ./internal/server -run TestCrash
 
 import (
+	"flag"
 	"fmt"
 	"net/http"
 	"os"
@@ -26,14 +27,35 @@ import (
 	"ncq/internal/wal"
 )
 
-// crashPoints is the injection matrix. Every point sits between a
-// client's PUT request and its acknowledgement, so in every case the
-// mutation was never acked and recovery must not surface it.
-var crashPoints = []string{
-	"snapshot-mid",   // torn shard snapshot in staging
-	"wal-append-mid", // torn record at the log tail
-	"rename-pre",     // staged but never renamed
-	"rename-post",    // renamed but never logged — an orphan directory
+// crashCases is the injection matrix: which point is armed, and the
+// script of requests the child runs until it fires. Every point sits
+// between a client's request and its acknowledgement, so in every case
+// the mutation was never acked and recovery must not surface it.
+var crashCases = []struct {
+	name   string
+	point  string
+	script func(t *testing.T, srv *Server)
+}{
+	{"put/snapshot-mid", "snapshot-mid", putScript},           // torn shard snapshot in staging
+	{"put/wal-append-mid", "wal-append-mid", putScript},       // torn record at the log tail
+	{"put/rename-pre", "rename-pre", putScript},               // staged but never renamed
+	{"put/rename-post", "rename-post", putScript},             // renamed but never logged — an orphan directory
+	{"delete/wal-append-mid", "wal-append-mid", deleteScript}, // torn delete record at the log tail
+	{"delete/wal-append-pre", "wal-append-pre", deleteScript}, // killed before its record is written
+}
+
+// putScript replaces an existing doc and adds a new one — whichever
+// commit trips the armed point first kills the process (expected
+// mid-request).
+func putScript(t *testing.T, srv *Server) {
+	do(t, srv, "PUT", "/v1/docs/alpha", `<bib><article><author>Overwritten</author></article></bib>`)
+	do(t, srv, "PUT", "/v1/docs/doomed?shards=2", seedXML(8))
+}
+
+// deleteScript evicts the sharded member; its one append trips the
+// armed point.
+func deleteScript(t *testing.T, srv *Server) {
+	do(t, srv, "DELETE", "/v1/docs/beta", "")
 }
 
 func seedXML(n int) string {
@@ -97,30 +119,30 @@ func TestCrashMatrix(t *testing.T) {
 	want := queryEnvelopes(t, refSrv)
 	wantGen := refCorpus.Generation()
 
-	for _, point := range crashPoints {
-		t.Run(point, func(t *testing.T) {
+	for _, tc := range crashCases {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			seedStore(t, dir)
 
-			// The child replaces "alpha" and re-puts "beta" with DIFFERENT
-			// content; the armed crash point kills it mid-persistence of
-			// the first mutation. Nothing it did may survive.
-			cmd := exec.Command(os.Args[0], "-test.run=TestCrashChildHelper$")
+			// The child runs the row's script; the armed crash point kills
+			// it mid-persistence of the first mutation. Nothing it did may
+			// survive.
+			cmd := exec.Command(os.Args[0], "-test.run=TestCrashChildHelper$", tc.name)
 			cmd.Env = append(os.Environ(),
 				"NCQ_CRASH_CHILD_DIR="+dir,
-				"NCQ_CRASHPOINT="+point,
+				"NCQ_CRASHPOINT="+tc.point,
 			)
 			out, err := cmd.CombinedOutput()
 			ee, ok := err.(*exec.ExitError)
 			if !ok || ee.ExitCode() != wal.CrashExitCode {
-				t.Fatalf("child at %q: err=%v (want exit %d)\n%s", point, err, wal.CrashExitCode, out)
+				t.Fatalf("child at %q: err=%v (want exit %d)\n%s", tc.point, err, wal.CrashExitCode, out)
 			}
 
 			// Recover and compare against the uncrashed reference.
 			corpus := ncq.NewCorpus()
 			store, err := durable.Open(dir, wal.PolicyAlways, corpus)
 			if err != nil {
-				t.Fatalf("recovery after %q: %v", point, err)
+				t.Fatalf("recovery after %q: %v", tc.point, err)
 			}
 			defer store.Close()
 			if got := corpus.Generation(); got != wantGen {
@@ -130,7 +152,7 @@ func TestCrashMatrix(t *testing.T) {
 			got := queryEnvelopes(t, srv)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Errorf("probe %d after %q:\nrecovered: %s\nreference: %s", i, point, got[i], want[i])
+					t.Errorf("probe %d after %q:\nrecovered: %s\nreference: %s", i, tc.point, got[i], want[i])
 				}
 			}
 			// The doomed mutation's debris is gone from disk too.
@@ -144,9 +166,9 @@ func TestCrashMatrix(t *testing.T) {
 }
 
 // TestCrashChildHelper is the sacrificial process of the matrix: it
-// opens the durable store the parent prepared and issues mutations
-// until the armed crash point kills it. It is skipped in a normal test
-// run.
+// opens the durable store the parent prepared and runs the script of
+// the row named by its one argument until the armed crash point kills
+// it. It is skipped in a normal test run.
 func TestCrashChildHelper(t *testing.T) {
 	dir := os.Getenv("NCQ_CRASH_CHILD_DIR")
 	if dir == "" {
@@ -159,10 +181,11 @@ func TestCrashChildHelper(t *testing.T) {
 		os.Exit(1)
 	}
 	srv := New(corpus, WithDurability(store))
-	// Replace an existing doc, add a new one — whichever commit trips
-	// the armed point first kills the process (expected mid-request).
-	do(t, srv, "PUT", "/v1/docs/alpha", `<bib><article><author>Overwritten</author></article></bib>`)
-	do(t, srv, "PUT", "/v1/docs/doomed?shards=2", seedXML(8))
+	for _, tc := range crashCases {
+		if tc.name == flag.Arg(0) {
+			tc.script(t, srv)
+		}
+	}
 	// Reaching this line means the crash point never fired.
 	fmt.Fprintln(os.Stderr, "child survived: crash point did not fire")
 	os.Exit(2)

@@ -16,14 +16,6 @@ import (
 // header verbatim, so snapshot uploads work through it unchanged.
 const SnapshotContentType = "application/x-ncq-snapshot"
 
-// docInfo is the document metadata returned by the docs endpoints.
-// Stats aggregate over all shards of a sharded document.
-type docInfo struct {
-	Name   string    `json:"name"`
-	Shards int       `json:"shards"`
-	Stats  ncq.Stats `json:"stats"`
-}
-
 // validDocName rejects names that would be ambiguous in URLs or
 // unreasonable as identifiers. The ServeMux wildcard already excludes
 // empty segments and slashes; this guards length and control bytes.
@@ -109,7 +101,7 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 	if replaced {
 		status = http.StatusOK
 	}
-	wire.WriteJSON(w, status, docInfo{Name: name, Shards: len(dbs), Stats: ncq.AggregateStats(dbs)})
+	wire.WriteJSON(w, status, wire.Doc{Name: name, Shards: len(dbs), Stats: ncq.AggregateStats(dbs)})
 }
 
 // writeParseError distinguishes an oversized upload from a malformed
@@ -131,7 +123,7 @@ func (s *Server) handleGetDoc(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusNotFound, "no document %q", name)
 		return
 	}
-	wire.WriteJSON(w, http.StatusOK, docInfo{Name: name, Shards: shards, Stats: st})
+	wire.WriteJSON(w, http.StatusOK, wire.Doc{Name: name, Shards: shards, Stats: st})
 }
 
 func (s *Server) handleDeleteDoc(w http.ResponseWriter, r *http.Request) {
@@ -151,10 +143,10 @@ func (s *Server) handleDeleteDoc(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleListDocs(w http.ResponseWriter, r *http.Request) {
-	docs := []docInfo{}
+	docs := []wire.Doc{}
 	for _, name := range s.corpus.Names() {
 		if st, shards, ok := s.corpus.MemberStats(name); ok {
-			docs = append(docs, docInfo{Name: name, Shards: shards, Stats: st})
+			docs = append(docs, wire.Doc{Name: name, Shards: shards, Stats: st})
 		}
 	}
 	wire.WriteJSON(w, http.StatusOK, map[string]any{

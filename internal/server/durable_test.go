@@ -66,7 +66,7 @@ func TestPutDocSnapshotBody(t *testing.T) {
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("snapshot PUT: %d %s", rec.Code, rec.Body)
 	}
-	info := decode[docInfo](t, rec)
+	info := decode[wire.Doc](t, rec)
 	if info.Shards != 1 || info.Stats.Nodes == 0 {
 		t.Errorf("snapshot PUT info = %+v", info)
 	}
@@ -101,7 +101,7 @@ func TestDurableServerRestart(t *testing.T) {
 	if rec := do(t, s, "PUT", "/v1/docs/personal?shards=2", bibEntry); rec.Code != http.StatusCreated {
 		t.Fatalf("PUT personal: %d %s", rec.Code, rec.Body)
 	}
-	info := decode[docInfo](t, do(t, s, "GET", "/v1/docs/personal", ""))
+	info := decode[wire.Doc](t, do(t, s, "GET", "/v1/docs/personal", ""))
 	if info.Shards < 1 {
 		t.Fatalf("personal shards = %d", info.Shards)
 	}
@@ -120,6 +120,17 @@ func TestDurableServerRestart(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// A closed store refuses every write with a 500, and a refused write
+	// is never served.
+	if rec := do(t, s, "PUT", "/v1/docs/late", bibArticle); rec.Code != http.StatusInternalServerError {
+		t.Errorf("PUT through a closed store: %d %s", rec.Code, rec.Body)
+	}
+	if rec := do(t, s, "DELETE", "/v1/docs/cwi", ""); rec.Code != http.StatusInternalServerError {
+		t.Errorf("DELETE through a closed store: %d %s", rec.Code, rec.Body)
+	}
+	if names := s.Corpus().Names(); s.Corpus().Generation() != gen || !reflect.DeepEqual(names, []string{"cwi", "personal"}) {
+		t.Errorf("refused writes served: %v at generation %d, want [cwi personal] at %d", names, s.Corpus().Generation(), gen)
+	}
 
 	// Restart: same directory, fresh corpus and server.
 	s2, _ := openDurableServer(t, dir)
@@ -132,7 +143,7 @@ func TestDurableServerRestart(t *testing.T) {
 	if rec := do(t, s2, "GET", "/v1/docs/library", ""); rec.Code != http.StatusNotFound {
 		t.Errorf("deleted doc resurrected: %d %s", rec.Code, rec.Body)
 	}
-	info = decode[docInfo](t, do(t, s2, "GET", "/v1/docs/personal", ""))
+	info = decode[wire.Doc](t, do(t, s2, "GET", "/v1/docs/personal", ""))
 	if info.Shards < 1 {
 		t.Errorf("personal shards after restart = %d", info.Shards)
 	}
@@ -155,7 +166,7 @@ func TestDurableShardedUploadStreams(t *testing.T) {
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("streaming PUT: %d %s", rec.Code, rec.Body)
 	}
-	info := decode[docInfo](t, rec)
+	info := decode[wire.Doc](t, rec)
 	if info.Shards < 2 || info.Shards > 4 {
 		t.Errorf("streamed shards = %d, want 2..4", info.Shards)
 	}
@@ -202,7 +213,7 @@ func TestShardedUploadSameShardsWithAndWithoutStore(t *testing.T) {
 	mem := newTestServer(t)
 	dur, _ := openDurableServer(t, t.TempDir())
 	const q = `{"terms":["Author","199"],"exclude_root":true}`
-	put := func(s *Server, path string, length int64) docInfo {
+	put := func(s *Server, path string, length int64) wire.Doc {
 		t.Helper()
 		req := httptest.NewRequest("PUT", path, strings.NewReader(body))
 		req.ContentLength = length
@@ -211,7 +222,7 @@ func TestShardedUploadSameShardsWithAndWithoutStore(t *testing.T) {
 		if rec.Code != http.StatusCreated {
 			t.Fatalf("PUT %s: %d %s", path, rec.Code, rec.Body)
 		}
-		return decode[docInfo](t, rec)
+		return decode[wire.Doc](t, rec)
 	}
 
 	put(mem, "/v1/docs/big?shards=4", int64(len(body)))
@@ -250,6 +261,7 @@ func TestDurableMetricsExposed(t *testing.T) {
 		"ncq_wal_appends_total 1",
 		"ncq_durable_commits_total 1",
 		"ncq_replay_records 0",
+		"ncq_wal_failed 0",
 	} {
 		if !strings.Contains(body, series) {
 			t.Errorf("metrics missing %q", series)

@@ -36,6 +36,14 @@ func (s *Server) initObservability() {
 	reg.CounterFunc("ncq_wal_bytes_total",
 		"Bytes appended to the write-ahead log, framing included.",
 		func() float64 { return float64(durableStats().WAL.Bytes) })
+	reg.GaugeFunc("ncq_wal_failed",
+		"1 once a write-ahead log write or fsync failed: every PUT and DELETE is refused until a restart.",
+		func() float64 {
+			if durableStats().WAL.Failed {
+				return 1
+			}
+			return 0
+		})
 	reg.CounterFunc("ncq_snapshot_bytes_total",
 		"Snapshot bytes written by document commits since boot.",
 		func() float64 { return float64(durableStats().SnapshotBytes) })

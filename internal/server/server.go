@@ -148,8 +148,9 @@ func WithAdmission(maxConcurrent, maxQueue int, wait time.Duration) Option {
 // WithDurability routes every document mutation through store, which
 // must manage the same corpus the server serves: a PUT is acknowledged
 // only after its snapshots and WAL record are persisted, and a DELETE
-// only after its eviction is logged. Queries are unaffected — they
-// read the in-memory corpus as before.
+// only after its eviction is logged; a write the store cannot persist
+// answers 500 and leaves the corpus unchanged. Queries are unaffected —
+// they read the in-memory corpus as before.
 func WithDurability(store *durable.Store) Option {
 	return func(s *Server) { s.docs = store }
 }

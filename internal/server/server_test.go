@@ -121,7 +121,7 @@ func TestPutDoc(t *testing.T) {
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("create: %d %s", rec.Code, rec.Body)
 	}
-	info := decode[docInfo](t, rec)
+	info := decode[wire.Doc](t, rec)
 	if info.Name != "bib" || info.Stats.Nodes == 0 {
 		t.Errorf("info = %+v", info)
 	}
@@ -220,7 +220,7 @@ func TestGetDeleteDoc(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("get: %d", rec.Code)
 	}
-	if info := decode[docInfo](t, rec); info.Name != "cwi" {
+	if info := decode[wire.Doc](t, rec); info.Name != "cwi" {
 		t.Errorf("info = %+v", info)
 	}
 	if rec := do(t, s, "GET", "/v1/docs/nope", ""); rec.Code != http.StatusNotFound {
@@ -237,20 +237,24 @@ func TestGetDeleteDoc(t *testing.T) {
 	}
 }
 
+// TestListDocs pins a node's listing byte for byte: the same keys in
+// the same order as ever, and no "worker" key, which only a
+// coordinator's listing carries.
 func TestListDocs(t *testing.T) {
 	s := newTestServer(t)
 	loadDocs(t, s)
-	rec := do(t, s, "GET", "/v1/docs", "")
-	var body struct {
-		Docs       []docInfo `json:"docs"`
-		Generation uint64    `json:"generation"`
+	want := `{"docs":[`
+	for i, name := range s.corpus.Names() { // loadDocs registers in map order
+		st, _, _ := s.corpus.MemberStats(name)
+		if i > 0 {
+			want += ","
+		}
+		want += fmt.Sprintf(`{"name":%q,"shards":1,"stats":{"nodes":%d,"paths":%d,"associations":%d,"mem_bytes":%d}}`,
+			name, st.Nodes, st.Paths, st.Associations, st.MemBytes)
 	}
-	body = decode[struct {
-		Docs       []docInfo `json:"docs"`
-		Generation uint64    `json:"generation"`
-	}](t, rec)
-	if len(body.Docs) != 3 || body.Generation != 3 {
-		t.Errorf("body = %+v", body)
+	want += `],"generation":3}` + "\n"
+	if got := do(t, s, "GET", "/v1/docs", "").Body.String(); got != want {
+		t.Errorf("GET /v1/docs =\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -25,6 +25,11 @@
 // (bounded loss window, much higher mutation throughput), PolicyOff
 // leaves syncing to the OS (crash durability limited to what the page
 // cache happened to flush).
+//
+// A failed write or fsync fails the log: it may have left part of a
+// record on disk, and a record appended after it would turn a torn tail
+// into interior corruption. So every later append is refused until a
+// restart, whose replay decides what the failed record left.
 package wal
 
 import (
@@ -135,6 +140,7 @@ type Stats struct {
 	Bytes     uint64 // bytes appended, framing included
 	Replayed  int    // records recovered by Open
 	Truncated bool   // Open dropped a torn final record
+	Failed    bool   // a write or fsync failed; appends are refused until a restart
 }
 
 // Log is an open, append-only mutation log. Safe for concurrent use.
@@ -146,10 +152,12 @@ type Log struct {
 	f        *os.File
 	lastSync time.Time
 	dirty    bool
+	failErr  error // the first failed write or fsync; refuses every later append
 
 	appends  atomic.Uint64
 	fsyncs   atomic.Uint64
 	bytes    atomic.Uint64
+	failed   atomic.Bool // failErr != nil, readable without the lock
 	replayed int
 	torn     bool
 }
@@ -297,7 +305,8 @@ func decodeRecord(payload []byte) (Record, error) {
 
 // Append logs one record, making it durable per the fsync policy
 // before returning. Under PolicyAlways a nil return means the record
-// survives any crash from here on.
+// survives any crash from here on; an error that fails the log leaves
+// it to a restart's replay whether the record is on disk.
 func (l *Log) Append(r Record) error {
 	b, err := encodeRecord(r)
 	if err != nil {
@@ -308,8 +317,12 @@ func (l *Log) Append(r Record) error {
 	if l.f == nil {
 		return errors.New("wal: append to closed log")
 	}
+	if l.failErr != nil {
+		return fmt.Errorf("wal: log failed; restart to recover: %w", l.failErr)
+	}
+	Crashpoint("wal-append-pre")
 	if err := crashyWrite(l.f, b, "wal-append-mid"); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
+		return l.fail(fmt.Errorf("wal: append: %w", err))
 	}
 	l.appends.Add(1)
 	l.bytes.Add(uint64(len(b)))
@@ -340,13 +353,27 @@ func (l *Log) syncLocked() error {
 		return nil
 	}
 	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
+		return l.fail(fmt.Errorf("wal: fsync: %w", err))
 	}
 	l.fsyncs.Add(1)
 	l.dirty = false
 	l.lastSync = time.Now()
 	return nil
 }
+
+// fail records the log's first failure and returns err; the caller
+// holds the lock.
+func (l *Log) fail(err error) error {
+	if l.failErr == nil {
+		l.failErr = err
+		l.failed.Store(true)
+	}
+	return err
+}
+
+// Failed reports whether a write or fsync has failed, after which every
+// append is refused until the log is reopened.
+func (l *Log) Failed() bool { return l.failed.Load() }
 
 // Close syncs pending appends and releases the file.
 func (l *Log) Close() error {
@@ -371,45 +398,52 @@ func (l *Log) Stats() Stats {
 		Bytes:     l.bytes.Load(),
 		Replayed:  l.replayed,
 		Truncated: l.torn,
+		Failed:    l.failed.Load(),
 	}
 }
 
 // Rewrite atomically replaces the log at path with one holding exactly
-// recs: temp file, fsync, rename, fsync of the directory — a crash at
-// any point leaves either the old log or the new one, never a mix.
-// This is the compaction primitive: the caller passes the live
-// history (winning puts plus a final OpGen floor).
+// recs (see WriteFile). This is the compaction primitive: the caller
+// passes the live history (winning puts plus a final OpGen floor).
 func Rewrite(path string, recs []Record) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".wal-rewrite-*")
-	if err != nil {
-		return fmt.Errorf("wal: rewrite: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after the rename succeeds
-	if _, err := tmp.Write([]byte(magic)); err != nil {
-		tmp.Close()
-		return fmt.Errorf("wal: rewrite: %w", err)
-	}
+	buf := []byte(magic)
 	for _, r := range recs {
 		b, err := encodeRecord(r)
 		if err != nil {
-			tmp.Close()
 			return err
 		}
-		if _, err := tmp.Write(b); err != nil {
-			tmp.Close()
-			return fmt.Errorf("wal: rewrite: %w", err)
-		}
+		buf = append(buf, b...)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("wal: rewrite sync: %w", err)
+	if err := WriteFile(path, func(w io.Writer) error { _, err := w.Write(buf); return err }); err != nil {
+		return fmt.Errorf("wal: rewrite: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("wal: rewrite close: %w", err)
+	return nil
+}
+
+// WriteFile is the one crash-safe file writer: write fills a temp file
+// in path's directory, which is fsynced, renamed over path, and the
+// directory fsynced — a crash at any point leaves either the old file
+// or the new one, never a mix, and a nil return means the new one
+// survives a crash.
+func WriteFile(path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("wal: rewrite rename: %w", err)
+	defer os.Remove(f.Name()) // no-op once renamed
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		return err
 	}
 	return SyncDir(dir)
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -239,6 +240,55 @@ func TestAppendRejectsOversizedName(t *testing.T) {
 	}
 	if err := l.Append(Record{Op: OpPut, Gen: 1, Name: "x"}); err == nil {
 		t.Error("append to closed log accepted")
+	}
+}
+
+// TestFailedAppendFailsTheLog pins that nothing lands after a failed
+// append: its bytes may be on disk, so a later record written after
+// them would make the next boot read a torn record in the middle of the
+// log. A working file handle swapped back in changes nothing.
+func TestFailedAppendFailsTheLog(t *testing.T) {
+	path := tempLog(t)
+	l, _ := openOrDie(t, path, PolicyAlways)
+	defer l.Close()
+	keep := Record{Op: OpPut, Gen: 1, Name: "keep", Shards: 1}
+	if err := l.Append(keep); err != nil {
+		t.Fatal(err)
+	}
+	good := l.f
+	ro, err := os.Open(path) // read-only: every write through it fails
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	l.f = ro
+	if err := l.Append(Record{Op: OpPut, Gen: 2, Name: "lost", Shards: 1}); err == nil {
+		t.Fatal("append through a read-only handle succeeded")
+	}
+	l.f = good
+	if !l.Failed() || !l.Stats().Failed {
+		t.Fatalf("Failed() = %v, Stats().Failed = %v after a failed append", l.Failed(), l.Stats().Failed)
+	}
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = l.Append(Record{Op: OpPut, Gen: 2, Name: "after", Shards: 1})
+	if err == nil || !strings.Contains(err.Error(), "log failed; restart to recover") {
+		t.Fatalf("append after a failure = %v, want the failed-log refusal", err)
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size() != before.Size() {
+		t.Errorf("log grew from %d to %d bytes after it failed", before.Size(), after.Size())
+	}
+	// A reopen — the restart — replays what the log held before it failed.
+	l2, recs := openOrDie(t, path, PolicyAlways)
+	defer l2.Close()
+	if !reflect.DeepEqual(recs, []Record{keep}) {
+		t.Errorf("replay = %+v, want only %+v", recs, keep)
 	}
 }
 

@@ -267,6 +267,17 @@ type Result struct {
 	Truncated bool             `json:"truncated,omitempty"` // a Limit cut results
 }
 
+// Doc is one document as the docs routes describe it: a PUT's reply,
+// a GET of the document, one entry of a GET /v1/docs listing. Stats
+// aggregate over all shards of a sharded document. Worker is set only
+// in a coordinator's listing, naming the worker that holds it.
+type Doc struct {
+	Name   string    `json:"name"`
+	Shards int       `json:"shards"`
+	Stats  ncq.Stats `json:"stats"`
+	Worker string    `json:"worker,omitempty"`
+}
+
 // errorBody is the error envelope, and the NDJSON error record.
 type errorBody struct {
 	Error string `json:"error"`
