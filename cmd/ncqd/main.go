@@ -66,9 +66,10 @@
 //	ncqd -addr :8333 -coordinator -workers localhost:8334,localhost:8335
 //
 // -node-name and -role label the node on /v1/healthz and /v1/stats;
-// -worker-timeout, -retry and -poll-interval tune the coordinator's
-// per-worker deadline, its bounded retry of idempotent reads, and how
-// often it refreshes the worker generation vector.
+// -worker-timeout bounds each attempt of a coordinator's worker request
+// (for a streamed query, the whole stream). How often a read is retried
+// and how often the worker generation vector is refreshed are
+// constants of internal/cluster, not flags.
 package main
 
 import (
@@ -109,7 +110,6 @@ func run(argv []string, stderr io.Writer, ready chan<- string) int {
 	var (
 		addr       = fs.String("addr", ":8334", "listen address")
 		cacheBytes = fs.Int64("cache-bytes", 64<<20, "query result cache budget in bytes (0 disables)")
-		cacheTTL   = fs.Duration("cache-ttl", 0, "query result cache TTL (0 = entries never expire by age)")
 		maxBody    = fs.Int64("max-body", 32<<20, "maximum document upload size in bytes")
 		workers    = fs.String("workers", "", "corpus query fan-out width (single node, 0 = GOMAXPROCS); with -coordinator, the comma-separated worker addresses")
 		load       = fs.String("load", "", "glob of XML files, .snap snapshot files or snapshot directories to preload")
@@ -124,8 +124,6 @@ func run(argv []string, stderr io.Writer, ready chan<- string) int {
 		nodeName     = fs.String("node-name", "", "node identity on /v1/healthz, /v1/stats and stream headers (default \"ncqd\")")
 		role         = fs.String("role", "", "topology label on /v1/healthz and /v1/stats (\"single\", \"worker\"; coordinators are always \"coordinator\")")
 		workerTimout = fs.Duration("worker-timeout", 30*time.Second, "coordinator: per-worker deadline, spanning a whole streamed answer")
-		retries      = fs.Int("retry", 1, "coordinator: retries of idempotent worker reads after a transport error or 5xx")
-		pollInterval = fs.Duration("poll-interval", 2*time.Second, "coordinator: how often to refresh the worker generation vector")
 
 		logFormat   = fs.String("log-format", "text", "log output format: \"text\" or \"json\"")
 		logLevel    = fs.String("log-level", "info", "minimum log level: \"debug\", \"info\", \"warn\" or \"error\"")
@@ -137,11 +135,7 @@ func run(argv []string, stderr io.Writer, ready chan<- string) int {
 		return 2
 	}
 	if fs.NArg() != 0 {
-		fmt.Fprintln(stderr, "usage: ncqd [-addr :8334] [-cache-bytes N] [-cache-ttl D] [-max-body N] [-workers N] [-load GLOB] [-shards K] [-thesaurus FILE] [-data-dir DIR] [-fsync always|batch|off] [-pprof-addr ADDR] [-log-format text|json] [-log-level L] [-max-inflight N] [-max-queue N] [-queue-wait D]\n       ncqd -coordinator -workers HOST:PORT,HOST:PORT,... [-addr :8334] [-worker-timeout D] [-retry N] [-poll-interval D]")
-		return 2
-	}
-	if *cacheTTL < 0 {
-		fmt.Fprintln(stderr, "ncqd: -cache-ttl must be non-negative")
+		fmt.Fprintln(stderr, "usage: ncqd [-addr :8334] [-cache-bytes N] [-max-body N] [-workers N] [-load GLOB] [-shards K] [-thesaurus FILE] [-data-dir DIR] [-fsync always|batch|off] [-pprof-addr ADDR] [-log-format text|json] [-log-level L] [-max-inflight N] [-max-queue N] [-queue-wait D]\n       ncqd -coordinator -workers HOST:PORT,HOST:PORT,... [-addr :8334] [-worker-timeout D]")
 		return 2
 	}
 	if *shards < 0 || *shards > shard.MaxShards {
@@ -209,10 +203,7 @@ func run(argv []string, stderr io.Writer, ready chan<- string) int {
 			NodeName:      *nodeName,
 			Workers:       wks,
 			WorkerTimeout: *workerTimout,
-			Retries:       *retries,
 			CacheBytes:    *cacheBytes,
-			CacheTTL:      *cacheTTL,
-			PollInterval:  *pollInterval,
 			Logger:        logger,
 			MaxInFlight:   *maxInflight,
 			MaxQueue:      *maxQueue,
@@ -253,7 +244,6 @@ func run(argv []string, stderr io.Writer, ready chan<- string) int {
 		}
 		opts := []server.Option{
 			server.WithCacheBytes(*cacheBytes),
-			server.WithCacheTTL(*cacheTTL),
 			server.WithMaxBody(*maxBody),
 			server.WithNodeName(*nodeName),
 			server.WithRole(*role),

@@ -15,18 +15,11 @@
 // from the cold end until the total charged size fits the budget. One
 // huge result therefore displaces many small ones instead of hiding
 // behind an entry count.
-//
-// An optional TTL (WithTTL) additionally expires entries by age:
-// lookups past an entry's deadline miss and drop the entry. The
-// generation key already rules out stale results, so the TTL is an
-// admission-control knob — it caps how long a rarely-hit result may
-// occupy budget on a corpus that never mutates.
 package cache
 
 import (
 	"container/list"
 	"sync"
-	"time"
 
 	"ncq/internal/metrics"
 )
@@ -44,21 +37,19 @@ const entryOverhead = 128
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.
 type Stats struct {
-	Entries     int    `json:"entries"`
-	Bytes       int64  `json:"bytes"`     // charged size of all entries
-	CapBytes    int64  `json:"cap_bytes"` // byte budget; 0 = disabled
-	Hits        uint64 `json:"hits"`
-	Misses      uint64 `json:"misses"`
-	Evictions   uint64 `json:"evictions"`
-	Expirations uint64 `json:"expirations"` // entries dropped past their TTL
-	Purges      uint64 `json:"purges"`      // entries dropped by Purge
+	Entries   int    `json:"entries"`
+	Bytes     int64  `json:"bytes"`     // charged size of all entries
+	CapBytes  int64  `json:"cap_bytes"` // byte budget; 0 = disabled
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
+	Purges    uint64 `json:"purges"` // entries dropped by Purge
 }
 
 type entry struct {
-	key     Key
-	val     any
-	size    int64     // charged bytes, overhead included
-	expires time.Time // zero = never
+	key  Key
+	val  any
+	size int64 // charged bytes, overhead included
 }
 
 // LRU is a byte-bounded least-recently-used cache, safe for concurrent
@@ -68,51 +59,18 @@ type LRU struct {
 	mu       sync.Mutex
 	capBytes int64
 	bytes    int64
-	ttl      time.Duration    // 0 = entries never expire
-	now      func() time.Time // injectable for tests
-	ll       *list.List       // front = most recently used
+	ll       *list.List // front = most recently used
 	items    map[Key]*list.Element
 	stats    Stats
 }
 
-// Option customises an LRU.
-type Option func(*LRU)
-
-// WithTTL expires entries d after insertion; d <= 0 (the default)
-// means entries never expire by age.
-func WithTTL(d time.Duration) Option {
-	return func(c *LRU) {
-		if d > 0 {
-			c.ttl = d
-		}
-	}
-}
-
-// WithClock injects the time source used for TTL bookkeeping — tests
-// substitute a manual clock to make expiry deterministic.
-func WithClock(now func() time.Time) Option {
-	return func(c *LRU) {
-		if now != nil {
-			c.now = now
-		}
-	}
-}
-
 // New returns an LRU holding at most maxBytes of charged entry size.
-func New(maxBytes int64, opts ...Option) *LRU {
-	if maxBytes < 0 {
-		maxBytes = 0
-	}
-	c := &LRU{
-		capBytes: maxBytes,
-		now:      time.Now,
+func New(maxBytes int64) *LRU {
+	return &LRU{
+		capBytes: max(maxBytes, 0),
 		ll:       list.New(),
 		items:    make(map[Key]*list.Element),
 	}
-	for _, opt := range opts {
-		opt(c)
-	}
-	return c
 }
 
 // charge returns the bytes an entry of the given value size costs.
@@ -124,8 +82,7 @@ func charge(k Key, size int) int64 {
 }
 
 // Get returns the value cached under k and marks it most recently
-// used. An entry past its TTL deadline counts as a miss and is dropped
-// on the spot.
+// used.
 func (c *LRU) Get(k Key) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -134,18 +91,9 @@ func (c *LRU) Get(k Key) (any, bool) {
 		c.stats.Misses++
 		return nil, false
 	}
-	e := el.Value.(*entry)
-	if !e.expires.IsZero() && !c.now().Before(e.expires) {
-		c.ll.Remove(el)
-		delete(c.items, e.key)
-		c.bytes -= e.size
-		c.stats.Expirations++
-		c.stats.Misses++
-		return nil, false
-	}
 	c.stats.Hits++
 	c.ll.MoveToFront(el)
-	return e.val, true
+	return el.Value.(*entry).val, true
 }
 
 // Put caches v under k, charging size bytes for it (the caller's
@@ -163,17 +111,13 @@ func (c *LRU) Put(k Key, v any, size int) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var expires time.Time
-	if c.ttl > 0 {
-		expires = c.now().Add(c.ttl)
-	}
 	if el, ok := c.items[k]; ok {
 		e := el.Value.(*entry)
 		c.bytes += sz - e.size
-		e.val, e.size, e.expires = v, sz, expires
+		e.val, e.size = v, sz
 		c.ll.MoveToFront(el)
 	} else {
-		c.items[k] = c.ll.PushFront(&entry{key: k, val: v, size: sz, expires: expires})
+		c.items[k] = c.ll.PushFront(&entry{key: k, val: v, size: sz})
 		c.bytes += sz
 	}
 	for c.bytes > c.capBytes {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestHitMiss(t *testing.T) {
@@ -144,61 +143,6 @@ func TestDisabled(t *testing.T) {
 	c.Put(Key{Query: "a"}, 1, 1)
 	if c.Len() != 0 {
 		t.Error("negative capacity stored an entry")
-	}
-}
-
-// TestTTLExpiry drives the TTL with an injected clock: an entry is
-// served until its deadline, dropped at it, and a re-Put restarts it.
-func TestTTLExpiry(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	c := New(1<<20, WithTTL(time.Minute), WithClock(clock))
-	k := Key{Gen: 1, Query: "q"}
-	c.Put(k, "v", 4)
-	if _, ok := c.Get(k); !ok {
-		t.Fatal("fresh entry missed")
-	}
-	now = now.Add(59 * time.Second)
-	if _, ok := c.Get(k); !ok {
-		t.Fatal("entry expired before its deadline")
-	}
-	now = now.Add(time.Second) // exactly at the deadline: expired
-	if _, ok := c.Get(k); ok {
-		t.Fatal("expired entry served")
-	}
-	st := c.Stats()
-	if st.Expirations != 1 || st.Entries != 0 || st.Bytes != 0 {
-		t.Errorf("stats after expiry = %+v", st)
-	}
-	// A replacing Put restarts the clock.
-	c.Put(k, "v2", 4)
-	now = now.Add(30 * time.Second)
-	c.Put(k, "v3", 4)
-	now = now.Add(45 * time.Second) // 75s after first Put, 45s after replace
-	if v, ok := c.Get(k); !ok || v.(string) != "v3" {
-		t.Errorf("replaced entry = %v, %t; want v3 under restarted TTL", v, ok)
-	}
-}
-
-// TestNoTTLNeverExpires: without WithTTL entries live until evicted.
-func TestNoTTLNeverExpires(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := New(1<<20, WithClock(func() time.Time { return now }))
-	k := Key{Query: "q"}
-	c.Put(k, "v", 4)
-	now = now.Add(10 * 365 * 24 * time.Hour)
-	if _, ok := c.Get(k); !ok {
-		t.Error("entry without TTL expired")
-	}
-	// WithTTL(0) means the same thing.
-	c2 := New(1<<20, WithTTL(0), WithClock(func() time.Time { return now }))
-	c2.Put(k, "v", 4)
-	now = now.Add(10 * 365 * 24 * time.Hour)
-	if _, ok := c2.Get(k); !ok {
-		t.Error("entry under zero TTL expired")
-	}
-	if st := c2.Stats(); st.Expirations != 0 {
-		t.Errorf("expirations = %d", st.Expirations)
 	}
 }
 

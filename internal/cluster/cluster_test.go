@@ -365,7 +365,7 @@ func TestPartialResults(t *testing.T) {
 
 	// Reference: the two healthy workers alone.
 	_, healthyTS := startCoordinator(t, Config{Workers: []Worker{w1, w2}})
-	_, mixedTS := startCoordinator(t, Config{Workers: []Worker{w1, w2, faulty}, Retries: 0})
+	_, mixedTS := startCoordinator(t, Config{Workers: []Worker{w1, w2, faulty}})
 
 	q := `{"terms":["Author","199"],"exclude_root":true}`
 	_, want, _ := postQuery(t, healthyTS.URL, q)

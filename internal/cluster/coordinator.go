@@ -19,11 +19,7 @@ import (
 	"ncq/internal/wire"
 )
 
-const (
-	defaultWorkerTimeout = 30 * time.Second
-	defaultRetries       = 1
-	defaultPollInterval  = 2 * time.Second
-)
+const defaultWorkerTimeout = 30 * time.Second
 
 // Config configures a Coordinator.
 type Config struct {
@@ -35,26 +31,12 @@ type Config struct {
 	// derive from it; it is fixed for the coordinator's lifetime.
 	Workers []Worker
 
-	// WorkerTimeout bounds every call to a worker — for a streamed
-	// query, the whole stream. Default 30s.
+	// WorkerTimeout bounds every attempt of a call to a worker — for a
+	// streamed query, the whole stream. Default 30s.
 	WorkerTimeout time.Duration
-
-	// Retries is how many times an idempotent read is re-attempted
-	// against a worker after a transport error or 5xx before the
-	// failure policy applies. Mutations are never retried. Default 1.
-	Retries int
 
 	// CacheBytes bounds the coordinator's result cache; 0 disables it.
 	CacheBytes int64
-
-	// CacheTTL expires cached results by age; 0 means no expiry.
-	CacheTTL time.Duration
-
-	// PollInterval is how often Poll refreshes the tracked generation
-	// vector from worker health checks, bounding how long a mutation
-	// applied directly to a worker (bypassing the coordinator) can keep
-	// serving cached coordinator results. Default 2s.
-	PollInterval time.Duration
 
 	// Logger receives request logs and worker-failure warnings; nil
 	// disables logging.
@@ -121,12 +103,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if c.cfg.WorkerTimeout <= 0 {
 		c.cfg.WorkerTimeout = defaultWorkerTimeout
 	}
-	if c.cfg.Retries < 0 {
-		c.cfg.Retries = defaultRetries
-	}
-	if c.cfg.PollInterval <= 0 {
-		c.cfg.PollInterval = defaultPollInterval
-	}
 	for _, w := range c.workers {
 		if w.Name == "" || w.URL == "" {
 			return nil, fmt.Errorf("cluster: worker %+v needs a name and a URL", w)
@@ -141,8 +117,8 @@ func New(cfg Config) (*Coordinator, error) {
 	c.ring = NewRing(c.names)
 	c.initObservability()
 	c.front = server.NewFront(c, c.reg, server.FrontConfig{
-		NodeName:   c.cfg.NodeName,
-		CacheBytes: c.cfg.CacheBytes, CacheTTL: c.cfg.CacheTTL,
+		NodeName:    c.cfg.NodeName,
+		CacheBytes:  c.cfg.CacheBytes,
 		MaxInFlight: c.cfg.MaxInFlight, MaxQueue: c.cfg.MaxQueue, QueueWait: c.cfg.QueueWait,
 	})
 	c.routes()
@@ -225,18 +201,11 @@ func workerBody(q *wire.Query, offset int) []byte {
 	return body
 }
 
-// targetsFor returns the workers a query scatters to: the owner alone
-// for a doc-scoped query, the whole cluster otherwise.
-func (c *Coordinator) targetsFor(q *wire.Query) []Worker {
-	if q.Doc != "" {
-		return []Worker{c.Owner(q.Doc)}
-	}
-	return c.workers
-}
-
 // gather is the result of a scatter: the surviving worker streams as
-// merge sources, their aggregated header counters, and the gathered
-// generation vector. Close releases every stream.
+// merge sources, their aggregated header counters, the gathered
+// generation vector, and the workers allow_partial let it lose. The
+// merge pulls its sources one at a time, on the goroutine that reads
+// the answer, so failed needs no lock. Close releases every stream.
 type gather struct {
 	streams   []*workerStream
 	sources   []ncq.MeetSource
@@ -244,9 +213,7 @@ type gather struct {
 	unmatched int
 	gens      map[string]uint64
 	hash      uint64
-
-	mu     sync.Mutex
-	failed map[string]string // worker -> failure detail (allow_partial)
+	failed    map[string]string // worker -> failure detail
 }
 
 func (g *gather) Close() {
@@ -255,50 +222,29 @@ func (g *gather) Close() {
 	}
 }
 
-func (g *gather) recordFailure(w Worker, err error) {
-	g.mu.Lock()
-	g.failed[w.Name] = err.Error()
-	g.mu.Unlock()
-}
-
-// failures returns the workers that failed (allow_partial mode) with
-// their detail; nil when the answer is complete.
-func (g *gather) failures() map[string]string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.failed) == 0 {
-		return nil
-	}
-	out := make(map[string]string, len(g.failed))
-	for k, v := range g.failed {
-		out[k] = v
-	}
-	return out
-}
-
-// scatterQuery opens the query's worker streams in parallel and reads
-// every header — totals and generations are known before the first
-// merged yield. Worker failures follow the query's policy: strict
-// mode aborts on the first failure; allow_partial records it and
-// continues with the survivors (failing only when no worker
-// survives). A worker answering 4xx is a deterministic request error
-// and aborts in either mode.
+// scatterQuery opens the query's worker streams in parallel (the
+// owner's alone for a doc-scoped query) and reads every header —
+// totals and generations are known before the first merged yield.
+// Worker failures follow the query's policy: strict mode aborts on the
+// first failure; allow_partial records it and continues with the
+// survivors (failing only when no worker survives). A worker answering
+// 4xx is a deterministic request error and aborts in either mode.
 func (c *Coordinator) scatterQuery(ctx context.Context, q *wire.Query, offset int) (*gather, error) {
-	targets := c.targetsFor(q)
-	body := workerBody(q, offset)
-	streams := make([]*workerStream, len(targets))
-	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	for i, wk := range targets {
-		wg.Add(1)
-		go func(i int, wk Worker) {
-			defer wg.Done()
-			t0 := time.Now()
-			streams[i], errs[i] = c.openStream(ctx, wk, body)
-			c.observeScatter(wk, time.Since(t0), errs[i])
-		}(i, wk)
+	targets := c.workers
+	if q.Doc != "" {
+		targets = []Worker{c.Owner(q.Doc)}
 	}
-	wg.Wait()
+	body := workerBody(q, offset)
+	type opened struct {
+		ws  *workerStream
+		err error
+	}
+	res := fanOut(targets, func(wk Worker) opened {
+		t0 := time.Now()
+		ws, err := c.openStream(ctx, wk, body)
+		c.observeScatter(wk, time.Since(t0), err)
+		return opened{ws, err}
+	})
 
 	g := &gather{
 		gens:   make(map[string]uint64, len(targets)),
@@ -310,18 +256,18 @@ func (c *Coordinator) scatterQuery(ctx context.Context, q *wire.Query, offset in
 	}
 	var lastErr error
 	for i, wk := range targets {
-		if err := errs[i]; err != nil {
+		if err := res[i].err; err != nil {
 			if is4xx(err) {
 				return abort(err) // the request itself is bad; every worker agrees
 			}
 			if !q.AllowPartial {
 				return abort(err)
 			}
-			g.recordFailure(wk, err)
+			g.failed[wk.Name] = err.Error()
 			lastErr = err
 			continue
 		}
-		ws := streams[i]
+		ws := res[i].ws
 		g.streams = append(g.streams, ws)
 		g.sources = append(g.sources, ws)
 		g.total += ws.header.Total
@@ -329,7 +275,7 @@ func (c *Coordinator) scatterQuery(ctx context.Context, q *wire.Query, offset in
 		g.gens[wk.Name] = ws.header.Generation
 		if q.AllowPartial {
 			ws.onFail = func(w Worker, err error) error {
-				g.recordFailure(w, err)
+				g.failed[w.Name] = err.Error()
 				return nil // end this source quietly; the merge continues
 			}
 		}
@@ -351,8 +297,8 @@ var errStaleCluster = fmt.Errorf("ncq: %w: the cluster changed since this cursor
 // workerFailure gives a scatter or merge failure the status the front
 // end answers it with. A worker's 4xx is relayed as it came,
 // Retry-After hint included (the request itself is bad, or the worker
-// is shedding load: the coordinator never retries either; see
-// openStream); every other worker failure is the coordinator's 502.
+// is shedding load: the coordinator never retries either; see send);
+// every other worker failure is the coordinator's 502.
 func workerFailure(err error) error {
 	if is4xx(err) {
 		return err
@@ -403,8 +349,8 @@ func (c *Coordinator) results(ctx context.Context, req *ncq.Request, stats *ncq.
 			return nil
 		}
 	}
-	if failed := g.failures(); failed != nil {
-		stats.Incomplete, stats.WorkerErrors, stats.NextCursor = true, failed, ""
+	if len(g.failed) > 0 {
+		stats.Incomplete, stats.WorkerErrors, stats.NextCursor = true, g.failed, ""
 	}
 	return nil
 }
@@ -423,54 +369,28 @@ type workerHealth struct {
 // tracked generation vector from the responses, and returns the
 // per-worker view.
 func (c *Coordinator) PollOnce(ctx context.Context) []workerHealth {
-	out := make([]workerHealth, len(c.workers))
-	var wg sync.WaitGroup
-	for i, wk := range c.workers {
-		wg.Add(1)
-		go func(i int, wk Worker) {
-			defer wg.Done()
-			out[i] = c.pollWorker(ctx, wk)
-		}(i, wk)
-	}
-	wg.Wait()
-	return out
+	return fanOut(c.workers, func(wk Worker) workerHealth {
+		h := workerHealth{Name: wk.Name, URL: wk.URL, Status: "unreachable"}
+		var body struct {
+			Generation uint64 `json:"generation"`
+			Docs       int    `json:"docs"`
+		}
+		if err := c.getJSON(ctx, wk, "/v1/healthz", &body); err != nil {
+			h.Error = err.Error()
+			return h
+		}
+		h.Status, h.Generation, h.Docs = "ok", body.Generation, body.Docs
+		c.noteGen(wk.Name, body.Generation)
+		return h
+	})
 }
 
-func (c *Coordinator) pollWorker(ctx context.Context, wk Worker) workerHealth {
-	h := workerHealth{Name: wk.Name, URL: wk.URL, Status: "unreachable"}
-	wctx, cancel := context.WithTimeout(ctx, c.cfg.WorkerTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(wctx, http.MethodGet, wk.URL+"/v1/healthz", nil)
-	if err != nil {
-		h.Error = err.Error()
-		return h
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		h.Error = err.Error()
-		return h
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Status     string `json:"status"`
-		Generation uint64 `json:"generation"`
-		Docs       int    `json:"docs"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || resp.StatusCode != http.StatusOK {
-		h.Error = fmt.Sprintf("health check failed (status %d)", resp.StatusCode)
-		return h
-	}
-	h.Status, h.Generation, h.Docs = "ok", body.Generation, body.Docs
-	c.noteGen(wk.Name, body.Generation)
-	return h
-}
-
-// Poll refreshes the tracked generation vector every PollInterval
+// Poll refreshes the tracked generation vector every pollInterval
 // until ctx is cancelled. Run it in a goroutine next to the HTTP
 // server; it bounds how stale the coordinator's cache can serve when
 // workers are mutated behind its back.
 func (c *Coordinator) Poll(ctx context.Context) {
-	t := time.NewTicker(c.cfg.PollInterval)
+	t := time.NewTicker(pollInterval)
 	defer t.Stop()
 	for {
 		select {

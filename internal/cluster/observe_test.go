@@ -41,7 +41,7 @@ func fakeWorker(tb testing.TB, name string, status int, hdr map[string]string, b
 func TestWorker429RelayedNotRetried(t *testing.T) {
 	wk, attempts := fakeWorker(t, "w1", http.StatusTooManyRequests,
 		map[string]string{"Retry-After": "7"}, `{"error":"server saturated; retry after 7 second(s)"}`)
-	_, ts := startCoordinator(t, Config{Workers: []Worker{wk}, Retries: 3})
+	_, ts := startCoordinator(t, Config{Workers: []Worker{wk}})
 
 	resp, err := http.Post(ts.URL+"/v2/query", "application/json",
 		strings.NewReader(`{"terms":["Bit"]}`))
@@ -60,12 +60,12 @@ func TestWorker429RelayedNotRetried(t *testing.T) {
 	}
 }
 
-// A worker 5xx, by contrast, IS retried up to Retries times — the
-// twin of the 429 contract above.
+// A worker 5xx, by contrast, IS retried, once — the twin of the 429
+// contract above.
 func TestWorker5xxRetried(t *testing.T) {
 	wk, attempts := fakeWorker(t, "w1", http.StatusInternalServerError,
 		nil, `{"error":"boom"}`)
-	_, ts := startCoordinator(t, Config{Workers: []Worker{wk}, Retries: 2})
+	_, ts := startCoordinator(t, Config{Workers: []Worker{wk}})
 
 	resp, err := http.Post(ts.URL+"/v2/query", "application/json",
 		strings.NewReader(`{"terms":["Bit"]}`))
@@ -76,8 +76,8 @@ func TestWorker5xxRetried(t *testing.T) {
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Errorf("status = %d, want 502", resp.StatusCode)
 	}
-	if n := attempts.Load(); n != 3 {
-		t.Errorf("worker saw %d attempts, want 3 (initial + 2 retries)", n)
+	if n := attempts.Load(); n != 2 {
+		t.Errorf("worker saw %d attempts, want 2 (initial + 1 retry)", n)
 	}
 }
 
@@ -88,7 +88,7 @@ func TestCoordinatorMetrics(t *testing.T) {
 	srv, wk := startWorker(t, "w1")
 	addDoc(t, srv, "bib", `<bib><book><author>Bit</author><year>1999</year></book></bib>`)
 	bad, _ := fakeWorker(t, "w2", http.StatusInternalServerError, nil, `{"error":"boom"}`)
-	_, ts := startCoordinator(t, Config{Workers: []Worker{wk, bad}, Retries: 0})
+	_, ts := startCoordinator(t, Config{Workers: []Worker{wk, bad}})
 
 	// allow_partial survives w2's failure, so both the success and the
 	// error leg of the scatter are exercised by one query.

@@ -8,7 +8,6 @@ package cluster
 // the in-process fan-out it mirrors.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -57,26 +56,6 @@ func ParseWorkers(s string) ([]Worker, error) {
 	return workers, nil
 }
 
-// workerStatus returns the status of a non-200 response from a worker
-// (dialStream reports one as a *wire.StatusError, the worker's
-// Retry-After hint attached); 0 for any other failure.
-func workerStatus(err error) int {
-	var se *wire.StatusError
-	if errors.As(err, &se) {
-		return se.Status
-	}
-	return 0
-}
-
-// is4xx reports a worker's 4xx: a deterministic request error — the
-// coordinator relays it verbatim instead of retrying or degrading,
-// since every retry and every other worker would fail the same way for
-// the same input.
-func is4xx(err error) bool {
-	st := workerStatus(err)
-	return st >= 400 && st < 500
-}
-
 // testLineDecode, when set, is invoked for every NDJSON line decoded
 // from a worker stream, with the worker's name and the line kind
 // ("header", "meet", "trailer", "error"). Tests use it to observe that
@@ -96,7 +75,6 @@ type workerStream struct {
 	header wire.Header
 	body   io.ReadCloser
 	sc     *wire.LineScanner
-	cancel context.CancelFunc
 	done   bool
 	onFail func(w Worker, err error) error
 }
@@ -144,84 +122,35 @@ func (s *workerStream) fail(err error) (ncq.CorpusMeet, bool, error) {
 	return ncq.CorpusMeet{}, false, err
 }
 
-// close releases the stream's connection; idempotent.
+// close releases the stream's connection and deadline; idempotent.
 func (s *workerStream) close() {
 	if s.done {
 		return
 	}
 	s.done = true
 	s.body.Close()
-	s.cancel()
 }
 
 // openStream POSTs the query body to the worker's streaming endpoint
 // and reads the header line — which the worker emits once its fan-out
 // has completed and its counters are final, i.e. together with its
-// first answer. Transport errors and 5xx responses are retried up to
-// retries times (the read is idempotent; no meet has been consumed
-// yet); a 4xx is returned immediately. The
-// returned stream owns a context bounded by timeout spanning its whole
-// life.
+// first answer. No meet has been consumed when the status arrives, so
+// the call is retried like any read; the returned stream holds the
+// attempt's deadline for its whole life.
 func (c *Coordinator) openStream(ctx context.Context, w Worker, body []byte) (*workerStream, error) {
-	var lastErr error
-	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			if lastErr != nil {
-				return nil, lastErr
-			}
-			return nil, err
-		}
-		ws, err := c.dialStream(ctx, w, body)
-		if err == nil {
-			return ws, nil
-		}
-		lastErr = err
-		if is4xx(err) {
-			return nil, err // retrying cannot help
-		}
-	}
-	return nil, lastErr
-}
-
-// dialStream is one attempt of openStream.
-func (c *Coordinator) dialStream(ctx context.Context, w Worker, body []byte) (*workerStream, error) {
-	wctx, cancel := context.WithTimeout(ctx, c.cfg.WorkerTimeout)
-	req, err := http.NewRequestWithContext(wctx, http.MethodPost,
-		w.URL+"/v2/query?stream=1&header=1", bytes.NewReader(body))
+	resp, err := c.send(ctx, w, call{method: http.MethodPost, path: "/v2/query?stream=1&header=1", body: body, retry: true})
 	if err != nil {
-		cancel()
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
+	ws := &workerStream{worker: w, body: resp.Body, sc: wire.NewLineScanner(resp.Body)}
+	ln, err := ws.read()
+	if err == nil && !ln.Header {
+		err = fmt.Errorf("stream opened with a %s line, not a header", ln.Kind())
+	}
 	if err != nil {
-		cancel()
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg := wire.ReadError(resp.Body)
-		resp.Body.Close()
-		cancel()
-		return nil, &wire.StatusError{Status: resp.StatusCode, RetryAfter: resp.Header.Get("Retry-After"),
-			Err: fmt.Errorf("worker %s: %s (status %d)", w.Name, msg, resp.StatusCode)}
-	}
-	ws := &workerStream{worker: w, body: resp.Body, sc: wire.NewLineScanner(resp.Body), cancel: cancel}
-	if err := ws.readHeader(); err != nil {
 		ws.close()
 		return nil, err
 	}
+	ws.header = wire.Header{Node: ln.Node, Generation: ln.Generation, Total: ln.Total, Unmatched: ln.Unmatched}
 	return ws, nil
-}
-
-// readHeader consumes the stream's opening header line.
-func (s *workerStream) readHeader() error {
-	ln, err := s.read()
-	if err != nil {
-		return err
-	}
-	if !ln.Header {
-		return fmt.Errorf("stream opened with a %s line, not a header", ln.Kind())
-	}
-	s.header = wire.Header{Node: ln.Node, Generation: ln.Generation, Total: ln.Total, Unmatched: ln.Unmatched}
-	return nil
 }

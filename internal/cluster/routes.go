@@ -4,11 +4,8 @@ package cluster
 // single ncqd node serves, so clients (and the CLIs) need no cluster
 // awareness:
 //
-//	POST   /v2/query       the system's one front end (server.Front)
-//	                       over the scatter as its backend
-//	                       (coordinator.go): term queries merged from
-//	                       the workers' NDJSON streams; "allow_partial"
-//	                       degrades worker failures instead of 502
+//	POST   /v2/query       the one front end (server.Front) over the
+//	                       scatter (coordinator.go) as its backend
 //	PUT    /v1/docs/{name} routed to the ring owner of the name
 //	GET    /v1/docs/{name} routed to the ring owner
 //	DELETE /v1/docs/{name} routed to the ring owner
@@ -17,9 +14,8 @@ package cluster
 //	GET    /v1/stats       coordinator counters + per-worker stats
 
 import (
-	"context"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"io"
 	"net/http"
 	"net/url"
@@ -47,42 +43,31 @@ func (c *Coordinator) routes() {
 }
 
 // handleDocProxy routes a document read or mutation to the worker
-// that owns the name on the ring. Mutations are never retried (a
-// replayed PUT racing another client is not idempotent in effect);
-// the owner's generation stamp is folded into the tracked vector, so
-// the very next query's cursor already reflects the mutation.
+// that owns the name on the ring and relays the owner's answer. A read
+// is retried like a scatter's stream open; a mutation never is (a
+// replayed PUT racing another client is not idempotent in effect). The owner's
+// generation stamp is folded into the tracked vector, so the very next
+// query's cursor already reflects the mutation.
 func (c *Coordinator) handleDocProxy(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	wk := c.Owner(name)
-	target := wk.URL + "/v1/docs/" + url.PathEscape(name)
+	mutation := r.Method == http.MethodPut || r.Method == http.MethodDelete
+	cl := call{method: r.Method, path: "/v1/docs/" + url.PathEscape(name), retry: !mutation}
 	if q := r.URL.RawQuery; q != "" {
-		target += "?" + q
+		cl.path += "?" + q
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.WorkerTimeout)
-	defer cancel()
-	attempts := 1
-	if r.Method == http.MethodGet {
-		attempts += c.cfg.Retries // reads are safe to retry; mutations are not
+	if mutation {
+		cl.upload = r
 	}
-	var resp *http.Response
-	var err error
-	for i := 0; i < attempts; i++ {
-		var req *http.Request
-		req, err = http.NewRequestWithContext(ctx, r.Method, target, r.Body)
-		if err != nil {
-			break
-		}
-		if ct := r.Header.Get("Content-Type"); ct != "" {
-			req.Header.Set("Content-Type", ct)
-		}
-		req.ContentLength = r.ContentLength
-		resp, err = c.client.Do(req)
-		if err == nil {
-			break
-		}
-	}
-	if err != nil {
+	resp, err := c.send(r.Context(), wk, cl)
+	var reply *workerReply
+	if err != nil && !errors.As(err, &reply) {
 		wire.WriteError(w, http.StatusBadGateway, "worker %s: %v", wk.Name, err)
+		return
+	}
+	w.Header().Set("X-NCQ-Worker", wk.Name)
+	if reply != nil {
+		wire.WriteError(w, reply.status, "%s", reply.msg)
 		return
 	}
 	defer resp.Body.Close()
@@ -91,64 +76,39 @@ func (c *Coordinator) handleDocProxy(w http.ResponseWriter, r *http.Request) {
 			c.noteGen(wk.Name, v)
 		}
 	}
-	mutation := r.Method == http.MethodPut || r.Method == http.MethodDelete
-	if mutation && resp.StatusCode < 300 {
+	if mutation {
 		c.front.Mutated()
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
-	w.Header().Set("X-NCQ-Worker", wk.Name)
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
 }
 
 func (c *Coordinator) handleListDocs(w http.ResponseWriter, r *http.Request) {
 	type listing struct {
-		docs []wire.Doc
-		err  error
+		Docs       []wire.Doc `json:"docs"`
+		Generation uint64     `json:"generation"`
+		err        error
 	}
-	results := c.forEachWorker(r.Context(), func(ctx context.Context, wk Worker) any {
-		var out listing
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, wk.URL+"/v1/docs", nil)
-		if err != nil {
-			out.err = err
-			return out
+	results := fanOut(c.workers, func(wk Worker) (l listing) {
+		if l.err = c.getJSON(r.Context(), wk, "/v1/docs", &l); l.err == nil {
+			c.noteGen(wk.Name, l.Generation)
+			for i := range l.Docs {
+				l.Docs[i].Worker = wk.Name
+			}
 		}
-		resp, err := c.client.Do(req)
-		if err != nil {
-			out.err = err
-			return out
-		}
-		defer resp.Body.Close()
-		var body struct {
-			Docs       []wire.Doc `json:"docs"`
-			Generation uint64     `json:"generation"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			out.err = err
-			return out
-		}
-		if resp.StatusCode != http.StatusOK {
-			out.err = fmt.Errorf("status %d", resp.StatusCode)
-			return out
-		}
-		c.noteGen(wk.Name, body.Generation)
-		for i := range body.Docs {
-			body.Docs[i].Worker = wk.Name
-		}
-		out.docs = body.Docs
-		return out
+		return l
 	})
 	docs := []wire.Doc{}
 	workerErrors := map[string]string{}
-	for i, res := range results {
-		l := res.(listing)
+	for i, l := range results {
 		if l.err != nil {
 			workerErrors[c.workers[i].Name] = l.err.Error()
 			continue
 		}
-		docs = append(docs, l.docs...)
+		docs = append(docs, l.Docs...)
 	}
 	sort.Slice(docs, func(i, j int) bool { return docs[i].Name < docs[j].Name })
 	body := map[string]any{
@@ -159,28 +119,6 @@ func (c *Coordinator) handleListDocs(w http.ResponseWriter, r *http.Request) {
 		body["worker_errors"] = workerErrors
 	}
 	wire.WriteJSON(w, http.StatusOK, body)
-}
-
-// forEachWorker runs fn against every worker in parallel, each under
-// its own WorkerTimeout derived from ctx — so a caller that goes away
-// (a disconnected /v1/docs or /v1/stats client) cancels the whole
-// scatter instead of leaving len(workers) orphaned requests running
-// to their full timeout. Results come back in worker order.
-func (c *Coordinator) forEachWorker(ctx context.Context, fn func(ctx context.Context, wk Worker) any) []any {
-	out := make([]any, len(c.workers))
-	done := make(chan int, len(c.workers))
-	for i, wk := range c.workers {
-		go func(i int, wk Worker) {
-			wctx, cancel := context.WithTimeout(ctx, c.cfg.WorkerTimeout)
-			defer cancel()
-			out[i] = fn(wctx, wk)
-			done <- i
-		}(i, wk)
-	}
-	for range c.workers {
-		<-done
-	}
-	return out
 }
 
 // handleHealthz reports the coordinator's liveness and a live poll of
@@ -203,21 +141,12 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	stats := c.forEachWorker(r.Context(), func(ctx context.Context, wk Worker) any {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, wk.URL+"/v1/stats", nil)
-		if err != nil {
+	stats := fanOut(c.workers, func(wk Worker) any {
+		var raw json.RawMessage
+		if err := c.getJSON(r.Context(), wk, "/v1/stats", &raw); err != nil {
 			return map[string]string{"name": wk.Name, "error": err.Error()}
 		}
-		resp, err := c.client.Do(req)
-		if err != nil {
-			return map[string]string{"name": wk.Name, "error": err.Error()}
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		if err != nil || resp.StatusCode != http.StatusOK {
-			return map[string]string{"name": wk.Name, "error": fmt.Sprintf("status %d", resp.StatusCode)}
-		}
-		return json.RawMessage(raw)
+		return raw
 	})
 	fs := c.front.Stats()
 	wire.WriteJSON(w, http.StatusOK, map[string]any{

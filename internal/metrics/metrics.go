@@ -9,8 +9,7 @@
 // elsewhere (cache statistics, pool widths, admission counters) — with
 // no dependency outside the standard library. Each Server and each
 // cluster Coordinator owns its own Registry, so httptest instances in
-// the same process never collide; a daemon that wants the classic
-// /debug/vars integration publishes the registry once via Expvar.
+// the same process never collide.
 //
 // Metric names follow the Prometheus conventions: an "ncq_" namespace
 // prefix, "_total" on counters, base units in the name
@@ -250,41 +249,4 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 // GaugeFunc registers a gauge sampled from fn at exposition time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(&family{name: name, help: help, typ: "gauge", fn: fn})
-}
-
-// Expvar renders the registry as one expvar.Func, for daemons that
-// want the registry visible on /debug/vars next to the runtime's
-// built-ins: expvar.Publish("ncq", reg.Expvar()). Histograms export
-// their count and sum; bucket detail stays on the Prometheus surface.
-func (r *Registry) Expvar() expvar.Func {
-	return func() any {
-		out := make(map[string]any)
-		r.mu.Lock()
-		fams := append([]*family(nil), r.fams...)
-		r.mu.Unlock()
-		for _, f := range fams {
-			if f.fn != nil {
-				out[f.name] = f.fn()
-				continue
-			}
-			f.mu.Lock()
-			for _, key := range f.order {
-				name := f.name
-				if len(f.labels) > 0 {
-					name += "{" + strings.Join(f.labset[key], ",") + "}"
-				}
-				switch s := f.series[key].(type) {
-				case *Counter:
-					out[name] = s.Value()
-				case *Gauge:
-					out[name] = s.Value()
-				case *Histogram:
-					out[name+"_count"] = s.Count()
-					out[name+"_sum"] = s.Sum()
-				}
-			}
-			f.mu.Unlock()
-		}
-		return out
-	}
 }

@@ -113,19 +113,6 @@ func TestLabelArityPanics(t *testing.T) {
 	v.With("only-one")
 }
 
-func TestExpvarSnapshot(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("ncq_ev_total", "x").Add(2)
-	reg.HistogramVec("ncq_ev_seconds", "x", []float64{1}, "r").With("q").Observe(0.5)
-	snap := reg.Expvar()().(map[string]any)
-	if snap["ncq_ev_total"] != int64(2) {
-		t.Errorf("expvar counter = %v", snap["ncq_ev_total"])
-	}
-	if snap["ncq_ev_seconds{q}_count"] != int64(1) {
-		t.Errorf("expvar histogram count = %v (snapshot %v)", snap["ncq_ev_seconds{q}_count"], snap)
-	}
-}
-
 // TestInstrument pins the middleware contract: per-route series, a log
 // line carrying status, fingerprint and cache disposition, and Flush
 // forwarding through the recorder.

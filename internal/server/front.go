@@ -40,10 +40,9 @@ type Backend interface {
 // FrontConfig sizes a front end: what server.With* and cluster.Config
 // say about the query route.
 type FrontConfig struct {
-	NodeName    string        // identity in NDJSON stream headers
-	CacheBytes  int64         // result cache budget; 0 disables caching
-	CacheTTL    time.Duration // 0: entries never expire by age
-	MaxInFlight int           // admission gate (admission.New); <= 0 disables it
+	NodeName    string // identity in NDJSON stream headers
+	CacheBytes  int64  // result cache budget; 0 disables caching
+	MaxInFlight int    // admission gate (admission.New); <= 0 disables it
 	MaxQueue    int
 	QueueWait   time.Duration
 }
@@ -77,7 +76,7 @@ func NewFront(backend Backend, reg *metrics.Registry, cfg FrontConfig) *Front {
 	f := &Front{
 		backend:  backend,
 		nodeName: cfg.NodeName,
-		cache:    cache.New(cfg.CacheBytes, cache.WithTTL(cfg.CacheTTL)),
+		cache:    cache.New(cfg.CacheBytes),
 		limiter:  admission.New(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait),
 	}
 	f.queriesInflight = reg.Gauge("ncq_queries_inflight",

@@ -83,13 +83,6 @@ func WithCacheBytes(n int64) Option {
 	return func(s *Server) { s.cfg.CacheBytes = n }
 }
 
-// WithCacheTTL bounds how long a cached result may be served; 0 (the
-// default) means entries never expire by age — the generation key
-// already guarantees they can never be stale.
-func WithCacheTTL(d time.Duration) Option {
-	return func(s *Server) { s.cfg.CacheTTL = d }
-}
-
 // WithMaxBody bounds the size of uploaded XML documents in bytes.
 func WithMaxBody(n int64) Option {
 	return func(s *Server) {
@@ -201,7 +194,7 @@ func (s *Server) Corpus() *ncq.Corpus { return s.corpus }
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Metrics returns the server's metric registry — what GET /v1/metrics
-// serves — e.g. for publishing on /debug/vars via Registry.Expvar.
+// serves.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
 // stampGeneration reports the node's current corpus generation in the

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -186,5 +188,68 @@ BenchmarkServerQuery/cold-4   100  1010 ns/op  9000 B/op  220 allocs/op
 	}
 	if code := run(append(gate, filepath.Join(dir, "absent.txt"), good), devnull, devnull); code != 2 {
 		t.Errorf("absent file: exit %d", code)
+	}
+}
+
+// TestTrajectoryNames holds every committed BENCH_*.json to the
+// benchmark's declaration in BENCHMARK.json: each file records exactly
+// the declared workloads, and every metric of a parent or change run
+// is a declared end-to-end metric — so renaming a workload or a metric
+// fails here, not in a reader's diff.
+func TestTrajectoryNames(t *testing.T) {
+	var decl struct {
+		Workloads []struct{ Name string }
+		EndToEnd  []struct{ Name string } `json:"end_to_end"`
+	}
+	readJSON(t, "../../BENCHMARK.json", &decl)
+	var workloads []string
+	for _, w := range decl.Workloads {
+		workloads = append(workloads, w.Name)
+	}
+	sort.Strings(workloads)
+	metrics := map[string]bool{}
+	for _, m := range decl.EndToEnd {
+		metrics[m.Name] = true
+	}
+	files, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed BENCH_*.json (%v)", err)
+	}
+	for _, f := range files {
+		var traj struct {
+			Workloads map[string]map[string]json.RawMessage
+		}
+		readJSON(t, f, &traj)
+		var got []string
+		for name, w := range traj.Workloads {
+			got = append(got, name)
+			for _, side := range []string{"parent", "change"} {
+				var run struct{ Metrics map[string]json.RawMessage }
+				if err := json.Unmarshal(w[side], &run); err != nil || run.Metrics == nil {
+					t.Errorf("%s: workloads.%s.%s has no metrics (%v)", f, name, side, err)
+					continue
+				}
+				for m := range run.Metrics {
+					if !metrics[m] {
+						t.Errorf("%s: workloads.%s.%s.metrics.%s is not an end-to-end metric of BENCHMARK.json", f, name, side, m)
+					}
+				}
+			}
+		}
+		sort.Strings(got)
+		if strings.Join(got, ",") != strings.Join(workloads, ",") {
+			t.Errorf("%s: workloads %v, BENCHMARK.json declares %v", f, got, workloads)
+		}
+	}
+}
+
+func readJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, v); err != nil {
+		t.Fatalf("%s: %v", path, err)
 	}
 }

@@ -4,7 +4,8 @@
 //   - a relative Markdown link anywhere in the repo points at a file
 //     that does not exist,
 //   - an ncqd flag defined in cmd/ncqd/main.go is not documented in
-//     docs/OPERATIONS.md, or
+//     docs/OPERATIONS.md, or a flag row of its tables names a flag
+//     cmd/ncqd no longer defines, or
 //   - an ncq_* metric name registered in non-test Go source is not
 //     documented in docs/OPERATIONS.md, or
 //   - an ncqvet analyzer registered under scripts/ncqvet/passes is not
@@ -40,6 +41,8 @@ var (
 	linkRe = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 	// fs.String("addr", ...) and friends in cmd/ncqd/main.go.
 	flagRe = regexp.MustCompile(`fs\.(?:String|Bool|Int|Int64|Uint|Float64|Duration)\("([a-z][a-z0-9-]*)"`)
+	// | `-addr` | ... — a flag row of an OPERATIONS.md table.
+	flagRowRe = regexp.MustCompile("(?m)^\\| `-([a-z][a-z0-9-]*)` \\|")
 	// "ncq_..." string literals: the metric names handed to the
 	// registry constructors.
 	metricRe = regexp.MustCompile(`"(ncq_[a-z0-9_]+)"`)
@@ -131,7 +134,8 @@ func checkLinks(report func(string, ...any)) {
 }
 
 // checkFlags verifies that every flag ncqd defines appears, backticked
-// with its dash (`-addr`), in OPERATIONS.md.
+// with its dash (`-addr`), in OPERATIONS.md, and that every flag row
+// there names a flag ncqd defines.
 func checkFlags(opsText string, report func(string, ...any)) {
 	src, err := os.ReadFile("cmd/ncqd/main.go")
 	if err != nil {
@@ -143,9 +147,16 @@ func checkFlags(opsText string, report func(string, ...any)) {
 		report("cmd/ncqd/main.go: no flag definitions found — did the flag idiom change?")
 		return
 	}
+	defined := map[string]bool{}
 	for _, m := range dedup(matches) {
+		defined[m] = true
 		if !strings.Contains(opsText, "`-"+m+"`") {
 			report("%s: ncqd flag -%s is not documented", opsPath, m)
+		}
+	}
+	for _, m := range dedup(flagRowRe.FindAllStringSubmatch(opsText, -1)) {
+		if !defined[m] {
+			report("%s: documents flag -%s, which cmd/ncqd/main.go does not define", opsPath, m)
 		}
 	}
 }
