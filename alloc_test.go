@@ -64,6 +64,42 @@ func TestMeetOfTermsAllocsSteadyState(t *testing.T) {
 	}
 }
 
+// TestVagueTermMeetsAllocs pins what a warm vague request costs a member
+// beyond the same exact request: its relaxBySlack counts and nothing
+// else, because which paths the budget admits, at what slack, is read
+// from the member's plan memo. Relaxing the pattern on every request,
+// as the member did before, allocated the admissible set, the slack map
+// and the relaxation's scratch each time.
+func TestVagueTermMeetsAllocs(t *testing.T) {
+	db := allocDB(t)
+	ctx := context.Background()
+	terms := []string{"Bit", "1999"}
+	opt := ExcludeRoot().Restrict("//article")
+	measure := func(vg *Vague) (allocs float64, meets int) {
+		sh, err := opt.shape(vg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			s, err := db.termMeetsStream(ctx, terms, opt, sh, vg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			meets = s.pending()
+		}
+		run() // warm the plan memo, the locate memo and the pools
+		return testing.AllocsPerRun(200, run), meets
+	}
+	exact, exactMeets := measure(nil)
+	vague, vagueMeets := measure(&Vague{MaxSlack: 2})
+	if exactMeets == 0 || vagueMeets != exactMeets {
+		t.Fatalf("exact and vague requests give %d and %d meets: the pin compares equal answers", exactMeets, vagueMeets)
+	}
+	if vague > exact+1 {
+		t.Errorf("a warm vague request allocates %.0f/op, the exact one %.0f: pinned at one more, its relaxBySlack", vague, exact)
+	}
+}
+
 // TestTopKRendersOnlyYielded pins what a top-K page costs per
 // candidate it does not return. The same request runs over one corpus
 // twice, the second time generated with four times the publications
@@ -119,8 +155,12 @@ func TestTopKRendersOnlyYielded(t *testing.T) {
 
 		// The same page through the members' own streams, to count pops.
 		streams := make([]memberStream, members)
+		sh, err := req.Options.shape(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, db := range dbs {
-			s, err := db.termMeetsStream(ctx, req.Terms, req.Options, nil, nil)
+			s, err := db.termMeetsStream(ctx, req.Terms, req.Options, sh, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

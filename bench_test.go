@@ -638,9 +638,11 @@ func BenchmarkPutDoc(b *testing.B) {
 // BenchmarkVagueQuery measures the vague-constraints serving path —
 // relaxation of a misspelled restrict pattern against every member's
 // path summary plus blended re-ranking — through the same HTTP surface
-// as BenchmarkServerQuery. The cold series recomputes the relaxation
-// on every request; the cached series pins that an active vague spec
-// is an ordinary cache citizen (keyed by its canonical encoding).
+// as BenchmarkServerQuery. The cold series bypasses the result cache,
+// so every request runs on every member — reading the relaxation from
+// the member's plan memo, which compiled it on the first request; the
+// cached series pins that an active vague spec is an ordinary cache
+// citizen (keyed by its canonical encoding).
 func BenchmarkVagueQuery(b *testing.B) {
 	corpus := benchCorpus(b, 4)
 	body := []byte(`{"terms":["ICDE","1999"],"restrict":["/dblp/inprocedings"],` +

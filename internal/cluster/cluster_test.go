@@ -579,6 +579,37 @@ func TestCoordinatorRequestErrors(t *testing.T) {
 	}
 }
 
+// TestInvalidPatternRefused pins that a term request whose exclude or
+// restrict pattern does not compile is a 400 wherever it lands: on a
+// node with no documents exactly as on one with some — where the
+// message names the pattern, not a member — and on a coordinator before
+// it scatters, so its worker never sees the request. Plain and streamed
+// alike.
+func TestInvalidPatternRefused(t *testing.T) {
+	_, empty := startWorker(t, "empty")
+	loaded, node := startWorker(t, "loaded")
+	addDoc(t, loaded, "d", `<bib><book><author>Bit</author><year>1999</year></book></bib>`)
+	wk, attempts := fakeWorker(t, "w1", http.StatusInternalServerError, nil, `{"error":"boom"}`)
+	_, coordTS := startCoordinator(t, Config{Workers: []Worker{wk}})
+	for _, body := range []string{
+		`{"terms":["Bit"],"restrict":["[[bad"]}`,
+		`{"terms":["Bit"],"exclude_root":true,"exclude":["//a*"]}`,
+		`{"terms":["Bit"],"restrict":["/bib"," "],"vague":{"max_slack":1}}`,
+	} {
+		for role, url := range map[string]string{"empty node": empty.URL, "node": node.URL, "coordinator": coordTS.URL} {
+			for _, route := range []string{"/v2/query", "/v2/query?stream=1"} {
+				status, raw := httpDo(t, "POST", url+route, body)
+				if status != http.StatusBadRequest || !strings.Contains(string(raw), "pattern") || strings.Contains(string(raw), "corpus") {
+					t.Errorf("%s %s %s: %d %s, want a 400 naming the pattern", role, route, body, status, raw)
+				}
+			}
+		}
+	}
+	if n := attempts.Load(); n != 0 {
+		t.Errorf("the coordinator scattered %d invalid requests", n)
+	}
+}
+
 // TestClusterEndpoints covers the remaining surface: the merged
 // document listing, the live health poll and the stats roll-up.
 func TestClusterEndpoints(t *testing.T) {

@@ -58,7 +58,9 @@ type Options struct {
 	// root path so that trivial matches are suppressed (Section 4 and
 	// the DBLP case study). Inputs consumed by an excluded meet stay
 	// consumed, matching the paper's definition of meet_P as a filter
-	// over meet's result set.
+	// over meet's result set. The map is shared and read-only: a
+	// member's memoized plan hands the same map to every request of its
+	// shape, concurrently, so nothing may write to it once it is set.
 	Exclude map[pathsum.PathID]bool
 
 	// SkipExcluded switches Exclude to "transparent" semantics (an

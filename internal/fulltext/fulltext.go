@@ -22,13 +22,13 @@
 //
 // An Index never changes once built, so OwnersSubstring memoizes its
 // answers: a needle is located once per index and every later request
-// for it reads the shared owner slice. The memo keeps two generations,
-// each capped at one 4-byte OID per association row of the index —
-// counting every entry's owners, its key bytes and one more — so its
-// owners and keys take at most 8 bytes a row, beside the maps' own
-// per-entry overhead; it needs no invalidation and is dropped with its
-// index when a document is replaced. Only its misses read the trigram
-// buckets.
+// for it reads the shared owner slice. The memo (internal/memo) keeps
+// two generations, each capped at one 4-byte OID per association row of
+// the index — counting every entry's owners, its key bytes and one more
+// — so its owners and keys take at most 8 bytes a row, beside the maps'
+// own per-entry overhead; it needs no invalidation and is dropped with
+// its index when a document is replaced. Only its misses read the
+// trigram buckets.
 //
 // The token index — an inverted index keyed by lower-cased token, each
 // posting list a sorted slice of row ids into the association table —
@@ -57,6 +57,7 @@ import (
 	"unicode/utf8"
 
 	"ncq/internal/bat"
+	"ncq/internal/memo"
 	"ncq/internal/monetx"
 	"ncq/internal/pathsum"
 )
@@ -108,72 +109,22 @@ type Index struct {
 	valRows   []int32
 	// memo holds the owners OwnersSubstring located, by needle, for as
 	// long as the index lives: nothing above ever changes, so no entry
-	// goes stale. Each generation's cap is len(owners).
-	memo ownersMemo
+	// goes stale. Each generation's cap is len(owners), in memoCharge.
+	memo *memo.Memo[string, []bat.OID]
 }
 
-// ownersMemo maps needles to the ascending owner slices located for
-// them, in two generations: a hit in old moves into cur, and when an
-// entry would take cur past the cap, cur becomes old and a new cur
-// starts. The cap counts memoCharge, so a needle that matches nothing
-// is charged too.
-type ownersMemo struct {
-	mu       sync.Mutex
-	cur, old map[string][]bat.OID
-	used     int // memoCharge summed over cur
-}
-
-// memoCharge is what one entry counts against its generation's cap, in
-// OIDs: its owners, its key at four bytes to the OID, and one for the
-// entry itself.
+// memoCharge is what one memo entry counts against its generation's
+// cap, in OIDs: its owners, its key at four bytes to the OID, and one
+// for the entry itself, so a needle that matches nothing is charged too.
 func memoCharge(key string, owners []bat.OID) int { return len(owners) + len(key)/4 + 1 }
 
-// get returns the owners memoized for key, moving an entry of the old
-// generation into the current one.
-func (m *ownersMemo) get(key string, limit int) ([]bat.OID, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if owners, ok := m.cur[key]; ok {
-		return owners, true
-	}
-	owners, ok := m.old[key]
-	if ok {
-		delete(m.old, key)
-		m.store(key, owners, limit)
-	}
-	return owners, ok
-}
-
-// add memoizes owners for key unless a concurrent miss already has.
-func (m *ownersMemo) add(key string, owners []bat.OID, limit int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.cur[key]; !ok {
-		m.store(key, owners, limit)
-	}
-}
-
-// store files an entry in cur, starting a new generation first if it
-// would not fit. An entry dearer than a whole generation is not kept.
-func (m *ownersMemo) store(key string, owners []bat.OID, limit int) {
-	c := memoCharge(key, owners)
-	if c > limit {
-		return
-	}
-	if m.cur == nil || m.used+c > limit {
-		m.old, m.cur, m.used = m.cur, make(map[string][]bat.OID), 0
-	}
-	m.cur[key] = owners
-	m.used += c
-}
-
-// Process-wide memo counters: every OwnersSubstring call is one or the
-// other.
-var memoHits, memoMisses atomic.Uint64
+// memoCounts counts every OwnersSubstring call, over every index in the
+// process, as a memo hit or a miss.
+var memoCounts memo.Counts
 
 // MemoCounts returns how many OwnersSubstring calls, over every index
 // in the process, were answered from the memo and how many located.
-func MemoCounts() (hits, misses uint64) { return memoHits.Load(), memoMisses.Load() }
+func MemoCounts() (hits, misses uint64) { return memoCounts.Load() }
 
 const (
 	gramLen     = 3 // bytes per gram: shorter needles cannot use the index
@@ -356,6 +307,7 @@ func New(store *monetx.Store) *Index {
 		}
 	}
 	idx.buildSubstringIndex()
+	idx.memo = memo.New(n, memoCharge, &memoCounts)
 	return idx
 }
 
@@ -551,13 +503,11 @@ func (idx *Index) SearchSubstring(sub string) []Hit {
 // asking for sub gets the same slice: it is read-only, and its capacity
 // equals its length, so an append copies instead of writing into it.
 func (idx *Index) OwnersSubstring(sub string) []bat.OID {
-	if owners, ok := idx.memo.get(sub, len(idx.owners)); ok {
-		memoHits.Add(1)
+	if owners, ok := idx.memo.Get(sub); ok {
 		return owners
 	}
-	memoMisses.Add(1)
 	owners := idx.locateOwners(sub)
-	idx.memo.add(strings.Clone(sub), owners, len(idx.owners))
+	idx.memo.Add(strings.Clone(sub), owners)
 	return owners
 }
 

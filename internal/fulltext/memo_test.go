@@ -3,7 +3,6 @@ package fulltext
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -13,25 +12,6 @@ import (
 	"ncq/internal/monetx"
 	"ncq/internal/xmltree"
 )
-
-// memoHeld returns the charge each generation of idx's memo holds, and
-// cur's identity, which changes when a new generation starts.
-func memoHeld(t *testing.T, idx *Index) (cur, old int, gen uintptr) {
-	t.Helper()
-	m := &idx.memo
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for k, v := range m.cur {
-		cur += memoCharge(k, v)
-	}
-	for k, v := range m.old {
-		old += memoCharge(k, v)
-	}
-	if cur != m.used {
-		t.Fatalf("memo books %d for cur, which holds %d", m.used, cur)
-	}
-	return cur, old, uintptr(reflect.ValueOf(m.cur).UnsafePointer())
-}
 
 // randomNeedle draws what `contains` gets asked: a piece of a stored
 // value — often shorter than a trigram, sometimes empty — or a needle
@@ -77,7 +57,7 @@ func TestOwnersSubstringMemo(t *testing.T) {
 		limit := len(idx.owners)
 		var asked []string
 		swaps := 0
-		_, _, gen := memoHeld(t, idx)
+		_, _, gen := idx.memo.Held()
 		for i := 0; swaps < 2; i++ {
 			if i == 20000 {
 				t.Fatalf("%s: %d needles started %d generations, want 2", name, i, swaps)
@@ -89,7 +69,7 @@ func TestOwnersSubstringMemo(t *testing.T) {
 					t.Fatalf("%s: OwnersSubstring(%q), %s = %v, located %v", name, needle, ask, got, want)
 				}
 			}
-			cur, old, g := memoHeld(t, idx)
+			cur, old, g := idx.memo.Held()
 			if cur > limit || old > limit {
 				t.Fatalf("%s: generations hold %d and %d, cap %d", name, cur, old, limit)
 			}
@@ -149,7 +129,7 @@ func TestOwnersSubstringMemoConcurrent(t *testing.T) {
 		}(int64(g))
 	}
 	wg.Wait()
-	if cur, old, _ := memoHeld(t, idx); cur > len(idx.owners) || old > len(idx.owners) {
+	if cur, old, _ := idx.memo.Held(); cur > len(idx.owners) || old > len(idx.owners) {
 		t.Errorf("generations hold %d and %d, cap %d", cur, old, len(idx.owners))
 	}
 }

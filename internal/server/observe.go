@@ -4,12 +4,14 @@ package server
 // at GET /v1/metrics in the Prometheus text format. The query route's
 // families are the front end's (front.go registers them on the same
 // registry); what is registered here is the node's own: uptime, the
-// durability counters and locate's memo counters, sampled at exposition
-// time from counters the writer and the full-text index already keep.
+// durability counters, locate's memo counters and the plan memo's,
+// sampled at exposition time from counters the writer, the full-text
+// index and the members already keep.
 
 import (
 	"time"
 
+	"ncq"
 	"ncq/internal/fulltext"
 	"ncq/internal/metrics"
 )
@@ -65,4 +67,13 @@ func (s *Server) initObservability() {
 	reg.CounterFunc("ncq_locate_memo_misses_total",
 		"Term locates that searched a member's substring index.",
 		func() float64 { _, m := fulltext.MemoCounts(); return float64(m) })
+
+	// The members' plan memo, process-wide: every term request reads
+	// its plan on each member it runs on, memoized or compiled.
+	reg.CounterFunc("ncq_plan_memo_hits_total",
+		"Term-request plans read from a member's plan memo.",
+		func() float64 { h, _ := ncq.PlanMemoCounts(); return float64(h) })
+	reg.CounterFunc("ncq_plan_memo_misses_total",
+		"Term-request plans compiled against a member's path summary.",
+		func() float64 { _, m := ncq.PlanMemoCounts(); return float64(m) })
 }

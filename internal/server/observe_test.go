@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"ncq"
 	"ncq/internal/fulltext"
 	"ncq/internal/metrics"
 )
@@ -86,6 +87,39 @@ func TestLocateMemoMetrics(t *testing.T) {
 		"# TYPE ncq_locate_memo_hits_total counter",
 		fmt.Sprintf("ncq_locate_memo_hits_total %d", h),
 		fmt.Sprintf("ncq_locate_memo_misses_total %d", m),
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// TestPlanMemoMetrics pins the plan memo's counters and its key: two
+// streamed requests on the one member they name differ in "within"
+// only, which is no part of a plan, so the first compiles the member's
+// plan and the second reads it; a restrict pattern is a new shape.
+func TestPlanMemoMetrics(t *testing.T) {
+	s := newTestServer(t)
+	loadDocs(t, s)
+	hits, misses := ncq.PlanMemoCounts()
+	for _, body := range []string{
+		`{"doc":"cwi","terms":["Bit","1999"],"exclude_root":true,"within":50}`,
+		`{"doc":"cwi","terms":["Bit","1999"],"exclude_root":true,"within":51}`,
+		`{"doc":"cwi","terms":["Bit","1999"],"exclude_root":true,"restrict":["//article"]}`,
+	} {
+		if rec := do(t, s, "POST", "/v2/query?stream=1", body); rec.Code != http.StatusOK {
+			t.Fatalf("stream %s: %d %s", body, rec.Code, rec.Body)
+		}
+	}
+	h, m := ncq.PlanMemoCounts()
+	if h-hits != 1 || m-misses != 2 {
+		t.Errorf("counted %d plan memo hits and %d misses, want 1 and 2", h-hits, m-misses)
+	}
+	out := do(t, s, "GET", "/v1/metrics", "").Body.String()
+	for _, want := range []string{
+		"# TYPE ncq_plan_memo_hits_total counter",
+		fmt.Sprintf("ncq_plan_memo_hits_total %d", h),
+		fmt.Sprintf("ncq_plan_memo_misses_total %d", m),
 	} {
 		if !strings.Contains(out, want+"\n") {
 			t.Errorf("exposition missing %q", want)

@@ -33,6 +33,7 @@ import (
 	"ncq"
 	"ncq/internal/admission"
 	"ncq/internal/metrics"
+	"ncq/internal/pathexpr"
 )
 
 const (
@@ -82,9 +83,10 @@ type Query struct {
 }
 
 // Validate checks the query's shape — a failure is a 400 with the
-// returned text, inline or as a batch item; execution errors (unknown
-// document, bad pattern, bad cursor) surface later with their own
-// statuses.
+// returned text, inline or as a batch item. An exclude or restrict
+// pattern is compiled too, so a bad one is refused here, by either
+// role; execution errors (unknown document, bad cursor) surface later
+// with their own statuses.
 func (q *Query) Validate() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("invalid request: "+format, args...)
@@ -104,6 +106,16 @@ func (q *Query) Validate() error {
 	if hasQuery && (q.ExcludeRoot || q.Nearest || q.Within != 0 || q.MaxLift != 0 ||
 		len(q.Exclude) > 0 || len(q.Restrict) > 0) {
 		return bad("meet options apply to \"terms\" queries only; use the query language's meet(...) options instead")
+	}
+	for _, p := range q.Exclude {
+		if _, err := pathexpr.Compile(p); err != nil {
+			return bad("\"exclude\" pattern: %v", err)
+		}
+	}
+	for _, p := range q.Restrict {
+		if _, err := pathexpr.Compile(p); err != nil {
+			return bad("\"restrict\" pattern: %v", err)
+		}
 	}
 	if q.Vague != nil {
 		if hasQuery {

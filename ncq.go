@@ -41,9 +41,8 @@ import (
 	"ncq/internal/core"
 	"ncq/internal/fulltext"
 	"ncq/internal/idref"
+	"ncq/internal/memo"
 	"ncq/internal/monetx"
-	"ncq/internal/pathexpr"
-	"ncq/internal/pathsum"
 	"ncq/internal/query"
 	"ncq/internal/xmltree"
 )
@@ -57,6 +56,10 @@ type Database struct {
 	store  *monetx.Store
 	index  *fulltext.Index
 	engine *query.Engine
+
+	// plans memoizes the member's term-request plans by path shape
+	// (plan.go); it goes away with the member.
+	plans *memo.Memo[planKey, *memberPlan]
 }
 
 // Open parses an XML document from r and loads it. No syntax tree is
@@ -106,7 +109,7 @@ func OpenString(s string) (*Database, error) {
 // newDatabase indexes a shredded store; the parsed tree is not kept.
 func newDatabase(store *monetx.Store) *Database {
 	idx := fulltext.New(store)
-	return &Database{store: store, index: idx, engine: query.NewEngine(store, idx)}
+	return &Database{store: store, index: idx, engine: query.NewEngine(store, idx), plans: newPlanMemo(store.Summary())}
 }
 
 // Len returns the number of nodes (elements plus character data).
@@ -297,76 +300,6 @@ func (o *Options) Spec() OptionSpec {
 		Nearest: o.skipExcluded, Within: o.maxDistance, MaxLift: o.maxLift}
 }
 
-// compile lowers the public Options into core.Options. vg == nil is
-// the exact mode: a restrict pattern admits the paths it selects. A
-// vague request (vg != nil) admits every path within vg.MaxSlack
-// rewrites of a restrict pattern instead, and the returned plan tags
-// each with its minimal slack across patterns; an exact request gets no
-// plan. Exclude patterns (and the root exclusion) stay exact either way.
-func (o *Options) compile(db *Database, vg *Vague) (*core.Options, *vaguePlan, error) {
-	var plan *vaguePlan
-	if vg != nil {
-		plan = &vaguePlan{slack: map[pathsum.PathID]int{}, relaxBySlack: make([]int, vg.MaxSlack+1)}
-	}
-	if o == nil {
-		return nil, plan, nil
-	}
-	opt := &core.Options{
-		MaxLift:      o.maxLift,
-		MaxDistance:  o.maxDistance,
-		SkipExcluded: o.skipExcluded,
-	}
-	sum := db.store.Summary()
-	if o.excludeRoot || len(o.excludePatterns) > 0 {
-		opt.Exclude = map[pathsum.PathID]bool{}
-		if o.excludeRoot {
-			opt.Exclude[sum.Root()] = true
-		}
-		for _, src := range o.excludePatterns {
-			pat, err := pathexpr.Compile(src)
-			if err != nil {
-				return nil, nil, fmt.Errorf("ncq: exclude pattern: %w", err)
-			}
-			for _, pid := range pat.SelectPaths(sum) {
-				opt.Exclude[pid] = true
-			}
-		}
-	}
-	if len(o.restrictPatterns) > 0 {
-		pats := make([]*pathexpr.Pattern, len(o.restrictPatterns))
-		for i, src := range o.restrictPatterns {
-			pat, err := pathexpr.Compile(src)
-			if err != nil {
-				return nil, nil, fmt.Errorf("ncq: restrict pattern: %w", err)
-			}
-			pats[i] = pat
-		}
-		admissible := map[pathsum.PathID]bool{}
-		if plan == nil {
-			for _, pat := range pats {
-				for _, pid := range pat.SelectPaths(sum) {
-					admissible[pid] = true
-				}
-			}
-		} else {
-			plan.admit(pats, sum, vg.MaxSlack, admissible)
-		}
-		// A whitelist is the complement blacklist with climbing
-		// semantics: inadmissible meets pass their witnesses upward
-		// until an admissible path is reached.
-		if opt.Exclude == nil {
-			opt.Exclude = map[pathsum.PathID]bool{}
-		}
-		for _, pid := range sum.ElemPaths() {
-			if !admissible[pid] {
-				opt.Exclude[pid] = true
-			}
-		}
-		opt.SkipExcluded = true
-	}
-	return opt, plan, nil
-}
-
 // MeetOf computes the nearest concepts of an arbitrary set of nodes
 // (the general meet of the paper's Figure 5). It returns the meets in
 // document order plus the inputs that found no partner.
@@ -401,10 +334,11 @@ func (db *Database) MeetOfTerms(opt *Options, terms ...string) ([]Meet, []NodeID
 // rendered in the document order it emits.
 func (db *Database) meetInDocOrder(opt *Options, sets [][]NodeID, terms []string, th *fulltext.Thesaurus) ([]Meet, []NodeID, error) {
 	ctx := context.Background() //lint:ncqvet-ignore legacy ctx-less public API (MeetOf, MeetOfTerms, MeetOfTermsExpanded); ctx-aware callers use Run
-	copt, _, err := opt.compile(db, nil)
+	sh, err := opt.shape(nil)
 	if err != nil {
 		return nil, nil, err
 	}
+	copt, _ := opt.compile(db, sh, nil)
 	if sets == nil {
 		if sets, err = db.locate(ctx, terms, th); err != nil {
 			return nil, nil, err

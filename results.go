@@ -214,17 +214,16 @@ func (s *localStream) next() (CorpusMeet, int32, bool, error) {
 // delivered as a lazily-ranked stream. The unmatched set and the total
 // are known as soon as it returns; the ranking cost is paid per pull.
 //
-// A non-nil vg runs the member in vague mode: restrict patterns are
-// compiled approximately (Options.compile) and structural slack blends
-// into each answer's distance before the heap is built, so the blended
-// score is the distance every later layer orders by. When vg.Expand is
-// set and a thesaurus is loaded, terms route through th (see locate);
-// without one, Expand is a no-op.
-func (db *Database) termMeetsStream(ctx context.Context, terms []string, opt *Options, vg *Vague, th *fulltext.Thesaurus) (*localStream, error) {
-	copt, plan, err := opt.compile(db, vg)
-	if err != nil {
-		return nil, err
-	}
+// sh is opt's path shape, compiled once for the whole request
+// (Options.shape); the member reads its plan for sh from its memo. A
+// non-nil vg runs the member in vague mode: restrict patterns admit
+// paths approximately and structural slack blends into each answer's
+// distance before the heap is built, so the blended score is the
+// distance every later layer orders by. When vg.Expand is set and a
+// thesaurus is loaded, terms route through th (see locate); without
+// one, Expand is a no-op.
+func (db *Database) termMeetsStream(ctx context.Context, terms []string, opt *Options, sh *pathShape, vg *Vague, th *fulltext.Thesaurus) (*localStream, error) {
+	copt, vp := opt.compile(db, sh, vg)
 	if vg == nil || !vg.Expand {
 		th = nil
 	}
@@ -232,7 +231,7 @@ func (db *Database) termMeetsStream(ctx context.Context, terms []string, opt *Op
 	if err != nil {
 		return nil, err
 	}
-	return db.meetStream(ctx, sets, copt, plan)
+	return db.meetStream(ctx, sets, copt, vp)
 }
 
 // locate is the full-text half of a term request: one input set per
@@ -269,7 +268,7 @@ func (db *Database) queryMeetsStream(ctx context.Context, q *query.Query) (*loca
 		return nil, err
 	}
 	if low.Opt != nil {
-		return db.meetStream(ctx, low.Sets, low.Opt, nil)
+		return db.meetStream(ctx, low.Sets, low.Opt, vaguePlan{})
 	}
 	results := make([]core.Result, len(low.Nodes))
 	for i, o := range low.Nodes {
@@ -282,7 +281,8 @@ func (db *Database) queryMeetsStream(ctx context.Context, q *query.Query) (*loca
 
 // meetStream rolls the input sets up and ranks the answers lazily —
 // the one meet execution of the pipeline, whoever produced the sets.
-func (db *Database) meetStream(ctx context.Context, sets [][]NodeID, copt *core.Options, plan *vaguePlan) (*localStream, error) {
+// vp is the zero vaguePlan unless the request is vague.
+func (db *Database) meetStream(ctx context.Context, sets [][]NodeID, copt *core.Options, vp vaguePlan) (*localStream, error) {
 	// The context threads into the roll-up itself (checked every 4,096
 	// inputs), so a deadline interrupts one huge member mid-meet, not
 	// just between members.
@@ -290,15 +290,13 @@ func (db *Database) meetStream(ctx context.Context, sets [][]NodeID, copt *core.
 	if err != nil {
 		return nil, fmt.Errorf("ncq: %w", err)
 	}
-	var relax []int
-	if plan != nil {
+	if vp.relaxBySlack != nil {
 		// Blend before the rank heap exists, so the blended score IS the
 		// order the heap, the k-way merge and the coordinator all see.
-		plan.blend(results)
-		relax = plan.relaxBySlack
+		vp.blend(results)
 	}
 	s := newLocalStream(db, results, un)
-	s.relaxBySlack = relax
+	s.relaxBySlack = vp.relaxBySlack
 	return s, nil
 }
 
@@ -607,18 +605,24 @@ func resultsWithStats(ctx context.Context, r resolver, req Request) (iter.Seq2[C
 
 // fanOut runs the members of req's target up to their ranked streams,
 // publishes the counters in stats and returns the merge over them. A
-// query-language request is parsed once, here, and differs from a term
-// request in nothing but how each member comes by its input sets.
+// query-language request is parsed once, here, and a term request's
+// patterns are compiled once, here — before any member is resolved, so
+// an invalid one fails alike on every corpus, an empty one included. The
+// two differ in nothing but how each member comes by its input sets.
 func fanOut(ctx context.Context, r resolver, req *Request, stats *StreamStats) (*merger, int, error) {
 	if err := req.validate(); err != nil {
 		return nil, 0, err
 	}
 	var q *query.Query
+	var sh *pathShape
+	var err error
 	if req.Query != "" {
-		var err error
-		if q, err = query.Parse(req.Query); err != nil {
-			return nil, 0, err
-		}
+		q, err = query.Parse(req.Query)
+	} else {
+		sh, err = req.Options.shape(req.Vague)
+	}
+	if err != nil {
+		return nil, 0, err
 	}
 	t, offset, err := openPage(r, req)
 	if err != nil {
@@ -632,7 +636,7 @@ func fanOut(ctx context.Context, r resolver, req *Request, stats *StreamStats) (
 		if q != nil {
 			s, err = m.db.queryMeetsStream(ctx, q)
 		} else {
-			s, err = m.db.termMeetsStream(ctx, req.Terms, req.Options, req.Vague, t.th)
+			s, err = m.db.termMeetsStream(ctx, req.Terms, req.Options, sh, req.Vague, t.th)
 		}
 		if err != nil {
 			return t.memberErr(i, err)

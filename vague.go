@@ -3,18 +3,18 @@ package ncq
 // The vague-constraints query mode: path constraints match
 // approximately (internal/vague's relaxation lattice over the path
 // summary) and the score blends structural slack into meet distance.
-// This file holds the request surface (the Vague spec) and the plan a
-// vague request's options compile into (Options.compile) — execution
-// itself rides the ordinary incremental pipeline of
-// results.go, which is what keeps the k-way merge, limit push-down,
-// cursors and streaming working unchanged.
+// This file holds the request surface (the Vague spec) and the blend.
+// Which paths a budget admits, at what slack, is part of a member's
+// memoized plan (plan.go): it is relaxed once per member and (pattern,
+// budget), not per request. Execution itself rides the ordinary
+// incremental pipeline of results.go, which is what keeps the k-way
+// merge, limit push-down, cursors and streaming working unchanged.
 
 import (
 	"errors"
 	"fmt"
 
 	"ncq/internal/core"
-	"ncq/internal/pathexpr"
 	"ncq/internal/pathsum"
 	"ncq/internal/vague"
 )
@@ -84,11 +84,11 @@ func (v *Vague) canonical() string {
 	return fmt.Sprintf(" vague=%d,%t", v.MaxSlack, v.Expand)
 }
 
-// vaguePlan is the per-member compilation of a vague request: the
-// minimal slack of every admissible path (paths admitted exactly carry
-// slack 0 and are omitted), and the relaxation counts the member's
-// execution fills in as it blends — index = slack used, so index 0 is
-// never touched.
+// vaguePlan is what a vague request blends by on one member: the
+// member's memoized minimal slack of every relaxed path (memberPlan's
+// slack map, shared and read-only), and the relaxation counts this
+// request's execution fills in as it blends — index = slack used, so
+// index 0 is never touched. The zero vaguePlan is the exact mode's.
 type vaguePlan struct {
 	slack        map[pathsum.PathID]int
 	relaxBySlack []int
@@ -104,29 +104,6 @@ func (p *vaguePlan) blend(results []core.Result) {
 		if s := p.slack[results[i].Path]; s > 0 {
 			results[i].Distance = vague.Blend(results[i].Distance, s)
 			p.relaxBySlack[s]++
-		}
-	}
-}
-
-// admit adds to admissible every path within maxSlack rewrites of a
-// restrict pattern, and records the minimal slack of the relaxed ones.
-// A path admitted by several patterns keeps its cheapest slack;
-// iterating paths, not pattern-match maps, keeps the walk
-// deterministic.
-func (p *vaguePlan) admit(pats []*pathexpr.Pattern, sum *pathsum.Summary, maxSlack int, admissible map[pathsum.PathID]bool) {
-	for _, pid := range sum.AllPaths() {
-		best, found := 0, false
-		for _, pat := range pats {
-			if s, ok := vague.Slack(pat, sum, pid, maxSlack); ok && (!found || s < best) {
-				best, found = s, true
-			}
-		}
-		if !found {
-			continue
-		}
-		admissible[pid] = true
-		if best > 0 {
-			p.slack[pid] = best
 		}
 	}
 }
