@@ -46,21 +46,21 @@ func TestSearchAllocsSteadyState(t *testing.T) {
 
 func TestMeetOfTermsAllocsSteadyState(t *testing.T) {
 	db := allocDB(t)
-	if _, _, err := db.MeetOfTerms(nil, "Bit", "1999"); err != nil {
+	if _, _, err := locateMeet(db, nil, "Bit", "1999"); err != nil {
 		t.Fatal(err)
 	}
 	got := testing.AllocsPerRun(200, func() {
-		meets, _, err := db.MeetOfTerms(nil, "Bit", "1999")
+		meets, _, err := locateMeet(db, nil, "Bit", "1999")
 		if err != nil || len(meets) != 1 {
 			t.Fatalf("meets = %v, err = %v", meets, err)
 		}
 	})
 	// Two substring searches, the pooled roll-up and the rendered meets,
 	// in the order the roll-up emits them — no rank heap, merge or page.
-	// Measured 7 (25 when MeetOfTerms ran through Run and re-sorted):
-	// the set merge and the run merge work in pooled buffers.
+	// Measured 7 (25 when the document-order meet ran through Run and
+	// re-sorted): the set merge and the run merge work in pooled buffers.
 	if got > 9 {
-		t.Errorf("warm two-term MeetOfTerms allocates %.0f/op, pinned at <= 9", got)
+		t.Errorf("warm two-term Locate + MeetOf allocates %.0f/op, pinned at <= 9", got)
 	}
 }
 

@@ -525,11 +525,11 @@ func BenchmarkCorpusMeetParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			c.SetParallelism(w)
 			for i := 0; i < b.N; i++ {
-				meets, err := c.MeetOfTerms(ncq.ExcludeRoot(), "ICDE", "1999")
+				res, err := c.Run(context.Background(), ncq.Request{Terms: []string{"ICDE", "1999"}, Options: ncq.ExcludeRoot()})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(meets) == 0 {
+				if len(res.Meets) == 0 {
 					b.Fatal("no meets")
 				}
 			}
@@ -702,11 +702,11 @@ func BenchmarkShardedQuery(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				meets, _, err := c.MeetOfTermsIn("dblp", ncq.ExcludeRoot(), "ICDE", "1999")
+				res, err := c.Run(context.Background(), ncq.Request{Doc: "dblp", Terms: []string{"ICDE", "1999"}, Options: ncq.ExcludeRoot()})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(meets) == 0 {
+				if len(res.Meets) == 0 {
 					b.Fatal("no meets")
 				}
 			}

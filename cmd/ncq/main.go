@@ -37,6 +37,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 
 	"ncq"
@@ -192,8 +193,15 @@ func dispatch(ctx context.Context, db *ncq.Database, cmd string, rest []string, 
 		return nil
 	case "transform":
 		limit := 4
+		if len(rest) > 1 {
+			return fmt.Errorf("transform takes at most one limit")
+		}
 		if len(rest) == 1 {
-			fmt.Sscanf(rest[0], "%d", &limit)
+			n, err := strconv.Atoi(rest[0])
+			if err != nil {
+				return fmt.Errorf("transform: limit %q is not an integer", rest[0])
+			}
+			limit = n
 		}
 		return db.DumpTransform(stdout, limit)
 	case "search":
@@ -235,7 +243,7 @@ func dispatch(ctx context.Context, db *ncq.Database, cmd string, rest []string, 
 		fmt.Fprintln(stdout, ans.XML())
 		return nil
 	case "repl":
-		repl(db, mf, stdin, stdout)
+		repl(ctx, db, mf, stdin, stdout)
 		return nil
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
@@ -360,10 +368,10 @@ func printRemoteMeet(stdout io.Writer, m ncq.CorpusMeet) {
 
 // repl reads commands from stdin: `search …`, `meet …`, `show N`,
 // `explain N` (after a meet), bare SELECT queries, and `quit`.
-func repl(db *ncq.Database, mf meetFlags, stdin io.Reader, stdout io.Writer) {
+func repl(ctx context.Context, db *ncq.Database, mf meetFlags, stdin io.Reader, stdout io.Writer) {
 	sc := bufio.NewScanner(stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var lastMeets []ncq.Meet
+	var lastMeets []ncq.CorpusMeet
 	fmt.Fprintln(stdout, "ncq interactive session — try: meet Bit 1999   (quit to exit)")
 	for {
 		fmt.Fprint(stdout, "ncq> ")
@@ -400,15 +408,14 @@ func repl(db *ncq.Database, mf meetFlags, stdin io.Reader, stdout io.Writer) {
 				fmt.Fprintln(stdout, "meet needs at least one term")
 				continue
 			}
-			meets, unmatched, err := db.MeetOfTerms(mf.options(), fields[1:]...)
+			res, err := db.Run(ctx, ncq.Request{Terms: fields[1:], Options: mf.options()})
 			if err != nil {
 				fmt.Fprintln(stdout, "error:", err)
 				continue
 			}
-			ncq.RankMeets(meets)
-			lastMeets = meets
-			fmt.Fprintf(stdout, "%d concept(s), %d unmatched\n", len(meets), len(unmatched))
-			for i, m := range meets {
+			lastMeets = res.Meets
+			fmt.Fprintf(stdout, "%d concept(s), %d unmatched\n", len(res.Meets), res.Unmatched)
+			for i, m := range res.Meets {
 				if i >= 10 {
 					fmt.Fprintln(stdout, "  …")
 					break
@@ -420,8 +427,8 @@ func repl(db *ncq.Database, mf meetFlags, stdin io.Reader, stdout io.Writer) {
 				fmt.Fprintln(stdout, "usage: show N | explain N  (after a meet)")
 				continue
 			}
-			var idx int
-			if _, err := fmt.Sscanf(fields[1], "%d", &idx); err != nil || idx < 0 || idx >= len(lastMeets) {
+			idx, err := strconv.Atoi(fields[1])
+			if err != nil || idx < 0 || idx >= len(lastMeets) {
 				fmt.Fprintln(stdout, "no such result; run meet first")
 				continue
 			}
@@ -434,7 +441,7 @@ func repl(db *ncq.Database, mf meetFlags, stdin io.Reader, stdout io.Writer) {
 				fmt.Fprintln(stdout, xml)
 				continue
 			}
-			text, err := db.Explain(lastMeets[idx])
+			text, err := db.Explain(lastMeets[idx].Meet)
 			if err != nil {
 				fmt.Fprintln(stdout, "error:", err)
 				continue

@@ -131,6 +131,34 @@ func TestCLIPathsAndTransform(t *testing.T) {
 	}
 }
 
+// TestCLIIntegerArguments: an integer argument is a whole integer or
+// refused — never its numeric prefix, never a default in its place,
+// never one of several with the rest dropped.
+func TestCLIIntegerArguments(t *testing.T) {
+	f := writeFixture(t)
+	for _, c := range []struct {
+		stdin   string
+		argv    []string
+		code    int
+		want    string // in stdout or stderr
+		mustNot string // in stdout
+	}{
+		{"", []string{"transform", "abc"}, 1, "not an integer", "@"},
+		{"", []string{"transform", "1x"}, 1, "not an integer", "@"},
+		{"", []string{"transform", "1", "2"}, 1, "at most one limit", "@"},
+		{"", []string{"transform", "1"}, 0, "… (1 more)", "not an integer"},
+		{"meet Bit 1999\nshow 0x\n", []string{"repl"}, 0, "no such result", `<article key="BB99">`},
+		{"meet Bit 1999\nexplain 0x\n", []string{"repl"}, 0, "no such result", "connects:"},
+		{"meet Bit 1999\nshow +0\n", []string{"repl"}, 0, `<article key="BB99">`, "no such result"},
+	} {
+		code, out, errOut := exec(t, c.stdin, append([]string{"-f", f}, c.argv...)...)
+		if code != c.code || !strings.Contains(out+errOut, c.want) || strings.Contains(out, c.mustNot) {
+			t.Errorf("%q on %q: exit %d, stdout %q, stderr %q; want exit %d with %q and without %q",
+				c.argv, c.stdin, code, out, errOut, c.code, c.want, c.mustNot)
+		}
+	}
+}
+
 func TestCLISnapshotRoundTrip(t *testing.T) {
 	f := writeFixture(t)
 	snap := filepath.Join(t.TempDir(), "fig1.snap")

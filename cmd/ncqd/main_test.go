@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -401,9 +402,9 @@ func TestPreloadSnapshots(t *testing.T) {
 		t.Errorf("shard count = %d, want 2", corpus.ShardCount("my doc"))
 	}
 	// The snapshot members answer queries like any preloaded XML.
-	meets, _, err := corpus.MeetOfTermsIn("bib", ncq.ExcludeRoot(), "Bit", "1999")
-	if err != nil || len(meets) == 0 {
-		t.Errorf("snapshot member does not answer: %v %v", meets, err)
+	res, err := corpus.Run(context.Background(), ncq.Request{Doc: "bib", Terms: []string{"Bit", "1999"}, Options: ncq.ExcludeRoot()})
+	if err != nil || len(res.Meets) == 0 {
+		t.Errorf("snapshot member does not answer: %v %v", res, err)
 	}
 
 	// A directory without shard files fails the preload.

@@ -51,12 +51,12 @@ func TestCorpusConcurrentMixed(t *testing.T) {
 				case 1: // writer: remove
 					c.Remove(name)
 				case 2: // reader: corpus meet
-					meets, err := c.MeetOfTerms(ExcludeRoot(), "Bit", "1999")
+					res, err := c.Run(context.Background(), Request{Terms: []string{"Bit", "1999"}, Options: ExcludeRoot()})
 					if err != nil {
-						errs <- fmt.Errorf("MeetOfTerms: %v", err)
+						errs <- fmt.Errorf("Run: %v", err)
 						return
 					}
-					for _, m := range meets {
+					for _, m := range res.Meets {
 						if m.Source == "" {
 							errs <- fmt.Errorf("meet with empty source")
 							return
@@ -117,8 +117,8 @@ func TestConcurrentReads(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				switch (g + i) % 6 {
 				case 0:
-					if meets, _, err := db.MeetOfTerms(nil, "Bit", "1999"); err != nil || len(meets) != 1 {
-						errs <- fmt.Errorf("MeetOfTerms: %v (%d meets)", err, len(meets))
+					if meets, _, err := locateMeet(db, nil, "Bit", "1999"); err != nil || len(meets) != 1 {
+						errs <- fmt.Errorf("Locate+MeetOf: %v (%d meets)", err, len(meets))
 						return
 					}
 				case 1:

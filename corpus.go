@@ -14,8 +14,8 @@ import (
 	"ncq/internal/xmltree"
 )
 
-// ErrUnknownDoc is returned (wrapped) by the per-member query methods
-// when the named document is not registered.
+// ErrUnknownDoc is returned (wrapped) by Run and Results when
+// Request.Doc names no registered document.
 var ErrUnknownDoc = errors.New("unknown document")
 
 // Corpus is a named collection of databases queried together. It
@@ -456,38 +456,4 @@ type CorpusMeet struct {
 	Source string `json:"source"`          // the member's registered (logical) name
 	Shard  int    `json:"shard,omitempty"` // 1-based shard of a sharded member; 0 otherwise
 	Meet
-}
-
-// MeetOfTerms runs the nearest-concept query against every member and
-// returns all answers, ranked by distance (ties by source name, shard,
-// then document order). Documents in which the terms do not meet
-// simply contribute nothing. Members — including the individual shards
-// of sharded members — are searched concurrently, bounded by
-// SetParallelism. It is MeetOfTermsIn over the whole corpus; use Run
-// directly for cancellation, deadlines, limits and pagination.
-func (c *Corpus) MeetOfTerms(opt *Options, terms ...string) ([]CorpusMeet, error) {
-	if len(terms) == 0 {
-		return nil, nil
-	}
-	meets, _, err := c.MeetOfTermsIn("", opt, terms...)
-	return meets, err
-}
-
-// MeetOfTermsIn runs the term meet against the named member only —
-// the whole corpus when name is empty — fanning out over its shards
-// when it is sharded, and returns the merged ranked answers plus the
-// number of inputs that found no partner. The error wraps ErrUnknownDoc
-// when name is not registered. It is a wrapper over Run.
-func (c *Corpus) MeetOfTermsIn(name string, opt *Options, terms ...string) ([]CorpusMeet, int, error) {
-	if len(terms) == 0 {
-		if !c.Has(name) {
-			return nil, 0, fmt.Errorf("ncq: corpus: %w %q", ErrUnknownDoc, name)
-		}
-		return nil, 0, nil
-	}
-	res, err := c.Run(context.Background(), Request{Doc: name, Terms: terms, Options: opt}) //lint:ncqvet-ignore legacy ctx-less public API; ctx-aware callers use Run
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Meets, res.Unmatched, nil
 }

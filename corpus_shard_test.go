@@ -87,7 +87,7 @@ func TestAddShardedErrors(t *testing.T) {
 	if _, _, err := c.AddSharded("x", nil, 2); err == nil {
 		t.Error("nil document accepted")
 	}
-	if _, _, err := c.MeetOfTermsIn("ghost", nil, "a"); err == nil {
+	if _, err := c.Run(context.Background(), Request{Doc: "ghost", Terms: []string{"a"}}); err == nil {
 		t.Error("unknown member accepted")
 	} else if !strings.Contains(err.Error(), "unknown document") {
 		t.Errorf("error = %v", err)
@@ -104,10 +104,11 @@ func TestShardedMeetMerging(t *testing.T) {
 	if _, _, err := c.AddSharded("bib", bigBib(12), 3); err != nil {
 		t.Fatal(err)
 	}
-	meets, _, err := c.MeetOfTermsIn("bib", ExcludeRoot(), "Author", "199")
+	res, err := c.Run(context.Background(), Request{Doc: "bib", Terms: []string{"Author", "199"}, Options: ExcludeRoot()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	meets := res.Meets
 	if len(meets) == 0 {
 		t.Fatal("no meets")
 	}
@@ -129,12 +130,12 @@ func TestShardedMeetMerging(t *testing.T) {
 	}
 
 	// The corpus-wide meet reports the same logical source.
-	all, err := c.MeetOfTerms(ExcludeRoot(), "Author", "199")
+	all, err := c.Run(context.Background(), Request{Terms: []string{"Author", "199"}, Options: ExcludeRoot()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != len(meets) {
-		t.Errorf("corpus-wide found %d meets, member query %d", len(all), len(meets))
+	if len(all.Meets) != len(meets) {
+		t.Errorf("corpus-wide found %d meets, member query %d", len(all.Meets), len(meets))
 	}
 }
 
@@ -243,7 +244,7 @@ func TestShardedEqualsUnsharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantMeets, _, err := plain.MeetOfTerms(ExcludeRoot(), query...)
+		wantMeets, _, err := locateMeet(plain, ExcludeRoot(), query...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,10 +258,11 @@ func TestShardedEqualsUnsharded(t *testing.T) {
 		if _, _, err := c.AddSharded("doc", doc, k); err != nil {
 			t.Fatal(err)
 		}
-		gotMeets, _, err := c.MeetOfTermsIn("doc", ExcludeRoot(), query...)
+		res, err := c.Run(context.Background(), Request{Doc: "doc", Terms: query, Options: ExcludeRoot()})
 		if err != nil {
 			t.Fatal(err)
 		}
+		gotMeets := res.Meets
 		shards, _ := c.Shards("doc")
 		got := make([]string, len(gotMeets))
 		for i, m := range gotMeets {

@@ -1,6 +1,7 @@
 package ncq
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -91,12 +92,12 @@ func TestCorpusBasics(t *testing.T) {
 // and the answer's type differs per instance.
 func TestCorpusFindsItemUnderBothMarkups(t *testing.T) {
 	c := testCorpus(t)
-	meets, err := c.MeetOfTerms(ExcludeRoot(), "Bit", "1999")
+	res, err := c.Run(context.Background(), Request{Terms: []string{"Bit", "1999"}, Options: ExcludeRoot()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bySource := map[string]string{}
-	for _, m := range meets {
+	for _, m := range res.Meets {
 		bySource[m.Source] = m.Tag
 	}
 	if bySource["cwi"] != "article" {
@@ -109,10 +110,11 @@ func TestCorpusFindsItemUnderBothMarkups(t *testing.T) {
 
 func TestCorpusRanking(t *testing.T) {
 	c := testCorpus(t)
-	meets, err := c.MeetOfTerms(ExcludeRoot(), "Bit", "1999")
+	res, err := c.Run(context.Background(), Request{Terms: []string{"Bit", "1999"}, Options: ExcludeRoot()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	meets := res.Meets
 	for i := 1; i < len(meets); i++ {
 		if meets[i].Distance < meets[i-1].Distance {
 			t.Errorf("results not ranked by distance: %+v", meets)
@@ -122,18 +124,18 @@ func TestCorpusRanking(t *testing.T) {
 
 func TestCorpusTermMissingEverywhere(t *testing.T) {
 	c := testCorpus(t)
-	meets, err := c.MeetOfTerms(nil, "absent", "alsoabsent")
+	res, err := c.Run(context.Background(), Request{Terms: []string{"absent", "alsoabsent"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(meets) != 0 {
-		t.Errorf("meets = %+v", meets)
+	if len(res.Meets) != 0 {
+		t.Errorf("meets = %+v", res.Meets)
 	}
 }
 
 func TestExplain(t *testing.T) {
 	db := fig1DB(t)
-	meets, _, err := db.MeetOfTerms(nil, "Bit", "1999")
+	meets, _, err := locateMeet(db, nil, "Bit", "1999")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +149,7 @@ func TestExplain(t *testing.T) {
 		}
 	}
 	// A meet whose witness is the concept itself.
-	meets, _, err = db.MeetOf([]NodeID{3, 8}, nil)
+	meets, _, err = db.MeetOf(context.Background(), nil, []NodeID{3, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +202,12 @@ func TestThesaurusFacade(t *testing.T) {
 	}
 	// Broadened meet: 'robert' alone finds nothing to meet with; with
 	// the thesaurus it reaches Bob Byte's article via 1999.
-	meets, _, err := db.MeetOfTermsExpanded(th, ExcludeRoot(), "robert", "1999")
+	ctx := context.Background()
+	sets, err := db.Locate(ctx, th, "robert", "1999")
+	if err != nil {
+		t.Fatal(err)
+	}
+	meets, _, err := db.MeetOf(ctx, ExcludeRoot(), sets...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +221,7 @@ func TestThesaurusFacade(t *testing.T) {
 		t.Errorf("broadened meet missed the second article: %+v", meets)
 	}
 	// Nil thesaurus falls back to the plain path.
-	plain, _, err := db.MeetOfTermsExpanded(nil, nil, "Bit", "1999")
+	plain, _, err := locateMeet(db, nil, "Bit", "1999")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestDocumentAtMaxDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meets, unmatched, err := db.MeetOfTerms(nil, "needle", "thread")
+	meets, unmatched, err := locateMeet(db, nil, "needle", "thread")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestDocumentAtMaxDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, _, err := back.MeetOfTerms(nil, "needle", "thread")
+	again, _, err := locateMeet(back, nil, "needle", "thread")
 	if err != nil || !reflect.DeepEqual(again, meets) {
 		t.Errorf("after the snapshot round trip: %+v, err = %v", again, err)
 	}

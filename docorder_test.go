@@ -2,6 +2,7 @@ package ncq
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -34,13 +35,14 @@ func docOrder(ranked []CorpusMeet) []Meet {
 	return out
 }
 
-// TestDocOrderMeetsEqualRun holds the document-order meets — MeetOf,
-// MeetOfTerms and MeetOfTermsExpanded, which no longer go through Run —
-// to Run's answer re-sorted: the same meets and the same unmatched
-// inputs, on Figure 1 and on random documents, under a spread of
-// options. MeetOf gets one term's matches, which Run meets as a
-// one-term request; the expanded meet is compared with a corpus that
-// holds the thesaurus and runs the request with Vague{Expand: true}.
+// TestDocOrderMeetsEqualRun holds the document-order door — Locate,
+// then MeetOf, which does not go through Run — to Run's answer
+// re-sorted: the same meets and the same unmatched inputs, on Figure 1
+// and on random documents, under a spread of options. Three legs: the
+// located terms; one term's matches as a single node set, which Run
+// meets as a one-term request; and the terms located through the
+// thesaurus, compared with a corpus that holds it and runs the request
+// with Vague{Expand: true}.
 func TestDocOrderMeetsEqualRun(t *testing.T) {
 	ctx := context.Background()
 	th := NewThesaurus().Add("t0", "t1").Add("v2", "t5", "bit")
@@ -80,12 +82,16 @@ func TestDocOrderMeetsEqualRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			meets, unmatched, err := db.MeetOfTerms(opt(), terms...)
+			sets, err := db.Locate(ctx, nil, terms...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			meets, unmatched, err := db.MeetOf(ctx, opt(), sets...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want := docOrder(res.Meets); !reflect.DeepEqual(meets, want) || !reflect.DeepEqual(unmatched, res.UnmatchedNodes) {
-				t.Fatalf("%s: MeetOfTerms = %+v %v\nRun sorted   %+v %v", name, meets, unmatched, want, res.UnmatchedNodes)
+				t.Fatalf("%s: Locate + MeetOf = %+v %v\nRun sorted   %+v %v", name, meets, unmatched, want, res.UnmatchedNodes)
 			}
 			checked += len(meets)
 
@@ -97,7 +103,7 @@ func TestDocOrderMeetsEqualRun(t *testing.T) {
 			for _, h := range db.SearchSubstring(terms[0]) {
 				nodes = append(nodes, h.Node)
 			}
-			meets, unmatched, err = db.MeetOf(nodes, opt())
+			meets, unmatched, err = db.MeetOf(ctx, opt(), nodes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,16 +115,73 @@ func TestDocOrderMeetsEqualRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			meets, unmatched, err = db.MeetOfTermsExpanded(th, opt(), terms...)
+			if sets, err = db.Locate(ctx, th, terms...); err != nil {
+				t.Fatal(err)
+			}
+			meets, unmatched, err = db.MeetOf(ctx, opt(), sets...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want := docOrder(exp.Meets); !reflect.DeepEqual(meets, want) || len(unmatched) != exp.Unmatched {
-				t.Fatalf("%s: MeetOfTermsExpanded = %+v %v\ncorpus Run sorted   %+v (%d unmatched)", name, meets, unmatched, want, exp.Unmatched)
+				t.Fatalf("%s: expanded Locate + MeetOf = %+v %v\ncorpus Run sorted   %+v (%d unmatched)", name, meets, unmatched, want, exp.Unmatched)
 			}
 		}
 	}
 	if checked < 200 {
 		t.Fatalf("only %d meets compared: the draw checks too little", checked)
+	}
+}
+
+// looksThenCancel is a context that answers its first looks calls to Err
+// with nil and every later one with context.Canceled, counting them.
+type looksThenCancel struct {
+	context.Context
+	looks, calls int
+}
+
+func (c *looksThenCancel) Err() error {
+	if c.calls++; c.calls > c.looks {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestDocOrderDoorTakesCtx holds the document-order door to its ctx: a
+// cancelled ctx stops Locate and MeetOf alike, and one cancelled during
+// the roll-up stops MeetOf at the pass's 4,096-input poll. The member is
+// the size of TestCorpusRunCancelMidFanout's whole corpus, so the
+// located inputs are several polls long.
+func TestDocOrderDoorTakesCtx(t *testing.T) {
+	db, err := fromDocument(bigBib(32 * 200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms := []string{"Author", "199"}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := db.Locate(cancelled, nil, terms...); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Locate under a cancelled ctx = %v, want context.Canceled", err)
+	}
+	sets, err := db.Locate(context.Background(), nil, terms...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(sets[0]) + len(sets[1]); n < 3*4096 {
+		t.Fatalf("%d inputs: too few for the roll-up to poll mid-meet", n)
+	}
+	if _, _, err := db.MeetOf(cancelled, nil, sets...); !errors.Is(err, context.Canceled) {
+		t.Fatalf("MeetOf under a cancelled ctx = %v, want context.Canceled", err)
+	}
+	// The look before the pass sees a live ctx; the poll at input 4,096
+	// sees it cancelled.
+	mid := &looksThenCancel{Context: context.Background(), looks: 1}
+	if _, _, err := db.MeetOf(mid, ExcludeRoot(), sets...); !errors.Is(err, context.Canceled) {
+		t.Fatalf("MeetOf cancelled mid-meet = %v, want context.Canceled", err)
+	}
+	if mid.calls != 2 {
+		t.Errorf("MeetOf looked at its ctx %d times, want 2: before the pass, then at input 4,096", mid.calls)
+	}
+	if _, _, err := db.MeetOf(context.Background(), ExcludeRoot(), sets...); err != nil {
+		t.Fatalf("MeetOf under a live ctx = %v", err)
 	}
 }

@@ -15,13 +15,19 @@ const bib = `<bibliography><institute>
 </institute></bibliography>`
 
 // The headline interaction: ask what connects two strings without
-// knowing any tags. The answer's type comes from the data.
-func ExampleDatabase_MeetOfTerms() {
+// knowing any tags — a full-text search per string, then the meet of
+// the hits. The answer's type comes from the data.
+func ExampleDatabase_MeetOf() {
 	db, err := ncq.OpenString(bib)
 	if err != nil {
 		log.Fatal(err)
 	}
-	meets, _, err := db.MeetOfTerms(nil, "Bit", "1999")
+	ctx := context.Background()
+	sets, err := db.Locate(ctx, nil, "Bit", "1999")
+	if err != nil {
+		log.Fatal(err)
+	}
+	meets, _, err := db.MeetOf(ctx, nil, sets...)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -135,11 +141,11 @@ func ExampleRestrict() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	meets, _, err := db.MeetOfTerms(ncq.Restrict("//article"), "Ben", "Bit")
+	res, err := db.Run(context.Background(), ncq.Request{Terms: []string{"Ben", "Bit"}, Options: ncq.Restrict("//article")})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, m := range meets {
+	for _, m := range res.Meets {
 		fmt.Printf("<%s key=%q>\n", m.Tag, mustAttr(db, m.Node, "key"))
 	}
 	// Output:
@@ -152,11 +158,11 @@ func ExampleDatabase_Explain() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	meets, _, err := db.MeetOfTerms(nil, "Bit", "1999")
+	res, err := db.Run(context.Background(), ncq.Request{Terms: []string{"Bit", "1999"}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	text, err := db.Explain(meets[0])
+	text, err := db.Explain(res.Meets[0].Meet)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -39,7 +40,8 @@ func main() {
 		st.Nodes, st.Paths, st.Associations)
 
 	// One year, with a peek at the first results.
-	meets, _, err := db.MeetOfTerms(ncq.ExcludeRoot(), "ICDE", "1999")
+	ctx := context.Background()
+	meets, err := meetTerms(ctx, db, "ICDE", "1999")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func main() {
 			terms = append(terms, fmt.Sprintf("%d", y))
 		}
 		start := time.Now()
-		meets, _, err := db.MeetOfTerms(ncq.ExcludeRoot(), terms...)
+		meets, err := meetTerms(ctx, db, terms...)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -76,6 +78,17 @@ func main() {
 	}
 	fmt.Println("\nNote: there was no ICDE in 1985, so widening 1986->1985 adds nothing —")
 	fmt.Println("the small step the paper points out in Figure 7.")
+}
+
+// meetTerms is the paper's interaction on one document: a full-text
+// search per term, then the meet of the hits, in document order.
+func meetTerms(ctx context.Context, db *ncq.Database, terms ...string) ([]ncq.Meet, error) {
+	sets, err := db.Locate(ctx, nil, terms...)
+	if err != nil {
+		return nil, err
+	}
+	meets, _, err := db.MeetOf(ctx, ncq.ExcludeRoot(), sets...)
+	return meets, err
 }
 
 func truncate(s string, n int) string {

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -54,11 +55,11 @@ func main() {
 	}
 
 	fmt.Println(`searching all bibliographies for the item described by "Bit" and "1999":`)
-	meets, err := corpus.MeetOfTerms(ncq.ExcludeRoot(), "Bit", "1999")
+	res, err := corpus.Run(context.Background(), ncq.Request{Terms: []string{"Bit", "1999"}, Options: ncq.ExcludeRoot()})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, m := range meets {
+	for _, m := range res.Meets {
 		db, _ := corpus.Get(m.Source)
 		xml, err := db.Subtree(m.Node)
 		if err != nil {

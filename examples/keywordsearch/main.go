@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -35,7 +36,12 @@ func main() {
 	fmt.Printf("keyword search for %v over %d nodes, restricted to //inproceedings\n\n",
 		keywords, db.Stats().Nodes)
 
-	meets, _, err := db.MeetOfTerms(ncq.Restrict("//inproceedings"), keywords...)
+	ctx := context.Background()
+	sets, err := db.Locate(ctx, nil, keywords...)
+	if err != nil {
+		log.Fatal(err)
+	}
+	meets, _, err := db.MeetOf(ctx, ncq.Restrict("//inproceedings"), sets...)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -63,9 +64,15 @@ func main() {
 	fmt.Println("\nnearest concept query (the meet operator):")
 	fmt.Println(answer.XML())
 
-	// The same through the Go API, with the matched subtree — the
-	// paper's "starting point for displaying and browsing".
-	meets, _, err := db.MeetOfTerms(nil, "Bit", "1999")
+	// The same through the Go API — a full-text search per term, then
+	// the meet of the hits — with the matched subtree: the paper's
+	// "starting point for displaying and browsing".
+	ctx := context.Background()
+	sets, err := db.Locate(ctx, nil, "Bit", "1999")
+	if err != nil {
+		log.Fatal(err)
+	}
+	meets, _, err := db.MeetOf(ctx, nil, sets...)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func openDBLP(t *testing.T, pubs int) *Database {
 
 // TestIntegrationCaseStudy runs the paper's DBLP case study end to end
 // through the public API only: load XML, query in the SQL variant,
-// cross-check with MeetOfTerms, verify the answers against ground
+// cross-check with Locate + MeetOf, verify the answers against ground
 // truth extracted through navigation.
 func TestIntegrationCaseStudy(t *testing.T) {
 	db := openDBLP(t, 3)
@@ -63,12 +63,12 @@ func TestIntegrationCaseStudy(t *testing.T) {
 	}
 
 	// The API path gives the same set.
-	meets, _, err := db.MeetOfTerms(ExcludeRoot(), "ICDE", "1999")
+	meets, _, err := locateMeet(db, ExcludeRoot(), "ICDE", "1999")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(meets) != len(ans.Rows) {
-		t.Errorf("MeetOfTerms found %d, query found %d", len(meets), len(ans.Rows))
+		t.Errorf("MeetOf found %d, query found %d", len(meets), len(ans.Rows))
 	}
 	for i, m := range meets {
 		if m.Node != ans.Rows[i].OID {
@@ -89,14 +89,14 @@ func TestIntegrationCaseStudy(t *testing.T) {
 // TestIntegrationNoICDE1985 checks the 1985 gap through the public API.
 func TestIntegrationNoICDE1985(t *testing.T) {
 	db := openDBLP(t, 2)
-	meets, _, err := db.MeetOfTerms(ExcludeRoot(), "ICDE", "1985")
+	meets, _, err := locateMeet(db, ExcludeRoot(), "ICDE", "1985")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(meets) != 0 {
 		t.Errorf("ICDE 1985 returned %d results, want 0 (no ICDE in 1985)", len(meets))
 	}
-	meets, _, err = db.MeetOfTerms(ExcludeRoot(), "VLDB", "1985")
+	meets, _, err = locateMeet(db, ExcludeRoot(), "VLDB", "1985")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +119,11 @@ func TestIntegrationSnapshotEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, year := range []string{"1999", "1990", "1984"} {
-		a, _, err := db.MeetOfTerms(ExcludeRoot(), "ICDE", year)
+		a, _, err := locateMeet(db, ExcludeRoot(), "ICDE", year)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := back.MeetOfTerms(ExcludeRoot(), "ICDE", year)
+		b, _, err := locateMeet(back, ExcludeRoot(), "ICDE", year)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestIntegrationRankedCLIStyleFlow(t *testing.T) {
 	if len(hits) == 0 {
 		t.Fatal("no Schmidt in the generated data")
 	}
-	meets, _, err := db.MeetOfTerms(ExcludeRoot(), "Schmidt", "VLDB")
+	meets, _, err := locateMeet(db, ExcludeRoot(), "Schmidt", "VLDB")
 	if err != nil {
 		t.Fatal(err)
 	}

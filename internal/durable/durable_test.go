@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -89,15 +90,16 @@ func TestStoreRestartRoundTrip(t *testing.T) {
 		t.Errorf("replayed %d docs, want 2", s2.Stats().ReplayDocs)
 	}
 	// The recovered member answers queries like the original.
-	a, _, err := c.MeetOfTermsIn("plain", nil, "Bit", "1999")
+	req := ncq.Request{Doc: "plain", Terms: []string{"Bit", "1999"}}
+	a, err := c.Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := c2.MeetOfTermsIn("plain", nil, "Bit", "1999")
+	b, err := c2.Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, b) {
+	if !reflect.DeepEqual(a.Meets, b.Meets) {
 		t.Errorf("answers differ: %+v vs %+v", a, b)
 	}
 	// Only the winning directories survive on disk.
@@ -377,7 +379,7 @@ func TestStoreConcurrentCommits(t *testing.T) {
 					_, err = s.PutPlain(name, db)
 				}
 				if err == nil {
-					_, _, err = c.MeetOfTermsIn("", nil, "Bit", "1999")
+					_, err = c.Run(context.Background(), ncq.Request{Terms: []string{"Bit", "1999"}})
 				}
 				if err != nil {
 					t.Error(err)

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -138,6 +139,24 @@ func TestQueryRequestLowering(t *testing.T) {
 	sql.Query = lowered.Query
 	if back := QueryOf(&lowered); !reflect.DeepEqual(back, sql) {
 		t.Errorf("QueryOf(lowered) = %+v, want %+v", back, sql)
+	}
+}
+
+// TestNegativeBoundStatus: the library refuses the bounds Validate
+// refuses, and a library caller's refusal maps to 400 like the wire's.
+func TestNegativeBoundStatus(t *testing.T) {
+	db, err := ncq.OpenString(`<a><b>x</b><c>y</c></a>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []*ncq.Options{ncq.Within(-1), ncq.ExcludeRoot().MaxLift(-1)} {
+		_, err := db.Run(context.Background(), ncq.Request{Terms: []string{"x", "y"}, Options: o})
+		if err == nil || StatusOf(err) != http.StatusBadRequest {
+			t.Errorf("%+v: err = %v, status %d; want 400", o.Spec(), err, StatusOf(err))
+		}
+		if q := QueryOf(&ncq.Request{Terms: []string{"x"}, Options: o}); q.Validate() == nil {
+			t.Errorf("%+v: Validate accepted %+v", o.Spec(), q)
+		}
 	}
 }
 

@@ -14,8 +14,15 @@
 //	db, err := ncq.OpenString(`<bib><book><author>Bit</author>` +
 //	    `<year>1999</year></book></bib>`)
 //	if err != nil { ... }
-//	meets, _, err := db.MeetOfTerms(nil, "Bit", "1999")
-//	// meets[0].Tag == "book": Bit published something in 1999.
+//	res, err := db.Run(ctx, ncq.Request{Terms: []string{"Bit", "1999"}})
+//	// res.Meets[0].Tag == "book": Bit published something in 1999.
+//
+// Run is the one-call form: ranked, pageable, cancellable. The paper's
+// own two stages — a full-text search per term, then the meet of the
+// hits, in document order — are Locate and MeetOf:
+//
+//	sets, err := db.Locate(ctx, nil, "Bit", "1999")
+//	meets, unmatched, err := db.MeetOf(ctx, nil, sets...)
 //
 // Underneath, documents are shredded into the path-partitioned binary
 // relations of the Monet XML storage scheme; the meet algorithms of the
@@ -300,50 +307,34 @@ func (o *Options) Spec() OptionSpec {
 		Nearest: o.skipExcluded, Within: o.maxDistance, MaxLift: o.maxLift}
 }
 
-// MeetOf computes the nearest concepts of an arbitrary set of nodes
-// (the general meet of the paper's Figure 5). It returns the meets in
-// document order plus the inputs that found no partner.
-func (db *Database) MeetOf(nodes []NodeID, opt *Options) ([]Meet, []NodeID, error) {
-	return db.meetInDocOrder(opt, [][]NodeID{nodes}, nil, nil)
-}
-
-// MeetOfTerms runs the paper's flagship interaction in one call: a
-// full-text search per term (substring semantics) followed by the meet
-// of all hits. This answers questions like "what connects 'Bit' and
-// '1999' in this document?" without any schema knowledge.
-//
-// Each term contributes its own input set, so a node matched by two
-// different terms is reported as its own nearest concept at distance
-// zero (the paper's "Bob"/"Byte" example).
-//
-// The meets are returned in document order (a rolled-up meet before
-// the self-meet on the same node) plus the inputs that found no
-// partner. Run executes the same request ranked, and additionally
-// supports cancellation, limits and pagination.
-func (db *Database) MeetOfTerms(opt *Options, terms ...string) ([]Meet, []NodeID, error) {
-	if len(terms) == 0 {
-		return []Meet{}, nil, nil
+// Locate is the full-text half of the paper's interaction: one input
+// set per term, the ascending nodes whose strings contain the term as a
+// case-sensitive substring — or, through a non-nil thesaurus, a whole
+// token of the term's synonym class, which builds the token index on
+// first use. These are the sets a term request meets, and MeetOf takes.
+func (db *Database) Locate(ctx context.Context, t *Thesaurus, terms ...string) ([][]NodeID, error) {
+	var th *fulltext.Thesaurus
+	if t != nil {
+		th = t.t
 	}
-	return db.meetInDocOrder(opt, nil, terms, nil)
+	return db.locate(ctx, terms, th)
 }
 
-// meetInDocOrder is the one ctx-less root of the document-order meets
-// (MeetOf, MeetOfTerms, MeetOfTermsExpanded): the input sets — sets, or
-// when nil the terms located as a term request locates them, through
-// th when it is not nil — rolled up by core.MeetMultiContext and
-// rendered in the document order it emits.
-func (db *Database) meetInDocOrder(opt *Options, sets [][]NodeID, terms []string, th *fulltext.Thesaurus) ([]Meet, []NodeID, error) {
-	ctx := context.Background() //lint:ncqvet-ignore legacy ctx-less public API (MeetOf, MeetOfTerms, MeetOfTermsExpanded); ctx-aware callers use Run
+// MeetOf computes the nearest concepts of the input sets (the general
+// meet of the paper's Figure 5); over Locate's sets it answers "what
+// connects 'Bit' and '1999'?" without any schema knowledge. A node in
+// two sets is its own nearest concept at distance zero (the paper's
+// "Bob"/"Byte" example); a single set meets its nodes among themselves.
+// The meets come in document order (a rolled-up meet before the
+// self-meet on the same node), plus the inputs that found no partner.
+// Run executes the same meet ranked, paged and streamed. ctx is polled
+// every 4,096 inputs, so it interrupts even one huge meet.
+func (db *Database) MeetOf(ctx context.Context, opt *Options, sets ...[]NodeID) ([]Meet, []NodeID, error) {
 	sh, err := opt.shape(nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	copt, _ := opt.compile(db, sh, nil)
-	if sets == nil {
-		if sets, err = db.locate(ctx, terms, th); err != nil {
-			return nil, nil, err
-		}
-	}
 	results, unmatched, err := core.MeetMultiContext(ctx, db.store, sets, copt)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ncq: %w", err)

@@ -1,6 +1,7 @@
 package ncq
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,6 +26,17 @@ func fig1DB(t *testing.T) *Database {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// locateMeet is the paper's interaction in document order: Locate each
+// term, then MeetOf the located sets.
+func locateMeet(db *Database, opt *Options, terms ...string) ([]Meet, []NodeID, error) {
+	ctx := context.Background()
+	sets, err := db.Locate(ctx, nil, terms...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return db.MeetOf(ctx, opt, sets...)
 }
 
 func TestOpenString(t *testing.T) {
@@ -55,7 +67,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meets, unmatched, err := db.MeetOfTerms(nil, "Bit", "1999")
+	meets, unmatched, err := locateMeet(db, nil, "Bit", "1999")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +81,7 @@ func TestQuickstartFlow(t *testing.T) {
 
 func TestMeetOfTermsPaperExample(t *testing.T) {
 	db := fig1DB(t)
-	meets, unmatched, err := db.MeetOfTerms(nil, "Bit", "1999")
+	meets, unmatched, err := locateMeet(db, nil, "Bit", "1999")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +107,7 @@ func TestMeetOfTermsSameAssociation(t *testing.T) {
 	db := fig1DB(t)
 	// "Bob" and "Byte" hit the same association: the nearest concept is
 	// the cdata node itself, whose parent is an author (Section 3.1).
-	meets, _, err := db.MeetOfTerms(nil, "Bob", "Byte")
+	meets, _, err := locateMeet(db, nil, "Bob", "Byte")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +158,7 @@ func TestMeet2AndDist(t *testing.T) {
 func TestMeetOfWithOptions(t *testing.T) {
 	db := fig1DB(t)
 	// Exclude the article: plain exclusion consumes the match.
-	meets, _, err := db.MeetOf([]NodeID{8, 12}, ExcludePattern("//article"))
+	meets, _, err := db.MeetOf(context.Background(), ExcludePattern("//article"), []NodeID{8, 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +166,7 @@ func TestMeetOfWithOptions(t *testing.T) {
 		t.Errorf("meets = %+v", meets)
 	}
 	// Nearest() climbs to the institute instead.
-	meets, _, err = db.MeetOf([]NodeID{8, 12}, ExcludePattern("//article").Nearest())
+	meets, _, err = db.MeetOf(context.Background(), ExcludePattern("//article").Nearest(), []NodeID{8, 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +174,7 @@ func TestMeetOfWithOptions(t *testing.T) {
 		t.Errorf("meets = %+v, want institute", meets)
 	}
 	// Within bound.
-	meets, _, err = db.MeetOf([]NodeID{8, 12}, Within(4))
+	meets, _, err = db.MeetOf(context.Background(), Within(4), []NodeID{8, 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +182,7 @@ func TestMeetOfWithOptions(t *testing.T) {
 		t.Errorf("Within(4) = %+v", meets)
 	}
 	// MaxLift via fluent chain.
-	meets, _, err = db.MeetOf([]NodeID{8, 12}, ExcludeRoot().MaxLift(3))
+	meets, _, err = db.MeetOf(context.Background(), ExcludeRoot().MaxLift(3), []NodeID{8, 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +190,10 @@ func TestMeetOfWithOptions(t *testing.T) {
 		t.Errorf("MaxLift(3) = %+v", meets)
 	}
 	// Bad exclude pattern surfaces as an error.
-	if _, _, err := db.MeetOf([]NodeID{8, 12}, ExcludePattern("not-absolute")); err == nil {
+	if _, _, err := db.MeetOf(context.Background(), ExcludePattern("not-absolute"), []NodeID{8, 12}); err == nil {
 		t.Error("bad exclude pattern accepted")
 	}
-	if _, _, err := db.MeetOf([]NodeID{0}, nil); err == nil {
+	if _, _, err := db.MeetOf(context.Background(), nil, []NodeID{0}); err == nil {
 		t.Error("invalid node accepted")
 	}
 }
@@ -191,7 +203,7 @@ func TestRestrictImplementsKeywordSearch(t *testing.T) {
 	// "Ben" and "Bit" meet at the author node; restricting the result
 	// type to articles climbs to the enclosing article instead —
 	// keyword search over articles (Section 6's claim).
-	meets, _, err := db.MeetOfTerms(Restrict("//article"), "Ben", "Bit")
+	meets, _, err := locateMeet(db, Restrict("//article"), "Ben", "Bit")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +211,7 @@ func TestRestrictImplementsKeywordSearch(t *testing.T) {
 		t.Fatalf("meets = %+v, want article o3", meets)
 	}
 	// Terms whose meet lies above every article go unmatched.
-	meets, unmatched, err := db.MeetOfTerms(Restrict("//article"), "How", "RSI")
+	meets, unmatched, err := locateMeet(db, Restrict("//article"), "How", "RSI")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +222,7 @@ func TestRestrictImplementsKeywordSearch(t *testing.T) {
 		t.Errorf("unmatched = %v, want both title hits", unmatched)
 	}
 	// Bad restrict pattern surfaces.
-	if _, _, err := db.MeetOfTerms(Restrict("bad"), "Ben"); err == nil {
+	if _, _, err := locateMeet(db, Restrict("bad"), "Ben"); err == nil {
 		t.Error("bad restrict pattern accepted")
 	}
 }
@@ -219,7 +231,7 @@ func TestExcludeRootOnTerms(t *testing.T) {
 	db := fig1DB(t)
 	// "1999" alone meets at the institute; excluding the root changes
 	// nothing here, but the call path is exercised end to end.
-	meets, _, err := db.MeetOfTerms(ExcludeRoot(), "1999")
+	meets, _, err := locateMeet(db, ExcludeRoot(), "1999")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,10 +68,14 @@ type pathShape struct {
 
 // shape compiles the path-shaping half of o for a request in vague mode
 // vg (nil: exact). A nil o has no shape. A vague budget is part of the
-// key only where it applies, over restrict patterns.
+// key only where it applies, over restrict patterns. A negative bound is
+// refused here, so no request of any door runs unbounded by one.
 func (o *Options) shape(vg *Vague) (*pathShape, error) {
 	if o == nil {
 		return nil, nil
+	}
+	if o.maxDistance < 0 || o.maxLift < 0 {
+		return nil, fmt.Errorf("ncq: Within (%d) and MaxLift (%d) must be non-negative", o.maxDistance, o.maxLift)
 	}
 	sh := &pathShape{key: planKey{excludeRoot: o.excludeRoot, exclude: patternsKey(o.excludePatterns),
 		restrict: patternsKey(o.restrictPatterns), slack: -1}}

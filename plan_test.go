@@ -308,3 +308,28 @@ func TestInvalidPatternRefusedOnEmptyCorpus(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeBoundRefused: a negative Within or MaxLift is refused by
+// every door, as the wire refuses "within" and "max_lift" below zero —
+// never run as no bound at all, nor keyed apart from a bound of zero.
+func TestNegativeBoundRefused(t *testing.T) {
+	db := fig1DB(t)
+	c := NewCorpus()
+	if err := c.Add("d", db); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, o := range []*Options{Within(-1), ExcludeRoot().MaxLift(-2)} {
+		for name, q := range map[string]Querier{"empty corpus": NewCorpus(), "corpus": c, "database": db} {
+			if res, err := q.Run(ctx, Request{Terms: []string{"Bit", "1999"}, Options: o}); err == nil || !strings.Contains(err.Error(), "non-negative") {
+				t.Errorf("%s, %+v: Run = %+v, %v; want a refusal", name, o.Spec(), res, err)
+			}
+		}
+		if meets, _, err := db.MeetOf(ctx, o, []NodeID{8, 12}); err == nil {
+			t.Errorf("%+v: MeetOf = %+v, want a refusal", o.Spec(), meets)
+		}
+	}
+	if _, err := db.Run(ctx, Request{Terms: []string{"Bit", "1999"}, Options: Within(0).MaxLift(0)}); err != nil {
+		t.Errorf("zero bounds: %v", err)
+	}
+}

@@ -51,7 +51,8 @@ type Request struct {
 	Doc string `json:"doc,omitempty"`
 
 	// Terms holds one full-text term per input set; the result is the
-	// meet of all hits (substring semantics, as in MeetOfTerms).
+	// meet of all hits (substring semantics, as Database.Locate finds
+	// them).
 	Terms []string `json:"terms,omitempty"`
 
 	// Query is a query in the paper's SQL variant, e.g.

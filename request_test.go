@@ -38,8 +38,8 @@ func pagingCorpus(t *testing.T) *Corpus {
 }
 
 // expectedTermMeets computes a database's term meets through the
-// document-order path (per-term materialised full-text hits +
-// meetInDocOrder), which shares neither locate nor the ranking with
+// document-order path (per-term materialised full-text hits + MeetOf),
+// which shares neither locate nor the ranking with
 // the unified Run, so the equivalence assertions below compare two
 // independent implementations.
 func expectedTermMeets(t *testing.T, db *Database, opt *Options, terms []string) ([]Meet, []NodeID) {
@@ -52,7 +52,7 @@ func expectedTermMeets(t *testing.T, db *Database, opt *Options, terms []string)
 		}
 		sets = append(sets, owners)
 	}
-	meets, unmatched, err := db.meetInDocOrder(opt, sets, nil, nil)
+	meets, unmatched, err := db.MeetOf(context.Background(), opt, sets...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,17 +130,15 @@ func expectedQueryMeets(t *testing.T, c *Corpus, names []string, src string) []C
 	})
 }
 
-// TestRunEquivalence pins the acceptance contract of the redesign: the
-// legacy entry points delegate to Run, and Run returns exactly the
-// answer sets the document-order path produces (computed independently
-// via meetInDocOrder and a hand-rolled merge).
+// TestRunEquivalence pins the acceptance contract of the redesign: Run
+// returns exactly the answer sets the document-order path produces
+// (computed independently via MeetOf and a hand-rolled merge).
 func TestRunEquivalence(t *testing.T) {
 	c := pagingCorpus(t)
 	ctx := context.Background()
 	terms := []string{"Author1", "199"}
 
-	// Corpus-wide: Run == independently merged per-shard answers, and
-	// the legacy wrapper returns the same thing.
+	// Corpus-wide: Run == independently merged per-shard answers.
 	want, _ := expectedCorpusMeets(t, c, c.Names(), ExcludeRoot(), terms)
 	res, err := c.Run(ctx, Request{Terms: terms, Options: ExcludeRoot()})
 	if err != nil {
@@ -148,13 +146,6 @@ func TestRunEquivalence(t *testing.T) {
 	}
 	if len(res.Meets) == 0 || !reflect.DeepEqual(res.Meets, want) {
 		t.Errorf("corpus Run != independent merge: %d vs %d meets", len(res.Meets), len(want))
-	}
-	legacy, err := c.MeetOfTerms(ExcludeRoot(), terms...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy, want) {
-		t.Errorf("MeetOfTerms != independent merge")
 	}
 
 	// Named member (sharded): same, restricted to one logical name.
@@ -169,18 +160,11 @@ func TestRunEquivalence(t *testing.T) {
 	if resIn.Unmatched != wantUn {
 		t.Errorf("sharded Run unmatched = %d, independent count %d", resIn.Unmatched, wantUn)
 	}
-	legacyIn, un, err := c.MeetOfTermsIn("sharded", ExcludeRoot(), terms...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacyIn, wantIn) || resIn.Unmatched != un {
-		t.Errorf("MeetOfTermsIn != independent merge (unmatched %d vs %d)", resIn.Unmatched, un)
-	}
 
-	// Single database: same answer set (MeetOfTerms reports document
-	// order, Run reports ranked order).
+	// Single database: same answer set (Locate + MeetOf reports
+	// document order, Run reports ranked order).
 	db := fig1DB(t)
-	dbLegacy, dbUn, err := db.MeetOfTerms(nil, "Bit", "1999")
+	dbLegacy, dbUn, err := locateMeet(db, nil, "Bit", "1999")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +173,7 @@ func TestRunEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(dbRes.Meets) != len(dbLegacy) {
-		t.Fatalf("database Run returned %d meets, MeetOfTerms %d", len(dbRes.Meets), len(dbLegacy))
+		t.Fatalf("database Run returned %d meets, MeetOf %d", len(dbRes.Meets), len(dbLegacy))
 	}
 	byNode := map[NodeID]Meet{}
 	for _, m := range dbRes.Meets {
@@ -532,16 +516,15 @@ func TestCorpusRunCancelMidFanout(t *testing.T) {
 	c.SetParallelism(0)
 }
 
-// TestMeetOfTermsSelfMeetOrder pins the legacy wrapper's order for the
+// TestMeetOfTermsSelfMeetOrder pins MeetOf's document order for the
 // one ambiguous case: a node hosting both a roll-up meet and a
-// degenerate self-meet. The pre-unified implementation reported the
-// roll-up first.
+// degenerate self-meet. The roll-up comes first.
 func TestMeetOfTermsSelfMeetOrder(t *testing.T) {
 	db, err := OpenString(`<r><a x="Bob Byte"><b>Bob</b><c>Byte</c></a></r>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meets, _, err := db.MeetOfTerms(nil, "Bob", "Byte")
+	meets, _, err := locateMeet(db, nil, "Bob", "Byte")
 	if err != nil {
 		t.Fatal(err)
 	}

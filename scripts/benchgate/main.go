@@ -11,6 +11,7 @@
 // Usage:
 //
 //	benchgate [-threshold 20] [-gate name,name,...] base.txt head.txt
+//	benchgate trend [-decl BENCHMARK.json] BENCH_*.json
 //
 // A gate entry is a benchmark's base name: the name up to its first
 // '/' with the trailing -GOMAXPROCS suffix stripped, compared exactly.
@@ -40,6 +41,9 @@ func main() {
 }
 
 func run(argv []string, stdout, stderr *os.File) int {
+	if len(argv) > 0 && argv[0] == "trend" {
+		return runTrend(argv[1:], stdout, stderr)
+	}
 	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	threshold := fs.Float64("threshold", 20, "maximum allowed regression in percent (per metric)")
@@ -48,7 +52,7 @@ func run(argv []string, stdout, stderr *os.File) int {
 		return 2
 	}
 	if fs.NArg() != 2 {
-		fmt.Fprintln(stderr, "usage: benchgate [-threshold PCT] [-gate P1,P2] base.txt head.txt")
+		fmt.Fprintln(stderr, "usage: benchgate [-threshold PCT] [-gate P1,P2] base.txt head.txt\n       benchgate trend [-decl BENCHMARK.json] BENCH_*.json")
 		return 2
 	}
 	base, err := parseFile(fs.Arg(0))

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -251,5 +253,66 @@ func readJSON(t *testing.T, path string, v any) {
 	}
 	if err := json.Unmarshal(raw, v); err != nil {
 		t.Fatalf("%s: %v", path, err)
+	}
+}
+
+// TestTrendReproducesTable runs trend over BENCH_26.json … BENCH_30.json
+// and holds its chain column to the PR 25 → 30 table ROADMAP.md quotes,
+// and its seams to the A/A readings quoted beside it.
+func TestTrendReproducesTable(t *testing.T) {
+	var files []string
+	for pr := 26; pr <= 30; pr++ {
+		files = append(files, fmt.Sprintf("../../BENCH_%d.json", pr))
+	}
+	var out, errOut bytes.Buffer
+	if code := runTrend(append([]string{"-decl", "../../BENCHMARK.json"}, files...), &out, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	// Rows are "workload metric cell… last": five files give five
+	// cells and the chain, four seams and the bound.
+	chain, seam := map[string]string{}, map[string][]string{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 8 && f[0] != "workload":
+			chain[f[0]+" "+f[1]] = f[7]
+		case len(f) == 7 && f[0] != "workload":
+			seam[f[0]+" "+f[1]] = f[2:6]
+		}
+	}
+	workloads := []string{"topk_cold", "stream_full", "cluster_scatter", "churn_rw"}
+	for metric, want := range map[string][4]string{
+		"p50_ms":          {"-40%", "-23%", "-1%", "-7%"},
+		"p95_ms":          {"-32%", "-33%", "+0%", "-38%"},
+		"ttfl_p50_ms":     {"-39%", "-40%", "-4%", "-6%"},
+		"cpu_ms_per_op":   {"-45%", "-32%", "-8%", "-30%"},
+		"alloc_kb_per_op": {"-15%", "-30%", "-12%", "-10%"},
+		"rss_mb":          {"-5%", "-11%", "-13%", "-13%"},
+		"put_p50_ms":      {"-10%", "+11%", "+4%", "+3%"},
+	} {
+		for i, w := range workloads {
+			if got := chain[w+" "+metric]; got != want[i] {
+				t.Errorf("%s %s: chain %q, want %q", w, metric, got, want[i])
+			}
+		}
+	}
+	// The seams ROADMAP.md cites as drift on identical code: two beyond
+	// their bound, two inside it.
+	for _, c := range []struct {
+		key  string
+		i    int
+		want string
+	}{
+		{"churn_rw p50_ms", 1, "-29.0%!"},
+		{"topk_cold put_p50_ms", 1, "+23.5%"},
+		{"topk_cold rss_mb", 2, "+21.5%!"},
+		{"topk_cold p50_ms", 0, "-12.7%"},
+	} {
+		if s := seam[c.key]; len(s) != 4 || s[c.i] != c.want {
+			t.Errorf("%s seams %v, want %q at %d", c.key, s, c.want, c.i)
+		}
+	}
+	if code := runTrend([]string{"-decl", "../../BENCHMARK.json"}, &out, &errOut); code != 2 {
+		t.Errorf("no files: exit %d, want 2", code)
 	}
 }

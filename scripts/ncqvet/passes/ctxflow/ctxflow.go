@@ -3,9 +3,9 @@
 //  1. context.Background() / context.TODO() belong in func main (and
 //     tests, which ncqvet does not analyze). Anywhere else they sever
 //     the cancellation chain: a handler's deadline no longer reaches
-//     the fan-out under it. Deliberate roots — legacy wrappers whose
-//     public signature predates ctx plumbing, detached pollers — are
-//     annotated with //lint:ncqvet-ignore and a reason.
+//     the fan-out under it. A deliberate root — a signature that
+//     predates ctx plumbing, a detached poller — is annotated with
+//     //lint:ncqvet-ignore and a reason.
 //
 //  2. a function holding a context must not call a context-less
 //     callee that has a *Context sibling (Load vs LoadContext): the

@@ -23,11 +23,11 @@ func TestSnapshotFacadeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every query behaves identically.
-	a, _, err := db.MeetOfTerms(nil, "Bit", "1999")
+	a, _, err := locateMeet(db, nil, "Bit", "1999")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := back.MeetOfTerms(nil, "Bit", "1999")
+	b, _, err := locateMeet(back, nil, "Bit", "1999")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package ncq_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -58,11 +59,13 @@ func TestSoakLargeBibliography(t *testing.T) {
 	}
 
 	// Every year's query returns exactly the expected cardinality.
+	ctx := context.Background()
 	for year := 1984; year <= 1999; year++ {
-		meets, _, err := db.MeetOfTerms(ncq.ExcludeRoot(), "ICDE", fmt.Sprintf("%d", year))
+		res, err := db.Run(ctx, ncq.Request{Terms: []string{"ICDE", fmt.Sprintf("%d", year)}, Options: ncq.ExcludeRoot()})
 		if err != nil {
 			t.Fatal(err)
 		}
+		meets := res.Meets
 		want := cfg.PubsPerVenueYear
 		if year == datagen.ICDEYearMissing {
 			want = 0
@@ -87,16 +90,17 @@ func TestSoakLargeBibliography(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _, err := db.MeetOfTerms(ncq.ExcludeRoot(), "ICDE", "1999")
+	req := ncq.Request{Terms: []string{"ICDE", "1999"}, Options: ncq.ExcludeRoot()}
+	a, err := db.Run(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := db2.MeetOfTerms(ncq.ExcludeRoot(), "ICDE", "1999")
+	b, err := db2.Run(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) != len(b) {
-		t.Fatalf("snapshot changed answers: %d vs %d", len(a), len(b))
+	if len(a.Meets) != len(b.Meets) {
+		t.Fatalf("snapshot changed answers: %d vs %d", len(a.Meets), len(b.Meets))
 	}
 }
 

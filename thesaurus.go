@@ -73,14 +73,3 @@ func (db *Database) SearchExpanded(t *Thesaurus, term string) []Hit {
 	}
 	return db.wrapHits(db.index.SearchExpanded(t.t, term))
 }
-
-// MeetOfTermsExpanded is MeetOfTerms with every term broadened through
-// the thesaurus first (token search on each synonym). A nil thesaurus
-// degrades to substring search on the literal terms. Each original term
-// still contributes one input set: its synonyms' hits merged.
-func (db *Database) MeetOfTermsExpanded(t *Thesaurus, opt *Options, terms ...string) ([]Meet, []NodeID, error) {
-	if t == nil {
-		return db.MeetOfTerms(opt, terms...)
-	}
-	return db.meetInDocOrder(opt, nil, terms, t.t)
-}
