@@ -78,6 +78,7 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
 		return usage()
 	}
+	mf := meetFlags{ncq.OptionSpec{ExcludeRoot: *excludeRoot, Within: *within}, *show, *stream}
 	if *serverURL != "" {
 		if args[0] != "meet" {
 			fmt.Fprintln(stderr, "ncq: -server supports the meet command only")
@@ -97,7 +98,6 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
-		mf := meetFlags{*excludeRoot, *within, *show, *stream}
 		if err := remoteMeet(ctx, *serverURL, args[1:], mf, stdout); err != nil {
 			fmt.Fprintf(stderr, "ncq: %v\n", err)
 			return 1
@@ -130,7 +130,7 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	defer stop()
 
 	cmd, rest := args[0], args[1:]
-	if err := dispatch(ctx, db, cmd, rest, meetFlags{*excludeRoot, *within, *show, *stream}, stdin, stdout); err != nil {
+	if err := dispatch(ctx, db, cmd, rest, mf, stdin, stdout); err != nil {
 		fmt.Fprintf(stderr, "ncq: %v\n", err)
 		return 1
 	}
@@ -154,22 +154,13 @@ func load(file, snap string) (*ncq.Database, error) {
 	return ncq.OpenSnapshot(f)
 }
 
+// meetFlags holds the meet command's flags. The options are one spec,
+// sent as it is to a daemon and run as ncq.NewOptions of it locally, so
+// both refuse or answer alike.
 type meetFlags struct {
-	excludeRoot bool
-	within      int
-	show        bool
-	stream      bool
-}
-
-func (mf meetFlags) options() *ncq.Options {
-	opt := &ncq.Options{}
-	if mf.excludeRoot {
-		opt.ExcludeRoot()
-	}
-	if mf.within > 0 {
-		opt.Within(mf.within)
-	}
-	return opt
+	opts   ncq.OptionSpec // -exclude-root, -within
+	show   bool
+	stream bool
 }
 
 func dispatch(ctx context.Context, db *ncq.Database, cmd string, rest []string, mf meetFlags, stdin io.Reader, stdout io.Writer) error {
@@ -223,7 +214,7 @@ func dispatch(ctx context.Context, db *ncq.Database, cmd string, rest []string, 
 		if mf.stream {
 			return streamMeet(ctx, db, rest, mf, stdout)
 		}
-		res, err := db.Run(ctx, ncq.Request{Terms: rest, Options: mf.options()})
+		res, err := db.Run(ctx, ncq.Request{Terms: rest, Options: ncq.NewOptions(mf.opts)})
 		if err != nil {
 			return err
 		}
@@ -266,7 +257,7 @@ func printMeet(stdout io.Writer, db *ncq.Database, m ncq.CorpusMeet, mf meetFlag
 // it, and the summary line — known complete only at the end — comes
 // last.
 func streamMeet(ctx context.Context, db *ncq.Database, terms []string, mf meetFlags, stdout io.Writer) error {
-	seq, stats := db.ResultsWithStats(ctx, ncq.Request{Terms: terms, Options: mf.options()})
+	seq, stats := db.ResultsWithStats(ctx, ncq.Request{Terms: terms, Options: ncq.NewOptions(mf.opts)})
 	n := 0
 	for m, err := range seq {
 		if err != nil {
@@ -284,7 +275,7 @@ func streamMeet(ctx context.Context, db *ncq.Database, terms []string, mf meetFl
 // otherwise it issues a plain v2 query and prints the envelope's
 // answer.
 func remoteMeet(ctx context.Context, base string, terms []string, mf meetFlags, stdout io.Writer) error {
-	body, err := json.Marshal(wire.Query{Terms: terms, ExcludeRoot: mf.excludeRoot, Within: mf.within})
+	body, err := json.Marshal(wire.Query{Request: ncq.Request{Terms: terms}, OptionSpec: mf.opts})
 	if err != nil {
 		return err
 	}
@@ -408,7 +399,7 @@ func repl(ctx context.Context, db *ncq.Database, mf meetFlags, stdin io.Reader, 
 				fmt.Fprintln(stdout, "meet needs at least one term")
 				continue
 			}
-			res, err := db.Run(ctx, ncq.Request{Terms: fields[1:], Options: mf.options()})
+			res, err := db.Run(ctx, ncq.Request{Terms: fields[1:], Options: ncq.NewOptions(mf.opts)})
 			if err != nil {
 				fmt.Fprintln(stdout, "error:", err)
 				continue

@@ -282,6 +282,16 @@ func TestCLIRemoteMeet(t *testing.T) {
 		t.Errorf("remote error: code %d, stderr %q", code, errOut)
 	}
 
+	// The meet options are one spec: a bound the daemon refuses is
+	// refused by a local run too, streamed or not.
+	f := writeFixture(t)
+	for _, argv := range [][]string{{"-server", ts.URL}, {"-f", f}, {"-f", f, "-stream"}} {
+		code, out, errOut := exec(t, "", append(argv, "-within", "-1", "meet", "Bit", "1999")...)
+		if code != 1 || !strings.Contains(errOut, "non-negative") {
+			t.Errorf("%q -within -1: code %d, stdout %q, stderr %q; want a refusal", argv, code, out, errOut)
+		}
+	}
+
 	// -server supports meet only.
 	if code, _, errOut := exec(t, "", "-server", ts.URL, "stats"); code != 2 || !strings.Contains(errOut, "meet command only") {
 		t.Errorf("remote stats: code %d, stderr %q", code, errOut)

@@ -441,8 +441,8 @@ func TestCoordinatorFirstYieldBeforeWorkerDrains(t *testing.T) {
 	}
 	defer func() { testLineDecode = nil }()
 
-	q := &wire.Query{Terms: []string{"Author", "199"}, ExcludeRoot: true}
-	g, err := coord.scatterQuery(context.Background(), q, 0)
+	req := &ncq.Request{Terms: []string{"Author", "199"}, Options: ncq.ExcludeRoot()}
+	g, err := coord.scatterQuery(context.Background(), req, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -187,12 +187,12 @@ func (c *Coordinator) Parallelism() int { return len(c.workers) }
 // worker cannot know which of its meets fall in the global window),
 // so each worker is asked for the first offset+limit of its own
 // ranking — the most any single worker can contribute to the page.
-func workerBody(q *wire.Query, offset int) []byte {
-	wq := *q
+func workerBody(req *ncq.Request, offset int) []byte {
+	wq := wire.QueryOf(req)
 	wq.Cursor = ""
 	wq.AllowPartial = false
-	if q.Limit > 0 {
-		wq.Limit = offset + q.Limit
+	if req.Limit > 0 {
+		wq.Limit = offset + req.Limit
 	}
 	body, err := json.Marshal(&wq)
 	if err != nil {
@@ -229,12 +229,12 @@ func (g *gather) Close() {
 // first failure; allow_partial records it and continues with the
 // survivors (failing only when no worker survives). A worker answering
 // 4xx is a deterministic request error and aborts in either mode.
-func (c *Coordinator) scatterQuery(ctx context.Context, q *wire.Query, offset int) (*gather, error) {
+func (c *Coordinator) scatterQuery(ctx context.Context, req *ncq.Request, offset int) (*gather, error) {
 	targets := c.workers
-	if q.Doc != "" {
-		targets = []Worker{c.Owner(q.Doc)}
+	if req.Doc != "" {
+		targets = []Worker{c.Owner(req.Doc)}
 	}
-	body := workerBody(q, offset)
+	body := workerBody(req, offset)
 	type opened struct {
 		ws  *workerStream
 		err error
@@ -260,7 +260,7 @@ func (c *Coordinator) scatterQuery(ctx context.Context, q *wire.Query, offset in
 			if is4xx(err) {
 				return abort(err) // the request itself is bad; every worker agrees
 			}
-			if !q.AllowPartial {
+			if !req.AllowPartial {
 				return abort(err)
 			}
 			g.failed[wk.Name] = err.Error()
@@ -273,7 +273,7 @@ func (c *Coordinator) scatterQuery(ctx context.Context, q *wire.Query, offset in
 		g.total += ws.header.Total
 		g.unmatched += ws.header.Unmatched
 		g.gens[wk.Name] = ws.header.Generation
-		if q.AllowPartial {
+		if req.AllowPartial {
 			ws.onFail = func(w Worker, err error) error {
 				g.failed[w.Name] = err.Error()
 				return nil // end this source quietly; the merge continues
@@ -331,8 +331,7 @@ func (c *Coordinator) results(ctx context.Context, req *ncq.Request, stats *ncq.
 	if err != nil {
 		return err
 	}
-	q := wire.QueryOf(req)
-	g, err := c.scatterQuery(ctx, &q, offset)
+	g, err := c.scatterQuery(ctx, req, offset)
 	if err != nil {
 		return workerFailure(err)
 	}

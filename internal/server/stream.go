@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"time"
 
+	"ncq"
 	"ncq/internal/metrics"
 	"ncq/internal/wire"
 )
@@ -16,14 +17,13 @@ import (
 // which is the whole point of the endpoint: on a wide corpus the
 // client renders nearest concepts while the long tail is still being
 // merged. ctx carries the per-request deadline.
-func (f *Front) handleStream(ctx context.Context, w http.ResponseWriter, r *http.Request, start time.Time, q *wire.Query) {
+func (f *Front) handleStream(ctx context.Context, w http.ResponseWriter, r *http.Request, start time.Time, req ncq.Request) {
 	f.queries.Add(1)
 	f.streamsInflight.Inc()
 	defer f.streamsInflight.Dec()
-	ncqReq := q.Request()
-	metrics.SetFingerprint(ctx, ncqReq.Canonical())
-	seq, stats := f.backend.ResultsWithStats(ctx, ncqReq)
-	if ncqReq.Vague != nil {
+	metrics.SetFingerprint(ctx, req.Canonical())
+	seq, stats := f.backend.ResultsWithStats(ctx, req)
+	if req.Vague != nil {
 		f.vagueRequests.Inc()
 		// Streams bypass the cache, so every drain is real execution;
 		// stats (and the relaxation counts) are complete before the

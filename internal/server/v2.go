@@ -20,17 +20,17 @@ import (
 
 func (f *Front) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	req, ctx, cancel, ok := wire.Decode(w, r)
+	body, ctx, cancel, ok := wire.Decode(w, r)
 	if !ok {
 		return
 	}
 	defer cancel()
 	if wire.Flag(r, "stream") {
-		f.handleStream(ctx, w, r, start, &req.Query)
+		f.handleStream(ctx, w, r, start, body.Request)
 		return
 	}
-	if len(req.Batch) > 0 {
-		f.handleBatch(ctx, w, start, req.Batch)
+	if len(body.Batch) > 0 {
+		f.handleBatch(ctx, w, start, body.Batch)
 		return
 	}
 	// Read the generation BEFORE executing: a cached answer is served
@@ -39,9 +39,8 @@ func (f *Front) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// the generation it reports itself — never under a newer one.
 	gen := f.backend.Generation()
 	f.queries.Add(1)
-	ncqReq := req.Request()
-	metrics.SetFingerprint(ctx, ncqReq.Canonical())
-	resp, err := f.runCached(ctx, gen, ncqReq)
+	metrics.SetFingerprint(ctx, body.Request.Canonical())
+	resp, err := f.runCached(ctx, gen, body.Request)
 	if err != nil {
 		wire.WriteFailure(w, wire.StatusOf(err), err)
 		return
@@ -60,13 +59,12 @@ func (f *Front) handleBatch(ctx context.Context, w http.ResponseWriter, start ti
 	reqs := make([]*ncq.Request, len(batch))
 	for i := range batch {
 		q := &batch[i]
-		if err := q.Validate(); err != nil {
+		if err := q.Lower(); err != nil {
 			items[i] = wire.BatchItem{Status: http.StatusBadRequest, Error: err.Error()}
 			continue
 		}
 		f.queries.Add(1)
-		unitReq := q.Request()
-		reqs[i] = &unitReq
+		reqs[i] = &q.Request
 	}
 	assigned, units := collectUnits(reqs)
 	f.runUnits(ctx, gen, units)

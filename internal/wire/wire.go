@@ -1,6 +1,6 @@
 // Package wire is the one place that knows the POST /v2/query
-// protocol: the request schema with its validation and lowering, the
-// response envelopes, the NDJSON stream records (stream.go) and the
+// protocol: the request body around the library's own request schema,
+// the response envelopes, the NDJSON stream records (stream.go) and the
 // HTTP helpers around them. internal/server's front end produces the
 // protocol for both roles, internal/cluster renders the bodies it
 // scatters and consumes its workers' streams, cmd/ncq consumes it;
@@ -33,7 +33,6 @@ import (
 	"ncq"
 	"ncq/internal/admission"
 	"ncq/internal/metrics"
-	"ncq/internal/pathexpr"
 )
 
 const (
@@ -42,153 +41,54 @@ const (
 	MaxLine  = 16 << 20 // bytes of one NDJSON line; meets can carry long witness lists
 )
 
-// Query is one query. Exactly one of Query (the paper's SQL variant)
-// or Terms (a raw term meet) must be set. An empty Doc targets the
-// whole corpus; a named Doc is resolved logically, so a sharded
-// document is queried across all of its shards.
+// Query is one query: the library's request, with its options as the
+// plain spec, so every field of the body is a field of ncq.Request or of
+// ncq.OptionSpec and is named, documented and validated there, never
+// here.
 type Query struct {
-	Doc   string   `json:"doc,omitempty"`
-	Query string   `json:"query,omitempty"`
-	Terms []string `json:"terms,omitempty"`
-
-	// Meet options, mirroring ncq.Options (term queries only).
-	ExcludeRoot bool     `json:"exclude_root,omitempty"`
-	Exclude     []string `json:"exclude,omitempty"`
-	Restrict    []string `json:"restrict,omitempty"`
-	Nearest     bool     `json:"nearest,omitempty"`
-	Within      int      `json:"within,omitempty"`
-	MaxLift     int      `json:"max_lift,omitempty"`
-
-	// Limit caps the number of returned meets; 0 = unlimited.
-	Limit int `json:"limit,omitempty"`
-
-	// Vague switches a terms request into the vague-constraints mode
-	// (the ncq.Vague wire shape, {"max_slack": N, "expand": true}).
-	// Workers blend structural slack into each answer's distance
-	// before ranking, so a coordinator's merge needs no vague-specific
-	// handling.
-	Vague *ncq.Vague `json:"vague,omitempty"`
-
-	// Cursor resumes at the page a previous response's next_cursor
-	// (or stream trailer) pointed to.
-	Cursor string `json:"cursor,omitempty"`
-
-	// AllowPartial asks a coordinator to degrade worker failures
-	// instead of answering 502: the response carries the surviving
-	// workers' exact merged ranking, marked incomplete, with per-worker
-	// error detail and no resume cursor. A single node accepts the
-	// field as a no-op — its answer is never partial — so one client
-	// body works against either role.
-	AllowPartial bool `json:"allow_partial,omitempty"`
+	ncq.Request
+	ncq.OptionSpec
 }
 
-// Validate checks the query's shape — a failure is a 400 with the
-// returned text, inline or as a batch item. An exclude or restrict
-// pattern is compiled too, so a bad one is refused here, by either
-// role; execution errors (unknown document, bad cursor) surface later
+// Lower sets the request's Options from the spec, so that q.Request is
+// what q spells, and validates it through the library: a failure is a
+// 400 with the returned text, inline or as a batch item, refused by
+// either role before anything runs or scatters. Execution errors
+// (unknown document, bad cursor, unparsable query text) surface later
 // with their own statuses.
-func (q *Query) Validate() error {
-	bad := func(format string, args ...any) error {
-		return fmt.Errorf("invalid request: "+format, args...)
-	}
-	hasQuery := strings.TrimSpace(q.Query) != ""
-	if hasQuery == (len(q.Terms) > 0) {
-		return bad("exactly one of \"query\" or \"terms\" must be set")
-	}
-	for _, t := range q.Terms {
-		if t == "" {
-			return bad("empty term")
-		}
-	}
-	if q.Within < 0 || q.MaxLift < 0 || q.Limit < 0 {
-		return bad("\"within\", \"max_lift\" and \"limit\" must be non-negative")
-	}
-	if hasQuery && (q.ExcludeRoot || q.Nearest || q.Within != 0 || q.MaxLift != 0 ||
-		len(q.Exclude) > 0 || len(q.Restrict) > 0) {
-		return bad("meet options apply to \"terms\" queries only; use the query language's meet(...) options instead")
-	}
-	for _, p := range q.Exclude {
-		if _, err := pathexpr.Compile(p); err != nil {
-			return bad("\"exclude\" pattern: %v", err)
-		}
-	}
-	for _, p := range q.Restrict {
-		if _, err := pathexpr.Compile(p); err != nil {
-			return bad("\"restrict\" pattern: %v", err)
-		}
-	}
-	if q.Vague != nil {
-		if hasQuery {
-			return bad("\"vague\" applies to \"terms\" queries only")
-		}
-		if q.Vague.MaxSlack < 0 || q.Vague.MaxSlack > ncq.MaxVagueSlack {
-			return bad("\"vague.max_slack\" must be between 0 and %d", ncq.MaxVagueSlack)
-		}
+func (q *Query) Lower() error {
+	q.Request.Options = ncq.NewOptions(q.OptionSpec)
+	if err := q.Request.Validate(); err != nil {
+		return fmt.Errorf("invalid request: %w", err)
 	}
 	return nil
 }
 
-// Request lowers a validated query into the ncq.Request every role
-// executes or canonicalises: caches and cursors are keyed by its
-// Canonical encoding, so equivalent spellings share them.
-func (q *Query) Request() ncq.Request {
-	req := ncq.Request{Doc: q.Doc, Limit: q.Limit, Cursor: q.Cursor, AllowPartial: q.AllowPartial}
-	if len(q.Terms) == 0 {
-		req.Query = strings.TrimSpace(q.Query)
-		return req
-	}
-	opt := &ncq.Options{}
-	if q.ExcludeRoot {
-		opt.ExcludeRoot()
-	}
-	for _, p := range q.Exclude {
-		opt.ExcludePattern(p)
-	}
-	for _, p := range q.Restrict {
-		opt.Restrict(p)
-	}
-	if q.Nearest {
-		opt.Nearest()
-	}
-	if q.Within > 0 {
-		opt.Within(q.Within)
-	}
-	if q.MaxLift > 0 {
-		opt.MaxLift(q.MaxLift)
-	}
-	req.Terms, req.Options, req.Vague = q.Terms, opt, q.Vague
-	return req
-}
-
-// QueryOf is Request's inverse: the query a coordinator's backend
-// re-sends to its workers, so the body a worker decodes is spelled
-// here and nowhere else. Query-language text travels as it is; each
-// worker parses it.
+// QueryOf is the query that carries req: the body a coordinator's
+// backend re-sends to its workers. Query-language text travels as it
+// is; each worker parses it.
 func QueryOf(req *ncq.Request) Query {
-	o := req.Options.Spec()
-	return Query{Doc: req.Doc, Query: req.Query, Terms: req.Terms, Limit: req.Limit, Vague: req.Vague, Cursor: req.Cursor,
-		AllowPartial: req.AllowPartial, ExcludeRoot: o.ExcludeRoot, Exclude: o.Exclude, Restrict: o.Restrict,
-		Nearest: o.Nearest, Within: o.Within, MaxLift: o.MaxLift}
+	return Query{Request: *req, OptionSpec: req.Options.Spec()}
 }
 
-// Request is the POST /v2/query body: one query inline, or many under
+// Body is the POST /v2/query body: one query inline, or many under
 // "batch", plus an optional per-request deadline.
-type Request struct {
+type Body struct {
 	Query
 	Batch     []Query `json:"batch,omitempty"`
 	TimeoutMS int     `json:"timeout_ms,omitempty"`
 }
 
 // Decode reads and checks one request body. On failure it has written
-// the error response and ok is false. On success the request is either
-// a batch of 1..MaxBatch queries, each still to be validated on its
-// own (a bad item fails alone), or one validated inline query; ctx
-// carries the timeout_ms deadline and cancel releases it.
-func Decode(w http.ResponseWriter, r *http.Request) (req *Request, ctx context.Context, cancel context.CancelFunc, ok bool) {
+// the error response and ok is false. On success the body is either a
+// batch of 1..MaxBatch queries, each still to be lowered on its own (a
+// bad item fails alone), or one inline query, lowered; ctx carries the
+// timeout_ms deadline and cancel releases it.
+func Decode(w http.ResponseWriter, r *http.Request) (body *Body, ctx context.Context, cancel context.CancelFunc, ok bool) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBody))
 	dec.DisallowUnknownFields()
-	req = new(Request)
-	if err := dec.Decode(req); err != nil {
+	body = new(Body)
+	if err := dec.Decode(body); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			WriteError(w, http.StatusRequestEntityTooLarge, "request exceeds the %d byte limit", tooLarge.Limit)
@@ -197,31 +97,31 @@ func Decode(w http.ResponseWriter, r *http.Request) (req *Request, ctx context.C
 		}
 		return nil, nil, nil, false
 	}
-	if err := req.check(Flag(r, "stream")); err != nil {
+	if err := body.check(Flag(r, "stream")); err != nil {
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return nil, nil, nil, false
 	}
 	ctx, cancel = r.Context(), func() {}
-	if req.TimeoutMS > 0 {
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
+	if body.TimeoutMS > 0 {
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(body.TimeoutMS)*time.Millisecond)
 	}
-	return req, ctx, cancel, true
+	return body, ctx, cancel, true
 }
 
-func (req *Request) check(stream bool) error {
+func (b *Body) check(stream bool) error {
 	switch {
-	case req.TimeoutMS < 0:
+	case b.TimeoutMS < 0:
 		return errors.New("\"timeout_ms\" must be non-negative")
-	case len(req.Batch) == 0:
-		return req.Validate()
+	case len(b.Batch) == 0:
+		return b.Lower()
 	case stream:
 		return errors.New("\"batch\" cannot stream; issue one streaming query at a time")
-	case !reflect.DeepEqual(req.Query, Query{}):
+	case !reflect.DeepEqual(b.Query, Query{}):
 		// The zero-value comparison keeps this exhaustive as fields
 		// are added.
 		return errors.New("set either the inline query fields or \"batch\", not both")
-	case len(req.Batch) > MaxBatch:
-		return fmt.Errorf("batch of %d queries exceeds the limit of %d", len(req.Batch), MaxBatch)
+	case len(b.Batch) > MaxBatch:
+		return fmt.Errorf("batch of %d queries exceeds the limit of %d", len(b.Batch), MaxBatch)
 	}
 	return nil
 }

@@ -113,36 +113,73 @@ func TestGoldenBytes(t *testing.T) {
 	}
 }
 
+// decodeBody runs body through Decode, failing t on a refusal.
+func decodeBody(t testing.TB, body string) *Body {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	b, _, cancel, ok := Decode(rec, httptest.NewRequest("POST", "/v2/query", strings.NewReader(body)))
+	if !ok {
+		t.Fatalf("%s: refused: %s", body, rec.Body)
+	}
+	cancel()
+	return b
+}
+
+// TestQueryRequestLowering: a body's fields land on the library's
+// request, its options built as the fluent calls build them and absent
+// when the body sets none, and what a coordinator re-sends to its
+// workers (QueryOf, pinned to the byte) decodes to the request it was
+// sent.
 func TestQueryRequestLowering(t *testing.T) {
-	q := Query{Doc: "d", Terms: []string{"a", "b"}, ExcludeRoot: true, Exclude: []string{"//x"},
-		Restrict: []string{"//y"}, Nearest: true, Within: 3, MaxLift: 2, Limit: 5,
-		Vague: &ncq.Vague{MaxSlack: 1}, Cursor: "c", AllowPartial: true}
-	if err := q.Validate(); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		body string
+		want ncq.Request
+		sent string
+	}{
+		{`{"doc":"d","terms":["a","b"],"exclude_root":true,"exclude":["//x"],"restrict":["//y"],"nearest":true,` +
+			`"within":3,"max_lift":2,"limit":5,"vague":{"max_slack":1},"cursor":"c","allow_partial":true}`,
+			ncq.Request{Doc: "d", Terms: []string{"a", "b"}, Limit: 5, Cursor: "c", Vague: &ncq.Vague{MaxSlack: 1}, AllowPartial: true,
+				Options: ncq.ExcludeRoot().ExcludePattern("//x").Restrict("//y").Nearest().Within(3).MaxLift(2)},
+			`{"doc":"d","terms":["a","b"],"limit":5,"cursor":"c","vague":{"max_slack":1},"allow_partial":true,` +
+				`"exclude_root":true,"exclude":["//x"],"restrict":["//y"],"nearest":true,"within":3,"max_lift":2}`},
+		{`{"doc":"d","query":"  SELECT tag(e) FROM //y AS e ","limit":2}`,
+			ncq.Request{Doc: "d", Query: "  SELECT tag(e) FROM //y AS e ", Limit: 2},
+			`{"doc":"d","query":"  SELECT tag(e) FROM //y AS e ","limit":2}`},
+		{`{"terms":["a"],"within":0,"exclude":[]}`, ncq.Request{Terms: []string{"a"}}, `{"terms":["a"]}`},
 	}
-	want := ncq.Request{Doc: "d", Terms: []string{"a", "b"}, Limit: 5, Cursor: "c", Vague: q.Vague, AllowPartial: true,
-		Options: ncq.ExcludeRoot().ExcludePattern("//x").Restrict("//y").Nearest().Within(3).MaxLift(2)}
-	got := q.Request()
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("lowered %+v, want %+v", got, want)
-	}
-	// What a coordinator's backend re-sends to its workers is the query
-	// it was sent.
-	if back := QueryOf(&got); !reflect.DeepEqual(back, q) {
-		t.Errorf("QueryOf(lowered) = %+v, want %+v", back, q)
-	}
-	sql := Query{Doc: "d", Query: "  SELECT tag(e) FROM //y AS e ", Limit: 2}
-	lowered := sql.Request()
-	if want := (ncq.Request{Doc: "d", Query: "SELECT tag(e) FROM //y AS e", Limit: 2}); !reflect.DeepEqual(lowered, want) {
-		t.Errorf("lowered %+v, want %+v", lowered, want)
-	}
-	sql.Query = lowered.Query
-	if back := QueryOf(&lowered); !reflect.DeepEqual(back, sql) {
-		t.Errorf("QueryOf(lowered) = %+v, want %+v", back, sql)
+	for _, tc := range cases {
+		got := decodeBody(t, tc.body).Request
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s lowered to %+v, want %+v", tc.body, got, tc.want)
+		}
+		q := QueryOf(&got)
+		raw, err := json.Marshal(&q)
+		if err != nil || string(raw) != tc.sent {
+			t.Fatalf("%s re-sent as %s (%v), want %s", tc.body, raw, err, tc.sent)
+		}
+		if back := decodeBody(t, string(raw)).Request; !reflect.DeepEqual(back, got) {
+			t.Errorf("%s re-sent as %s decodes to %+v, want %+v", tc.body, raw, back, got)
+		}
 	}
 }
 
-// TestNegativeBoundStatus: the library refuses the bounds Validate
+// TestQuerySchemaNamed: the body is the library's own types, so a field
+// added to ncq.Request or ncq.OptionSpec is a protocol field, and it
+// must name itself on the wire in snake case, or opt out with "-",
+// rather than travel under its Go name.
+func TestQuerySchemaNamed(t *testing.T) {
+	for _, typ := range []reflect.Type{reflect.TypeFor[ncq.Request](), reflect.TypeFor[ncq.OptionSpec]()} {
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if name == "" || name != "-" && name != strings.ToLower(name) {
+				t.Errorf("%s.%s has wire name %q", typ, f.Name, name)
+			}
+		}
+	}
+}
+
+// TestNegativeBoundStatus: the library refuses the bounds Lower
 // refuses, and a library caller's refusal maps to 400 like the wire's.
 func TestNegativeBoundStatus(t *testing.T) {
 	db, err := ncq.OpenString(`<a><b>x</b><c>y</c></a>`)
@@ -154,10 +191,55 @@ func TestNegativeBoundStatus(t *testing.T) {
 		if err == nil || StatusOf(err) != http.StatusBadRequest {
 			t.Errorf("%+v: err = %v, status %d; want 400", o.Spec(), err, StatusOf(err))
 		}
-		if q := QueryOf(&ncq.Request{Terms: []string{"x"}, Options: o}); q.Validate() == nil {
-			t.Errorf("%+v: Validate accepted %+v", o.Spec(), q)
+		if q := QueryOf(&ncq.Request{Terms: []string{"x"}, Options: o}); q.Lower() == nil {
+			t.Errorf("%+v: Lower accepted %+v", o.Spec(), q)
 		}
 	}
+}
+
+// FuzzDecodeQuery guards the body every role takes from a client:
+// arbitrary bytes never panic Decode, and every query it lowers — inline
+// or a batch item — is one the library accepts and, re-sent the way a
+// coordinator re-sends it to a worker (QueryOf), decodes to a request of
+// the same canonical form: the hop loses nothing a worker runs.
+func FuzzDecodeQuery(f *testing.F) {
+	for _, s := range []string{
+		`{"doc":"d","terms":["a","b"],"exclude_root":true,"exclude":["//x"],"restrict":["//y"],"nearest":true,"within":3,"max_lift":2,"limit":5,"vague":{"max_slack":1,"expand":true},"cursor":"c","allow_partial":true}`,
+		`{"query":"SELECT tag(e) FROM //y AS e","limit":2,"timeout_ms":9}`,
+		`{"batch":[{"terms":["x"],"restrict":["/a","//b"]},{"terms":[""]},{"query":" "}]}`,
+		`{"terms":["x"],"within":-1}`, `{"terms":["x"],"exclude":[],"vague":{"max_slack":0}}`, `{"terms":["\u00ff"],"doc":"\ud800"}`,
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := httptest.NewRecorder()
+		b, _, cancel, ok := Decode(rec, httptest.NewRequest("POST", "/v2/query", strings.NewReader(body)))
+		if !ok {
+			return
+		}
+		cancel()
+		queries := []Query{b.Query}
+		if len(b.Batch) > 0 {
+			queries = b.Batch
+		}
+		for _, q := range queries {
+			if q.Lower() != nil {
+				continue
+			}
+			if err := q.Request.Validate(); err != nil {
+				t.Fatalf("%s: lowered to a request the library refuses: %v", body, err)
+			}
+			resent := QueryOf(&q.Request)
+			raw, err := json.Marshal(&resent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back := decodeBody(t, string(raw)).Request
+			if back.Canonical() != q.Request.Canonical() || back.AllowPartial != q.AllowPartial {
+				t.Fatalf("%s re-sent as %s: canonical %q, want %q", body, raw, back.Canonical(), q.Request.Canonical())
+			}
+		}
+	})
 }
 
 func TestDecodeDeadline(t *testing.T) {

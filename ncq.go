@@ -216,15 +216,11 @@ type Projection struct {
 }
 
 // Options tunes the meet operator (the Section 4 extensions of the
-// paper). The zero value is the plain operator. Use the helper
-// functions (ExcludeRoot, ExcludePattern, ...) to build one fluently.
+// paper). The zero value, like nil, is the plain operator. Use the helper
+// functions (ExcludeRoot, ExcludePattern, ...) to build one fluently, or
+// NewOptions to build one from its spec.
 type Options struct {
-	excludePatterns  []string
-	restrictPatterns []string
-	excludeRoot      bool
-	skipExcluded     bool
-	maxLift          int
-	maxDistance      int
+	spec OptionSpec
 }
 
 // ExcludeRoot discards meets at the document root — almost always
@@ -233,7 +229,7 @@ func ExcludeRoot() *Options { return (&Options{}).ExcludeRoot() }
 
 // ExcludeRoot marks the document root as an inadmissible result type.
 func (o *Options) ExcludeRoot() *Options {
-	o.excludeRoot = true
+	o.spec.ExcludeRoot = true
 	return o
 }
 
@@ -243,7 +239,7 @@ func ExcludePattern(pattern string) *Options { return (&Options{}).ExcludePatter
 
 // ExcludePattern adds an inadmissible path pattern.
 func (o *Options) ExcludePattern(pattern string) *Options {
-	o.excludePatterns = append(o.excludePatterns, pattern)
+	o.spec.Exclude = append(o.spec.Exclude, pattern)
 	return o
 }
 
@@ -251,7 +247,7 @@ func (o *Options) ExcludePattern(pattern string) *Options {
 // inadmissible meets do not swallow their witnesses, the search
 // continues upward (an extension beyond the paper).
 func (o *Options) Nearest() *Options {
-	o.skipExcluded = true
+	o.spec.Nearest = true
 	return o
 }
 
@@ -265,7 +261,7 @@ func Restrict(pattern string) *Options { return (&Options{}).Restrict(pattern) }
 
 // Restrict adds an admissible result-path pattern.
 func (o *Options) Restrict(pattern string) *Options {
-	o.restrictPatterns = append(o.restrictPatterns, pattern)
+	o.spec.Restrict = append(o.spec.Restrict, pattern)
 	return o
 }
 
@@ -275,26 +271,37 @@ func Within(d int) *Options { return (&Options{}).Within(d) }
 
 // Within sets the pairwise distance bound.
 func (o *Options) Within(d int) *Options {
-	o.maxDistance = d
+	o.spec.Within = d
 	return o
 }
 
 // MaxLift bounds how many parent steps any single input may take.
 func (o *Options) MaxLift(n int) *Options {
-	o.maxLift = n
+	o.spec.MaxLift = n
 	return o
 }
 
-// OptionSpec is Options as plain data: what a surface that ships a
-// request to another process renders back into its own schema
-// (internal/wire, for the body a coordinator scatters to its workers).
+// OptionSpec is Options as plain data, one field per fluent call, under
+// the names the POST /v2/query body gives them: internal/wire's query
+// is a Request plus its OptionSpec, so a request and its options travel
+// in one schema. A zero field is an option not set.
 type OptionSpec struct {
-	ExcludeRoot bool
-	Exclude     []string
-	Restrict    []string
-	Nearest     bool
-	Within      int
-	MaxLift     int
+	ExcludeRoot bool     `json:"exclude_root,omitempty"`
+	Exclude     []string `json:"exclude,omitempty"`
+	Restrict    []string `json:"restrict,omitempty"`
+	Nearest     bool     `json:"nearest,omitempty"`
+	Within      int      `json:"within,omitempty"`
+	MaxLift     int      `json:"max_lift,omitempty"`
+}
+
+// NewOptions returns the Options s spells, sharing its pattern slices;
+// nil for the zero spec, which sets nothing.
+func NewOptions(s OptionSpec) *Options {
+	o := &Options{spec: s}
+	if !o.set() {
+		return nil
+	}
+	return o
 }
 
 // Spec returns what the fluent calls recorded; the zero OptionSpec for
@@ -303,8 +310,18 @@ func (o *Options) Spec() OptionSpec {
 	if o == nil {
 		return OptionSpec{}
 	}
-	return OptionSpec{ExcludeRoot: o.excludeRoot, Exclude: o.excludePatterns, Restrict: o.restrictPatterns,
-		Nearest: o.skipExcluded, Within: o.maxDistance, MaxLift: o.maxLift}
+	return o.spec
+}
+
+// set reports whether o asks for anything: nil and Options that set
+// nothing are the same plain operator, with the same cache key and
+// cursors.
+func (o *Options) set() bool {
+	if o == nil {
+		return false
+	}
+	s := &o.spec
+	return s.ExcludeRoot || s.Nearest || len(s.Exclude) > 0 || len(s.Restrict) > 0 || s.Within != 0 || s.MaxLift != 0
 }
 
 // Locate is the full-text half of the paper's interaction: one input

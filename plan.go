@@ -74,16 +74,17 @@ func (o *Options) shape(vg *Vague) (*pathShape, error) {
 	if o == nil {
 		return nil, nil
 	}
-	if o.maxDistance < 0 || o.maxLift < 0 {
-		return nil, fmt.Errorf("ncq: Within (%d) and MaxLift (%d) must be non-negative", o.maxDistance, o.maxLift)
+	s := &o.spec
+	if s.Within < 0 || s.MaxLift < 0 {
+		return nil, fmt.Errorf("ncq: Within (%d) and MaxLift (%d) must be non-negative", s.Within, s.MaxLift)
 	}
-	sh := &pathShape{key: planKey{excludeRoot: o.excludeRoot, exclude: patternsKey(o.excludePatterns),
-		restrict: patternsKey(o.restrictPatterns), slack: -1}}
+	sh := &pathShape{key: planKey{excludeRoot: s.ExcludeRoot, exclude: patternsKey(s.Exclude),
+		restrict: patternsKey(s.Restrict), slack: -1}}
 	var err error
-	if sh.exclude, err = compilePatterns("exclude", o.excludePatterns); err != nil {
+	if sh.exclude, err = compilePatterns("exclude", s.Exclude); err != nil {
 		return nil, err
 	}
-	if sh.restrict, err = compilePatterns("restrict", o.restrictPatterns); err != nil {
+	if sh.restrict, err = compilePatterns("restrict", s.Restrict); err != nil {
 		return nil, err
 	}
 	if vg != nil && len(sh.restrict) > 0 {
@@ -227,8 +228,8 @@ func (o *Options) compile(db *Database, sh *pathShape, vg *Vague) (*core.Options
 	vp.slack = p.slack
 	return &core.Options{
 		Exclude:      p.exclude,
-		SkipExcluded: o.skipExcluded || p.restricted,
-		MaxLift:      o.maxLift,
-		MaxDistance:  o.maxDistance,
+		SkipExcluded: o.spec.Nearest || p.restricted,
+		MaxLift:      o.spec.MaxLift,
+		MaxDistance:  o.spec.Within,
 	}, vp
 }

@@ -30,13 +30,13 @@ func referenceCompile(o *Options, sum *pathsum.Summary, vg *Vague) (*core.Option
 	if o == nil {
 		return nil, slack, nil
 	}
-	opt := &core.Options{MaxLift: o.maxLift, MaxDistance: o.maxDistance, SkipExcluded: o.skipExcluded}
-	if o.excludeRoot || len(o.excludePatterns) > 0 {
+	opt := &core.Options{MaxLift: o.spec.MaxLift, MaxDistance: o.spec.Within, SkipExcluded: o.spec.Nearest}
+	if o.spec.ExcludeRoot || len(o.spec.Exclude) > 0 {
 		opt.Exclude = map[pathsum.PathID]bool{}
-		if o.excludeRoot {
+		if o.spec.ExcludeRoot {
 			opt.Exclude[sum.Root()] = true
 		}
-		for _, src := range o.excludePatterns {
+		for _, src := range o.spec.Exclude {
 			pat, err := pathexpr.Compile(src)
 			if err != nil {
 				return nil, nil, err
@@ -46,11 +46,11 @@ func referenceCompile(o *Options, sum *pathsum.Summary, vg *Vague) (*core.Option
 			}
 		}
 	}
-	if len(o.restrictPatterns) == 0 {
+	if len(o.spec.Restrict) == 0 {
 		return opt, slack, nil
 	}
-	pats := make([]*pathexpr.Pattern, len(o.restrictPatterns))
-	for i, src := range o.restrictPatterns {
+	pats := make([]*pathexpr.Pattern, len(o.spec.Restrict))
+	for i, src := range o.spec.Restrict {
 		pat, err := pathexpr.Compile(src)
 		if err != nil {
 			return nil, nil, err

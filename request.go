@@ -18,7 +18,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"iter"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -42,7 +42,8 @@ var ErrStaleCursor = errors.New("stale cursor")
 // Exactly one of Terms (a raw term meet) or Query (the paper's SQL
 // variant) must be set. The zero values of the remaining fields are
 // always valid: no document restriction, no options, no limit, first
-// page.
+// page. The JSON names are the POST /v2/query body's: that body is a
+// Request plus its Options' OptionSpec.
 type Request struct {
 	// Doc restricts a corpus run to the named member (resolved
 	// logically: a sharded member fans out over its shards). Empty
@@ -64,9 +65,9 @@ type Request struct {
 	// order is Database.Query's.
 	Query string `json:"query,omitempty"`
 
-	// Options tunes the meet operator for term requests. It must be
-	// nil for query-language requests, which carry their options in
-	// the meet(...) clause.
+	// Options tunes the meet operator for term requests. It must set
+	// nothing for query-language requests, which carry their options
+	// in the meet(...) clause.
 	Options *Options `json:"-"`
 
 	// Limit caps the number of returned meets; 0 means unlimited. The
@@ -154,44 +155,59 @@ var (
 	_ Querier = (*Corpus)(nil)
 )
 
-// validate checks the request shape shared by all Querier
-// implementations.
-func (r *Request) validate() error {
+// Validate checks r as every Querier checks it before running anything:
+// exactly one of Terms or Query, no empty term, no term-only field on a
+// query-language request, no negative Limit or bound, a Vague budget in
+// range and option patterns that compile. A surface that ships a
+// request to another process (internal/wire) calls it to refuse the
+// request first. Query-language text is parsed only when the request
+// runs.
+func (r *Request) Validate() error {
+	_, err := r.shape()
+	return err
+}
+
+// shape validates r and compiles the path-shaping half of its options:
+// nil for a query-language request or a term request without options.
+func (r *Request) shape() (*pathShape, error) {
 	hasQuery, hasTerms := r.Query != "", len(r.Terms) > 0
-	if hasQuery && hasTerms {
-		return errors.New("ncq: request sets both Terms and Query; choose one")
-	}
-	if !hasQuery && !hasTerms {
-		return errors.New("ncq: empty request: set Terms or Query")
-	}
-	if hasQuery && r.Options != nil {
-		return errors.New("ncq: Options apply to term requests; query-language requests carry options in meet(...)")
-	}
-	if hasQuery && r.Vague != nil {
-		return errors.New("ncq: Vague applies to term requests only")
+	switch {
+	case hasQuery == hasTerms:
+		return nil, errors.New("ncq: set exactly one of Terms or Query")
+	case hasQuery && strings.TrimSpace(r.Query) == "":
+		return nil, errors.New("ncq: blank Query")
+	case slices.Contains(r.Terms, ""):
+		return nil, errors.New("ncq: empty term")
+	case hasQuery && r.Options.set():
+		return nil, errors.New("ncq: Options apply to term requests; query-language requests carry options in meet(...)")
+	case hasQuery && r.Vague != nil:
+		return nil, errors.New("ncq: Vague applies to term requests only")
+	case r.Limit < 0:
+		return nil, errors.New("ncq: negative Limit")
 	}
 	if err := r.Vague.validate(); err != nil {
-		return err
+		return nil, err
 	}
-	if r.Limit < 0 {
-		return errors.New("ncq: negative Limit")
+	if hasQuery {
+		return nil, nil
 	}
-	return nil
+	return r.Options.shape(r.Vague)
 }
 
 // canonical renders the options deterministically for cache keys and
 // cursor fingerprints. Pattern order is irrelevant to the semantics
 // (exclusion and restriction are unions), so patterns are sorted.
 func (o *Options) canonical() string {
-	if o == nil {
+	if !o.set() {
 		return "-"
 	}
-	excl := append([]string(nil), o.excludePatterns...)
-	sort.Strings(excl)
-	restr := append([]string(nil), o.restrictPatterns...)
-	sort.Strings(restr)
+	s := &o.spec
+	excl := slices.Clone(s.Exclude)
+	slices.Sort(excl)
+	restr := slices.Clone(s.Restrict)
+	slices.Sort(restr)
 	return fmt.Sprintf("xroot=%t x=%q r=%q near=%t w=%d lift=%d",
-		o.excludeRoot, excl, restr, o.skipExcluded, o.maxDistance, o.maxLift)
+		s.ExcludeRoot, excl, restr, s.Nearest, s.Within, s.MaxLift)
 }
 
 // canonicalBase is the canonical encoding of everything but the page

@@ -336,11 +336,22 @@ func TestRunValidation(t *testing.T) {
 		{"empty", Request{}},
 		{"negative limit", Request{Terms: []string{"a"}, Limit: -1}},
 		{"options on query", Request{Query: "SELECT tag(e) FROM //x AS e", Options: ExcludeRoot()}},
+		{"empty term", Request{Terms: []string{"a", ""}}},
+		{"blank query", Request{Query: " \n"}},
+		{"vague on query", Request{Query: "SELECT tag(e) FROM //x AS e", Vague: &Vague{}}},
 	}
 	for _, tc := range cases {
 		if _, err := db.Run(ctx, tc.req); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+		if tc.req.Validate() == nil {
+			t.Errorf("%s: Validate accepted", tc.name)
+		}
+	}
+	// Options that set nothing are no options, on a query-language
+	// request too.
+	if _, err := db.Run(ctx, Request{Query: "SELECT tag(e) FROM //x AS e", Options: Within(0)}); err != nil {
+		t.Errorf("zero options on query: %v", err)
 	}
 	// A Database holds one anonymous document; naming one is an
 	// unknown-document error, uniform with the corpus surface.
@@ -561,6 +572,13 @@ func TestRequestCanonical(t *testing.T) {
 	q2 := Request{Query: "SELECT tag(e) FROM //x AS e"}
 	if q1.Canonical() != q2.Canonical() {
 		t.Error("query whitespace changed the canonical encoding")
+	}
+	// Options that set nothing key and page as no options.
+	for _, o := range []*Options{{}, Within(0).MaxLift(0)} {
+		bare, zero := Request{Terms: []string{"x"}, Limit: 3}, Request{Terms: []string{"x"}, Options: o, Limit: 3}
+		if bare.Canonical() != zero.Canonical() {
+			t.Errorf("%+v: canonical %q, without the unset options %q", o.Spec(), zero.Canonical(), bare.Canonical())
+		}
 	}
 	other := Request{Terms: []string{"y"}, Limit: 3}
 	if a.Canonical() == other.Canonical() {

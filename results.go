@@ -610,19 +610,15 @@ func resultsWithStats(ctx context.Context, r resolver, req Request) (iter.Seq2[C
 // an invalid one fails alike on every corpus, an empty one included. The
 // two differ in nothing but how each member comes by its input sets.
 func fanOut(ctx context.Context, r resolver, req *Request, stats *StreamStats) (*merger, int, error) {
-	if err := req.validate(); err != nil {
+	sh, err := req.shape()
+	if err != nil {
 		return nil, 0, err
 	}
 	var q *query.Query
-	var sh *pathShape
-	var err error
 	if req.Query != "" {
-		q, err = query.Parse(req.Query)
-	} else {
-		sh, err = req.Options.shape(req.Vague)
-	}
-	if err != nil {
-		return nil, 0, err
+		if q, err = query.Parse(req.Query); err != nil {
+			return nil, 0, err
+		}
 	}
 	t, offset, err := openPage(r, req)
 	if err != nil {
