@@ -1,8 +1,8 @@
 package ncq
 
-// Allocation-regression pins for the columnar hot path: the compact
-// posting lists make a warm single-token search a slice view plus one
-// copy, and the pooled roll-up scratch makes a warm meet allocate
+// Allocation-regression pins for the columnar hot path: the locate memo
+// makes a warm search read each term's owners without copying them,
+// and the pooled roll-up scratch makes a warm meet allocate
 // O(results). These ceilings are the measured steady state plus a
 // small headroom for toolchain variance — a revert to per-query maps
 // blows straight through them.
@@ -29,18 +29,20 @@ func allocDB(t *testing.T) *Database {
 	return fig1DB(t)
 }
 
+// TestSearchAllocsSteadyState pins the library's search door: a warm
+// Locate reads each term's memoized owners, so it allocates the slice
+// of sets and nothing else.
 func TestSearchAllocsSteadyState(t *testing.T) {
 	db := allocDB(t)
-	db.Search("Ben") // warm the pools and lazy indexes
+	ctx := context.Background()
+	db.Locate(ctx, nil, "Ben") // warm the memo
 	got := testing.AllocsPerRun(200, func() {
-		if len(db.Search("Ben")) != 1 {
-			t.Fatal("unexpected hit count")
+		if sets, err := db.Locate(ctx, nil, "Ben"); err != nil || len(sets[0]) != 1 {
+			t.Fatalf("sets = %v, err = %v", sets, err)
 		}
 	})
-	// One []fulltext.Hit and one []ncq.Hit; a hit's path is the
-	// summary's own string.
-	if got > 14 {
-		t.Errorf("warm single-token Search allocates %.0f/op, pinned at <= 14", got)
+	if got > 1 {
+		t.Errorf("warm single-term Locate allocates %.0f/op, pinned at <= 1", got)
 	}
 }
 
@@ -81,7 +83,7 @@ func TestVagueTermMeetsAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		run := func() {
-			s, err := db.termMeetsStream(ctx, terms, opt, sh, vg, nil)
+			s, err := db.termMeetsStream(ctx, terms, nil, opt, sh, vg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +162,7 @@ func TestTopKRendersOnlyYielded(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, db := range dbs {
-			s, err := db.termMeetsStream(ctx, req.Terms, req.Options, sh, nil, nil)
+			s, err := db.termMeetsStream(ctx, req.Terms, nil, req.Options, sh, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,7 +6,7 @@
 //	ncq -f doc.xml stats
 //	ncq -f doc.xml paths                    # the storage catalogue
 //	ncq -f doc.xml transform 4              # Figure-2 style dump
-//	ncq -f doc.xml search Bit 1999          # full-text hits per term
+//	ncq -f doc.xml search Bit 1999          # the nodes each term locates
 //	ncq -f doc.xml meet Bit 1999            # nearest concepts of the terms
 //	ncq -f doc.xml query "SELECT meet(e1, e2) FROM //cdata AS e1, //cdata AS e2 WHERE e1 CONTAINS 'Bit' AND e2 CONTAINS '1999'"
 //	ncq -f doc.xml repl                     # interactive session
@@ -171,7 +171,6 @@ func dispatch(ctx context.Context, db *ncq.Database, cmd string, rest []string, 
 		fmt.Fprintf(stdout, "paths         %d\n", st.Paths)
 		fmt.Fprintf(stdout, "associations  %d\n", st.Associations)
 		fmt.Fprintf(stdout, "column bytes  %d\n", st.MemBytes)
-		fmt.Fprintf(stdout, "index terms   %d\n", db.Terms())
 		return nil
 	case "paths":
 		for _, pi := range db.Paths() {
@@ -199,11 +198,14 @@ func dispatch(ctx context.Context, db *ncq.Database, cmd string, rest []string, 
 		if len(rest) == 0 {
 			return fmt.Errorf("search needs at least one term")
 		}
-		for _, term := range rest {
-			hits := db.SearchSubstring(term)
-			fmt.Fprintf(stdout, "%q: %d hit(s)\n", term, len(hits))
-			for _, h := range hits {
-				fmt.Fprintf(stdout, "  node %-6d %-55s %q\n", h.Node, h.Path, h.Value)
+		sets, err := db.Locate(ctx, nil, rest...)
+		if err != nil {
+			return err
+		}
+		for i, term := range rest {
+			fmt.Fprintf(stdout, "%q: %d hit(s)\n", term, len(sets[i]))
+			for _, n := range sets[i] {
+				fmt.Fprintf(stdout, "  node %-6d %-55s %q\n", n, db.Path(n), db.Value(n))
 			}
 		}
 		return nil
@@ -380,18 +382,22 @@ func repl(ctx context.Context, db *ncq.Database, mf meetFlags, stdin io.Reader, 
 			return
 		case "stats":
 			st := db.Stats()
-			fmt.Fprintf(stdout, "nodes %d, paths %d, associations %d, terms %d\n",
-				st.Nodes, st.Paths, st.Associations, db.Terms())
+			fmt.Fprintf(stdout, "nodes %d, paths %d, associations %d\n",
+				st.Nodes, st.Paths, st.Associations)
 		case "search":
-			for _, term := range fields[1:] {
-				hits := db.SearchSubstring(term)
-				fmt.Fprintf(stdout, "%q: %d hit(s)\n", term, len(hits))
-				for i, h := range hits {
-					if i >= 10 {
+			sets, err := db.Locate(ctx, nil, fields[1:]...)
+			if err != nil {
+				fmt.Fprintln(stdout, "error:", err)
+				continue
+			}
+			for i, term := range fields[1:] {
+				fmt.Fprintf(stdout, "%q: %d hit(s)\n", term, len(sets[i]))
+				for j, n := range sets[i] {
+					if j >= 10 {
 						fmt.Fprintln(stdout, "  …")
 						break
 					}
-					fmt.Fprintf(stdout, "  node %-6d %q\n", h.Node, h.Value)
+					fmt.Fprintf(stdout, "  node %-6d %q\n", n, db.Value(n))
 				}
 			}
 		case "meet":

@@ -3,6 +3,7 @@ package ncq
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -106,6 +107,7 @@ func TestConcurrentReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	th := NewThesaurus().Add("ben", "Ben")
 	const goroutines = 16
 	const iters = 50
 	var wg sync.WaitGroup
@@ -122,8 +124,8 @@ func TestConcurrentReads(t *testing.T) {
 						return
 					}
 				case 1:
-					if hits := db.Search("ben"); len(hits) != 1 {
-						errs <- fmt.Errorf("Search: %d hits", len(hits))
+					if sets, err := db.Locate(context.Background(), th, "ben"); err != nil || len(sets[0]) != 1 {
+						errs <- fmt.Errorf("Locate: %v, %v", sets, err)
 						return
 					}
 				case 2:
@@ -155,5 +157,62 @@ func TestConcurrentReads(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestThesaurusFrozenOnInstall: SetThesaurus installs a copy, so Adds
+// to the caller's thesaurus afterwards neither race with the expand
+// requests reading the installed one (run with -race) nor change what
+// the corpus answers under an unchanged generation, which would leave
+// its cursors valid across a changed answer set.
+func TestThesaurusFrozenOnInstall(t *testing.T) {
+	db, err := fromDocument(xmltree.Fig1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCorpus()
+	if err := c.Add("fig1", db); err != nil {
+		t.Fatal(err)
+	}
+	th := NewThesaurus().Add("robert", "Bob")
+	c.SetThesaurus(th)
+	gen := c.Generation()
+	ctx := context.Background()
+	req := Request{Terms: []string{"robert", "1999"}, Options: ExcludeRoot(), Vague: &Vague{Expand: true}}
+	want, err := c.Run(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Meets) != 1 || want.Meets[0].Tag != "article" {
+		t.Fatalf("control answered %+v", want.Meets)
+	}
+	check := func(when string) {
+		got, err := c.Run(ctx, req)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !reflect.DeepEqual(got.Meets, want.Meets) {
+			t.Errorf("%s: the installed thesaurus answered %+v, %+v at install", when, got.Meets, want.Meets)
+		}
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			th.Add("robert", fmt.Sprintf("syn%d", i))
+		}
+		// "Ben" would add a second article's author to robert's set.
+		th.Add("robert", "Ben")
+	}()
+	for i := 0; i < 50; i++ {
+		check("during Adds")
+	}
+	wg.Wait()
+	check("after Adds")
+	if c.Generation() != gen {
+		t.Errorf("generation moved from %d to %d without a SetThesaurus", gen, c.Generation())
 	}
 }

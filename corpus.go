@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sync"
 
+	"ncq/internal/fulltext"
 	"ncq/internal/shard"
 	"ncq/internal/xmltree"
 )
@@ -42,9 +43,9 @@ type Corpus struct {
 	workers int // fan-out width for corpus-wide queries; 0 = GOMAXPROCS
 
 	// thesaurus holds the synonym classes vague requests with Expand
-	// set broaden their terms through; nil means no expansion beyond
-	// the literal terms.
-	thesaurus *Thesaurus
+	// set broaden their terms through, a copy only SetThesaurus
+	// replaces; nil means no expansion beyond the literal terms.
+	thesaurus *fulltext.Thesaurus
 }
 
 // entry is one registered member: its databases in shard order —
@@ -328,22 +329,20 @@ func (c *Corpus) Parallelism() int {
 
 // SetThesaurus installs the synonym classes that vague requests with
 // Expand set broaden their terms through (nil removes them). The
-// corpus generation is bumped so cached results computed against the
-// previous classes — and cursors minted from them — are invalidated;
-// installing a thesaurus is not a membership change, so nothing is
-// persisted.
+// corpus keeps a frozen copy, so a later t.Add changes nothing it
+// answers until t is installed again. The corpus generation is bumped
+// so cached results computed against the previous classes — and
+// cursors minted from them — are invalidated; installing a thesaurus is
+// not a membership change, so nothing is persisted.
 func (c *Corpus) SetThesaurus(t *Thesaurus) {
+	var th *fulltext.Thesaurus
+	if t != nil {
+		th = t.t.Clone()
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.thesaurus = t
+	c.thesaurus = th
 	c.gen++
-}
-
-// Thesaurus returns the installed synonym classes, nil when none.
-func (c *Corpus) Thesaurus() *Thesaurus {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.thesaurus
 }
 
 // member is one fan-out unit of a query: a plain database or a single
@@ -385,9 +384,7 @@ func (c *Corpus) resolve(doc string) (target, error) {
 	if t.workers <= 0 {
 		t.workers = runtime.GOMAXPROCS(0)
 	}
-	if c.thesaurus != nil {
-		t.th = c.thesaurus.t
-	}
+	t.th = c.thesaurus
 	return t, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -192,18 +193,19 @@ func TestPathBetweenAndContextFacade(t *testing.T) {
 
 func TestThesaurusFacade(t *testing.T) {
 	db := fig1DB(t)
-	th := NewThesaurus().Add("robert", "bob")
-	hits := db.SearchExpanded(th, "robert")
-	if len(hits) != 1 || hits[0].Node != 15 {
-		t.Errorf("SearchExpanded = %+v", hits)
+	ctx := context.Background()
+	// An entry matches as written: "Bob" finds Bob Byte (o15).
+	th := NewThesaurus().Add("robert", "Bob")
+	sets, err := db.Locate(ctx, th, "robert")
+	if err != nil || !reflect.DeepEqual(sets, [][]NodeID{{15}}) {
+		t.Errorf("Locate(th, robert) = %v, %v", sets, err)
 	}
-	if got := db.SearchExpanded(nil, "Ben"); len(got) != 1 {
-		t.Errorf("nil thesaurus = %+v", got)
+	if sets, err := db.Locate(ctx, nil, "Ben"); err != nil || len(sets[0]) != 1 {
+		t.Errorf("nil thesaurus = %v, %v", sets, err)
 	}
 	// Broadened meet: 'robert' alone finds nothing to meet with; with
 	// the thesaurus it reaches Bob Byte's article via 1999.
-	ctx := context.Background()
-	sets, err := db.Locate(ctx, th, "robert", "1999")
+	sets, err = db.Locate(ctx, th, "robert", "1999")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +230,7 @@ func TestThesaurusFacade(t *testing.T) {
 	if len(plain) != 1 || plain[0].Node != 3 {
 		t.Errorf("nil-thesaurus meet = %+v", plain)
 	}
-	if th.Expand("robert")[0] != "bob" {
+	if th.Expand("robert")[0] != "Bob" {
 		t.Errorf("Expand = %v", th.Expand("robert"))
 	}
 }

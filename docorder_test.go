@@ -86,6 +86,10 @@ func TestDocOrderMeetsEqualRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			plain := make([][]NodeID, len(sets))
+			for k, set := range sets {
+				plain[k] = slices.Clone(set)
+			}
 			meets, unmatched, err := db.MeetOf(ctx, opt(), sets...)
 			if err != nil {
 				t.Fatal(err)
@@ -100,8 +104,8 @@ func TestDocOrderMeetsEqualRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			var nodes []NodeID
-			for _, h := range db.SearchSubstring(terms[0]) {
-				nodes = append(nodes, h.Node)
+			for _, h := range db.index.SearchSubstring(terms[0]) {
+				nodes = append(nodes, h.Owner)
 			}
 			meets, unmatched, err = db.MeetOf(ctx, opt(), nodes)
 			if err != nil {
@@ -124,6 +128,32 @@ func TestDocOrderMeetsEqualRun(t *testing.T) {
 			}
 			if want := docOrder(exp.Meets); !reflect.DeepEqual(meets, want) || len(unmatched) != exp.Unmatched {
 				t.Fatalf("%s: expanded Locate + MeetOf = %+v %v\ncorpus Run sorted   %+v (%d unmatched)", name, meets, unmatched, want, exp.Unmatched)
+			}
+			// An expanded set is the sorted union of the plain sets of the
+			// term's expansion, and building it wrote into none of the
+			// memoized slices a plain Locate answers.
+			for k, term := range terms {
+				class, err := db.Locate(ctx, nil, th.Expand(term)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []NodeID
+				for _, set := range class {
+					want = append(want, set...)
+				}
+				slices.Sort(want)
+				if want = slices.Compact(want); !slices.Equal(sets[k], want) {
+					t.Fatalf("%s: expanded set of %q = %v, union over %q = %v", name, term, sets[k], th.Expand(term), want)
+				}
+			}
+			again, err := db.Locate(ctx, nil, terms...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range again {
+				if !slices.Equal(again[k], plain[k]) {
+					t.Fatalf("%s: plain Locate(%q) = %v after expanding, %v before", name, terms[k], again[k], plain[k])
+				}
 			}
 		}
 	}

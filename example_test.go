@@ -179,9 +179,11 @@ func ExampleDatabase_Meet2() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ben := db.Search("Ben")[0].Node
-	bit := db.Search("Bit")[0].Node
-	m, err := db.Meet2(ben, bit)
+	sets, err := db.Locate(context.Background(), nil, "Ben", "Bit")
+	if err != nil {
+		log.Fatal(err)
+	}
+	m, err := db.Meet2(sets[0][0], sets[1][0])
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -190,15 +192,20 @@ func ExampleDatabase_Meet2() {
 	// <author> 4 edges apart
 }
 
-// A thesaurus broadens a search that returned too few answers.
+// A thesaurus broadens a search that returned too few answers. Its
+// entries match as written, like typed terms: "Bob", not "bob".
 func ExampleThesaurus() {
 	db, err := ncq.OpenString(bib)
 	if err != nil {
 		log.Fatal(err)
 	}
-	th := ncq.NewThesaurus().Add("robert", "bob")
-	for _, h := range db.SearchExpanded(th, "Robert") {
-		fmt.Println(h.Value)
+	th := ncq.NewThesaurus().Add("robert", "Bob")
+	sets, err := db.Locate(context.Background(), th, "Robert")
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, n := range sets[0] {
+		fmt.Println(db.Value(n))
 	}
 	// Output:
 	// Bob Byte

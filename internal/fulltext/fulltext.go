@@ -30,15 +30,19 @@
 // its index when a document is replaced. Only its misses read the
 // trigram buckets.
 //
+// A thesaurus broadens a needle without leaving these semantics:
+// OwnersSubstringAny unions the memoized owners of every entry of its
+// class, each entry matched as written.
+//
 // The token index — an inverted index keyed by lower-cased token, each
 // posting list a sorted slice of row ids into the association table —
-// answers whole-word and phrase search: Search, the thesaurus expansion
-// built on it, and Terms. No upload, snapshot load or recovery reads
-// it, so none builds it: the first token search on an index does, once
-// (about 15 ms per MB of XML), and an index that is only ever located
-// through never carries it. Single-token search is a single gather pass
-// over one posting list; phrase search narrows candidates by merging
-// sorted postings before verification.
+// answers whole-word and phrase search: Search and Terms. Nothing a
+// request or the root package calls reads it, only the paper's Figure 6
+// experiment and the benchmark's per-layer table; so no upload,
+// snapshot load, recovery or query builds it: the first token search on
+// an index does, once (about 15 ms per MB of XML). Single-token search
+// is a single gather pass over one posting list; phrase search narrows
+// candidates by merging sorted postings before verification.
 //
 // A hit identifies the node carrying the string: the cdata node's OID
 // for character data, the owning element's OID for attribute values.
@@ -49,7 +53,6 @@ package fulltext
 
 import (
 	"math/bits"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -511,6 +514,21 @@ func (idx *Index) OwnersSubstring(sub string) []bat.OID {
 	return owners
 }
 
+// OwnersSubstringAny returns the ascending distinct owners of the
+// associations containing any of the needles: a thesaurus-broadened
+// term. One needle answers the memoized OwnersSubstring slice itself;
+// more are unioned in a fresh slice, so no memoized slice is written.
+func (idx *Index) OwnersSubstringAny(needles []string) []bat.OID {
+	if len(needles) == 1 {
+		return idx.OwnersSubstring(needles[0])
+	}
+	var out []bat.OID
+	for _, n := range needles {
+		out = append(out, idx.OwnersSubstring(n)...)
+	}
+	return bat.SortDedup(out)
+}
+
 // locateOwners is OwnersSubstring without the memo.
 func (idx *Index) locateOwners(sub string) []bat.OID {
 	s := scratchPool.Get().(*scratch)
@@ -732,14 +750,4 @@ func (idx *Index) Groups(hits []Hit) map[pathsum.PathID][]bat.OID {
 		out[p] = bat.SortDedup(oids)
 	}
 	return out
-}
-
-func sortHits(hits []Hit) []Hit {
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Owner != hits[j].Owner {
-			return hits[i].Owner < hits[j].Owner
-		}
-		return hits[i].Path < hits[j].Path
-	})
-	return hits
 }

@@ -1,97 +1,62 @@
 package fulltext
 
-import "sort"
+import (
+	"maps"
+	"strings"
+
+	"ncq/internal/bat"
+)
 
 // Thesaurus holds synonym sets for query broadening. Section 4 of the
 // paper: "thesauri are a promising tool to help a user find interesting
 // results, especially to broaden a search that returned too few
 // answers."
 //
-// Synonymy is symmetric and transitive here: adding a→b and b→c puts
-// a, b and c into one synonym class (a union-find over lower-cased
-// tokens). The zero value is not usable; construct with NewThesaurus.
+// An entry is kept as written (trimmed, not tokenised), because each
+// entry is searched as a `contains` needle, exactly as a typed term is:
+// "database system" is one entry, and "DB" stays upper-case. Only the
+// class lookup folds case. Synonymy is symmetric and transitive: adding
+// a→b and b→c puts a, b and c into one class. The zero value is not
+// usable; construct with NewThesaurus.
 type Thesaurus struct {
-	parent map[string]string
+	// classes maps every entry, case-folded, to its class: the entries
+	// as written, sorted. Add replaces a class with a fresh slice and
+	// never writes into one, so a Clone may share them.
+	classes map[string][]string
 }
 
 // NewThesaurus returns an empty thesaurus.
 func NewThesaurus() *Thesaurus {
-	return &Thesaurus{parent: make(map[string]string)}
+	return &Thesaurus{classes: make(map[string][]string)}
 }
 
-// find returns term's class representative. It deliberately does NOT
-// path-compress: Expand runs concurrently at query time (the vague
-// mode expands every request's terms, across parallel corpus members),
-// and a compressing find would mutate the map under concurrent reads.
-// Add keeps trees shallow by always linking root to root.
-func (t *Thesaurus) find(term string) string {
-	for {
-		p, ok := t.parent[term]
-		if !ok || p == term {
-			return term
-		}
-		term = p
-	}
-}
-
-// Add declares the given terms synonymous with term. Terms are
-// tokenised, so "database system" contributes its tokens individually.
+// Add declares the given entries synonymous with term, merging the
+// classes any of them already belong to. Blank entries are dropped.
 func (t *Thesaurus) Add(term string, synonyms ...string) {
-	all := Tokenize(term)
-	for _, s := range synonyms {
-		all = append(all, Tokenize(s)...)
+	var class []string
+	for _, e := range append([]string{term}, synonyms...) {
+		if e = strings.TrimSpace(e); e != "" {
+			class = append(class, e)
+			class = append(class, t.classes[strings.ToLower(e)]...)
+		}
 	}
-	if len(all) == 0 {
+	if len(class) == 0 {
 		return
 	}
-	root := t.find(all[0])
-	t.parent[root] = root
-	for _, s := range all[1:] {
-		t.parent[t.find(s)] = root
+	class = bat.SortDedup(class)
+	for _, e := range class {
+		t.classes[strings.ToLower(e)] = class
 	}
 }
 
-// Expand returns term's full synonym class including term itself,
-// sorted. Unknown terms expand to themselves.
+// Expand returns the needles term broadens to: term as typed and every
+// entry of its class as written, sorted and deduplicated. A term with
+// no class expands to itself alone.
 func (t *Thesaurus) Expand(term string) []string {
-	toks := Tokenize(term)
-	if len(toks) != 1 {
-		return []string{term}
-	}
-	tok := toks[0]
-	root := t.find(tok)
-	set := map[string]bool{tok: true}
-	for s := range t.parent {
-		if t.find(s) == root {
-			set[s] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
+	return bat.SortDedup(append([]string{term}, t.classes[strings.ToLower(term)]...))
 }
 
-// Len returns the number of terms known to the thesaurus.
-func (t *Thesaurus) Len() int { return len(t.parent) }
-
-// SearchExpanded searches for term and all of its synonyms, merging the
-// hit lists (duplicates removed, ordered by owner).
-func (idx *Index) SearchExpanded(t *Thesaurus, term string) []Hit {
-	if t == nil {
-		return idx.Search(term)
-	}
-	seen := map[Hit]bool{}
-	var out []Hit
-	for _, syn := range t.Expand(term) {
-		for _, h := range idx.Search(syn) {
-			if !seen[h] {
-				seen[h] = true
-				out = append(out, h)
-			}
-		}
-	}
-	return sortHits(out)
+// Clone returns a copy that later Adds to t do not change.
+func (t *Thesaurus) Clone() *Thesaurus {
+	return &Thesaurus{classes: maps.Clone(t.classes)}
 }

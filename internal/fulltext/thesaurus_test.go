@@ -2,7 +2,10 @@ package fulltext
 
 import (
 	"reflect"
+	"slices"
 	"testing"
+
+	"ncq/internal/bat"
 )
 
 func TestThesaurusExpand(t *testing.T) {
@@ -37,51 +40,80 @@ func TestThesaurusTransitive(t *testing.T) {
 	}
 }
 
+// TestThesaurusCaseFolding: an entry keeps its case, because it is
+// matched as written; only the lookup folds case, and the term as typed
+// joins its class's entries.
 func TestThesaurusCaseFolding(t *testing.T) {
 	th := NewThesaurus()
 	th.Add("Car", "AUTOMOBILE")
-	if got := th.Expand("car"); len(got) != 2 {
-		t.Errorf("Expand(car) = %v, want 2 case-folded entries", got)
+	if got, want := th.Expand("car"), []string{"AUTOMOBILE", "Car", "car"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Expand(car) = %v, want %v", got, want)
+	}
+	if got, want := th.Expand("Car"), []string{"AUTOMOBILE", "Car"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Expand(Car) = %v, want %v", got, want)
 	}
 }
 
 func TestThesaurusEmptyAdd(t *testing.T) {
 	th := NewThesaurus()
 	th.Add("", "")
-	th.Add("!!!")
-	if th.Len() != 0 {
-		t.Errorf("Len = %d after empty adds", th.Len())
+	th.Add("  ", "\t")
+	if len(th.classes) != 0 {
+		t.Errorf("blank adds made classes %v", th.classes)
+	}
+	if got := th.Expand(""); !reflect.DeepEqual(got, []string{""}) {
+		t.Errorf("Expand(empty) = %v", got)
 	}
 }
 
+// TestThesaurusMultiWordExpandsToItself: a phrase is one entry, not
+// its tokens, so a phrase no class names expands to itself and a phrase
+// entry broadens as a whole.
 func TestThesaurusMultiWordExpandsToItself(t *testing.T) {
 	th := NewThesaurus()
 	th.Add("a", "b")
 	if got := th.Expand("a b"); !reflect.DeepEqual(got, []string{"a b"}) {
 		t.Errorf("Expand(phrase) = %v, want the phrase itself", got)
 	}
+	th.Add(" database system ", "DBMS")
+	if got, want := th.Expand("dbms"), []string{"DBMS", "database system", "dbms"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Expand(dbms) = %v, want %v", got, want)
+	}
+	if got := th.Expand("database"); !reflect.DeepEqual(got, []string{"database"}) {
+		t.Errorf("Expand(database) = %v: a phrase entry's tokens are not entries", got)
+	}
 }
 
-func TestSearchExpanded(t *testing.T) {
+// TestOwnersSubstringAny pins the broadened locate: the sorted union of
+// the memoized owners of every needle, built without writing into any
+// of them, and the memo's own slice for a single needle.
+func TestOwnersSubstringAny(t *testing.T) {
 	idx := fig1Index(t)
 	th := NewThesaurus()
 	// 'Robert' is not in the document; broaden it to Bob and Ben.
-	th.Add("robert", "bob", "ben")
-	hits := idx.SearchExpanded(th, "Robert")
-	if len(hits) != 2 {
-		t.Fatalf("SearchExpanded = %v, want hits for Bob (o15) and Ben (o6)", hits)
+	th.Add("robert", "Bob", "Ben")
+	before := map[string][]bat.OID{}
+	for _, n := range th.Expand("Robert") {
+		before[n] = slices.Clone(idx.OwnersSubstring(n))
 	}
-	if hits[0].Owner != 6 || hits[1].Owner != 15 {
-		t.Errorf("owners = %d,%d, want 6,15", hits[0].Owner, hits[1].Owner)
+	if got := idx.OwnersSubstringAny(th.Expand("Robert")); !slices.Equal(got, []bat.OID{6, 15}) {
+		t.Fatalf("OwnersSubstringAny = %v, want Ben (o6) and Bob (o15)", got)
 	}
-	// Nil thesaurus behaves like plain search.
-	if got := idx.SearchExpanded(nil, "Ben"); len(got) != 1 {
-		t.Errorf("nil thesaurus search = %v", got)
+	for n, want := range before {
+		if got := idx.OwnersSubstring(n); !slices.Equal(got, want) {
+			t.Errorf("OwnersSubstring(%q) = %v after the union, was %v", n, got, want)
+		}
 	}
-	// No duplicates when synonyms hit the same association.
-	th2 := NewThesaurus()
-	th2.Add("bob", "byte")
-	if got := idx.SearchExpanded(th2, "bob"); len(got) != 1 {
-		t.Errorf("duplicate hits not merged: %v", got)
+	// One needle is the memo's slice itself.
+	if got, want := idx.OwnersSubstringAny([]string{"Ben"}), idx.OwnersSubstring("Ben"); &got[0] != &want[0] {
+		t.Error("a single needle did not answer the memoized slice")
+	}
+	// Owners matched by two needles appear once: "Bob" and "Byte" are
+	// one string of o15.
+	if got := idx.OwnersSubstringAny([]string{"Bob", "Byte"}); !slices.Equal(got, []bat.OID{15}) {
+		t.Errorf("OwnersSubstringAny(Bob, Byte) = %v, want [15]", got)
+	}
+	if got := idx.OwnersSubstringAny([]string{"absent", "missing"}); got != nil {
+		t.Errorf("no-match union = %v", got)
 	}
 }

@@ -46,10 +46,9 @@ func queryResult(t *testing.T, h http.Handler, body string) json.RawMessage {
 	return resp.Result
 }
 
-// TestServingPathLeavesTokenIndexUnbuilt pins the tentpole from the
-// outside: no upload door and nothing a server answers without a
-// thesaurus builds a member's token postings; an expanded request on a
-// node with a thesaurus does, and answers what token search answers.
+// TestServingPathLeavesTokenIndexUnbuilt pins from the outside that no
+// upload door and no request builds a member's token postings — an
+// expanded one included, with or without a thesaurus loaded.
 func TestServingPathLeavesTokenIndexUnbuilt(t *testing.T) {
 	xml := []byte(datagen.DBLP(datagen.DBLPConfig{Seed: 1, YearFrom: 1996, YearTo: 1999, PubsPerVenueYear: 10}).XMLString())
 	db, err := ncq.Open(bytes.NewReader(xml))
@@ -105,81 +104,112 @@ func TestServingPathLeavesTokenIndexUnbuilt(t *testing.T) {
 		t.Fatalf("serving built the token postings of %v", names)
 	}
 
-	// In this document token search and `contains` select the same
-	// strings, so with the class loaded the expanded request answers
-	// what the literal one does — through the token postings of the one
-	// member it ran on.
+	// With a thesaurus loaded, an expanded request broadens through the
+	// same memoized substring locate: it answers what the literal
+	// request for the synonym does, and builds no postings either.
 	serve(t, h, "PUT", "/v1/docs/cwi", "", []byte(`<bib><article><author>Ben Bit</author><year>1999</year></article>`+
 		`<book><author>Bob Byte</author><year>1999</year></book></bib>`), false)
-	srv.Corpus().SetThesaurus(ncq.NewThesaurus().Add("binary", "Bit"))
+	srv.Corpus().SetThesaurus(ncq.NewThesaurus().Add("binary", "Bit").Add("ICDE", "VLDB"))
 	want := queryResult(t, h, `{"doc":"cwi","terms":["Bit","1999"],"exclude_root":true}`)
 	got := queryResult(t, h, `{"doc":"cwi","terms":["binary","1999"],"exclude_root":true,"vague":{"expand":true}}`)
 	if !bytes.Contains(want, []byte(`"tag":"article"`)) || !bytes.Equal(got, want) {
 		t.Errorf("expanded request answered %s, want %s", got, want)
 	}
-	if names := built(); !reflect.DeepEqual(names, []string{"cwi"}) {
-		t.Errorf("token postings built on %v, want on the one member the expanded request ran on", names)
+	if res := queryResult(t, h, `{`+terms+`,"vague":{"expand":true}}`); !bytes.Contains(res, []byte(`"meets":[{`)) {
+		t.Errorf("expanded request answered no meets: %s", res)
+	}
+	if names := built(); len(names) != 0 {
+		t.Errorf("expanded requests built the token postings of %v", names)
 	}
 }
 
 // TestExpandWithoutThesaurusIsNoOp pins OPERATIONS.md's expand row:
-// with no thesaurus loaded, "expand" changes nothing — in particular it
-// does not trade `contains` for whole-token matching, under which
-// neither "199" nor "html" below would match anything.
+// "expand" changes nothing for a term the thesaurus does not name —
+// with no thesaurus loaded, or under one that names none of the terms.
+// In particular it does not trade `contains` for whole-token matching,
+// under which "199" and "html", or "landscape" in "landscapes" and
+// "sun" in "sunset", would match nothing.
 func TestExpandWithoutThesaurusIsNoOp(t *testing.T) {
-	const doc = `<bib><a><y>1999</y><u>x.html</u></a><a><y>1998</y><u>y.html</u></a></bib>`
-	plain := ncq.Request{Terms: []string{"199", "html"}, Options: ncq.ExcludeRoot(), Limit: 1}
-	expand := plain
-	expand.Vague = &ncq.Vague{Expand: true}
+	for _, c := range []struct {
+		name, doc, thesaurus string
+		terms                []string
+	}{
+		{"no thesaurus", `<bib><a><y>1999</y><u>x.html</u></a><a><y>1998</y><u>y.html</u></a></bib>`, "", []string{"199", "html"}},
+		{"a thesaurus that names no term", `<r><a><t>landscape photo</t><u>sunset</u></a><b><t>landscapes</t><u>sunrise</u></b></r>`,
+			"dawn, sunrise", []string{"landscape", "sun"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var th *ncq.Thesaurus
+			if c.thesaurus != "" {
+				var err error
+				if th, err = ncq.ParseThesaurus(strings.NewReader(c.thesaurus)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			plain := ncq.Request{Terms: c.terms, Options: ncq.ExcludeRoot(), Limit: 1}
+			expand := plain
+			expand.Vague = &ncq.Vague{Expand: true}
 
-	db, err := ncq.OpenString(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpus := ncq.NewCorpus()
-	if err := corpus.Add("bib", db); err != nil {
-		t.Fatal(err)
-	}
-	for name, q := range map[string]ncq.Querier{"Database": db, "Corpus": corpus} {
-		want, err := q.Run(context.Background(), plain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := q.Run(context.Background(), expand)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want.Meets) != 1 || !want.Truncated {
-			t.Fatalf("%s: control answered %+v", name, want)
-		}
-		// The cursor and the slack histogram say which mode asked; the
-		// answer must not.
-		if !reflect.DeepEqual(got.Meets, want.Meets) || got.Truncated != want.Truncated ||
-			got.Unmatched != want.Unmatched || !reflect.DeepEqual(got.UnmatchedNodes, want.UnmatchedNodes) {
-			t.Errorf("%s: with expand %+v, without %+v", name, got, want)
-		}
-	}
+			db, err := ncq.OpenString(c.doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			corpus := ncq.NewCorpus()
+			if err := corpus.Add("doc", db); err != nil {
+				t.Fatal(err)
+			}
+			corpus.SetThesaurus(th)
+			for name, q := range map[string]ncq.Querier{"Database": db, "Corpus": corpus} {
+				want, err := q.Run(context.Background(), plain)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := q.Run(context.Background(), expand)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want.Meets) != 1 || !want.Truncated {
+					t.Fatalf("%s: control answered %+v", name, want)
+				}
+				// The cursor and the slack histogram say which mode asked;
+				// the answer must not.
+				if !reflect.DeepEqual(got.Meets, want.Meets) || got.Truncated != want.Truncated ||
+					got.Unmatched != want.Unmatched || !reflect.DeepEqual(got.UnmatchedNodes, want.UnmatchedNodes) {
+					t.Errorf("%s: with expand %+v, without %+v", name, got, want)
+				}
+			}
+			want, err := db.Locate(context.Background(), nil, c.terms...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := db.Locate(context.Background(), th, c.terms...); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("Database.Locate: with the thesaurus %v, without %v (%v)", got, want, err)
+			}
 
-	srv := server.New(nil)
-	h := srv.Handler()
-	serve(t, h, "PUT", "/v1/docs/bib", "", []byte(doc), false)
-	const head = `{"terms":["199","html"],"exclude_root":true`
-	for _, tail := range []string{`}`, `,"limit":1}`} {
-		want := queryResult(t, h, head+tail)
-		got := queryResult(t, h, head+`,"vague":{"expand":true}`+tail)
-		if !bytes.Contains(want, []byte(`"meets":[{`)) || !bytes.Equal(got, want) {
-			t.Errorf("/v2/query: with expand %s, without %s", got, want)
-		}
-	}
-	// The stream header carries total and unmatched; the meet lines follow.
-	lines := func(body string) []string {
-		all := strings.Split(serve(t, h, "POST", "/v2/query?stream=1&header=1", "", []byte(body), false).Body.String(), "\n")
-		return all[:len(all)-2] // all but the trailer (took_ms) and the final newline
-	}
-	if want, got := lines(head+`}`), lines(head+`,"vague":{"expand":true}}`); len(want) != 3 || !reflect.DeepEqual(got, want) {
-		t.Errorf("/v2/query?stream=1: with expand %q, without %q", got, want)
-	}
-	if dbs, _ := srv.Corpus().Shards("bib"); db.TokenIndexBuilt() || dbs[0].TokenIndexBuilt() {
-		t.Error("expand without a thesaurus built the token postings")
+			srv := server.New(nil)
+			h := srv.Handler()
+			serve(t, h, "PUT", "/v1/docs/doc", "", []byte(c.doc), false)
+			srv.Corpus().SetThesaurus(th)
+			terms, _ := json.Marshal(c.terms)
+			head := `{"terms":` + string(terms) + `,"exclude_root":true`
+			for _, tail := range []string{`}`, `,"limit":1}`} {
+				want := queryResult(t, h, head+tail)
+				got := queryResult(t, h, head+`,"vague":{"expand":true}`+tail)
+				if !bytes.Contains(want, []byte(`"meets":[{`)) || !bytes.Equal(got, want) {
+					t.Errorf("/v2/query: with expand %s, without %s", got, want)
+				}
+			}
+			// The stream header carries total and unmatched; the meet lines follow.
+			lines := func(body string) []string {
+				all := strings.Split(serve(t, h, "POST", "/v2/query?stream=1&header=1", "", []byte(body), false).Body.String(), "\n")
+				return all[:len(all)-2] // all but the trailer (took_ms) and the final newline
+			}
+			if want, got := lines(head+`}`), lines(head+`,"vague":{"expand":true}}`); len(want) != 3 || !reflect.DeepEqual(got, want) {
+				t.Errorf("/v2/query?stream=1: with expand %q, without %q", got, want)
+			}
+			if dbs, _ := srv.Corpus().Shards("doc"); db.TokenIndexBuilt() || dbs[0].TokenIndexBuilt() {
+				t.Error("expand built the token postings")
+			}
+		})
 	}
 }

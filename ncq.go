@@ -166,33 +166,6 @@ func (db *Database) Subtree(n NodeID) (string, error) {
 	return sb.String(), nil
 }
 
-// Hit is one full-text match.
-type Hit struct {
-	Node  NodeID `json:"node"`  // the node carrying the string (cdata node or attribute owner)
-	Value string `json:"value"` // the complete stored string
-	Path  string `json:"path"`  // the string relation's path, e.g. "/bib/book/year/cdata@string"
-}
-
-// Search returns the nodes whose strings contain term as a word,
-// case-insensitively (multi-word terms match as a phrase).
-func (db *Database) Search(term string) []Hit {
-	return db.wrapHits(db.index.Search(term))
-}
-
-// SearchSubstring returns the nodes whose strings contain sub as a
-// case-sensitive substring — the paper's `contains` semantics.
-func (db *Database) SearchSubstring(sub string) []Hit {
-	return db.wrapHits(db.index.SearchSubstring(sub))
-}
-
-func (db *Database) wrapHits(hits []fulltext.Hit) []Hit {
-	out := make([]Hit, len(hits))
-	for i, h := range hits {
-		out[i] = Hit{Node: h.Owner, Value: h.Value, Path: db.store.Summary().String(h.Path)}
-	}
-	return out
-}
-
 // Meet is one nearest concept: the lowest common ancestor of its
 // witnesses.
 type Meet struct {
@@ -326,15 +299,18 @@ func (o *Options) set() bool {
 
 // Locate is the full-text half of the paper's interaction: one input
 // set per term, the ascending nodes whose strings contain the term as a
-// case-sensitive substring — or, through a non-nil thesaurus, a whole
-// token of the term's synonym class, which builds the token index on
-// first use. These are the sets a term request meets, and MeetOf takes.
+// case-sensitive substring — the paper's `contains`. A non-nil
+// thesaurus only widens a term with a synonym class, to the nodes
+// containing the term or any entry of its class as written
+// (Thesaurus.Expand); a term with none locates exactly as without it.
+// These are the sets a term request meets, and MeetOf takes. Locate
+// reads t while it runs, so do not Add to t concurrently.
 func (db *Database) Locate(ctx context.Context, t *Thesaurus, terms ...string) ([][]NodeID, error) {
-	var th *fulltext.Thesaurus
+	var classes [][]string
 	if t != nil {
-		th = t.t
+		classes = expand(t.t, terms)
 	}
-	return db.locate(ctx, terms, th)
+	return db.locate(ctx, terms, classes)
 }
 
 // MeetOf computes the nearest concepts of the input sets (the general
@@ -516,12 +492,6 @@ func (db *Database) Stats() Stats {
 		MemBytes:     st.MemBytes,
 	}
 }
-
-// Terms returns the number of distinct tokens of the token index; it
-// builds that index on the first call, as Search does. It is not part
-// of Stats because a statistic must not cost more than the work it
-// describes: nothing a server answers reads the token index.
-func (db *Database) Terms() int { return db.index.Terms() }
 
 // WriteXML serialises the loaded document back to XML from the store's
 // columns: the Monet transform is lossless.

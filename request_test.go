@@ -47,8 +47,8 @@ func expectedTermMeets(t *testing.T, db *Database, opt *Options, terms []string)
 	sets := make([][]NodeID, 0, len(terms))
 	for _, term := range terms {
 		var owners []NodeID
-		for _, h := range db.SearchSubstring(term) {
-			owners = append(owners, h.Node)
+		for _, h := range db.index.SearchSubstring(term) {
+			owners = append(owners, h.Owner)
 		}
 		sets = append(sets, owners)
 	}

@@ -219,15 +219,11 @@ func (s *localStream) next() (CorpusMeet, int32, bool, error) {
 // non-nil vg runs the member in vague mode: restrict patterns admit
 // paths approximately and structural slack blends into each answer's
 // distance before the heap is built, so the blended score is the
-// distance every later layer orders by. When vg.Expand is set and a
-// thesaurus is loaded, terms route through th (see locate); without
-// one, Expand is a no-op.
-func (db *Database) termMeetsStream(ctx context.Context, terms []string, opt *Options, sh *pathShape, vg *Vague, th *fulltext.Thesaurus) (*localStream, error) {
+// distance every later layer orders by. classes, when non-nil, holds
+// each term's thesaurus expansion (see locate).
+func (db *Database) termMeetsStream(ctx context.Context, terms []string, classes [][]string, opt *Options, sh *pathShape, vg *Vague) (*localStream, error) {
 	copt, vp := opt.compile(db, sh, vg)
-	if vg == nil || !vg.Expand {
-		th = nil
-	}
-	sets, err := db.locate(ctx, terms, th)
+	sets, err := db.locate(ctx, terms, classes)
 	if err != nil {
 		return nil, err
 	}
@@ -235,17 +231,17 @@ func (db *Database) termMeetsStream(ctx context.Context, terms []string, opt *Op
 }
 
 // locate is the full-text half of a term request: one input set per
-// term, the ascending owners of its substring matches — or, through a
-// non-nil thesaurus th, of the whole-token matches of its synonyms,
-// which builds the member's token index on first use.
-func (db *Database) locate(ctx context.Context, terms []string, th *fulltext.Thesaurus) ([][]NodeID, error) {
+// term, the ascending owners of its substring matches through the
+// index's memo. With classes non-nil, term i stands for the needles
+// classes[i] — itself and its synonyms — and locates their union.
+func (db *Database) locate(ctx context.Context, terms []string, classes [][]string) ([][]NodeID, error) {
 	sets := make([][]NodeID, 0, len(terms))
-	for _, t := range terms {
+	for i, t := range terms {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if th != nil {
-			sets = append(sets, fulltext.Owners(db.index.SearchExpanded(th, t)))
+		if classes != nil {
+			sets = append(sets, db.index.OwnersSubstringAny(classes[i]))
 		} else {
 			sets = append(sets, db.index.OwnersSubstring(t))
 		}
@@ -254,6 +250,19 @@ func (db *Database) locate(ctx context.Context, terms []string, th *fulltext.The
 		return nil, err
 	}
 	return sets, nil
+}
+
+// expand broadens each term to the needles th names for it
+// (fulltext.Thesaurus.Expand); nil, for locate's plain path, when th is.
+func expand(th *fulltext.Thesaurus, terms []string) [][]string {
+	if th == nil {
+		return nil
+	}
+	classes := make([][]string, len(terms))
+	for i, t := range terms {
+		classes[i] = th.Expand(t)
+	}
+	return classes
 }
 
 // queryMeetsStream is termMeetsStream for a query-language request:
@@ -495,7 +504,7 @@ func MergeMeets(ctx context.Context, sources []MeetSource, offset, limit int) it
 // target is what one request executes against: its fan-out units, the
 // width they run at, the generation that identifies the captured
 // membership — the mark minted cursors carry — and the thesaurus vague
-// requests expand through.
+// requests expand through, a frozen copy no caller can Add to.
 type target struct {
 	members []member
 	workers int
@@ -607,7 +616,8 @@ func resultsWithStats(ctx context.Context, r resolver, req Request) (iter.Seq2[C
 // publishes the counters in stats and returns the merge over them. A
 // query-language request is parsed once, here, and a term request's
 // patterns are compiled once, here — before any member is resolved, so
-// an invalid one fails alike on every corpus, an empty one included. The
+// an invalid one fails alike on every corpus, an empty one included —
+// as are its terms expanded once, through the target's thesaurus. The
 // two differ in nothing but how each member comes by its input sets.
 func fanOut(ctx context.Context, r resolver, req *Request, stats *StreamStats) (*merger, int, error) {
 	sh, err := req.shape()
@@ -624,6 +634,10 @@ func fanOut(ctx context.Context, r resolver, req *Request, stats *StreamStats) (
 	if err != nil {
 		return nil, 0, err
 	}
+	var classes [][]string
+	if req.Vague != nil && req.Vague.Expand {
+		classes = expand(t.th, req.Terms)
+	}
 	merged := make([]memberStream, len(t.members))
 	err = forEachDoc(ctx, len(t.members), t.workers, func(i int) error {
 		m := t.members[i]
@@ -632,7 +646,7 @@ func fanOut(ctx context.Context, r resolver, req *Request, stats *StreamStats) (
 		if q != nil {
 			s, err = m.db.queryMeetsStream(ctx, q)
 		} else {
-			s, err = m.db.termMeetsStream(ctx, req.Terms, req.Options, sh, req.Vague, t.th)
+			s, err = m.db.termMeetsStream(ctx, req.Terms, classes, req.Options, sh, req.Vague)
 		}
 		if err != nil {
 			return t.memberErr(i, err)

@@ -11,7 +11,9 @@ import (
 
 // Thesaurus holds synonym classes used to broaden searches — the
 // Section 4 suggestion for queries that return too few answers.
-// Synonymy is symmetric and transitive; terms are case-folded.
+// Synonymy is symmetric and transitive. Each entry is kept as written
+// and matched as written, as a case-sensitive substring like a typed
+// term; only looking a term's class up folds case.
 type Thesaurus struct {
 	t *fulltext.Thesaurus
 }
@@ -21,13 +23,16 @@ func NewThesaurus() *Thesaurus {
 	return &Thesaurus{t: fulltext.NewThesaurus()}
 }
 
-// Add declares the terms synonymous.
+// Add declares the entries synonymous, each trimmed and kept as
+// written; a phrase is one entry.
 func (t *Thesaurus) Add(term string, synonyms ...string) *Thesaurus {
 	t.t.Add(term, synonyms...)
 	return t
 }
 
-// Expand returns the full synonym class of term, including the term.
+// Expand returns what Locate broadens term to: term as typed and every
+// entry of its synonym class as written, sorted. A term with no class
+// expands to itself.
 func (t *Thesaurus) Expand(term string) []string { return t.t.Expand(term) }
 
 // ParseThesaurus reads synonym classes from r, one class per line as
@@ -64,12 +69,4 @@ func ParseThesaurus(r io.Reader) (*Thesaurus, error) {
 		return nil, fmt.Errorf("ncq: thesaurus: %w", err)
 	}
 	return t, nil
-}
-
-// SearchExpanded searches for term and all of its synonyms.
-func (db *Database) SearchExpanded(t *Thesaurus, term string) []Hit {
-	if t == nil {
-		return db.Search(term)
-	}
-	return db.wrapHits(db.index.SearchExpanded(t.t, term))
 }

@@ -32,12 +32,12 @@ const MaxVagueSlack = vague.SlackLimit
 // answers to outrank them. Exclude patterns stay exact: relaxing a
 // blacklist would discard answers the user never asked to lose.
 //
-// Expand additionally routes every term through the corpus thesaurus
-// (SetThesaurus), broadening each term to its synonym class. Synonym
-// classes are token-based, so expanded terms use token (word) search
-// semantics rather than the exact mode's substring semantics. With no
-// thesaurus installed there is nothing to broaden through, and Expand
-// changes no answer: the terms are located by substring as ever.
+// Expand additionally broadens each term that has a synonym class in
+// the corpus thesaurus (SetThesaurus) to the nodes containing the term
+// or any entry of its class, each matched as written by the same
+// case-sensitive substring locate as a plain term (Database.Locate).
+// A term with no class, and every term when no thesaurus is installed,
+// locates exactly as without Expand.
 //
 // The zero spec ({"max_slack": 0, "expand": false}) is canonically —
 // and byte-for-byte — equivalent to the exact request: every rewrite
@@ -49,7 +49,8 @@ type Vague struct {
 	// path; 0 admits exact matches only. At most MaxVagueSlack.
 	MaxSlack int `json:"max_slack"`
 
-	// Expand broadens Terms through the corpus thesaurus.
+	// Expand broadens each term with a synonym class in the corpus
+	// thesaurus to the union of its class's substring matches.
 	Expand bool `json:"expand,omitempty"`
 }
 
