@@ -156,7 +156,7 @@ func TestTopKRendersOnlyYielded(t *testing.T) {
 		overhead = int(testing.AllocsPerRun(20, drain)) - candidates
 
 		// The same page through the members' own streams, to count pops.
-		streams := make([]memberStream, members)
+		streams := make([]memberStream[CorpusMeet], members)
 		sh, err := req.Options.shape(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -168,7 +168,7 @@ func TestTopKRendersOnlyYielded(t *testing.T) {
 			}
 			streams[i] = s
 		}
-		g, err := newMerger(streams)
+		g, err := newMerger(streams, meetKey)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +281,7 @@ func TestPipelineStructSizes(t *testing.T) {
 	if got := unsafe.Sizeof(localStream{}); got > 128 {
 		t.Errorf("localStream is %d bytes, pinned at <= 128", got)
 	}
-	if got := unsafe.Sizeof(head{}); got > 112 {
+	if got := unsafe.Sizeof(head[CorpusMeet]{}); got > 112 {
 		t.Errorf("a merge head is %d bytes, pinned at <= 112", got)
 	}
 }

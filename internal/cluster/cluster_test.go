@@ -462,7 +462,7 @@ func TestCoordinatorFirstYieldBeforeWorkerDrains(t *testing.T) {
 		return n
 	}
 	yields := 0
-	for _, err := range ncq.MergeMeets(context.Background(), g.sources, 0, 0) {
+	for _, err := range ncq.MergeMeets(context.Background(), g.sources, answerKey, 0, 0) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -706,4 +706,39 @@ func BenchmarkCoordinatorScatterGather(b *testing.B) {
 			b.Fatalf("iteration answered %d, cache %q: %s", rec.Code, rec.Header().Get("X-NCQ-Cache"), rec.Body)
 		}
 	}
+}
+
+// BenchmarkCoordinatorStream measures one unlimited streamed answer
+// over three workers: stream opens, header reads, the k-way merge and
+// the relay of every worker line to the client, with the tail and scan
+// buffers recycled between iterations.
+func BenchmarkCoordinatorStream(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	var workers []Worker
+	for i := 1; i <= 3; i++ {
+		srv, w := startWorker(b, fmt.Sprintf("w%d", i))
+		for d := 0; d < 3; d++ {
+			addDoc(b, srv, fmt.Sprintf("w%d-doc%d", i, d), docXML(rng, 40))
+		}
+		workers = append(workers, w)
+	}
+	coord, err := New(Config{Workers: workers})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const q = `{"terms":["Author","199"],"exclude_root":true}`
+	h := coord.Handler()
+	lines := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v2/query?stream=1", strings.NewReader(q)))
+		body := rec.Body.Bytes()
+		if rec.Code != http.StatusOK || !strings.Contains(string(body[max(0, len(body)-200):]), `"trailer":true`) {
+			b.Fatalf("iteration answered %d: %s", rec.Code, body[max(0, len(body)-200):])
+		}
+		lines += strings.Count(string(body), "\n")
+	}
+	b.ReportMetric(float64(lines)/float64(b.N), "lines/op")
 }

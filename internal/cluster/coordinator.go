@@ -208,7 +208,7 @@ func workerBody(req *ncq.Request, offset int) []byte {
 // the answer, so failed needs no lock. Close releases every stream.
 type gather struct {
 	streams   []*workerStream
-	sources   []ncq.MeetSource
+	sources   []ncq.MeetSource[wire.Answer]
 	total     int
 	unmatched int
 	gens      map[string]uint64
@@ -311,22 +311,22 @@ func workerFailure(err error) error {
 // the cursor, scatter, verify the cursor against the gathered
 // generation vector (mismatch → ErrStaleCursor, the distributed 410)
 // and merge the worker streams line by line into the exact global
-// ranking — the first meet flows once every worker has sent its
-// first, and a worker that stalls mid-answer holds back nothing
-// already merged. The stats' Generation is the hash of the vector the
-// answer was computed against, which is what its cursor is stamped
-// with; a partial answer reports who failed and mints no cursor — a
-// page chain is always exact.
-func (c *Coordinator) ResultsWithStats(ctx context.Context, req ncq.Request) (iter.Seq2[ncq.CorpusMeet, error], *ncq.StreamStats) {
+// ranking, each canonical line relayed as the bytes it arrived as — the
+// first meet flows once every worker has sent its first, and a worker
+// that stalls mid-answer holds back nothing already merged. The stats'
+// Generation is the hash of the vector the answer was computed against,
+// which is what its cursor is stamped with; a partial answer reports
+// who failed and mints no cursor — a page chain is always exact.
+func (c *Coordinator) ResultsWithStats(ctx context.Context, req ncq.Request) (iter.Seq2[wire.Answer, error], *ncq.StreamStats) {
 	stats := &ncq.StreamStats{}
-	return func(yield func(ncq.CorpusMeet, error) bool) {
+	return func(yield func(wire.Answer, error) bool) {
 		if err := c.results(ctx, &req, stats, yield); err != nil {
-			yield(ncq.CorpusMeet{}, err)
+			yield(wire.Answer{}, err)
 		}
 	}, stats
 }
 
-func (c *Coordinator) results(ctx context.Context, req *ncq.Request, stats *ncq.StreamStats, yield func(ncq.CorpusMeet, error) bool) error {
+func (c *Coordinator) results(ctx context.Context, req *ncq.Request, stats *ncq.StreamStats, yield func(wire.Answer, error) bool) error {
 	offset, curGen, err := req.Page()
 	if err != nil {
 		return err
@@ -340,11 +340,11 @@ func (c *Coordinator) results(ctx context.Context, req *ncq.Request, stats *ncq.
 		return errStaleCluster
 	}
 	stats.Fill(req, offset, g.hash, g.total, g.unmatched)
-	for m, err := range ncq.MergeMeets(ctx, g.sources, offset, req.Limit) {
+	for a, err := range ncq.MergeMeets(ctx, g.sources, answerKey, offset, req.Limit) {
 		if err != nil {
 			return workerFailure(err)
 		}
-		if !yield(m, nil) {
+		if !yield(a, nil) {
 			return nil
 		}
 	}

@@ -2,16 +2,19 @@ package cluster
 
 // The remote member: a worker's /v2/query?stream=1&header=1 NDJSON
 // response consumed incrementally as an ncq.MeetSource. Each line is
-// decoded as it arrives and handed to the k-way merge — the
+// checked as it arrives and handed to the k-way merge — the
 // coordinator never buffers a worker's answer set, so its first global
 // result is bounded by the slowest worker's first answer, exactly like
-// the in-process fan-out it mirrors.
+// the in-process fan-out it mirrors. A canonical meet line is relayed
+// as it arrived, only its rank key read (wire.LineScanner.Relay), and
+// a worker whose keys descend fails.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strings"
@@ -65,11 +68,11 @@ var testLineDecode func(worker, kind string)
 
 // workerStream is one worker's open NDJSON stream, consumed line by
 // line as an ncq.MeetSource. The header has already been read by
-// openStream; Next yields meets until the trailer. Failures — a broken
-// connection, a mid-stream error line — are routed through onFail,
-// which implements the partial-results policy: return the error to
-// abort the whole merge (strict mode), or record it and return nil to
-// end just this source (allow_partial).
+// openStream; Next yields answers until the trailer. Failures — a
+// broken connection, a mid-stream error line, a meet out of rank order
+// — are routed through onFail, which implements the partial-results
+// policy: return the error to abort the whole merge (strict mode), or
+// record it and return nil to end just this source (allow_partial).
 type workerStream struct {
 	worker Worker
 	header wire.Header
@@ -77,21 +80,40 @@ type workerStream struct {
 	sc     *wire.LineScanner
 	done   bool
 	onFail func(w Worker, err error) error
+
+	// Two slots, as the merge reads a line before it yields the last;
+	// prev is the last key, which the next must not rank before.
+	slots [2][]byte
+	turn  int
+	prev  ncq.CorpusMeet
 }
 
-func (s *workerStream) Next() (ncq.CorpusMeet, bool, error) {
+func answerKey(a *wire.Answer) *ncq.CorpusMeet { return &a.CorpusMeet }
+
+func (s *workerStream) Next() (wire.Answer, bool, error) {
 	if s.done {
-		return ncq.CorpusMeet{}, false, nil
+		return wire.Answer{}, false, nil
 	}
-	ln, err := s.read()
+	ln, raw, err := s.read()
 	switch {
 	case err != nil:
 		return s.fail(err)
 	case ln.Meet != nil:
-		return *ln.Meet, true, nil
+		a := wire.Answer{CorpusMeet: *ln.Meet}
+		if ncq.RankLess(&a.CorpusMeet, &s.prev) {
+			return s.fail(fmt.Errorf("meets out of rank order: (%d, %q, %d, %d) after (%d, %q, %d, %d)",
+				a.Distance, a.Source, a.Shard, a.Node, s.prev.Distance, s.prev.Source, s.prev.Shard, s.prev.Node))
+		}
+		s.prev = a.CorpusMeet
+		if raw != nil {
+			s.turn ^= 1
+			s.slots[s.turn] = append(append(s.slots[s.turn][:0], raw...), '\n')
+			a.Line = s.slots[s.turn]
+		}
+		return a, true, nil
 	case ln.Trailer:
 		s.close()
-		return ncq.CorpusMeet{}, false, nil
+		return wire.Answer{}, false, nil
 	case ln.Error != "":
 		return s.fail(errors.New(ln.Error))
 	default:
@@ -99,36 +121,38 @@ func (s *workerStream) Next() (ncq.CorpusMeet, bool, error) {
 	}
 }
 
-// read decodes the next line. A stream that ends without a trailer
-// means the worker died mid-answer.
-func (s *workerStream) read() (*wire.Line, error) {
-	ln, err := s.sc.Next()
+// read scans the next line for relay. A stream that ends without a
+// trailer means the worker died mid-answer.
+func (s *workerStream) read() (*wire.Line, []byte, error) {
+	ln, raw, err := s.sc.Relay()
 	if err == io.EOF {
-		return nil, io.ErrUnexpectedEOF
+		return nil, nil, io.ErrUnexpectedEOF
 	}
 	if err == nil && testLineDecode != nil {
 		testLineDecode(s.worker.Name, ln.Kind())
 	}
-	return ln, err
+	return ln, raw, err
 }
 
 // fail closes the stream and applies the failure policy.
-func (s *workerStream) fail(err error) (ncq.CorpusMeet, bool, error) {
+func (s *workerStream) fail(err error) (wire.Answer, bool, error) {
 	s.close()
 	err = fmt.Errorf("worker %s: %w", s.worker.Name, err)
 	if s.onFail != nil {
 		err = s.onFail(s.worker, err)
 	}
-	return ncq.CorpusMeet{}, false, err
+	return wire.Answer{}, false, err
 }
 
-// close releases the stream's connection and deadline; idempotent.
+// close releases the stream's connection, deadline and scan buffer;
+// idempotent.
 func (s *workerStream) close() {
 	if s.done {
 		return
 	}
 	s.done = true
 	s.body.Close()
+	s.sc.Close()
 }
 
 // openStream POSTs the query body to the worker's streaming endpoint
@@ -142,8 +166,9 @@ func (c *Coordinator) openStream(ctx context.Context, w Worker, body []byte) (*w
 	if err != nil {
 		return nil, err
 	}
-	ws := &workerStream{worker: w, body: resp.Body, sc: wire.NewLineScanner(resp.Body)}
-	ln, err := ws.read()
+	ws := &workerStream{worker: w, body: resp.Body, sc: wire.NewLineScanner(resp.Body),
+		prev: ncq.CorpusMeet{Meet: ncq.Meet{Distance: math.MinInt}}}
+	ln, _, err := ws.read()
 	if err == nil && !ln.Header {
 		err = fmt.Errorf("stream opened with a %s line, not a header", ln.Kind())
 	}

@@ -21,13 +21,13 @@ import (
 	"ncq/internal/wire"
 )
 
-// Backend is what the front end executes a request against:
-// *ncq.Corpus as it stands, or internal/cluster's Coordinator.
+// Backend is what the front end executes a request against: a node's
+// *ncq.Corpus (corpusBackend), or internal/cluster's Coordinator.
 type Backend interface {
 	// ResultsWithStats answers a request: one page as a ranked
 	// sequence plus its counters, under the contract of
-	// ncq.Corpus.ResultsWithStats.
-	ResultsWithStats(ctx context.Context, req ncq.Request) (iter.Seq2[ncq.CorpusMeet, error], *ncq.StreamStats)
+	// ncq.Corpus.ResultsWithStats; a relayed answer carries its line.
+	ResultsWithStats(ctx context.Context, req ncq.Request) (iter.Seq2[wire.Answer, error], *ncq.StreamStats)
 
 	// Generation stamps the state answers are currently computed
 	// against — a corpus counts its mutations, a coordinator hashes its
@@ -35,6 +35,20 @@ type Backend interface {
 	// fan-out, which is also how many items of a batch run at once.
 	Generation() uint64
 	Parallelism() int
+}
+
+// corpusBackend is a node's Backend: its corpus, every answer a meet.
+type corpusBackend struct{ *ncq.Corpus }
+
+func (b corpusBackend) ResultsWithStats(ctx context.Context, req ncq.Request) (iter.Seq2[wire.Answer, error], *ncq.StreamStats) {
+	seq, stats := b.Corpus.ResultsWithStats(ctx, req)
+	return func(yield func(wire.Answer, error) bool) {
+		for m, err := range seq {
+			if !yield(wire.Answer{CorpusMeet: m}, err) {
+				return
+			}
+		}
+	}, stats
 }
 
 // FrontConfig sizes a front end: what server.With* and cluster.Config

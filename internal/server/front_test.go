@@ -23,15 +23,15 @@ type fakeBackend struct {
 	runs  int
 }
 
-func (b *fakeBackend) ResultsWithStats(context.Context, ncq.Request) (iter.Seq2[ncq.CorpusMeet, error], *ncq.StreamStats) {
+func (b *fakeBackend) ResultsWithStats(context.Context, ncq.Request) (iter.Seq2[wire.Answer, error], *ncq.StreamStats) {
 	b.runs++
 	stats := b.stats
-	return func(yield func(ncq.CorpusMeet, error) bool) {
+	return func(yield func(wire.Answer, error) bool) {
 		if b.err != nil {
-			yield(ncq.CorpusMeet{}, b.err)
+			yield(wire.Answer{}, b.err)
 			return
 		}
-		yield(ncq.CorpusMeet{Source: "d"}, nil)
+		yield(wire.Answer{CorpusMeet: ncq.CorpusMeet{Source: "d"}}, nil)
 	}, &stats
 }
 

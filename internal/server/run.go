@@ -36,8 +36,15 @@ func (f *Front) runCached(ctx context.Context, gen uint64, req ncq.Request) (wir
 	}
 	// Drain the backend's ranked sequence: "Run is drain plus paginate",
 	// whatever the backend and whichever field of the body asked.
+	// A page keeps its meets, so a relayed line is decoded here.
 	seq, stats := f.backend.ResultsWithStats(ctx, req)
-	res, err := ncq.DrainResults(seq, stats)
+	res, err := ncq.DrainResults(func(yield func(ncq.CorpusMeet, error) bool) {
+		for a, err := range seq {
+			if !yield(a.Decoded(), err) {
+				return
+			}
+		}
+	}, stats)
 	if err != nil {
 		return wire.Response{}, err
 	}

@@ -165,7 +165,7 @@ func New(corpus *ncq.Corpus, opts ...Option) *Server {
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.front = NewFront(corpus, s.reg, s.cfg)
+	s.front = NewFront(corpusBackend{corpus}, s.reg, s.cfg)
 	s.initObservability()
 	mux := http.NewServeMux()
 	// handle wraps every route with the metrics + request-log

@@ -38,12 +38,12 @@ func (f *Front) handleStream(ctx context.Context, w http.ResponseWriter, r *http
 	}
 	sw := wire.NewStreamWriter(w, r, header, f.streamLines, f.streamBytes)
 	defer sw.Close()
-	for m, err := range seq {
+	for a, err := range seq {
 		if err != nil {
 			sw.Fail(wire.StatusOf(err), err)
 			return
 		}
-		if !sw.Meet(&m) {
+		if !sw.Meet(&a) {
 			return // client went away; execution stops with the range
 		}
 	}

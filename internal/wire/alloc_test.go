@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -21,6 +22,8 @@ import (
 
 var allocMeet = ncq.CorpusMeet{Source: "bib", Shard: 2, Meet: ncq.Meet{
 	Node: 4, Tag: "book", Path: "/bib/book", Witnesses: []ncq.NodeID{5, 9}, Distance: 2}}
+
+var allocAnswer = wire.Answer{CorpusMeet: allocMeet}
 
 // discard is a ResponseWriter with no client behind it.
 type discard struct{ header http.Header }
@@ -37,9 +40,9 @@ func TestStreamWriterMeetAllocs(t *testing.T) {
 	sw := wire.NewStreamWriter(discard{http.Header{}}, httptest.NewRequest("POST", "/v2/query?stream=1", nil), nil, nil, nil)
 	defer sw.Close()
 	for i := 0; i < 400; i++ { // past the head, the buffer and the timer
-		sw.Meet(&allocMeet)
+		sw.Meet(&allocAnswer)
 	}
-	if got := testing.AllocsPerRun(2000, func() { sw.Meet(&allocMeet) }); got > 0.1 {
+	if got := testing.AllocsPerRun(2000, func() { sw.Meet(&allocAnswer) }); got > 0.1 {
 		t.Errorf("a steady-state meet line allocates %.2f/op, pinned at 0", got)
 	}
 }
@@ -57,6 +60,50 @@ func TestLineScannerMeetAllocs(t *testing.T) {
 	})
 	if got > 4 {
 		t.Errorf("a canonical meet line decodes in %.1f allocs/op, pinned at <= 4", got)
+	}
+}
+
+// TestStreamLifecycleReusesTailBuffer pins the tail buffer's pool: a
+// stream opened after another closed — 400 meets, then Close — takes
+// the buffer that one gave back instead of allocating its 17 KiB.
+func TestStreamLifecycleReusesTailBuffer(t *testing.T) {
+	w, r := discard{http.Header{}}, httptest.NewRequest("POST", "/v2/query?stream=1", nil)
+	lifecycle := func() {
+		sw := wire.NewStreamWriter(w, r, nil, nil, nil)
+		for i := 0; i < 400; i++ {
+			sw.Meet(&allocAnswer)
+		}
+		sw.Close()
+	}
+	lifecycle()
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		lifecycle()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 4<<10 {
+		// A tail buffer each would be 17 KiB; the writer, its timer and
+		// its head line take well under 1 KiB.
+		t.Errorf("a stream lifecycle allocates %d bytes: a tail buffer (16 KiB + 1 KiB) each", per)
+	}
+}
+
+// TestRelayScanAllocs pins the relay side: a canonical meet line from a
+// member the scanner has seen costs nothing — its rank key is read in
+// place and its source interned.
+func TestRelayScanAllocs(t *testing.T) {
+	const runs = 2000
+	sc := wire.NewLineScanner(strings.NewReader(strings.Repeat(string(wire.AppendMeetLine(nil, &allocMeet)), runs+1)))
+	defer sc.Close()
+	got := testing.AllocsPerRun(runs, func() {
+		if ln, raw, err := sc.Relay(); err != nil || raw == nil || ln.Meet.Source != allocMeet.Source {
+			t.Fatalf("%+v, %q, %v", ln, raw, err)
+		}
+	})
+	if got != 0 {
+		t.Errorf("a relayed canonical line scans in %.1f allocs/op, pinned at 0", got)
 	}
 }
 

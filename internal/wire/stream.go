@@ -28,9 +28,9 @@ package wire
 //
 // Meet lines, all but three of a stream, have their own encoder
 // (AppendMeetLine, byte-identical to encoding/json) and a strict
-// decoder for exactly its unescaped output (decodeCanonicalMeet);
-// every other line, and every other spelling of a meet, takes
-// encoding/json both ways.
+// decoder for exactly its unescaped output (parseCanonicalMeet; a relay
+// reads only the rank key and passes the line on); every other line,
+// and every other spelling of a meet, takes encoding/json both ways.
 
 import (
 	"bufio"
@@ -55,7 +55,17 @@ const (
 	flushBytes = 16 << 10
 	// flushDelay bounds how long a written line may wait for that.
 	flushDelay = 2 * time.Millisecond
+	tailCap    = flushBytes + flushBytes/16 // a tail buffer: the budget and the line crossing it
+	scanCap    = 4 << 10                    // a scanner's buffer, grown up to MaxLine for a long line
 )
+
+// The buffers of closed streams, as *[]byte so a Put does not allocate.
+var (
+	tailPool = sync.Pool{New: func() any { b := make([]byte, 0, tailCap); return &b }}
+	scanPool = sync.Pool{New: func() any { b := make([]byte, scanCap); return &b }}
+)
+
+func getBuffer(p *sync.Pool) *[]byte { return p.Get().(*[]byte) }
 
 // Header opens a stream when the client asks for it (?header=1): the
 // counters known before the first meet, the node's identity, and the
@@ -97,6 +107,7 @@ type StreamWriter struct {
 	// every use of w: the delay timer flushes from its own goroutine.
 	mu      sync.Mutex
 	buf     []byte      // lines written but not yet handed to w
+	pooled  *[]byte     // the tail buffer buf started in, back to tailPool on Close
 	timer   *time.Timer // flushes buf flushDelay after it became non-empty
 	started bool
 	tail    bool // the first meet is out; later lines coalesce
@@ -186,19 +197,42 @@ func (s *StreamWriter) start() {
 	}
 }
 
-// Meet writes one meet line; false means the client went away and
-// execution should stop.
-func (s *StreamWriter) Meet(m *ncq.CorpusMeet) bool {
+// Answer is a meet on its way to a client or, relayed, its rank key
+// (Source, Shard, Node, Distance) and Line, its canonical line with \n.
+type Answer struct {
+	ncq.CorpusMeet
+	Line []byte
+}
+
+// Decoded returns the meet in full; a relayed line was verified canonical.
+func (a *Answer) Decoded() ncq.CorpusMeet {
+	if a.Line == nil {
+		return a.CorpusMeet
+	}
+	var m ncq.CorpusMeet
+	decodeCanonicalMeet(a.Line[:len(a.Line)-1], &m)
+	return m
+}
+
+// Meet writes a's line, relayed or by AppendMeetLine; false means the
+// client went away and execution should stop.
+func (s *StreamWriter) Meet(a *Answer) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.dead {
+		return false
+	}
 	s.start()
-	if s.tail && cap(s.buf) < flushBytes {
-		// The head went out line by line; whatever follows it fills
-		// budgets. Room beyond the budget is for the line that crosses it.
-		s.buf = make([]byte, 0, flushBytes+flushBytes/16)
+	if s.tail && s.pooled == nil { // the head went out line by line; the tail fills budgets
+		s.pooled = getBuffer(&tailPool)
+		s.buf = append((*s.pooled)[:0], s.buf...)
 	}
 	from := len(s.buf)
-	s.buf = AppendMeetLine(s.buf, m)
+	if a.Line != nil {
+		s.buf = append(s.buf, a.Line...)
+	} else {
+		s.buf = AppendMeetLine(s.buf, &a.CorpusMeet)
+	}
 	s.written(from, !s.tail)
 	s.tail = true
 	return !s.dead
@@ -228,7 +262,7 @@ func (s *StreamWriter) Fail(status int, err error) {
 // Close flushes what is still buffered and ends the writer's use of the
 // ResponseWriter, which net/http forbids once the handler has returned:
 // a timer flush already running is waited for, a later one finds the
-// writer dead.
+// writer dead. The pooled tail buffer, not one a line outgrew, goes back.
 func (s *StreamWriter) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -237,6 +271,10 @@ func (s *StreamWriter) Close() {
 	if s.timer != nil {
 		s.timer.Stop()
 	}
+	if s.pooled != nil {
+		tailPool.Put(s.pooled)
+	}
+	s.buf, s.pooled = nil, nil
 }
 
 // plainByte marks the bytes encoding/json's HTML-escaping encoder copies
@@ -425,8 +463,8 @@ func (c *canonical) lit(lit string) {
 }
 
 // text consumes a string literal holding plain bytes only — one that
-// neither needed nor carries an escape.
-func (c *canonical) text() string {
+// neither needed nor carries an escape — as a slice of the line.
+func (c *canonical) text() []byte {
 	c.lit(`"`)
 	i := 0
 	for i < len(c.rest) && plainByte[c.rest[i]] {
@@ -434,9 +472,9 @@ func (c *canonical) text() string {
 	}
 	if c.bad || i == len(c.rest) || c.rest[i] != '"' {
 		c.bad = true
-		return ""
+		return nil
 	}
-	s := string(c.rest[:i])
+	s := c.rest[:i]
 	c.rest = c.rest[i+1:]
 	return s
 }
@@ -479,34 +517,52 @@ func (c *canonical) integer() int {
 // decides. It accepts nothing that path rejects, and what it accepts it
 // decodes to the same value.
 func decodeCanonicalMeet(b []byte, m *ncq.CorpusMeet) bool {
+	source, ok := parseCanonicalMeet(b, m, true)
+	m.Source = string(source)
+	return ok
+}
+
+// parseCanonicalMeet is the one grammar of a canonical line. With full
+// it decodes the meet into m, less its source; without, it checks the
+// line as strictly but reads only m.Shard, m.Node and m.Distance and
+// allocates nothing. The source is returned as a slice of b.
+func parseCanonicalMeet(b []byte, m *ncq.CorpusMeet, full bool) (source []byte, ok bool) {
 	c := canonical{rest: b}
 	if !c.has(`{"meet":{"source":`) {
-		return false
+		return nil, false
 	}
-	m.Source = c.text()
+	source = c.text()
 	if c.has(`,"shard":`) {
 		if m.Shard = c.integer(); m.Shard == 0 {
-			return false // omitted, not spelled, at zero
+			return nil, false // omitted, not spelled, at zero
 		}
 	}
 	c.lit(`,"node":`)
 	m.Node = ncq.NodeID(c.number(math.MaxUint32))
 	c.lit(`,"tag":`)
-	m.Tag = c.text()
+	tag := c.text()
 	c.lit(`,"path":`)
-	m.Path = c.text()
+	path := c.text()
+	if full {
+		m.Tag, m.Path = string(tag), string(path)
+	}
 	c.lit(`,"witnesses":`)
 	if !c.has("null") {
 		c.lit("[")
-		end := max(bytes.IndexByte(c.rest, ']'), 0)
-		m.Witnesses = make([]ncq.NodeID, 0, bytes.Count(c.rest[:end], []byte{','})+1)
-		for !c.has("]") {
-			if len(m.Witnesses) > 0 {
+		if full {
+			end := max(bytes.IndexByte(c.rest, ']'), 0)
+			m.Witnesses = make([]ncq.NodeID, 0, bytes.Count(c.rest[:end], []byte{','})+1)
+		}
+		for n := 0; !c.has("]"); n++ {
+			if n > 0 {
 				c.lit(",")
 			}
-			m.Witnesses = append(m.Witnesses, ncq.NodeID(c.number(math.MaxUint32)))
+			w := ncq.NodeID(c.number(math.MaxUint32))
 			if c.bad {
-				return false
+				return nil, false
+			}
+			if full {
+				m.Witnesses = append(m.Witnesses, w)
 			}
 		}
 	}
@@ -514,20 +570,23 @@ func decodeCanonicalMeet(b []byte, m *ncq.CorpusMeet) bool {
 	m.Distance = c.integer()
 	if c.has(`,"projected":{`) {
 		// A text that is spelled is not empty: an empty one is omitted.
-		p, xmlKey := new(ncq.Projection), `"xml":`
+		var value, xml []byte
+		xmlKey := `"xml":`
 		if c.has(`"value":`) {
-			p.Value, xmlKey = c.text(), `,"xml":`
-			c.bad = c.bad || p.Value == ""
+			value, xmlKey = c.text(), `,"xml":`
+			c.bad = c.bad || len(value) == 0
 		}
 		if c.has(xmlKey) {
-			p.XML = c.text()
-			c.bad = c.bad || p.XML == ""
+			xml = c.text()
+			c.bad = c.bad || len(xml) == 0
 		}
 		c.lit("}")
-		m.Projected = p
+		if full {
+			m.Projected = &ncq.Projection{Value: string(value), XML: string(xml)}
+		}
 	}
 	c.lit("}}")
-	return !c.bad && len(c.rest) == 0 && m.Path != ""
+	return source, !c.bad && len(c.rest) == 0 && len(path) > 0
 }
 
 // uniqueKeys rejects a line in which one object spells a key twice:
@@ -584,16 +643,28 @@ func uniqueKeys(b []byte) error {
 // LineScanner reads an NDJSON stream record by record; every consumer
 // of the protocol uses it, so all of them accept the same line sizes.
 type LineScanner struct {
-	sc   *bufio.Scanner
-	line Line
+	sc      *bufio.Scanner
+	pooled  *[]byte // the buffer sc started with, back to scanPool on Close
+	line    Line
+	sources map[string]string // relayed sources, the first 256 interned
 }
 
-// NewLineScanner scans r with a buffer that grows from 4 KiB up to
-// MaxLine.
+// NewLineScanner scans r with a pooled buffer that grows from 4 KiB up
+// to MaxLine.
 func NewLineScanner(r io.Reader) *LineScanner {
+	pooled := getBuffer(&scanPool)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 4<<10), MaxLine)
-	return &LineScanner{sc: sc}
+	sc.Buffer(*pooled, MaxLine)
+	return &LineScanner{sc: sc, pooled: pooled, sources: make(map[string]string)}
+}
+
+// Close gives the buffer back: bufio.Scanner left it at its class if a
+// long line made it grow. The scanner and its lines are not used after.
+func (s *LineScanner) Close() {
+	if s.pooled != nil {
+		scanPool.Put(s.pooled)
+		s.pooled = nil
+	}
 }
 
 // Next decodes the next line. The returned Line is reused by the
@@ -610,4 +681,31 @@ func (s *LineScanner) Next() (*Line, error) {
 		return nil, fmt.Errorf("decode stream line: %w", err)
 	}
 	return &s.line, nil
+}
+
+// Relay is Next for a line passed on rather than kept: a canonical meet
+// line is checked whole, but only its rank key is read into the Line's
+// Meet, and raw is the line itself, valid until the following call.
+// Any other line is decoded as Next decodes it, and raw is nil.
+func (s *LineScanner) Relay() (ln *Line, raw []byte, err error) {
+	if !s.sc.Scan() {
+		ln, err = s.Next() // the same end or error
+		return ln, nil, err
+	}
+	raw = s.sc.Bytes()
+	s.line = Line{}
+	if source, ok := parseCanonicalMeet(raw, &s.line.meet, false); ok {
+		name, seen := s.sources[string(source)]
+		if !seen {
+			if name = string(source); len(s.sources) < 256 {
+				s.sources[name] = name
+			}
+		}
+		s.line.meet.Source, s.line.Meet = name, &s.line.meet
+		return &s.line, raw, nil
+	}
+	if err := s.line.decode(raw); err != nil {
+		return nil, nil, fmt.Errorf("decode stream line: %w", err)
+	}
+	return &s.line, nil, nil
 }

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 	"unicode/utf8"
@@ -67,7 +68,7 @@ func TestStreamWriterFailBeforeStart(t *testing.T) {
 		}},
 		{"fail after start", -1, func(t *testing.T, sw *StreamWriter, w *brokenWriter) {
 			for i := 0; i < 3; i++ {
-				if !sw.Meet(&goldenMeet) {
+				if !sw.Meet(&Answer{CorpusMeet: goldenMeet}) {
 					t.Fatalf("meet %d refused", i)
 				}
 			}
@@ -78,7 +79,7 @@ func TestStreamWriterFailBeforeStart(t *testing.T) {
 			}
 		}},
 		{"client gone at the first meet", 0, func(t *testing.T, sw *StreamWriter, w *brokenWriter) {
-			if sw.Meet(&goldenMeet) || sw.Meet(&goldenMeet) {
+			if sw.Meet(&Answer{CorpusMeet: goldenMeet}) || sw.Meet(&Answer{CorpusMeet: goldenMeet}) {
 				t.Error("Meet reported a live client")
 			}
 			sw.Trailer(Trailer{})
@@ -88,13 +89,13 @@ func TestStreamWriterFailBeforeStart(t *testing.T) {
 		}},
 		{"client gone in the tail", len(line), func(t *testing.T, sw *StreamWriter, w *brokenWriter) {
 			accepted := 0
-			for sw.Meet(&goldenMeet) {
+			for sw.Meet(&Answer{CorpusMeet: goldenMeet}) {
 				if accepted++; accepted > perBudget {
 					t.Fatalf("%d meets accepted: the failed flush was never noticed", accepted)
 				}
 			}
 			for i := 0; i < 2*perBudget; i++ {
-				if sw.Meet(&goldenMeet) {
+				if sw.Meet(&Answer{CorpusMeet: goldenMeet}) {
 					t.Fatal("Meet reported a live client after a failed flush")
 				}
 			}
@@ -105,7 +106,7 @@ func TestStreamWriterFailBeforeStart(t *testing.T) {
 		}},
 		{"nothing after close", -1, func(t *testing.T, sw *StreamWriter, w *brokenWriter) {
 			for i := 0; i < 3; i++ {
-				sw.Meet(&goldenMeet)
+				sw.Meet(&Answer{CorpusMeet: goldenMeet})
 			}
 			sw.Close()
 			if want := strings.Repeat(line, 3); w.body.String() != want || w.flushed != len(want) {
@@ -113,7 +114,7 @@ func TestStreamWriterFailBeforeStart(t *testing.T) {
 			}
 			w.room = 0 // any further Write is counted
 			sw.flushLate()
-			if sw.Meet(&goldenMeet) {
+			if sw.Meet(&Answer{CorpusMeet: goldenMeet}) {
 				t.Error("Meet after Close reported a live client")
 			}
 			sw.Trailer(Trailer{})
@@ -161,7 +162,7 @@ func TestStreamWriterStallFlush(t *testing.T) {
 		sw := NewStreamWriter(w, r, nil, nil, nil)
 		defer sw.Close()
 		for i := 0; i < meets; i++ {
-			if !sw.Meet(&goldenMeet) {
+			if !sw.Meet(&Answer{CorpusMeet: goldenMeet}) {
 				t.Error("client gone")
 				return
 			}
@@ -206,7 +207,7 @@ func TestStreamWriterClientGone(t *testing.T) {
 		sw := NewStreamWriter(w, r, nil, nil, nil)
 		defer sw.Close()
 		n := 0
-		for sw.Meet(&goldenMeet) && n < 1<<20 {
+		for sw.Meet(&Answer{CorpusMeet: goldenMeet}) && n < 1<<20 {
 			n++
 		}
 		returned <- n
@@ -224,6 +225,63 @@ func TestStreamWriterClientGone(t *testing.T) {
 	}
 	srv.Close()
 	waitForGoroutines(t, base)
+}
+
+// TestStreamWriterCloseRacesTimer: Close races the delay timer's flush
+// on a pooled tail buffer, and the buffer goes straight to the next
+// stream. Close waits out a flush already running, and a later one
+// finds the writer dead, so the race detector sees no access to a
+// buffer after it went back, and no stream reads another's bytes.
+func TestStreamWriterCloseRacesTimer(t *testing.T) {
+	line := string(AppendMeetLine(nil, &goldenMeet))
+	for i := 0; i < 200; i++ {
+		w := &brokenWriter{header: http.Header{}, room: -1}
+		sw := NewStreamWriter(w, httptest.NewRequest("POST", "/v2/query?stream=1", nil), nil, nil, nil)
+		for j := 0; j < 3; j++ { // the head, then two tail lines and the timer
+			sw.Meet(&Answer{CorpusMeet: goldenMeet})
+		}
+		time.Sleep(flushDelay - time.Duration(i%5)*flushDelay/4)
+		sw.Close()
+		if want := strings.Repeat(line, 3); w.body.String() != want {
+			t.Fatalf("round %d: the client read %q", i, &w.body)
+		}
+	}
+}
+
+// TestOutgrownBuffersNotPooled: a tail line longer than the budget and
+// a scanned line grown toward MaxLine move their stream's buffer to a
+// larger array, which the collector takes — no pool hands it out. Each
+// pool is read right after the Close that fed it, before the next
+// large allocation can bring a collection that empties it.
+func TestOutgrownBuffersNotPooled(t *testing.T) {
+	pooled := func(p *sync.Pool, want int) {
+		t.Helper()
+		for i := 0; i < 4; i++ {
+			b := getBuffer(p)
+			defer p.Put(b)
+			if cap(*b) != want {
+				t.Errorf("the pool handed out a %d-byte buffer, its class is %d", cap(*b), want)
+			}
+		}
+	}
+	long := goldenMeet
+	long.Projected = &ncq.Projection{XML: strings.Repeat("x", 2*flushBytes)}
+	w := &brokenWriter{header: http.Header{}, room: -1}
+	sw := NewStreamWriter(w, httptest.NewRequest("POST", "/v2/query?stream=1", nil), nil, nil, nil)
+	sw.Meet(&Answer{CorpusMeet: goldenMeet})
+	sw.Meet(&Answer{CorpusMeet: long})
+	if cap(sw.buf) <= tailCap {
+		t.Fatalf("a %d-byte line left the tail buffer at %d bytes", len(long.Projected.XML), cap(sw.buf))
+	}
+	sw.Close()
+	pooled(&tailPool, tailCap)
+
+	sc := NewLineScanner(strings.NewReader(`{"error":"` + strings.Repeat("y", 256<<10) + `"}` + "\n"))
+	if ln, err := sc.Next(); err != nil || len(ln.Error) != 256<<10 {
+		t.Fatalf("%v", err)
+	}
+	sc.Close()
+	pooled(&scanPool, scanCap)
 }
 
 // canonicalMeet is the fast path's verdict on b: the meet it decoded,
@@ -374,20 +432,41 @@ func TestDecodeCanonicalMeet(t *testing.T) {
 	}
 }
 
+// relayKey is the key-only scan's verdict on b, as LineScanner.Relay
+// reads it: the rank key, nil when the scan leaves b to the general
+// path.
+func relayKey(b []byte) *ncq.CorpusMeet {
+	m := new(ncq.CorpusMeet)
+	source, ok := parseCanonicalMeet(b, m, false)
+	if !ok {
+		return nil
+	}
+	m.Source = string(source)
+	return m
+}
+
 // FuzzDecodeCanonicalParity holds the fast decoder inside the general
 // one: whatever bytes it accepts, the general path — reached here by
 // a leading space, which JSON ignores and the fast path does not —
 // accepts too and decodes to the same line, and they are to the byte
 // what AppendMeetLine writes for that meet, so the fast path's only
-// inputs are lines whose validity was decided by the encoder.
+// inputs are lines whose validity was decided by the encoder. The
+// relay's key-only scan of the same grammar accepts exactly the lines
+// the full decode accepts, and reads the same rank key from them.
 func FuzzDecodeCanonicalParity(f *testing.F) {
 	for _, s := range append(canonicalLines, nonCanonicalLines...) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := canonicalMeet(data)
+		m, key := canonicalMeet(data), relayKey(data)
+		if (m == nil) != (key == nil) {
+			t.Fatalf("%q: full decode %+v, key-only scan %+v", data, m, key)
+		}
 		if m == nil {
 			return
+		}
+		if want := (ncq.CorpusMeet{Source: m.Source, Shard: m.Shard, Meet: ncq.Meet{Node: m.Node, Distance: m.Distance}}); !reflect.DeepEqual(*key, want) {
+			t.Fatalf("%q: key-only scan read %+v, the full decode %+v", data, key, m)
 		}
 		spaced := append([]byte(" "), data...)
 		if canonicalMeet(spaced) != nil {

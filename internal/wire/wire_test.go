@@ -32,8 +32,8 @@ func TestGoldenBytes(t *testing.T) {
 	header := func() Header { return Header{Node: "w1", Generation: 7, Total: 3, Unmatched: 1} }
 	sw := NewStreamWriter(rec, httptest.NewRequest("POST", "/v2/query?stream=1&header=1", nil), header, nil, nil)
 	odd := ncq.CorpusMeet{Source: "a<b>&c", Meet: ncq.Meet{Tag: "t", Path: "/t"}}
-	sw.Meet(&goldenMeet)
-	sw.Meet(&odd)
+	sw.Meet(&Answer{CorpusMeet: goldenMeet})
+	sw.Meet(&Answer{CorpusMeet: odd})
 	sw.Fail(http.StatusBadGateway, errors.New(`worker "w1": a<b & c`))
 	sw.Trailer(Trailer{Unmatched: 1, Truncated: true, NextCursor: "djIgMQ", TookMS: 1.75})
 	sw.Trailer(Trailer{})

@@ -80,7 +80,7 @@ func mergeShardMeets(t *testing.T, c *Corpus, names []string, meets func(*Databa
 			}
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return lessCorpusMeet(out[i], out[j]) })
+	sort.SliceStable(out, func(i, j int) bool { return RankLess(&out[i], &out[j]) })
 	return out
 }
 

@@ -93,7 +93,7 @@ type rankKey struct {
 	seq      int32
 }
 
-func lessRanked(a, b rankKey) bool {
+func lessRanked(a, b *rankKey) bool {
 	if a.distance != b.distance {
 		return a.distance < b.distance
 	}
@@ -108,13 +108,13 @@ func lessRanked(a, b rankKey) bool {
 // (an in-process member whose meets live in a lazily-ranked heap) and
 // sourceStream (an adapter over an external MeetSource — how
 // internal/cluster's coordinator merges remote workers' NDJSON
-// streams). next returns the member's next meet in its local rank
+// streams). next returns the member's next element in its local rank
 // order plus a monotone per-member sequence number, the stable
 // tie-break on full rank ties (which, with disjoint member coverage,
 // can only occur within one stream); ok=false ends the stream and a
 // non-nil error aborts the whole merge.
-type memberStream interface {
-	next() (m CorpusMeet, seq int32, ok bool, err error)
+type memberStream[T any] interface {
+	next() (m T, seq int32, ok bool, err error)
 }
 
 // localStream is the in-process memberStream: the rank keys of the
@@ -145,17 +145,17 @@ type localStream struct {
 // siftDown restores the min-heap property of h at index i under less;
 // heapify establishes it over the whole slice in O(n). Both member
 // streams and the k-way merge run on these.
-func siftDown[T any](h []T, i int, less func(a, b T) bool) {
+func siftDown[T any](h []T, i int, less func(a, b *T) bool) {
 	n := len(h)
 	for {
 		child := 2*i + 1
 		if child >= n {
 			return
 		}
-		if r := child + 1; r < n && less(h[r], h[child]) {
+		if r := child + 1; r < n && less(&h[r], &h[child]) {
 			child = r
 		}
-		if !less(h[child], h[i]) {
+		if !less(&h[child], &h[i]) {
 			return
 		}
 		h[i], h[child] = h[child], h[i]
@@ -163,7 +163,7 @@ func siftDown[T any](h []T, i int, less func(a, b T) bool) {
 	}
 }
 
-func heapify[T any](h []T, less func(a, b T) bool) {
+func heapify[T any](h []T, less func(a, b *T) bool) {
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		siftDown(h, i, less)
 	}
@@ -316,82 +316,86 @@ func (db *Database) meetStream(ctx context.Context, sets [][]NodeID, copt *core.
 // ranked meets flow while that member's stream is still mid-flight.
 var testStreamPull func(source string, shard, remaining int)
 
-// head is one entry of the k-way merge: a member's current best meet,
-// and which of the merger's streams it came from.
-type head struct {
-	m   CorpusMeet
+// head is one entry of the k-way merge: a member's current best
+// element, and which of the merger's streams it came from.
+type head[T any] struct {
+	m   T
 	seq int32
 	src int32
-}
-
-// lessHead orders merge heads by the global lessCorpusMeet rank, with
-// the member-local emission index as the final tie-break — the exact
-// total order lessCorpusMeet + stable sort used to produce. Full
-// lessCorpusMeet ties can only occur within one member (each member
-// owns a distinct (source, shard)), where seq decides.
-func lessHead(a, b head) bool {
-	if lessCorpusMeet(a.m, b.m) {
-		return true
-	}
-	if lessCorpusMeet(b.m, a.m) {
-		return false
-	}
-	return a.seq < b.seq
 }
 
 // merger merges the per-member ranked streams into the global rank: a
 // heap of member heads, refilled from the owning member as heads are
 // consumed. Construction needs every member's head — the global
 // minimum cannot be known sooner — which is exactly the "slowest
-// member's first result" latency bound.
-type merger struct {
-	streams []memberStream
-	heads   []head
+// member's first result" latency bound. key is the rank-key accessor.
+type merger[T any] struct {
+	streams []memberStream[T]
+	heads   []head[T]
+	key     func(*T) *CorpusMeet
 }
 
-func newMerger(streams []memberStream) (*merger, error) {
-	g := &merger{streams: streams, heads: make([]head, 0, len(streams))}
+func meetKey(m *CorpusMeet) *CorpusMeet { return m }
+
+func newMerger[T any](streams []memberStream[T], key func(*T) *CorpusMeet) (*merger[T], error) {
+	g := &merger[T]{streams: streams, heads: make([]head[T], 0, len(streams)), key: key}
 	for i, s := range streams {
 		m, seq, ok, err := s.next()
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			g.heads = append(g.heads, head{m: m, seq: seq, src: int32(i)})
+			g.heads = append(g.heads, head[T]{m: m, seq: seq, src: int32(i)})
 		}
 	}
-	heapify(g.heads, lessHead)
+	heapify(g.heads, g.less)
 	return g, nil
 }
 
-// next yields the globally next-ranked meet and refills the consumed
-// head from its member's stream. A member failing mid-refill — only
-// possible for remote sources — aborts the merge with its error.
-func (g *merger) next() (CorpusMeet, bool, error) {
+// less orders merge heads by the global RankLess order of their keys,
+// with the member-local emission index as the final tie-break — the
+// exact total order RankLess + stable sort used to produce. Full
+// RankLess ties can only occur within one member (each member owns a
+// distinct (source, shard)), where seq decides.
+func (g *merger[T]) less(a, b *head[T]) bool {
+	ka, kb := g.key(&a.m), g.key(&b.m)
+	if RankLess(ka, kb) {
+		return true
+	}
+	if RankLess(kb, ka) {
+		return false
+	}
+	return a.seq < b.seq
+}
+
+// next yields the globally next-ranked element, refilling the consumed
+// head from its member's stream first. A member failing mid-refill —
+// only possible for remote sources — aborts the merge with its error.
+func (g *merger[T]) next() (T, bool, error) {
 	if len(g.heads) == 0 {
-		return CorpusMeet{}, false, nil
+		return *new(T), false, nil
 	}
 	out := g.heads[0].m
 	src := g.heads[0].src
 	s := g.streams[src]
 	if hook := testStreamPull; hook != nil {
-		if ls, ok := s.(*localStream); ok {
+		if ls, ok := any(s).(*localStream); ok {
 			hook(ls.source, int(ls.shard), ls.pending())
 		}
 	}
 	m, seq, ok, err := s.next()
 	if err != nil {
-		return CorpusMeet{}, false, err
+		return *new(T), false, err
 	}
 	if ok {
-		g.heads[0] = head{m: m, seq: seq, src: src}
+		g.heads[0] = head[T]{m: m, seq: seq, src: src}
 	} else {
 		last := len(g.heads) - 1
 		g.heads[0] = g.heads[last]
 		g.heads = g.heads[:last]
 	}
 	if len(g.heads) > 0 {
-		siftDown(g.heads, 0, lessHead)
+		siftDown(g.heads, 0, g.less)
 	}
 	return out, true, nil
 }
@@ -413,14 +417,14 @@ func (s *StreamStats) Fill(req *Request, offset int, gen uint64, total, unmatche
 }
 
 // drain runs the page window over the merged stream: skip offset
-// meets, yield up to limit (0 = all), checking ctx between yields so a
-// cancelled consumer stops mid-stream with the context's error. A
+// elements, yield up to limit (0 = all), checking ctx between yields
+// so a cancelled consumer stops mid-stream with the context's error. A
 // member failing mid-merge surfaces as the final yield.
-func drain(ctx context.Context, g *merger, offset, limit int, yield func(CorpusMeet, error) bool) {
+func drain[T any](ctx context.Context, g *merger[T], offset, limit int, yield func(T, error) bool) {
 	for i := 0; i < offset; i++ {
 		_, ok, err := g.next()
 		if err != nil {
-			yield(CorpusMeet{}, err)
+			yield(*new(T), err)
 			return
 		}
 		if !ok {
@@ -429,12 +433,12 @@ func drain(ctx context.Context, g *merger, offset, limit int, yield func(CorpusM
 	}
 	for n := 0; limit <= 0 || n < limit; n++ {
 		if err := ctx.Err(); err != nil {
-			yield(CorpusMeet{}, err)
+			yield(*new(T), err)
 			return
 		}
 		m, ok, err := g.next()
 		if err != nil {
-			yield(CorpusMeet{}, err)
+			yield(*new(T), err)
 			return
 		}
 		if !ok {
@@ -446,55 +450,57 @@ func drain(ctx context.Context, g *merger, offset, limit int, yield func(CorpusM
 	}
 }
 
-// MeetSource is one independently ranked stream of corpus meets fed to
-// MergeMeets: Next returns the source's next meet in its own rank
-// order — the global (distance, source, shard, node) order restricted
+// MeetSource is one independently ranked stream fed to MergeMeets:
+// Next returns the source's next element in its own rank order — the
+// global (distance, source, shard, node) order of its keys restricted
 // to the members the source covers. ok=false ends the source; a
 // non-nil error aborts the merged sequence with that error.
-type MeetSource interface {
-	Next() (m CorpusMeet, ok bool, err error)
+type MeetSource[T any] interface {
+	Next() (m T, ok bool, err error)
 }
 
 // sourceStream adapts an exported MeetSource to the internal merge:
 // the arrival index becomes the seq tie-break, preserving the source's
 // own order on full rank ties.
-type sourceStream struct {
-	src MeetSource
+type sourceStream[T any] struct {
+	src MeetSource[T]
 	seq int32
 }
 
-func (s *sourceStream) next() (CorpusMeet, int32, bool, error) {
+func (s *sourceStream[T]) next() (T, int32, bool, error) {
 	m, ok, err := s.src.Next()
 	if err != nil || !ok {
-		return CorpusMeet{}, 0, false, err
+		return *new(T), 0, false, err
 	}
 	s.seq++
 	return m, s.seq - 1, true, nil
 }
 
-// MergeMeets k-way merges independently ranked meet streams into one
+// MergeMeets k-way merges independently ranked streams into one
 // sequence in the exact global (distance, source, shard, node) total
-// order — the distribution primitive behind internal/cluster's
-// coordinator: every worker node streams its members' answers in its
-// own globally ranked order, and the merged sequence equals the
-// single-node ranking as long as the sources cover disjoint (source,
-// shard) sets. offset meets are skipped and limit > 0 ends the
-// sequence early, exactly like one Run page.
+// order of the meets key returns for their elements — the distribution
+// primitive behind internal/cluster's coordinator: every worker node
+// streams its members' answers in its own globally ranked order, and
+// the merged sequence equals the single-node ranking as long as the
+// sources cover disjoint (source, shard) sets. offset elements are
+// skipped and limit > 0 ends the sequence early, exactly like one Run
+// page.
 //
 // The first yield requires every source's head — the global minimum
 // cannot be known sooner — so time to first result is bounded by the
 // slowest source's first answer, never by any source's full drain. A
+// source is asked for its next element before its last is yielded. A
 // source error, or ctx expiring between yields, surfaces as the
 // sequence's final yield. The sequence is single-use.
-func MergeMeets(ctx context.Context, sources []MeetSource, offset, limit int) iter.Seq2[CorpusMeet, error] {
-	return func(yield func(CorpusMeet, error) bool) {
-		streams := make([]memberStream, len(sources))
+func MergeMeets[T any](ctx context.Context, sources []MeetSource[T], key func(*T) *CorpusMeet, offset, limit int) iter.Seq2[T, error] {
+	return func(yield func(T, error) bool) {
+		streams := make([]memberStream[T], len(sources))
 		for i, src := range sources {
-			streams[i] = &sourceStream{src: src}
+			streams[i] = &sourceStream[T]{src: src}
 		}
-		g, err := newMerger(streams)
+		g, err := newMerger(streams, key)
 		if err != nil {
-			yield(CorpusMeet{}, err)
+			yield(*new(T), err)
 			return
 		}
 		drain(ctx, g, offset, limit, yield)
@@ -619,7 +625,7 @@ func resultsWithStats(ctx context.Context, r resolver, req Request) (iter.Seq2[C
 // an invalid one fails alike on every corpus, an empty one included —
 // as are its terms expanded once, through the target's thesaurus. The
 // two differ in nothing but how each member comes by its input sets.
-func fanOut(ctx context.Context, r resolver, req *Request, stats *StreamStats) (*merger, int, error) {
+func fanOut(ctx context.Context, r resolver, req *Request, stats *StreamStats) (*merger[CorpusMeet], int, error) {
 	sh, err := req.shape()
 	if err != nil {
 		return nil, 0, err
@@ -638,7 +644,7 @@ func fanOut(ctx context.Context, r resolver, req *Request, stats *StreamStats) (
 	if req.Vague != nil && req.Vague.Expand {
 		classes = expand(t.th, req.Terms)
 	}
-	merged := make([]memberStream, len(t.members))
+	merged := make([]memberStream[CorpusMeet], len(t.members))
 	err = forEachDoc(ctx, len(t.members), t.workers, func(i int) error {
 		m := t.members[i]
 		var s *localStream
@@ -674,6 +680,6 @@ func fanOut(ctx context.Context, r resolver, req *Request, stats *StreamStats) (
 		}
 	}
 	stats.Fill(req, offset, t.gen, total, unmatched)
-	g, err := newMerger(merged)
+	g, err := newMerger(merged, meetKey)
 	return g, offset, err
 }

@@ -59,11 +59,11 @@ func DrainResults(seq iter.Seq2[CorpusMeet, error], stats *StreamStats) (*Result
 	return res, nil
 }
 
-// lessCorpusMeet is the global ranking of merged answers: ascending
+// RankLess is the global ranking of merged answers: ascending
 // distance, ties by source name, shard, then document order — the
 // total order every page of a paginated run is cut from (the k-way
 // merge of results.go yields in exactly this order).
-func lessCorpusMeet(a, b CorpusMeet) bool {
+func RankLess(a, b *CorpusMeet) bool {
 	if a.Distance != b.Distance {
 		return a.Distance < b.Distance
 	}
