@@ -15,6 +15,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"ncq/internal/core"
 	"ncq/internal/datagen"
 )
 
@@ -107,23 +108,24 @@ func TestVagueTermMeetsAllocs(t *testing.T) {
 // twice, the second time generated with four times the publications
 // per venue and year, so four times the candidates.
 //
-// A candidate's only allocation is the witness list the roll-up gives
-// its core.Result; everything on top — locate buffers, the rank heap
-// of 16-byte keys, the merge — is per member or per request, so the
-// allocations beyond one per candidate must not follow the candidate
-// count. And the public Meet is rendered at a member's pop and nowhere
-// else: a page of 10 over m members pops one head per member plus one
-// refill per yield, so 10 + m meets are rendered however many
-// candidates there are. Rendering every candidate up front breaks the
-// second half; rendering that allocates (a path string built per call)
-// breaks the first as soon as it is no longer confined to the page.
+// A candidate costs no allocation at all: the roll-up writes it as a
+// row and its witnesses into the member's pooled columns, and the rank
+// heap of 16-byte keys comes from the same pool, so a page's total
+// allocations must not follow the candidate count. And the public Meet
+// is rendered — its witnesses copied out of the columns — at a
+// member's pop and nowhere else: a page of 10 over m members pops one
+// head per member plus one refill per yield, so 10 + m meets are
+// rendered however many candidates there are. Rendering every
+// candidate up front breaks the second half; a per-candidate
+// allocation anywhere (a witness slice per meet, an unpooled heap or
+// result column) breaks the first.
 func TestTopKRendersOnlyYielded(t *testing.T) {
 	allocDB(t) // the skip rules of this file
 	const members, limit = 6, 10
 	ctx := context.Background()
 	req := Request{Terms: []string{"ICDE", "1999"}, Options: ExcludeRoot(), Limit: limit}
 
-	measure := func(pubs int) (candidates, overhead, rendered int) {
+	measure := func(pubs int) (candidates, total, overhead, rendered int) {
 		c := NewCorpus()
 		dbs := make([]*Database, members)
 		for i := range dbs {
@@ -153,7 +155,8 @@ func TestTopKRendersOnlyYielded(t *testing.T) {
 			candidates = stats.Total
 		}
 		drain() // warm the pools
-		overhead = int(testing.AllocsPerRun(20, drain)) - candidates
+		total = int(testing.AllocsPerRun(20, drain))
+		overhead = total - candidates
 
 		// The same page through the members' own streams, to count pops.
 		streams := make([]memberStream[CorpusMeet], members)
@@ -179,18 +182,23 @@ func TestTopKRendersOnlyYielded(t *testing.T) {
 		}
 		for _, s := range streams {
 			ls := s.(*localStream)
-			rendered += len(ls.results) - ls.pending()
+			rendered += len(ls.buf.Rows) - ls.pending()
 		}
-		return candidates, overhead, rendered
+		return candidates, total, overhead, rendered
 	}
 
-	small, smallOver, smallRendered := measure(10)
-	large, largeOver, largeRendered := measure(40)
+	small, smallTotal, smallOver, smallRendered := measure(10)
+	large, largeTotal, largeOver, largeRendered := measure(40)
 	if large != 4*small {
 		t.Fatalf("candidates %d and %d: the second corpus should hold four times the first", small, large)
 	}
-	// Measured 101 and 113: the 12 are the members' result slices
-	// doubling twice more.
+	// Measured 57 and 58 allocations in all, 60 and 240 candidates:
+	// beyond one per candidate, -3 and -182. With a result slice and a
+	// witness list per candidate they were 138 and 330.
+	t.Logf("%d candidates: %d allocations; %d candidates: %d", small, smallTotal, large, largeTotal)
+	if largeTotal > smallTotal+members {
+		t.Errorf("a page allocates %d with %d candidates and %d with %d: pinned flat, at +%d", smallTotal, small, largeTotal, large, members)
+	}
 	if smallOver > 130 {
 		t.Errorf("%d candidates: %d allocations beyond one per candidate, pinned at <= 130", small, smallOver)
 	}
@@ -275,11 +283,15 @@ func TestRenderAllocsFlat(t *testing.T) {
 
 // TestPipelineStructSizes pins the two structs a request allocates per
 // member at the allocation classes they fill: one more word in
-// localStream takes it from the 128-byte class to the 144-byte one, and
-// a merge head is copied on every sift.
+// localStream takes it from the 96-byte class to the 112-byte one, and
+// a merge head is copied on every sift. A core.Row is one meet of a
+// member's answer column, moved by the document-order sort.
 func TestPipelineStructSizes(t *testing.T) {
-	if got := unsafe.Sizeof(localStream{}); got > 128 {
-		t.Errorf("localStream is %d bytes, pinned at <= 128", got)
+	if got := unsafe.Sizeof(core.Row{}); got > 24 {
+		t.Errorf("core.Row is %d bytes, pinned at <= 24", got)
+	}
+	if got := unsafe.Sizeof(localStream{}); got > 96 {
+		t.Errorf("localStream is %d bytes, pinned at <= 96", got)
 	}
 	if got := unsafe.Sizeof(head[CorpusMeet]{}); got > 112 {
 		t.Errorf("a merge head is %d bytes, pinned at <= 112", got)

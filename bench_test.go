@@ -856,6 +856,7 @@ func BenchmarkStreamFirstMeet(b *testing.B) {
 	c := benchCorpus(b, 8)
 	ctx := context.Background()
 	req := ncq.Request{Terms: []string{"ICDE", "1999"}, Options: ncq.ExcludeRoot()}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		got := false

@@ -7,21 +7,23 @@
 //   - Meet2 computes the meet of a pair of OIDs, steering the ascent by
 //     the prefix order on their paths so that no superfluous parent
 //     look-ups happen (Figure 3).
-//   - MeetMultiContext computes the meets of any number of input sets
-//     — one per search term — by rolling them up from the leaves
-//     (Figure 5), the form used to post-process full-text results. A
-//     node is a meet as soon as at least two live contributions land
-//     on it. It is the one entry into the roll-up.
+//   - MeetInto computes the meets of any number of input sets — one
+//     per search term — by rolling them up from the leaves (Figure 5),
+//     the form used to post-process full-text results. A node is a
+//     meet as soon as at least two live contributions land on it. It
+//     is the one entry into the roll-up; MeetMultiContext is the same
+//     meet copied out as []Result.
 //
 // The roll-up is one pass over the inputs in document order. OIDs are
 // preorder, so the nodes still holding unsettled contributions always
 // form one root-to-leaf chain, and each node's preorder interval tells
 // when the next input has left its subtree: then the node is decided
 // and what survives lifts up the chain. The pass costs O(inputs +
-// ancestors walked); nothing is sorted but the results, once, into
-// document order. It relies on the store's intervals and depths being
-// those of its parent array, which loading derives and restoring a
-// snapshot checks (rollup.go has the details).
+// ancestors walked). Its answer is columns the caller owns (Answers):
+// a row per meet and one witness arena, and nothing is sorted but the
+// rows, once, into document order. It relies on the store's intervals
+// and depths being those of its parent array, which loading derives
+// and restoring a snapshot checks (rollup.go has the details).
 //
 // The set-oriented meet of two homogeneous sets (Figure 4) and the
 // baselines the evaluation compares against live with the experiments

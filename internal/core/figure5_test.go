@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -131,7 +132,8 @@ func randomSets(r *rand.Rand, s *monetx.Store, most int) [][]bat.OID {
 
 // checkFigure5 runs sets through MeetMultiContext under every option set
 // — as drawn and scrambled — and requires the reference's results and
-// unmatched inputs. It returns how many meets the reference found.
+// unmatched inputs, and the same from MeetInto into a reused Answers.
+// It returns how many meets the reference found.
 func checkFigure5(t *testing.T, r *rand.Rand, name string, s *monetx.Store, sets [][]bat.OID) int {
 	t.Helper()
 	meets := 0
@@ -147,9 +149,39 @@ func checkFigure5(t *testing.T, r *rand.Rand, name string, s *monetx.Store, sets
 				t.Fatalf("%s, options %d %+v, form %d, sets %v:\n got %+v unmatched %v\nwant %+v unmatched %v",
 					name, oi, opt, form, sets, got, gotUn, want, wantUn)
 			}
+			checkMeetInto(t, s, in, opt, got, gotUn)
 		}
 	}
 	return meets
+}
+
+// stale is the one Answers every differential check reuses, across
+// inputs and stores: it still holds the previous check's answer, and
+// checkMeetInto pads it with junk first, so MeetInto always starts on
+// a larger stale answer that it must reset.
+var stale Answers
+
+// checkMeetInto runs sets through MeetInto into stale and requires the
+// rows and their witness spans to read back as MeetMultiContext's
+// results (want) and the same unmatched inputs.
+func checkMeetInto(t *testing.T, s *monetx.Store, sets [][]bat.OID, opt *Options, want []Result, wantUn []bat.OID) {
+	t.Helper()
+	for i := range 64 {
+		stale.Rows = append(stale.Rows, Row{Meet: bat.OID(i), Distance: -1, Lo: 0, Hi: uint32(i + 1)})
+		stale.Wits = append(stale.Wits, bat.OID(i))
+	}
+	un, err := MeetInto(context.Background(), s, sets, opt, &stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]Result, len(stale.Rows))
+	for i, r := range stale.Rows {
+		got[i] = Result{Meet: r.Meet, Path: r.Path, Witnesses: stale.Witnesses(i), Distance: int(r.Distance)}
+	}
+	if !resultsEqual(got, want) || !slices.Equal(un, wantUn) {
+		t.Fatalf("MeetInto into a reused Answers, options %+v, sets %v:\n got %+v unmatched %v\nwant %+v unmatched %v",
+			opt, sets, got, un, want, wantUn)
+	}
 }
 
 // TestRollupEqualsFigure5 holds the preorder pass to the level sweep on
@@ -180,7 +212,8 @@ func TestRollupEqualsFigure5(t *testing.T) {
 }
 
 // FuzzRollupEqualsFigure5 decodes bytes into a tree, input sets and
-// options, and holds MeetMultiContext to the reference on them:
+// options, and holds MeetMultiContext to the reference on them, and
+// MeetInto into one reused Answers to MeetMultiContext:
 //
 //	data[0]  option bits: 1 exclude the root, 2 exclude the paths whose
 //	         ID's bit is set in data[1], 4 SkipExcluded, 8 MaxLift,
@@ -253,5 +286,6 @@ func FuzzRollupEqualsFigure5(f *testing.F) {
 		if !resultsEqual(got, want) || !slices.Equal(gotUn, wantUn) {
 			t.Fatalf("options %+v, sets %v:\n got %+v unmatched %v\nwant %+v unmatched %v", opt, sets, got, gotUn, want, wantUn)
 		}
+		checkMeetInto(t, s, sets, opt, got, gotUn)
 	})
 }

@@ -3,10 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 
 	"ncq/internal/bat"
 	"ncq/internal/monetx"
-	"slices"
 )
 
 // setCursor is one input set's position in the set merge: the set's
@@ -73,10 +74,11 @@ func (sc *scratch) openSets(s *monetx.Store, inputSets [][]bat.OID) error {
 	return nil
 }
 
-// MeetMultiContext computes the meets of several input sets — one per
-// search term, as delivered by a multi-term full-text query — and is
-// the one way into the roll-up. It reconciles the two faces of the
-// paper's semantics:
+// MeetInto computes the meets of several input sets — one per search
+// term, as delivered by a multi-term full-text query — into out, which
+// it resets first, and returns the unmatched inputs, ascending, as a
+// copy of their own. It is the one way into the roll-up, and it
+// reconciles the two faces of the paper's semantics:
 //
 //   - An object occurring in at least two input sets is its own meet at
 //     distance zero. This is the Section 3.1 example where full-text
@@ -94,16 +96,19 @@ func (sc *scratch) openSets(s *monetx.Store, inputSets [][]bat.OID) error {
 // every 4,096 inputs, so a deadline interrupts even one huge meet
 // mid-flight.
 //
-// Results are in document order — a rolled-up meet before the self-meet
-// on the same node; unmatched inputs ascending.
-func MeetMultiContext(ctx context.Context, s *monetx.Store, inputSets [][]bat.OID, opt *Options) ([]Result, []bat.OID, error) {
+// out's rows are in document order — a rolled-up meet before the
+// self-meet on the same node. Into a warm out, nothing but the
+// unmatched copy is allocated. After an error out holds no answer to
+// read.
+func MeetInto(ctx context.Context, s *monetx.Store, inputSets [][]bat.OID, opt *Options, out *Answers) ([]bat.OID, error) {
+	out.Rows, out.Wits = out.Rows[:0], out.Wits[:0]
 	sc := getScratch()
 	defer putScratch(sc)
 	if err := sc.openSets(s, inputSets); err != nil {
-		return nil, nil, fmt.Errorf("core: MeetMulti: %w", err)
+		return nil, fmt.Errorf("core: MeetMulti: %w", err)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Columnar set counting by k-way merge: the ascending sets are
 	// merged in (OID, set) order straight into the roll-up, so every
@@ -112,8 +117,7 @@ func MeetMultiContext(ctx context.Context, s *monetx.Store, inputSets [][]bat.OI
 	// decides between self-meet and roll-up. No pair is materialised
 	// and nothing is sorted: the roll-up takes its inputs in exactly
 	// this order.
-	r := roll{s: s, opt: opt, sc: sc, maxLift: int32(opt.maxLift())}
-	var selfMeets []Result
+	r := roll{s: s, opt: opt, sc: sc, maxLift: int32(opt.maxLift()), out: out}
 	for h := sc.cursors; len(h) > 0; {
 		if len(h) == 1 {
 			// A lone set's OIDs can be in no other set: they go straight
@@ -121,7 +125,7 @@ func MeetMultiContext(ctx context.Context, s *monetx.Store, inputSets [][]bat.OI
 			for i, o := range h[0].rest {
 				if i == 0 || o != h[0].rest[i-1] {
 					if err := r.add(ctx, o); err != nil {
-						return nil, nil, err
+						return nil, err
 					}
 				}
 			}
@@ -147,16 +151,43 @@ func MeetMultiContext(ctx context.Context, s *monetx.Store, inputSets [][]bat.OI
 			case opt.excluded(p):
 				continue // consumed, not reported
 			default:
-				selfMeets = append(selfMeets, Result{
-					Meet: o, Path: p, Witnesses: []bat.OID{o}, Distance: 0,
-				})
+				sc.selfs = append(sc.selfs, Row{Meet: o, Path: p})
 				continue
 			}
 		}
 		if err := r.add(ctx, o); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	results, unmatched := r.finish(selfMeets)
+	return r.finish(), nil
+}
+
+// MaxPooledRows bounds the answers a pool keeps: a buffer whose rows
+// outgrew it is left to the collector, so one huge answer does not pin
+// its columns for every later small one.
+const MaxPooledRows = 1 << 16
+
+var answersPool = sync.Pool{New: func() any { return new(Answers) }}
+
+// MeetMultiContext is MeetInto copied out: the meets as one exact
+// []Result in document order, whose witness lists share one block,
+// each capped, and the unmatched inputs ascending. Callers that render
+// only some meets, or keep none, use MeetInto.
+func MeetMultiContext(ctx context.Context, s *monetx.Store, inputSets [][]bat.OID, opt *Options) ([]Result, []bat.OID, error) {
+	a := answersPool.Get().(*Answers)
+	defer func() {
+		if cap(a.Rows) <= MaxPooledRows {
+			answersPool.Put(a)
+		}
+	}()
+	unmatched, err := MeetInto(ctx, s, inputSets, opt, a)
+	if err != nil || len(a.Rows) == 0 {
+		return nil, unmatched, err
+	}
+	results := make([]Result, len(a.Rows))
+	wits := slices.Clone(a.Wits)
+	for i, row := range a.Rows {
+		results[i] = Result{Meet: row.Meet, Path: row.Path, Witnesses: wits[row.Lo:row.Hi:row.Hi], Distance: int(row.Distance)}
+	}
 	return results, unmatched, nil
 }

@@ -25,13 +25,21 @@ package core
 // the normal case — lifts in O(1) by depth difference; two or more
 // (only under SkipExcluded) step one parent at a time, deciding again
 // at each node. The pass costs O(inputs + ancestors walked), each
-// ancestor walked at most once, and nothing is sorted but the results,
-// once, into document order (and the unmatched inputs, which MaxLift
-// drops out of order). It trusts the intervals and depths it reads:
-// the loader derives them, and restoring a snapshot checks them
+// ancestor walked at most once. It trusts the intervals and depths it
+// reads: the loader derives them, and restoring a snapshot checks them
 // (monetx.ReadSnapshot).
+//
+// The answer is written into columns the caller owns (Answers): one
+// 20-byte Row per meet, and one witness arena for the whole answer that
+// each row spans. A decided meet appends its row and its witnesses;
+// the self-meets wait in the scratch and follow the rolled-up rows, and
+// one stable sort of the rows by node puts the answer in document
+// order. The unmatched inputs are sorted too, as MaxLift drops them out
+// of order. Nothing else is sorted, and a warm Answers allocates
+// nothing.
 
 import (
+	"cmp"
 	"context"
 	"slices"
 	"sync"
@@ -58,14 +66,41 @@ type frame struct {
 	off   int32
 }
 
+// Row is one meet of an Answers: the Result without its witness
+// slice, which is the span Wits[Lo:Hi] of the answer's witness arena.
+// 20 bytes, so the rows of a big answer move and sort as a flat column.
+type Row struct {
+	Meet     bat.OID
+	Path     pathsum.PathID
+	Distance int32
+	Lo, Hi   uint32
+}
+
+// Answers holds one roll-up's answer as columns: its rows in document
+// order, and the witnesses they span, each row's ascending. MeetInto
+// resets and refills it, so a caller that keeps one reuses its
+// capacity from query to query.
+type Answers struct {
+	Rows []Row
+	Wits []bat.OID
+}
+
+// Witnesses returns row i's witnesses, capped so an append cannot spill
+// into the next row's. The slice aliases the arena.
+func (a *Answers) Witnesses(i int) []bat.OID {
+	r := &a.Rows[i]
+	return a.Wits[r.Lo:r.Hi:r.Hi]
+}
+
 // scratch holds the reusable buffers of one roll-up: the chain, the
-// contributions it holds, the unmatched inputs, and the cursors of
-// MeetMultiContext's set merge. They keep their capacity between
-// queries, whatever store the next one runs on.
+// contributions it holds, the unmatched inputs, the self-meets waiting
+// for the rolled-up rows, and the cursors of the set merge. They keep
+// their capacity between queries, whatever store the next one runs on.
 type scratch struct {
 	frames    []frame
 	entries   []entry
 	unmatched []bat.OID
+	selfs     []Row
 	cursors   []setCursor
 }
 
@@ -77,6 +112,7 @@ func putScratch(sc *scratch) {
 	sc.frames = sc.frames[:0]
 	sc.entries = sc.entries[:0]
 	sc.unmatched = sc.unmatched[:0]
+	sc.selfs = sc.selfs[:0]
 	clear(sc.cursors) // the cursors hold the caller's input sets
 	sc.cursors = sc.cursors[:0]
 	scratchPool.Put(sc)
@@ -97,7 +133,7 @@ type roll struct {
 	sc      *scratch
 	maxLift int32
 	inputs  int
-	results []Result
+	out     *Answers
 }
 
 // add takes the next input, which must follow every earlier one in
@@ -116,15 +152,21 @@ func (r *roll) add(ctx context.Context, v bat.OID) error {
 	return nil
 }
 
-// finish settles the whole chain and returns the results in document
-// order — selfMeets, MeetMultiContext's distance-zero answers, after a
-// rolled-up meet on the same node — and the unmatched inputs,
-// ascending.
-func (r *roll) finish(selfMeets []Result) ([]Result, []bat.OID) {
+// finish settles the whole chain, appends the self-meets — the set
+// merge's distance-zero answers, each its own witness — and sorts the
+// rows into document order, a rolled-up meet before the self-meet on
+// the same node. It returns a copy of the unmatched inputs, ascending.
+func (r *roll) finish() []bat.OID {
 	r.settleUpTo(past)
+	a := r.out
+	for _, row := range r.sc.selfs {
+		row.Lo, row.Hi = uint32(len(a.Wits)), uint32(len(a.Wits)+1)
+		a.Wits = append(a.Wits, row.Meet)
+		a.Rows = append(a.Rows, row)
+	}
+	slices.SortStableFunc(a.Rows, func(x, y Row) int { return cmp.Compare(x.Meet, y.Meet) })
 	slices.Sort(r.sc.unmatched)
-	unmatched := append(make([]bat.OID, 0, len(r.sc.unmatched)), r.sc.unmatched...)
-	return SortByDocOrder(append(r.results, selfMeets...)), unmatched
+	return append(make([]bat.OID, 0, len(r.sc.unmatched)), r.sc.unmatched...)
 }
 
 func (r *roll) frameAt(o bat.OID, off int) frame {
@@ -161,7 +203,7 @@ func (r *roll) decide(node bat.OID, off int) bool {
 	case r.opt.maxDistance() > 0 && minPairLifts(es) > r.opt.maxDistance():
 		// consumed, beyond the pairwise bound
 	default:
-		r.results = append(r.results, emit(node, p, es))
+		r.emit(node, p, es)
 	}
 	r.sc.entries = r.sc.entries[:off]
 	return false
@@ -246,16 +288,18 @@ func (r *roll) drop(off int) {
 	sc.entries = sc.entries[:off]
 }
 
-// emit assembles a Result from the contributions at a meet, ascending
-// by input, so the witness list needs no sort.
-func emit(node bat.OID, p pathsum.PathID, es []entry) Result {
-	ws := make([]bat.OID, len(es))
-	total := 0
-	for i, e := range es {
-		ws[i] = e.orig
-		total += int(e.lifts)
+// emit appends the meet at node as a row, its witnesses — the
+// contributions, ascending by input, so they need no sort — to the
+// arena, and its distance as the sum of their lifts.
+func (r *roll) emit(node bat.OID, p pathsum.PathID, es []entry) {
+	a := r.out
+	lo := len(a.Wits)
+	var total int32
+	for _, e := range es {
+		a.Wits = append(a.Wits, e.orig)
+		total += e.lifts
 	}
-	return Result{Meet: node, Path: p, Witnesses: ws, Distance: total}
+	a.Rows = append(a.Rows, Row{Meet: node, Path: p, Distance: total, Lo: uint32(lo), Hi: uint32(len(a.Wits))})
 }
 
 // minPairLifts returns the distance between the two closest witnesses

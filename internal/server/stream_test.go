@@ -272,3 +272,24 @@ func TestQueryV2StaleCursorGone(t *testing.T) {
 		t.Errorf("stale cursor on stream: %d %s", rec.Code, rec.Body)
 	}
 }
+
+// TestStreamProjectionWitnessesNull pins the wire form of a projected
+// node: it has no witnesses, and its line says so as null, not as an
+// empty list.
+func TestStreamProjectionWitnessesNull(t *testing.T) {
+	s := newTestServer(t)
+	loadDocs(t, s)
+	rec := doStream(t, s, `{"doc":"cwi","query":"SELECT value(e) FROM //year AS e"}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d %s", rec.Code, rec.Body)
+	}
+	lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
+	if len(lines) < 2 {
+		t.Fatalf("no projected node streamed: %s", rec.Body)
+	}
+	for _, line := range lines[:len(lines)-1] {
+		if !strings.Contains(line, `"witnesses":null`) {
+			t.Errorf("projected line %s: want \"witnesses\":null", line)
+		}
+	}
+}

@@ -7,14 +7,17 @@ package ncq
 //   1. termMeetsStream / queryMeetsStream: each member (a database, or
 //      one shard of a sharded member) produces the meet's input sets —
 //      located by the full-text index, or lowered from the query's FROM
-//      and WHERE clauses — computes its meet and heapifies one 16-byte
-//      (distance, node, seq) key per answer by the local rank — O(n),
-//      against the O(n log n) of a full sort — so its locally best
-//      meet is ready the moment the roll-up finishes and the rest rank
-//      lazily, one heap pop per pull. The public Meet (tag, path,
-//      witnesses) is rendered only for an answer that leaves the
-//      member, so a top-10 page over hundreds of candidates renders
-//      ten-odd meets and the heap never moves one.
+//      and WHERE clauses — and computes its meet into columns it
+//      borrows from a pool (memberBuf: core.Answers' rows and witness
+//      arena, and the rank heap). It heapifies one 16-byte (distance,
+//      node, seq) key per row by the local rank — O(n), against the
+//      O(n log n) of a full sort — so its locally best meet is ready
+//      the moment the roll-up finishes and the rest rank lazily, one
+//      heap pop per pull. The public Meet (tag, path, a copy of the
+//      row's witnesses) is rendered only for an answer that leaves the
+//      member, so a top-10 page over hundreds of candidates allocates
+//      ten-odd meets and nothing per candidate. The buffers go back to
+//      the pool once the request's merge is done.
 //   2. merger: a k-way heap merge over the per-member ranked streams.
 //      Globally ordered meets flow as soon as every member has
 //      produced its head, so the first answer reaches the caller
@@ -29,6 +32,8 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"slices"
+	"sync"
 
 	"ncq/internal/core"
 	"ncq/internal/fulltext"
@@ -82,11 +87,11 @@ type StreamStats struct {
 }
 
 // rankKey is what a member's heap orders: an answer's local rank
-// (distance, node) and seq, its index in the member's document-order
-// results — the final tie-break that makes the lazy heap order
+// (distance, node) and seq, its row in the member's document-order
+// answer — the final tie-break that makes the lazy heap order
 // reproduce a stable (distance, node) sort exactly, and the way back
-// to the core.Result to render when the key is popped. 16 bytes, so a
-// sift moves two words where it used to move a whole Meet.
+// to the row to render when the key is popped. 16 bytes, so a sift
+// moves two words where it used to move a whole Meet.
 type rankKey struct {
 	distance int
 	node     NodeID
@@ -118,7 +123,7 @@ type memberStream[T any] interface {
 }
 
 // localStream is the in-process memberStream: the rank keys of the
-// member's results live in a binary min-heap, so the first pull costs
+// member's rows live in a binary min-heap, so the first pull costs
 // O(n) heapify and every later one O(log n) — a member drained only
 // partially (an early Limit, an abandoned stream) never pays for
 // ranking, or rendering, its tail.
@@ -128,13 +133,12 @@ type localStream struct {
 
 	// projValue and projXML say which text a query-language projection
 	// asked for; it is rendered, like the meet, on the way out. They sit
-	// in shard's word: the struct fills its 128-byte allocation class,
+	// in shard's word: the struct fills its 96-byte allocation class,
 	// and every request allocates one per member.
 	projValue, projXML bool
 
 	db        *Database
-	results   []core.Result // document order, as the roll-up emits them
-	heap      []rankKey
+	buf       *memberBuf
 	unmatched []NodeID
 
 	// relaxBySlack counts the member's answers per structural slack
@@ -169,34 +173,74 @@ func heapify[T any](h []T, less func(a, b *T) bool) {
 	}
 }
 
-// newLocalStream heapifies the rank keys of db's results (in document
-// order, as the roll-up emits them, distances already blended in vague
-// mode) under the member-local rank. Nothing is rendered yet.
-func newLocalStream(db *Database, results []core.Result, unmatched []NodeID) *localStream {
-	s := &localStream{db: db, results: results, unmatched: unmatched, heap: make([]rankKey, len(results))}
-	for i, r := range results {
-		s.heap[i] = rankKey{distance: r.Distance, node: r.Meet, seq: int32(i)}
-	}
-	heapify(s.heap, lessRanked)
-	return s
+// memberBuf is the pooled storage of one member's answer: the rows and
+// witness arena the roll-up writes, and the rank heap over the rows.
+// A stream borrows one and the request hands it back (release) once
+// its merge is done; nothing a yielded meet holds points into it.
+type memberBuf struct {
+	core.Answers
+	heap []rankKey
 }
 
-func (s *localStream) pending() int { return len(s.heap) }
+var memberBufPool = sync.Pool{New: func() any { return new(memberBuf) }}
+
+func getMemberBuf() *memberBuf { return memberBufPool.Get().(*memberBuf) }
+
+// putMemberBuf hands b back to the pool emptied, unless its rows
+// outgrew what the pool keeps.
+func putMemberBuf(b *memberBuf) {
+	if cap(b.Rows) > core.MaxPooledRows {
+		return
+	}
+	b.Rows, b.Wits, b.heap = b.Rows[:0], b.Wits[:0], b.heap[:0]
+	memberBufPool.Put(b)
+}
+
+// newLocalStream heapifies the rank keys of buf's rows (in document
+// order, as the roll-up emits them, distances already blended in vague
+// mode) under the member-local rank. Nothing is rendered yet.
+func newLocalStream(db *Database, buf *memberBuf, unmatched []NodeID) *localStream {
+	h := buf.heap[:0]
+	for i, r := range buf.Rows {
+		h = append(h, rankKey{distance: int(r.Distance), node: r.Meet, seq: int32(i)})
+	}
+	heapify(h, lessRanked)
+	buf.heap = h
+	return &localStream{db: db, buf: buf, unmatched: unmatched}
+}
+
+func (s *localStream) pending() int { return len(s.buf.heap) }
+
+// release returns the buffers of every local stream among streams,
+// which are spent; a nil entry — a member that never got as far — is
+// skipped.
+func release(streams []memberStream[CorpusMeet]) {
+	for _, ms := range streams {
+		if s, ok := ms.(*localStream); ok {
+			putMemberBuf(s.buf)
+			s.buf = nil
+		}
+	}
+}
 
 // next implements memberStream: pop the heap's best key, render the
-// result it stands for and wrap it with the member's identity.
+// row it stands for — with its own copy of the row's witnesses, nil
+// for a row without any — and wrap it with the member's identity.
 func (s *localStream) next() (CorpusMeet, int32, bool, error) {
-	if len(s.heap) == 0 {
+	h := s.buf.heap
+	if len(h) == 0 {
 		return CorpusMeet{}, 0, false, nil
 	}
-	top := s.heap[0]
-	last := len(s.heap) - 1
-	s.heap[0] = s.heap[last]
-	s.heap = s.heap[:last]
-	siftDown(s.heap, 0, lessRanked)
-	r := &s.results[top.seq]
-	m := s.db.renderMeet(*r)
-	r.Witnesses = nil // the yielded meet owns them now
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	s.buf.heap = h[:last]
+	siftDown(s.buf.heap, 0, lessRanked)
+	r := core.Result{Meet: top.node, Distance: top.distance}
+	if ws := s.buf.Witnesses(int(top.seq)); len(ws) > 0 {
+		r.Witnesses = slices.Clone(ws)
+	}
+	m := s.db.renderMeet(r)
 	if s.projValue || s.projXML {
 		m.Projected = &Projection{}
 		if s.projValue {
@@ -279,11 +323,11 @@ func (db *Database) queryMeetsStream(ctx context.Context, q *query.Query) (*loca
 	if low.Opt != nil {
 		return db.meetStream(ctx, low.Sets, low.Opt, vaguePlan{})
 	}
-	results := make([]core.Result, len(low.Nodes))
-	for i, o := range low.Nodes {
-		results[i].Meet = o
+	buf := getMemberBuf()
+	for _, o := range low.Nodes {
+		buf.Rows = append(buf.Rows, core.Row{Meet: o})
 	}
-	s := newLocalStream(db, results, nil)
+	s := newLocalStream(db, buf, nil)
 	s.projValue, s.projXML = q.Projects()
 	return s, nil
 }
@@ -295,16 +339,18 @@ func (db *Database) meetStream(ctx context.Context, sets [][]NodeID, copt *core.
 	// The context threads into the roll-up itself (checked every 4,096
 	// inputs), so a deadline interrupts one huge member mid-meet, not
 	// just between members.
-	results, un, err := core.MeetMultiContext(ctx, db.store, sets, copt)
+	buf := getMemberBuf()
+	un, err := core.MeetInto(ctx, db.store, sets, copt, &buf.Answers)
 	if err != nil {
+		putMemberBuf(buf)
 		return nil, fmt.Errorf("ncq: %w", err)
 	}
 	if vp.relaxBySlack != nil {
 		// Blend before the rank heap exists, so the blended score IS the
 		// order the heap, the k-way merge and the coordinator all see.
-		vp.blend(results)
+		vp.blend(buf.Rows)
 	}
-	s := newLocalStream(db, results, un)
+	s := newLocalStream(db, buf, un)
 	s.relaxBySlack = vp.relaxBySlack
 	return s, nil
 }
@@ -613,6 +659,7 @@ func resultsWithStats(ctx context.Context, r resolver, req Request) (iter.Seq2[C
 			yield(CorpusMeet{}, err)
 			return
 		}
+		defer release(g.streams)
 		drain(ctx, g, offset, req.Limit, yield)
 	}
 	return seq, stats
@@ -662,6 +709,7 @@ func fanOut(ctx context.Context, r resolver, req *Request, stats *StreamStats) (
 		return nil
 	})
 	if err != nil {
+		release(merged)
 		return nil, 0, err
 	}
 	total, unmatched := 0, 0
@@ -681,5 +729,9 @@ func fanOut(ctx context.Context, r resolver, req *Request, stats *StreamStats) (
 	}
 	stats.Fill(req, offset, t.gen, total, unmatched)
 	g, err := newMerger(merged, meetKey)
-	return g, offset, err
+	if err != nil {
+		release(merged)
+		return nil, 0, err
+	}
+	return g, offset, nil
 }

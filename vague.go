@@ -95,15 +95,15 @@ type vaguePlan struct {
 	relaxBySlack []int
 }
 
-// blend folds each result's structural slack into its ranking distance
-// and books the relaxations used. It runs on the raw core results,
-// before the member's lazy rank heap is built, so the blended score IS
-// the distance every later layer — heap, k-way merge, coordinator —
-// orders by; nothing downstream knows vague mode exists.
-func (p *vaguePlan) blend(results []core.Result) {
-	for i := range results {
-		if s := p.slack[results[i].Path]; s > 0 {
-			results[i].Distance = vague.Blend(results[i].Distance, s)
+// blend folds each row's structural slack into its ranking distance
+// and books the relaxations used. It rewrites the roll-up's rows in
+// place, before the member's lazy rank heap is built, so the blended
+// score IS the distance every later layer — heap, k-way merge,
+// coordinator — orders by; nothing downstream knows vague mode exists.
+func (p *vaguePlan) blend(rows []core.Row) {
+	for i := range rows {
+		if s := p.slack[rows[i].Path]; s > 0 {
+			rows[i].Distance = int32(vague.Blend(int(rows[i].Distance), s))
 			p.relaxBySlack[s]++
 		}
 	}
