@@ -850,7 +850,7 @@ func BenchmarkQueryV2(b *testing.B) {
 // multi-member corpus with a cold cache: the consumer takes the first
 // globally ranked meet off the Results sequence and abandons the rest.
 // Under the k-way merge this is bounded by the slowest member's first
-// answer (compute + O(n) heapify), with no global sort and no full
+// answer (compute + O(n) counting sort), with no global sort and no full
 // drain — the latency the streaming surfaces put in front of users.
 func BenchmarkStreamFirstMeet(b *testing.B) {
 	c := benchCorpus(b, 8)
@@ -894,6 +894,38 @@ func BenchmarkResultsDrain(b *testing.B) {
 			b.Fatal("no meets")
 		}
 	}
+}
+
+// BenchmarkPageChain walks an unlimited answer the way a client pages
+// through it: limit 10, each page a new request resumed from the last
+// one's cursor, until no cursor comes back. Every page runs locate and
+// roll-up again and skips the pages before it, so this is what a cache
+// below the page would have to beat.
+func BenchmarkPageChain(b *testing.B) {
+	c := benchCorpus(b, 8)
+	ctx := context.Background()
+	req := ncq.Request{Terms: []string{"1999", "html"}, Options: ncq.ExcludeRoot(), Limit: 10}
+	pages := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req.Cursor = ""
+		for {
+			res, err := c.Run(ctx, req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pages++
+			if res.NextCursor == "" {
+				break
+			}
+			req.Cursor = res.NextCursor
+		}
+	}
+	if pages < 20*b.N {
+		b.Fatalf("%d pages in %d chains: the answer is too short to page", pages, b.N)
+	}
+	b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
 }
 
 // BenchmarkStreamHTTP measures a long streamed answer where its client

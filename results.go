@@ -9,20 +9,20 @@ package ncq
 //      located by the full-text index, or lowered from the query's FROM
 //      and WHERE clauses — and computes its meet into columns it
 //      borrows from a pool (memberBuf: core.Answers' rows and witness
-//      arena, and the rank heap). It heapifies one 16-byte (distance,
-//      node, seq) key per row by the local rank — O(n), against the
-//      O(n log n) of a full sort — so its locally best meet is ready
-//      the moment the roll-up finishes and the rest rank lazily, one
-//      heap pop per pull. The public Meet (tag, path, a copy of the
-//      row's witnesses) is rendered only for an answer that leaves the
-//      member, so a top-10 page over hundreds of candidates allocates
-//      ten-odd meets and nothing per candidate. The buffers go back to
-//      the pool once the request's merge is done.
-//   2. merger: a k-way heap merge over the per-member ranked streams.
-//      Globally ordered meets flow as soon as every member has
-//      produced its head, so the first answer reaches the caller
-//      bounded by the slowest member's first result, not by its full
-//      answer set and never by a global sort.
+//      arena, and the rank order). A meet's rank is its distance, a
+//      small count of parent joins, and the rows arrive in node order,
+//      so one stable counting sort on the distance — O(n), a pass per
+//      8 bits of the span — ranks them exactly by (distance, node), and
+//      a pull is an index increment. The public Meet (tag, path, a copy
+//      of the row's witnesses) is rendered only for an answer the
+//      request yields, so a top-10 page over hundreds of candidates
+//      allocates ten meets and nothing per candidate. The buffers go
+//      back to the pool once the request's merge is done.
+//   2. merger: a k-way heap merge of the members' rank keys. Globally
+//      ordered meets flow as soon as every member has produced its
+//      head, so the first answer reaches the caller bounded by the
+//      slowest member's first result, not by its full answer set and
+//      never by a global sort.
 //
 // The public entry point is Results (range-over-func); Run drains the
 // same sequence and attaches the page metadata, and a pushed-down
@@ -86,55 +86,34 @@ type StreamStats struct {
 	WorkerErrors map[string]string
 }
 
-// rankKey is what a member's heap orders: an answer's local rank
-// (distance, node) and seq, its row in the member's document-order
-// answer — the final tie-break that makes the lazy heap order
-// reproduce a stable (distance, node) sort exactly, and the way back
-// to the row to render when the key is popped. 16 bytes, so a sift
-// moves two words where it used to move a whole Meet.
-type rankKey struct {
-	distance int
-	node     NodeID
-	seq      int32
-}
-
-func lessRanked(a, b *rankKey) bool {
-	if a.distance != b.distance {
-		return a.distance < b.distance
-	}
-	if a.node != b.node {
-		return a.node < b.node
-	}
-	return a.seq < b.seq
-}
-
 // memberStream is one member's ranked answer stream, the fan-out unit
 // the k-way merge runs over. Two implementations exist: localStream
-// (an in-process member whose meets live in a lazily-ranked heap) and
+// (an in-process member whose rows are ranked by a counting sort) and
 // sourceStream (an adapter over an external MeetSource — how
 // internal/cluster's coordinator merges remote workers' NDJSON
-// streams). next returns the member's next element in its local rank
-// order plus a monotone per-member sequence number, the stable
-// tie-break on full rank ties (which, with disjoint member coverage,
-// can only occur within one stream); ok=false ends the stream and a
-// non-nil error aborts the whole merge.
+// streams). advance moves the stream to its next element in its local
+// rank order and writes that element's rank key into h, all but
+// h.stream, which the merge owns; false ends the stream and a non-nil
+// error aborts the whole merge. take returns the element the last
+// advance moved to, so a member renders only what the merge yields.
 type memberStream[T any] interface {
-	next() (m T, seq int32, ok bool, err error)
+	advance(h *head) (bool, error)
+	take() T
 }
 
-// localStream is the in-process memberStream: the rank keys of the
-// member's rows live in a binary min-heap, so the first pull costs
-// O(n) heapify and every later one O(log n) — a member drained only
+// localStream is the in-process memberStream: the member's rows and
+// their rank order, read one position per pull — a member drained only
 // partially (an early Limit, an abandoned stream) never pays for
-// ranking, or rendering, its tail.
+// rendering its tail, and a cursor's skipped prefix is never rendered.
 type localStream struct {
 	source string // logical member name; empty for a Database run
 	shard  int32  // 1-based shard; 0 for plain members
+	pos    int32  // the rank position the next advance moves to
 
 	// projValue and projXML say which text a query-language projection
 	// asked for; it is rendered, like the meet, on the way out. They sit
-	// in shard's word: the struct fills its 96-byte allocation class,
-	// and every request allocates one per member.
+	// in the padding after shard and pos: the struct fills its 96-byte
+	// allocation class, and every request allocates one per member.
 	projValue, projXML bool
 
 	db        *Database
@@ -146,40 +125,13 @@ type localStream struct {
 	relaxBySlack []int
 }
 
-// siftDown restores the min-heap property of h at index i under less;
-// heapify establishes it over the whole slice in O(n). Both member
-// streams and the k-way merge run on these.
-func siftDown[T any](h []T, i int, less func(a, b *T) bool) {
-	n := len(h)
-	for {
-		child := 2*i + 1
-		if child >= n {
-			return
-		}
-		if r := child + 1; r < n && less(&h[r], &h[child]) {
-			child = r
-		}
-		if !less(&h[child], &h[i]) {
-			return
-		}
-		h[i], h[child] = h[child], h[i]
-		i = child
-	}
-}
-
-func heapify[T any](h []T, less func(a, b *T) bool) {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i, less)
-	}
-}
-
 // memberBuf is the pooled storage of one member's answer: the rows and
-// witness arena the roll-up writes, and the rank heap over the rows.
+// witness arena the roll-up writes, and the rank order over the rows.
 // A stream borrows one and the request hands it back (release) once
 // its merge is done; nothing a yielded meet holds points into it.
 type memberBuf struct {
 	core.Answers
-	heap []rankKey
+	order []int32
 }
 
 var memberBufPool = sync.Pool{New: func() any { return new(memberBuf) }}
@@ -192,24 +144,70 @@ func putMemberBuf(b *memberBuf) {
 	if cap(b.Rows) > core.MaxPooledRows {
 		return
 	}
-	b.Rows, b.Wits, b.heap = b.Rows[:0], b.Wits[:0], b.heap[:0]
+	b.Rows, b.Wits, b.order = b.Rows[:0], b.Wits[:0], b.order[:0]
 	memberBufPool.Put(b)
 }
 
-// newLocalStream heapifies the rank keys of buf's rows (in document
-// order, as the roll-up emits them, distances already blended in vague
-// mode) under the member-local rank. Nothing is rendered yet.
-func newLocalStream(db *Database, buf *memberBuf, unmatched []NodeID) *localStream {
-	h := buf.heap[:0]
-	for i, r := range buf.Rows {
-		h = append(h, rankKey{distance: int(r.Distance), node: r.Meet, seq: int32(i)})
+// rankOrder returns the indices of rows in rank order, in order's
+// storage: a stable LSD counting sort on distance − min, 8 bits a
+// pass, so a span under 256 takes one pass and a span of 0 none. The
+// rows come in (node, row) order — the roll-up's and a projection's —
+// so the order is (distance, node, row) exactly. The storage is used
+// twice over: each pass reads one half and writes the other.
+func rankOrder(rows []core.Row, order []int32) []int32 {
+	n := len(rows)
+	if n == 0 {
+		return order[:0]
 	}
-	heapify(h, lessRanked)
-	buf.heap = h
+	lo, hi := rows[0].Distance, rows[0].Distance
+	for _, r := range rows[1:] {
+		lo, hi = min(lo, r.Distance), max(hi, r.Distance)
+	}
+	span := uint32(hi) - uint32(lo)
+	passes := 0
+	for s := span; s > 0; s >>= 8 {
+		passes++
+	}
+	// The parity picks the half the rows start in, in their own order,
+	// so that the last pass lands in order[:n].
+	order = slices.Grow(order[:0], 2*n)[:2*n]
+	src, out := order[:n], order[n:]
+	if passes%2 == 1 {
+		src, out = out, src
+	}
+	for i := range src {
+		src[i] = int32(i)
+	}
+	for p := range passes {
+		shift := 8 * p
+		digit := func(i int32) uint32 { return (uint32(rows[i].Distance) - uint32(lo)) >> shift & 0xff }
+		var count [256]int32
+		for _, i := range src {
+			count[digit(i)]++
+		}
+		sum := int32(0)
+		for d := range min(span>>shift, 255) + 1 {
+			count[d], sum = sum, sum+count[d]
+		}
+		for _, i := range src {
+			d := digit(i)
+			out[count[d]] = i
+			count[d]++
+		}
+		src, out = out, src
+	}
+	return order[:n]
+}
+
+// newLocalStream ranks buf's rows (in document order, as the roll-up
+// emits them, distances already blended in vague mode) under the
+// member-local rank. Nothing is rendered yet.
+func newLocalStream(db *Database, buf *memberBuf, unmatched []NodeID) *localStream {
+	buf.order = rankOrder(buf.Rows, buf.order)
 	return &localStream{db: db, buf: buf, unmatched: unmatched}
 }
 
-func (s *localStream) pending() int { return len(s.buf.heap) }
+func (s *localStream) pending() int { return len(s.buf.order) - int(s.pos) }
 
 // release returns the buffers of every local stream among streams,
 // which are spent; a nil entry — a member that never got as far — is
@@ -223,21 +221,26 @@ func release(streams []memberStream[CorpusMeet]) {
 	}
 }
 
-// next implements memberStream: pop the heap's best key, render the
-// row it stands for — with its own copy of the row's witnesses, nil
-// for a row without any — and wrap it with the member's identity.
-func (s *localStream) next() (CorpusMeet, int32, bool, error) {
-	h := s.buf.heap
-	if len(h) == 0 {
-		return CorpusMeet{}, 0, false, nil
+// advance implements memberStream: the next row in rank order, keyed
+// by its distance and node under the member's identity.
+func (s *localStream) advance(h *head) (bool, error) {
+	if s.pending() == 0 {
+		return false, nil
 	}
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	s.buf.heap = h[:last]
-	siftDown(s.buf.heap, 0, lessRanked)
-	r := core.Result{Meet: top.node, Distance: top.distance}
-	if ws := s.buf.Witnesses(int(top.seq)); len(ws) > 0 {
+	r := &s.buf.Rows[s.buf.order[s.pos]]
+	h.distance, h.source, h.shard, h.node, h.seq = int(r.Distance), s.source, int(s.shard), r.Meet, s.pos
+	s.pos++
+	return true, nil
+}
+
+// take implements memberStream: render the row the last advance moved
+// to — with its own copy of the row's witnesses, nil for a row without
+// any — and wrap it with the member's identity.
+func (s *localStream) take() CorpusMeet {
+	i := int(s.buf.order[s.pos-1])
+	row := &s.buf.Rows[i]
+	r := core.Result{Meet: row.Meet, Distance: int(row.Distance)}
+	if ws := s.buf.Witnesses(i); len(ws) > 0 {
 		r.Witnesses = slices.Clone(ws)
 	}
 	m := s.db.renderMeet(r)
@@ -250,19 +253,19 @@ func (s *localStream) next() (CorpusMeet, int32, bool, error) {
 			m.Projected.XML = s.db.engine.XML(m.Node)
 		}
 	}
-	return CorpusMeet{Source: s.source, Shard: int(s.shard), Meet: m}, top.seq, true, nil
+	return CorpusMeet{Source: s.source, Shard: int(s.shard), Meet: m}
 }
 
 // termMeetsStream is a term request on one member: one full-text
 // search per term, the multi-set meet, and the member's answers
-// delivered as a lazily-ranked stream. The unmatched set and the total
-// are known as soon as it returns; the ranking cost is paid per pull.
+// delivered as a ranked stream. The unmatched set and the total are
+// known as soon as it returns; the rendering cost is paid per yield.
 //
 // sh is opt's path shape, compiled once for the whole request
 // (Options.shape); the member reads its plan for sh from its memo. A
 // non-nil vg runs the member in vague mode: restrict patterns admit
 // paths approximately and structural slack blends into each answer's
-// distance before the heap is built, so the blended score is the
+// distance before the rows are ranked, so the blended score is the
 // distance every later layer orders by. classes, when non-nil, holds
 // each term's thesaurus expansion (see locate).
 func (db *Database) termMeetsStream(ctx context.Context, terms []string, classes [][]string, opt *Options, sh *pathShape, vg *Vague) (*localStream, error) {
@@ -332,7 +335,7 @@ func (db *Database) queryMeetsStream(ctx context.Context, q *query.Query) (*loca
 	return s, nil
 }
 
-// meetStream rolls the input sets up and ranks the answers lazily —
+// meetStream rolls the input sets up and ranks the answers —
 // the one meet execution of the pipeline, whoever produced the sets.
 // vp is the zero vaguePlan unless the request is vague.
 func (db *Database) meetStream(ctx context.Context, sets [][]NodeID, copt *core.Options, vp vaguePlan) (*localStream, error) {
@@ -346,8 +349,8 @@ func (db *Database) meetStream(ctx context.Context, sets [][]NodeID, copt *core.
 		return nil, fmt.Errorf("ncq: %w", err)
 	}
 	if vp.relaxBySlack != nil {
-		// Blend before the rank heap exists, so the blended score IS the
-		// order the heap, the k-way merge and the coordinator all see.
+		// Blend before the rows are ranked, so the blended score IS the
+		// order the member, the k-way merge and the coordinator all see.
 		vp.blend(buf.Rows)
 	}
 	s := newLocalStream(db, buf, un)
@@ -362,87 +365,125 @@ func (db *Database) meetStream(ctx context.Context, sets [][]NodeID, copt *core.
 // ranked meets flow while that member's stream is still mid-flight.
 var testStreamPull func(source string, shard, remaining int)
 
-// head is one entry of the k-way merge: a member's current best
-// element, and which of the merger's streams it came from.
-type head[T any] struct {
-	m   T
-	seq int32
-	src int32
+// head is one entry of the k-way merge: the rank key of a member's
+// current element — its global (distance, source, shard, node) rank,
+// seq, its position in the member's own order, and stream, which of
+// the merger's streams it came from. The element itself stays with its
+// stream until the merge takes it.
+type head struct {
+	distance int
+	source   string
+	shard    int
+	node     NodeID
+	seq      int32
+	stream   int32
+}
+
+// less is the global RankLess order, then the member-local position,
+// then the stream. Full RankLess ties can only occur within one member
+// (each member owns a distinct (source, shard)), and one member has one
+// head at a time, so the last two only make sources that break that
+// rule merge deterministically.
+func (a *head) less(b *head) bool {
+	if a.distance != b.distance {
+		return a.distance < b.distance
+	}
+	if a.source != b.source {
+		return a.source < b.source
+	}
+	if a.shard != b.shard {
+		return a.shard < b.shard
+	}
+	if a.node != b.node {
+		return a.node < b.node
+	}
+	if a.seq != b.seq {
+		return a.seq < b.seq
+	}
+	return a.stream < b.stream
+}
+
+// siftDown restores the min-heap property of h at index i; heapify
+// establishes it over the whole slice in O(n).
+func siftDown(h []head, i int) {
+	n := len(h)
+	for {
+		child := 2*i + 1
+		if child >= n {
+			return
+		}
+		if r := child + 1; r < n && h[r].less(&h[child]) {
+			child = r
+		}
+		if !h[child].less(&h[i]) {
+			return
+		}
+		h[i], h[child] = h[child], h[i]
+		i = child
+	}
+}
+
+func heapify(h []head) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
 }
 
 // merger merges the per-member ranked streams into the global rank: a
-// heap of member heads, refilled from the owning member as heads are
-// consumed. Construction needs every member's head — the global
-// minimum cannot be known sooner — which is exactly the "slowest
-// member's first result" latency bound. key is the rank-key accessor.
+// heap of the members' head keys, refilled from the owning member as
+// heads are consumed. Construction needs every member's head — the
+// global minimum cannot be known sooner — which is exactly the "slowest
+// member's first result" latency bound.
 type merger[T any] struct {
 	streams []memberStream[T]
-	heads   []head[T]
-	key     func(*T) *CorpusMeet
+	heads   []head
 }
 
-func meetKey(m *CorpusMeet) *CorpusMeet { return m }
-
-func newMerger[T any](streams []memberStream[T], key func(*T) *CorpusMeet) (*merger[T], error) {
-	g := &merger[T]{streams: streams, heads: make([]head[T], 0, len(streams)), key: key}
+func newMerger[T any](streams []memberStream[T]) (*merger[T], error) {
+	g := &merger[T]{streams: streams, heads: make([]head, 0, len(streams))}
 	for i, s := range streams {
-		m, seq, ok, err := s.next()
+		g.heads = append(g.heads, head{stream: int32(i)})
+		ok, err := s.advance(&g.heads[len(g.heads)-1])
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			g.heads = append(g.heads, head[T]{m: m, seq: seq, src: int32(i)})
+		if !ok {
+			g.heads = g.heads[:len(g.heads)-1]
 		}
 	}
-	heapify(g.heads, g.less)
+	heapify(g.heads)
 	return g, nil
 }
 
-// less orders merge heads by the global RankLess order of their keys,
-// with the member-local emission index as the final tie-break — the
-// exact total order RankLess + stable sort used to produce. Full
-// RankLess ties can only occur within one member (each member owns a
-// distinct (source, shard)), where seq decides.
-func (g *merger[T]) less(a, b *head[T]) bool {
-	ka, kb := g.key(&a.m), g.key(&b.m)
-	if RankLess(ka, kb) {
-		return true
-	}
-	if RankLess(kb, ka) {
-		return false
-	}
-	return a.seq < b.seq
-}
-
-// next yields the globally next-ranked element, refilling the consumed
-// head from its member's stream first. A member failing mid-refill —
+// pop moves past the globally next-ranked element, refilling its head
+// from its member's stream, and returns the element when take is set —
+// taken before the refill, so a source may reuse what it yielded once
+// the element after it has been read. A member failing mid-refill —
 // only possible for remote sources — aborts the merge with its error.
-func (g *merger[T]) next() (T, bool, error) {
+func (g *merger[T]) pop(take bool) (out T, ok bool, err error) {
 	if len(g.heads) == 0 {
-		return *new(T), false, nil
+		return out, false, nil
 	}
-	out := g.heads[0].m
-	src := g.heads[0].src
-	s := g.streams[src]
+	h := &g.heads[0]
+	s := g.streams[h.stream]
+	if take {
+		out = s.take()
+	}
 	if hook := testStreamPull; hook != nil {
 		if ls, ok := any(s).(*localStream); ok {
 			hook(ls.source, int(ls.shard), ls.pending())
 		}
 	}
-	m, seq, ok, err := s.next()
+	more, err := s.advance(h)
 	if err != nil {
 		return *new(T), false, err
 	}
-	if ok {
-		g.heads[0] = head[T]{m: m, seq: seq, src: src}
-	} else {
+	if !more {
 		last := len(g.heads) - 1
 		g.heads[0] = g.heads[last]
 		g.heads = g.heads[:last]
 	}
-	if len(g.heads) > 0 {
-		siftDown(g.heads, 0, g.less)
-	}
+	siftDown(g.heads, 0)
 	return out, true, nil
 }
 
@@ -463,34 +504,22 @@ func (s *StreamStats) Fill(req *Request, offset int, gen uint64, total, unmatche
 }
 
 // drain runs the page window over the merged stream: skip offset
-// elements, yield up to limit (0 = all), checking ctx between yields
-// so a cancelled consumer stops mid-stream with the context's error. A
-// member failing mid-merge surfaces as the final yield.
+// elements without taking them, then yield up to limit (0 = all),
+// checking ctx before every pop — skipped or yielded — so a cancelled
+// consumer stops mid-stream with the context's error. A member failing
+// mid-merge surfaces as the final yield.
 func drain[T any](ctx context.Context, g *merger[T], offset, limit int, yield func(T, error) bool) {
-	for i := 0; i < offset; i++ {
-		_, ok, err := g.next()
-		if err != nil {
-			yield(*new(T), err)
-			return
-		}
-		if !ok {
-			return
-		}
-	}
-	for n := 0; limit <= 0 || n < limit; n++ {
+	for n := -offset; limit <= 0 || n < limit; n++ {
 		if err := ctx.Err(); err != nil {
 			yield(*new(T), err)
 			return
 		}
-		m, ok, err := g.next()
+		m, ok, err := g.pop(n >= 0)
 		if err != nil {
 			yield(*new(T), err)
 			return
 		}
-		if !ok {
-			return
-		}
-		if !yield(m, nil) {
+		if !ok || n >= 0 && !yield(m, nil) {
 			return
 		}
 	}
@@ -505,22 +534,29 @@ type MeetSource[T any] interface {
 	Next() (m T, ok bool, err error)
 }
 
-// sourceStream adapts an exported MeetSource to the internal merge:
-// the arrival index becomes the seq tie-break, preserving the source's
-// own order on full rank ties.
+// sourceStream adapts an exported MeetSource to the internal merge: it
+// holds the element last read, keys the head by it, and numbers the
+// elements in arrival order for seq.
 type sourceStream[T any] struct {
 	src MeetSource[T]
+	key func(*T) *CorpusMeet
+	cur T
 	seq int32
 }
 
-func (s *sourceStream[T]) next() (T, int32, bool, error) {
+func (s *sourceStream[T]) advance(h *head) (bool, error) {
 	m, ok, err := s.src.Next()
 	if err != nil || !ok {
-		return *new(T), 0, false, err
+		return false, err
 	}
+	s.cur = m
+	k := s.key(&s.cur)
+	h.distance, h.source, h.shard, h.node, h.seq = k.Distance, k.Source, k.Shard, k.Node, s.seq
 	s.seq++
-	return m, s.seq - 1, true, nil
+	return true, nil
 }
+
+func (s *sourceStream[T]) take() T { return s.cur }
 
 // MergeMeets k-way merges independently ranked streams into one
 // sequence in the exact global (distance, source, shard, node) total
@@ -536,15 +572,15 @@ func (s *sourceStream[T]) next() (T, int32, bool, error) {
 // cannot be known sooner — so time to first result is bounded by the
 // slowest source's first answer, never by any source's full drain. A
 // source is asked for its next element before its last is yielded. A
-// source error, or ctx expiring between yields, surfaces as the
-// sequence's final yield. The sequence is single-use.
+// source error, or ctx expiring, surfaces as the sequence's final
+// yield. The sequence is single-use.
 func MergeMeets[T any](ctx context.Context, sources []MeetSource[T], key func(*T) *CorpusMeet, offset, limit int) iter.Seq2[T, error] {
 	return func(yield func(T, error) bool) {
 		streams := make([]memberStream[T], len(sources))
 		for i, src := range sources {
-			streams[i] = &sourceStream[T]{src: src}
+			streams[i] = &sourceStream[T]{src: src, key: key}
 		}
-		g, err := newMerger(streams, key)
+		g, err := newMerger(streams)
 		if err != nil {
 			yield(*new(T), err)
 			return
@@ -728,7 +764,7 @@ func fanOut(ctx context.Context, r resolver, req *Request, stats *StreamStats) (
 		}
 	}
 	stats.Fill(req, offset, t.gen, total, unmatched)
-	g, err := newMerger(merged, meetKey)
+	g, err := newMerger(merged)
 	if err != nil {
 		release(merged)
 		return nil, 0, err

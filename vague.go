@@ -97,8 +97,8 @@ type vaguePlan struct {
 
 // blend folds each row's structural slack into its ranking distance
 // and books the relaxations used. It rewrites the roll-up's rows in
-// place, before the member's lazy rank heap is built, so the blended
-// score IS the distance every later layer — heap, k-way merge,
+// place, before the member's counting sort ranks them, so the blended
+// score IS the distance every later layer — member order, k-way merge,
 // coordinator — orders by; nothing downstream knows vague mode exists.
 func (p *vaguePlan) blend(rows []core.Row) {
 	for i := range rows {
