@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"ncq/internal/fulltext"
+	"ncq/internal/meetline"
 	"ncq/internal/shard"
 	"ncq/internal/xmltree"
 )
@@ -48,12 +49,12 @@ type Corpus struct {
 	thesaurus *fulltext.Thesaurus
 }
 
-// entry is one registered member: its databases in shard order —
+// entry is one registered member: its fan-out units in shard order —
 // exactly one for a plain member — and which of the two it is. A
 // sharded member may hold a single shard and still answers with shard
 // numbers, so the flag cannot be read off the count.
 type entry struct {
-	dbs     []*Database
+	members []*member
 	sharded bool
 }
 
@@ -178,12 +179,19 @@ func (c *Corpus) AddSharded(name string, doc *xmltree.Document, k int) (dbs []*D
 // is returned and membership and generation stay as they were — a
 // refused write is never served. persist must not call into the corpus.
 func (c *Corpus) Commit(name string, dbs []*Database, sharded bool, persist func(gen uint64) error) (existed bool, err error) {
-	var e entry
+	e := entry{sharded: sharded}
 	if dbs != nil {
 		if len(dbs) == 0 || (!sharded && len(dbs) != 1) || slices.Contains(dbs, nil) {
 			return false, fmt.Errorf("ncq: corpus: %d databases for %q: a plain member is one, a sharded one at least one, none nil", len(dbs), name)
 		}
-		e = entry{dbs: append([]*Database(nil), dbs...), sharded: sharded}
+		for i, db := range dbs {
+			m := &member{name: name, db: db}
+			if sharded {
+				m.shard = i + 1
+			}
+			m.head = meetline.AppendHead(nil, name, m.shard)
+			e.members = append(e.members, m)
+		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -231,7 +239,7 @@ func (c *Corpus) Get(name string) (*Database, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if e, ok := c.members[name]; ok && !e.sharded {
-		return e.dbs[0], true
+		return e.members[0].db, true
 	}
 	return nil, false
 }
@@ -251,7 +259,11 @@ func (c *Corpus) Shards(name string) ([]*Database, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	e, ok := c.members[name]
-	return append([]*Database(nil), e.dbs...), ok
+	var dbs []*Database
+	for _, m := range e.members {
+		dbs = append(dbs, m.db)
+	}
+	return dbs, ok
 }
 
 // ShardCount returns how many shards the named member holds: 0 when
@@ -259,7 +271,7 @@ func (c *Corpus) Shards(name string) ([]*Database, bool) {
 func (c *Corpus) ShardCount(name string) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.members[name].dbs)
+	return len(c.members[name].members)
 }
 
 // AggregateStats sums the storage statistics of several databases —
@@ -346,11 +358,13 @@ func (c *Corpus) SetThesaurus(t *Thesaurus) {
 }
 
 // member is one fan-out unit of a query: a plain database or a single
-// shard of a sharded member.
+// shard of a sharded member, and its line head (meetline.AppendHead).
+// It never changes once registered: every request shares it.
 type member struct {
 	name  string // the logical (registered) name
 	shard int    // 1-based shard number; 0 for plain members
 	db    *Database
+	head  []byte
 }
 
 // resolve captures the target of a request under the read lock, so
@@ -372,14 +386,7 @@ func (c *Corpus) resolve(doc string) (target, error) {
 	}
 	t := target{workers: c.workers, gen: c.gen}
 	for _, n := range names {
-		e := c.members[n]
-		for i, db := range e.dbs {
-			m := member{name: n, db: db}
-			if e.sharded {
-				m.shard = i + 1
-			}
-			t.members = append(t.members, m)
-		}
+		t.members = append(t.members, c.members[n].members...)
 	}
 	if t.workers <= 0 {
 		t.workers = runtime.GOMAXPROCS(0)

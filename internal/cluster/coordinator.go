@@ -208,7 +208,7 @@ func workerBody(req *ncq.Request, offset int) []byte {
 // the answer, so failed needs no lock. Close releases every stream.
 type gather struct {
 	streams   []*workerStream
-	sources   []ncq.MeetSource[wire.Answer]
+	sources   []ncq.MeetSource[answer]
 	total     int
 	unmatched int
 	gens      map[string]uint64
@@ -306,27 +306,50 @@ func workerFailure(err error) error {
 	return &wire.StatusError{Status: http.StatusBadGateway, Err: err}
 }
 
-// ResultsWithStats implements server.Backend: one request page over
-// the cluster, as the sequence a corpus would hand out. Resolve
-// the cursor, scatter, verify the cursor against the gathered
-// generation vector (mismatch → ErrStaleCursor, the distributed 410)
-// and merge the worker streams line by line into the exact global
-// ranking, each canonical line relayed as the bytes it arrived as — the
-// first meet flows once every worker has sent its first, and a worker
-// that stalls mid-answer holds back nothing already merged. The stats'
-// Generation is the hash of the vector the answer was computed against,
-// which is what its cursor is stamped with; a partial answer reports
-// who failed and mints no cursor — a page chain is always exact.
-func (c *Coordinator) ResultsWithStats(ctx context.Context, req ncq.Request) (iter.Seq2[wire.Answer, error], *ncq.StreamStats) {
+// LinesWithStats implements server.Backend: one request over the
+// cluster, as the line sequence a corpus would hand out. Resolve the
+// cursor, scatter, verify the cursor against the gathered generation
+// vector (mismatch → ErrStaleCursor, the distributed 410) and merge the
+// worker streams line by line into the exact global ranking, each
+// canonical line relayed as the bytes it arrived as — the first meet
+// flows once every worker has sent its first, and a worker that stalls
+// mid-answer holds back nothing already merged. The stats' Generation
+// is the hash of the vector the answer was computed against, which is
+// what its cursor is stamped with; a partial answer reports who failed
+// and mints no cursor — a page chain is always exact.
+func (c *Coordinator) LinesWithStats(ctx context.Context, req ncq.Request) (iter.Seq2[[]byte, error], *ncq.StreamStats) {
 	stats := &ncq.StreamStats{}
-	return func(yield func(wire.Answer, error) bool) {
-		if err := c.results(ctx, &req, stats, yield); err != nil {
-			yield(wire.Answer{}, err)
+	return func(yield func([]byte, error) bool) {
+		var spelled []byte
+		if err := c.results(ctx, &req, stats, func(a answer) bool {
+			if a.Line == nil {
+				spelled = wire.AppendMeetLine(spelled[:0], &a.CorpusMeet)
+				a.Line = spelled
+			}
+			return yield(a.Line, nil)
+		}); err != nil {
+			yield(nil, err)
 		}
 	}, stats
 }
 
-func (c *Coordinator) results(ctx context.Context, req *ncq.Request, stats *ncq.StreamStats, yield func(wire.Answer, error) bool) error {
+// ResultsWithStats implements server.Backend: the same merge for a
+// page, which keeps its meets, so a relayed line is decoded in full.
+func (c *Coordinator) ResultsWithStats(ctx context.Context, req ncq.Request) (iter.Seq2[ncq.CorpusMeet, error], *ncq.StreamStats) {
+	stats := &ncq.StreamStats{}
+	return func(yield func(ncq.CorpusMeet, error) bool) {
+		if err := c.results(ctx, &req, stats, func(a answer) bool {
+			if a.Line != nil {
+				a.CorpusMeet = wire.RelayedMeet(a.Line)
+			}
+			return yield(a.CorpusMeet, nil)
+		}); err != nil {
+			yield(ncq.CorpusMeet{}, err)
+		}
+	}, stats
+}
+
+func (c *Coordinator) results(ctx context.Context, req *ncq.Request, stats *ncq.StreamStats, yield func(answer) bool) error {
 	offset, curGen, err := req.Page()
 	if err != nil {
 		return err
@@ -344,7 +367,7 @@ func (c *Coordinator) results(ctx context.Context, req *ncq.Request, stats *ncq.
 		if err != nil {
 			return workerFailure(err)
 		}
-		if !yield(a, nil) {
+		if !yield(a) {
 			return nil
 		}
 	}

@@ -88,18 +88,26 @@ type workerStream struct {
 	prev  ncq.CorpusMeet
 }
 
-func answerKey(a *wire.Answer) *ncq.CorpusMeet { return &a.CorpusMeet }
+// answer is a worker's meet in the merge: a canonical line, relayed as
+// it arrived (Line, in one of the stream's two slots), and its rank
+// key, or any other spelling decoded whole, with Line nil.
+type answer struct {
+	ncq.CorpusMeet
+	Line []byte
+}
 
-func (s *workerStream) Next() (wire.Answer, bool, error) {
+func answerKey(a *answer) *ncq.CorpusMeet { return &a.CorpusMeet }
+
+func (s *workerStream) Next() (answer, bool, error) {
 	if s.done {
-		return wire.Answer{}, false, nil
+		return answer{}, false, nil
 	}
 	ln, raw, err := s.read()
 	switch {
 	case err != nil:
 		return s.fail(err)
 	case ln.Meet != nil:
-		a := wire.Answer{CorpusMeet: *ln.Meet}
+		a := answer{CorpusMeet: *ln.Meet}
 		if ncq.RankLess(&a.CorpusMeet, &s.prev) {
 			return s.fail(fmt.Errorf("meets out of rank order: (%d, %q, %d, %d) after (%d, %q, %d, %d)",
 				a.Distance, a.Source, a.Shard, a.Node, s.prev.Distance, s.prev.Source, s.prev.Shard, s.prev.Node))
@@ -113,7 +121,7 @@ func (s *workerStream) Next() (wire.Answer, bool, error) {
 		return a, true, nil
 	case ln.Trailer:
 		s.close()
-		return wire.Answer{}, false, nil
+		return answer{}, false, nil
 	case ln.Error != "":
 		return s.fail(errors.New(ln.Error))
 	default:
@@ -135,13 +143,13 @@ func (s *workerStream) read() (*wire.Line, []byte, error) {
 }
 
 // fail closes the stream and applies the failure policy.
-func (s *workerStream) fail(err error) (wire.Answer, bool, error) {
+func (s *workerStream) fail(err error) (answer, bool, error) {
 	s.close()
 	err = fmt.Errorf("worker %s: %w", s.worker.Name, err)
 	if s.onFail != nil {
 		err = s.onFail(s.worker, err)
 	}
-	return wire.Answer{}, false, err
+	return answer{}, false, err
 }
 
 // close releases the stream's connection, deadline and scan buffer;

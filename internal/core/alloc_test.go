@@ -3,7 +3,12 @@ package core
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"ncq/internal/bat"
+	"ncq/internal/monetx"
+	"ncq/internal/xmltree"
 )
 
 // TestMeetIntoAllocs pins the columnar output: into a warm Answers the
@@ -48,5 +53,43 @@ func TestMeetIntoAllocs(t *testing.T) {
 	}
 	if withUnmatched == 0 || withUnmatched == 3 {
 		t.Fatalf("%d of 3 cases leave inputs unmatched: the pin should see both kinds", withUnmatched)
+	}
+}
+
+// TestHugeWitnessArenaLeavesPool holds MeetMultiContext's pool to its
+// bound on both columns: after one meet of 100,000 witnesses on a
+// single row, no pooled Answers keeps the witness arena.
+func TestHugeWitnessArenaLeavesPool(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops at random under -race")
+	}
+	doc, err := xmltree.Parse(strings.NewReader("<r>" + strings.Repeat("<a>x</a>", 100_000) + "</r>"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := monetx.Load(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var set []bat.OID
+	for o := bat.OID(1); int(o) <= s.Len(); o++ {
+		if s.Label(o) == xmltree.CDataLabel {
+			set = append(set, o)
+		}
+	}
+	res, _, err := MeetMultiContext(context.Background(), s, [][]bat.OID{set}, nil)
+	if err != nil || len(res) != 1 || len(res[0].Witnesses) != len(set) {
+		t.Fatalf("want one meet of %d witnesses, got %d meets (%v)", len(set), len(res), err)
+	}
+	var got []*Answers
+	for range 4 {
+		a := answersPool.Get().(*Answers)
+		got = append(got, a)
+		if cap(a.Wits) > MaxPooledRows {
+			t.Errorf("the pool handed out a witness arena of %d, bound %d", cap(a.Wits), MaxPooledRows)
+		}
+	}
+	for _, a := range got {
+		answersPool.Put(a)
 	}
 }

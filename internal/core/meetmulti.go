@@ -162,10 +162,13 @@ func MeetInto(ctx context.Context, s *monetx.Store, inputSets [][]bat.OID, opt *
 	return r.finish(), nil
 }
 
-// MaxPooledRows bounds the answers a pool keeps: a buffer whose rows
-// outgrew it is left to the collector, so one huge answer does not pin
-// its columns for every later small one.
+// MaxPooledRows bounds the answers a pool keeps: a buffer whose rows or
+// witness arena outgrew it is left to the collector, so one huge answer
+// does not pin its columns for every later small one.
 const MaxPooledRows = 1 << 16
+
+// Poolable reports whether neither of a's columns outgrew MaxPooledRows.
+func (a *Answers) Poolable() bool { return max(cap(a.Rows), cap(a.Wits)) <= MaxPooledRows }
 
 var answersPool = sync.Pool{New: func() any { return new(Answers) }}
 
@@ -176,7 +179,7 @@ var answersPool = sync.Pool{New: func() any { return new(Answers) }}
 func MeetMultiContext(ctx context.Context, s *monetx.Store, inputSets [][]bat.OID, opt *Options) ([]Result, []bat.OID, error) {
 	a := answersPool.Get().(*Answers)
 	defer func() {
-		if cap(a.Rows) <= MaxPooledRows {
+		if a.Poolable() {
 			answersPool.Put(a)
 		}
 	}()

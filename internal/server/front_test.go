@@ -23,16 +23,27 @@ type fakeBackend struct {
 	runs  int
 }
 
-func (b *fakeBackend) ResultsWithStats(context.Context, ncq.Request) (iter.Seq2[wire.Answer, error], *ncq.StreamStats) {
+func (b *fakeBackend) ResultsWithStats(context.Context, ncq.Request) (iter.Seq2[ncq.CorpusMeet, error], *ncq.StreamStats) {
 	b.runs++
 	stats := b.stats
-	return func(yield func(wire.Answer, error) bool) {
+	return func(yield func(ncq.CorpusMeet, error) bool) {
 		if b.err != nil {
-			yield(wire.Answer{}, b.err)
+			yield(ncq.CorpusMeet{}, b.err)
 			return
 		}
-		yield(wire.Answer{CorpusMeet: ncq.CorpusMeet{Source: "d"}}, nil)
+		yield(ncq.CorpusMeet{Source: "d"}, nil)
 	}, &stats
+}
+
+func (b *fakeBackend) LinesWithStats(ctx context.Context, req ncq.Request) (iter.Seq2[[]byte, error], *ncq.StreamStats) {
+	seq, stats := b.ResultsWithStats(ctx, req)
+	return func(yield func([]byte, error) bool) {
+		for m, err := range seq {
+			if !yield(wire.AppendMeetLine(nil, &m), err) {
+				return
+			}
+		}
+	}, stats
 }
 
 func (b *fakeBackend) Generation() uint64 { return b.gen }

@@ -22,7 +22,7 @@ func (f *Front) handleStream(ctx context.Context, w http.ResponseWriter, r *http
 	f.streamsInflight.Inc()
 	defer f.streamsInflight.Dec()
 	metrics.SetFingerprint(ctx, req.Canonical())
-	seq, stats := f.backend.ResultsWithStats(ctx, req)
+	seq, stats := f.backend.LinesWithStats(ctx, req)
 	if req.Vague != nil {
 		f.vagueRequests.Inc()
 		// Streams bypass the cache, so every drain is real execution;
@@ -38,12 +38,12 @@ func (f *Front) handleStream(ctx context.Context, w http.ResponseWriter, r *http
 	}
 	sw := wire.NewStreamWriter(w, r, header, f.streamLines, f.streamBytes)
 	defer sw.Close()
-	for a, err := range seq {
+	for line, err := range seq {
 		if err != nil {
 			sw.Fail(wire.StatusOf(err), err)
 			return
 		}
-		if !sw.Meet(&a) {
+		if !sw.Meet(line) {
 			return // client went away; execution stops with the range
 		}
 	}

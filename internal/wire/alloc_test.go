@@ -7,6 +7,7 @@ package wire_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -23,7 +24,7 @@ import (
 var allocMeet = ncq.CorpusMeet{Source: "bib", Shard: 2, Meet: ncq.Meet{
 	Node: 4, Tag: "book", Path: "/bib/book", Witnesses: []ncq.NodeID{5, 9}, Distance: 2}}
 
-var allocAnswer = wire.Answer{CorpusMeet: allocMeet}
+var allocLine = wire.AppendMeetLine(nil, &allocMeet)
 
 // discard is a ResponseWriter with no client behind it.
 type discard struct{ header http.Header }
@@ -40,9 +41,9 @@ func TestStreamWriterMeetAllocs(t *testing.T) {
 	sw := wire.NewStreamWriter(discard{http.Header{}}, httptest.NewRequest("POST", "/v2/query?stream=1", nil), nil, nil, nil)
 	defer sw.Close()
 	for i := 0; i < 400; i++ { // past the head, the buffer and the timer
-		sw.Meet(&allocAnswer)
+		sw.Meet(allocLine)
 	}
-	if got := testing.AllocsPerRun(2000, func() { sw.Meet(&allocAnswer) }); got > 0.1 {
+	if got := testing.AllocsPerRun(2000, func() { sw.Meet(allocLine) }); got > 0.1 {
 		t.Errorf("a steady-state meet line allocates %.2f/op, pinned at 0", got)
 	}
 }
@@ -71,7 +72,7 @@ func TestStreamLifecycleReusesTailBuffer(t *testing.T) {
 	lifecycle := func() {
 		sw := wire.NewStreamWriter(w, r, nil, nil, nil)
 		for i := 0; i < 400; i++ {
-			sw.Meet(&allocAnswer)
+			sw.Meet(allocLine)
 		}
 		sw.Close()
 	}
@@ -150,5 +151,53 @@ func TestNodeStreamIsCanonical(t *testing.T) {
 		} else if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// lineCounter is a ResponseWriter with no client behind it that counts
+// the lines written to it.
+type lineCounter struct {
+	discard
+	lines *int
+}
+
+func (c lineCounter) Write(p []byte) (int, error) {
+	*c.lines += bytes.Count(p, []byte{'\n'})
+	return len(p), nil
+}
+
+// TestStreamAllocsFlatInLines pins what a node's stream allocates to
+// the request, not to its answer: every line is built from the
+// members' columns and memoized bytes into reused buffers, so streaming
+// ten times the lines allocates at most a few objects more.
+func TestStreamAllocsFlatInLines(t *testing.T) {
+	c := ncq.NewCorpus()
+	for i := range 8 {
+		db, err := ncq.OpenString(datagen.DBLP(datagen.DBLPConfig{Seed: int64(i + 1), YearFrom: 1995, YearTo: 1999, PubsPerVenueYear: 10}).XMLString())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Add(fmt.Sprintf("m%d", i), db); err != nil {
+			t.Fatal(err)
+		}
+	}
+	node := server.New(c).Handler()
+	stream := func(limit int) (allocs float64, lines int) {
+		body := fmt.Sprintf(`{"terms":["199","html"],"exclude_root":true,"limit":%d}`, limit)
+		w := lineCounter{discard{http.Header{}}, &lines}
+		run := func() {
+			lines = 0
+			node.ServeHTTP(w, httptest.NewRequest("POST", "/v2/query?stream=1", strings.NewReader(body)))
+		}
+		run() // warm the pools
+		return testing.AllocsPerRun(20, run), lines
+	}
+	few, fewLines := stream(200)
+	many, manyLines := stream(2000)
+	if fewLines != 201 || manyLines != 2001 {
+		t.Fatalf("streamed %d and %d lines, want 201 and 2001", fewLines, manyLines)
+	}
+	if many > few+10 {
+		t.Errorf("%d lines allocate %.0f, %d lines %.0f: pinned at no more than 10 apart", manyLines, many, fewLines, few)
 	}
 }

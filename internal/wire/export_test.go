@@ -1,6 +1,13 @@
 package wire
 
-import "ncq"
+import (
+	"ncq"
+	"ncq/internal/meetline"
+)
+
+// plainByte is the line grammar's table of the bytes a string literal
+// carries unescaped.
+var plainByte = &meetline.Plain
 
 // DecodeCanonicalMeet lets the external tests, which can start a real
 // node, ask the fast path for its verdict on a line.

@@ -26,8 +26,8 @@ package wire
 // later than flushDelay after the oldest of them was written — a
 // producer that stalls does not hold back lines it already wrote.
 //
-// Meet lines, all but three of a stream, have their own encoder
-// (AppendMeetLine, byte-identical to encoding/json) and a strict
+// Meet lines, all but three of a stream, have their own grammar
+// (internal/meetline, byte-identical to encoding/json) and a strict
 // decoder for exactly its unescaped output (parseCanonicalMeet; a relay
 // reads only the rank key and passes the line on); every other line,
 // and every other spelling of a meet, takes encoding/json both ways.
@@ -43,9 +43,9 @@ import (
 	"strconv"
 	"sync"
 	"time"
-	"unicode/utf8"
 
 	"ncq"
+	"ncq/internal/meetline"
 	"ncq/internal/metrics"
 )
 
@@ -197,26 +197,9 @@ func (s *StreamWriter) start() {
 	}
 }
 
-// Answer is a meet on its way to a client or, relayed, its rank key
-// (Source, Shard, Node, Distance) and Line, its canonical line with \n.
-type Answer struct {
-	ncq.CorpusMeet
-	Line []byte
-}
-
-// Decoded returns the meet in full; a relayed line was verified canonical.
-func (a *Answer) Decoded() ncq.CorpusMeet {
-	if a.Line == nil {
-		return a.CorpusMeet
-	}
-	var m ncq.CorpusMeet
-	decodeCanonicalMeet(a.Line[:len(a.Line)-1], &m)
-	return m
-}
-
-// Meet writes a's line, relayed or by AppendMeetLine; false means the
+// Meet writes a canonical meet line, newline included; false means the
 // client went away and execution should stop.
-func (s *StreamWriter) Meet(a *Answer) bool {
+func (s *StreamWriter) Meet(line []byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.dead {
@@ -228,11 +211,7 @@ func (s *StreamWriter) Meet(a *Answer) bool {
 		s.buf = append((*s.pooled)[:0], s.buf...)
 	}
 	from := len(s.buf)
-	if a.Line != nil {
-		s.buf = append(s.buf, a.Line...)
-	} else {
-		s.buf = AppendMeetLine(s.buf, &a.CorpusMeet)
-	}
+	s.buf = append(s.buf, line...)
 	s.written(from, !s.tail)
 	s.tail = true
 	return !s.dead
@@ -277,99 +256,22 @@ func (s *StreamWriter) Close() {
 	s.buf, s.pooled = nil, nil
 }
 
-// plainByte marks the bytes encoding/json's HTML-escaping encoder copies
-// into a string literal unchanged: printable ASCII and DEL, less the
-// quote, the backslash and <, >, &.
-var plainByte = func() (t [256]bool) {
-	for b := 0x20; b < utf8.RuneSelf; b++ {
-		t[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+// AppendMeetLine appends m's stream line, newline included, to dst:
+// the bytes json.Marshal gives for {"meet": m}.
+func AppendMeetLine(dst []byte, m *ncq.CorpusMeet) []byte {
+	dst = strconv.AppendUint(meetline.AppendHead(dst, m.Source, m.Shard), uint64(m.Node), 10)
+	dst = meetline.AppendInfix(dst, m.Tag, m.Path)
+	var value, xml string
+	if p := m.Projected; p != nil {
+		value, xml = p.Value, p.XML
 	}
-	return t
-}()
-
-const hexDigits = "0123456789abcdef"
-
-// appendString appends s as a JSON string literal, escaped as
-// json.Marshal escapes it.
-func appendString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		b := s[i]
-		if plainByte[b] {
-			i++
-			continue
-		}
-		r, size := rune(b), 1
-		if b >= utf8.RuneSelf {
-			r, size = utf8.DecodeRuneInString(s[i:])
-			if r != '\u2028' && r != '\u2029' && (r != utf8.RuneError || size > 1) {
-				i += size
-				continue
-			}
-		}
-		dst = append(dst, s[start:i]...)
-		switch r {
-		case '"', '\\':
-			dst = append(dst, '\\', b)
-		case '\b':
-			dst = append(dst, '\\', 'b')
-		case '\f':
-			dst = append(dst, '\\', 'f')
-		case '\n':
-			dst = append(dst, '\\', 'n')
-		case '\r':
-			dst = append(dst, '\\', 'r')
-		case '\t':
-			dst = append(dst, '\\', 't')
-		default: // other control bytes, <, >, &, U+2028, U+2029, and U+FFFD for an invalid byte
-			dst = append(dst, '\\', 'u', hexDigits[r>>12], hexDigits[r>>8&0xF], hexDigits[r>>4&0xF], hexDigits[r&0xF])
-		}
-		i += size
-		start = i
-	}
-	return append(append(dst, s[start:]...), '"')
+	return meetline.AppendTail(dst, m.Witnesses, m.Distance, m.Projected != nil, value, xml)
 }
 
-// AppendMeetLine appends m's stream line, newline included, to dst:
-// the bytes json.Marshal gives for {"meet": m}. It is the only encoder
-// of a meet line.
-func AppendMeetLine(dst []byte, m *ncq.CorpusMeet) []byte {
-	dst = appendString(append(dst, `{"meet":{"source":`...), m.Source)
-	if m.Shard != 0 {
-		dst = strconv.AppendInt(append(dst, `,"shard":`...), int64(m.Shard), 10)
-	}
-	dst = strconv.AppendUint(append(dst, `,"node":`...), uint64(m.Node), 10)
-	dst = appendString(append(dst, `,"tag":`...), m.Tag)
-	dst = appendString(append(dst, `,"path":`...), m.Path)
-	dst = append(dst, `,"witnesses":`...)
-	if m.Witnesses == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i, w := range m.Witnesses {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendUint(dst, uint64(w), 10)
-		}
-		dst = append(dst, ']')
-	}
-	dst = strconv.AppendInt(append(dst, `,"distance":`...), int64(m.Distance), 10)
-	if p := m.Projected; p != nil {
-		dst = append(dst, `,"projected":{`...)
-		if p.Value != "" {
-			dst = appendString(append(dst, `"value":`...), p.Value)
-		}
-		if p.XML != "" {
-			if p.Value != "" {
-				dst = append(dst, ',')
-			}
-			dst = appendString(append(dst, `"xml":`...), p.XML)
-		}
-		dst = append(dst, '}')
-	}
-	return append(dst, "}}\n"...)
+// RelayedMeet decodes in full a line LineScanner.Relay returned, plus \n.
+func RelayedMeet(line []byte) (m ncq.CorpusMeet) {
+	decodeCanonicalMeet(line[:len(line)-1], &m)
+	return m
 }
 
 // Line is the decode union of the four NDJSON records; a decoded Line
@@ -467,7 +369,7 @@ func (c *canonical) lit(lit string) {
 func (c *canonical) text() []byte {
 	c.lit(`"`)
 	i := 0
-	for i < len(c.rest) && plainByte[c.rest[i]] {
+	for i < len(c.rest) && meetline.Plain[c.rest[i]] {
 		i++
 	}
 	if c.bad || i == len(c.rest) || c.rest[i] != '"' {

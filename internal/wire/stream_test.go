@@ -68,7 +68,7 @@ func TestStreamWriterFailBeforeStart(t *testing.T) {
 		}},
 		{"fail after start", -1, func(t *testing.T, sw *StreamWriter, w *brokenWriter) {
 			for i := 0; i < 3; i++ {
-				if !sw.Meet(&Answer{CorpusMeet: goldenMeet}) {
+				if !sw.Meet(AppendMeetLine(nil, &goldenMeet)) {
 					t.Fatalf("meet %d refused", i)
 				}
 			}
@@ -79,7 +79,7 @@ func TestStreamWriterFailBeforeStart(t *testing.T) {
 			}
 		}},
 		{"client gone at the first meet", 0, func(t *testing.T, sw *StreamWriter, w *brokenWriter) {
-			if sw.Meet(&Answer{CorpusMeet: goldenMeet}) || sw.Meet(&Answer{CorpusMeet: goldenMeet}) {
+			if sw.Meet(AppendMeetLine(nil, &goldenMeet)) || sw.Meet(AppendMeetLine(nil, &goldenMeet)) {
 				t.Error("Meet reported a live client")
 			}
 			sw.Trailer(Trailer{})
@@ -89,13 +89,13 @@ func TestStreamWriterFailBeforeStart(t *testing.T) {
 		}},
 		{"client gone in the tail", len(line), func(t *testing.T, sw *StreamWriter, w *brokenWriter) {
 			accepted := 0
-			for sw.Meet(&Answer{CorpusMeet: goldenMeet}) {
+			for sw.Meet(AppendMeetLine(nil, &goldenMeet)) {
 				if accepted++; accepted > perBudget {
 					t.Fatalf("%d meets accepted: the failed flush was never noticed", accepted)
 				}
 			}
 			for i := 0; i < 2*perBudget; i++ {
-				if sw.Meet(&Answer{CorpusMeet: goldenMeet}) {
+				if sw.Meet(AppendMeetLine(nil, &goldenMeet)) {
 					t.Fatal("Meet reported a live client after a failed flush")
 				}
 			}
@@ -106,7 +106,7 @@ func TestStreamWriterFailBeforeStart(t *testing.T) {
 		}},
 		{"nothing after close", -1, func(t *testing.T, sw *StreamWriter, w *brokenWriter) {
 			for i := 0; i < 3; i++ {
-				sw.Meet(&Answer{CorpusMeet: goldenMeet})
+				sw.Meet(AppendMeetLine(nil, &goldenMeet))
 			}
 			sw.Close()
 			if want := strings.Repeat(line, 3); w.body.String() != want || w.flushed != len(want) {
@@ -114,7 +114,7 @@ func TestStreamWriterFailBeforeStart(t *testing.T) {
 			}
 			w.room = 0 // any further Write is counted
 			sw.flushLate()
-			if sw.Meet(&Answer{CorpusMeet: goldenMeet}) {
+			if sw.Meet(AppendMeetLine(nil, &goldenMeet)) {
 				t.Error("Meet after Close reported a live client")
 			}
 			sw.Trailer(Trailer{})
@@ -162,7 +162,7 @@ func TestStreamWriterStallFlush(t *testing.T) {
 		sw := NewStreamWriter(w, r, nil, nil, nil)
 		defer sw.Close()
 		for i := 0; i < meets; i++ {
-			if !sw.Meet(&Answer{CorpusMeet: goldenMeet}) {
+			if !sw.Meet(AppendMeetLine(nil, &goldenMeet)) {
 				t.Error("client gone")
 				return
 			}
@@ -207,7 +207,7 @@ func TestStreamWriterClientGone(t *testing.T) {
 		sw := NewStreamWriter(w, r, nil, nil, nil)
 		defer sw.Close()
 		n := 0
-		for sw.Meet(&Answer{CorpusMeet: goldenMeet}) && n < 1<<20 {
+		for sw.Meet(AppendMeetLine(nil, &goldenMeet)) && n < 1<<20 {
 			n++
 		}
 		returned <- n
@@ -238,7 +238,7 @@ func TestStreamWriterCloseRacesTimer(t *testing.T) {
 		w := &brokenWriter{header: http.Header{}, room: -1}
 		sw := NewStreamWriter(w, httptest.NewRequest("POST", "/v2/query?stream=1", nil), nil, nil, nil)
 		for j := 0; j < 3; j++ { // the head, then two tail lines and the timer
-			sw.Meet(&Answer{CorpusMeet: goldenMeet})
+			sw.Meet(AppendMeetLine(nil, &goldenMeet))
 		}
 		time.Sleep(flushDelay - time.Duration(i%5)*flushDelay/4)
 		sw.Close()
@@ -268,8 +268,8 @@ func TestOutgrownBuffersNotPooled(t *testing.T) {
 	long.Projected = &ncq.Projection{XML: strings.Repeat("x", 2*flushBytes)}
 	w := &brokenWriter{header: http.Header{}, room: -1}
 	sw := NewStreamWriter(w, httptest.NewRequest("POST", "/v2/query?stream=1", nil), nil, nil, nil)
-	sw.Meet(&Answer{CorpusMeet: goldenMeet})
-	sw.Meet(&Answer{CorpusMeet: long})
+	sw.Meet(AppendMeetLine(nil, &goldenMeet))
+	sw.Meet(AppendMeetLine(nil, &long))
 	if cap(sw.buf) <= tailCap {
 		t.Fatalf("a %d-byte line left the tail buffer at %d bytes", len(long.Projected.XML), cap(sw.buf))
 	}

@@ -48,8 +48,10 @@ import (
 	"ncq/internal/core"
 	"ncq/internal/fulltext"
 	"ncq/internal/idref"
+	"ncq/internal/meetline"
 	"ncq/internal/memo"
 	"ncq/internal/monetx"
+	"ncq/internal/pathsum"
 	"ncq/internal/query"
 	"ncq/internal/xmltree"
 )
@@ -67,6 +69,10 @@ type Database struct {
 	// plans memoizes the member's term-request plans by path shape
 	// (plan.go); it goes away with the member.
 	plans *memo.Memo[planKey, *memberPlan]
+
+	// infixes holds, per path, the part of a meet's stream line the
+	// path fixes (meetline.AppendInfix); paths never change once loaded.
+	infixes [][]byte
 }
 
 // Open parses an XML document from r and loads it. No syntax tree is
@@ -116,7 +122,12 @@ func OpenString(s string) (*Database, error) {
 // newDatabase indexes a shredded store; the parsed tree is not kept.
 func newDatabase(store *monetx.Store) *Database {
 	idx := fulltext.New(store)
-	return &Database{store: store, index: idx, engine: query.NewEngine(store, idx), plans: newPlanMemo(store.Summary())}
+	sum := store.Summary()
+	infixes := make([][]byte, sum.Len())
+	for p := range pathsum.PathID(len(infixes)) {
+		infixes[p] = meetline.AppendInfix(nil, sum.Label(p), sum.String(p))
+	}
+	return &Database{store: store, index: idx, engine: query.NewEngine(store, idx), plans: newPlanMemo(sum), infixes: infixes}
 }
 
 // Len returns the number of nodes (elements plus character data).

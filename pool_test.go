@@ -18,6 +18,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"ncq/internal/core"
 )
 
 // cloneMeet deep-copies a yielded meet: what the caller holds at the
@@ -192,5 +194,34 @@ func TestPoolAfterAbandonedRequests(t *testing.T) {
 	}
 	if inMember == 0 {
 		t.Fatal("no failure landed inside a member: the test checks nothing")
+	}
+}
+
+// TestHugeWitnessArenaLeavesPool runs one answer whose witness arena
+// outgrows the pool's bound — a root meet of 100,000 witnesses on one
+// row — and checks that no pooled member buffer keeps it: one huge
+// answer must not pin its columns for every later small one.
+func TestHugeWitnessArenaLeavesPool(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops at random under -race")
+	}
+	db, err := OpenString("<r>" + strings.Repeat("<a>x</a>", 100_000) + "</r>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Run(context.Background(), Request{Terms: []string{"x"}})
+	if err != nil || len(res.Meets) != 1 || len(res.Meets[0].Witnesses) != 100_000 {
+		t.Fatalf("want one meet of 100,000 witnesses, got %d meets (%v)", len(res.Meets), err)
+	}
+	var got []*memberBuf
+	for range 4 {
+		b := getMemberBuf()
+		got = append(got, b)
+		if cap(b.Wits) > core.MaxPooledRows {
+			t.Errorf("the pool handed out a witness arena of %d, bound %d", cap(b.Wits), core.MaxPooledRows)
+		}
+	}
+	for _, b := range got {
+		putMemberBuf(b)
 	}
 }

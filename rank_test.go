@@ -129,7 +129,7 @@ func TestRankOrderEqualsStableSort(t *testing.T) {
 			t.Errorf("%s: ranked %v, the stable sort %v", c.what, c.s.buf.order, want)
 		}
 	}
-	release([]memberStream[CorpusMeet]{term, vague, proj})
+	release([]*localStream{term, vague, proj})
 }
 
 // FuzzRankOrder draws rows in node order from the input, three bytes

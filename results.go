@@ -9,20 +9,18 @@ package ncq
 //      located by the full-text index, or lowered from the query's FROM
 //      and WHERE clauses — and computes its meet into columns it
 //      borrows from a pool (memberBuf: core.Answers' rows and witness
-//      arena, and the rank order). A meet's rank is its distance, a
-//      small count of parent joins, and the rows arrive in node order,
-//      so one stable counting sort on the distance — O(n), a pass per
-//      8 bits of the span — ranks them exactly by (distance, node), and
-//      a pull is an index increment. The public Meet (tag, path, a copy
-//      of the row's witnesses) is rendered only for an answer the
-//      request yields, so a top-10 page over hundreds of candidates
-//      allocates ten meets and nothing per candidate. The buffers go
+//      arena, and the rank order). A meet's rank is its distance, and
+//      the rows arrive in node order, so one stable counting sort on
+//      the distance ranks them exactly by (distance, node), and a pull
+//      is an index increment. Only an answer the request yields is
+//      taken from the columns: as a public Meet (tag, path, a copy of
+//      the row's witnesses), or as its NDJSON line (LinesWithStats), a
+//      memoized head and infix around the row's tail. The buffers go
 //      back to the pool once the request's merge is done.
 //   2. merger: a k-way heap merge of the members' rank keys. Globally
 //      ordered meets flow as soon as every member has produced its
 //      head, so the first answer reaches the caller bounded by the
-//      slowest member's first result, not by its full answer set and
-//      never by a global sort.
+//      slowest member's first result, never by a global sort.
 //
 // The public entry point is Results (range-over-func); Run drains the
 // same sequence and attaches the page metadata, and a pushed-down
@@ -33,10 +31,12 @@ import (
 	"fmt"
 	"iter"
 	"slices"
+	"strconv"
 	"sync"
 
 	"ncq/internal/core"
 	"ncq/internal/fulltext"
+	"ncq/internal/meetline"
 	"ncq/internal/query"
 )
 
@@ -126,25 +126,27 @@ type localStream struct {
 }
 
 // memberBuf is the pooled storage of one member's answer: the rows and
-// witness arena the roll-up writes, and the rank order over the rows.
-// A stream borrows one and the request hands it back (release) once
-// its merge is done; nothing a yielded meet holds points into it.
+// witness arena the roll-up writes, the rank order over the rows, and
+// the member's line head and the line a lineStream builds. A stream
+// borrows one and the request hands it back (release) once its merge is
+// done; nothing a yielded meet holds points into it.
 type memberBuf struct {
 	core.Answers
-	order []int32
+	order      []int32
+	head, line []byte
 }
 
 var memberBufPool = sync.Pool{New: func() any { return new(memberBuf) }}
 
 func getMemberBuf() *memberBuf { return memberBufPool.Get().(*memberBuf) }
 
-// putMemberBuf hands b back to the pool emptied, unless its rows
-// outgrew what the pool keeps.
+// putMemberBuf hands b back to the pool emptied, unless its columns or
+// its line outgrew what the pool keeps.
 func putMemberBuf(b *memberBuf) {
-	if cap(b.Rows) > core.MaxPooledRows {
+	if !b.Poolable() || cap(b.line) > core.MaxPooledRows {
 		return
 	}
-	b.Rows, b.Wits, b.order = b.Rows[:0], b.Wits[:0], b.order[:0]
+	b.Rows, b.Wits, b.order, b.head, b.line = b.Rows[:0], b.Wits[:0], b.order[:0], nil, b.line[:0]
 	memberBufPool.Put(b)
 }
 
@@ -209,12 +211,11 @@ func newLocalStream(db *Database, buf *memberBuf, unmatched []NodeID) *localStre
 
 func (s *localStream) pending() int { return len(s.buf.order) - int(s.pos) }
 
-// release returns the buffers of every local stream among streams,
-// which are spent; a nil entry — a member that never got as far — is
-// skipped.
-func release(streams []memberStream[CorpusMeet]) {
-	for _, ms := range streams {
-		if s, ok := ms.(*localStream); ok {
+// release returns the buffers of the streams, which are spent; a nil
+// entry — a member that never got as far — is skipped.
+func release(streams []*localStream) {
+	for _, s := range streams {
+		if s != nil {
 			putMemberBuf(s.buf)
 			s.buf = nil
 		}
@@ -245,15 +246,41 @@ func (s *localStream) take() CorpusMeet {
 	}
 	m := s.db.renderMeet(r)
 	if s.projValue || s.projXML {
-		m.Projected = &Projection{}
-		if s.projValue {
-			m.Projected.Value = s.db.engine.Value(m.Node)
-		}
-		if s.projXML {
-			m.Projected.XML = s.db.engine.XML(m.Node)
-		}
+		value, xml := s.projected(m.Node)
+		m.Projected = &Projection{Value: value, XML: xml}
 	}
 	return CorpusMeet{Source: s.source, Shard: int(s.shard), Meet: m}
+}
+
+// projected renders the texts a query-language projection asked for.
+func (s *localStream) projected(n NodeID) (value, xml string) {
+	if s.projValue {
+		value = s.db.engine.Value(n)
+	}
+	if s.projXML {
+		xml = s.db.engine.XML(n)
+	}
+	return value, xml
+}
+
+// lineStream is a localStream whose take writes the row's stream line
+// into the member's line buffer where localStream's renders its meet.
+type lineStream localStream
+
+func (s *lineStream) advance(h *head) (bool, error) { return (*localStream)(s).advance(h) }
+
+func (s *lineStream) take() []byte {
+	i := int(s.buf.order[s.pos-1])
+	row := &s.buf.Rows[i]
+	line := strconv.AppendUint(append(s.buf.line[:0], s.buf.head...), uint64(row.Meet), 10)
+	line = append(line, s.db.infixes[s.db.store.PathOf(row.Meet)]...)
+	wits := s.buf.Witnesses(i)
+	if len(wits) == 0 {
+		wits = nil // null, as a rendered meet spells a row without any
+	}
+	value, xml := (*localStream)(s).projected(row.Meet)
+	s.buf.line = meetline.AppendTail(line, wits, int(row.Distance), s.projValue || s.projXML, value, xml)
+	return s.buf.line
 }
 
 // termMeetsStream is a term request on one member: one full-text
@@ -594,7 +621,7 @@ func MergeMeets[T any](ctx context.Context, sources []MeetSource[T], key func(*T
 // membership — the mark minted cursors carry — and the thesaurus vague
 // requests expand through, a frozen copy no caller can Add to.
 type target struct {
-	members []member
+	members []*member
 	workers int
 	gen     uint64
 	th      *fulltext.Thesaurus
@@ -615,7 +642,7 @@ func (db *Database) resolve(doc string) (target, error) {
 	if doc != "" {
 		return target{}, fmt.Errorf("ncq: %w %q: a Database holds a single document; clear Request.Doc or run against a Corpus", ErrUnknownDoc, doc)
 	}
-	return target{members: []member{{db: db}}, workers: 1, anonymous: true}, nil
+	return target{members: []*member{{db: db}}, workers: 1, anonymous: true}, nil
 }
 
 // memberErr names the member an execution error came from.
@@ -646,7 +673,7 @@ func openPage(r resolver, req *Request) (t target, offset int, err error) {
 // Results implements Querier: the ranked meets of a request as an
 // incremental sequence. See ResultsWithStats for the full contract.
 func (db *Database) Results(ctx context.Context, req Request) iter.Seq2[CorpusMeet, error] {
-	seq, _ := db.ResultsWithStats(ctx, req)
+	seq, _ := resultsWithStats(ctx, db.resolve, req)
 	return seq
 }
 
@@ -663,7 +690,7 @@ func (db *Database) ResultsWithStats(ctx context.Context, req Request) (iter.Seq
 // request as an incremental sequence. See ResultsWithStats for
 // the full contract.
 func (c *Corpus) Results(ctx context.Context, req Request) iter.Seq2[CorpusMeet, error] {
-	seq, _ := c.ResultsWithStats(ctx, req)
+	seq, _ := resultsWithStats(ctx, c.resolve, req)
 	return seq
 }
 
@@ -685,30 +712,56 @@ func (c *Corpus) ResultsWithStats(ctx context.Context, req Request) (iter.Seq2[C
 	return resultsWithStats(ctx, c.resolve, req)
 }
 
+// LinesWithStats is ResultsWithStats with each meet m yielded as its
+// NDJSON stream line, the bytes json.Marshal gives for {"meet": m} and
+// a newline, built from the member's columns without rendering m. A
+// line is valid until the sequence's next step.
+func (c *Corpus) LinesWithStats(ctx context.Context, req Request) (iter.Seq2[[]byte, error], *StreamStats) {
+	stats := &StreamStats{}
+	return func(yield func([]byte, error) bool) {
+		locals, offset, err := fanOut(ctx, c.resolve, &req, stats)
+		merge(ctx, locals, offset, req.Limit, err, func(s *localStream) memberStream[[]byte] { return (*lineStream)(s) }, yield)
+	}, stats
+}
+
 // resultsWithStats is the one pipeline: every member of the request's
 // target ranks its own answers, and the sequence is their merge.
 func resultsWithStats(ctx context.Context, r resolver, req Request) (iter.Seq2[CorpusMeet, error], *StreamStats) {
 	stats := &StreamStats{}
-	seq := func(yield func(CorpusMeet, error) bool) {
-		g, offset, err := fanOut(ctx, r, &req, stats)
-		if err != nil {
-			yield(CorpusMeet{}, err)
-			return
-		}
-		defer release(g.streams)
-		drain(ctx, g, offset, req.Limit, yield)
+	return func(yield func(CorpusMeet, error) bool) {
+		locals, offset, err := fanOut(ctx, r, &req, stats)
+		merge(ctx, locals, offset, req.Limit, err, func(s *localStream) memberStream[CorpusMeet] { return s }, yield)
+	}, stats
+}
+
+// merge yields the merge of a request's member streams, each taken as
+// as makes it, or the request's failure err.
+func merge[T any](ctx context.Context, locals []*localStream, offset, limit int, err error, as func(*localStream) memberStream[T], yield func(T, error) bool) {
+	if err != nil {
+		yield(*new(T), err)
+		return
 	}
-	return seq, stats
+	defer release(locals)
+	streams := make([]memberStream[T], len(locals))
+	for i, s := range locals {
+		streams[i] = as(s)
+	}
+	g, err := newMerger(streams)
+	if err != nil {
+		yield(*new(T), err)
+		return
+	}
+	drain(ctx, g, offset, limit, yield)
 }
 
 // fanOut runs the members of req's target up to their ranked streams,
-// publishes the counters in stats and returns the merge over them. A
+// publishes the counters in stats and returns the streams. A
 // query-language request is parsed once, here, and a term request's
 // patterns are compiled once, here — before any member is resolved, so
 // an invalid one fails alike on every corpus, an empty one included —
 // as are its terms expanded once, through the target's thesaurus. The
 // two differ in nothing but how each member comes by its input sets.
-func fanOut(ctx context.Context, r resolver, req *Request, stats *StreamStats) (*merger[CorpusMeet], int, error) {
+func fanOut(ctx context.Context, r resolver, req *Request, stats *StreamStats) ([]*localStream, int, error) {
 	sh, err := req.shape()
 	if err != nil {
 		return nil, 0, err
@@ -727,7 +780,7 @@ func fanOut(ctx context.Context, r resolver, req *Request, stats *StreamStats) (
 	if req.Vague != nil && req.Vague.Expand {
 		classes = expand(t.th, req.Terms)
 	}
-	merged := make([]memberStream[CorpusMeet], len(t.members))
+	locals := make([]*localStream, len(t.members))
 	err = forEachDoc(ctx, len(t.members), t.workers, func(i int) error {
 		m := t.members[i]
 		var s *localStream
@@ -740,20 +793,19 @@ func fanOut(ctx context.Context, r resolver, req *Request, stats *StreamStats) (
 		if err != nil {
 			return t.memberErr(i, err)
 		}
-		s.source, s.shard = m.name, int32(m.shard)
-		merged[i] = s
+		s.source, s.shard, s.buf.head = m.name, int32(m.shard), m.head
+		locals[i] = s
 		return nil
 	})
 	if err != nil {
-		release(merged)
+		release(locals)
 		return nil, 0, err
 	}
 	total, unmatched := 0, 0
 	if req.Vague != nil {
 		stats.RelaxationsBySlack = make([]int, req.Vague.MaxSlack+1)
 	}
-	for _, ms := range merged {
-		s := ms.(*localStream)
+	for _, s := range locals {
 		total += s.pending()
 		unmatched += len(s.unmatched)
 		for sl, n := range s.relaxBySlack {
@@ -764,10 +816,5 @@ func fanOut(ctx context.Context, r resolver, req *Request, stats *StreamStats) (
 		}
 	}
 	stats.Fill(req, offset, t.gen, total, unmatched)
-	g, err := newMerger(merged)
-	if err != nil {
-		release(merged)
-		return nil, 0, err
-	}
-	return g, offset, nil
+	return locals, offset, nil
 }
