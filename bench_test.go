@@ -928,6 +928,76 @@ func BenchmarkPageChain(b *testing.B) {
 	b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
 }
 
+// The DBLP generator's last names and title words (internal/datagen
+// keeps its vocabulary unexported): the terms of BenchmarkCorpusTopK.
+var (
+	topkLastNames = []string{
+		"Schmidt", "Kersten", "Windhouwer", "Waas", "Boncz", "Struzik",
+		"Meyer", "Fischer", "Weber", "Wagner", "Becker", "Schulz", "Hoffmann",
+		"Koch", "Bauer", "Richter", "Klein", "Wolf", "Schroeder", "Neumann",
+		"Schwarz", "Zimmermann", "Braun", "Krueger", "Hofmann", "Hartmann",
+		"Lange", "Schmitt", "Werner", "Krause", "Lehmann", "Maier", "Bit",
+		"Byte",
+	}
+	topkTitleWords = []string{
+		"Efficient", "Scalable", "Adaptive", "Incremental", "Distributed",
+		"Parallel", "Declarative", "Semistructured", "Relational", "Temporal",
+		"Spatial", "Approximate", "Optimal", "Robust", "Dynamic",
+		"Query", "Storage", "Indexing", "Retrieval", "Processing", "Mining",
+		"Integration", "Optimization", "Evaluation", "Compression", "Caching",
+		"Replication", "Recovery", "Clustering", "Partitioning",
+		"Databases", "Documents", "Streams", "Trees", "Graphs", "Views",
+		"Schemas", "Transactions", "Workloads", "Architectures", "Engines",
+		"Warehouses", "Repositories", "Hierarchies", "Collections",
+	}
+)
+
+// BenchmarkCorpusTopK is a corpus-wide top-10 request at the serving
+// benchmark's working-set size: eight DBLP members of 1984-1999 with
+// 40 publications per venue and year, and distinct [last name, title
+// word] requests, the root excluded, each with its own within, every
+// fifth one vague on a misspelled record path. Eight stores of this
+// size do not fit in cache together, so the roll-up pays for its loads
+// as a server does; BenchmarkMeetMulti's one hot store cannot show it.
+func BenchmarkCorpusTopK(b *testing.B) {
+	c := ncq.NewCorpus()
+	for i := 1; i <= 8; i++ {
+		doc := datagen.DBLP(datagen.DBLPConfig{Seed: int64(i), YearFrom: 1984, YearTo: 1999, PubsPerVenueYear: 40})
+		db, err := ncq.OpenString(doc.XMLString())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Add(fmt.Sprintf("bib%02d", i), db); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	pairs := rand.New(rand.NewSource(1)).Perm(len(topkLastNames) * len(topkTitleWords))
+	meets := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		req := ncq.Request{
+			Terms:   []string{topkLastNames[p/len(topkTitleWords)], topkTitleWords[p%len(topkTitleWords)]},
+			Options: ncq.ExcludeRoot().Within(100 + i),
+			Limit:   10,
+		}
+		if i%5 == 4 {
+			req.Options.Restrict("/dblp/inprocedings")
+			req.Vague = &ncq.Vague{MaxSlack: 2}
+		}
+		res, err := c.Run(ctx, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		meets += len(res.Meets)
+	}
+	if meets == 0 {
+		b.Fatal("no meets")
+	}
+}
+
 // BenchmarkStreamHTTP measures a long streamed answer where its client
 // reads it: POST /v2/query?stream=1 over a real loopback listener, one
 // keep-alive connection, the NDJSON body read to EOF. The benchmarks

@@ -12,9 +12,9 @@ import (
 )
 
 // TestMeetIntoAllocs pins the columnar output: into a warm Answers the
-// roll-up writes its rows and witnesses without allocating, and the
-// scratch comes from the pool, so a meet allocates at most the copy of
-// its unmatched inputs — nothing when there are none.
+// roll-up writes its rows, witnesses and unmatched inputs without
+// allocating, and the scratch comes from the pool, so a meet allocates
+// nothing, whether or not some inputs stay unmatched.
 func TestMeetIntoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops at random under -race")
@@ -33,22 +33,20 @@ func TestMeetIntoAllocs(t *testing.T) {
 		{"max_lift 2, root excluded", &Options{MaxLift: 2, Exclude: ExcludeRoot(s).Exclude}},
 	} {
 		var a Answers
-		un, err := MeetInto(ctx, s, sets, c.opt, &a)
-		if err != nil || len(a.Rows) == 0 {
+		if err := MeetInto(ctx, s, sets, c.opt, &a); err != nil || len(a.Rows) == 0 {
 			t.Fatalf("%s: %d rows, err = %v", c.name, len(a.Rows), err)
 		}
-		most := 0.0
-		if len(un) > 0 {
-			most, withUnmatched = 1, withUnmatched+1
+		if len(a.Unmatched) > 0 {
+			withUnmatched++
 		}
 		got := testing.AllocsPerRun(50, func() {
-			if _, err := MeetInto(ctx, s, sets, c.opt, &a); err != nil {
+			if err := MeetInto(ctx, s, sets, c.opt, &a); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if got > most {
-			t.Errorf("%s: MeetInto into a warm Answers of %d rows, %d unmatched, allocates %.0f/op, pinned at <= %.0f",
-				c.name, len(a.Rows), len(un), got, most)
+		if got > 0 {
+			t.Errorf("%s: MeetInto into a warm Answers of %d rows, %d unmatched, allocates %.0f/op, pinned at 0",
+				c.name, len(a.Rows), len(a.Unmatched), got)
 		}
 	}
 	if withUnmatched == 0 || withUnmatched == 3 {
@@ -57,8 +55,10 @@ func TestMeetIntoAllocs(t *testing.T) {
 }
 
 // TestHugeWitnessArenaLeavesPool holds MeetMultiContext's pool to its
-// bound on both columns: after one meet of 100,000 witnesses on a
-// single row, no pooled Answers keeps the witness arena.
+// bound on every column: after one meet of 100,000 witnesses on a
+// single row, no pooled Answers keeps the witness arena, and after the
+// same inputs left all 100,000 unmatched by MaxLift, none keeps the
+// unmatched column.
 func TestHugeWitnessArenaLeavesPool(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops at random under -race")
@@ -77,16 +77,29 @@ func TestHugeWitnessArenaLeavesPool(t *testing.T) {
 			set = append(set, o)
 		}
 	}
-	res, _, err := MeetMultiContext(context.Background(), s, [][]bat.OID{set}, nil)
-	if err != nil || len(res) != 1 || len(res[0].Witnesses) != len(set) {
-		t.Fatalf("want one meet of %d witnesses, got %d meets (%v)", len(set), len(res), err)
+	res, un, err := MeetMultiContext(context.Background(), s, [][]bat.OID{set}, nil)
+	if err != nil || len(res) != 1 || len(res[0].Witnesses) != len(set) || len(un) != 0 {
+		t.Fatalf("want one meet of %d witnesses, got %d meets, %d unmatched (%v)", len(set), len(res), len(un), err)
 	}
+	checkPoolBound(t)
+	res, un, err = MeetMultiContext(context.Background(), s, [][]bat.OID{set}, &Options{MaxLift: 1})
+	if err != nil || len(res) != 0 || len(un) != len(set) {
+		t.Fatalf("want %d unmatched, got %d meets, %d unmatched (%v)", len(set), len(res), len(un), err)
+	}
+	checkPoolBound(t)
+}
+
+// checkPoolBound takes a few Answers from MeetMultiContext's pool and
+// requires each column of every one within MaxPooledRows.
+func checkPoolBound(t *testing.T) {
+	t.Helper()
 	var got []*Answers
 	for range 4 {
 		a := answersPool.Get().(*Answers)
 		got = append(got, a)
-		if cap(a.Wits) > MaxPooledRows {
-			t.Errorf("the pool handed out a witness arena of %d, bound %d", cap(a.Wits), MaxPooledRows)
+		if max(cap(a.Rows), cap(a.Wits), cap(a.Unmatched)) > MaxPooledRows {
+			t.Errorf("the pool handed out columns of %d rows, %d witnesses, %d unmatched, bound %d",
+				cap(a.Rows), cap(a.Wits), cap(a.Unmatched), MaxPooledRows)
 		}
 	}
 	for _, a := range got {

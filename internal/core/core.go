@@ -14,16 +14,20 @@
 //     is the one entry into the roll-up; MeetMultiContext is the same
 //     meet copied out as []Result.
 //
-// The roll-up is one pass over the inputs in document order. OIDs are
-// preorder, so the nodes still holding unsettled contributions always
-// form one root-to-leaf chain, and each node's preorder interval tells
-// when the next input has left its subtree: then the node is decided
-// and what survives lifts up the chain. The pass costs O(inputs +
-// ancestors walked). Its answer is columns the caller owns (Answers):
-// a row per meet and one witness arena, and nothing is sorted but the
-// rows, once, into document order. It relies on the store's intervals
-// and depths being those of its parent array, which loading derives
-// and restoring a snapshot checks (rollup.go has the details).
+// The roll-up is one pass over the inputs in document order, which a
+// merge of the ascending term sets delivers — two sets with two
+// pointers, more through a heap — each set checked at its two ends.
+// OIDs are preorder, so the nodes still holding unsettled
+// contributions always form one root-to-leaf chain, and each node's
+// preorder interval tells when the next input has left its subtree:
+// then the node is decided and what survives walks up the parent
+// array, counting its lifts. The pass costs O(inputs + ancestors
+// walked). Its answer is columns the caller owns (Answers): a row per
+// meet, one witness arena and the unmatched inputs, and nothing is
+// sorted but the rows, once, into document order, and the unmatched
+// inputs. It relies on the store's intervals being those of its parent
+// array, which loading derives and restoring a snapshot checks
+// (rollup.go has the details).
 //
 // The set-oriented meet of two homogeneous sets (Figure 4) and the
 // baselines the evaluation compares against live with the experiments

@@ -163,17 +163,18 @@ var stale Answers
 
 // checkMeetInto runs sets through MeetInto into stale and requires the
 // rows and their witness spans to read back as MeetMultiContext's
-// results (want) and the same unmatched inputs.
+// results (want) and its unmatched column as the same unmatched inputs.
 func checkMeetInto(t *testing.T, s *monetx.Store, sets [][]bat.OID, opt *Options, want []Result, wantUn []bat.OID) {
 	t.Helper()
 	for i := range 64 {
 		stale.Rows = append(stale.Rows, Row{Meet: bat.OID(i), Distance: -1, Lo: 0, Hi: uint32(i + 1)})
 		stale.Wits = append(stale.Wits, bat.OID(i))
+		stale.Unmatched = append(stale.Unmatched, bat.OID(i))
 	}
-	un, err := MeetInto(context.Background(), s, sets, opt, &stale)
-	if err != nil {
+	if err := MeetInto(context.Background(), s, sets, opt, &stale); err != nil {
 		t.Fatal(err)
 	}
+	un := stale.Unmatched
 	got := make([]Result, len(stale.Rows))
 	for i, r := range stale.Rows {
 		got[i] = Result{Meet: r.Meet, Path: r.Path, Witnesses: stale.Witnesses(i), Distance: int(r.Distance)}
@@ -229,6 +230,16 @@ func FuzzRollupEqualsFigure5(f *testing.F) {
 	f.Add([]byte{2 | 4, 0x5a, 8, 0, 1, 2, 3, 0, 0x45, 0x86, 7, 3, 5, 8, 9, 0x48, 0x89, 0xc9})
 	f.Add([]byte{8 | 16 | 32, 0x93, 5, 0, 1, 2, 3, 4, 6, 2, 6, 0x42, 0x86, 0x46, 1})
 	f.Add([]byte{63, 0xff, 10, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 6, 7, 8, 9, 10, 11, 0x4b, 0x8a, 0xcb})
+	// Exactly two non-empty sets, with a repeat in one and OIDs in both.
+	f.Add([]byte{0, 0, 6, 0, 0, 1, 1, 2, 2, 0x01, 0x03, 0x03, 0x05, 0x83, 0x84, 0x86, 0x81})
+	f.Add([]byte{1 | 2 | 4, 0x5a, 6, 0, 0, 1, 1, 2, 2, 0x02, 0x03, 0x43, 0x44, 0x46, 0x06})
+	// Two deep chains under one node, then a node past it: r(1) holds
+	// x(2), whose chains run 3-6 and 7-10, and y(11). The chain ends 6
+	// and 10 meet at x, 4 lifts each, and 10 joins x's frame, which ends
+	// before the next input 11 — unbounded, and with MaxLift 4 and 3.
+	f.Add([]byte{0, 0, 10, 0, 1, 2, 3, 4, 1, 6, 7, 8, 0, 0x05, 0x49, 0x0a})
+	f.Add([]byte{8, 3, 10, 0, 1, 2, 3, 4, 1, 6, 7, 8, 0, 0x05, 0x49, 0x0a})
+	f.Add([]byte{8, 2, 10, 0, 1, 2, 3, 4, 1, 6, 7, 8, 0, 0x05, 0x49, 0x0a})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -43,42 +44,33 @@ func siftCursor(h []setCursor, i int) {
 	}
 }
 
-// openSets validates every OID of every input set and leaves one
-// cursor per non-empty set in sc.cursors, heap-ordered. The same pass
-// observes whether each set is ascending — term sets from the
-// full-text index always are — and a set that is not is merged from a
-// sorted copy, so the merge has one input form whoever calls.
+// openSets leaves one cursor per non-empty input set in sc.cursors.
+// A set that is not ascending — term sets from the full-text index
+// always are — is merged from a sorted copy, so the merge has one input
+// form whoever calls, and an ascending set holds only valid OIDs
+// exactly when its first and its last one are.
 func (sc *scratch) openSets(s *monetx.Store, inputSets [][]bat.OID) error {
 	for si, set := range inputSets {
-		ascending := true
-		for i, o := range set {
-			if err := checkOID(s, o); err != nil {
-				return err
-			}
-			if i > 0 && o < set[i-1] {
-				ascending = false
-			}
-		}
 		if len(set) == 0 {
 			continue
 		}
-		if !ascending {
+		if !slices.IsSorted(set) {
 			set = slices.Clone(set)
 			slices.Sort(set)
 		}
+		if err := cmp.Or(checkOID(s, set[0]), checkOID(s, set[len(set)-1])); err != nil {
+			return err
+		}
 		sc.cursors = append(sc.cursors, setCursor{set: int32(si), rest: set})
-	}
-	for i := len(sc.cursors)/2 - 1; i >= 0; i-- {
-		siftCursor(sc.cursors, i)
 	}
 	return nil
 }
 
 // MeetInto computes the meets of several input sets — one per search
 // term, as delivered by a multi-term full-text query — into out, which
-// it resets first, and returns the unmatched inputs, ascending, as a
-// copy of their own. It is the one way into the roll-up, and it
-// reconciles the two faces of the paper's semantics:
+// it resets first: the meets as rows, and the unmatched inputs,
+// ascending. It is the one way into the roll-up, and it reconciles the
+// two faces of the paper's semantics:
 //
 //   - An object occurring in at least two input sets is its own meet at
 //     distance zero. This is the Section 3.1 example where full-text
@@ -93,44 +85,60 @@ func (sc *scratch) openSets(s *monetx.Store, inputSets [][]bat.OID) error {
 // self-meet consumes its object silently, unless SkipExcluded is set,
 // in which case the object continues into the roll-up as an ordinary
 // single contribution. ctx is checked before the roll-up and then
-// every 4,096 inputs, so a deadline interrupts even one huge meet
-// mid-flight.
+// every 4,096 distinct input OIDs, self-meets included, so a deadline
+// interrupts even one huge meet mid-flight.
 //
 // out's rows are in document order — a rolled-up meet before the
-// self-meet on the same node. Into a warm out, nothing but the
-// unmatched copy is allocated. After an error out holds no answer to
-// read.
-func MeetInto(ctx context.Context, s *monetx.Store, inputSets [][]bat.OID, opt *Options, out *Answers) ([]bat.OID, error) {
-	out.Rows, out.Wits = out.Rows[:0], out.Wits[:0]
+// self-meet on the same node. Into a warm out, nothing is allocated.
+// After an error out holds no answer to read.
+func MeetInto(ctx context.Context, s *monetx.Store, inputSets [][]bat.OID, opt *Options, out *Answers) error {
+	out.Rows, out.Wits, out.Unmatched = out.Rows[:0], out.Wits[:0], out.Unmatched[:0]
 	sc := getScratch()
 	defer putScratch(sc)
 	if err := sc.openSets(s, inputSets); err != nil {
-		return nil, fmt.Errorf("core: MeetMulti: %w", err)
+		return fmt.Errorf("core: MeetMulti: %w", err)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	// Columnar set counting by k-way merge: the ascending sets are
-	// merged in (OID, set) order straight into the roll-up, so every
-	// distinct OID is seen once with the number of distinct sets that
-	// hold it — duplicates within one set collapse — and that count
-	// decides between self-meet and roll-up. No pair is materialised
-	// and nothing is sorted: the roll-up takes its inputs in exactly
-	// this order.
+	// Columnar set counting: the ascending sets are merged straight
+	// into the roll-up, so every distinct OID is taken once with the
+	// number of distinct sets that hold it — duplicates within one set
+	// collapse — and that count decides between self-meet and roll-up.
+	// No pair is materialised and nothing is sorted: the roll-up takes
+	// its inputs in exactly this order. More than two sets merge through
+	// the cursor heap until two are left; two, or one, merge with two
+	// pointers.
 	r := roll{s: s, opt: opt, sc: sc, maxLift: int32(opt.maxLift()), out: out}
-	for h := sc.cursors; len(h) > 0; {
-		if len(h) == 1 {
-			// A lone set's OIDs can be in no other set: they go straight
-			// into the roll-up, duplicates collapsed as above.
-			for i, o := range h[0].rest {
-				if i == 0 || o != h[0].rest[i-1] {
-					if err := r.add(ctx, o); err != nil {
-						return nil, err
-					}
-				}
-			}
-			break
-		}
+	h, err := r.mergeHeap(ctx, sc.cursors, 2)
+	if err != nil {
+		return err
+	}
+	var a, b []bat.OID
+	if len(h) > 0 {
+		a = h[0].rest
+	}
+	if len(h) > 1 {
+		b = h[1].rest
+	}
+	if err := r.merge2(ctx, a, b); err != nil {
+		return err
+	}
+	r.finish()
+	return nil
+}
+
+// mergeHeap merges the sets through a heap of cursors in (OID, set)
+// order until at most left of them have OIDs left, and returns their
+// cursors.
+func (r *roll) mergeHeap(ctx context.Context, h []setCursor, left int) ([]setCursor, error) {
+	if len(h) <= left {
+		return h, nil
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftCursor(h, i)
+	}
+	for len(h) > left {
 		o := h[0].rest[0]
 		k, last := 0, int32(-1)
 		for len(h) > 0 && h[0].rest[0] == o {
@@ -144,31 +152,50 @@ func MeetInto(ctx context.Context, s *monetx.Store, inputSets [][]bat.OID, opt *
 			}
 			siftCursor(h, 0)
 		}
-		if k >= 2 {
-			switch p := s.PathOf(o); {
-			case opt.excluded(p) && opt.skipExcluded():
-				// Keep climbing as a single contribution.
-			case opt.excluded(p):
-				continue // consumed, not reported
-			default:
-				sc.selfs = append(sc.selfs, Row{Meet: o, Path: p})
-				continue
-			}
-		}
-		if err := r.add(ctx, o); err != nil {
+		if err := r.take(ctx, o, k); err != nil {
 			return nil, err
 		}
 	}
-	return r.finish(), nil
+	return h, nil
 }
 
-// MaxPooledRows bounds the answers a pool keeps: a buffer whose rows or
-// witness arena outgrew it is left to the collector, so one huge answer
-// does not pin its columns for every later small one.
+// merge2 merges two ascending sets with two pointers; an OID at both
+// fronts is taken once, held by two sets, and a repeat of the OID just
+// taken is skipped.
+func (r *roll) merge2(ctx context.Context, a, b []bat.OID) error {
+	last := bat.Nil
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		var o bat.OID
+		k := 1
+		switch {
+		case j == len(b) || i < len(a) && a[i] < b[j]:
+			o, i = a[i], i+1
+		case i == len(a) || b[j] < a[i]:
+			o, j = b[j], j+1
+		default:
+			o, i, j, k = a[i], i+1, j+1, 2
+		}
+		if o == last {
+			continue
+		}
+		last = o
+		if err := r.take(ctx, o, k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// MaxPooledRows bounds the answers a pool keeps: a buffer whose rows,
+// witness arena or unmatched column outgrew it is left to the
+// collector, so one huge answer does not pin its columns for every
+// later small one.
 const MaxPooledRows = 1 << 16
 
-// Poolable reports whether neither of a's columns outgrew MaxPooledRows.
-func (a *Answers) Poolable() bool { return max(cap(a.Rows), cap(a.Wits)) <= MaxPooledRows }
+// Poolable reports whether none of a's columns outgrew MaxPooledRows.
+func (a *Answers) Poolable() bool {
+	return max(cap(a.Rows), cap(a.Wits), cap(a.Unmatched)) <= MaxPooledRows
+}
 
 var answersPool = sync.Pool{New: func() any { return new(Answers) }}
 
@@ -183,9 +210,12 @@ func MeetMultiContext(ctx context.Context, s *monetx.Store, inputSets [][]bat.OI
 			answersPool.Put(a)
 		}
 	}()
-	unmatched, err := MeetInto(ctx, s, inputSets, opt, a)
-	if err != nil || len(a.Rows) == 0 {
-		return nil, unmatched, err
+	if err := MeetInto(ctx, s, inputSets, opt, a); err != nil {
+		return nil, nil, err
+	}
+	unmatched := append(make([]bat.OID, 0, len(a.Unmatched)), a.Unmatched...)
+	if len(a.Rows) == 0 {
+		return nil, unmatched, nil
 	}
 	results := make([]Result, len(a.Rows))
 	wits := slices.Clone(a.Wits)

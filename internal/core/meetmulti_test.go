@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ncq/internal/bat"
@@ -127,6 +129,117 @@ func TestMeetMultiErrors(t *testing.T) {
 	}
 	if _, _, err := meetMulti(s, [][]bat.OID{{99}, {1}}, nil); err == nil {
 		t.Error("out-of-range OID accepted")
+	}
+	// The merge checks a set at its ends: an OID of 0 or Len()+1
+	// anywhere in one, sorted or not, must still fail, whichever merge
+	// (one set, two pointers, the heap) takes the set.
+	valid := []bat.OID{3, 8, 12}
+	for _, bad := range []bat.OID{0, bat.OID(s.Len() + 1)} {
+		var sets [][]bat.OID
+		for at := 0; at <= len(valid); at++ {
+			sets = append(sets, slices.Insert(slices.Clone(valid), at, bad))
+		}
+		sets = append(sets, []bat.OID{12, bad, 3, 8})
+		for _, set := range sets {
+			for _, in := range [][][]bat.OID{{set}, {{5}, set}, {{5}, set, {8}, {19}}} {
+				if _, _, err := meetMulti(s, in, nil); err == nil {
+					t.Errorf("OID %d accepted in sets %v", bad, in)
+				}
+			}
+		}
+	}
+}
+
+// heapMeet is MeetInto with the whole set merge run through the cursor
+// heap, which MeetInto keeps for more than two sets.
+func heapMeet(s *monetx.Store, sets [][]bat.OID, opt *Options, out *Answers) error {
+	out.Rows, out.Wits, out.Unmatched = out.Rows[:0], out.Wits[:0], out.Unmatched[:0]
+	sc := getScratch()
+	defer putScratch(sc)
+	if err := sc.openSets(s, sets); err != nil {
+		return err
+	}
+	r := roll{s: s, opt: opt, sc: sc, maxLift: int32(opt.maxLift()), out: out}
+	if _, err := r.mergeHeap(context.Background(), sc.cursors, 0); err != nil {
+		return err
+	}
+	r.finish()
+	return nil
+}
+
+// TestTwoWayMergeEqualsHeap holds the two-pointer merge of two sets to
+// the cursor heap on the same sets: duplicates within a set, OIDs both
+// sets hold, self-meets on excluded paths with and without
+// SkipExcluded, and MaxLift 1-3, over random trees, traffic-sized
+// stores and deep chains.
+func TestTwoWayMergeEqualsHeap(t *testing.T) {
+	r := rand.New(rand.NewSource(42))
+	var stores []*monetx.Store
+	for range 30 {
+		s, err := monetx.Load(xmltree.Random(r, 70))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores = append(stores, s)
+	}
+	stores = append(stores, largeStore(t, r), largeStore(t, r), bigStore(t, 40))
+	var two, heap Answers
+	excludedSelfs := 0
+	for si, s := range stores {
+		// Two sets with repeats, sharing about a third of the first.
+		sets := make([][]bat.OID, 2)
+		for k := range sets {
+			for j, jn := 0, r.Intn(min(s.Len(), 400)); j < jn; j++ {
+				sets[k] = append(sets[k], bat.OID(r.Intn(s.Len())+1))
+			}
+		}
+		for _, o := range sets[0] {
+			if r.Intn(3) == 0 {
+				sets[1] = append(sets[1], o, o)
+			}
+		}
+		slices.Sort(sets[0])
+		slices.Sort(sets[1])
+		shared := map[bat.OID]bool{}
+		for _, o := range sets[0] {
+			if _, ok := slices.BinarySearch(sets[1], o); ok {
+				shared[o] = true
+			}
+		}
+		random := map[pathsum.PathID]bool{}
+		for _, p := range s.Summary().ElemPaths() {
+			if r.Intn(3) == 0 {
+				random[p] = true
+			}
+		}
+		for o := range shared {
+			if random[s.PathOf(o)] {
+				excludedSelfs++
+			}
+		}
+		for _, opt := range []*Options{
+			nil,
+			ExcludeRoot(s),
+			{Exclude: random},
+			{Exclude: random, SkipExcluded: true},
+			{MaxLift: 1},
+			{MaxLift: 2, Exclude: random},
+			{MaxLift: 3, Exclude: random, SkipExcluded: true},
+		} {
+			if err := MeetInto(context.Background(), s, sets, opt, &two); err != nil {
+				t.Fatal(err)
+			}
+			if err := heapMeet(s, sets, opt, &heap); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(two.Rows, heap.Rows) || !slices.Equal(two.Wits, heap.Wits) || !slices.Equal(two.Unmatched, heap.Unmatched) {
+				t.Fatalf("store %d, options %+v, sets %v:\ntwo pointers %+v %v unmatched %v\nheap         %+v %v unmatched %v",
+					si, opt, sets, two.Rows, two.Wits, two.Unmatched, heap.Rows, heap.Wits, heap.Unmatched)
+			}
+		}
+	}
+	if excludedSelfs == 0 {
+		t.Fatal("no self-meet fell on an excluded path: the test checks too little")
 	}
 }
 

@@ -3,8 +3,8 @@ package core
 // The columnar execution engine of the general meet (Figure 5). The
 // paper contracts the path summary level by level, deepest first; the
 // store this reproduction keeps also holds every node's preorder
-// interval (o .. End(o)) and depth, which make ancestry an O(1) test,
-// so the roll-up is one stack pass over the inputs instead.
+// interval (o .. End(o)), which makes ancestry an O(1) test, so the
+// roll-up is one stack pass over the inputs instead.
 //
 // MeetMultiContext's set merge hands the inputs over ascending and
 // distinct, i.e. in preorder. In that order the nodes still holding
@@ -22,21 +22,23 @@ package core
 // ascending by input, and the frame below's slice ends where the top
 // frame's starts: witnesses come out ascending, and a lift into the
 // frame below keeps the survivors where they are. A single survivor —
-// the normal case — lifts in O(1) by depth difference; two or more
-// (only under SkipExcluded) step one parent at a time, deciding again
-// at each node. The pass costs O(inputs + ancestors walked), each
-// ancestor walked at most once. It trusts the intervals and depths it
-// reads: the loader derives them, and restoring a snapshot checks them
+// the normal case — walks up the parent array and counts its steps;
+// two or more (only under SkipExcluded) step one parent at a time,
+// deciding again at each node. Either walk passes only nodes whose
+// interval ends before v, which no later input can reach, so the pass
+// costs O(inputs + ancestors walked), each ancestor walked at most
+// once. It trusts the parent array and the intervals it reads: the
+// loader derives them, and restoring a snapshot checks them
 // (monetx.ReadSnapshot).
 //
 // The answer is written into columns the caller owns (Answers): one
-// 20-byte Row per meet, and one witness arena for the whole answer that
-// each row spans. A decided meet appends its row and its witnesses;
-// the self-meets wait in the scratch and follow the rolled-up rows, and
-// one stable sort of the rows by node puts the answer in document
-// order. The unmatched inputs are sorted too, as MaxLift drops them out
-// of order. Nothing else is sorted, and a warm Answers allocates
-// nothing.
+// 20-byte Row per meet, one witness arena for the whole answer that
+// each row spans, and the unmatched inputs. A decided meet appends its
+// row and its witnesses; the self-meets wait in the scratch and follow
+// the rolled-up rows, and one stable sort of the rows by node puts the
+// answer in document order. The unmatched inputs are sorted too, as
+// MaxLift drops them out of order. Nothing else is sorted, and a warm
+// Answers allocates nothing.
 
 import (
 	"cmp"
@@ -56,14 +58,13 @@ type entry struct {
 	lifts int32
 }
 
-// frame is one node of the chain: its OID, interval end and depth, and
-// where its contributions start in scratch.entries (they run up to the
-// next frame's offset, the top frame's to the end).
+// frame is one node of the chain: its OID and interval end, and where
+// its contributions start in scratch.entries (they run up to the next
+// frame's offset, the top frame's to the end).
 type frame struct {
-	node  bat.OID
-	end   bat.OID
-	depth int32
-	off   int32
+	node bat.OID
+	end  bat.OID
+	off  int32
 }
 
 // Row is one meet of an Answers: the Result without its witness
@@ -77,12 +78,13 @@ type Row struct {
 }
 
 // Answers holds one roll-up's answer as columns: its rows in document
-// order, and the witnesses they span, each row's ascending. MeetInto
-// resets and refills it, so a caller that keeps one reuses its
-// capacity from query to query.
+// order, the witnesses they span, each row's ascending, and the inputs
+// that found no partner, ascending. MeetInto resets and refills it, so
+// a caller that keeps one reuses its capacity from query to query.
 type Answers struct {
-	Rows []Row
-	Wits []bat.OID
+	Rows      []Row
+	Wits      []bat.OID
+	Unmatched []bat.OID
 }
 
 // Witnesses returns row i's witnesses, capped so an append cannot spill
@@ -93,15 +95,14 @@ func (a *Answers) Witnesses(i int) []bat.OID {
 }
 
 // scratch holds the reusable buffers of one roll-up: the chain, the
-// contributions it holds, the unmatched inputs, the self-meets waiting
-// for the rolled-up rows, and the cursors of the set merge. They keep
-// their capacity between queries, whatever store the next one runs on.
+// contributions it holds, the self-meets waiting for the rolled-up
+// rows, and the cursors of the set merge. They keep their capacity
+// between queries, whatever store the next one runs on.
 type scratch struct {
-	frames    []frame
-	entries   []entry
-	unmatched []bat.OID
-	selfs     []Row
-	cursors   []setCursor
+	frames  []frame
+	entries []entry
+	selfs   []Row
+	cursors []setCursor
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -111,15 +112,15 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 func putScratch(sc *scratch) {
 	sc.frames = sc.frames[:0]
 	sc.entries = sc.entries[:0]
-	sc.unmatched = sc.unmatched[:0]
 	sc.selfs = sc.selfs[:0]
 	clear(sc.cursors) // the cursors hold the caller's input sets
 	sc.cursors = sc.cursors[:0]
 	scratchPool.Put(sc)
 }
 
-// pollEvery is how many inputs the pass takes between looks at the
-// context, so a deadline interrupts one huge roll-up mid-pass.
+// pollEvery is how many distinct OIDs the set merge takes between looks
+// at the context — self-meets included — so a deadline interrupts one
+// huge roll-up mid-pass.
 const pollEvery = 4096
 
 // past is an OID after every node's interval: settling up to it
@@ -136,27 +137,47 @@ type roll struct {
 	out     *Answers
 }
 
-// add takes the next input, which must follow every earlier one in
-// document order: it settles the frames v lies outside of and pushes
-// v's own. The context is polled every pollEvery inputs.
-func (r *roll) add(ctx context.Context, v bat.OID) error {
+// take takes the set merge's next distinct OID o, held by k of the
+// sets, which must follow every earlier one in document order. One held
+// by two or more sets is its own meet at distance zero — consumed
+// silently on an excluded path, unless SkipExcluded lets it climb as a
+// single contribution; everything else goes to the roll-up. The
+// context is polled every pollEvery OIDs.
+func (r *roll) take(ctx context.Context, o bat.OID, k int) error {
 	if r.inputs++; r.inputs%pollEvery == 0 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 	}
+	if k >= 2 {
+		switch p := r.s.PathOf(o); {
+		case r.opt.excluded(p) && r.opt.skipExcluded():
+			// Keep climbing as a single contribution.
+		case r.opt.excluded(p):
+			return nil // consumed, not reported
+		default:
+			r.sc.selfs = append(r.sc.selfs, Row{Meet: o, Path: p})
+			return nil
+		}
+	}
+	r.add(o)
+	return nil
+}
+
+// add takes the next input v: it settles the frames v lies outside of
+// and pushes v's own.
+func (r *roll) add(v bat.OID) {
 	r.settleUpTo(v)
 	sc := r.sc
 	sc.frames = append(sc.frames, r.frameAt(v, len(sc.entries)))
 	sc.entries = append(sc.entries, entry{orig: v})
-	return nil
 }
 
 // finish settles the whole chain, appends the self-meets — the set
 // merge's distance-zero answers, each its own witness — and sorts the
 // rows into document order, a rolled-up meet before the self-meet on
-// the same node. It returns a copy of the unmatched inputs, ascending.
-func (r *roll) finish() []bat.OID {
+// the same node, and the unmatched inputs ascending.
+func (r *roll) finish() {
 	r.settleUpTo(past)
 	a := r.out
 	for _, row := range r.sc.selfs {
@@ -165,12 +186,11 @@ func (r *roll) finish() []bat.OID {
 		a.Rows = append(a.Rows, row)
 	}
 	slices.SortStableFunc(a.Rows, func(x, y Row) int { return cmp.Compare(x.Meet, y.Meet) })
-	slices.Sort(r.sc.unmatched)
-	return append(make([]bat.OID, 0, len(r.sc.unmatched)), r.sc.unmatched...)
+	slices.Sort(a.Unmatched)
 }
 
 func (r *roll) frameAt(o bat.OID, off int) frame {
-	return frame{node: o, end: r.s.End(o), depth: int32(r.s.Depth(o)), off: int32(off)}
+	return frame{node: o, end: r.s.End(o), off: int32(off)}
 }
 
 // settleUpTo pops and settles, innermost first, every frame whose
@@ -184,7 +204,7 @@ func (r *roll) settleUpTo(v bat.OID) {
 		if len(sc.entries)-int(f.off) >= 2 && !r.decide(f.node, int(f.off)) {
 			continue
 		}
-		r.lift(f.node, f.depth, int(f.off), v)
+		r.lift(f.node, int(f.off), v)
 	}
 }
 
@@ -209,16 +229,16 @@ func (r *roll) decide(node bat.OID, off int) bool {
 	return false
 }
 
-// lift moves the survivors sc.entries[off:] up from node, of the given
-// depth, to where they can next collide: the frame below, which they
-// join, or — when that frame's interval holds v, or there is none —
-// the first ancestor whose interval holds v, pushed as a new frame.
-// Past the root, or past MaxLift, a contribution is unmatched.
-func (r *roll) lift(node bat.OID, depth int32, off int, v bat.OID) {
+// lift moves the survivors sc.entries[off:] up from node to where they
+// can next collide: the frame below, which they join, or — when that
+// frame's interval holds v, or there is none — the first ancestor
+// whose interval holds v, pushed as a new frame. Past the root, or
+// past MaxLift, a contribution is unmatched.
+func (r *roll) lift(node bat.OID, off int, v bat.OID) {
 	sc := r.sc
-	var below *frame
+	below := bat.Nil // the frame below's node, if any
 	if n := len(sc.frames); n > 0 {
-		below = &sc.frames[n-1]
+		below = sc.frames[n-1].node
 	}
 	// Two or more survivors climb one parent at a time, deciding again
 	// at every node on the way; none of those nodes holds anything else.
@@ -227,10 +247,9 @@ func (r *roll) lift(node bat.OID, depth int32, off int, v bat.OID) {
 			r.drop(off)
 			return
 		}
-		depth--
 		r.climb(off)
 		switch {
-		case len(sc.entries) == off, below != nil && node == below.node:
+		case len(sc.entries) == off, node == below:
 			return
 		case v <= r.s.End(node):
 			sc.frames = append(sc.frames, r.frameAt(node, off))
@@ -239,27 +258,24 @@ func (r *roll) lift(node bat.OID, depth int32, off int, v bat.OID) {
 			return
 		}
 	}
-	// One survivor: nothing on its way up can meet it, so it lifts by
-	// depth difference.
-	target, tdepth := bat.Nil, int32(0)
-	if below != nil && below.end < v {
-		target, tdepth = below.node, below.depth
-	} else {
-		for target = r.s.Parent(node); target != bat.Nil && r.s.End(target) < v; target = r.s.Parent(target) {
-		}
-		if target == bat.Nil {
-			r.drop(off)
-			return
-		}
-		tdepth = int32(r.s.Depth(target))
-	}
+	// One survivor: nothing on its way up can meet it, so it walks the
+	// parent array, one lift a step, to the frame below or to the first
+	// ancestor whose interval holds v, whichever comes first.
 	e := &sc.entries[off]
-	if e.lifts += depth - tdepth; r.maxLift > 0 && e.lifts > r.maxLift {
+	for node = r.s.Parent(node); node != below && r.s.End(node) < v; node = r.s.Parent(node) {
+		e.lifts++
+	}
+	if node == bat.Nil {
 		r.drop(off)
 		return
 	}
-	if below == nil || target != below.node {
-		sc.frames = append(sc.frames, frame{node: target, end: r.s.End(target), depth: tdepth, off: int32(off)})
+	e.lifts++
+	if r.maxLift > 0 && e.lifts > r.maxLift {
+		r.drop(off)
+		return
+	}
+	if node != below {
+		sc.frames = append(sc.frames, r.frameAt(node, off))
 	}
 }
 
@@ -270,7 +286,7 @@ func (r *roll) climb(off int) {
 	w := off
 	for _, e := range sc.entries[off:] {
 		if e.lifts++; r.maxLift > 0 && e.lifts > r.maxLift {
-			sc.unmatched = append(sc.unmatched, e.orig)
+			r.out.Unmatched = append(r.out.Unmatched, e.orig)
 			continue
 		}
 		sc.entries[w] = e
@@ -283,7 +299,7 @@ func (r *roll) climb(off int) {
 func (r *roll) drop(off int) {
 	sc := r.sc
 	for _, e := range sc.entries[off:] {
-		sc.unmatched = append(sc.unmatched, e.orig)
+		r.out.Unmatched = append(r.out.Unmatched, e.orig)
 	}
 	sc.entries = sc.entries[:off]
 }

@@ -103,6 +103,36 @@ func TestMeetContextPolledMidPass(t *testing.T) {
 	}
 }
 
+// TestMeetContextPolledOverSelfMeets pins the same cadence when every
+// input is a self-meet: two or three copies of one set of all 10,501
+// OIDs, merged with two pointers or through the heap, count each OID
+// toward the poll although none enters the roll-up.
+func TestMeetContextPolledOverSelfMeets(t *testing.T) {
+	s := bigStore(t, 700)
+	oids := make([]bat.OID, 0, s.Len())
+	for o := 1; o <= s.Len(); o++ {
+		oids = append(oids, bat.OID(o))
+	}
+	polls := 1 + s.Len()/pollEvery
+	for _, sets := range [][][]bat.OID{{oids, oids}, {oids, oids, oids}} {
+		for flipAt := 2; flipAt <= polls; flipAt++ {
+			ctx := &flipCtx{Context: context.Background(), flipAt: flipAt}
+			if _, _, err := MeetMultiContext(ctx, s, sets, nil); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%d sets, Err flipping on call %d: err = %v, want context.Canceled", len(sets), flipAt, err)
+			}
+			if ctx.calls != flipAt {
+				t.Fatalf("%d sets, Err flipping on call %d: the pass went on to call %d", len(sets), flipAt, ctx.calls)
+			}
+		}
+		ctx := &flipCtx{Context: context.Background(), flipAt: polls + 1}
+		res, _, err := MeetMultiContext(ctx, s, sets, nil)
+		if err != nil || ctx.calls != polls || len(res) != s.Len() {
+			t.Fatalf("%d sets, Err flipping after the last poll: %d meets, err = %v after %d calls, want %d meets, nil after %d",
+				len(sets), len(res), err, ctx.calls, s.Len(), polls)
+		}
+	}
+}
+
 func TestMeetContextBackgroundMatchesPlain(t *testing.T) {
 	s := bigStore(t, 40)
 	oids := []bat.OID{5, 19, 33, 47, 61}

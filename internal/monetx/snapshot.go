@@ -260,9 +260,10 @@ func min(a, b int) int {
 }
 
 // checkTree holds the per-OID arrays to one tree, in one preorder pass.
-// Contains and the roll-up read ancestry off the intervals and depths,
-// not the parent array, so all three must describe the same tree: OID
-// 1 is the root, at depth 0, its interval spanning every OID; every
+// Contains reads ancestry off the intervals, the roll-up walks the
+// parent array against them, and ContainsViaJoins and the emitter
+// read the depths, so all three must describe the same tree: OID 1 is
+// the root, at depth 0, its interval spanning every OID; every
 // other node's parent is the innermost interval still open at it, its
 // interval nests in its parent's, and its depth is one more. The
 // innermost open interval at o is found by walking up from o-1 past

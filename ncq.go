@@ -332,7 +332,7 @@ func (db *Database) Locate(ctx context.Context, t *Thesaurus, terms ...string) (
 // The meets come in document order (a rolled-up meet before the
 // self-meet on the same node), plus the inputs that found no partner.
 // Run executes the same meet ranked, paged and streamed. ctx is polled
-// every 4,096 inputs, so it interrupts even one huge meet.
+// every 4,096 distinct inputs, so it interrupts even one huge meet.
 func (db *Database) MeetOf(ctx context.Context, opt *Options, sets ...[]NodeID) ([]Meet, []NodeID, error) {
 	sh, err := opt.shape(nil)
 	if err != nil {

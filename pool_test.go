@@ -197,10 +197,11 @@ func TestPoolAfterAbandonedRequests(t *testing.T) {
 	}
 }
 
-// TestHugeWitnessArenaLeavesPool runs one answer whose witness arena
-// outgrows the pool's bound — a root meet of 100,000 witnesses on one
-// row — and checks that no pooled member buffer keeps it: one huge
-// answer must not pin its columns for every later small one.
+// TestHugeWitnessArenaLeavesPool runs answers whose columns outgrow
+// the pool's bound — a root meet of 100,000 witnesses on one row, and
+// the same inputs left all 100,000 unmatched by MaxLift — and checks
+// that no pooled member buffer keeps them: one huge answer must not pin
+// its columns for every later small one.
 func TestHugeWitnessArenaLeavesPool(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops at random under -race")
@@ -213,12 +214,25 @@ func TestHugeWitnessArenaLeavesPool(t *testing.T) {
 	if err != nil || len(res.Meets) != 1 || len(res.Meets[0].Witnesses) != 100_000 {
 		t.Fatalf("want one meet of 100,000 witnesses, got %d meets (%v)", len(res.Meets), err)
 	}
+	checkMemberBufBound(t)
+	res, err = db.Run(context.Background(), Request{Terms: []string{"x"}, Options: NewOptions(OptionSpec{MaxLift: 1})})
+	if err != nil || len(res.Meets) != 0 || len(res.UnmatchedNodes) != 100_000 {
+		t.Fatalf("want 100,000 unmatched, got %d meets, %d unmatched (%v)", len(res.Meets), len(res.UnmatchedNodes), err)
+	}
+	checkMemberBufBound(t)
+}
+
+// checkMemberBufBound takes a few member buffers from the pool and
+// requires every column of each within core.MaxPooledRows.
+func checkMemberBufBound(t *testing.T) {
+	t.Helper()
 	var got []*memberBuf
 	for range 4 {
 		b := getMemberBuf()
 		got = append(got, b)
-		if cap(b.Wits) > core.MaxPooledRows {
-			t.Errorf("the pool handed out a witness arena of %d, bound %d", cap(b.Wits), core.MaxPooledRows)
+		if max(cap(b.Rows), cap(b.Wits), cap(b.Unmatched)) > core.MaxPooledRows {
+			t.Errorf("the pool handed out columns of %d rows, %d witnesses, %d unmatched, bound %d",
+				cap(b.Rows), cap(b.Wits), cap(b.Unmatched), core.MaxPooledRows)
 		}
 	}
 	for _, b := range got {

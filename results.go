@@ -111,22 +111,23 @@ type localStream struct {
 	pos    int32  // the rank position the next advance moves to
 
 	// projValue and projXML say which text a query-language projection
-	// asked for; it is rendered, like the meet, on the way out. They sit
-	// in the padding after shard and pos: the struct fills its 96-byte
-	// allocation class, and every request allocates one per member.
-	projValue, projXML bool
+	// asked for; it is rendered, like the meet, on the way out. rolled
+	// says the rows are a roll-up's answer, whose unmatched inputs a
+	// Database run lists; a projection lists none. The three sit in the
+	// padding after shard and pos, and every request allocates one
+	// stream per member.
+	projValue, projXML, rolled bool
 
-	db        *Database
-	buf       *memberBuf
-	unmatched []NodeID
+	db  *Database
+	buf *memberBuf
 
 	// relaxBySlack counts the member's answers per structural slack
 	// used (index = slack); nil for exact requests.
 	relaxBySlack []int
 }
 
-// memberBuf is the pooled storage of one member's answer: the rows and
-// witness arena the roll-up writes, the rank order over the rows, and
+// memberBuf is the pooled storage of one member's answer: the columns
+// the roll-up writes, the rank order over the rows, and
 // the member's line head and the line a lineStream builds. A stream
 // borrows one and the request hands it back (release) once its merge is
 // done; nothing a yielded meet holds points into it.
@@ -146,7 +147,8 @@ func putMemberBuf(b *memberBuf) {
 	if !b.Poolable() || cap(b.line) > core.MaxPooledRows {
 		return
 	}
-	b.Rows, b.Wits, b.order, b.head, b.line = b.Rows[:0], b.Wits[:0], b.order[:0], nil, b.line[:0]
+	b.Rows, b.Wits, b.Unmatched = b.Rows[:0], b.Wits[:0], b.Unmatched[:0]
+	b.order, b.head, b.line = b.order[:0], nil, b.line[:0]
 	memberBufPool.Put(b)
 }
 
@@ -204,9 +206,9 @@ func rankOrder(rows []core.Row, order []int32) []int32 {
 // newLocalStream ranks buf's rows (in document order, as the roll-up
 // emits them, distances already blended in vague mode) under the
 // member-local rank. Nothing is rendered yet.
-func newLocalStream(db *Database, buf *memberBuf, unmatched []NodeID) *localStream {
+func newLocalStream(db *Database, buf *memberBuf) *localStream {
 	buf.order = rankOrder(buf.Rows, buf.order)
-	return &localStream{db: db, buf: buf, unmatched: unmatched}
+	return &localStream{db: db, buf: buf}
 }
 
 func (s *localStream) pending() int { return len(s.buf.order) - int(s.pos) }
@@ -357,7 +359,7 @@ func (db *Database) queryMeetsStream(ctx context.Context, q *query.Query) (*loca
 	for _, o := range low.Nodes {
 		buf.Rows = append(buf.Rows, core.Row{Meet: o})
 	}
-	s := newLocalStream(db, buf, nil)
+	s := newLocalStream(db, buf)
 	s.projValue, s.projXML = q.Projects()
 	return s, nil
 }
@@ -370,8 +372,7 @@ func (db *Database) meetStream(ctx context.Context, sets [][]NodeID, copt *core.
 	// inputs), so a deadline interrupts one huge member mid-meet, not
 	// just between members.
 	buf := getMemberBuf()
-	un, err := core.MeetInto(ctx, db.store, sets, copt, &buf.Answers)
-	if err != nil {
+	if err := core.MeetInto(ctx, db.store, sets, copt, &buf.Answers); err != nil {
 		putMemberBuf(buf)
 		return nil, fmt.Errorf("ncq: %w", err)
 	}
@@ -380,8 +381,8 @@ func (db *Database) meetStream(ctx context.Context, sets [][]NodeID, copt *core.
 		// order the member, the k-way merge and the coordinator all see.
 		vp.blend(buf.Rows)
 	}
-	s := newLocalStream(db, buf, un)
-	s.relaxBySlack = vp.relaxBySlack
+	s := newLocalStream(db, buf)
+	s.rolled, s.relaxBySlack = true, vp.relaxBySlack
 	return s, nil
 }
 
@@ -807,12 +808,12 @@ func fanOut(ctx context.Context, r resolver, req *Request, stats *StreamStats) (
 	}
 	for _, s := range locals {
 		total += s.pending()
-		unmatched += len(s.unmatched)
+		unmatched += len(s.buf.Unmatched)
 		for sl, n := range s.relaxBySlack {
 			stats.RelaxationsBySlack[sl] += n
 		}
-		if t.anonymous {
-			stats.UnmatchedNodes = s.unmatched
+		if t.anonymous && s.rolled {
+			stats.UnmatchedNodes = append([]NodeID{}, s.buf.Unmatched...)
 		}
 	}
 	stats.Fill(req, offset, t.gen, total, unmatched)
