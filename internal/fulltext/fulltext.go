@@ -259,11 +259,27 @@ func dedupTokens(toks []string) []string {
 	return toks[:w]
 }
 
+// buildScratch holds New's transients: the interning map, the value
+// list before its exact copy, the per-owner row cursors and the
+// per-bucket last value ids. kept retains one set between builds.
+type buildScratch struct {
+	intern map[string]valueID
+	values []string
+	next   []int32
+	last   []int32
+}
+
+var kept atomic.Pointer[buildScratch]
+
 // New builds what locate reads — value table, association table,
 // substring index — by scanning every string relation in the path
 // summary's catalogue. The token postings are not built here: see
 // postings.
 func New(store *monetx.Store) *Index {
+	sc := kept.Swap(nil)
+	if sc == nil {
+		sc = &buildScratch{intern: make(map[string]valueID), last: make([]int32, gramBuckets)}
+	}
 	idx := &Index{store: store}
 	sum := store.Summary()
 	var pids []pathsum.PathID // the string relations, in scan order
@@ -278,7 +294,7 @@ func New(store *monetx.Store) *Index {
 	// one owner's rows in the order scanned — ascending path id, hence
 	// (owner, path) order, total because such a pair identifies at most
 	// one association.
-	next := make([]int32, store.Len()+2) // next[o]: the row owner o's next association takes
+	next := append(sc.next[:0], make([]int32, store.Len()+2)...) // next[o]: the row owner o's next association takes
 	n := 0
 	for _, pid := range pids {
 		rel := store.Strings(pid)
@@ -293,23 +309,30 @@ func New(store *monetx.Store) *Index {
 	idx.owners = make([]bat.OID, n)
 	idx.paths = make([]pathsum.PathID, n)
 	idx.vals = make([]valueID, n)
-	intern := make(map[string]valueID)
+	values := sc.values[:0]
 	for _, pid := range pids {
 		rel := store.Strings(pid)
 		for i := 0; i < rel.Len(); i++ {
 			owner, value := rel.Head(i), rel.Tail(i)
-			vid, ok := intern[value]
+			vid, ok := sc.intern[value]
 			if !ok {
-				vid = valueID(len(idx.values))
-				intern[value] = vid
-				idx.values = append(idx.values, value)
+				vid = valueID(len(values))
+				sc.intern[value] = vid
+				values = append(values, value)
 			}
 			row := next[owner]
 			next[owner]++
 			idx.owners[row], idx.paths[row], idx.vals[row] = owner, pid, vid
 		}
 	}
-	idx.buildSubstringIndex()
+	idx.values = append(make([]string, 0, len(values)), values...)
+	idx.buildSubstringIndex(sc.last)
+	if cap(values) <= monetx.MaxKeptRows && cap(next) <= monetx.MaxKeptRows {
+		clear(sc.intern)
+		clear(values)
+		sc.values, sc.next = values[:0], next
+		kept.Store(sc)
+	}
 	idx.memo = memo.New(n, memoCharge, &memoCounts)
 	return idx
 }
@@ -343,12 +366,11 @@ func (idx *Index) TokensBuilt() bool { return idx.postBuilds.Load() > 0 }
 // table, each by a counting sort: count, prefix-sum into offsets, fill
 // through the offsets (leaving each at its bucket's end), shift them
 // back by one slot. A value is listed once per bucket however often it
-// repeats a trigram: last holds the bucket's most recent value id, so
+// repeats a trigram: last (one per bucket) holds its most recent value id, so
 // it also gives the gap a bucket entry is coded as, and the counting
 // pass sizes the buckets in bytes.
-func (idx *Index) buildSubstringIndex() {
+func (idx *Index) buildSubstringIndex(last []int32) {
 	start := make([]int32, gramBuckets+1)
-	last := make([]int32, gramBuckets)
 	eachGram := func(visit func(h, gap uint32)) {
 		for i := range last {
 			last[i] = -1

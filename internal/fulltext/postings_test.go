@@ -79,7 +79,7 @@ func referencePostings(store *monetx.Store) *Index {
 		}
 	}
 	idx.postOnce.Do(func() {}) // the postings are in place: never build them
-	idx.buildSubstringIndex()
+	idx.buildSubstringIndex(make([]int32, gramBuckets))
 	return idx
 }
 
@@ -210,4 +210,68 @@ func TestTokenIndexBuiltOnce(t *testing.T) {
 	if !idx.TokensBuilt() || idx.TokenBuilds() != 1 {
 		t.Errorf("token postings built %d times, want once", idx.TokenBuilds())
 	}
+}
+
+// checkColumns holds every column idx keeps to want's, the same index
+// built on fresh scratch, and to having no slack.
+func checkColumns(t *testing.T, label string, idx, want *Index) {
+	for col, pair := range map[string][2]any{
+		"values": {idx.values, want.values}, "owners": {idx.owners, want.owners}, "paths": {idx.paths, want.paths},
+		"vals": {idx.vals, want.vals}, "gramStart": {idx.gramStart, want.gramStart}, "grams": {idx.grams, want.grams},
+		"valStart": {idx.valStart, want.valStart}, "valRows": {idx.valRows, want.valRows},
+	} {
+		if !reflect.DeepEqual(pair[0], pair[1]) {
+			t.Errorf("%s: %s differs from the build on fresh scratch", label, col)
+		}
+		if v := reflect.ValueOf(pair[0]); v.Len() != v.Cap() {
+			t.Errorf("%s: %s has capacity %d for %d entries", label, col, v.Cap(), v.Len())
+		}
+	}
+}
+
+// coldIndexes builds an index of every store on fresh scratch.
+func coldIndexes(stores map[string]*monetx.Store) map[string]*Index {
+	cold := map[string]*Index{}
+	for name, store := range stores {
+		kept.Store(nil)
+		cold[name] = New(store)
+	}
+	return cold
+}
+
+// TestBuildScratchReuse builds each index on the scratch another build
+// left behind and holds it to the build on fresh scratch.
+func TestBuildScratchReuse(t *testing.T) {
+	corpus := equalityCorpus(t)
+	cold := coldIndexes(corpus)
+	kept.Store(nil)
+	for i, name := range []string{"dblp", "fig1", "multimedia", "dblp", "attr-only"} {
+		if warm := kept.Load() != nil; warm != (i > 0) {
+			t.Fatalf("build %d (%s): warm = %v", i, name, warm)
+		}
+		checkColumns(t, fmt.Sprintf("build %d (%s)", i, name), New(corpus[name]), cold[name])
+		if sc := kept.Load(); sc == nil || len(sc.intern) > 0 || slices.ContainsFunc(sc.values[:cap(sc.values)], func(v string) bool { return v != "" }) {
+			t.Errorf("build %d (%s): the kept scratch is missing or holds strings", i, name)
+		}
+	}
+}
+
+// TestBuildScratchConcurrent builds on four goroutines at once, so they
+// contend for the one kept set (run under -race).
+func TestBuildScratchConcurrent(t *testing.T) {
+	corpus := equalityCorpus(t)
+	cold := coldIndexes(corpus)
+	names := []string{"dblp", "fig1", "multimedia", "attr-only"}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				name := names[(g+i)%len(names)]
+				checkColumns(t, fmt.Sprintf("goroutine %d, build %d (%s)", g, i, name), New(corpus[name]), cold[name])
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -2,6 +2,7 @@ package monetx
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"ncq/internal/bat"
 	"ncq/internal/pathsum"
@@ -15,13 +16,13 @@ import (
 // top frame, the depth is the stack's height, the rank is the parent
 // frame's child count, and the subtree ends at the count reached when
 // the element closes — so a parse shreds without a tree. When the root
-// closes the store is sealed and handed to emit; a split parse then
-// starts the next part's store with the next Start.
+// closes the columns move from scratch to the sealed store handed to
+// emit; a split parse then starts the next part with the next Start.
 type Loader struct {
-	emit     func(*Store) error
-	sizeHint int // nodes to make room for in the next store, when known
-	s        *Store
-	open     []frame
+	emit func(*Store) error
+	sum  *pathsum.Summary // the paths of the part under construction
+	sc   *scratch         // its columns; nil between parts
+	open []frame
 }
 
 // frame is one open element.
@@ -31,19 +32,88 @@ type frame struct {
 	kids int32 // children started so far
 }
 
+// scratch is where a load writes the per-OID arrays (entry 0 unused)
+// and every string association, in load order. kept retains one set
+// between loads; a load that fails never gives its set back.
+type scratch struct {
+	parent []bat.OID
+	pathOf []pathsum.PathID
+	depth  []int32
+	rank   []int32
+	end    []bat.OID
+	strs   []assoc
+}
+
+// assoc is one string association: value, owned by owner, at path.
+type assoc struct {
+	path  pathsum.PathID
+	owner bat.OID
+	value string
+}
+
+// MaxKeptRows bounds the scratch a package keeps between loads: a set
+// grown past it, in nodes, strings or values, is dropped.
+const MaxKeptRows = 1 << 17
+
+var kept atomic.Pointer[scratch]
+
+// takeScratch takes the kept set, or a fresh one when there is none.
+func takeScratch() *scratch {
+	sc := kept.Swap(nil)
+	if sc == nil {
+		sc = new(scratch)
+	}
+	// Entry 0 is unused: each array starts one zero long.
+	sc.parent, sc.pathOf, sc.end = append(sc.parent[:0], 0), append(sc.pathOf[:0], 0), append(sc.end[:0], 0)
+	sc.depth, sc.rank, sc.strs = append(sc.depth[:0], 0), append(sc.rank[:0], 0), sc.strs[:0]
+	return sc
+}
+
+// release clears every string reference and keeps the set, unless it
+// outgrew MaxKeptRows.
+func (sc *scratch) release() {
+	if cap(sc.parent) <= MaxKeptRows && cap(sc.strs) <= MaxKeptRows {
+		clear(sc.strs)
+		kept.Store(sc)
+	}
+}
+
+// double reallocates s with twice its capacity, 256 at least.
+func double[T any](s []T) []T { return append(make([]T, 0, max(2*cap(s), 256)), s...) }
+
+// exact copies s into a slice whose capacity is its length.
+func exact[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }
+
+// relations distributes sc's associations over their paths, each
+// relation allocated once at its size, and counts their bytes.
+func (sc *scratch) relations(sum *pathsum.Summary) ([]*bat.BAT[string], int) {
+	counts := make([]int, sum.Len())
+	for _, a := range sc.strs {
+		counts[a.path]++
+	}
+	rels, n := make([]*bat.BAT[string], sum.Len()), 0
+	for pid, c := range counts {
+		if c > 0 {
+			rels[pid] = bat.NewWithCapacity[string](sum.String(pathsum.PathID(pid)), c)
+		}
+	}
+	for _, a := range sc.strs {
+		rels[a.path].Append(a.owner, a.value)
+		n += len(a.value)
+	}
+	return rels, n
+}
+
 // NewLoader returns a loader that hands each completed store to emit.
 func NewLoader(emit func(*Store) error) *Loader { return &Loader{emit: emit} }
 
-// Load shreds doc into a Store: Document.Emit into a Loader sized for
-// it.
+// Load shreds doc into a Store: Document.Emit into a Loader.
 func Load(doc *xmltree.Document) (*Store, error) {
 	if doc == nil || doc.Root == nil {
 		return nil, fmt.Errorf("monetx: load: nil document")
 	}
 	var s *Store
-	l := NewLoader(func(loaded *Store) error { s = loaded; return nil })
-	l.sizeHint = doc.Len()
-	if err := doc.Emit(l); err != nil {
+	if err := doc.Emit(NewLoader(func(loaded *Store) error { s = loaded; return nil })); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -52,59 +122,42 @@ func Load(doc *xmltree.Document) (*Store, error) {
 // node appends a node labelled label under the innermost open element
 // to the per-OID arrays.
 func (l *Loader) node(label string) (bat.OID, pathsum.PathID, error) {
-	if l.s == nil {
-		n := max(l.sizeHint+1, 256)
-		l.s = &Store{
-			summary: pathsum.New(),
-			parent:  make([]bat.OID, 1, n),
-			pathOf:  make([]pathsum.PathID, 1, n),
-			depth:   make([]int32, 1, n),
-			rank:    make([]int32, 1, n),
-			end:     make([]bat.OID, 1, n),
-			root:    1,
-		}
+	if l.sc == nil {
+		l.sc, l.sum = takeScratch(), pathsum.New()
 	}
-	s := l.s
+	sc := l.sc
 	parent, parentPath, rank := bat.Nil, pathsum.Invalid, int32(1)
 	if n := len(l.open); n > 0 {
 		top := &l.open[n-1]
 		top.kids++
 		parent, parentPath, rank = top.oid, top.path, top.kids
 	}
-	pid, err := s.summary.Intern(parentPath, label, pathsum.Elem)
+	pid, err := l.sum.Intern(parentPath, label, pathsum.Elem)
 	if err != nil {
 		return 0, 0, fmt.Errorf("monetx: load: %w", err)
 	}
-	if len(s.parent) == cap(s.parent) {
+	if len(sc.parent) == cap(sc.parent) {
 		// Double the five together: append alone grows a large slice
-		// by a quarter, which copies every column five times over.
-		s.reserve(2 * cap(s.parent))
+		// by a quarter, which copies every array five times over.
+		sc.parent, sc.pathOf, sc.end = double(sc.parent), double(sc.pathOf), double(sc.end)
+		sc.depth, sc.rank = double(sc.depth), double(sc.rank)
 	}
-	oid := bat.OID(len(s.parent))
-	s.parent = append(s.parent, parent)
-	s.pathOf = append(s.pathOf, pid)
-	s.depth = append(s.depth, int32(len(l.open)))
-	s.rank = append(s.rank, rank)
-	s.end = append(s.end, oid)
+	oid := bat.OID(len(sc.parent))
+	sc.parent = append(sc.parent, parent)
+	sc.pathOf = append(sc.pathOf, pid)
+	sc.depth = append(sc.depth, int32(len(l.open)))
+	sc.rank = append(sc.rank, rank)
+	sc.end = append(sc.end, oid)
 	return oid, pid, nil
-}
-
-// reserve reallocates the per-OID arrays with room for n entries.
-func (s *Store) reserve(n int) {
-	s.parent = append(make([]bat.OID, 0, n), s.parent...)
-	s.pathOf = append(make([]pathsum.PathID, 0, n), s.pathOf...)
-	s.depth = append(make([]int32, 0, n), s.depth...)
-	s.rank = append(make([]int32, 0, n), s.rank...)
-	s.end = append(make([]bat.OID, 0, n), s.end...)
 }
 
 // attr records one string association of node oid at path pid.
 func (l *Loader) attr(oid bat.OID, pid pathsum.PathID, name, value string) error {
-	apid, err := l.s.summary.Intern(pid, name, pathsum.Attr)
+	apid, err := l.sum.Intern(pid, name, pathsum.Attr)
 	if err != nil {
 		return fmt.Errorf("monetx: load: %w", err)
 	}
-	l.s.appendString(apid, oid, value)
+	l.sc.strs = append(l.sc.strs, assoc{apid, oid, value})
 	return nil
 }
 
@@ -135,15 +188,17 @@ func (l *Loader) Text(text string) error {
 // End closes the innermost open element; closing the root completes the
 // store.
 func (l *Loader) End() error {
-	s, top := l.s, l.open[len(l.open)-1]
-	s.end[top.oid] = bat.OID(len(s.parent) - 1)
+	sc, top := l.sc, l.open[len(l.open)-1]
+	sc.end[top.oid] = bat.OID(len(sc.parent) - 1)
 	if l.open = l.open[:len(l.open)-1]; len(l.open) > 0 {
 		return nil
 	}
-	l.s = nil
-	if len(s.parent) < cap(s.parent) {
-		s.reserve(len(s.parent)) // what stays resident is what Stats counts
-	}
+	// What stays resident is what Stats counts: each column at its size.
+	s := &Store{summary: l.sum, root: 1, parent: exact(sc.parent), pathOf: exact(sc.pathOf),
+		depth: exact(sc.depth), rank: exact(sc.rank), end: exact(sc.end)}
+	s.strs, s.strBytes = sc.relations(l.sum)
 	s.seal()
+	l.sc, l.sum = nil, nil
+	sc.release()
 	return l.emit(s)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -249,4 +250,198 @@ func TestStatsCountsWhatIsResident(t *testing.T) {
 	if back := roundTripSnapshot(t, s).Stats(); back != before {
 		t.Errorf("Stats of the snapshot's store = %+v, want %+v", back, before)
 	}
+}
+
+// TestResidentColumnsExact pins the other half of Stats' accounting:
+// it counts lengths, so no resident column may have slack — neither
+// the per-OID arrays nor either column of a string relation (read by
+// reflection: the columns are the BAT's own), after a parse-load, a
+// tree's load and a snapshot's read.
+func TestResidentColumnsExact(t *testing.T) {
+	doc := datagen.DBLP(datagen.DBLPConfig{Seed: 1, YearFrom: 1990, YearTo: 1999, PubsPerVenueYear: 10})
+	var parsed *Store
+	if err := xmltree.ParseSplit(strings.NewReader(doc.XMLString()), nil, NewLoader(func(s *Store) error { parsed = s; return nil })); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for how, s := range map[string]*Store{"parse": parsed, "load": loaded, "snapshot": roundTripSnapshot(t, parsed)} {
+		noSlack := func(name string, col reflect.Value) {
+			if col.Len() != col.Cap() {
+				t.Errorf("%s: %s has capacity %d for %d entries", how, name, col.Cap(), col.Len())
+			}
+		}
+		for name, col := range map[string]any{"parent": s.parent, "pathOf": s.pathOf, "depth": s.depth, "rank": s.rank, "end": s.end} {
+			noSlack(name, reflect.ValueOf(col))
+		}
+		for pid, rel := range s.strs {
+			if rel != nil {
+				v := reflect.ValueOf(rel).Elem()
+				noSlack(s.summary.String(pathsum.PathID(pid))+" head", v.FieldByName("head"))
+				noSlack(s.summary.String(pathsum.PathID(pid))+" tail", v.FieldByName("tail"))
+			}
+		}
+	}
+}
+
+// loadSnapshots parses src through a loader — cut into parts by cut,
+// when not nil — and returns each part's snapshot bytes.
+func loadSnapshots(t testing.TB, src string, cut func(int64) bool) ([][]byte, error) {
+	var out [][]byte
+	err := xmltree.ParseSplit(strings.NewReader(src), cut, NewLoader(func(s *Store) error {
+		var buf bytes.Buffer
+		if err := s.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, buf.Bytes())
+		return nil
+	}))
+	return out, err
+}
+
+// coldSnapshots is loadSnapshots on fresh scratch: the kept set is
+// dropped first.
+func coldSnapshots(t testing.TB, src string, cut func(int64) bool) ([][]byte, error) {
+	kept.Store(nil)
+	return loadSnapshots(t, src, cut)
+}
+
+func sameParts(a, b [][]byte) bool {
+	return slices.EqualFunc(a, b, bytes.Equal)
+}
+
+// TestLoaderScratchReuse loads on scratch another document left behind
+// — big, small, big again, a failed parse then a good one, a 4-way
+// split — and holds every result to the snapshot bytes of the same
+// load on fresh scratch.
+func TestLoaderScratchReuse(t *testing.T) {
+	big := datagen.DBLP(datagen.DBLPConfig{Seed: 2, YearFrom: 1995, YearTo: 1999, PubsPerVenueYear: 8}).XMLString()
+	small := xmltree.Fig1().XMLString()
+	steps := []struct {
+		name  string
+		src   string
+		parts int
+		fail  bool
+	}{
+		{"big", big, 1, false},
+		{"small", small, 1, false},
+		{"big again", big, 1, false},
+		{"failed parse", big[:len(big)-20], 1, true},
+		{"after the failure", small, 1, false},
+		{"4-way split", big, 4, false},
+	}
+	// cut is a fresh StreamCut per parse: it counts the parts it cut.
+	cut := func(src string, parts int) func(int64) bool {
+		return shard.StreamCut(int64(len(src)/parts), parts)
+	}
+	want := make([][][]byte, len(steps))
+	for i, st := range steps {
+		if !st.fail {
+			var err error
+			if want[i], err = coldSnapshots(t, st.src, cut(st.src, st.parts)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	kept.Store(nil)
+	for i, st := range steps {
+		warm := kept.Load() != nil
+		got, err := loadSnapshots(t, st.src, cut(st.src, st.parts))
+		switch {
+		case st.fail:
+			if err == nil {
+				t.Fatalf("%s: accepted", st.name)
+			}
+			if kept.Load() != nil {
+				t.Fatalf("%s: the failed load gave its scratch back", st.name)
+			}
+			continue
+		case err != nil:
+			t.Fatalf("%s: %v", st.name, err)
+		case i > 0 && steps[i-1].fail == warm: // only a completed load leaves a set behind
+			t.Fatalf("%s: warm = %v after the previous load", st.name, warm)
+		case !sameParts(got, want[i]):
+			t.Errorf("%s: the load on reused scratch differs from one on fresh scratch", st.name)
+		}
+		if st.parts > 1 && len(got) < 2 {
+			t.Errorf("%s: %d parts", st.name, len(got))
+		}
+		if sc := kept.Load(); sc == nil || slices.ContainsFunc(sc.strs[:cap(sc.strs)], func(a assoc) bool { return a.value != "" }) {
+			t.Errorf("%s: the kept scratch is missing or holds strings", st.name)
+		}
+	}
+}
+
+// TestLoaderScratchConcurrent runs loads on four goroutines at once, so
+// they contend for the one kept set (run under -race): each result must
+// equal its load on fresh scratch.
+func TestLoaderScratchConcurrent(t *testing.T) {
+	srcs := []string{
+		xmltree.Fig1().XMLString(),
+		datagen.DBLP(datagen.DBLPConfig{Seed: 3, YearFrom: 1998, YearTo: 1999, PubsPerVenueYear: 5}).XMLString(),
+		datagen.Multimedia(datagen.MultimediaConfig{Seed: 3, Items: 60, MaxProbeDistance: 8}).XMLString(),
+	}
+	want := make([][][]byte, len(srcs))
+	for i, src := range srcs {
+		var err error
+		if want[i], err = coldSnapshots(t, src, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				k := (g + i) % len(srcs)
+				got, err := loadSnapshots(t, srcs[k], nil)
+				if err != nil || !sameParts(got, want[k]) {
+					t.Errorf("goroutine %d, load %d of document %d: err %v, or bytes differ from a fresh load", g, i, k, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestLoaderScratchBound pins MaxKeptRows: a document past it, in nodes
+// or in string associations, leaves the slot empty.
+func TestLoaderScratchBound(t *testing.T) {
+	for name, src := range map[string]string{
+		"nodes":   "<r>" + strings.Repeat("<n/>", MaxKeptRows) + "</r>",
+		"strings": "<r>" + strings.Repeat(`<n a="1" b="2"/>`, MaxKeptRows/2+1) + "</r>",
+	} {
+		kept.Store(nil)
+		if _, err := loadSnapshots(t, "<r><n/></r>", nil); err != nil || kept.Load() == nil {
+			t.Fatalf("%s: a small load kept nothing (err %v)", name, err)
+		}
+		if _, err := loadSnapshots(t, src, nil); err != nil {
+			t.Fatal(err)
+		}
+		if kept.Load() != nil {
+			t.Errorf("%s: scratch past %d rows was kept", name, MaxKeptRows)
+		}
+	}
+}
+
+// FuzzLoaderReuse loads two inputs back to back, each cut into parts:
+// the second, on whatever scratch the first left, must equal its load
+// on fresh scratch — refused alike, or byte-equal part by part.
+func FuzzLoaderReuse(f *testing.F) {
+	f.Add(xmltree.Fig1().XMLString(), "<a><b x='1'>t</b><c/></a>")
+	f.Add("<a><b>unclosed", "<a>x</a>")
+	f.Add("<r><n a='1' b='2'/><n/></r>", xmltree.Fig1().XMLString())
+	f.Fuzz(func(t *testing.T, first, second string) {
+		cut := func(span int64) bool { return span >= 16 }
+		want, wantErr := coldSnapshots(t, second, cut)
+		loadSnapshots(t, first, cut)
+		got, err := loadSnapshots(t, second, cut)
+		if (err == nil) != (wantErr == nil) || !sameParts(got, want) {
+			t.Fatalf("after %q, %q loads to %d parts (%v), on fresh scratch %d parts (%v)", first, second, len(got), err, len(want), wantErr)
+		}
+	})
 }

@@ -432,6 +432,8 @@ func readSnapshot(r io.Reader) (*Store, int, int, error) {
 	if err != nil {
 		return nil, 0, 0, err
 	}
+	// Relations are sized by the rows read, never by a declared count.
+	sc := takeScratch()
 	for i := 0; i < int(nRelsU); i++ {
 		pidI, err := sr.i32()
 		if err != nil {
@@ -457,7 +459,7 @@ func readSnapshot(r io.Reader) (*Store, int, int, error) {
 			if err != nil {
 				return nil, 0, 0, fmt.Errorf("string relation %d: %w", i, err)
 			}
-			s.appendString(pid, bat.OID(owner), val)
+			sc.strs = append(sc.strs, assoc{pid, bat.OID(owner), val})
 		}
 	}
 
@@ -476,6 +478,8 @@ func readSnapshot(r io.Reader) (*Store, int, int, error) {
 	if !s.ValidOID(s.root) || s.root != 1 {
 		return nil, 0, 0, fmt.Errorf("bad root %d", s.root)
 	}
+	s.strs, s.strBytes = sc.relations(summary)
+	sc.release()
 	s.seal()
 	return s, int(shardU), int(shardsU), nil
 }

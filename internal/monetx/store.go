@@ -75,19 +75,6 @@ type Store struct {
 	root bat.OID
 }
 
-func (s *Store) appendString(apid pathsum.PathID, owner bat.OID, value string) {
-	for int(apid) >= len(s.strs) {
-		s.strs = append(s.strs, nil)
-	}
-	b := s.strs[apid]
-	if b == nil {
-		b = bat.New[string](s.summary.String(apid))
-		s.strs[apid] = b
-	}
-	b.Append(owner, value)
-	s.strBytes += len(value)
-}
-
 // seal completes a store whose per-OID arrays and string relations are
 // written: it derives the per-path OID lists — slices of one array of
 // every OID, grouped by path, in document order within a path — and
@@ -99,9 +86,6 @@ func (s *Store) appendString(apid pathsum.PathID, owner bat.OID, value string) {
 // the views, which most stores never build.
 func (s *Store) seal() {
 	n, nPaths := s.Len(), s.summary.Len()
-	for len(s.strs) < nPaths {
-		s.strs = append(s.strs, nil)
-	}
 	counts := make([]int, nPaths)
 	for _, pid := range s.pathOf[1:] {
 		counts[pid]++

@@ -46,6 +46,8 @@ func FuzzParse(f *testing.F) {
 		"<a>]]&gt;<b k=']]>'/>]]></a>",
 		"<é ü='ï'>ß</é>",
 		"<a>" + strings.Repeat("long text with &amp; inside ", 20) + "</a>",
+		`<a x="1" x="2"/>`,
+		`<a><b p:x="1" q:x="2">t</b></a>`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

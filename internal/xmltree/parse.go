@@ -98,9 +98,9 @@ func Parse(r io.Reader) (*Document, error) {
 //
 // Every refusal reads "xmltree: parse at byte N: …" with N the input
 // offset one past what had been read when it was detected. The ones
-// that are policy rather than XML — the reserved cdata label, a second
-// root, nesting beyond pathsum.MaxDepth — are raised here, at the end
-// of the offending start tag, whatever the sink.
+// that are policy rather than XML — the reserved cdata label, a repeated
+// attribute name, a second root, nesting beyond pathsum.MaxDepth — are
+// raised here, at the end of the offending start tag, whatever the sink.
 func ParseSplit(r io.Reader, cut func(span int64) bool, sink Sink) error {
 	return parse(newScanner(r, scanWindow), cut, sink)
 }
@@ -204,6 +204,8 @@ func parse(s *scanner, cut func(span int64) bool, sink Sink) error {
 			case s.fail != nil:
 			case label == CDataLabel:
 				s.failf("element uses reserved label %q", CDataLabel)
+			case s.dup != "":
+				s.failf("element <%s> repeats attribute %q", label, s.dup)
 			case seenRoot && len(open) == 0:
 				s.failf("multiple root elements")
 			case !seenRoot:

@@ -250,6 +250,8 @@ func TestParseRefusals(t *testing.T) {
 		{"bad reference after the root", "<a/>trailing&bad;", 12, 17},
 		{"reserved cdata label", "<a><b>text</b><cdata>x</cdata></a>", 21, 21},
 		{"second root", "<a></a><b></b>", 10, 10},
+		{"repeated attribute", `<a><b x="1" x="2"/></a>`, 19, 19},
+		{"attribute repeated under two prefixes", `<a p:x="1" q:x="2">t</a>`, 19, 19},
 		{"depth bound", strings.Repeat("<n>", max+1) + "<<<", 3 * (max + 1), 3 * (max + 1)},
 		{"text past the depth bound", strings.Repeat("<n>", max) + "leaf" + strings.Repeat("</n>", max), 3 * max, 3*max + 8},
 		{"empty input", "", 0, 0},

@@ -70,6 +70,12 @@ func referenceParseSplit(r io.Reader, cut func(span int64) bool, emit func(*Docu
 			}
 			attrs := make([]Attr, 0, len(t.Attr))
 			for _, a := range t.Attr {
+				for _, b := range attrs {
+					if b.Name == a.Name.Local {
+						return fmt.Errorf("xmltree: parse at byte %d: element <%s> repeats attribute %q",
+							dec.InputOffset(), label, b.Name)
+					}
+				}
 				attrs = append(attrs, Attr{a.Name.Local, a.Value})
 			}
 			if b == nil {

@@ -42,11 +42,14 @@ type scanner struct {
 
 	names map[string]qname // every qualified name seen, checked and split once
 	attrs []Attr           // attributes of the start tag being scanned
+	tag   int              // start tags scanned
+	inTag map[string]int   // each local attribute name's last start tag
+	dup   string           // a local name the last start tag repeats, or ""
 	val   []byte           // the attribute value being scanned
 }
 
 func newScanner(r io.Reader, window int) *scanner {
-	return &scanner{r: r, buf: make([]byte, window), hold: -1, names: map[string]qname{}}
+	return &scanner{r: r, buf: make([]byte, window), hold: -1, names: map[string]qname{}, inTag: map[string]int{}}
 }
 
 // qname is an interned qualified name: raw as written, which is what an
@@ -215,11 +218,12 @@ func (s *scanner) name(what string) qname {
 	return q
 }
 
-// startTag scans a start tag from its name on. The attributes are valid
-// until the next start tag.
+// startTag scans a start tag from its name on; dup names an attribute
+// it repeats. The attributes are valid until the next start tag.
 func (s *scanner) startTag() (name qname, attrs []Attr, empty bool) {
 	name = s.name("element name after <")
-	s.attrs = s.attrs[:0]
+	s.attrs, s.dup = s.attrs[:0], ""
+	s.tag++
 	for s.fail == nil {
 		s.space()
 		switch c, _ := s.peek(); c {
@@ -232,6 +236,15 @@ func (s *scanner) startTag() (name qname, attrs []Attr, empty bool) {
 			return name, s.attrs, true
 		}
 		a := s.name("attribute name in element")
+		if n := len(s.attrs); n > 0 { // a tag's first attribute repeats nothing
+			if n == 1 {
+				s.inTag[s.attrs[0].Name] = s.tag
+			}
+			if s.inTag[a.local] == s.tag {
+				s.dup = a.local
+			}
+			s.inTag[a.local] = s.tag
+		}
 		s.space()
 		s.expect('=', "attribute name without = in element")
 		s.space()

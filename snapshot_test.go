@@ -3,6 +3,8 @@ package ncq
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -122,6 +124,20 @@ func FuzzOpenSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	// The same snapshot with its first string relation claiming 2^32-1
+	// entries: the decoder sizes a relation by the nodes it has read,
+	// never by the claim, and then runs out of input.
+	sum, off := db.store.Summary(), len("NCQSNAP2")+4*4
+	for _, pid := range sum.AllPaths() {
+		off += 4 + 1 + 4 + len(sum.Label(pid))
+	}
+	off += 4 + 5*4*(db.Len()+1) + 4 + 4
+	huge := bytes.Clone(buf.Bytes())
+	if got := binary.LittleEndian.Uint32(huge[off:]); got == 0 || got > uint32(db.Len()) {
+		f.Fatalf("offset %d holds %d, not a relation's count", off, got)
+	}
+	binary.LittleEndian.PutUint32(huge[off:], math.MaxUint32)
+	f.Add(huge)
 	f.Add([]byte("NCQSNAP2"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
