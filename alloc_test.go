@@ -336,3 +336,36 @@ func TestOpenShardedAllocBytes(t *testing.T) {
 		t.Errorf("a warm OpenSharded of a %d-byte document allocates %d bytes, pinned at <= 4.5 MB", len(src), least)
 	}
 }
+
+// TestLookupsKeepNothingResident pins the other side of Stats'
+// MemBytes: Value and Attr over every node of a DBLP member leave the
+// live heap where they found it. A look-up searches the string
+// relation's ascending owners and keeps nothing beside the columns
+// Stats counts; 1 % of MemBytes is left for the runtime's own noise.
+func TestLookupsKeepNothingResident(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the live heap is not meaningful under -race")
+	}
+	doc := datagen.DBLP(datagen.DBLPConfig{Seed: 1, YearFrom: 1990, YearTo: 1999, PubsPerVenueYear: 10})
+	db, err := Open(strings.NewReader(doc.XMLString()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := live()
+	for n := NodeID(1); int(n) <= db.Len(); n++ {
+		db.Value(n)
+		db.Attr(n, "key")
+	}
+	grown := live() - before
+	if limit := int64(db.Stats().MemBytes / 100); grown > limit {
+		t.Errorf("Value and Attr over %d nodes grew the live heap by %d bytes, more than %d (1%% of MemBytes %d)",
+			db.Len(), grown, limit, db.Stats().MemBytes)
+	}
+	runtime.KeepAlive(db)
+}

@@ -417,6 +417,24 @@ func BenchmarkQueryEndToEnd(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryProjection runs a projecting query: every year's
+// value, each a look-up of its text in the cdata string relation.
+func BenchmarkQueryProjection(b *testing.B) {
+	setup := dblp(b)
+	engine := query.NewEngine(setup.Store, setup.Index)
+	const q = `SELECT value(e) FROM //inproceedings/year AS e`
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ans, err := engine.Query(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(ans.Rows) == 0 {
+			b.Fatal("no results")
+		}
+	}
+}
+
 // BenchmarkSnapshotSave measures persisting the store.
 func BenchmarkSnapshotSave(b *testing.B) {
 	setup := dblp(b)

@@ -13,15 +13,16 @@
 // Figure 4 (join, tail intersection, tail anti-selection), and the
 // sorted-slice primitives underneath the columnar hot path.
 //
-// A BAT is deliberately simple: two parallel slices and a lazily built
-// hash index on the head column. All operations allocate their result;
-// inputs are never mutated, which keeps the relational style of the
-// paper's pseudocode easy to express and reason about.
+// A BAT is deliberately simple: two parallel slices and nothing else,
+// so what a store keeps resident is what it counts. All operations
+// allocate their result; inputs are never mutated, which keeps the
+// relational style of the paper's pseudocode easy to express and reason
+// about.
 package bat
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 )
 
 // OID is a unique object identifier for a node of the XML syntax tree.
@@ -37,18 +38,12 @@ const Nil OID = 0
 // pairs. The zero value is not usable; construct with New.
 //
 // Concurrency: a fully loaded BAT (no further Append calls) is safe for
-// concurrent readers; the lazily built head index is guarded by a
-// mutex. Appending concurrently with anything else is not.
+// concurrent readers: reading builds nothing. Appending concurrently
+// with anything else is not.
 type BAT[T comparable] struct {
 	name string
 	head []OID
 	tail []T
-
-	// index maps a head value to the positions at which it occurs.
-	// It is built lazily by buildIndex (under mu) and invalidated by
-	// Append.
-	mu    sync.Mutex
-	index map[OID][]int32
 }
 
 // New returns an empty BAT with the given relation name. In the Monet
@@ -71,12 +66,10 @@ func NewWithCapacity[T comparable](name string, n int) *BAT[T] {
 // Len returns the number of pairs in the BAT.
 func (b *BAT[T]) Len() int { return len(b.head) }
 
-// Append adds one association. Appending invalidates any index built
-// so far; loaders should append everything before querying.
+// Append adds one association.
 func (b *BAT[T]) Append(h OID, t T) {
 	b.head = append(b.head, h)
 	b.tail = append(b.tail, t)
-	b.index = nil
 }
 
 // Head returns the head value at position i.
@@ -85,29 +78,18 @@ func (b *BAT[T]) Head(i int) OID { return b.head[i] }
 // Tail returns the tail value at position i.
 func (b *BAT[T]) Tail(i int) T { return b.tail[i] }
 
-// buildIndex materialises the hash index on the head column. Taking
-// the mutex on every call establishes the happens-before edge that
-// makes the subsequent unguarded map reads of concurrent readers safe.
-func (b *BAT[T]) buildIndex() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.index != nil {
-		return
-	}
-	idx := make(map[OID][]int32, len(b.head))
-	for i, h := range b.head {
-		idx[h] = append(idx[h], int32(i))
-	}
-	b.index = idx
-}
+// HeadsAscend reports whether no head is smaller than the one before
+// it: what Find needs, and what a sealed string relation of the store
+// holds — its owners come in document order.
+func (b *BAT[T]) HeadsAscend() bool { return slices.IsSorted(b.head) }
 
-// Find returns the tail of the first pair whose head equals h.
-// The boolean reports whether such a pair exists. This is the
-// "hash look-up" the paper uses for the parent function in Figure 3.
+// Find returns the tail of the first pair whose head equals h. The
+// boolean reports whether such a pair exists. The heads must ascend
+// (HeadsAscend): Find is a binary search over them, the paper's look-up
+// of an owner's value without a structure beside the columns.
 func (b *BAT[T]) Find(h OID) (T, bool) {
-	b.buildIndex()
-	if pos, ok := b.index[h]; ok && len(pos) > 0 {
-		return b.tail[pos[0]], true
+	if i, ok := slices.BinarySearch(b.head, h); ok {
+		return b.tail[i], true
 	}
 	var zero T
 	return zero, false
@@ -124,8 +106,8 @@ func (b *BAT[T]) String() string {
 }
 
 // MemBytes estimates the memory footprint of the BAT's columns in
-// bytes, ignoring the lazily built index. String tails count the string
-// headers only; the monetx store adds character data separately.
+// bytes. String tails count the string headers only; the monetx store
+// adds character data separately.
 func (b *BAT[T]) MemBytes() int {
 	var t T
 	return len(b.head)*4 + len(b.tail)*sizeofTail(t)

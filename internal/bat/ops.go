@@ -18,15 +18,25 @@ package bat
 // joining an association BAT with the parent BAT lifts a set of objects
 // one level towards the root while the head keeps the provenance.
 // Pairs are produced in the order of a, expanding multiple matches in
-// b's insertion order.
+// b's insertion order. The hash table on b's heads is the join's own,
+// built per call and dropped with it: each head's first position, and
+// per position the next one with the same head (-1 ends the chain).
 func Join[T comparable](a *BAT[OID], b *BAT[T]) *BAT[T] {
-	b.buildIndex()
+	first := make(map[OID]int32, len(b.head))
+	next := make([]int32, len(b.head))
+	for i := len(b.head) - 1; i >= 0; i-- {
+		p, ok := first[b.head[i]]
+		if !ok {
+			p = -1
+		}
+		next[i], first[b.head[i]] = p, int32(i)
+	}
 	out := NewWithCapacity[T](a.name+"*"+b.name, a.Len())
-	for i := range a.head {
-		if pos, ok := b.index[a.tail[i]]; ok {
-			for _, p := range pos {
-				out.Append(a.head[i], b.tail[p])
-			}
+	for i, t := range a.tail {
+		p, ok := first[t]
+		for ok && p >= 0 {
+			out.Append(a.head[i], b.tail[p])
+			p = next[p]
 		}
 	}
 	return out

@@ -56,7 +56,7 @@ type Config struct {
 // NDJSON streams, and serves the same /v2/query and /v1/docs surface
 // as a single node. The query route is not its own: it mounts the one
 // front end of the system (server.Front) and is that front end's
-// Backend — ResultsWithStats, Generation and Parallelism below.
+// Backend — LinesWithStats, Generation and Parallelism below.
 // Create one with New and mount Handler.
 type Coordinator struct {
 	cfg     Config // with the defaults applied
@@ -320,36 +320,13 @@ func workerFailure(err error) error {
 func (c *Coordinator) LinesWithStats(ctx context.Context, req ncq.Request) (iter.Seq2[[]byte, error], *ncq.StreamStats) {
 	stats := &ncq.StreamStats{}
 	return func(yield func([]byte, error) bool) {
-		var spelled []byte
-		if err := c.results(ctx, &req, stats, func(a answer) bool {
-			if a.Line == nil {
-				spelled = wire.AppendMeetLine(spelled[:0], &a.CorpusMeet)
-				a.Line = spelled
-			}
-			return yield(a.Line, nil)
-		}); err != nil {
+		if err := c.lines(ctx, &req, stats, yield); err != nil {
 			yield(nil, err)
 		}
 	}, stats
 }
 
-// ResultsWithStats implements server.Backend: the same merge for a
-// page, which keeps its meets, so a relayed line is decoded in full.
-func (c *Coordinator) ResultsWithStats(ctx context.Context, req ncq.Request) (iter.Seq2[ncq.CorpusMeet, error], *ncq.StreamStats) {
-	stats := &ncq.StreamStats{}
-	return func(yield func(ncq.CorpusMeet, error) bool) {
-		if err := c.results(ctx, &req, stats, func(a answer) bool {
-			if a.Line != nil {
-				a.CorpusMeet = wire.RelayedMeet(a.Line)
-			}
-			return yield(a.CorpusMeet, nil)
-		}); err != nil {
-			yield(ncq.CorpusMeet{}, err)
-		}
-	}, stats
-}
-
-func (c *Coordinator) results(ctx context.Context, req *ncq.Request, stats *ncq.StreamStats, yield func(answer) bool) error {
+func (c *Coordinator) lines(ctx context.Context, req *ncq.Request, stats *ncq.StreamStats, yield func([]byte, error) bool) error {
 	offset, curGen, err := req.Page()
 	if err != nil {
 		return err
@@ -363,11 +340,16 @@ func (c *Coordinator) results(ctx context.Context, req *ncq.Request, stats *ncq.
 		return errStaleCluster
 	}
 	stats.Fill(req, offset, g.hash, g.total, g.unmatched)
+	var spelled []byte
 	for a, err := range ncq.MergeMeets(ctx, g.sources, answerKey, offset, req.Limit) {
 		if err != nil {
 			return workerFailure(err)
 		}
-		if !yield(a) {
+		if a.Line == nil {
+			spelled = wire.AppendMeetLine(spelled[:0], &a.CorpusMeet)
+			a.Line = spelled
+		}
+		if !yield(a.Line, nil) {
 			return nil
 		}
 	}

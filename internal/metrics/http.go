@@ -10,7 +10,6 @@ package metrics
 
 import (
 	"context"
-	"hash/fnv"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -56,9 +55,11 @@ func SetFingerprint(ctx context.Context, canonical string) {
 	if !ok {
 		return
 	}
-	h := fnv.New64a()
-	h.Write([]byte(canonical))
-	ri.fingerprint, ri.hasFP = h.Sum64(), true
+	h := uint64(14695981039346656037) // FNV-64a over the string, without copying it
+	for i := 0; i < len(canonical); i++ {
+		h = (h ^ uint64(canonical[i])) * 1099511628211
+	}
+	ri.fingerprint, ri.hasFP = h, true
 }
 
 // statusRecorder captures the response status and size. It forwards
@@ -138,7 +139,7 @@ func (m *HTTP) Instrument(route string, logger *slog.Logger, quiet bool, next ht
 		if ri.hasFP {
 			attrs = append(attrs, slog.String("query_fp", strconv.FormatUint(ri.fingerprint, 16)))
 		}
-		if c := rec.Header().Get("X-NCQ-Cache"); c != "" {
+		if c := rec.Header().Get("X-Ncq-Cache"); c != "" { // X-NCQ-Cache, spelled canonically: Get allocates any other spelling
 			attrs = append(attrs, slog.String("cache", c))
 		}
 		logger.LogAttrs(r.Context(), level, "request", attrs...)

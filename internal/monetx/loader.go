@@ -197,8 +197,11 @@ func (l *Loader) End() error {
 	s := &Store{summary: l.sum, root: 1, parent: exact(sc.parent), pathOf: exact(sc.pathOf),
 		depth: exact(sc.depth), rank: exact(sc.rank), end: exact(sc.end)}
 	s.strs, s.strBytes = sc.relations(l.sum)
-	s.seal()
+	err := s.seal()
 	l.sc, l.sum = nil, nil
 	sc.release()
+	if err != nil {
+		return err
+	}
 	return l.emit(s)
 }

@@ -480,6 +480,8 @@ func readSnapshot(r io.Reader) (*Store, int, int, error) {
 	}
 	s.strs, s.strBytes = sc.relations(summary)
 	sc.release()
-	s.seal()
+	if err := s.seal(); err != nil {
+		return nil, 0, 0, err
+	}
 	return s, int(shardU), int(shardsU), nil
 }

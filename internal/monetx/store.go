@@ -78,13 +78,15 @@ type Store struct {
 // seal completes a store whose per-OID arrays and string relations are
 // written: it derives the per-path OID lists — slices of one array of
 // every OID, grouped by path, in document order within a path — and
-// computes Stats, once; the writer knows everything they report.
+// computes Stats, once; the writer knows everything they report. It
+// refuses a string relation whose owners descend anywhere: a loader
+// writes them in document order, and every reader searches them.
 // Associations counts the relations of Figure 2 whether stored or
 // derived: an edge per node but the root, a rank per node, and the
 // strings. MemBytes counts what is resident: the five per-OID arrays,
 // the OID lists, the string relations and their character data — not
 // the views, which most stores never build.
-func (s *Store) seal() {
+func (s *Store) seal() error {
 	n, nPaths := s.Len(), s.summary.Len()
 	counts := make([]int, nPaths)
 	for _, pid := range s.pathOf[1:] {
@@ -102,8 +104,11 @@ func (s *Store) seal() {
 	for i, pid := range s.pathOf[1:] {
 		s.oidsAt[pid] = append(s.oidsAt[pid], bat.OID(i+1))
 	}
-	for _, b := range s.strs {
+	for pid, b := range s.strs {
 		if b != nil {
+			if !b.HeadsAscend() {
+				return fmt.Errorf("string relation %s: owners out of document order", s.summary.String(pathsum.PathID(pid)))
+			}
 			st.StrRelations++
 			st.Associations += b.Len()
 			st.MemBytes += b.MemBytes()
@@ -111,6 +116,7 @@ func (s *Store) seal() {
 	}
 	st.MemBytes += s.strBytes + 5*4*len(s.parent) + 4*n
 	s.stats = st
+	return nil
 }
 
 // Summary returns the path summary (the relation catalogue).

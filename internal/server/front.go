@@ -24,12 +24,10 @@ import (
 // Backend is what the front end executes a request against: a node's
 // *ncq.Corpus, or internal/cluster's Coordinator.
 type Backend interface {
-	// ResultsWithStats answers a request for a page: its ranked meets
-	// and its counters (ncq.Corpus.ResultsWithStats).
-	ResultsWithStats(ctx context.Context, req ncq.Request) (iter.Seq2[ncq.CorpusMeet, error], *ncq.StreamStats)
-
-	// LinesWithStats answers a request for a stream: the same, each
-	// meet as its NDJSON line (ncq.Corpus.LinesWithStats).
+	// LinesWithStats answers a request: its ranked meets, each as its
+	// NDJSON line, and its counters (ncq.Corpus.LinesWithStats). A
+	// stream writes the lines as they come; a page is the same lines
+	// drained (wire.EncodeResult).
 	LinesWithStats(ctx context.Context, req ncq.Request) (iter.Seq2[[]byte, error], *ncq.StreamStats)
 
 	// Generation stamps the state answers are currently computed

@@ -23,27 +23,16 @@ type fakeBackend struct {
 	runs  int
 }
 
-func (b *fakeBackend) ResultsWithStats(context.Context, ncq.Request) (iter.Seq2[ncq.CorpusMeet, error], *ncq.StreamStats) {
+func (b *fakeBackend) LinesWithStats(context.Context, ncq.Request) (iter.Seq2[[]byte, error], *ncq.StreamStats) {
 	b.runs++
 	stats := b.stats
-	return func(yield func(ncq.CorpusMeet, error) bool) {
+	return func(yield func([]byte, error) bool) {
 		if b.err != nil {
-			yield(ncq.CorpusMeet{}, b.err)
+			yield(nil, b.err)
 			return
 		}
-		yield(ncq.CorpusMeet{Source: "d"}, nil)
+		yield(wire.AppendMeetLine(nil, &ncq.CorpusMeet{Source: "d"}), nil)
 	}, &stats
-}
-
-func (b *fakeBackend) LinesWithStats(ctx context.Context, req ncq.Request) (iter.Seq2[[]byte, error], *ncq.StreamStats) {
-	seq, stats := b.ResultsWithStats(ctx, req)
-	return func(yield func([]byte, error) bool) {
-		for m, err := range seq {
-			if !yield(wire.AppendMeetLine(nil, &m), err) {
-				return
-			}
-		}
-	}, stats
 }
 
 func (b *fakeBackend) Generation() uint64 { return b.gen }

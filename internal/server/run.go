@@ -6,9 +6,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"net/http"
 	"sync"
 
 	"ncq"
@@ -18,40 +15,36 @@ import (
 
 // runCached resolves one request through the cache — the one cache
 // rule of both roles. Look up under gen, the backend's generation read
-// before executing, keyed by the request's canonical encoding: a hit
-// splices the stored bytes into the response. A miss executes and
-// stores the response — the pre-encoded result plus its page metadata
-// — under the generation the answer itself reports, so a racing
-// mutation can never publish a stale entry under the new generation.
-// An incomplete answer is never stored.
-func (f *Front) runCached(ctx context.Context, gen uint64, req ncq.Request) (wire.Response, error) {
+// before executing, keyed by key, the request's canonical encoding: a
+// hit splices the stored bytes into the response. A miss drains the
+// request's stream into the page's result bytes (wire.EncodeResult)
+// and stores the response — those bytes plus the page metadata — under
+// the generation the answer itself reports, so a racing mutation can
+// never publish a stale entry under the new generation. An incomplete
+// answer is never stored.
+func (f *Front) runCached(ctx context.Context, gen uint64, key string, req ncq.Request) (wire.Response, error) {
 	if req.Vague != nil {
 		f.vagueRequests.Inc()
 	}
-	key := cache.Key{Gen: gen, Query: req.Canonical()}
-	if v, ok := f.cache.Get(key); ok {
+	ck := cache.Key{Gen: gen, Query: key}
+	if v, ok := f.cache.Get(ck); ok {
 		resp := v.(wire.Response)
 		resp.Cached = true
 		return resp, nil
 	}
-	// Drain the backend's ranked sequence: "Run is drain plus paginate",
-	// whatever the backend and whichever field of the body asked.
-	seq, stats := f.backend.ResultsWithStats(ctx, req)
-	res, err := ncq.DrainResults(seq, stats)
+	// A page is the stream drained, whatever the backend and whichever
+	// field of the body asked.
+	seq, stats := f.backend.LinesWithStats(ctx, req)
+	raw, err := wire.EncodeResult(&req, seq, stats)
 	if err != nil {
 		return wire.Response{}, err
 	}
-	resp := wire.Response{Generation: stats.Generation, Incomplete: stats.Incomplete, WorkerErrors: stats.WorkerErrors}
-	f.observeRelaxations(res.RelaxationsBySlack)
-	raw, err := json.Marshal(toWireResult(&req, res))
-	if err != nil {
-		// The one failure here that is not the client's input.
-		return wire.Response{}, &wire.StatusError{Status: http.StatusInternalServerError, Err: fmt.Errorf("encode result: %v", err)}
-	}
-	resp.Truncated, resp.NextCursor, resp.Result = res.Truncated, res.NextCursor, raw
+	f.observeRelaxations(stats.RelaxationsBySlack)
+	resp := wire.Response{Generation: stats.Generation, Truncated: stats.Truncated, NextCursor: stats.NextCursor,
+		Incomplete: stats.Incomplete, WorkerErrors: stats.WorkerErrors, Result: raw}
 	if !resp.Incomplete {
-		key.Gen = resp.Generation
-		f.cache.Put(key, resp, len(raw)+len(resp.NextCursor))
+		ck.Gen = resp.Generation
+		f.cache.Put(ck, resp, len(raw)+len(resp.NextCursor))
 	}
 	return resp, nil
 }
@@ -68,25 +61,11 @@ func (f *Front) observeRelaxations(bySlack []int) {
 	}
 }
 
-// toWireResult lowers an ncq.Result into its wire shape. The unmatched
-// count is reported for single-document requests only: corpus-wide
-// node counts aggregate over members and are carried by the stream
-// trailer alone.
-func toWireResult(req *ncq.Request, res *ncq.Result) *wire.Result {
-	out := &wire.Result{Mode: "terms", Meets: res.Meets, Truncated: res.Truncated}
-	if req.Query != "" {
-		out.Mode = "query"
-	}
-	if req.Doc != "" {
-		out.Unmatched = res.Unmatched
-	}
-	return out
-}
-
 // batchUnit is one distinct piece of work of a batch: duplicate
 // queries in a request collapse onto a single unit, so each distinct
 // request is resolved through the cache — and executed — exactly once.
 type batchUnit struct {
+	key string // req.Canonical()
 	req ncq.Request
 	out wire.Response
 	err error
@@ -106,7 +85,7 @@ func collectUnits(reqs []*ncq.Request) (assigned, units []*batchUnit) {
 		key := r.Canonical()
 		u, ok := byKey[key]
 		if !ok {
-			u = &batchUnit{req: *r}
+			u = &batchUnit{key: key, req: *r}
 			byKey[key] = u
 			units = append(units, u)
 		}
@@ -129,7 +108,7 @@ func (f *Front) runUnits(ctx context.Context, gen uint64, units []*batchUnit) {
 		workers = len(units)
 	}
 	runUnit := func(u *batchUnit) {
-		u.out, u.err = f.runCached(ctx, gen, u.req)
+		u.out, u.err = f.runCached(ctx, gen, u.key, u.req)
 	}
 	if workers <= 1 {
 		for _, u := range units {

@@ -39,13 +39,15 @@ func (f *Front) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// the generation it reports itself — never under a newer one.
 	gen := f.backend.Generation()
 	f.queries.Add(1)
-	metrics.SetFingerprint(ctx, body.Request.Canonical())
-	resp, err := f.runCached(ctx, gen, body.Request)
+	key := body.Request.Canonical()
+	metrics.SetFingerprint(ctx, key)
+	resp, err := f.runCached(ctx, gen, key, body.Request)
 	if err != nil {
 		wire.WriteFailure(w, wire.StatusOf(err), err)
 		return
 	}
-	wire.WriteResponse(w, start, resp)
+	resp.TookMS = wire.MsSince(start)
+	wire.WriteResponse(w, &resp)
 }
 
 // handleBatch answers the batch form: per-item validation errors and
@@ -78,5 +80,5 @@ func (f *Front) handleBatch(ctx context.Context, w http.ResponseWriter, start ti
 		}
 		items[i] = u.out.Item()
 	}
-	wire.WriteJSON(w, http.StatusOK, wire.BatchResponse{Generation: gen, TookMS: wire.MsSince(start), Results: items})
+	wire.WriteBatch(w, &wire.BatchResponse{Generation: gen, TookMS: wire.MsSince(start), Results: items})
 }

@@ -201,3 +201,71 @@ func TestStreamAllocsFlatInLines(t *testing.T) {
 		t.Errorf("%d lines allocate %.0f, %d lines %.0f: pinned at no more than 10 apart", manyLines, many, fewLines, few)
 	}
 }
+
+// TestPageAllocsFlatInMeets is the same pin for a page: its result is
+// the stream's lines appended into one pooled buffer and copied out
+// once, its envelope written around those bytes, so a page of ten
+// times the meets allocates at most a few objects more.
+func TestPageAllocsFlatInMeets(t *testing.T) {
+	c := ncq.NewCorpus()
+	for i := range 8 {
+		db, err := ncq.OpenString(datagen.DBLP(datagen.DBLPConfig{Seed: int64(i + 1), YearFrom: 1995, YearTo: 1999, PubsPerVenueYear: 10}).XMLString())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Add(fmt.Sprintf("m%d", i), db); err != nil {
+			t.Fatal(err)
+		}
+	}
+	node := server.New(c, server.WithCacheBytes(0)).Handler()
+	page := func(limit int) float64 {
+		body := fmt.Sprintf(`{"terms":["199","html"],"exclude_root":true,"limit":%d}`, limit)
+		var lines int
+		w := lineCounter{discard{http.Header{}}, &lines}
+		run := func() {
+			node.ServeHTTP(w, httptest.NewRequest("POST", "/v2/query", strings.NewReader(body)))
+		}
+		run() // warm the pools
+		return testing.AllocsPerRun(20, run)
+	}
+	few, many := page(200), page(2000)
+	if many > few+10 {
+		t.Errorf("a page of 2000 meets allocates %.0f, one of 200 %.0f: pinned at no more than 10 apart", many, few)
+	}
+}
+
+// TestEncodeResultAllocs: however many meets a page has, its result
+// costs one allocation, the exact-size copy the cache keeps.
+func TestEncodeResultAllocs(t *testing.T) {
+	req, stats := &ncq.Request{Terms: []string{"x"}}, &ncq.StreamStats{Truncated: true}
+	for _, n := range []int{1, 100} {
+		lines := func(yield func([]byte, error) bool) {
+			for range n {
+				if !yield(allocLine, nil) {
+					return
+				}
+			}
+		}
+		if got := testing.AllocsPerRun(50, func() { wire.EncodeResult(req, lines, stats) }); got != 1 {
+			t.Errorf("a result of %d meets: %.0f allocations, want 1", n, got)
+		}
+	}
+}
+
+// TestWriteResponseAllocs: an envelope is its fields and the result
+// appended into a pooled buffer — what it allocates is the two header
+// values, whatever the size of the result.
+func TestWriteResponseAllocs(t *testing.T) {
+	w := discard{http.Header{}}
+	for _, n := range []int{1, 100} {
+		result, _ := wire.EncodeResult(&ncq.Request{Terms: []string{"x"}}, func(yield func([]byte, error) bool) {
+			for range n {
+				yield(allocLine, nil)
+			}
+		}, &ncq.StreamStats{})
+		resp := &wire.Response{Generation: 3, TookMS: 0.25, Truncated: true, NextCursor: "djIgMQ", Result: result}
+		if got := testing.AllocsPerRun(50, func() { wire.WriteResponse(w, resp) }); got > 2 {
+			t.Errorf("an envelope around %d meets: %.0f allocations, want at most 2", n, got)
+		}
+	}
+}

@@ -187,7 +187,7 @@ func (s *StreamWriter) start() {
 		return
 	}
 	s.w.Header().Set("Content-Type", "application/x-ndjson")
-	s.w.Header().Set("X-NCQ-Cache", "bypass")
+	s.w.Header().Set("X-Ncq-Cache", "bypass") // X-NCQ-Cache, spelled canonically: Set allocates any other spelling
 	s.w.WriteHeader(http.StatusOK)
 	s.started = true
 	if s.header != nil {
@@ -266,12 +266,6 @@ func AppendMeetLine(dst []byte, m *ncq.CorpusMeet) []byte {
 		value, xml = p.Value, p.XML
 	}
 	return meetline.AppendTail(dst, m.Witnesses, m.Distance, m.Projected != nil, value, xml)
-}
-
-// RelayedMeet decodes in full a line LineScanner.Relay returned, plus \n.
-func RelayedMeet(line []byte) (m ncq.CorpusMeet) {
-	decodeCanonicalMeet(line[:len(line)-1], &m)
-	return m
 }
 
 // Line is the decode union of the four NDJSON records; a decoded Line

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +15,7 @@ import (
 	"unicode/utf8"
 
 	"ncq"
+	"ncq/internal/leakcheck"
 )
 
 // meetLine is the reference a meet line is pinned against: what
@@ -134,25 +134,13 @@ func TestStreamWriterFailBeforeStart(t *testing.T) {
 	}
 }
 
-// waitForGoroutines polls until the goroutine count is back at base.
-func waitForGoroutines(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > base {
-		t.Errorf("%d goroutines, %d before the listener started", got, base)
-	}
-}
-
 // TestStreamWriterStallFlush pins the delay bound on a real listener:
 // a producer that writes 50 meets and then stalls has not parked 49 of
 // them in the writer — the client reads all 50 while the handler is
 // still blocked. The handler then finishes cleanly, and neither it nor
 // the stream's timer outlives the server.
 func TestStreamWriterStallFlush(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := leakcheck.Take()
 	const meets = 50
 	lastWrite := make(chan time.Time, 1)
 	release := make(chan struct{})
@@ -194,14 +182,14 @@ func TestStreamWriterStallFlush(t *testing.T) {
 	resp.Body.Close()
 	<-returned
 	srv.Close()
-	waitForGoroutines(t, base)
+	base.Check(t, 0, "the listener closed")
 }
 
 // TestStreamWriterClientGone: on a real listener, a client that hangs
 // up mid-answer stops the producer — Meet reports it once a flush has
 // failed — and the handler returns with nothing left behind.
 func TestStreamWriterClientGone(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := leakcheck.Take()
 	returned := make(chan int, 1)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := NewStreamWriter(w, r, nil, nil, nil)
@@ -224,7 +212,7 @@ func TestStreamWriterClientGone(t *testing.T) {
 		t.Error("the producer never learned that its client was gone")
 	}
 	srv.Close()
-	waitForGoroutines(t, base)
+	base.Check(t, 0, "the listener closed")
 }
 
 // TestStreamWriterCloseRacesTimer: Close races the delay timer's flush

@@ -171,7 +171,8 @@ type BatchResponse struct {
 
 // Result is the payload under "result": everything derived from the
 // corpus state, nothing request- or connection-bound, so it is encoded
-// once and the bytes are cached and spliced into envelopes verbatim.
+// once (EncodeResult) and the bytes are cached and spliced into
+// envelopes verbatim. The type is what a client decodes it into.
 type Result struct {
 	Mode      string           `json:"mode"` // "terms" or "query": which field of the body asked
 	Meets     []ncq.CorpusMeet `json:"meets,omitempty"`
@@ -206,18 +207,6 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// WriteResponse renders the single-query envelope of a request that
-// started at start, mirroring Cached in the X-NCQ-Cache header.
-func WriteResponse(w http.ResponseWriter, start time.Time, resp Response) {
-	disposition := "miss"
-	if resp.Cached {
-		disposition = "hit"
-	}
-	w.Header().Set("X-NCQ-Cache", disposition)
-	resp.TookMS = MsSince(start)
-	WriteJSON(w, http.StatusOK, resp)
-}
-
 // WriteError renders the {"error": ...} envelope.
 func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 	WriteJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
@@ -236,9 +225,8 @@ func ReadError(r io.Reader) string {
 
 // StatusError is an execution failure that carries its own HTTP
 // status: the ones only one role can have and the shared table below
-// therefore cannot know — a result that would not serialise (500), a
-// worker's 4xx relayed by a coordinator with the worker's Retry-After
-// hint, a worker that failed (502).
+// therefore cannot know — a worker's 4xx relayed by a coordinator with
+// the worker's Retry-After hint, a worker that failed (502).
 type StatusError struct {
 	Status     int
 	RetryAfter string // relayed in the Retry-After header when set

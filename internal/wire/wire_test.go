@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -54,9 +55,15 @@ func TestGoldenBytes(t *testing.T) {
 		t.Errorf("stream headers = %v", rec.Header())
 	}
 
-	result, err := json.Marshal(&Result{Mode: "terms", Meets: []ncq.CorpusMeet{goldenMeet}, Unmatched: 1, Truncated: true})
+	// A page's result is its stream's meet lines drained; Result, what a
+	// client decodes it into, marshals to the same bytes.
+	result, err := EncodeResult(&ncq.Request{Doc: "bib", Terms: []string{"x"}}, linesOf(goldenMeet),
+		&ncq.StreamStats{Unmatched: 1, Truncated: true})
 	if err != nil || string(result) != goldenResult {
 		t.Errorf("result bytes: %s (%v)", result, err)
+	}
+	if typed, err := json.Marshal(&Result{Mode: "terms", Meets: []ncq.CorpusMeet{goldenMeet}, Unmatched: 1, Truncated: true}); err != nil || string(typed) != goldenResult {
+		t.Errorf("Result marshals to %s (%v)", typed, err)
 	}
 	// A query-language answer is the same meets under another mode; the
 	// text a projection asked for rides in "projected", on a result and
@@ -68,9 +75,10 @@ func TestGoldenBytes(t *testing.T) {
 	wantMeets := []string{
 		`{"source":"bib","node":3,"tag":"year","path":"/bib/year","witnesses":null,"distance":0,"projected":{"value":"1999"}}`,
 		`{"source":"bib","shard":2,"node":4,"tag":"x","path":"/x","witnesses":[1,2],"distance":3,"projected":{"xml":"\u003cx/\u003e"}}`}
-	queryResult, _ := json.Marshal(&Result{Mode: "query", Meets: projected})
-	if want := `{"mode":"query","meets":[` + wantMeets[0] + "," + wantMeets[1] + `]}`; string(queryResult) != want {
-		t.Errorf("query result bytes: %s", queryResult)
+	queryResult, _ := EncodeResult(&ncq.Request{Query: "q"}, linesOf(projected...), &ncq.StreamStats{Unmatched: 1})
+	typed, _ := json.Marshal(&Result{Mode: "query", Meets: projected})
+	if want := `{"mode":"query","meets":[` + wantMeets[0] + "," + wantMeets[1] + `]}`; string(queryResult) != want || string(typed) != want {
+		t.Errorf("query result bytes: %s, marshalled %s", queryResult, typed)
 	}
 	for i := range projected {
 		if got, want := string(AppendMeetLine(nil, &projected[i])), `{"meet":`+wantMeets[i]+"}\n"; got != want {
@@ -97,8 +105,13 @@ func TestGoldenBytes(t *testing.T) {
 	}
 	for _, e := range envelopes {
 		rec := httptest.NewRecorder()
-		WriteJSON(rec, http.StatusOK, e.v)
-		if got := rec.Body.String(); got != e.want {
+		switch v := e.v.(type) {
+		case Response:
+			WriteResponse(rec, &v)
+		case BatchResponse:
+			WriteBatch(rec, &v)
+		}
+		if got := rec.Body.String(); got != e.want || rec.Header().Get("Content-Type") != "application/json" {
 			t.Errorf("%s envelope:\n got %s\nwant %s", e.name, got, e.want)
 		}
 	}
@@ -110,6 +123,65 @@ func TestGoldenBytes(t *testing.T) {
 	}
 	if msg := ReadError(rec.Body); msg != `invalid request: a<b & "c"` {
 		t.Errorf("ReadError = %q", msg)
+	}
+}
+
+// TestTookMSSpelledAsMarshal: took_ms is spelled as encoding/json
+// spells a float64, exponent form and its clean-up included.
+func TestTookMSSpelledAsMarshal(t *testing.T) {
+	for _, f := range []float64{0, 1e-7, 0.5, 1.75, 2, 1e21, 123456.789, 1e-6, 9.99e20} {
+		want, _ := json.Marshal(f)
+		if got := appendFloat(nil, f); string(got) != string(want) {
+			t.Errorf("took_ms %v spelled %s, json.Marshal %s", f, got, want)
+		}
+	}
+}
+
+// TestEnvelopesEqualEncoder: the envelope writers spell what WriteJSON's
+// encoder spells for the same value, for the strings only an error or a
+// worker failure carries — quotes, <, >, &, control bytes, U+2028 and
+// invalid UTF-8 — for a result-less item and for an empty batch.
+func TestEnvelopesEqualEncoder(t *testing.T) {
+	odd := "a\"b\\c <d> & e\n\x01\u2028\xff\x7f"
+	result := json.RawMessage(goldenResult)
+	responses := []Response{
+		{Cached: true, Generation: 1 << 63, TookMS: 1e-7, Result: result},
+		{Generation: 2, TookMS: 1e21, Truncated: true, NextCursor: odd, Incomplete: true,
+			WorkerErrors: map[string]string{"w2": odd, "w1": "x", odd: ""}, Result: result},
+		{TookMS: 0.000123, Result: json.RawMessage(`{"mode":"terms"}`)},
+	}
+	for _, r := range responses {
+		got, want := httptest.NewRecorder(), httptest.NewRecorder()
+		WriteResponse(got, &r)
+		WriteJSON(want, http.StatusOK, r)
+		if got.Body.String() != want.Body.String() {
+			t.Errorf("response:\n got %s\nwant %s", got.Body, want.Body)
+		}
+	}
+	batch := BatchResponse{Generation: 9, TookMS: 3.5, Results: []BatchItem{
+		{Status: 400, Error: odd},
+		{Status: 200, Cached: true, Incomplete: true, WorkerErrors: map[string]string{"w": odd}, Result: result},
+		{Status: 502, Error: "plain"},
+		{Status: 200, Truncated: true, NextCursor: "djIgMQ", Result: result},
+	}}
+	for _, b := range []BatchResponse{batch, {Results: []BatchItem{}}} {
+		got, want := httptest.NewRecorder(), httptest.NewRecorder()
+		WriteBatch(got, &b)
+		WriteJSON(want, http.StatusOK, b)
+		if got.Body.String() != want.Body.String() {
+			t.Errorf("batch:\n got %s\nwant %s", got.Body, want.Body)
+		}
+	}
+}
+
+// linesOf is the line sequence of meets, as a backend yields it.
+func linesOf(meets ...ncq.CorpusMeet) iter.Seq2[[]byte, error] {
+	return func(yield func([]byte, error) bool) {
+		for i := range meets {
+			if !yield(AppendMeetLine(nil, &meets[i]), nil) {
+				return
+			}
+		}
 	}
 }
 

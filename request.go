@@ -16,7 +16,6 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"iter"
 	"slices"
 	"strconv"
@@ -194,34 +193,63 @@ func (r *Request) shape() (*pathShape, error) {
 	return r.Options.shape(r.Vague)
 }
 
-// canonical renders the options deterministically for cache keys and
-// cursor fingerprints. Pattern order is irrelevant to the semantics
-// (exclusion and restriction are unions), so patterns are sorted.
-func (o *Options) canonical() string {
+// appendCanonical appends the options' deterministic rendering for
+// cache keys and cursor fingerprints. Pattern order is irrelevant to
+// the semantics (exclusion and restriction are unions), so patterns
+// are sorted.
+func (o *Options) appendCanonical(b []byte) []byte {
 	if !o.set() {
-		return "-"
+		return append(b, '-')
 	}
 	s := &o.spec
-	excl := slices.Clone(s.Exclude)
-	slices.Sort(excl)
-	restr := slices.Clone(s.Restrict)
-	slices.Sort(restr)
-	return fmt.Sprintf("xroot=%t x=%q r=%q near=%t w=%d lift=%d",
-		s.ExcludeRoot, excl, restr, s.Nearest, s.Within, s.MaxLift)
+	b = strconv.AppendBool(append(b, "xroot="...), s.ExcludeRoot)
+	b = appendQuoted(append(b, " x="...), sortedOf(s.Exclude))
+	b = appendQuoted(append(b, " r="...), sortedOf(s.Restrict))
+	b = strconv.AppendBool(append(b, " near="...), s.Nearest)
+	b = strconv.AppendInt(append(b, " w="...), int64(s.Within), 10)
+	return strconv.AppendInt(append(b, " lift="...), int64(s.MaxLift), 10)
 }
 
-// canonicalBase is the canonical encoding of everything but the page
-// position — the part a cursor is fingerprinted against.
-func (r *Request) canonicalBase() string {
+// sortedOf is ss sorted: ss itself when it already is.
+func sortedOf(ss []string) []string {
+	if slices.IsSorted(ss) {
+		return ss
+	}
+	return slices.Sorted(slices.Values(ss))
+}
+
+// appendQuoted appends ss as fmt's %q spells a []string: each element
+// quoted, separated by spaces, in brackets.
+func appendQuoted(b []byte, ss []string) []byte {
+	b = append(b, '[')
+	for i, s := range ss {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendQuote(b, s)
+	}
+	return append(b, ']')
+}
+
+// appendCanonicalBase appends the canonical encoding of everything but
+// the page position — the part a cursor is fingerprinted against.
+func (r *Request) appendCanonicalBase(b []byte) []byte {
 	// An inactive Vague spec contributes nothing: a vague request that
 	// relaxes and expands nothing IS the exact request and must share
 	// its cache entries and cursor fingerprints. The query text is keyed
 	// "ql", not "query", so that no cursor minted while query-language
 	// rows were paged in per-source order — offsets into another
 	// sequence — fingerprints as this request's.
-	return fmt.Sprintf("doc=%q terms=%q ql=%q opt=%s lim=%d",
-		r.Doc, r.Terms, strings.Join(strings.Fields(r.Query), " "),
-		r.Options.canonical(), r.Limit) + r.Vague.canonical()
+	b = strconv.AppendQuote(append(b, "doc="...), r.Doc)
+	b = appendQuoted(append(b, " terms="...), r.Terms)
+	ql := r.Query
+	if ql != "" {
+		ql = strings.Join(strings.Fields(ql), " ")
+	}
+	b = strconv.AppendQuote(append(b, " ql="...), ql)
+	b = r.Options.appendCanonical(append(b, " opt="...))
+	b = strconv.AppendInt(append(b, " lim="...), int64(r.Limit), 10)
+	return r.Vague.appendCanonical(b)
 }
 
 // Canonical returns a deterministic encoding of the request:
@@ -233,32 +261,46 @@ func (r *Request) canonicalBase() string {
 // so a stale cursor can never splice into a fresh cursor's cache
 // entry.
 func (r *Request) Canonical() string {
+	var buf [160]byte
+	b := r.appendCanonicalBase(buf[:0])
 	off, gen, err := r.Page()
-	if err != nil {
+	switch {
+	case err != nil:
 		// An undecodable cursor cannot execute; keep the key unique.
-		return r.canonicalBase() + " cur=" + strconv.Quote(r.Cursor)
+		b = strconv.AppendQuote(append(b, " cur="...), r.Cursor)
+	case r.Cursor != "":
+		b = strconv.AppendInt(append(b, " off="...), int64(off), 10)
+		b = strconv.AppendUint(append(b, " cgen="...), gen, 10)
+	default:
+		b = append(b, " off=0"...)
 	}
-	s := r.canonicalBase() + " off=" + strconv.Itoa(off)
-	if r.Cursor != "" {
-		s += " cgen=" + strconv.FormatUint(gen, 10)
-	}
-	return s
+	return string(b)
 }
 
-// fingerprint binds cursors to the request that produced them: a hash
-// of everything but the page position.
+// fingerprint binds cursors to the request that produced them: the
+// FNV-32a hash of everything but the page position.
 func (r *Request) fingerprint() uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(r.canonicalBase()))
-	return h.Sum32()
+	var buf [160]byte
+	h := uint32(2166136261)
+	for _, c := range r.appendCanonicalBase(buf[:0]) {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	return h
 }
 
 // encodeCursor renders a resume position as an opaque cursor, stamped
 // with the corpus generation it was computed against (0 for Database
-// runs, which cannot mutate).
+// runs, which cannot mutate): "v2 <offset> <fingerprint as 8 hex
+// digits> <generation>", base64-encoded.
 func encodeCursor(offset int, fp uint32, gen uint64) string {
-	return base64.RawURLEncoding.EncodeToString(
-		[]byte(fmt.Sprintf("v2 %d %08x %d", offset, fp, gen)))
+	var buf [48]byte
+	b := strconv.AppendInt(append(buf[:0], "v2 "...), int64(offset), 10)
+	b = append(b, ' ')
+	for shift := 28; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[fp>>shift&0xf])
+	}
+	b = strconv.AppendUint(append(b, ' '), gen, 10)
+	return base64.RawURLEncoding.EncodeToString(b)
 }
 
 // decodeCursor reverses encodeCursor, failing with ErrBadCursor on

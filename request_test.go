@@ -9,11 +9,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ncq/internal/leakcheck"
 )
 
 // pagingCorpus builds a membership large enough that pagination and
@@ -488,7 +489,7 @@ func TestCorpusRunCancelMidFanout(t *testing.T) {
 		t.Fatalf("pre-cancelled Run = %v", err)
 	}
 
-	base := runtime.NumGoroutine()
+	base := leakcheck.Take()
 	cancelAfter := baseline / 16
 	cancelled := false
 	for attempt := 0; attempt < 5 && !cancelled; attempt++ {
@@ -517,13 +518,7 @@ func TestCorpusRunCancelMidFanout(t *testing.T) {
 		t.Fatal("could not cancel a run mid-fan-out in 5 attempts")
 	}
 	// No pool goroutine may outlive the cancelled call.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > base+2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > base+2 {
-		t.Errorf("goroutines after cancelled Run: %d (baseline %d) — pool leak", got, base)
-	}
+	base.Check(t, 2, "cancelled Run")
 	c.SetParallelism(0)
 }
 

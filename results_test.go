@@ -12,10 +12,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
+	"ncq/internal/leakcheck"
 	"ncq/internal/query"
 	"ncq/internal/xmltree"
 )
@@ -198,26 +198,13 @@ func TestResultsFirstYieldBeforeSlowMemberDrains(t *testing.T) {
 	}
 }
 
-// waitForGoroutines polls until the goroutine count returns to the
-// baseline, failing after two seconds — the pool-drain assertion.
-func waitForGoroutines(t *testing.T, base int, what string) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > base+2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > base+2 {
-		t.Errorf("goroutines after %s: %d (baseline %d) — pool leak", what, got, base)
-	}
-}
-
 // TestResultsCancelMidYield cancels a stream from inside the consuming
 // range: the next yield delivers the context error, the sequence ends,
 // and no fan-out worker outlives it (run with -race).
 func TestResultsCancelMidYield(t *testing.T) {
 	c := pagingCorpus(t)
 	req := Request{Terms: []string{"Author1", "199"}, Options: ExcludeRoot()}
-	base := runtime.NumGoroutine()
+	base := leakcheck.Take()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -237,7 +224,7 @@ func TestResultsCancelMidYield(t *testing.T) {
 	if yields != 1 {
 		t.Errorf("stream yielded %d meets after mid-yield cancel, want 1", yields)
 	}
-	waitForGoroutines(t, base, "mid-yield cancel")
+	base.Check(t, 2, "mid-yield cancel")
 
 	// A consumer breaking out of the range (the pushed-down limit) also
 	// leaves no workers behind.
@@ -250,7 +237,7 @@ func TestResultsCancelMidYield(t *testing.T) {
 			break
 		}
 	}
-	waitForGoroutines(t, base, "early break")
+	base.Check(t, 2, "early break")
 
 	// A context cancelled before the stream starts yields the error
 	// first.
@@ -261,7 +248,7 @@ func TestResultsCancelMidYield(t *testing.T) {
 			t.Fatalf("pre-cancelled stream yielded %v", err)
 		}
 	}
-	waitForGoroutines(t, base, "pre-cancelled stream")
+	base.Check(t, 2, "pre-cancelled stream")
 }
 
 // TestResultsRejectsQueryLanguage pins error delivery on the streaming

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"reflect"
 	"strings"
@@ -138,6 +139,24 @@ func FuzzOpenSnapshot(f *testing.F) {
 	}
 	binary.LittleEndian.PutUint32(huge[off:], math.MaxUint32)
 	f.Add(huge)
+	// The same snapshot with the first two owners of that relation
+	// swapped and its checksum recomputed: Text, AttrValue and Emit
+	// search a relation's owners, so one that descends is refused.
+	descending := bytes.Clone(buf.Bytes())
+	if n := binary.LittleEndian.Uint32(descending[off:]); n < 2 {
+		f.Fatalf("the relation at offset %d has %d entries, not two to swap", off, n)
+	}
+	first := off + 4
+	second := first + 4 + 4 + int(binary.LittleEndian.Uint32(descending[first+4:]))
+	o1, o2 := binary.LittleEndian.Uint32(descending[first:]), binary.LittleEndian.Uint32(descending[second:])
+	binary.LittleEndian.PutUint32(descending[first:], o2)
+	binary.LittleEndian.PutUint32(descending[second:], o1)
+	end := len(descending) - 4
+	binary.LittleEndian.PutUint32(descending[end:], crc32.ChecksumIEEE(descending[len("NCQSNAP2"):end]))
+	if _, err := OpenSnapshot(bytes.NewReader(descending)); err == nil || !strings.Contains(err.Error(), "out of document order") {
+		f.Fatalf("owners %d, %d swapped: err = %v, want a refusal", o1, o2, err)
+	}
+	f.Add(descending)
 	f.Add([]byte("NCQSNAP2"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

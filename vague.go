@@ -13,6 +13,7 @@ package ncq
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"ncq/internal/core"
 	"ncq/internal/pathsum"
@@ -74,15 +75,16 @@ func (v *Vague) validate() error {
 	return nil
 }
 
-// canonical renders the spec for cache keys and cursor fingerprints.
-// An inactive spec renders empty ON PURPOSE: a vague request that
-// relaxes nothing and expands nothing is the exact request, and must
-// share its cache entries and cursors byte for byte.
-func (v *Vague) canonical() string {
+// appendCanonical appends the spec's rendering for cache keys and
+// cursor fingerprints. An inactive spec appends nothing ON PURPOSE: a
+// vague request that relaxes nothing and expands nothing is the exact
+// request, and must share its cache entries and cursors byte for byte.
+func (v *Vague) appendCanonical(b []byte) []byte {
 	if !v.active() {
-		return ""
+		return b
 	}
-	return fmt.Sprintf(" vague=%d,%t", v.MaxSlack, v.Expand)
+	b = strconv.AppendInt(append(b, " vague="...), int64(v.MaxSlack), 10)
+	return strconv.AppendBool(append(b, ','), v.Expand)
 }
 
 // vaguePlan is what a vague request blends by on one member: the
