@@ -19,7 +19,9 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"ncq"
 	"ncq/internal/bat"
@@ -30,6 +32,7 @@ import (
 	"ncq/internal/monetx"
 	"ncq/internal/query"
 	"ncq/internal/server"
+	"ncq/internal/xmltree"
 )
 
 var (
@@ -375,6 +378,62 @@ func BenchmarkIndexBuild(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkUploadStages times BenchmarkPutDoc/plain's DBLP member
+// through the stages of an upload, each series one more than the last
+// where they nest: scan is the tokenizer into a sink that keeps
+// nothing; shred adds the loader, ending at the sealed store; index is
+// fulltext.New over that sealed store alone; open is the whole
+// OpenSharded, where the index is built beside the parse, so it takes
+// less than shred plus index wherever a second core is free. Run it at
+// -cpu 1 for the total CPU, which open must not raise.
+func BenchmarkUploadStages(b *testing.B) {
+	src := []byte(datagen.DBLP(datagen.DBLPConfig{Seed: 1, YearFrom: 1984, YearTo: 1999, PubsPerVenueYear: 40}).XMLString())
+	var store *monetx.Store
+	shred := monetx.NewLoader(func(s *monetx.Store) error { store = s; return nil })
+	if err := xmltree.ParseSplit(bytes.NewReader(src), nil, shred); err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"scan", func() error { return xmltree.ParseSplit(bytes.NewReader(src), nil, nopSink{}) }},
+		{"shred", func() error { return xmltree.ParseSplit(bytes.NewReader(src), nil, shred) }},
+		{"index", func() error { fulltext.New(store); return nil }},
+		{"open", func() error { _, err := ncq.OpenSharded(bytes.NewReader(src), int64(len(src)), 1); return err }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(src)))
+			cpu := processCPU()
+			for i := 0; i < b.N; i++ {
+				if err := bc.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64((processCPU()-cpu).Microseconds())/1e3/float64(b.N), "cpu-ms/op")
+		})
+	}
+}
+
+// processCPU is the CPU time the process has used, on every thread:
+// beside ns/op, which is wall time, it tells a stage that is faster
+// from one that only spread over more cores.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// nopSink takes a parse's events and keeps nothing.
+type nopSink struct{}
+
+func (nopSink) Start(string, []xmltree.Attr) error { return nil }
+func (nopSink) Text(string) error                  { return nil }
+func (nopSink) End() error                         { return nil }
 
 // BenchmarkBATJoin measures the core relational primitive.
 func BenchmarkBATJoin(b *testing.B) {

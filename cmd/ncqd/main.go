@@ -213,6 +213,7 @@ func run(argv []string, stderr io.Writer, ready chan<- string) int {
 			logger.Error("start failed", "err", err)
 			return 1
 		}
+		defer coord.Close()
 		go coord.Poll(ctx)
 		logger.Info("coordinating workers", "workers", len(wks))
 		handler = coord.Handler()

@@ -122,7 +122,9 @@ func OpenSharded(r io.Reader, size int64, k int) ([]*Database, error) {
 			return nil, fmt.Errorf("ncq: %w", err)
 		}
 		var dbs []*Database
-		if err := xmltree.ParseSplit(bytes.NewReader(body.Bytes()), nil, shard.Balance(weights, k, loaderInto(&dbs))); err != nil {
+		l := loaderInto(&dbs)
+		if err := xmltree.ParseSplit(bytes.NewReader(body.Bytes()), nil, shard.Balance(weights, k, l)); err != nil {
+			l.Abort()
 			return nil, fmt.Errorf("ncq: %w", err)
 		}
 		return dbs, nil
@@ -157,7 +159,9 @@ func (c *Corpus) AddSharded(name string, doc *xmltree.Document, k int) (dbs []*D
 	if doc == nil {
 		return nil, false, fmt.Errorf("ncq: corpus: nil document for %q", name)
 	}
-	if err = shard.SplitInto(doc, k, loaderInto(&dbs)); err != nil {
+	l := loaderInto(&dbs)
+	if err = shard.SplitInto(doc, k, l); err != nil {
+		l.Abort()
 		return nil, false, fmt.Errorf("ncq: %w", err)
 	}
 	if replaced, err = c.Commit(name, dbs, true, nil); err != nil {

@@ -57,7 +57,8 @@ type Config struct {
 // as a single node. The query route is not its own: it mounts the one
 // front end of the system (server.Front) and is that front end's
 // Backend — LinesWithStats, Generation and Parallelism below.
-// Create one with New and mount Handler.
+// Create one with New and mount Handler; Close releases its idle
+// connections to the workers.
 type Coordinator struct {
 	cfg     Config // with the defaults applied
 	ring    *Ring
@@ -91,7 +92,7 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:     cfg,
 		workers: append([]Worker(nil), cfg.Workers...),
 		byName:  make(map[string]Worker, len(cfg.Workers)),
-		client:  &http.Client{},
+		client:  &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()},
 		started: time.Now(),
 		logger:  cfg.Logger,
 		reg:     metrics.NewRegistry(),
@@ -131,6 +132,12 @@ func (c *Coordinator) Metrics() *metrics.Registry { return c.reg }
 
 // Handler returns the coordinator's root handler.
 func (c *Coordinator) Handler() http.Handler { return c.mux }
+
+// Close closes the idle keep-alive connections to the workers. The
+// coordinator's client has a transport of its own, cloned from
+// http.DefaultTransport's settings, so the connections its scatters
+// leave open are its to close; a request after Close dials again.
+func (c *Coordinator) Close() { c.client.CloseIdleConnections() }
 
 // Owner returns the worker owning the logical document name.
 func (c *Coordinator) Owner(name string) Worker {

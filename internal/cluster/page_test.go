@@ -97,6 +97,6 @@ func TestPageChainEqualsStream(t *testing.T) {
 	for _, ts := range listeners {
 		ts.Close()
 	}
-	c.client.CloseIdleConnections()
+	c.Close()
 	base.Check(t, 0, "the coordinator's page chains")
 }

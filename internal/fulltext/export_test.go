@@ -8,3 +8,19 @@ func (idx *Index) TokenBuilds() int32 { return idx.postBuilds.Load() }
 // OwnersSubstringMiss is OwnersSubstring with the memo bypassed: what
 // every needle costs the first time an index is asked for it.
 func (idx *Index) OwnersSubstringMiss(sub string) []bat.OID { return idx.locateOwners(sub) }
+
+// buildSubstringIndex is the substring build over idx's values and rows
+// in one go: the counting pass a builder runs as it is fed, then the
+// fills. It takes the reference build's per-bucket scratch and ignores
+// it: the bucket state lives in one table of its own.
+func (idx *Index) buildSubstringIndex([]int32) {
+	buckets := new([gramBuckets]bucket)
+	for i := range buckets {
+		buckets[i].last = -1
+	}
+	for vid, v := range idx.values {
+		countGrams(buckets, int32(vid), v)
+	}
+	idx.fillGrams(buckets, idx.values)
+	idx.fillValRows(len(idx.values))
+}

@@ -8,8 +8,8 @@
 // and the two indexes have different lifetimes.
 //
 // The substring index answers the paper's `contains` predicate, which
-// is how every served request locates its terms, so New builds it and
-// everything it rests on: all associations live in one table of
+// is how every served request locates its terms, so every build makes
+// it and everything it rests on: all associations live in one table of
 // parallel columns (owner OID, attribute path, value id) in
 // (owner, path) order, string values are interned once in a shared
 // value table — one 4-byte value id per association — and every byte
@@ -19,6 +19,23 @@
 // are intersected and strings.Contains verifies the survivors, so hash
 // collisions cost time, never correctness; needles shorter than a
 // trigram scan the value table.
+//
+// One builder makes every index, fed string associations in any order:
+// it interns each value (value ids in the order fed) and runs the
+// trigram counting pass as it is fed, then lays out the rest — the
+// bucket offsets and the fill pass, the rows by a stable distribution
+// on the owner and then path order within an owner, the value→rows
+// table — once the feed ends. An upload feeds it from the loader
+// (NewLoader): the loader hands over its associations in chunks of a
+// few thousand while the parse goes on, and the builder takes them on a
+// goroutine of its own, so the index is built on a second core beside
+// the parse. Once the root closes that goroutine adds the last chunk
+// and fills the buckets while the loader seals the store and lays out
+// the rows; the loader's scratch is released only after both have
+// stopped reading the chunks. New feeds
+// it from a sealed store's string relations, path by path, for a
+// snapshot restore and for callers that hold a store; the two give the
+// same rows and the same answers, though value ids differ in order.
 //
 // An Index never changes once built, so OwnersSubstring memoizes its
 // answers: a needle is located once per index and every later request
@@ -52,7 +69,9 @@
 package fulltext
 
 import (
+	"iter"
 	"math/bits"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -136,9 +155,11 @@ const (
 )
 
 // gramHash maps a byte trigram to its bucket by Fibonacci hashing.
-func gramHash(a, b, c byte) uint32 {
-	return (uint32(a) | uint32(b)<<8 | uint32(c)<<16) * 0x9E3779B1 >> (32 - gramBits)
-}
+func gramHash(a, b, c byte) uint32 { return gramBucket(uint32(a) | uint32(b)<<8 | uint32(c)<<16) }
+
+// gramBucket is gramHash of the trigram packed little-endian in key: the
+// build rolls key along a value, a byte in and a byte out per trigram.
+func gramBucket(key uint32) uint32 { return key * 0x9E3779B1 >> (32 - gramBits) }
 
 // Tokenize splits s into lower-cased maximal runs of letters and
 // digits. "Hacking & RSI" tokenizes to ["hacking", "rsi"]. Tokens are
@@ -259,82 +280,278 @@ func dedupTokens(toks []string) []string {
 	return toks[:w]
 }
 
-// buildScratch holds New's transients: the interning map, the value
-// list before its exact copy, the per-owner row cursors and the
-// per-bucket last value ids. kept retains one set between builds.
+// buildScratch holds a build's transients: the interning map, the value
+// list before its exact copy, the value id of every association in the
+// order fed, the per-owner row cursors and the trigram buckets' build
+// state. kept retains one set between builds; an abandoned build never
+// gives its set back.
 type buildScratch struct {
-	intern map[string]valueID
-	values []string
-	next   []int32
-	last   []int32
+	intern  map[string]valueID
+	values  []string
+	vals    []valueID
+	next    []int32
+	buckets *[gramBuckets]bucket
 }
+
+// bucket is one trigram bucket's build state: the last value id listed
+// in it, and its size in bytes, then the offset its next entry takes.
+// Side by side, the two cost a trigram's visit one cache line.
+type bucket struct{ last, n int32 }
 
 var kept atomic.Pointer[buildScratch]
 
-// New builds what locate reads — value table, association table,
-// substring index — by scanning every string relation in the path
-// summary's catalogue. The token postings are not built here: see
-// postings.
-func New(store *monetx.Store) *Index {
+// builder builds one Index from string associations fed in any order:
+// add interns each value — ids in the order fed — runs the trigram
+// counting pass over every new one, and records each association's
+// value id. What is left falls in two independent halves: grams, the
+// trigram buckets, from the values add interned; and rows, the value
+// table, the association table and the value→rows table, which reads
+// the owners and paths over again from the feed. Fed by a loader, as a
+// monetx.Indexer, the builder runs on its own goroutine while the part
+// is still being parsed; once the root closes that goroutine adds the
+// last chunk and lays out grams, while the loader seals the store and
+// then, in Wait, lays out rows from the chunks it handed over.
+type builder struct {
+	sc    *buildScratch
+	top   bat.OID        // the largest owner fed
+	idx   *Index         // what is laid out so far
+	given []monetx.Chunk // every chunk handed over, in order
+
+	chunks chan monetx.Chunk // to the goroutine; nil until the first Feed
+	closed bool              // chunks is closed
+	fed    chan struct{}     // closed once the goroutine reads no chunk any more
+	done   chan struct{}     // closed as the goroutine exits
+	stop   atomic.Bool       // the part was abandoned: skip the rest
+}
+
+// feedQueue is how many chunks may wait for the builder goroutine, so
+// the parse runs on while it is briefly descheduled.
+const feedQueue = 4
+
+func newBuilder() *builder {
 	sc := kept.Swap(nil)
 	if sc == nil {
-		sc = &buildScratch{intern: make(map[string]valueID), last: make([]int32, gramBuckets)}
+		sc = &buildScratch{intern: make(map[string]valueID), buckets: new([gramBuckets]bucket)}
 	}
-	idx := &Index{store: store}
+	for i := range sc.buckets {
+		sc.buckets[i] = bucket{last: -1}
+	}
+	return &builder{sc: sc, idx: new(Index)}
+}
+
+// New builds what locate reads — value table, association table,
+// substring index — from every string relation in the path summary's
+// catalogue, fed path by path. The token postings are not built here:
+// see postings.
+func New(store *monetx.Store) *Index {
+	b := newBuilder()
 	sum := store.Summary()
-	var pids []pathsum.PathID // the string relations, in scan order
+	var pids []pathsum.PathID // the string relations, in feed order
 	for _, pid := range sum.AllPaths() {
 		if sum.Kind(pid) == pathsum.Attr && store.Strings(pid) != nil {
 			pids = append(pids, pid)
 		}
 	}
-	// Rows are ordered by a stable distribution on the owner: OIDs are
-	// dense in 0..store.Len(), so counting the rows of every owner gives
-	// each owner's first row, and placing rows there in scan order keeps
-	// one owner's rows in the order scanned — ascending path id, hence
-	// (owner, path) order, total because such a pair identifies at most
-	// one association.
-	next := append(sc.next[:0], make([]int32, store.Len()+2)...) // next[o]: the row owner o's next association takes
-	n := 0
 	for _, pid := range pids {
 		rel := store.Strings(pid)
-		n += rel.Len()
 		for i := 0; i < rel.Len(); i++ {
-			next[rel.Head(i)+1]++
+			b.add(rel.Head(i), rel.Tail(i))
 		}
+	}
+	b.grams()
+	b.rows(func(yield func(bat.OID, pathsum.PathID) bool) {
+		for _, pid := range pids {
+			rel := store.Strings(pid)
+			for i := 0; i < rel.Len(); i++ {
+				if !yield(rel.Head(i), pid) {
+					return
+				}
+			}
+		}
+	})
+	return b.finish(store)
+}
+
+// NewLoader returns a loader that builds each part's Index beside its
+// parse and hands it to emit, with the part's sealed store as its
+// Store. The loader's Abort stops a part's builder and waits for it.
+func NewLoader(emit func(*Index) error) *monetx.Loader {
+	var b *builder
+	return monetx.NewIndexingLoader(func() monetx.Indexer { b = newBuilder(); return b },
+		func(s *monetx.Store) error { return emit(b.finish(s)) })
+}
+
+// Feed hands a chunk to the builder goroutine, starting it on the first.
+// With one processor there is no second core to run it on, so the chunk
+// waits for Close.
+func (b *builder) Feed(chunk monetx.Chunk) {
+	b.given = append(b.given, chunk)
+	if b.chunks == nil && runtime.GOMAXPROCS(0) == 1 {
+		return
+	}
+	if b.chunks == nil {
+		b.chunks = make(chan monetx.Chunk, feedQueue)
+		b.fed, b.done = make(chan struct{}), make(chan struct{})
+		go b.run()
+	}
+	b.chunks <- chunk
+}
+
+// Close hands over the last chunk. Without a goroutine — a part too
+// small to have fed a chunk before, or one processor — every chunk is
+// added, and the grams laid out, here on the loader's goroutine.
+func (b *builder) Close(tail monetx.Chunk) {
+	b.given = append(b.given, tail)
+	if b.chunks == nil {
+		for _, c := range b.given {
+			b.addChunk(c)
+		}
+		b.grams()
+		return
+	}
+	b.chunks <- tail
+	close(b.chunks)
+	b.closed = true
+}
+
+// Wait returns once no chunk is read any more. An abort makes the
+// goroutine, if any, skip what it has not read and lay out nothing, and
+// waits for it to exit. Otherwise Wait waits for the goroutine to read
+// the last chunk and lays out rows from the chunks itself, while the
+// goroutine lays out grams; finish waits for that.
+func (b *builder) Wait(abort bool) {
+	if b.chunks != nil {
+		if abort {
+			b.stop.Store(true)
+		}
+		if !b.closed {
+			close(b.chunks)
+			b.closed = true
+		}
+		if abort {
+			<-b.done
+		} else {
+			<-b.fed
+		}
+	}
+	if !abort {
+		b.rows(b.givenRows)
+	}
+	b.given = nil
+}
+
+// givenRows yields the owner and path of every association handed over,
+// in the order fed.
+func (b *builder) givenRows(yield func(bat.OID, pathsum.PathID) bool) {
+	for _, c := range b.given {
+		for i := range c {
+			if owner, path, _ := c.At(i); !yield(owner, path) {
+				return
+			}
+		}
+	}
+}
+
+// run is the builder goroutine: it adds every chunk and, once the last
+// has come, lays out grams, unless the part was abandoned.
+func (b *builder) run() {
+	defer close(b.done)
+	for c := range b.chunks {
+		if !b.stop.Load() {
+			b.addChunk(c)
+		}
+	}
+	close(b.fed)
+	if !b.stop.Load() {
+		b.grams()
+	}
+}
+
+func (b *builder) addChunk(c monetx.Chunk) {
+	for i := range c {
+		owner, _, value := c.At(i)
+		b.add(owner, value)
+	}
+}
+
+// add records one association, owner's value, and the first time value
+// is seen interns it and runs the counting pass of the substring index
+// over it.
+func (b *builder) add(owner bat.OID, value string) {
+	sc := b.sc
+	vid, ok := sc.intern[value]
+	if !ok {
+		vid = valueID(len(sc.values))
+		sc.intern[value] = vid
+		sc.values = append(sc.values, value)
+		countGrams(sc.buckets, int32(vid), value)
+	}
+	b.top = max(b.top, owner)
+	sc.vals = append(sc.vals, vid)
+}
+
+// grams lays out the trigram buckets.
+func (b *builder) grams() { b.idx.fillGrams(b.sc.buckets, b.sc.values) }
+
+// rows lays out the value table, the association table in (owner,
+// path) order and the value→rows table, and empties the interning map;
+// feed yields every association's owner and path again, in the order
+// fed. It writes none of what grams reads or writes, so the two run at
+// once.
+func (b *builder) rows(feed iter.Seq2[bat.OID, pathsum.PathID]) {
+	sc, idx := b.sc, b.idx
+	n := len(sc.vals)
+	idx.owners, idx.paths, idx.vals = make([]bat.OID, n), make([]pathsum.PathID, n), make([]valueID, n)
+	// A stable distribution on the owner: OIDs are dense, so counting the
+	// rows of every owner gives each owner's first row, and placing rows
+	// there in the order fed keeps one owner's rows in that order.
+	next := append(sc.next[:0], make([]int32, b.top+2)...) // next[o]: the row owner o's next association takes
+	for owner := range feed {
+		next[owner+1]++
 	}
 	for o := 1; o < len(next); o++ {
 		next[o] += next[o-1]
 	}
-	idx.owners = make([]bat.OID, n)
-	idx.paths = make([]pathsum.PathID, n)
-	idx.vals = make([]valueID, n)
-	values := sc.values[:0]
-	for _, pid := range pids {
-		rel := store.Strings(pid)
-		for i := 0; i < rel.Len(); i++ {
-			owner, value := rel.Head(i), rel.Tail(i)
-			vid, ok := sc.intern[value]
-			if !ok {
-				vid = valueID(len(values))
-				sc.intern[value] = vid
-				values = append(values, value)
-			}
-			row := next[owner]
-			next[owner]++
-			idx.owners[row], idx.paths[row], idx.vals[row] = owner, pid, vid
+	r := 0
+	for owner, path := range feed {
+		row := next[owner]
+		next[owner]++
+		idx.owners[row], idx.paths[row], idx.vals[row] = owner, path, sc.vals[r]
+		r++
+	}
+	sc.next = next
+	// Then path order within an owner: a path-major feed has it already,
+	// and a loader feeds an element's attributes as written. The order is
+	// total, since an (owner, path) pair identifies at most one
+	// association.
+	for r := 1; r < n; r++ {
+		for q := r; q > 0 && idx.owners[q-1] == idx.owners[q] && idx.paths[q-1] > idx.paths[q]; q-- {
+			idx.owners[q-1], idx.owners[q] = idx.owners[q], idx.owners[q-1]
+			idx.paths[q-1], idx.paths[q] = idx.paths[q], idx.paths[q-1]
+			idx.vals[q-1], idx.vals[q] = idx.vals[q], idx.vals[q-1]
 		}
 	}
-	idx.values = append(make([]string, 0, len(values)), values...)
-	idx.buildSubstringIndex(sc.last)
-	if cap(values) <= monetx.MaxKeptRows && cap(next) <= monetx.MaxKeptRows {
-		clear(sc.intern)
-		clear(values)
-		sc.values, sc.next = values[:0], next
+	idx.values = append(make([]string, 0, len(sc.values)), sc.values...)
+	idx.fillValRows(len(sc.values))
+	idx.memo = memo.New(n, memoCharge, &memoCounts)
+	clear(sc.intern)
+}
+
+// finish waits for grams and hands over the index over store. It keeps
+// the scratch for the next build unless it outgrew monetx.MaxKeptRows.
+func (b *builder) finish(store *monetx.Store) *Index {
+	if b.done != nil {
+		<-b.done
+	}
+	sc := b.sc
+	clear(sc.values)
+	if cap(sc.values) <= monetx.MaxKeptRows && cap(sc.vals) <= monetx.MaxKeptRows && cap(sc.next) <= monetx.MaxKeptRows {
+		sc.values, sc.vals = sc.values[:0], sc.vals[:0]
 		kept.Store(sc)
 	}
-	idx.memo = memo.New(n, memoCharge, &memoCounts)
-	return idx
+	b.sc = nil
+	b.idx.store = store
+	return b.idx
 }
 
 // postings returns the token index, building it on the first call: one
@@ -362,51 +579,71 @@ func (idx *Index) postings() map[string][]int32 {
 // TokensBuilt reports whether a token search has built the postings.
 func (idx *Index) TokensBuilt() bool { return idx.postBuilds.Load() > 0 }
 
-// buildSubstringIndex fills the trigram postings and the value→rows
-// table, each by a counting sort: count, prefix-sum into offsets, fill
-// through the offsets (leaving each at its bucket's end), shift them
-// back by one slot. A value is listed once per bucket however often it
-// repeats a trigram: last (one per bucket) holds its most recent value id, so
-// it also gives the gap a bucket entry is coded as, and the counting
-// pass sizes the buckets in bytes.
-func (idx *Index) buildSubstringIndex(last []int32) {
-	start := make([]int32, gramBuckets+1)
-	eachGram := func(visit func(h, gap uint32)) {
-		for i := range last {
-			last[i] = -1
-		}
-		for vid, v := range idx.values {
-			for i := 0; i+gramLen <= len(v); i++ {
-				if h := gramHash(v[i], v[i+1], v[i+2]); last[h] != int32(vid) {
-					visit(h, uint32(int32(vid)-last[h]))
-					last[h] = int32(vid)
-				}
-			}
-		}
+// countGrams is the counting pass of the substring index for value vid,
+// run on the values in id order: it adds to each bucket its trigrams
+// hash to the bytes the value's entry takes there. A value is listed
+// once per bucket however often it repeats a trigram: last holds the
+// most recent value id listed, so it also gives the gap an entry is
+// coded as.
+func countGrams(buckets *[gramBuckets]bucket, vid int32, v string) {
+	if len(v) < gramLen {
+		return
 	}
-	eachGram(func(h, gap uint32) { start[h+1] += int32(bits.Len32(gap)+6) / 7 })
-	for h := 0; h < gramBuckets; h++ {
-		start[h+1] += start[h]
+	key := uint32(v[0]) | uint32(v[1])<<8
+	for i := gramLen - 1; i < len(v); i++ {
+		key |= uint32(v[i]) << 16
+		if b := &buckets[gramBucket(key)]; b.last != vid {
+			b.n += int32(bits.Len32(uint32(vid-b.last))+6) / 7
+			b.last = vid
+		}
+		key >>= 8
+	}
+}
+
+// fillGrams lays out the trigram buckets countGrams counted over values:
+// a prefix sum of their sizes gives each its offset, and a second pass
+// over the values writes every entry through its bucket's offset,
+// replaying the gaps the counting pass saw.
+func (idx *Index) fillGrams(buckets *[gramBuckets]bucket, values []string) {
+	start := make([]int32, gramBuckets+1)
+	for h := range buckets {
+		b := &buckets[h]
+		start[h+1] = start[h] + b.n
+		b.last, b.n = -1, start[h]
 	}
 	grams := make([]byte, start[gramBuckets])
-	eachGram(func(h, gap uint32) { // binary.PutUvarint, without a slice per entry
-		p := start[h]
-		for ; gap >= 0x80; gap >>= 7 {
-			grams[p] = byte(gap) | 0x80
-			p++
+	for vid, v := range values {
+		if len(v) < gramLen {
+			continue
 		}
-		grams[p] = byte(gap)
-		start[h] = p + 1
-	})
-	copy(start[1:], start)
-	start[0] = 0
+		key := uint32(v[0]) | uint32(v[1])<<8
+		for i := gramLen - 1; i < len(v); i++ {
+			key |= uint32(v[i]) << 16
+			if b := &buckets[gramBucket(key)]; b.last != int32(vid) {
+				gap := uint32(int32(vid) - b.last)
+				b.last = int32(vid)
+				p := b.n // binary.PutUvarint, without a slice per entry
+				for ; gap >= 0x80; gap >>= 7 {
+					grams[p] = byte(gap) | 0x80
+					p++
+				}
+				grams[p] = byte(gap)
+				b.n = p + 1
+			}
+			key >>= 8
+		}
+	}
 	idx.gramStart, idx.grams = start, grams
+}
 
-	start = make([]int32, len(idx.values)+1)
+// fillValRows fills the value→rows table over the association table, by
+// the same counting sort.
+func (idx *Index) fillValRows(values int) {
+	start := make([]int32, values+1)
 	for _, v := range idx.vals {
 		start[v+1]++
 	}
-	for v := range idx.values {
+	for v := range values {
 		start[v+1] += start[v]
 	}
 	rows := make([]int32, len(idx.vals))

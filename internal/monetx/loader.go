@@ -18,12 +18,49 @@ import (
 // the element closes — so a parse shreds without a tree. When the root
 // closes the columns move from scratch to the sealed store handed to
 // emit; a split parse then starts the next part with the next Start.
+//
+// A loader made by NewIndexingLoader also hands each part's string
+// associations to an Indexer as it records them, every indexChunk of
+// them in load order, so an index can be built beside the parse. The
+// chunks alias the loader's scratch, which is why every exit of a part
+// — its root closing, a seal failure, Abort after a refused parse —
+// waits for the part's indexer before the scratch is cleared or kept.
 type Loader struct {
-	emit func(*Store) error
-	sum  *pathsum.Summary // the paths of the part under construction
-	sc   *scratch         // its columns; nil between parts
-	open []frame
+	emit  func(*Store) error
+	index func() Indexer   // makes each part's indexer; nil: none
+	ix    Indexer          // the part under construction's indexer
+	fed   int              // its associations handed to ix
+	sum   *pathsum.Summary // the paths of the part under construction
+	sc    *scratch         // its columns; nil between parts
+	open  []frame
 }
+
+// An Indexer consumes the string associations of one part while the
+// part loads. Feed and Close hand it chunks in load order; a chunk
+// aliases the loader's scratch and stays valid until Wait returns.
+type Indexer interface {
+	// Feed hands over the next full chunk.
+	Feed(chunk Chunk)
+	// Close hands over the last chunk, possibly empty: the part is
+	// complete and its indexer may finish on its own.
+	Close(tail Chunk)
+	// Wait returns once no chunk is read any more. With abort set the
+	// part is abandoned: the indexer stops early and keeps nothing.
+	Wait(abort bool)
+}
+
+// Chunk is a run of string associations in load order.
+type Chunk []assoc
+
+// At returns the i-th association: owner carries value at path.
+func (c Chunk) At(i int) (owner bat.OID, path pathsum.PathID, value string) {
+	return c[i].owner, c[i].path, c[i].value
+}
+
+// indexChunk is how many associations a Feed hands over: a few thousand
+// keep the hand-offs rare and leave the indexer little to catch up on
+// once the root closes.
+const indexChunk = 2048
 
 // frame is one open element.
 type frame struct {
@@ -107,6 +144,24 @@ func (sc *scratch) relations(sum *pathsum.Summary) ([]*bat.BAT[string], int) {
 // NewLoader returns a loader that hands each completed store to emit.
 func NewLoader(emit func(*Store) error) *Loader { return &Loader{emit: emit} }
 
+// NewIndexingLoader is NewLoader with an indexer per part: index is
+// called as each part starts, and the part's indexer has been closed
+// and waited for when its store reaches emit.
+func NewIndexingLoader(index func() Indexer, emit func(*Store) error) *Loader {
+	return &Loader{emit: emit, index: index}
+}
+
+// Abort abandons the part under construction, if any: a parse that
+// failed leaves one. Its indexer is stopped and waited for, and its
+// scratch is dropped, not kept. Call it whenever the parse feeding the
+// loader returns an error.
+func (l *Loader) Abort() {
+	if l.ix != nil {
+		l.ix.Wait(true)
+	}
+	l.ix, l.fed, l.sc, l.sum, l.open = nil, 0, nil, nil, l.open[:0]
+}
+
 // Load shreds doc into a Store: Document.Emit into a Loader.
 func Load(doc *xmltree.Document) (*Store, error) {
 	if doc == nil || doc.Root == nil {
@@ -124,6 +179,9 @@ func Load(doc *xmltree.Document) (*Store, error) {
 func (l *Loader) node(label string) (bat.OID, pathsum.PathID, error) {
 	if l.sc == nil {
 		l.sc, l.sum = takeScratch(), pathsum.New()
+		if l.index != nil {
+			l.ix, l.fed = l.index(), 0
+		}
 	}
 	sc := l.sc
 	parent, parentPath, rank := bat.Nil, pathsum.Invalid, int32(1)
@@ -157,7 +215,12 @@ func (l *Loader) attr(oid bat.OID, pid pathsum.PathID, name, value string) error
 	if err != nil {
 		return fmt.Errorf("monetx: load: %w", err)
 	}
-	l.sc.strs = append(l.sc.strs, assoc{apid, oid, value})
+	sc := l.sc
+	sc.strs = append(sc.strs, assoc{apid, oid, value})
+	if l.ix != nil && len(sc.strs)-l.fed == indexChunk {
+		l.ix.Feed(sc.strs[l.fed:len(sc.strs):len(sc.strs)])
+		l.fed = len(sc.strs)
+	}
 	return nil
 }
 
@@ -193,12 +256,19 @@ func (l *Loader) End() error {
 	if l.open = l.open[:len(l.open)-1]; len(l.open) > 0 {
 		return nil
 	}
+	ix := l.ix
+	if ix != nil {
+		ix.Close(sc.strs[l.fed:len(sc.strs):len(sc.strs)])
+	}
 	// What stays resident is what Stats counts: each column at its size.
 	s := &Store{summary: l.sum, root: 1, parent: exact(sc.parent), pathOf: exact(sc.pathOf),
 		depth: exact(sc.depth), rank: exact(sc.rank), end: exact(sc.end)}
 	s.strs, s.strBytes = sc.relations(l.sum)
 	err := s.seal()
-	l.sc, l.sum = nil, nil
+	if ix != nil {
+		ix.Wait(err != nil) // the scratch barrier: nothing reads a chunk past here
+	}
+	l.ix, l.fed, l.sc, l.sum = nil, 0, nil, nil
 	sc.release()
 	if err != nil {
 		return err

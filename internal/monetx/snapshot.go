@@ -7,6 +7,7 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"strings"
 
 	"ncq/internal/bat"
 	"ncq/internal/pathsum"
@@ -38,8 +39,10 @@ import (
 // the magic is the version guard.
 const snapshotMagic = "NCQSNAP2"
 
-// snapChunk bounds any single allocation the decoder makes before it
-// has seen the corresponding input bytes.
+// snapChunk bounds what the decoder allocates ahead of the input bytes
+// backing it: a string or an array is read snapChunk bytes at a time,
+// and an array's slice starts at most snapChunk bytes long and at most
+// doubles, so it is never more than twice what has been read.
 const snapChunk = 64 << 10
 
 // maxSnapshotLabel bounds a single path label or attribute value. It is
@@ -150,9 +153,10 @@ func (s *Store) WriteSnapshotShard(w io.Writer, shard, shards int) error {
 }
 
 type snapReader struct {
-	r *bufio.Reader
-	h hash.Hash32
-	b [8]byte
+	r   *bufio.Reader
+	h   hash.Hash32
+	b   [8]byte
+	buf []byte // what chunks are read into, at most snapChunk bytes
 }
 
 func (sr *snapReader) read(p []byte) error {
@@ -164,6 +168,16 @@ func (sr *snapReader) read(p []byte) error {
 	}
 	sr.h.Write(p)
 	return nil
+}
+
+// chunk reads the next n <= snapChunk bytes into the reader's buffer,
+// which they stay in until the next chunk is read.
+func (sr *snapReader) chunk(n int) ([]byte, error) {
+	if cap(sr.buf) < n {
+		sr.buf = make([]byte, n)
+	}
+	p := sr.buf[:n]
+	return p, sr.read(p)
 }
 
 func (sr *snapReader) u8() (uint8, error) {
@@ -188,7 +202,8 @@ func (sr *snapReader) i32() (int32, error) {
 // str reads a length-prefixed string. The declared length is checked
 // against a sanity cap and the bytes are consumed in bounded chunks,
 // so a hostile length cannot trigger a large allocation the input does
-// not back.
+// not back; a string of at most one chunk is copied once, from the
+// reader's buffer into the string.
 func (sr *snapReader) str(what string) (string, error) {
 	n, err := sr.u32()
 	if err != nil {
@@ -197,66 +212,43 @@ func (sr *snapReader) str(what string) (string, error) {
 	if n > maxSnapshotLabel {
 		return "", fmt.Errorf("%s length %d exceeds limit", what, n)
 	}
-	var buf []byte
+	var out strings.Builder
+	out.Grow(min(int(n), snapChunk))
 	for remaining := int(n); remaining > 0; {
-		c := remaining
-		if c > snapChunk {
-			c = snapChunk
-		}
-		chunk := make([]byte, c)
-		if err := sr.read(chunk); err != nil {
+		p, err := sr.chunk(min(remaining, snapChunk))
+		if err != nil {
 			return "", err
 		}
-		if buf == nil && c == int(n) {
-			buf = chunk
-		} else {
-			buf = append(buf, chunk...)
-		}
-		remaining -= c
+		out.Write(p)
+		remaining -= len(p)
 	}
-	return string(buf), nil
+	return out.String(), nil
 }
 
-// u32s reads a declared-count array of u32 in bounded chunks: the
-// decoder allocates at most snapChunk bytes ahead of the bytes it has
-// actually consumed, so a hostile count fails on read, not on make.
-func (sr *snapReader) u32s(count int) ([]uint32, error) {
+// words reads a declared-count array of 4-byte little-endian words
+// straight into a []T, chunk by chunk. The array starts at most
+// snapChunk bytes long and at most doubles, so the decoder allocates
+// no more than snapChunk bytes, or as many as it has consumed, ahead of
+// the bytes it has read: a hostile count fails on read, not on make.
+func words[T ~uint32 | ~int32](sr *snapReader, count int) ([]T, error) {
 	const per = 4
-	out := make([]uint32, 0, min(count, snapChunk/per))
-	var raw [snapChunk]byte
-	for remaining := count; remaining > 0; {
-		c := remaining
-		if c > snapChunk/per {
-			c = snapChunk / per
-		}
-		if err := sr.read(raw[:c*per]); err != nil {
+	out := make([]T, 0, min(count, snapChunk/per))
+	for len(out) < count {
+		p, err := sr.chunk(min(count-len(out), snapChunk/per) * per)
+		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < c; i++ {
-			out = append(out, binary.LittleEndian.Uint32(raw[i*per:]))
+		c := len(p) / per
+		if len(out)+c > cap(out) {
+			out = append(make([]T, 0, min(count, 2*cap(out))), out...)
 		}
-		remaining -= c
+		out = out[:len(out)+c]
+		dst := out[len(out)-c:]
+		for i := range dst {
+			dst[i] = T(binary.LittleEndian.Uint32(p[i*per:]))
+		}
 	}
 	return out, nil
-}
-
-func (sr *snapReader) i32s(count int) ([]int32, error) {
-	us, err := sr.u32s(count)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int32, len(us))
-	for i, u := range us {
-		out[i] = int32(u)
-	}
-	return out, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // checkTree holds the per-OID arrays to one tree, in one preorder pass.
@@ -379,53 +371,36 @@ func readSnapshot(r io.Reader) (*Store, int, int, error) {
 	if n < 2 {
 		return nil, 0, 0, fmt.Errorf("store has %d OIDs, need at least 2", n)
 	}
-	parent, err := sr.u32s(n)
-	if err != nil {
+	s := &Store{summary: summary, root: bat.OID(rootU)}
+	if s.parent, err = words[bat.OID](sr, n); err != nil {
 		return nil, 0, 0, fmt.Errorf("parent array: %w", err)
 	}
-	pathOf, err := sr.i32s(n)
-	if err != nil {
+	if s.pathOf, err = words[pathsum.PathID](sr, n); err != nil {
 		return nil, 0, 0, fmt.Errorf("pathOf array: %w", err)
 	}
-	depth, err := sr.i32s(n)
-	if err != nil {
+	if s.depth, err = words[int32](sr, n); err != nil {
 		return nil, 0, 0, fmt.Errorf("depth array: %w", err)
 	}
-	rank, err := sr.i32s(n)
-	if err != nil {
+	if s.rank, err = words[int32](sr, n); err != nil {
 		return nil, 0, 0, fmt.Errorf("rank array: %w", err)
 	}
-	end, err := sr.u32s(n)
-	if err != nil {
+	if s.end, err = words[bat.OID](sr, n); err != nil {
 		return nil, 0, 0, fmt.Errorf("end array: %w", err)
-	}
-
-	s := &Store{
-		summary: summary,
-		parent:  make([]bat.OID, n),
-		pathOf:  make([]pathsum.PathID, n),
-		depth:   depth,
-		rank:    rank,
-		end:     make([]bat.OID, n),
-		root:    bat.OID(rootU),
 	}
 	// Navigation walks parent chains upwards and preorder intervals
 	// forwards: both must make progress and stay inside the arrays.
 	for i := 0; i < n; i++ {
-		if int(parent[i]) >= max(i, 1) {
-			return nil, 0, 0, fmt.Errorf("OID %d has parent %d, not an earlier node", i, parent[i])
+		if int(s.parent[i]) >= max(i, 1) {
+			return nil, 0, 0, fmt.Errorf("OID %d has parent %d, not an earlier node", i, s.parent[i])
 		}
-		s.parent[i] = bat.OID(parent[i])
-		if i > 0 && (pathOf[i] < 0 || int(pathOf[i]) >= nPaths) {
-			return nil, 0, 0, fmt.Errorf("OID %d has unknown path %d", i, pathOf[i])
+		if i > 0 && (s.pathOf[i] < 0 || int(s.pathOf[i]) >= nPaths) {
+			return nil, 0, 0, fmt.Errorf("OID %d has unknown path %d", i, s.pathOf[i])
 		}
-		s.pathOf[i] = pathsum.PathID(pathOf[i])
-		if i > 0 && (int(end[i]) < i || int(end[i]) >= n) {
-			return nil, 0, 0, fmt.Errorf("OID %d has subtree end %d outside %d..%d", i, end[i], i, n-1)
+		if i > 0 && (int(s.end[i]) < i || int(s.end[i]) >= n) {
+			return nil, 0, 0, fmt.Errorf("OID %d has subtree end %d outside %d..%d", i, s.end[i], i, n-1)
 		}
-		s.end[i] = bat.OID(end[i])
 	}
-	if err := checkTree(s.parent, depth, s.end); err != nil {
+	if err := checkTree(s.parent, s.depth, s.end); err != nil {
 		return nil, 0, 0, err
 	}
 	nRelsU, err := sr.u32()

@@ -25,9 +25,11 @@
 // the bytes of what is resident.
 //
 // xmltree.Sink events go both ways. Loader, a sink, writes the columns,
-// fed by the parser (no tree is built) or by a tree's walk (Load);
-// Store.Emit walks a subtree back out into any sink — xmltree.Writer
-// prints it, xmltree.Documents rebuilds it.
+// fed by the parser (no tree is built) or by a tree's walk (Load), and
+// can hand each part's string associations, in chunks as it records
+// them, to an Indexer that builds beside the load; Store.Emit walks a
+// subtree back out into any sink — xmltree.Writer prints it,
+// xmltree.Documents rebuilds it.
 package monetx
 
 import (

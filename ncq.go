@@ -89,17 +89,20 @@ func Open(r io.Reader) (*Database, error) {
 // all when cut is nil), shredding as it parses.
 func openParts(r io.Reader, cut func(span int64) bool) ([]*Database, error) {
 	var dbs []*Database
-	if err := xmltree.ParseSplit(r, cut, loaderInto(&dbs)); err != nil {
+	l := loaderInto(&dbs)
+	if err := xmltree.ParseSplit(r, cut, l); err != nil {
+		l.Abort()
 		return nil, fmt.Errorf("ncq: %w", err)
 	}
 	return dbs, nil
 }
 
-// loaderInto is the sink that shreds every document it is fed and
-// appends its database to dbs.
-func loaderInto(dbs *[]*Database) xmltree.Sink {
-	return monetx.NewLoader(func(s *monetx.Store) error {
-		*dbs = append(*dbs, newDatabase(s))
+// loaderInto is the sink that shreds every document it is fed, builds
+// its index beside the parse and appends its database to dbs. A caller
+// whose parse fails aborts it, which waits for the part's index builder.
+func loaderInto(dbs *[]*Database) *monetx.Loader {
+	return fulltext.NewLoader(func(idx *fulltext.Index) error {
+		*dbs = append(*dbs, newDatabase(idx))
 		return nil
 	})
 }
@@ -119,9 +122,10 @@ func OpenString(s string) (*Database, error) {
 	return Open(strings.NewReader(s))
 }
 
-// newDatabase indexes a shredded store; the parsed tree is not kept.
-func newDatabase(store *monetx.Store) *Database {
-	idx := fulltext.New(store)
+// newDatabase serves an index and the shredded store it was built over;
+// the parsed tree is not kept.
+func newDatabase(idx *fulltext.Index) *Database {
+	store := idx.Store()
 	sum := store.Summary()
 	infixes := make([][]byte, sum.Len())
 	for p := range pathsum.PathID(len(infixes)) {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"ncq/internal/fulltext"
 	"ncq/internal/monetx"
 	"ncq/internal/xmltree"
 )
@@ -16,7 +17,7 @@ func fromDocument(doc *xmltree.Document) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newDatabase(store), nil
+	return newDatabase(fulltext.New(store)), nil
 }
 
 func fig1DB(t *testing.T) *Database {

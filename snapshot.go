@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"ncq/internal/fulltext"
 	"ncq/internal/monetx"
 )
 
@@ -44,5 +45,5 @@ func OpenSnapshotShard(r io.Reader) (db *Database, shard, shards int, err error)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("ncq: %w", err)
 	}
-	return newDatabase(store), shard, shards, nil
+	return newDatabase(fulltext.New(store)), shard, shards, nil
 }
