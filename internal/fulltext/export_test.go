@@ -11,9 +11,8 @@ func (idx *Index) OwnersSubstringMiss(sub string) []bat.OID { return idx.locateO
 
 // buildSubstringIndex is the substring build over idx's values and rows
 // in one go: the counting pass a builder runs as it is fed, then the
-// fills. It takes the reference build's per-bucket scratch and ignores
-// it: the bucket state lives in one table of its own.
-func (idx *Index) buildSubstringIndex([]int32) {
+// fills.
+func (idx *Index) buildSubstringIndex() {
 	buckets := new([gramBuckets]bucket)
 	for i := range buckets {
 		buckets[i].last = -1

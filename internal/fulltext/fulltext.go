@@ -23,16 +23,17 @@
 // One builder makes every index, fed string associations in any order:
 // it interns each value (value ids in the order fed) and runs the
 // trigram counting pass as it is fed, then lays out the rest — the
-// bucket offsets and the fill pass, the rows by a stable distribution
-// on the owner and then path order within an owner, the value→rows
-// table — once the feed ends. An upload feeds it from the loader
-// (NewLoader): the loader hands over its associations in chunks of a
-// few thousand while the parse goes on, and the builder takes them on a
-// goroutine of its own, so the index is built on a second core beside
-// the parse. Once the root closes that goroutine adds the last chunk
-// and fills the buckets while the loader seals the store and lays out
-// the rows; the loader's scratch is released only after both have
-// stopped reading the chunks. New feeds
+// bucket offsets and the fill pass, the rows in (owner, path) order,
+// the value→rows table — once the feed ends. An upload feeds it from
+// the loader (NewLoader): the loader hands over its associations in
+// chunks of a few thousand while the parse goes on, and the builder
+// takes them on a goroutine of its own, so the index is built on a
+// second core beside the parse. Once the root closes that goroutine
+// adds the last chunk and fills the buckets while the loader seals the
+// store and lays out the rows — already in owner order as a loader
+// feeds them, so only an element whose attributes are not written in
+// path order is sorted; the loader's scratch is released only after
+// both have stopped reading the chunks. New feeds
 // it from a sealed store's string relations, path by path, for a
 // snapshot restore and for callers that hold a store; the two give the
 // same rows and the same answers, though value ids differ in order.
@@ -69,9 +70,11 @@
 package fulltext
 
 import (
+	"hash/maphash"
 	"iter"
 	"math/bits"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -280,13 +283,13 @@ func dedupTokens(toks []string) []string {
 	return toks[:w]
 }
 
-// buildScratch holds a build's transients: the interning map, the value
-// list before its exact copy, the value id of every association in the
-// order fed, the per-owner row cursors and the trigram buckets' build
-// state. kept retains one set between builds; an abandoned build never
-// gives its set back.
+// buildScratch holds a build's transients: the interning table, the
+// value list before its exact copy, the value id of every association
+// in the order fed, the per-owner row cursors and the trigram buckets'
+// build state. kept retains one set between builds, emptied; an
+// abandoned build never gives its set back.
 type buildScratch struct {
-	intern  map[string]valueID
+	intern  []valueID // open addressing over values: a value's slot holds its id + 1, an empty slot 0
 	values  []string
 	vals    []valueID
 	next    []int32
@@ -300,6 +303,44 @@ type bucket struct{ last, n int32 }
 
 var kept atomic.Pointer[buildScratch]
 
+// internSeed hashes values into the interning table.
+var internSeed = maphash.MakeSeed()
+
+// lookup returns value's id and whether it is new: the first time a
+// value is seen it takes the next id. The table is kept at most half
+// full, and clearing it between builds is one memclr, where a map of
+// strings costs a walk over every group on the upload's critical path.
+func (sc *buildScratch) lookup(value string) (valueID, bool) {
+	if 2*len(sc.values) >= len(sc.intern) {
+		sc.growIntern()
+	}
+	mask := uint64(len(sc.intern) - 1)
+	for i := maphash.String(internSeed, value) & mask; ; i = (i + 1) & mask {
+		switch s := sc.intern[i]; {
+		case s == 0:
+			vid := valueID(len(sc.values))
+			sc.intern[i] = vid + 1
+			sc.values = append(sc.values, value)
+			return vid, true
+		case sc.values[s-1] == value:
+			return s - 1, false
+		}
+	}
+}
+
+// growIntern doubles the interning table and places every value again.
+func (sc *buildScratch) growIntern() {
+	sc.intern = make([]valueID, max(1<<10, 2*len(sc.intern)))
+	mask := uint64(len(sc.intern) - 1)
+	for vid, v := range sc.values {
+		i := maphash.String(internSeed, v) & mask
+		for sc.intern[i] != 0 {
+			i = (i + 1) & mask
+		}
+		sc.intern[i] = valueID(vid) + 1
+	}
+}
+
 // builder builds one Index from string associations fed in any order:
 // add interns each value — ids in the order fed — runs the trigram
 // counting pass over every new one, and records each association's
@@ -310,12 +351,14 @@ var kept atomic.Pointer[buildScratch]
 // monetx.Indexer, the builder runs on its own goroutine while the part
 // is still being parsed; once the root closes that goroutine adds the
 // last chunk and lays out grams, while the loader seals the store and
-// then, in Wait, lays out rows from the chunks it handed over.
+// then, in Wait, lays out rows from the part's associations.
 type builder struct {
-	sc    *buildScratch
-	top   bat.OID        // the largest owner fed
-	idx   *Index         // what is laid out so far
-	given []monetx.Chunk // every chunk handed over, in order
+	sc   *buildScratch
+	top  bat.OID      // the largest owner fed
+	idx  *Index       // what is laid out so far
+	all  monetx.Chunk // the part's associations, once closed
+	sent int          // how many of them went to the goroutine
+	solo bool         // one processor: Close adds every association
 
 	chunks chan monetx.Chunk // to the goroutine; nil until the first Feed
 	closed bool              // chunks is closed
@@ -331,8 +374,9 @@ const feedQueue = 4
 func newBuilder() *builder {
 	sc := kept.Swap(nil)
 	if sc == nil {
-		sc = &buildScratch{intern: make(map[string]valueID), buckets: new([gramBuckets]bucket)}
+		sc = &buildScratch{buckets: new([gramBuckets]bucket)}
 	}
+	sc.intern = sc.intern[:cap(sc.intern)]
 	for i := range sc.buckets {
 		sc.buckets[i] = bucket{last: -1}
 	}
@@ -385,31 +429,31 @@ func NewLoader(emit func(*Index) error) *monetx.Loader {
 // With one processor there is no second core to run it on, so the chunk
 // waits for Close.
 func (b *builder) Feed(chunk monetx.Chunk) {
-	b.given = append(b.given, chunk)
-	if b.chunks == nil && runtime.GOMAXPROCS(0) == 1 {
-		return
+	if b.chunks == nil && !b.solo {
+		if b.solo = runtime.GOMAXPROCS(0) == 1; !b.solo {
+			b.chunks = make(chan monetx.Chunk, feedQueue)
+			b.fed, b.done = make(chan struct{}), make(chan struct{})
+			go b.run()
+		}
 	}
-	if b.chunks == nil {
-		b.chunks = make(chan monetx.Chunk, feedQueue)
-		b.fed, b.done = make(chan struct{}), make(chan struct{})
-		go b.run()
+	if !b.solo {
+		b.chunks <- chunk
+		b.sent += len(chunk)
 	}
-	b.chunks <- chunk
 }
 
-// Close hands over the last chunk. Without a goroutine — a part too
-// small to have fed a chunk before, or one processor — every chunk is
-// added, and the grams laid out, here on the loader's goroutine.
-func (b *builder) Close(tail monetx.Chunk) {
-	b.given = append(b.given, tail)
+// Close hands over the rest of the part's associations. Without a
+// goroutine — a part too small to have fed a chunk before, or one
+// processor — every association is added, and the grams laid out, here
+// on the loader's goroutine.
+func (b *builder) Close(all monetx.Chunk) {
+	b.all = all
 	if b.chunks == nil {
-		for _, c := range b.given {
-			b.addChunk(c)
-		}
+		b.addChunk(all)
 		b.grams()
 		return
 	}
-	b.chunks <- tail
+	b.chunks <- all[b.sent:]
 	close(b.chunks)
 	b.closed = true
 }
@@ -417,8 +461,8 @@ func (b *builder) Close(tail monetx.Chunk) {
 // Wait returns once no chunk is read any more. An abort makes the
 // goroutine, if any, skip what it has not read and lay out nothing, and
 // waits for it to exit. Otherwise Wait waits for the goroutine to read
-// the last chunk and lays out rows from the chunks itself, while the
-// goroutine lays out grams; finish waits for that.
+// the last chunk and lays out rows itself, while the goroutine lays out
+// grams; finish waits for that.
 func (b *builder) Wait(abort bool) {
 	if b.chunks != nil {
 		if abort {
@@ -435,21 +479,15 @@ func (b *builder) Wait(abort bool) {
 		}
 	}
 	if !abort {
-		b.rows(b.givenRows)
-	}
-	b.given = nil
-}
-
-// givenRows yields the owner and path of every association handed over,
-// in the order fed.
-func (b *builder) givenRows(yield func(bat.OID, pathsum.PathID) bool) {
-	for _, c := range b.given {
-		for i := range c {
-			if owner, path, _ := c.At(i); !yield(owner, path) {
-				return
+		b.rows(func(yield func(bat.OID, pathsum.PathID) bool) {
+			for i := range b.all {
+				if owner, path, _ := b.all.At(i); !yield(owner, path) {
+					return
+				}
 			}
-		}
+		})
 	}
+	b.all = nil
 }
 
 // run is the builder goroutine: it adds every chunk and, once the last
@@ -479,11 +517,8 @@ func (b *builder) addChunk(c monetx.Chunk) {
 // over it.
 func (b *builder) add(owner bat.OID, value string) {
 	sc := b.sc
-	vid, ok := sc.intern[value]
-	if !ok {
-		vid = valueID(len(sc.values))
-		sc.intern[value] = vid
-		sc.values = append(sc.values, value)
+	vid, fresh := sc.lookup(value)
+	if fresh {
 		countGrams(sc.buckets, int32(vid), value)
 	}
 	b.top = max(b.top, owner)
@@ -494,47 +529,70 @@ func (b *builder) add(owner bat.OID, value string) {
 func (b *builder) grams() { b.idx.fillGrams(b.sc.buckets, b.sc.values) }
 
 // rows lays out the value table, the association table in (owner,
-// path) order and the value→rows table, and empties the interning map;
-// feed yields every association's owner and path again, in the order
+// path) order and the value→rows table; feed yields every association's owner and path again, in the order
 // fed. It writes none of what grams reads or writes, so the two run at
 // once.
 func (b *builder) rows(feed iter.Seq2[bat.OID, pathsum.PathID]) {
 	sc, idx := b.sc, b.idx
 	n := len(sc.vals)
 	idx.owners, idx.paths, idx.vals = make([]bat.OID, n), make([]pathsum.PathID, n), make([]valueID, n)
-	// A stable distribution on the owner: OIDs are dense, so counting the
-	// rows of every owner gives each owner's first row, and placing rows
-	// there in the order fed keeps one owner's rows in that order.
-	next := append(sc.next[:0], make([]int32, b.top+2)...) // next[o]: the row owner o's next association takes
-	for owner := range feed {
-		next[owner+1]++
-	}
-	for o := 1; o < len(next); o++ {
-		next[o] += next[o-1]
-	}
+	// A loader feeds in owner order — an association is recorded as its
+	// node starts, and OIDs count the nodes started — so the rows go down
+	// as fed until an owner comes out of order.
 	r := 0
 	for owner, path := range feed {
-		row := next[owner]
-		next[owner]++
-		idx.owners[row], idx.paths[row], idx.vals[row] = owner, path, sc.vals[r]
+		if r > 0 && owner < idx.owners[r-1] {
+			break
+		}
+		idx.owners[r], idx.paths[r], idx.vals[r] = owner, path, sc.vals[r]
 		r++
 	}
-	sc.next = next
+	if r < n {
+		// A stable distribution on the owner: OIDs are dense, so counting
+		// the rows of every owner gives each owner's first row, and placing
+		// rows there in the order fed keeps one owner's rows in that order.
+		next := append(sc.next[:0], make([]int32, b.top+2)...) // next[o]: the row owner o's next association takes
+		for owner := range feed {
+			next[owner+1]++
+		}
+		for o := 1; o < len(next); o++ {
+			next[o] += next[o-1]
+		}
+		r = 0
+		for owner, path := range feed {
+			row := next[owner]
+			next[owner]++
+			idx.owners[row], idx.paths[row], idx.vals[row] = owner, path, sc.vals[r]
+			r++
+		}
+		sc.next = next
+	}
 	// Then path order within an owner: a path-major feed has it already,
-	// and a loader feeds an element's attributes as written. The order is
-	// total, since an (owner, path) pair identifies at most one
-	// association.
-	for r := 1; r < n; r++ {
-		for q := r; q > 0 && idx.owners[q-1] == idx.owners[q] && idx.paths[q-1] > idx.paths[q]; q-- {
-			idx.owners[q-1], idx.owners[q] = idx.owners[q], idx.owners[q-1]
-			idx.paths[q-1], idx.paths[q] = idx.paths[q], idx.paths[q-1]
-			idx.vals[q-1], idx.vals[q] = idx.vals[q], idx.vals[q-1]
+	// and a loader feeds an element's attributes as written. An owner's
+	// rows out of that order are sorted as (path, value id) pairs packed
+	// in a word; the order is total, since an (owner, path) pair
+	// identifies at most one association.
+	var keys []uint64
+	for lo, hi := 0, 0; lo < n; lo = hi {
+		inOrder := true
+		for hi = lo + 1; hi < n && idx.owners[hi] == idx.owners[lo]; hi++ {
+			inOrder = inOrder && idx.paths[hi-1] < idx.paths[hi]
+		}
+		if inOrder {
+			continue
+		}
+		keys = keys[:0]
+		for r := lo; r < hi; r++ {
+			keys = append(keys, uint64(idx.paths[r])<<32|uint64(idx.vals[r]))
+		}
+		slices.Sort(keys)
+		for i, k := range keys {
+			idx.paths[lo+i], idx.vals[lo+i] = pathsum.PathID(k>>32), valueID(k)
 		}
 	}
 	idx.values = append(make([]string, 0, len(sc.values)), sc.values...)
 	idx.fillValRows(len(sc.values))
 	idx.memo = memo.New(n, memoCharge, &memoCounts)
-	clear(sc.intern)
 }
 
 // finish waits for grams and hands over the index over store. It keeps
@@ -544,9 +602,10 @@ func (b *builder) finish(store *monetx.Store) *Index {
 		<-b.done
 	}
 	sc := b.sc
-	clear(sc.values)
 	if cap(sc.values) <= monetx.MaxKeptRows && cap(sc.vals) <= monetx.MaxKeptRows && cap(sc.next) <= monetx.MaxKeptRows {
-		sc.values, sc.vals = sc.values[:0], sc.vals[:0]
+		clear(sc.values)
+		clear(sc.intern)
+		sc.intern, sc.values, sc.vals = sc.intern[:0], sc.values[:0], sc.vals[:0]
 		kept.Store(sc)
 	}
 	b.sc = nil

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"ncq/internal/datagen"
 	"ncq/internal/leakcheck"
@@ -123,6 +124,54 @@ func TestLoaderIndexEqualsNew(t *testing.T) {
 				checkSameIndex(t, fmt.Sprintf("%s, k=%d, part %d", name, k, i), idx)
 			}
 		}
+	}
+}
+
+// wideBody is a root with two elements of n attributes each: the first
+// writes them x0 … x(n-1), which gives their paths out in that order,
+// and the second in the same order or, reversed, the opposite one.
+func wideBody(n int, reversed bool) string {
+	var b strings.Builder
+	b.WriteString("<r><a")
+	for i := range n {
+		fmt.Fprintf(&b, ` x%d="v%d"`, i, i)
+	}
+	b.WriteString("/><a")
+	for i := range n {
+		if reversed {
+			i = n - 1 - i
+		}
+		fmt.Fprintf(&b, ` x%d="w%d"`, i, i)
+	}
+	b.WriteString("/></r>")
+	return b.String()
+}
+
+// TestWideElementOutOfOrder uploads an element of 20,000 attributes
+// written against path order. Its index equals New's, and putting its
+// rows in path order costs about what the body in order costs to load,
+// not the square of its width.
+func TestWideElementOutOfOrder(t *testing.T) {
+	const n = 20000
+	load := func(src string) (*Index, time.Duration) {
+		best := time.Duration(1<<63 - 1)
+		var idx *Index
+		for range 3 {
+			start := time.Now()
+			parts, err := loadParts(src, nil, nil)
+			best = min(best, time.Since(start))
+			if err != nil || len(parts) != 1 {
+				t.Fatalf("%d parts, err %v", len(parts), err)
+			}
+			idx = parts[0]
+		}
+		return idx, best
+	}
+	_, inOrder := load(wideBody(n, false))
+	idx, reversed := load(wideBody(n, true))
+	checkSameIndex(t, "reversed", idx)
+	if reversed > 4*inOrder {
+		t.Errorf("the reversed element loads in %v, the one in order in %v", reversed, inOrder)
 	}
 }
 

@@ -79,7 +79,7 @@ func referencePostings(store *monetx.Store) *Index {
 		}
 	}
 	idx.postOnce.Do(func() {}) // the postings are in place: never build them
-	idx.buildSubstringIndex(make([]int32, gramBuckets))
+	idx.buildSubstringIndex()
 	return idx
 }
 

@@ -41,9 +41,10 @@ type Loader struct {
 type Indexer interface {
 	// Feed hands over the next full chunk.
 	Feed(chunk Chunk)
-	// Close hands over the last chunk, possibly empty: the part is
-	// complete and its indexer may finish on its own.
-	Close(tail Chunk)
+	// Close hands over every association of the part, those fed
+	// before included: the part is complete and its indexer may finish
+	// on its own.
+	Close(all Chunk)
 	// Wait returns once no chunk is read any more. With abort set the
 	// part is abandoned: the indexer stops early and keeps nothing.
 	Wait(abort bool)
@@ -258,7 +259,7 @@ func (l *Loader) End() error {
 	}
 	ix := l.ix
 	if ix != nil {
-		ix.Close(sc.strs[l.fed:len(sc.strs):len(sc.strs)])
+		ix.Close(sc.strs[:len(sc.strs):len(sc.strs)])
 	}
 	// What stays resident is what Stats counts: each column at its size.
 	s := &Store{summary: l.sum, root: 1, parent: exact(sc.parent), pathOf: exact(sc.pathOf),

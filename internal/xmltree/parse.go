@@ -102,14 +102,7 @@ func Parse(r io.Reader) (*Document, error) {
 // attribute name, a second root, nesting beyond pathsum.MaxDepth — are
 // raised here, at the end of the offending start tag, whatever the sink.
 func ParseSplit(r io.Reader, cut func(span int64) bool, sink Sink) error {
-	w := keptWindow.Swap(nil)
-	if w == nil {
-		w = new([scanWindow]byte)
-	}
-	defer keptWindow.Store(w)
-	s := newScanner(r, 0)
-	s.buf = w[:]
-	return parse(s, cut, sink)
+	return parse(newScanner(r, scanWindow), cut, sink)
 }
 
 func parse(s *scanner, cut func(span int64) bool, sink Sink) error {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"unicode"
 	"unicode/utf8"
 )
@@ -16,12 +15,6 @@ import (
 // fit; character data is copied out run by run, and everything skipped
 // is not kept at all.
 const scanWindow = 32 << 10
-
-// keptWindow holds one window between parses, as the loader keeps its
-// scratch: a parse takes it and puts it back as it returns — nothing it
-// hands a sink points into the window — so only parses that overlap
-// allocate windows of their own.
-var keptWindow atomic.Pointer[[scanWindow]byte]
 
 // scanner reads the XML language ParseSplit accepts from a refillable
 // window on an io.Reader. The language is the one encoding/xml's strict
