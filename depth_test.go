@@ -2,7 +2,6 @@ package ncq
 
 import (
 	"bytes"
-	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -62,20 +61,12 @@ func TestDeeperThanMaxDepthRejected(t *testing.T) {
 		t.Errorf("Open: err = %v, want the depth limit", err)
 	}
 
-	// Magic, framing (shard 0 of 1), root 1, then a path table that is
-	// one chain of element paths at depths 0..MaxDepth+1. The decoder
-	// must stop at the last one; nothing after the table is needed.
-	le := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
-	snap := []byte("NCQSNAP2")
-	snap = append(snap, le(0)...)
-	snap = append(snap, le(1)...)
-	snap = append(snap, le(1)...)
-	snap = append(snap, le(pathsum.MaxDepth+2)...)
+	// Magic, framing (shard 0 of 1), the one label "a", then one chain
+	// of elements at depths 0..MaxDepth+1, never closed. The loader must
+	// stop at the last one; nothing after it is needed.
+	snap := []byte("NCQSNAP3\x00\x01\x01\x01a")
 	for i := 0; i < pathsum.MaxDepth+2; i++ {
-		snap = append(snap, le(uint32(i-1))...) // parent (-1 for the root path)
-		snap = append(snap, byte(pathsum.Elem))
-		snap = append(snap, le(1)...)
-		snap = append(snap, 'a')
+		snap = append(snap, 0, 2, 0) // closes nothing, element "a", no attributes
 	}
 	if _, err := OpenSnapshot(bytes.NewReader(snap)); err == nil || !strings.Contains(err.Error(), "limit is 4096") {
 		t.Errorf("OpenSnapshot: err = %v, want the depth limit", err)

@@ -78,14 +78,9 @@ func (b *BAT[T]) Head(i int) OID { return b.head[i] }
 // Tail returns the tail value at position i.
 func (b *BAT[T]) Tail(i int) T { return b.tail[i] }
 
-// HeadsAscend reports whether no head is smaller than the one before
-// it: what Find needs, and what a sealed string relation of the store
-// holds — its owners come in document order.
-func (b *BAT[T]) HeadsAscend() bool { return slices.IsSorted(b.head) }
-
 // Find returns the tail of the first pair whose head equals h. The
-// boolean reports whether such a pair exists. The heads must ascend
-// (HeadsAscend): Find is a binary search over them, the paper's look-up
+// boolean reports whether such a pair exists. The heads must ascend:
+// Find is a binary search over them, the paper's look-up
 // of an owner's value without a structure beside the columns.
 func (b *BAT[T]) Find(h OID) (T, bool) {
 	if i, ok := slices.BinarySearch(b.head, h); ok {

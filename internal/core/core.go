@@ -26,7 +26,7 @@
 // meet, one witness arena and the unmatched inputs, and nothing is
 // sorted but the rows, once, into document order, and the unmatched
 // inputs. It relies on the store's intervals being those of its parent
-// array, which loading derives and restoring a snapshot checks
+// array, which the loader derives for an upload and a restore alike
 // (rollup.go has the details).
 //
 // The set-oriented meet of two homogeneous sets (Figure 4) and the

@@ -28,8 +28,8 @@ package core
 // interval ends before v, which no later input can reach, so the pass
 // costs O(inputs + ancestors walked), each ancestor walked at most
 // once. It trusts the parent array and the intervals it reads: the
-// loader derives them, and restoring a snapshot checks them
-// (monetx.ReadSnapshot).
+// loader derives both from one stack of open elements, for an upload
+// and a snapshot restore alike.
 //
 // The answer is written into columns the caller owns (Answers): one
 // 20-byte Row per meet, one witness arena for the whole answer that

@@ -222,6 +222,30 @@ func TestStoreMissingSnapshotIsHardError(t *testing.T) {
 	}
 }
 
+// TestStoreRetiredSnapshotFormatFailsBoot boots over a data directory
+// whose snapshot carries the retired NCQSNAP2 magic: recovery refuses it
+// by name, naming the file, rather than decoding it as anything else.
+func TestStoreRetiredSnapshotFormatFailsBoot(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openStore(t, dir)
+	if _, err := s.PutPlain("doc", fig1DB(t)); err != nil {
+		t.Fatal(err)
+	}
+	snap := shardFile(filepath.Join(dir, "docs", s.DocDirs()[0]), 0)
+	s.Close()
+	raw, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snap, append([]byte("NCQSNAP2"), raw[len("NCQSNAP2"):]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(dir, wal.PolicyAlways, ncq.NewCorpus())
+	if err == nil || !strings.Contains(err.Error(), "shard-000.snap: ncq: monetx: read snapshot: NCQSNAP2 is a retired format") {
+		t.Errorf("Open = %v, want a refusal naming the file and the retired format", err)
+	}
+}
+
 func TestStoreCorruptLogFailsBoot(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openStore(t, dir)

@@ -33,10 +33,11 @@
 // store and lays out the rows — already in owner order as a loader
 // feeds them, so only an element whose attributes are not written in
 // path order is sorted; the loader's scratch is released only after
-// both have stopped reading the chunks. New feeds
-// it from a sealed store's string relations, path by path, for a
-// snapshot restore and for callers that hold a store; the two give the
-// same rows and the same answers, though value ids differ in order.
+// both have stopped reading the chunks. A snapshot restore is a load
+// too: its events replay into the same loader. New feeds the builder
+// from a sealed store's string relations, path by path, for callers
+// that hold a store; the two give the same rows and the same answers,
+// though value ids differ in order.
 //
 // An Index never changes once built, so OwnersSubstring memoizes its
 // answers: a needle is located once per index and every later request

@@ -1,6 +1,7 @@
 package fulltext
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 
 	"ncq/internal/datagen"
 	"ncq/internal/leakcheck"
+	"ncq/internal/monetx"
 	"ncq/internal/shard"
 	"ncq/internal/xmltree"
 )
@@ -269,4 +271,67 @@ func TestAbortedBuilderKeepsNothing(t *testing.T) {
 		t.Fatalf("%d parts, err %v", len(parts), err)
 	}
 	checkSameIndex(t, "after an abort", parts[0])
+}
+
+// restore replays a snapshot through NewLoader and aborts a refused
+// replay, as a database's restore does.
+func restore(snap []byte) (*Index, error) {
+	var got *Index
+	l := NewLoader(func(idx *Index) error { got = idx; return nil })
+	if _, _, err := monetx.ReplaySnapshot(bytes.NewReader(snap), l); err != nil {
+		l.Abort()
+		return nil, err
+	}
+	return got, nil
+}
+
+// snapshotOf is the snapshot of an upload of src.
+func snapshotOf(t *testing.T, src string) []byte {
+	t.Helper()
+	parts, err := loadParts(src, nil, nil)
+	if err != nil || len(parts) != 1 {
+		t.Fatalf("%d parts, err %v", len(parts), err)
+	}
+	var buf bytes.Buffer
+	if err := parts[0].Store().WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRestoredIndexEqualsNew restores each upload body's snapshot: the
+// index built beside the replay equals New over the restored store.
+func TestRestoredIndexEqualsNew(t *testing.T) {
+	for name, src := range uploadBodies() {
+		idx, err := restore(snapshotOf(t, src))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkSameIndex(t, name+", restored", idx)
+	}
+}
+
+// TestRefusedRestoresLeaveNothing refuses restores mid-build — the DBLP
+// snapshot cut short at fifty offsets and with one byte flipped at
+// fifty. Each is refused, leaves no builder goroutine behind, and the
+// kept slot holds no aborted builder's scratch.
+func TestRefusedRestoresLeaveNothing(t *testing.T) {
+	raw := snapshotOf(t, uploadBodies()["dblp"])
+	base := leakcheck.Take()
+	for i := 1; i <= 50; i++ {
+		off := len(raw) * i / 51
+		flipped := bytes.Clone(raw)
+		flipped[off] ^= 0xff
+		for _, in := range [][]byte{raw[:off], flipped} {
+			if _, err := restore(in); err == nil {
+				t.Fatalf("offset %d: accepted", off)
+			}
+			if base.Check(t, 0, fmt.Sprintf("offset %d", off)); t.Failed() {
+				return // a leaked builder never exits: every later check would wait it out
+			}
+			if !keptIsClean() {
+				t.Fatalf("offset %d: the kept slot holds an aborted builder's scratch", off)
+			}
+		}
+	}
 }

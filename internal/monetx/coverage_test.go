@@ -76,7 +76,7 @@ func TestReadSnapshotRejectsTamperedVersions(t *testing.T) {
 	if err := s.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupting the gob stream must error out, never panic.
+	// A snapshot cut anywhere must error out, never panic.
 	raw := buf.Bytes()
 	for _, cut := range []int{1, len(raw) / 4, len(raw) - 3} {
 		if _, err := ReadSnapshot(bytes.NewReader(raw[:cut])); err == nil {

@@ -22,9 +22,9 @@ import (
 // A loader made by NewIndexingLoader also hands each part's string
 // associations to an Indexer as it records them, every indexChunk of
 // them in load order, so an index can be built beside the parse. The
-// chunks alias the loader's scratch, which is why every exit of a part
-// — its root closing, a seal failure, Abort after a refused parse —
-// waits for the part's indexer before the scratch is cleared or kept.
+// chunks alias the loader's scratch, which is why both exits of a part
+// — its root closing, Abort after a refused parse or replay — wait for
+// the part's indexer before the scratch is cleared or kept.
 type Loader struct {
 	emit  func(*Store) error
 	index func() Indexer   // makes each part's indexer; nil: none
@@ -265,14 +265,11 @@ func (l *Loader) End() error {
 	s := &Store{summary: l.sum, root: 1, parent: exact(sc.parent), pathOf: exact(sc.pathOf),
 		depth: exact(sc.depth), rank: exact(sc.rank), end: exact(sc.end)}
 	s.strs, s.strBytes = sc.relations(l.sum)
-	err := s.seal()
+	s.seal()
 	if ix != nil {
-		ix.Wait(err != nil) // the scratch barrier: nothing reads a chunk past here
+		ix.Wait(false) // the scratch barrier: nothing reads a chunk past here
 	}
 	l.ix, l.fed, l.sc, l.sum = nil, 0, nil, nil
 	sc.release()
-	if err != nil {
-		return err
-	}
 	return l.emit(s)
 }

@@ -2,76 +2,91 @@ package monetx
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
 	"strings"
 
-	"ncq/internal/bat"
-	"ncq/internal/pathsum"
+	"ncq/internal/xmltree"
 )
 
-// Snapshots persist a loaded store without the XML parse and shred: the
-// path summary, the per-OID arrays and the string relations are written
-// in a little-endian binary format; the per-path OID lists are derived
-// from those on read, as they are on load. The snapshot of a store
-// reloads into a store that answers every query identically.
+// A snapshot persists a store as the event stream that loads it: Emit's
+// walk, with each element's attributes in attribute-path order, one
+// record per node. Restoring replays the stream into a sink — a Loader,
+// for a store — so the columns, the path ids and an index built beside
+// them come out as the load that made them wrote them, and no tree
+// needs checking: the sink protocol the replay guards admits one tree.
 //
-// Layout (all integers little-endian):
+// Layout (every integer an unsigned varint):
 //
-//	magic "NCQSNAP2"
-//	u32 shard | u32 shards        — per-shard framing
-//	u32 root
-//	u32 nPaths { i32 parent | u8 kind | u32 labelLen | label }
-//	u32 nOIDs  { u32 parent }* { i32 pathOf }* { i32 depth }*
-//	           { i32 rank }* { u32 end }*
-//	u32 nRels  { i32 path | u32 n { u32 owner | u32 valLen | val }* }
-//	u32 crc32  — IEEE checksum of everything after the magic
+//	magic "NCQSNAP3"
+//	shard | shards                  — per-shard framing
+//	nLabels { len | label }         — element and attribute names
+//	per node: ends | tag [ body ]   — elements ending before the node
+//	    tag 1: text      len | text
+//	    tag 2+i: element labels[i] | nAttrs { label | len | value }
+//	ends | 0                        — the elements still open, root last
+//	u32 crc32 (little-endian)       — IEEE checksum of all before it
 //
-// The decoder never trusts a declared length: every count and string
-// length is consumed through bounded chunks, so a hostile header can
-// only make it allocate what the input actually contains.
+// The decoder trusts no declared count or length: a count bounds a loop
+// over records at least a byte long each, and a string is read a buffer
+// at a time, so a hostile header can only make it allocate what the
+// input actually contains.
 
-// snapshotMagic identifies the format and its version. The gob-based
-// version 1 format ("NCQSNAP1"-less, self-describing) is gone; bumping
-// the magic is the version guard.
-const snapshotMagic = "NCQSNAP2"
+// snapshotMagic identifies the format and its version; bumping it is
+// the version guard, and an older magic is refused by name.
+const snapshotMagic = "NCQSNAP3"
 
-// snapChunk bounds what the decoder allocates ahead of the input bytes
-// backing it: a string or an array is read snapChunk bytes at a time,
-// and an array's slice starts at most snapChunk bytes long and at most
-// doubles, so it is never more than twice what has been read.
-const snapChunk = 64 << 10
-
-// maxSnapshotLabel bounds a single path label or attribute value. It is
-// a sanity limit, not a capacity plan: labels are element/attribute
-// names and values are attribute/cdata strings.
+// maxSnapshotLabel bounds a single label, attribute value or text. It
+// is a sanity limit, not a capacity plan.
 const maxSnapshotLabel = 1 << 24
 
+// Node tags; an element's tag is tagElem plus its label's index.
+const (
+	tagEnd = iota
+	tagText
+	tagElem
+)
+
+// crcResidue is the IEEE CRC-32 of any input followed by its own
+// little-endian checksum, so the reader checks the whole input at once.
+const crcResidue = 0x2144df1c
+
+// snapWriter is the sink a store's walk writes its snapshot into,
+// through a buffer that hands each chunk to the checksum as well. A
+// write error sticks in the buffer and surfaces at its Flush.
 type snapWriter struct {
-	w   *bufio.Writer
-	h   hash.Hash32
-	b   [8]byte
-	err error
+	*bufio.Writer
+	index map[string]int // a label's place in the label table
+	ends  int            // Ends since the last node
 }
 
-func (sw *snapWriter) write(p []byte) {
-	if sw.err != nil {
-		return
-	}
-	if _, err := sw.w.Write(p); err != nil {
-		sw.err = err
-		return
-	}
-	sw.h.Write(p)
+func (sw *snapWriter) uvarint(v int) {
+	sw.Write(binary.AppendUvarint(sw.AvailableBuffer(), uint64(v)))
 }
 
-func (sw *snapWriter) u8(v uint8)   { sw.b[0] = v; sw.write(sw.b[:1]) }
-func (sw *snapWriter) u32(v uint32) { binary.LittleEndian.PutUint32(sw.b[:4], v); sw.write(sw.b[:4]) }
-func (sw *snapWriter) i32(v int32)  { sw.u32(uint32(v)) }
-func (sw *snapWriter) str(s string) { sw.u32(uint32(len(s))); sw.write([]byte(s)) }
+func (sw *snapWriter) str(s string) { sw.uvarint(len(s)); sw.WriteString(s) }
+
+// node starts a node's record.
+func (sw *snapWriter) node(tag int) { sw.uvarint(sw.ends); sw.uvarint(tag); sw.ends = 0 }
+
+func (sw *snapWriter) Start(label string, attrs []xmltree.Attr) error {
+	sw.node(tagElem + sw.index[label])
+	sw.uvarint(len(attrs))
+	for _, a := range attrs {
+		sw.uvarint(sw.index[a.Name])
+		sw.str(a.Value)
+	}
+	return nil
+}
+
+func (sw *snapWriter) Text(text string) error { sw.node(tagText); sw.str(text); return nil }
+
+func (sw *snapWriter) End() error { sw.ends++; return nil }
 
 // WriteSnapshot serialises the store to w as a standalone (single
 // shard) snapshot.
@@ -87,204 +102,108 @@ func (s *Store) WriteSnapshotShard(w io.Writer, shard, shards int) error {
 	if shards < 1 || shard < 0 || shard >= shards {
 		return fmt.Errorf("monetx: write snapshot: bad framing %d/%d", shard, shards)
 	}
-	sw := &snapWriter{w: bufio.NewWriter(w), h: crc32.NewIEEE()}
-	if _, err := sw.w.WriteString(snapshotMagic); err != nil {
-		return fmt.Errorf("monetx: write snapshot: %w", err)
-	}
-	sw.u32(uint32(shard))
-	sw.u32(uint32(shards))
-	sw.u32(uint32(s.root))
-
-	paths := s.summary.AllPaths()
-	sw.u32(uint32(len(paths)))
-	for _, pid := range paths {
-		sw.i32(int32(s.summary.Parent(pid)))
-		sw.u8(uint8(s.summary.Kind(pid)))
-		sw.str(s.summary.Label(pid))
-	}
-
-	n := len(s.parent)
-	sw.u32(uint32(n))
-	for i := 0; i < n; i++ {
-		sw.u32(uint32(s.parent[i]))
-	}
-	for i := 0; i < n; i++ {
-		sw.i32(int32(s.pathOf[i]))
-	}
-	for i := 0; i < n; i++ {
-		sw.i32(s.depth[i])
-	}
-	for i := 0; i < n; i++ {
-		sw.i32(s.rank[i])
-	}
-	for i := 0; i < n; i++ {
-		sw.u32(uint32(s.end[i]))
-	}
-
-	var rels []pathsum.PathID
-	for _, pid := range paths {
-		if s.summary.Kind(pid) == pathsum.Attr && s.strs[pid] != nil {
-			rels = append(rels, pid)
+	h := crc32.NewIEEE()
+	sw := &snapWriter{Writer: bufio.NewWriter(io.MultiWriter(w, h)), index: make(map[string]int)}
+	sw.WriteString(snapshotMagic)
+	sw.uvarint(shard)
+	sw.uvarint(shards)
+	var labels []string // every path's label, once, in interning order
+	for _, pid := range s.summary.AllPaths() {
+		l := s.summary.Label(pid)
+		if _, ok := sw.index[l]; !ok {
+			sw.index[l] = len(labels)
+			labels = append(labels, l)
 		}
 	}
-	sw.u32(uint32(len(rels)))
-	for _, pid := range rels {
-		rel := s.strs[pid]
-		sw.i32(int32(pid))
-		sw.u32(uint32(rel.Len()))
-		for i := 0; i < rel.Len(); i++ {
-			sw.u32(uint32(rel.Head(i)))
-			sw.str(rel.Tail(i))
-		}
+	sw.uvarint(len(labels))
+	for _, l := range labels {
+		sw.str(l)
 	}
-
-	if sw.err != nil {
-		return fmt.Errorf("monetx: write snapshot: %w", sw.err)
+	err := s.emit(s.root, sw, false)
+	if err == nil {
+		sw.node(tagEnd)
+		err = sw.Flush()
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], sw.h.Sum32())
-	if _, err := sw.w.Write(crc[:]); err != nil {
-		return fmt.Errorf("monetx: write snapshot: %w", err)
+	if err == nil {
+		_, err = w.Write(binary.LittleEndian.AppendUint32(nil, h.Sum32()))
 	}
-	if err := sw.w.Flush(); err != nil {
+	if err != nil {
 		return fmt.Errorf("monetx: write snapshot: %w", err)
 	}
 	return nil
 }
 
+// snapReader reads a snapshot through a buffer over the input, every
+// byte of which goes through the checksum. Its first error sticks:
+// every read after it returns zero.
 type snapReader struct {
 	r   *bufio.Reader
 	h   hash.Hash32
-	b   [8]byte
-	buf []byte // what chunks are read into, at most snapChunk bytes
+	err error
 }
 
-func (sr *snapReader) read(p []byte) error {
-	if _, err := io.ReadFull(sr.r, p); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return fmt.Errorf("truncated input")
+var errTruncated = errors.New("truncated input")
+
+// fail records the first error; the input's end is a truncation.
+func (sr *snapReader) fail(err error) {
+	if err == io.EOF {
+		err = errTruncated
+	}
+	if sr.err == nil {
+		sr.err = err
+	}
+}
+
+func (sr *snapReader) uvarint() uint64 {
+	var v uint64
+	for shift := 0; sr.err == nil; shift += 7 {
+		b, err := sr.r.ReadByte()
+		switch {
+		case err != nil:
+			sr.fail(err)
+		case shift == 63 && b > 1:
+			sr.fail(errors.New("varint overflows 64 bits"))
+		case b < 0x80:
+			return v | uint64(b)<<shift
 		}
-		return err
+		v |= uint64(b&0x7f) << shift
 	}
-	sr.h.Write(p)
-	return nil
+	return 0
 }
 
-// chunk reads the next n <= snapChunk bytes into the reader's buffer,
-// which they stay in until the next chunk is read.
-func (sr *snapReader) chunk(n int) ([]byte, error) {
-	if cap(sr.buf) < n {
-		sr.buf = make([]byte, n)
-	}
-	p := sr.buf[:n]
-	return p, sr.read(p)
-}
-
-func (sr *snapReader) u8() (uint8, error) {
-	if err := sr.read(sr.b[:1]); err != nil {
-		return 0, err
-	}
-	return sr.b[0], nil
-}
-
-func (sr *snapReader) u32() (uint32, error) {
-	if err := sr.read(sr.b[:4]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(sr.b[:4]), nil
-}
-
-func (sr *snapReader) i32() (int32, error) {
-	v, err := sr.u32()
-	return int32(v), err
-}
-
-// str reads a length-prefixed string. The declared length is checked
-// against a sanity cap and the bytes are consumed in bounded chunks,
-// so a hostile length cannot trigger a large allocation the input does
-// not back; a string of at most one chunk is copied once, from the
-// reader's buffer into the string.
-func (sr *snapReader) str(what string) (string, error) {
-	n, err := sr.u32()
-	if err != nil {
-		return "", err
-	}
+// str reads a length-prefixed string a buffer at a time.
+func (sr *snapReader) str() string {
+	n := sr.uvarint()
 	if n > maxSnapshotLabel {
-		return "", fmt.Errorf("%s length %d exceeds limit", what, n)
+		sr.fail(fmt.Errorf("string length %d exceeds limit", n))
+	}
+	if sr.err != nil {
+		return ""
 	}
 	var out strings.Builder
-	out.Grow(min(int(n), snapChunk))
-	for remaining := int(n); remaining > 0; {
-		p, err := sr.chunk(min(remaining, snapChunk))
-		if err != nil {
-			return "", err
-		}
+	out.Grow(min(int(n), sr.r.Size()))
+	for rem := int(n); rem > 0 && sr.err == nil; {
+		p, err := sr.r.Peek(min(rem, sr.r.Size()))
 		out.Write(p)
-		remaining -= len(p)
+		rem -= len(p)
+		sr.r.Discard(len(p))
+		sr.fail(err)
 	}
-	return out.String(), nil
+	return out.String()
 }
 
-// words reads a declared-count array of 4-byte little-endian words
-// straight into a []T, chunk by chunk. The array starts at most
-// snapChunk bytes long and at most doubles, so the decoder allocates
-// no more than snapChunk bytes, or as many as it has consumed, ahead of
-// the bytes it has read: a hostile count fails on read, not on make.
-func words[T ~uint32 | ~int32](sr *snapReader, count int) ([]T, error) {
-	const per = 4
-	out := make([]T, 0, min(count, snapChunk/per))
-	for len(out) < count {
-		p, err := sr.chunk(min(count-len(out), snapChunk/per) * per)
-		if err != nil {
-			return nil, err
-		}
-		c := len(p) / per
-		if len(out)+c > cap(out) {
-			out = append(make([]T, 0, min(count, 2*cap(out))), out...)
-		}
-		out = out[:len(out)+c]
-		dst := out[len(out)-c:]
-		for i := range dst {
-			dst[i] = T(binary.LittleEndian.Uint32(p[i*per:]))
-		}
+// check reads past the checksum trailer and holds the input to end
+// there, and the whole input, trailer included, to the CRC residue.
+func (sr *snapReader) check() {
+	if _, err := sr.r.Discard(4); err != nil {
+		sr.fail(err)
+	} else if _, err := sr.r.ReadByte(); err == nil {
+		sr.fail(errors.New("trailing data after checksum"))
+	} else if err != io.EOF {
+		sr.fail(err)
+	} else if sr.h.Sum32() != crcResidue {
+		sr.fail(errors.New("checksum mismatch: snapshot is corrupt"))
 	}
-	return out, nil
-}
-
-// checkTree holds the per-OID arrays to one tree, in one preorder pass.
-// Contains reads ancestry off the intervals, the roll-up walks the
-// parent array against them, and ContainsViaJoins and the emitter
-// read the depths, so all three must describe the same tree: OID 1 is
-// the root, at depth 0, its interval spanning every OID; every
-// other node's parent is the innermost interval still open at it, its
-// interval nests in its parent's, and its depth is one more. The
-// innermost open interval at o is found by walking up from o-1 past
-// the intervals that closed before o; no node is walked past twice, so
-// the pass is O(n). It relies on the per-OID checks before it: every
-// parent is an earlier node and every interval ends inside the arrays.
-func checkTree(parent []bat.OID, depth []int32, end []bat.OID) error {
-	n := len(parent)
-	if depth[1] != 0 || int(end[1]) != n-1 {
-		return fmt.Errorf("root OID 1 at depth %d spans 1..%d, not every OID 1..%d", depth[1], end[1], n-1)
-	}
-	for o := bat.OID(2); int(o) < n; o++ {
-		p, open := parent[o], o-1
-		for end[open] < o {
-			if open == p {
-				return fmt.Errorf("OID %d lies past the end %d of its parent %d's interval", o, end[p], p)
-			}
-			open = parent[open]
-		}
-		switch {
-		case open != p:
-			return fmt.Errorf("OID %d has parent %d, but the innermost interval open at it is %d's", o, p, open)
-		case end[o] > end[p]:
-			return fmt.Errorf("OID %d's interval end %d reaches past its parent %d's end %d", o, end[o], p, end[p])
-		case depth[o] != depth[p]+1:
-			return fmt.Errorf("OID %d has depth %d under parent %d at depth %d", o, depth[o], p, depth[p])
-		}
-	}
-	return nil
 }
 
 // ReadSnapshot deserialises a store written by WriteSnapshot,
@@ -295,168 +214,121 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 }
 
 // ReadSnapshotShard deserialises a store written by WriteSnapshotShard
-// and returns the shard framing alongside it.
+// and returns the shard framing alongside it: the snapshot replayed
+// into a Loader.
 func ReadSnapshotShard(r io.Reader) (store *Store, shard, shards int, err error) {
-	s, shard, shards, err := readSnapshot(r)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("monetx: read snapshot: %w", err)
+	l := NewLoader(func(s *Store) error { store = s; return nil })
+	if shard, shards, err = ReplaySnapshot(r, l); err != nil {
+		l.Abort()
+		return nil, 0, 0, err
 	}
-	return s, shard, shards, nil
+	return store, shard, shards, nil
 }
 
-func readSnapshot(r io.Reader) (*Store, int, int, error) {
-	sr := &snapReader{r: bufio.NewReader(r), h: crc32.NewIEEE()}
+// ReplaySnapshot decodes a snapshot written by WriteSnapshotShard into
+// sink, one event per node, and returns its shard framing. It holds the
+// events to one document, as the parser does: no End while nothing is
+// open, no text outside the root, no second root, no root left open, no
+// element labelled cdata, no attribute repeated on an element, no empty
+// label. The End that closes the root is delivered only once the
+// checksum matches and the input has ended, so a sink that completes
+// its document there never sees a corrupt one. A caller whose replay
+// fails aborts the sink's part, as after a refused parse.
+func ReplaySnapshot(r io.Reader, sink xmltree.Sink) (shard, shards int, err error) {
+	h := crc32.NewIEEE()
+	sr := &snapReader{r: bufio.NewReader(io.TeeReader(r, h)), h: h}
+	if shard, shards, err = replay(sr, sink); err != nil {
+		return 0, 0, fmt.Errorf("monetx: read snapshot: %w", err)
+	}
+	return shard, shards, nil
+}
+
+func replay(sr *snapReader, sink xmltree.Sink) (int, int, error) {
 	var m [len(snapshotMagic)]byte
 	if _, err := io.ReadFull(sr.r, m[:]); err != nil {
-		return nil, 0, 0, fmt.Errorf("missing magic: truncated input")
+		return 0, 0, fmt.Errorf("missing magic: %w", errTruncated)
 	}
 	if string(m[:]) != snapshotMagic {
-		return nil, 0, 0, fmt.Errorf("bad magic %q (not a snapshot, or an old format)", m[:])
+		if bytes.HasPrefix(m[:], []byte("NCQSNAP")) {
+			return 0, 0, fmt.Errorf("%s is a retired format: reload the document from its XML", m[:])
+		}
+		return 0, 0, fmt.Errorf("bad magic %q: not a snapshot", m[:])
 	}
-	shardU, err := sr.u32()
-	if err != nil {
-		return nil, 0, 0, err
+	shard, shards := sr.uvarint(), sr.uvarint()
+	if sr.err == nil && (shards == 0 || shard >= shards || shards > 1<<16) {
+		return 0, 0, fmt.Errorf("bad shard framing %d/%d", shard, shards)
 	}
-	shardsU, err := sr.u32()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if shardsU == 0 || shardU >= shardsU || shardsU > 1<<16 {
-		return nil, 0, 0, fmt.Errorf("bad shard framing %d/%d", shardU, shardsU)
-	}
-	rootU, err := sr.u32()
-	if err != nil {
-		return nil, 0, 0, err
+	var labels []string
+	seen := make(map[string]bool)
+	for i, n := uint64(0), sr.uvarint(); i < n && sr.err == nil; i++ {
+		l := sr.str()
+		if sr.err == nil && (l == "" || seen[l]) {
+			return 0, 0, fmt.Errorf("label %d: %q is empty or repeated", i, l)
+		}
+		seen[l] = true
+		labels = append(labels, l)
 	}
 
-	nPathsU, err := sr.u32()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	summary := pathsum.New()
-	for i := 0; i < int(nPathsU); i++ {
-		parent, err := sr.i32()
-		if err != nil {
-			return nil, 0, 0, err
+	var attrs []xmltree.Attr
+	attrOf := make([]int, len(labels)) // the node whose attribute each label last named
+	open, rooted := 0, false           // elements started and not yet ended; whether the root was
+	for node := 1; sr.err == nil; node++ {
+		ends := sr.uvarint()
+		if ends > uint64(open) {
+			return 0, 0, fmt.Errorf("node %d ends %d elements, %d are open", node, ends, open)
 		}
-		kind, err := sr.u8()
-		if err != nil {
-			return nil, 0, 0, err
+		open -= int(ends)
+		if rooted && open == 0 {
+			ends-- // the root's End waits until the input checks out
 		}
-		if kind > uint8(pathsum.Attr) {
-			return nil, 0, 0, fmt.Errorf("path %d: unknown kind %d", i, kind)
+		for ; ends > 0 && sr.err == nil; ends-- {
+			sr.fail(sink.End())
 		}
-		label, err := sr.str("path label")
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("path %d: %w", i, err)
+		tag := sr.uvarint()
+		if sr.err != nil {
+			break
 		}
-		if parent != -1 && (parent < 0 || int(parent) >= i) {
-			return nil, 0, 0, fmt.Errorf("path %d: parent %d out of range", i, parent)
-		}
-		id, err := summary.Intern(pathsum.PathID(parent), label, pathsum.Kind(kind))
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("path %d: %w", i, err)
-		}
-		if int(id) != i {
-			return nil, 0, 0, fmt.Errorf("path %d re-interned as %d (duplicate entry)", i, id)
-		}
-	}
-	nPaths := summary.Len()
-
-	nU, err := sr.u32()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	n := int(nU)
-	if n < 2 {
-		return nil, 0, 0, fmt.Errorf("store has %d OIDs, need at least 2", n)
-	}
-	s := &Store{summary: summary, root: bat.OID(rootU)}
-	if s.parent, err = words[bat.OID](sr, n); err != nil {
-		return nil, 0, 0, fmt.Errorf("parent array: %w", err)
-	}
-	if s.pathOf, err = words[pathsum.PathID](sr, n); err != nil {
-		return nil, 0, 0, fmt.Errorf("pathOf array: %w", err)
-	}
-	if s.depth, err = words[int32](sr, n); err != nil {
-		return nil, 0, 0, fmt.Errorf("depth array: %w", err)
-	}
-	if s.rank, err = words[int32](sr, n); err != nil {
-		return nil, 0, 0, fmt.Errorf("rank array: %w", err)
-	}
-	if s.end, err = words[bat.OID](sr, n); err != nil {
-		return nil, 0, 0, fmt.Errorf("end array: %w", err)
-	}
-	// Navigation walks parent chains upwards and preorder intervals
-	// forwards: both must make progress and stay inside the arrays.
-	for i := 0; i < n; i++ {
-		if int(s.parent[i]) >= max(i, 1) {
-			return nil, 0, 0, fmt.Errorf("OID %d has parent %d, not an earlier node", i, s.parent[i])
-		}
-		if i > 0 && (s.pathOf[i] < 0 || int(s.pathOf[i]) >= nPaths) {
-			return nil, 0, 0, fmt.Errorf("OID %d has unknown path %d", i, s.pathOf[i])
-		}
-		if i > 0 && (int(s.end[i]) < i || int(s.end[i]) >= n) {
-			return nil, 0, 0, fmt.Errorf("OID %d has subtree end %d outside %d..%d", i, s.end[i], i, n-1)
-		}
-	}
-	if err := checkTree(s.parent, s.depth, s.end); err != nil {
-		return nil, 0, 0, err
-	}
-	nRelsU, err := sr.u32()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	// Relations are sized by the rows read, never by a declared count.
-	sc := takeScratch()
-	for i := 0; i < int(nRelsU); i++ {
-		pidI, err := sr.i32()
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		pid := pathsum.PathID(pidI)
-		if pidI < 0 || int(pidI) >= nPaths || summary.Kind(pid) != pathsum.Attr {
-			return nil, 0, 0, fmt.Errorf("string relation %d on non-attribute path %d", i, pidI)
-		}
-		cntU, err := sr.u32()
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		for j := 0; j < int(cntU); j++ {
-			owner, err := sr.u32()
-			if err != nil {
-				return nil, 0, 0, err
+		switch {
+		case tag == tagEnd && open > 0:
+			return 0, 0, fmt.Errorf("the root is left open with %d elements", open)
+		case tag == tagEnd && !rooted:
+			return 0, 0, errors.New("no root element")
+		case tag == tagEnd:
+			if sr.check(); sr.err != nil {
+				return 0, 0, sr.err
 			}
-			if int(owner) >= n {
-				return nil, 0, 0, fmt.Errorf("string relation %d: owner %d out of range", i, owner)
+			return int(shard), int(shards), sink.End()
+		case tag == tagText && open == 0:
+			return 0, 0, fmt.Errorf("node %d is text outside the root", node)
+		case open == 0 && rooted:
+			return 0, 0, fmt.Errorf("node %d is a second root", node)
+		case tag == tagText:
+			if text := sr.str(); sr.err == nil {
+				sr.fail(sink.Text(text))
 			}
-			val, err := sr.str("attribute value")
-			if err != nil {
-				return nil, 0, 0, fmt.Errorf("string relation %d: %w", i, err)
+			continue
+		case tag-tagElem >= uint64(len(labels)):
+			return 0, 0, fmt.Errorf("node %d: unknown label %d", node, tag-tagElem)
+		case labels[tag-tagElem] == xmltree.CDataLabel:
+			return 0, 0, fmt.Errorf("node %d: an element labelled %s", node, xmltree.CDataLabel)
+		}
+		attrs = attrs[:0]
+		for i, n := uint64(0), sr.uvarint(); i < n && sr.err == nil; i++ {
+			if li := sr.uvarint(); sr.err == nil {
+				switch {
+				case li >= uint64(len(labels)):
+					return 0, 0, fmt.Errorf("node %d: unknown attribute label %d", node, li)
+				case attrOf[li] == node:
+					return 0, 0, fmt.Errorf("node %d: attribute %q repeated", node, labels[li])
+				}
+				attrOf[li] = node
+				attrs = append(attrs, xmltree.Attr{Name: labels[li], Value: sr.str()})
 			}
-			sc.strs = append(sc.strs, assoc{pid, bat.OID(owner), val})
+		}
+		if sr.err == nil {
+			sr.fail(sink.Start(labels[tag-tagElem], attrs))
+			open, rooted = open+1, true
 		}
 	}
-
-	sum := sr.h.Sum32()
-	var crc [4]byte
-	if _, err := io.ReadFull(sr.r, crc[:]); err != nil {
-		return nil, 0, 0, fmt.Errorf("missing checksum: truncated input")
-	}
-	if got := binary.LittleEndian.Uint32(crc[:]); got != sum {
-		return nil, 0, 0, fmt.Errorf("checksum mismatch (stored %08x, computed %08x): snapshot is corrupt", got, sum)
-	}
-	if _, err := sr.r.ReadByte(); err != io.EOF {
-		return nil, 0, 0, fmt.Errorf("trailing data after checksum")
-	}
-
-	if !s.ValidOID(s.root) || s.root != 1 {
-		return nil, 0, 0, fmt.Errorf("bad root %d", s.root)
-	}
-	s.strs, s.strBytes = sc.relations(summary)
-	sc.release()
-	if err := s.seal(); err != nil {
-		return nil, 0, 0, err
-	}
-	return s, int(shardU), int(shardsU), nil
+	return 0, 0, sr.err
 }

@@ -2,11 +2,15 @@ package monetx
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	batpkg "ncq/internal/bat"
+	"ncq/internal/datagen"
 	"ncq/internal/xmltree"
 )
 
@@ -115,63 +119,167 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 }
 
+// snapBody builds what follows a snapshot's magic, value by value.
+type snapBody []byte
+
+// u appends unsigned varints, to a copy: bodies share prefixes.
+func (b snapBody) u(vs ...uint64) snapBody {
+	b = slices.Clip(b)
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// s appends length-prefixed strings.
+func (b snapBody) s(strs ...string) snapBody {
+	for _, str := range strs {
+		b = append(b.u(uint64(len(str))), str...)
+	}
+	return b
+}
+
+// raw is the body behind the magic, with no checksum.
+func (b snapBody) raw() []byte { return append([]byte(snapshotMagic), b...) }
+
+// sealed is the body behind the magic and before its checksum.
+func (b snapBody) sealed() []byte {
+	return binary.LittleEndian.AppendUint32(b.raw(), crc32.ChecksumIEEE(b.raw()))
+}
+
 func TestSnapshotHostileLengths(t *testing.T) {
-	// A header that declares a huge count with no backing bytes must
-	// fail on read without a giant up-front allocation. The inputs are
-	// magic + framing + root + an absurd path count / label length.
-	le := func(v uint32) []byte {
-		return []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
+	// A header that declares a huge count or length with no backing
+	// bytes must fail on read without a giant up-front allocation.
+	base := snapBody(nil).u(0, 1) // shard 0 of 1
+	hostile := map[string][]byte{
+		"label count":     base.u(1 << 62).raw(),
+		"label length":    base.u(1, 0xfffffff0).raw(),
+		"attribute count": base.u(1).s("r").u(0, tagElem, 1<<62).raw(),
+		"text length":     base.u(1).s("r").u(0, tagElem, 0, 0, tagText, 1<<62).raw(),
 	}
-	base := append([]byte("NCQSNAP2"), le(0)...) // shard
-	base = append(base, le(1)...)                // shards
-	base = append(base, le(1)...)                // root
-	hostile := [][]byte{
-		append(append([]byte(nil), base...), le(0xffffffff)...),             // path count
-		append(append(append([]byte(nil), base...), le(1)...), le(0xff)...), // path with torn parent
-	}
-	// One interned path declaring a ~4 GiB label.
-	withLabel := append(append([]byte(nil), base...), le(1)...)
-	withLabel = append(withLabel, le(0xffffffff)...) // parent = -1
-	withLabel = append(withLabel, 0)                 // kind
-	withLabel = append(withLabel, le(0xfffffff0)...) // label length
-	hostile = append(hostile, withLabel)
-	for i, in := range hostile {
+	for name, in := range hostile {
 		if _, err := ReadSnapshot(bytes.NewReader(in)); err == nil {
-			t.Errorf("hostile input %d accepted", i)
+			t.Errorf("hostile %s accepted", name)
+		}
+	}
+	// One 1 MiB label named once and nested 4,000 deep, three bytes a
+	// level: the paths would render 8 TiB. The loader stops them at
+	// pathsum.MaxPathBytes.
+	deep := base.u(2).s("r", strings.Repeat("x", 1<<20)).u(0, tagElem, 0)
+	for range 4000 {
+		deep = append(deep, 0, tagElem+1, 0)
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(deep.u(4001, tagEnd).sealed())); err == nil || !strings.Contains(err.Error(), "rendered paths past") {
+		t.Errorf("a label repeated down a deep chain: err = %v, want the path-bytes limit", err)
+	}
+}
+
+// balanceSink holds a replay to the sink protocol: it fails on an End
+// while nothing is open, and records whether the root ever closed.
+type balanceSink struct {
+	t      *testing.T
+	open   int
+	closed bool // the root's End was delivered
+}
+
+func (b *balanceSink) Start(string, []xmltree.Attr) error { b.open++; return nil }
+func (b *balanceSink) Text(string) error                  { return nil }
+func (b *balanceSink) End() error {
+	if b.open == 0 {
+		b.t.Fatal("End with nothing open")
+	}
+	if b.open--; b.open == 0 {
+		b.closed = true
+	}
+	return nil
+}
+
+// TestReadSnapshotRejectsUnbalancedEvents restores hand-built
+// snapshots whose checksums hold, so that each reaches the structural
+// check that refuses it and must be refused by name. None of them
+// delivers an End while nothing is open, or the root's End at all.
+func TestReadSnapshotRejectsUnbalancedEvents(t *testing.T) {
+	// Labels: r (element), k (attribute), cdata.
+	head := snapBody(nil).u(0, 1, 3).s("r", "k", xmltree.CDataLabel)
+	root := head.u(0, tagElem, 0)
+	valid := root.u(0, tagText).s("hi").u(1, tagEnd).sealed()
+	if s, err := ReadSnapshot(bytes.NewReader(valid)); err != nil || s.Len() != 2 {
+		t.Fatalf("the valid stream: %v, %v", s, err)
+	}
+	for _, c := range []struct {
+		name, want string
+		in         []byte
+	}{
+		{"end with nothing open", "node 2 ends 2 elements, 1 are open", root.u(2, tagEnd).sealed()},
+		{"text before the root", "node 1 is text outside the root", head.u(0, tagText).s("hi").u(0, tagEnd).sealed()},
+		{"text after the root", "node 2 is text outside the root", root.u(1, tagText).s("hi").u(0, tagEnd).sealed()},
+		{"second root", "node 2 is a second root", root.u(1, tagElem, 0).u(1, tagEnd).sealed()},
+		{"root left open", "the root is left open with 1 elements", root.u(0, tagEnd).sealed()},
+		{"no root", "no root element", head.u(0, tagEnd).sealed()},
+		{"element labelled cdata", "node 2: an element labelled cdata", root.u(0, tagElem+2, 0).u(2, tagEnd).sealed()},
+		{"repeated attribute", `node 1: attribute "k" repeated`, head.u(0, tagElem, 2, 1).s("v").u(1).s("w").u(1, tagEnd).sealed()},
+		{"empty label", `label 1: "" is empty or repeated`, snapBody(nil).u(0, 1, 2).s("r", "").u(0, tagElem, 0, 1, tagEnd).sealed()},
+		{"repeated label", `label 1: "r" is empty or repeated`, snapBody(nil).u(0, 1, 2).s("r", "r").u(0, tagElem, 0, 1, tagEnd).sealed()},
+		{"unknown label", "node 1: unknown label 3", head.u(0, tagElem+3, 0, 1, tagEnd).sealed()},
+		{"retired format", "NCQSNAP2 is a retired format", append([]byte("NCQSNAP2"), valid[len(snapshotMagic):]...)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			back, err := ReadSnapshot(bytes.NewReader(c.in))
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("ReadSnapshot = (%v, %v), want an error naming %q", back, err, c.want)
+			}
+			sink := &balanceSink{t: t}
+			if _, _, err := ReplaySnapshot(bytes.NewReader(c.in), sink); err == nil || sink.closed {
+				t.Fatalf("replay: err %v, root closed %v", err, sink.closed)
+			}
+		})
+	}
+}
+
+// TestReplayChecksBeforeTheRootEnds flips every byte of a snapshot in
+// turn: each replay is refused, and none delivers the root's End, the
+// event that seals a loader's store.
+func TestReplayChecksBeforeTheRootEnds(t *testing.T) {
+	var buf bytes.Buffer
+	if err := fig1Store(t).WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	for i := range raw {
+		mut := bytes.Clone(raw)
+		mut[i] ^= 0xff
+		sink := &balanceSink{t: t}
+		if _, _, err := ReplaySnapshot(bytes.NewReader(mut), sink); err == nil || sink.closed {
+			t.Fatalf("flip at %d: err %v, root closed %v", i, err, sink.closed)
 		}
 	}
 }
 
-// TestReadSnapshotRejectsInconsistentTree restores Figure-1 snapshots
-// whose per-OID arrays were mutated before writing, so the checksum
-// holds: each describes no tree, or a tree Contains and the parent
-// array disagree about, and each must be refused by name.
-func TestReadSnapshotRejectsInconsistentTree(t *testing.T) {
-	for _, c := range []struct {
-		name, want string
-		mutate     func(s *Store)
-	}{
-		// o3 (the first article) ends at o10, before its year o11.
-		{"shrunk end", "past the end 10 of its parent 3's interval", func(s *Store) { s.end[3] = 10 }},
-		// o12 (cdata "1999") claims o13, the second article.
-		{"overlong end", "OID 12's interval end 13 reaches past its parent 11's end 12", func(s *Store) { s.end[12] = 13 }},
-		{"wrong depth", "OID 8 has depth 7 under parent 7 at depth 4", func(s *Store) { s.depth[8] = 7 }},
-		// o11 (year) names its sibling o4 (author) as parent.
-		{"sibling as parent", "OID 11 has parent 4, but the innermost interval open at it is 3's", func(s *Store) { s.parent[11] = 4 }},
-		{"short root", "root OID 1 at depth 0 spans 1..18, not every OID 1..19", func(s *Store) { s.end[1] = 18 }},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			s := fig1Store(t)
-			c.mutate(s)
-			var buf bytes.Buffer
-			if err := s.WriteSnapshot(&buf); err != nil {
-				t.Fatal(err)
+// TestRefusedReplaysKeepNothing refuses restores of a DBLP snapshot cut
+// short at fifty offsets and with one byte flipped at fifty: the kept
+// scratch slot holds no aborted load's set afterwards.
+func TestRefusedReplaysKeepNothing(t *testing.T) {
+	s, err := Load(datagen.DBLP(datagen.DBLPConfig{Seed: 1, YearFrom: 1994, YearTo: 1999, PubsPerVenueYear: 20}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	for i := 1; i <= 50; i++ {
+		off := len(raw) * i / 51
+		flipped := bytes.Clone(raw)
+		flipped[off] ^= 0x5a
+		for _, in := range [][]byte{raw[:off], flipped} {
+			if _, err := ReadSnapshot(bytes.NewReader(in)); err == nil {
+				t.Fatalf("offset %d: accepted", off)
 			}
-			back, err := ReadSnapshot(&buf)
-			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("ReadSnapshot = (%v, %v), want an error naming %q", back, err, c.want)
+			if sc := kept.Load(); sc != nil && slices.ContainsFunc(sc.strs[:cap(sc.strs)], func(a assoc) bool { return a.value != "" }) {
+				t.Fatalf("offset %d: the kept scratch holds an aborted load's strings", off)
 			}
-		})
+		}
 	}
 }
 

@@ -80,15 +80,15 @@ type Store struct {
 // seal completes a store whose per-OID arrays and string relations are
 // written: it derives the per-path OID lists — slices of one array of
 // every OID, grouped by path, in document order within a path — and
-// computes Stats, once; the writer knows everything they report. It
-// refuses a string relation whose owners descend anywhere: a loader
-// writes them in document order, and every reader searches them.
+// computes Stats, once; the writer knows everything they report. The
+// loader, the one writer, records each string relation's owners in
+// document order, which every reader's search relies on.
 // Associations counts the relations of Figure 2 whether stored or
 // derived: an edge per node but the root, a rank per node, and the
 // strings. MemBytes counts what is resident: the five per-OID arrays,
 // the OID lists, the string relations and their character data — not
 // the views, which most stores never build.
-func (s *Store) seal() error {
+func (s *Store) seal() {
 	n, nPaths := s.Len(), s.summary.Len()
 	counts := make([]int, nPaths)
 	for _, pid := range s.pathOf[1:] {
@@ -106,11 +106,8 @@ func (s *Store) seal() error {
 	for i, pid := range s.pathOf[1:] {
 		s.oidsAt[pid] = append(s.oidsAt[pid], bat.OID(i+1))
 	}
-	for pid, b := range s.strs {
+	for _, b := range s.strs {
 		if b != nil {
-			if !b.HeadsAscend() {
-				return fmt.Errorf("string relation %s: owners out of document order", s.summary.String(pathsum.PathID(pid)))
-			}
 			st.StrRelations++
 			st.Associations += b.Len()
 			st.MemBytes += b.MemBytes()
@@ -118,7 +115,6 @@ func (s *Store) seal() error {
 	}
 	st.MemBytes += s.strBytes + 5*4*len(s.parent) + 4*n
 	s.stats = st
-	return nil
 }
 
 // Summary returns the path summary (the relation catalogue).
@@ -312,7 +308,12 @@ func (s *Store) Children(o bat.OID) []bat.OID {
 // node's depth says how many open elements end before it, so no tree or
 // stack is built. Attributes come out sorted by name, stably. A cdata o
 // has no XML form and is refused, as is an OID that names no node.
-func (s *Store) Emit(o bat.OID, sink xmltree.Sink) error {
+func (s *Store) Emit(o bat.OID, sink xmltree.Sink) error { return s.emit(o, sink, true) }
+
+// emit is Emit with each element's attributes in attribute-path order
+// unless sorted is set: the snapshot writer's walk, which a replay
+// interns the same path ids from.
+func (s *Store) emit(o bat.OID, sink xmltree.Sink, sorted bool) error {
 	switch {
 	case !s.ValidOID(o):
 		return fmt.Errorf("monetx: reassemble: invalid OID %d", o)
@@ -356,7 +357,9 @@ func (s *Store) Emit(o bat.OID, sink xmltree.Sink) error {
 		}
 		var err error
 		if label := s.summary.Label(pid); label != xmltree.CDataLabel {
-			slices.SortStableFunc(attrs, func(a, b xmltree.Attr) int { return strings.Compare(a.Name, b.Name) })
+			if sorted {
+				slices.SortStableFunc(attrs, func(a, b xmltree.Attr) int { return strings.Compare(a.Name, b.Name) })
+			}
 			err = sink.Start(label, attrs)
 			open++
 		} else if len(attrs) > 0 {

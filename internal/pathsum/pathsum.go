@@ -49,6 +49,13 @@ const (
 // 16 MiB of one-byte labels and tens of milliseconds to load.
 const MaxDepth = 4096
 
+// MaxPathBytes bounds the rendered path strings one summary holds, in
+// bytes. MaxDepth bounds a chain by its labels' length only: 4 KiB
+// names nested 4096 deep render 32 GiB, and a snapshot names each label
+// once in its table however often its paths repeat it. The bound is
+// four times what the deepest chain of one-byte labels renders.
+const MaxPathBytes = 64 << 20
+
 type node struct {
 	parent   PathID
 	label    string
@@ -70,6 +77,7 @@ type key struct {
 type Summary struct {
 	nodes []node
 	byKey map[key]PathID
+	bytes int // of the rendered paths
 }
 
 // New returns an empty summary.
@@ -81,7 +89,8 @@ func New() *Summary {
 // step (label, kind), creating it if needed. The root path is interned
 // with parent == Invalid and must be an element. Interning is
 // idempotent: the same step yields the same ID. A step that would lie
-// more than MaxDepth below the root is refused.
+// more than MaxDepth below the root, or take the rendered paths past
+// MaxPathBytes, is refused.
 func (s *Summary) Intern(parent PathID, label string, kind Kind) (PathID, error) {
 	if parent == Invalid && kind != Elem {
 		return Invalid, fmt.Errorf("pathsum: root path must be an element, got attribute %q", label)
@@ -110,6 +119,11 @@ func (s *Summary) Intern(parent PathID, label string, kind Kind) (PathID, error)
 	if depth > MaxDepth {
 		return Invalid, fmt.Errorf("pathsum: step %q lies %d steps below the root path, limit is %d", label, depth, MaxDepth)
 	}
+	n := len(prefix) + len(sep) + len(label)
+	if s.bytes+n > MaxPathBytes {
+		return Invalid, fmt.Errorf("pathsum: step %.64q takes the rendered paths past %d bytes", label, MaxPathBytes)
+	}
+	s.bytes += n
 	id := PathID(len(s.nodes))
 	s.nodes = append(s.nodes, node{parent: parent, label: label, str: prefix + sep + label, kind: kind, depth: depth})
 	s.byKey[key{parent, label, kind}] = id

@@ -273,3 +273,26 @@ func TestInternMaxDepth(t *testing.T) {
 		t.Errorf("a refused step grew the summary from %d to %d paths", n, s.Len())
 	}
 }
+
+// TestInternMaxPathBytes nests one 1 MiB label until the rendered paths
+// would pass MaxPathBytes: that step is refused, naming the bound, and
+// leaves the summary as it was — a few dozen levels, not the 4096
+// MaxDepth admits, whose paths would render 8 TiB.
+func TestInternMaxPathBytes(t *testing.T) {
+	s := New()
+	label := strings.Repeat("x", 1<<20)
+	cur, total := Invalid, 0
+	for {
+		next, err := s.Intern(cur, label, Elem)
+		if err != nil {
+			if !strings.Contains(err.Error(), "past 67108864 bytes") || total+len(s.String(cur))+1+len(label) <= MaxPathBytes {
+				t.Fatalf("after %d bytes: err = %v, want the path-bytes limit", total, err)
+			}
+			break
+		}
+		cur, total = next, total+len(s.String(next))
+	}
+	if n := s.Len(); n > MaxPathBytes>>20 || s.Depth(cur) != n-1 {
+		t.Errorf("%d paths, the deepest at depth %d", n, s.Depth(cur))
+	}
+}

@@ -295,8 +295,11 @@ func decodeRecord(payload []byte) (Record, error) {
 	}
 	r.Gen = binary.LittleEndian.Uint64(payload[1:9])
 	nameLen := int(binary.LittleEndian.Uint16(payload[9:11]))
-	if len(payload) != 13+nameLen {
+	switch {
+	case len(payload) != 13+nameLen:
 		return Record{}, fmt.Errorf("payload of %d bytes does not match name length %d", len(payload), nameLen)
+	case nameLen > maxRecord/2:
+		return Record{}, fmt.Errorf("name of %d bytes exceeds the record bound", nameLen) // no append writes it
 	}
 	r.Name = string(payload[11 : 11+nameLen])
 	r.Shards = int(binary.LittleEndian.Uint16(payload[11+nameLen:]))

@@ -4,19 +4,13 @@ import (
 	"fmt"
 	"io"
 
-	"ncq/internal/fulltext"
 	"ncq/internal/monetx"
 )
 
-// SaveSnapshot persists the loaded database in a compact binary form
-// that OpenSnapshot reloads without re-parsing or re-shredding the XML.
-// The full-text index is rebuilt on load (it is derived data).
-func (db *Database) SaveSnapshot(w io.Writer) error {
-	if err := db.store.WriteSnapshot(w); err != nil {
-		return fmt.Errorf("ncq: %w", err)
-	}
-	return nil
-}
+// SaveSnapshot persists the loaded database in a compact binary form —
+// the events that load its store — that OpenSnapshot reloads without
+// parsing the XML. The index is rebuilt on load (it is derived data).
+func (db *Database) SaveSnapshot(w io.Writer) error { return db.SaveSnapshotShard(w, 0, 1) }
 
 // SaveSnapshotShard is SaveSnapshot with per-shard framing: the
 // snapshot records that this database is shard `shard` of a
@@ -39,11 +33,15 @@ func OpenSnapshot(r io.Reader) (*Database, error) {
 }
 
 // OpenSnapshotShard loads a database from a snapshot and returns its
-// shard framing alongside (0 of 1 for a standalone snapshot).
+// shard framing alongside (0 of 1 for a standalone snapshot). The
+// snapshot replays into the loader an upload shreds into, so its index
+// is built beside the decode, as an upload's is beside the parse.
 func OpenSnapshotShard(r io.Reader) (db *Database, shard, shards int, err error) {
-	store, shard, shards, err := monetx.ReadSnapshotShard(r)
-	if err != nil {
+	var dbs []*Database
+	l := loaderInto(&dbs)
+	if shard, shards, err = monetx.ReplaySnapshot(r, l); err != nil {
+		l.Abort()
 		return nil, 0, 0, fmt.Errorf("ncq: %w", err)
 	}
-	return newDatabase(fulltext.New(store)), shard, shards, nil
+	return dbs[0], shard, shards, nil
 }

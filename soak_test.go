@@ -16,17 +16,20 @@ import (
 
 	"ncq"
 	"ncq/internal/datagen"
+	"ncq/internal/leakcheck"
 	"ncq/internal/server"
 	"ncq/internal/xmltree"
 )
 
 // TestSoakLargeBibliography pushes a Figure 7-scale document (~90k
 // nodes) through every layer: generate, serialise, parse, shred,
-// validate, query, snapshot, reload, re-verify. Skipped with -short.
+// validate, query, snapshot, reload, re-verify — and leaves no
+// goroutine behind. Skipped with -short.
 func TestSoakLargeBibliography(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
 	}
+	defer leakcheck.Take().Check(t, 0, "the large bibliography soak")
 	cfg := datagen.DefaultDBLPConfig() // 75 pubs per venue and year
 	doc := datagen.DBLP(cfg)
 	if err := doc.Validate(); err != nil {
@@ -109,11 +112,13 @@ func TestSoakLargeBibliography(t *testing.T) {
 // asserts the production serving posture: overload degrades into fast
 // 429s carrying Retry-After — never 5xx, never unbounded queueing —
 // and the node keeps answering the admitted work correctly
-// throughout. Skipped with -short.
+// throughout. Once the server is closed no goroutine is left. Skipped
+// with -short.
 func TestSoakServingChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
 	}
+	defer leakcheck.Take().Check(t, 0, "the serving churn soak and its server's close") // runs after ts.Close
 	doc := datagen.DBLP(datagen.DBLPConfig{Seed: 1, YearFrom: 1984, YearTo: 1999, PubsPerVenueYear: 40})
 	var xml strings.Builder
 	if err := doc.WriteXML(&xml, false); err != nil {
