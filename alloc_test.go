@@ -138,7 +138,7 @@ func TestTopKRendersOnlyYielded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := c.Add(fmt.Sprintf("bib%d", i), db); err != nil {
+			if _, err := c.Put(fmt.Sprintf("bib%d", i), db); err != nil {
 				t.Fatal(err)
 			}
 			dbs[i] = db

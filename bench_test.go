@@ -578,7 +578,7 @@ func benchCorpus(b *testing.B, shards int) *ncq.Corpus {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := c.Add(fmt.Sprintf("shard-%d", i), db); err != nil {
+		if _, err := c.Put(fmt.Sprintf("shard-%d", i), db); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -705,8 +705,8 @@ func BenchmarkPutDoc(b *testing.B) {
 					b.Fatalf("status %d: %s", rec.Code, rec.Body)
 				}
 			}
-			if got := srv.Corpus().ShardCount("doc"); got != bc.shards {
-				b.Fatalf("document has %d shards, want %d", got, bc.shards)
+			if dbs, _ := srv.Corpus().Shards("doc"); len(dbs) != bc.shards {
+				b.Fatalf("document has %d shards, want %d", len(dbs), bc.shards)
 			}
 		})
 	}
@@ -1044,7 +1044,7 @@ func BenchmarkCorpusTopK(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := c.Add(fmt.Sprintf("bib%02d", i), db); err != nil {
+		if _, err := c.Put(fmt.Sprintf("bib%02d", i), db); err != nil {
 			b.Fatal(err)
 		}
 	}

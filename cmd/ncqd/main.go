@@ -81,7 +81,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"net/url"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -394,18 +393,15 @@ func preload(corpus *ncq.Corpus, docs durable.Writer, glob string, shards int) (
 // its databases, and whether they form a sharded member. An XML file
 // gets ncq.OpenSharded's bytes-to-shards decision — the one a PUT
 // ?shards=K of it would get; a .snap file is a plain member whatever
-// -shards says; a directory is read by the durable store's own reader,
-// framing check included, and registers under its name less the store's
-// "g<gen>-" prefix — plain when it holds one standalone snapshot,
-// sharded otherwise.
+// -shards says; a directory is the durable store's to read and name
+// (durable.OpenDir).
 func openFile(file string, shards int) (name string, dbs []*ncq.Database, sharded bool, err error) {
 	info, err := os.Stat(file)
 	if err != nil {
 		return "", nil, false, err
 	}
 	if info.IsDir() {
-		dbs, err = durable.OpenShards(file, 0)
-		return snapMemberName(filepath.Base(file)), dbs, len(dbs) > 1, err
+		return durable.OpenDir(file)
 	}
 	f, err := os.Open(file)
 	if err != nil {
@@ -419,24 +415,4 @@ func openFile(file string, shards int) (name string, dbs []*ncq.Database, sharde
 	}
 	dbs, err = ncq.OpenSharded(f, info.Size(), shards)
 	return name, dbs, shards > 1, err
-}
-
-// snapMemberName derives a member name from a snapshot directory's base
-// name: the durable store's "g<gen>-" generation prefix is stripped and
-// its path escaping undone, so pointing -load at a data directory's
-// snapshot folders re-registers documents under their original names.
-func snapMemberName(base string) string {
-	if rest, ok := strings.CutPrefix(base, "g"); ok {
-		i := 0
-		for i < len(rest) && rest[i] >= '0' && rest[i] <= '9' {
-			i++
-		}
-		if i > 0 && i < len(rest) && rest[i] == '-' {
-			base = rest[i+1:]
-		}
-	}
-	if unescaped, err := url.PathUnescape(base); err == nil {
-		base = unescaped
-	}
-	return base
 }

@@ -84,10 +84,10 @@ func TestPreload(t *testing.T) {
 	if _, err := preload(sharded, nil, filepath.Join(dir, "*.xml"), 4); err != nil {
 		t.Fatal(err)
 	}
-	if sharded.Len() != 2 || !sharded.Has("bib") {
+	if sharded.Len() != 2 || !has(sharded, "bib") {
 		t.Errorf("sharded preload: len %d", sharded.Len())
 	}
-	if sharded.ShardCount("bib") < 1 {
+	if shardCount(sharded, "bib") < 1 {
 		t.Error("bib has no shards")
 	}
 
@@ -392,14 +392,14 @@ func TestPreloadSnapshots(t *testing.T) {
 	if n != 2 || corpus.Len() != 2 {
 		t.Fatalf("preloaded %d entries, corpus len %d", n, corpus.Len())
 	}
-	if !corpus.Has("bib") {
+	if !has(corpus, "bib") {
 		t.Error("snapshot file not registered under its base name")
 	}
-	if !corpus.Has("my doc") {
+	if !has(corpus, "my doc") {
 		t.Errorf("snapshot directory not registered; members = %v", corpus.Names())
 	}
-	if corpus.ShardCount("my doc") != 2 {
-		t.Errorf("shard count = %d, want 2", corpus.ShardCount("my doc"))
+	if shardCount(corpus, "my doc") != 2 {
+		t.Errorf("shard count = %d, want 2", shardCount(corpus, "my doc"))
 	}
 	// The snapshot members answer queries like any preloaded XML.
 	res, err := corpus.Run(context.Background(), ncq.Request{Doc: "bib", Terms: []string{"Bit", "1999"}, Options: ncq.ExcludeRoot()})
@@ -522,4 +522,17 @@ func TestCoordinatorRejectsThesaurus(t *testing.T) {
 	if code != 2 || !strings.Contains(stderr.String(), "-thesaurus") {
 		t.Errorf("exit = %d, stderr = %q", code, stderr.String())
 	}
+}
+
+// has reports whether name is a member, plain or sharded.
+func has(c *ncq.Corpus, name string) bool {
+	_, ok := c.Shards(name)
+	return ok
+}
+
+// shardCount is how many databases name holds: 0 for an unknown name,
+// 1 for a plain member.
+func shardCount(c *ncq.Corpus, name string) int {
+	dbs, _ := c.Shards(name)
+	return len(dbs)
 }

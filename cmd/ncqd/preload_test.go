@@ -111,8 +111,8 @@ func TestPreloadSnapshotDirFraming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if corpus.ShardCount("bib") != 3 || total != whole.Len()-1 {
-		t.Errorf("intact directory: %d shards holding %d of %d nodes", corpus.ShardCount("bib"), total, whole.Len()-1)
+	if shardCount(corpus, "bib") != 3 || total != whole.Len()-1 {
+		t.Errorf("intact directory: %d shards holding %d of %d nodes", shardCount(corpus, "bib"), total, whole.Len()-1)
 	}
 
 	for _, tc := range []struct {

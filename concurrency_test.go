@@ -26,7 +26,7 @@ func TestCorpusConcurrentMixed(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCorpus()
-	if err := c.Add("seed", base); err != nil {
+	if _, err := c.Put("seed", base); err != nil {
 		t.Fatal(err)
 	}
 	const goroutines = 12
@@ -45,7 +45,7 @@ func TestCorpusConcurrentMixed(t *testing.T) {
 					if g%2 == 0 {
 						db = other
 					}
-					if err := c.Add(name, db); err != nil {
+					if _, err := c.Put(name, db); err != nil {
 						errs <- fmt.Errorf("Add: %v", err)
 						return
 					}
@@ -171,7 +171,7 @@ func TestThesaurusFrozenOnInstall(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCorpus()
-	if err := c.Add("fig1", db); err != nil {
+	if _, err := c.Put("fig1", db); err != nil {
 		t.Fatal(err)
 	}
 	th := NewThesaurus().Add("robert", "Bob")

@@ -27,7 +27,7 @@ var ErrUnknownDoc = errors.New("unknown document")
 // relevant information is marked up" — the meet runs per document, so
 // each answer carries the result type of its own instance.
 //
-// A member is either a plain database (Add, Put) or a sharded one
+// A member is either a plain database (Put) or a sharded one
 // (AddSharded): one large document split into subtree shards that are
 // searched in parallel and merged back into one ranked answer, so
 // callers always address the member by its logical name.
@@ -35,7 +35,7 @@ var ErrUnknownDoc = errors.New("unknown document")
 // A Corpus is safe for concurrent use: any number of readers and
 // queries may run while documents are added, replaced or removed.
 // Queries observe a consistent snapshot of the membership taken when
-// they start; a concurrent Add or Remove affects later queries only.
+// they start; a concurrent Put or Remove affects later queries only.
 type Corpus struct {
 	mu      sync.RWMutex
 	names   []string
@@ -74,14 +74,8 @@ func NewCorpus() *Corpus {
 	return &Corpus{members: make(map[string]entry)}
 }
 
-// Add registers a database under a name. Re-adding a name replaces the
-// previous database but keeps its position.
-func (c *Corpus) Add(name string, db *Database) error {
-	_, err := c.Put(name, db)
-	return err
-}
-
-// Put is Add reporting whether an existing database was replaced. The
+// Put registers a database under a name and reports whether an existing
+// member was replaced; a replacement keeps the name's position. The
 // check happens under the write lock, so concurrent Puts of the same
 // name agree on which one created the entry.
 func (c *Corpus) Put(name string, db *Database) (replaced bool, err error) {
@@ -248,15 +242,6 @@ func (c *Corpus) Get(name string) (*Database, bool) {
 	return nil, false
 }
 
-// Has reports whether a member (plain or sharded) is registered under
-// name.
-func (c *Corpus) Has(name string) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	_, ok := c.members[name]
-	return ok
-}
-
 // Shards returns the member's databases in shard order — a single
 // element for a plain member — and whether name is registered.
 func (c *Corpus) Shards(name string) ([]*Database, bool) {
@@ -268,14 +253,6 @@ func (c *Corpus) Shards(name string) ([]*Database, bool) {
 		dbs = append(dbs, m.db)
 	}
 	return dbs, ok
-}
-
-// ShardCount returns how many shards the named member holds: 0 when
-// the name is unknown, 1 for a plain member.
-func (c *Corpus) ShardCount(name string) int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.members[name].members)
 }
 
 // AggregateStats sums the storage statistics of several databases —
@@ -311,7 +288,7 @@ func (c *Corpus) Len() int {
 }
 
 // Generation returns a counter that increments on every membership
-// mutation (Add, AddSharded, Remove, replace). Cached query results
+// mutation (Put, AddSharded, Commit, Remove, replace). Cached query results
 // keyed by the generation are implicitly invalidated by any corpus
 // change.
 func (c *Corpus) Generation() uint64 {

@@ -40,8 +40,8 @@ func TestAddShardedBasics(t *testing.T) {
 	if got := AggregateStats(added); got.Nodes != doc.Len()+3 {
 		t.Errorf("AggregateStats(added).Nodes = %d, want %d", got.Nodes, doc.Len()+3)
 	}
-	if !c.Has("bib") || c.Len() != 1 || c.ShardCount("bib") != 4 {
-		t.Errorf("Has=%t Len=%d ShardCount=%d", c.Has("bib"), c.Len(), c.ShardCount("bib"))
+	if !has(c, "bib") || c.Len() != 1 || shardCount(c, "bib") != 4 {
+		t.Errorf("Has=%t Len=%d ShardCount=%d", has(c, "bib"), c.Len(), shardCount(c, "bib"))
 	}
 	if _, ok := c.Get("bib"); ok {
 		t.Error("Get resolved a sharded member to a single database")
@@ -71,13 +71,13 @@ func TestAddShardedBasics(t *testing.T) {
 	if replaced, err := c.Put("bib", db); err != nil || !replaced {
 		t.Fatalf("Put over sharded: replaced=%t err=%v", replaced, err)
 	}
-	if c.ShardCount("bib") != 1 || c.Generation() == gen {
-		t.Errorf("ShardCount=%d gen=%d (was %d)", c.ShardCount("bib"), c.Generation(), gen)
+	if shardCount(c, "bib") != 1 || c.Generation() == gen {
+		t.Errorf("ShardCount=%d gen=%d (was %d)", shardCount(c, "bib"), c.Generation(), gen)
 	}
 	if _, replaced, err := c.AddSharded("bib", doc, 2); err != nil || !replaced {
 		t.Fatalf("AddSharded over plain: replaced=%t err=%v", replaced, err)
 	}
-	if !c.Remove("bib") || c.Has("bib") || c.Len() != 0 {
+	if !c.Remove("bib") || has(c, "bib") || c.Len() != 0 {
 		t.Error("Remove did not evict the sharded member")
 	}
 }
@@ -304,7 +304,7 @@ func TestShardedEqualsUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := corpora["k=1"].Add("doc", plain); err != nil {
+	if _, err := corpora["k=1"].Put("doc", plain); err != nil {
 		t.Fatal(err)
 	}
 	if dbs, _, err := corpora["buffered"].AddSharded("doc", doc, 3); err != nil || len(dbs) != 3 {

@@ -37,10 +37,10 @@ func testCorpus(t *testing.T) *Corpus {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Add("cwi", db1); err != nil {
+	if _, err := c.Put("cwi", db1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Add("personal", db2); err != nil {
+	if _, err := c.Put("personal", db2); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -61,7 +61,7 @@ func TestCorpusBasics(t *testing.T) {
 	if _, ok := c.Get("nope"); ok {
 		t.Error("Get(nope) succeeded")
 	}
-	if err := c.Add("x", nil); err == nil {
+	if _, err := c.Put("x", nil); err == nil {
 		t.Error("nil database accepted")
 	}
 	// Replacing keeps the position and count, and Put reports it.
@@ -246,13 +246,13 @@ func contains(haystack, needle string) bool {
 func TestCorpusCommitRefused(t *testing.T) {
 	c := NewCorpus()
 	db := fig1DB(t)
-	if err := c.Add("a", db); err != nil {
+	if _, err := c.Put("a", db); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := c.AddSharded("b", xmltree.Fig1(), 4); err != nil {
 		t.Fatal(err)
 	}
-	before := fmt.Sprint(c.Names(), c.Generation(), c.ShardCount("a"), c.ShardCount("b"))
+	before := fmt.Sprint(c.Names(), c.Generation(), shardCount(c, "a"), shardCount(c, "b"))
 	refused := errors.New("refused")
 	for _, tc := range []struct {
 		name    string
@@ -274,15 +274,15 @@ func TestCorpusCommitRefused(t *testing.T) {
 		if saw != c.Generation()+1 {
 			t.Errorf("Commit(%q): persist saw generation %d, want %d", tc.name, saw, c.Generation()+1)
 		}
-		if after := fmt.Sprint(c.Names(), c.Generation(), c.ShardCount("a"), c.ShardCount("b")); after != before {
+		if after := fmt.Sprint(c.Names(), c.Generation(), shardCount(c, "a"), shardCount(c, "b")); after != before {
 			t.Errorf("refused Commit(%q) changed the corpus: %s, was %s", tc.name, after, before)
 		}
 	}
 	// Accepted, the change applies at the generation persist saw.
 	var saw uint64
 	existed, err := c.Commit("b", nil, false, func(gen uint64) error { saw = gen; return nil })
-	if err != nil || !existed || saw != 3 || c.Generation() != 3 || c.Has("b") {
-		t.Errorf("evict b = %v, %v; persist saw %d; generation %d, has b %v", existed, err, saw, c.Generation(), c.Has("b"))
+	if err != nil || !existed || saw != 3 || c.Generation() != 3 || has(c, "b") {
+		t.Errorf("evict b = %v, %v; persist saw %d; generation %d, has b %v", existed, err, saw, c.Generation(), has(c, "b"))
 	}
 	// Evicting an absent name changes nothing and persists nothing.
 	existed, err = c.Commit("b", nil, false, func(uint64) error { t.Error("persist ran for an absent name"); return nil })
@@ -307,7 +307,7 @@ func TestCorpusCommitShardedAndRestoreGeneration(t *testing.T) {
 	if err != nil || replaced {
 		t.Fatalf("Commit = %v, %v", replaced, err)
 	}
-	if got := c.ShardCount("x"); got != 2 {
+	if got := shardCount(c, "x"); got != 2 {
 		t.Errorf("ShardCount = %d, want 2", got)
 	}
 	if _, ok := c.Get("x"); ok {
@@ -318,10 +318,23 @@ func TestCorpusCommitShardedAndRestoreGeneration(t *testing.T) {
 		t.Errorf("Generation = %d, want 41", c.Generation())
 	}
 	// The next mutation continues from the restored point.
-	if err := c.Add("y", db); err != nil {
+	if _, err := c.Put("y", db); err != nil {
 		t.Fatal(err)
 	}
 	if c.Generation() != 42 {
 		t.Errorf("Generation after restore+add = %d, want 42", c.Generation())
 	}
+}
+
+// has reports whether name is a member, plain or sharded.
+func has(c *Corpus, name string) bool {
+	_, ok := c.Shards(name)
+	return ok
+}
+
+// shardCount is how many databases name holds: 0 for an unknown name,
+// 1 for a plain member.
+func shardCount(c *Corpus, name string) int {
+	dbs, _ := c.Shards(name)
+	return len(dbs)
 }

@@ -66,7 +66,7 @@ func TestDocOrderMeetsEqualRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := NewCorpus()
-		if err := c.Add("d", db); err != nil {
+		if _, err := c.Put("d", db); err != nil {
 			t.Fatal(err)
 		}
 		c.SetThesaurus(th)

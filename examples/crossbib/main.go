@@ -49,7 +49,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}
-		if err := corpus.Add(name, db); err != nil {
+		if _, err := corpus.Put(name, db); err != nil {
 			log.Fatal(err)
 		}
 	}

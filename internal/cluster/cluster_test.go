@@ -60,7 +60,7 @@ func addDoc(tb testing.TB, srv *server.Server, name, xml string) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := srv.Corpus().Add(name, db); err != nil {
+	if _, err := srv.Corpus().Put(name, db); err != nil {
 		tb.Fatal(err)
 	}
 }
@@ -193,7 +193,7 @@ func TestDistributedEqualsSingleNode(t *testing.T) {
 	for name := range docs {
 		owner := coord.Owner(name)
 		for i, srv := range srvs {
-			if has := srv.Corpus().Has(name); has != (workers[i].Name == owner.Name) {
+			if _, has := srv.Corpus().Shards(name); has != (workers[i].Name == owner.Name) {
 				t.Fatalf("doc %s: on worker %s (has=%t), ring owner %s", name, workers[i].Name, has, owner.Name)
 			}
 		}
@@ -674,6 +674,49 @@ func TestClusterEndpoints(t *testing.T) {
 	if status != http.StatusOK || json.Unmarshal(raw, &stats) != nil ||
 		stats.Role != "coordinator" || stats.Workers != 2 {
 		t.Errorf("GET /v1/stats: %d %s", status, raw)
+	}
+}
+
+// TestStatsFrontCountersOneSpelling holds both roles to one spelling of
+// the front end's counters: a coordinator's /v1/stats and a node's carry
+// every key of server.FrontStats, and each decodes into it with the
+// traffic it served (a worker also counts the coordinator's scatters).
+func TestStatsFrontCountersOneSpelling(t *testing.T) {
+	srv, w := startWorker(t, "w1")
+	addDoc(t, srv, "doc", docXML(rand.New(rand.NewSource(3)), 4))
+	_, coordTS := startCoordinator(t, Config{Workers: []Worker{w}})
+	const q = `{"terms":["Author1","199"],"exclude_root":true}`
+	for _, base := range []string{coordTS.URL, w.URL} {
+		if status, _, raw := postQuery(t, base, q); status != http.StatusOK {
+			t.Fatalf("%s: %d %s", base, status, raw)
+		}
+		if status, _, raw := postQuery(t, base, `{"batch":[`+q+`]}`); status != http.StatusOK {
+			t.Fatalf("%s batch: %d %s", base, status, raw)
+		}
+	}
+	zero, err := json.Marshal(server.FrontStats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(zero, &keys); err != nil || len(keys) != 5 {
+		t.Fatalf("server.FrontStats spells %s", zero)
+	}
+	for _, base := range []string{coordTS.URL, w.URL} {
+		status, raw := httpDo(t, "GET", base+"/v1/stats", "")
+		var got map[string]json.RawMessage
+		if status != http.StatusOK || json.Unmarshal(raw, &got) != nil {
+			t.Fatalf("GET %s/v1/stats: %d %s", base, status, raw)
+		}
+		for k := range keys {
+			if _, ok := got[k]; !ok {
+				t.Errorf("%s/v1/stats has no %q: %s", base, k, raw)
+			}
+		}
+		var fs server.FrontStats
+		if err := json.Unmarshal(raw, &fs); err != nil || fs.Queries < 2 || fs.Batches != 1 || fs.Cache.Misses == 0 {
+			t.Errorf("%s/v1/stats decodes to %+v (%v): %s", base, fs, err, raw)
+		}
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"strconv"
 	"time"
 
+	"ncq/internal/server"
 	"ncq/internal/wire"
 )
 
@@ -148,18 +149,14 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		return raw
 	})
-	fs := c.front.Stats()
-	wire.WriteJSON(w, http.StatusOK, map[string]any{
-		"node":           c.cfg.NodeName,
-		"role":           "coordinator",
-		"uptime_seconds": time.Since(c.started).Seconds(),
-		"generation":     c.Generation(),
-		"workers":        len(c.workers),
-		"queries":        fs.Queries,
-		"batches":        fs.Batches,
-		"mutations":      fs.Mutations,
-		"cache":          fs.Cache,
-		"admission":      fs.Admission,
-		"worker_stats":   stats,
-	})
+	// The front end's counters under the keys a node spells them with.
+	wire.WriteJSON(w, http.StatusOK, struct {
+		Node              string  `json:"node"`
+		Role              string  `json:"role"`
+		UptimeSeconds     float64 `json:"uptime_seconds"`
+		Generation        uint64  `json:"generation"`
+		Workers           int     `json:"workers"`
+		server.FrontStats         // queries, batches, mutations, cache, admission
+		WorkerStats       []any   `json:"worker_stats"`
+	}{c.cfg.NodeName, "coordinator", time.Since(c.started).Seconds(), c.Generation(), len(c.workers), c.front.Stats(), stats})
 }

@@ -208,6 +208,20 @@ func docDirName(gen uint64, name string) string {
 	return fmt.Sprintf("g%d-%s", gen, url.PathEscape(name))
 }
 
+// docName is docDirName's inverse: the document name a directory named
+// base holds — base less a "g<gen>-" prefix, with its path escaping
+// undone when the escaping is valid. prefixed reports whether base had
+// the prefix, that is whether a put could have named it.
+func docName(base string) (name string, prefixed bool) {
+	if gen, rest, ok := strings.Cut(base, "-"); ok && len(gen) > 1 && gen[0] == 'g' && strings.Trim(gen[1:], "0123456789") == "" {
+		base, prefixed = rest, true
+	}
+	if unescaped, err := url.PathUnescape(base); err == nil {
+		base = unescaped
+	}
+	return base, prefixed
+}
+
 func (s *Store) docsDir() string { return filepath.Join(s.dataDir, "docs") }
 
 func shardFile(dir string, i int) string {
@@ -261,6 +275,15 @@ func OpenShards(dir string, n int) ([]*ncq.Database, error) {
 		return nil, fmt.Errorf("%s: stray shard file beside a member framed as %d shard(s)", shardFile(dir, n), n)
 	}
 	return dbs, nil
+}
+
+// OpenDir reads one directory of that layout outside a store, as ncqd
+// -load does: the member registers under docName of the directory's
+// own name, and is sharded unless it holds one standalone snapshot.
+func OpenDir(dir string) (name string, dbs []*ncq.Database, sharded bool, err error) {
+	name, _ = docName(filepath.Base(dir))
+	dbs, err = OpenShards(dir, 0)
+	return name, dbs, len(dbs) > 1, err
 }
 
 // sweepOrphans removes every docs/ entry that no winning record
@@ -409,11 +432,8 @@ func (s *Store) dropSuperseded(name, keep string) {
 	if err != nil {
 		return
 	}
-	escaped := url.PathEscape(name)
 	for _, e := range entries {
-		// g<gen>-<escaped name>: the generation holds no '-', so the
-		// first one ends it and the rest is the whole name.
-		if _, rest, ok := strings.Cut(e.Name(), "-"); ok && rest == escaped && e.Name() != keep {
+		if doc, ok := docName(e.Name()); ok && doc == name && e.Name() != keep {
 			os.RemoveAll(filepath.Join(s.docsDir(), e.Name()))
 		}
 	}

@@ -40,7 +40,8 @@ func membershipFingerprint(c *ncq.Corpus) string {
 	var b strings.Builder
 	for _, name := range c.Names() {
 		_, plain := c.Get(name)
-		fmt.Fprintf(&b, "%s plain=%v shards=%d\n", name, plain, c.ShardCount(name))
+		dbs, _ := c.Shards(name)
+		fmt.Fprintf(&b, "%s plain=%v shards=%d\n", name, plain, len(dbs))
 	}
 	fmt.Fprintf(&b, "gen=%d", c.Generation())
 	return b.String()
@@ -296,7 +297,7 @@ func errorsAs(err error, target *(*wal.CorruptError)) bool {
 func TestStoreDeleteOfUnpersistedMemberReplaysAsNoop(t *testing.T) {
 	dir := t.TempDir()
 	s, c := openStore(t, dir)
-	if err := c.Add("unpersisted", fig1DB(t)); err != nil {
+	if _, err := c.Put("unpersisted", fig1DB(t)); err != nil {
 		t.Fatal(err)
 	}
 	if found, err := s.Delete("unpersisted"); err != nil || !found {
@@ -449,7 +450,7 @@ func TestStoreReplaceKeepsOtherMembersDirectories(t *testing.T) {
 
 func TestOpenRejectsNonEmptyCorpus(t *testing.T) {
 	c := ncq.NewCorpus()
-	if err := c.Add("pre", fig1DB(t)); err != nil {
+	if _, err := c.Put("pre", fig1DB(t)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(t.TempDir(), wal.PolicyAlways, c); err == nil {
@@ -466,11 +467,44 @@ func TestDocDirNameEscaping(t *testing.T) {
 	}
 	s.Close()
 	_, c2 := openStore(t, dir)
-	if !c2.Has(weird) {
+	if _, ok := c2.Shards(weird); !ok {
 		t.Errorf("weird name lost across restart; names = %v", c2.Names())
 	}
 	// Nothing escaped the data directory.
 	if _, err := os.Stat(filepath.Join(dir, "..", "etc")); !os.IsNotExist(err) {
 		t.Error("escaped the data directory")
+	}
+}
+
+// TestOpenDirNaming pins the inverse of a put's directory name through
+// OpenDir: one "g<gen>-" prefix is stripped and the path escaping
+// undone; a name without that prefix is its own member name.
+func TestOpenDirNaming(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openStore(t, dir)
+	weird := "a b/c%d"
+	if _, err := s.PutPlain(weird, fig1DB(t)); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	prev := filepath.Join(dir, "docs", s.DocDirs()[0])
+	root := t.TempDir()
+	for _, c := range []struct{ base, want string }{
+		{filepath.Base(prev), weird},
+		{"g12-x%20y", "x y"},
+		{"g12-g3-z", "g3-z"},
+		{"g12x", "g12x"},
+		{"g-x", "g-x"},
+		{"plain%zz", "plain%zz"},
+	} {
+		next := filepath.Join(root, c.base)
+		if err := os.Rename(prev, next); err != nil {
+			t.Fatal(err)
+		}
+		prev = next
+		name, dbs, sharded, err := OpenDir(next)
+		if err != nil || name != c.want || len(dbs) != 1 || sharded {
+			t.Errorf("OpenDir(%q) = %q, %d dbs, sharded %t, %v; want %q, 1 db, plain", c.base, name, len(dbs), sharded, err, c.want)
+		}
 	}
 }

@@ -96,7 +96,7 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 
 // WriteSnapshotShard serialises the store to w framed as shard
 // `shard` of a `shards`-way sharded document. The framing is carried
-// verbatim and returned by ReadSnapshotShard; it does not change how
+// verbatim and returned by ReplaySnapshot; it does not change how
 // the store itself is encoded.
 func (s *Store) WriteSnapshotShard(w io.Writer, shard, shards int) error {
 	if shards < 1 || shard < 0 || shard >= shards {
@@ -206,23 +206,15 @@ func (sr *snapReader) check() {
 	}
 }
 
-// ReadSnapshot deserialises a store written by WriteSnapshot,
-// discarding the shard framing.
-func ReadSnapshot(r io.Reader) (*Store, error) {
-	s, _, _, err := ReadSnapshotShard(r)
-	return s, err
-}
-
-// ReadSnapshotShard deserialises a store written by WriteSnapshotShard
-// and returns the shard framing alongside it: the snapshot replayed
-// into a Loader.
-func ReadSnapshotShard(r io.Reader) (store *Store, shard, shards int, err error) {
+// ReadSnapshot deserialises a store written by WriteSnapshot: the
+// snapshot replayed into a Loader, its shard framing discarded.
+func ReadSnapshot(r io.Reader) (store *Store, err error) {
 	l := NewLoader(func(s *Store) error { store = s; return nil })
-	if shard, shards, err = ReplaySnapshot(r, l); err != nil {
+	if _, _, err = ReplaySnapshot(r, l); err != nil {
 		l.Abort()
-		return nil, 0, 0, err
+		return nil, err
 	}
-	return store, shard, shards, nil
+	return store, nil
 }
 
 // ReplaySnapshot decodes a snapshot written by WriteSnapshotShard into

@@ -483,7 +483,7 @@ func TestPreloadedCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Add("seed", db); err != nil {
+	if _, err := c.Put("seed", db); err != nil {
 		t.Fatal(err)
 	}
 	s := New(c)

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"io"
 	"math/rand"
 	"strings"
@@ -175,7 +176,7 @@ func TestSplitStreamErrors(t *testing.T) {
 		calls++
 		return errStop
 	})
-	if err != errStop || calls != 1 {
+	if !errors.Is(err, errStop) || calls != 1 {
 		t.Errorf("emit abort: err=%v calls=%d", err, calls)
 	}
 }

@@ -48,22 +48,6 @@ func TestStreamWriterMeetAllocs(t *testing.T) {
 	}
 }
 
-// TestLineScannerMeetAllocs pins the decode side: a canonical meet
-// line costs its three strings and its witness slice — the meet itself
-// lands in the scanner's reused Line — and nothing for the decoding.
-func TestLineScannerMeetAllocs(t *testing.T) {
-	const runs = 2000
-	sc := wire.NewLineScanner(strings.NewReader(strings.Repeat(string(wire.AppendMeetLine(nil, &allocMeet)), runs+1)))
-	got := testing.AllocsPerRun(runs, func() {
-		if ln, err := sc.Next(); err != nil || ln.Meet == nil {
-			t.Fatalf("%+v, %v", ln, err)
-		}
-	})
-	if got > 4 {
-		t.Errorf("a canonical meet line decodes in %.1f allocs/op, pinned at <= 4", got)
-	}
-}
-
 // TestStreamLifecycleReusesTailBuffer pins the tail buffer's pool: a
 // stream opened after another closed — 400 meets, then Close — takes
 // the buffer that one gave back instead of allocating its 17 KiB.
@@ -108,9 +92,9 @@ func TestRelayScanAllocs(t *testing.T) {
 	}
 }
 
-// TestNodeStreamIsCanonical runs the fast path over what a real node
-// streams: every meet line of the answer is one it takes, so the
-// general decoder sees a stream's trailer (and, asked for, its header)
+// TestNodeStreamIsCanonical runs the relay's strict reader over what a
+// real node streams: every meet line of the answer is one it keys, so a
+// coordinator decodes a stream's trailer (and, asked for, its header)
 // and nothing else.
 func TestNodeStreamIsCanonical(t *testing.T) {
 	var doc bytes.Buffer
@@ -134,7 +118,7 @@ func TestNodeStreamIsCanonical(t *testing.T) {
 	lines := strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n")
 	var general []string
 	for _, line := range lines {
-		if !wire.DecodeCanonicalMeet([]byte(line)) {
+		if !wire.RelaysCanonical([]byte(line)) {
 			general = append(general, line)
 		}
 	}
@@ -177,7 +161,7 @@ func TestStreamAllocsFlatInLines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Add(fmt.Sprintf("m%d", i), db); err != nil {
+		if _, err := c.Put(fmt.Sprintf("m%d", i), db); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -213,7 +197,7 @@ func TestPageAllocsFlatInMeets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Add(fmt.Sprintf("m%d", i), db); err != nil {
+		if _, err := c.Put(fmt.Sprintf("m%d", i), db); err != nil {
 			t.Fatal(err)
 		}
 	}

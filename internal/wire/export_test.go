@@ -9,6 +9,9 @@ import (
 // carries unescaped.
 var plainByte = &meetline.Plain
 
-// DecodeCanonicalMeet lets the external tests, which can start a real
-// node, ask the fast path for its verdict on a line.
-func DecodeCanonicalMeet(b []byte) bool { return decodeCanonicalMeet(b, new(ncq.CorpusMeet)) }
+// RelaysCanonical lets the external tests, which can start a real node,
+// ask the relay's strict reader for its verdict on a line.
+func RelaysCanonical(b []byte) bool {
+	_, ok := parseCanonicalMeet(b, new(ncq.CorpusMeet))
+	return ok
+}

@@ -27,10 +27,11 @@ package wire
 // producer that stalls does not hold back lines it already wrote.
 //
 // Meet lines, all but three of a stream, have their own grammar
-// (internal/meetline, byte-identical to encoding/json) and a strict
-// decoder for exactly its unescaped output (parseCanonicalMeet; a relay
-// reads only the rank key and passes the line on); every other line,
-// and every other spelling of a meet, takes encoding/json both ways.
+// (internal/meetline, byte-identical to encoding/json). Its one strict
+// reader, parseCanonicalMeet, only keys the relay: a coordinator checks
+// a canonical line whole, reads its rank key and passes the line on.
+// Everything else — every line a client keeps, every other record and
+// every other spelling of a meet — is read with encoding/json.
 
 import (
 	"bufio"
@@ -276,8 +277,8 @@ type Line struct {
 	Generation uint64 `json:"generation"`
 	Total      int    `json:"total"`
 
-	// Meet points, for a line AppendMeetLine wrote, at storage the Line
-	// owns and its next decode overwrites.
+	// Meet points, for a line Relay keyed, at storage the Line owns and
+	// its next read overwrites.
 	Meet *ncq.CorpusMeet `json:"meet"`
 	meet ncq.CorpusMeet
 
@@ -311,16 +312,10 @@ func (ln *Line) Kind() string {
 // anything that is not exactly one well-formed record is an error
 // rather than a zero-valued meet: malformed input, a line naming no
 // record or several, a meet without a path, and an object spelling a
-// key twice. LineScanner bounds the line's size. The lines this package
-// itself writes for meets are recognised first, in one strict pass;
-// what that pass does not accept takes the general path below, which
-// alone defines what a valid line is.
+// key twice. LineScanner bounds the line's size. This is what defines
+// a valid line; the relay's strict reader accepts nothing it rejects.
 func (ln *Line) decode(b []byte) error {
 	*ln = Line{}
-	if decodeCanonicalMeet(b, &ln.meet) {
-		ln.Meet = &ln.meet
-		return nil
-	}
 	if err := json.Unmarshal(b, ln); err != nil {
 		return err
 	}
@@ -404,25 +399,15 @@ func (c *canonical) integer() int {
 	return -v
 }
 
-// decodeCanonicalMeet decodes b into m — zero on entry, garbage after a
-// false return — if b is, to the byte, a line AppendMeetLine writes
+// parseCanonicalMeet is the one strict reader of the meet-line grammar:
+// it accepts b only if it is, to the byte, a line AppendMeetLine writes
 // (less the newline) for a meet with a path whose strings needed no
-// escaping; it reports false for anything else — another record,
+// escaping, and reports false for anything else — another record,
 // another spelling, an escape or a byte outside ASCII, a number out of
-// range — and that is not a verdict: the general path of decode
-// decides. It accepts nothing that path rejects, and what it accepts it
-// decodes to the same value.
-func decodeCanonicalMeet(b []byte, m *ncq.CorpusMeet) bool {
-	source, ok := parseCanonicalMeet(b, m, true)
-	m.Source = string(source)
-	return ok
-}
-
-// parseCanonicalMeet is the one grammar of a canonical line. With full
-// it decodes the meet into m, less its source; without, it checks the
-// line as strictly but reads only m.Shard, m.Node and m.Distance and
-// allocates nothing. The source is returned as a slice of b.
-func parseCanonicalMeet(b []byte, m *ncq.CorpusMeet, full bool) (source []byte, ok bool) {
+// range — which is not a verdict: decode decides. Of an accepted line
+// it reads only the rank key, into m.Shard, m.Node and m.Distance and
+// the returned source, a slice of b; it allocates nothing.
+func parseCanonicalMeet(b []byte, m *ncq.CorpusMeet) (source []byte, ok bool) {
 	c := canonical{rest: b}
 	if !c.has(`{"meet":{"source":`) {
 		return nil, false
@@ -436,29 +421,18 @@ func parseCanonicalMeet(b []byte, m *ncq.CorpusMeet, full bool) (source []byte, 
 	c.lit(`,"node":`)
 	m.Node = ncq.NodeID(c.number(math.MaxUint32))
 	c.lit(`,"tag":`)
-	tag := c.text()
+	c.text()
 	c.lit(`,"path":`)
 	path := c.text()
-	if full {
-		m.Tag, m.Path = string(tag), string(path)
-	}
 	c.lit(`,"witnesses":`)
 	if !c.has("null") {
 		c.lit("[")
-		if full {
-			end := max(bytes.IndexByte(c.rest, ']'), 0)
-			m.Witnesses = make([]ncq.NodeID, 0, bytes.Count(c.rest[:end], []byte{','})+1)
-		}
 		for n := 0; !c.has("]"); n++ {
 			if n > 0 {
 				c.lit(",")
 			}
-			w := ncq.NodeID(c.number(math.MaxUint32))
-			if c.bad {
+			if c.number(math.MaxUint32); c.bad {
 				return nil, false
-			}
-			if full {
-				m.Witnesses = append(m.Witnesses, w)
 			}
 		}
 	}
@@ -466,20 +440,15 @@ func parseCanonicalMeet(b []byte, m *ncq.CorpusMeet, full bool) (source []byte, 
 	m.Distance = c.integer()
 	if c.has(`,"projected":{`) {
 		// A text that is spelled is not empty: an empty one is omitted.
-		var value, xml []byte
 		xmlKey := `"xml":`
 		if c.has(`"value":`) {
-			value, xmlKey = c.text(), `,"xml":`
-			c.bad = c.bad || len(value) == 0
+			xmlKey = `,"xml":`
+			c.bad = c.bad || len(c.text()) == 0
 		}
 		if c.has(xmlKey) {
-			xml = c.text()
-			c.bad = c.bad || len(xml) == 0
+			c.bad = c.bad || len(c.text()) == 0
 		}
 		c.lit("}")
-		if full {
-			m.Projected = &ncq.Projection{Value: string(value), XML: string(xml)}
-		}
 	}
 	c.lit("}}")
 	return source, !c.bad && len(c.rest) == 0 && len(path) > 0
@@ -590,7 +559,7 @@ func (s *LineScanner) Relay() (ln *Line, raw []byte, err error) {
 	}
 	raw = s.sc.Bytes()
 	s.line = Line{}
-	if source, ok := parseCanonicalMeet(raw, &s.line.meet, false); ok {
+	if source, ok := parseCanonicalMeet(raw, &s.line.meet); ok {
 		name, seen := s.sources[string(source)]
 		if !seen {
 			if name = string(source); len(s.sources) < 256 {

@@ -272,14 +272,21 @@ func TestOutgrownBuffersNotPooled(t *testing.T) {
 	pooled(&scanPool, scanCap)
 }
 
-// canonicalMeet is the fast path's verdict on b: the meet it decoded,
-// nil when it leaves b to the general path.
-func canonicalMeet(b []byte) *ncq.CorpusMeet {
+// relayKey is the strict reader's verdict on b, as LineScanner.Relay
+// reads it: the rank key, nil when it leaves b to the general path.
+func relayKey(b []byte) *ncq.CorpusMeet {
 	m := new(ncq.CorpusMeet)
-	if !decodeCanonicalMeet(b, m) {
+	source, ok := parseCanonicalMeet(b, m)
+	if !ok {
 		return nil
 	}
+	m.Source = string(source)
 	return m
+}
+
+// rankKey is the part of m the relay reads.
+func rankKey(m *ncq.CorpusMeet) ncq.CorpusMeet {
+	return ncq.CorpusMeet{Source: m.Source, Shard: m.Shard, Meet: ncq.Meet{Node: m.Node, Distance: m.Distance}}
 }
 
 // fuzzMeet builds a meet from fuzzer-friendly arguments: four bytes of
@@ -302,8 +309,8 @@ func fuzzMeet(source, tag, path string, shard, distance int, node uint32, wit []
 
 // FuzzAppendMeetLine holds the encoder to its reference: for any meet
 // AppendMeetLine writes the bytes json.Marshal writes. It also closes
-// the loop with the decoder: a line whose strings needed no escaping is
-// one the canonical fast path takes, any other line is one it leaves
+// the loop with the readers: a line whose strings needed no escaping is
+// one the relay's strict reader keys, any other line is one it leaves
 // alone, and either way decode gives back the meet that was encoded.
 func FuzzAppendMeetLine(f *testing.F) {
 	f.Add("bib", "book", "/bib/book", 2, 2, uint32(4), []byte{5, 0, 0, 0, 9, 0, 0, 0}, false, "", "", false)
@@ -335,9 +342,12 @@ func FuzzAppendMeetLine(f *testing.F) {
 			}
 		}
 		line := ref[:len(ref)-1]
-		fast := canonicalMeet(line)
-		if plain != (fast != nil) {
-			t.Fatalf("plain strings: %t, but the fast path decoded %q to %+v", plain, line, fast)
+		key := relayKey(line)
+		if plain != (key != nil) {
+			t.Fatalf("plain strings: %t, but the strict reader keyed %q as %+v", plain, line, key)
+		}
+		if key != nil && !reflect.DeepEqual(*key, rankKey(&m)) {
+			t.Fatalf("%q: the strict reader keyed %+v, encoded from %+v", line, key, m)
 		}
 		if path == "" {
 			return // not a line
@@ -354,7 +364,7 @@ func FuzzAppendMeetLine(f *testing.F) {
 	})
 }
 
-// canonicalLines are taken by the fast path; nonCanonicalLines — other
+// canonicalLines are keyed by the strict reader; nonCanonicalLines — other
 // spellings of a meet, numbers strconv would not write or the field
 // cannot hold, strings that need or carry an escape, other records —
 // are left to the general one, whatever it then says about them.
@@ -405,70 +415,44 @@ var (
 	}
 )
 
-// TestDecodeCanonicalMeet states the fast path's verdict on each seed
-// of its fuzzer.
+// TestDecodeCanonicalMeet states the strict reader's verdict on each
+// seed of its fuzzer.
 func TestDecodeCanonicalMeet(t *testing.T) {
 	for _, s := range canonicalLines {
-		if canonicalMeet([]byte(s)) == nil {
+		if relayKey([]byte(s)) == nil {
 			t.Errorf("left to the general path: %s", s)
 		}
 	}
 	for _, s := range append(nonCanonicalLines, rejectedLines...) {
-		if m := canonicalMeet([]byte(s)); m != nil {
-			t.Errorf("%s: taken by the fast path as %+v", s, m)
+		if m := relayKey([]byte(s)); m != nil {
+			t.Errorf("%s: keyed by the strict reader as %+v", s, m)
 		}
 	}
 }
 
-// relayKey is the key-only scan's verdict on b, as LineScanner.Relay
-// reads it: the rank key, nil when the scan leaves b to the general
-// path.
-func relayKey(b []byte) *ncq.CorpusMeet {
-	m := new(ncq.CorpusMeet)
-	source, ok := parseCanonicalMeet(b, m, false)
-	if !ok {
-		return nil
-	}
-	m.Source = string(source)
-	return m
-}
-
-// FuzzDecodeCanonicalParity holds the fast decoder inside the general
-// one: whatever bytes it accepts, the general path — reached here by
-// a leading space, which JSON ignores and the fast path does not —
-// accepts too and decodes to the same line, and they are to the byte
-// what AppendMeetLine writes for that meet, so the fast path's only
-// inputs are lines whose validity was decided by the encoder. The
-// relay's key-only scan of the same grammar accepts exactly the lines
-// the full decode accepts, and reads the same rank key from them.
+// FuzzDecodeCanonicalParity holds the strict reader inside the general
+// decoder: whatever bytes it accepts, the general path accepts too and
+// decodes to a meet with the same rank key, and AppendMeetLine spells
+// that meet back to the same bytes, so the relay passes on only lines
+// whose validity was decided by the encoder.
 func FuzzDecodeCanonicalParity(f *testing.F) {
 	for _, s := range append(canonicalLines, nonCanonicalLines...) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, key := canonicalMeet(data), relayKey(data)
-		if (m == nil) != (key == nil) {
-			t.Fatalf("%q: full decode %+v, key-only scan %+v", data, m, key)
-		}
-		if m == nil {
+		key := relayKey(data)
+		if key == nil {
 			return
 		}
-		if want := (ncq.CorpusMeet{Source: m.Source, Shard: m.Shard, Meet: ncq.Meet{Node: m.Node, Distance: m.Distance}}); !reflect.DeepEqual(*key, want) {
-			t.Fatalf("%q: key-only scan read %+v, the full decode %+v", data, key, m)
-		}
-		spaced := append([]byte(" "), data...)
-		if canonicalMeet(spaced) != nil {
-			t.Fatalf("the fast path took %q: no reference left", spaced)
-		}
 		var ref Line
-		if err := ref.decode(spaced); err != nil {
-			t.Fatalf("the fast path accepts %q, the general path says %v", data, err)
+		if err := ref.decode(data); err != nil {
+			t.Fatalf("the strict reader accepts %q, the general path says %v", data, err)
 		}
-		if ref.Kind() != "meet" || !reflect.DeepEqual(ref.Meet, m) {
-			t.Fatalf("%q: fast path %+v, general path %+v", data, m, ref.Meet)
+		if ref.Kind() != "meet" || !reflect.DeepEqual(rankKey(ref.Meet), *key) {
+			t.Fatalf("%q: strict reader %+v, general path %+v", data, key, ref.Meet)
 		}
-		if again := AppendMeetLine(nil, m); !bytes.Equal(again[:len(again)-1], data) {
-			t.Fatalf("the fast path accepts %q, which is not canonical: %q", data, again)
+		if again := AppendMeetLine(nil, ref.Meet); !bytes.Equal(again[:len(again)-1], data) {
+			t.Fatalf("the strict reader accepts %q, which is not canonical: %q", data, again)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package xmltree
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 
@@ -101,6 +102,8 @@ func Parse(r io.Reader) (*Document, error) {
 // that are policy rather than XML — the reserved cdata label, a repeated
 // attribute name, a second root, nesting beyond pathsum.MaxDepth — are
 // raised here, at the end of the offending start tag, whatever the sink.
+// A refusal the sink returns from Start, Text or End is wrapped (%w) the
+// same way, at the offset the parser had reached when it made the call.
 func ParseSplit(r io.Reader, cut func(span int64) bool, sink Sink) error {
 	return parse(newScanner(r, scanWindow), cut, sink)
 }
@@ -241,7 +244,7 @@ func parse(s *scanner, cut func(span int64) bool, sink Sink) error {
 			s.directive()
 		}
 		if err != nil {
-			return err
+			return sinkFailed(s, err)
 		}
 		if len(open) == 0 {
 			pending = pending[:0] // outside the root, character data is checked like any other, then dropped
@@ -260,7 +263,16 @@ func parse(s *scanner, cut func(span int64) bool, sink Sink) error {
 	case !rootOpen:
 		return nil // the last cut fell after the last child: nothing is left to complete
 	}
-	return sink.End()
+	return sinkFailed(s, sink.End())
+}
+
+// sinkFailed gives err, when the sink rather than the scanner raised it,
+// the byte offset every other refusal carries.
+func sinkFailed(s *scanner, err error) error {
+	if err == nil || err == s.fail {
+		return err
+	}
+	return fmt.Errorf("xmltree: parse at byte %d: %w", s.offset(), err)
 }
 
 // ParseString is Parse on a string; convenient in tests and examples.

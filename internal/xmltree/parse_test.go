@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -281,6 +282,59 @@ func TestParseRefusals(t *testing.T) {
 		}
 		if _, err := ParseString(in); err != nil {
 			t.Errorf("ParseString(%q): %v", in, err)
+		}
+	}
+}
+
+// refusingSink accepts every call but the n-th of one kind.
+type refusingSink struct {
+	kind  string
+	n     int
+	calls map[string]int
+}
+
+var errRefused = errors.New("refused by the sink")
+
+func (s *refusingSink) call(kind string) error {
+	if s.calls[kind]++; kind == s.kind && s.calls[kind] == s.n {
+		return errRefused
+	}
+	return nil
+}
+
+func (s *refusingSink) Start(string, []Attr) error { return s.call("Start") }
+func (s *refusingSink) Text(string) error          { return s.call("Text") }
+func (s *refusingSink) End() error                 { return s.call("End") }
+
+// TestSinkRefusalsCarryOffsets holds a refusal the sink raises to the
+// form of the parser's own: "xmltree: parse at byte N: …" with N the
+// offset the parser had reached — just past the start tag a Start
+// refuses — and the sink's error still reachable through errors.Is.
+func TestSinkRefusalsCarryOffsets(t *testing.T) {
+	const in = `<a><b/><c x="1">t</c><d></d></a>`
+	past := func(tag string) int { return strings.Index(in, tag) + len(tag) }
+	always := func(int64) bool { return true }
+	rows := []struct {
+		kind string
+		n    int
+		cut  func(int64) bool
+		at   int
+	}{
+		{"Start", 1, nil, past(`<a>`)},
+		{"Start", 2, nil, past(`<b/>`)},
+		{"Start", 3, nil, past(`<c x="1">`)},
+		{"Start", 4, nil, past(`<d>`)},
+		{"Text", 1, nil, past(`</c>`)},
+		{"End", 1, nil, past(`<b/>`)},
+		{"End", 4, nil, len(in)},                // the root's, at the end of input
+		{"End", 2, always, past(`<b/>`)},        // the cut closing the first part
+		{"Start", 3, always, past(`<c x="1">`)}, // the root reopened before c
+	}
+	for _, row := range rows {
+		err := ParseSplit(strings.NewReader(in), row.cut, &refusingSink{kind: row.kind, n: row.n, calls: map[string]int{}})
+		want := fmt.Sprintf("xmltree: parse at byte %d: %v", row.at, errRefused)
+		if !errors.Is(err, errRefused) || err.Error() != want {
+			t.Errorf("%s #%d (cut %t): %v, want %s", row.kind, row.n, row.cut != nil, err, want)
 		}
 	}
 }

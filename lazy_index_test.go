@@ -65,8 +65,8 @@ func TestServingPathLeavesTokenIndexUnbuilt(t *testing.T) {
 	serve(t, h, "PUT", "/v1/docs/buffered?shards=4", "", xml, false)
 	serve(t, h, "PUT", "/v1/docs/chunked?shards=4", "", xml, true)
 	serve(t, h, "PUT", "/v1/docs/snap", server.SnapshotContentType, snap.Bytes(), false)
-	if got := srv.Corpus().ShardCount("buffered"); got != 4 {
-		t.Fatalf("buffered upload has %d shards, want 4", got)
+	if dbs, _ := srv.Corpus().Shards("buffered"); len(dbs) != 4 {
+		t.Fatalf("buffered upload has %d shards, want 4", len(dbs))
 	}
 
 	built := func() (names []string) {
@@ -155,7 +155,7 @@ func TestExpandWithoutThesaurusIsNoOp(t *testing.T) {
 				t.Fatal(err)
 			}
 			corpus := ncq.NewCorpus()
-			if err := corpus.Add("doc", db); err != nil {
+			if _, err := corpus.Put("doc", db); err != nil {
 				t.Fatal(err)
 			}
 			corpus.SetThesaurus(th)

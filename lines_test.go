@@ -85,7 +85,7 @@ func TestStreamLinesEqualMeets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Add("bib<1> & \"co\"", plain); err != nil {
+	if _, err := c.Put("bib<1> & \"co\"", plain); err != nil {
 		t.Fatal(err)
 	}
 	src := dblp(2)
@@ -101,7 +101,7 @@ func TestStreamLinesEqualMeets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Add("esc", esc); err != nil {
+	if _, err := c.Put("esc", esc); err != nil {
 		t.Fatal(err)
 	}
 

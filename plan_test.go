@@ -293,7 +293,7 @@ func TestInvalidPatternRefusedOnEmptyCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := loaded.Add("d", db); err != nil {
+	if _, err := loaded.Put("d", db); err != nil {
 		t.Fatal(err)
 	}
 	for _, o := range []*Options{Restrict("[[bad"), ExcludeRoot().ExcludePattern("//a*")} {
@@ -315,7 +315,7 @@ func TestInvalidPatternRefusedOnEmptyCorpus(t *testing.T) {
 func TestNegativeBoundRefused(t *testing.T) {
 	db := fig1DB(t)
 	c := NewCorpus()
-	if err := c.Add("d", db); err != nil {
+	if _, err := c.Put("d", db); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()

@@ -164,7 +164,7 @@ func TestCursorSkipStopsOnCancel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Add(fmt.Sprintf("m%d", i), db); err != nil {
+		if _, err := c.Put(fmt.Sprintf("m%d", i), db); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,7 +216,7 @@ func TestCursorSkipRendersNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Add(fmt.Sprintf("shard-%d", i), db); err != nil {
+		if _, err := c.Put(fmt.Sprintf("shard-%d", i), db); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -28,7 +28,7 @@ func pagingCorpus(t *testing.T) *Corpus {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Add(fmt.Sprintf("doc%d", i), db); err != nil {
+		if _, err := c.Put(fmt.Sprintf("doc%d", i), db); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -468,7 +468,7 @@ func TestCorpusRunCancelMidFanout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Add(fmt.Sprintf("m%d", i), db); err != nil {
+		if _, err := c.Put(fmt.Sprintf("m%d", i), db); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -57,7 +57,7 @@ func TestResultsEquivalenceRandom(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := c.Add(name, db); err != nil {
+				if _, err := c.Put(name, db); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -137,7 +137,7 @@ func TestResultsFirstYieldBeforeSlowMemberDrains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Add(fmt.Sprintf("m%d", i), db); err != nil {
+		if _, err := c.Put(fmt.Sprintf("m%d", i), db); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +145,7 @@ func TestResultsFirstYieldBeforeSlowMemberDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Add("slow", slowDB); err != nil {
+	if _, err := c.Put("slow", slowDB); err != nil {
 		t.Fatal(err)
 	}
 
@@ -298,7 +298,7 @@ func TestStaleCursorAfterMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Add("extra", extra); err != nil {
+	if _, err := c.Put("extra", extra); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Run(ctx, next); !errors.Is(err, ErrStaleCursor) {

@@ -8,7 +8,6 @@ package ncq
 
 import (
 	"context"
-	"iter"
 	"time"
 )
 
@@ -26,24 +25,12 @@ func (c *Corpus) Run(ctx context.Context, req Request) (*Result, error) {
 	return run(ctx, c.resolve, req)
 }
 
-// run is Run for both Queriers: drain the one pipeline.
+// run is Run for both Queriers, the batch view of the incremental core:
+// drain the one pipeline's (already offset- and limit-windowed)
+// sequence and attach the stream counters as page metadata.
 func run(ctx context.Context, r resolver, req Request) (*Result, error) {
 	start := time.Now()
-	res, err := DrainResults(resultsWithStats(ctx, r, req))
-	if err != nil {
-		return nil, err
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
-// DrainResults is the batch view of the incremental core: consume the
-// whole (already offset- and limit-windowed) sequence and attach the
-// stream counters as page metadata — "Run is drain plus paginate", for
-// a Database, a Corpus and any other executor that hands out a ranked
-// sequence with its StreamStats. What a Result has no field for
-// (Generation, Incomplete, WorkerErrors) stays readable on stats.
-func DrainResults(seq iter.Seq2[CorpusMeet, error], stats *StreamStats) (*Result, error) {
+	seq, stats := resultsWithStats(ctx, r, req)
 	res := &Result{}
 	for m, err := range seq {
 		if err != nil {
@@ -56,6 +43,7 @@ func DrainResults(seq iter.Seq2[CorpusMeet, error], stats *StreamStats) (*Result
 	res.Truncated = stats.Truncated
 	res.NextCursor = stats.NextCursor
 	res.RelaxationsBySlack = stats.RelaxationsBySlack
+	res.Elapsed = time.Since(start)
 	return res, nil
 }
 

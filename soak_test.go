@@ -129,7 +129,7 @@ func TestSoakServingChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := corpus.Add("dblp", db); err != nil {
+	if _, err := corpus.Put("dblp", db); err != nil {
 		t.Fatal(err)
 	}
 

@@ -100,3 +100,20 @@ func TestRefusedUploadsLeaveNoBuilder(t *testing.T) {
 		base.Check(t, 0, "PUT over the limit, "+put.name)
 	}
 }
+
+// TestPathBoundRefusalCarriesOffset refuses a document whose rendered
+// paths pass pathsum.MaxPathBytes — ten-byte names nested 4,000 deep,
+// 48 KB of input — and holds the loader's refusal to the parser's form:
+// it names the byte offset just past the start tag that crossed the
+// bound.
+func TestPathBoundRefusalCarriesOffset(t *testing.T) {
+	const tag = "<nnnnnnnnnn>"
+	_, err := ncq.OpenString(strings.Repeat(tag, 4000))
+	var at int
+	if err == nil || !strings.Contains(err.Error(), "past 67108864 bytes") {
+		t.Fatalf("accepted or refused for another reason: %v", err)
+	}
+	if _, scanErr := fmt.Sscanf(err.Error(), "ncq: xmltree: parse at byte %d: ", &at); scanErr != nil || at%len(tag) != 0 || at == 0 {
+		t.Errorf("the refusal names no offset past a start tag: %v", err)
+	}
+}

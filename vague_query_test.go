@@ -33,7 +33,7 @@ func vagueTestCorpus(t testing.TB) *Corpus {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Add("dblp", db); err != nil {
+	if _, err := c.Put("dblp", db); err != nil {
 		t.Fatal(err)
 	}
 	mm := datagen.Multimedia(datagen.MultimediaConfig{Seed: 2, Items: 40, MaxProbeDistance: 8})
@@ -275,7 +275,7 @@ func TestVagueThesaurusExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Add("mm", db); err != nil {
+	if _, err := c.Put("mm", db); err != nil {
 		t.Fatal(err)
 	}
 	termA, termB := datagen.ProbeTerms(3)
