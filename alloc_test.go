@@ -307,13 +307,17 @@ func TestPipelineStructSizes(t *testing.T) {
 	}
 }
 
-// TestOpenShardedAllocBytes pins what a warm upload of BenchmarkPutDoc/
+// TestUploadAllocationBudget pins what a warm upload of BenchmarkPutDoc/
 // plain's DBLP member allocates, in bytes: the loader and the index
-// build write into scratch kept from the previous upload, and every
-// resident column is allocated once, at its final size. Measured
-// 3.4 MB; growing the per-OID arrays and the string relations as they
-// filled, and the index's interning map and value list, cost 9.0 MB.
-func TestOpenShardedAllocBytes(t *testing.T) {
+// build write into scratch kept from the previous upload, every
+// resident column is allocated once, at its final size, and nothing a
+// served term request does not read is built — three per-OID arrays, a
+// node's depth and sibling rank derived, the per-path OID lists left
+// to their first use. Measured 2.8 MB; with the depth and rank arrays
+// and the OID lists built at every seal 3.4 MB, and growing the arrays
+// and the string relations as they filled, and the index's interning
+// map and value list, 9.0 MB.
+func TestUploadAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
@@ -332,8 +336,9 @@ func TestOpenShardedAllocBytes(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	if least > 4_500_000 {
-		t.Errorf("a warm OpenSharded of a %d-byte document allocates %d bytes, pinned at <= 4.5 MB", len(src), least)
+	t.Logf("a warm OpenSharded of %d bytes allocates %d bytes", len(src), least)
+	if least > 3_000_000 {
+		t.Errorf("a warm OpenSharded of a %d-byte document allocates %d bytes, pinned at <= 3.0 MB", len(src), least)
 	}
 }
 

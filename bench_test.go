@@ -386,7 +386,10 @@ func BenchmarkIndexBuild(b *testing.B) {
 // fulltext.New over that sealed store alone; open is the whole
 // OpenSharded, where the index is built beside the parse, so it takes
 // less than shred plus index wherever a second core is free. Run it at
-// -cpu 1 for the total CPU, which open must not raise.
+// -cpu 1 for the total CPU, which open must not raise. open also
+// reports resident-B/xml-B, what one opened Database — store and index
+// — keeps on the heap per byte of XML, measured as BenchmarkIndexBuild
+// measures its index: OPERATIONS.md § Memory sizing quotes it.
 func BenchmarkUploadStages(b *testing.B) {
 	src := []byte(datagen.DBLP(datagen.DBLPConfig{Seed: 1, YearFrom: 1984, YearTo: 1999, PubsPerVenueYear: 40}).XMLString())
 	var store *monetx.Store
@@ -394,6 +397,7 @@ func BenchmarkUploadStages(b *testing.B) {
 	if err := xmltree.ParseSplit(bytes.NewReader(src), nil, shred); err != nil {
 		b.Fatal(err)
 	}
+	open := func() ([]*ncq.Database, error) { return ncq.OpenSharded(bytes.NewReader(src), int64(len(src)), 1) }
 	for _, bc := range []struct {
 		name string
 		run  func() error
@@ -401,7 +405,7 @@ func BenchmarkUploadStages(b *testing.B) {
 		{"scan", func() error { return xmltree.ParseSplit(bytes.NewReader(src), nil, nopSink{}) }},
 		{"shred", func() error { return xmltree.ParseSplit(bytes.NewReader(src), nil, shred) }},
 		{"index", func() error { fulltext.New(store); return nil }},
-		{"open", func() error { _, err := ncq.OpenSharded(bytes.NewReader(src), int64(len(src)), 1); return err }},
+		{"open", func() error { _, err := open(); return err }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -413,6 +417,21 @@ func BenchmarkUploadStages(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64((processCPU()-cpu).Microseconds())/1e3/float64(b.N), "cpu-ms/op")
+			if bc.name != "open" {
+				return
+			}
+			b.StopTimer()
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			dbs, err := open()
+			if err != nil {
+				b.Fatal(err)
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/float64(len(src)), "resident-B/xml-B")
+			runtime.KeepAlive(dbs)
 		})
 	}
 }

@@ -77,6 +77,7 @@ type PathInfo struct {
 
 // PathInfos lists the catalogue in interning order: every element path
 // with its node count and every attribute path with its string count.
+// It reads the node counts off the per-path OID lists, building them.
 func (s *Store) PathInfos() []PathInfo {
 	sum := s.summary
 	out := make([]PathInfo, 0, sum.Len())
@@ -88,7 +89,7 @@ func (s *Store) PathInfos() []PathInfo {
 				pi.Count = rel.Len()
 			}
 		} else {
-			pi.Count = len(s.oidsAt[pid])
+			pi.Count = len(s.OIDsAt(pid))
 		}
 		out = append(out, pi)
 	}

@@ -13,11 +13,12 @@ import (
 // each event carries, together with the loader's stack of open
 // elements, everything the Monet transform records about a node — the
 // OID is the count of nodes started, the parent and its path are the
-// top frame, the depth is the stack's height, the rank is the parent
-// frame's child count, and the subtree ends at the count reached when
-// the element closes — so a parse shreds without a tree. When the root
-// closes the columns move from scratch to the sealed store handed to
-// emit; a split parse then starts the next part with the next Start.
+// top frame, and the subtree ends at the count reached when the element
+// closes — so a parse shreds without a tree. A node's depth and rank
+// are not written: the store derives them from its path and from the
+// intervals. When the root closes the columns move from scratch to the
+// sealed store handed to emit; a split parse then starts the next part
+// with the next Start.
 //
 // A loader made by NewIndexingLoader also hands each part's string
 // associations to an Indexer as it records them, every indexChunk of
@@ -67,7 +68,6 @@ const indexChunk = 2048
 type frame struct {
 	oid  bat.OID
 	path pathsum.PathID
-	kids int32 // children started so far
 }
 
 // scratch is where a load writes the per-OID arrays (entry 0 unused)
@@ -76,8 +76,6 @@ type frame struct {
 type scratch struct {
 	parent []bat.OID
 	pathOf []pathsum.PathID
-	depth  []int32
-	rank   []int32
 	end    []bat.OID
 	strs   []assoc
 }
@@ -103,7 +101,7 @@ func takeScratch() *scratch {
 	}
 	// Entry 0 is unused: each array starts one zero long.
 	sc.parent, sc.pathOf, sc.end = append(sc.parent[:0], 0), append(sc.pathOf[:0], 0), append(sc.end[:0], 0)
-	sc.depth, sc.rank, sc.strs = append(sc.depth[:0], 0), append(sc.rank[:0], 0), sc.strs[:0]
+	sc.strs = sc.strs[:0]
 	return sc
 }
 
@@ -185,27 +183,22 @@ func (l *Loader) node(label string) (bat.OID, pathsum.PathID, error) {
 		}
 	}
 	sc := l.sc
-	parent, parentPath, rank := bat.Nil, pathsum.Invalid, int32(1)
+	parent, parentPath := bat.Nil, pathsum.Invalid
 	if n := len(l.open); n > 0 {
-		top := &l.open[n-1]
-		top.kids++
-		parent, parentPath, rank = top.oid, top.path, top.kids
+		parent, parentPath = l.open[n-1].oid, l.open[n-1].path
 	}
 	pid, err := l.sum.Intern(parentPath, label, pathsum.Elem)
 	if err != nil {
 		return 0, 0, fmt.Errorf("monetx: load: %w", err)
 	}
 	if len(sc.parent) == cap(sc.parent) {
-		// Double the five together: append alone grows a large slice
+		// Double the three together: append alone grows a large slice
 		// by a quarter, which copies every array five times over.
 		sc.parent, sc.pathOf, sc.end = double(sc.parent), double(sc.pathOf), double(sc.end)
-		sc.depth, sc.rank = double(sc.depth), double(sc.rank)
 	}
 	oid := bat.OID(len(sc.parent))
 	sc.parent = append(sc.parent, parent)
 	sc.pathOf = append(sc.pathOf, pid)
-	sc.depth = append(sc.depth, int32(len(l.open)))
-	sc.rank = append(sc.rank, rank)
 	sc.end = append(sc.end, oid)
 	return oid, pid, nil
 }
@@ -262,8 +255,7 @@ func (l *Loader) End() error {
 		ix.Close(sc.strs[:len(sc.strs):len(sc.strs)])
 	}
 	// What stays resident is what Stats counts: each column at its size.
-	s := &Store{summary: l.sum, root: 1, parent: exact(sc.parent), pathOf: exact(sc.pathOf),
-		depth: exact(sc.depth), rank: exact(sc.rank), end: exact(sc.end)}
+	s := &Store{summary: l.sum, root: 1, parent: exact(sc.parent), pathOf: exact(sc.pathOf), end: exact(sc.end)}
 	s.strs, s.strBytes = sc.relations(l.sum)
 	s.seal()
 	if ix != nil {

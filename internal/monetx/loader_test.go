@@ -2,6 +2,7 @@ package monetx
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -121,7 +122,7 @@ func (m materialised) children(s *Store, o bat.OID) []bat.OID {
 	}
 	byRank := make([]bat.OID, len(out))
 	for _, c := range out {
-		byRank[s.rank[c]-1] = c
+		byRank[s.Rank(c)-1] = c
 	}
 	return byRank
 }
@@ -193,24 +194,27 @@ func TestViewsEqualMaterialised(t *testing.T) {
 	}
 }
 
-// TestViewBuiltOnce races goroutines for the same views: all must get
-// the one BAT (run under -race).
+// TestViewBuiltOnce races goroutines for the same views of a fresh
+// store, the OID lists first: all must get the one slice and the one
+// BAT (run under -race).
 func TestViewBuiltOnce(t *testing.T) {
 	s := fig1Store(t)
 	art := mustPath(t, s, "bibliography", "institute", "article")
 	const n = 8
 	var wg sync.WaitGroup
+	oids := make([][]bat.OID, n)
 	edges, revs := make([]*bat.BAT[bat.OID], n), make([]*bat.BAT[bat.OID], n)
 	for g := 0; g < n; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			oids[g] = s.OIDsAt(art)
 			edges[g], revs[g] = s.Edges(art), s.ParentBAT(art)
 		}(g)
 	}
 	wg.Wait()
 	for g := 1; g < n; g++ {
-		if edges[g] != edges[0] || revs[g] != revs[0] {
+		if len(oids[g]) != 2 || &oids[g][0] != &oids[0][0] || edges[g] != edges[0] || revs[g] != revs[0] {
 			t.Fatalf("goroutine %d got its own view", g)
 		}
 	}
@@ -219,10 +223,117 @@ func TestViewBuiltOnce(t *testing.T) {
 	}
 }
 
+// TestDerivedDepthAndRankExact holds the derived Depth and Rank to the
+// tree: over random documents and one chain nested to pathsum.MaxDepth,
+// through every loader door — a parse into the loader, Load of the
+// tree, a split parse under a cut and a snapshot's replay — every
+// node's Depth is its number of ancestors and its Rank its 1-based
+// index among its siblings, and no door builds the OID lists.
+func TestDerivedDepthAndRankExact(t *testing.T) {
+	r := rand.New(rand.NewSource(52))
+	srcs := []string{strings.Repeat("<a>", pathsum.MaxDepth-2) + "<b>x</b><c>y</c>" + strings.Repeat("</a>", pathsum.MaxDepth-2)}
+	for i := 0; i < 200; i++ {
+		srcs = append(srcs, xmltree.Random(r, 150).XMLString())
+	}
+	check := func(what string, s *Store, d *xmltree.Document) {
+		t.Helper()
+		if s.Len() != d.Len() {
+			t.Fatalf("%s: %d nodes, the tree has %d", what, s.Len(), d.Len())
+		}
+		if s.oidsAt != nil {
+			t.Fatalf("%s: the load built the OID lists", what)
+		}
+		for o := bat.OID(1); int(o) <= s.Len(); o++ {
+			n, depth, rank := d.Node(o), 0, 1
+			for p := n.Parent; p != nil; p = p.Parent {
+				depth++
+			}
+			if n.Parent != nil {
+				rank += slices.Index(n.Parent.Children, n)
+			}
+			if s.Depth(o) != depth || s.Rank(o) != rank {
+				t.Fatalf("%s: node %d has Depth %d and Rank %d, in the tree %d and %d", what, o, s.Depth(o), s.Rank(o), depth, rank)
+			}
+		}
+	}
+	split := 0 // documents the cut split
+	keep := func(out *[]*Store) *Loader {
+		return NewLoader(func(s *Store) error { *out = append(*out, s); return nil })
+	}
+	for i, src := range srcs {
+		d, err := xmltree.Parse(strings.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var parsed, replayed []*Store
+		if err := xmltree.ParseSplit(strings.NewReader(src), nil, keep(&parsed)); err != nil || len(parsed) != 1 {
+			t.Fatalf("doc %d: %d parts, err %v", i, len(parsed), err)
+		}
+		loaded, err := Load(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ReplaySnapshot(bytes.NewReader(snapshotOf(t, parsed[0])), keep(&replayed)); err != nil || len(replayed) != 1 {
+			t.Fatalf("doc %d: %d replayed, err %v", i, len(replayed), err)
+		}
+		check(fmt.Sprintf("doc %d parsed", i), parsed[0], d)
+		check(fmt.Sprintf("doc %d loaded", i), loaded, d)
+		check(fmt.Sprintf("doc %d replayed", i), replayed[0], d)
+
+		cut := func() func(int64) bool { return shard.StreamCut(int64(len(src)/3), 3) }
+		var trees []*xmltree.Document
+		var parts []*Store
+		if err := xmltree.ParseSplit(strings.NewReader(src), cut(), xmltree.Documents(func(d *xmltree.Document) error { trees = append(trees, d); return nil })); err != nil {
+			t.Fatal(err)
+		}
+		if err := xmltree.ParseSplit(strings.NewReader(src), cut(), keep(&parts)); err != nil || len(parts) != len(trees) {
+			t.Fatalf("doc %d split: %d parts, %d trees, err %v", i, len(parts), len(trees), err)
+		}
+		for p := range parts {
+			check(fmt.Sprintf("doc %d part %d", i, p), parts[p], trees[p])
+		}
+		if len(parts) > 1 {
+			split++
+		}
+	}
+	if split < len(srcs)/4 {
+		t.Errorf("the cut split %d of %d documents", split, len(srcs))
+	}
+}
+
+// TestOIDListsBuiltOnFirstUse pins the per-path OID lists as a view: a
+// loaded store has none, and OIDsAt, Edges, ParentBAT and PathInfos
+// each build them on a fresh store — once, so a second use reads the
+// same slices.
+func TestOIDListsBuiltOnFirstUse(t *testing.T) {
+	art := mustPath(t, fig1Store(t), "bibliography", "institute", "article")
+	for name, use := range map[string]func(s *Store){
+		"OIDsAt":    func(s *Store) { s.OIDsAt(art) },
+		"Edges":     func(s *Store) { s.Edges(art) },
+		"ParentBAT": func(s *Store) { s.ParentBAT(art) },
+		"PathInfos": func(s *Store) { s.PathInfos() },
+	} {
+		s := fig1Store(t)
+		if s.oidsAt != nil {
+			t.Fatalf("%s: a loaded store has its OID lists", name)
+		}
+		use(s)
+		first := s.oidsAt
+		if first == nil || len(first[art]) != 2 {
+			t.Fatalf("%s did not build the OID lists: %v", name, first)
+		}
+		use(s)
+		if &s.oidsAt[0] != &first[0] || &s.oidsAt[art][0] != &first[art][0] {
+			t.Errorf("%s built the OID lists twice", name)
+		}
+	}
+}
+
 // TestStatsCountsWhatIsResident pins the accounting: every per-OID
-// array (five, rank included), the per-path OID lists and the string
-// relations with their bytes — and no on-demand view, before or after
-// one is built — computed once, the same for a snapshot's store.
+// array (three: parent, path and end) and the string relations with
+// their bytes — and no on-demand view, the OID lists included, before
+// or after one is built — computed once, the same for a snapshot's
+// store.
 func TestStatsCountsWhatIsResident(t *testing.T) {
 	s := fig1Store(t)
 	strs, strBytes := 0, 0
@@ -235,12 +346,13 @@ func TestStatsCountsWhatIsResident(t *testing.T) {
 		}
 	}
 	n := s.Len()
-	want := 5*4*(n+1) + 4*n + strs*(4+16) + strBytes
+	want := 3*4*(n+1) + strs*(4+16) + strBytes
 	if got := s.Stats().MemBytes; got != want {
-		t.Errorf("MemBytes = %d, want %d (5 arrays of %d, %d listed OIDs, %d strings of %d bytes)", got, want, n+1, n, strs, strBytes)
+		t.Errorf("MemBytes = %d, want %d (3 arrays of %d, %d strings of %d bytes)", got, want, n+1, strs, strBytes)
 	}
 	before := s.Stats()
 	for _, pid := range s.summary.AllPaths() {
+		s.OIDsAt(pid)
 		s.Edges(pid)
 		s.ParentBAT(pid)
 	}
@@ -254,9 +366,10 @@ func TestStatsCountsWhatIsResident(t *testing.T) {
 
 // TestResidentColumnsExact pins the other half of Stats' accounting:
 // it counts lengths, so no resident column may have slack — neither
-// the per-OID arrays nor either column of a string relation (read by
-// reflection: the columns are the BAT's own), after a parse-load, a
-// tree's load and a snapshot's read.
+// the three per-OID arrays nor either column of a string relation (read
+// by reflection: the columns are the BAT's own), after a parse-load, a
+// tree's load and a snapshot's read — and, once built, neither may the
+// per-path OID lists.
 func TestResidentColumnsExact(t *testing.T) {
 	doc := datagen.DBLP(datagen.DBLPConfig{Seed: 1, YearFrom: 1990, YearTo: 1999, PubsPerVenueYear: 10})
 	var parsed *Store
@@ -273,8 +386,12 @@ func TestResidentColumnsExact(t *testing.T) {
 				t.Errorf("%s: %s has capacity %d for %d entries", how, name, col.Cap(), col.Len())
 			}
 		}
-		for name, col := range map[string]any{"parent": s.parent, "pathOf": s.pathOf, "depth": s.depth, "rank": s.rank, "end": s.end} {
+		for name, col := range map[string]any{"parent": s.parent, "pathOf": s.pathOf, "end": s.end} {
 			noSlack(name, reflect.ValueOf(col))
+		}
+		s.OIDsAt(s.summary.Root())
+		for pid, oids := range s.oidsAt {
+			noSlack(s.summary.String(pathsum.PathID(pid))+" OIDs", reflect.ValueOf(oids))
 		}
 		for pid, rel := range s.strs {
 			if rel != nil {

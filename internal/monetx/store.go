@@ -7,22 +7,23 @@
 //   - one string relation per attribute path: pairs (ownerOID, value);
 //     character data is the attribute "string" of cdata nodes, so the
 //     relation /…/cdata@string holds the text (paper Figure 2),
-//   - per element path, the OIDs of the nodes at that path in document
-//     order,
-//   - the per-OID arrays parent, path, depth, rank and subtree-end,
+//   - the per-OID arrays parent, path and subtree-end,
 //   - the path summary as the catalogue of all relations.
 //
 // The paper assumes path(o) is derivable from an OID "for free" (citing
 // functional-join techniques [8]); the arrays are this reproduction's
-// equivalent. Figure 2's other two relation families — one edge
-// relation (parentOID, childOID) and one rank relation (oid,
-// siblingRank) per element path — say nothing the OID lists and the
-// arrays do not, so they are not stored: the rank is the rank array,
-// and Edges (the Figure-2 dump) and ParentBAT (the child→parent
-// relation the BAT-join ablation of internal/experiments joins with)
-// build their relation from those on first use and keep it. Stats
-// counts the associations of all four families, as Figure 2 does, and
-// the bytes of what is resident.
+// equivalent, and what a path determines is not stored again: a node's
+// depth is its path's depth in the summary, and its sibling rank is
+// counted off the preorder intervals of its parent's earlier children.
+// Figure 2's other relation families — per element path, the OIDs at
+// it, one edge relation (parentOID, childOID) and one rank relation
+// (oid, siblingRank) — say nothing the arrays do not, so they are not
+// stored either: OIDsAt's lists, Edges (the Figure-2 dump) and
+// ParentBAT (the child→parent relation the BAT-join ablation of
+// internal/experiments joins with) are views, built from the arrays on
+// first use and kept, which no term request builds. Stats counts the
+// associations of all four families, as Figure 2 does, and the bytes of
+// what is resident.
 //
 // xmltree.Sink events go both ways. Loader, a sink, writes the columns,
 // fed by the parser (no tree is built) or by a tree's walk (Load), and
@@ -55,21 +56,20 @@ type Store struct {
 	// Per-OID arrays, indexed by OID (entry 0 unused).
 	parent []bat.OID
 	pathOf []pathsum.PathID
-	depth  []int32
-	rank   []int32
 	end    []bat.OID // largest OID in the node's subtree (preorder interval)
 
-	// Path-partitioned columns, indexed by PathID and as long as the
-	// summary: strs is nil at element paths, oidsAt at attribute paths.
-	strs   []*bat.BAT[string] // attr path -> (owner, value)
-	oidsAt [][]bat.OID        // elem path -> member OIDs in doc order
+	// The string relations, indexed by PathID and as long as the
+	// summary: nil at element paths.
+	strs []*bat.BAT[string] // attr path -> (owner, value)
 
 	strBytes int   // bytes of character data in strs
 	stats    Stats // computed once, by seal
 
-	// The edge and parent relations of Figure 2, built per path on
-	// first use under viewMu so that a loaded store is safe for
-	// concurrent readers.
+	// The views, built on first use so that a loaded store is safe for
+	// concurrent readers: the per-path OID lists under lists, the edge
+	// and parent relations of Figure 2 per path under viewMu.
+	lists   sync.Once
+	oidsAt  [][]bat.OID // elem path -> member OIDs in doc order
 	viewMu  sync.Mutex
 	edges   map[pathsum.PathID]*bat.BAT[bat.OID] // child path -> (parent, child)
 	revEdge map[pathsum.PathID]*bat.BAT[bat.OID] // child path -> (child, parent)
@@ -78,43 +78,50 @@ type Store struct {
 }
 
 // seal completes a store whose per-OID arrays and string relations are
-// written: it derives the per-path OID lists — slices of one array of
-// every OID, grouped by path, in document order within a path — and
-// computes Stats, once; the writer knows everything they report. The
-// loader, the one writer, records each string relation's owners in
-// document order, which every reader's search relies on.
+// written: it computes Stats, once; the writer knows everything they
+// report. The loader, the one writer, records each string relation's
+// owners in document order, which every reader's search relies on.
 // Associations counts the relations of Figure 2 whether stored or
 // derived: an edge per node but the root, a rank per node, and the
-// strings. MemBytes counts what is resident: the five per-OID arrays,
-// the OID lists, the string relations and their character data — not
-// the views, which most stores never build.
+// strings; every element path but the root's names an edge relation.
+// MemBytes counts what is resident: the three per-OID arrays, the
+// string relations and their character data — not the views, which
+// most stores never build.
 func (s *Store) seal() {
-	n, nPaths := s.Len(), s.summary.Len()
-	counts := make([]int, nPaths)
-	for _, pid := range s.pathOf[1:] {
-		counts[pid]++
-	}
-	st := Stats{Nodes: n, Paths: nPaths, Associations: 2*n - 1, EdgeRelations: -1}
-	s.oidsAt = make([][]bat.OID, nPaths)
-	all := make([]bat.OID, n)
-	for pid, c := range counts {
-		if c > 0 {
-			s.oidsAt[pid], all = all[:0:c], all[c:]
-			st.EdgeRelations++ // every populated element path but the root's
-		}
-	}
-	for i, pid := range s.pathOf[1:] {
-		s.oidsAt[pid] = append(s.oidsAt[pid], bat.OID(i+1))
-	}
-	for _, b := range s.strs {
-		if b != nil {
+	n := s.Len()
+	st := Stats{Nodes: n, Paths: s.summary.Len(), Associations: 2*n - 1, EdgeRelations: -1}
+	for pid, b := range s.strs {
+		switch {
+		case s.summary.Kind(pathsum.PathID(pid)) == pathsum.Elem:
+			st.EdgeRelations++
+		case b != nil:
 			st.StrRelations++
 			st.Associations += b.Len()
 			st.MemBytes += b.MemBytes()
 		}
 	}
-	st.MemBytes += s.strBytes + 5*4*len(s.parent) + 4*n
+	st.MemBytes += s.strBytes + 3*4*len(s.parent)
 	s.stats = st
+}
+
+// buildLists derives the per-path OID lists: slices of one array of
+// every OID, grouped by path, in document order within a path, and nil
+// at attribute paths.
+func (s *Store) buildLists() {
+	counts := make([]int, s.summary.Len())
+	for _, pid := range s.pathOf[1:] {
+		counts[pid]++
+	}
+	s.oidsAt = make([][]bat.OID, len(counts))
+	all := make([]bat.OID, s.Len())
+	for pid, c := range counts {
+		if c > 0 {
+			s.oidsAt[pid], all = all[:0:c], all[c:]
+		}
+	}
+	for i, pid := range s.pathOf[1:] {
+		s.oidsAt[pid] = append(s.oidsAt[pid], bat.OID(i+1))
+	}
 }
 
 // Summary returns the path summary (the relation catalogue).
@@ -139,11 +146,21 @@ func (s *Store) Parent(o bat.OID) bat.OID { return s.parent[o] }
 // for free by looking at the name of the relation").
 func (s *Store) PathOf(o bat.OID) pathsum.PathID { return s.pathOf[o] }
 
-// Depth returns the number of edges between o and the root.
-func (s *Store) Depth(o bat.OID) int { return int(s.depth[o]) }
+// Depth returns the number of edges between o and the root: the depth
+// of its path.
+func (s *Store) Depth(o bat.OID) int { return s.summary.Depth(s.pathOf[o]) }
 
-// Rank returns o's 1-based position among its siblings.
-func (s *Store) Rank(o bat.OID) int { return int(s.rank[o]) }
+// Rank returns o's 1-based position among its siblings: one more than
+// the parent's children before it, stepped through by their intervals.
+func (s *Store) Rank(o bat.OID) int {
+	r := 1
+	if p := s.parent[o]; p != bat.Nil {
+		for c := p + 1; c != o; c = s.end[c] + 1 {
+			r++
+		}
+	}
+	return r
+}
 
 // Label returns the element label of o (CDataLabel for cdata nodes).
 func (s *Store) Label(o bat.OID) string { return s.summary.Label(s.pathOf[o]) }
@@ -165,8 +182,8 @@ func (s *Store) Contains(ancestor, descendant bat.OID) bool {
 // parent look-ups from descendant until it reaches ancestor or passes
 // its depth. The tests cross-check it against Contains.
 func (s *Store) ContainsViaJoins(ancestor, descendant bat.OID) bool {
-	ad := s.depth[ancestor]
-	for cur := descendant; cur != bat.Nil && s.depth[cur] >= ad; cur = s.parent[cur] {
+	ad := s.Depth(ancestor)
+	for cur := descendant; cur != bat.Nil && s.Depth(cur) >= ad; cur = s.parent[cur] {
 		if cur == ancestor {
 			return true
 		}
@@ -216,12 +233,14 @@ func (s *Store) Strings(p pathsum.PathID) *bat.BAT[string] {
 	return s.strs[p]
 }
 
-// OIDsAt returns the OIDs of all nodes at path p in document order.
-// The returned slice must not be modified.
+// OIDsAt returns the OIDs of all nodes at path p in document order,
+// building every path's list on the first call. The returned slice
+// must not be modified.
 func (s *Store) OIDsAt(p pathsum.PathID) []bat.OID {
-	if p < 0 || int(p) >= len(s.oidsAt) {
+	if p < 0 || int(p) >= s.summary.Len() {
 		return nil
 	}
+	s.lists.Do(s.buildLists)
 	return s.oidsAt[p]
 }
 
@@ -333,8 +352,9 @@ func (s *Store) emit(o bat.OID, sink xmltree.Sink, sorted bool) error {
 		}
 		return nil
 	}
+	base := s.Depth(o)
 	for x := o; x <= s.end[o]; x++ {
-		if err := closeTo(int(s.depth[x] - s.depth[o])); err != nil {
+		if err := closeTo(s.Depth(x) - base); err != nil {
 			return err
 		}
 		pid := s.pathOf[x]

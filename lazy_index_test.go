@@ -48,7 +48,11 @@ func queryResult(t *testing.T, h http.Handler, body string) json.RawMessage {
 
 // TestServingPathLeavesTokenIndexUnbuilt pins from the outside that no
 // upload door and no request builds a member's token postings — an
-// expanded one included, with or without a thesaurus loaded.
+// expanded one included, with or without a thesaurus loaded — and that
+// the per-path OID lists are a view too: no term request builds them —
+// restricted, excluding, vague, paged, streamed, over plain and sharded
+// members — and a query-language request, whose FROM binds its
+// variables from them, builds them on every member it runs.
 func TestServingPathLeavesTokenIndexUnbuilt(t *testing.T) {
 	xml := []byte(datagen.DBLP(datagen.DBLPConfig{Seed: 1, YearFrom: 1996, YearTo: 1999, PubsPerVenueYear: 10}).XMLString())
 	db, err := ncq.Open(bytes.NewReader(xml))
@@ -69,38 +73,62 @@ func TestServingPathLeavesTokenIndexUnbuilt(t *testing.T) {
 		t.Fatalf("buffered upload has %d shards, want 4", len(dbs))
 	}
 
-	built := func() (names []string) {
+	// built names the members probe reports built, out of how many.
+	built := func(probe func(*ncq.Database) bool) (names []string, members int) {
 		for _, name := range srv.Corpus().Names() {
 			dbs, _ := srv.Corpus().Shards(name)
 			for _, db := range dbs {
-				if db.TokenIndexBuilt() {
+				members++
+				if probe(db) {
 					names = append(names, name)
 				}
 			}
 		}
-		return names
+		return names, members
 	}
-	const terms = `"terms":["ICDE","1999"],"exclude_root":true`
-	for _, body := range []string{
-		`{` + terms + `}`,
-		`{` + terms + `,"restrict":["/dblp/inprocedings"],"vague":{"max_slack":1}}`,
-		`{` + terms + `,"vague":{"expand":true}}`,
-		`{"query":"SELECT meet(a, y) FROM //cdata AS a, //cdata AS y WHERE a CONTAINS 'ICDE' AND y CONTAINS '1999'"}`,
-		`{"doc":"plain","query":"SELECT value(e) FROM //year AS e WHERE e CONTAINS '1999'","limit":3}`,
-	} {
-		if res := queryResult(t, h, body); !bytes.Contains(res, []byte(`"meets":[{`)) {
-			t.Errorf("%s answered no meets: %s", body, res)
+	answers := func(bodies ...string) {
+		t.Helper()
+		for _, body := range bodies {
+			if res := queryResult(t, h, body); !bytes.Contains(res, []byte(`"meets":[{`)) {
+				t.Errorf("%s answered no meets: %s", body, res)
+			}
 		}
 	}
+	const terms = `"terms":["ICDE","1999"],"exclude_root":true`
+	answers(
+		`{`+terms+`}`,
+		`{`+terms+`,"restrict":["/dblp/inproceedings"]}`,
+		`{`+terms+`,"exclude":["/dblp/inproceedings/title"]}`,
+		`{`+terms+`,"restrict":["/dblp/inprocedings"],"vague":{"max_slack":1}}`,
+		`{`+terms+`,"vague":{"expand":true}}`,
+		`{"doc":"buffered",`+terms+`}`,
+	)
+	var page struct {
+		NextCursor string `json:"next_cursor"`
+	}
+	if err := json.Unmarshal(serve(t, h, "POST", "/v2/query", "", []byte(`{`+terms+`,"limit":2}`), false).Body.Bytes(), &page); err != nil || page.NextCursor == "" {
+		t.Fatalf("first page: no cursor (%v)", err)
+	}
+	answers(`{` + terms + `,"limit":2,"cursor":"` + page.NextCursor + `"}`)
 	if lines := serve(t, h, "POST", "/v2/query?stream=1", "", []byte(`{`+terms+`}`), false).Body.String(); !strings.Contains(lines, `{"meet":{`) {
 		t.Errorf("stream answered no meet lines: %s", lines)
+	}
+	if names, _ := built((*ncq.Database).OIDListsBuilt); len(names) != 0 {
+		t.Fatalf("term requests built the OID lists of %v", names)
+	}
+	answers(
+		`{"query":"SELECT meet(a, y) FROM //cdata AS a, //cdata AS y WHERE a CONTAINS 'ICDE' AND y CONTAINS '1999'"}`,
+		`{"doc":"plain","query":"SELECT value(e) FROM //year AS e WHERE e CONTAINS '1999'","limit":3}`,
+	)
+	if names, members := built((*ncq.Database).OIDListsBuilt); len(names) != members {
+		t.Errorf("a query over %d members built the OID lists of %d", members, len(names))
 	}
 	for _, path := range []string{"/v1/docs/plain", "/v1/docs/buffered", "/v1/docs", "/v1/stats"} {
 		if body := serve(t, h, "GET", path, "", nil, false).Body.String(); strings.Contains(body, "terms") {
 			t.Errorf("GET %s still reports terms: %s", path, body)
 		}
 	}
-	if names := built(); len(names) != 0 {
+	if names, _ := built((*ncq.Database).TokenIndexBuilt); len(names) != 0 {
 		t.Fatalf("serving built the token postings of %v", names)
 	}
 
@@ -118,7 +146,7 @@ func TestServingPathLeavesTokenIndexUnbuilt(t *testing.T) {
 	if res := queryResult(t, h, `{`+terms+`,"vague":{"expand":true}}`); !bytes.Contains(res, []byte(`"meets":[{`)) {
 		t.Errorf("expanded request answered no meets: %s", res)
 	}
-	if names := built(); len(names) != 0 {
+	if names, _ := built((*ncq.Database).TokenIndexBuilt); len(names) != 0 {
 		t.Errorf("expanded requests built the token postings of %v", names)
 	}
 }

@@ -14,8 +14,9 @@ import (
 )
 
 // sameDatabase fails t unless back holds what db holds: the same path
-// summary — ids, labels, kinds, parents —, the same five per-OID
-// columns, string relations and Stats, and the same substring answers.
+// summary — ids, labels, kinds, parents —, the same three per-OID
+// columns with the depth and rank derived from them, string relations
+// and Stats, and the same substring answers.
 func sameDatabase(t *testing.T, label string, db, back *Database) {
 	t.Helper()
 	a, b := db.store, back.store
