@@ -259,8 +259,8 @@ func TestPutDocAllocCeiling(t *testing.T) {
 // TestRenderAllocsFlat pins what printing from the columns costs:
 // Subtree of a DBLP record and WriteXML of the whole 47 k-node member
 // are the store's walk over the preorder interval into the one writer,
-// so neither allocates per node — a writer, its buffer and stack, and
-// the walk's cursor per string relation, 9 and 8 allocations measured.
+// so neither allocates per node — a writer, its buffer and stack, 8 and
+// 7 allocations measured.
 // Through a tree reassembled from the columns and then printed they
 // were 84 and 221,480.
 func TestRenderAllocsFlat(t *testing.T) {
@@ -312,11 +312,13 @@ func TestPipelineStructSizes(t *testing.T) {
 // build write into scratch kept from the previous upload, every
 // resident column is allocated once, at its final size, and nothing a
 // served term request does not read is built — three per-OID arrays, a
-// node's depth and sibling rank derived, the per-path OID lists left
-// to their first use. Measured 2.8 MB; with the depth and rank arrays
-// and the OID lists built at every seal 3.4 MB, and growing the arrays
-// and the string relations as they filled, and the index's interning
-// map and value list, 9.0 MB.
+// node's depth and sibling rank derived, the per-path OID lists and the
+// string relations left to their first use, one association table that
+// the store and the index share. Measured 2.3 MB; with the string
+// relations beside the index's table 2.8 MB, with the depth and rank
+// arrays and the OID lists built at every seal 3.4 MB, and growing the
+// arrays and the string relations as they filled, and the index's
+// interning map and value list, 9.0 MB.
 func TestUploadAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -337,40 +339,48 @@ func TestUploadAllocationBudget(t *testing.T) {
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
 	t.Logf("a warm OpenSharded of %d bytes allocates %d bytes", len(src), least)
-	if least > 3_000_000 {
-		t.Errorf("a warm OpenSharded of a %d-byte document allocates %d bytes, pinned at <= 3.0 MB", len(src), least)
+	if least > 2_500_000 {
+		t.Errorf("a warm OpenSharded of a %d-byte document allocates %d bytes, pinned at <= 2.5 MB", len(src), least)
 	}
 }
 
 // TestLookupsKeepNothingResident pins the other side of Stats'
 // MemBytes: Value and Attr over every node of a DBLP member leave the
-// live heap where they found it. A look-up searches the string
-// relation's ascending owners and keeps nothing beside the columns
-// Stats counts; 1 % of MemBytes is left for the runtime's own noise.
+// live heap where they found it. A look-up searches the association
+// table's ascending owners and keeps nothing beside the columns Stats
+// counts; 1 % of MemBytes is left for the runtime's own noise. The
+// least growth of three trials, each on a freshly opened member, is
+// what counts: a view the look-ups built would show in every trial, an
+// allocation from outside them — a test running beside this one, the
+// runtime's own — does not.
 func TestLookupsKeepNothingResident(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the live heap is not meaningful under -race")
 	}
-	doc := datagen.DBLP(datagen.DBLPConfig{Seed: 1, YearFrom: 1990, YearTo: 1999, PubsPerVenueYear: 10})
-	db, err := Open(strings.NewReader(doc.XMLString()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := datagen.DBLP(datagen.DBLPConfig{Seed: 1, YearFrom: 1990, YearTo: 1999, PubsPerVenueYear: 10}).XMLString()
 	live := func() int64 {
 		runtime.GC()
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
 		return int64(m.HeapAlloc)
 	}
-	before := live()
-	for n := NodeID(1); int(n) <= db.Len(); n++ {
-		db.Value(n)
-		db.Attr(n, "key")
+	least, nodes, memBytes := int64(math.MaxInt64), 0, 0
+	for range 3 {
+		db, err := Open(strings.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := live()
+		for n := NodeID(1); int(n) <= db.Len(); n++ {
+			db.Value(n)
+			db.Attr(n, "key")
+		}
+		least = min(least, live()-before)
+		nodes, memBytes = db.Len(), db.Stats().MemBytes
+		runtime.KeepAlive(db)
 	}
-	grown := live() - before
-	if limit := int64(db.Stats().MemBytes / 100); grown > limit {
-		t.Errorf("Value and Attr over %d nodes grew the live heap by %d bytes, more than %d (1%% of MemBytes %d)",
-			db.Len(), grown, limit, db.Stats().MemBytes)
+	if limit := int64(memBytes / 100); least > limit {
+		t.Errorf("Value and Attr over %d nodes grew the live heap by at least %d bytes in three trials, more than %d (1%% of MemBytes %d)",
+			nodes, least, limit, memBytes)
 	}
-	runtime.KeepAlive(db)
 }

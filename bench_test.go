@@ -336,11 +336,13 @@ func BenchmarkBulkLoad(b *testing.B) {
 }
 
 // BenchmarkIndexBuild measures index construction, the two lifetimes
-// side by side: serving is what every upload, snapshot load and
-// recovery pays (fulltext.New: value table, rows, substring index);
+// side by side: serving is what locate reads, built by fulltext.New
+// over a sealed store (its own path-major value ids and value table,
+// the value→rows table, the substring index; an upload builds the same
+// beside the parse, sharing the store's value ids and values instead);
 // tokens adds what the first token search on a member pays once.
 // resident-B/xml-B is what one finished index keeps on the heap per
-// byte of the document's XML — OPERATIONS.md § Memory sizing quotes it.
+// byte of the document's XML.
 func BenchmarkIndexBuild(b *testing.B) {
 	doc := datagen.DBLP(datagen.DBLPConfig{Seed: 1, YearFrom: 1984, YearTo: 1999, PubsPerVenueYear: 40}) // BenchmarkPutDoc/plain's
 	store, err := monetx.Load(doc)

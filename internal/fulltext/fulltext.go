@@ -9,36 +9,36 @@
 //
 // The substring index answers the paper's `contains` predicate, which
 // is how every served request locates its terms, so every build makes
-// it and everything it rests on: all associations live in one table of
-// parallel columns (owner OID, attribute path, value id) in
-// (owner, path) order, string values are interned once in a shared
-// value table — one 4-byte value id per association — and every byte
-// trigram of a distinct value hashes into one of 2^15 buckets listing
-// the value ids carrying it, each bucket packed as uvarint gaps between
-// ascending ids (about one byte an entry). A needle's rarest buckets
-// are intersected and strings.Contains verifies the survivors, so hash
+// it and everything it rests on. All associations live in one table of
+// parallel columns (owner OID, attribute path, value id) in (owner,
+// path) order, string values interned once in a value table — one
+// 4-byte value id per association. The table is the store's own
+// (monetx.Store.Table): an index shares its columns and keeps no copy.
+// Every byte trigram of a distinct value hashes into one of 2^15
+// buckets listing the value ids carrying it, each bucket packed as
+// uvarint gaps between ascending ids (about one byte an entry), and
+// each value lists the rows carrying it. A needle's rarest buckets are
+// intersected and strings.Contains verifies the survivors, so hash
 // collisions cost time, never correctness; needles shorter than a
 // trigram scan the value table.
 //
-// One builder makes every index, fed string associations in any order:
-// it interns each value (value ids in the order fed) and runs the
-// trigram counting pass as it is fed, then lays out the rest — the
-// bucket offsets and the fill pass, the rows in (owner, path) order,
-// the value→rows table — once the feed ends. An upload feeds it from
-// the loader (NewLoader): the loader hands over its associations in
-// chunks of a few thousand while the parse goes on, and the builder
-// takes them on a goroutine of its own, so the index is built on a
-// second core beside the parse. Once the root closes that goroutine
-// adds the last chunk and fills the buckets while the loader seals the
-// store and lays out the rows — already in owner order as a loader
-// feeds them, so only an element whose attributes are not written in
-// path order is sorted; the loader's scratch is released only after
-// both have stopped reading the chunks. A snapshot restore is a load
-// too: its events replay into the same loader. New feeds the builder
-// from a sealed store's string relations, path by path, for callers
-// that hold a store; the two give the same rows and the same answers,
-// though value ids differ in order.
-//
+// One builder makes every index. An upload feeds it from the loader
+// (NewLoader): the loader hands over its associations in chunks of a
+// few thousand while the parse goes on, and the builder takes them on a
+// goroutine of its own, interning each value — value ids in the order
+// fed — and running the trigram counting pass over every new one, so
+// both are done on a second core beside the parse. Once the root closes
+// that goroutine adds the last chunk and fills the buckets while the
+// loader lays out the store's table with the builder's value ids and
+// seals the store; the index then takes the table and lays out the
+// value→rows table over it. The loader's scratch is released only after
+// the builder has stopped reading the chunks. A snapshot restore is a
+// load too: its events replay into the same loader. New builds an index
+// over a sealed store for callers that hold one: it shares the store's
+// owner and path columns and numbers the values path-major, which
+// locate reads faster (see New); the two give the same rows and the
+// same answers, though value ids differ in order.
+
 // An Index never changes once built, so OwnersSubstring memoizes its
 // answers: a needle is located once per index and every later request
 // for it reads the shared owner slice. The memo (internal/memo) keeps
@@ -71,11 +71,8 @@
 package fulltext
 
 import (
-	"hash/maphash"
-	"iter"
 	"math/bits"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -96,18 +93,20 @@ type Hit struct {
 }
 
 // valueID indexes the shared value table: every stored string is
-// interned once and referenced by id from the association columns.
-type valueID uint32
+// interned once and referenced by id from the association columns. It is
+// the store's value id, so an index can share the store's columns.
+type valueID = uint32
 
 // Index is an inverted index over all string associations of a store.
 type Index struct {
 	store  *monetx.Store
-	values []string // interned distinct strings, in first-seen order
+	values []string // interned distinct strings, by value id
 
 	// The association table: one row per stored string association,
-	// sorted by (owner, path). Predicate scans sweep it instead of
-	// re-walking the store's string relations, evaluating the
-	// predicate once per distinct value.
+	// sorted by (owner, path) — the store's own columns, shared; New
+	// keeps vals and values of its own. Predicate scans evaluate the
+	// predicate once per distinct value and reach its rows through
+	// valRows.
 	owners []bat.OID
 	paths  []pathsum.PathID
 	vals   []valueID
@@ -284,16 +283,13 @@ func dedupTokens(toks []string) []string {
 	return toks[:w]
 }
 
-// buildScratch holds a build's transients: the interning table, the
-// value list before its exact copy, the value id of every association
-// in the order fed, the per-owner row cursors and the trigram buckets'
-// build state. kept retains one set between builds, emptied; an
-// abandoned build never gives its set back.
+// buildScratch holds a build's transients: the interning table, with
+// the value list before its exact copy and the value id of every
+// association in the order fed, and the trigram buckets' build state.
+// kept retains one set between builds, emptied; an abandoned build never
+// gives its set back.
 type buildScratch struct {
-	intern  []valueID // open addressing over values: a value's slot holds its id + 1, an empty slot 0
-	values  []string
-	vals    []valueID
-	next    []int32
+	in      monetx.Interner
 	buckets *[gramBuckets]bucket
 }
 
@@ -304,62 +300,18 @@ type bucket struct{ last, n int32 }
 
 var kept atomic.Pointer[buildScratch]
 
-// internSeed hashes values into the interning table.
-var internSeed = maphash.MakeSeed()
-
-// lookup returns value's id and whether it is new: the first time a
-// value is seen it takes the next id. The table is kept at most half
-// full, and clearing it between builds is one memclr, where a map of
-// strings costs a walk over every group on the upload's critical path.
-func (sc *buildScratch) lookup(value string) (valueID, bool) {
-	if 2*len(sc.values) >= len(sc.intern) {
-		sc.growIntern()
-	}
-	mask := uint64(len(sc.intern) - 1)
-	for i := maphash.String(internSeed, value) & mask; ; i = (i + 1) & mask {
-		switch s := sc.intern[i]; {
-		case s == 0:
-			vid := valueID(len(sc.values))
-			sc.intern[i] = vid + 1
-			sc.values = append(sc.values, value)
-			return vid, true
-		case sc.values[s-1] == value:
-			return s - 1, false
-		}
-	}
-}
-
-// growIntern doubles the interning table and places every value again.
-func (sc *buildScratch) growIntern() {
-	sc.intern = make([]valueID, max(1<<10, 2*len(sc.intern)))
-	mask := uint64(len(sc.intern) - 1)
-	for vid, v := range sc.values {
-		i := maphash.String(internSeed, v) & mask
-		for sc.intern[i] != 0 {
-			i = (i + 1) & mask
-		}
-		sc.intern[i] = valueID(vid) + 1
-	}
-}
-
-// builder builds one Index from string associations fed in any order:
-// add interns each value — ids in the order fed — runs the trigram
-// counting pass over every new one, and records each association's
-// value id. What is left falls in two independent halves: grams, the
-// trigram buckets, from the values add interned; and rows, the value
-// table, the association table and the value→rows table, which reads
-// the owners and paths over again from the feed. Fed by a loader, as a
-// monetx.Indexer, the builder runs on its own goroutine while the part
-// is still being parsed; once the root closes that goroutine adds the
-// last chunk and lays out grams, while the loader seals the store and
-// then, in Wait, lays out rows from the part's associations.
+// builder builds one Index. Fed by a loader, as a monetx.Indexer, it
+// interns each value — ids in the order fed — and runs the trigram
+// counting pass over every new one on its own goroutine, while the part
+// is still being parsed. Once the root closes that goroutine adds the
+// last chunk and lays out the trigram buckets, while the loader lays out
+// the store's table from the ids Wait hands it; finish then shares the
+// table's columns and lays out the value→rows table over them.
 type builder struct {
 	sc   *buildScratch
-	top  bat.OID      // the largest owner fed
-	idx  *Index       // what is laid out so far
-	all  monetx.Chunk // the part's associations, once closed
-	sent int          // how many of them went to the goroutine
-	solo bool         // one processor: Close adds every association
+	idx  *Index // what is laid out so far
+	sent int    // how many associations went to the goroutine
+	solo bool   // one processor: Close adds every association
 
 	chunks chan monetx.Chunk // to the goroutine; nil until the first Feed
 	closed bool              // chunks is closed
@@ -377,53 +329,64 @@ func newBuilder() *builder {
 	if sc == nil {
 		sc = &buildScratch{buckets: new([gramBuckets]bucket)}
 	}
-	sc.intern = sc.intern[:cap(sc.intern)]
 	for i := range sc.buckets {
 		sc.buckets[i] = bucket{last: -1}
 	}
 	return &builder{sc: sc, idx: new(Index)}
 }
 
-// New builds what locate reads — value table, association table,
-// substring index — from every string relation in the path summary's
-// catalogue, fed path by path. The token postings are not built here:
-// see postings.
+// New builds what locate reads — value table, value→rows table,
+// substring index — over a sealed store's association table, whose
+// owner and path columns it shares. It numbers the values afresh,
+// path-major: in the order the rows at each attribute path, path after
+// path, first carry them, so that the values of one path — the ones a
+// needle most often matches together — have near ids, which keeps the
+// trigram buckets' gaps small and their decoding short. The token
+// postings are not built here: see postings.
 func New(store *monetx.Store) *Index {
+	owners, paths, storeVals, storeValues := store.Table()
+	// The rows in path-major order: a counting sort on the path, stable,
+	// so each path's rows stay in owner order.
+	start := make([]int32, store.Summary().Len()+1)
+	for _, p := range paths {
+		start[p+1]++
+	}
+	for p := 1; p < len(start); p++ {
+		start[p] += start[p-1]
+	}
+	order := make([]int32, len(paths))
+	for r, p := range paths {
+		order[start[p]] = int32(r)
+		start[p]++
+	}
 	b := newBuilder()
-	sum := store.Summary()
-	var pids []pathsum.PathID // the string relations, in feed order
-	for _, pid := range sum.AllPaths() {
-		if sum.Kind(pid) == pathsum.Attr && store.Strings(pid) != nil {
-			pids = append(pids, pid)
+	renum := make([]valueID, len(storeValues)) // a store value's new id + 1; 0 until seen
+	values := make([]string, 0, len(storeValues))
+	vals := make([]valueID, len(paths))
+	for _, r := range order {
+		sv := storeVals[r]
+		if renum[sv] == 0 {
+			countGrams(b.sc.buckets, int32(len(values)), storeValues[sv])
+			values = append(values, storeValues[sv])
+			renum[sv] = valueID(len(values))
 		}
+		vals[r] = renum[sv] - 1
 	}
-	for _, pid := range pids {
-		rel := store.Strings(pid)
-		for i := 0; i < rel.Len(); i++ {
-			b.add(rel.Head(i), rel.Tail(i))
-		}
-	}
-	b.grams()
-	b.rows(func(yield func(bat.OID, pathsum.PathID) bool) {
-		for _, pid := range pids {
-			rel := store.Strings(pid)
-			for i := 0; i < rel.Len(); i++ {
-				if !yield(rel.Head(i), pid) {
-					return
-				}
-			}
-		}
-	})
-	return b.finish(store)
+	b.idx.fillGrams(b.sc.buckets, values)
+	return b.finish(store, owners, paths, vals, values)
 }
 
 // NewLoader returns a loader that builds each part's Index beside its
 // parse and hands it to emit, with the part's sealed store as its
-// Store. The loader's Abort stops a part's builder and waits for it.
+// Store and that store's table as its own. The loader's Abort stops a
+// part's builder and waits for it.
 func NewLoader(emit func(*Index) error) *monetx.Loader {
 	var b *builder
 	return monetx.NewIndexingLoader(func() monetx.Indexer { b = newBuilder(); return b },
-		func(s *monetx.Store) error { return emit(b.finish(s)) })
+		func(s *monetx.Store) error {
+			owners, paths, vals, values := s.Table()
+			return emit(b.finish(s, owners, paths, vals, values))
+		})
 }
 
 // Feed hands a chunk to the builder goroutine, starting it on the first.
@@ -448,7 +411,6 @@ func (b *builder) Feed(chunk monetx.Chunk) {
 // processor — every association is added, and the grams laid out, here
 // on the loader's goroutine.
 func (b *builder) Close(all monetx.Chunk) {
-	b.all = all
 	if b.chunks == nil {
 		b.addChunk(all)
 		b.grams()
@@ -462,9 +424,9 @@ func (b *builder) Close(all monetx.Chunk) {
 // Wait returns once no chunk is read any more. An abort makes the
 // goroutine, if any, skip what it has not read and lay out nothing, and
 // waits for it to exit. Otherwise Wait waits for the goroutine to read
-// the last chunk and lays out rows itself, while the goroutine lays out
-// grams; finish waits for that.
-func (b *builder) Wait(abort bool) {
+// the last chunk — every value is interned then, and the goroutine goes
+// on to lay out grams, which finish waits for — and hands the ids over.
+func (b *builder) Wait(abort bool) (ids []uint32, values []string) {
 	if b.chunks != nil {
 		if abort {
 			b.stop.Store(true)
@@ -479,16 +441,10 @@ func (b *builder) Wait(abort bool) {
 			<-b.fed
 		}
 	}
-	if !abort {
-		b.rows(func(yield func(bat.OID, pathsum.PathID) bool) {
-			for i := range b.all {
-				if owner, path, _ := b.all.At(i); !yield(owner, path) {
-					return
-				}
-			}
-		})
+	if abort {
+		return nil, nil
 	}
-	b.all = nil
+	return b.sc.in.IDs(), b.sc.in.Values()
 }
 
 // run is the builder goroutine: it adds every chunk and, once the last
@@ -506,112 +462,39 @@ func (b *builder) run() {
 	}
 }
 
-func (b *builder) addChunk(c monetx.Chunk) {
-	for i := range c {
-		owner, _, value := c.At(i)
-		b.add(owner, value)
-	}
-}
-
-// add records one association, owner's value, and the first time value
-// is seen interns it and runs the counting pass of the substring index
+// addChunk interns the value of every association of c and, the first
+// time a value is seen, runs the counting pass of the substring index
 // over it.
-func (b *builder) add(owner bat.OID, value string) {
+func (b *builder) addChunk(c monetx.Chunk) {
 	sc := b.sc
-	vid, fresh := sc.lookup(value)
-	if fresh {
-		countGrams(sc.buckets, int32(vid), value)
+	for i := range c {
+		value := c.Value(i)
+		if vid, fresh := sc.in.Add(value); fresh {
+			countGrams(sc.buckets, int32(vid), value)
+		}
 	}
-	b.top = max(b.top, owner)
-	sc.vals = append(sc.vals, vid)
 }
 
 // grams lays out the trigram buckets.
-func (b *builder) grams() { b.idx.fillGrams(b.sc.buckets, b.sc.values) }
+func (b *builder) grams() { b.idx.fillGrams(b.sc.buckets, b.sc.in.Values()) }
 
-// rows lays out the value table, the association table in (owner,
-// path) order and the value→rows table; feed yields every association's owner and path again, in the order
-// fed. It writes none of what grams reads or writes, so the two run at
-// once.
-func (b *builder) rows(feed iter.Seq2[bat.OID, pathsum.PathID]) {
-	sc, idx := b.sc, b.idx
-	n := len(sc.vals)
-	idx.owners, idx.paths, idx.vals = make([]bat.OID, n), make([]pathsum.PathID, n), make([]valueID, n)
-	// A loader feeds in owner order — an association is recorded as its
-	// node starts, and OIDs count the nodes started — so the rows go down
-	// as fed until an owner comes out of order.
-	r := 0
-	for owner, path := range feed {
-		if r > 0 && owner < idx.owners[r-1] {
-			break
-		}
-		idx.owners[r], idx.paths[r], idx.vals[r] = owner, path, sc.vals[r]
-		r++
-	}
-	if r < n {
-		// A stable distribution on the owner: OIDs are dense, so counting
-		// the rows of every owner gives each owner's first row, and placing
-		// rows there in the order fed keeps one owner's rows in that order.
-		next := append(sc.next[:0], make([]int32, b.top+2)...) // next[o]: the row owner o's next association takes
-		for owner := range feed {
-			next[owner+1]++
-		}
-		for o := 1; o < len(next); o++ {
-			next[o] += next[o-1]
-		}
-		r = 0
-		for owner, path := range feed {
-			row := next[owner]
-			next[owner]++
-			idx.owners[row], idx.paths[row], idx.vals[row] = owner, path, sc.vals[r]
-			r++
-		}
-		sc.next = next
-	}
-	// Then path order within an owner: a path-major feed has it already,
-	// and a loader feeds an element's attributes as written. An owner's
-	// rows out of that order are sorted as (path, value id) pairs packed
-	// in a word; the order is total, since an (owner, path) pair
-	// identifies at most one association.
-	var keys []uint64
-	for lo, hi := 0, 0; lo < n; lo = hi {
-		inOrder := true
-		for hi = lo + 1; hi < n && idx.owners[hi] == idx.owners[lo]; hi++ {
-			inOrder = inOrder && idx.paths[hi-1] < idx.paths[hi]
-		}
-		if inOrder {
-			continue
-		}
-		keys = keys[:0]
-		for r := lo; r < hi; r++ {
-			keys = append(keys, uint64(idx.paths[r])<<32|uint64(idx.vals[r]))
-		}
-		slices.Sort(keys)
-		for i, k := range keys {
-			idx.paths[lo+i], idx.vals[lo+i] = pathsum.PathID(k>>32), valueID(k)
-		}
-	}
-	idx.values = append(make([]string, 0, len(sc.values)), sc.values...)
-	idx.fillValRows(len(sc.values))
-	idx.memo = memo.New(n, memoCharge, &memoCounts)
-}
-
-// finish waits for grams and hands over the index over store. It keeps
-// the scratch for the next build unless it outgrew monetx.MaxKeptRows.
-func (b *builder) finish(store *monetx.Store) *Index {
+// finish takes the association table — rows in (owner, path) order, a
+// value id each, over values — lays out the value→rows table over it,
+// waits for grams and hands over the index over store. It keeps the
+// scratch for the next build unless it outgrew monetx.MaxKeptRows.
+func (b *builder) finish(store *monetx.Store, owners []bat.OID, paths []pathsum.PathID, vals []valueID, values []string) *Index {
+	idx := b.idx
+	idx.store, idx.owners, idx.paths, idx.vals, idx.values = store, owners, paths, vals, values
+	idx.fillValRows(len(values))
+	idx.memo = memo.New(len(owners), memoCharge, &memoCounts)
 	if b.done != nil {
 		<-b.done
 	}
-	sc := b.sc
-	if cap(sc.values) <= monetx.MaxKeptRows && cap(sc.vals) <= monetx.MaxKeptRows && cap(sc.next) <= monetx.MaxKeptRows {
-		clear(sc.values)
-		clear(sc.intern)
-		sc.intern, sc.values, sc.vals = sc.intern[:0], sc.values[:0], sc.vals[:0]
-		kept.Store(sc)
+	if b.sc.in.Reset() {
+		kept.Store(b.sc)
 	}
 	b.sc = nil
-	b.idx.store = store
-	return b.idx
+	return idx
 }
 
 // postings returns the token index, building it on the first call: one

@@ -199,8 +199,12 @@ func (f *failingReader) Read(p []byte) (int, error) {
 // interned strings and its rows.
 func keptIsClean() bool {
 	sc := kept.Load()
-	return sc == nil || len(sc.intern) == 0 && len(sc.vals) == 0 &&
-		!slices.ContainsFunc(sc.values[:cap(sc.values)], func(v string) bool { return v != "" })
+	if sc == nil {
+		return true
+	}
+	values := sc.in.Values()
+	return len(values) == 0 && len(sc.in.IDs()) == 0 &&
+		!slices.ContainsFunc(values[:cap(values)], func(v string) bool { return v != "" })
 }
 
 // TestRefusedLoadsLeaveNothing refuses loads mid-build — bodies cut

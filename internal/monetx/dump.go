@@ -19,7 +19,7 @@ func (s *Store) DumpTransform(w io.Writer, limit int) error {
 	sum := s.summary
 	for _, pid := range sum.AllPaths() {
 		if sum.Kind(pid) == pathsum.Attr {
-			rel := s.strs[pid]
+			rel := s.Strings(pid)
 			if rel == nil {
 				continue
 			}
@@ -77,7 +77,8 @@ type PathInfo struct {
 
 // PathInfos lists the catalogue in interning order: every element path
 // with its node count and every attribute path with its string count.
-// It reads the node counts off the per-path OID lists, building them.
+// It reads the node counts off the per-path OID lists and the string
+// counts off the string relations, building both.
 func (s *Store) PathInfos() []PathInfo {
 	sum := s.summary
 	out := make([]PathInfo, 0, sum.Len())
@@ -85,7 +86,7 @@ func (s *Store) PathInfos() []PathInfo {
 		pi := PathInfo{Path: sum.String(pid)}
 		if sum.Kind(pid) == pathsum.Attr {
 			pi.Attr = true
-			if rel := s.strs[pid]; rel != nil {
+			if rel := s.Strings(pid); rel != nil {
 				pi.Count = rel.Len()
 			}
 		} else {

@@ -2,6 +2,7 @@ package monetx
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"ncq/internal/bat"
@@ -16,16 +17,21 @@ import (
 // top frame, and the subtree ends at the count reached when the element
 // closes — so a parse shreds without a tree. A node's depth and rank
 // are not written: the store derives them from its path and from the
-// intervals. When the root closes the columns move from scratch to the
-// sealed store handed to emit; a split parse then starts the next part
-// with the next Start.
+// intervals. A node's string associations are recorded as it starts,
+// so they come in owner order. When the root closes the columns move
+// from scratch to the sealed store handed to emit, the associations
+// laid out as its table; a split parse then starts the next part with
+// the next Start.
 //
 // A loader made by NewIndexingLoader also hands each part's string
 // associations to an Indexer as it records them, every indexChunk of
-// them in load order, so an index can be built beside the parse. The
-// chunks alias the loader's scratch, which is why both exits of a part
-// — its root closing, Abort after a refused parse or replay — wait for
-// the part's indexer before the scratch is cleared or kept.
+// them in load order, so an index can be built beside the parse — and
+// the values are interned there, off the parse: the indexer's ids are
+// the ones the table stores. A loader without one interns its part's
+// values itself as the root closes. The chunks alias the loader's
+// scratch, which is why both exits of a part — its root closing, Abort
+// after a refused parse or replay — wait for the part's indexer before
+// the scratch is cleared or kept.
 type Loader struct {
 	emit  func(*Store) error
 	index func() Indexer   // makes each part's indexer; nil: none
@@ -37,8 +43,9 @@ type Loader struct {
 }
 
 // An Indexer consumes the string associations of one part while the
-// part loads. Feed and Close hand it chunks in load order; a chunk
-// aliases the loader's scratch and stays valid until Wait returns.
+// part loads, interning their values. Feed and Close hand it chunks in
+// load order; a chunk aliases the loader's scratch and stays valid until
+// Wait returns.
 type Indexer interface {
 	// Feed hands over the next full chunk.
 	Feed(chunk Chunk)
@@ -48,16 +55,17 @@ type Indexer interface {
 	Close(all Chunk)
 	// Wait returns once no chunk is read any more. With abort set the
 	// part is abandoned: the indexer stops early and keeps nothing.
-	Wait(abort bool)
+	// Otherwise it returns the value id of every association, in the
+	// order fed, and the distinct values by id; both stay valid until
+	// the part's store has been handed to emit.
+	Wait(abort bool) (ids []uint32, values []string)
 }
 
 // Chunk is a run of string associations in load order.
 type Chunk []assoc
 
-// At returns the i-th association: owner carries value at path.
-func (c Chunk) At(i int) (owner bat.OID, path pathsum.PathID, value string) {
-	return c[i].owner, c[i].path, c[i].value
-}
+// Value returns the value of the i-th association.
+func (c Chunk) Value(i int) string { return c[i].value }
 
 // indexChunk is how many associations a Feed hands over: a few thousand
 // keep the hand-offs rare and leave the indexer little to catch up on
@@ -71,13 +79,15 @@ type frame struct {
 }
 
 // scratch is where a load writes the per-OID arrays (entry 0 unused)
-// and every string association, in load order. kept retains one set
-// between loads; a load that fails never gives its set back.
+// and every string association, in load order, and where a load with
+// no indexer interns their values. kept retains one set between loads;
+// a load that fails never gives its set back.
 type scratch struct {
 	parent []bat.OID
 	pathOf []pathsum.PathID
 	end    []bat.OID
 	strs   []assoc
+	in     Interner
 }
 
 // assoc is one string association: value, owned by owner, at path.
@@ -108,7 +118,7 @@ func takeScratch() *scratch {
 // release clears every string reference and keeps the set, unless it
 // outgrew MaxKeptRows.
 func (sc *scratch) release() {
-	if cap(sc.parent) <= MaxKeptRows && cap(sc.strs) <= MaxKeptRows {
+	if cap(sc.parent) <= MaxKeptRows && cap(sc.strs) <= MaxKeptRows && sc.in.Reset() {
 		clear(sc.strs)
 		kept.Store(sc)
 	}
@@ -120,24 +130,37 @@ func double[T any](s []T) []T { return append(make([]T, 0, max(2*cap(s), 256)), 
 // exact copies s into a slice whose capacity is its length.
 func exact[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }
 
-// relations distributes sc's associations over their paths, each
-// relation allocated once at its size, and counts their bytes.
-func (sc *scratch) relations(sum *pathsum.Summary) ([]*bat.BAT[string], int) {
-	counts := make([]int, sum.Len())
-	for _, a := range sc.strs {
-		counts[a.path]++
+// layout writes sc's associations into s's table, each carrying the
+// value id ids holds for it in load order. They come in owner order, and
+// an element's attributes in the order written, which is path order
+// unless an earlier element at its path wrote them otherwise: an owner's
+// rows out of path order are sorted by (path, load order) packed in a
+// word, so two attributes at one path — a dropped prefix can make them
+// — keep the order written.
+func (sc *scratch) layout(s *Store, ids []uint32) {
+	n := len(sc.strs)
+	s.owners, s.paths, s.vals = make([]bat.OID, n), make([]pathsum.PathID, n), make([]uint32, n)
+	for r, a := range sc.strs {
+		s.owners[r], s.paths[r], s.vals[r] = a.owner, a.path, ids[r]
 	}
-	rels, n := make([]*bat.BAT[string], sum.Len()), 0
-	for pid, c := range counts {
-		if c > 0 {
-			rels[pid] = bat.NewWithCapacity[string](sum.String(pathsum.PathID(pid)), c)
+	var keys []uint64
+	for lo, hi := 0, 0; lo < n; lo = hi {
+		inOrder := true
+		for hi = lo + 1; hi < n && s.owners[hi] == s.owners[lo]; hi++ {
+			inOrder = inOrder && s.paths[hi-1] < s.paths[hi]
+		}
+		if inOrder {
+			continue
+		}
+		keys = keys[:0]
+		for r := lo; r < hi; r++ {
+			keys = append(keys, uint64(s.paths[r])<<32|uint64(r))
+		}
+		slices.Sort(keys)
+		for i, k := range keys {
+			s.paths[lo+i], s.vals[lo+i] = pathsum.PathID(k>>32), ids[uint32(k)]
 		}
 	}
-	for _, a := range sc.strs {
-		rels[a.path].Append(a.owner, a.value)
-		n += len(a.value)
-	}
-	return rels, n
 }
 
 // NewLoader returns a loader that hands each completed store to emit.
@@ -255,12 +278,22 @@ func (l *Loader) End() error {
 		ix.Close(sc.strs[:len(sc.strs):len(sc.strs)])
 	}
 	// What stays resident is what Stats counts: each column at its size.
+	// The per-OID arrays are copied while an indexer interns the last
+	// chunk; the table waits for its value ids.
 	s := &Store{summary: l.sum, root: 1, parent: exact(sc.parent), pathOf: exact(sc.pathOf), end: exact(sc.end)}
-	s.strs, s.strBytes = sc.relations(l.sum)
-	s.seal()
+	var ids []uint32
+	var values []string
 	if ix != nil {
-		ix.Wait(false) // the scratch barrier: nothing reads a chunk past here
+		ids, values = ix.Wait(false) // the scratch barrier: nothing reads a chunk past here
+	} else {
+		for _, a := range sc.strs {
+			sc.in.Add(a.value)
+		}
+		ids, values = sc.in.IDs(), sc.in.Values()
 	}
+	s.values = exact(values)
+	sc.layout(s, ids)
+	s.seal()
 	l.ix, l.fed, l.sc, l.sum = nil, 0, nil, nil
 	sc.release()
 	return l.emit(s)

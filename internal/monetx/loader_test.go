@@ -3,6 +3,7 @@ package monetx
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -203,20 +204,26 @@ func TestViewBuiltOnce(t *testing.T) {
 	const n = 8
 	var wg sync.WaitGroup
 	oids := make([][]bat.OID, n)
+	key := mustAttrPath(t, s, "key", "bibliography", "institute", "article")
 	edges, revs := make([]*bat.BAT[bat.OID], n), make([]*bat.BAT[bat.OID], n)
+	strs := make([]*bat.BAT[string], n)
 	for g := 0; g < n; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			strs[g] = s.Strings(key)
 			oids[g] = s.OIDsAt(art)
 			edges[g], revs[g] = s.Edges(art), s.ParentBAT(art)
 		}(g)
 	}
 	wg.Wait()
 	for g := 1; g < n; g++ {
-		if len(oids[g]) != 2 || &oids[g][0] != &oids[0][0] || edges[g] != edges[0] || revs[g] != revs[0] {
+		if len(oids[g]) != 2 || &oids[g][0] != &oids[0][0] || edges[g] != edges[0] || revs[g] != revs[0] || strs[g] != strs[0] {
 			t.Fatalf("goroutine %d got its own view", g)
 		}
+	}
+	if strs[0] == nil || strs[0].Len() != 2 {
+		t.Fatalf("Strings(article@key) = %v", strs[0])
 	}
 	if edges[0] == nil || edges[0].Len() != 2 {
 		t.Fatalf("Edges(article) = %v", edges[0])
@@ -329,26 +336,71 @@ func TestOIDListsBuiltOnFirstUse(t *testing.T) {
 	}
 }
 
+// TestStringsBuiltOnFirstUse pins the string relations as a view: a
+// loaded store has none; Text, AttrValue, Emit and WriteSnapshot read the
+// table and build none; Strings, DumpTransform and PathInfos each build
+// them on a fresh store — once, so a second use reads the same BATs.
+func TestStringsBuiltOnFirstUse(t *testing.T) {
+	s := fig1Store(t)
+	key := mustAttrPath(t, s, "key", "bibliography", "institute", "article")
+	for o := bat.OID(1); int(o) <= s.Len(); o++ {
+		s.Text(o)
+		s.AttrValue(o, "key")
+	}
+	if err := s.Emit(s.Root(), xmltree.NewWriter(io.Discard, false)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteSnapshot(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if s.strs != nil {
+		t.Fatal("a look-up, Emit or WriteSnapshot built the string relations")
+	}
+	for name, use := range map[string]func(s *Store){
+		"Strings":       func(s *Store) { s.Strings(key) },
+		"DumpTransform": func(s *Store) { s.DumpTransform(io.Discard, 0) },
+		"PathInfos":     func(s *Store) { s.PathInfos() },
+	} {
+		s := fig1Store(t)
+		if s.strs != nil {
+			t.Fatalf("%s: a loaded store has its string relations", name)
+		}
+		use(s)
+		first := s.strs
+		if first == nil || first[key].Len() != 2 {
+			t.Fatalf("%s did not build the string relations: %v", name, first)
+		}
+		use(s)
+		if &s.strs[0] != &first[0] || s.strs[key] != first[key] {
+			t.Errorf("%s built the string relations twice", name)
+		}
+	}
+}
+
 // TestStatsCountsWhatIsResident pins the accounting: every per-OID
-// array (three: parent, path and end) and the string relations with
-// their bytes — and no on-demand view, the OID lists included, before
-// or after one is built — computed once, the same for a snapshot's
-// store.
+// array (three: parent, path and end), the association table's three
+// columns and its distinct values with their bytes — and no on-demand
+// view, the string relations and the OID lists included, before or
+// after one is built — computed once, the same for a snapshot's store.
 func TestStatsCountsWhatIsResident(t *testing.T) {
 	s := fig1Store(t)
-	strs, strBytes := 0, 0
+	rows, distinct := 0, map[string]bool{}
 	for _, pid := range s.summary.AllPaths() {
 		if rel := s.Strings(pid); rel != nil {
 			for i := 0; i < rel.Len(); i++ {
-				strs++
-				strBytes += len(rel.Tail(i))
+				rows++
+				distinct[rel.Tail(i)] = true
 			}
 		}
 	}
+	valueBytes := 0
+	for v := range distinct {
+		valueBytes += len(v)
+	}
 	n := s.Len()
-	want := 3*4*(n+1) + strs*(4+16) + strBytes
+	want := 3*4*(n+1) + 3*4*rows + 16*len(distinct) + valueBytes
 	if got := s.Stats().MemBytes; got != want {
-		t.Errorf("MemBytes = %d, want %d (3 arrays of %d, %d strings of %d bytes)", got, want, n+1, strs, strBytes)
+		t.Errorf("MemBytes = %d, want %d (3 arrays of %d, 3 columns of %d rows, %d values of %d bytes)", got, want, n+1, rows, len(distinct), valueBytes)
 	}
 	before := s.Stats()
 	for _, pid := range s.summary.AllPaths() {
@@ -365,11 +417,12 @@ func TestStatsCountsWhatIsResident(t *testing.T) {
 }
 
 // TestResidentColumnsExact pins the other half of Stats' accounting:
-// it counts lengths, so no resident column may have slack — neither
-// the three per-OID arrays nor either column of a string relation (read
-// by reflection: the columns are the BAT's own), after a parse-load, a
-// tree's load and a snapshot's read — and, once built, neither may the
-// per-path OID lists.
+// it counts lengths, so no resident column may have slack — neither the
+// three per-OID arrays nor the association table's columns and values,
+// after a parse-load, a tree's load and a snapshot's read — and, once
+// built, neither may the views: the per-path OID lists and either column
+// of a string relation (read by reflection: the columns are the BAT's
+// own).
 func TestResidentColumnsExact(t *testing.T) {
 	doc := datagen.DBLP(datagen.DBLPConfig{Seed: 1, YearFrom: 1990, YearTo: 1999, PubsPerVenueYear: 10})
 	var parsed *Store
@@ -386,13 +439,15 @@ func TestResidentColumnsExact(t *testing.T) {
 				t.Errorf("%s: %s has capacity %d for %d entries", how, name, col.Cap(), col.Len())
 			}
 		}
-		for name, col := range map[string]any{"parent": s.parent, "pathOf": s.pathOf, "end": s.end} {
+		for name, col := range map[string]any{"parent": s.parent, "pathOf": s.pathOf, "end": s.end,
+			"owners": s.owners, "paths": s.paths, "vals": s.vals, "values": s.values} {
 			noSlack(name, reflect.ValueOf(col))
 		}
 		s.OIDsAt(s.summary.Root())
 		for pid, oids := range s.oidsAt {
 			noSlack(s.summary.String(pathsum.PathID(pid))+" OIDs", reflect.ValueOf(oids))
 		}
+		s.Strings(s.summary.Root())
 		for pid, rel := range s.strs {
 			if rel != nil {
 				v := reflect.ValueOf(rel).Elem()
@@ -485,10 +540,18 @@ func TestLoaderScratchReuse(t *testing.T) {
 		if st.parts > 1 && len(got) < 2 {
 			t.Errorf("%s: %d parts", st.name, len(got))
 		}
-		if sc := kept.Load(); sc == nil || slices.ContainsFunc(sc.strs[:cap(sc.strs)], func(a assoc) bool { return a.value != "" }) {
+		if sc := kept.Load(); sc == nil || holdsStrings(sc) {
 			t.Errorf("%s: the kept scratch is missing or holds strings", st.name)
 		}
 	}
+}
+
+// holdsStrings reports whether a kept scratch set still references a
+// string: a recorded association or an interned value.
+func holdsStrings(sc *scratch) bool {
+	values := sc.in.Values()
+	return slices.ContainsFunc(sc.strs[:cap(sc.strs)], func(a assoc) bool { return a.value != "" }) ||
+		slices.ContainsFunc(values[:cap(values)], func(v string) bool { return v != "" })
 }
 
 // TestLoaderScratchConcurrent runs loads on four goroutines at once, so

@@ -35,7 +35,7 @@ func reassemble(s *Store, o bat.OID) (*refObject, error) {
 		return obj, nil
 	}
 	for _, apid := range s.summary.AttrPaths(pid) {
-		if v, ok := s.strs[apid].Find(o); ok {
+		if v, ok := s.Strings(apid).Find(o); ok {
 			obj.Attrs = append(obj.Attrs, xmltree.Attr{Name: s.summary.Label(apid), Value: v})
 		}
 	}

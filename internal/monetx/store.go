@@ -4,9 +4,11 @@
 //
 // For a document d, the store holds
 //
-//   - one string relation per attribute path: pairs (ownerOID, value);
-//     character data is the attribute "string" of cdata nodes, so the
-//     relation /…/cdata@string holds the text (paper Figure 2),
+//   - one association table of its strings: a row per string
+//     association — owner OID, attribute path, value id — in (owner,
+//     path) order, over the distinct values; character data is the
+//     attribute "string" of cdata nodes, so the rows at path
+//     /…/cdata@string hold the text (paper Figure 2),
 //   - the per-OID arrays parent, path and subtree-end,
 //   - the path summary as the catalogue of all relations.
 //
@@ -15,28 +17,33 @@
 // equivalent, and what a path determines is not stored again: a node's
 // depth is its path's depth in the summary, and its sibling rank is
 // counted off the preorder intervals of its parent's earlier children.
-// Figure 2's other relation families — per element path, the OIDs at
-// it, one edge relation (parentOID, childOID) and one rank relation
-// (oid, siblingRank) — say nothing the arrays do not, so they are not
-// stored either: OIDsAt's lists, Edges (the Figure-2 dump) and
-// ParentBAT (the child→parent relation the BAT-join ablation of
-// internal/experiments joins with) are views, built from the arrays on
-// first use and kept, which no term request builds. Stats counts the
+// The table is the paper's string relations laid side by side: the rows
+// at one path, in owner order, are the relation (ownerOID, value) that
+// Figure 2 names by that path, and a node's strings are adjacent, which
+// is what a look-up and a subtree's walk read. It is also the table the
+// full-text index searches (internal/fulltext), which shares its columns
+// instead of keeping a copy. Figure 2's relation families — per
+// attribute path its strings, per element path the OIDs at it, one edge
+// relation (parentOID, childOID) and one rank relation (oid,
+// siblingRank) — say nothing the table and the arrays do not, so they
+// are not stored either: Strings' relations, OIDsAt's lists, Edges (the
+// Figure-2 dump) and ParentBAT (the child→parent relation the BAT-join
+// ablation of internal/experiments joins with) are views, built on first
+// use and kept, which no term request builds. Stats counts the
 // associations of all four families, as Figure 2 does, and the bytes of
 // what is resident.
 //
 // xmltree.Sink events go both ways. Loader, a sink, writes the columns,
 // fed by the parser (no tree is built) or by a tree's walk (Load), and
 // can hand each part's string associations, in chunks as it records
-// them, to an Indexer that builds beside the load; Store.Emit walks a
-// subtree back out into any sink — xmltree.Writer prints it,
-// xmltree.Documents rebuilds it.
+// them, to an Indexer that interns their values and builds beside the
+// load; Store.Emit walks a subtree back out into any sink —
+// xmltree.Writer prints it, xmltree.Documents rebuilds it.
 package monetx
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -58,49 +65,55 @@ type Store struct {
 	pathOf []pathsum.PathID
 	end    []bat.OID // largest OID in the node's subtree (preorder interval)
 
-	// The string relations, indexed by PathID and as long as the
-	// summary: nil at element paths.
-	strs []*bat.BAT[string] // attr path -> (owner, value)
+	// The association table: row r says owners[r] carries
+	// values[vals[r]] at attribute path paths[r]. Rows ascend by
+	// (owner, path); values holds each distinct string once.
+	owners []bat.OID
+	paths  []pathsum.PathID
+	vals   []uint32
+	values []string
 
-	strBytes int   // bytes of character data in strs
-	stats    Stats // computed once, by seal
+	stats Stats // computed once, by seal
 
 	// The views, built on first use so that a loaded store is safe for
-	// concurrent readers: the per-path OID lists under lists, the edge
-	// and parent relations of Figure 2 per path under viewMu.
-	lists   sync.Once
-	oidsAt  [][]bat.OID // elem path -> member OIDs in doc order
-	viewMu  sync.Mutex
-	edges   map[pathsum.PathID]*bat.BAT[bat.OID] // child path -> (parent, child)
-	revEdge map[pathsum.PathID]*bat.BAT[bat.OID] // child path -> (child, parent)
+	// concurrent readers: the string relations and the per-path OID lists
+	// under their Onces, the edge and parent relations of Figure 2 per
+	// path under viewMu.
+	strsOnce sync.Once
+	strs     []*bat.BAT[string] // attr path -> (owner, value); nil at element paths
+	lists    sync.Once
+	oidsAt   [][]bat.OID // elem path -> member OIDs in doc order
+	viewMu   sync.Mutex
+	edges    map[pathsum.PathID]*bat.BAT[bat.OID] // child path -> (parent, child)
+	revEdge  map[pathsum.PathID]*bat.BAT[bat.OID] // child path -> (child, parent)
 
 	root bat.OID
 }
 
-// seal completes a store whose per-OID arrays and string relations are
+// seal completes a store whose per-OID arrays and association table are
 // written: it computes Stats, once; the writer knows everything they
-// report. The loader, the one writer, records each string relation's
-// owners in document order, which every reader's search relies on.
-// Associations counts the relations of Figure 2 whether stored or
-// derived: an edge per node but the root, a rank per node, and the
-// strings; every element path but the root's names an edge relation.
-// MemBytes counts what is resident: the three per-OID arrays, the
-// string relations and their character data — not the views, which
-// most stores never build.
+// report. Associations counts the relations of Figure 2 whether stored
+// or derived: an edge per node but the root, a rank per node, and the
+// strings. Every element path but the root's names an edge relation,
+// and every attribute path a string relation: a load interns one only
+// as it records a string there. MemBytes counts what is resident: the
+// three per-OID arrays, the table's three columns and its distinct
+// values with their bytes — not the views, which most stores never
+// build.
 func (s *Store) seal() {
 	n := s.Len()
-	st := Stats{Nodes: n, Paths: s.summary.Len(), Associations: 2*n - 1, EdgeRelations: -1}
-	for pid, b := range s.strs {
-		switch {
-		case s.summary.Kind(pathsum.PathID(pid)) == pathsum.Elem:
+	st := Stats{Nodes: n, Paths: s.summary.Len(), Associations: 2*n - 1 + len(s.owners), EdgeRelations: -1}
+	for pid := range pathsum.PathID(st.Paths) {
+		if s.summary.Kind(pid) == pathsum.Elem {
 			st.EdgeRelations++
-		case b != nil:
+		} else {
 			st.StrRelations++
-			st.Associations += b.Len()
-			st.MemBytes += b.MemBytes()
 		}
 	}
-	st.MemBytes += s.strBytes + 3*4*len(s.parent)
+	st.MemBytes = 3*4*len(s.parent) + 3*4*len(s.owners) + 16*len(s.values)
+	for _, v := range s.values {
+		st.MemBytes += len(v)
+	}
 	s.stats = st
 }
 
@@ -122,6 +135,32 @@ func (s *Store) buildLists() {
 	for i, pid := range s.pathOf[1:] {
 		s.oidsAt[pid] = append(s.oidsAt[pid], bat.OID(i+1))
 	}
+}
+
+// buildStrings derives the string relations from the table: one per
+// attribute path, allocated once at its size, its owners ascending as
+// the table's rows do.
+func (s *Store) buildStrings() {
+	counts := make([]int, s.summary.Len())
+	for _, pid := range s.paths {
+		counts[pid]++
+	}
+	s.strs = make([]*bat.BAT[string], len(counts))
+	for pid, c := range counts {
+		if c > 0 {
+			s.strs[pid] = bat.NewWithCapacity[string](s.summary.String(pathsum.PathID(pid)), c)
+		}
+	}
+	for r, pid := range s.paths {
+		s.strs[pid].Append(s.owners[r], s.values[s.vals[r]])
+	}
+}
+
+// Table returns the association table's columns — owner, attribute path
+// and value id per row, in (owner, path) order — and the distinct values
+// by id. They are the store's own: read them, never write them.
+func (s *Store) Table() (owners []bat.OID, paths []pathsum.PathID, vals []uint32, values []string) {
+	return s.owners, s.paths, s.vals, s.values
 }
 
 // Summary returns the path summary (the relation catalogue).
@@ -225,11 +264,13 @@ func (s *Store) Edges(p pathsum.PathID) *bat.BAT[bat.OID] {
 }
 
 // Strings returns the string relation of the given attribute path:
-// pairs (ownerOID, value). Nil for unknown paths.
+// pairs (ownerOID, value), building every path's relation on the first
+// call. Nil for element and unknown paths.
 func (s *Store) Strings(p pathsum.PathID) *bat.BAT[string] {
-	if p < 0 || int(p) >= len(s.strs) {
+	if p < 0 || int(p) >= s.summary.Len() {
 		return nil
 	}
+	s.strsOnce.Do(s.buildStrings)
 	return s.strs[p]
 }
 
@@ -252,32 +293,44 @@ func (s *Store) ParentBAT(p pathsum.PathID) *bat.BAT[bat.OID] {
 	return view(s, &s.revEdge, p, func(o bat.OID) (bat.OID, bat.OID) { return o, s.parent[o] })
 }
 
-// Text returns the character data of a cdata node, served from the
-// …/cdata@string relation. The boolean is false when o is not a cdata
-// node or has no stored text.
+// Text returns the character data of a cdata node, its …/cdata@string
+// association. The boolean is false when o is not a cdata node or has no
+// stored text.
 func (s *Store) Text(o bat.OID) (string, bool) {
-	pid := s.pathOf[o]
-	if s.summary.Label(pid) != xmltree.CDataLabel {
+	if s.summary.Label(s.pathOf[o]) != xmltree.CDataLabel {
 		return "", false
 	}
-	for _, apid := range s.summary.AttrPaths(pid) {
-		if s.summary.Label(apid) == StringAttr {
-			return s.strs[apid].Find(o)
+	return s.AttrValue(o, StringAttr)
+}
+
+// AttrValue returns the value of the named attribute of element o: one
+// search for o's first row, then o's few rows.
+func (s *Store) AttrValue(o bat.OID, name string) (string, bool) {
+	for r := s.firstRow(o); r < len(s.owners) && s.owners[r] == o; r++ {
+		if s.summary.Label(s.paths[r]) == name {
+			return s.values[s.vals[r]], true
 		}
 	}
 	return "", false
 }
 
-// AttrValue returns the value of the named attribute of element o,
-// served from the path-partitioned string relations.
-func (s *Store) AttrValue(o bat.OID, name string) (string, bool) {
-	pid := s.pathOf[o]
-	for _, apid := range s.summary.AttrPaths(pid) {
-		if s.summary.Label(apid) == name {
-			return s.strs[apid].Find(o)
-		}
+// firstRow returns the first row owned by o or by a later owner. The
+// rows spread over the OIDs about evenly, so the search starts at the
+// row o's share of them puts it at and gallops out from there to bound
+// a binary search: a few probes close together, where one binary search
+// over the whole column touches a cache line per level.
+func (s *Store) firstRow(o bat.OID) int {
+	n := len(s.owners)
+	lo := min(n, int(uint64(o)*uint64(n)/uint64(len(s.parent))))
+	hi := lo // the row sought is in [lo, hi]
+	for step := 1; lo > 0 && s.owners[lo-1] >= o; step *= 2 {
+		hi, lo = lo-1, max(0, lo-step)
 	}
-	return "", false
+	for step := 1; hi < n && s.owners[hi] < o; step *= 2 {
+		lo, hi = hi+1, min(n, hi+step)
+	}
+	r, _ := slices.BinarySearch(s.owners[lo:hi], o)
+	return lo + r
 }
 
 // DocBefore reports whether a starts before b in document order. OIDs
@@ -331,7 +384,9 @@ func (s *Store) Emit(o bat.OID, sink xmltree.Sink) error { return s.emit(o, sink
 
 // emit is Emit with each element's attributes in attribute-path order
 // unless sorted is set: the snapshot writer's walk, which a replay
-// interns the same path ids from.
+// interns the same path ids from. The subtree's strings are the table's
+// rows from o's first on, in its nodes' order and each node's in path
+// order, so the walk reads them forward without a search.
 func (s *Store) emit(o bat.OID, sink xmltree.Sink, sorted bool) error {
 	switch {
 	case !s.ValidOID(o):
@@ -339,9 +394,7 @@ func (s *Store) emit(o bat.OID, sink xmltree.Sink, sorted bool) error {
 	case s.Label(o) == xmltree.CDataLabel:
 		return fmt.Errorf("monetx: reassemble subtree: OID %d is character data, not an element", o)
 	}
-	// next[p]-1 is where the walk is in string relation p, whose owners
-	// ascend: searched at the first look (0), then only read forward.
-	next := make([]int, len(s.strs))
+	r := s.firstRow(o)
 	var attrs []xmltree.Attr
 	open := 0 // elements started and not yet ended
 	closeTo := func(n int) error {
@@ -357,26 +410,12 @@ func (s *Store) emit(o bat.OID, sink xmltree.Sink, sorted bool) error {
 		if err := closeTo(s.Depth(x) - base); err != nil {
 			return err
 		}
-		pid := s.pathOf[x]
 		attrs = attrs[:0]
-		for _, apid := range s.summary.AttrPaths(pid) {
-			rel := s.strs[apid]
-			if rel == nil {
-				continue
-			}
-			i := next[apid] - 1
-			if i < 0 {
-				i = sort.Search(rel.Len(), func(i int) bool { return rel.Head(i) >= x })
-			}
-			for ; i < rel.Len() && rel.Head(i) <= x; i++ {
-				if rel.Head(i) == x {
-					attrs = append(attrs, xmltree.Attr{Name: s.summary.Label(apid), Value: rel.Tail(i)})
-				}
-			}
-			next[apid] = i + 1
+		for ; r < len(s.owners) && s.owners[r] == x; r++ {
+			attrs = append(attrs, xmltree.Attr{Name: s.summary.Label(s.paths[r]), Value: s.values[s.vals[r]]})
 		}
 		var err error
-		if label := s.summary.Label(pid); label != xmltree.CDataLabel {
+		if label := s.Label(x); label != xmltree.CDataLabel {
 			if sorted {
 				slices.SortStableFunc(attrs, func(a, b xmltree.Attr) int { return strings.Compare(a.Name, b.Name) })
 			}

@@ -2,6 +2,8 @@ package monetx
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"ncq/internal/bat"
@@ -23,6 +25,15 @@ func mustPath(t *testing.T, s *Store, labels ...string) pathsum.PathID {
 	id, ok := s.Summary().Lookup(labels)
 	if !ok {
 		t.Fatalf("path %v not in summary", labels)
+	}
+	return id
+}
+
+func mustAttrPath(t *testing.T, s *Store, attr string, labels ...string) pathsum.PathID {
+	t.Helper()
+	id, ok := s.Summary().LookupAttr(labels, attr)
+	if !ok {
+		t.Fatalf("path %v@%s not in summary", labels, attr)
 	}
 	return id
 }
@@ -60,11 +71,7 @@ func TestLoadFig1Shape(t *testing.T) {
 		t.Error("root path should have no edge relation")
 	}
 	// article@key = {⟨o3,"BB99"⟩, ⟨o13,"BK99"⟩}.
-	keyPath, ok := s.Summary().LookupAttr([]string{"bibliography", "institute", "article"}, "key")
-	if !ok {
-		t.Fatal("article@key path missing")
-	}
-	keys := s.Strings(keyPath)
+	keys := s.Strings(mustAttrPath(t, s, "key", "bibliography", "institute", "article"))
 	if keys.Len() != 2 || keys.Head(0) != 3 || keys.Tail(0) != "BB99" || keys.Head(1) != 13 || keys.Tail(1) != "BK99" {
 		t.Errorf("article@key = %v", keys)
 	}
@@ -330,5 +337,36 @@ func TestValidOID(t *testing.T) {
 	}
 	if s.ValidOID(20) {
 		t.Error("out-of-range OID reported valid")
+	}
+}
+
+// TestFirstRowEqualsBinarySearch holds the galloping search for an
+// owner's first row to a binary search over the whole owner column, for
+// every OID and one past either end, over the loader corpus and over
+// stores whose rows crowd onto a few owners, at either end of the
+// document, so that the first guess lands far from the row.
+func TestFirstRowEqualsBinarySearch(t *testing.T) {
+	docs := corpusDocs()
+	for _, src := range []string{
+		"<r>" + strings.Repeat("<e/>", 200) + `<a x="1" y="2" z="3"/></r>`,
+		`<r a="1" b="2" c="3" d="4" e="5" f="6">` + strings.Repeat("<e/>", 200) + "</r>",
+		"<r><e/><e/></r>",
+	} {
+		d, err := xmltree.ParseString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, d)
+	}
+	for i, d := range docs {
+		s, err := Load(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for o := bat.OID(0); int(o) <= s.Len()+1; o++ {
+			if want, _ := slices.BinarySearch(s.owners, o); s.firstRow(o) != want {
+				t.Fatalf("doc %d: firstRow(%d) = %d, want %d", i, o, s.firstRow(o), want)
+			}
+		}
 	}
 }
