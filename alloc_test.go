@@ -312,9 +312,9 @@ func TestPipelineStructSizes(t *testing.T) {
 // build write into scratch kept from the previous upload, every
 // resident column is allocated once, at its final size, and nothing a
 // served term request does not read is built — three per-OID arrays, a
-// node's depth and sibling rank derived, the per-path OID lists and the
-// string relations left to their first use, one association table that
-// the store and the index share. Measured 2.3 MB; with the string
+// node's depth and sibling rank derived, the per-path OID lists left to
+// their first use, one association table that the store and the index
+// share. Measured 2.3 MB; with the string
 // relations beside the index's table 2.8 MB, with the depth and rank
 // arrays and the OID lists built at every seal 3.4 MB, and growing the
 // arrays and the string relations as they filled, and the index's

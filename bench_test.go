@@ -181,9 +181,10 @@ func BenchmarkAblationParent(b *testing.B) {
 			}
 		}
 	})
+	parents := experiments.ParentRelations(setup.Store)
 	b.Run("parent-bat-join", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := experiments.MeetSetsBAT(setup.Store, icde, year, nil); err != nil {
+			if _, err := experiments.MeetSetsBAT(setup.Store, parents, icde, year, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -469,8 +470,8 @@ func BenchmarkBATJoin(b *testing.B) {
 	if !ok {
 		b.Fatal("no year path")
 	}
-	years := setup.Store.ParentBAT(yearPath) // year -> record
-	recs := setup.Store.ParentBAT(recPath)   // record -> root
+	parents := experiments.ParentRelations(setup.Store)
+	years, recs := parents[yearPath], parents[recPath] // year -> record, record -> root
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bat.Join(years, recs)

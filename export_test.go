@@ -12,10 +12,3 @@ func (db *Database) TokenIndexBuilt() bool { return db.index.TokensBuilt() }
 func (db *Database) OIDListsBuilt() bool {
 	return !reflect.ValueOf(db.store).Elem().FieldByName("oidsAt").IsNil()
 }
-
-// StringsView returns where the store's string relations live once
-// something has built them, and 0 before: a view no exported name
-// reports, read by reflection off the store's unexported field.
-func (db *Database) StringsView() uintptr {
-	return reflect.ValueOf(db.store).Elem().FieldByName("strs").Pointer()
-}

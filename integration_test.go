@@ -189,7 +189,7 @@ func TestIntegrationRankedCLIStyleFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	RankMeets(meets)
+	rankByDistance(meets)
 	for i := 1; i < len(meets); i++ {
 		if meets[i].Distance < meets[i-1].Distance {
 			t.Fatal("ranking broken")

@@ -21,7 +21,7 @@ package bat
 // b's insertion order. The hash table on b's heads is the join's own,
 // built per call and dropped with it: each head's first position, and
 // per position the next one with the same head (-1 ends the chain).
-func Join[T comparable](a *BAT[OID], b *BAT[T]) *BAT[T] {
+func Join(a, b *BAT) *BAT {
 	first := make(map[OID]int32, len(b.head))
 	next := make([]int32, len(b.head))
 	for i := len(b.head) - 1; i >= 0; i-- {
@@ -31,7 +31,7 @@ func Join[T comparable](a *BAT[OID], b *BAT[T]) *BAT[T] {
 		}
 		next[i], first[b.head[i]] = p, int32(i)
 	}
-	out := NewWithCapacity[T](a.name+"*"+b.name, a.Len())
+	out := NewWithCapacity(a.name+"*"+b.name, a.Len())
 	for i, t := range a.tail {
 		p, ok := first[t]
 		for ok && p >= 0 {
@@ -45,7 +45,7 @@ func Join[T comparable](a *BAT[OID], b *BAT[T]) *BAT[T] {
 // IntersectTails returns the set of OIDs occurring as tails of both a
 // and b. This is the D := O1 ∩ O2 step of Figure 4 when the lifted
 // current-ancestor column is the tail.
-func IntersectTails(a, b *BAT[OID]) map[OID]struct{} {
+func IntersectTails(a, b *BAT) map[OID]struct{} {
 	at := make(map[OID]struct{}, len(a.tail))
 	for _, t := range a.tail {
 		at[t] = struct{}{}
@@ -61,8 +61,8 @@ func IntersectTails(a, b *BAT[OID]) map[OID]struct{} {
 
 // SelectTailNotIn keeps the pairs of a whose tail is not in keys — the
 // "remove matched elements" step of Figure 4.
-func SelectTailNotIn(a *BAT[OID], keys map[OID]struct{}) *BAT[OID] {
-	out := New[OID](a.name + "/notin")
+func SelectTailNotIn(a *BAT, keys map[OID]struct{}) *BAT {
+	out := New(a.name + "/notin")
 	for i := range a.tail {
 		if _, ok := keys[a.tail[i]]; !ok {
 			out.Append(a.head[i], a.tail[i])

@@ -7,28 +7,28 @@ import (
 
 func TestJoin(t *testing.T) {
 	// a: provenance -> current, b: current -> parent.
-	a := batOf("a", pair[OID]{10, 1}, pair[OID]{11, 2}, pair[OID]{12, 3})
-	b := batOf("b", pair[OID]{1, 100}, pair[OID]{2, 200}, pair[OID]{4, 400})
+	a := batOf("a", pair{10, 1}, pair{11, 2}, pair{12, 3})
+	b := batOf("b", pair{1, 100}, pair{2, 200}, pair{4, 400})
 	got := Join(a, b)
-	want := []pair[OID]{{10, 100}, {11, 200}}
+	want := []pair{{10, 100}, {11, 200}}
 	if !reflect.DeepEqual(pairsOf(got), want) {
 		t.Errorf("Join = %v, want %v", pairsOf(got), want)
 	}
 }
 
 func TestJoinExpandsMultipleMatches(t *testing.T) {
-	a := batOf("a", pair[OID]{10, 1})
-	b := batOf("b", pair[string]{1, "x"}, pair[string]{1, "y"})
+	a := batOf("a", pair{10, 1})
+	b := batOf("b", pair{1, 100}, pair{1, 200})
 	got := Join(a, b)
-	want := []pair[string]{{10, "x"}, {10, "y"}}
+	want := []pair{{10, 100}, {10, 200}}
 	if !reflect.DeepEqual(pairsOf(got), want) {
 		t.Errorf("Join = %v, want %v", pairsOf(got), want)
 	}
 }
 
 func TestJoinEmpty(t *testing.T) {
-	a := New[OID]("a")
-	b := batOf("b", pair[OID]{1, 2})
+	a := New("a")
+	b := batOf("b", pair{1, 2})
 	if got := Join(a, b); got.Len() != 0 {
 		t.Errorf("Join(empty, b).Len() = %d, want 0", got.Len())
 	}
@@ -38,8 +38,8 @@ func TestJoinEmpty(t *testing.T) {
 }
 
 func TestIntersectTails(t *testing.T) {
-	a := batOf("a", pair[OID]{1, 100}, pair[OID]{2, 200})
-	b := batOf("b", pair[OID]{3, 200}, pair[OID]{4, 300})
+	a := batOf("a", pair{1, 100}, pair{2, 200})
+	b := batOf("b", pair{3, 200}, pair{4, 300})
 	got := IntersectTails(a, b)
 	if want := map[OID]struct{}{200: {}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("IntersectTails = %v, want {200}", got)
@@ -47,10 +47,10 @@ func TestIntersectTails(t *testing.T) {
 }
 
 func TestSelectTailInNotIn(t *testing.T) {
-	a := batOf("a", pair[OID]{1, 100}, pair[OID]{2, 200}, pair[OID]{3, 300})
+	a := batOf("a", pair{1, 100}, pair{2, 200}, pair{3, 300})
 	keys := map[OID]struct{}{100: {}, 300: {}}
 	out := SelectTailNotIn(a, keys)
-	if want := []pair[OID]{{2, 200}}; !reflect.DeepEqual(pairsOf(out), want) {
+	if want := []pair{{2, 200}}; !reflect.DeepEqual(pairsOf(out), want) {
 		t.Errorf("SelectTailNotIn = %v, want %v", pairsOf(out), want)
 	}
 }

@@ -13,16 +13,16 @@ import (
 
 // randBAT draws a small random OID×OID BAT with heads and tails in
 // [1,16] so that joins and intersections actually hit.
-func randBAT(r *rand.Rand, name string) *BAT[OID] {
+func randBAT(r *rand.Rand, name string) *BAT {
 	n := r.Intn(24)
-	b := New[OID](name)
+	b := New(name)
 	for i := 0; i < n; i++ {
 		b.Append(OID(r.Intn(16)+1), OID(r.Intn(16)+1))
 	}
 	return b
 }
 
-type randPairBATs struct{ A, B *BAT[OID] }
+type randPairBATs struct{ A, B *BAT }
 
 // Generate implements quick.Generator.
 func (randPairBATs) Generate(r *rand.Rand, _ int) reflect.Value {
@@ -32,11 +32,11 @@ func (randPairBATs) Generate(r *rand.Rand, _ int) reflect.Value {
 func TestQuickJoinMatchesNestedLoop(t *testing.T) {
 	f := func(in randPairBATs) bool {
 		got := pairsOf(Join(in.A, in.B))
-		var want []pair[OID]
+		var want []pair
 		for i := 0; i < in.A.Len(); i++ {
 			for j := 0; j < in.B.Len(); j++ {
 				if in.A.Tail(i) == in.B.Head(j) {
-					want = append(want, pair[OID]{in.A.Head(i), in.B.Tail(j)})
+					want = append(want, pair{in.A.Head(i), in.B.Tail(j)})
 				}
 			}
 		}

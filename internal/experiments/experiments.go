@@ -5,8 +5,9 @@
 // series; the root-level benchmarks wrap the same code in testing.B.
 // It also holds what only the evaluation runs (figure4.go): the
 // set-oriented meet of Figure 4 in its array and BAT-join forms, the
-// all-pairs baseline of the Section 1 explosion and the ancestor-set
-// baseline of the steering ablation.
+// all-pairs baseline of the Section 1 explosion, the ancestor-set
+// baseline of the steering ablation and the source-proximity ranking
+// heuristic of Section 4.
 //
 // Absolute numbers differ from the paper's SGI 1400 (the substrate here
 // is an in-process Go store, not the Monet server), but the shapes are
@@ -257,7 +258,8 @@ func AblationParent(setup *Setup, iters int) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	got, err := MeetSetsBAT(setup.Store, icde, year, nil)
+	parents := ParentRelations(setup.Store)
+	got, err := MeetSetsBAT(setup.Store, parents, icde, year, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +278,7 @@ func AblationParent(setup *Setup, iters int) ([]AblationRow, error) {
 		}
 	})
 	bats := measure(iters, func() {
-		if _, err := MeetSetsBAT(setup.Store, icde, year, nil); err != nil {
+		if _, err := MeetSetsBAT(setup.Store, parents, icde, year, nil); err != nil {
 			panic(err)
 		}
 	})

@@ -1,11 +1,14 @@
 package experiments
 
-// The set-oriented meet of the paper's Figure 4 and the baselines the
-// evaluation measures against. None of it serves a request — the
-// system's operator is core's Figure-3 pair meet and Figure-5 roll-up —
-// so it lives here, with the experiments that run it.
+// The set-oriented meet of the paper's Figure 4, the baselines the
+// evaluation measures against and the source-proximity ranking of
+// Section 4. None of it serves a request — the system's operator is
+// core's Figure-3 pair meet and Figure-5 roll-up, its order the served
+// (distance, source, shard, node) — so it lives here, with the
+// experiments that run it.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -115,15 +118,39 @@ func MeetSets(s *monetx.Store, o1, o2 []bat.OID, opt *core.Options) ([]core.Resu
 	return core.SortByDocOrder(results), nil
 }
 
+// ParentRelations derives a store's child→parent relations, indexed by
+// path: for every element path but the root's, the pairs (childOID,
+// parentOID) of its nodes in document order — the relational form of
+// the parent function the paper's Figures 4 and 5 join with. Nil at the
+// root path, whose one node has no parent, and at attribute paths. The
+// BAT-join execution is their only reader, so its callers build them
+// once per store, apart from what they time.
+func ParentRelations(s *monetx.Store) []*bat.BAT {
+	sum := s.Summary()
+	rels := make([]*bat.BAT, sum.Len())
+	for _, p := range sum.ElemPaths() {
+		oids := s.OIDsAt(p)
+		if len(oids) == 0 || oids[0] == s.Root() {
+			continue
+		}
+		rels[p] = bat.NewWithCapacity(sum.String(p), len(oids))
+		for _, o := range oids {
+			rels[p].Append(o, s.Parent(o))
+		}
+	}
+	return rels
+}
+
 // MeetSetsBAT is MeetSets expressed purely with BAT primitives — the
 // relational execution the paper runs inside the Monet server ("the
 // function parent(O1,O2) is a shortcut for join(...), a binary join on
 // associations"). Each group is an association BAT (original OID →
-// current ancestor); lifting is a join with the store's child→parent
-// relation of the group's path; intersection, consumption and
-// filtering are BAT algebra. Its results are identical to MeetSets; the
-// ablation compares the two execution styles.
-func MeetSetsBAT(s *monetx.Store, o1, o2 []bat.OID, opt *core.Options) ([]core.Result, error) {
+// current ancestor); lifting is a join with parents, the store's
+// child→parent relation of the group's path (ParentRelations);
+// intersection, consumption and filtering are BAT algebra. Its results
+// are identical to MeetSets; the ablation compares the two execution
+// styles.
+func MeetSetsBAT(s *monetx.Store, parents []*bat.BAT, o1, o2 []bat.OID, opt *core.Options) ([]core.Result, error) {
 	a1, p1, err := newGroup(s, o1)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: MeetSetsBAT: first set: %w", err)
@@ -135,11 +162,11 @@ func MeetSetsBAT(s *monetx.Store, o1, o2 []bat.OID, opt *core.Options) ([]core.R
 	if len(a1) == 0 || len(a2) == 0 {
 		return nil, nil
 	}
-	b1 := bat.New[bat.OID]("O1")
+	b1 := bat.New("O1")
 	for _, a := range a1 {
 		b1.Append(a.orig, a.cur)
 	}
-	b2 := bat.New[bat.OID]("O2")
+	b2 := bat.New("O2")
 	for _, a := range a2 {
 		b2.Append(a.orig, a.cur)
 	}
@@ -152,12 +179,12 @@ func MeetSetsBAT(s *monetx.Store, o1, o2 []bat.OID, opt *core.Options) ([]core.R
 	// lift is the join(O, parent) step of Figure 4. It never reaches
 	// the root path, whose relation is nil: equal paths at the root end
 	// the loop, and the root is a prefix of every other path.
-	lift := func(b *bat.BAT[bat.OID], p pathsum.PathID, lifts *int32) (*bat.BAT[bat.OID], pathsum.PathID) {
+	lift := func(b *bat.BAT, p pathsum.PathID, lifts *int32) (*bat.BAT, pathsum.PathID) {
 		*lifts++
 		if o.MaxLift > 0 && int(*lifts) > o.MaxLift {
-			b = bat.New[bat.OID]("spent") // beyond MaxLift: every contribution dropped
+			b = bat.New("spent") // beyond MaxLift: every contribution dropped
 		} else {
-			b = bat.Join(b, s.ParentBAT(p))
+			b = bat.Join(b, parents[p])
 		}
 		return b, sum.Parent(p)
 	}
@@ -369,4 +396,23 @@ func compact(as []assoc, consumed []bool) []assoc {
 		}
 	}
 	return out
+}
+
+// RankMeetsBySourceProximity orders meets by how close together their
+// witnesses appear in the document (smallest witness OID span first) —
+// the "distances in the source file" heuristic of Section 4, which
+// ranks by the source rather than by the joins the served order counts.
+// Ties break by join distance, then document order. In place; returns
+// its argument.
+func RankMeetsBySourceProximity(meets []core.Result) []core.Result {
+	span := func(m core.Result) bat.OID {
+		if len(m.Witnesses) == 0 {
+			return 0
+		}
+		return m.Witnesses[len(m.Witnesses)-1] - m.Witnesses[0]
+	}
+	slices.SortStableFunc(meets, func(a, b core.Result) int {
+		return cmp.Or(cmp.Compare(span(a), span(b)), cmp.Compare(a.Distance, b.Distance), cmp.Compare(a.Meet, b.Meet))
+	})
+	return meets
 }

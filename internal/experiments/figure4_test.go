@@ -250,7 +250,7 @@ func TestMeetSetsBATEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := MeetSetsBAT(s, c.o1, c.o2, c.opt)
+		got, err := MeetSetsBAT(s, ParentRelations(s), c.o1, c.o2, c.opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +278,7 @@ func TestMeetSetsBATEquivalenceRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := MeetSetsBAT(s, o1, o2, nil)
+		got, err := MeetSetsBAT(s, ParentRelations(s), o1, o2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -438,6 +438,56 @@ func TestAncestorSetBaselineAgrees(t *testing.T) {
 		// steered version walks only inside the meet's subtree.
 		if alookups < joins-1 {
 			t.Fatalf("baseline lookups %d < steered joins %d for (%d,%d)", alookups, joins, o1, o2)
+		}
+	}
+}
+
+// TestParentRelationsLift: the child→parent relation of a path lifts a
+// group one level with one join, the join(O, parent) step of Figure 4.
+func TestParentRelationsLift(t *testing.T) {
+	s := fig1Store(t)
+	parents := ParentRelations(s)
+	pb := parents[artPath(t, s)]
+	if pb.Len() != 2 || pb.Head(0) != 3 || pb.Tail(0) != 2 {
+		t.Errorf("parent relation of article = %v", pb)
+	}
+	// Lift the two articles (provenance = themselves) one level.
+	a := bat.New("in")
+	a.Append(3, 3)
+	a.Append(13, 13)
+	lifted := bat.Join(a, pb)
+	if lifted.Len() != 2 || lifted.Tail(0) != 2 || lifted.Tail(1) != 2 {
+		t.Errorf("join with the parent relation = %v, want both lifted to institute o2", lifted)
+	}
+	// The root has no parent: no relation to lift with.
+	if got := parents[s.Summary().Root()]; got != nil {
+		t.Errorf("parent relation of the root = %v, want nil", got)
+	}
+}
+
+func TestRankMeetsBySourceProximity(t *testing.T) {
+	meets := []core.Result{
+		{Meet: 2, Witnesses: []bat.OID{5, 90}},
+		{Meet: 4, Witnesses: []bat.OID{7, 9}},
+	}
+	RankMeetsBySourceProximity(meets)
+	if meets[0].Meet != 4 {
+		t.Errorf("order = %+v, want the tight span first", meets)
+	}
+}
+
+func TestRankBySourceProximity(t *testing.T) {
+	meets := []core.Result{
+		{Meet: 2, Witnesses: []bat.OID{10, 90}, Distance: 1}, // span 80
+		{Meet: 5, Witnesses: []bat.OID{40, 45}, Distance: 9}, // span 5
+		{Meet: 7, Witnesses: []bat.OID{1, 6}, Distance: 3},   // span 5, ties on span
+		{Meet: 9, Witnesses: []bat.OID{2}, Distance: 0},      // span 0
+	}
+	RankMeetsBySourceProximity(meets)
+	wantOrder := []bat.OID{9, 7, 5, 2} // span 0, then span-5 ties by distance, then span 80
+	for i, w := range wantOrder {
+		if meets[i].Meet != w {
+			t.Fatalf("order = %v, want %v", meets, wantOrder)
 		}
 	}
 }

@@ -17,7 +17,8 @@ import (
 
 // referencePostings is the index build as it was when the token
 // postings were filled during New and the rows ordered by a comparison
-// sort over packed (owner, row) keys, kept verbatim: the association
+// sort over packed (owner, row) keys, kept verbatim but for reading
+// each path's string relation off the store's table: the association
 // columns, the value table and every token's rows as that build left
 // them. The result is an Index whose postings are already in place, so
 // its Search is the eager index's Search.
@@ -26,16 +27,14 @@ func referencePostings(store *monetx.Store) *Index {
 	sum := store.Summary()
 	intern := make(map[string]valueID)
 	var valueToks [][]string // tokens per interned value, deduplicated
+	tOwners, tPaths, tVals, tValues := store.Table()
+	rowsAt := make([][]int, sum.Len()) // attr path -> its rows, in owner order: the path's string relation
+	for r, pid := range tPaths {
+		rowsAt[pid] = append(rowsAt[pid], r)
+	}
 	for _, pid := range sum.AllPaths() {
-		if sum.Kind(pid) != pathsum.Attr {
-			continue
-		}
-		rel := store.Strings(pid)
-		if rel == nil {
-			continue
-		}
-		for i := 0; i < rel.Len(); i++ {
-			owner, value := rel.Head(i), rel.Tail(i)
+		for _, r := range rowsAt[pid] {
+			owner, value := tOwners[r], tValues[tVals[r]]
 			vid, ok := intern[value]
 			if !ok {
 				vid = valueID(len(idx.values))

@@ -18,7 +18,6 @@ import (
 
 	"ncq/internal/bat"
 	"ncq/internal/monetx"
-	"ncq/internal/pathsum"
 )
 
 // Graph is a store augmented with reference edges.
@@ -29,10 +28,11 @@ type Graph struct {
 	rrefs map[bat.OID][]bat.OID // element -> referring elements
 }
 
-// New scans the store's attribute relations for idAttr ("id") and
-// refAttr ("idref") attributes and materialises the reference edges.
-// A refAttr value may hold several whitespace-separated IDs (IDREFS).
-// Dangling references are reported as an error, duplicated IDs too.
+// New reads the store's association table for idAttr ("id") and
+// refAttr ("idref") attributes, at whatever paths they are written,
+// and materialises the reference edges. A refAttr value may hold several
+// whitespace-separated IDs (IDREFS). Dangling references are reported
+// as an error, duplicated IDs too.
 func New(store *monetx.Store, idAttr, refAttr string) (*Graph, error) {
 	g := &Graph{
 		store: store,
@@ -41,36 +41,31 @@ func New(store *monetx.Store, idAttr, refAttr string) (*Graph, error) {
 		rrefs: make(map[bat.OID][]bat.OID),
 	}
 	sum := store.Summary()
+	owners, paths, vals, values := store.Table()
 	// Pass 1: collect IDs.
-	for _, pid := range sum.AllPaths() {
-		if sum.Kind(pid) != pathsum.Attr || sum.Label(pid) != idAttr {
+	for r, pid := range paths {
+		if sum.Label(pid) != idAttr {
 			continue
 		}
-		rel := store.Strings(pid)
-		for i := 0; i < rel.Len(); i++ {
-			owner, id := rel.Head(i), rel.Tail(i)
-			if prev, dup := g.ids[id]; dup {
-				return nil, fmt.Errorf("idref: ID %q declared by both node %d and node %d", id, prev, owner)
-			}
-			g.ids[id] = owner
+		owner, id := owners[r], values[vals[r]]
+		if prev, dup := g.ids[id]; dup {
+			return nil, fmt.Errorf("idref: ID %q declared by both node %d and node %d", id, prev, owner)
 		}
+		g.ids[id] = owner
 	}
 	// Pass 2: resolve references.
-	for _, pid := range sum.AllPaths() {
-		if sum.Kind(pid) != pathsum.Attr || sum.Label(pid) != refAttr {
+	for r, pid := range paths {
+		if sum.Label(pid) != refAttr {
 			continue
 		}
-		rel := store.Strings(pid)
-		for i := 0; i < rel.Len(); i++ {
-			owner := rel.Head(i)
-			for _, id := range strings.Fields(rel.Tail(i)) {
-				target, ok := g.ids[id]
-				if !ok {
-					return nil, fmt.Errorf("idref: node %d references undeclared ID %q", owner, id)
-				}
-				g.refs[owner] = append(g.refs[owner], target)
-				g.rrefs[target] = append(g.rrefs[target], owner)
+		owner := owners[r]
+		for _, id := range strings.Fields(values[vals[r]]) {
+			target, ok := g.ids[id]
+			if !ok {
+				return nil, fmt.Errorf("idref: node %d references undeclared ID %q", owner, id)
 			}
+			g.refs[owner] = append(g.refs[owner], target)
+			g.rrefs[target] = append(g.rrefs[target], owner)
 		}
 	}
 	return g, nil

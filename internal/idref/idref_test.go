@@ -176,3 +176,42 @@ func TestGraphDistNeverExceedsTreeDist(t *testing.T) {
 		}
 	}
 }
+
+// TestGraphOfParsedDocument builds the graph of a parsed document: one
+// reference, its ID resolved to the declaring element, the two title
+// texts 5 apart on the graph and 6 in the tree, an invalid OID refused,
+// and a reference attribute the document never writes giving a graph
+// with no reference edges rather than an error.
+func TestGraphOfParsedDocument(t *testing.T) {
+	doc, err := xmltree.ParseString(`<r><a id="x"><t>one</t></a><b idref="x"><t>two</t></b></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := monetx.Load(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := New(store, "id", "idref")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Refs() != 1 {
+		t.Errorf("Refs = %d, want 1", g.Refs())
+	}
+	if o, ok := g.Lookup("x"); !ok || store.Label(o) != "a" {
+		t.Errorf("Lookup(x) = (%d,%v), want the a element", o, ok)
+	}
+	// The cdata under a (o4) and under b (o7).
+	if _, d, err := g.TreeOnlyMeet(4, 7); err != nil || d != 6 {
+		t.Errorf("tree distance = %d (%v), want 6", d, err)
+	}
+	if d, err := g.Dist(4, 7); err != nil || d != 5 {
+		t.Errorf("graph distance = %d (%v), want 5", d, err)
+	}
+	if _, _, err := g.Meet(0, 4); err == nil {
+		t.Error("invalid node accepted")
+	}
+	if empty, err := New(store, "id", "nosuchref"); err != nil || empty.Refs() != 0 {
+		t.Errorf("an absent ref attribute gives err %v; want a graph with no references", err)
+	}
+}

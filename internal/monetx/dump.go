@@ -13,53 +13,39 @@ import (
 // ⟨head,tail⟩ pairs. limit > 0 truncates each relation to that many
 // pairs (with an ellipsis); limit <= 0 prints everything. Relations
 // appear in path-summary interning order, which is document order of
-// first appearance.
+// first appearance. A string relation is the table's rows at its path,
+// in owner order; an edge relation pairs each OID at its path with its
+// parent, in document order.
 func (s *Store) DumpTransform(w io.Writer, limit int) error {
 	bw := bufio.NewWriter(w)
 	sum := s.summary
+	rowsAt := make([][]int, sum.Len()) // attr path -> its rows, in owner order
+	for r, pid := range s.paths {
+		rowsAt[pid] = append(rowsAt[pid], r)
+	}
 	for _, pid := range sum.AllPaths() {
-		if sum.Kind(pid) == pathsum.Attr {
-			rel := s.Strings(pid)
-			if rel == nil {
+		var n int
+		var pair func(i int) // writes the relation's i-th pair
+		if rows := rowsAt[pid]; sum.Kind(pid) == pathsum.Attr {
+			if len(rows) == 0 {
 				continue
 			}
-			if _, err := fmt.Fprintf(bw, "%s = {", sum.String(pid)); err != nil {
-				return err
-			}
-			for i := 0; i < rel.Len(); i++ {
-				if limit > 0 && i == limit {
-					fmt.Fprintf(bw, ", … (%d more)", rel.Len()-limit)
-					break
-				}
-				if i > 0 {
-					fmt.Fprint(bw, ", ")
-				}
-				fmt.Fprintf(bw, "⟨o%d,%q⟩", rel.Head(i), rel.Tail(i))
-			}
-			if _, err := fmt.Fprintln(bw, "}"); err != nil {
-				return err
-			}
-			continue
+			n, pair = len(rows), func(i int) { fmt.Fprintf(bw, "⟨o%d,%q⟩", s.owners[rows[i]], s.values[s.vals[rows[i]]]) }
+		} else if oids := s.OIDsAt(pid); len(oids) == 0 || oids[0] == s.root {
+			n, pair = 1, func(int) { fmt.Fprintf(bw, "⟨root,o%d⟩", s.root) } // the root path has no incoming edges
+		} else {
+			n, pair = len(oids), func(i int) { fmt.Fprintf(bw, "⟨o%d,o%d⟩", s.parent[oids[i]], oids[i]) }
 		}
-		rel := s.Edges(pid)
-		if rel == nil { // the root path has no incoming edges
-			if _, err := fmt.Fprintf(bw, "%s = {⟨root,o%d⟩}\n", sum.String(pid), s.root); err != nil {
-				return err
-			}
-			continue
-		}
-		if _, err := fmt.Fprintf(bw, "%s = {", sum.String(pid)); err != nil {
-			return err
-		}
-		for i := 0; i < rel.Len(); i++ {
+		fmt.Fprintf(bw, "%s = {", sum.String(pid))
+		for i := range n {
 			if limit > 0 && i == limit {
-				fmt.Fprintf(bw, ", … (%d more)", rel.Len()-limit)
+				fmt.Fprintf(bw, ", … (%d more)", n-limit)
 				break
 			}
 			if i > 0 {
 				fmt.Fprint(bw, ", ")
 			}
-			fmt.Fprintf(bw, "⟨o%d,o%d⟩", rel.Head(i), rel.Tail(i))
+			pair(i)
 		}
 		if _, err := fmt.Fprintln(bw, "}"); err != nil {
 			return err
@@ -76,23 +62,21 @@ type PathInfo struct {
 }
 
 // PathInfos lists the catalogue in interning order: every element path
-// with its node count and every attribute path with its string count.
-// It reads the node counts off the per-path OID lists and the string
-// counts off the string relations, building both.
+// with its node count and every attribute path with its string count,
+// counted in one pass over the path array and the table's path column.
 func (s *Store) PathInfos() []PathInfo {
 	sum := s.summary
-	out := make([]PathInfo, 0, sum.Len())
-	for _, pid := range sum.AllPaths() {
-		pi := PathInfo{Path: sum.String(pid)}
-		if sum.Kind(pid) == pathsum.Attr {
-			pi.Attr = true
-			if rel := s.Strings(pid); rel != nil {
-				pi.Count = rel.Len()
-			}
-		} else {
-			pi.Count = len(s.OIDsAt(pid))
-		}
-		out = append(out, pi)
+	counts := make([]int, sum.Len())
+	for _, pid := range s.pathOf[1:] {
+		counts[pid]++
+	}
+	for _, pid := range s.paths {
+		counts[pid]++
+	}
+	out := make([]PathInfo, len(counts))
+	for pid, c := range counts {
+		p := pathsum.PathID(pid)
+		out[pid] = PathInfo{Path: sum.String(p), Attr: sum.Kind(p) == pathsum.Attr, Count: c}
 	}
 	return out
 }

@@ -89,18 +89,18 @@ func TestLoaderEqualsLoadOfParse(t *testing.T) {
 }
 
 // The materialised edge relations the store used to build at load,
-// kept as the oracle for the views that replaced them.
+// kept as the oracle for what replaced them.
 type materialised struct {
-	edges map[pathsum.PathID]*bat.BAT[bat.OID]
+	edges map[pathsum.PathID]*bat.BAT
 }
 
 func materialise(s *Store) materialised {
-	m := materialised{map[pathsum.PathID]*bat.BAT[bat.OID]{}}
+	m := materialised{map[pathsum.PathID]*bat.BAT{}}
 	for oid := bat.OID(1); int(oid) <= s.Len(); oid++ {
 		pid := s.pathOf[oid]
 		if p := s.parent[oid]; p != bat.Nil {
 			if m.edges[pid] == nil {
-				m.edges[pid] = bat.New[bat.OID](s.summary.String(pid))
+				m.edges[pid] = bat.New(s.summary.String(pid))
 			}
 			m.edges[pid].Append(p, oid)
 		}
@@ -128,34 +128,9 @@ func (m materialised) children(s *Store, o bat.OID) []bat.OID {
 	return byRank
 }
 
-// reversed swaps head and tail of every pair: the parent relation an
-// edge relation implies.
-func reversed(e *bat.BAT[bat.OID]) *bat.BAT[bat.OID] {
-	if e == nil {
-		return nil
-	}
-	r := bat.New[bat.OID]("rev")
-	for i := 0; i < e.Len(); i++ {
-		r.Append(e.Tail(i), e.Head(i))
-	}
-	return r
-}
-
-func sameBAT[T comparable](a, b *bat.BAT[T]) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
-	if a.Len() != b.Len() {
-		return false
-	}
-	for i := 0; i < a.Len(); i++ {
-		if a.Head(i) != b.Head(i) || a.Tail(i) != b.Tail(i) {
-			return false
-		}
-	}
-	return true
-}
-
+// TestViewsEqualMaterialised holds what replaced the edge relations to
+// them: each element path's OIDs paired with their parents, as the
+// Figure-2 dump prints them, and Children and the sibling steps.
 func TestViewsEqualMaterialised(t *testing.T) {
 	for i, doc := range corpusDocs() {
 		s, err := Load(doc)
@@ -163,12 +138,22 @@ func TestViewsEqualMaterialised(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := materialise(s)
-		for _, pid := range s.summary.AllPaths() {
-			if got := s.Edges(pid); !sameBAT(got, m.edges[pid]) {
-				t.Fatalf("doc %d: Edges(%s) = %v, want %v", i, s.summary.String(pid), got, m.edges[pid])
+		for _, pid := range s.summary.ElemPaths() {
+			e := m.edges[pid]
+			if e == nil { // the root path
+				if oids := s.OIDsAt(pid); len(oids) != 1 || oids[0] != s.Root() {
+					t.Fatalf("doc %d: OIDsAt(%s) = %v, want the root alone", i, s.summary.String(pid), oids)
+				}
+				continue
 			}
-			if rev := reversed(m.edges[pid]); !sameBAT(s.ParentBAT(pid), rev) {
-				t.Fatalf("doc %d: ParentBAT(%s) = %v, want %v", i, s.summary.String(pid), s.ParentBAT(pid), rev)
+			oids := s.OIDsAt(pid)
+			if len(oids) != e.Len() {
+				t.Fatalf("doc %d: %d OIDs at %s, %d edges", i, len(oids), s.summary.String(pid), e.Len())
+			}
+			for j, o := range oids {
+				if s.Parent(o) != e.Head(j) || o != e.Tail(j) {
+					t.Fatalf("doc %d: edge %d at %s is (%d, %d), want (%d, %d)", i, j, s.summary.String(pid), s.Parent(o), o, e.Head(j), e.Tail(j))
+				}
 			}
 		}
 		for o := bat.OID(1); int(o) <= s.Len(); o++ {
@@ -195,38 +180,26 @@ func TestViewsEqualMaterialised(t *testing.T) {
 	}
 }
 
-// TestViewBuiltOnce races goroutines for the same views of a fresh
-// store, the OID lists first: all must get the one slice and the one
-// BAT (run under -race).
+// TestViewBuiltOnce races goroutines for the OID lists of a fresh
+// store: all must get the one slice (run under -race).
 func TestViewBuiltOnce(t *testing.T) {
 	s := fig1Store(t)
 	art := mustPath(t, s, "bibliography", "institute", "article")
 	const n = 8
 	var wg sync.WaitGroup
 	oids := make([][]bat.OID, n)
-	key := mustAttrPath(t, s, "key", "bibliography", "institute", "article")
-	edges, revs := make([]*bat.BAT[bat.OID], n), make([]*bat.BAT[bat.OID], n)
-	strs := make([]*bat.BAT[string], n)
 	for g := 0; g < n; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			strs[g] = s.Strings(key)
 			oids[g] = s.OIDsAt(art)
-			edges[g], revs[g] = s.Edges(art), s.ParentBAT(art)
 		}(g)
 	}
 	wg.Wait()
-	for g := 1; g < n; g++ {
-		if len(oids[g]) != 2 || &oids[g][0] != &oids[0][0] || edges[g] != edges[0] || revs[g] != revs[0] || strs[g] != strs[0] {
-			t.Fatalf("goroutine %d got its own view", g)
+	for g := 0; g < n; g++ {
+		if len(oids[g]) != 2 || &oids[g][0] != &oids[0][0] {
+			t.Fatalf("goroutine %d got its own view: %v", g, oids[g])
 		}
-	}
-	if strs[0] == nil || strs[0].Len() != 2 {
-		t.Fatalf("Strings(article@key) = %v", strs[0])
-	}
-	if edges[0] == nil || edges[0].Len() != 2 {
-		t.Fatalf("Edges(article) = %v", edges[0])
 	}
 }
 
@@ -308,17 +281,73 @@ func TestDerivedDepthAndRankExact(t *testing.T) {
 	}
 }
 
+// TestStringsBuiltOnFirstUse pins the string relations as derived, never
+// resident: Text, AttrValue, Emit, WriteSnapshot, PathInfos and
+// DumpTransform read them off the association table on each use and
+// build nothing — not the OID lists, no second copy of the table's
+// columns, no change to Stats — and a second use reads the same
+// relations.
+func TestStringsBuiltOnFirstUse(t *testing.T) {
+	s := fig1Store(t)
+	owners, paths, vals, values := s.Table()
+	before := s.Stats()
+	for o := bat.OID(1); int(o) <= s.Len(); o++ {
+		s.Text(o)
+		s.AttrValue(o, "key")
+	}
+	if err := s.Emit(s.Root(), xmltree.NewWriter(io.Discard, false)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteSnapshot(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	s.PathInfos()
+	if s.oidsAt != nil {
+		t.Fatal("a look-up, Emit, WriteSnapshot or PathInfos built the OID lists")
+	}
+	key, ok := s.Summary().LookupAttr([]string{"bibliography", "institute", "article"}, "key")
+	if !ok {
+		t.Fatal("article@key not in summary")
+	}
+	const keyLine = `/bibliography/institute/article@key = {⟨o3,"BB99"⟩, ⟨o13,"BK99"⟩}`
+	var firstDump string
+	var firstInfos []PathInfo
+	for use := range 2 {
+		var b strings.Builder
+		if err := s.DumpTransform(&b, 0); err != nil {
+			t.Fatal(err)
+		}
+		infos := s.PathInfos()
+		if !strings.Contains(b.String(), keyLine+"\n") {
+			t.Fatalf("use %d: DumpTransform lacks %q:\n%s", use, keyLine, b.String())
+		}
+		if infos[key].Count != 2 || !infos[key].Attr {
+			t.Errorf("use %d: PathInfos[article@key] = %+v, want an attribute path of 2 strings", use, infos[key])
+		}
+		if use == 0 {
+			firstDump, firstInfos = b.String(), infos
+		} else if b.String() != firstDump || !reflect.DeepEqual(infos, firstInfos) {
+			t.Errorf("a second use read other string relations")
+		}
+		o2, p2, v2, vs2 := s.Table()
+		if &o2[0] != &owners[0] || &p2[0] != &paths[0] || &v2[0] != &vals[0] || &vs2[0] != &values[0] ||
+			len(o2) != len(owners) || len(vs2) != len(values) {
+			t.Errorf("use %d moved the association table", use)
+		}
+		if after := s.Stats(); after != before {
+			t.Errorf("use %d changed Stats: %+v -> %+v", use, before, after)
+		}
+	}
+}
+
 // TestOIDListsBuiltOnFirstUse pins the per-path OID lists as a view: a
-// loaded store has none, and OIDsAt, Edges, ParentBAT and PathInfos
-// each build them on a fresh store — once, so a second use reads the
-// same slices.
+// loaded store has none, and OIDsAt and DumpTransform each build them
+// on a fresh store — once, so a second use reads the same slices.
 func TestOIDListsBuiltOnFirstUse(t *testing.T) {
 	art := mustPath(t, fig1Store(t), "bibliography", "institute", "article")
 	for name, use := range map[string]func(s *Store){
-		"OIDsAt":    func(s *Store) { s.OIDsAt(art) },
-		"Edges":     func(s *Store) { s.Edges(art) },
-		"ParentBAT": func(s *Store) { s.ParentBAT(art) },
-		"PathInfos": func(s *Store) { s.PathInfos() },
+		"OIDsAt":        func(s *Store) { s.OIDsAt(art) },
+		"DumpTransform": func(s *Store) { s.DumpTransform(io.Discard, 0) },
 	} {
 		s := fig1Store(t)
 		if s.oidsAt != nil {
@@ -336,63 +365,25 @@ func TestOIDListsBuiltOnFirstUse(t *testing.T) {
 	}
 }
 
-// TestStringsBuiltOnFirstUse pins the string relations as a view: a
-// loaded store has none; Text, AttrValue, Emit and WriteSnapshot read the
-// table and build none; Strings, DumpTransform and PathInfos each build
-// them on a fresh store — once, so a second use reads the same BATs.
-func TestStringsBuiltOnFirstUse(t *testing.T) {
-	s := fig1Store(t)
-	key := mustAttrPath(t, s, "key", "bibliography", "institute", "article")
-	for o := bat.OID(1); int(o) <= s.Len(); o++ {
-		s.Text(o)
-		s.AttrValue(o, "key")
-	}
-	if err := s.Emit(s.Root(), xmltree.NewWriter(io.Discard, false)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteSnapshot(io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if s.strs != nil {
-		t.Fatal("a look-up, Emit or WriteSnapshot built the string relations")
-	}
-	for name, use := range map[string]func(s *Store){
-		"Strings":       func(s *Store) { s.Strings(key) },
-		"DumpTransform": func(s *Store) { s.DumpTransform(io.Discard, 0) },
-		"PathInfos":     func(s *Store) { s.PathInfos() },
-	} {
-		s := fig1Store(t)
-		if s.strs != nil {
-			t.Fatalf("%s: a loaded store has its string relations", name)
-		}
-		use(s)
-		first := s.strs
-		if first == nil || first[key].Len() != 2 {
-			t.Fatalf("%s did not build the string relations: %v", name, first)
-		}
-		use(s)
-		if &s.strs[0] != &first[0] || s.strs[key] != first[key] {
-			t.Errorf("%s built the string relations twice", name)
-		}
-	}
-}
-
 // TestStatsCountsWhatIsResident pins the accounting: every per-OID
 // array (three: parent, path and end), the association table's three
-// columns and its distinct values with their bytes — and no on-demand
-// view, the string relations and the OID lists included, before or
-// after one is built — computed once, the same for a snapshot's store.
+// columns and its distinct values with their bytes, its rows and values
+// counted off the tree — and not the OID lists, before or after they are
+// built — computed once, the same for a snapshot's store.
 func TestStatsCountsWhatIsResident(t *testing.T) {
 	s := fig1Store(t)
 	rows, distinct := 0, map[string]bool{}
-	for _, pid := range s.summary.AllPaths() {
-		if rel := s.Strings(pid); rel != nil {
-			for i := 0; i < rel.Len(); i++ {
-				rows++
-				distinct[rel.Tail(i)] = true
-			}
+	xmltree.Fig1().Walk(func(n *xmltree.Node) bool {
+		if n.Kind == xmltree.CData {
+			rows++
+			distinct[n.Text] = true
 		}
-	}
+		for _, a := range n.Attrs {
+			rows++
+			distinct[a.Value] = true
+		}
+		return true
+	})
 	valueBytes := 0
 	for v := range distinct {
 		valueBytes += len(v)
@@ -403,13 +394,9 @@ func TestStatsCountsWhatIsResident(t *testing.T) {
 		t.Errorf("MemBytes = %d, want %d (3 arrays of %d, 3 columns of %d rows, %d values of %d bytes)", got, want, n+1, rows, len(distinct), valueBytes)
 	}
 	before := s.Stats()
-	for _, pid := range s.summary.AllPaths() {
-		s.OIDsAt(pid)
-		s.Edges(pid)
-		s.ParentBAT(pid)
-	}
+	s.OIDsAt(s.summary.Root())
 	if after := s.Stats(); after != before {
-		t.Errorf("Stats changed once the views were built: %+v -> %+v", before, after)
+		t.Errorf("Stats changed once the OID lists were built: %+v -> %+v", before, after)
 	}
 	if back := roundTripSnapshot(t, s).Stats(); back != before {
 		t.Errorf("Stats of the snapshot's store = %+v, want %+v", back, before)
@@ -420,9 +407,7 @@ func TestStatsCountsWhatIsResident(t *testing.T) {
 // it counts lengths, so no resident column may have slack — neither the
 // three per-OID arrays nor the association table's columns and values,
 // after a parse-load, a tree's load and a snapshot's read — and, once
-// built, neither may the views: the per-path OID lists and either column
-// of a string relation (read by reflection: the columns are the BAT's
-// own).
+// built, neither may the per-path OID lists.
 func TestResidentColumnsExact(t *testing.T) {
 	doc := datagen.DBLP(datagen.DBLPConfig{Seed: 1, YearFrom: 1990, YearTo: 1999, PubsPerVenueYear: 10})
 	var parsed *Store
@@ -446,14 +431,6 @@ func TestResidentColumnsExact(t *testing.T) {
 		s.OIDsAt(s.summary.Root())
 		for pid, oids := range s.oidsAt {
 			noSlack(s.summary.String(pathsum.PathID(pid))+" OIDs", reflect.ValueOf(oids))
-		}
-		s.Strings(s.summary.Root())
-		for pid, rel := range s.strs {
-			if rel != nil {
-				v := reflect.ValueOf(rel).Elem()
-				noSlack(s.summary.String(pathsum.PathID(pid))+" head", v.FieldByName("head"))
-				noSlack(s.summary.String(pathsum.PathID(pid))+" tail", v.FieldByName("tail"))
-			}
 		}
 	}
 }

@@ -34,9 +34,13 @@ func reassemble(s *Store, o bat.OID) (*refObject, error) {
 		obj.Text, _ = s.Text(o)
 		return obj, nil
 	}
+	first, _ := slices.BinarySearch(s.owners, o)
 	for _, apid := range s.summary.AttrPaths(pid) {
-		if v, ok := s.Strings(apid).Find(o); ok {
-			obj.Attrs = append(obj.Attrs, xmltree.Attr{Name: s.summary.Label(apid), Value: v})
+		for r := first; r < len(s.owners) && s.owners[r] == o; r++ {
+			if s.paths[r] == apid {
+				obj.Attrs = append(obj.Attrs, xmltree.Attr{Name: s.summary.Label(apid), Value: s.values[s.vals[r]]})
+				break
+			}
 		}
 	}
 	sort.Slice(obj.Attrs, func(i, j int) bool { return obj.Attrs[i].Name < obj.Attrs[j].Name })

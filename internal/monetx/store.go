@@ -22,16 +22,14 @@
 // Figure 2 names by that path, and a node's strings are adjacent, which
 // is what a look-up and a subtree's walk read. It is also the table the
 // full-text index searches (internal/fulltext), which shares its columns
-// instead of keeping a copy. Figure 2's relation families — per
-// attribute path its strings, per element path the OIDs at it, one edge
-// relation (parentOID, childOID) and one rank relation (oid,
-// siblingRank) — say nothing the table and the arrays do not, so they
-// are not stored either: Strings' relations, OIDsAt's lists, Edges (the
-// Figure-2 dump) and ParentBAT (the child→parent relation the BAT-join
-// ablation of internal/experiments joins with) are views, built on first
-// use and kept, which no term request builds. Stats counts the
-// associations of all four families, as Figure 2 does, and the bytes of
-// what is resident.
+// instead of keeping a copy. Figure 2's other relation families — per
+// element path its edges (parentOID, childOID), and one rank relation
+// (oid, siblingRank) — say nothing the arrays do not, so they are not
+// stored either: DumpTransform prints each edge relation from the OIDs
+// at its path and their parents. The one view kept is OIDsAt's per-path
+// OID lists, the query language's FROM index, built on first use and
+// kept; no term request builds it. Stats counts the associations of all
+// four families, as Figure 2 does, and the bytes of what is resident.
 //
 // xmltree.Sink events go both ways. Loader, a sink, writes the columns,
 // fed by the parser (no tree is built) or by a tree's walk (Load), and
@@ -75,17 +73,10 @@ type Store struct {
 
 	stats Stats // computed once, by seal
 
-	// The views, built on first use so that a loaded store is safe for
-	// concurrent readers: the string relations and the per-path OID lists
-	// under their Onces, the edge and parent relations of Figure 2 per
-	// path under viewMu.
-	strsOnce sync.Once
-	strs     []*bat.BAT[string] // attr path -> (owner, value); nil at element paths
-	lists    sync.Once
-	oidsAt   [][]bat.OID // elem path -> member OIDs in doc order
-	viewMu   sync.Mutex
-	edges    map[pathsum.PathID]*bat.BAT[bat.OID] // child path -> (parent, child)
-	revEdge  map[pathsum.PathID]*bat.BAT[bat.OID] // child path -> (child, parent)
+	// The per-path OID lists, built on first use under their Once so
+	// that a loaded store is safe for concurrent readers.
+	lists  sync.Once
+	oidsAt [][]bat.OID // elem path -> member OIDs in doc order
 
 	root bat.OID
 }
@@ -98,7 +89,7 @@ type Store struct {
 // and every attribute path a string relation: a load interns one only
 // as it records a string there. MemBytes counts what is resident: the
 // three per-OID arrays, the table's three columns and its distinct
-// values with their bytes — not the views, which most stores never
+// values with their bytes — not the OID lists, which most stores never
 // build.
 func (s *Store) seal() {
 	n := s.Len()
@@ -134,25 +125,6 @@ func (s *Store) buildLists() {
 	}
 	for i, pid := range s.pathOf[1:] {
 		s.oidsAt[pid] = append(s.oidsAt[pid], bat.OID(i+1))
-	}
-}
-
-// buildStrings derives the string relations from the table: one per
-// attribute path, allocated once at its size, its owners ascending as
-// the table's rows do.
-func (s *Store) buildStrings() {
-	counts := make([]int, s.summary.Len())
-	for _, pid := range s.paths {
-		counts[pid]++
-	}
-	s.strs = make([]*bat.BAT[string], len(counts))
-	for pid, c := range counts {
-		if c > 0 {
-			s.strs[pid] = bat.NewWithCapacity[string](s.summary.String(pathsum.PathID(pid)), c)
-		}
-	}
-	for r, pid := range s.paths {
-		s.strs[pid].Append(s.owners[r], s.values[s.vals[r]])
 	}
 }
 
@@ -230,50 +202,6 @@ func (s *Store) ContainsViaJoins(ancestor, descendant bat.OID) bool {
 	return false
 }
 
-// view returns the edge relation of element path p kept in *memo,
-// building it on first use: one pair per node at p in document order,
-// named — as every relation of the transform is — by the path, and nil
-// for the root path, whose one node has no incoming edge. Safe for
-// concurrent callers, who all get the same BAT.
-func view(s *Store, memo *map[pathsum.PathID]*bat.BAT[bat.OID], p pathsum.PathID, pair func(o bat.OID) (bat.OID, bat.OID)) *bat.BAT[bat.OID] {
-	oids := s.OIDsAt(p)
-	if len(oids) == 0 || oids[0] == s.root {
-		return nil
-	}
-	s.viewMu.Lock()
-	defer s.viewMu.Unlock()
-	if b, ok := (*memo)[p]; ok {
-		return b
-	}
-	b := bat.NewWithCapacity[bat.OID](s.summary.String(p), len(oids))
-	for _, o := range oids {
-		b.Append(pair(o))
-	}
-	if *memo == nil {
-		*memo = make(map[pathsum.PathID]*bat.BAT[bat.OID])
-	}
-	(*memo)[p] = b
-	return b
-}
-
-// Edges returns the edge relation of the given element path: pairs
-// (parentOID, childOID) for every node at that path. It is nil for the
-// root path (the root has no incoming edge) and for unknown paths.
-func (s *Store) Edges(p pathsum.PathID) *bat.BAT[bat.OID] {
-	return view(s, &s.edges, p, func(o bat.OID) (bat.OID, bat.OID) { return s.parent[o], o })
-}
-
-// Strings returns the string relation of the given attribute path:
-// pairs (ownerOID, value), building every path's relation on the first
-// call. Nil for element and unknown paths.
-func (s *Store) Strings(p pathsum.PathID) *bat.BAT[string] {
-	if p < 0 || int(p) >= s.summary.Len() {
-		return nil
-	}
-	s.strsOnce.Do(s.buildStrings)
-	return s.strs[p]
-}
-
 // OIDsAt returns the OIDs of all nodes at path p in document order,
 // building every path's list on the first call. The returned slice
 // must not be modified.
@@ -283,14 +211,6 @@ func (s *Store) OIDsAt(p pathsum.PathID) []bat.OID {
 	}
 	s.lists.Do(s.buildLists)
 	return s.oidsAt[p]
-}
-
-// ParentBAT returns the child→parent relation for nodes at path p —
-// the edge relation reversed, the relational form of the parent
-// function used in the paper's Figures 4 and 5. It is nil for the root
-// path and for unknown paths.
-func (s *Store) ParentBAT(p pathsum.PathID) *bat.BAT[bat.OID] {
-	return view(s, &s.revEdge, p, func(o bat.OID) (bat.OID, bat.OID) { return o, s.parent[o] })
 }
 
 // Text returns the character data of a cdata node, its …/cdata@string

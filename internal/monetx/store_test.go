@@ -29,15 +29,6 @@ func mustPath(t *testing.T, s *Store, labels ...string) pathsum.PathID {
 	return id
 }
 
-func mustAttrPath(t *testing.T, s *Store, attr string, labels ...string) pathsum.PathID {
-	t.Helper()
-	id, ok := s.Summary().LookupAttr(labels, attr)
-	if !ok {
-		t.Fatalf("path %v@%s not in summary", labels, attr)
-	}
-	return id
-}
-
 func TestLoadErrors(t *testing.T) {
 	if _, err := Load(nil); err == nil {
 		t.Error("Load(nil) succeeded")
@@ -55,34 +46,16 @@ func TestLoadFig1Shape(t *testing.T) {
 	if s.Root() != 1 {
 		t.Errorf("Root = %d, want 1", s.Root())
 	}
-	// Figure 2 of the paper lists these relations (among others).
-	artPath := mustPath(t, s, "bibliography", "institute", "article")
-	edges := s.Edges(artPath)
-	if edges == nil || edges.Len() != 2 {
-		t.Fatalf("article edge relation = %v", edges)
-	}
+	// Figure 2 of the paper lists these relations (among others); the
+	// whole of it, the string relations included, is TestDumpTransformFig1.
 	// Paper: bibliography/institute/article = {⟨o2,o3⟩, ⟨o2,o13⟩}.
-	if edges.Head(0) != 2 || edges.Tail(0) != 3 || edges.Head(1) != 2 || edges.Tail(1) != 13 {
-		t.Errorf("article edges = %v, want ⟨2,3⟩⟨2,13⟩", edges)
+	arts := s.OIDsAt(mustPath(t, s, "bibliography", "institute", "article"))
+	if len(arts) != 2 || arts[0] != 3 || arts[1] != 13 || s.Parent(3) != 2 || s.Parent(13) != 2 {
+		t.Errorf("articles = %v, want o3 and o13 under o2", arts)
 	}
-	// Root path has no edge relation.
-	rootPath := mustPath(t, s, "bibliography")
-	if s.Edges(rootPath) != nil {
-		t.Error("root path should have no edge relation")
-	}
-	// article@key = {⟨o3,"BB99"⟩, ⟨o13,"BK99"⟩}.
-	keys := s.Strings(mustAttrPath(t, s, "key", "bibliography", "institute", "article"))
-	if keys.Len() != 2 || keys.Head(0) != 3 || keys.Tail(0) != "BB99" || keys.Head(1) != 13 || keys.Tail(1) != "BK99" {
-		t.Errorf("article@key = %v", keys)
-	}
-	// year/cdata@string = {⟨o12,"1999"⟩, ⟨o19,"1999"⟩}.
-	ycd, ok := s.Summary().LookupAttr([]string{"bibliography", "institute", "article", "year", "cdata"}, StringAttr)
-	if !ok {
-		t.Fatal("year/cdata@string path missing")
-	}
-	yb := s.Strings(ycd)
-	if yb.Len() != 2 || yb.Head(0) != 12 || yb.Head(1) != 19 || yb.Tail(0) != "1999" {
-		t.Errorf("year/cdata@string = %v", yb)
+	// The root path has no edge: its one node has no parent.
+	if root := s.OIDsAt(mustPath(t, s, "bibliography")); len(root) != 1 || s.Parent(root[0]) != bat.Nil {
+		t.Errorf("OIDs at the root path = %v", root)
 	}
 }
 
@@ -207,32 +180,6 @@ func TestContainsAgreesOnRandomDocs(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestParentBATAndLiftBAT(t *testing.T) {
-	s := fig1Store(t)
-	artPath := mustPath(t, s, "bibliography", "institute", "article")
-	pb := s.ParentBAT(artPath)
-	if pb.Len() != 2 || pb.Head(0) != 3 || pb.Tail(0) != 2 {
-		t.Errorf("ParentBAT(article) = %v", pb)
-	}
-	// Lazy caching: same object on second call.
-	if s.ParentBAT(artPath) != pb {
-		t.Error("ParentBAT not cached")
-	}
-	// Lift the two articles (provenance = themselves) one level: the
-	// join(O, parent) step of Figure 4.
-	a := bat.New[bat.OID]("in")
-	a.Append(3, 3)
-	a.Append(13, 13)
-	lifted := bat.Join(a, pb)
-	if lifted.Len() != 2 || lifted.Tail(0) != 2 || lifted.Tail(1) != 2 {
-		t.Errorf("join with ParentBAT = %v, want both lifted to institute o2", lifted)
-	}
-	// The root has no parent: no relation to lift with.
-	if got := s.ParentBAT(mustPath(t, s, "bibliography")); got != nil {
-		t.Errorf("ParentBAT(root) = %v, want nil", got)
 	}
 }
 

@@ -53,10 +53,8 @@ func queryResult(t *testing.T, h http.Handler, body string) json.RawMessage {
 // the per-path OID lists are a view too: no term request builds them —
 // restricted, excluding, vague, paged, streamed, over plain and sharded
 // members — and a query-language request, whose FROM binds its
-// variables from them, builds them on every member it runs. The string
-// relations are a view as well: no upload door, no request, no Value,
-// Attr or Subtree and no SaveSnapshot builds them, and DumpTransform,
-// Paths and References each do, once.
+// variables from them, builds them on every member it runs. Value,
+// Attr, Subtree, SaveSnapshot and Paths build neither.
 func TestServingPathLeavesTokenIndexUnbuilt(t *testing.T) {
 	xml := []byte(datagen.DBLP(datagen.DBLPConfig{Seed: 1, YearFrom: 1996, YearTo: 1999, PubsPerVenueYear: 10}).XMLString())
 	db, err := ncq.Open(bytes.NewReader(xml))
@@ -127,10 +125,6 @@ func TestServingPathLeavesTokenIndexUnbuilt(t *testing.T) {
 	if names, members := built((*ncq.Database).OIDListsBuilt); len(names) != members {
 		t.Errorf("a query over %d members built the OID lists of %d", members, len(names))
 	}
-	stringsBuilt := func(db *ncq.Database) bool { return db.StringsView() != 0 }
-	if names, _ := built(stringsBuilt); len(names) != 0 {
-		t.Fatalf("uploads and requests built the string relations of %v", names)
-	}
 	for n := ncq.NodeID(1); int(n) <= db.Len(); n++ {
 		db.Value(n)
 		db.Attr(n, "key")
@@ -141,23 +135,11 @@ func TestServingPathLeavesTokenIndexUnbuilt(t *testing.T) {
 	if err := db.SaveSnapshot(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if stringsBuilt(db) {
-		t.Fatal("Value, Attr, Subtree or SaveSnapshot built the string relations")
+	if len(db.Paths()) == 0 {
+		t.Fatal("Paths listed no path")
 	}
-	for name, use := range map[string]func(db *ncq.Database){
-		"DumpTransform": func(db *ncq.Database) { db.DumpTransform(io.Discard, 0) },
-		"Paths":         func(db *ncq.Database) { db.Paths() },
-		"References":    func(db *ncq.Database) { db.References("key", "idref") },
-	} {
-		fresh, err := ncq.Open(bytes.NewReader(xml))
-		if err != nil {
-			t.Fatal(err)
-		}
-		use(fresh)
-		first := fresh.StringsView()
-		if use(fresh); first == 0 || fresh.StringsView() != first {
-			t.Errorf("%s built the string relations at %#x, then at %#x: want once", name, first, fresh.StringsView())
-		}
+	if db.OIDListsBuilt() || db.TokenIndexBuilt() {
+		t.Fatal("Value, Attr, Subtree, SaveSnapshot or Paths built the OID lists or the token postings")
 	}
 	for _, path := range []string{"/v1/docs/plain", "/v1/docs/buffered", "/v1/docs", "/v1/stats"} {
 		if body := serve(t, h, "GET", path, "", nil, false).Body.String(); strings.Contains(body, "terms") {

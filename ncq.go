@@ -41,13 +41,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"ncq/internal/bat"
 	"ncq/internal/core"
 	"ncq/internal/fulltext"
-	"ncq/internal/idref"
 	"ncq/internal/meetline"
 	"ncq/internal/memo"
 	"ncq/internal/monetx"
@@ -375,43 +373,6 @@ func (db *Database) Dist(a, b NodeID) (int, error) {
 	return d, nil
 }
 
-// RankMeets orders meets by ascending distance (the paper's join-count
-// ranking heuristic), breaking ties by document order, in place, and
-// returns its argument.
-func RankMeets(meets []Meet) []Meet {
-	sort.SliceStable(meets, func(i, j int) bool {
-		if meets[i].Distance != meets[j].Distance {
-			return meets[i].Distance < meets[j].Distance
-		}
-		return meets[i].Node < meets[j].Node
-	})
-	return meets
-}
-
-// RankMeetsBySourceProximity orders meets by how close together their
-// witnesses appear in the document (smallest witness OID span first) —
-// the "distances in the source file" heuristic of Section 4. Ties break
-// by join distance, then document order. In place; returns its argument.
-func RankMeetsBySourceProximity(meets []Meet) []Meet {
-	span := func(m Meet) NodeID {
-		if len(m.Witnesses) == 0 {
-			return 0
-		}
-		return m.Witnesses[len(m.Witnesses)-1] - m.Witnesses[0]
-	}
-	sort.SliceStable(meets, func(i, j int) bool {
-		si, sj := span(meets[i]), span(meets[j])
-		if si != sj {
-			return si < sj
-		}
-		if meets[i].Distance != meets[j].Distance {
-			return meets[i].Distance < meets[j].Distance
-		}
-		return meets[i].Node < meets[j].Node
-	})
-	return meets
-}
-
 // renderMeet builds the public Meet of one core result — the one
 // place a Meet is rendered, for the eager wrapResults and for a member
 // stream's pop alike. Tag and Path are the summary's own strings.
@@ -448,45 +409,6 @@ type Answer = query.Answer
 func (db *Database) Query(src string) (*Answer, error) {
 	return db.engine.Query(src)
 }
-
-// References builds the ID/IDREF reference graph of the document (the
-// paper's future-work extension) using the given attribute names,
-// typically "id" and "idref".
-func (db *Database) References(idAttr, refAttr string) (*RefGraph, error) {
-	g, err := idref.New(db.store, idAttr, refAttr)
-	if err != nil {
-		return nil, fmt.Errorf("ncq: %w", err)
-	}
-	return &RefGraph{g: g, db: db}, nil
-}
-
-// RefGraph is the reference-augmented view of a database.
-type RefGraph struct {
-	g  *idref.Graph
-	db *Database
-}
-
-// Meet returns the nearest concept of two nodes on the reference-
-// augmented graph together with their shortest-path distance.
-func (rg *RefGraph) Meet(a, b NodeID) (Meet, error) {
-	m, dist, err := rg.g.Meet(a, b)
-	if err != nil {
-		return Meet{}, fmt.Errorf("ncq: %w", err)
-	}
-	return Meet{
-		Node:      m,
-		Tag:       rg.db.store.Label(m),
-		Path:      rg.db.store.PathString(m),
-		Witnesses: []NodeID{a, b},
-		Distance:  dist,
-	}, nil
-}
-
-// Refs returns the number of reference edges.
-func (rg *RefGraph) Refs() int { return rg.g.Refs() }
-
-// Lookup resolves an ID attribute value to its declaring element.
-func (rg *RefGraph) Lookup(id string) (NodeID, bool) { return rg.g.Lookup(id) }
 
 // Stats summarises the loaded store.
 type Stats struct {

@@ -313,45 +313,6 @@ func TestNavigationOrderFacade(t *testing.T) {
 	}
 }
 
-func TestRankMeetsBySourceProximity(t *testing.T) {
-	meets := []Meet{
-		{Node: 2, Witnesses: []NodeID{5, 90}},
-		{Node: 4, Witnesses: []NodeID{7, 9}},
-	}
-	RankMeetsBySourceProximity(meets)
-	if meets[0].Node != 4 {
-		t.Errorf("order = %+v, want the tight span first", meets)
-	}
-}
-
-func TestRankBySourceProximity(t *testing.T) {
-	meets := []Meet{
-		{Node: 2, Witnesses: []NodeID{10, 90}, Distance: 1}, // span 80
-		{Node: 5, Witnesses: []NodeID{40, 45}, Distance: 9}, // span 5
-		{Node: 7, Witnesses: []NodeID{1, 6}, Distance: 3},   // span 5, ties on span
-		{Node: 9, Witnesses: []NodeID{2}, Distance: 0},      // span 0
-	}
-	RankMeetsBySourceProximity(meets)
-	wantOrder := []NodeID{9, 7, 5, 2} // span 0, then span-5 ties by distance, then span 80
-	for i, w := range wantOrder {
-		if meets[i].Node != w {
-			t.Fatalf("order = %v, want %v", meets, wantOrder)
-		}
-	}
-}
-
-func TestRankMeets(t *testing.T) {
-	meets := []Meet{
-		{Node: 7, Distance: 9},
-		{Node: 2, Distance: 1},
-		{Node: 1, Distance: 9},
-	}
-	RankMeets(meets)
-	if meets[0].Node != 2 || meets[1].Node != 1 || meets[2].Node != 7 {
-		t.Errorf("RankMeets order = %+v", meets)
-	}
-}
-
 func TestStatsFacade(t *testing.T) {
 	db := fig1DB(t)
 	st := db.Stats()
@@ -372,36 +333,5 @@ func TestWriteXMLRoundTrip(t *testing.T) {
 	}
 	if db2.Len() != db.Len() {
 		t.Errorf("round trip changed node count: %d vs %d", db2.Len(), db.Len())
-	}
-}
-
-func TestReferencesFacade(t *testing.T) {
-	db, err := OpenString(`<r><a id="x"><t>one</t></a><b idref="x"><t>two</t></b></r>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rg, err := db.References("id", "idref")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rg.Refs() != 1 {
-		t.Errorf("Refs = %d", rg.Refs())
-	}
-	if n, ok := rg.Lookup("x"); !ok || db.Tag(n) != "a" {
-		t.Errorf("Lookup = (%d,%v)", n, ok)
-	}
-	// The cdata under a (o4) and under b (o7): tree distance 6, graph 5.
-	m, err := rg.Meet(4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Distance != 5 {
-		t.Errorf("graph meet distance = %d, want 5", m.Distance)
-	}
-	if _, err := rg.Meet(0, 4); err == nil {
-		t.Error("invalid node accepted")
-	}
-	if _, err := db.References("id", "nosuchref"); err != nil {
-		t.Errorf("absent ref attribute should give an empty graph, got %v", err)
 	}
 }

@@ -115,7 +115,19 @@ func answerMeets(ans *Answer) []Meet {
 			out[i].Projected = &Projection{Value: r.Value, XML: r.XML}
 		}
 	}
-	return RankMeets(out)
+	return rankByDistance(out)
+}
+
+// rankByDistance is the served order of one member's meets, spelled as
+// a reference: ascending distance, ties by document order, stably.
+func rankByDistance(meets []Meet) []Meet {
+	sort.SliceStable(meets, func(i, j int) bool {
+		if meets[i].Distance != meets[j].Distance {
+			return meets[i].Distance < meets[j].Distance
+		}
+		return meets[i].Node < meets[j].Node
+	})
+	return meets
 }
 
 // expectedQueryMeets is expectedCorpusMeets for a query-language

@@ -15,8 +15,8 @@ import (
 
 // sameDatabase fails t unless back holds what db holds: the same path
 // summary — ids, labels, kinds, parents —, the same three per-OID
-// columns with the depth and rank derived from them, string relations
-// and Stats, and the same substring answers.
+// columns with the depth and rank derived from them, association table
+// rows and Stats, and the same substring answers.
 func sameDatabase(t *testing.T, label string, db, back *Database) {
 	t.Helper()
 	a, b := db.store, back.store
@@ -37,25 +37,21 @@ func sameDatabase(t *testing.T, label string, db, back *Database) {
 		}
 	}
 	var needles []string
-	for _, p := range sa.AllPaths() {
-		ra, rb := a.Strings(p), b.Strings(p)
-		if ra == nil || rb == nil {
-			if ra != rb {
-				t.Fatalf("%s: relation %s is stored on one side only", label, sa.String(p))
-			}
-			continue
+	ao, ap, av, avals := a.Table()
+	bo, bp, bv, bvals := b.Table()
+	if len(ao) != len(bo) {
+		t.Fatalf("%s: %d string associations, restored %d", label, len(ao), len(bo))
+	}
+	nth := make([]int, sa.Len()) // pairs of each relation seen so far
+	for r := range ao {
+		v := avals[av[r]]
+		if ao[r] != bo[r] || ap[r] != bp[r] || v != bvals[bv[r]] {
+			t.Fatalf("%s: relation %s differs at owner %d", label, sa.String(ap[r]), ao[r])
 		}
-		if ra.Len() != rb.Len() {
-			t.Fatalf("%s: relation %s has %d pairs, restored %d", label, sa.String(p), ra.Len(), rb.Len())
+		if i := nth[ap[r]]; i%5 == 0 && v != "" {
+			needles = append(needles, v, v[:(len(v)+1)/2], v[len(v)/3:])
 		}
-		for i := range ra.Len() {
-			if ra.Head(i) != rb.Head(i) || ra.Tail(i) != rb.Tail(i) {
-				t.Fatalf("%s: relation %s differs at pair %d", label, sa.String(p), i)
-			}
-			if v := ra.Tail(i); i%5 == 0 && v != "" {
-				needles = append(needles, v, v[:(len(v)+1)/2], v[len(v)/3:])
-			}
-		}
+		nth[ap[r]]++
 	}
 	for _, n := range needles {
 		if got, want := back.index.OwnersSubstring(n), db.index.OwnersSubstring(n); !slices.Equal(got, want) {

@@ -54,17 +54,18 @@ func writeSorted(w *xmltree.Writer, n *xmltree.Node) {
 
 // checkTable holds a store to the tree it was loaded from, through
 // everything that reads its association table: Text and AttrValue of
-// every node under every attribute label the summary knows, each string
-// relation against one gathered from the tree, and Emit of every element
-// against the tree's subtree printed by the same writer. The table's
-// rows must ascend strictly by (owner, path), and its values must be
-// distinct.
+// every node under every attribute label the summary knows, the table's
+// rows at each attribute path against the relation gathered from the
+// tree, PathInfos' count at every path against the tree's, and Emit of
+// every element against the tree's subtree printed by the same writer.
+// The table's rows must ascend strictly by (owner, path), and its values
+// must be distinct.
 func checkTable(t *testing.T, label string, s *monetx.Store, d *xmltree.Document) {
 	t.Helper()
 	if s.Len() != d.Len() {
 		t.Fatalf("%s: %d nodes, the tree has %d", label, s.Len(), d.Len())
 	}
-	owners, paths, _, values := s.Table()
+	owners, paths, vals, values := s.Table()
 	for r := 1; r < len(owners); r++ {
 		if owners[r-1] > owners[r] || owners[r-1] == owners[r] && paths[r-1] >= paths[r] {
 			t.Fatalf("%s: rows %d and %d are (%d, %d) then (%d, %d)", label, r-1, r, owners[r-1], paths[r-1], owners[r], paths[r])
@@ -115,25 +116,46 @@ func checkTable(t *testing.T, label string, s *monetx.Store, d *xmltree.Document
 			want[p] = append(want[p], pair{o, a.Value})
 		}
 	}
+	rows := make(map[pathsum.PathID][]pair) // attribute path -> the table's rows there, in owner order
+	for r, p := range paths {
+		rows[p] = append(rows[p], pair{owners[r], values[vals[r]]})
+	}
 	relations := 0
 	for _, p := range sum.AllPaths() {
-		rel := s.Strings(p)
+		rel := rows[p]
 		if rel == nil {
 			continue
 		}
 		relations++
 		ref := want[sum.String(p)]
-		if rel.Len() != len(ref) {
-			t.Fatalf("%s: %s has %d pairs, the tree %d", label, sum.String(p), rel.Len(), len(ref))
+		if len(rel) != len(ref) {
+			t.Fatalf("%s: %s has %d pairs, the tree %d", label, sum.String(p), len(rel), len(ref))
 		}
 		for i, w := range ref {
-			if rel.Head(i) != w.owner || rel.Tail(i) != w.value {
-				t.Fatalf("%s: %s pair %d is (%d, %q), the tree's (%d, %q)", label, sum.String(p), i, rel.Head(i), rel.Tail(i), w.owner, w.value)
+			if rel[i] != w {
+				t.Fatalf("%s: %s pair %d is (%d, %q), the tree's (%d, %q)", label, sum.String(p), i, rel[i].owner, rel[i].value, w.owner, w.value)
 			}
 		}
 	}
 	if relations != len(want) {
 		t.Fatalf("%s: %d string relations, the tree has %d", label, relations, len(want))
+	}
+	counts := make(map[string]int) // rendered path -> its nodes or strings in the tree
+	for o := bat.OID(1); int(o) <= d.Len(); o++ {
+		counts[d.Node(o).PathString()]++
+	}
+	for p, rel := range want {
+		counts[p] = len(rel)
+	}
+	infos := s.PathInfos()
+	if len(infos) != sum.Len() {
+		t.Fatalf("%s: PathInfos lists %d paths, the summary has %d", label, len(infos), sum.Len())
+	}
+	for i, pi := range infos {
+		p := pathsum.PathID(i)
+		if pi.Path != sum.String(p) || pi.Attr != (sum.Kind(p) == pathsum.Attr) || pi.Count != counts[pi.Path] {
+			t.Fatalf("%s: PathInfos[%d] = %+v; the tree has %d at %s", label, i, pi, counts[sum.String(p)], sum.String(p))
+		}
 	}
 
 	for o := bat.OID(1); int(o) <= d.Len(); o++ {
