@@ -454,7 +454,7 @@ func processCPU() time.Duration {
 type nopSink struct{}
 
 func (nopSink) Start(string, []xmltree.Attr) error { return nil }
-func (nopSink) Text(string) error                  { return nil }
+func (nopSink) Text([]byte) error                  { return nil }
 func (nopSink) End() error                         { return nil }
 
 // BenchmarkBATJoin measures the core relational primitive.

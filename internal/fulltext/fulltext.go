@@ -89,7 +89,7 @@ import (
 type Hit struct {
 	Owner bat.OID        // node carrying the string (cdata node or attribute owner)
 	Path  pathsum.PathID // the attribute path of the string association
-	Value string         // the full stored string
+	Value string         // the full stored string: a view of the store's values
 }
 
 // valueID indexes the shared value table: every stored string is
@@ -284,8 +284,8 @@ func dedupTokens(toks []string) []string {
 }
 
 // buildScratch holds a build's transients: the interning table, with
-// the value list before its exact copy and the value id of every
-// association in the order fed, and the trigram buckets' build state.
+// the value id of every association in the order fed, and the trigram
+// buckets' build state.
 // kept retains one set between builds, emptied; an abandoned build never
 // gives its set back.
 type buildScratch struct {
@@ -301,17 +301,20 @@ type bucket struct{ last, n int32 }
 var kept atomic.Pointer[buildScratch]
 
 // builder builds one Index. Fed by a loader, as a monetx.Indexer, it
-// interns each value — ids in the order fed — and runs the trigram
-// counting pass over every new one on its own goroutine, while the part
-// is still being parsed. Once the root closes that goroutine adds the
-// last chunk and lays out the trigram buckets, while the loader lays out
-// the store's table from the ids Wait hands it; finish then shares the
-// table's columns and lays out the value→rows table over them.
+// interns each value from the loader's bytes — ids in the order fed —
+// and runs the trigram counting pass over the same bytes of every new
+// one on its own goroutine, while the part is still being parsed. Once
+// the root closes that goroutine adds the last chunk, makes the
+// distinct values strings of their own and lays out the trigram buckets
+// over them, while the loader lays out the store's table from the ids
+// Wait hands it; finish then shares the table's columns and lays out the
+// value→rows table over them.
 type builder struct {
-	sc   *buildScratch
-	idx  *Index // what is laid out so far
-	sent int    // how many associations went to the goroutine
-	solo bool   // one processor: Close adds every association
+	sc     *buildScratch
+	idx    *Index   // what is laid out so far
+	values []string // the distinct values, once the last chunk is added
+	sent   int      // how many associations went to the goroutine
+	solo   bool     // one processor: Close adds every association
 
 	chunks chan monetx.Chunk // to the goroutine; nil until the first Feed
 	closed bool              // chunks is closed
@@ -402,7 +405,7 @@ func (b *builder) Feed(chunk monetx.Chunk) {
 	}
 	if !b.solo {
 		b.chunks <- chunk
-		b.sent += len(chunk)
+		b.sent += chunk.Len()
 	}
 }
 
@@ -413,10 +416,11 @@ func (b *builder) Feed(chunk monetx.Chunk) {
 func (b *builder) Close(all monetx.Chunk) {
 	if b.chunks == nil {
 		b.addChunk(all)
+		b.values = b.sc.in.Values(all.Text())
 		b.grams()
 		return
 	}
-	b.chunks <- all[b.sent:]
+	b.chunks <- all.From(b.sent)
 	close(b.chunks)
 	b.closed = true
 }
@@ -424,8 +428,9 @@ func (b *builder) Close(all monetx.Chunk) {
 // Wait returns once no chunk is read any more. An abort makes the
 // goroutine, if any, skip what it has not read and lay out nothing, and
 // waits for it to exit. Otherwise Wait waits for the goroutine to read
-// the last chunk — every value is interned then, and the goroutine goes
-// on to lay out grams, which finish waits for — and hands the ids over.
+// the last chunk — every value is interned and copied out then, and the
+// goroutine goes on to lay out grams, which finish waits for — and hands
+// the ids and the values over.
 func (b *builder) Wait(abort bool) (ids []uint32, values []string) {
 	if b.chunks != nil {
 		if abort {
@@ -444,17 +449,24 @@ func (b *builder) Wait(abort bool) (ids []uint32, values []string) {
 	if abort {
 		return nil, nil
 	}
-	return b.sc.in.IDs(), b.sc.in.Values()
+	return b.sc.in.IDs(), b.values
 }
 
 // run is the builder goroutine: it adds every chunk and, once the last
-// has come, lays out grams, unless the part was abandoned.
+// has come, copies the distinct values out of the loader's arena — the
+// last chunk's holds them all — and lays out grams, unless the part was
+// abandoned.
 func (b *builder) run() {
 	defer close(b.done)
+	var last monetx.Chunk
 	for c := range b.chunks {
 		if !b.stop.Load() {
 			b.addChunk(c)
+			last = c
 		}
+	}
+	if !b.stop.Load() {
+		b.values = b.sc.in.Values(last.Text())
 	}
 	close(b.fed)
 	if !b.stop.Load() {
@@ -464,19 +476,19 @@ func (b *builder) run() {
 
 // addChunk interns the value of every association of c and, the first
 // time a value is seen, runs the counting pass of the substring index
-// over it.
+// over its bytes.
 func (b *builder) addChunk(c monetx.Chunk) {
-	sc := b.sc
-	for i := range c {
-		value := c.Value(i)
-		if vid, fresh := sc.in.Add(value); fresh {
-			countGrams(sc.buckets, int32(vid), value)
+	sc, text := b.sc, c.Text()
+	for i := range c.Len() {
+		start, end := c.Span(i)
+		if vid, fresh := sc.in.Add(text, start, end); fresh {
+			countGrams(sc.buckets, int32(vid), text[start:end])
 		}
 	}
 }
 
 // grams lays out the trigram buckets.
-func (b *builder) grams() { b.idx.fillGrams(b.sc.buckets, b.sc.in.Values()) }
+func (b *builder) grams() { b.idx.fillGrams(b.sc.buckets, b.values) }
 
 // finish takes the association table — rows in (owner, path) order, a
 // value id each, over values — lays out the value→rows table over it,
@@ -528,7 +540,7 @@ func (idx *Index) TokensBuilt() bool { return idx.postBuilds.Load() > 0 }
 // once per bucket however often it repeats a trigram: last holds the
 // most recent value id listed, so it also gives the gap an entry is
 // coded as.
-func countGrams(buckets *[gramBuckets]bucket, vid int32, v string) {
+func countGrams[T string | []byte](buckets *[gramBuckets]bucket, vid int32, v T) {
 	if len(v) < gramLen {
 		return
 	}

@@ -2,6 +2,7 @@ package monetx
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync/atomic"
 
@@ -23,15 +24,18 @@ import (
 // laid out as its table; a split parse then starts the next part with
 // the next Start.
 //
-// A loader made by NewIndexingLoader also hands each part's string
-// associations to an Indexer as it records them, every indexChunk of
-// them in load order, so an index can be built beside the parse — and
-// the values are interned there, off the parse: the indexer's ids are
-// the ones the table stores. A loader without one interns its part's
-// values itself as the root closes. The chunks alias the loader's
-// scratch, which is why both exits of a part — its root closing, Abort
-// after a refused parse or replay — wait for the part's indexer before
-// the scratch is cleared or kept.
+// Every value — an attribute's, a text's — is copied into one append-
+// only byte arena as it arrives, and an association records where it
+// lies; no string is made per value. A loader made by NewIndexingLoader
+// also hands each part's string associations to an Indexer as it
+// records them, every indexChunk of them in load order, so an index can
+// be built beside the parse — and the values are interned there, off
+// the parse: the indexer's ids are the ones the table stores, and the
+// distinct values become substrings of one string. A loader without one
+// interns its part's values itself as the root closes. The chunks alias
+// the loader's scratch, which is why both exits of a part — its root
+// closing, Abort after a refused parse or replay — wait for the part's
+// indexer before the scratch is cleared or kept.
 type Loader struct {
 	emit  func(*Store) error
 	index func() Indexer   // makes each part's indexer; nil: none
@@ -45,7 +49,8 @@ type Loader struct {
 // An Indexer consumes the string associations of one part while the
 // part loads, interning their values. Feed and Close hand it chunks in
 // load order; a chunk aliases the loader's scratch and stays valid until
-// Wait returns.
+// Wait returns, so the distinct values must be strings of their own by
+// then.
 type Indexer interface {
 	// Feed hands over the next full chunk.
 	Feed(chunk Chunk)
@@ -56,16 +61,33 @@ type Indexer interface {
 	// Wait returns once no chunk is read any more. With abort set the
 	// part is abandoned: the indexer stops early and keeps nothing.
 	// Otherwise it returns the value id of every association, in the
-	// order fed, and the distinct values by id; both stay valid until
-	// the part's store has been handed to emit.
+	// order fed, which stay valid until the part's store has been handed
+	// to emit, and the distinct values by id, which the store keeps: a
+	// slice exactly as long as it holds, as Interner.Values makes it.
 	Wait(abort bool) (ids []uint32, values []string)
 }
 
-// Chunk is a run of string associations in load order.
-type Chunk []assoc
+// Chunk is a run of string associations in load order, with the
+// loader's text arena as it was when the chunk was handed over: every
+// value of the chunk lies in it, and a later growth of the arena
+// reallocates it without moving those bytes.
+type Chunk struct {
+	rows []assoc
+	text []byte
+}
 
-// Value returns the value of the i-th association.
-func (c Chunk) Value(i int) string { return c[i].value }
+// Len returns the number of associations in c.
+func (c Chunk) Len() int { return len(c.rows) }
+
+// Text returns the arena c's values lie in: a prefix of every later
+// chunk's of the part.
+func (c Chunk) Text() []byte { return c.text }
+
+// Span returns where the value of the i-th association lies in Text.
+func (c Chunk) Span(i int) (start, end uint32) { return c.rows[i].start, c.rows[i].end }
+
+// From returns c from its i-th association on.
+func (c Chunk) From(i int) Chunk { return Chunk{c.rows[i:], c.text} }
 
 // indexChunk is how many associations a Feed hands over: a few thousand
 // keep the hand-offs rare and leave the indexer little to catch up on
@@ -78,28 +100,43 @@ type frame struct {
 	path pathsum.PathID
 }
 
-// scratch is where a load writes the per-OID arrays (entry 0 unused)
-// and every string association, in load order, and where a load with
-// no indexer interns their values. kept retains one set between loads;
-// a load that fails never gives its set back.
+// scratch is where a load writes the per-OID arrays (entry 0 unused),
+// every string association, in load order, and every value's bytes, and
+// where a load with no indexer interns the values. kept retains one set
+// between loads; a load that fails never gives its set back.
 type scratch struct {
 	parent []bat.OID
 	pathOf []pathsum.PathID
 	end    []bat.OID
 	strs   []assoc
+	text   []byte     // the arena: every value, in load order
+	texts  []textPath // by element path: its text's paths, once interned
 	in     Interner
 }
 
-// assoc is one string association: value, owned by owner, at path.
+// assoc is one string association: the value text[start:end] of the
+// arena, owned by owner, at path.
 type assoc struct {
-	path  pathsum.PathID
-	owner bat.OID
-	value string
+	path       pathsum.PathID
+	owner      bat.OID
+	start, end uint32
 }
 
+// textPath is the path of an element path's cdata child and of that
+// child's string attribute; zero, the root's path, until a text is read
+// there.
+type textPath struct{ cdata, str pathsum.PathID }
+
 // MaxKeptRows bounds the scratch a package keeps between loads: a set
-// grown past it, in nodes, strings or values, is dropped.
-const MaxKeptRows = 1 << 17
+// grown past it, in nodes, strings, values or paths, is dropped, and so
+// is one whose arena grew past MaxKeptText bytes.
+const (
+	MaxKeptRows = 1 << 17
+	MaxKeptText = 16 * MaxKeptRows
+)
+
+// maxText bounds a part's arena, whose offsets are 32 bits.
+const maxText = math.MaxUint32
 
 var kept atomic.Pointer[scratch]
 
@@ -111,15 +148,14 @@ func takeScratch() *scratch {
 	}
 	// Entry 0 is unused: each array starts one zero long.
 	sc.parent, sc.pathOf, sc.end = append(sc.parent[:0], 0), append(sc.pathOf[:0], 0), append(sc.end[:0], 0)
-	sc.strs = sc.strs[:0]
+	sc.strs, sc.text, sc.texts = sc.strs[:0], sc.text[:0], sc.texts[:0]
 	return sc
 }
 
-// release clears every string reference and keeps the set, unless it
-// outgrew MaxKeptRows.
+// release keeps the set, unless it outgrew MaxKeptRows or MaxKeptText.
 func (sc *scratch) release() {
-	if cap(sc.parent) <= MaxKeptRows && cap(sc.strs) <= MaxKeptRows && sc.in.Reset() {
-		clear(sc.strs)
+	if cap(sc.parent) <= MaxKeptRows && cap(sc.strs) <= MaxKeptRows && cap(sc.texts) <= MaxKeptRows &&
+		cap(sc.text) <= MaxKeptText && sc.in.Reset() {
 		kept.Store(sc)
 	}
 }
@@ -196,23 +232,12 @@ func Load(doc *xmltree.Document) (*Store, error) {
 	return s, nil
 }
 
-// node appends a node labelled label under the innermost open element
-// to the per-OID arrays.
-func (l *Loader) node(label string) (bat.OID, pathsum.PathID, error) {
-	if l.sc == nil {
-		l.sc, l.sum = takeScratch(), pathsum.New()
-		if l.index != nil {
-			l.ix, l.fed = l.index(), 0
-		}
-	}
-	sc := l.sc
-	parent, parentPath := bat.Nil, pathsum.Invalid
+// node appends a node at path pid under the innermost open element to
+// the per-OID arrays.
+func (l *Loader) node(pid pathsum.PathID) bat.OID {
+	sc, parent := l.sc, bat.Nil
 	if n := len(l.open); n > 0 {
-		parent, parentPath = l.open[n-1].oid, l.open[n-1].path
-	}
-	pid, err := l.sum.Intern(parentPath, label, pathsum.Elem)
-	if err != nil {
-		return 0, 0, fmt.Errorf("monetx: load: %w", err)
+		parent = l.open[n-1].oid
 	}
 	if len(sc.parent) == cap(sc.parent) {
 		// Double the three together: append alone grows a large slice
@@ -223,32 +248,57 @@ func (l *Loader) node(label string) (bat.OID, pathsum.PathID, error) {
 	sc.parent = append(sc.parent, parent)
 	sc.pathOf = append(sc.pathOf, pid)
 	sc.end = append(sc.end, oid)
-	return oid, pid, nil
+	return oid
 }
 
-// attr records one string association of node oid at path pid.
-func (l *Loader) attr(oid bat.OID, pid pathsum.PathID, name, value string) error {
-	apid, err := l.sum.Intern(pid, name, pathsum.Attr)
-	if err != nil {
-		return fmt.Errorf("monetx: load: %w", err)
-	}
+// str records a string association of node oid at attribute path apid
+// whose value is the arena from start on, and hands the indexer every
+// indexChunk of them.
+func (l *Loader) str(oid bat.OID, apid pathsum.PathID, start int) error {
 	sc := l.sc
-	sc.strs = append(sc.strs, assoc{apid, oid, value})
+	if uint64(len(sc.text)) > maxText {
+		return fmt.Errorf("monetx: load: a part's values exceed %d bytes", uint64(maxText))
+	}
+	sc.strs = append(sc.strs, assoc{apid, oid, uint32(start), uint32(len(sc.text))})
 	if l.ix != nil && len(sc.strs)-l.fed == indexChunk {
-		l.ix.Feed(sc.strs[l.fed:len(sc.strs):len(sc.strs)])
+		l.ix.Feed(l.chunk(l.fed))
 		l.fed = len(sc.strs)
 	}
 	return nil
 }
 
+// chunk returns the part's associations from the from-th on, capped so
+// that no later append writes into what it holds.
+func (l *Loader) chunk(from int) Chunk {
+	sc := l.sc
+	return Chunk{sc.strs[from:len(sc.strs):len(sc.strs)], sc.text[:len(sc.text):len(sc.text)]}
+}
+
 // Start opens an element.
 func (l *Loader) Start(label string, attrs []xmltree.Attr) error {
-	oid, pid, err := l.node(label)
-	if err != nil {
-		return err
+	if l.sc == nil {
+		l.sc, l.sum = takeScratch(), pathsum.New()
+		if l.index != nil {
+			l.ix, l.fed = l.index(), 0
+		}
 	}
+	parentPath := pathsum.Invalid
+	if n := len(l.open); n > 0 {
+		parentPath = l.open[n-1].path
+	}
+	pid, err := l.sum.Intern(parentPath, label, pathsum.Elem)
+	if err != nil {
+		return fmt.Errorf("monetx: load: %w", err)
+	}
+	oid := l.node(pid)
 	for _, a := range attrs {
-		if err := l.attr(oid, pid, a.Name, a.Value); err != nil {
+		apid, err := l.sum.Intern(pid, a.Name, pathsum.Attr)
+		if err != nil {
+			return fmt.Errorf("monetx: load: %w", err)
+		}
+		start := len(l.sc.text)
+		l.sc.text = append(l.sc.text, a.Value...)
+		if err := l.str(oid, apid, start); err != nil {
 			return err
 		}
 	}
@@ -256,13 +306,33 @@ func (l *Loader) Start(label string, attrs []xmltree.Attr) error {
 	return nil
 }
 
-// Text adds a cdata node, its text the node's "string" attribute.
-func (l *Loader) Text(text string) error {
-	oid, pid, err := l.node(xmltree.CDataLabel)
-	if err != nil {
-		return err
+// Text adds a cdata node, its text the node's "string" attribute. The
+// two paths are interned at the first text under an element path and
+// read from texts after it.
+func (l *Loader) Text(text []byte) error {
+	if len(l.open) == 0 {
+		return fmt.Errorf("monetx: load: text outside the root")
 	}
-	return l.attr(oid, pid, StringAttr, text)
+	sc, parent := l.sc, l.open[len(l.open)-1].path
+	if int(parent) >= len(sc.texts) {
+		sc.texts = append(sc.texts, make([]textPath, int(parent)+1-len(sc.texts))...)
+	}
+	tp := &sc.texts[parent]
+	if tp.cdata == 0 {
+		cdata, err := l.sum.Intern(parent, xmltree.CDataLabel, pathsum.Elem)
+		if err != nil {
+			return fmt.Errorf("monetx: load: %w", err)
+		}
+		str, err := l.sum.Intern(cdata, StringAttr, pathsum.Attr)
+		if err != nil {
+			return fmt.Errorf("monetx: load: %w", err)
+		}
+		*tp = textPath{cdata, str}
+	}
+	oid := l.node(tp.cdata)
+	start := len(sc.text)
+	sc.text = append(sc.text, text...)
+	return l.str(oid, tp.str, start)
 }
 
 // End closes the innermost open element; closing the root completes the
@@ -275,7 +345,7 @@ func (l *Loader) End() error {
 	}
 	ix := l.ix
 	if ix != nil {
-		ix.Close(sc.strs[:len(sc.strs):len(sc.strs)])
+		ix.Close(l.chunk(0))
 	}
 	// What stays resident is what Stats counts: each column at its size.
 	// The per-OID arrays are copied while an indexer interns the last
@@ -287,11 +357,11 @@ func (l *Loader) End() error {
 		ids, values = ix.Wait(false) // the scratch barrier: nothing reads a chunk past here
 	} else {
 		for _, a := range sc.strs {
-			sc.in.Add(a.value)
+			sc.in.Add(sc.text, a.start, a.end)
 		}
-		ids, values = sc.in.IDs(), sc.in.Values()
+		ids, values = sc.in.IDs(), sc.in.Values(sc.text)
 	}
-	s.values = exact(values)
+	s.values = values
 	sc.layout(s, ids)
 	s.seal()
 	l.ix, l.fed, l.sc, l.sum = nil, 0, nil, nil

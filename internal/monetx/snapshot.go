@@ -9,7 +9,6 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
-	"strings"
 
 	"ncq/internal/xmltree"
 )
@@ -84,7 +83,12 @@ func (sw *snapWriter) Start(label string, attrs []xmltree.Attr) error {
 	return nil
 }
 
-func (sw *snapWriter) Text(text string) error { sw.node(tagText); sw.str(text); return nil }
+func (sw *snapWriter) Text(text []byte) error {
+	sw.node(tagText)
+	sw.uvarint(len(text))
+	sw.Write(text)
+	return nil
+}
 
 func (sw *snapWriter) End() error { sw.ends++; return nil }
 
@@ -140,6 +144,7 @@ type snapReader struct {
 	r   *bufio.Reader
 	h   hash.Hash32
 	err error
+	buf []byte // the last string read by bytes
 }
 
 var errTruncated = errors.New("truncated input")
@@ -171,26 +176,26 @@ func (sr *snapReader) uvarint() uint64 {
 	return 0
 }
 
-// str reads a length-prefixed string a buffer at a time.
-func (sr *snapReader) str() string {
+// bytes reads a length-prefixed string a buffer at a time into one
+// reused buffer, and returns it: valid until the next read.
+func (sr *snapReader) bytes() []byte {
 	n := sr.uvarint()
 	if n > maxSnapshotLabel {
 		sr.fail(fmt.Errorf("string length %d exceeds limit", n))
 	}
-	if sr.err != nil {
-		return ""
-	}
-	var out strings.Builder
-	out.Grow(min(int(n), sr.r.Size()))
+	sr.buf = sr.buf[:0]
 	for rem := int(n); rem > 0 && sr.err == nil; {
 		p, err := sr.r.Peek(min(rem, sr.r.Size()))
-		out.Write(p)
+		sr.buf = append(sr.buf, p...)
 		rem -= len(p)
 		sr.r.Discard(len(p))
 		sr.fail(err)
 	}
-	return out.String()
+	return sr.buf
 }
+
+// str reads a length-prefixed string.
+func (sr *snapReader) str() string { return string(sr.bytes()) }
 
 // check reads past the checksum trailer and holds the input to end
 // there, and the whole input, trailer included, to the CRC residue.
@@ -295,7 +300,7 @@ func replay(sr *snapReader, sink xmltree.Sink) (int, int, error) {
 		case open == 0 && rooted:
 			return 0, 0, fmt.Errorf("node %d is a second root", node)
 		case tag == tagText:
-			if text := sr.str(); sr.err == nil {
+			if text := sr.bytes(); sr.err == nil {
 				sr.fail(sink.Text(text))
 			}
 			continue

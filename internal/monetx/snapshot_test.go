@@ -183,7 +183,7 @@ type balanceSink struct {
 }
 
 func (b *balanceSink) Start(string, []xmltree.Attr) error { b.open++; return nil }
-func (b *balanceSink) Text(string) error                  { return nil }
+func (b *balanceSink) Text([]byte) error                  { return nil }
 func (b *balanceSink) End() error {
 	if b.open == 0 {
 		b.t.Fatal("End with nothing open")
@@ -276,8 +276,8 @@ func TestRefusedReplaysKeepNothing(t *testing.T) {
 			if _, err := ReadSnapshot(bytes.NewReader(in)); err == nil {
 				t.Fatalf("offset %d: accepted", off)
 			}
-			if sc := kept.Load(); sc != nil && holdsStrings(sc) {
-				t.Fatalf("offset %d: the kept scratch holds an aborted load's strings", off)
+			if sc := kept.Load(); sc != nil && holdsValues(sc) {
+				t.Fatalf("offset %d: the kept scratch holds an aborted load's values", off)
 			}
 		}
 	}

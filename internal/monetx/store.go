@@ -65,7 +65,9 @@ type Store struct {
 
 	// The association table: row r says owners[r] carries
 	// values[vals[r]] at attribute path paths[r]. Rows ascend by
-	// (owner, path); values holds each distinct string once.
+	// (owner, path); values holds each distinct string once, all of
+	// them substrings of one string, so a value kept past the store
+	// keeps every value: what outlives it is strings.Clone'd.
 	owners []bat.OID
 	paths  []pathsum.PathID
 	vals   []uint32
@@ -306,7 +308,8 @@ func (s *Store) Emit(o bat.OID, sink xmltree.Sink) error { return s.emit(o, sink
 // unless sorted is set: the snapshot writer's walk, which a replay
 // interns the same path ids from. The subtree's strings are the table's
 // rows from o's first on, in its nodes' order and each node's in path
-// order, so the walk reads them forward without a search.
+// order, so the walk reads them forward without a search. Each text goes
+// out through one reused buffer.
 func (s *Store) emit(o bat.OID, sink xmltree.Sink, sorted bool) error {
 	switch {
 	case !s.ValidOID(o):
@@ -316,6 +319,7 @@ func (s *Store) emit(o bat.OID, sink xmltree.Sink, sorted bool) error {
 	}
 	r := s.firstRow(o)
 	var attrs []xmltree.Attr
+	var text []byte
 	open := 0 // elements started and not yet ended
 	closeTo := func(n int) error {
 		for ; open > n; open-- {
@@ -342,7 +346,8 @@ func (s *Store) emit(o bat.OID, sink xmltree.Sink, sorted bool) error {
 			err = sink.Start(label, attrs)
 			open++
 		} else if len(attrs) > 0 {
-			err = sink.Text(attrs[0].Value) // a cdata node's one attribute is its text
+			text = append(text[:0], attrs[0].Value...) // a cdata node's one attribute is its text
+			err = sink.Text(text)
 		}
 		if err != nil {
 			return err

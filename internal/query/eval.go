@@ -283,11 +283,13 @@ func (e *Engine) projection(projs []projItem, nodes []bat.OID) *Answer {
 			Path: e.store.PathString(o),
 		}
 		for _, it := range projs {
+			// An answer may outlive the store: its texts are its own,
+			// not views of the store's one string of values.
 			switch it.kind {
 			case projValue:
-				row.Value = e.Value(o)
+				row.Value = strings.Clone(e.Value(o))
 			case projXML:
-				row.XML = e.XML(o)
+				row.XML = strings.Clone(e.XML(o))
 			}
 		}
 		ans.Rows = append(ans.Rows, row)
@@ -320,22 +322,30 @@ func (e *Engine) XML(o bat.OID) string {
 func (a *Answer) XML() string {
 	var sb strings.Builder
 	w := xmltree.NewWriter(&sb, false)
+	var buf []byte
+	text := func(parts ...string) { // each text, through one reused buffer
+		buf = buf[:0]
+		for _, p := range parts {
+			buf = append(buf, p...)
+		}
+		w.Text(buf)
+	}
 	w.Start("answer", nil)
 	for _, r := range a.Rows {
-		w.Text("\n  ")
+		text("\n  ")
 		w.Start("result", nil)
 		if len(a.Columns) <= 1 {
-			w.Text(" " + a.cell(r, firstColumn(a.Columns)) + " ")
+			text(" ", a.cell(r, firstColumn(a.Columns)), " ")
 		} else {
 			for _, col := range a.Columns {
 				w.Start(col, nil)
-				w.Text(a.cell(r, col)) // an empty cell still closes as <col></col>
+				text(a.cell(r, col)) // an empty cell still closes as <col></col>
 				w.End()
 			}
 		}
 		w.End()
 	}
-	w.Text("\n")
+	text("\n")
 	w.End() // a strings.Builder never fails
 	return sb.String()
 }

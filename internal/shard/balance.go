@@ -23,14 +23,14 @@ type weigher struct {
 }
 
 func (w *weigher) Start(string, []xmltree.Attr) error {
-	w.Text("") // counted as any node, then open
+	w.Text(nil) // counted as any node, then open
 	w.depth++
 	return nil
 }
 
 // Text counts a node added under the innermost open element: a child of
 // the root starts a weight, a deeper node adds to the last one.
-func (w *weigher) Text(string) error {
+func (w *weigher) Text([]byte) error {
 	switch {
 	case w.depth == 1:
 		w.weights = append(w.weights, 1)
@@ -75,7 +75,7 @@ func (b *Balancer) Start(label string, attrs []xmltree.Attr) error {
 	return b.sink.Start(label, attrs)
 }
 
-func (b *Balancer) Text(text string) error {
+func (b *Balancer) Text(text []byte) error {
 	if err := b.child(); err != nil {
 		return err
 	}

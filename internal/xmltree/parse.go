@@ -14,8 +14,9 @@ import (
 // innermost open one (the first Start opens the root), Text adds a
 // character-data child to it, End closes it. The End that closes the
 // root completes a document; in a split parse a Start may follow it and
-// opens the root of the next part. attrs is valid only during the call.
-// An error from any method aborts the parse and is returned as is.
+// opens the root of the next part. attrs and the bytes of text are
+// valid only during the call: a sink that keeps either copies it. An
+// error from any method aborts the parse and is returned as is.
 //
 // Document.Emit and monetx's Store.Emit walk a tree and a store into a
 // sink too. Documents builds trees, Writer prints XML, monetx.Loader
@@ -23,7 +24,7 @@ import (
 // counts (Weigh) and one that cuts the events into shards (Balance).
 type Sink interface {
 	Start(label string, attrs []Attr) error
-	Text(text string) error
+	Text(text []byte) error
 	End() error
 }
 
@@ -51,8 +52,8 @@ func (t *treeSink) Start(label string, attrs []Attr) error {
 	return t.b.Err()
 }
 
-func (t *treeSink) Text(text string) error {
-	t.b.Text(t.open[len(t.open)-1], text)
+func (t *treeSink) Text(text []byte) error {
+	t.b.Text(t.open[len(t.open)-1], string(text))
 	return t.b.Err()
 }
 
@@ -145,7 +146,7 @@ func parse(s *scanner, cut func(span int64) bool, sink Sink) error {
 		if err := child(); err != nil {
 			return err
 		}
-		return sink.Text(string(text))
+		return sink.Text(text)
 	}
 	boundary := func() error {
 		if cut == nil || len(open) != 1 || kids == 0 || !cut(s.offset()-start) {
@@ -186,12 +187,16 @@ func parse(s *scanner, cut func(span int64) bool, sink Sink) error {
 			s.pos++
 			// The end tag of an open element repeats its name: nothing
 			// else can follow "</", so the name needs no other check.
-			name := s.nameBytes()
-			switch {
-			case len(open) == 0:
-				s.failf("unexpected end element </%.40s>", name)
-			case string(name) != open[len(open)-1]:
-				s.failf("element <%s> closed by </%.40s>", open[len(open)-1], name)
+			// It is matched in place, where the window holds the name
+			// and the byte after it; any other end tag is scanned.
+			if len(open) == 0 || !s.skipName(open[len(open)-1]) {
+				name := s.nameBytes()
+				switch {
+				case len(open) == 0:
+					s.failf("unexpected end element </%.40s>", name)
+				case string(name) != open[len(open)-1]:
+					s.failf("element <%s> closed by </%.40s>", open[len(open)-1], name)
+				}
 			}
 			s.space()
 			s.expect('>', "invalid characters between </ and >")

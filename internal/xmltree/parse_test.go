@@ -303,7 +303,7 @@ func (s *refusingSink) call(kind string) error {
 }
 
 func (s *refusingSink) Start(string, []Attr) error { return s.call("Start") }
-func (s *refusingSink) Text(string) error          { return s.call("Text") }
+func (s *refusingSink) Text([]byte) error          { return s.call("Text") }
 func (s *refusingSink) End() error                 { return s.call("End") }
 
 // TestSinkRefusalsCarryOffsets holds a refusal the sink raises to the

@@ -197,6 +197,17 @@ func (s *scanner) nameBytes() []byte {
 	return b
 }
 
+// skipName consumes name if the window holds it followed by a byte
+// that ends a name, and reports whether it did: a name the window cuts
+// short, or one that goes on, is left for nameBytes.
+func (s *scanner) skipName(name string) bool {
+	if s.end-s.pos <= len(name) || string(s.buf[s.pos:s.pos+len(name)]) != name || nameByte[s.buf[s.pos+len(name)]] {
+		return false
+	}
+	s.pos += len(name)
+	return true
+}
+
 // name scans a qualified name; what names the construct it belongs to.
 // At most one colon, and only one with a name on both sides separates a
 // prefix: ":a" and "a:" are local names in full.

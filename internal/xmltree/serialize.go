@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 
 	"ncq/internal/bat"
 )
@@ -13,9 +14,10 @@ import (
 // order: the one walk serialising, shredding (monetx.Load) and
 // splitting (shard.Split) a tree run on. It refuses a node whose OID is
 // not the next in preorder, the numbering consumers reproduce by
-// counting.
+// counting. Each text goes out through one reused buffer.
 func (d *Document) Emit(sink Sink) error {
 	next := bat.OID(1)
+	var text []byte
 	var walk func(n *Node) error
 	walk = func(n *Node) error {
 		if n.OID != next {
@@ -23,7 +25,8 @@ func (d *Document) Emit(sink Sink) error {
 		}
 		next++
 		if n.Kind == CData {
-			return sink.Text(n.Text)
+			text = append(text[:0], n.Text...)
+			return sink.Text(text)
 		}
 		if err := sink.Start(n.Label, n.Attrs); err != nil {
 			return err
@@ -82,7 +85,9 @@ func (x *Writer) Start(label string, attrs []Attr) error {
 		x.w.WriteByte(' ')
 		x.w.WriteString(a.Name)
 		x.w.WriteString(`="`)
-		x.escape(a.Value, `&<"`)
+		for _, r := range a.Value {
+			x.escape(r, `&<"`)
+		}
 		x.w.WriteByte('"')
 	}
 	x.open, x.bare = append(x.open, label), true
@@ -90,9 +95,13 @@ func (x *Writer) Start(label string, attrs []Attr) error {
 }
 
 // Text writes character data.
-func (x *Writer) Text(text string) error {
+func (x *Writer) Text(text []byte) error {
 	x.child()
-	x.escape(text, "&<>")
+	for len(text) > 0 {
+		r, n := utf8.DecodeRune(text)
+		x.escape(r, "&<>")
+		text = text[n:]
+	}
 	return nil
 }
 
@@ -138,24 +147,22 @@ func (x *Writer) newline(depth int) {
 	}
 }
 
-// escape writes s with the characters in special written as references,
-// and a carriage return too, which a parser would read back as a line
-// feed. A byte that is not UTF-8 is written as U+FFFD.
-func (x *Writer) escape(s, special string) {
-	for _, r := range s {
-		switch {
-		case r == '\r':
-			x.w.WriteString("&#13;")
-		case !strings.ContainsRune(special, r):
-			x.w.WriteRune(r)
-		case r == '&':
-			x.w.WriteString("&amp;")
-		case r == '<':
-			x.w.WriteString("&lt;")
-		case r == '>':
-			x.w.WriteString("&gt;")
-		default:
-			x.w.WriteString("&quot;")
-		}
+// escape writes r, as a reference if it is in special or a carriage
+// return, which a parser would read back as a line feed. A byte that is
+// not UTF-8 is decoded, and written, as U+FFFD.
+func (x *Writer) escape(r rune, special string) {
+	switch {
+	case r == '\r':
+		x.w.WriteString("&#13;")
+	case !strings.ContainsRune(special, r):
+		x.w.WriteRune(r)
+	case r == '&':
+		x.w.WriteString("&amp;")
+	case r == '<':
+		x.w.WriteString("&lt;")
+	case r == '>':
+		x.w.WriteString("&gt;")
+	default:
+		x.w.WriteString("&quot;")
 	}
 }

@@ -151,12 +151,16 @@ func (db *Database) Parent(n NodeID) NodeID { return db.store.Parent(n) }
 func (db *Database) Children(n NodeID) []NodeID { return db.store.Children(n) }
 
 // Value returns the character data of n: its text if n is a cdata
-// node, otherwise the concatenated direct cdata children.
-func (db *Database) Value(n NodeID) string { return db.engine.Value(n) }
+// node, otherwise the concatenated direct cdata children. The string is
+// the caller's own: a store's values are substrings of one string, and
+// one kept would keep them all.
+func (db *Database) Value(n NodeID) string { return strings.Clone(db.engine.Value(n)) }
 
-// Attr returns the value of the named attribute of element n.
+// Attr returns the value of the named attribute of element n, a string
+// of its own as Value's is.
 func (db *Database) Attr(n NodeID, name string) (string, bool) {
-	return db.store.AttrValue(n, name)
+	v, ok := db.store.AttrValue(n, name)
+	return strings.Clone(v), ok
 }
 
 // Before reports whether a starts before b in document order.

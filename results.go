@@ -32,6 +32,7 @@ import (
 	"iter"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"ncq/internal/core"
@@ -248,8 +249,9 @@ func (s *localStream) take() CorpusMeet {
 	}
 	m := s.db.renderMeet(r)
 	if s.projValue || s.projXML {
+		// A meet handed out may outlive the store: its texts are its own.
 		value, xml := s.projected(m.Node)
-		m.Projected = &Projection{Value: value, XML: xml}
+		m.Projected = &Projection{Value: strings.Clone(value), XML: strings.Clone(xml)}
 	}
 	return CorpusMeet{Source: s.source, Shard: int(s.shard), Meet: m}
 }

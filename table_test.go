@@ -40,7 +40,7 @@ func wideElements(n int, reversed bool) string {
 // each element's attributes stably sorted by name.
 func writeSorted(w *xmltree.Writer, n *xmltree.Node) {
 	if n.Kind == xmltree.CData {
-		w.Text(n.Text)
+		w.Text([]byte(n.Text))
 		return
 	}
 	attrs := slices.Clone(n.Attrs)
