@@ -400,7 +400,9 @@ func BenchmarkUploadStages(b *testing.B) {
 	if err := xmltree.ParseSplit(bytes.NewReader(src), nil, shred); err != nil {
 		b.Fatal(err)
 	}
-	open := func() ([]*ncq.Database, error) { return ncq.OpenSharded(bytes.NewReader(src), int64(len(src)), 1) }
+	open := func() ([]*ncq.Database, error) {
+		return ncq.OpenSharded(context.Background(), bytes.NewReader(src), int64(len(src)), 1)
+	}
 	for _, bc := range []struct {
 		name string
 		run  func() error

@@ -151,7 +151,7 @@ func load(file, snap string) (*ncq.Database, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ncq.OpenSnapshot(f)
+	return ncq.OpenSnapshot(context.Background(), f)
 }
 
 // meetFlags holds the meet command's flags. The options are one spec,

@@ -410,9 +410,9 @@ func openFile(file string, shards int) (name string, dbs []*ncq.Database, sharde
 	defer f.Close()
 	name = strings.TrimSuffix(filepath.Base(file), filepath.Ext(file))
 	if filepath.Ext(file) == ".snap" {
-		db, err := ncq.OpenSnapshot(f)
+		db, err := ncq.OpenSnapshot(context.Background(), f)
 		return name, []*ncq.Database{db}, false, err
 	}
-	dbs, err = ncq.OpenSharded(f, info.Size(), shards)
+	dbs, err = ncq.OpenSharded(context.Background(), f, info.Size(), shards)
 	return name, dbs, shards > 1, err
 }

@@ -104,30 +104,34 @@ const (
 // Anything else streams under shard.StreamCut, the byte-budget policy:
 // a shard is cut every size/k input bytes (every 8 MiB when the size is
 // unknown), so not even the body is held whole. Register the result
-// with Commit, sharded when k > 1.
-func OpenSharded(r io.Reader, size int64, k int) ([]*Database, error) {
-	if k <= 1 {
-		return openParts(r, nil)
-	}
-	if size >= 0 && size <= splitBufferedMax {
+// with Commit, sharded when k > 1. ctx carries the caller's trace task:
+// the loader's stages are regions of it.
+func OpenSharded(ctx context.Context, r io.Reader, size int64, k int) ([]*Database, error) {
+	var dbs []*Database
+	l := loaderInto(&dbs)
+	l.Trace(ctx)
+	var err error
+	switch {
+	case k <= 1:
+		err = parseInto(r, nil, l, l)
+	case size >= 0 && size <= splitBufferedMax:
 		body := bytes.NewBuffer(make([]byte, 0, size))
-		weights, err := shard.Weigh(io.TeeReader(r, body))
-		if err != nil {
-			return nil, fmt.Errorf("ncq: %w", err)
+		weights, werr := shard.Weigh(io.TeeReader(r, body))
+		if werr != nil {
+			return nil, fmt.Errorf("ncq: %w", werr)
 		}
-		var dbs []*Database
-		l := loaderInto(&dbs)
-		if err := xmltree.ParseSplit(bytes.NewReader(body.Bytes()), nil, shard.Balance(weights, k, l)); err != nil {
-			l.Abort()
-			return nil, fmt.Errorf("ncq: %w", err)
+		err = parseInto(bytes.NewReader(body.Bytes()), nil, shard.Balance(weights, k, l), l)
+	default:
+		budget := int64(streamShardBudget)
+		if size > 0 {
+			budget = size / int64(k)
 		}
-		return dbs, nil
+		err = parseInto(r, shard.StreamCut(budget, k), l, l)
 	}
-	budget := int64(streamShardBudget)
-	if size > 0 {
-		budget = size / int64(k)
+	if err != nil {
+		return nil, err
 	}
-	return openParts(r, shard.StreamCut(budget, k))
+	return dbs, nil
 }
 
 // AddSharded splits doc into at most k subtree shards (see

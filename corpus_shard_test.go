@@ -396,7 +396,7 @@ func TestOpenShardedBufferedEqualsSplitOfTree(t *testing.T) {
 				}
 				want = append(want, db)
 			}
-			got, err := OpenSharded(strings.NewReader(src), int64(len(src)), k)
+			got, err := OpenSharded(context.Background(), strings.NewReader(src), int64(len(src)), k)
 			if err != nil || len(got) != len(want) {
 				t.Fatalf("%.60s k=%d: %d shards (%v), the tree splits into %d", src, k, len(got), err, len(want))
 			}
@@ -413,7 +413,7 @@ func TestOpenShardedBufferedEqualsSplitOfTree(t *testing.T) {
 	}
 	for _, bad := range []string{``, `<a><b></a>`, `<a/><b/>`, `<a><cdata>x</cdata></a>`} {
 		_, want := ParseDocument(strings.NewReader(bad))
-		_, got := OpenSharded(strings.NewReader(bad), int64(len(bad)), 2)
+		_, got := OpenSharded(context.Background(), strings.NewReader(bad), int64(len(bad)), 2)
 		if want == nil || got == nil || got.Error() != want.Error() {
 			t.Fatalf("%q: OpenSharded says %v, ParseDocument %v", bad, got, want)
 		}

@@ -2,6 +2,7 @@ package ncq
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -40,7 +41,7 @@ func TestDocumentAtMaxDepth(t *testing.T) {
 	if err := db.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := OpenSnapshot(&buf)
+	back, err := OpenSnapshot(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestDeeperThanMaxDepthRejected(t *testing.T) {
 	for i := 0; i < pathsum.MaxDepth+2; i++ {
 		snap = append(snap, 0, 2, 0) // closes nothing, element "a", no attributes
 	}
-	if _, err := OpenSnapshot(bytes.NewReader(snap)); err == nil || !strings.Contains(err.Error(), "limit is 4096") {
+	if _, err := OpenSnapshot(context.Background(), bytes.NewReader(snap)); err == nil || !strings.Contains(err.Error(), "limit is 4096") {
 		t.Errorf("OpenSnapshot: err = %v, want the depth limit", err)
 	}
 }

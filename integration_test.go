@@ -115,7 +115,7 @@ func TestIntegrationSnapshotEquivalence(t *testing.T) {
 	if err := db.SaveSnapshot(bw); err != nil {
 		t.Fatal(err)
 	}
-	back, err := OpenSnapshot(strings.NewReader(buf.String()))
+	back, err := OpenSnapshot(context.Background(), strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"ncq/internal/datagen"
@@ -124,6 +125,50 @@ func TestLoaderIndexEqualsNew(t *testing.T) {
 			}
 			for i, idx := range parts {
 				checkSameIndex(t, fmt.Sprintf("%s, k=%d, part %d", name, k, i), idx)
+			}
+		}
+	}
+}
+
+// TestSmallReadsEqualWholeParse parses the DBLP and multimedia bodies
+// through readers that hand over one byte, or half of what is asked,
+// per Read. A window refilled a byte at a time ends right after each
+// "</", so every end tag takes the scanner's fallback, where a whole
+// buffer matches it in place; half reads cut names at other places. The
+// store's snapshot bytes and stats and the index must equal those of the
+// whole-buffer parse.
+func TestSmallReadsEqualWholeParse(t *testing.T) {
+	snapshot := func(idx *Index) []byte {
+		var buf bytes.Buffer
+		if err := idx.Store().WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	columns := func(idx *Index) []any {
+		return []any{idx.owners, idx.paths, idx.vals, idx.values, idx.valStart, idx.valRows, idx.gramStart, idx.grams}
+	}
+	bodies := uploadBodies()
+	for _, name := range []string{"dblp", "multimedia"} {
+		src := bodies[name]
+		whole, err := loadParts(src, bytes.NewReader([]byte(src)), nil)
+		if err != nil || len(whole) != 1 {
+			t.Fatalf("%s: %d parts, err %v", name, len(whole), err)
+		}
+		for how, r := range map[string]io.Reader{
+			"one byte": iotest.OneByteReader(strings.NewReader(src)),
+			"half":     iotest.HalfReader(strings.NewReader(src)),
+		} {
+			got, err := loadParts(src, r, nil)
+			switch {
+			case err != nil || len(got) != 1:
+				t.Fatalf("%s, %s reads: %d parts, err %v", name, how, len(got), err)
+			case !bytes.Equal(snapshot(got[0]), snapshot(whole[0])):
+				t.Errorf("%s, %s reads: the snapshot differs from the whole parse's", name, how)
+			case got[0].Store().Stats() != whole[0].Store().Stats():
+				t.Errorf("%s, %s reads: stats %+v, whole parse %+v", name, how, got[0].Store().Stats(), whole[0].Store().Stats())
+			case !reflect.DeepEqual(columns(got[0]), columns(whole[0])):
+				t.Errorf("%s, %s reads: the index differs from the whole parse's", name, how)
 			}
 		}
 	}

@@ -1,8 +1,10 @@
 package monetx
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"runtime/trace"
 	"slices"
 	"sync/atomic"
 
@@ -37,6 +39,7 @@ import (
 // closing, Abort after a refused parse or replay — wait for the part's
 // indexer before the scratch is cleared or kept.
 type Loader struct {
+	ctx   context.Context // whose trace task the stages of a part's close are regions of; nil: none
 	emit  func(*Store) error
 	index func() Indexer   // makes each part's indexer; nil: none
 	ix    Indexer          // the part under construction's indexer
@@ -209,6 +212,22 @@ func NewIndexingLoader(index func() Indexer, emit func(*Store) error) *Loader {
 	return &Loader{emit: emit, index: index}
 }
 
+// Trace makes the two stages of each part's close — the wait for its
+// indexer, the layout of its table and the seal — regions of ctx's
+// trace task, named "index wait" and "layout+seal". Untraced, a region
+// costs a check and no allocation.
+func (l *Loader) Trace(ctx context.Context) { l.ctx = ctx }
+
+// stage runs fn, as the region name of the loader's trace task if it
+// has one.
+func (l *Loader) stage(name string, fn func()) {
+	if l.ctx == nil {
+		fn()
+		return
+	}
+	trace.WithRegion(l.ctx, name, fn)
+}
+
 // Abort abandons the part under construction, if any: a parse that
 // failed leaves one. Its indexer is stopped and waited for, and its
 // scratch is dropped, not kept. Call it whenever the parse feeding the
@@ -354,7 +373,8 @@ func (l *Loader) End() error {
 	var ids []uint32
 	var values []string
 	if ix != nil {
-		ids, values = ix.Wait(false) // the scratch barrier: nothing reads a chunk past here
+		// The scratch barrier: nothing reads a chunk past here.
+		l.stage("index wait", func() { ids, values = ix.Wait(false) })
 	} else {
 		for _, a := range sc.strs {
 			sc.in.Add(sc.text, a.start, a.end)
@@ -362,8 +382,10 @@ func (l *Loader) End() error {
 		ids, values = sc.in.IDs(), sc.in.Values(sc.text)
 	}
 	s.values = values
-	sc.layout(s, ids)
-	s.seal()
+	l.stage("layout+seal", func() {
+		sc.layout(s, ids)
+		s.seal()
+	})
 	l.ix, l.fed, l.sc, l.sum = nil, 0, nil, nil
 	sc.release()
 	return l.emit(s)

@@ -407,7 +407,8 @@ func TestStatsCountsWhatIsResident(t *testing.T) {
 // it counts lengths, so no resident column may have slack — neither the
 // three per-OID arrays nor the association table's columns and values,
 // after a parse-load, a tree's load and a snapshot's read — and, once
-// built, neither may the per-path OID lists.
+// built, neither may the per-path OID lists. The values of each are
+// substrings of one string of exactly their bytes.
 func TestResidentColumnsExact(t *testing.T) {
 	doc := datagen.DBLP(datagen.DBLPConfig{Seed: 1, YearFrom: 1990, YearTo: 1999, PubsPerVenueYear: 10})
 	var parsed *Store
@@ -427,6 +428,9 @@ func TestResidentColumnsExact(t *testing.T) {
 		for name, col := range map[string]any{"parent": s.parent, "pathOf": s.pathOf, "end": s.end,
 			"owners": s.owners, "paths": s.paths, "vals": s.vals, "values": s.values} {
 			noSlack(name, reflect.ValueOf(col))
+		}
+		if !oneString(s.values) {
+			t.Errorf("%s: the %d values are not substrings of one exact string", how, len(s.values))
 		}
 		s.OIDsAt(s.summary.Root())
 		for pid, oids := range s.oidsAt {

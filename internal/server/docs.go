@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"net/http"
+	"runtime/trace"
 	"strconv"
 	"strings"
 
@@ -66,23 +67,31 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// Content negotiation: a snapshot body is loaded without the XML
+	// parse and shred. Snapshots carry their own sharding decision, so
+	// ?shards is not meaningful there.
+	snapshot := strings.HasPrefix(r.Header.Get("Content-Type"), SnapshotContentType)
+	if snapshot && k > 1 {
+		wire.WriteError(w, http.StatusBadRequest, "\"shards\" does not apply to a snapshot body")
+		return
+	}
 	body := http.MaxBytesReader(w, r.Body, s.maxBody)
 
+	// One trace task per upload: its stages are the regions
+	// "parse+shred", in which the loader's "index wait" and "layout+seal"
+	// nest, and "commit".
+	ctx, task := trace.NewTask(r.Context(), "put")
+	defer task.End()
+	parse := trace.StartRegion(ctx, "parse+shred")
 	var dbs []*ncq.Database
-	if strings.HasPrefix(r.Header.Get("Content-Type"), SnapshotContentType) {
-		// Content negotiation: the body is a binary snapshot, loaded
-		// without the XML parse and shred. Snapshots carry their own
-		// sharding decision, so ?shards is not meaningful here.
-		if k > 1 {
-			wire.WriteError(w, http.StatusBadRequest, "\"shards\" does not apply to a snapshot body")
-			return
-		}
+	if snapshot {
 		var db *ncq.Database
-		db, err = ncq.OpenSnapshot(body)
+		db, err = ncq.OpenSnapshot(ctx, body)
 		dbs = []*ncq.Database{db}
 	} else {
-		dbs, err = ncq.OpenSharded(body, r.ContentLength, k)
+		dbs, err = ncq.OpenSharded(ctx, body, r.ContentLength, k)
 	}
+	parse.End()
 	if err != nil {
 		writeParseError(w, err)
 		return
@@ -90,7 +99,9 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 	// dbs describe exactly this upload, so the response stays truthful
 	// even when a concurrent PUT or DELETE of the same name wins the
 	// follow-up race.
+	commit := trace.StartRegion(ctx, "commit")
 	replaced, err := s.docs.Put(name, dbs, k > 1)
+	commit.End()
 	if err != nil {
 		wire.WriteError(w, http.StatusInternalServerError, "register document: %v", err)
 		return

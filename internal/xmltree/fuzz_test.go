@@ -48,6 +48,14 @@ func FuzzParse(f *testing.F) {
 		"<a>" + strings.Repeat("long text with &amp; inside ", 20) + "</a>",
 		`<a x="1" x="2"/>`,
 		`<a><b p:x="1" q:x="2">t</b></a>`,
+		// An end tag is matched in place, then scanned when that fails:
+		// a prefix, an extension, space before '>', a prefixed name and
+		// a name the input ends in.
+		"<ab></a>",
+		"<a></ab>",
+		"<a></a >",
+		"<p:a></p:a>",
+		"<a></a",
 	}
 	for _, s := range seeds {
 		f.Add(s)

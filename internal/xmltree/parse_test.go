@@ -286,6 +286,23 @@ func TestParseRefusals(t *testing.T) {
 	}
 }
 
+// TestEndTagRefusalsAlike holds an end tag matched in place, in a whole
+// buffer, to one scanned through the fallback, in a window refilled a
+// byte at a time: the same refusal, word for word and at the same byte,
+// or none.
+func TestEndTagRefusalsAlike(t *testing.T) {
+	for _, in := range []string{
+		"<ab></a>", "<a></ab>", "<a></a >", "<a></a\t>", "<a></a x>", "<p:a></p:a>", "<p:a></q:a>",
+		"<a><b></a>", "<a></a", "<a></", "<a></a/>", "<é></é>", "<é></éé>", "</a>", "<a/></a>",
+	} {
+		_, whole := ParseString(in)
+		_, small := parseWindow(in, 3)
+		if fmt.Sprint(whole) != fmt.Sprint(small) {
+			t.Errorf("%q: whole buffer %v, byte by byte %v", in, whole, small)
+		}
+	}
+}
+
 // refusingSink accepts every call but the n-th of one kind.
 type refusingSink struct {
 	kind  string

@@ -89,7 +89,7 @@ func TestStreamLinesEqualMeets(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := dblp(2)
-	shards, err := ncq.OpenSharded(strings.NewReader(src), int64(len(src)), 3)
+	shards, err := ncq.OpenSharded(context.Background(), strings.NewReader(src), int64(len(src)), 3)
 	if err != nil || len(shards) < 2 {
 		t.Fatalf("%d shards, %v", len(shards), err)
 	}
@@ -156,7 +156,7 @@ func FuzzStreamLinesEqualMeets(f *testing.F) {
 			if i == 1 {
 				k = 1
 			}
-			dbs, err := ncq.OpenSharded(strings.NewReader(src), int64(len(src)), k)
+			dbs, err := ncq.OpenSharded(context.Background(), strings.NewReader(src), int64(len(src)), k)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -88,11 +88,20 @@ func Open(r io.Reader) (*Database, error) {
 func openParts(r io.Reader, cut func(span int64) bool) ([]*Database, error) {
 	var dbs []*Database
 	l := loaderInto(&dbs)
-	if err := xmltree.ParseSplit(r, cut, l); err != nil {
-		l.Abort()
-		return nil, fmt.Errorf("ncq: %w", err)
+	if err := parseInto(r, cut, l, l); err != nil {
+		return nil, err
 	}
 	return dbs, nil
+}
+
+// parseInto parses r, in the parts cut decides on, into sink: l, or a
+// sink that feeds l. A refused parse aborts l.
+func parseInto(r io.Reader, cut func(span int64) bool, sink xmltree.Sink, l *monetx.Loader) error {
+	if err := xmltree.ParseSplit(r, cut, sink); err != nil {
+		l.Abort()
+		return fmt.Errorf("ncq: %w", err)
+	}
+	return nil
 }
 
 // loaderInto is the sink that shreds every document it is fed, builds

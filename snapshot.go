@@ -1,6 +1,7 @@
 package ncq
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -26,10 +27,16 @@ func (db *Database) SaveSnapshotShard(w io.Writer, shard, shards int) error {
 
 // OpenSnapshot loads a database from a snapshot written by
 // SaveSnapshot. The result answers every query identically to the
-// database that was saved.
-func OpenSnapshot(r io.Reader) (*Database, error) {
-	db, _, _, err := OpenSnapshotShard(r)
-	return db, err
+// database that was saved. ctx carries the caller's trace task, as
+// OpenSharded's does.
+func OpenSnapshot(ctx context.Context, r io.Reader) (*Database, error) {
+	var dbs []*Database
+	l := loaderInto(&dbs)
+	l.Trace(ctx)
+	if _, _, err := replayInto(r, l); err != nil {
+		return nil, err
+	}
+	return dbs[0], nil
 }
 
 // OpenSnapshotShard loads a database from a snapshot and returns its
@@ -38,10 +45,18 @@ func OpenSnapshot(r io.Reader) (*Database, error) {
 // is built beside the decode, as an upload's is beside the parse.
 func OpenSnapshotShard(r io.Reader) (db *Database, shard, shards int, err error) {
 	var dbs []*Database
-	l := loaderInto(&dbs)
-	if shard, shards, err = monetx.ReplaySnapshot(r, l); err != nil {
-		l.Abort()
-		return nil, 0, 0, fmt.Errorf("ncq: %w", err)
+	if shard, shards, err = replayInto(r, loaderInto(&dbs)); err != nil {
+		return nil, 0, 0, err
 	}
 	return dbs[0], shard, shards, nil
+}
+
+// replayInto replays a snapshot into l and returns its shard framing. A
+// refused replay aborts l.
+func replayInto(r io.Reader, l *monetx.Loader) (shard, shards int, err error) {
+	if shard, shards, err = monetx.ReplaySnapshot(r, l); err != nil {
+		l.Abort()
+		return 0, 0, fmt.Errorf("ncq: %w", err)
+	}
+	return shard, shards, nil
 }

@@ -2,6 +2,7 @@ package ncq
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -116,7 +117,7 @@ func TestSnapshotRestoresTheSameDatabase(t *testing.T) {
 	}
 
 	src := datagen.DBLP(datagen.DBLPConfig{Seed: 3, YearFrom: 1995, YearTo: 1999, PubsPerVenueYear: 10}).XMLString()
-	parts, err := OpenSharded(strings.NewReader(src), int64(len(src)), 4)
+	parts, err := OpenSharded(context.Background(), strings.NewReader(src), int64(len(src)), 4)
 	if err != nil || len(parts) != 4 {
 		t.Fatalf("%d parts, err %v", len(parts), err)
 	}

@@ -19,7 +19,7 @@ func TestSnapshotFacadeRoundTrip(t *testing.T) {
 	if err := db.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := OpenSnapshot(&buf)
+	back, err := OpenSnapshot(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestSnapshotFacadeRoundTrip(t *testing.T) {
 }
 
 func TestOpenSnapshotErrors(t *testing.T) {
-	if _, err := OpenSnapshot(strings.NewReader("not a snapshot")); err == nil {
+	if _, err := OpenSnapshot(context.Background(), strings.NewReader("not a snapshot")); err == nil {
 		t.Error("garbage snapshot accepted")
 	}
 	// Every proper prefix of a valid snapshot must be rejected cleanly:
@@ -75,7 +75,7 @@ func TestOpenSnapshotErrors(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	for cut := 0; cut < len(raw); cut++ {
-		if back, err := OpenSnapshot(bytes.NewReader(raw[:cut])); err == nil || back != nil {
+		if back, err := OpenSnapshot(context.Background(), bytes.NewReader(raw[:cut])); err == nil || back != nil {
 			t.Fatalf("prefix of %d/%d bytes accepted", cut, len(raw))
 		}
 	}
@@ -135,14 +135,14 @@ func FuzzOpenSnapshot(f *testing.F) {
 	// The same body under the retired column format's magic, refused by
 	// name.
 	retired := append([]byte("NCQSNAP2"), buf.Bytes()[len("NCQSNAP3"):]...)
-	if _, err := OpenSnapshot(bytes.NewReader(retired)); err == nil || !strings.Contains(err.Error(), "NCQSNAP2 is a retired format") {
+	if _, err := OpenSnapshot(context.Background(), bytes.NewReader(retired)); err == nil || !strings.Contains(err.Error(), "NCQSNAP2 is a retired format") {
 		f.Fatalf("the retired magic: err = %v, want a refusal by name", err)
 	}
 	f.Add(retired)
 	f.Add([]byte("NCQSNAP3"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		back, err := OpenSnapshot(bytes.NewReader(data))
+		back, err := OpenSnapshot(context.Background(), bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -150,7 +150,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 		if err := back.SaveSnapshot(&out); err != nil {
 			t.Fatalf("accepted input re-saves with error: %v", err)
 		}
-		if _, err := OpenSnapshot(bytes.NewReader(out.Bytes())); err != nil {
+		if _, err := OpenSnapshot(context.Background(), bytes.NewReader(out.Bytes())); err != nil {
 			t.Fatalf("re-saved snapshot does not load: %v", err)
 		}
 		s := back.store

@@ -89,7 +89,7 @@ func TestSoakLargeBibliography(t *testing.T) {
 	if err := db.SaveSnapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := ncq.OpenSnapshot(&snap)
+	db2, err := ncq.OpenSnapshot(context.Background(), &snap)
 	if err != nil {
 		t.Fatal(err)
 	}

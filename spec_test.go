@@ -156,7 +156,7 @@ func specDiff(ctx context.Context, doc *xmltree.Document, terms []string) string
 		}
 	}
 
-	dbs, err := ncq.OpenSharded(bytes.NewReader([]byte(xml)), int64(len(xml)), 3)
+	dbs, err := ncq.OpenSharded(context.Background(), bytes.NewReader([]byte(xml)), int64(len(xml)), 3)
 	if err != nil {
 		return err.Error()
 	}

@@ -2,6 +2,7 @@ package ncq
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -209,7 +210,7 @@ func TestTableServesTheTree(t *testing.T) {
 		if err := parsed.SaveSnapshot(&snap); err != nil {
 			t.Fatal(err)
 		}
-		restored, err := OpenSnapshot(bytes.NewReader(snap.Bytes()))
+		restored, err := OpenSnapshot(context.Background(), bytes.NewReader(snap.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package ncq_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -69,7 +70,7 @@ func TestRefusedUploadsLeaveNoBuilder(t *testing.T) {
 			size int64
 			k    int
 		}{{"whole", c.size, 1}, {"4 buffered", c.size, 4}, {"4 chunked", -1, 4}} {
-			dbs, err := ncq.OpenSharded(c.body(), door.size, door.k)
+			dbs, err := ncq.OpenSharded(context.Background(), c.body(), door.size, door.k)
 			if err == nil || dbs != nil {
 				t.Fatalf("%s, %s: %d databases, err %v", c.label, door.name, len(dbs), err)
 			}
