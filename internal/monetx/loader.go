@@ -132,10 +132,10 @@ type textPath struct{ cdata, str pathsum.PathID }
 
 // MaxKeptRows bounds the scratch a package keeps between loads: a set
 // grown past it, in nodes, strings, values or paths, is dropped, and so
-// is one whose arena grew past MaxKeptText bytes.
+// is one whose arena grew past maxKeptText bytes, 16 a string.
 const (
 	MaxKeptRows = 1 << 17
-	MaxKeptText = 16 * MaxKeptRows
+	maxKeptText = 16 * MaxKeptRows
 )
 
 // maxText bounds a part's arena, whose offsets are 32 bits.
@@ -155,10 +155,10 @@ func takeScratch() *scratch {
 	return sc
 }
 
-// release keeps the set, unless it outgrew MaxKeptRows or MaxKeptText.
+// release keeps the set, unless it outgrew MaxKeptRows or maxKeptText.
 func (sc *scratch) release() {
 	if cap(sc.parent) <= MaxKeptRows && cap(sc.strs) <= MaxKeptRows && cap(sc.texts) <= MaxKeptRows &&
-		cap(sc.text) <= MaxKeptText && sc.in.Reset() {
+		cap(sc.text) <= maxKeptText && sc.in.Reset() {
 		kept.Store(sc)
 	}
 }

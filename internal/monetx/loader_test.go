@@ -569,11 +569,13 @@ func TestLoaderScratchConcurrent(t *testing.T) {
 }
 
 // TestLoaderScratchBound pins MaxKeptRows: a document past it, in nodes
-// or in string associations, leaves the slot empty.
+// or in string associations, leaves the slot empty, and so does one
+// whose values take more than maxKeptText bytes.
 func TestLoaderScratchBound(t *testing.T) {
 	for name, src := range map[string]string{
 		"nodes":   "<r>" + strings.Repeat("<n/>", MaxKeptRows) + "</r>",
 		"strings": "<r>" + strings.Repeat(`<n a="1" b="2"/>`, MaxKeptRows/2+1) + "</r>",
+		"text":    "<r><n>" + strings.Repeat("x", maxKeptText+1) + "</n></r>",
 	} {
 		kept.Store(nil)
 		if _, err := loadSnapshots(t, "<r><n/></r>", nil); err != nil || kept.Load() == nil {
